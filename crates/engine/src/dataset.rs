@@ -35,14 +35,17 @@
 //! [`crate::scan`] pipeline (segment fan-out, chunk-level predicate masks,
 //! compaction), under the [`Executor`] the dataset is bound to — so a
 //! dataset built from a row-at-a-time executor reproduces the legacy scan
-//! exactly.
+//! exactly.  The aggregate terminals are "fan out every scan unit, fold the
+//! unit states, finalize" over the crate-private `fold` module — the same
+//! unit runners and merge hierarchy a
+//! [`crate::materialize::MaterializedAggregate`] keeps its states with.
 //!
 //! The grouped terminal runs the segment-parallel, chunk-at-a-time hash
 //! grouping introduced in PR 2 (typed [`GroupKey`]s, counting-sort
-//! partitioning, per-group gathers through [`RowChunk::gather_rows`]); it is
-//! the *only* grouped-scan entry point — the old `Executor` method matrix
-//! has been removed.  `grouping_cols` is an arbitrary column *list*, as in
-//! the paper:
+//! partitioning, per-group gathers through
+//! [`crate::chunk::RowChunk::gather_rows`]); it is the *only* grouped-scan
+//! entry point — the old `Executor` method matrix has been removed.
+//! `grouping_cols` is an arbitrary column *list*, as in the paper:
 //! `group_by(["a", "b"])` keys every group by the composite tuple of its
 //! columns' values (one [`crate::group::KeyPart`] per column).  When a chunk
 //! splinters into more groups than batching pays for, the scan switches to a
@@ -53,45 +56,19 @@
 //! vectorized kernels, bit-identical to the row loop.
 
 use crate::aggregate::Aggregate;
-use crate::chunk::{RowChunk, Segment};
 use crate::database::Database;
 use crate::error::{EngineError, Result};
-use crate::executor::{ExecutionMode, ExecutionStats, Executor};
+use crate::executor::{ExecutionStats, Executor};
 use crate::expr::Predicate;
-use crate::group::GroupKey;
+use crate::fold::{self, group_key_of_row, GroupedUnit};
+use crate::group::{self, GroupKey};
 use crate::row::Row;
 use crate::scan;
 use crate::schema::Schema;
 use crate::table::Table;
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-
-/// Once the mean rows-per-group within a chunk drops below this, the grouped
-/// scan stops gathering per-group sub-chunks directly and switches to the
-/// radix partition pass: a gather that yields only a couple of rows costs
-/// more than the vectorized kernel saves, so high-cardinality chunks stage
-/// their rows by group-slot bucket instead and batch each group across many
-/// chunks.  (Equality of results does not depend on the threshold —
-/// `transition_chunk` overrides are bit-identical to per-row transitions by
-/// contract, and staging preserves each group's row order — so this is
-/// purely a performance knob.)
-const MIN_ROWS_PER_GROUP_FOR_GATHER: usize = 4;
-
-/// How many consecutive group slots share one radix bucket.  Rows are
-/// bucketed by `slot / RADIX_SLOTS_PER_BUCKET`, so a flushed bucket touches a
-/// contiguous run of aggregate states (cache-friendly) and each group's
-/// staged batch stays big enough for the vectorized kernels.
-const RADIX_SLOTS_PER_BUCKET: usize = 16;
-
-/// A bucket is flushed through `transition_chunk` once it has staged this
-/// many rows — at that point each of its (up to
-/// [`RADIX_SLOTS_PER_BUCKET`]) groups averages a batch worth gathering.
-const RADIX_FLUSH_ROWS: usize = 256;
-
-/// Upper bound on rows staged across all buckets of one segment scan; when
-/// exceeded, the fullest buckets are flushed early.  Bounds staging memory
-/// at roughly this many rows' worth of columnar data per worker.
-const RADIX_MAX_STAGED_ROWS: usize = 32 * 1024;
 
 /// A lazy, composable description of a scan: a source table plus an optional
 /// row predicate and optional grouping columns, bound to the [`Executor`]
@@ -234,30 +211,10 @@ impl<'a> Dataset<'a> {
         &self.executor
     }
 
-    /// Resolves the grouping columns to schema indices, validating the list:
-    /// it must be non-empty, every name must exist in the schema
-    /// ([`EngineError::ColumnNotFound`] otherwise) and no column may appear
-    /// twice — grouping by a repeated column would silently produce the same
-    /// groups under a wider-looking key, so duplicates are rejected as
-    /// [`EngineError::InvalidArgument`] instead.
+    /// Resolves the grouping columns to schema indices, validating the list
+    /// (see [`group::group_column_indices`]).
     pub(crate) fn group_column_indices(&self) -> Result<Vec<usize>> {
-        if self.group_columns.is_empty() {
-            return Err(EngineError::invalid(
-                "dataset has no grouping columns; call group_by([...]) first",
-            ));
-        }
-        let schema = self.schema();
-        let mut indices = Vec::with_capacity(self.group_columns.len());
-        for column in &self.group_columns {
-            let idx = schema.index_of(column)?;
-            if indices.contains(&idx) {
-                return Err(EngineError::invalid(format!(
-                    "duplicate grouping column {column:?}; grouping columns must be distinct"
-                )));
-            }
-            indices.push(idx);
-        }
-        Ok(indices)
+        group::group_column_indices(self.schema(), &self.group_columns)
     }
 
     fn require_ungrouped(&self, operation: &str) -> Result<()> {
@@ -290,8 +247,14 @@ impl<'a> Dataset<'a> {
         aggregate: &A,
     ) -> Result<(A::Output, ExecutionStats)> {
         self.require_ungrouped("ungrouped aggregation")?;
-        self.executor
-            .aggregate_with_stats(self.table(), aggregate, self.filter.as_ref())
+        let (segments, stats) = fold::scan_units(
+            aggregate,
+            self.table(),
+            &self.executor,
+            self.filter.as_ref(),
+        )?;
+        let state = fold::fold_units(aggregate, segments);
+        Ok((aggregate.finalize(state)?, stats))
     }
 
     /// Runs `aggregate` once per distinct group key, returning the finalized
@@ -330,76 +293,19 @@ impl<'a> Dataset<'a> {
     where
         A::Output: Send,
     {
-        let schema = self.schema();
         let group_indices = self.group_column_indices()?;
-        let group_indices = group_indices.as_slice();
-        let filter = self.filter.as_ref();
-        let mode = self.executor.mode();
-        // Chunk-range stealing (when the executor opts in) spreads a hot
-        // segment's chunks across workers; per segment the ranges' group
-        // maps concatenate in range order, so each key's states still merge
-        // left-to-right in scan order at the coordinator below.
-        let granularity = match mode {
-            ExecutionMode::Chunked => self.executor.steal_granularity(),
-            ExecutionMode::RowAtATime => scan::StealGranularity::Segment,
-        };
-        let segment_results = scan::run_per_segment_ranged(
+        let segments = fold::scan_grouped_units(
+            aggregate,
             self.table(),
-            self.executor.is_parallel(),
-            granularity,
-            |range, segment| match mode {
-                ExecutionMode::Chunked => run_segment_grouped_chunked(
-                    aggregate,
-                    range.chunks(segment),
-                    schema,
-                    group_indices,
-                    filter,
-                ),
-                ExecutionMode::RowAtATime => {
-                    run_segment_grouped_rows(aggregate, segment, schema, group_indices, filter)
-                }
-            },
-            |mut left, right| {
-                left.extend(right);
-                left
-            },
-        );
-
-        // Fold the per-segment states in segment order: per key, states
-        // merge pairwise left-to-right, so results are deterministic and
-        // agree with the ungrouped path's merge structure.
-        let mut merged: HashMap<GroupKey, A::State> = HashMap::new();
-        for res in segment_results {
-            for (key, state) in res? {
-                let combined = match merged.remove(&key) {
-                    None => state,
-                    Some(prev) => aggregate.merge(prev, state),
-                };
-                merged.insert(key, combined);
-            }
-        }
-
-        let mut entries: Vec<(GroupKey, A::State)> = merged.into_iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-
-        // Parallel finalize: groups are independent, so the sorted states
-        // fan out over the work-stealing pool and reassemble in key order.
-        let finalized = scan::run_per_item_with_scratch(
-            entries,
-            self.executor.is_parallel(),
-            || aggregate.make_finalize_scratch(),
-            |_, (key, state), scratch| {
-                aggregate
-                    .finalize_with(state, scratch)
-                    .map(|output| (key, output))
-            },
-        );
-        let mut out = Vec::with_capacity(finalized.len());
-        for slot in finalized {
-            // Outer Err = worker panic; inner Err = finalize failure.
-            out.push(slot??);
-        }
-        Ok(out)
+            &self.executor,
+            &group_indices,
+            self.filter.as_ref(),
+        )?;
+        let states = segments
+            .into_iter()
+            .flatten()
+            .flat_map(GroupedUnit::into_states);
+        fold::fold_groups(aggregate, states, self.executor.is_parallel())
     }
 
     /// Applies `map` once per column-major chunk of filter-surviving rows
@@ -541,12 +447,13 @@ impl<'a> Dataset<'a> {
         let mut groups: BTreeMap<GroupKey, Table> = BTreeMap::new();
         for (seg, res) in per_segment.into_iter().enumerate() {
             for (key, rows) in res? {
-                if !groups.contains_key(&key) {
-                    let table = Table::new(schema.clone(), source.num_segments())?
-                        .with_chunk_capacity(source.chunk_capacity())?;
-                    groups.insert(key.clone(), table);
-                }
-                let table = groups.get_mut(&key).expect("group table inserted above");
+                let table = match groups.entry(key) {
+                    Entry::Occupied(entry) => entry.into_mut(),
+                    Entry::Vacant(entry) => entry.insert(
+                        Table::new(schema.clone(), source.num_segments())?
+                            .with_chunk_capacity(source.chunk_capacity())?,
+                    ),
+                };
                 for row in rows {
                     table.insert_into_segment(seg, row)?;
                 }
@@ -565,414 +472,6 @@ impl Database {
     pub fn dataset(&self, name: &str) -> Result<Dataset<'static>> {
         Ok(Dataset::from_owned_table(self.table(name)?))
     }
-}
-
-/// The (possibly composite) group key of a materialized row.
-fn group_key_of_row(row: &Row, group_indices: &[usize]) -> GroupKey {
-    match group_indices {
-        [idx] => GroupKey::from_value(row.get(*idx)),
-        many => GroupKey::from_values(many.iter().map(|&i| row.get(i))),
-    }
-}
-
-/// One radix bucket of the high-cardinality grouped scan: the staged rows of
-/// a contiguous run of [`RADIX_SLOTS_PER_BUCKET`] group slots, appended in
-/// scan order (so each group's rows stay in row order), plus each staged
-/// row's slot — recorded at staging time so a flush never re-derives keys.
-struct StagedBucket {
-    rows: RowChunk,
-    slots: Vec<u32>,
-}
-
-impl StagedBucket {
-    fn new(schema: &Schema) -> Self {
-        Self {
-            rows: RowChunk::new(schema),
-            slots: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-/// Flushes one radix bucket: counting-sorts the staged row indices by group
-/// slot (stable, so each group's rows keep their scan order), gathers every
-/// group's batch through [`RowChunk::gather_rows`] and feeds it to
-/// [`Aggregate::transition_chunk`].  Clears the bucket in place afterwards,
-/// keeping its grown buffers for the next staging round.
-fn flush_bucket<A: Aggregate>(
-    aggregate: &A,
-    schema: &Schema,
-    states: &mut [A::State],
-    bucket_id: usize,
-    bucket: &mut StagedBucket,
-    staged_total: &mut usize,
-) -> Result<()> {
-    let staged = bucket.len();
-    if staged == 0 {
-        return Ok(());
-    }
-    *staged_total -= staged;
-    let chunk = &bucket.rows;
-    let slots = &bucket.slots;
-
-    let base = (bucket_id * RADIX_SLOTS_PER_BUCKET) as u32;
-    // Local counting sort over the bucket's (at most
-    // RADIX_SLOTS_PER_BUCKET) slots.
-    let mut counts = [0u32; RADIX_SLOTS_PER_BUCKET];
-    for &slot in slots {
-        counts[(slot - base) as usize] += 1;
-    }
-    let outcome = if counts.iter().any(|&c| c as usize == staged) {
-        // Single-group bucket: the whole staged chunk is one batch.
-        let slot = slots[0] as usize;
-        aggregate.transition_chunk(&mut states[slot], chunk, schema)
-    } else {
-        let mut offsets = [0u32; RADIX_SLOTS_PER_BUCKET];
-        let mut running = 0u32;
-        for (offset, &count) in offsets.iter_mut().zip(&counts) {
-            *offset = running;
-            running += count;
-        }
-        let mut scatter = vec![0u32; staged];
-        let mut cursors = offsets;
-        for (i, &slot) in slots.iter().enumerate() {
-            let local = (slot - base) as usize;
-            scatter[cursors[local] as usize] = i as u32;
-            cursors[local] += 1;
-        }
-        let mut result = Ok(());
-        for (local, &count) in counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let start = offsets[local] as usize;
-            let indices = &scatter[start..start + count as usize];
-            let sub = chunk.gather_rows(indices);
-            if let Err(err) =
-                aggregate.transition_chunk(&mut states[base as usize + local], &sub, schema)
-            {
-                result = Err(err);
-                break;
-            }
-        }
-        result
-    };
-    bucket.rows.clear();
-    bucket.slots.clear();
-    outcome
-}
-
-fn run_segment_grouped_chunked<A: Aggregate>(
-    aggregate: &A,
-    chunks: &[std::sync::Arc<RowChunk>],
-    schema: &Schema,
-    group_indices: &[usize],
-    filter: Option<&Predicate>,
-) -> Result<Vec<(GroupKey, A::State)>> {
-    // Segment-level group directory: each distinct key is hashed into a
-    // dense slot exactly once per row, and states live in a flat vector
-    // indexed by slot.
-    let mut slots: HashMap<GroupKey, u32> = HashMap::new();
-    let mut states: Vec<A::State> = Vec::new();
-    // Radix staging for high-cardinality chunks: one bucket per contiguous
-    // run of RADIX_SLOTS_PER_BUCKET slots, holding rows copied out of their
-    // source chunks until the bucket is worth batching.
-    let mut buckets: Vec<StagedBucket> = Vec::new();
-    let mut staged_total: usize = 0;
-    // Per-chunk scratch, reused across chunks: the key columns, the slot of
-    // every row, the distinct slots of the current chunk (first-seen order)
-    // with their in-chunk row counts, and an epoch-stamped marker per slot
-    // (`u32::MAX` = not yet seen this chunk) locating each slot's entry
-    // in `chunk_groups`.
-    let mut row_slots: Vec<u32> = Vec::new();
-    let mut chunk_groups: Vec<(u32, u32)> = Vec::new();
-    let mut chunk_group_of_slot: Vec<u32> = Vec::new();
-    let mut scatter: Vec<u32> = Vec::new();
-    let mut offsets: Vec<u32> = Vec::new();
-    // The staging pass keeps the same shape of directory at bucket
-    // granularity (cleared inside `stage_chunk_rows`).
-    let mut directory = BucketDirectory::default();
-
-    scan::scan_chunks(chunks, schema, filter, |batch| {
-        let chunk = batch.chunk();
-        let rows = chunk.len();
-        let key_columns: Vec<&crate::chunk::ColumnChunk> =
-            group_indices.iter().map(|&c| chunk.column(c)).collect();
-
-        // Pass 1: key every row into its segment-level slot and tally
-        // this chunk's distinct groups (the per-group selection masks,
-        // in compressed slot form).  Group values cluster in practice,
-        // so probe the previous row's key in place first — for text and
-        // array keys that skips the per-row key allocation entirely.
-        row_slots.clear();
-        for group in chunk_groups.drain(..) {
-            chunk_group_of_slot[group.0 as usize] = u32::MAX;
-        }
-        let mut previous: Option<(GroupKey, u32)> = None;
-        for i in 0..rows {
-            let slot = match &previous {
-                Some((key, slot)) if key.matches_columns(&key_columns, i) => *slot,
-                _ => {
-                    let key = GroupKey::from_columns(&key_columns, i);
-                    let slot = match slots.get(&key) {
-                        Some(&slot) => slot,
-                        None => {
-                            let slot = states.len() as u32;
-                            states.push(aggregate.initial_state());
-                            chunk_group_of_slot.push(u32::MAX);
-                            slots.insert(key.clone(), slot);
-                            slot
-                        }
-                    };
-                    previous = Some((key, slot));
-                    slot
-                }
-            };
-            row_slots.push(slot);
-            let marker = &mut chunk_group_of_slot[slot as usize];
-            if *marker == u32::MAX {
-                *marker = chunk_groups.len() as u32;
-                chunk_groups.push((slot, 0));
-            }
-            chunk_groups[*marker as usize].1 += 1;
-        }
-        // Keep one (possibly empty) bucket per run of slots, so every slot
-        // has a bucket to stage into or flush from.
-        let wanted = states.len().div_ceil(RADIX_SLOTS_PER_BUCKET);
-        buckets.resize_with(wanted.max(buckets.len()), || StagedBucket::new(schema));
-
-        if chunk_groups.len() == 1 {
-            // Single-key chunk: the whole chunk is one group's batch.  Any
-            // staged rows of this group's bucket must run first to keep the
-            // group's row order.
-            let slot = chunk_groups[0].0 as usize;
-            let b = slot / RADIX_SLOTS_PER_BUCKET;
-            flush_bucket(
-                aggregate,
-                schema,
-                &mut states,
-                b,
-                &mut buckets[b],
-                &mut staged_total,
-            )?;
-            return aggregate.transition_chunk(&mut states[slot], chunk, schema);
-        }
-
-        if rows >= chunk_groups.len() * MIN_ROWS_PER_GROUP_FOR_GATHER {
-            // Batches are big enough for the vectorized kernels: bucket
-            // the row indices by group (counting-sort scatter, one flat
-            // reused buffer) and gather each group's rows — in row
-            // order — into a compacted sub-chunk.  Buckets holding staged
-            // rows of this chunk's groups flush first (order again).
-            if staged_total > 0 {
-                for &(slot, _) in chunk_groups.iter() {
-                    let b = slot as usize / RADIX_SLOTS_PER_BUCKET;
-                    flush_bucket(
-                        aggregate,
-                        schema,
-                        &mut states,
-                        b,
-                        &mut buckets[b],
-                        &mut staged_total,
-                    )?;
-                }
-            }
-            offsets.clear();
-            let mut running = 0u32;
-            for &(_, count) in chunk_groups.iter() {
-                offsets.push(running);
-                running += count;
-            }
-            scatter.resize(rows, 0);
-            let mut cursors = offsets.clone();
-            for (i, &slot) in row_slots.iter().enumerate() {
-                let g = chunk_group_of_slot[slot as usize] as usize;
-                scatter[cursors[g] as usize] = i as u32;
-                cursors[g] += 1;
-            }
-            for (g, &(slot, count)) in chunk_groups.iter().enumerate() {
-                let start = offsets[g] as usize;
-                let indices = &scatter[start..start + count as usize];
-                let sub = chunk.gather_rows(indices);
-                aggregate.transition_chunk(&mut states[slot as usize], &sub, schema)?;
-            }
-        } else {
-            // High-cardinality chunk — the radix partition pass.  Counting-
-            // sort the row indices into slot-range buckets and append each
-            // bucket's rows (columnar copies, no Row materialization) to its
-            // staging chunk; groups batch up across chunks and flush through
-            // transition_chunk once their bucket is full.  Per-group row
-            // order is preserved: a group's rows route through exactly one
-            // bucket, in scan order.
-            scatter.resize(rows, 0);
-            stage_chunk_rows(
-                chunk,
-                &row_slots,
-                &mut buckets,
-                &mut staged_total,
-                &mut scatter,
-                &mut offsets,
-                &mut directory,
-            )?;
-            // Flush buckets that reached a batch worth of rows — only the
-            // buckets staged into by *this* chunk (still listed in
-            // `chunk_buckets`) can have newly crossed the threshold, so the
-            // check is O(buckets touched), not O(all buckets).
-            for &(b, _) in directory.chunk_buckets.iter() {
-                let bucket = &mut buckets[b as usize];
-                if bucket.len() >= RADIX_FLUSH_ROWS {
-                    flush_bucket(
-                        aggregate,
-                        schema,
-                        &mut states,
-                        b as usize,
-                        bucket,
-                        &mut staged_total,
-                    )?;
-                }
-            }
-            // Bound total staging memory by draining the fullest buckets
-            // (global scan, but only reached when the cap is exceeded).
-            while staged_total > RADIX_MAX_STAGED_ROWS {
-                let fullest = (0..buckets.len())
-                    .max_by_key(|&b| buckets[b].len())
-                    .expect("buckets exist while rows are staged");
-                flush_bucket(
-                    aggregate,
-                    schema,
-                    &mut states,
-                    fullest,
-                    &mut buckets[fullest],
-                    &mut staged_total,
-                )?;
-            }
-        }
-        Ok(())
-    })?;
-
-    // End of segment: drain every bucket.  Cross-group order is free (each
-    // group's state is independent); per-group order was preserved by the
-    // staging discipline.
-    for (b, bucket) in buckets.iter_mut().enumerate() {
-        flush_bucket(aggregate, schema, &mut states, b, bucket, &mut staged_total)?;
-    }
-    debug_assert_eq!(staged_total, 0);
-
-    Ok(collect_slotted_states(slots, states))
-}
-
-/// Chunk-level radix-bucket directory, reused across staged chunks: the
-/// distinct buckets of the current chunk in first-seen order with their row
-/// counts, plus an epoch-stamped entry marker per bucket id (`u32::MAX` =
-/// not seen this chunk) — the bucket-granularity twin of the slot directory
-/// in the grouped pass-1.
-#[derive(Default)]
-struct BucketDirectory {
-    chunk_buckets: Vec<(u32, u32)>,
-    chunk_entry_of_bucket: Vec<u32>,
-}
-
-/// Stages one high-cardinality chunk's rows into their slot-range buckets:
-/// counting-sorts the row indices by bucket (stable, preserving row order)
-/// and appends each bucket's run to its staging chunk in one
-/// [`RowChunk::append_rows`] call.
-///
-/// `chunk_buckets` and `chunk_entry_of_bucket` are caller-owned scratch —
-/// the same epoch-stamped dense directory the slot pass uses for groups
-/// (`u32::MAX` = bucket not yet seen this chunk), so keying a row to its
-/// chunk-bucket entry is O(1) no matter how many distinct buckets the chunk
-/// touches or in what order keys arrive.  The previous staged chunk's
-/// entries are cleared on entry.
-fn stage_chunk_rows(
-    chunk: &RowChunk,
-    row_slots: &[u32],
-    buckets: &mut [StagedBucket],
-    staged_total: &mut usize,
-    scatter: &mut [u32],
-    offsets: &mut Vec<u32>,
-    directory: &mut BucketDirectory,
-) -> Result<()> {
-    let BucketDirectory {
-        chunk_buckets,
-        chunk_entry_of_bucket,
-    } = directory;
-    // Reset the directory: un-mark the previous staged chunk's buckets and
-    // cover any buckets created since.
-    for entry in chunk_buckets.drain(..) {
-        chunk_entry_of_bucket[entry.0 as usize] = u32::MAX;
-    }
-    chunk_entry_of_bucket.resize(buckets.len(), u32::MAX);
-    // Distinct buckets of this chunk in first-seen order, with counts.
-    for &slot in row_slots {
-        let b = slot / RADIX_SLOTS_PER_BUCKET as u32;
-        let marker = &mut chunk_entry_of_bucket[b as usize];
-        if *marker == u32::MAX {
-            *marker = chunk_buckets.len() as u32;
-            chunk_buckets.push((b, 0));
-        }
-        chunk_buckets[*marker as usize].1 += 1;
-    }
-    // Counting-sort scatter with one cursor array: after the scatter pass
-    // each cursor sits at the *end* of its bucket's range, and the start is
-    // recovered as `end - count` — no second offsets buffer needed.
-    offsets.clear();
-    let mut running = 0u32;
-    for &(_, count) in chunk_buckets.iter() {
-        offsets.push(running);
-        running += count;
-    }
-    for (i, &slot) in row_slots.iter().enumerate() {
-        let b = slot / RADIX_SLOTS_PER_BUCKET as u32;
-        let entry = chunk_entry_of_bucket[b as usize] as usize;
-        scatter[offsets[entry] as usize] = i as u32;
-        offsets[entry] += 1;
-    }
-    for (entry, &(b, count)) in chunk_buckets.iter().enumerate() {
-        let end = offsets[entry] as usize;
-        let indices = &scatter[end - count as usize..end];
-        let bucket = &mut buckets[b as usize];
-        bucket.rows.append_rows(chunk, indices)?;
-        bucket
-            .slots
-            .extend(indices.iter().map(|&i| row_slots[i as usize]));
-        *staged_total += count as usize;
-    }
-    Ok(())
-}
-
-fn run_segment_grouped_rows<A: Aggregate>(
-    aggregate: &A,
-    segment: &Segment,
-    schema: &Schema,
-    group_indices: &[usize],
-    filter: Option<&Predicate>,
-) -> Result<Vec<(GroupKey, A::State)>> {
-    let mut slots: HashMap<GroupKey, u32> = HashMap::new();
-    let mut states: Vec<A::State> = Vec::new();
-    scan::scan_segment_rows(segment, schema, filter, |row| {
-        let key = group_key_of_row(row, group_indices);
-        let slot = match slots.get(&key) {
-            Some(&slot) => slot,
-            None => {
-                let slot = states.len() as u32;
-                states.push(aggregate.initial_state());
-                slots.insert(key, slot);
-                slot
-            }
-        };
-        aggregate.transition(&mut states[slot as usize], row, schema)
-    })?;
-    Ok(collect_slotted_states(slots, states))
-}
-
-/// Zips a key→slot directory back together with its slot-indexed states.
-fn collect_slotted_states<S>(slots: HashMap<GroupKey, u32>, states: Vec<S>) -> Vec<(GroupKey, S)> {
-    let mut keys: Vec<(GroupKey, u32)> = slots.into_iter().collect();
-    keys.sort_unstable_by_key(|(_, slot)| *slot);
-    keys.into_iter().map(|(key, _)| key).zip(states).collect()
 }
 
 #[cfg(test)]

@@ -1,34 +1,39 @@
-//! Parallel segment executor with chunk-at-a-time (vectorized) scans.
+//! Scan configuration: execution mode, parallelism and steal granularity.
 //!
-//! Runs user-defined aggregates over a partitioned [`Table`] with one worker
-//! per segment, mirroring Greenplum's "one query process per segment"
-//! execution model that the paper's Figure 4/5 evaluation sweeps over.
-//! The transition function streams over each segment locally; the resulting
-//! per-segment states are merged on the coordinating thread; and the final
-//! function produces the output.  Only the (small) transition states ever
-//! cross segment boundaries — the property the paper credits for its
-//! near-linear parallel speedup.
+//! The engine runs user-defined aggregates over a partitioned [`Table`] the
+//! way Greenplum runs one query process per segment — the execution model
+//! the paper's Figure 4/5 evaluation sweeps over.  The transition function
+//! streams over each segment locally, the per-segment states are merged on
+//! the coordinating thread, and the final function produces the output; only
+//! the (small) transition states ever cross segment boundaries — the
+//! property the paper credits for its near-linear parallel speedup.
 //!
-//! Every scan the executor issues — ungrouped aggregation and
-//! `parallel_map` projections — runs on the shared [`crate::scan`] pipeline:
-//! segments fan out to worker threads ([`crate::scan::run_per_segment`],
-//! which converts worker panics into [`EngineError::WorkerPanicked`]), and
-//! within a segment chunks stream through
-//! [`crate::scan::scan_segment_chunks`] with predicates hoisted to
-//! one [`crate::chunk::SelectionMask`] per chunk.
-//! [`ExecutionMode::RowAtATime`] swaps the inner loop for the legacy per-row
-//! scan; results are identical by contract, and the benchmark harness sweeps
-//! both modes to reproduce the paper's Figure 4 "rewrite the inner loop"
-//! comparison.
+//! An [`Executor`] does not implement any of that itself; it is the
+//! *configuration* every scan terminal reads:
 //!
-//! Filtered and grouped scans are described with [`crate::dataset::Dataset`]
-//! (`db.dataset("t")?.filter(...).group_by([...])`), which dispatches onto
-//! the same pipeline.  (The executor's old `aggregate_filtered` /
-//! `aggregate_grouped` / `aggregate_grouped_filtered` method matrix was
-//! deprecated in favour of `Dataset` and has since been removed.)
+//! * [`ExecutionMode`] — chunk-at-a-time (default: chunks stream through
+//!   [`crate::scan::scan_chunks`] with predicates hoisted to one
+//!   [`crate::chunk::SelectionMask`] per chunk) or the legacy per-row scan
+//!   ([`ExecutionMode::RowAtATime`]; identical results by contract, kept as
+//!   the tests' reference implementation and for the paper's Figure 4
+//!   "rewrite the inner loop" comparison);
+//! * parallelism — work-stealing workers ([`crate::scan`], which converts
+//!   worker panics into [`EngineError::WorkerPanicked`]) or the calling
+//!   thread;
+//! * [`scan::StealGranularity`] — whether aggregate scans steal whole
+//!   segments or chunk ranges.
+//!
+//! Scans are described with [`crate::dataset::Dataset`]
+//! (`db.dataset("t")?.filter(...).group_by([...])`).  Its aggregate
+//! terminals and [`crate::materialize::MaterializedAggregate`] share one
+//! implementation of the per-unit transition runners and of the merge
+//! hierarchy (the crate-private `fold` module), so a batch aggregate, a
+//! grouped aggregate and a refreshed view cannot disagree.
+//! [`Executor::aggregate`], [`Executor::aggregate_with_stats`],
+//! [`Executor::parallel_map`] and [`Executor::parallel_map_chunks`] are
+//! shorthands for the corresponding `Dataset` terminals over a whole table.
 
 use crate::aggregate::Aggregate;
-use crate::chunk::Segment;
 use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
 use crate::expr::Predicate;
@@ -137,18 +142,28 @@ impl Executor {
         self.steal
     }
 
-    /// The granularity actually used for a scan in `mode`: chunk-range
-    /// stealing only exists on the chunked path, so [`ExecutionMode::RowAtATime`]
-    /// always degrades to whole-segment units.
-    fn effective_granularity(&self, mode: ExecutionMode) -> scan::StealGranularity {
-        match mode {
-            ExecutionMode::Chunked => self.steal,
+    /// The granularity a scan that would use `chunked` units on the chunked
+    /// path actually runs at: chunk-range units only exist there, so
+    /// [`ExecutionMode::RowAtATime`] always degrades to whole segments.  The
+    /// one place that rule is written.
+    pub(crate) fn granularity_for(
+        &self,
+        chunked: scan::StealGranularity,
+    ) -> scan::StealGranularity {
+        match self.mode {
+            ExecutionMode::Chunked => chunked,
             ExecutionMode::RowAtATime => scan::StealGranularity::Segment,
         }
     }
 
+    /// The unit decomposition of this executor's aggregate scans — and so of
+    /// the states a materialized view bound to it retains.
+    pub(crate) fn aggregate_granularity(&self) -> scan::StealGranularity {
+        self.granularity_for(self.steal)
+    }
+
     /// Runs `aggregate` over every row of `table`, returning the finalized
-    /// output.
+    /// output.  Shorthand for [`Dataset::aggregate`].
     ///
     /// # Errors
     /// Propagates transition/final errors from the aggregate.
@@ -158,6 +173,7 @@ impl Executor {
 
     /// Runs `aggregate` over the rows of `table` accepted by `filter`,
     /// returning the finalized output together with execution statistics.
+    /// Shorthand for [`Dataset::aggregate_with_stats`].
     ///
     /// # Errors
     /// Propagates transition/final errors from the aggregate and predicate
@@ -168,68 +184,12 @@ impl Executor {
         aggregate: &A,
         filter: Option<&Predicate>,
     ) -> Result<(A::Output, ExecutionStats)> {
-        let schema = table.schema();
-        let mode = self.mode;
-        let segment_results = scan::run_per_segment_ranged(
-            table,
-            self.parallel,
-            self.effective_granularity(mode),
-            |range, segment| {
-                Self::run_segment_range(aggregate, segment, range, schema, filter, mode)
-            },
-            |(left, left_stats), (right, right_stats)| {
-                (
-                    aggregate.merge(left, right),
-                    scan::SegmentScanStats {
-                        rows_scanned: left_stats.rows_scanned + right_stats.rows_scanned,
-                        rows_passed: left_stats.rows_passed + right_stats.rows_passed,
-                    },
-                )
-            },
-        );
-
-        let mut merged: Option<A::State> = None;
-        let mut stats = ExecutionStats {
-            rows_scanned: 0,
-            rows_aggregated: 0,
-            segments: table.num_segments(),
-        };
-        for res in segment_results {
-            let (state, seg_stats) = res?;
-            stats.rows_scanned += seg_stats.rows_scanned;
-            stats.rows_aggregated += seg_stats.rows_passed;
-            merged = Some(match merged {
-                None => state,
-                Some(prev) => aggregate.merge(prev, state),
-            });
+        let dataset = Dataset::from_table(table).with_executor(*self);
+        match filter {
+            Some(predicate) => dataset.filter(predicate.clone()),
+            None => dataset,
         }
-        let state = merged.unwrap_or_else(|| aggregate.initial_state());
-        Ok((aggregate.finalize(state)?, stats))
-    }
-
-    fn run_segment_range<A: Aggregate>(
-        aggregate: &A,
-        segment: &Segment,
-        range: scan::ChunkRange,
-        schema: &Schema,
-        filter: Option<&Predicate>,
-        mode: ExecutionMode,
-    ) -> Result<(A::State, scan::SegmentScanStats)> {
-        let mut state = aggregate.initial_state();
-        let stats = match mode {
-            ExecutionMode::Chunked => {
-                scan::scan_chunks(range.chunks(segment), schema, filter, |batch| {
-                    aggregate.transition_chunk(&mut state, batch.chunk(), schema)
-                })?
-            }
-            // Row-at-a-time scans run at Segment granularity only (see
-            // `effective_granularity`), so the range always covers the
-            // whole segment here.
-            ExecutionMode::RowAtATime => scan::scan_segment_rows(segment, schema, filter, |row| {
-                aggregate.transition(&mut state, row, schema)
-            })?,
-        };
-        Ok((state, stats))
+        .aggregate_with_stats(aggregate)
     }
 
     /// Applies `map` to every row in parallel per segment and collects the

@@ -20,6 +20,8 @@
 //! stays allocation-free: a one-part key stores its part inline.
 
 use crate::chunk::{ColumnChunk, RowChunk, SelectionMask};
+use crate::error::{EngineError, Result};
+use crate::schema::Schema;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -395,6 +397,32 @@ pub fn partition_by_group(chunk: &RowChunk, column_indices: &[usize]) -> Vec<Chu
         groups[slot].rows += 1;
     }
     groups
+}
+
+/// Resolves grouping `columns` to schema indices, validating the list: it
+/// must be non-empty, every name must exist in the schema
+/// ([`EngineError::ColumnNotFound`] otherwise) and no column may appear
+/// twice — grouping by a repeated column would silently produce the same
+/// groups under a wider-looking key, so duplicates are rejected as
+/// [`EngineError::InvalidArgument`] instead.  The one validator behind every
+/// grouped scan terminal and grouped materialized view.
+pub(crate) fn group_column_indices(schema: &Schema, columns: &[String]) -> Result<Vec<usize>> {
+    if columns.is_empty() {
+        return Err(EngineError::invalid(
+            "dataset has no grouping columns; call group_by([...]) first",
+        ));
+    }
+    let mut indices = Vec::with_capacity(columns.len());
+    for column in columns {
+        let idx = schema.index_of(column)?;
+        if indices.contains(&idx) {
+            return Err(EngineError::invalid(format!(
+                "duplicate grouping column {column:?}; grouping columns must be distinct"
+            )));
+        }
+        indices.push(idx);
+    }
+    Ok(indices)
 }
 
 #[cfg(test)]

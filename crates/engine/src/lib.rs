@@ -95,6 +95,7 @@ pub mod dataset;
 pub mod error;
 pub mod executor;
 pub mod expr;
+mod fold;
 pub mod group;
 pub mod iteration;
 pub mod materialize;

@@ -18,56 +18,52 @@
 //!
 //! # Bit-identity with the batch path
 //!
-//! The absorbed states reproduce the executor's batch scan **bit-for-bit**,
-//! which rests on three invariants:
+//! A view *is* a batch scan's per-unit partial states, kept: both are
+//! produced and consumed by the same code (the crate-private `fold` module),
+//! so a refreshed result equals a from-scratch [`crate::Dataset`] aggregate
+//! under the same [`Executor`] **bit-for-bit** by construction:
 //!
 //! 1. `transition_chunk` is bit-identical to sequential per-row
 //!    `transition` (the engine-wide override contract).  Splitting a chunk
 //!    at any row boundary and transitioning the pieces sequentially is
 //!    therefore bit-identical to one whole-chunk call — so absorbing a
 //!    then-open tail chunk in several installments matches the batch scan
-//!    that sees it sealed.
-//! 2. The per-segment unit decomposition mirrors
-//!    [`scan::chunk_range_units`]: one state per segment at
-//!    [`StealGranularity::Segment`] (the default), one state per
-//!    [`scan::CHUNKS_PER_UNIT`]-chunk run at
-//!    [`StealGranularity::ChunkRange`].  Unit boundaries are aligned from
-//!    chunk 0 and never move under append — only the last unit grows.
-//! 3. Finalize replays the executor's exact merge structure: per segment,
-//!    unit states fold left-to-right in range order; the per-segment states
-//!    then fold left-to-right in segment order (grouped states fold flat per
-//!    key in (segment, unit, first-appearance) order, matching the grouped
-//!    coordinator), and empty segments contribute `initial_state()` exactly
-//!    where the batch scan does.
-//!
-//! One requirement is **not** checkable here and is part of the contract for
-//! aggregates used incrementally: `merge(state, initial_state())` must be
-//! bit-identical to `state` (merge-identity).  The batch scan folds an
-//! `initial_state()` in for segments that were empty at scan time; the
-//! incremental path folds one in for segments that were empty at *view
-//! creation* time even after rows later arrive there.  All built-in
-//! aggregates satisfy this (their merges short-circuit on empty states or
-//! add zeros).
+//!    that sees it sealed.  This is the only invariant the view adds.
+//! 2. The view shares the batch scan's unit decomposition
+//!    ([`crate::scan::chunk_range_units`]: one state per segment at
+//!    [`crate::StealGranularity::Segment`], the default; one per
+//!    [`crate::scan::CHUNKS_PER_UNIT`]-chunk run at
+//!    [`crate::StealGranularity::ChunkRange`]) and its unit runners.  A
+//!    rebuild (first absorb, new table incarnation, shrunk segment, failed
+//!    absorb) is the batch scan's fan-out with the states kept; an absorb
+//!    resumes the same runners on the units past the watermark, serially on
+//!    the calling thread.  Unit boundaries are aligned from chunk 0 and
+//!    never move under append — only the last unit grows.
+//! 3. Finalize shares the batch scan's fold over clones of the retained
+//!    states: per segment, unit states merge left-to-right in range order;
+//!    the per-segment states merge left-to-right in segment order; grouped
+//!    states merge flat per key in (segment, unit) order and finalize in key
+//!    order.
 //!
 //! # Mutation model
 //!
 //! Views track **appends**.  A shrinking source segment (truncate,
 //! [`crate::Database::replace_table`] with fewer rows) is detected through
-//! the watermark and triggers a from-scratch rebuild of that segment's
-//! states; an in-place rewrite that keeps row counts identical is *not*
-//! detectable — drop and recreate the view around such mutations.
+//! the watermark and triggers a from-scratch rebuild; an in-place rewrite
+//! that keeps row counts identical is *not* detectable — drop and recreate
+//! the view around such mutations.
 
 use crate::aggregate::Aggregate;
 use crate::chunk::{RowChunk, Segment};
 use crate::error::{EngineError, Result};
-use crate::executor::{ExecutionMode, Executor};
+use crate::executor::Executor;
 use crate::expr::Predicate;
+use crate::fold::{self, GroupScratch, GroupedUnit};
 use crate::group::{self, GroupKey};
-use crate::scan::{self, StealGranularity};
-use crate::schema::Schema;
+use crate::scan::{self, SegmentScanStats, StealGranularity};
 use crate::table::Table;
 use std::any::Any;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Type-erased handle to a [`MaterializedAggregate`], so the
 /// [`crate::Database`] view registry can hold views of heterogeneous
@@ -93,19 +89,9 @@ pub trait AnyMaterialized: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// One unit's partial state: a single state for ungrouped views, per-key
-/// states in first-appearance order for grouped views.
-#[derive(Debug, Clone)]
-enum UnitStates<S> {
-    Single(S),
-    Grouped(Vec<(GroupKey, S)>),
-}
-
-/// Per-segment partial states plus the segment's chunk watermark.
-#[derive(Debug, Clone)]
-struct SegmentStates<S> {
-    /// One entry per steal unit, aligned with [`scan::chunk_range_units`].
-    units: Vec<UnitStates<S>>,
+/// How much of one segment the retained states have folded in.
+#[derive(Debug, Clone, Copy)]
+struct Watermark {
     /// Chunks `0..absorbed_chunks` are fully absorbed.
     absorbed_chunks: usize,
     /// Rows of chunk `absorbed_chunks` already absorbed (the open-tail
@@ -113,14 +99,73 @@ struct SegmentStates<S> {
     tail_rows: usize,
 }
 
-impl<S> SegmentStates<S> {
-    fn new() -> Self {
+impl Watermark {
+    /// The watermark of states that cover all of `segment`.  The last chunk
+    /// counts as the open tail even at capacity — it is only provably sealed
+    /// once a successor chunk exists.
+    fn end_of(segment: &Segment) -> Self {
+        let chunks = segment.chunks();
         Self {
-            units: Vec::new(),
-            absorbed_chunks: 0,
-            tail_rows: 0,
+            absorbed_chunks: chunks.len().saturating_sub(1),
+            tail_rows: chunks.last().map_or(0, |chunk| chunk.len()),
         }
     }
+
+    /// Whether `segment` no longer holds the rows behind the watermark (a
+    /// truncate, or a replacement with fewer rows).
+    fn outruns(&self, segment: &Segment) -> bool {
+        let chunks = segment.chunks();
+        self.absorbed_chunks > chunks.len()
+            || (self.tail_rows > 0
+                && chunks
+                    .get(self.absorbed_chunks)
+                    .is_none_or(|chunk| chunk.len() < self.tail_rows))
+    }
+
+    /// Hands every piece of `segment` past the watermark — the unabsorbed
+    /// rows of the open tail chunk (gathered), then whole chunks, one
+    /// contiguous run per unit — to `visit`, with the index of the unit
+    /// that owns it.  Unit boundaries are aligned from chunk 0 and never
+    /// move under append; only the last unit grows.
+    fn for_each_piece(
+        &self,
+        segment: &Segment,
+        chunks_per_unit: usize,
+        mut visit: impl FnMut(usize, &[Arc<RowChunk>]) -> Result<()>,
+    ) -> Result<()> {
+        let chunks = segment.chunks();
+        let mut next = self.absorbed_chunks;
+        if self.tail_rows > 0 {
+            let chunk = &chunks[next];
+            if chunk.len() > self.tail_rows {
+                let rest: Vec<u32> = (self.tail_rows as u32..chunk.len() as u32).collect();
+                visit(
+                    next / chunks_per_unit,
+                    &[Arc::new(chunk.gather_rows(&rest))],
+                )?;
+            }
+            next += 1;
+        }
+        while next < chunks.len() {
+            let unit = next / chunks_per_unit;
+            let hi = (unit + 1).saturating_mul(chunks_per_unit).min(chunks.len());
+            visit(unit, &chunks[next..hi])?;
+            next = hi;
+        }
+        Ok(())
+    }
+}
+
+/// The retained per-segment, per-unit states — the batch scan's currency,
+/// kept: a single state per unit for ungrouped views, a slot directory of
+/// per-key states for grouped views (plus the grouped runner's scratch,
+/// reused across absorbs).
+enum ViewStates<S> {
+    Ungrouped(Vec<Vec<S>>),
+    Grouped {
+        segments: Vec<Vec<GroupedUnit<S>>>,
+        scratch: GroupScratch,
+    },
 }
 
 /// Incrementally maintained partial aggregate state over one table — see the
@@ -128,16 +173,16 @@ impl<S> SegmentStates<S> {
 ///
 /// The view is configured like a [`crate::Dataset`] terminal: an optional
 /// filter and optional grouping columns, plus the [`Executor`] whose scan
-/// structure (execution mode, steal granularity) the retained states must
-/// mirror.
+/// structure (execution mode, steal granularity, parallelism of rebuilds)
+/// the retained states share.
 pub struct MaterializedAggregate<A: Aggregate> {
     aggregate: A,
     filter: Option<Predicate>,
     group_columns: Vec<String>,
-    /// Chunks per retained state unit; `usize::MAX` collapses every chunk of
-    /// a segment into one unit (whole-segment granularity).
-    chunks_per_unit: usize,
-    segments: Vec<SegmentStates<A::State>>,
+    executor: Executor,
+    states: ViewStates<A::State>,
+    /// One per source segment; empty until the first absorb.
+    watermarks: Vec<Watermark>,
     /// Lifecycle generation of the table incarnation the watermarks
     /// describe ([`Table::generation`]); a mismatch on absorb proves the
     /// source was dropped/recreated, replaced or truncated, and forces a
@@ -152,8 +197,7 @@ impl<A: Aggregate> std::fmt::Debug for MaterializedAggregate<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaterializedAggregate")
             .field("group_columns", &self.group_columns)
-            .field("chunks_per_unit", &self.chunks_per_unit)
-            .field("segments", &self.segments.len())
+            .field("executor", &self.executor)
             .finish_non_exhaustive()
     }
 }
@@ -164,20 +208,15 @@ where
     A::State: Clone,
 {
     /// Creates an empty ungrouped, unfiltered view whose retained state
-    /// structure mirrors `executor`'s scan decomposition.
+    /// structure is `executor`'s scan decomposition.
     pub fn new(aggregate: A, executor: &Executor) -> Self {
-        // Mirror `Executor::effective_granularity`: chunk-range stealing
-        // only exists on the chunked path.
-        let chunks_per_unit = match (executor.mode(), executor.steal_granularity()) {
-            (ExecutionMode::Chunked, StealGranularity::ChunkRange) => scan::CHUNKS_PER_UNIT,
-            _ => usize::MAX,
-        };
         Self {
             aggregate,
             filter: None,
             group_columns: Vec::new(),
-            chunks_per_unit,
-            segments: Vec::new(),
+            executor: *executor,
+            states: ViewStates::Ungrouped(Vec::new()),
+            watermarks: Vec::new(),
             source_generation: None,
             needs_rebuild: false,
         }
@@ -187,11 +226,15 @@ where
     #[must_use]
     pub fn with_filter(mut self, filter: Predicate) -> Self {
         self.filter = Some(filter);
+        self.watermarks.clear();
         self
     }
 
     /// Maintains one state per distinct key of `columns` (the dataset's
-    /// `grouping_cols`).
+    /// `grouping_cols`).  The list is validated on absorb exactly as
+    /// [`crate::Dataset::group_by`]'s is by its terminals: unknown names are
+    /// [`EngineError::ColumnNotFound`], duplicates
+    /// [`EngineError::InvalidArgument`].
     #[must_use]
     pub fn with_group_columns<I, S>(mut self, columns: I) -> Self
     where
@@ -199,6 +242,15 @@ where
         S: Into<String>,
     {
         self.group_columns = columns.into_iter().map(Into::into).collect();
+        self.states = if self.group_columns.is_empty() {
+            ViewStates::Ungrouped(Vec::new())
+        } else {
+            ViewStates::Grouped {
+                segments: Vec::new(),
+                scratch: GroupScratch::default(),
+            }
+        };
+        self.watermarks.clear();
         self
     }
 
@@ -219,171 +271,73 @@ where
     }
 
     /// Absorbs every row of `table` past the per-segment watermarks —
-    /// O(new rows).  Safe to call repeatedly and after arbitrary appends; a
-    /// segment that shrank since the last absorb is rebuilt from scratch.
+    /// O(new rows), on the calling thread.  Safe to call repeatedly and
+    /// after arbitrary appends.  The first absorb, a new table incarnation,
+    /// a repartitioned or shrunk source and a previously failed absorb
+    /// rebuild instead: the batch scan's fan-out under the view's executor,
+    /// with the states kept.
     ///
     /// # Errors
     /// Propagates transition, predicate and column-lookup errors.
     pub fn absorb(&mut self, table: &Table) -> Result<()> {
         let schema = table.schema();
-        let group_indices: Vec<usize> = self
-            .group_columns
-            .iter()
-            .map(|c| schema.index_of(c))
-            .collect::<Result<_>>()?;
+        let group_indices = if self.is_grouped() {
+            group::group_column_indices(schema, &self.group_columns)?
+        } else {
+            Vec::new()
+        };
         let generation = table.generation();
-        if self.needs_rebuild || self.source_generation != Some(generation) {
-            // A different table incarnation (drop/recreate, replace,
-            // truncate — possibly with *more* chunks than the watermark, so
-            // shrink detection alone would wrongly absorb its suffix), or a
-            // previous absorb failed mid-transition: start over.
-            self.segments.clear();
-            self.needs_rebuild = false;
-            self.source_generation = Some(generation);
-        }
-        if self.segments.len() != table.num_segments() {
-            // Repartitioned (or first absorb): start over.
-            self.segments = (0..table.num_segments())
-                .map(|_| SegmentStates::new())
-                .collect();
-        }
-        for seg in 0..table.num_segments() {
-            if let Err(e) = self.absorb_segment(seg, table.segment(seg), schema, &group_indices) {
-                // The failed transition may have folded some rows in without
-                // advancing the watermark; only a rebuild is safe now.
-                self.needs_rebuild = true;
-                return Err(e);
+        // The retained states are unusable after a previously failed absorb,
+        // for a different table incarnation (drop/recreate, replace, truncate
+        // — possibly with *more* chunks than the watermark, so shrink
+        // detection alone would wrongly absorb its suffix), a different
+        // partitioning (or on the first absorb) and for a shrunk segment.
+        let rescan = self.needs_rebuild
+            || self.source_generation != Some(generation)
+            || self.watermarks.len() != table.num_segments()
+            || (self.watermarks.iter().enumerate())
+                .any(|(seg, watermark)| watermark.outruns(table.segment(seg)));
+        self.source_generation = Some(generation);
+        let (aggregate, executor, filter) = (&self.aggregate, &self.executor, self.filter.as_ref());
+        let watermarks = &self.watermarks;
+        let result = match &mut self.states {
+            ViewStates::Ungrouped(segments) if rescan => {
+                fold::scan_units(aggregate, table, executor, filter).map(|(s, _)| *segments = s)
             }
-        }
-        Ok(())
-    }
-
-    fn absorb_segment(
-        &mut self,
-        seg: usize,
-        segment: &Segment,
-        schema: &Schema,
-        group_indices: &[usize],
-    ) -> Result<()> {
-        let chunks = segment.chunks();
-        let shrank = {
-            let st = &self.segments[seg];
-            st.absorbed_chunks > chunks.len()
-                || (st.tail_rows > 0
-                    && (st.absorbed_chunks >= chunks.len()
-                        || chunks[st.absorbed_chunks].len() < st.tail_rows))
+            ViewStates::Ungrouped(segments) => catch_up(
+                segments,
+                watermarks,
+                table,
+                executor,
+                || aggregate.initial_state(),
+                |state, chunks| fold::advance_state(aggregate, state, chunks, schema, filter),
+            ),
+            ViewStates::Grouped { segments, scratch } if rescan => {
+                // A failed absorb can leave rows staged.
+                *scratch = GroupScratch::default();
+                fold::scan_grouped_units(aggregate, table, executor, &group_indices, filter)
+                    .map(|s| *segments = s)
+            }
+            ViewStates::Grouped { segments, scratch } => catch_up(
+                segments,
+                watermarks,
+                table,
+                executor,
+                GroupedUnit::default,
+                |unit, chunks| {
+                    unit.advance(aggregate, chunks, schema, &group_indices, filter, scratch)
+                },
+            ),
         };
-        if shrank {
-            self.segments[seg] = SegmentStates::new();
+        // A failed transition may have folded some rows in without advancing
+        // the watermark; only a rebuild is safe now.
+        self.needs_rebuild = result.is_err();
+        self.watermarks.clear();
+        if result.is_ok() {
+            let segments = (0..table.num_segments()).map(|seg| table.segment(seg));
+            self.watermarks.extend(segments.map(Watermark::end_of));
         }
-
-        // Partial-tail catch-up: the last absorb stopped mid-chunk.
-        let st = &self.segments[seg];
-        let (mut next_chunk, tail_rows) = (st.absorbed_chunks, st.tail_rows);
-        if tail_rows > 0 {
-            let chunk = &chunks[next_chunk];
-            if chunk.len() > tail_rows {
-                let indices: Vec<u32> = (tail_rows as u32..chunk.len() as u32).collect();
-                let suffix = chunk.gather_rows(&indices);
-                self.absorb_piece(seg, next_chunk, &suffix, schema, group_indices)?;
-            }
-            // Advance past the chunk only once a successor proves it sealed.
-            if next_chunk + 1 < chunks.len() {
-                next_chunk += 1;
-                self.segments[seg].absorbed_chunks = next_chunk;
-                self.segments[seg].tail_rows = 0;
-            } else {
-                self.segments[seg].tail_rows = chunk.len();
-                return Ok(());
-            }
-        }
-
-        // Whole-chunk loop from the watermark to the end of the segment.
-        while next_chunk < chunks.len() {
-            let chunk = std::sync::Arc::clone(&chunks[next_chunk]);
-            self.absorb_piece(seg, next_chunk, &chunk, schema, group_indices)?;
-            if next_chunk + 1 < chunks.len() {
-                next_chunk += 1;
-                self.segments[seg].absorbed_chunks = next_chunk;
-            } else {
-                // Open tail (even if currently at capacity — it is only
-                // provably sealed once a successor chunk exists).
-                self.segments[seg].tail_rows = chunk.len();
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds one piece (a whole chunk, or the gathered suffix of the open
-    /// tail chunk) of segment `seg`'s chunk `chunk_idx` into the owning
-    /// unit's state, applying the view's filter exactly as
-    /// [`scan::scan_chunks`] does.
-    fn absorb_piece(
-        &mut self,
-        seg: usize,
-        chunk_idx: usize,
-        piece: &RowChunk,
-        schema: &Schema,
-        group_indices: &[usize],
-    ) -> Result<()> {
-        let unit = chunk_idx / self.chunks_per_unit;
-        {
-            let st = &mut self.segments[seg];
-            while st.units.len() <= unit {
-                st.units.push(if group_indices.is_empty() {
-                    UnitStates::Single(self.aggregate.initial_state())
-                } else {
-                    UnitStates::Grouped(Vec::new())
-                });
-            }
-        }
-        if piece.is_empty() {
-            return Ok(());
-        }
-        // Mirror the scan's filter handling: one mask per piece, pass-through
-        // when fully selected, gather-compact when partially selected.
-        let compacted;
-        let batch: &RowChunk = match &self.filter {
-            None => piece,
-            Some(predicate) => {
-                let mask = predicate.evaluate_chunk(piece, schema)?;
-                let selected = mask.count_selected();
-                if selected == 0 {
-                    return Ok(());
-                }
-                if selected == piece.len() {
-                    piece
-                } else {
-                    compacted = piece.gather(&mask);
-                    &compacted
-                }
-            }
-        };
-        let unit_states = &mut self.segments[seg].units[unit];
-        match unit_states {
-            UnitStates::Single(state) => self.aggregate.transition_chunk(state, batch, schema),
-            UnitStates::Grouped(states) => {
-                for part in group::partition_by_group(batch, group_indices) {
-                    let slot = match states.iter().position(|(k, _)| *k == part.key) {
-                        Some(slot) => slot,
-                        None => {
-                            states.push((part.key.clone(), self.aggregate.initial_state()));
-                            states.len() - 1
-                        }
-                    };
-                    if part.rows == batch.len() {
-                        self.aggregate
-                            .transition_chunk(&mut states[slot].1, batch, schema)?;
-                    } else {
-                        let sub = batch.gather(&part.mask);
-                        self.aggregate
-                            .transition_chunk(&mut states[slot].1, &sub, schema)?;
-                    }
-                }
-                Ok(())
-            }
-        }
+        result
     }
 
     /// Merges the retained states and finalizes — the cheap, O(states)
@@ -392,35 +346,16 @@ where
     /// # Errors
     /// Propagates merge/finalize errors; errors on a grouped view.
     pub fn finalize(&self) -> Result<A::Output> {
-        if self.is_grouped() {
-            return Err(EngineError::invalid(
-                "finalize on a grouped materialized aggregate; use finalize_grouped",
-            ));
-        }
-        // Replay the executor's merge structure exactly: fold each segment's
-        // unit states in range order, then fold the per-segment states in
-        // segment order.
-        let mut merged: Option<A::State> = None;
-        for seg in &self.segments {
-            let mut seg_state: Option<A::State> = None;
-            for unit in &seg.units {
-                let state = match unit {
-                    UnitStates::Single(s) => s.clone(),
-                    UnitStates::Grouped(_) => unreachable!("ungrouped view"),
-                };
-                seg_state = Some(match seg_state {
-                    None => state,
-                    Some(prev) => self.aggregate.merge(prev, state),
-                });
+        match &self.states {
+            ViewStates::Ungrouped(segments) => {
+                let units = segments.iter().map(|units| units.iter().cloned());
+                self.aggregate
+                    .finalize(fold::fold_units(&self.aggregate, units))
             }
-            let state = seg_state.unwrap_or_else(|| self.aggregate.initial_state());
-            merged = Some(match merged {
-                None => state,
-                Some(prev) => self.aggregate.merge(prev, state),
-            });
+            ViewStates::Grouped { .. } => Err(EngineError::invalid(
+                "finalize on a grouped materialized aggregate; use finalize_grouped",
+            )),
         }
-        let state = merged.unwrap_or_else(|| self.aggregate.initial_state());
-        self.aggregate.finalize(state)
     }
 
     /// Merges the retained per-group states and finalizes each group,
@@ -429,42 +364,51 @@ where
     ///
     /// # Errors
     /// Propagates merge/finalize errors; errors on an ungrouped view.
-    pub fn finalize_grouped(&self) -> Result<Vec<(GroupKey, A::Output)>> {
-        if !self.is_grouped() {
-            return Err(EngineError::invalid(
-                "finalize_grouped on an ungrouped materialized aggregate; use finalize",
-            ));
-        }
-        // Per key, states merge flat left-to-right in (segment, unit,
-        // first-appearance) order — the grouped coordinator's fold.
-        let mut merged: HashMap<GroupKey, A::State> = HashMap::new();
-        for seg in &self.segments {
-            for unit in &seg.units {
-                let states = match unit {
-                    UnitStates::Grouped(states) => states,
-                    UnitStates::Single(_) => unreachable!("grouped view"),
-                };
-                for (key, state) in states {
-                    let combined = match merged.remove(key) {
-                        None => state.clone(),
-                        Some(prev) => self.aggregate.merge(prev, state.clone()),
-                    };
-                    merged.insert(key.clone(), combined);
-                }
+    pub fn finalize_grouped(&self) -> Result<Vec<(GroupKey, A::Output)>>
+    where
+        A::Output: Send,
+    {
+        match &self.states {
+            ViewStates::Grouped { segments, .. } => {
+                let states = segments
+                    .iter()
+                    .flatten()
+                    .flat_map(GroupedUnit::cloned_states);
+                fold::fold_groups(&self.aggregate, states, self.executor.is_parallel())
             }
+            ViewStates::Ungrouped(_) => Err(EngineError::invalid(
+                "finalize_grouped on an ungrouped materialized aggregate; use finalize",
+            )),
         }
-        let mut entries: Vec<(GroupKey, A::State)> = merged.into_iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut scratch = self.aggregate.make_finalize_scratch();
-        entries
-            .into_iter()
-            .map(|(key, state)| {
-                self.aggregate
-                    .finalize_with(state, &mut scratch)
-                    .map(|output| (key, output))
-            })
-            .collect()
     }
+}
+
+/// Advances retained `segments` over the pieces of `table` past their
+/// `watermarks` with the unit runner `advance`, serially on the calling
+/// thread — O(appended rows).  The units are the executor's aggregate-scan
+/// decomposition ([`scan::chunk_range_units`]), so the states stay the ones
+/// a batch scan of the grown table would produce.
+fn catch_up<U>(
+    segments: &mut [Vec<U>],
+    watermarks: &[Watermark],
+    table: &Table,
+    executor: &Executor,
+    new_unit: impl Fn() -> U,
+    mut advance: impl FnMut(&mut U, &[Arc<RowChunk>]) -> Result<SegmentScanStats>,
+) -> Result<()> {
+    let chunks_per_unit = match executor.aggregate_granularity() {
+        StealGranularity::Segment => usize::MAX,
+        StealGranularity::ChunkRange => scan::CHUNKS_PER_UNIT,
+    };
+    for (seg, (units, watermark)) in segments.iter_mut().zip(watermarks).enumerate() {
+        watermark.for_each_piece(table.segment(seg), chunks_per_unit, |unit, chunks| {
+            while units.len() <= unit {
+                units.push(new_unit());
+            }
+            advance(&mut units[unit], chunks).map(drop)
+        })?;
+    }
+    Ok(())
 }
 
 impl<A> AnyMaterialized for MaterializedAggregate<A>
@@ -495,7 +439,7 @@ mod tests {
     use crate::aggregate::{AvgAggregate, CountAggregate, SumAggregate};
     use crate::expr::Predicate;
     use crate::row;
-    use crate::schema::{Column, ColumnType};
+    use crate::schema::{Column, ColumnType, Schema};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -563,6 +507,29 @@ mod tests {
             .aggregate_per_group(&AvgAggregate::new("v"))
             .unwrap();
         assert_eq!(view.finalize_grouped().unwrap(), batch);
+    }
+
+    /// A grouped view validates its column list exactly like
+    /// `Dataset::group_by`'s terminals: `(g, g)` used to be accepted and
+    /// silently maintained under a wider-looking key.
+    #[test]
+    fn grouped_views_validate_the_column_list() {
+        let t = table(10, 2, 4);
+        let view = |columns: &[&str]| {
+            MaterializedAggregate::new(CountAggregate, &Executor::new())
+                .with_group_columns(columns.iter().copied())
+        };
+        assert!(matches!(
+            view(&["g", "g"]).absorb(&t),
+            Err(EngineError::InvalidArgument { message }) if message.contains("duplicate")
+        ));
+        assert!(matches!(
+            view(&["g", "nope"]).absorb(&t),
+            Err(EngineError::ColumnNotFound { name }) if name == "nope"
+        ));
+        let mut valid = view(&["g", "v"]);
+        valid.absorb(&t).unwrap();
+        assert_eq!(valid.finalize_grouped().unwrap().len(), 10);
     }
 
     /// A shrinking segment (truncate) rebuilds instead of double-counting.

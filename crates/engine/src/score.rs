@@ -29,6 +29,7 @@ use crate::database::Database;
 use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
 use crate::executor::ExecutionMode;
+use crate::fold::group_key_of_row;
 use crate::group::GroupKey;
 use crate::row::Row;
 use crate::scan;
@@ -316,10 +317,9 @@ impl Dataset<'_> {
         let schema = self.schema();
         let filter = self.filter_predicate();
         let mode = self.executor().mode();
-        let granularity = match mode {
-            ExecutionMode::Chunked => scan::StealGranularity::ChunkRange,
-            ExecutionMode::RowAtATime => scan::StealGranularity::Segment,
-        };
+        let granularity = self
+            .executor()
+            .granularity_for(scan::StealGranularity::ChunkRange);
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor().is_parallel(),
@@ -373,10 +373,9 @@ impl Dataset<'_> {
         let group_indices = group_indices.as_slice();
         let filter = self.filter_predicate();
         let mode = self.executor().mode();
-        let granularity = match mode {
-            ExecutionMode::Chunked => scan::StealGranularity::ChunkRange,
-            ExecutionMode::RowAtATime => scan::StealGranularity::Segment,
-        };
+        let granularity = self
+            .executor()
+            .granularity_for(scan::StealGranularity::ChunkRange);
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor().is_parallel(),
@@ -396,10 +395,7 @@ impl Dataset<'_> {
                         let mut cache: HashMap<GroupKey, usize> = HashMap::new();
                         let mut resolved: Vec<&S> = Vec::new();
                         scan::scan_segment_rows(segment, schema, filter, |row| {
-                            let key = match group_indices {
-                                [idx] => GroupKey::from_value(row.get(*idx)),
-                                many => GroupKey::from_values(many.iter().map(|&i| row.get(i))),
-                            };
+                            let key = group_key_of_row(row, group_indices);
                             let slot = match cache.get(&key) {
                                 Some(&slot) => slot,
                                 None => {

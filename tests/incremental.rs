@@ -4,8 +4,9 @@
 //! agree with a full retrain over the grown table.  For single-pass
 //! algebraic estimators (linear regression, naive Bayes, the profiler) and
 //! for raw materialized aggregates the agreement is *bit-for-bit* — the
-//! materialized view replays the executor's exact merge structure, and
-//! `transition_chunk` is bit-identical to per-row transitions, so absorbing
+//! materialized view shares the batch scan's unit runners and merge
+//! hierarchy, and `transition_chunk` is bit-identical to per-row
+//! transitions, so absorbing
 //! rows in any installment pattern (mid-chunk, across chunk boundaries,
 //! across segments) cannot perturb a single bit.  These properties drive
 //! randomized installment schedules, tiny chunk capacities, NULL-bearing
@@ -242,7 +243,10 @@ proptest! {
     /// not expose: a filter, a grouped view, and NULL-bearing appends.  The
     /// view's `finalize`/`finalize_grouped` must stay bit-identical to
     /// running the equivalent `Dataset` aggregate from scratch after every
-    /// installment, in both execution modes.
+    /// installment, in both execution modes.  (Its high-cardinality input —
+    /// thousands of composite keys, the radix-staging path — is the
+    /// deterministic `high_cardinality_grouped_view_absorbs_bit_identically`
+    /// below, which would be too slow to draw 64 times.)
     #[test]
     fn filtered_and_grouped_views_absorb_bit_identically(
         points in prop::collection::vec((-10.0..10.0f64, 0u8..3, any::<bool>()), 6..60),
@@ -503,5 +507,76 @@ fn profile_view_absorbs_installments_exactly() {
             format!("{:?}", view.finalize().unwrap()),
             format!("{scratch:?}")
         );
+    }
+}
+
+/// The high-cardinality input of
+/// `filtered_and_grouped_views_absorb_bit_identically`: 2 250 distinct
+/// composite keys, permuted so every 64-row chunk holds 64 different groups
+/// (the grouped runner's radix-staging path), appended in uneven
+/// installments that straddle chunk seals — so the staging buckets are
+/// drained at every absorb boundary and resumed from the retained slot
+/// directory.  The view must stay `to_bits`-equal to `aggregate_per_group`
+/// at both steal granularities, parallel and serial.
+#[test]
+fn high_cardinality_grouped_view_absorbs_bit_identically() {
+    use madlib::engine::StealGranularity;
+
+    const KEYS: usize = 2_250;
+    let schema = Schema::new(vec![
+        Column::new("v", ColumnType::Double),
+        Column::new("a", ColumnType::Text),
+        Column::new("b", ColumnType::Int),
+    ]);
+    let rows: Vec<Row> = (0..3 * KEYS)
+        .map(|i| {
+            let key = (i * 7_919) % KEYS;
+            row![
+                i as f64 * 0.1 - 300.0,
+                format!("t{}", key % 50),
+                (key / 50) as i64
+            ]
+        })
+        .collect();
+    let (initial, pending) = rows.split_at(500);
+    let installments = [1usize, 63, 64, 130, 1_000, 17, 2_999];
+
+    for exec in [Executor::new(), Executor::serial()] {
+        for steal in [StealGranularity::Segment, StealGranularity::ChunkRange] {
+            let exec = exec.with_steal_granularity(steal);
+            let mut table = Table::new(schema.clone(), 2)
+                .unwrap()
+                .with_chunk_capacity(64)
+                .unwrap();
+            for row in initial {
+                table.insert(row.clone()).unwrap();
+            }
+            let mut view = MaterializedAggregate::new(AvgAggregate::new("v"), &exec)
+                .with_group_columns(["a", "b"]);
+            view.absorb(&table).unwrap();
+
+            let mut offset = 0usize;
+            let rest = pending.len() - installments.iter().sum::<usize>();
+            for size in installments.into_iter().chain([rest]) {
+                for row in &pending[offset..offset + size] {
+                    table.insert(row.clone()).unwrap();
+                }
+                offset += size;
+                view.absorb(&table).unwrap();
+
+                let scratch = Dataset::from_table(&table)
+                    .with_executor(exec)
+                    .group_by(["a", "b"])
+                    .aggregate_per_group(&AvgAggregate::new("v"))
+                    .unwrap();
+                let refreshed = view.finalize_grouped().unwrap();
+                assert_eq!(refreshed.len(), scratch.len());
+                for ((vk, vv), (sk, sv)) in refreshed.iter().zip(&scratch) {
+                    assert_eq!(vk, sk);
+                    assert_eq!(vv.map(f64::to_bits), sv.map(f64::to_bits), "key {vk:?}");
+                }
+            }
+            assert_eq!(view.finalize_grouped().unwrap().len(), KEYS);
+        }
     }
 }
