@@ -1,15 +1,8 @@
 //! Figure 4 (version axis): linear-regression aggregate time for the three
-//! inner-loop generations (v0.1alpha, v0.2.1beta, v0.3), plus the engine's
-//! own "generation" axis — row-at-a-time vs. chunk-at-a-time execution of
-//! the same v0.3 kernel — swept over feature widths up to 1 000.
-//!
-//! The final summary prints the chunk-path speedup per width so the Figure
-//! 4-style comparison ("rewrite the inner loop, keep the algorithm") is
-//! reproducible from one `cargo bench` invocation.
+//! inner-loop generations (v0.1alpha, v0.2.1beta, v0.3).
 
-use criterion::{BenchmarkId, Criterion};
-use madlib_bench::{figure4_table, measure_linregr, measure_linregr_scan};
-use madlib_engine::ExecutionMode;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use madlib_bench::{figure4_table, measure_linregr};
 use madlib_linalg::kernels::KernelGeneration;
 
 fn bench_versions(c: &mut Criterion) {
@@ -26,56 +19,5 @@ fn bench_versions(c: &mut Criterion) {
     group.finish();
 }
 
-/// Table shapes for the row-vs-chunk sweep: (rows, variables, segments,
-/// samples).  Row count shrinks as width grows so each cell stays at a
-/// comparable flop budget; the 1 000-wide cell is the acceptance shape.
-const ROW_CHUNK_SWEEP: &[(usize, usize, usize, usize)] = &[
-    (20_000, 40, 4, 10),
-    (8_000, 100, 4, 10),
-    (2_000, 400, 4, 5),
-    (2_000, 1000, 4, 5),
-];
-
-fn bench_row_vs_chunk(c: &mut Criterion) {
-    let mut group = c.benchmark_group("row_vs_chunk");
-    for &(rows, variables, segments, samples) in ROW_CHUNK_SWEEP {
-        let table = figure4_table(rows, variables, segments, 42 + variables as u64);
-        group.sample_size(samples);
-        for (label, mode) in [
-            ("row", ExecutionMode::RowAtATime),
-            ("chunk", ExecutionMode::Chunked),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{rows}x{variables}")),
-                &mode,
-                |b, &mode| b.iter(|| measure_linregr_scan(&table, mode)),
-            );
-        }
-    }
-    group.finish();
-}
-
-fn main() {
-    let mut criterion = Criterion::default();
-    bench_versions(&mut criterion);
-    bench_row_vs_chunk(&mut criterion);
-
-    // Figure 4-style summary: chunk-path speedup per sweep cell.
-    println!("\nrow-path vs chunk-path (v0.3 kernel, mean per-fit time):");
-    let means = criterion.mean_times();
-    for &(rows, variables, _, _) in ROW_CHUNK_SWEEP {
-        let cell = format!("{rows}x{variables}");
-        let find = |label: &str| {
-            means
-                .iter()
-                .find(|(name, _)| name == &format!("row_vs_chunk/{label}/{cell}"))
-                .map(|(_, d)| d.as_secs_f64())
-        };
-        if let (Some(row), Some(chunk)) = (find("row"), find("chunk")) {
-            println!(
-                "  {cell:>12}: row {row:>9.4}s  chunk {chunk:>9.4}s  speedup {:.2}x",
-                row / chunk
-            );
-        }
-    }
-}
+criterion_group!(benches, bench_versions);
+criterion_main!(benches);

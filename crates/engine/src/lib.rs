@@ -73,8 +73,8 @@
 //!   [`Executor::parallel_map_chunks`] with the row-level adapters layered
 //!   on top).
 //! * **Modes** — [`executor::ExecutionMode::RowAtATime`] forces the legacy
-//!   per-row scan.  The benchmark harness sweeps both modes to reproduce the
-//!   paper's inner-loop comparison on the scan axis.
+//!   per-row scan, which the integration tests use as the bit-identity
+//!   reference for the chunked path.
 //!
 //! New methods opt in by overriding `transition_chunk` (typically via
 //! [`chunk::RowChunk::doubles`] / [`chunk::RowChunk::double_arrays`] and the

@@ -350,8 +350,8 @@ pub const CHUNKS_PER_UNIT: usize = 4;
 /// depend on scheduling.  Every segment yields at least one unit, in
 /// `(segment, chunk_lo)` order.
 ///
-/// Public so the benchmark harness can replay the exact production
-/// decomposition through its scheduling simulator.
+/// Public so the benchmark can report the production decomposition
+/// (`engine.scan.units`).
 pub fn chunk_range_units(table: &Table, granularity: StealGranularity) -> Vec<ChunkRange> {
     let mut units = Vec::with_capacity(table.num_segments());
     for segment in 0..table.num_segments() {
@@ -432,55 +432,21 @@ where
     F: Fn(ChunkRange, &Segment) -> Result<T> + Sync,
     M: Fn(T, T) -> T,
 {
-    let num_units = units.len();
-    let run_caught = |unit: ChunkRange| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            work(unit, table.segment(unit.segment))
-        }))
-        .unwrap_or_else(|payload| Err(worker_panic_error(payload.as_ref())))
-    };
-    let mut unit_results: Vec<Option<Result<T>>> = (0..num_units).map(|_| None).collect();
-    if workers <= 1 {
-        for (slot, &unit) in unit_results.iter_mut().zip(&units) {
-            *slot = Some(run_caught(unit));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let run_caught = &run_caught;
-            let cursor = &cursor;
-            let units = &units;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            // Work stealing: claim the next unclaimed unit.
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= num_units {
-                                break;
-                            }
-                            done.push((idx, run_caught(units[idx])));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // Workers catch panics per unit, so joins cannot fail.
-                for (idx, result) in handle.join().expect("worker catches its panics") {
-                    unit_results[idx] = Some(result);
-                }
-            }
-        });
-    }
+    // A unit is an owned item of the one stealing pool; the outer `Result`
+    // it adds carries a unit's panic as `WorkerPanicked`.
+    let unit_results = run_per_item_with_workers(
+        units.clone(),
+        workers,
+        || (),
+        |_, unit, ()| work(unit, table.segment(unit.segment)),
+    );
     // Fold per-unit results into per-segment results.  Units are in
     // (segment, chunk_lo) order, so iterating unit slots in order merges
     // each segment's ranges left-to-right — the deterministic range-order
     // merge the bit-identity guarantees rest on.
     let mut results: Vec<Option<Result<T>>> = (0..table.num_segments()).map(|_| None).collect();
     for (&unit, result) in units.iter().zip(unit_results) {
-        let result = result.expect("the cursor hands every unit to exactly one worker");
+        let result = result.and_then(|unit_result| unit_result);
         let slot = &mut results[unit.segment];
         *slot = Some(match slot.take() {
             None => result,
@@ -545,7 +511,9 @@ where
 }
 
 /// [`run_per_item_with_scratch`] with an explicit worker count, so tests can
-/// force the multi-worker stealing path regardless of host core count.
+/// force the multi-worker stealing path regardless of host core count.  This
+/// is the engine's one stealing pool: the segment and chunk-range fan-outs
+/// run their units through it as items.
 fn run_per_item_with_workers<I, T, W, M, F>(
     items: Vec<I>,
     workers: usize,
@@ -592,6 +560,8 @@ where
                         if idx >= num_items {
                             break;
                         }
+                        // The lock is held only across `Option::take`, which
+                        // cannot panic, so it is never poisoned.
                         let item = slots[idx]
                             .lock()
                             .expect("item slot mutex cannot be poisoned")

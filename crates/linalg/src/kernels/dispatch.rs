@@ -114,8 +114,8 @@ pub fn active_path() -> KernelPath {
 }
 
 /// The SIMD-relevant CPU features detected at runtime, as stable lowercase
-/// names — recorded in `BENCH_*.json` metadata so cross-host reruns can be
-/// compared honestly.
+/// names — recorded in `madbench`'s host metadata so cross-host reruns can
+/// be compared honestly.
 ///
 /// Note that `fma` being *detected* does not mean the kernels *use* fused
 /// multiply-adds: fusing would skip the intermediate rounding of `a * b` and

@@ -10,9 +10,9 @@
 //! — exactly the gap the unrolled and SIMD tiers close by vectorizing across
 //! independent outputs instead.
 //!
-//! The benchmark harness addresses this tier directly (`repro kernels`), so
-//! speedups reported for the other tiers are measured against the kernels as
-//! they shipped before explicit SIMD dispatch existed.
+//! `MADLIB_SIMD=scalar` pins this tier, so `madbench`'s `linalg.*` metrics
+//! @ `train_wide` measure the other tiers against the kernels as they
+//! shipped before explicit SIMD dispatch existed.
 
 use crate::dense::DenseMatrix;
 
