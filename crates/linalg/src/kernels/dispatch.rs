@@ -1,10 +1,12 @@
 //! Runtime kernel-dispatch policy: which tier the public kernels execute.
 //!
-//! Three tiers exist (see the [`super`] module docs): `scalar` (the
-//! reference), `unrolled` (portable 4-way lane arrays) and `simd` (explicit
-//! AVX2).  The default policy picks the SIMD tier when the CPU supports AVX2
-//! and the portable-unrolled tier otherwise; the `MADLIB_SIMD` environment
-//! variable overrides it:
+//! Three tiers exist (see the [`super`] module docs): `scalar` is the
+//! reference implementation, and `unrolled` and `simd` are the one vector
+//! body instantiated at its two lane types, `[f64; 4]` (portable) and
+//! `__m256d` (AVX2).  The default policy picks the SIMD tier when the CPU
+//! supports AVX2 and the portable tier otherwise — [`resolve`] is the one
+//! place that knows the SIMD tier cannot run off x86-64; the `MADLIB_SIMD`
+//! environment variable overrides it:
 //!
 //! | value                                    | effect                      |
 //! |------------------------------------------|-----------------------------|
@@ -17,10 +19,11 @@
 //! silent acceptance of a typo like `MADLIB_SIMD=offf` would quietly benchmark
 //! the wrong tier.
 //!
-//! Because every tier is bit-identical (property-tested; NaN payloads
-//! excepted — see the accumulation-order contract in the parent module),
-//! the policy choice affects *throughput only*, never results — which is
-//! exactly what makes the escape hatch safe to flip in CI.
+//! Because every tier is bit-identical (the two fast tiers share their code,
+//! and `tests/kernel_tiers.rs` compares both with the reference; NaN
+//! payloads excepted — see the accumulation-order contract in the parent
+//! module), the policy choice affects *throughput only*, never results —
+//! which is exactly what makes the escape hatch safe to flip in CI.
 
 use std::sync::OnceLock;
 
@@ -29,9 +32,9 @@ use std::sync::OnceLock;
 pub enum KernelPath {
     /// Reference implementation; sequential loops, autovectorizer only.
     Scalar,
-    /// Portable manually 4-way-unrolled lane-array kernels.
+    /// The vector body at `[f64; 4]`: portable lane-array kernels.
     Unrolled,
-    /// Explicit AVX2 (`core::arch::x86_64`) kernels.
+    /// The vector body at `__m256d`: explicit AVX2 (`core::arch::x86_64`).
     Simd,
 }
 

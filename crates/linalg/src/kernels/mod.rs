@@ -26,16 +26,27 @@
 //! The engine's vectorized execution path hands transition functions a whole
 //! chunk of rows as one contiguous row-major block (`rows × width` values);
 //! the batched kernels here are the chunk-granularity counterparts of the
-//! per-row updates.  Each batched kernel exists in three implementations:
+//! per-row updates.  Each batched kernel is written twice and no more:
 //!
-//! * [`scalar`] — the reference: sequential loops, autovectorizer only.
-//! * [`unrolled`] — portable, manually 4-way-unrolled lane arrays.
-//! * [`simd`] — explicit AVX2 intrinsics (x86-64, runtime-detected).
+//! * [`scalar`] — the reference: sequential loops, autovectorizer only.  It
+//!   defines the result, bit for bit.
+//! * one vector body (the private `vector` module), generic over a 4-lane
+//!   type that can load, store, `add`/`sub`/`mul` and compare-select — the
+//!   thin templated abstraction of the paper's §3.3, costing nothing at run
+//!   time.  Its two lane types are the two fast tiers: [`unrolled`] is the
+//!   body at `[f64; 4]` (plain Rust, every platform) and [`simd`] the body at
+//!   `__m256d` (AVX2 intrinsics, x86-64, runtime-detected).  Where the
+//!   reference loop already is the best portable form (`xty_update`, whose
+//!   outputs are contiguous) the portable tier re-exports it.
 //!
 //! The public functions dispatch through [`dispatch::active_path`], which
 //! resolves once per process from runtime CPU detection and the
 //! `MADLIB_SIMD` escape hatch (`off` forces the portable tier, `scalar` the
-//! reference tier — see [`dispatch`]).
+//! reference tier — see [`dispatch`]).  The vector body's entry points
+//! `assert!` their shapes and reach memory only through bounds-checked
+//! slices, so a mis-shaped call panics on either fast tier in every build
+//! profile; the reference checks shapes with `debug_assert!` and is safe
+//! Rust throughout.
 //!
 //! # The accumulation-order contract
 //!
@@ -44,7 +55,7 @@
 //! contract: the row/chunk-equivalence property tests require
 //! `transition_chunk` ≡ per-row `transition` to the bit, and the scheduler
 //! relies on results being independent of which path ran.  Two consequences
-//! shape every kernel in this module:
+//! shape the vector body:
 //!
 //! * **Vectorization runs across independent outputs, never inside a
 //!   reduction.**  A dot product's additions form one rounding chain whose
@@ -52,14 +63,14 @@
 //!   it.  So the rank-k update vectorizes across contiguous `j` elements of
 //!   `m[i][j]` (each element keeps its own in-order chain), and `batch_dot`
 //!   / `batch_squared_distances` / `gemv_acc` / `batch_closest_column` put
-//!   one *row* in each SIMD lane, stepping through elements sequentially —
+//!   one *row* in each lane, stepping through elements sequentially —
 //!   this also sidesteps the serial chain's latency bound, which is why the
 //!   reduction kernels gain the most: the autovectorizer was never allowed
 //!   to touch them in the first place.
 //! * **`mul` + `add`, never `fmadd`.**  FMA skips the intermediate rounding
 //!   of `a * b`; using it would diverge from the scalar formulation even
 //!   though the hardware supports it (the bench metadata records `fma` as
-//!   detected, not as used).
+//!   detected, not as used), so the lane abstraction does not offer one.
 //!
 //! Accumulator register tiles are seeded from the output matrix and stored
 //! back when the tile retires; an `f64` store/load round-trip is exact, so
@@ -83,6 +94,7 @@ pub mod dispatch;
 pub mod scalar;
 pub mod simd;
 pub mod unrolled;
+mod vector;
 
 pub use dispatch::{active_path, cpu_features, KernelPath};
 
@@ -197,8 +209,8 @@ fn rank1_lower_triangular(m: &mut DenseMatrix, x: &[f64]) {
 /// [`rank1_update`]`(V03, ..)` one at a time, on every tier.
 ///
 /// # Panics
-/// Panics in debug builds when `xs.len()` is not a multiple of `width` or `m`
-/// is not `width × width`.
+/// Panics when `xs.len()` is not a multiple of `width` or `m` is not
+/// `width × width` (the reference tier: in debug builds only).
 pub fn rank_k_update_lower(m: &mut DenseMatrix, xs: &[f64], width: usize) {
     match active_path() {
         KernelPath::Scalar => scalar::rank_k_update_lower(m, xs, width),
@@ -213,7 +225,7 @@ pub fn rank_k_update_lower(m: &mut DenseMatrix, xs: &[f64], width: usize) {
 /// `(w_r · x_r[i]) · x_r[j]`, matching the per-row formulation bit for bit.
 ///
 /// # Panics
-/// Panics in debug builds on shape mismatch.
+/// Panics on shape mismatch (the reference tier: in debug builds only).
 pub fn weighted_rank_k_update_lower(
     m: &mut DenseMatrix,
     xs: &[f64],
@@ -232,7 +244,8 @@ pub fn weighted_rank_k_update_lower(
 /// [`dispatch::active_path`].
 ///
 /// # Panics
-/// Panics in debug builds on shape mismatch.
+/// Panics on shape mismatch (the reference loop, which the portable tier
+/// shares: in debug builds only).
 pub fn xty_update(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize) {
     match active_path() {
         KernelPath::Scalar => scalar::xty_update(acc, xs, ys, width),
@@ -248,7 +261,7 @@ pub fn xty_update(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize) {
 /// `iter().zip().map().sum()` formulation bit for bit.
 ///
 /// # Panics
-/// Panics in debug builds on shape mismatch.
+/// Panics on shape mismatch (the reference tier: in debug builds only).
 pub fn batch_dot(xs: &[f64], w: &[f64], out: &mut [f64]) {
     match active_path() {
         KernelPath::Scalar => scalar::batch_dot(xs, w, out),
@@ -263,7 +276,7 @@ pub fn batch_dot(xs: &[f64], w: &[f64], out: &mut [f64]) {
 /// per [`dispatch::active_path`].
 ///
 /// # Panics
-/// Panics in debug builds on shape mismatch.
+/// Panics on shape mismatch (the reference tier: in debug builds only).
 pub fn batch_squared_distances(xs: &[f64], center: &[f64], out: &mut [f64]) {
     match active_path() {
         KernelPath::Scalar => scalar::batch_squared_distances(xs, center, out),
@@ -279,10 +292,10 @@ pub fn batch_squared_distances(xs: &[f64], center: &[f64], out: &mut [f64]) {
 /// `array_ops::batch_closest_column` validates shapes and delegates here.
 ///
 /// # Panics
-/// Panics in debug builds when a column's length differs from `width` or
-/// `xs.len() != out.len() * width`.  With an empty `columns` every row is
-/// assigned `0`; callers wanting an error must validate first (as
-/// `array_ops` does).
+/// Panics when a column's length differs from `width` or
+/// `xs.len() != out.len() * width` (the reference tier: in debug builds
+/// only).  With an empty `columns` every row is assigned `0`; callers wanting
+/// an error must validate first (as `array_ops` does).
 pub fn batch_closest_column(columns: &[Vec<f64>], xs: &[f64], width: usize, out: &mut [usize]) {
     match active_path() {
         KernelPath::Scalar => scalar::batch_closest_column(columns, xs, width, out),
@@ -306,7 +319,7 @@ pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> crate::Result<DenseMatrix> {
 /// signed zeros).
 ///
 /// # Panics
-/// Panics in debug builds on shape mismatch.
+/// Panics on shape mismatch (the reference tier: in debug builds only).
 pub fn gemm_acc(out: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
     match active_path() {
         KernelPath::Scalar => scalar::gemm_acc(out, a, b),
@@ -319,7 +332,7 @@ pub fn gemm_acc(out: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
 /// dispatched per [`dispatch::active_path`].
 ///
 /// # Panics
-/// Panics in debug builds on shape mismatch.
+/// Panics on shape mismatch (the reference tier: in debug builds only).
 pub fn gemv_acc(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut [f64]) {
     match active_path() {
         KernelPath::Scalar => scalar::gemv_acc(alpha, a, x, y),

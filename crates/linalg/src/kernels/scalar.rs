@@ -1,18 +1,19 @@
 //! Scalar-reference tier: the portable, un-unrolled batched kernels.
 //!
-//! These are the original (pre-dispatch) implementations, kept verbatim as
-//! the semantic reference every other tier must match **bit for bit**.  The
-//! rank-k update tiles the accumulator (`ROW_BLOCK` × `TILE`) for cache
-//! locality but leaves vectorization entirely to the compiler; the reduction
-//! kernels (`batch_dot`, `batch_squared_distances`, `gemv_acc`,
-//! `batch_closest_column`) are straight sequential loops, which the
-//! autovectorizer *cannot* vectorize without reassociating the accumulation
-//! — exactly the gap the unrolled and SIMD tiers close by vectorizing across
-//! independent outputs instead.
+//! These loops are the semantic reference the vector body (`super::vector`,
+//! which the `unrolled` and `simd` tiers instantiate) must match **bit for
+//! bit**, and the code that body calls for the rows left over after its last
+//! full lane group.  The rank-k update tiles the accumulator (`ROW_BLOCK` ×
+//! `TILE`) for cache locality but leaves vectorization entirely to the
+//! compiler; the reduction kernels (`batch_dot`, `batch_squared_distances`,
+//! `gemv_acc`, `batch_closest_column`) are straight sequential loops, which
+//! the autovectorizer *cannot* vectorize without reassociating the
+//! accumulation — exactly the gap the vector body closes by vectorizing
+//! across independent outputs instead.
 //!
 //! `MADLIB_SIMD=scalar` pins this tier, so `madbench`'s `linalg.*` metrics
-//! @ `train_wide` measure the other tiers against the kernels as they
-//! shipped before explicit SIMD dispatch existed.
+//! @ `train_wide` measure the two instantiations of the vector body against
+//! the reference they are defined by.
 
 use crate::dense::DenseMatrix;
 

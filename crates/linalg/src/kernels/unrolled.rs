@@ -1,380 +1,61 @@
-//! Portable 4-way-unrolled tier: register-tiled kernels in plain Rust.
+//! Portable tier: the shared vector body (`super::vector`) instantiated at
+//! `[f64; 4]`.
 //!
-//! Same algorithms as the AVX2 tier (`super::simd`) expressed with `[f64; 4]`
-//! lane arrays instead of intrinsics, so every platform gets the benefit of
-//! vectorizing **across independent outputs** — the autovectorizer can map a
-//! lane array onto packed registers, and even where it does not, four
-//! independent scalar addition chains give the out-of-order core real ILP
-//! that the scalar tier's single serial reduction chain denies it.
+//! Plain-Rust lane arrays give every platform the benefit of vectorizing
+//! **across independent outputs** — the autovectorizer can map a lane array
+//! onto packed registers, and even where it does not, four independent
+//! addition chains give the out-of-order core real ILP that the reference
+//! tier's single serial reduction chain denies it.  This is the tier
+//! `MADLIB_SIMD=off` pins and the default on hosts without AVX2.
 //!
-//! Bit-identity with the scalar tier is structural, not accidental:
-//!
-//! * Rank-k/GEMM accumulator tiles are **seeded from the output matrix** and
-//!   stored back when the tile retires.  A store/load round-trip of an `f64`
-//!   is exact, so the per-element addition chain is the same chain the scalar
-//!   tier produces, merely re-batched.
-//! * Reduction kernels assign each *row* to a lane; within a lane the
-//!   elements accumulate left-to-right exactly as the scalar loop does.
-//! * Remainder rows/columns (row counts not divisible by the lane group,
-//!   widths not divisible by 4, the triangle edge of the rank-k update) run
-//!   the identical per-element formula in the identical order.
+//! Every entry point but the re-exported `xty_update` panics on a mis-shaped
+//! call, in release builds too.
 
 use crate::dense::DenseMatrix;
 
-use super::scalar::ROW_BLOCK;
+use super::vector;
 
-/// Rows per reduction lane-group: two 4-lane accumulators per group give the
-/// core eight independent dependency chains to overlap.
-const LANES: usize = 4;
+/// `xty_update`'s outputs are already contiguous, so the reference loop is
+/// the form the autovectorizer handles best: the shared body at `[f64; 4]`
+/// reads 0.83–1.07× of it (widths 8–100, in cache and streamed).
+pub use super::scalar::xty_update;
 
-/// Portable-unrolled `m += Σ_r x_r x_rᵀ` (lower triangle).
+/// Portable `m += Σ_r x_r x_rᵀ` (lower triangle).
 pub fn rank_k_update_lower(m: &mut DenseMatrix, xs: &[f64], width: usize) {
-    debug_assert_eq!(m.rows(), width);
-    debug_assert_eq!(m.cols(), width);
-    debug_assert_eq!(xs.len() % width.max(1), 0);
-    if width == 0 {
-        return;
-    }
-    let md = m.as_mut_slice();
-    for row_block in xs.chunks(ROW_BLOCK * width) {
-        rank_k_block(md, row_block, width, None);
-    }
+    vector::rank_k_update_lower::<[f64; 4]>(m, xs, width);
 }
 
-/// Portable-unrolled weighted rank-k update (lower triangle).
+/// Portable weighted rank-k update (lower triangle).
 pub fn weighted_rank_k_update_lower(
     m: &mut DenseMatrix,
     xs: &[f64],
     weights: &[f64],
     width: usize,
 ) {
-    debug_assert_eq!(m.rows(), width);
-    debug_assert_eq!(m.cols(), width);
-    debug_assert_eq!(xs.len(), weights.len() * width);
-    if width == 0 {
-        return;
-    }
-    let md = m.as_mut_slice();
-    for (block_idx, row_block) in xs.chunks(ROW_BLOCK * width).enumerate() {
-        let block_weights = &weights[block_idx * ROW_BLOCK..];
-        rank_k_block(md, row_block, width, Some(block_weights));
-    }
+    vector::weighted_rank_k_update_lower::<[f64; 4]>(m, xs, weights, width);
 }
 
-/// One row block of the (optionally weighted) rank-k update: 4-row strips of
-/// the lower triangle, each strip split into full 4-wide register tiles plus
-/// a diagonal remainder.  `weights[r]` scales row `r`'s contribution as
-/// `(w · x_r[i]) · x_r[j]`, matching the scalar tier's rounding exactly.
-fn rank_k_block(md: &mut [f64], block: &[f64], width: usize, weights: Option<&[f64]>) {
-    let mut i0 = 0;
-    while i0 < width {
-        let i_end = (i0 + 4).min(width);
-        if i_end - i0 == 4 {
-            // Largest multiple of 4 that is ≤ i0 + 1: every row of the strip
-            // covers columns [0, j_full), so full 4×4 tiles apply there.
-            let j_full = (i0 + 1) & !3;
-            let mut j0 = 0;
-            while j0 < j_full {
-                rank_k_tile4(md, block, width, i0, j0, weights);
-                j0 += 4;
-            }
-            rank_k_edge(md, block, width, i0, i_end, j_full, weights);
-        } else {
-            rank_k_edge(md, block, width, i0, i_end, 0, weights);
-        }
-        i0 += 4;
-    }
-}
-
-/// A 4×4 accumulator tile at (`i0`, `j0`), seeded from `md`, accumulated over
-/// every row of `block`, stored back once.
-#[inline]
-fn rank_k_tile4(
-    md: &mut [f64],
-    block: &[f64],
-    width: usize,
-    i0: usize,
-    j0: usize,
-    weights: Option<&[f64]>,
-) {
-    let mut acc = [[0.0f64; 4]; 4];
-    for (ii, lane) in acc.iter_mut().enumerate() {
-        let base = (i0 + ii) * width + j0;
-        lane.copy_from_slice(&md[base..base + 4]);
-    }
-    for (r, x) in block.chunks_exact(width).enumerate() {
-        let xj: [f64; 4] = [x[j0], x[j0 + 1], x[j0 + 2], x[j0 + 3]];
-        for (ii, lane) in acc.iter_mut().enumerate() {
-            let xi = match weights {
-                Some(w) => w[r] * x[i0 + ii],
-                None => x[i0 + ii],
-            };
-            for (a, &b) in lane.iter_mut().zip(&xj) {
-                *a += xi * b;
-            }
-        }
-    }
-    for (ii, lane) in acc.iter().enumerate() {
-        let base = (i0 + ii) * width + j0;
-        md[base..base + 4].copy_from_slice(lane);
-    }
-}
-
-/// The tile remainder: rows `i0..i_end`, columns `j_lo..=i` (the part of the
-/// strip the full tiles could not cover).  Element-major with the row loop
-/// innermost — each element's additions still happen in row order.
-pub(super) fn rank_k_edge(
-    md: &mut [f64],
-    block: &[f64],
-    width: usize,
-    i0: usize,
-    i_end: usize,
-    j_lo: usize,
-    weights: Option<&[f64]>,
-) {
-    for i in i0..i_end {
-        for j in j_lo..=i {
-            let mut acc = md[i * width + j];
-            match weights {
-                None => {
-                    for x in block.chunks_exact(width) {
-                        acc += x[i] * x[j];
-                    }
-                }
-                Some(w) => {
-                    for (x, wr) in block.chunks_exact(width).zip(w) {
-                        acc += (wr * x[i]) * x[j];
-                    }
-                }
-            }
-            md[i * width + j] = acc;
-        }
-    }
-}
-
-/// Portable-unrolled `acc += Σ_r y_r · x_r`: the per-row update is a 4-wide
-/// element-wise sweep over independent accumulator elements.
-pub fn xty_update(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize) {
-    debug_assert_eq!(xs.len(), ys.len() * width);
-    if width == 0 {
-        return;
-    }
-    for (x, y) in xs.chunks_exact(width).zip(ys) {
-        let mut j = 0;
-        while j + 4 <= width {
-            acc[j] += x[j] * y;
-            acc[j + 1] += x[j + 1] * y;
-            acc[j + 2] += x[j + 2] * y;
-            acc[j + 3] += x[j + 3] * y;
-            j += 4;
-        }
-        while j < width {
-            acc[j] += x[j] * y;
-            j += 1;
-        }
-    }
-}
-
-/// Portable-unrolled batched dot product: two 4-lane groups (8 rows) advance
-/// together, one row per lane, each lane accumulating left-to-right.
+/// Portable batched dot product `out[r] = x_r · w`.
 pub fn batch_dot(xs: &[f64], w: &[f64], out: &mut [f64]) {
-    let width = w.len();
-    debug_assert_eq!(xs.len(), out.len() * width);
-    if width == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let rows = out.len();
-    let mut r = 0usize;
-    while r + 2 * LANES <= rows {
-        let base = r * width;
-        let mut lo = [0.0f64; LANES];
-        let mut hi = [0.0f64; LANES];
-        for (k, &wk) in w.iter().enumerate() {
-            for lane in 0..LANES {
-                lo[lane] += xs[base + lane * width + k] * wk;
-                hi[lane] += xs[base + (LANES + lane) * width + k] * wk;
-            }
-        }
-        out[r..r + LANES].copy_from_slice(&lo);
-        out[r + LANES..r + 2 * LANES].copy_from_slice(&hi);
-        r += 2 * LANES;
-    }
-    for rr in r..rows {
-        let x = &xs[rr * width..(rr + 1) * width];
-        let mut acc = 0.0;
-        for (xi, wi) in x.iter().zip(w) {
-            acc += xi * wi;
-        }
-        out[rr] = acc;
-    }
+    vector::batch_dot::<[f64; 4]>(xs, w, out);
 }
 
-/// Portable-unrolled batched squared distances: same 8-rows-in-lanes shape as
-/// [`batch_dot`].
+/// Portable batched squared Euclidean distances to `center`.
 pub fn batch_squared_distances(xs: &[f64], center: &[f64], out: &mut [f64]) {
-    let width = center.len();
-    debug_assert_eq!(xs.len(), out.len() * width);
-    if width == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let rows = out.len();
-    let mut r = 0usize;
-    while r + 2 * LANES <= rows {
-        let base = r * width;
-        let mut lo = [0.0f64; LANES];
-        let mut hi = [0.0f64; LANES];
-        for (k, &ck) in center.iter().enumerate() {
-            for lane in 0..LANES {
-                let dl = xs[base + lane * width + k] - ck;
-                lo[lane] += dl * dl;
-                let dh = xs[base + (LANES + lane) * width + k] - ck;
-                hi[lane] += dh * dh;
-            }
-        }
-        out[r..r + LANES].copy_from_slice(&lo);
-        out[r + LANES..r + 2 * LANES].copy_from_slice(&hi);
-        r += 2 * LANES;
-    }
-    for rr in r..rows {
-        let x = &xs[rr * width..(rr + 1) * width];
-        let mut acc = 0.0;
-        for (xi, ci) in x.iter().zip(center) {
-            let d = xi - ci;
-            acc += d * d;
-        }
-        out[rr] = acc;
-    }
+    vector::batch_squared_distances::<[f64; 4]>(xs, center, out);
 }
 
-/// Portable-unrolled batched closest column: four rows per pass, per-lane
-/// strict-`<` first-minimum tracking (NaN distances never win, ties keep the
-/// earliest column — the `closest_column` contract).
+/// Portable batched closest-column assignment.
 pub fn batch_closest_column(columns: &[Vec<f64>], xs: &[f64], width: usize, out: &mut [usize]) {
-    debug_assert_eq!(xs.len(), out.len() * width);
-    debug_assert!(columns.iter().all(|c| c.len() == width));
-    if width == 0 {
-        out.fill(0);
-        return;
-    }
-    let rows = out.len();
-    let mut r = 0usize;
-    while r + LANES <= rows {
-        let base = r * width;
-        let mut best_d = [f64::INFINITY; LANES];
-        let mut best_i = [0usize; LANES];
-        for (idx, col) in columns.iter().enumerate() {
-            let mut d = [0.0f64; LANES];
-            for (k, &ck) in col.iter().enumerate() {
-                for lane in 0..LANES {
-                    let diff = xs[base + lane * width + k] - ck;
-                    d[lane] += diff * diff;
-                }
-            }
-            for lane in 0..LANES {
-                if d[lane] < best_d[lane] {
-                    best_d[lane] = d[lane];
-                    best_i[lane] = idx;
-                }
-            }
-        }
-        out[r..r + LANES].copy_from_slice(&best_i);
-        r += LANES;
-    }
-    for rr in r..rows {
-        let point = &xs[rr * width..(rr + 1) * width];
-        let mut best = (0usize, f64::INFINITY);
-        for (idx, col) in columns.iter().enumerate() {
-            let mut d = 0.0;
-            for (x, c) in point.iter().zip(col) {
-                let diff = x - c;
-                d += diff * diff;
-            }
-            if d < best.1 {
-                best = (idx, d);
-            }
-        }
-        out[rr] = best.0;
-    }
+    vector::batch_closest_column::<[f64; 4]>(columns, xs, width, out);
 }
 
-/// Portable-unrolled `y += alpha * A * x`: eight matrix rows per pass, one
-/// per lane.
+/// Portable `y += alpha * A * x`.
 pub fn gemv_acc(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(a.cols(), x.len());
-    debug_assert_eq!(a.rows(), y.len());
-    let cols = a.cols();
-    let ad = a.as_slice();
-    let rows = y.len();
-    let mut r = 0usize;
-    if cols > 0 {
-        while r + 2 * LANES <= rows {
-            let base = r * cols;
-            let mut lo = [0.0f64; LANES];
-            let mut hi = [0.0f64; LANES];
-            for (k, &xk) in x.iter().enumerate() {
-                for lane in 0..LANES {
-                    lo[lane] += ad[base + lane * cols + k] * xk;
-                    hi[lane] += ad[base + (LANES + lane) * cols + k] * xk;
-                }
-            }
-            for lane in 0..LANES {
-                y[r + lane] += alpha * lo[lane];
-                y[r + LANES + lane] += alpha * hi[lane];
-            }
-            r += 2 * LANES;
-        }
-    }
-    for (rr, yv) in y.iter_mut().enumerate().take(rows).skip(r) {
-        let row = a.row_slice(rr);
-        let mut acc = 0.0;
-        for (av, xv) in row.iter().zip(x) {
-            acc += av * xv;
-        }
-        *yv += alpha * acc;
-    }
+    vector::gemv_acc::<[f64; 4]>(alpha, a, x, y);
 }
 
-/// Portable-unrolled GEMM accumulation `out += A * B`: per output row a
-/// 16-wide register tile is held across the whole `k` loop, preserving the
-/// scalar tier's `a[i][k] == 0.0` skip per `(i, k)` pair.
+/// Portable GEMM accumulation `out += A * B`.
 pub fn gemm_acc(out: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
-    debug_assert_eq!(a.cols(), b.rows());
-    debug_assert_eq!(out.rows(), a.rows());
-    debug_assert_eq!(out.cols(), b.cols());
-    let (arows, acols, bcols) = (a.rows(), a.cols(), b.cols());
-    let ad = a.as_slice();
-    let bd = b.as_slice();
-    let od = out.as_mut_slice();
-    for i in 0..arows {
-        let arow = &ad[i * acols..(i + 1) * acols];
-        let obase = i * bcols;
-        let mut j0 = 0usize;
-        while j0 + 16 <= bcols {
-            let mut acc = [0.0f64; 16];
-            acc.copy_from_slice(&od[obase + j0..obase + j0 + 16]);
-            for (k, &aik) in arow.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &bd[k * bcols + j0..k * bcols + j0 + 16];
-                for (acct, &bv) in acc.iter_mut().zip(brow) {
-                    *acct += aik * bv;
-                }
-            }
-            od[obase + j0..obase + j0 + 16].copy_from_slice(&acc);
-            j0 += 16;
-        }
-        for j in j0..bcols {
-            let mut acc = od[obase + j];
-            for (k, &aik) in arow.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                acc += aik * bd[k * bcols + j];
-            }
-            od[obase + j] = acc;
-        }
-    }
+    vector::gemm_acc::<[f64; 4]>(out, a, b);
 }

@@ -1,0 +1,454 @@
+//! The one vector body of every batched kernel, generic over a 4-lane type.
+//!
+//! [`Lanes`] is the thin abstraction the kernels are written against: four
+//! `f64`s that can be loaded, combined lane-wise and stored.  It has exactly
+//! two implementations — `[f64; 4]` here (plain Rust, every platform) and
+//! `__m256d` in [`super::simd`] (AVX2) — and the [`super::unrolled`] and
+//! [`super::simd`] tiers are nothing but this module instantiated at one or
+//! the other, so the two fast tiers run the same algorithm by construction.
+//!
+//! Bit-identity with [`super::scalar`] is structural:
+//!
+//! * Rank-k/GEMM accumulator tiles are **seeded from the output matrix** and
+//!   stored back when the tile retires.  A store/load round-trip of an `f64`
+//!   is exact, so each element's addition chain is the chain the reference
+//!   produces, merely re-batched.
+//! * Reduction kernels put one *row* in each lane ([`Lanes::from_array`]);
+//!   within a lane the elements accumulate left-to-right exactly as the
+//!   reference loop does.
+//! * [`Lanes`] offers `mul` and `add` but no fused multiply-add, so the
+//!   intermediate rounding of `a * b` cannot be skipped by accident.
+//! * Rows left over after the last full lane group are handed to the
+//!   reference kernel itself on the tail sub-slices.
+//!
+//! Every body is safe Rust: lane loads and stores go through a slice, so a
+//! mis-shaped call panics on a bounds check (or on the shape `assert!` at the
+//! kernel's entry) instead of reading out of bounds.  The bodies are
+//! `#[inline(always)]` so that the `__m256d` instantiation is compiled inside
+//! the `#[target_feature(enable = "avx2")]` frame of its `simd` wrapper; for
+//! the same reason a body never wraps a lane operation in a closure, which
+//! would be a separate function outside that frame.
+
+use std::array::from_fn;
+use std::slice::ChunksExact;
+
+use crate::dense::DenseMatrix;
+
+use super::scalar::{self, ROW_BLOCK};
+
+/// Four `f64` lanes.  All operations are lane-wise and IEEE-exact (one
+/// rounding per `add`/`sub`/`mul`).
+pub(super) trait Lanes: Copy {
+    /// Whether the register file holds a 4×8 rank-k tile — eight lane
+    /// accumulators plus their operands.  Where it does not, the tile would
+    /// live on the stack and every accumulation would round-trip through
+    /// memory, so the update stays with 4×4 tiles.
+    const WIDE_TILES: bool;
+    /// All four lanes set to `v`.
+    fn splat(v: f64) -> Self;
+    /// `src[at..at + 4]`.  Panics when out of bounds.
+    fn load(src: &[f64], at: usize) -> Self;
+    /// The given lanes in order — how one element of each of four rows is
+    /// gathered.
+    fn from_array(lanes: [f64; 4]) -> Self;
+    /// Writes the lanes to `dst[at..at + 4]`.  Panics when out of bounds.
+    fn store(self, dst: &mut [f64], at: usize);
+    /// Lane-wise `self + other`.
+    fn add(self, other: Self) -> Self;
+    /// Lane-wise `self - other`.
+    fn sub(self, other: Self) -> Self;
+    /// Lane-wise `self * other`.
+    fn mul(self, other: Self) -> Self;
+    /// Lane-wise `if self < bound { then } else { otherwise }` with the
+    /// ordered comparison of the scalar `<`: false whenever a NaN is involved.
+    fn select_lt(self, bound: Self, then: Self, otherwise: Self) -> Self;
+    /// The lanes in order.
+    fn to_array(self) -> [f64; 4];
+}
+
+impl Lanes for [f64; 4] {
+    /// Baseline x86-64 gives a lane array two of its sixteen 128-bit
+    /// registers: eight accumulators would take them all.
+    const WIDE_TILES: bool = false;
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        [v; 4]
+    }
+    #[inline(always)]
+    fn load(src: &[f64], at: usize) -> Self {
+        let s = &src[at..at + 4];
+        [s[0], s[1], s[2], s[3]]
+    }
+    #[inline(always)]
+    fn from_array(lanes: [f64; 4]) -> Self {
+        lanes
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f64], at: usize) {
+        dst[at..at + 4].copy_from_slice(&self);
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        from_fn(|l| self[l] + o[l])
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        from_fn(|l| self[l] - o[l])
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        from_fn(|l| self[l] * o[l])
+    }
+    #[inline(always)]
+    fn select_lt(self, bound: Self, then: Self, otherwise: Self) -> Self {
+        from_fn(|l| {
+            if self[l] < bound[l] {
+                then[l]
+            } else {
+                otherwise[l]
+            }
+        })
+    }
+    #[inline(always)]
+    fn to_array(self) -> [f64; 4] {
+        self
+    }
+}
+
+/// `m += Σ_r x_r x_rᵀ` (lower triangle).
+#[inline(always)]
+pub(super) fn rank_k_update_lower<V: Lanes>(m: &mut DenseMatrix, xs: &[f64], width: usize) {
+    assert_eq!(xs.len() % width.max(1), 0, "xs is not whole rows");
+    rank_k::<V>(m, xs, None, width);
+}
+
+/// `m += Σ_r w_r · x_r x_rᵀ` (lower triangle).
+#[inline(always)]
+pub(super) fn weighted_rank_k_update_lower<V: Lanes>(
+    m: &mut DenseMatrix,
+    xs: &[f64],
+    weights: &[f64],
+    width: usize,
+) {
+    assert_eq!(xs.len(), weights.len() * width, "one weight per row");
+    rank_k::<V>(m, xs, Some(weights), width);
+}
+
+/// The (optionally weighted) rank-k update, one `ROW_BLOCK` of rows at a time
+/// so a block stays cache-resident while every tile of the triangle sweeps it.
+#[inline(always)]
+fn rank_k<V: Lanes>(m: &mut DenseMatrix, xs: &[f64], weights: Option<&[f64]>, width: usize) {
+    assert_eq!((m.rows(), m.cols()), (width, width), "m is width × width");
+    if width == 0 {
+        return;
+    }
+    let md = m.as_mut_slice();
+    for (block_idx, block) in xs.chunks(ROW_BLOCK * width).enumerate() {
+        let block_weights = weights.map(|w| &w[block_idx * ROW_BLOCK..]);
+        let mut i0 = 0;
+        while i0 + 4 <= width {
+            // Largest multiple of 4 that is ≤ i0 + 1: every row of the strip
+            // covers columns [0, j_full), so full register tiles apply there.
+            let j_full = (i0 + 1) & !3;
+            let mut j0 = 0;
+            while V::WIDE_TILES && j0 + 8 <= j_full {
+                rank_k_tile::<V, 2>(md, block, width, i0, j0, block_weights);
+                j0 += 8;
+            }
+            while j0 + 4 <= j_full {
+                rank_k_tile::<V, 1>(md, block, width, i0, j0, block_weights);
+                j0 += 4;
+            }
+            rank_k_edge(md, block, width, i0..i0 + 4, j_full, block_weights);
+            i0 += 4;
+        }
+        rank_k_edge(md, block, width, i0..width, 0, block_weights);
+    }
+}
+
+/// A 4×(4·NJ) accumulator tile at (`i0`, `j0`): seeded from `md`, updated
+/// across every row of `block`, stored back once.  `weights[r]` scales row
+/// `r`'s contribution as `(w · x_r[i]) · x_r[j]`, the reference's rounding.
+#[inline(always)]
+fn rank_k_tile<V: Lanes, const NJ: usize>(
+    md: &mut [f64],
+    block: &[f64],
+    width: usize,
+    i0: usize,
+    j0: usize,
+    weights: Option<&[f64]>,
+) {
+    let mut acc = [[V::splat(0.0); NJ]; 4];
+    for (ii, row_acc) in acc.iter_mut().enumerate() {
+        for (jj, a) in row_acc.iter_mut().enumerate() {
+            *a = V::load(md, (i0 + ii) * width + j0 + 4 * jj);
+        }
+    }
+    for (r, x) in block.chunks_exact(width).enumerate() {
+        // One bounds check per operand per row; the loads below index
+        // sub-slices of known length.
+        let (xi, xj) = (&x[i0..i0 + 4], &x[j0..j0 + 4 * NJ]);
+        let mut xjv = [V::splat(0.0); NJ];
+        for (jj, v) in xjv.iter_mut().enumerate() {
+            *v = V::load(xj, 4 * jj);
+        }
+        let w = weights.map(|w| w[r]);
+        for (row_acc, &xi) in acc.iter_mut().zip(xi) {
+            let xiv = V::splat(match w {
+                Some(w) => w * xi,
+                None => xi,
+            });
+            for (a, &v) in row_acc.iter_mut().zip(&xjv) {
+                *a = a.add(xiv.mul(v));
+            }
+        }
+    }
+    for (ii, row_acc) in acc.iter().enumerate() {
+        for (jj, a) in row_acc.iter().enumerate() {
+            a.store(md, (i0 + ii) * width + j0 + 4 * jj);
+        }
+    }
+}
+
+/// What the register tiles cannot cover: rows `rows`, columns `j_lo..=i` (the
+/// diagonal end of a strip, or a last strip of fewer than four rows).
+/// Element-major with the row loop innermost — each element's additions still
+/// happen in row order.
+fn rank_k_edge(
+    md: &mut [f64],
+    block: &[f64],
+    width: usize,
+    rows: std::ops::Range<usize>,
+    j_lo: usize,
+    weights: Option<&[f64]>,
+) {
+    for i in rows {
+        for j in j_lo..=i {
+            let mut acc = md[i * width + j];
+            match weights {
+                None => {
+                    for x in block.chunks_exact(width) {
+                        acc += x[i] * x[j];
+                    }
+                }
+                Some(w) => {
+                    for (x, wr) in block.chunks_exact(width).zip(w) {
+                        acc += (wr * x[i]) * x[j];
+                    }
+                }
+            }
+            md[i * width + j] = acc;
+        }
+    }
+}
+
+/// `acc += Σ_r y_r · x_r`: per row a 4-wide sweep over the independent
+/// accumulator elements.  Only the `__m256d` tier instantiates it — the
+/// portable tier's `xty_update` is the reference loop.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(super) fn xty_update<V: Lanes>(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize) {
+    assert_eq!(xs.len(), ys.len() * width, "one y per row");
+    assert_eq!(acc.len(), width, "acc is one row wide");
+    if width == 0 {
+        return;
+    }
+    let full = width & !3;
+    for (x, &y) in xs.chunks_exact(width).zip(ys) {
+        let yv = V::splat(y);
+        for j in (0..full).step_by(4) {
+            V::load(acc, j).add(V::load(x, j).mul(yv)).store(acc, j);
+        }
+        for (a, xi) in acc[full..].iter_mut().zip(&x[full..]) {
+            *a += xi * y;
+        }
+    }
+}
+
+/// The per-element term a row reduction accumulates.
+#[derive(Clone, Copy)]
+enum Term {
+    /// `x · c` — dot products.
+    Product,
+    /// `(x − c)²` — squared Euclidean distances.
+    SquaredDifference,
+}
+
+/// Reduces each of the first `4 · GROUPS` rows of `rows` (row-major,
+/// `other.len()` wide; panics when there are fewer) against `other`, one row
+/// per lane: every lane starts at `0.0` and adds its row's terms left to
+/// right, so each lane holds the reference's sequential sum.  `GROUPS`
+/// independent accumulators advance together to overlap the latency of the
+/// dependent additions.
+#[inline(always)]
+fn reduce_rows<V: Lanes, const GROUPS: usize>(
+    term: Term,
+    rows: &[f64],
+    other: &[f64],
+) -> [V; GROUPS] {
+    // One sub-slice per lane, each exactly as long as `other`: the bounds
+    // check is paid here, once per row, and the element loop needs none.
+    let mut rows = rows.chunks_exact(other.len());
+    let lanes: [[&[f64]; 4]; GROUPS] =
+        from_fn(|_| from_fn(|_| rows.next().expect("4 · GROUPS rows")));
+    let mut acc = [V::splat(0.0); GROUPS];
+    for (k, &c) in other.iter().enumerate() {
+        let cv = V::splat(c);
+        for (a, l) in acc.iter_mut().zip(&lanes) {
+            let x = V::from_array([l[0][k], l[1][k], l[2][k], l[3][k]]);
+            *a = a.add(match term {
+                Term::Product => x.mul(cv),
+                Term::SquaredDifference => {
+                    let d = x.sub(cv);
+                    d.mul(d)
+                }
+            });
+        }
+    }
+    acc
+}
+
+/// Splits row-major `xs` into the whole groups of `group` rows the vector
+/// body takes, and says how many rows that is; the rest go to the reference
+/// kernel.  At width 0 `xs` is empty, so there are no groups whatever the
+/// chunk size — the `max(1)` only keeps it legal — and every row is "rest".
+fn row_groups(xs: &[f64], width: usize, group: usize) -> (ChunksExact<'_, f64>, usize) {
+    let groups = xs.chunks_exact(group * width.max(1));
+    let full = groups.len() * group;
+    (groups, full)
+}
+
+/// `out[r] = Σ_k term(x_r[k], other[k])`, eight rows per pass.
+#[inline(always)]
+fn batch_reduce<V: Lanes>(term: Term, xs: &[f64], other: &[f64], out: &mut [f64]) {
+    let width = other.len();
+    assert_eq!(xs.len(), out.len() * width, "one output per row");
+    let (groups, full) = row_groups(xs, width, 8);
+    for (rows, o) in groups.zip(out.chunks_exact_mut(8)) {
+        let [lo, hi] = reduce_rows::<V, 2>(term, rows, other);
+        lo.store(o, 0);
+        hi.store(o, 4);
+    }
+    let (xs, out) = (&xs[full * width..], &mut out[full..]);
+    match term {
+        Term::Product => scalar::batch_dot(xs, other, out),
+        Term::SquaredDifference => scalar::batch_squared_distances(xs, other, out),
+    }
+}
+
+/// Batched dot product `out[r] = x_r · w`.
+#[inline(always)]
+pub(super) fn batch_dot<V: Lanes>(xs: &[f64], w: &[f64], out: &mut [f64]) {
+    batch_reduce::<V>(Term::Product, xs, w, out);
+}
+
+/// Batched squared Euclidean distances to `center`.
+#[inline(always)]
+pub(super) fn batch_squared_distances<V: Lanes>(xs: &[f64], center: &[f64], out: &mut [f64]) {
+    batch_reduce::<V>(Term::SquaredDifference, xs, center, out);
+}
+
+/// Batched closest column: four rows per pass, per-lane strict-`<`
+/// first-minimum tracking (NaN distances never win, ties keep the earliest
+/// column — the `closest_column` contract).  The winning index rides in an
+/// `f64` lane, exact for any index below 2⁵³.
+#[inline(always)]
+pub(super) fn batch_closest_column<V: Lanes>(
+    columns: &[Vec<f64>],
+    xs: &[f64],
+    width: usize,
+    out: &mut [usize],
+) {
+    assert_eq!(xs.len(), out.len() * width, "one output per row");
+    assert!(
+        columns.iter().all(|c| c.len() == width),
+        "every column is one row wide"
+    );
+    let (groups, full) = row_groups(xs, width, 4);
+    for (rows, slots) in groups.zip(out.chunks_exact_mut(4)) {
+        let mut best_d = V::splat(f64::INFINITY);
+        let mut best_i = V::splat(0.0);
+        for (idx, col) in columns.iter().enumerate() {
+            let [d] = reduce_rows::<V, 1>(Term::SquaredDifference, rows, col);
+            best_i = d.select_lt(best_d, V::splat(idx as f64), best_i);
+            best_d = d.select_lt(best_d, d, best_d);
+        }
+        for (slot, idx) in slots.iter_mut().zip(best_i.to_array()) {
+            *slot = idx as usize;
+        }
+    }
+    scalar::batch_closest_column(columns, &xs[full * width..], width, &mut out[full..]);
+}
+
+/// `y += alpha * A * x`: eight matrix rows per pass, one per lane.
+#[inline(always)]
+pub(super) fn gemv_acc<V: Lanes>(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut [f64]) {
+    assert_eq!((a.rows(), a.cols()), (y.len(), x.len()), "A is y × x");
+    let av = V::splat(alpha);
+    let (groups, full) = row_groups(a.as_slice(), a.cols(), 8);
+    for (rows, ys) in groups.zip(y.chunks_exact_mut(8)) {
+        let dots = reduce_rows::<V, 2>(Term::Product, rows, x);
+        for (g, &dot) in dots.iter().enumerate() {
+            V::load(ys, 4 * g).add(av.mul(dot)).store(ys, 4 * g);
+        }
+    }
+    for (r, yr) in y.iter_mut().enumerate().skip(full) {
+        let mut dot = [0.0];
+        scalar::batch_dot(a.row_slice(r), x, &mut dot);
+        *yr += alpha * dot[0];
+    }
+}
+
+/// `out += A * B`: per output row a 16-wide register tile (then 4-wide, then
+/// single elements) is held across the whole `k` loop, preserving the
+/// reference's `a[i][k] == 0.0` skip per `(i, k)` pair.
+#[inline(always)]
+pub(super) fn gemm_acc<V: Lanes>(out: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
+    assert_eq!(a.cols(), b.rows(), "A and B conform");
+    assert_eq!((out.rows(), out.cols()), (a.rows(), b.cols()), "out is A·B");
+    let (acols, bcols) = (a.cols(), b.cols());
+    if acols == 0 || bcols == 0 {
+        return;
+    }
+    let (ad, bd, od) = (a.as_slice(), b.as_slice(), out.as_mut_slice());
+    for (arow, orow) in ad.chunks_exact(acols).zip(od.chunks_exact_mut(bcols)) {
+        let mut j0 = 0;
+        while j0 + 16 <= bcols {
+            gemm_tile::<V, 4>(orow, arow, bd, j0);
+            j0 += 16;
+        }
+        while j0 + 4 <= bcols {
+            gemm_tile::<V, 1>(orow, arow, bd, j0);
+            j0 += 4;
+        }
+        for (j, o) in orow.iter_mut().enumerate().skip(j0) {
+            for (&aik, brow) in arow.iter().zip(bd.chunks_exact(bcols)) {
+                if aik != 0.0 {
+                    *o += aik * brow[j];
+                }
+            }
+        }
+    }
+}
+
+/// Columns `j0..j0 + 4·N` of one output row: `orow += arow · B`.
+#[inline(always)]
+fn gemm_tile<V: Lanes, const N: usize>(orow: &mut [f64], arow: &[f64], bd: &[f64], j0: usize) {
+    let mut acc = [V::splat(0.0); N];
+    for (t, a) in acc.iter_mut().enumerate() {
+        *a = V::load(orow, j0 + 4 * t);
+    }
+    for (&aik, brow) in arow.iter().zip(bd.chunks_exact(orow.len())) {
+        if aik == 0.0 {
+            continue;
+        }
+        let akv = V::splat(aik);
+        let b = &brow[j0..j0 + 4 * N];
+        for (t, a) in acc.iter_mut().enumerate() {
+            *a = a.add(akv.mul(V::load(b, 4 * t)));
+        }
+    }
+    for (t, a) in acc.iter().enumerate() {
+        a.store(orow, j0 + 4 * t);
+    }
+}

@@ -26,9 +26,11 @@
 //! * [`array_ops`]: the element-wise "array operations" support module from
 //!   Table 1 of the paper.
 
-// `deny` rather than `forbid`: the explicit-SIMD kernel tier
-// (`kernels::simd`) carries a single scoped `#[allow(unsafe_code)]` for its
-// `core::arch::x86_64` intrinsics; everything else stays safe Rust.
+// `deny` rather than `forbid`: `kernels::simd` carries a single scoped
+// `#[allow(unsafe_code)]` around the `__m256d` lane type (`core::arch::x86_64`
+// intrinsics) and the `#[target_feature]` entry points that instantiate the
+// kernels at it.  The kernels themselves, written once for both lane types,
+// and everything else stay safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

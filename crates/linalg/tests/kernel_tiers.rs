@@ -1,14 +1,18 @@
 //! Bit-identity tests across the batched-kernel dispatch tiers.
 //!
-//! Every batched kernel ships three implementations — `scalar` (the
-//! reference), `unrolled` (portable 4-way lanes) and `simd` (AVX2) — and
-//! the engine's correctness contracts assume they are interchangeable to
-//! the bit.  These tests sweep widths that are *not* multiples of the SIMD
-//! lane count (tails), degenerate shapes (width 0 and 1, zero rows), and
-//! inputs salted with NaN, ±0.0 and ±∞, asserting exact `to_bits` equality
-//! between the tiers for every kernel.  The SIMD tier is exercised only
-//! when the host supports it ([`simd::available`]); the scalar/unrolled
-//! comparison runs everywhere.
+//! Every batched kernel has a `scalar` reference and one vector body that
+//! the `unrolled` (`[f64; 4]` lanes, portable) and `simd` (`__m256d` lanes,
+//! AVX2) tiers instantiate, and the engine's correctness contracts assume
+//! all three are interchangeable to the bit.  These tests sweep widths that
+//! are *not* multiples of the lane count (tails), row counts that end
+//! exactly on a lane group and just past one, degenerate shapes (width 0
+//! and 1, zero rows), and inputs salted with NaN, ±0.0 and ±∞, asserting
+//! exact `to_bits` equality with the reference for every kernel on both
+//! lane types.  The SIMD tier is exercised only when the host supports it
+//! ([`simd::available`]); the scalar/unrolled comparison runs everywhere.
+//! The `*_rejects_a_short_input` tests pin the other half of the contract:
+//! a mis-shaped call panics instead of reading out of bounds, in release
+//! builds too (CI runs this file with `--release`).
 //!
 //! One deliberate subtlety: the NaN used for salting is the *hardware
 //! generated* quiet NaN (`0.0 * ∞`, `0xFFF8…` on x86) rather than the
@@ -26,6 +30,7 @@
 use madlib_linalg::kernels::{scalar, simd, unrolled};
 use madlib_linalg::DenseMatrix;
 use std::hint::black_box;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The platform's hardware-generated quiet NaN (`0xFFF8…` on x86, where
 /// invalid operations set the sign bit; `0x7FF8…` on aarch64).  Computed
@@ -40,9 +45,10 @@ fn generated_nan() -> f64 {
 /// are tile tails.
 const WIDTHS: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 17, 40, 65, 70];
 
-/// Row counts straddling the 64-row blocks and the 4- and 8-row strips of
-/// the unrolled/SIMD reduction kernels.
-const ROWS: [usize; 8] = [0, 1, 2, 3, 5, 9, 64, 130];
+/// Row counts straddling the 64-row blocks and the 4- and 8-row lane groups
+/// of the reduction kernels; 4, 8, 16 and 64 end exactly on a group, so the
+/// last lane of the last group reads the last element of the buffer.
+const ROWS: [usize; 11] = [0, 1, 2, 3, 4, 5, 8, 9, 16, 64, 130];
 
 /// Deterministic pseudo-random values in [-2, 2), salted with the IEEE
 /// special values every few slots so NaN propagation, signed zeros and
@@ -219,32 +225,58 @@ fn batch_squared_distances_tiers_agree() {
 fn batch_closest_column_tiers_agree() {
     for width in WIDTHS {
         for rows in ROWS {
-            for num_columns in [1, 2, 3, 7] {
-                // Finite points and centers, then salt *one* center with a
-                // NaN so the NaN-never-wins tie-break is exercised without
-                // every distance collapsing to NaN.
-                let xs = finite_data(rows * width, (rows + width + num_columns) as u64);
-                let mut columns: Vec<Vec<f64>> = (0..num_columns)
-                    .map(|c| finite_data(width, 1000 + c as u64))
-                    .collect();
-                if width > 0 && num_columns > 1 {
-                    columns[1][width / 2] = f64::NAN;
-                }
-                // Duplicate a column to exercise first-minimum tie-breaking.
-                if num_columns > 2 {
-                    columns[2] = columns[0].clone();
-                }
-                let context =
-                    format!("batch_closest rows={rows} width={width} columns={num_columns}");
-                let mut reference = vec![usize::MAX; rows];
-                scalar::batch_closest_column(&columns, &xs, width, &mut reference);
-                let mut portable = vec![usize::MAX; rows];
-                unrolled::batch_closest_column(&columns, &xs, width, &mut portable);
-                assert_eq!(reference, portable, "{context} (unrolled)");
-                if simd::available() {
-                    let mut vectored = vec![usize::MAX; rows];
-                    simd::batch_closest_column(&columns, &xs, width, &mut vectored);
-                    assert_eq!(reference, vectored, "{context} (simd)");
+            for num_columns in [0, 1, 2, 3, 7] {
+                for salt_points in [false, true] {
+                    // Finite points and centers, then salt *one* center with
+                    // a NaN so the NaN-never-wins tie-break is exercised
+                    // without every distance collapsing to NaN.
+                    let mut xs = finite_data(rows * width, (rows + width + num_columns) as u64);
+                    let mut columns: Vec<Vec<f64>> = (0..num_columns)
+                        .map(|c| finite_data(width, 1000 + c as u64))
+                        .collect();
+                    if width > 0 && num_columns > 1 {
+                        columns[1][width / 2] = f64::NAN;
+                    }
+                    // Duplicate a column to exercise first-minimum tie-breaking.
+                    if num_columns > 2 {
+                        columns[2] = columns[0].clone();
+                    }
+                    // Points no column can win: a NaN coordinate makes every
+                    // distance NaN, an infinite one makes every distance ∞
+                    // (and `∞ < ∞` is false), so both keep index 0.
+                    let mut unwinnable = Vec::new();
+                    if salt_points && width > 0 {
+                        for (row, salt) in [
+                            (0, generated_nan()),
+                            (rows / 2, f64::INFINITY),
+                            (rows.saturating_sub(1), f64::NEG_INFINITY),
+                        ] {
+                            if row < rows && !unwinnable.contains(&row) {
+                                xs[row * width + width / 2] = salt;
+                                unwinnable.push(row);
+                            }
+                        }
+                    }
+                    let context = format!(
+                        "batch_closest rows={rows} width={width} columns={num_columns} \
+                         salted={salt_points}"
+                    );
+                    let mut reference = vec![usize::MAX; rows];
+                    scalar::batch_closest_column(&columns, &xs, width, &mut reference);
+                    for &row in &unwinnable {
+                        assert_eq!(reference[row], 0, "{context}: row {row} has a winner");
+                    }
+                    if num_columns == 0 {
+                        assert!(reference.iter().all(|&i| i == 0), "{context}");
+                    }
+                    let mut portable = vec![usize::MAX; rows];
+                    unrolled::batch_closest_column(&columns, &xs, width, &mut portable);
+                    assert_eq!(reference, portable, "{context} (unrolled)");
+                    if simd::available() {
+                        let mut vectored = vec![usize::MAX; rows];
+                        simd::batch_closest_column(&columns, &xs, width, &mut vectored);
+                        assert_eq!(reference, vectored, "{context} (simd)");
+                    }
                 }
             }
         }
@@ -308,4 +340,118 @@ fn gemm_acc_tiers_agree() {
             _ => simd::gemm_acc(out, &a, &b),
         });
     }
+}
+
+/// Asserts that `call(tier)` (0 = scalar, 1 = unrolled, 2 = simd) panics on
+/// every tier that promises to reject a mis-shaped call in this build.  The
+/// `checked` tiers run the vector body, which `assert!`s its shapes, so they
+/// are held to it in every profile (SIMD only where the host has it); the
+/// reference, and a tier that re-exports it, check with `debug_assert!` and
+/// are safe Rust, so they are held to it in debug builds only.  Each tier is
+/// caught on its own — a `#[should_panic]` test would pass as soon as the
+/// first one panicked and say nothing about the others.
+fn assert_every_tier_rejects(checked: &[u8], call: impl Fn(u8)) {
+    for tier in 0..3 {
+        let held = if checked.contains(&tier) {
+            tier != 2 || simd::available()
+        } else {
+            cfg!(debug_assertions)
+        };
+        if held {
+            let outcome = catch_unwind(AssertUnwindSafe(|| call(tier)));
+            assert!(outcome.is_err(), "tier {tier} accepted a mis-shaped call");
+        }
+    }
+}
+
+#[test]
+fn rank_k_update_lower_rejects_a_short_input() {
+    // One and a half rows of width 4.
+    assert_every_tier_rejects(&[1, 2], |tier| {
+        let m = &mut DenseMatrix::zeros(4, 4);
+        match tier {
+            0 => scalar::rank_k_update_lower(m, &[1.0; 6], 4),
+            1 => unrolled::rank_k_update_lower(m, &[1.0; 6], 4),
+            _ => simd::rank_k_update_lower(m, &[1.0; 6], 4),
+        }
+    });
+}
+
+#[test]
+fn weighted_rank_k_update_lower_rejects_a_short_input() {
+    // Eight weights, one row.
+    assert_every_tier_rejects(&[1, 2], |tier| {
+        let m = &mut DenseMatrix::zeros(4, 4);
+        match tier {
+            0 => scalar::weighted_rank_k_update_lower(m, &[1.0; 4], &[1.0; 8], 4),
+            1 => unrolled::weighted_rank_k_update_lower(m, &[1.0; 4], &[1.0; 8], 4),
+            _ => simd::weighted_rank_k_update_lower(m, &[1.0; 4], &[1.0; 8], 4),
+        }
+    });
+}
+
+#[test]
+fn xty_update_rejects_a_short_input() {
+    // The portable tier's `xty_update` is the reference loop.
+    assert_every_tier_rejects(&[2], |tier| {
+        let acc = &mut [0.0; 4];
+        match tier {
+            0 => scalar::xty_update(acc, &[1.0], &[1.0; 8], 4),
+            1 => unrolled::xty_update(acc, &[1.0], &[1.0; 8], 4),
+            _ => simd::xty_update(acc, &[1.0], &[1.0; 8], 4),
+        }
+    });
+}
+
+#[test]
+fn batch_dot_rejects_a_short_input() {
+    assert_every_tier_rejects(&[1, 2], |tier| match tier {
+        0 => scalar::batch_dot(&[1.0], &[1.0; 4], &mut [0.0; 8]),
+        1 => unrolled::batch_dot(&[1.0], &[1.0; 4], &mut [0.0; 8]),
+        _ => simd::batch_dot(&[1.0], &[1.0; 4], &mut [0.0; 8]),
+    });
+}
+
+#[test]
+fn batch_squared_distances_rejects_a_short_input() {
+    assert_every_tier_rejects(&[1, 2], |tier| match tier {
+        0 => scalar::batch_squared_distances(&[1.0], &[1.0; 4], &mut [0.0; 8]),
+        1 => unrolled::batch_squared_distances(&[1.0], &[1.0; 4], &mut [0.0; 8]),
+        _ => simd::batch_squared_distances(&[1.0], &[1.0; 4], &mut [0.0; 8]),
+    });
+}
+
+#[test]
+fn batch_closest_column_rejects_a_short_input() {
+    let columns = [vec![0.0; 4]];
+    assert_every_tier_rejects(&[1, 2], |tier| match tier {
+        0 => scalar::batch_closest_column(&columns, &[1.0], 4, &mut [0; 8]),
+        1 => unrolled::batch_closest_column(&columns, &[1.0], 4, &mut [0; 8]),
+        _ => simd::batch_closest_column(&columns, &[1.0], 4, &mut [0; 8]),
+    });
+}
+
+#[test]
+fn gemv_acc_rejects_a_short_input() {
+    // Eight outputs from a one-row matrix.
+    let a = DenseMatrix::zeros(1, 4);
+    assert_every_tier_rejects(&[1, 2], |tier| match tier {
+        0 => scalar::gemv_acc(1.0, &a, &[1.0; 4], &mut [0.0; 8]),
+        1 => unrolled::gemv_acc(1.0, &a, &[1.0; 4], &mut [0.0; 8]),
+        _ => simd::gemv_acc(1.0, &a, &[1.0; 4], &mut [0.0; 8]),
+    });
+}
+
+#[test]
+fn gemm_acc_rejects_a_short_input() {
+    // `b` has two of the three rows `a`'s columns call for.
+    let (a, b) = (DenseMatrix::zeros(2, 3), DenseMatrix::zeros(2, 20));
+    assert_every_tier_rejects(&[1, 2], |tier| {
+        let out = &mut DenseMatrix::zeros(2, 20);
+        match tier {
+            0 => scalar::gemm_acc(out, &a, &b),
+            1 => unrolled::gemm_acc(out, &a, &b),
+            _ => simd::gemm_acc(out, &a, &b),
+        }
+    });
 }
