@@ -317,7 +317,15 @@ pub enum ColumnChunk {
 }
 
 impl ColumnChunk {
-    fn new(column_type: ColumnType) -> Self {
+    /// An empty column.  `rows` sizes an array column's offset table up
+    /// front (a gather knows its row count; a table chunk passes 0 and
+    /// grows).
+    fn new(column_type: ColumnType, rows: usize) -> Self {
+        let first_offset = || {
+            let mut offsets = Vec::with_capacity(rows + 1);
+            offsets.push(0);
+            offsets
+        };
         match column_type {
             ColumnType::Double => ColumnChunk::Double {
                 values: Vec::new(),
@@ -337,17 +345,17 @@ impl ColumnChunk {
             },
             ColumnType::DoubleArray => ColumnChunk::DoubleArray {
                 values: Vec::new(),
-                offsets: vec![0],
+                offsets: first_offset(),
                 nulls: NullBitmap::new(),
             },
             ColumnType::IntArray => ColumnChunk::IntArray {
                 values: Vec::new(),
-                offsets: vec![0],
+                offsets: first_offset(),
                 nulls: NullBitmap::new(),
             },
             ColumnType::TextArray => ColumnChunk::TextArray {
                 values: Vec::new(),
-                offsets: vec![0],
+                offsets: first_offset(),
                 nulls: NullBitmap::new(),
             },
         }
@@ -448,6 +456,15 @@ impl ColumnChunk {
     /// Removes the most recently pushed value (used to roll back a partially
     /// appended row when a later column of the same row fails to push).
     fn pop(&mut self) {
+        /// Drops the last row's span; `offsets` keeps its leading 0, so the
+        /// previous row's end is still there to truncate to.
+        fn pop_array<T>(values: &mut Vec<T>, offsets: &mut Vec<usize>) {
+            offsets.pop();
+            if let Some(&end) = offsets.last() {
+                values.truncate(end);
+            }
+        }
+
         match self {
             ColumnChunk::Double { values, nulls } => {
                 values.pop();
@@ -470,8 +487,7 @@ impl ColumnChunk {
                 offsets,
                 nulls,
             } => {
-                offsets.pop();
-                values.truncate(*offsets.last().expect("offsets never empty"));
+                pop_array(values, offsets);
                 nulls.pop();
             }
             ColumnChunk::IntArray {
@@ -479,8 +495,7 @@ impl ColumnChunk {
                 offsets,
                 nulls,
             } => {
-                offsets.pop();
-                values.truncate(*offsets.last().expect("offsets never empty"));
+                pop_array(values, offsets);
                 nulls.pop();
             }
             ColumnChunk::TextArray {
@@ -488,8 +503,7 @@ impl ColumnChunk {
                 offsets,
                 nulls,
             } => {
-                offsets.pop();
-                values.truncate(*offsets.last().expect("offsets never empty"));
+                pop_array(values, offsets);
                 nulls.pop();
             }
         }
@@ -508,17 +522,22 @@ impl ColumnChunk {
         }
     }
 
+    /// The column type this buffer stores.
+    pub(crate) fn column_type(&self) -> ColumnType {
+        match self {
+            ColumnChunk::Double { .. } => ColumnType::Double,
+            ColumnChunk::Int { .. } => ColumnType::Int,
+            ColumnChunk::Bool { .. } => ColumnType::Bool,
+            ColumnChunk::Text { .. } => ColumnType::Text,
+            ColumnChunk::DoubleArray { .. } => ColumnType::DoubleArray,
+            ColumnChunk::IntArray { .. } => ColumnType::IntArray,
+            ColumnChunk::TextArray { .. } => ColumnType::TextArray,
+        }
+    }
+
     /// The SQL-ish name of the stored type, for error messages.
     pub fn type_name(&self) -> &'static str {
-        match self {
-            ColumnChunk::Double { .. } => "double precision",
-            ColumnChunk::Int { .. } => "bigint",
-            ColumnChunk::Bool { .. } => "boolean",
-            ColumnChunk::Text { .. } => "text",
-            ColumnChunk::DoubleArray { .. } => "double precision[]",
-            ColumnChunk::IntArray { .. } => "bigint[]",
-            ColumnChunk::TextArray { .. } => "text[]",
-        }
+        self.column_type().sql_name()
     }
 
     /// Materializes row `i` of this column as a [`Value`].
@@ -543,100 +562,13 @@ impl ColumnChunk {
         }
     }
 
-    /// Copies the rows at `indices` (ascending) into a compacted column.
-    fn gather_rows(&self, indices: &[u32]) -> ColumnChunk {
-        fn scalars<T: Clone>(
-            values: &[T],
-            nulls: &NullBitmap,
-            indices: &[u32],
-        ) -> (Vec<T>, NullBitmap) {
-            let mut out_values = Vec::with_capacity(indices.len());
-            let mut out_nulls = NullBitmap::new();
-            for &i in indices {
-                out_values.push(values[i as usize].clone());
-                out_nulls.push(nulls.is_null(i as usize));
-            }
-            (out_values, out_nulls)
-        }
-
-        fn arrays<T: Clone>(
-            values: &[T],
-            offsets: &[usize],
-            nulls: &NullBitmap,
-            indices: &[u32],
-        ) -> (Vec<T>, Vec<usize>, NullBitmap) {
-            let mut out_values = Vec::new();
-            let mut out_offsets = Vec::with_capacity(indices.len() + 1);
-            out_offsets.push(0);
-            let mut out_nulls = NullBitmap::new();
-            for &i in indices {
-                let i = i as usize;
-                out_values.extend_from_slice(&values[offsets[i]..offsets[i + 1]]);
-                out_offsets.push(out_values.len());
-                out_nulls.push(nulls.is_null(i));
-            }
-            (out_values, out_offsets, out_nulls)
-        }
-
-        match self {
-            ColumnChunk::Double { values, nulls } => {
-                let (values, nulls) = scalars(values, nulls, indices);
-                ColumnChunk::Double { values, nulls }
-            }
-            ColumnChunk::Int { values, nulls } => {
-                let (values, nulls) = scalars(values, nulls, indices);
-                ColumnChunk::Int { values, nulls }
-            }
-            ColumnChunk::Bool { values, nulls } => {
-                let (values, nulls) = scalars(values, nulls, indices);
-                ColumnChunk::Bool { values, nulls }
-            }
-            ColumnChunk::Text { values, nulls } => {
-                let (values, nulls) = scalars(values, nulls, indices);
-                ColumnChunk::Text { values, nulls }
-            }
-            ColumnChunk::DoubleArray {
-                values,
-                offsets,
-                nulls,
-            } => {
-                let (values, offsets, nulls) = arrays(values, offsets, nulls, indices);
-                ColumnChunk::DoubleArray {
-                    values,
-                    offsets,
-                    nulls,
-                }
-            }
-            ColumnChunk::IntArray {
-                values,
-                offsets,
-                nulls,
-            } => {
-                let (values, offsets, nulls) = arrays(values, offsets, nulls, indices);
-                ColumnChunk::IntArray {
-                    values,
-                    offsets,
-                    nulls,
-                }
-            }
-            ColumnChunk::TextArray {
-                values,
-                offsets,
-                nulls,
-            } => {
-                let (values, offsets, nulls) = arrays(values, offsets, nulls, indices);
-                ColumnChunk::TextArray {
-                    values,
-                    offsets,
-                    nulls,
-                }
-            }
-        }
-    }
-
-    /// Appends the rows of `src` at `indices` (ascending) to this column.
-    /// Both columns must share the same physical type.
-    fn append_rows(&mut self, src: &ColumnChunk, indices: &[u32]) -> Result<()> {
+    /// Appends the rows of `src` at `indices` (ascending) to this column —
+    /// the one body that copies rows between columns; gathers, filter
+    /// compaction and radix staging all arrive here through
+    /// [`RowChunk::append_rows`] / [`RowChunk::gather_rows`].  Both columns
+    /// must store the same [`ColumnType`], which those two callers establish
+    /// before the first copy.
+    fn append_rows(&mut self, src: &ColumnChunk, indices: &[u32]) {
         fn scalars<T: Clone>(
             out_values: &mut Vec<T>,
             out_nulls: &mut NullBitmap,
@@ -734,102 +666,12 @@ impl ColumnChunk {
                     nulls,
                 },
             ) => arrays(ov, oo, on, values, offsets, nulls, indices),
-            (target, src) => {
-                return Err(EngineError::TypeMismatch {
-                    expected: target.type_name(),
-                    found: src.type_name().to_owned(),
-                })
-            }
-        }
-        Ok(())
-    }
-
-    /// Copies the rows selected by `mask` into a compacted column.
-    fn gather(&self, mask: &SelectionMask) -> ColumnChunk {
-        fn scalars<T: Clone>(
-            values: &[T],
-            nulls: &NullBitmap,
-            mask: &SelectionMask,
-        ) -> (Vec<T>, NullBitmap) {
-            let mut out_values = Vec::with_capacity(mask.count_selected());
-            let mut out_nulls = NullBitmap::new();
-            for i in mask.selected_indices() {
-                out_values.push(values[i].clone());
-                out_nulls.push(nulls.is_null(i));
-            }
-            (out_values, out_nulls)
-        }
-
-        fn arrays<T: Clone>(
-            values: &[T],
-            offsets: &[usize],
-            nulls: &NullBitmap,
-            mask: &SelectionMask,
-        ) -> (Vec<T>, Vec<usize>, NullBitmap) {
-            let mut out_values = Vec::new();
-            let mut out_offsets = vec![0];
-            let mut out_nulls = NullBitmap::new();
-            for i in mask.selected_indices() {
-                out_values.extend_from_slice(&values[offsets[i]..offsets[i + 1]]);
-                out_offsets.push(out_values.len());
-                out_nulls.push(nulls.is_null(i));
-            }
-            (out_values, out_offsets, out_nulls)
-        }
-
-        match self {
-            ColumnChunk::Double { values, nulls } => {
-                let (values, nulls) = scalars(values, nulls, mask);
-                ColumnChunk::Double { values, nulls }
-            }
-            ColumnChunk::Int { values, nulls } => {
-                let (values, nulls) = scalars(values, nulls, mask);
-                ColumnChunk::Int { values, nulls }
-            }
-            ColumnChunk::Bool { values, nulls } => {
-                let (values, nulls) = scalars(values, nulls, mask);
-                ColumnChunk::Bool { values, nulls }
-            }
-            ColumnChunk::Text { values, nulls } => {
-                let (values, nulls) = scalars(values, nulls, mask);
-                ColumnChunk::Text { values, nulls }
-            }
-            ColumnChunk::DoubleArray {
-                values,
-                offsets,
-                nulls,
-            } => {
-                let (values, offsets, nulls) = arrays(values, offsets, nulls, mask);
-                ColumnChunk::DoubleArray {
-                    values,
-                    offsets,
-                    nulls,
-                }
-            }
-            ColumnChunk::IntArray {
-                values,
-                offsets,
-                nulls,
-            } => {
-                let (values, offsets, nulls) = arrays(values, offsets, nulls, mask);
-                ColumnChunk::IntArray {
-                    values,
-                    offsets,
-                    nulls,
-                }
-            }
-            ColumnChunk::TextArray {
-                values,
-                offsets,
-                nulls,
-            } => {
-                let (values, offsets, nulls) = arrays(values, offsets, nulls, mask);
-                ColumnChunk::TextArray {
-                    values,
-                    offsets,
-                    nulls,
-                }
-            }
+            (target, src) => debug_assert!(
+                false,
+                "append_rows from a {} column into a {} column",
+                src.type_name(),
+                target.type_name()
+            ),
         }
     }
 
@@ -961,7 +803,7 @@ impl RowChunk {
             columns: schema
                 .columns()
                 .iter()
-                .map(|c| ColumnChunk::new(c.column_type))
+                .map(|c| ColumnChunk::new(c.column_type, 0))
                 .collect(),
         }
     }
@@ -1079,31 +921,33 @@ impl RowChunk {
     }
 
     /// Copies the rows selected by `mask` into a new compacted chunk,
-    /// preserving row order.
+    /// preserving row order: the mask's indices are collected once and
+    /// handed to [`RowChunk::gather_rows`].
     pub fn gather(&self, mask: &SelectionMask) -> RowChunk {
         debug_assert_eq!(mask.len(), self.len);
-        RowChunk {
-            len: mask.count_selected(),
-            columns: self.columns.iter().map(|c| c.gather(mask)).collect(),
-        }
+        let mut indices = Vec::with_capacity(mask.count_selected());
+        indices.extend(mask.selected_indices().map(|i| i as u32));
+        self.gather_rows(&indices)
     }
 
-    /// Copies the rows at `indices` into a new compacted chunk.  Cost is
-    /// proportional to `indices.len()` alone, which is what the grouped scan
-    /// relies on when a chunk splinters into many small groups.  Indices
-    /// must be in-bounds and ascending (row order is preserved, as the
-    /// equivalence contract requires).
+    /// Copies the rows at `indices` into a new compacted chunk — an empty
+    /// chunk of this chunk's column types, filled by the same copy as
+    /// [`RowChunk::append_rows`].  Cost is proportional to `indices.len()`
+    /// alone, which is what the grouped scan relies on when a chunk
+    /// splinters into many small groups.  Indices must be in-bounds and
+    /// ascending (row order is preserved, as the equivalence contract
+    /// requires).
     pub fn gather_rows(&self, indices: &[u32]) -> RowChunk {
-        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(indices.iter().all(|&i| (i as usize) < self.len));
-        RowChunk {
-            len: indices.len(),
+        let mut out = RowChunk {
+            len: 0,
             columns: self
                 .columns
                 .iter()
-                .map(|c| c.gather_rows(indices))
+                .map(|c| ColumnChunk::new(c.column_type(), indices.len()))
                 .collect(),
-        }
+        };
+        out.copy_rows(self, indices);
+        out
     }
 
     /// Appends the rows of `src` at `indices` (in-bounds, ascending) to this
@@ -1111,26 +955,40 @@ impl RowChunk {
     /// scan's radix partition pass, which accumulates one group-hash bucket's
     /// rows across many source chunks before batching them through
     /// `transition_chunk`.  Cost is proportional to `indices.len()` alone.
+    /// Shapes are checked before the first copy, so on error this chunk is
+    /// unchanged.
     ///
     /// # Errors
     /// Returns [`EngineError::ArityMismatch`] / [`EngineError::TypeMismatch`]
-    /// when the chunks' shapes differ (never for chunks of one schema).  On
-    /// error this chunk may have been partially extended; callers that need
-    /// rollback should validate shapes up front.
+    /// when the chunks' shapes differ (never for chunks of one schema).
     pub fn append_rows(&mut self, src: &RowChunk, indices: &[u32]) -> Result<()> {
-        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(indices.iter().all(|&i| (i as usize) < src.len));
         if self.columns.len() != src.columns.len() {
             return Err(EngineError::ArityMismatch {
                 expected: self.columns.len(),
                 found: src.columns.len(),
             });
         }
+        let mut pairs = self.columns.iter().zip(&src.columns);
+        if let Some((target, source)) = pairs.find(|(t, s)| t.column_type() != s.column_type()) {
+            return Err(EngineError::TypeMismatch {
+                expected: target.type_name(),
+                found: source.type_name().to_owned(),
+            });
+        }
+        self.copy_rows(src, indices);
+        Ok(())
+    }
+
+    /// The copy behind [`RowChunk::gather_rows`] and
+    /// [`RowChunk::append_rows`], which guarantee that the two chunks'
+    /// columns pair up type for type.
+    fn copy_rows(&mut self, src: &RowChunk, indices: &[u32]) {
+        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(indices.iter().all(|&i| (i as usize) < src.len));
         for (target, source) in self.columns.iter_mut().zip(&src.columns) {
-            target.append_rows(source, indices)?;
+            target.append_rows(source, indices);
         }
         self.len += indices.len();
-        Ok(())
     }
 
     /// Reassembles a chunk from persisted column buffers.  Callers (the
@@ -1221,6 +1079,7 @@ impl Segment {
         }
         // Copy-on-write: clones the open tail chunk only when a snapshot
         // still shares it; sealed chunks are never reached here.
+        // Proof: `needs_new_chunk` is true for an empty list, so one was pushed.
         Arc::make_mut(self.chunks.last_mut().expect("chunk just ensured")).push_values(values)?;
         self.rows += 1;
         Ok(())
@@ -1427,6 +1286,104 @@ mod tests {
         let narrow = Schema::new(vec![Column::new("y", ColumnType::Double)]);
         let mut other = RowChunk::new(&narrow);
         assert!(other.append_rows(&source_a, &[0]).is_err());
+        // Equal arity, type mismatch in the *second* column: the first column
+        // must not have grown when the error returns.
+        let double_int = Schema::new(vec![
+            Column::new("y", ColumnType::Double),
+            Column::new("n", ColumnType::Int),
+        ]);
+        let double_text = Schema::new(vec![
+            Column::new("y", ColumnType::Double),
+            Column::new("tag", ColumnType::Text),
+        ]);
+        let mut target = RowChunk::new(&double_int);
+        target.push_values(row![1.0, 7i64].values()).unwrap();
+        let mut source = RowChunk::new(&double_text);
+        source.push_values(row![2.0, "b"].values()).unwrap();
+        let before = target.clone();
+        assert!(matches!(
+            target.append_rows(&source, &[0]),
+            Err(EngineError::TypeMismatch { .. })
+        ));
+        assert_eq!(target, before);
+        // The target is still aligned: it takes and returns whole rows.
+        target.append_rows(&before, &[0]).unwrap();
+        assert_eq!(target.row(1), row![1.0, 7i64]);
+    }
+
+    #[test]
+    fn the_one_copy_routine_agrees_with_the_row_path() {
+        // All seven column types, with NULL rows, empty arrays and ragged
+        // widths.
+        let s = Schema::new(vec![
+            Column::new("d", ColumnType::Double),
+            Column::new("i", ColumnType::Int),
+            Column::new("b", ColumnType::Bool),
+            Column::new("t", ColumnType::Text),
+            Column::new("da", ColumnType::DoubleArray),
+            Column::new("ia", ColumnType::IntArray),
+            Column::new("ta", ColumnType::TextArray),
+        ]);
+        let source = |salt: usize| {
+            let mut chunk = RowChunk::new(&s);
+            for r in 0..70 {
+                let r = r + salt;
+                let values = if r % 7 == 3 {
+                    vec![Value::Null; 7]
+                } else {
+                    vec![
+                        Value::Double(r as f64 - 0.5),
+                        Value::Int(r as i64),
+                        Value::Bool(r % 2 == 1),
+                        Value::Text(format!("t{r}")),
+                        Value::DoubleArray((0..r % 4).map(|k| (r + k) as f64).collect()),
+                        // A NULL inside an otherwise non-NULL row.
+                        if r % 5 == 4 {
+                            Value::Null
+                        } else {
+                            Value::IntArray((0..r % 3).map(|k| (r * k) as i64).collect())
+                        },
+                        Value::TextArray((0..r % 3).map(|k| format!("w{k}")).collect()),
+                    ]
+                };
+                chunk.push_values(&values).unwrap();
+            }
+            chunk
+        };
+        let (a, b) = (source(0), source(1000));
+        let by_rows = |pieces: &[(&RowChunk, &[u32])]| {
+            let mut out = RowChunk::new(&s);
+            for (src, indices) in pieces {
+                for &i in *indices {
+                    out.push_values(src.row(i as usize).values()).unwrap();
+                }
+            }
+            out
+        };
+
+        let all: Vec<u32> = (0..a.len() as u32).collect();
+        let every_other: Vec<u32> = all.iter().copied().step_by(2).collect();
+        let index_lists: [&[u32]; 5] = [&[], &[3], &[69], &every_other, &all];
+        for indices in index_lists {
+            let expected = by_rows(&[(&a, indices)]);
+            let mut appended = RowChunk::new(&s);
+            appended.append_rows(&a, indices).unwrap();
+            assert_eq!(appended, expected, "append_rows {indices:?}");
+            assert_eq!(a.gather_rows(indices), expected, "gather_rows {indices:?}");
+            let mut mask = SelectionMask::none(a.len());
+            for &i in indices {
+                mask.set(i as usize, true);
+            }
+            assert_eq!(a.gather(&mask), expected, "gather {indices:?}");
+        }
+        // Staging across sources, onto rows already there.
+        let mut staged = RowChunk::new(&s);
+        staged.append_rows(&a, &every_other).unwrap();
+        staged.append_rows(&b, &[0, 3, 68]).unwrap();
+        staged.append_rows(&a, &[3, 4]).unwrap();
+        let pieces: [(&RowChunk, &[u32]); 3] =
+            [(&a, &every_other), (&b, &[0, 3, 68]), (&a, &[3, 4])];
+        assert_eq!(staged, by_rows(&pieces));
     }
 
     #[test]

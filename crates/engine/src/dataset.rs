@@ -60,15 +60,15 @@ use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::executor::{ExecutionStats, Executor};
 use crate::expr::Predicate;
-use crate::fold::{self, group_key_of_row, GroupedUnit};
-use crate::group::{self, GroupKey};
+use crate::fold::{self, GroupedUnit};
+use crate::group::{self, GroupKey, IndexSort, SlotDirectory};
 use crate::row::Row;
 use crate::scan;
 use crate::schema::Schema;
 use crate::table::Table;
 use std::borrow::Cow;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A lazy, composable description of a scan: a source table plus an optional
 /// row predicate and optional grouping columns, bound to the [`Executor`]
@@ -421,23 +421,23 @@ impl<'a> Dataset<'a> {
         let group_indices = group_indices.as_slice();
         let source = self.table();
         let filter = self.filter.as_ref();
-        // Per segment, in parallel: split the filter-surviving rows by key,
-        // preserving row order within each (segment, group).
+        // Per segment, in parallel: key each chunk of filter-surviving rows
+        // and materialize every row once, into its group's list — ascending
+        // row order within each (segment, group).
         let per_segment =
             scan::run_per_segment(source, self.executor.is_parallel(), |_, segment| {
-                let mut slots: HashMap<GroupKey, usize> = HashMap::new();
+                let mut directory = SlotDirectory::default();
                 let mut split: Vec<(GroupKey, Vec<Row>)> = Vec::new();
-                scan::scan_segment_rows(segment, schema, filter, |row| {
-                    let key = group_key_of_row(row, group_indices);
-                    let slot = match slots.get(&key) {
-                        Some(&slot) => slot,
-                        None => {
-                            split.push((key.clone(), Vec::new()));
-                            slots.insert(key, split.len() - 1);
-                            split.len() - 1
-                        }
-                    };
-                    split[slot].1.push(row.clone());
+                let mut keyed = IndexSort::default();
+                scan::scan_chunks(segment.chunks(), schema, filter, |batch| {
+                    let chunk = batch.chunk();
+                    directory.key_chunk(chunk, group_indices, &mut keyed, |key| {
+                        split.push((key.clone(), Vec::new()));
+                        Ok::<(), EngineError>(())
+                    })?;
+                    for (i, &slot) in keyed.keys().iter().enumerate() {
+                        split[slot as usize].1.push(chunk.row(i));
+                    }
                     Ok(())
                 })?;
                 Ok(split)

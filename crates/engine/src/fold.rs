@@ -11,14 +11,20 @@
 //!   segment at [`scan::StealGranularity::Segment`], one per
 //!   [`scan::CHUNKS_PER_UNIT`]-chunk run at
 //!   [`scan::StealGranularity::ChunkRange`]).  An ungrouped unit is an
-//!   `A::State`; a grouped unit is a [`GroupedUnit`] (slot directory +
-//!   per-slot states).
+//!   `A::State`; a grouped unit is a [`GroupedUnit`] (a
+//!   [`SlotDirectory`] + one state per slot).
 //! * **Runners** — [`advance_state`] folds a run of chunks into an ungrouped
 //!   unit ([`scan::scan_chunks`] + [`Aggregate::transition_chunk`]);
-//!   [`GroupedUnit::advance`] does the same for a grouped unit (hash
-//!   grouping with direct gathers or radix staging).  Both are *resumable*:
-//!   calling them again with the chunks appended since continues the same
-//!   state, which is how a materialized view absorbs a suffix.
+//!   [`GroupedUnit::advance`] does the same for a grouped unit.  Routing a
+//!   chunk's rows to groups is [`crate::group`]'s job — the keying pass
+//!   ([`SlotDirectory::key_chunk`]) and the index sort ([`IndexSort`]) that
+//!   grouped scoring, `gather_groups` and `partition_by_group` use too; what
+//!   is the fold's own is the choice per chunk between gathering each group
+//!   directly and staging rows in radix buckets until a batch is worth a
+//!   `transition_chunk`, and the discipline that keeps every group's rows in
+//!   scan order across the two.  Both runners are *resumable*: calling them
+//!   again with the chunks appended since continues the same state, which is
+//!   how a materialized view absorbs a suffix.
 //! * **Fan-out** — [`scan_units`] / [`scan_grouped_units`] run every unit of
 //!   a table on the work-stealing pool.  A batch aggregate folds the result
 //!   and throws it away; a materialized view keeps it behind a watermark and
@@ -36,11 +42,10 @@
 
 use crate::aggregate::Aggregate;
 use crate::chunk::{RowChunk, Segment};
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::executor::{ExecutionMode, ExecutionStats, Executor};
 use crate::expr::Predicate;
-use crate::group::GroupKey;
-use crate::row::Row;
+use crate::group::{group_key_of_row, GroupKey, IndexSort, SlotDirectory};
 use crate::scan::{self, SegmentScanStats};
 use crate::schema::Schema;
 use crate::table::Table;
@@ -249,26 +254,17 @@ where
     finalized.into_iter().map(|slot| slot?).collect()
 }
 
-/// The (possibly composite) group key of a materialized row.
-pub(crate) fn group_key_of_row(row: &Row, group_indices: &[usize]) -> GroupKey {
-    match group_indices {
-        [idx] => GroupKey::from_value(row.get(*idx)),
-        many => GroupKey::from_values(many.iter().map(|&i| row.get(i))),
-    }
-}
-
-/// One grouped unit's partial states: each distinct key is hashed into a
-/// dense slot exactly once per row, and states live in a flat vector indexed
-/// by slot.
+/// One grouped unit's partial states: the unit's slot directory and, in a
+/// flat vector indexed by slot, one state per distinct key.
 pub(crate) struct GroupedUnit<S> {
-    slots: HashMap<GroupKey, u32>,
+    directory: SlotDirectory,
     states: Vec<S>,
 }
 
 impl<S> Default for GroupedUnit<S> {
     fn default() -> Self {
         Self {
-            slots: HashMap::new(),
+            directory: SlotDirectory::default(),
             states: Vec::new(),
         }
     }
@@ -277,9 +273,7 @@ impl<S> Default for GroupedUnit<S> {
 impl<S> GroupedUnit<S> {
     /// The unit's `(key, state)` pairs, by value.
     pub(crate) fn into_states(self) -> impl Iterator<Item = (GroupKey, S)> {
-        let mut keys: Vec<(GroupKey, u32)> = self.slots.into_iter().collect();
-        keys.sort_unstable_by_key(|(_, slot)| *slot);
-        keys.into_iter().map(|(key, _)| key).zip(self.states)
+        self.directory.into_keys().zip(self.states)
     }
 
     /// The unit's `(key, state)` pairs, cloned.  (A key appears once per
@@ -289,21 +283,9 @@ impl<S> GroupedUnit<S> {
     where
         S: Clone,
     {
-        self.slots
+        self.directory
             .iter()
-            .map(|(key, &slot)| (key.clone(), self.states[slot as usize].clone()))
-    }
-
-    /// The dense slot of `key`, created with an initial state on first
-    /// sight.
-    fn slot_of<A: Aggregate<State = S>>(&mut self, aggregate: &A, key: &GroupKey) -> u32 {
-        if let Some(&slot) = self.slots.get(key) {
-            return slot;
-        }
-        let slot = self.states.len() as u32;
-        self.states.push(aggregate.initial_state());
-        self.slots.insert(key.clone(), slot);
-        slot
+            .map(|(key, slot)| (key.clone(), self.states[slot as usize].clone()))
     }
 
     /// The row-at-a-time reference runner: keys and transitions every
@@ -316,21 +298,27 @@ impl<S> GroupedUnit<S> {
         group_indices: &[usize],
         filter: Option<&Predicate>,
     ) -> Result<SegmentScanStats> {
+        let Self { directory, states } = self;
         scan::scan_segment_rows(segment, schema, filter, |row| {
-            let slot = self.slot_of(aggregate, &group_key_of_row(row, group_indices));
-            aggregate.transition(&mut self.states[slot as usize], row, schema)
+            let key = group_key_of_row(row, group_indices);
+            let slot = directory.slot_of(&key, |_| {
+                states.push(aggregate.initial_state());
+                Ok::<(), EngineError>(())
+            })?;
+            aggregate.transition(&mut states[slot as usize], row, schema)
         })
     }
 
     /// The grouped unit runner: folds the filter-surviving rows of `chunks`
-    /// into their groups' states, chunk at a time.  Each chunk is
-    /// partitioned by key; groups big enough to batch are gathered, in row
-    /// order, into compacted sub-chunks for [`Aggregate::transition_chunk`],
-    /// and high-cardinality chunks stage their rows into `scratch`'s radix
-    /// buckets, which flush in batches and are all drained before returning
-    /// — so the unit's states are complete after every call, and a later
-    /// call (with any drained scratch) resumes them.  After an error the
-    /// scratch may still hold staged rows and must be discarded.
+    /// into their groups' states, chunk at a time.  Each chunk goes through
+    /// the keying pass ([`SlotDirectory::key_chunk`]); groups big enough to
+    /// batch are gathered, in row order, into compacted sub-chunks for
+    /// [`Aggregate::transition_chunk`], and high-cardinality chunks stage
+    /// their rows into `scratch`'s radix buckets, which flush in batches and
+    /// are all drained before returning — so the unit's states are complete
+    /// after every call, and a later call (with any drained scratch) resumes
+    /// them.  After an error the scratch may still hold staged rows and must
+    /// be discarded.
     pub(crate) fn advance<A: Aggregate<State = S>>(
         &mut self,
         aggregate: &A,
@@ -340,124 +328,76 @@ impl<S> GroupedUnit<S> {
         filter: Option<&Predicate>,
         scratch: &mut GroupScratch,
     ) -> Result<SegmentScanStats> {
+        let Self { directory, states } = self;
+        let GroupScratch { keyed, staging } = scratch;
         let stats = scan::scan_chunks(chunks, schema, filter, |batch| {
             let chunk = batch.chunk();
-            let rows = chunk.len();
-            let key_columns: Vec<&crate::chunk::ColumnChunk> =
-                group_indices.iter().map(|&c| chunk.column(c)).collect();
-
-            // Pass 1: key every row into its unit-level slot and tally
-            // this chunk's distinct groups (the per-group selection masks,
-            // in compressed slot form).  Group values cluster in practice,
-            // so probe the previous row's key in place first — for text and
-            // array keys that skips the per-row key allocation entirely.
-            scratch.row_slots.clear();
-            for group in scratch.chunk_groups.drain(..) {
-                scratch.chunk_group_of_slot[group.0 as usize] = u32::MAX;
-            }
-            let mut previous: Option<(GroupKey, u32)> = None;
-            for i in 0..rows {
-                let slot = match &previous {
-                    Some((key, slot)) if key.matches_columns(&key_columns, i) => *slot,
-                    _ => {
-                        let key = GroupKey::from_columns(&key_columns, i);
-                        let slot = self.slot_of(aggregate, &key);
-                        if scratch.chunk_group_of_slot.len() <= slot as usize {
-                            let slots = slot as usize + 1;
-                            scratch.chunk_group_of_slot.resize(slots, u32::MAX);
-                        }
-                        previous = Some((key, slot));
-                        slot
-                    }
-                };
-                scratch.row_slots.push(slot);
-                let marker = &mut scratch.chunk_group_of_slot[slot as usize];
-                if *marker == u32::MAX {
-                    *marker = scratch.chunk_groups.len() as u32;
-                    scratch.chunk_groups.push((slot, 0));
-                }
-                scratch.chunk_groups[*marker as usize].1 += 1;
-            }
-            let states = &mut self.states;
+            directory.key_chunk(chunk, group_indices, keyed, |_| {
+                states.push(aggregate.initial_state());
+                Ok::<(), EngineError>(())
+            })?;
             // Keep one (possibly empty) bucket per run of slots, so every slot
             // has a bucket to stage into or flush from.
             let wanted = states.len().div_ceil(RADIX_SLOTS_PER_BUCKET);
-            if scratch.buckets.len() < wanted {
-                scratch
+            if staging.buckets.len() < wanted {
+                staging
                     .buckets
                     .resize_with(wanted, || StagedBucket::new(schema));
             }
 
-            if let [(slot, _)] = scratch.chunk_groups[..] {
+            if let [(slot, _)] = keyed.runs()[..] {
                 // Single-key chunk: the whole chunk is one group's batch.  Any
                 // staged rows of this group's bucket must run first to keep the
                 // group's row order.
                 let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
-                scratch.flush_bucket(aggregate, schema, states, bucket)?;
+                staging.flush_bucket(aggregate, schema, states, bucket)?;
                 return aggregate.transition_chunk(&mut states[slot as usize], chunk, schema);
             }
 
-            if rows >= scratch.chunk_groups.len() * MIN_ROWS_PER_GROUP_FOR_GATHER {
-                // Batches are big enough for the vectorized kernels: bucket
-                // the row indices by group (counting-sort scatter, one flat
-                // reused buffer) and gather each group's rows — in row
-                // order — into a compacted sub-chunk.  Buckets holding staged
-                // rows of this chunk's groups flush first (order again).
-                if scratch.staged_total > 0 {
-                    for g in 0..scratch.chunk_groups.len() {
-                        let slot = scratch.chunk_groups[g].0 as usize;
-                        let bucket = slot / RADIX_SLOTS_PER_BUCKET;
-                        scratch.flush_bucket(aggregate, schema, states, bucket)?;
+            if chunk.len() >= keyed.runs().len() * MIN_ROWS_PER_GROUP_FOR_GATHER {
+                // Batches are big enough for the vectorized kernels: gather
+                // each group's rows — in row order — into a compacted
+                // sub-chunk.  Buckets holding staged rows of this chunk's
+                // groups flush first (order again).
+                if staging.staged_total > 0 {
+                    for &(slot, _) in keyed.runs() {
+                        let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
+                        staging.flush_bucket(aggregate, schema, states, bucket)?;
                     }
                 }
-                scratch.offsets.clear();
-                let mut running = 0u32;
-                for &(_, count) in &scratch.chunk_groups {
-                    scratch.offsets.push(running);
-                    running += count;
-                }
-                scratch.scatter.resize(rows, 0);
-                let mut cursors = scratch.offsets.clone();
-                for (i, &slot) in scratch.row_slots.iter().enumerate() {
-                    let g = scratch.chunk_group_of_slot[slot as usize] as usize;
-                    scratch.scatter[cursors[g] as usize] = i as u32;
-                    cursors[g] += 1;
-                }
-                for (g, &(slot, count)) in scratch.chunk_groups.iter().enumerate() {
-                    let start = scratch.offsets[g] as usize;
-                    let indices = &scratch.scatter[start..start + count as usize];
+                for (slot, indices) in keyed.sorted() {
                     let sub = chunk.gather_rows(indices);
                     aggregate.transition_chunk(&mut states[slot as usize], &sub, schema)?;
                 }
             } else {
-                // High-cardinality chunk — the radix partition pass.  Counting-
-                // sort the row indices into slot-range buckets and append each
+                // High-cardinality chunk — the radix partition pass.  Sort the
+                // row indices into slot-range buckets and append each
                 // bucket's rows (columnar copies, no Row materialization) to its
                 // staging chunk; groups batch up across chunks and flush through
                 // transition_chunk once their bucket is full.  Per-group row
                 // order is preserved: a group's rows route through exactly one
                 // bucket, in scan order.
-                scratch.stage_chunk_rows(chunk)?;
+                staging.stage_chunk_rows(chunk, keyed.keys())?;
                 // Flush buckets that reached a batch worth of rows — only the
-                // buckets staged into by *this* chunk (still listed in
-                // `chunk_buckets`) can have newly crossed the threshold, so the
-                // check is O(buckets touched), not O(all buckets).
-                for entry in 0..scratch.chunk_buckets.len() {
-                    let bucket = scratch.chunk_buckets[entry].0 as usize;
-                    if scratch.buckets[bucket].len() >= RADIX_FLUSH_ROWS {
-                        scratch.flush_bucket(aggregate, schema, states, bucket)?;
+                // buckets staged into by *this* chunk can have newly crossed
+                // the threshold, so the check is O(buckets touched), not
+                // O(all buckets).
+                for touched in 0..staging.by_bucket.runs().len() {
+                    let bucket = staging.by_bucket.runs()[touched].0 as usize;
+                    if staging.buckets[bucket].len() >= RADIX_FLUSH_ROWS {
+                        staging.flush_bucket(aggregate, schema, states, bucket)?;
                     }
                 }
                 // Bound total staging memory by draining the fullest buckets
                 // (global scan, but only reached when the cap is exceeded).
-                while scratch.staged_total > RADIX_MAX_STAGED_ROWS {
+                while staging.staged_total > RADIX_MAX_STAGED_ROWS {
                     // Staged rows live in buckets, so a fullest one exists.
                     let Some(fullest) =
-                        (0..scratch.buckets.len()).max_by_key(|&b| scratch.buckets[b].len())
+                        (0..staging.buckets.len()).max_by_key(|&b| staging.buckets[b].len())
                     else {
                         break;
                     };
-                    scratch.flush_bucket(aggregate, schema, states, fullest)?;
+                    staging.flush_bucket(aggregate, schema, states, fullest)?;
                 }
             }
             Ok(())
@@ -467,12 +407,12 @@ impl<S> GroupedUnit<S> {
         // the scratch is reusable by any unit.  Cross-group order is free
         // (each group's state is independent); per-group order was preserved
         // by the staging discipline.
-        if scratch.staged_total > 0 {
-            for bucket in 0..scratch.buckets.len() {
-                scratch.flush_bucket(aggregate, schema, &mut self.states, bucket)?;
+        if staging.staged_total > 0 {
+            for bucket in 0..staging.buckets.len() {
+                staging.flush_bucket(aggregate, schema, states, bucket)?;
             }
         }
-        debug_assert_eq!(scratch.staged_total, 0);
+        debug_assert_eq!(staging.staged_total, 0);
         Ok(stats)
     }
 }
@@ -483,29 +423,25 @@ impl<S> GroupedUnit<S> {
 /// absorbs.
 #[derive(Default)]
 pub(crate) struct GroupScratch {
-    /// Radix staging for high-cardinality chunks: one bucket per contiguous
-    /// run of [`RADIX_SLOTS_PER_BUCKET`] slots, holding rows copied out of
-    /// their source chunks until the bucket is worth batching.
+    /// The current chunk as the keying pass left it: every row's slot, the
+    /// chunk's distinct slots, and the sort that gathers by them.
+    keyed: IndexSort,
+    /// Rows of high-cardinality chunks waiting to be batched.
+    staging: RadixStaging,
+}
+
+/// Radix staging for high-cardinality chunks: one bucket per contiguous run
+/// of [`RADIX_SLOTS_PER_BUCKET`] slots, holding rows copied out of their
+/// source chunks until the bucket is worth batching.
+#[derive(Default)]
+struct RadixStaging {
     buckets: Vec<StagedBucket>,
     staged_total: usize,
-    /// The slot of every row of the current chunk.
-    row_slots: Vec<u32>,
-    /// The distinct slots of the current chunk (first-seen order) with their
-    /// in-chunk row counts.
-    chunk_groups: Vec<(u32, u32)>,
-    /// An epoch-stamped marker per slot (`u32::MAX` = not yet seen this
-    /// chunk) locating each slot's entry in `chunk_groups`.
-    chunk_group_of_slot: Vec<u32>,
-    scatter: Vec<u32>,
-    offsets: Vec<u32>,
-    /// The staging pass keeps the same shape of directory at bucket
-    /// granularity: the distinct buckets of the current staged chunk in
-    /// first-seen order with their row counts, plus an epoch-stamped entry
-    /// marker per bucket id — so keying a row to its chunk-bucket entry is
-    /// O(1) no matter how many distinct buckets the chunk touches or in what
-    /// order keys arrive.
-    chunk_buckets: Vec<(u32, u32)>,
-    chunk_entry_of_bucket: Vec<u32>,
+    /// Sorts a staged chunk's rows by bucket; its runs are the buckets the
+    /// latest staged chunk touched.
+    by_bucket: IndexSort,
+    /// Sorts a flushing bucket's staged rows by slot.
+    by_slot: IndexSort,
 }
 
 /// One radix bucket of the high-cardinality grouped scan: the staged rows of
@@ -530,13 +466,12 @@ impl StagedBucket {
     }
 }
 
-impl GroupScratch {
-    /// Flushes one radix bucket: counting-sorts the staged row indices by
-    /// group slot (stable, so each group's rows keep their scan order),
-    /// gathers every group's batch through [`RowChunk::gather_rows`] and
-    /// feeds it to [`Aggregate::transition_chunk`].  Clears the bucket in
-    /// place afterwards, keeping its grown buffers for the next staging
-    /// round.
+impl RadixStaging {
+    /// Flushes one radix bucket: sorts the staged row indices by group slot
+    /// (stable, so each group's rows keep their scan order), gathers every
+    /// group's batch through [`RowChunk::gather_rows`] and feeds it to
+    /// [`Aggregate::transition_chunk`].  Clears the bucket in place
+    /// afterwards, keeping its grown buffers for the next staging round.
     fn flush_bucket<A: Aggregate>(
         &mut self,
         aggregate: &A,
@@ -545,46 +480,18 @@ impl GroupScratch {
         bucket_id: usize,
     ) -> Result<()> {
         let bucket = &mut self.buckets[bucket_id];
-        let staged = bucket.len();
-        if staged == 0 {
+        if bucket.len() == 0 {
             return Ok(());
         }
-        self.staged_total -= staged;
-        let chunk = &bucket.rows;
-        let slots = &bucket.slots;
-
-        let base = (bucket_id * RADIX_SLOTS_PER_BUCKET) as u32;
-        // Local counting sort over the bucket's (at most
-        // RADIX_SLOTS_PER_BUCKET) slots.
-        let mut counts = [0u32; RADIX_SLOTS_PER_BUCKET];
-        for &slot in slots {
-            counts[(slot - base) as usize] += 1;
-        }
-        if counts.iter().any(|&c| c as usize == staged) {
+        self.staged_total -= bucket.len();
+        self.by_slot.fill(bucket.slots.iter().copied());
+        if let [(slot, _)] = self.by_slot.runs()[..] {
             // Single-group bucket: the whole staged chunk is one batch.
-            let slot = slots[0] as usize;
-            aggregate.transition_chunk(&mut states[slot], chunk, schema)?;
+            aggregate.transition_chunk(&mut states[slot as usize], &bucket.rows, schema)?;
         } else {
-            let mut offsets = [0u32; RADIX_SLOTS_PER_BUCKET];
-            let mut running = 0u32;
-            for (offset, &count) in offsets.iter_mut().zip(&counts) {
-                *offset = running;
-                running += count;
-            }
-            let mut scatter = vec![0u32; staged];
-            let mut cursors = offsets;
-            for (i, &slot) in slots.iter().enumerate() {
-                let local = (slot - base) as usize;
-                scatter[cursors[local] as usize] = i as u32;
-                cursors[local] += 1;
-            }
-            for (local, &count) in counts.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                let start = offsets[local] as usize;
-                let sub = chunk.gather_rows(&scatter[start..start + count as usize]);
-                aggregate.transition_chunk(&mut states[base as usize + local], &sub, schema)?;
+            for (slot, indices) in self.by_slot.sorted() {
+                let sub = bucket.rows.gather_rows(indices);
+                aggregate.transition_chunk(&mut states[slot as usize], &sub, schema)?;
             }
         }
         bucket.rows.clear();
@@ -593,53 +500,19 @@ impl GroupScratch {
     }
 
     /// Stages one high-cardinality chunk's rows (keyed by `row_slots`) into
-    /// their slot-range buckets: counting-sorts the row indices by bucket
-    /// (stable, preserving row order) and appends each bucket's run to its
-    /// staging chunk in one [`RowChunk::append_rows`] call.
-    fn stage_chunk_rows(&mut self, chunk: &RowChunk) -> Result<()> {
-        // Reset the directory: un-mark the previous staged chunk's buckets and
-        // cover any buckets created since.
-        for entry in self.chunk_buckets.drain(..) {
-            self.chunk_entry_of_bucket[entry.0 as usize] = u32::MAX;
-        }
-        self.chunk_entry_of_bucket
-            .resize(self.buckets.len(), u32::MAX);
-        // Distinct buckets of this chunk in first-seen order, with counts.
-        for &slot in &self.row_slots {
-            let b = slot / RADIX_SLOTS_PER_BUCKET as u32;
-            let marker = &mut self.chunk_entry_of_bucket[b as usize];
-            if *marker == u32::MAX {
-                *marker = self.chunk_buckets.len() as u32;
-                self.chunk_buckets.push((b, 0));
-            }
-            self.chunk_buckets[*marker as usize].1 += 1;
-        }
-        // Counting-sort scatter with one cursor array: after the scatter pass
-        // each cursor sits at the *end* of its bucket's range, and the start is
-        // recovered as `end - count` — no second offsets buffer needed.
-        self.offsets.clear();
-        let mut running = 0u32;
-        for &(_, count) in &self.chunk_buckets {
-            self.offsets.push(running);
-            running += count;
-        }
-        self.scatter.resize(chunk.len(), 0);
-        for (i, &slot) in self.row_slots.iter().enumerate() {
-            let b = slot / RADIX_SLOTS_PER_BUCKET as u32;
-            let entry = self.chunk_entry_of_bucket[b as usize] as usize;
-            self.scatter[self.offsets[entry] as usize] = i as u32;
-            self.offsets[entry] += 1;
-        }
-        for (entry, &(b, count)) in self.chunk_buckets.iter().enumerate() {
-            let end = self.offsets[entry] as usize;
-            let indices = &self.scatter[end - count as usize..end];
+    /// their slot-range buckets: sorts the row indices by bucket (stable,
+    /// preserving row order) and appends each bucket's run to its staging
+    /// chunk in one [`RowChunk::append_rows`] call.
+    fn stage_chunk_rows(&mut self, chunk: &RowChunk, row_slots: &[u32]) -> Result<()> {
+        let bucket_of = |&slot: &u32| slot / RADIX_SLOTS_PER_BUCKET as u32;
+        self.by_bucket.fill(row_slots.iter().map(bucket_of));
+        for (b, indices) in self.by_bucket.sorted() {
             let bucket = &mut self.buckets[b as usize];
             bucket.rows.append_rows(chunk, indices)?;
-            let row_slots = &self.row_slots;
             bucket
                 .slots
                 .extend(indices.iter().map(|&i| row_slots[i as usize]));
-            self.staged_total += count as usize;
+            self.staged_total += indices.len();
         }
         Ok(())
     }

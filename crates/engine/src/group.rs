@@ -1,16 +1,13 @@
-//! Typed group-by keys and per-chunk group partitioning.
+//! Typed group-by keys and the one way a chunk's rows are routed to groups.
 //!
-//! Grouping used to key states by `Value::to_string()`, which is both slow
-//! (one heap allocation and one formatting pass per row) and wrong at the
-//! edges: `-0.0` and `0.0` render identically but are distinct IEEE-754
-//! values, `NaN` formats as a non-comparable string, and numerically ordered
-//! keys sort lexicographically (`"10" < "9"`).  [`KeyPart`] replaces the
-//! string with a typed key part: `Eq`/`Hash` compare floating-point values by
-//! bit pattern and ordering uses [`f64::total_cmp`], so every [`Value`] —
-//! including NaN and signed zero — lands in exactly one group and groups
-//! have a deterministic total order.  Parts of different runtime types order
-//! by type first (NULL < boolean < bigint < double < text < arrays), so
-//! mixed-type grouping is deterministic too.
+//! [`KeyPart`] is one column's contribution to a grouping key: `Eq`/`Hash`
+//! compare floating-point values by bit pattern and ordering uses
+//! [`f64::total_cmp`], so every [`Value`] — including NaN and signed zero —
+//! lands in exactly one group (`-0.0` and `0.0` are distinct, NaNs group
+//! together, numeric keys sort numerically) and groups have a deterministic
+//! total order.  Parts of different runtime types order by type first
+//! (NULL < boolean < bigint < double < text < arrays), so mixed-type
+//! grouping is deterministic too.
 //!
 //! A [`GroupKey`] is a *composite* of one part per grouping column — the
 //! paper's `grouping_cols` is an arbitrary column list, so
@@ -18,13 +15,35 @@
 //! values.  Keys compare and hash part-wise (lexicographic over the parts,
 //! exactly SQL's multi-column `GROUP BY` ordering) and the single-column case
 //! stays allocation-free: a one-part key stores its part inline.
+//!
+//! Every grouped consumer — grouped aggregation and materialized views
+//! (the crate-private `fold` module), [`crate::Dataset::score_per_group`],
+//! [`crate::Dataset::gather_groups`] and [`partition_by_group`] — routes rows
+//! through the same two crate-private pieces, so the engine has one GROUP BY
+//! operator the way a DBMS does:
+//!
+//! * `SlotDirectory` maps each distinct key to a dense `u32` slot in
+//!   first-appearance order, and its `key_chunk` is the one **keying pass**:
+//!   it records every row's slot and the chunk's distinct slots with their
+//!   row counts, probing the previous row's key in place before it builds
+//!   and hashes a new one (group values cluster in practice), and tells the
+//!   caller about each new slot exactly once — the callers differ only in
+//!   what they open for a new group (an aggregate state, a scorer, a row
+//!   list, a mask).
+//! * `IndexSort` is what the pass records into, and the one **stable
+//!   counting sort of row indices by a dense `u32` key** (distinct keys in
+//!   first-seen order, ascending row indices inside each run, reusable
+//!   buffers): by slot for per-group gathers and scatter-back, by slot-range
+//!   bucket for radix staging.
 
 use crate::chunk::{ColumnChunk, RowChunk, SelectionMask};
 use crate::error::{EngineError, Result};
+use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 
 /// An `f64` with total equality, ordering and hashing: bit-pattern equality
@@ -218,11 +237,9 @@ impl GroupKey {
     /// A key from one part per grouping column.  One-part keys are stored
     /// inline ([`GroupKey::single`]); anything else is boxed.
     pub fn composite(parts: Vec<KeyPart>) -> Self {
-        let mut parts = parts;
-        if parts.len() == 1 {
-            GroupKey(KeyParts::One(parts.pop().expect("length checked")))
-        } else {
-            GroupKey(KeyParts::Many(parts.into_boxed_slice()))
+        match <[KeyPart; 1]>::try_from(parts) {
+            Ok([only]) => GroupKey::single(only),
+            Err(parts) => GroupKey(KeyParts::Many(parts.into_boxed_slice())),
         }
     }
 
@@ -377,26 +394,198 @@ pub struct ChunkGroup {
 /// Partitions a chunk's rows by the (possibly composite) key over
 /// `column_indices`, returning one [`ChunkGroup`] per distinct key in
 /// first-appearance order.  The masks are disjoint and together cover every
-/// row of the chunk.
+/// row of the chunk.  This is the grouped scan's own keying pass over a
+/// fresh directory, with the slots spelled out as masks.
 pub fn partition_by_group(chunk: &RowChunk, column_indices: &[usize]) -> Vec<ChunkGroup> {
-    let columns: Vec<&ColumnChunk> = column_indices.iter().map(|&c| chunk.column(c)).collect();
     let rows = chunk.len();
-    let mut slots: HashMap<GroupKey, usize> = HashMap::new();
     let mut groups: Vec<ChunkGroup> = Vec::new();
-    for i in 0..rows {
-        let key = GroupKey::from_columns(&columns, i);
-        let slot = *slots.entry(key.clone()).or_insert_with(|| {
-            groups.push(ChunkGroup {
-                key,
-                mask: SelectionMask::none(rows),
-                rows: 0,
-            });
-            groups.len() - 1
+    let mut keyed = IndexSort::default();
+    let Ok(()) = SlotDirectory::default().key_chunk(chunk, column_indices, &mut keyed, |key| {
+        groups.push(ChunkGroup {
+            key: key.clone(),
+            mask: SelectionMask::none(rows),
+            rows: 0,
         });
-        groups[slot].mask.set(i, true);
-        groups[slot].rows += 1;
+        Ok::<(), Infallible>(())
+    });
+    // A fresh directory numbers slots in first-appearance order, so a slot is
+    // its group's position.
+    for (i, &slot) in keyed.keys().iter().enumerate() {
+        groups[slot as usize].mask.set(i, true);
+    }
+    for &(slot, count) in keyed.runs() {
+        groups[slot as usize].rows = count as usize;
     }
     groups
+}
+
+/// The (possibly composite) group key of a materialized row.
+pub(crate) fn group_key_of_row(row: &Row, group_indices: &[usize]) -> GroupKey {
+    match group_indices {
+        [idx] => GroupKey::from_value(row.get(*idx)),
+        many => GroupKey::from_values(many.iter().map(|&i| row.get(i))),
+    }
+}
+
+/// `GroupKey → dense u32 slot`, slots numbered in first-appearance order —
+/// the directory behind every grouped consumer.  What a slot *holds* (an
+/// aggregate state, a scorer, a row list) lives with the caller in a vector
+/// indexed by slot, which the `on_new` callback grows by one.
+#[derive(Debug, Default)]
+pub(crate) struct SlotDirectory {
+    slots: HashMap<GroupKey, u32>,
+}
+
+impl SlotDirectory {
+    /// The slot of `key`.  A key seen for the first time gets the next slot
+    /// after `on_new(key)` succeeds — exactly once per slot; an error leaves
+    /// the directory unchanged.
+    pub(crate) fn slot_of<E>(
+        &mut self,
+        key: &GroupKey,
+        on_new: impl FnOnce(&GroupKey) -> std::result::Result<(), E>,
+    ) -> std::result::Result<u32, E> {
+        if let Some(&slot) = self.slots.get(key) {
+            return Ok(slot);
+        }
+        on_new(key)?;
+        let slot = self.slots.len() as u32;
+        self.slots.insert(key.clone(), slot);
+        Ok(slot)
+    }
+
+    /// The keying pass: resolves every row of `chunk` to its slot over the
+    /// key columns at `column_indices`, leaving in `keyed` a fresh round
+    /// whose keys are the per-row slots and whose runs are the chunk's
+    /// distinct slots (first-seen order, with row counts).  Group values
+    /// cluster in practice, so the previous row's key is probed in place
+    /// first — for text and array keys that skips the per-row key allocation
+    /// and the hash entirely.
+    ///
+    /// # Errors
+    /// Stops at the first `on_new` error (see [`SlotDirectory::slot_of`]).
+    pub(crate) fn key_chunk<E>(
+        &mut self,
+        chunk: &RowChunk,
+        column_indices: &[usize],
+        keyed: &mut IndexSort,
+        mut on_new: impl FnMut(&GroupKey) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let key_columns: Vec<&ColumnChunk> =
+            column_indices.iter().map(|&c| chunk.column(c)).collect();
+        keyed.clear();
+        let mut previous: Option<(GroupKey, u32)> = None;
+        for i in 0..chunk.len() {
+            let slot = match &previous {
+                Some((key, slot)) if key.matches_columns(&key_columns, i) => *slot,
+                _ => {
+                    let key = GroupKey::from_columns(&key_columns, i);
+                    let slot = self.slot_of(&key, &mut on_new)?;
+                    previous = Some((key, slot));
+                    slot
+                }
+            };
+            keyed.push(slot);
+        }
+        Ok(())
+    }
+
+    /// The `(key, slot)` pairs, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&GroupKey, u32)> {
+        self.slots.iter().map(|(key, &slot)| (key, slot))
+    }
+
+    /// The keys, by value, in slot order.
+    pub(crate) fn into_keys(self) -> impl Iterator<Item = GroupKey> {
+        let mut keys: Vec<(GroupKey, u32)> = self.slots.into_iter().collect();
+        keys.sort_unstable_by_key(|(_, slot)| *slot);
+        keys.into_iter().map(|(key, _)| key)
+    }
+}
+
+/// A stable counting sort of row indices by a dense `u32` key.  A round is
+/// [`IndexSort::clear`], one [`IndexSort::push`] per row in row order (which
+/// tallies the distinct keys in first-seen order as it goes), and — when the
+/// rows are wanted grouped — [`IndexSort::sorted`].  Buffers are reused from
+/// round to round; memory is one marker per key of the largest domain seen.
+#[derive(Debug, Default)]
+pub(crate) struct IndexSort {
+    /// The key of every row of this round.
+    keys: Vec<u32>,
+    /// The distinct keys of this round in first-seen order, with counts.
+    runs: Vec<(u32, u32)>,
+    /// Per key, its position in `runs` (`u32::MAX` = not seen this round).
+    run_of_key: Vec<u32>,
+    /// Per run, the scatter cursor; the end of the run's slice afterwards.
+    ends: Vec<u32>,
+    indices: Vec<u32>,
+}
+
+impl IndexSort {
+    /// Starts a round: forgets the previous round's rows, un-marking its keys
+    /// in time proportional to how many distinct ones it had.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        for (key, _) in self.runs.drain(..) {
+            self.run_of_key[key as usize] = u32::MAX;
+        }
+    }
+
+    /// Appends the next row, under `key`.  Forced inline: it is the per-row
+    /// body of the keying pass, and left to the `#[inline]` hint it compiled
+    /// to a call per row (PR 18 measured that call at 1–4 % of a serial
+    /// grouped count).
+    #[inline(always)]
+    pub(crate) fn push(&mut self, key: u32) {
+        self.keys.push(key);
+        if self.run_of_key.len() <= key as usize {
+            self.run_of_key.resize(key as usize + 1, u32::MAX);
+        }
+        let run = &mut self.run_of_key[key as usize];
+        if *run == u32::MAX {
+            *run = self.runs.len() as u32;
+            self.runs.push((key, 0));
+        }
+        self.runs[*run as usize].1 += 1;
+    }
+
+    /// One whole round: `keys` in row order.
+    pub(crate) fn fill(&mut self, keys: impl Iterator<Item = u32>) {
+        self.clear();
+        keys.for_each(|key| self.push(key));
+    }
+
+    /// The key of every row of this round, in row order.
+    pub(crate) fn keys(&self) -> &[u32] {
+        &self.keys
+    }
+
+    /// The distinct keys of this round in first-seen order, with counts.
+    pub(crate) fn runs(&self) -> &[(u32, u32)] {
+        &self.runs
+    }
+
+    /// Sorts the round — one offset per run, then one stable scatter pass
+    /// over the rows — and yields each distinct key (first-seen order) with
+    /// the ascending indices of its rows.
+    pub(crate) fn sorted(&mut self) -> impl Iterator<Item = (u32, &[u32])> {
+        self.ends.clear();
+        let mut running = 0u32;
+        for &(_, count) in &self.runs {
+            self.ends.push(running);
+            running += count;
+        }
+        self.indices.resize(self.keys.len(), 0);
+        for (i, &key) in self.keys.iter().enumerate() {
+            let end = &mut self.ends[self.run_of_key[key as usize] as usize];
+            self.indices[*end as usize] = i as u32;
+            *end += 1;
+        }
+        self.runs
+            .iter()
+            .zip(&self.ends)
+            .map(|(&(key, count), &end)| (key, &self.indices[(end - count) as usize..end as usize]))
+    }
 }
 
 /// Resolves grouping `columns` to schema indices, validating the list: it
@@ -622,6 +811,138 @@ mod tests {
             GroupKey::from_values([&Value::Text("x".into()), &Value::Int(1)])
         );
         assert_eq!(groups[0].rows, 2);
+    }
+
+    /// Keys `chunks` through one directory and checks every output of the
+    /// keying pass and the index sort against a per-row `HashMap` walk.
+    fn check_keying_against_oracle(chunks: &[RowChunk], column_indices: &[usize]) {
+        let mut directory = SlotDirectory::default();
+        let mut keyed = IndexSort::default();
+        let mut opened: Vec<GroupKey> = Vec::new();
+        // The oracle: key → slot in first-appearance order across all chunks.
+        let mut oracle: HashMap<GroupKey, u32> = HashMap::new();
+        for chunk in chunks {
+            let columns: Vec<&ColumnChunk> =
+                column_indices.iter().map(|&c| chunk.column(c)).collect();
+            let mut expected_slots = Vec::new();
+            let mut expected_groups: Vec<(u32, u32)> = Vec::new();
+            for i in 0..chunk.len() {
+                let next = oracle.len() as u32;
+                let slot = *oracle
+                    .entry(GroupKey::from_columns(&columns, i))
+                    .or_insert(next);
+                expected_slots.push(slot);
+                match expected_groups.iter_mut().find(|(s, _)| *s == slot) {
+                    Some((_, count)) => *count += 1,
+                    None => expected_groups.push((slot, 1)),
+                }
+            }
+
+            directory
+                .key_chunk(chunk, column_indices, &mut keyed, |key| {
+                    opened.push(key.clone());
+                    Ok::<(), Infallible>(())
+                })
+                .unwrap();
+            assert_eq!(keyed.keys(), expected_slots);
+            assert_eq!(keyed.runs(), expected_groups);
+            let sorted: Vec<(u32, Vec<u32>)> = keyed
+                .sorted()
+                .map(|(slot, indices)| (slot, indices.to_vec()))
+                .collect();
+            let expected_sorted: Vec<(u32, Vec<u32>)> = expected_groups
+                .iter()
+                .map(|&(slot, _)| {
+                    let rows =
+                        (0..chunk.len() as u32).filter(|&i| expected_slots[i as usize] == slot);
+                    (slot, rows.collect())
+                })
+                .collect();
+            assert_eq!(sorted, expected_sorted);
+        }
+        // `on_new` ran exactly once per distinct key, in slot order.
+        assert_eq!(opened.len(), oracle.len());
+        for (slot, key) in opened.iter().enumerate() {
+            assert_eq!(oracle[key], slot as u32);
+        }
+        let in_slot_order: Vec<GroupKey> = directory.into_keys().collect();
+        assert_eq!(in_slot_order, opened);
+    }
+
+    #[test]
+    fn keying_pass_matches_a_per_row_hash_walk() {
+        let schema = Schema::new(vec![
+            Column::new("t", ColumnType::Text),
+            Column::new("d", ColumnType::Double),
+            Column::new("n", ColumnType::Int),
+        ]);
+        // Twelve distinct rows covering NULL, NaN, both zeros and text parts.
+        let texts = [
+            Value::Text("a".into()),
+            Value::Text("b".into()),
+            Value::Null,
+        ];
+        let doubles = [
+            Value::Double(0.0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Null,
+        ];
+        let distinct: Vec<Vec<Value>> = (0..12)
+            .map(|k| {
+                vec![
+                    texts[k % 3].clone(),
+                    doubles[k % 4].clone(),
+                    Value::Int((k % 2) as i64),
+                ]
+            })
+            .collect();
+        let orders: [(&str, Vec<usize>); 3] = [
+            ("clustered", (0..96).map(|i| i / 8).collect()),
+            ("alternating", (0..96).map(|i| i % 2 * 5 + i / 48).collect()),
+            (
+                "shuffled",
+                (0..96).map(|i| (i * 7 % 12) ^ (i / 12 % 3)).collect(),
+            ),
+        ];
+        for (label, order) in &orders {
+            // Three chunks per order, so slots carry over between chunks.
+            let chunks: Vec<RowChunk> = order
+                .chunks(32)
+                .map(|piece| {
+                    let mut chunk = RowChunk::new(&schema);
+                    for &k in piece {
+                        chunk.push_values(&distinct[k % 12]).unwrap();
+                    }
+                    chunk
+                })
+                .collect();
+            for columns in [&[0usize][..], &[1], &[0, 1], &[1, 2, 0]] {
+                eprintln!("{label} order, key columns {columns:?}");
+                check_keying_against_oracle(&chunks, columns);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_on_new_opens_no_slot() {
+        let mut directory = SlotDirectory::default();
+        let (one, two) = (
+            GroupKey::from_value(&Value::Int(1)),
+            GroupKey::from_value(&Value::Int(2)),
+        );
+        assert_eq!(
+            directory.slot_of(&one, |_| Err("no model")),
+            Err("no model")
+        );
+        // The failed attempt consumed no slot: the next new key gets slot 0.
+        assert_eq!(directory.slot_of(&two, |_| Ok::<(), &str>(())), Ok(0));
+        assert_eq!(directory.slot_of(&one, |_| Ok::<(), &str>(())), Ok(1));
+        // Known keys never reach `on_new` again.
+        assert_eq!(
+            directory.slot_of(&two, |_| Err("known key reopened")),
+            Ok(0)
+        );
     }
 
     #[test]

@@ -67,9 +67,13 @@
 //!   with more groups than direct gathers pay for run a radix partition
 //!   pass instead, staging rows into group-slot buckets across chunks via
 //!   [`chunk::RowChunk::append_rows`] and flushing each group as one batch
-//!   — bit-identical either way; [`group::partition_by_group`] exposes the
-//!   same per-group [`chunk::SelectionMask`] partitioning to standalone
-//!   consumers), and projections ([`dataset::Dataset::map_chunks`] /
+//!   — bit-identical either way), grouped scoring and per-group gathers
+//!   ([`dataset::Dataset::score_per_group`], [`dataset::Dataset::gather_groups`])
+//!   — all three route a chunk's rows to groups through the one keying pass
+//!   and index sort of the [`group`] module, which
+//!   [`group::partition_by_group`] runs too, spelling the slots out as
+//!   per-group [`chunk::SelectionMask`]s for standalone consumers — and
+//!   projections ([`dataset::Dataset::map_chunks`] /
 //!   [`Executor::parallel_map_chunks`] with the row-level adapters layered
 //!   on top).
 //! * **Modes** — [`executor::ExecutionMode::RowAtATime`] forces the legacy

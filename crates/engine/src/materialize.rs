@@ -164,7 +164,7 @@ enum ViewStates<S> {
     Ungrouped(Vec<Vec<S>>),
     Grouped {
         segments: Vec<Vec<GroupedUnit<S>>>,
-        scratch: GroupScratch,
+        scratch: Box<GroupScratch>,
     },
 }
 
@@ -247,7 +247,7 @@ where
         } else {
             ViewStates::Grouped {
                 segments: Vec::new(),
-                scratch: GroupScratch::default(),
+                scratch: Box::default(),
             }
         };
         self.watermarks.clear();
@@ -314,7 +314,7 @@ where
             ),
             ViewStates::Grouped { segments, scratch } if rescan => {
                 // A failed absorb can leave rows staged.
-                *scratch = GroupScratch::default();
+                **scratch = GroupScratch::default();
                 fold::scan_grouped_units(aggregate, table, executor, &group_indices, filter)
                     .map(|s| *segments = s)
             }

@@ -160,10 +160,11 @@ where
     Ok(stats)
 }
 
-/// Streams one segment row-at-a-time through `sink` — the legacy scan shape,
-/// kept for [`crate::ExecutionMode::RowAtATime`] and for consumers the
-/// chunked path cannot represent.  Predicates are evaluated per row;
-/// counters match [`scan_segment_chunks`] exactly.
+/// Streams one segment row-at-a-time through `sink` — the legacy scan shape.
+/// Its only callers in the engine are the [`crate::ExecutionMode::RowAtATime`]
+/// arms of the aggregate and scoring terminals, the reference the chunked
+/// path is tested against.  Predicates are evaluated per row; counters match
+/// [`scan_segment_chunks`] exactly.
 ///
 /// # Errors
 /// Propagates predicate-evaluation errors and errors returned by `sink`.

@@ -20,24 +20,25 @@
 //!   ([`GroupScorers`], e.g. a `train_grouped` output from the model
 //!   catalog): each row routes to its composite-[`GroupKey`] group's model,
 //!   bit-identical to filtering each group out and scoring it separately.
+//!   Routing is [`crate::group`]'s keying pass and index sort — the same
+//!   code grouped aggregation runs — with "open a slot" meaning "resolve the
+//!   group's scorer, or fail with [`EngineError::ModelNotFound`]".
 //! - [`Dataset::top_k_by_score`] is k-nearest-neighbour / vector-similarity
 //!   search over a `double precision[]` column on the same batched kernels —
 //!   the first pure *serving* workload with no training step at all.
 
-use crate::chunk::{ColumnChunk, RowChunk};
+use crate::chunk::RowChunk;
 use crate::database::Database;
 use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
 use crate::executor::ExecutionMode;
-use crate::fold::group_key_of_row;
-use crate::group::GroupKey;
+use crate::group::{group_key_of_row, GroupKey, IndexSort, SlotDirectory};
 use crate::row::Row;
 use crate::scan;
 use crate::schema::{Column, ColumnType, Schema};
 use crate::table::Table;
 use crate::value::Value;
 use madlib_linalg::kernels;
-use std::collections::HashMap;
 
 /// A model that can score rows — the serving-side counterpart of
 /// [`crate::aggregate::Aggregate`].
@@ -392,22 +393,13 @@ impl Dataset<'_> {
                         &mut out,
                     )?,
                     ExecutionMode::RowAtATime => {
-                        let mut cache: HashMap<GroupKey, usize> = HashMap::new();
+                        let mut directory = SlotDirectory::default();
                         let mut resolved: Vec<&S> = Vec::new();
                         scan::scan_segment_rows(segment, schema, filter, |row| {
                             let key = group_key_of_row(row, group_indices);
-                            let slot = match cache.get(&key) {
-                                Some(&slot) => slot,
-                                None => {
-                                    let scorer = scorers
-                                        .get(&key)
-                                        .ok_or_else(|| model_not_found(scorers.name(), &key))?;
-                                    resolved.push(scorer);
-                                    cache.insert(key, resolved.len() - 1);
-                                    resolved.len() - 1
-                                }
-                            };
-                            out.push(resolved[slot].predict_row(row, schema)?);
+                            let slot = directory
+                                .slot_of(&key, |key| resolve_scorer(scorers, key, &mut resolved))?;
+                            out.push(resolved[slot as usize].predict_row(row, schema)?);
                             Ok(())
                         })?;
                     }
@@ -593,20 +585,27 @@ fn consider_knn_row(
     }
 }
 
-/// The typed missing-group error for catalog-routed scoring.
-fn model_not_found(name: &str, key: &GroupKey) -> EngineError {
-    EngineError::ModelNotFound {
-        name: name.to_owned(),
+/// Opens a new scorer slot: looks `key` up in the registry and appends its
+/// scorer to `resolved`, or reports the group as a typed
+/// [`EngineError::ModelNotFound`].
+fn resolve_scorer<'a, S>(
+    scorers: &'a GroupScorers<S>,
+    key: &GroupKey,
+    resolved: &mut Vec<&'a S>,
+) -> Result<()> {
+    let scorer = scorers.get(key).ok_or_else(|| EngineError::ModelNotFound {
+        name: scorers.name().to_owned(),
         group: Some(format!("{key:?}")),
-    }
+    })?;
+    resolved.push(scorer);
+    Ok(())
 }
 
-/// The chunked grouped scoring pass over one range of chunks: pass 1 keys
-/// every row to its scorer slot (previous-key probe first — group values
-/// cluster in practice), then single-scorer chunks batch straight through
-/// `predict_chunk` while mixed chunks are counting-sorted by slot, gathered
-/// per group (row order preserved) and their predictions scattered back to
-/// row positions.
+/// The chunked grouped scoring pass over one range of chunks: the keying
+/// pass ([`SlotDirectory::key_chunk`]) routes every row to its scorer slot,
+/// then single-scorer chunks batch straight through `predict_chunk` while
+/// mixed chunks are sorted by slot, gathered per group (row order preserved)
+/// and their predictions scattered back to row positions.
 fn score_chunks_grouped<S: Scorer>(
     scorers: &GroupScorers<S>,
     chunks: &[std::sync::Arc<RowChunk>],
@@ -616,87 +615,28 @@ fn score_chunks_grouped<S: Scorer>(
     out: &mut Vec<Value>,
 ) -> Result<()> {
     // Range-level directory: key → dense slot into `resolved` scorers.
-    let mut slots: HashMap<GroupKey, u32> = HashMap::new();
+    let mut directory = SlotDirectory::default();
     let mut resolved: Vec<&S> = Vec::new();
-    // Per-chunk scratch, reused across chunks (same shape as the grouped
-    // aggregation pass): each row's slot, the chunk's distinct slots in
-    // first-seen order with counts, and an epoch marker per slot.
-    let mut row_slots: Vec<u32> = Vec::new();
-    let mut chunk_groups: Vec<(u32, u32)> = Vec::new();
-    let mut chunk_group_of_slot: Vec<u32> = Vec::new();
-    let mut scatter: Vec<u32> = Vec::new();
-    let mut offsets: Vec<u32> = Vec::new();
+    let mut keyed = IndexSort::default();
     let mut group_predictions: Vec<Value> = Vec::new();
 
     scan::scan_chunks(chunks, schema, filter, |batch| {
         let chunk = batch.chunk();
-        let rows = chunk.len();
-        let key_columns: Vec<&ColumnChunk> =
-            group_indices.iter().map(|&c| chunk.column(c)).collect();
+        directory.key_chunk(chunk, group_indices, &mut keyed, |key| {
+            resolve_scorer(scorers, key, &mut resolved)
+        })?;
 
-        row_slots.clear();
-        for group in chunk_groups.drain(..) {
-            chunk_group_of_slot[group.0 as usize] = u32::MAX;
-        }
-        let mut previous: Option<(GroupKey, u32)> = None;
-        for i in 0..rows {
-            let slot = match &previous {
-                Some((key, slot)) if key.matches_columns(&key_columns, i) => *slot,
-                _ => {
-                    let key = GroupKey::from_columns(&key_columns, i);
-                    let slot = match slots.get(&key) {
-                        Some(&slot) => slot,
-                        None => {
-                            let scorer = scorers
-                                .get(&key)
-                                .ok_or_else(|| model_not_found(scorers.name(), &key))?;
-                            let slot = resolved.len() as u32;
-                            resolved.push(scorer);
-                            chunk_group_of_slot.push(u32::MAX);
-                            slots.insert(key.clone(), slot);
-                            slot
-                        }
-                    };
-                    previous = Some((key, slot));
-                    slot
-                }
-            };
-            row_slots.push(slot);
-            let marker = &mut chunk_group_of_slot[slot as usize];
-            if *marker == u32::MAX {
-                *marker = chunk_groups.len() as u32;
-                chunk_groups.push((slot, 0));
-            }
-            chunk_groups[*marker as usize].1 += 1;
-        }
-
-        if chunk_groups.len() == 1 {
+        if let [(slot, _)] = keyed.runs()[..] {
             // Single-group chunk: the whole chunk is one batch.
-            let slot = chunk_groups[0].0 as usize;
-            return resolved[slot].predict_chunk(chunk, schema, out);
+            return resolved[slot as usize].predict_chunk(chunk, schema, out);
         }
 
-        // Mixed chunk: counting-sort the row indices by group, gather each
-        // group's rows (in row order) into a compacted sub-chunk, batch-
-        // score it, and scatter the predictions back to row positions.
-        offsets.clear();
-        let mut running = 0u32;
-        for &(_, count) in chunk_groups.iter() {
-            offsets.push(running);
-            running += count;
-        }
-        scatter.resize(rows, 0);
-        let mut cursors = offsets.clone();
-        for (i, &slot) in row_slots.iter().enumerate() {
-            let g = chunk_group_of_slot[slot as usize] as usize;
-            scatter[cursors[g] as usize] = i as u32;
-            cursors[g] += 1;
-        }
+        // Mixed chunk: gather each group's rows (in row order) into a
+        // compacted sub-chunk, batch-score it, and scatter the predictions
+        // back to row positions.
         let base = out.len();
-        out.resize(base + rows, Value::Null);
-        for (g, &(slot, count)) in chunk_groups.iter().enumerate() {
-            let start = offsets[g] as usize;
-            let indices = &scatter[start..start + count as usize];
+        out.resize(base + chunk.len(), Value::Null);
+        for (slot, indices) in keyed.sorted() {
             let sub = chunk.gather_rows(indices);
             group_predictions.clear();
             resolved[slot as usize].predict_chunk(&sub, schema, &mut group_predictions)?;

@@ -15,6 +15,12 @@
 //! `session.score(...)` as a chunked scan pass (no hand-written predict
 //! loops), and the per-region registry routes each customer to their
 //! region's model.
+//!
+//! The data plants an ordering the grouped path must recover — ticket
+//! sensitivity north > south > west, and per-region serving that classifies
+//! at least 90 % of customers correctly — and the example exits non-zero
+//! when it is lost, so CI running it guards `train_grouped` →
+//! `gather_groups` and the catalog → `score_per_group` end to end.
 
 use madlib::engine::{row, Column, ColumnType, Database, Dataset, Schema, Table};
 use madlib::methods::classify::{DecisionTree, DecisionTreeModel, NaiveBayes, NaiveBayesModel};
@@ -104,6 +110,8 @@ fn main() {
         )
         .expect("grouped fit");
     println!("\nper-region churn models (grouping_cols = [region]):");
+    // Groups come back sorted by key: north, south, west.
+    let ticket_coefficients: Vec<f64> = per_region.iter().map(|(_, m)| m.coef[1]).collect();
     for (region, model) in &per_region {
         println!(
             "  {:<6} ticket-coefficient {:+.3}  ({} customers, {} IRLS iterations)",
@@ -194,4 +202,14 @@ fn main() {
         "\ndecision tree (C4.5) holdout accuracy:    {tree_accuracy:.3} ({tree_leaves} leaves)"
     );
     println!("naive Bayes holdout accuracy:             {bayes_accuracy:.3}");
+
+    let ordered =
+        matches!(ticket_coefficients[..], [north, south, west] if north > south && south > west);
+    if !ordered || routed_accuracy < 0.9 {
+        eprintln!(
+            "planted structure lost: ticket coefficients {ticket_coefficients:?} \
+             (want north > south > west), per-region accuracy {routed_accuracy:.3} (want >= 0.9)"
+        );
+        std::process::exit(1);
+    }
 }

@@ -11,10 +11,11 @@
 //! both promises over randomized data, plus the catalog's typed error
 //! surface and the k-NN terminal's mode/tie determinism.
 
+use madlib::engine::aggregate::CountAggregate;
 use madlib::engine::expr::Predicate;
 use madlib::engine::{
     Column, ColumnType, Database, Dataset, EngineError, Executor, GroupKey, GroupScorers, Row,
-    Schema, Similarity, Table, Value,
+    Schema, Scorer, Similarity, Table, Value,
 };
 use madlib::methods::classify::{DecisionTree, NaiveBayes, SvmModel};
 use madlib::methods::cluster::KMeansModel;
@@ -567,4 +568,104 @@ fn score_into_materializes_predictions() {
         dataset.score_into(&scorer, &database, "predictions"),
         Err(EngineError::TableAlreadyExists { .. })
     ));
+}
+
+/// A scorer that reports which group's model it is, whatever the row.
+struct GroupId(i64);
+
+impl Scorer for GroupId {
+    fn output_type(&self) -> ColumnType {
+        ColumnType::Int
+    }
+
+    fn predict_row(&self, _row: &Row, _schema: &Schema) -> madlib::engine::Result<Value> {
+        Ok(Value::Int(self.0))
+    }
+}
+
+/// The three grouped terminals share one keying pass, so on one table they
+/// must report the same key set and the same per-key row counts — under the
+/// parallel, serial and row-at-a-time executors, filtered and not.  The table
+/// alternates phases of three fat groups (≥ 4 rows per group and chunk: the
+/// direct-gather path) with phases of hundreds of thin composite groups (< 4: the
+/// radix staging path), with NULL, NaN and `-0.0` key parts in both.
+#[test]
+fn grouped_terminals_agree_on_keys_and_row_counts() {
+    let schema = Schema::new(vec![
+        Column::new("tenant", ColumnType::Text),
+        Column::new("bucket", ColumnType::Double),
+        Column::new("v", ColumnType::Double),
+    ]);
+    let mut table = Table::new(schema, 3)
+        .unwrap()
+        .with_chunk_capacity(64)
+        .unwrap();
+    for i in 0..4_000usize {
+        let (tenant, bucket) = if (i / 600) % 2 == 0 {
+            (Value::Text("fat".into()), (i / 3 % 3) as f64)
+        } else {
+            let tenant = match i % 97 {
+                0 => Value::Null,
+                t => Value::Text(format!("t{t}")),
+            };
+            let bucket = [0.0, -0.0, f64::NAN][i / 3 % 3];
+            (tenant, bucket)
+        };
+        table
+            .insert(Row::new(vec![
+                tenant,
+                Value::Double(bucket),
+                Value::Double(i as f64),
+            ]))
+            .unwrap();
+    }
+
+    let mut reports = Vec::new();
+    for executor in [
+        Executor::new(),
+        Executor::serial(),
+        Executor::row_at_a_time(),
+    ] {
+        for filter in [None, Some(Predicate::column_lt("v", 3_100.0))] {
+            let mut dataset = Dataset::from_table(&table)
+                .with_executor(executor)
+                .group_by(["tenant", "bucket"]);
+            if let Some(predicate) = filter {
+                dataset = dataset.filter(predicate);
+            }
+            let counted = dataset.aggregate_per_group(&CountAggregate).unwrap();
+            assert!(counted.len() > 150, "both phases contribute groups");
+
+            let gathered: Vec<(GroupKey, u64)> = dataset
+                .gather_groups()
+                .unwrap()
+                .into_iter()
+                .map(|(key, group)| (key, group.row_count() as u64))
+                .collect();
+            assert_eq!(gathered, counted, "gather_groups vs aggregate_per_group");
+
+            // One scorer per key, named by the key's rank.
+            let scorers = GroupScorers::new(
+                "rank",
+                counted
+                    .iter()
+                    .enumerate()
+                    .map(|(rank, (key, _))| (key.clone(), GroupId(rank as i64)))
+                    .collect(),
+            )
+            .unwrap();
+            let mut scored = vec![0u64; counted.len()];
+            for prediction in dataset.score_per_group(&scorers).unwrap() {
+                scored[prediction.as_int().unwrap() as usize] += 1;
+            }
+            let counts: Vec<u64> = counted.iter().map(|(_, count)| *count).collect();
+            assert_eq!(scored, counts, "score_per_group vs aggregate_per_group");
+            reports.push(counted);
+        }
+    }
+    // And the executors agree with each other.
+    assert_eq!(reports[0], reports[2]);
+    assert_eq!(reports[0], reports[4]);
+    assert_eq!(reports[1], reports[3]);
+    assert_eq!(reports[1], reports[5]);
 }
