@@ -14,15 +14,29 @@
 //! * convergence is declared when no (or few) points change assignment, which
 //!   the step tracks by also counting reassignments against the previous
 //!   centroids.
+//!
+//! A fit therefore costs what its `closest_column` passes cost: every step
+//! that touches all `n · d` coordinates is a chunk scan on the batched
+//! kernels, parallel over the table's chunks, and the points are never
+//! copied out of the table.  `TablePoints` is that view of the input — one
+//! validation pass over offsets and NULL bitmaps, then `k − 1` seeding
+//! passes of `batch_squared_distances` (the k-means++ walk itself is
+//! [`super::seeding`]'s, which keeps one `f64` per point), the Lloyd passes,
+//! and one inertia pass of `batch_closest_column_distances` whose per-point
+//! minima are summed serially in scan order.  All of it is bit-identical to
+//! seeding a materialized `Vec` of the points and calling `closest_column`
+//! per row, which `tests/chunk_equivalence.rs` holds it to.
 
-use crate::cluster::seeding::{seed_centroids, SeedingMethod};
+use crate::cluster::seeding::{seed_from, PointSource, SeedingMethod};
 use crate::error::{MethodError, Result};
 use crate::train::{Estimator, IncrementalEstimator, Session};
 use madlib_engine::aggregate::transition_chunk_by_rows;
+use madlib_engine::chunk::DoubleArrayColumn;
 use madlib_engine::dataset::Dataset;
 use madlib_engine::iteration::{IterationConfig, IterationController};
-use madlib_engine::{Aggregate, Row, RowChunk, Schema};
+use madlib_engine::{Aggregate, Row, RowChunk, Schema, Value};
 use madlib_linalg::array_ops::{batch_closest_column, closest_column};
+use madlib_linalg::kernels::{batch_closest_column_distances, batch_squared_distances};
 use serde::{Deserialize, Serialize};
 
 /// A fitted k-means model.
@@ -146,32 +160,10 @@ impl Estimator for KMeans {
             .executor()
             .validate_input(dataset.table(), true)
             .map_err(MethodError::from)?;
-        let coords_column = self.coords_column.clone();
-        // Seeding phase: pull a small sample of points (here: all points'
-        // coordinates; the seeding itself is cheap relative to Lloyd).
-        let points: Vec<Vec<f64>> = dataset
-            .map_rows(move |row, schema| {
-                Ok(row
-                    .get_named(schema, &coords_column)?
-                    .as_double_array()?
-                    .to_vec())
-            })
-            .map_err(MethodError::from)?;
-        let num_points = points.len();
-        if num_points < self.k {
-            return Err(MethodError::invalid_parameter(
-                "k",
-                format!("need at least k={} points, found {num_points}", self.k),
-            ));
-        }
-        let dims = points[0].len();
-        if points.iter().any(|p| p.len() != dims) {
-            return Err(MethodError::invalid_input(
-                "inconsistent point dimensions across rows",
-            ));
-        }
+        let points = TablePoints::open(dataset, &self.coords_column, self.k)?;
+        let (num_points, dims) = (points.len, points.dims);
         let initial = match &self.initial_centroids {
-            None => seed_centroids(&points, self.k, self.seeding, self.seed)?,
+            None => seed_from(&points, self.k, self.seeding, self.seed)?,
             Some(centroids) => {
                 if centroids.len() != self.k || centroids.iter().any(|c| c.len() != dims) {
                     return Err(MethodError::invalid_input(format!(
@@ -231,13 +223,9 @@ impl Estimator for KMeans {
         }
         let centroids = unflatten_centroids(&final_flat, dims);
 
-        // Final inertia pass.
-        let inertia: f64 = points
-            .iter()
-            .map(|p| closest_column(&centroids, p).map(|(_, d)| d))
-            .collect::<std::result::Result<Vec<f64>, _>>()?
-            .iter()
-            .sum();
+        // Final inertia pass: per-point minima from one more chunk scan,
+        // summed serially in scan order.
+        let inertia: f64 = points.closest_distances(&centroids)?.iter().sum();
 
         Ok(KMeansModel {
             centroids,
@@ -275,6 +263,112 @@ impl IncrementalEstimator for KMeans {
         session.database().models().register(name, model.clone());
         Ok(model)
     }
+}
+
+/// The dataset's (filtered) points as the fit reads them: in place, a chunk at
+/// a time, through the batched kernels.
+struct TablePoints<'a> {
+    dataset: &'a Dataset<'a>,
+    column: &'a str,
+    len: usize,
+    dims: usize,
+}
+
+impl<'a> TablePoints<'a> {
+    /// Validates the input without reading a coordinate — one pass over the
+    /// chunks' offset tables and NULL bitmaps — so that every later pass may
+    /// hand a chunk's flat buffer to a kernel as `rows × dims`.
+    ///
+    /// # Errors
+    /// A NULL point or a non-array column is the engine's `TypeMismatch`,
+    /// fewer than `k` points [`MethodError::InvalidParameter`], points of
+    /// differing widths or of no width [`MethodError::InvalidInput`] —
+    /// checked in that order.
+    fn open(dataset: &'a Dataset<'a>, column: &'a str, k: usize) -> Result<Self> {
+        let shapes: Vec<(usize, Option<usize>)> = dataset.map_chunks(|chunk, schema| {
+            let points = chunk_points(chunk, schema, column)?;
+            Ok(vec![(chunk.len(), points.uniform_width())])
+        })?;
+        let len = shapes.iter().map(|(rows, _)| rows).sum();
+        if len < k {
+            return Err(MethodError::invalid_parameter(
+                "k",
+                format!("need at least k={k} points, found {len}"),
+            ));
+        }
+        // `k > 0`, so there is a first chunk; the scan passes no empty ones,
+        // so a chunk without a uniform width is a ragged one.
+        match shapes[0].1 {
+            Some(0) => Err(MethodError::invalid_input("points have no coordinates")),
+            Some(dims) if shapes.iter().all(|&(_, width)| width == Some(dims)) => Ok(Self {
+                dataset,
+                column,
+                len,
+                dims,
+            }),
+            _ => Err(MethodError::invalid_input(
+                "inconsistent point dimensions across rows",
+            )),
+        }
+    }
+
+    /// One order-preserving parallel scan computing an `f64` per point:
+    /// `kernel` fills one output per row of each chunk's flat `rows × dims`
+    /// buffer, and the outputs concatenate in scan order.
+    fn per_point(&self, kernel: impl Fn(&[f64], &mut [f64]) + Sync) -> Result<Vec<f64>> {
+        Ok(self.dataset.map_chunks(|chunk, schema| {
+            let mut out = vec![0.0; chunk.len()];
+            kernel(
+                chunk_points(chunk, schema, self.column)?.flat_values(),
+                &mut out,
+            );
+            Ok(out)
+        })?)
+    }
+
+    /// Every point's squared distance to its closest centroid (all of them
+    /// `dims` wide), in scan order — per row what `closest_column` returns.
+    fn closest_distances(&self, centroids: &[Vec<f64>]) -> Result<Vec<f64>> {
+        self.per_point(|xs, out| {
+            let mut assignments = vec![0; out.len()];
+            batch_closest_column_distances(centroids, xs, self.dims, &mut assignments, out);
+        })
+    }
+}
+
+impl PointSource for TablePoints<'_> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn point(&self, index: usize) -> Result<Vec<f64>> {
+        let row = self
+            .dataset
+            .nth_row(index)?
+            .ok_or_else(|| MethodError::invalid_input(format!("no point at position {index}")))?;
+        Ok(row
+            .get_named(self.dataset.schema(), self.column)?
+            .as_double_array()?
+            .to_vec())
+    }
+
+    fn squared_distances(&self, center: &[f64]) -> Result<Vec<f64>> {
+        self.per_point(|xs, out| batch_squared_distances(xs, center, out))
+    }
+}
+
+/// The chunk's points as a NULL-free `double precision[]` column, or the
+/// error the per-row accessors (`get_named` + `as_double_array`) give.
+fn chunk_points<'c>(
+    chunk: &'c RowChunk,
+    schema: &Schema,
+    column: &str,
+) -> madlib_engine::Result<DoubleArrayColumn<'c>> {
+    let points = chunk.double_arrays(schema.index_of(column)?)?;
+    if points.nulls().any_null() {
+        Value::Null.as_double_array()?;
+    }
+    Ok(points)
 }
 
 fn flatten_centroids(centroids: &[Vec<f64>]) -> Vec<f64> {
@@ -450,7 +544,7 @@ impl Aggregate for KMeansStep<'_> {
 mod tests {
     use super::*;
     use crate::datasets::gaussian_blobs;
-    use madlib_engine::Table;
+    use madlib_engine::{EngineError, Table};
 
     fn fit(k: usize, data: &Table, seed: u64) -> KMeansModel {
         let session = Session::in_memory(data.num_segments()).unwrap();
@@ -580,5 +674,87 @@ mod tests {
                 assert!((x - y).abs() < 1e-6);
             }
         }
+    }
+
+    fn points_table(points: &[Value], chunk_capacity: usize) -> Table {
+        let mut table = Table::new(crate::datasets::points_schema(), 2)
+            .unwrap()
+            .with_chunk_capacity(chunk_capacity)
+            .unwrap();
+        for (i, p) in points.iter().enumerate() {
+            table
+                .insert(Row::new(vec![Value::Int(i as i64), p.clone()]))
+                .unwrap();
+        }
+        table
+    }
+
+    fn train(estimator: &KMeans, table: &Table) -> Result<KMeansModel> {
+        Session::in_memory(2)
+            .unwrap()
+            .train(estimator, &Dataset::from_table(table))
+    }
+
+    /// The table-backed point source reports what the slice-backed one does:
+    /// a coordinate k-means++ cannot weigh is `InvalidInput`, where the fit
+    /// used to panic inside `gen_range` (NaN) or seed from an infinite total.
+    #[test]
+    fn non_finite_points_are_a_typed_error_through_train() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200] {
+            let mut points: Vec<Value> = (0..20)
+                .map(|i| Value::DoubleArray(vec![i as f64, (i % 3) as f64]))
+                .collect();
+            points[7] = Value::DoubleArray(vec![7.0, bad]);
+            let table = points_table(&points, 6);
+            let estimator = KMeans::new("coords", 3).unwrap();
+            let err = train(&estimator, &table).unwrap_err();
+            assert!(
+                matches!(&err, MethodError::InvalidInput { message } if message.contains("non-finite")),
+                "coordinate {bad}: {err:?}"
+            );
+            // Seeding that measures nothing still fits (as it always did).
+            assert!(train(
+                &estimator.clone().with_seeding(SeedingMethod::Random),
+                &table
+            )
+            .is_ok());
+        }
+    }
+
+    /// Input the chunk scans cannot take is rejected up front with the typed
+    /// errors the row-materializing fit gave, in its order: a NULL point
+    /// first, then too few points, then ragged (or absent) coordinates.
+    #[test]
+    fn unusable_points_are_typed_errors_in_order() {
+        let point = |p: &[f64]| Value::DoubleArray(p.to_vec());
+        let is_type_mismatch =
+            |e: &MethodError| matches!(e, MethodError::Engine(EngineError::TypeMismatch { .. }));
+        let estimator = |k| KMeans::new("coords", k).unwrap();
+
+        // Ragged within a chunk and across chunks; NULL wins over both
+        // `k > n` and raggedness, `k > n` over raggedness.
+        for chunk_capacity in [1, 2, 8] {
+            let ragged = [point(&[1.0, 2.0]), point(&[3.0]), point(&[4.0, 5.0])];
+            let err = train(&estimator(2), &points_table(&ragged, chunk_capacity)).unwrap_err();
+            assert!(matches!(err, MethodError::InvalidInput { .. }), "{err:?}");
+            let err = train(&estimator(9), &points_table(&ragged, chunk_capacity)).unwrap_err();
+            assert!(
+                matches!(err, MethodError::InvalidParameter { parameter: "k", .. }),
+                "{err:?}"
+            );
+            let with_null = [point(&[1.0, 2.0]), Value::Null, point(&[3.0])];
+            let err = train(&estimator(9), &points_table(&with_null, chunk_capacity)).unwrap_err();
+            assert!(is_type_mismatch(&err), "{err:?}");
+        }
+        // Not an array column at all.
+        let err = train(
+            &KMeans::new("id", 1).unwrap(),
+            &points_table(&[point(&[1.0])], 4),
+        )
+        .unwrap_err();
+        assert!(is_type_mismatch(&err), "{err:?}");
+        // Points without coordinates (used to panic in `chunks(0)`).
+        let err = train(&estimator(1), &points_table(&[point(&[]), point(&[])], 4)).unwrap_err();
+        assert!(matches!(err, MethodError::InvalidInput { .. }), "{err:?}");
     }
 }

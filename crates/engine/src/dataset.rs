@@ -30,7 +30,7 @@
 //!
 //! Nothing is scanned until a *terminal operation* runs: [`Dataset::aggregate`],
 //! [`Dataset::aggregate_per_group`], [`Dataset::map_chunks`],
-//! [`Dataset::map_rows`], [`Dataset::collect_rows`] or
+//! [`Dataset::map_rows`], [`Dataset::collect_rows`], [`Dataset::nth_row`] or
 //! [`Dataset::gather_groups`].  All of them dispatch onto the shared
 //! [`crate::scan`] pipeline (segment fan-out, chunk-level predicate masks,
 //! compaction), under the [`Executor`] the dataset is bound to — so a
@@ -385,18 +385,43 @@ impl<'a> Dataset<'a> {
         self.map_rows(|row, _| Ok(row.clone()))
     }
 
-    /// The first filter-surviving row in segment order, if any.  Serial;
-    /// used by drivers that probe the input shape (e.g. the feature width)
-    /// before iterating.
+    /// The first filter-surviving row in segment order, if any; used by
+    /// drivers that probe the input shape (e.g. the feature width) before
+    /// iterating.
     ///
     /// # Errors
     /// Propagates predicate errors.
     pub fn first_row(&self) -> Result<Option<Row>> {
-        let schema = self.schema();
-        for row in self.table().iter() {
-            match &self.filter {
-                Some(pred) if !pred.evaluate(&row, schema)? => continue,
-                _ => return Ok(Some(row)),
+        self.nth_row(0)
+    }
+
+    /// The filter-surviving row at `position` in segment-then-row order —
+    /// the row [`Dataset::collect_rows`] holds at that index — or `None` when
+    /// fewer rows survive.  Serial and chunk-at-a-time: the filter runs once
+    /// per chunk, chunks before the target are skipped by their selected-row
+    /// count, and only the one row is materialized, so a driver that has
+    /// *chosen* a row by its scan position (k-means seeding) fetches it
+    /// without holding the table's rows.
+    ///
+    /// # Errors
+    /// Propagates predicate errors.
+    pub fn nth_row(&self, position: usize) -> Result<Option<Row>> {
+        let (table, schema) = (self.table(), self.schema());
+        let mut remaining = position;
+        for segment in (0..table.num_segments()).map(|s| table.segment(s)) {
+            for chunk in segment.chunks() {
+                let (index, selected) = match &self.filter {
+                    None => ((remaining < chunk.len()).then_some(remaining), chunk.len()),
+                    Some(predicate) => {
+                        let mask = predicate.evaluate_chunk(chunk, schema)?;
+                        let index = mask.selected_indices().nth(remaining);
+                        (index, mask.count_selected())
+                    }
+                };
+                if let Some(index) = index {
+                    return Ok(Some(chunk.row(index)));
+                }
+                remaining -= selected;
             }
         }
         Ok(None)

@@ -66,7 +66,11 @@
 //!   one *row* in each lane, stepping through elements sequentially —
 //!   this also sidesteps the serial chain's latency bound, which is why the
 //!   reduction kernels gain the most: the autovectorizer was never allowed
-//!   to touch them in the first place.
+//!   to touch them in the first place.  `batch_closest_column` is further
+//!   register-tiled as the rank-k update is: four rows against four columns
+//!   per pass, sixteen independent chains behind one gather of the rows'
+//!   elements, the four distances meeting the running minimum in column
+//!   order.
 //! * **`mul` + `add`, never `fmadd`.**  FMA skips the intermediate rounding
 //!   of `a * b`; using it would diverge from the scalar formulation even
 //!   though the hardware supports it (the bench metadata records `fma` as
@@ -297,10 +301,37 @@ pub fn batch_squared_distances(xs: &[f64], center: &[f64], out: &mut [f64]) {
 /// only).  With an empty `columns` every row is assigned `0`; callers wanting
 /// an error must validate first (as `array_ops` does).
 pub fn batch_closest_column(columns: &[Vec<f64>], xs: &[f64], width: usize, out: &mut [usize]) {
+    closest_column_tier(columns, xs, width, out, None);
+}
+
+/// [`batch_closest_column`] that also writes each row's winning squared
+/// distance to `distances` — bit for bit what [`batch_squared_distances`]
+/// computes against the winning column, and `+∞` for a row no column can win
+/// (every distance NaN or `+∞`, or no columns).  The k-means inertia pass.
+///
+/// # Panics
+/// As [`batch_closest_column`], and when `distances.len() != out.len()`.
+pub fn batch_closest_column_distances(
+    columns: &[Vec<f64>],
+    xs: &[f64],
+    width: usize,
+    out: &mut [usize],
+    distances: &mut [f64],
+) {
+    closest_column_tier(columns, xs, width, out, Some(distances));
+}
+
+fn closest_column_tier(
+    columns: &[Vec<f64>],
+    xs: &[f64],
+    width: usize,
+    out: &mut [usize],
+    distances: Option<&mut [f64]>,
+) {
     match active_path() {
-        KernelPath::Scalar => scalar::batch_closest_column(columns, xs, width, out),
-        KernelPath::Unrolled => unrolled::batch_closest_column(columns, xs, width, out),
-        KernelPath::Simd => simd::batch_closest_column(columns, xs, width, out),
+        KernelPath::Scalar => scalar::batch_closest_column(columns, xs, width, out, distances),
+        KernelPath::Unrolled => unrolled::batch_closest_column(columns, xs, width, out, distances),
+        KernelPath::Simd => simd::batch_closest_column(columns, xs, width, out, distances),
     }
 }
 

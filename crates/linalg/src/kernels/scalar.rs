@@ -138,15 +138,21 @@ pub fn batch_squared_distances(xs: &[f64], center: &[f64], out: &mut [f64]) {
 /// For every row the candidate columns are scanned in order and the first
 /// strict minimum wins (`d < best`, so NaN distances never displace the
 /// incumbent and ties keep the earliest column) — the tie-break contract of
-/// `array_ops::closest_column`.
-pub fn batch_closest_column(columns: &[Vec<f64>], xs: &[f64], width: usize, out: &mut [usize]) {
+/// `array_ops::closest_column`.  `distances`, when given, receives the
+/// winner's squared distance per row: the sum `batch_squared_distances`
+/// computes against that column, or `+∞` for a row no column can win.
+pub fn batch_closest_column(
+    columns: &[Vec<f64>],
+    xs: &[f64],
+    width: usize,
+    out: &mut [usize],
+    mut distances: Option<&mut [f64]>,
+) {
     debug_assert_eq!(xs.len(), out.len() * width);
     debug_assert!(columns.iter().all(|c| c.len() == width));
-    if width == 0 {
-        out.fill(0);
-        return;
-    }
-    for (point, slot) in xs.chunks_exact(width).zip(out.iter_mut()) {
+    debug_assert!(distances.as_ref().is_none_or(|d| d.len() == out.len()));
+    for (r, slot) in out.iter_mut().enumerate() {
+        let point = &xs[r * width..(r + 1) * width];
         let mut best = (0usize, f64::INFINITY);
         for (idx, col) in columns.iter().enumerate() {
             let mut d = 0.0;
@@ -159,6 +165,9 @@ pub fn batch_closest_column(columns: &[Vec<f64>], xs: &[f64], width: usize, out:
             }
         }
         *slot = best.0;
+        if let Some(distances) = distances.as_deref_mut() {
+            distances[r] = best.1;
+        }
     }
 }
 

@@ -132,8 +132,9 @@ mod avx2 {
         fn batch_dot(xs: &[f64], w: &[f64], out: &mut [f64]);
         /// AVX2 batched squared Euclidean distances to `center`.
         fn batch_squared_distances(xs: &[f64], center: &[f64], out: &mut [f64]);
-        /// AVX2 batched closest-column assignment.
-        fn batch_closest_column(columns: &[Vec<f64>], xs: &[f64], width: usize, out: &mut [usize]);
+        /// AVX2 batched closest-column assignment, optionally reporting each
+        /// row's winning squared distance.
+        fn batch_closest_column(columns: &[Vec<f64>], xs: &[f64], width: usize, out: &mut [usize], distances: Option<&mut [f64]>);
         /// AVX2 `y += alpha * A * x`.
         fn gemv_acc(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut [f64]);
         /// AVX2 GEMM accumulation `out += A * B`.

@@ -45,9 +45,16 @@ pub fn batch_squared_distances(xs: &[f64], center: &[f64], out: &mut [f64]) {
     vector::batch_squared_distances::<[f64; 4]>(xs, center, out);
 }
 
-/// Portable batched closest-column assignment.
-pub fn batch_closest_column(columns: &[Vec<f64>], xs: &[f64], width: usize, out: &mut [usize]) {
-    vector::batch_closest_column::<[f64; 4]>(columns, xs, width, out);
+/// Portable batched closest-column assignment, optionally reporting each
+/// row's winning squared distance.
+pub fn batch_closest_column(
+    columns: &[Vec<f64>],
+    xs: &[f64],
+    width: usize,
+    out: &mut [usize],
+    distances: Option<&mut [f64]>,
+) {
+    vector::batch_closest_column::<[f64; 4]>(columns, xs, width, out, distances);
 }
 
 /// Portable `y += alpha * A * x`.

@@ -348,36 +348,90 @@ pub(super) fn batch_squared_distances<V: Lanes>(xs: &[f64], center: &[f64], out:
     batch_reduce::<V>(Term::SquaredDifference, xs, center, out);
 }
 
-/// Batched closest column: four rows per pass, per-lane strict-`<`
-/// first-minimum tracking (NaN distances never win, ties keep the earliest
-/// column — the `closest_column` contract).  The winning index rides in an
-/// `f64` lane, exact for any index below 2⁵³.
+/// Batched closest column, register-tiled like [`rank_k`]: four rows (one per
+/// lane) against four columns per pass, so one gather of the rows' `k`-th
+/// elements feeds four distances and four independent addition chains
+/// overlap.  Each (row, column) sum still runs left to right and the
+/// distances meet the running minimum in column order under the strict `<`
+/// (NaN distances never win, ties keep the earliest column — the
+/// `closest_column` contract), so the tiling is invisible in the result.  The
+/// winning index rides in an `f64` lane, exact for any index below 2⁵³; the
+/// winning distance (`+∞` for a row no column can win) goes to `distances`
+/// when the caller wants it.
 #[inline(always)]
 pub(super) fn batch_closest_column<V: Lanes>(
     columns: &[Vec<f64>],
     xs: &[f64],
     width: usize,
     out: &mut [usize],
+    mut distances: Option<&mut [f64]>,
 ) {
     assert_eq!(xs.len(), out.len() * width, "one output per row");
     assert!(
         columns.iter().all(|c| c.len() == width),
         "every column is one row wide"
     );
+    assert!(
+        distances.as_ref().is_none_or(|d| d.len() == out.len()),
+        "one distance per row"
+    );
+    let tiled = columns.len() & !3;
     let (groups, full) = row_groups(xs, width, 4);
-    for (rows, slots) in groups.zip(out.chunks_exact_mut(4)) {
-        let mut best_d = V::splat(f64::INFINITY);
-        let mut best_i = V::splat(0.0);
-        for (idx, col) in columns.iter().enumerate() {
-            let [d] = reduce_rows::<V, 1>(Term::SquaredDifference, rows, col);
-            best_i = d.select_lt(best_d, V::splat(idx as f64), best_i);
-            best_d = d.select_lt(best_d, d, best_d);
+    for (g, (group, slots)) in groups.zip(out.chunks_exact_mut(4)).enumerate() {
+        let mut rows = group.chunks_exact(width);
+        let rows: [&[f64]; 4] = from_fn(|_| rows.next().expect("four rows"));
+        let mut best = (V::splat(f64::INFINITY), V::splat(0.0));
+        for first in (0..tiled).step_by(4) {
+            best = closer_of::<V, 4>(best, rows, columns, first);
         }
-        for (slot, idx) in slots.iter_mut().zip(best_i.to_array()) {
+        for first in tiled..columns.len() {
+            best = closer_of::<V, 1>(best, rows, columns, first);
+        }
+        for (slot, idx) in slots.iter_mut().zip(best.1.to_array()) {
             *slot = idx as usize;
         }
+        if let Some(distances) = distances.as_deref_mut() {
+            best.0.store(distances, 4 * g);
+        }
     }
-    scalar::batch_closest_column(columns, &xs[full * width..], width, &mut out[full..]);
+    scalar::batch_closest_column(
+        columns,
+        &xs[full * width..],
+        width,
+        &mut out[full..],
+        distances.map(|d| &mut d[full..]),
+    );
+}
+
+/// One tile of [`batch_closest_column`]: the squared distances from each of
+/// four rows to the `N` columns from `first` on, folded in column order into
+/// `best`, the per-lane (distance, index) minimum so far.
+#[inline(always)]
+fn closer_of<V: Lanes, const N: usize>(
+    best: (V, V),
+    rows: [&[f64]; 4],
+    columns: &[Vec<f64>],
+    first: usize,
+) -> (V, V) {
+    // Every operand re-sliced to one common length: the element loop below
+    // indexes without a bounds check.
+    let width = rows[0].len();
+    let rows: [&[f64]; 4] = from_fn(|l| &rows[l][..width]);
+    let columns: [&[f64]; N] = from_fn(|j| &columns[first + j][..width]);
+    let mut acc = [V::splat(0.0); N];
+    for k in 0..width {
+        let x = V::from_array([rows[0][k], rows[1][k], rows[2][k], rows[3][k]]);
+        for (a, c) in acc.iter_mut().zip(&columns) {
+            let d = x.sub(V::splat(c[k]));
+            *a = a.add(d.mul(d));
+        }
+    }
+    let (mut best_d, mut best_i) = best;
+    for (j, &d) in acc.iter().enumerate() {
+        best_i = d.select_lt(best_d, V::splat((first + j) as f64), best_i);
+        best_d = d.select_lt(best_d, d, best_d);
+    }
+    (best_d, best_i)
 }
 
 /// `y += alpha * A * x`: eight matrix rows per pass, one per lane.

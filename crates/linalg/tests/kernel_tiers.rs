@@ -27,6 +27,7 @@
 //! NaN in the test bit-identical, so commutation is unobservable and the
 //! assertions can stay exact — including *where* NaNs appear.
 
+use madlib_linalg::array_ops::array_squared_distance;
 use madlib_linalg::kernels::{scalar, simd, unrolled};
 use madlib_linalg::DenseMatrix;
 use std::hint::black_box;
@@ -223,23 +224,36 @@ fn batch_squared_distances_tiers_agree() {
 
 #[test]
 fn batch_closest_column_tiers_agree() {
+    // Rows whose nearest column is 3 while column 4 duplicates it: the tie
+    // the first tile must win against the second.
+    let mut ties_across_tiles = 0;
     for width in WIDTHS {
         for rows in ROWS {
-            for num_columns in [0, 1, 2, 3, 7] {
+            // The vector body takes four columns per tile: 4 / 8 / 16 are
+            // whole tiles, 5 / 17 a tile or several plus a tail column, 7 a
+            // tile plus three.
+            for num_columns in [0, 1, 2, 3, 4, 5, 7, 8, 16, 17] {
                 for salt_points in [false, true] {
-                    // Finite points and centers, then salt *one* center with
-                    // a NaN so the NaN-never-wins tie-break is exercised
-                    // without every distance collapsing to NaN.
+                    // Finite points and centers, then salt one center on each
+                    // side of the first tile boundary with a NaN so the
+                    // NaN-never-wins tie-break is exercised without every
+                    // distance collapsing to NaN.
                     let mut xs = finite_data(rows * width, (rows + width + num_columns) as u64);
                     let mut columns: Vec<Vec<f64>> = (0..num_columns)
                         .map(|c| finite_data(width, 1000 + c as u64))
                         .collect();
-                    if width > 0 && num_columns > 1 {
-                        columns[1][width / 2] = f64::NAN;
+                    for salted in [1, 5] {
+                        if width > 0 && num_columns > salted {
+                            columns[salted][width / 2] = f64::NAN;
+                        }
                     }
-                    // Duplicate a column to exercise first-minimum tie-breaking.
-                    if num_columns > 2 {
-                        columns[2] = columns[0].clone();
+                    // Duplicate columns to exercise first-minimum
+                    // tie-breaking, inside a tile (2 = 0) and across the
+                    // boundary (4 = 3).
+                    for (copy, original) in [(2, 0), (4, 3)] {
+                        if num_columns > copy {
+                            columns[copy] = columns[original].clone();
+                        }
                     }
                     // Points no column can win: a NaN coordinate makes every
                     // distance NaN, an infinite one makes every distance ∞
@@ -262,25 +276,92 @@ fn batch_closest_column_tiers_agree() {
                          salted={salt_points}"
                     );
                     let mut reference = vec![usize::MAX; rows];
-                    scalar::batch_closest_column(&columns, &xs, width, &mut reference);
+                    let mut reference_d = vec![0.5; rows];
+                    scalar::batch_closest_column(
+                        &columns,
+                        &xs,
+                        width,
+                        &mut reference,
+                        Some(&mut reference_d),
+                    );
                     for &row in &unwinnable {
                         assert_eq!(reference[row], 0, "{context}: row {row} has a winner");
                     }
                     if num_columns == 0 {
                         assert!(reference.iter().all(|&i| i == 0), "{context}");
                     }
-                    let mut portable = vec![usize::MAX; rows];
-                    unrolled::batch_closest_column(&columns, &xs, width, &mut portable);
-                    assert_eq!(reference, portable, "{context} (unrolled)");
-                    if simd::available() {
-                        let mut vectored = vec![usize::MAX; rows];
-                        simd::batch_closest_column(&columns, &xs, width, &mut vectored);
-                        assert_eq!(reference, vectored, "{context} (simd)");
+                    // The distance output is the winner's squared distance as
+                    // the per-row formulation computes it, `+∞` where nothing
+                    // won.  (At width 0 that formulation is an empty
+                    // `iter().sum()`, whose sign of zero is the toolchain's
+                    // choice; the kernels give `batch_squared_distances`' `0.0`.)
+                    for (row, (&winner, d)) in reference.iter().zip(&reference_d).enumerate() {
+                        let expected = match columns.get(winner) {
+                            Some(_) if width == 0 => 0.0,
+                            Some(column) => {
+                                let point = &xs[row * width..(row + 1) * width];
+                                let d = array_squared_distance(column, point).unwrap();
+                                if d < f64::INFINITY {
+                                    d
+                                } else {
+                                    f64::INFINITY
+                                }
+                            }
+                            None => f64::INFINITY,
+                        };
+                        assert_eq!(
+                            d.to_bits(),
+                            expected.to_bits(),
+                            "{context}: row {row} distance {d:?} vs {expected:?}"
+                        );
+                        if unwinnable.contains(&row) {
+                            assert_eq!(*d, f64::INFINITY, "{context}: row {row}");
+                        }
+                    }
+                    if num_columns > 4 {
+                        assert!(reference.iter().all(|&i| i != 4), "{context}: 4 beat 3");
+                        ties_across_tiles += reference.iter().filter(|&&i| i == 3).count();
+                    }
+                    // Both lane types, with and without the distance output.
+                    for tier in [1, 2] {
+                        if tier == 2 && !simd::available() {
+                            continue;
+                        }
+                        for with_distances in [false, true] {
+                            let mut assigned = vec![usize::MAX; rows];
+                            let mut assigned_d = vec![0.5; rows];
+                            let distances = with_distances.then_some(&mut assigned_d[..]);
+                            match tier {
+                                1 => unrolled::batch_closest_column(
+                                    &columns,
+                                    &xs,
+                                    width,
+                                    &mut assigned,
+                                    distances,
+                                ),
+                                _ => simd::batch_closest_column(
+                                    &columns,
+                                    &xs,
+                                    width,
+                                    &mut assigned,
+                                    distances,
+                                ),
+                            }
+                            let context = format!("{context} tier={tier}");
+                            assert_eq!(reference, assigned, "{context}");
+                            if with_distances {
+                                assert_bits_eq(&reference_d, &assigned_d, &context);
+                            }
+                        }
                     }
                 }
             }
         }
     }
+    assert!(
+        ties_across_tiles > 0,
+        "no row tied across the tile boundary"
+    );
 }
 
 #[test]
@@ -425,9 +506,18 @@ fn batch_squared_distances_rejects_a_short_input() {
 fn batch_closest_column_rejects_a_short_input() {
     let columns = [vec![0.0; 4]];
     assert_every_tier_rejects(&[1, 2], |tier| match tier {
-        0 => scalar::batch_closest_column(&columns, &[1.0], 4, &mut [0; 8]),
-        1 => unrolled::batch_closest_column(&columns, &[1.0], 4, &mut [0; 8]),
-        _ => simd::batch_closest_column(&columns, &[1.0], 4, &mut [0; 8]),
+        0 => scalar::batch_closest_column(&columns, &[1.0], 4, &mut [0; 8], None),
+        1 => unrolled::batch_closest_column(&columns, &[1.0], 4, &mut [0; 8], None),
+        _ => simd::batch_closest_column(&columns, &[1.0], 4, &mut [0; 8], None),
+    });
+    // Eight well-formed rows, room for four distances.
+    assert_every_tier_rejects(&[1, 2], |tier| {
+        let (xs, out, distances) = (&[1.0; 32], &mut [0; 8], Some(&mut [0.0; 4][..]));
+        match tier {
+            0 => scalar::batch_closest_column(&columns, xs, 4, out, distances),
+            1 => unrolled::batch_closest_column(&columns, xs, 4, out, distances),
+            _ => simd::batch_closest_column(&columns, xs, 4, out, distances),
+        }
     });
 }
 

@@ -1,6 +1,11 @@
 //! Sensor-fleet clustering: the paper's Section 4.3 k-means pattern applied
 //! to a synthetic telemetry workload, plus streaming sketches over the same
 //! feed (distinct devices and latency quantiles).
+//!
+//! The feed plants four operating modes (Gaussian blobs, σ = 1.5); the
+//! example exits non-zero unless the fit converged with a centroid within
+//! 3 σ of every one of them, so CI running it guards the k-means fit —
+//! seeding, the Lloyd passes and the inertia pass — end to end.
 
 use madlib::engine::{Database, Dataset};
 use madlib::methods::cluster::{KMeans, SeedingMethod};
@@ -12,7 +17,8 @@ fn main() {
     let session = Session::new(Database::new(4).expect("segment count is positive"));
 
     // 10 000 telemetry points in 6 dimensions drawn from 4 operating modes.
-    let data = gaussian_blobs(10_000, 4, 6, 1.5, 4, 99).expect("generator succeeds");
+    let spread = 1.5;
+    let data = gaussian_blobs(10_000, 4, 6, spread, 4, 99).expect("generator succeeds");
     let model = session
         .train(
             &KMeans::new("coords", 4)
@@ -50,4 +56,28 @@ fn main() {
         latencies.quantile(0.95).unwrap_or(f64::NAN),
         latencies.quantile(0.99).unwrap_or(f64::NAN),
     );
+
+    // Each planted mode's distance to its nearest fitted centroid.
+    let misses: Vec<f64> = data
+        .true_centers
+        .iter()
+        .map(|mode| {
+            let nearest = model.predict(mode).expect("same dimension");
+            let squared: f64 = mode
+                .iter()
+                .zip(&model.centroids[nearest])
+                .map(|(m, c)| (m - c) * (m - c))
+                .sum();
+            squared.sqrt()
+        })
+        .collect();
+    if !model.converged || misses.iter().any(|&miss| miss > 3.0 * spread) {
+        eprintln!(
+            "planted structure lost: converged = {}, distance from each operating mode to its \
+             nearest centroid {misses:.2?} (want <= {:.1})",
+            model.converged,
+            3.0 * spread
+        );
+        std::process::exit(1);
+    }
 }

@@ -16,7 +16,9 @@ use madlib::engine::expr::Predicate;
 use madlib::engine::{
     row, Column, ColumnType, Database, Dataset, Executor, Row, Schema, Table, Value,
 };
-use madlib::methods::cluster::KMeans;
+use madlib::linalg::array_ops::closest_column;
+use madlib::methods::cluster::seeding::seed_centroids;
+use madlib::methods::cluster::{KMeans, SeedingMethod};
 use madlib::methods::datasets::labeled_point_schema;
 use madlib::methods::regress::LinearRegression;
 use madlib::methods::{Estimator, Session};
@@ -108,6 +110,38 @@ fn labeled_table(
         }
     }
     t
+}
+
+/// A `(id, keep, coords)` table inserted round-robin, whose `keep` column
+/// makes `keep > 0.5` drop every row of each segment's chunks 1, 4, 7, …
+/// (whole chunks emptied), every fifth row elsewhere (chunks compacted) and,
+/// having a NULL `keep`, every eleventh.
+fn kept_points_table(
+    coords: impl Iterator<Item = Value>,
+    segments: usize,
+    chunk_capacity: usize,
+) -> Table {
+    let schema = Schema::new(vec![
+        Column::new("id", ColumnType::Int),
+        Column::new("keep", ColumnType::Double),
+        Column::new("coords", ColumnType::DoubleArray),
+    ]);
+    let mut table = Table::new(schema, segments)
+        .unwrap()
+        .with_chunk_capacity(chunk_capacity)
+        .unwrap();
+    for (i, point) in coords.enumerate() {
+        let keep = if i % 11 == 3 {
+            Value::Null
+        } else {
+            let dropped = (i / (segments * chunk_capacity)) % 3 == 1 || i % 5 == 0;
+            Value::Double(if dropped { 0.0 } else { 1.0 })
+        };
+        table
+            .insert(Row::new(vec![Value::Int(i as i64), keep, point]))
+            .unwrap();
+    }
+    table
 }
 
 proptest! {
@@ -210,6 +244,109 @@ proptest! {
             prop_assert_eq!(bits(ca), bits(cb));
         }
         prop_assert_eq!(a.inertia.to_bits(), b.inertia.to_bits());
+    }
+
+    /// k-means, the whole fit against a reference kept here: the fit as it was
+    /// before it ran on chunk scans, rebuilt from public pieces with no
+    /// batched kernel in it — materialize the rows, `seed_centroids` over the
+    /// `Vec` of points, Lloyd's passes row at a time from those seeds, a
+    /// per-row `closest_column` inertia summed in scan order.  The chunked
+    /// fit (parallel distance passes, `nth_row` seed fetches, the tiled
+    /// `batch_closest_column`, the kernel's distance output) must reproduce
+    /// it bit for bit under every executor, with and without a filter that
+    /// empties whole chunks and thins others.
+    #[test]
+    fn kmeans_fit_is_the_materialized_reference(
+        points in prop::collection::vec([-20.0..20.0f64, -20.0..20.0f64, -20.0..20.0f64], 8..120),
+        k in 1usize..6,
+        segments in 1usize..6,
+        chunk_capacity in 1usize..31,
+        seed in 0u64..1000,
+        plus_plus in any::<bool>(),
+    ) {
+        let seeding = if plus_plus { SeedingMethod::KMeansPlusPlus } else { SeedingMethod::Random };
+        let table = kept_points_table(
+            points.iter().map(|p| Value::DoubleArray(p.to_vec())),
+            segments,
+            chunk_capacity,
+        );
+        let db = Database::new(segments).unwrap();
+        for filter in [None, Some(Predicate::column_gt("keep", 0.5))] {
+            let bind = |exec: Executor| {
+                let ds = Dataset::from_table(&table).with_executor(exec);
+                match &filter {
+                    Some(predicate) => ds.filter(predicate.clone()),
+                    None => ds,
+                }
+            };
+            let estimator = KMeans::new("coords", k)
+                .unwrap()
+                .with_seeding(seeding)
+                .with_seed(seed)
+                .with_max_iterations(15);
+
+            let by_rows = bind(Executor::row_at_a_time());
+            let materialized: Vec<Vec<f64>> = by_rows
+                .collect_rows()
+                .unwrap()
+                .iter()
+                .map(|row| row.get(2).as_double_array().unwrap().to_vec())
+                .collect();
+            prop_assume!(materialized.len() >= k);
+            let seeds = seed_centroids(&materialized, k, seeding, seed).unwrap();
+            let lloyd = estimator
+                .clone()
+                .with_initial_centroids(seeds)
+                .fit(&by_rows, &Session::new(db.clone()))
+                .unwrap();
+            let inertia: f64 = materialized
+                .iter()
+                .map(|p| closest_column(&lloyd.centroids, p).unwrap().1)
+                .collect::<Vec<f64>>()
+                .iter()
+                .sum();
+
+            for exec in [Executor::new(), Executor::serial(), Executor::row_at_a_time()] {
+                let fitted = estimator.fit(&bind(exec), &Session::new(db.clone())).unwrap();
+                prop_assert_eq!(fitted.centroids.len(), k);
+                for (a, b) in fitted.centroids.iter().zip(&lloyd.centroids) {
+                    prop_assert_eq!(bits(a), bits(b));
+                }
+                prop_assert_eq!(fitted.inertia.to_bits(), inertia.to_bits());
+                prop_assert_eq!(fitted.iterations, lloyd.iterations);
+                prop_assert_eq!(fitted.converged, lloyd.converged);
+                prop_assert_eq!(fitted.num_points, materialized.len());
+            }
+        }
+    }
+
+    /// `nth_row(p)` is `collect_rows()[p]` for every position, and `None` one
+    /// past the end — filtered (whole chunks emptied, others thinned, NULL
+    /// filter values never matching) or not, NULL-bearing rows included.
+    #[test]
+    fn nth_row_indexes_the_scan(
+        rows in 0usize..90,
+        segments in 1usize..6,
+        chunk_capacity in 1usize..31,
+        filtered in any::<bool>(),
+    ) {
+        let table = kept_points_table(
+            (0..rows).map(|i| {
+                if i % 4 == 1 { Value::Null } else { Value::DoubleArray(vec![i as f64; i % 3]) }
+            }),
+            segments,
+            chunk_capacity,
+        );
+        let mut ds = Dataset::from_table(&table);
+        if filtered {
+            ds = ds.filter(Predicate::column_gt("keep", 0.5));
+        }
+        let expected = ds.collect_rows().unwrap();
+        prop_assert!(filtered || expected.len() == rows);
+        for position in 0..=expected.len() {
+            prop_assert_eq!(ds.nth_row(position).unwrap().as_ref(), expected.get(position));
+        }
+        prop_assert_eq!(ds.first_row().unwrap().as_ref(), expected.first());
     }
 
     /// The IGD epoch: sequential SGD over chunks must replay the exact
