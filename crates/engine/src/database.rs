@@ -56,15 +56,23 @@
 //! reproduces their pre-crash state bit-for-bit.  Temp tables are never
 //! logged or persisted.  [`Database::with_table_mut`] is the unlogged escape
 //! hatch — mutations made through it reach disk only at the next
-//! [`Database::checkpoint`].
+//! [`Database::checkpoint`] (which, like the views, sees a truncate-and-refill
+//! made there as the new table incarnation it is).
 //!
-//! Logged mutations follow one locking discipline so that WAL order always
-//! equals in-memory apply order: take the commit gate (read), then the
-//! catalog lock, then the table's write lock, and enqueue the record before
-//! releasing the table lock.  The checkpoint takes the gate in write mode,
-//! so its manifest `(epoch, offset)` and its table snapshot agree exactly.
+//! A logged mutation is **data first, applied once**.  Each of the public
+//! mutators above only builds its `WalRecord`; `Database::commit` encodes,
+//! frames and checksums it before any lock is taken, and the one function
+//! `Database::apply` carries it out under the one locking discipline that
+//! makes WAL order equal in-memory apply order — commit gate (read), then
+//! the catalog lock, then the table's write lock, and the ready frame is
+//! pushed onto the WAL queue before the table lock is released.  Recovery
+//! replays the log through that same function, so a recovered table is the
+//! committed table by construction rather than by a second implementation
+//! kept equal by tests.  The checkpoint takes the gate in write mode, so
+//! its manifest `(epoch, offset)` and its table snapshot agree exactly.
 
 use crate::catalog::ModelCatalog;
+use crate::chunk::CHUNK_CAPACITY;
 use crate::error::{EngineError, Result};
 use crate::materialize::AnyMaterialized;
 use crate::persist::{
@@ -74,9 +82,8 @@ use crate::persist::{
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::table::{Distribution, Table};
-use crate::value::Value;
 use crate::wal::{self, Wal, WAL_HEADER_LEN};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -172,29 +179,160 @@ impl Database {
         self.generations.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Serializes a logged mutation's record while the caller holds the lock
-    /// that orders the matching in-memory change; `None` on a non-durable
-    /// database (or for temp tables, which callers filter out).
-    fn enqueue(&self, record: &WalRecord) -> Option<wal::Ticket> {
-        self.durability
-            .as_ref()
-            .map(|d| d.wal.append(&persist::encode_record(record)))
+    /// Catalogs `table` under `name`, stamped with a fresh lifecycle
+    /// generation (returned), replacing any entry of that name.
+    fn install(
+        &self,
+        catalog: &mut HashMap<String, CatalogEntry>,
+        name: String,
+        mut table: Table,
+        is_temp: bool,
+    ) -> u64 {
+        let generation = self.next_generation();
+        table.set_generation(generation);
+        let table = Arc::new(RwLock::new(table));
+        catalog.insert(name, CatalogEntry { table, is_temp });
+        generation
     }
 
-    /// Blocks until the enqueued record's group-commit fsync completes — the
-    /// commit point.  Called after all locks are released, so a committer
-    /// waiting on the disk never blocks other tables' traffic.
-    fn wait_durable(&self, ticket: Option<wal::Ticket>) -> Result<()> {
-        match (&self.durability, ticket) {
-            (Some(d), Some(t)) => d.wal.wait(t),
-            _ => Ok(()),
+    /// An empty table over this database's segment count.
+    fn empty_table(
+        &self,
+        schema: Schema,
+        distribution: Distribution,
+        chunk_capacity: u64,
+    ) -> Result<Table> {
+        Table::with_distribution(schema, self.num_segments, distribution)?
+            .with_chunk_capacity(chunk_capacity as usize)
+    }
+
+    /// Commits one logged mutation.  The record is fully known up front, so
+    /// on a durable database it is encoded, framed and checksummed here,
+    /// before any lock is taken; [`Database::apply`] carries it out and
+    /// queues the ready frame; the wait for the group-commit fsync — the
+    /// commit point — happens after every lock is released, so a committer
+    /// waiting on the disk never blocks other traffic.  An in-memory
+    /// database encodes nothing.  (Whether the target is a temp table is
+    /// only known under the catalog lock, so an `append_rows` to a temp
+    /// table of a *durable* database encodes a frame that is then dropped;
+    /// no library, example or benchmark caller does that.)
+    fn commit(&self, record: WalRecord) -> Result<()> {
+        let Some(d) = &self.durability else {
+            return self.apply(record, None, false).map(|_| ());
+        };
+        let frame = persist::frame(&persist::encode_record(&record))?;
+        match self.apply(record, Some(frame), false)? {
+            Some(ticket) => d.wal.wait(ticket),
+            None => Ok(()),
         }
     }
 
-    /// The commit gate, held for read across (locks + enqueue) of every
-    /// logged mutation; [`Database::checkpoint`] takes it for write.
-    fn commit_gate(&self) -> Option<RwLockReadGuard<'_, ()>> {
-        self.durability.as_ref().map(|d| read_lock(&d.gate))
+    /// Carries out one logged mutation — for the live call, which hands in
+    /// the record's ready `frame` on a durable database, and for `replay`
+    /// in [`Database::open`], which runs before durability is attached and
+    /// so re-logs nothing.  The one implementation of the locking
+    /// discipline: commit gate (read) → catalog lock → table write lock →
+    /// existence check → validate the whole batch → mutate → stamp the
+    /// generation → push the frame onto the WAL queue *while the ordering
+    /// lock is still held*, so WAL order always equals apply order.
+    /// Create, register and drop change the catalog and hold its write lock
+    /// throughout; append, truncate and replace hold its read lock only
+    /// until they have the table's write lock.  Returns the ticket to wait
+    /// on, if a frame was queued (never for a temp table).
+    fn apply(
+        &self,
+        record: WalRecord,
+        frame: Option<Vec<u8>>,
+        replay: bool,
+    ) -> Result<Option<wal::Ticket>> {
+        // [`Database::checkpoint`] takes the gate for write, so its manifest
+        // `(epoch, offset)` and its table snapshot agree exactly.
+        let _gate = self.durability.as_ref().map(|d| read_lock(&d.gate));
+        let name = record.target().to_owned();
+        let wants_present = !matches!(
+            record,
+            WalRecord::CreateTable { .. } | WalRecord::PutTable { replace: false, .. }
+        );
+        // The one live/replay difference.  A live call fails on a missing or
+        // already-present target; replay lets a create overwrite and skips
+        // (`Ok(false)`) a mutation of a table its possibly partial log never
+        // created — the committed prefix is what matters.
+        let admit = |present: bool| {
+            if present == wants_present || (replay && present) {
+                Ok(true)
+            } else if replay {
+                Ok(false)
+            } else if present {
+                Err(EngineError::TableAlreadyExists { name: name.clone() })
+            } else {
+                Err(EngineError::TableNotFound { name: name.clone() })
+            }
+        };
+        let log = |is_temp: bool| match (&self.durability, frame) {
+            (Some(d), Some(frame)) if !is_temp => Some(d.wal.append(frame)),
+            _ => None,
+        };
+        if !wants_present || matches!(record, WalRecord::DropTable { .. }) {
+            let mut catalog = self.write();
+            if !admit(catalog.contains_key(&name))? {
+                return Ok(None);
+            }
+            let is_temp = match record {
+                WalRecord::CreateTable {
+                    schema,
+                    distribution,
+                    chunk_capacity,
+                    ..
+                } => {
+                    let table = self.empty_table(schema, distribution, chunk_capacity)?;
+                    self.install(&mut catalog, name, table, false);
+                    false
+                }
+                WalRecord::PutTable { table, .. } => {
+                    self.install(&mut catalog, name, table, false);
+                    false
+                }
+                // The drop.  Taking the removed table's write lock under the
+                // catalog write lock waits out any in-flight append, which
+                // queues its frame before it releases the table — so the
+                // drop's frame always follows it in the log.
+                _ => catalog.remove(&name).is_some_and(|entry| {
+                    let _table = write_lock(&entry.table);
+                    entry.is_temp
+                }),
+            };
+            return Ok(log(is_temp));
+        }
+        let catalog = self.read();
+        let Some(entry) = catalog.get(&name) else {
+            return admit(false).map(|_| None);
+        };
+        let is_temp = entry.is_temp;
+        let handle = Arc::clone(&entry.table);
+        // Taken under the catalog read lock, so no drop of this table can be
+        // logged between this mutation and its log push.
+        let mut table = write_lock(&handle);
+        drop(catalog);
+        match record {
+            WalRecord::Append { rows, .. } => {
+                // A record must describe rows that all applied, so nothing
+                // may fail after the first insert.
+                for values in &rows {
+                    table.schema().validate(values)?;
+                }
+                for values in rows {
+                    table.insert(Row::new(values))?;
+                }
+                return Ok(log(is_temp));
+            }
+            WalRecord::PutTable { table: new, .. } => *table = new,
+            // The truncate.
+            _ => table.truncate(),
+        }
+        // New contents under an old name: views and the next checkpoint must
+        // not trust what they remember of the table.
+        table.set_generation(self.next_generation());
+        Ok(log(is_temp))
     }
 
     /// Default segment count for new tables.
@@ -294,19 +432,13 @@ impl Database {
         } else {
             base.to_owned()
         };
-        let mut table =
-            Table::with_distribution(schema, self.num_segments, Distribution::RoundRobin)?;
-        table.set_generation(self.next_generation());
-        catalog.insert(
-            name.clone(),
-            CatalogEntry {
-                table: Arc::new(RwLock::new(table)),
-                is_temp: true,
-            },
-        );
+        let table = self.empty_table(schema, Distribution::RoundRobin, CHUNK_CAPACITY as u64)?;
+        self.install(&mut catalog, name.clone(), table, true);
         Ok(name)
     }
 
+    /// A temp table is never logged, so it is installed directly; anything
+    /// else is a `CreateTable` record.
     fn create_internal(
         &self,
         name: &str,
@@ -315,66 +447,24 @@ impl Database {
         is_temp: bool,
         chunk_capacity: Option<usize>,
     ) -> Result<()> {
-        let ticket = {
-            let _gate = self.commit_gate();
-            let mut catalog = self.write();
-            if catalog.contains_key(name) {
-                return Err(EngineError::TableAlreadyExists {
-                    name: name.to_owned(),
-                });
-            }
-            let mut table =
-                Table::with_distribution(schema.clone(), self.num_segments, distribution.clone())?;
-            if let Some(capacity) = chunk_capacity {
-                table = table.with_chunk_capacity(capacity)?;
-            }
-            table.set_generation(self.next_generation());
-            let capacity = table.chunk_capacity();
-            catalog.insert(
-                name.to_owned(),
-                CatalogEntry {
-                    table: Arc::new(RwLock::new(table)),
-                    is_temp,
-                },
-            );
-            if is_temp {
-                None
-            } else {
-                // Enqueued under the catalog write lock, so no same-name
-                // drop/create can interleave between apply and log.
-                self.enqueue(&WalRecord::CreateTable {
-                    name: name.to_owned(),
-                    schema,
-                    distribution,
-                    chunk_capacity: capacity as u64,
-                })
-            }
-        };
-        self.wait_durable(ticket)
-    }
-
-    /// Builds the wholesale-contents WAL record for `table` (used by
-    /// [`Database::register_table`] and [`Database::replace_table`]): every
-    /// row per segment in insertion order, so replay reproduces the exact
-    /// chunk layout — segments always fill sequentially.
-    fn put_table_record(name: &str, table: &Table) -> WalRecord {
-        let segments: Vec<Vec<Vec<Value>>> = (0..table.num_segments())
-            .map(|s| {
-                table
-                    .segment(s)
-                    .iter()
-                    .map(|row| row.values().to_vec())
-                    .collect()
-            })
-            .collect();
-        WalRecord::PutTable {
-            name: name.to_owned(),
-            schema: table.schema().clone(),
-            distribution: table.distribution().clone(),
-            chunk_capacity: table.chunk_capacity() as u64,
-            next_round_robin: table.next_round_robin() as u64,
-            segments,
+        let chunk_capacity = chunk_capacity.unwrap_or(CHUNK_CAPACITY) as u64;
+        if !is_temp {
+            return self.commit(WalRecord::CreateTable {
+                name: name.to_owned(),
+                schema,
+                distribution,
+                chunk_capacity,
+            });
         }
+        let mut catalog = self.write();
+        if catalog.contains_key(name) {
+            return Err(EngineError::TableAlreadyExists {
+                name: name.to_owned(),
+            });
+        }
+        let table = self.empty_table(schema, distribution, chunk_capacity)?;
+        self.install(&mut catalog, name.to_owned(), table, true);
+        Ok(())
     }
 
     /// Registers an already-populated table under `name` (the programmatic
@@ -382,30 +472,12 @@ impl Database {
     ///
     /// # Errors
     /// Returns [`EngineError::TableAlreadyExists`] on a name collision.
-    pub fn register_table(&self, name: &str, mut table: Table) -> Result<()> {
-        let ticket = {
-            let _gate = self.commit_gate();
-            let mut catalog = self.write();
-            if catalog.contains_key(name) {
-                return Err(EngineError::TableAlreadyExists {
-                    name: name.to_owned(),
-                });
-            }
-            table.set_generation(self.next_generation());
-            let record = self
-                .durability
-                .is_some()
-                .then(|| Self::put_table_record(name, &table));
-            catalog.insert(
-                name.to_owned(),
-                CatalogEntry {
-                    table: Arc::new(RwLock::new(table)),
-                    is_temp: false,
-                },
-            );
-            record.as_ref().and_then(|r| self.enqueue(r))
-        };
-        self.wait_durable(ticket)
+    pub fn register_table(&self, name: &str, table: Table) -> Result<()> {
+        self.commit(WalRecord::PutTable {
+            name: name.to_owned(),
+            replace: false,
+            table,
+        })
     }
 
     /// Returns a snapshot of the named table.
@@ -457,7 +529,14 @@ impl Database {
     ) -> Result<T> {
         let entry = self.entry(name)?;
         let mut guard = write_lock(&entry);
-        mutate(&mut guard)
+        let result = mutate(&mut guard);
+        // A truncate (or a wholesale `*table = ...`) inside the closure left
+        // the table unstamped: whatever the closure returned, it now holds a
+        // new incarnation that views and the next checkpoint must see as one.
+        if guard.generation() == 0 {
+            guard.set_generation(self.next_generation());
+        }
+        result
     }
 
     /// Appends rows to the named table and advances every materialized
@@ -474,39 +553,10 @@ impl Database {
     /// **stay committed**, every failing view is marked for rebuild, and the
     /// error is [`EngineError::ViewAbsorbFailed`] naming them.
     pub fn append_rows(&self, name: &str, rows: impl IntoIterator<Item = Row>) -> Result<()> {
-        let rows: Vec<Row> = rows.into_iter().collect();
-        let ticket = {
-            let _gate = self.commit_gate();
-            // Take the table's write lock while still holding the catalog
-            // read lock (the uniform gate → catalog → table order), so a
-            // concurrent drop of this table cannot be logged between our
-            // in-memory apply and our WAL enqueue.
-            let catalog = self.read();
-            let entry = catalog
-                .get(name)
-                .ok_or_else(|| EngineError::TableNotFound {
-                    name: name.to_owned(),
-                })?;
-            let is_temp = entry.is_temp;
-            let handle = Arc::clone(&entry.table);
-            let mut table = write_lock(&handle);
-            drop(catalog);
-            // Validate the full batch up front: a WAL record must describe
-            // rows that all applied, so nothing may fail after the first
-            // insert.
-            for row in &rows {
-                table.schema().validate(row.values())?;
-            }
-            let record = (!is_temp && self.durability.is_some()).then(|| WalRecord::Append {
-                table: name.to_owned(),
-                rows: rows.iter().map(|r| r.values().to_vec()).collect(),
-            });
-            for row in rows {
-                table.insert(row)?;
-            }
-            record.as_ref().and_then(|r| self.enqueue(r))
-        };
-        self.wait_durable(ticket)?;
+        self.commit(WalRecord::Append {
+            table: name.to_owned(),
+            rows: rows.into_iter().map(Row::into_values).collect(),
+        })?;
         self.absorb_views_of(name)
     }
 
@@ -518,26 +568,12 @@ impl Database {
     ///
     /// # Errors
     /// Returns [`EngineError::TableNotFound`] for an unknown name.
-    pub fn replace_table(&self, name: &str, mut table: Table) -> Result<()> {
-        let ticket = {
-            let _gate = self.commit_gate();
-            let catalog = self.read();
-            let entry = catalog
-                .get(name)
-                .ok_or_else(|| EngineError::TableNotFound {
-                    name: name.to_owned(),
-                })?;
-            let is_temp = entry.is_temp;
-            let handle = Arc::clone(&entry.table);
-            let mut guard = write_lock(&handle);
-            drop(catalog);
-            table.set_generation(self.next_generation());
-            let record = (!is_temp && self.durability.is_some())
-                .then(|| Self::put_table_record(name, &table));
-            *guard = table;
-            record.as_ref().and_then(|r| self.enqueue(r))
-        };
-        self.wait_durable(ticket)
+    pub fn replace_table(&self, name: &str, table: Table) -> Result<()> {
+        self.commit(WalRecord::PutTable {
+            name: name.to_owned(),
+            replace: true,
+            table,
+        })
     }
 
     /// Removes every row from the named table, keeping schema, distribution
@@ -548,29 +584,9 @@ impl Database {
     /// # Errors
     /// Returns [`EngineError::TableNotFound`] for an unknown name.
     pub fn truncate_table(&self, name: &str) -> Result<()> {
-        let ticket = {
-            let _gate = self.commit_gate();
-            let catalog = self.read();
-            let entry = catalog
-                .get(name)
-                .ok_or_else(|| EngineError::TableNotFound {
-                    name: name.to_owned(),
-                })?;
-            let is_temp = entry.is_temp;
-            let handle = Arc::clone(&entry.table);
-            let mut guard = write_lock(&handle);
-            drop(catalog);
-            guard.truncate();
-            guard.set_generation(self.next_generation());
-            if is_temp {
-                None
-            } else {
-                self.enqueue(&WalRecord::Truncate {
-                    table: name.to_owned(),
-                })
-            }
-        };
-        self.wait_durable(ticket)
+        self.commit(WalRecord::Truncate {
+            table: name.to_owned(),
+        })
     }
 
     /// Drops the named table.  Views watching it keep their state but fail
@@ -581,28 +597,9 @@ impl Database {
     /// # Errors
     /// Returns [`EngineError::TableNotFound`] for an unknown name.
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        let ticket = {
-            let _gate = self.commit_gate();
-            let mut catalog = self.write();
-            let entry = catalog
-                .remove(name)
-                .ok_or_else(|| EngineError::TableNotFound {
-                    name: name.to_owned(),
-                })?;
-            // Take the removed table's write lock under the catalog write
-            // lock: an in-flight append enqueues its record before releasing
-            // the table lock, so the drop record always follows it in the
-            // WAL — log order matches apply order.
-            let _table = write_lock(&entry.table);
-            if entry.is_temp {
-                None
-            } else {
-                self.enqueue(&WalRecord::DropTable {
-                    name: name.to_owned(),
-                })
-            }
-        };
-        self.wait_durable(ticket)
+        self.commit(WalRecord::DropTable {
+            name: name.to_owned(),
+        })
     }
 
     /// Drops all temp tables, returning how many were removed.
@@ -762,40 +759,23 @@ impl Database {
         if let Some(m) = &manifest {
             next_file_id = m.next_file_id;
             for t in &m.tables {
-                let mut segments = Vec::with_capacity(t.segments.len());
-                for (seg, ms) in t.segments.iter().enumerate() {
-                    segments.push(persist::recover_segment(dir, t.file_id, seg, ms)?);
-                }
-                let mut table = Table::from_recovered(
-                    t.schema.clone(),
-                    segments,
-                    t.distribution.clone(),
-                    t.next_round_robin as usize,
-                    t.chunk_capacity as usize,
-                );
-                table.set_generation(db.next_generation());
+                let table = persist::load_table(dir, t)?;
+                let generation = db.install(&mut db.write(), t.name.clone(), table, false);
                 persist_tables.insert(
                     t.name.clone(),
                     TablePersist {
                         file_id: t.file_id,
-                        generation: table.generation(),
+                        generation,
                         persisted: t.segments.iter().map(|s| s.persisted_chunks).collect(),
-                    },
-                );
-                db.write().insert(
-                    t.name.clone(),
-                    CatalogEntry {
-                        table: Arc::new(RwLock::new(table)),
-                        is_temp: false,
                     },
                 );
             }
         }
 
-        // Decide the replay range from the (manifest, WAL-header) epoch pair
-        // — see `crate::persist` for why exactly two epochs are acceptable —
-        // then replay the committed tail and resume (or recreate) the log.
-        let (records, wal) = match (&manifest, wal_epoch) {
+        // Decide the log's epoch and replay range from the (manifest,
+        // WAL-header) epoch pair — see `crate::persist` for why exactly two
+        // epochs are acceptable.  `None` for the scan means no usable log.
+        let (epoch, scan) = match (&manifest, wal_epoch) {
             // Fresh directory: record the segment count durably before the
             // WAL exists.
             (None, None) => {
@@ -809,30 +789,25 @@ impl Database {
                         tables: Vec::new(),
                     },
                 )?;
-                (Vec::new(), Wal::create(&wal_file, 1)?)
+                (1, None)
             }
             // A log without a manifest: nothing was ever checkpointed (the
             // manifest this directory was initialized with is gone); replay
             // everything the log holds.
-            (None, Some(epoch)) => {
-                let scan = wal::scan(&wal_file, None)?;
-                (scan.records, Wal::resume(&wal_file, epoch, scan.valid_len)?)
-            }
+            (None, Some(epoch)) => (epoch, Some(wal::scan(&wal_file, None)?)),
             // Manifest but no usable log: the crash hit between manifest
             // install and WAL reset — or the header itself was corrupted, in
             // which case nothing in the file can be trusted.  Snapshot-only
             // recovery with a fresh log at the successor epoch.
-            (Some(m), None) => (Vec::new(), Wal::create(&wal_file, m.epoch + 1)?),
+            (Some(m), None) => (m.epoch + 1, None),
             // Checkpoint manifest installed, WAL not yet reset: replay from
             // the recorded offset.
             (Some(m), Some(epoch)) if epoch == m.epoch => {
-                let scan = wal::scan(&wal_file, Some(m.wal_offset))?;
-                (scan.records, Wal::resume(&wal_file, epoch, scan.valid_len)?)
+                (epoch, Some(wal::scan(&wal_file, Some(m.wal_offset))?))
             }
             // Post-reset log: replay it in full.
             (Some(m), Some(epoch)) if epoch == m.epoch + 1 => {
-                let scan = wal::scan(&wal_file, None)?;
-                (scan.records, Wal::resume(&wal_file, epoch, scan.valid_len)?)
+                (epoch, Some(wal::scan(&wal_file, None)?))
             }
             (Some(m), Some(epoch)) => {
                 return Err(EngineError::Storage {
@@ -843,9 +818,17 @@ impl Database {
                 });
             }
         };
-        for payload in &records {
-            db.apply_recovered(persist::decode_record(payload)?)?;
+        // Replay the committed tail through the function that applied it the
+        // first time; durability is not attached yet, so nothing is
+        // re-logged.  The log itself is touched only once every record has
+        // decoded and applied: a refused log is left exactly as found.
+        for payload in scan.iter().flat_map(|s| &s.records) {
+            db.apply(persist::decode_record(payload)?, None, true)?;
         }
+        let wal = match scan {
+            Some(scan) => Wal::resume(&wal_file, epoch, scan.valid_len)?,
+            None => Wal::create(&wal_file, epoch)?,
+        };
 
         db.durability = Some(Arc::new(Durability {
             dir: dir.to_path_buf(),
@@ -874,77 +857,6 @@ impl Database {
             });
         }
         Self::open(dir, 1)
-    }
-
-    /// Applies one replayed WAL record to in-memory state.  Recovery only:
-    /// durability is not attached yet, so nothing is re-logged.  Mutations of
-    /// tables a (corrupt or partially-replayed) log never created are
-    /// skipped rather than failed — the committed prefix is what matters.
-    fn apply_recovered(&self, record: WalRecord) -> Result<()> {
-        match record {
-            WalRecord::CreateTable {
-                name,
-                schema,
-                distribution,
-                chunk_capacity,
-            } => {
-                let mut table = Table::with_distribution(schema, self.num_segments, distribution)?
-                    .with_chunk_capacity(chunk_capacity as usize)?;
-                table.set_generation(self.next_generation());
-                self.write().insert(
-                    name,
-                    CatalogEntry {
-                        table: Arc::new(RwLock::new(table)),
-                        is_temp: false,
-                    },
-                );
-            }
-            WalRecord::DropTable { name } => {
-                self.write().remove(&name);
-            }
-            WalRecord::Append { table, rows } => {
-                if let Ok(handle) = self.entry(&table) {
-                    let mut guard = write_lock(&handle);
-                    for values in rows {
-                        guard.insert(Row::new(values))?;
-                    }
-                }
-            }
-            WalRecord::Truncate { table } => {
-                if let Ok(handle) = self.entry(&table) {
-                    let mut guard = write_lock(&handle);
-                    guard.truncate();
-                    guard.set_generation(self.next_generation());
-                }
-            }
-            WalRecord::PutTable {
-                name,
-                schema,
-                distribution,
-                chunk_capacity,
-                next_round_robin,
-                segments,
-            } => {
-                let mut table =
-                    Table::with_distribution(schema, segments.len().max(1), distribution)?
-                        .with_chunk_capacity(chunk_capacity as usize)?;
-                for (seg, rows) in segments.into_iter().enumerate() {
-                    for values in rows {
-                        table.insert_into_segment(seg, Row::new(values))?;
-                    }
-                }
-                table.set_next_round_robin(next_round_robin as usize);
-                table.set_generation(self.next_generation());
-                self.write().insert(
-                    name,
-                    CatalogEntry {
-                        table: Arc::new(RwLock::new(table)),
-                        is_temp: false,
-                    },
-                );
-            }
-        }
-        Ok(())
     }
 
     /// Writes a checkpoint: flushes the WAL, appends every newly sealed
@@ -989,62 +901,62 @@ impl Database {
         };
 
         let mut state = d.persist.lock().unwrap_or_else(|e| e.into_inner());
+        let PersistState {
+            next_file_id,
+            tables: persisted_tables,
+        } = &mut *state;
         // Chunk files are deleted only *after* the new manifest is
         // installed: the old manifest may still reference them, and a crash
         // before install must recover from it.
         let mut obsolete: Vec<(u64, usize)> = Vec::new();
         let live: std::collections::HashSet<&str> =
             snapshots.iter().map(|(n, _)| n.as_str()).collect();
-        let dead: Vec<String> = state
-            .tables
-            .keys()
-            .filter(|k| !live.contains(k.as_str()))
-            .cloned()
-            .collect();
-        for name in dead {
-            if let Some(tp) = state.tables.remove(&name) {
+        persisted_tables.retain(|name, tp| {
+            let keep = live.contains(name.as_str());
+            if !keep {
                 obsolete.push((tp.file_id, tp.persisted.len()));
             }
-        }
+            keep
+        });
 
         let mut written = 0;
         let mut manifest_tables = Vec::with_capacity(snapshots.len());
         for (name, table) in &snapshots {
             let generation = table.generation();
             let num_segs = table.num_segments();
-            let fresh_file = match state.tables.get(name) {
-                Some(tp) => tp.generation != generation || tp.persisted.len() != num_segs,
-                None => true,
-            };
-            if fresh_file {
-                // New table, or its contents were replaced/truncated since
-                // the last checkpoint: the persisted prefix no longer
-                // describes it, so start a fresh chunk file.
-                if let Some(old) = state.tables.remove(name) {
-                    obsolete.push((old.file_id, old.persisted.len()));
+            // A fresh chunk-file id: for a new table, or one whose contents
+            // were replaced or truncated since the last checkpoint, so that
+            // the persisted prefix no longer describes it.
+            let mut fresh = || {
+                *next_file_id += 1;
+                TablePersist {
+                    file_id: *next_file_id - 1,
+                    generation,
+                    persisted: vec![0; num_segs],
                 }
-                let file_id = state.next_file_id;
-                state.next_file_id += 1;
-                state.tables.insert(
-                    name.clone(),
-                    TablePersist {
-                        file_id,
-                        generation,
-                        persisted: vec![0; num_segs],
-                    },
-                );
-            }
-            let tp = state.tables.get_mut(name).expect("entry just ensured");
+            };
+            let tp = match persisted_tables.entry(name.clone()) {
+                Entry::Vacant(slot) => slot.insert(fresh()),
+                Entry::Occupied(slot) => {
+                    let tp = slot.into_mut();
+                    if tp.generation != generation || tp.persisted.len() != num_segs {
+                        obsolete.push((tp.file_id, tp.persisted.len()));
+                        *tp = fresh();
+                    }
+                    tp
+                }
+            };
             let mut seg_manifests = Vec::with_capacity(num_segs);
             for seg in 0..num_segs {
                 let chunks = table.segment(seg).chunks();
                 let sealed = chunks.len().saturating_sub(1);
                 let already = tp.persisted[seg] as usize;
                 if sealed > already {
-                    persist::append_chunks(
-                        &persist::chunk_path(&d.dir, tp.file_id, seg),
-                        &chunks[already..sealed],
-                    )?;
+                    let path = persist::chunk_path(&d.dir, tp.file_id, seg);
+                    if already == 0 {
+                        persist::clear_chunk_file(&path)?;
+                    }
+                    persist::append_chunks(&path, &chunks[already..sealed])?;
                     written += sealed - already;
                     tp.persisted[seg] = sealed as u64;
                 }
@@ -1070,7 +982,7 @@ impl Database {
                 epoch,
                 wal_offset,
                 num_segments: self.num_segments as u64,
-                next_file_id: state.next_file_id,
+                next_file_id: *next_file_id,
                 tables: manifest_tables,
             },
         )?;
@@ -1453,6 +1365,47 @@ mod tests {
         db.append_rows("events", (0..3).map(|i| row![i as i64, i as f64]))
             .unwrap();
         assert_eq!(finalize_count(&db, "n").unwrap(), 3);
+    }
+
+    /// A truncate-and-refill through `with_table_mut` is a new incarnation
+    /// too, even with equal chunk counts (nothing sits past the watermark,
+    /// so a stale view would keep the old sum): `Table::truncate` leaves the
+    /// table unstamped and `with_table_mut` stamps it on the way out.
+    #[test]
+    fn view_rebuilds_after_refill_through_with_table_mut() {
+        let db = Database::new(1).unwrap();
+        db.create_table_with_chunk_capacity("events", schema(), 2)
+            .unwrap();
+        db.append_rows("events", (0..4).map(|i| row![i, i as f64]))
+            .unwrap();
+        db.register_view("v_sum", "events", Box::new(sum_view()))
+            .unwrap();
+        assert_eq!(finalize_sum(&db, "v_sum").unwrap(), 6.0);
+        let before = db.table("events").unwrap().generation();
+
+        db.with_table_mut("events", |t| {
+            t.truncate();
+            t.insert_all((100..104).map(|i| row![i, i as f64]))
+        })
+        .unwrap();
+        assert_ne!(db.table("events").unwrap().generation(), before);
+        assert_eq!(finalize_sum(&db, "v_sum").unwrap(), 406.0);
+
+        // The stamp does not depend on what the closure returned.
+        let before = db.table("events").unwrap().generation();
+        db.with_table_mut("events", |t| -> Result<()> {
+            t.truncate();
+            Err(EngineError::invalid("gave up after truncating"))
+        })
+        .unwrap_err();
+        assert_ne!(db.table("events").unwrap().generation(), before);
+        assert_eq!(finalize_sum(&db, "v_sum").unwrap(), 0.0);
+        // A plain insert is not a new incarnation.
+        let before = db.table("events").unwrap().generation();
+        db.with_table_mut("events", |t| t.insert(row![7i64, 7.0]))
+            .unwrap();
+        assert_eq!(db.table("events").unwrap().generation(), before);
+        assert_eq!(finalize_sum(&db, "v_sum").unwrap(), 7.0);
     }
 
     /// A counting aggregate that refuses rows whose `v` equals the poison

@@ -17,7 +17,7 @@
 //! | Templated queries over arbitrary schemas| [`template`] schema introspection |
 //! | In-database scoring (the macro-thesis applied to serving) | [`score::Scorer`] + [`dataset::Dataset::score`] / [`dataset::Dataset::score_per_group`] / [`dataset::Dataset::top_k_by_score`], models resolved from the [`catalog::ModelCatalog`] in [`Database::models`] |
 //! | Streaming ingest + incremental model maintenance (algebraic transition/merge/final under appends) | [`Database::append_rows`] + [`materialize::MaterializedAggregate`] chunk-watermark views (registered via [`Database::register_view`], refreshed via [`Database::refresh_view`]; `madlib_core::train` surfaces them as `Session::train_incremental` / `Session::refresh`) |
-//! | DBMS durability underneath the analytics (the paper assumes PostgreSQL/Greenplum WAL + checkpoints) | [`Database::open`] / [`Database::recover`] / [`Database::checkpoint`]: a group-commit write-ahead log of catalog-level mutations plus chunk-granular snapshots — each sealed immutable chunk is appended to its segment's snapshot file exactly once — with recovery replaying the committed WAL tail over the latest snapshot, bit-identically (commit point = the fsync of the group-commit batch carrying the record) |
+//! | DBMS durability underneath the analytics (the paper assumes PostgreSQL/Greenplum WAL + checkpoints) | [`Database::open`] / [`Database::recover`] / [`Database::checkpoint`]: a group-commit write-ahead log of catalog-level mutations plus chunk-granular snapshots — each sealed immutable chunk is appended to its segment's snapshot file exactly once — with recovery replaying the committed WAL tail over the latest snapshot *through the same function that applied each mutation the first time* (a logged mutation is a record; one `apply` runs it for the live call and for replay), so recovered ≡ committed bit for bit by construction (commit point = the fsync of the group-commit batch carrying the record) |
 //!
 //! The old `Executor::aggregate_filtered` / `aggregate_grouped` /
 //! `aggregate_grouped_filtered` method matrix has been **removed**:

@@ -39,7 +39,7 @@ pub enum Distribution {
 
 /// A schema-validated, segment-partitioned, in-memory table with column-major
 /// chunked storage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
     segments: Vec<Segment>,
@@ -108,12 +108,6 @@ impl Table {
     /// continues routing appends exactly where the pre-crash table would).
     pub(crate) fn next_round_robin(&self) -> usize {
         self.next_round_robin
-    }
-
-    /// Restores the round-robin cursor (WAL replay of wholesale-contents
-    /// records, which refill segments directly and bypass the cursor).
-    pub(crate) fn set_next_round_robin(&mut self, cursor: usize) {
-        self.next_round_robin = cursor % self.segments.len();
     }
 
     /// Overrides the number of rows per chunk (default
@@ -297,12 +291,16 @@ impl Table {
         Ok(out)
     }
 
-    /// Truncates the table, keeping schema and partitioning.
+    /// Truncates the table, keeping schema and partitioning.  What follows
+    /// is a new incarnation of the contents, so the table drops back to
+    /// generation 0 ("not stamped"); [`crate::Database`] stamps a fresh one
+    /// before it lets go of the table's lock.
     pub fn truncate(&mut self) {
         for seg in &mut self.segments {
             seg.clear();
         }
         self.next_round_robin = 0;
+        self.generation = 0;
     }
 }
 

@@ -56,16 +56,15 @@ fn header_bytes(epoch: u64) -> [u8; WAL_HEADER_LEN as usize] {
 /// short, carry the wrong magic, or fail the checksum (recovery treats all
 /// three as "no usable log").
 pub(crate) fn parse_header(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < WAL_HEADER_LEN as usize || &bytes[..8] != WAL_MAGIC {
+    let (magic, epoch, sum) = (
+        persist::array_at::<8>(bytes, 0)?,
+        persist::array_at(bytes, 8)?,
+        persist::array_at(bytes, 16)?,
+    );
+    if &magic != WAL_MAGIC || persist::checksum64(&bytes[..16]) != u64::from_le_bytes(sum) {
         return None;
     }
-    let sum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    if persist::checksum64(&bytes[..16]) != sum {
-        return None;
-    }
-    Some(u64::from_le_bytes(
-        bytes[8..16].try_into().expect("8 bytes"),
-    ))
+    Some(u64::from_le_bytes(epoch))
 }
 
 /// Reads just the header epoch of the WAL at `path`: `Ok(None)` for a
@@ -227,11 +226,12 @@ impl Wal {
         }
     }
 
-    /// Enqueues one record and returns its commit ticket.  Cheap (no I/O):
-    /// callers invoke this while holding the lock that orders the matching
-    /// in-memory mutation, then release that lock before [`Wal::wait`].
-    pub(crate) fn append(&self, payload: &[u8]) -> Ticket {
-        let frame = persist::frame(payload);
+    /// Enqueues one ready frame ([`persist::frame`]) and returns its commit
+    /// ticket.  Only a push — the committer encoded, framed and checksummed
+    /// the record before it took any lock: callers invoke this while holding
+    /// the lock that orders the matching in-memory mutation, then release
+    /// that lock before [`Wal::wait`].
+    pub(crate) fn append(&self, frame: Vec<u8>) -> Ticket {
         let mut st = self.lock();
         let seq = st.next_seq;
         st.next_seq += 1;
@@ -312,6 +312,8 @@ impl Wal {
         let result = match io {
             Ok(()) => {
                 st.durable_len += buf.len() as u64;
+                // Proof: both callers saw `pending` non-empty under the lock
+                // this function was handed, and the batch is its front.
                 st.durable_seq = batch.last().expect("non-empty batch").0;
                 Ok(())
             }
@@ -371,6 +373,11 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// Frames a payload as the commit path does and enqueues it.
+    fn append(wal: &Wal, payload: &[u8]) -> Ticket {
+        wal.append(persist::frame(payload).unwrap())
+    }
+
     fn temp_wal(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
@@ -385,7 +392,7 @@ mod tests {
         let path = temp_wal("roundtrip");
         let wal = Wal::create(&path, 1).unwrap();
         for payload in [b"alpha".as_slice(), b"b".as_slice(), b"gamma!".as_slice()] {
-            let t = wal.append(payload);
+            let t = append(&wal, payload);
             wal.wait(t).unwrap();
         }
         let scanned = scan(&path, None).unwrap();
@@ -399,7 +406,7 @@ mod tests {
 
         // Resuming at the valid length keeps the committed prefix intact.
         let wal = Wal::resume(&path, 1, scanned.valid_len).unwrap();
-        let t = wal.append(b"delta");
+        let t = append(&wal, b"delta");
         wal.wait(t).unwrap();
         let rescanned = scan(&path, None).unwrap();
         assert_eq!(rescanned.records.len(), 4);
@@ -413,7 +420,7 @@ mod tests {
         let wal = Wal::create(&path, 1).unwrap();
         let mut ends = Vec::new();
         for i in 0..4u8 {
-            let t = wal.append(&[i; 9]);
+            let t = append(&wal, &[i; 9]);
             wal.wait(t).unwrap();
             ends.push(wal.durable_len());
         }
@@ -453,7 +460,7 @@ mod tests {
                 let wal = std::sync::Arc::clone(&wal);
                 scope.spawn(move || {
                     for i in 0..16u8 {
-                        let ticket = wal.append(&[t, i]);
+                        let ticket = append(&wal, &[t, i]);
                         wal.wait(ticket).unwrap();
                     }
                 });
@@ -479,13 +486,13 @@ mod tests {
     fn reset_starts_a_fresh_epoch() {
         let path = temp_wal("reset");
         let wal = Wal::create(&path, 3).unwrap();
-        let t = wal.append(b"old");
+        let t = append(&wal, b"old");
         wal.wait(t).unwrap();
         wal.flush_all().unwrap();
         wal.reset(4).unwrap();
         assert_eq!(wal.epoch(), 4);
         assert_eq!(wal.durable_len(), WAL_HEADER_LEN);
-        let t = wal.append(b"new");
+        let t = append(&wal, b"new");
         wal.wait(t).unwrap();
         let s = scan(&path, None).unwrap();
         assert_eq!(read_epoch(&path).unwrap(), Some(4));

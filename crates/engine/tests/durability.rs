@@ -14,7 +14,8 @@ use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use madlib_engine::{Column, ColumnType, Database, Row, Schema, Value};
+use madlib_engine::table::Distribution;
+use madlib_engine::{Column, ColumnType, Database, EngineError, Row, Schema, Table, Value};
 use proptest::prelude::*;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -146,6 +147,38 @@ enum Op {
     Append(&'static str, i64, usize),
     Truncate(&'static str),
     Drop(&'static str),
+    /// `register_table` of [`hashed_table`] — a `PutTable` record.
+    Register(&'static str, i64, usize),
+    /// `replace_table` with [`striped_table`] — a `PutTable` record.
+    Replace(&'static str, i64, usize),
+}
+
+fn rows(base: i64, n: usize) -> impl Iterator<Item = Row> {
+    (0..n).map(move |i| row(base + i as i64, (base as f64) + i as f64 * 0.5))
+}
+
+/// A populated standalone table unlike anything `create_table` on the test
+/// databases (2 segments, round-robin) would build: 3 segments, hashed on
+/// `id`, part-filled tail chunks.  Appends after it is registered land by
+/// hash, which proves the distribution came back.
+fn hashed_table(base: i64, n: usize) -> Table {
+    let mut table = Table::with_distribution(schema(), 3, Distribution::HashColumn("id".into()))
+        .unwrap()
+        .with_chunk_capacity(4)
+        .unwrap();
+    table.insert_all(rows(base, n)).unwrap();
+    table
+}
+
+/// Its round-robin sibling: 5 segments at capacity 2, so `n` rows leave the
+/// cursor at `n % 5` and appends after the replace prove it came back.
+fn striped_table(base: i64, n: usize) -> Table {
+    let mut table = Table::new(schema(), 5)
+        .unwrap()
+        .with_chunk_capacity(2)
+        .unwrap();
+    table.insert_all(rows(base, n)).unwrap();
+    table
 }
 
 fn apply(db: &Database, op: &Op) {
@@ -153,12 +186,9 @@ fn apply(db: &Database, op: &Op) {
         Op::Create(name) => db
             .create_table_with_chunk_capacity(name, schema(), 4)
             .unwrap(),
-        Op::Append(name, base, n) => db
-            .append_rows(
-                name,
-                (0..*n).map(|i| row(base + i as i64, (*base as f64) + i as f64 * 0.5)),
-            )
-            .unwrap(),
+        Op::Append(name, base, n) => db.append_rows(name, rows(*base, *n)).unwrap(),
+        Op::Register(name, base, n) => db.register_table(name, hashed_table(*base, *n)).unwrap(),
+        Op::Replace(name, base, n) => db.replace_table(name, striped_table(*base, *n)).unwrap(),
         Op::Truncate(name) => db.truncate_table(name).unwrap(),
         Op::Drop(name) => {
             db.drop_table(name).unwrap();
@@ -190,6 +220,12 @@ fn truncation_at_every_offset_recovers_exact_committed_prefix() {
         Op::Truncate("t"),
         Op::Append("t", 200, 5),
         Op::Drop("u"),
+        Op::Register("r", 0, 23),
+        Op::Append("r", 500, 6),
+        Op::Replace("t", 300, 11),
+        Op::Append("t", 400, 7),
+        Op::Replace("r", 600, 3),
+        Op::Append("r", 700, 4),
     ];
     let scratch = ScratchDir::new("trunc");
     let marks = run_schedule(scratch.path(), &ops);
@@ -229,6 +265,10 @@ fn flipped_bytes_never_surface_uncommitted_state() {
         Op::Append("t", 0, 4),
         Op::Append("t", 50, 4),
         Op::Append("t", 90, 4),
+        Op::Register("r", 0, 11),
+        Op::Append("r", 20, 3),
+        Op::Replace("t", 300, 8),
+        Op::Append("t", 400, 4),
     ];
     let scratch = ScratchDir::new("flip");
     let marks = run_schedule(scratch.path(), &ops);
@@ -490,14 +530,17 @@ fn clean_reopen_roundtrips_all_column_types() {
 /// exactly on the longest committed prefix at or below the cut.
 ///
 /// Each raw `(kind, table, rows)` tuple decodes to one operation — `kind`
-/// 0–5 is an append (weighted heavily), 6 truncate, 7 drop+recreate, and 8
-/// checkpoint — because the vendored proptest stand-in has no `prop_map`.
+/// 0–5 is an append (weighted heavily), 6 truncate, 7 drop+recreate, 8
+/// checkpoint, 9 replace with a populated table and 10 drop+register of one
+/// — because the vendored proptest stand-in has no `prop_map`.
 #[derive(Clone, Debug)]
 enum PropOp {
     Append(u8, u8),
     Truncate(u8),
     DropCreate(u8),
     Checkpoint,
+    Replace(u8, u8),
+    DropRegister(u8, u8),
 }
 
 fn decode_op((kind, table, rows): (u8, u8, u8)) -> PropOp {
@@ -505,14 +548,16 @@ fn decode_op((kind, table, rows): (u8, u8, u8)) -> PropOp {
         0..=5 => PropOp::Append(table, rows),
         6 => PropOp::Truncate(table),
         7 => PropOp::DropCreate(table),
-        _ => PropOp::Checkpoint,
+        8 => PropOp::Checkpoint,
+        9 => PropOp::Replace(table, rows),
+        _ => PropOp::DropRegister(table, rows),
     }
 }
 
 proptest! {
     #[test]
     fn random_schedules_recover_committed_prefixes(
-        raw_ops in prop::collection::vec((0u8..9, 0u8..3, 1u8..8), 1..16),
+        raw_ops in prop::collection::vec((0u8..11, 0u8..3, 1u8..8), 1..16),
         cut_frac in 0.0f64..1.0,
     ) {
         let ops: Vec<PropOp> = raw_ops.into_iter().map(decode_op).collect();
@@ -551,6 +596,20 @@ proptest! {
                             .unwrap();
                     }
                     PropOp::Checkpoint => { db.checkpoint().unwrap(); }
+                    PropOp::Replace(t, n) => {
+                        let base = next;
+                        next += *n as i64;
+                        db.replace_table(names[*t as usize], striped_table(base, *n as usize))
+                            .unwrap();
+                    }
+                    PropOp::DropRegister(t, n) => {
+                        let base = next;
+                        next += *n as i64;
+                        db.drop_table(names[*t as usize]).unwrap();
+                        mark(&db, &mut marks);
+                        db.register_table(names[*t as usize], hashed_table(base, *n as usize))
+                            .unwrap();
+                    }
                 }
                 mark(&db, &mut marks);
             }
@@ -582,4 +641,163 @@ proptest! {
             .unwrap_or_else(|| tail[0].1.clone());
         prop_assert_eq!(fingerprint(&recovered), expect);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Chunk files after a crashed checkpoint; the retired record tag
+// ---------------------------------------------------------------------------
+
+fn ids(db: &Database, table: &str) -> Vec<i64> {
+    let values = db.table(table).unwrap().column_values("id").unwrap();
+    values.iter().map(|v| v.as_int().unwrap()).collect()
+}
+
+/// One segment at chunk capacity 2, so every second row seals a chunk and
+/// every checkpoint appends frames to `table_<id>_seg_0.chunks`.
+fn open_single_segment(dir: &Path) -> Database {
+    let db = Database::open(dir, 1).unwrap();
+    db.create_table_with_chunk_capacity("t", schema(), 2)
+        .unwrap();
+    db
+}
+
+/// Runs `db.checkpoint()` and then takes the directory back to what a crash
+/// after the checkpoint's chunk-file fsyncs and before its manifest rename
+/// leaves: the old `MANIFEST` and `wal.log`, the new chunk-file frames.
+fn crash_inside_checkpoint(db: Database) {
+    let dir = db.storage_dir().unwrap().to_path_buf();
+    let saved = ["MANIFEST", "wal.log"].map(|f| (dir.join(f), std::fs::read(dir.join(f)).unwrap()));
+    db.checkpoint().unwrap();
+    drop(db);
+    for (path, bytes) in saved {
+        std::fs::write(path, bytes).unwrap();
+    }
+}
+
+/// Chunks are addressed by frame ordinal, so the frames a crashed checkpoint
+/// appended behind the manifest's count must be gone before the next
+/// checkpoint appends: it used to land its chunks behind them, and the
+/// recovery after that read the dead frames as data (rows 8 and 9 lost, 4
+/// and 5 twice, no error).
+#[test]
+fn frames_of_a_crashed_checkpoint_are_not_replayed_as_data() {
+    let scratch = ScratchDir::new("crashed_ckpt");
+    let db = open_single_segment(scratch.path());
+    db.append_rows("t", rows(0, 6)).unwrap();
+    db.checkpoint().unwrap();
+    db.append_rows("t", rows(6, 4)).unwrap();
+    crash_inside_checkpoint(db);
+
+    let db = Database::recover(scratch.path()).unwrap();
+    assert_eq!(ids(&db, "t"), (0..10).collect::<Vec<_>>());
+    db.append_rows("t", rows(10, 2)).unwrap();
+    db.checkpoint().unwrap();
+    let expect = fingerprint(&db);
+    drop(db);
+    let db = Database::recover(scratch.path()).unwrap();
+    assert_eq!(ids(&db, "t"), (0..12).collect::<Vec<_>>());
+    assert_eq!(fingerprint(&db), expect);
+}
+
+/// The same cause through a reused file id: `next_file_id` is durable only
+/// in the manifest, so after a crashed *first* checkpoint the id is handed
+/// out again and the new incarnation's chunks used to land behind the dead
+/// one's (`[0, 1, 2, 3, 104, 105]`).
+#[test]
+fn a_reused_chunk_file_id_starts_its_files_empty() {
+    let scratch = ScratchDir::new("reused_id");
+    let db = open_single_segment(scratch.path());
+    db.append_rows("t", rows(0, 6)).unwrap();
+    crash_inside_checkpoint(db);
+
+    let db = Database::recover(scratch.path()).unwrap();
+    assert_eq!(ids(&db, "t"), (0..6).collect::<Vec<_>>());
+    db.truncate_table("t").unwrap();
+    db.append_rows("t", rows(100, 6)).unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = Database::recover(scratch.path()).unwrap();
+    assert_eq!(ids(&db, "t"), (100..106).collect::<Vec<_>>());
+}
+
+/// A truncate-and-refill through the unlogged `with_table_mut` is a new
+/// incarnation of the table: the next checkpoint must not believe the chunk
+/// prefix it persisted for the old one (`[0, 1, 2, 3, 104, 105]`).
+#[test]
+fn checkpoint_sees_a_refill_through_with_table_mut() {
+    let scratch = ScratchDir::new("refill");
+    let db = open_single_segment(scratch.path());
+    db.append_rows("t", rows(0, 6)).unwrap();
+    db.checkpoint().unwrap();
+    db.with_table_mut("t", |t| {
+        t.truncate();
+        t.insert_all(rows(100, 6))
+    })
+    .unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = Database::recover(scratch.path()).unwrap();
+    assert_eq!(ids(&db, "t"), (100..106).collect::<Vec<_>>());
+}
+
+/// Record tag 5 (the row-wise `PutTable` of the first format) is retired:
+/// a log holding one is refused with a typed error naming the tag, and the
+/// refusal leaves every file as it found it.
+#[test]
+fn a_retired_record_tag_is_refused_and_the_directory_left_untouched() {
+    let scratch = ScratchDir::new("tag5");
+    {
+        let db = open_single_segment(scratch.path());
+        db.append_rows("t", rows(0, 5)).unwrap();
+        db.checkpoint().unwrap();
+        db.append_rows("t", rows(5, 3)).unwrap();
+    }
+    // A well-formed frame — `[u32 len][u64 FNV-1a][payload]` — whose payload
+    // is a tag-5 record naming table "t".
+    let payload = [&[5u8][..], &1u32.to_le_bytes(), b"t"].concat();
+    let checksum = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, b| {
+        (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut wal = OpenOptions::new()
+        .append(true)
+        .open(wal_file(scratch.path()))
+        .unwrap();
+    wal.write_all(&(payload.len() as u32).to_le_bytes())
+        .unwrap();
+    wal.write_all(&checksum.to_le_bytes()).unwrap();
+    wal.write_all(&payload).unwrap();
+    // A torn tail behind it, which a successful open would cut.
+    wal.write_all(&[0xAB; 7]).unwrap();
+    drop(wal);
+
+    let snapshot = |dir: &Path| {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                (
+                    e.file_name().into_string().unwrap(),
+                    std::fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot(scratch.path());
+    for result in [
+        Database::open(scratch.path(), 1),
+        Database::recover(scratch.path()),
+    ] {
+        match result {
+            Err(EngineError::Storage { message }) => {
+                assert!(
+                    message.contains("tag 5"),
+                    "error must name the tag: {message}"
+                )
+            }
+            other => panic!("expected a storage error, got {other:?}"),
+        }
+    }
+    assert_eq!(snapshot(scratch.path()), before);
 }
