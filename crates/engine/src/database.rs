@@ -220,7 +220,8 @@ impl Database {
         let Some(d) = &self.durability else {
             return self.apply(record, None, false).map(|_| ());
         };
-        let frame = persist::frame(&persist::encode_record(&record))?;
+        let mut frame = Vec::new();
+        persist::put_frame(&mut frame, |out| persist::put_record(out, &record))?;
         match self.apply(record, Some(frame), false)? {
             Some(ticket) => d.wal.wait(ticket),
             None => Ok(()),
@@ -736,17 +737,27 @@ impl Database {
     /// only to a fresh directory; reopening uses the persisted value.
     ///
     /// # Errors
-    /// Returns [`EngineError::Storage`] on I/O failure, a corrupt manifest,
-    /// or a WAL epoch that is neither the manifest's nor its successor, and
-    /// [`EngineError::InvalidSegmentCount`] for `num_segments == 0` on a
-    /// fresh directory.
+    /// Returns [`EngineError::Storage`] on I/O failure, a corrupt manifest or
+    /// chunk file, a manifest or log of another format version, a log record
+    /// this build cannot apply, or a WAL epoch that is neither the manifest's
+    /// nor its successor — each leaves the directory exactly as it was found
+    /// — and [`EngineError::InvalidSegmentCount`] for `num_segments == 0` on
+    /// a fresh directory.
     pub fn open(dir: impl AsRef<Path>, num_segments: usize) -> Result<Self> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)
             .map_err(|e| EngineError::storage("create database directory", e))?;
-        let manifest = persist::read_manifest(dir)?;
+        Self::open_from(dir, persist::read_manifest(dir)?, num_segments)
+    }
+
+    /// [`Database::open`] behind the manifest read, which
+    /// [`Database::recover`] has already done to know a database exists.
+    /// No file of an existing database is modified until the snapshot has
+    /// loaded and every log record has decoded and applied: a refused
+    /// directory is left exactly as found.
+    fn open_from(dir: &Path, mut manifest: Option<Manifest>, num_segments: usize) -> Result<Self> {
         let wal_file = persist::wal_path(dir);
-        let wal_epoch = wal::read_epoch(&wal_file)?;
+        let log = wal::read_log(&wal_file)?;
 
         let db_segments = manifest
             .as_ref()
@@ -756,10 +767,11 @@ impl Database {
         // Rebuild tables from the snapshot.
         let mut persist_tables = HashMap::new();
         let mut next_file_id = 1;
-        if let Some(m) = &manifest {
+        let mut cuts = Vec::new();
+        if let Some(m) = &mut manifest {
             next_file_id = m.next_file_id;
-            for t in &m.tables {
-                let table = persist::load_table(dir, t)?;
+            for t in &mut m.tables {
+                let table = persist::load_table(dir, t, &mut cuts)?;
                 let generation = db.install(&mut db.write(), t.name.clone(), table, false);
                 persist_tables.insert(
                     t.name.clone(),
@@ -772,10 +784,10 @@ impl Database {
             }
         }
 
-        // Decide the log's epoch and replay range from the (manifest,
+        // Decide the log's epoch and replay offset from the (manifest,
         // WAL-header) epoch pair — see `crate::persist` for why exactly two
-        // epochs are acceptable.  `None` for the scan means no usable log.
-        let (epoch, scan) = match (&manifest, wal_epoch) {
+        // epochs are acceptable.  Without a usable log the offset is moot.
+        let (epoch, replay_from) = match (&manifest, log.as_ref().map(|log| log.epoch)) {
             // Fresh directory: record the segment count durably before the
             // WAL exists.
             (None, None) => {
@@ -789,26 +801,22 @@ impl Database {
                         tables: Vec::new(),
                     },
                 )?;
-                (1, None)
+                (1, WAL_HEADER_LEN)
             }
             // A log without a manifest: nothing was ever checkpointed (the
             // manifest this directory was initialized with is gone); replay
             // everything the log holds.
-            (None, Some(epoch)) => (epoch, Some(wal::scan(&wal_file, None)?)),
+            (None, Some(epoch)) => (epoch, WAL_HEADER_LEN),
             // Manifest but no usable log: the crash hit between manifest
             // install and WAL reset — or the header itself was corrupted, in
             // which case nothing in the file can be trusted.  Snapshot-only
             // recovery with a fresh log at the successor epoch.
-            (Some(m), None) => (m.epoch + 1, None),
+            (Some(m), None) => (m.epoch + 1, WAL_HEADER_LEN),
             // Checkpoint manifest installed, WAL not yet reset: replay from
             // the recorded offset.
-            (Some(m), Some(epoch)) if epoch == m.epoch => {
-                (epoch, Some(wal::scan(&wal_file, Some(m.wal_offset))?))
-            }
+            (Some(m), Some(epoch)) if epoch == m.epoch => (epoch, m.wal_offset),
             // Post-reset log: replay it in full.
-            (Some(m), Some(epoch)) if epoch == m.epoch + 1 => {
-                (epoch, Some(wal::scan(&wal_file, None)?))
-            }
+            (Some(m), Some(epoch)) if epoch == m.epoch + 1 => (epoch, WAL_HEADER_LEN),
             (Some(m), Some(epoch)) => {
                 return Err(EngineError::Storage {
                     message: format!(
@@ -818,15 +826,22 @@ impl Database {
                 });
             }
         };
-        // Replay the committed tail through the function that applied it the
-        // first time; durability is not attached yet, so nothing is
-        // re-logged.  The log itself is touched only once every record has
-        // decoded and applied: a refused log is left exactly as found.
-        for payload in scan.iter().flat_map(|s| &s.records) {
-            db.apply(persist::decode_record(payload)?, None, true)?;
-        }
-        let wal = match scan {
-            Some(scan) => Wal::resume(&wal_file, epoch, scan.valid_len)?,
+        // Replay the committed tail, frame by frame as it is read, through
+        // the function that applied it the first time; durability is not
+        // attached yet, so nothing is re-logged.
+        let valid_len = log
+            .map(|log| {
+                log.replay(replay_from, |payload| {
+                    let record = persist::decode_record(payload)?;
+                    db.apply(record, None, true).map(|_| ())
+                })
+            })
+            .transpose()?;
+        // Every file has been read and every record applied; only now are
+        // the frames of a crashed checkpoint and the log's torn tail cut.
+        cuts.iter().try_for_each(persist::cut_chunk_file)?;
+        let wal = match valid_len {
+            Some(valid_len) => Wal::resume(&wal_file, epoch, valid_len)?,
             None => Wal::create(&wal_file, epoch)?,
         };
 
@@ -851,12 +866,12 @@ impl Database {
     /// everything [`Database::open`] can return otherwise.
     pub fn recover(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref();
-        if persist::read_manifest(dir)?.is_none() {
-            return Err(EngineError::Storage {
+        match persist::read_manifest(dir)? {
+            Some(manifest) => Self::open_from(dir, Some(manifest), 1),
+            None => Err(EngineError::Storage {
                 message: format!("no database at {}: missing manifest", dir.display()),
-            });
+            }),
         }
-        Self::open(dir, 1)
     }
 
     /// Writes a checkpoint: flushes the WAL, appends every newly sealed

@@ -1,8 +1,15 @@
 //! On-disk formats and snapshot persistence for the durability layer.
 //!
 //! Three kinds of files live in a database directory, all built from one
-//! checksummed frame codec (`[u32 payload length][u64 checksum][payload]`,
-//! FNV-1a over the payload):
+//! checksummed frame codec — `[u32 payload length][u64 checksum][payload]`,
+//! the checksum a word-wise [`checksum64`] of the payload.  [`put_frame`] is
+//! the one writer: it encodes a payload straight behind a reserved header
+//! and back-fills length and sum, so a durable byte is copied once between
+//! the table and `write`.  [`FrameReader`] is the one reader: it streams a
+//! file frame by frame through one reused buffer, checks each untrusted
+//! length against the file before allocating for it, and keeps a failed
+//! `read` (an error) apart from a short or sum-failing frame (the end of the
+//! frames).
 //!
 //! * **`wal.log`** — the write-ahead log ([`crate::wal`]).  Each frame's
 //!   payload is a [`WalRecord`], one logged mutation, led by its tag:
@@ -36,6 +43,17 @@
 //!   the directory is fsynced — so the manifest is always either the old or
 //!   the new checkpoint, never torn.
 //!
+//! `wal.log` and `MANIFEST` open with a magic naming their format version,
+//! `MADWAL02` / `MADMAN02`: version 2 is the word-wise checksum (version 1
+//! summed frames with a per-byte FNV-1a; lengths and payload bytes did not
+//! change).  A file of any other version is **refused with a typed error
+//! naming the version**, and the directory is left as found — a version
+//! mismatch must not end as "no usable log", which recovery answers by
+//! continuing from the snapshot alone and dropping the committed tail.
+//! There is no upgrade path: chunk files are headerless and append-only, so
+//! an upgraded directory would mix frames of both sums in one file, and no
+//! released database exists.
+//!
 //! The checkpoint ordering is what makes WAL truncation crash-safe: the
 //! manifest recording `(epoch N, offset)` becomes durable *before* the WAL
 //! is reset to epoch `N + 1`.  Recovery therefore accepts exactly two WAL
@@ -53,10 +71,13 @@
 //! file of an id the old manifest never handed out (`next_file_id` is
 //! durable only in the manifest, so the id is handed out again).  Both are
 //! closed before the next append: recovery cuts every referenced file back
-//! to the end of its last counted frame ([`read_chunks`]), and a segment
-//! with no counted chunk starts its file anew ([`clear_chunk_file`]).  After
-//! [`crate::Database::open`], and before any append to it, no chunk file
-//! holds a byte the manifest does not account for.
+//! to the end of its last counted frame, and a segment with no counted
+//! chunk starts its file anew ([`clear_chunk_file`]).  Loading only *finds*
+//! the cut points ([`ChunkFileCut`]); they are applied, with the cut of the
+//! log's torn tail, once every record of the log has decoded and applied —
+//! a directory recovery refuses is byte for byte what it was.  After a
+//! successful [`crate::Database::open`], and before any append to it, no
+//! chunk file holds a byte the manifest does not account for.
 
 use crate::chunk::{ColumnChunk, NullBitmap, RowChunk, Segment};
 use crate::error::{EngineError, Result};
@@ -66,86 +87,226 @@ use crate::value::Value;
 use crate::wal::Wal;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{BufReader, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// File magic identifying a manifest and its format version.
-const MANIFEST_MAGIC: &[u8; 8] = b"MADMAN01";
+const MANIFEST_MAGIC: &[u8; 8] = b"MADMAN02";
 
 // ---------------------------------------------------------------------------
 // Frame codec
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit hash — the record checksum.  Not cryptographic; it detects
-/// torn writes and random corruption, which is the failure model here.
-pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// Bytes of a frame header: payload length (4) + payload checksum (8).
+const FRAME_HEADER_LEN: usize = 12;
+
+const CHECKSUM_SEEDS: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+    0xd6e8_feb8_6659_fd93,
+];
+
+/// One lane step: xor the word in, multiply by an odd constant, fold the
+/// high half down.  Each of the three is a bijection of the lane, so two
+/// inputs that differ in one word leave that word's lane different.
+#[inline(always)]
+fn checksum_step(lane: u64, word: u64) -> u64 {
+    let lane = (lane ^ word).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    lane ^ (lane >> 32)
 }
 
-/// Wraps a payload in a `[u32 len][u64 checksum][payload]` frame.  Every
-/// byte that reaches disk passes through here, so this is the format's one
-/// checked narrowing (see [`count_u32`]).
+/// Folds the four lanes and the input length into the checksum.  The lanes
+/// meet by xor, so a change to exactly one of them always changes the sum.
+fn checksum_finish(lanes: [u64; 4], len: usize) -> u64 {
+    let [a, b, c, d] = lanes;
+    let folded = a ^ b.rotate_left(16) ^ c.rotate_left(32) ^ d.rotate_left(48);
+    checksum_step(checksum_step(folded, len as u64), 0)
+}
+
+/// Steps the leading lanes with one word each.
+#[inline(always)]
+fn checksum_absorb(lanes: &mut [u64; 4], words: &[[u8; 8]]) {
+    for (lane, word) in lanes.iter_mut().zip(words) {
+        *lane = checksum_step(*lane, u64::from_le_bytes(*word));
+    }
+}
+
+/// The record checksum: the input's little-endian `u64` words dealt round
+/// robin onto four independent multiply-xor-shift lanes (four multiplies in
+/// flight, eight bytes each, instead of one dependent multiply per byte),
+/// the sub-word tail zero-padded into a last word, and the length mixed in
+/// so the padding is unambiguous.  Not cryptographic; it detects torn writes
+/// and random corruption, which is the failure model here — any change
+/// confined to one word, a single flipped bit included, is always detected.
+pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = CHECKSUM_SEEDS;
+    let (blocks, rest) = bytes.as_chunks::<32>();
+    for block in blocks {
+        checksum_absorb(&mut lanes, block.as_chunks().0);
+    }
+    // Under four words are left, so they land on lanes 0.. in order and the
+    // tail on the lane behind them, as the round robin would have it.
+    let (words, tail) = rest.as_chunks();
+    checksum_absorb(&mut lanes, words);
+    if !tail.is_empty() {
+        let mut word = [0; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        lanes[words.len()] = checksum_step(lanes[words.len()], u64::from_le_bytes(word));
+    }
+    checksum_finish(lanes, bytes.len())
+}
+
+/// Appends one `[u32 len][u64 checksum][payload]` frame to `out`: reserves
+/// the header, lets `encode` write the payload straight behind it, then
+/// back-fills length and sum — the payload is written once, where it will
+/// be handed to `write`.  Every byte that reaches disk passes through here,
+/// so this is the format's one checked narrowing (see [`count_u32`]).
 ///
 /// # Errors
 /// Returns [`EngineError::Storage`] for a payload the `u32` length prefix
 /// cannot describe — written with a wrapped length it would be unreadable.
-pub(crate) fn frame(payload: &[u8]) -> Result<Vec<u8>> {
+pub(crate) fn put_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+    let at = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    encode(out);
+    let (header, payload) = out[at..].split_at_mut(FRAME_HEADER_LEN);
     let len = u32::try_from(payload.len()).map_err(|_| {
         let what = format!("{} bytes do not fit the u32 length prefix", payload.len());
         EngineError::storage("frame payload", what)
     })?;
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&checksum64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
+    Ok(())
+}
+
+/// Streams the frames of one file, in order, through one reused payload
+/// buffer: each payload is read once, verified, and handed to its decoder
+/// while it is still in cache.
+pub(crate) struct FrameReader {
+    file: BufReader<File>,
+    /// The context a failed `open`, `read` or `seek` is reported under.
+    what: &'static str,
+    /// The file's length when opened: what every untrusted length prefix is
+    /// checked against before anything is allocated for it.
+    len: u64,
+    /// Offset one past the last byte handed out.
+    pos: u64,
+    payload: Vec<u8>,
+}
+
+impl FrameReader {
+    /// Opens the file at `path`; `None` when there is none.
+    pub(crate) fn open(path: &Path, what: &'static str) -> Result<Option<Self>> {
+        let file = match File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(EngineError::storage(what, e)),
+        };
+        let meta = file.metadata().map_err(|e| EngineError::storage(what, e))?;
+        // A directory opens too, and reports a length no read will honour.
+        if !meta.is_file() {
+            return Err(EngineError::storage(what, "not a regular file"));
+        }
+        Ok(Some(Self {
+            file: BufReader::new(file),
+            what,
+            len: meta.len(),
+            pos: 0,
+            payload: Vec::new(),
+        }))
+    }
+
+    /// The file's length when opened.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Offset one past the last valid frame (or file header) read.
+    pub(crate) fn pos(&self) -> u64 {
+        self.pos
+    }
+
+    /// Moves to byte offset `pos`, where the caller knows a frame starts.
+    pub(crate) fn seek(&mut self, pos: u64) -> Result<()> {
+        self.file
+            .seek(SeekFrom::Start(pos))
+            .map_err(|e| EngineError::storage(self.what, e))?;
+        self.pos = pos;
+        Ok(())
+    }
+
+    /// The next `N` bytes — a file's magic or header — when it holds them.
+    pub(crate) fn header<const N: usize>(&mut self) -> Result<Option<[u8; N]>> {
+        if self.len.saturating_sub(self.pos) < N as u64 {
+            return Ok(None);
+        }
+        let mut out = [0; N];
+        self.file
+            .read_exact(&mut out)
+            .map_err(|e| EngineError::storage(self.what, e))?;
+        self.pos += N as u64;
+        Ok(Some(out))
+    }
+
+    /// The next frame's payload, or `None` when no further valid frame
+    /// follows: end of file, a short (torn) frame, or a checksum mismatch.
+    /// Scanning must stop there — frame boundaries behind an invalid frame
+    /// cannot be trusted — and [`FrameReader::pos`] stays at its start.
+    pub(crate) fn next(&mut self) -> Result<Option<&[u8]>> {
+        let start = self.pos;
+        let Some([a, b, c, d, sum @ ..]) = self.header::<FRAME_HEADER_LEN>()? else {
+            return Ok(None);
+        };
+        // Not a frame until its payload has verified.
+        self.pos = start;
+        let len = u32::from_le_bytes([a, b, c, d]);
+        let end = start + FRAME_HEADER_LEN as u64 + u64::from(len);
+        if end > self.len {
+            return Ok(None);
+        }
+        // Grows to the largest frame only, and only once the file has been
+        // seen to hold that many bytes; a shorter payload reuses its front.
+        self.payload.resize(len as usize, 0);
+        self.file
+            .read_exact(&mut self.payload)
+            .map_err(|e| EngineError::storage(self.what, e))?;
+        if checksum64(&self.payload) != u64::from_le_bytes(sum) {
+            return Ok(None);
+        }
+        self.pos = end;
+        Ok(Some(&self.payload))
+    }
+}
+
+/// Whether `found` is `expected`, this build's magic for `file`.
+///
+/// # Errors
+/// The same file kind at another format version is refused by name rather
+/// than read as damage: recovery answers a damaged log by continuing from
+/// the snapshot alone, which for a readable log of another version would
+/// silently drop its committed tail.  There is no upgrade path — chunk files
+/// are headerless and append-only, so an upgraded directory would mix frames
+/// of both checksums in one file — and no released database to upgrade.
+pub(crate) fn check_magic(file: &str, found: &[u8; 8], expected: &[u8; 8]) -> Result<bool> {
+    if found == expected || found[..6] != expected[..6] {
+        return Ok(found == expected);
+    }
+    let version = |magic: &[u8; 8]| String::from_utf8_lossy(&magic[6..]).into_owned();
+    Err(EngineError::Storage {
+        message: format!(
+            "{file} is format version {}; this build reads only version {}",
+            version(found),
+            version(expected)
+        ),
+    })
 }
 
 /// The `N` bytes at `pos`, when the buffer holds that many: the one
-/// fixed-size read under the frame parser, the WAL header and
-/// [`ByteReader`].
-pub(crate) fn array_at<const N: usize>(bytes: &[u8], pos: usize) -> Option<[u8; N]> {
+/// fixed-size read under [`ByteReader`].
+fn array_at<const N: usize>(bytes: &[u8], pos: usize) -> Option<[u8; N]> {
     bytes.get(pos..)?.first_chunk().copied()
-}
-
-/// Result of parsing one frame at a byte offset.
-pub(crate) enum FrameParse<'a> {
-    /// A complete, checksum-valid frame; `next` is the following offset.
-    Frame {
-        /// The frame's payload bytes.
-        payload: &'a [u8],
-        /// Offset of the byte after this frame.
-        next: usize,
-    },
-    /// No further valid frame: end of buffer, a short (torn) frame, or a
-    /// checksum mismatch.  Scanning must stop — frame boundaries after an
-    /// invalid frame cannot be trusted.
-    End,
-}
-
-/// Parses the frame starting at `pos`, if a complete valid one is present.
-pub(crate) fn parse_frame(bytes: &[u8], pos: usize) -> FrameParse<'_> {
-    let (Some(len), Some(sum)) = (array_at(bytes, pos), array_at(bytes, pos + 4)) else {
-        return FrameParse::End;
-    };
-    let start = pos + 12;
-    let Some(end) = start.checked_add(u32::from_le_bytes(len) as usize) else {
-        return FrameParse::End;
-    };
-    if end > bytes.len() {
-        return FrameParse::End;
-    }
-    let payload = &bytes[start..end];
-    if checksum64(payload) != u64::from_le_bytes(sum) {
-        return FrameParse::End;
-    }
-    FrameParse::Frame { payload, next: end }
 }
 
 // ---------------------------------------------------------------------------
@@ -555,7 +716,8 @@ fn read_column(r: &mut ByteReader<'_>, rows: usize) -> Result<ColumnChunk> {
     }
 }
 
-/// Writes a chunk: row count, arity, then each column's buffers.
+/// Writes a chunk — a chunk-file payload: row count, arity, then each
+/// column's buffers.
 fn put_chunk(out: &mut Vec<u8>, chunk: &RowChunk) {
     put_count(out, chunk.len());
     put_count(out, chunk.arity());
@@ -564,16 +726,9 @@ fn put_chunk(out: &mut Vec<u8>, chunk: &RowChunk) {
     }
 }
 
-/// Serializes a chunk as a chunk-file payload.
-pub(crate) fn encode_chunk(chunk: &RowChunk) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_chunk(&mut out, chunk);
-    out
-}
-
-/// Decodes a chunk serialized by [`encode_chunk`], validating that every
-/// column covers exactly the declared row count.
-pub(crate) fn decode_chunk(payload: &[u8]) -> Result<RowChunk> {
+/// Decodes a chunk written by [`put_chunk`] — a chunk-file payload —
+/// validating that every column covers exactly the declared row count.
+fn decode_chunk(payload: &[u8]) -> Result<RowChunk> {
     let mut r = ByteReader::new(payload);
     let rows = r.u32()? as usize;
     let arity = r.u32()? as usize;
@@ -593,7 +748,7 @@ pub(crate) fn decode_chunk(payload: &[u8]) -> Result<RowChunk> {
 }
 
 /// A chunk nested in a larger payload (a manifest tail, a `PutTable`
-/// segment): its byte length, then the [`encode_chunk`] bytes.
+/// segment): its byte length, then the [`put_chunk`] bytes.
 fn put_sized_chunk(out: &mut Vec<u8>, chunk: &RowChunk) {
     let at = out.len();
     put_u32(out, 0);
@@ -734,9 +889,8 @@ fn read_rows(r: &mut ByteReader<'_>) -> Result<Vec<Vec<Value>>> {
     Ok(rows)
 }
 
-/// Serializes a WAL record payload.
-pub(crate) fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Writes a WAL record payload.
+pub(crate) fn put_record(out: &mut Vec<u8>, record: &WalRecord) {
     match record {
         WalRecord::CreateTable {
             name,
@@ -745,42 +899,41 @@ pub(crate) fn encode_record(record: &WalRecord) -> Vec<u8> {
             chunk_capacity,
         } => {
             out.push(1);
-            put_str(&mut out, name);
-            put_schema(&mut out, schema);
-            put_distribution(&mut out, distribution);
-            put_u64(&mut out, *chunk_capacity);
+            put_str(out, name);
+            put_schema(out, schema);
+            put_distribution(out, distribution);
+            put_u64(out, *chunk_capacity);
         }
-        WalRecord::DropTable { name } => put_str(tagged(&mut out, 2), name),
+        WalRecord::DropTable { name } => put_str(tagged(out, 2), name),
         WalRecord::Append { table, rows } => {
-            put_str(tagged(&mut out, 3), table);
-            put_rows(&mut out, rows);
+            put_str(tagged(out, 3), table);
+            put_rows(out, rows);
         }
-        WalRecord::Truncate { table } => put_str(tagged(&mut out, 4), table),
+        WalRecord::Truncate { table } => put_str(tagged(out, 4), table),
         WalRecord::PutTable {
             name,
             replace,
             table,
         } => {
-            put_str(tagged(&mut out, 6), name);
-            replace.put(&mut out);
+            put_str(tagged(out, 6), name);
+            replace.put(out);
             put_table_meta(
-                &mut out,
+                out,
                 table.schema(),
                 table.distribution(),
                 table.chunk_capacity() as u64,
                 table.next_round_robin() as u64,
             );
-            put_count(&mut out, table.num_segments());
+            put_count(out, table.num_segments());
             for segment in 0..table.num_segments() {
                 let chunks = table.segment(segment).chunks();
-                put_count(&mut out, chunks.len());
+                put_count(out, chunks.len());
                 for chunk in chunks {
-                    put_sized_chunk(&mut out, chunk);
+                    put_sized_chunk(out, chunk);
                 }
             }
         }
     }
-    out
 }
 
 /// Decodes a WAL record payload.
@@ -875,33 +1028,31 @@ pub(crate) struct Manifest {
     pub tables: Vec<ManifestTable>,
 }
 
-fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, m.epoch);
-    put_u64(&mut out, m.wal_offset);
-    put_u64(&mut out, m.num_segments);
-    put_u64(&mut out, m.next_file_id);
-    put_count(&mut out, m.tables.len());
+fn put_manifest(out: &mut Vec<u8>, m: &Manifest) {
+    put_u64(out, m.epoch);
+    put_u64(out, m.wal_offset);
+    put_u64(out, m.num_segments);
+    put_u64(out, m.next_file_id);
+    put_count(out, m.tables.len());
     for t in &m.tables {
-        put_str(&mut out, &t.name);
-        put_u64(&mut out, t.file_id);
+        put_str(out, &t.name);
+        put_u64(out, t.file_id);
         put_table_meta(
-            &mut out,
+            out,
             &t.schema,
             &t.distribution,
             t.chunk_capacity,
             t.next_round_robin,
         );
-        put_count(&mut out, t.segments.len());
+        put_count(out, t.segments.len());
         for s in &t.segments {
-            put_u64(&mut out, s.persisted_chunks);
+            put_u64(out, s.persisted_chunks);
             match &s.tail {
                 None => out.push(0),
-                Some(chunk) => put_sized_chunk(tagged(&mut out, 1), chunk),
+                Some(chunk) => put_sized_chunk(tagged(out, 1), chunk),
             }
         }
     }
-    out
 }
 
 fn decode_manifest(payload: &[u8]) -> Result<Manifest> {
@@ -977,10 +1128,8 @@ fn sync_dir(dir: &Path) -> Result<()> {
 /// Atomically installs a new manifest: write to `MANIFEST.tmp`, fsync,
 /// rename over `MANIFEST`, fsync the directory.
 pub(crate) fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<()> {
-    let payload = encode_manifest(manifest);
-    let mut bytes = Vec::with_capacity(8 + 12 + payload.len());
-    bytes.extend_from_slice(MANIFEST_MAGIC);
-    bytes.extend_from_slice(&frame(&payload)?);
+    let mut bytes = MANIFEST_MAGIC.to_vec();
+    put_frame(&mut bytes, |out| put_manifest(out, manifest))?;
     let tmp = dir.join("MANIFEST.tmp");
     let mut file = File::create(&tmp).map_err(|e| EngineError::storage("create manifest", e))?;
     file.write_all(&bytes)
@@ -997,20 +1146,19 @@ pub(crate) fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<()> {
 /// # Errors
 /// A present-but-invalid manifest is a hard [`EngineError::Storage`] error:
 /// manifest installation is atomic, so corruption here means real data loss
-/// that must not be silently ignored.
+/// that must not be silently ignored.  One of another format version is
+/// refused by name ([`check_magic`]).
 pub(crate) fn read_manifest(dir: &Path) -> Result<Option<Manifest>> {
-    let bytes = match std::fs::read(manifest_path(dir)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(EngineError::storage("read manifest", e)),
+    let Some(mut frames) = FrameReader::open(&manifest_path(dir), "read manifest")? else {
+        return Ok(None);
     };
-    if bytes.len() < 8 || &bytes[..8] != MANIFEST_MAGIC {
-        return Err(corrupt("manifest magic"));
+    match frames.header()? {
+        Some(magic) if check_magic("MANIFEST", &magic, MANIFEST_MAGIC)? => {}
+        _ => return Err(corrupt("manifest magic")),
     }
-    match parse_frame(&bytes, 8) {
-        FrameParse::Frame { payload, next } if next == bytes.len() => {
-            decode_manifest(payload).map(Some)
-        }
+    // One frame, and nothing behind it.
+    match frames.next()?.map(decode_manifest).transpose()? {
+        Some(manifest) if frames.pos() == frames.len() => Ok(Some(manifest)),
         _ => Err(corrupt("manifest frame")),
     }
 }
@@ -1039,7 +1187,7 @@ pub(crate) fn append_chunks(path: &Path, chunks: &[Arc<RowChunk>]) -> Result<()>
         .map_err(|e| EngineError::storage("open chunk file", e))?;
     let mut buf = Vec::new();
     for chunk in chunks {
-        buf.extend_from_slice(&frame(&encode_chunk(chunk))?);
+        put_frame(&mut buf, |out| put_chunk(out, chunk))?;
     }
     (&file)
         .write_all(&buf)
@@ -1047,56 +1195,71 @@ pub(crate) fn append_chunks(path: &Path, chunks: &[Arc<RowChunk>]) -> Result<()>
         .map_err(|e| EngineError::storage("append chunk file", e))
 }
 
-/// Reads the first `count` chunks back from a segment chunk file and cuts
-/// the file back to them.  It may hold *more* frames than the manifest
-/// counts (a checkpoint that crashed after appending chunks but before
-/// installing its manifest); chunks are addressed by frame ordinal, so the
-/// extras must be gone before the next checkpoint appends behind them.
-/// Fewer valid frames than `count` is corruption.
-pub(crate) fn read_chunks(path: &Path, count: usize) -> Result<Vec<Arc<RowChunk>>> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if count == 0 && e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(EngineError::storage("read chunk file", e)),
+/// A chunk file to cut back to `len` bytes: it holds frames the manifest
+/// does not count.
+pub(crate) type ChunkFileCut = (PathBuf, u64);
+
+/// Reads the first `count` chunks back from a segment chunk file.  It may
+/// hold *more* frames than the manifest counts (a checkpoint that crashed
+/// after appending chunks but before installing its manifest); chunks are
+/// addressed by frame ordinal, so the extras must be gone before the next
+/// checkpoint appends behind them — the reader only reports them, as a
+/// [`ChunkFileCut`] pushed onto `cuts`, so that a recovery that is refused
+/// further on has changed no file.  Fewer valid frames than `count` is
+/// corruption; a failed `read` is an I/O error.
+fn read_chunks(
+    path: &Path,
+    count: usize,
+    cuts: &mut Vec<ChunkFileCut>,
+) -> Result<Vec<Arc<RowChunk>>> {
+    let Some(mut frames) = FrameReader::open(path, "read chunk file")? else {
+        return match count {
+            0 => Ok(Vec::new()),
+            _ => Err(EngineError::storage("read chunk file", "no such file")),
+        };
     };
-    let mut chunks = Vec::with_capacity(count);
-    let mut pos = 0;
+    let mut chunks = Vec::new();
     while chunks.len() < count {
-        match parse_frame(&bytes, pos) {
-            FrameParse::Frame { payload, next } => {
-                chunks.push(Arc::new(decode_chunk(payload)?));
-                pos = next;
-            }
-            FrameParse::End => {
-                return Err(corrupt(&format!(
-                    "chunk file {} holds {} valid chunks, manifest expects {count}",
-                    path.display(),
-                    chunks.len()
-                )))
-            }
-        }
+        let Some(payload) = frames.next()? else {
+            return Err(corrupt(&format!(
+                "chunk file {} holds {} valid chunks, manifest expects {count}",
+                path.display(),
+                chunks.len()
+            )));
+        };
+        chunks.push(Arc::new(decode_chunk(payload)?));
     }
-    if pos < bytes.len() {
-        OpenOptions::new()
-            .write(true)
-            .open(path)
-            .and_then(|file| file.set_len(pos as u64).and_then(|_| file.sync_all()))
-            .map_err(|e| EngineError::storage("trim chunk file", e))?;
+    if frames.pos() < frames.len() {
+        cuts.push((path.to_path_buf(), frames.pos()));
     }
     Ok(chunks)
 }
 
+/// Applies a [`ChunkFileCut`] and fsyncs the file.
+pub(crate) fn cut_chunk_file((path, len): &ChunkFileCut) -> Result<()> {
+    OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|file| file.set_len(*len).and_then(|_| file.sync_all()))
+        .map_err(|e| EngineError::storage("trim chunk file", e))
+}
+
 /// Rebuilds one manifest table: per segment its chunk file's persisted
-/// chunks plus the manifest's tail.
-pub(crate) fn load_table(dir: &Path, t: &ManifestTable) -> Result<Table> {
+/// chunks plus the manifest's tail, which is moved out of `t`.
+pub(crate) fn load_table(
+    dir: &Path,
+    t: &mut ManifestTable,
+    cuts: &mut Vec<ChunkFileCut>,
+) -> Result<Table> {
     let mut segments = Vec::with_capacity(t.segments.len());
-    for (segment, m) in t.segments.iter().enumerate() {
+    for (segment, m) in t.segments.iter_mut().enumerate() {
         let mut chunks = read_chunks(
             &chunk_path(dir, t.file_id, segment),
             m.persisted_chunks as usize,
+            cuts,
         )?;
-        if let Some(tail) = m.tail.as_ref().filter(|tail| !tail.is_empty()) {
-            chunks.push(Arc::new(tail.clone()));
+        if let Some(tail) = m.tail.take().filter(|tail| !tail.is_empty()) {
+            chunks.push(Arc::new(tail));
         }
         segments.push(Segment::from_chunks(chunks));
     }
@@ -1162,6 +1325,149 @@ pub(crate) fn delete_chunk_files(dir: &Path, file_id: u64, num_segments: usize) 
 mod tests {
     use super::*;
     use crate::row::Row;
+
+    fn encode_chunk(chunk: &RowChunk) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_chunk(&mut out, chunk);
+        out
+    }
+
+    fn encode_record(record: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_record(&mut out, record);
+        out
+    }
+
+    fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_manifest(&mut out, manifest);
+        out
+    }
+
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_frame(&mut out, |out| out.extend_from_slice(payload)).unwrap();
+        out
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("madlib_{tag}_test_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The checksum as its definition reads: one word at a time, word `i`
+    /// onto lane `i % 4`, the tail zero-padded into a last word.
+    fn reference_checksum(bytes: &[u8]) -> u64 {
+        let mut lanes = CHECKSUM_SEEDS;
+        for (i, word) in bytes.chunks(8).enumerate() {
+            let mut padded = [0u8; 8];
+            padded[..word.len()].copy_from_slice(word);
+            lanes[i % 4] = checksum_step(lanes[i % 4], u64::from_le_bytes(padded));
+        }
+        checksum_finish(lanes, bytes.len())
+    }
+
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 56) as u8
+        };
+        (0..len).map(|_| next()).collect()
+    }
+
+    #[test]
+    fn checksum_is_the_word_at_a_time_reference() {
+        let bytes = noise(100, 1);
+        for len in 0..=bytes.len() {
+            let input = &bytes[..len];
+            assert_eq!(checksum64(input), reference_checksum(input), "len {len}");
+        }
+        for (seed, len) in [(2, 1_000), (3, 4_096), (4, 65_537), (5, 1_000_003)] {
+            let input = noise(len, seed);
+            // Every alignment of the block loop against the buffer.
+            for skip in 0..9 {
+                let input = &input[skip..];
+                assert_eq!(checksum64(input), reference_checksum(input));
+            }
+        }
+    }
+
+    /// Exhaustive, not statistical: the lane steps are bijections and the
+    /// lanes meet by xor, so a change confined to one word cannot cancel.
+    #[test]
+    fn checksum_sees_every_bit_flip_and_every_truncation() {
+        let payload = noise(512, 7);
+        let sum = checksum64(&payload);
+        let mut flipped = payload.clone();
+        for bit in 0..payload.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&flipped), sum, "bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        for len in 0..payload.len() {
+            assert_ne!(checksum64(&payload[..len]), sum, "cut to {len}");
+        }
+        // Zero padding is told apart from zero bytes by the length.
+        let sums: Vec<u64> = (0..64).map(|len| checksum64(&[0u8; 64][..len])).collect();
+        for (i, a) in sums.iter().enumerate() {
+            assert!(!sums[..i].contains(a), "{i} zero bytes");
+        }
+    }
+
+    #[test]
+    fn frame_reader_stops_at_torn_and_failing_frames_without_allocating() {
+        let dir = temp_dir("framereader");
+        let path = dir.join("frames");
+        assert!(FrameReader::open(&path, "read test").unwrap().is_none());
+
+        let mut bytes = frame(b"alpha");
+        bytes.extend(frame(b""));
+        bytes.extend(frame(&noise(10_000, 9)));
+        let full = bytes.len() as u64;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut frames = FrameReader::open(&path, "read test").unwrap().unwrap();
+        assert_eq!(frames.next().unwrap(), Some(&b"alpha"[..]));
+        assert_eq!(frames.next().unwrap(), Some(&b""[..]));
+        assert_eq!(frames.next().unwrap().map(<[u8]>::len), Some(10_000));
+        assert_eq!(frames.next().unwrap(), None);
+        assert_eq!((frames.pos(), frames.len()), (full, full));
+
+        // A flipped payload byte and a torn third frame both end the frames
+        // behind the second, and are not errors.
+        let second_end = (2 * FRAME_HEADER_LEN + 5) as u64;
+        for damage in [0, 1] {
+            let mut damaged = bytes.clone();
+            match damage {
+                0 => damaged[second_end as usize + 500] ^= 1,
+                _ => damaged.truncate(bytes.len() - 1),
+            }
+            std::fs::write(&path, &damaged).unwrap();
+            let mut frames = FrameReader::open(&path, "read test").unwrap().unwrap();
+            while frames.next().unwrap().is_some() {}
+            assert_eq!(frames.pos(), second_end);
+        }
+
+        // An untrusted length is checked against the file before anything is
+        // allocated for it: `u32::MAX` in a 100-byte file costs nothing.
+        let mut huge = vec![0xAB; 100];
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &huge).unwrap();
+        let mut frames = FrameReader::open(&path, "read test").unwrap().unwrap();
+        assert_eq!(frames.next().unwrap(), None);
+        assert_eq!((frames.pos(), frames.payload.capacity()), (0, 0));
+
+        // What is not a file is an I/O error under the reader's context,
+        // whatever length the file system reports for it.
+        match FrameReader::open(&dir, "read test") {
+            Err(EngineError::Storage { message }) => assert!(message.contains("read test")),
+            _ => panic!("a directory must be refused"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     fn sample_chunk() -> RowChunk {
         let schema = Schema::new(vec![
@@ -1299,10 +1605,12 @@ mod tests {
         }
     }
 
-    // Bytes the parent commit's encoders (before the element codec and the
-    // shared table metadata) produced for the inputs of
+    // Bytes PR 19's encoders (before the element codec and the shared table
+    // metadata) produced for the inputs of
     // `formats_are_byte_for_byte_the_previous_encoders`, committed as the
-    // guard behind "bytes on disk do not change".
+    // guard behind "bytes on disk do not change".  Format version 2 restated
+    // only the eight checksum bytes of `GOLDEN_FRAMED_TAIL` (bytes 4..12);
+    // its length prefix and every payload byte are version 1's.
     const GOLDEN_CHUNK: &str = "\
         03000000070000000001000001000000020000000000000001070000000000000000000000000000\
         00fdffffffffffffff01000000020000000000000002000000000000f83f00000000000000000000\
@@ -1315,7 +1623,7 @@ mod tests {
         00000000000200000000000000010000000200000000000000\
     ";
     const GOLDEN_FRAMED_TAIL: &str = "\
-        1d000000b021be20ca73f4ef01000000010000000200000000000004400100000000000000000000\
+        1d00000032ebace6e527647201000000010000000200000000000004400100000000000000000000\
         00\
     ";
     const GOLDEN_MANIFEST: &str = "\
@@ -1353,12 +1661,10 @@ mod tests {
         assert_eq!(encode_chunk(&sample_chunk()), unhex(GOLDEN_CHUNK));
         let decoded = decode_chunk(&unhex(GOLDEN_CHUNK)).unwrap();
         assert_eq!(encode_chunk(&decoded), unhex(GOLDEN_CHUNK));
-        let framed = frame(&encode_chunk(&sample_tail())).unwrap();
-        assert_eq!(framed, unhex(GOLDEN_FRAMED_TAIL));
-        assert!(matches!(
-            parse_frame(&framed, 0),
-            FrameParse::Frame { next, .. } if next == framed.len()
-        ));
+        assert_eq!(
+            frame(&encode_chunk(&sample_tail())),
+            unhex(GOLDEN_FRAMED_TAIL)
+        );
 
         // Manifest payload.
         let manifest = Manifest {
@@ -1495,8 +1801,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_atomically() {
-        let dir = std::env::temp_dir().join(format!("madlib_manifest_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("manifest");
         assert!(read_manifest(&dir).unwrap().is_none());
         let manifest = Manifest {
             epoch: 5,
@@ -1550,29 +1855,37 @@ mod tests {
 
     #[test]
     fn chunk_files_append_and_recover() {
-        let dir =
-            std::env::temp_dir().join(format!("madlib_chunkfile_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("chunkfile");
         let path = chunk_path(&dir, 1, 0);
-        std::fs::remove_file(&path).ok();
         let a = Arc::new(sample_chunk());
         let b = Arc::new(sample_tail());
         append_chunks(&path, &[Arc::clone(&a)]).unwrap();
         append_chunks(&path, &[Arc::clone(&b)]).unwrap();
-        let chunks = read_chunks(&path, 2).unwrap();
+        let mut cuts = Vec::new();
+        let chunks = read_chunks(&path, 2, &mut cuts).unwrap();
         assert_eq!(chunks[0].len(), a.len());
         assert_eq!(chunks[1].len(), b.len());
+        assert!(cuts.is_empty());
         // Extra frames beyond the requested count (a checkpoint that crashed
         // before installing its manifest leaves them behind) are not
-        // returned — and are cut off the file, so that the next append
-        // lands directly behind the counted ones.
+        // returned.  Reading leaves the file alone and reports the cut, which
+        // takes them off the file, so that the next append lands directly
+        // behind the counted ones.
         let two_frames = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(read_chunks(&path, 1).unwrap().len(), 1);
-        let one_frame = frame(&encode_chunk(&a)).unwrap().len() as u64;
+        assert_eq!(read_chunks(&path, 1, &mut cuts).unwrap().len(), 1);
+        let one_frame = frame(&encode_chunk(&a)).len() as u64;
         assert!(one_frame < two_frames);
+        assert_eq!(cuts, [(path.clone(), one_frame)]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), two_frames);
+        cut_chunk_file(&cuts[0]).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), one_frame);
-        // Fewer valid frames than requested is corruption.
-        assert!(read_chunks(&path, 3).is_err());
+        // Fewer valid frames than requested is corruption — also when the
+        // file is not there at all; no file and no chunk expected is a
+        // segment that never sealed one.
+        assert!(read_chunks(&path, 3, &mut cuts).is_err());
+        assert!(read_chunks(&chunk_path(&dir, 1, 1), 1, &mut cuts).is_err());
+        let none = read_chunks(&chunk_path(&dir, 1, 1), 0, &mut cuts).unwrap();
+        assert!(none.is_empty() && cuts.len() == 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,20 @@
 //! Write-ahead log with group commit.
 //!
-//! The log is a single append-only file: a fixed 24-byte header (magic,
-//! epoch, header checksum) followed by *records*, each framed as
+//! The log is a single append-only file: a fixed 24-byte header (the magic
+//! `MADWAL02`, epoch, header checksum) followed by *records*, each framed as
 //! `[u32 payload length][u64 checksum][payload]` (see [`crate::persist`] for
-//! the frame codec and the payload format).  A record is **committed** once
-//! the bytes through its frame are fsynced; replay stops at the first
-//! missing, short, or checksum-failing frame, so a torn tail write can only
-//! ever drop a *suffix* of records — never corrupt or reorder the prefix.
+//! the frame codec — one writer, `put_frame`, and one streaming reader,
+//! `FrameReader`, shared with the chunk files and the manifest — and for the
+//! payload format).  A record is **committed** once the bytes through its
+//! frame are fsynced; replay ([`LogReader::replay`]) hands each payload to
+//! the decoder as it is read and stops at the first missing, short, or
+//! checksum-failing frame, so a torn tail write can only ever drop a
+//! *suffix* of records — never corrupt or reorder the prefix.  A header that
+//! is short, of a foreign magic or failing its sum is "no usable log"; one
+//! that is a WAL of **another format version** (`MADWAL01`, the per-byte
+//! frame checksum) is refused with a typed error naming the version, because
+//! "no usable log" would let recovery continue from the snapshot alone and
+//! silently drop that log's committed tail.
 //!
 //! ## Group commit
 //!
@@ -31,14 +39,14 @@
 //! rejects anything else as corruption — see [`crate::persist`].
 
 use crate::error::{EngineError, Result};
-use crate::persist::{self, FrameParse};
+use crate::persist::{self, FrameReader};
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// File magic identifying a WAL and its format version.
-pub(crate) const WAL_MAGIC: &[u8; 8] = b"MADWAL01";
+const WAL_MAGIC: &[u8; 8] = b"MADWAL02";
 
 /// Bytes of the WAL header: magic (8) + epoch (8) + checksum (8).
 pub(crate) const WAL_HEADER_LEN: u64 = 24;
@@ -52,95 +60,70 @@ fn header_bytes(epoch: u64) -> [u8; WAL_HEADER_LEN as usize] {
     out
 }
 
-/// Parses a WAL header, returning its epoch; `None` when the bytes are too
-/// short, carry the wrong magic, or fail the checksum (recovery treats all
-/// three as "no usable log").
-pub(crate) fn parse_header(bytes: &[u8]) -> Option<u64> {
-    let (magic, epoch, sum) = (
-        persist::array_at::<8>(bytes, 0)?,
-        persist::array_at(bytes, 8)?,
-        persist::array_at(bytes, 16)?,
-    );
-    if &magic != WAL_MAGIC || persist::checksum64(&bytes[..16]) != u64::from_le_bytes(sum) {
-        return None;
-    }
-    Some(u64::from_le_bytes(epoch))
-}
-
-/// Reads just the header epoch of the WAL at `path`: `Ok(None)` for a
-/// missing file or an unusable (short / wrong-magic / checksum-failing)
-/// header.  Recovery calls this before deciding the replay offset, without
-/// paying for a full-file read.
-pub(crate) fn read_epoch(path: &Path) -> Result<Option<u64>> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(EngineError::storage("open wal", e)),
+/// Parses a WAL header, returning its epoch; `None` when the bytes carry a
+/// foreign magic or fail the checksum (recovery treats both as "no usable
+/// log").
+///
+/// # Errors
+/// A WAL magic of another format version is refused by name
+/// ([`persist::check_magic`]): that log may hold a committed tail.
+fn parse_header(bytes: &[u8; WAL_HEADER_LEN as usize]) -> Result<Option<u64>> {
+    let (fields, _) = bytes.as_chunks::<8>();
+    let &[magic, epoch, sum] = fields else {
+        return Ok(None);
     };
-    let mut buf = [0u8; WAL_HEADER_LEN as usize];
-    let mut filled = 0;
-    while filled < buf.len() {
-        match file.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(EngineError::storage("read wal header", e)),
-        }
-    }
-    Ok(parse_header(&buf[..filled]))
+    let usable = persist::check_magic("wal.log", &magic, WAL_MAGIC)?
+        && persist::checksum64(&bytes[..16]) == u64::from_le_bytes(sum);
+    Ok(usable.then_some(u64::from_le_bytes(epoch)))
 }
 
-/// The result of scanning a WAL file's record area.  The header epoch is
-/// read separately via [`read_epoch`].
-pub(crate) struct WalScan {
-    /// Committed record payloads, in log order, starting at the scan offset.
-    pub records: Vec<Vec<u8>>,
-    /// Byte offset one past the last valid frame — the truncation point for
-    /// resuming appends (anything beyond it is a torn or corrupt tail).
-    pub valid_len: u64,
+/// An existing log with a usable header, open for replay.
+pub(crate) struct LogReader {
+    /// The header epoch.
+    pub epoch: u64,
+    frames: FrameReader,
 }
 
-/// Reads the WAL at `path` and parses frames starting at `from` (callers
-/// pass the manifest's replay offset, or [`WAL_HEADER_LEN`] for a full
-/// scan).  Bytes before `from` are not parsed: they were consumed by the
-/// checkpoint the manifest describes and may legitimately be unreadable
-/// (e.g. a flipped bit in an already-absorbed record).
-pub(crate) fn scan(path: &Path, from: Option<u64>) -> Result<WalScan> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(WalScan {
-                records: Vec::new(),
-                valid_len: 0,
-            })
-        }
-        Err(e) => return Err(EngineError::storage("read wal", e)),
+/// Opens the WAL at `path` for replay: `Ok(None)` for a missing file or an
+/// unusable (short / foreign-magic / checksum-failing) header.  Recovery
+/// reads the epoch off the result before deciding the replay offset.
+pub(crate) fn read_log(path: &Path) -> Result<Option<LogReader>> {
+    let Some(mut frames) = FrameReader::open(path, "read wal")? else {
+        return Ok(None);
     };
-    if parse_header(&bytes).is_none() {
-        return Ok(WalScan {
-            records: Vec::new(),
-            valid_len: 0,
-        });
+    let epoch = match frames.header()? {
+        Some(header) => parse_header(&header)?,
+        None => None,
+    };
+    Ok(epoch.map(|epoch| LogReader { epoch, frames }))
+}
+
+impl LogReader {
+    /// Hands `each` the committed record payloads in log order, starting at
+    /// byte offset `from` (callers pass the manifest's replay offset, or
+    /// [`WAL_HEADER_LEN`] for the whole log), and returns the offset one
+    /// past the last valid frame — the truncation point for resuming
+    /// appends (anything beyond it is a torn or corrupt tail).  Bytes before
+    /// `from` are not parsed: they were consumed by the checkpoint the
+    /// manifest describes and may legitimately be unreadable (e.g. a flipped
+    /// bit in an already-absorbed record).  The file is only read.
+    pub(crate) fn replay(
+        mut self,
+        from: u64,
+        mut each: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<u64> {
+        let start = from.max(WAL_HEADER_LEN);
+        // The manifest offset can exceed the surviving file length when the
+        // crash truncated already-checkpointed bytes; nothing is replayable.
+        if start > self.frames.len() {
+            return Ok(start);
+        }
+        self.frames.seek(start)?;
+        while let Some(payload) = self.frames.next()? {
+            each(payload)?;
+        }
+        Ok(self.frames.pos())
     }
-    let start = from.unwrap_or(WAL_HEADER_LEN).max(WAL_HEADER_LEN);
-    let mut records = Vec::new();
-    let mut pos = start as usize;
-    // The manifest offset can exceed the surviving file length when the
-    // crash truncated already-checkpointed bytes; nothing is replayable.
-    if pos > bytes.len() {
-        return Ok(WalScan {
-            records,
-            valid_len: start,
-        });
-    }
-    while let FrameParse::Frame { payload, next } = persist::parse_frame(&bytes, pos) {
-        records.push(payload.to_vec());
-        pos = next;
-    }
-    Ok(WalScan {
-        records,
-        valid_len: pos as u64,
-    })
 }
 
 struct WalState {
@@ -226,7 +209,7 @@ impl Wal {
         }
     }
 
-    /// Enqueues one ready frame ([`persist::frame`]) and returns its commit
+    /// Enqueues one ready frame ([`persist::put_frame`]) and returns its commit
     /// ticket.  Only a push — the committer encoded, framed and checksummed
     /// the record before it took any lock: callers invoke this while holding
     /// the lock that orders the matching in-memory mutation, then release
@@ -375,7 +358,32 @@ mod tests {
 
     /// Frames a payload as the commit path does and enqueues it.
     fn append(wal: &Wal, payload: &[u8]) -> Ticket {
-        wal.append(persist::frame(payload).unwrap())
+        let mut frame = Vec::new();
+        persist::put_frame(&mut frame, |out| out.extend_from_slice(payload)).unwrap();
+        wal.append(frame)
+    }
+
+    fn read_epoch(path: &Path) -> Option<u64> {
+        read_log(path).unwrap().map(|log| log.epoch)
+    }
+
+    struct Scan {
+        records: Vec<Vec<u8>>,
+        valid_len: u64,
+    }
+
+    /// Every committed record of the log at `path`; nothing for a log
+    /// without a usable header.
+    fn scan(path: &Path) -> Scan {
+        let mut records = Vec::new();
+        let valid_len = read_log(path).unwrap().map_or(0, |log| {
+            let each = |payload: &[u8]| {
+                records.push(payload.to_vec());
+                Ok(())
+            };
+            log.replay(WAL_HEADER_LEN, each).unwrap()
+        });
+        Scan { records, valid_len }
     }
 
     fn temp_wal(tag: &str) -> PathBuf {
@@ -395,8 +403,8 @@ mod tests {
             let t = append(&wal, payload);
             wal.wait(t).unwrap();
         }
-        let scanned = scan(&path, None).unwrap();
-        assert_eq!(read_epoch(&path).unwrap(), Some(1));
+        let scanned = scan(&path);
+        assert_eq!(read_epoch(&path), Some(1));
         assert_eq!(
             scanned.records,
             vec![b"alpha".to_vec(), b"b".to_vec(), b"gamma!".to_vec()]
@@ -408,7 +416,7 @@ mod tests {
         let wal = Wal::resume(&path, 1, scanned.valid_len).unwrap();
         let t = append(&wal, b"delta");
         wal.wait(t).unwrap();
-        let rescanned = scan(&path, None).unwrap();
+        let rescanned = scan(&path);
         assert_eq!(rescanned.records.len(), 4);
         assert_eq!(rescanned.records[3], b"delta");
         std::fs::remove_file(&path).ok();
@@ -430,7 +438,7 @@ mod tests {
         // Truncation mid-record drops exactly the torn suffix.
         for cut in (ends[1] + 1)..ends[2] {
             std::fs::write(&path, &full[..cut as usize]).unwrap();
-            let s = scan(&path, None).unwrap();
+            let s = scan(&path);
             assert_eq!(s.records.len(), 2, "cut at {cut}");
             assert_eq!(s.valid_len, ends[1]);
         }
@@ -439,15 +447,51 @@ mod tests {
         let mut flipped = full.clone();
         flipped[ends[1] as usize + 13] ^= 0xff;
         std::fs::write(&path, &flipped).unwrap();
-        let s = scan(&path, None).unwrap();
+        let s = scan(&path);
         assert_eq!(s.records.len(), 2);
 
         // A corrupted header makes the whole log unusable.
         let mut bad_header = full.clone();
         bad_header[3] ^= 0x01;
         std::fs::write(&path, &bad_header).unwrap();
-        assert_eq!(read_epoch(&path).unwrap(), None);
-        assert!(scan(&path, None).unwrap().records.is_empty());
+        assert_eq!(read_epoch(&path), None);
+        assert!(scan(&path).records.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The header is `MADWAL02`, the epoch, and the checksum of those 16
+    /// bytes.  Another version of the same file is not "no usable log" — it
+    /// may hold a committed tail — but a refusal naming the version.
+    #[test]
+    fn header_bytes_are_pinned_and_another_version_is_refused_by_name() {
+        let header = header_bytes(5);
+        let golden = *b"MADWAL02\x05\0\0\0\0\0\0\0\xbd\x9c\x2b\xaa\x7a\x33\x93\xaf";
+        assert_eq!(header, golden);
+        assert_eq!(parse_header(&header).unwrap(), Some(5));
+
+        let path = temp_wal("version");
+        let mut v1 = header;
+        v1[7] = b'1';
+        std::fs::write(&path, v1).unwrap();
+        match read_log(&path) {
+            Err(EngineError::Storage { message }) => {
+                assert!(
+                    message.contains("wal.log is format version 01"),
+                    "{message}"
+                )
+            }
+            _ => panic!("a version-1 log must be refused"),
+        }
+        // A foreign magic, a failing header sum and a short header are all
+        // still no usable log.
+        let mut foreign = header;
+        foreign[0] = b'X';
+        let mut bad_sum = header;
+        bad_sum[9] ^= 1;
+        for bytes in [&foreign[..], &bad_sum[..], &header[..23], &[]] {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(read_log(&path).unwrap().is_none());
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -466,8 +510,8 @@ mod tests {
                 });
             }
         });
-        let s = scan(&path, None).unwrap();
-        assert_eq!(read_epoch(&path).unwrap(), Some(7));
+        let s = scan(&path);
+        assert_eq!(read_epoch(&path), Some(7));
         assert_eq!(s.records.len(), 8 * 16);
         // Per-thread records appear in that thread's commit order.
         for t in 0..8u8 {
@@ -494,8 +538,8 @@ mod tests {
         assert_eq!(wal.durable_len(), WAL_HEADER_LEN);
         let t = append(&wal, b"new");
         wal.wait(t).unwrap();
-        let s = scan(&path, None).unwrap();
-        assert_eq!(read_epoch(&path).unwrap(), Some(4));
+        let s = scan(&path);
+        assert_eq!(read_epoch(&path), Some(4));
         assert_eq!(s.records, vec![b"new".to_vec()]);
         std::fs::remove_file(&path).ok();
     }

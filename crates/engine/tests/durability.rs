@@ -740,64 +740,185 @@ fn checkpoint_sees_a_refill_through_with_table_mut() {
     assert_eq!(ids(&db, "t"), (100..106).collect::<Vec<_>>());
 }
 
-/// Record tag 5 (the row-wise `PutTable` of the first format) is retired:
-/// a log holding one is refused with a typed error naming the tag, and the
-/// refusal leaves every file as it found it.
+/// Every file of a database directory, by name.
+fn snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| {
+            (
+                e.file_name().into_string().unwrap(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+fn restore(dir: &Path, files: &[(String, Vec<u8>)]) {
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+}
+
+/// The single segment's chunk file of [`open_single_segment`]'s table.
+const CHUNK_FILE: &str = "table_1_seg_0.chunks";
+
+/// A directory a successful recovery has work to do in, and the state it
+/// must come back to: counted frames in the chunk file with the frames of a
+/// crashed checkpoint behind them, a WAL tail to replay, and a torn frame
+/// behind that.  Returns `(counted chunk-file bytes, fingerprint)`.
+fn crashed_checkpoint_with_wal_tail(dir: &Path) -> (usize, String) {
+    let db = open_single_segment(dir);
+    db.append_rows("t", rows(0, 7)).unwrap();
+    db.checkpoint().unwrap();
+    let counted = std::fs::metadata(dir.join(CHUNK_FILE)).unwrap().len() as usize;
+    db.append_rows("t", rows(7, 6)).unwrap();
+    let expect = fingerprint(&db);
+    crash_inside_checkpoint(db);
+    assert!(std::fs::metadata(dir.join(CHUNK_FILE)).unwrap().len() as usize > counted);
+    let mut wal = OpenOptions::new().append(true).open(wal_file(dir)).unwrap();
+    wal.write_all(&[0xAB; 7]).unwrap();
+    (counted, expect)
+}
+
+fn expect_refusal(result: Result<Database, EngineError>, needle: &str) {
+    match result {
+        Err(EngineError::Storage { message }) => {
+            assert!(
+                message.contains(needle),
+                "error must say {needle:?}: {message}"
+            )
+        }
+        other => panic!("expected a storage error, got {other:?}"),
+    }
+}
+
+/// Record tag 5 (the row-wise `PutTable` of the first format) is retired,
+/// and so is format version 1 (the per-byte frame checksum) of `wal.log` and
+/// `MANIFEST`: a directory holding either is refused with a typed error
+/// naming what was found, and the refusal leaves every file — the chunk
+/// file a crashed checkpoint left frames in included — as it found it.
 #[test]
 fn a_retired_record_tag_is_refused_and_the_directory_left_untouched() {
     let scratch = ScratchDir::new("tag5");
-    {
-        let db = open_single_segment(scratch.path());
-        db.append_rows("t", rows(0, 5)).unwrap();
-        db.checkpoint().unwrap();
-        db.append_rows("t", rows(5, 3)).unwrap();
-    }
-    // A well-formed frame — `[u32 len][u64 FNV-1a][payload]` — whose payload
-    // is a tag-5 record naming table "t".
-    let payload = [&[5u8][..], &1u32.to_le_bytes(), b"t"].concat();
-    let checksum = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, b| {
-        (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    let mut wal = OpenOptions::new()
-        .append(true)
-        .open(wal_file(scratch.path()))
-        .unwrap();
-    wal.write_all(&(payload.len() as u32).to_le_bytes())
-        .unwrap();
-    wal.write_all(&checksum.to_le_bytes()).unwrap();
-    wal.write_all(&payload).unwrap();
-    // A torn tail behind it, which a successful open would cut.
-    wal.write_all(&[0xAB; 7]).unwrap();
-    drop(wal);
+    let dir = scratch.path();
+    let (_, expect) = crashed_checkpoint_with_wal_tail(dir);
+    let pristine = snapshot(dir);
 
-    let snapshot = |dir: &Path| {
-        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap())
-            .map(|e| {
-                (
-                    e.file_name().into_string().unwrap(),
-                    std::fs::read(e.path()).unwrap(),
-                )
-            })
-            .collect();
-        files.sort();
-        files
+    // A well-formed frame — `[u32 len][u64 checksum][payload]` — whose
+    // payload is a tag-5 record naming table "t", in front of the torn tail.
+    let payload = [&[5u8][..], &1u32.to_le_bytes(), b"t"].concat();
+    let checksum = 0xed63_866d_87df_5711u64;
+    let frame = [
+        &(payload.len() as u32).to_le_bytes()[..],
+        &checksum.to_le_bytes(),
+        &payload,
+    ]
+    .concat();
+    let with_magic_digit = |file: &str, digit: u8| {
+        let mut bytes = std::fs::read(dir.join(file)).unwrap();
+        bytes[7] = digit;
+        std::fs::write(dir.join(file), bytes).unwrap();
     };
-    let before = snapshot(scratch.path());
-    for result in [
-        Database::open(scratch.path(), 1),
-        Database::recover(scratch.path()),
-    ] {
-        match result {
-            Err(EngineError::Storage { message }) => {
-                assert!(
-                    message.contains("tag 5"),
-                    "error must name the tag: {message}"
-                )
-            }
-            other => panic!("expected a storage error, got {other:?}"),
+    let refusals: [(&str, &dyn Fn()); 3] = [
+        ("tag 5", &|| {
+            let mut bytes = std::fs::read(wal_file(dir)).unwrap();
+            let torn = bytes.len() - 7;
+            bytes.splice(torn..torn, frame.iter().copied());
+            std::fs::write(wal_file(dir), bytes).unwrap();
+        }),
+        ("wal.log is format version 01", &|| {
+            with_magic_digit("wal.log", b'1')
+        }),
+        ("MANIFEST is format version 01", &|| {
+            with_magic_digit("MANIFEST", b'1')
+        }),
+    ];
+    for (needle, damage) in refusals {
+        restore(dir, &pristine);
+        damage();
+        let before = snapshot(dir);
+        assert_ne!(before, pristine);
+        expect_refusal(Database::open(dir, 1), needle);
+        expect_refusal(Database::recover(dir), needle);
+        assert_eq!(snapshot(dir), before, "refusing {needle:?} changed a file");
+    }
+
+    // The same directory without the damage recovers — and that does cut
+    // the chunk file and the log, which is what the refusals must not do.
+    restore(dir, &pristine);
+    let db = Database::recover(dir).unwrap();
+    assert_eq!(fingerprint(&db), expect);
+    let after = snapshot(dir);
+    for file in [CHUNK_FILE, "wal.log"] {
+        let len = |files: &[(String, Vec<u8>)]| {
+            let (_, bytes) = files.iter().find(|(name, _)| name == file).unwrap();
+            bytes.len()
+        };
+        assert!(len(&after) < len(&pristine), "{file} was not cut");
+    }
+}
+
+/// The WAL's every-offset truncation and byte-flip sweeps, over a chunk
+/// file and the manifest: recovery answers damage with a typed error or
+/// with exactly the acknowledged state, never with a panic or other rows.
+/// Which of the two is known: the manifest and the chunk frames it counts
+/// cannot lose a byte, the frames of the crashed checkpoint behind them are
+/// not data.
+#[test]
+fn chunk_file_and_manifest_damage_is_a_typed_error_or_the_exact_state() {
+    let scratch = ScratchDir::new("sweep");
+    let dir = scratch.path();
+    let (counted, expect) = crashed_checkpoint_with_wal_tail(dir);
+    let pristine = snapshot(dir);
+    let outcome = |what: &str, must_fail: bool| match Database::recover(dir) {
+        Ok(db) => {
+            assert!(!must_fail, "{what}: recovered from damage to counted bytes");
+            assert_eq!(fingerprint(&db), expect, "{what}");
+        }
+        Err(EngineError::Storage { .. }) => assert!(must_fail, "{what}: refused"),
+        Err(other) => panic!("{what}: expected a storage error, got {other:?}"),
+    };
+    for (file, needed) in [(CHUNK_FILE, counted), ("MANIFEST", usize::MAX)] {
+        let (_, bytes) = pristine.iter().find(|(name, _)| name == file).unwrap();
+        for cut in 0..bytes.len() {
+            restore(dir, &pristine);
+            std::fs::write(dir.join(file), &bytes[..cut]).unwrap();
+            outcome(&format!("{file} cut to {cut}"), cut < needed);
+        }
+        for offset in 0..bytes.len() {
+            restore(dir, &pristine);
+            let mut flipped = bytes.clone();
+            flipped[offset] ^= 0xff;
+            std::fs::write(dir.join(file), flipped).unwrap();
+            outcome(&format!("{file} flipped at {offset}"), offset < needed);
         }
     }
-    assert_eq!(snapshot(scratch.path()), before);
+
+    // An untrusted length prefix is checked against the file before it is
+    // believed: `u32::MAX` in a 100-byte chunk file is zero valid chunks,
+    // not a 4 GiB allocation (`persist::tests` pins the "allocates nothing").
+    restore(dir, &pristine);
+    let mut huge = vec![0xAB; 100];
+    huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(dir.join(CHUNK_FILE), huge).unwrap();
+    expect_refusal(Database::recover(dir), "holds 0 valid chunks");
+}
+
+/// What cannot be read is reported as the I/O failure it is, apart from
+/// corruption (which names chunk counts) and from a torn log tail (which is
+/// no error at all): a directory where a file should be opens, but is not
+/// taken for a damaged file.
+#[test]
+fn a_failed_read_is_an_io_error_not_corruption() {
+    for (file, context) in [(CHUNK_FILE, "read chunk file"), ("wal.log", "read wal")] {
+        let scratch = ScratchDir::new("eisdir");
+        let dir = scratch.path();
+        crashed_checkpoint_with_wal_tail(dir);
+        std::fs::remove_file(dir.join(file)).unwrap();
+        std::fs::create_dir(dir.join(file)).unwrap();
+        expect_refusal(Database::recover(dir), context);
+    }
 }
