@@ -19,14 +19,62 @@
 
 use crate::error::{EngineError, Result};
 use crate::row::Row;
-use crate::schema::{ColumnType, Schema};
-use crate::value::Value;
+use crate::schema::{Column, ColumnType, Schema};
+use crate::value::{Value, ValueRef};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Number of rows a chunk holds before the table seals it and starts the
 /// next one.  1 024 rows × 8 bytes keeps a scalar column inside L1 and a
 /// ~100-wide feature-vector column inside L2 on common hardware.
 pub const CHUNK_CAPACITY: usize = 1024;
+
+/// Array elements a transposition stages at a time at most
+/// ([`RowChunk::transpose`]): 64 KiB of `f64`s.  Staging buffers live for one
+/// slab, so they are kept far below the size (128 KiB by default) from which
+/// the allocator serves a request with a mapping of its own: small, they are
+/// the same warm heap blocks slab after slab; large, every slab would fault
+/// its pages in anew, and the first one freed would raise that size for the
+/// rest of the process — after which the table's own chunk buffers grow
+/// inside the heap, by copying.
+const SLAB_ELEMENTS: usize = 8 << 10;
+
+/// Elements a value adds to an array column's buffer.
+fn array_len(value: &Value) -> usize {
+    match value {
+        Value::DoubleArray(a) => a.len(),
+        Value::IntArray(a) => a.len(),
+        Value::TextArray(a) => a.len(),
+        _ => 0,
+    }
+}
+
+/// Which rows of a source chunk a copy takes: ascending indices, or — what
+/// ascending indices without a gap are — one contiguous run, which is copied
+/// slice by slice instead of row by row.
+#[derive(Debug, Clone)]
+enum Rows<'a> {
+    At(&'a [u32]),
+    Run(Range<usize>),
+}
+
+impl<'a> Rows<'a> {
+    fn of(indices: &'a [u32]) -> Self {
+        match (indices.first(), indices.last()) {
+            (Some(&lo), Some(&hi)) if hi.checked_sub(lo) == Some(indices.len() as u32 - 1) => {
+                Rows::Run(lo as usize..hi as usize + 1)
+            }
+            _ => Rows::At(indices),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Rows::At(indices) => indices.len(),
+            Rows::Run(run) => run.len(),
+        }
+    }
+}
 
 /// A packed validity bitmap: bit `i` is set when row `i` is NULL.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -113,14 +161,19 @@ impl NullBitmap {
         Ok(Self { words, len, nulls })
     }
 
-    fn pop(&mut self) {
-        debug_assert!(self.len > 0);
-        self.len -= 1;
-        let word = self.len / 64;
-        let bit = 1u64 << (self.len % 64);
-        if self.words[word] & bit != 0 {
-            self.words[word] &= !bit;
-            self.nulls -= 1;
+    /// Appends the flags of `rows` of `src`.  A source without NULLs — the
+    /// common case — only grows the word list.
+    fn extend(&mut self, src: &NullBitmap, rows: &Rows<'_>) {
+        if !src.any_null() {
+            self.len += rows.len();
+            self.words.resize(self.len.div_ceil(64), 0);
+            return;
+        }
+        match rows {
+            Rows::At(indices) => indices
+                .iter()
+                .for_each(|&i| self.push(src.is_null(i as usize))),
+            Rows::Run(run) => run.clone().for_each(|i| self.push(src.is_null(i))),
         }
     }
 
@@ -317,196 +370,125 @@ pub enum ColumnChunk {
 }
 
 impl ColumnChunk {
-    /// An empty column.  `rows` sizes an array column's offset table up
-    /// front (a gather knows its row count; a table chunk passes 0 and
-    /// grows).
-    fn new(column_type: ColumnType, rows: usize) -> Self {
-        let first_offset = || {
+    /// An empty column with room for `rows` rows — of `elements` array
+    /// elements in all, for an array column (a gather knows its row count and
+    /// sizes the rest as it copies; a transposition knows both).
+    pub(crate) fn new(column_type: ColumnType, rows: usize, elements: usize) -> Self {
+        fn scalars<T>(rows: usize) -> (Vec<T>, NullBitmap) {
+            (Vec::with_capacity(rows), NullBitmap::new())
+        }
+        fn arrays<T>(rows: usize, elements: usize) -> (Vec<T>, Vec<usize>, NullBitmap) {
             let mut offsets = Vec::with_capacity(rows + 1);
             offsets.push(0);
-            offsets
-        };
+            (Vec::with_capacity(elements), offsets, NullBitmap::new())
+        }
         match column_type {
-            ColumnType::Double => ColumnChunk::Double {
-                values: Vec::new(),
-                nulls: NullBitmap::new(),
-            },
-            ColumnType::Int => ColumnChunk::Int {
-                values: Vec::new(),
-                nulls: NullBitmap::new(),
-            },
-            ColumnType::Bool => ColumnChunk::Bool {
-                values: Vec::new(),
-                nulls: NullBitmap::new(),
-            },
-            ColumnType::Text => ColumnChunk::Text {
-                values: Vec::new(),
-                nulls: NullBitmap::new(),
-            },
-            ColumnType::DoubleArray => ColumnChunk::DoubleArray {
-                values: Vec::new(),
-                offsets: first_offset(),
-                nulls: NullBitmap::new(),
-            },
-            ColumnType::IntArray => ColumnChunk::IntArray {
-                values: Vec::new(),
-                offsets: first_offset(),
-                nulls: NullBitmap::new(),
-            },
-            ColumnType::TextArray => ColumnChunk::TextArray {
-                values: Vec::new(),
-                offsets: first_offset(),
-                nulls: NullBitmap::new(),
-            },
+            ColumnType::Double => {
+                let (values, nulls) = scalars(rows);
+                ColumnChunk::Double { values, nulls }
+            }
+            ColumnType::Int => {
+                let (values, nulls) = scalars(rows);
+                ColumnChunk::Int { values, nulls }
+            }
+            ColumnType::Bool => {
+                let (values, nulls) = scalars(rows);
+                ColumnChunk::Bool { values, nulls }
+            }
+            ColumnType::Text => {
+                let (values, nulls) = scalars(rows);
+                ColumnChunk::Text { values, nulls }
+            }
+            ColumnType::DoubleArray => {
+                let (values, offsets, nulls) = arrays(rows, elements);
+                ColumnChunk::DoubleArray {
+                    values,
+                    offsets,
+                    nulls,
+                }
+            }
+            ColumnType::IntArray => {
+                let (values, offsets, nulls) = arrays(rows, elements);
+                ColumnChunk::IntArray {
+                    values,
+                    offsets,
+                    nulls,
+                }
+            }
+            ColumnType::TextArray => {
+                let (values, offsets, nulls) = arrays(rows, elements);
+                ColumnChunk::TextArray {
+                    values,
+                    offsets,
+                    nulls,
+                }
+            }
         }
     }
 
-    /// Appends one schema-validated value.
-    fn push(&mut self, value: &Value) -> Result<()> {
-        match self {
-            ColumnChunk::Double { values, nulls } => match value {
-                Value::Null => {
-                    values.push(0.0);
-                    nulls.push(true);
-                }
-                other => {
-                    values.push(other.as_double()?);
-                    nulls.push(false);
-                }
-            },
-            ColumnChunk::Int { values, nulls } => match value {
-                Value::Null => {
-                    values.push(0);
-                    nulls.push(true);
-                }
-                other => {
-                    values.push(other.as_int()?);
-                    nulls.push(false);
-                }
-            },
-            ColumnChunk::Bool { values, nulls } => match value {
-                Value::Null => {
-                    values.push(false);
-                    nulls.push(true);
-                }
-                other => {
-                    values.push(other.as_bool()?);
-                    nulls.push(false);
-                }
-            },
-            ColumnChunk::Text { values, nulls } => match value {
-                Value::Null => {
-                    values.push(String::new());
-                    nulls.push(true);
-                }
-                other => {
-                    values.push(other.as_text()?.to_owned());
-                    nulls.push(false);
-                }
-            },
-            ColumnChunk::DoubleArray {
-                values,
-                offsets,
-                nulls,
-            } => match value {
-                Value::Null => {
-                    offsets.push(values.len());
-                    nulls.push(true);
-                }
-                other => {
-                    values.extend_from_slice(other.as_double_array()?);
-                    offsets.push(values.len());
-                    nulls.push(false);
-                }
-            },
-            ColumnChunk::IntArray {
-                values,
-                offsets,
-                nulls,
-            } => match value {
-                Value::Null => {
-                    offsets.push(values.len());
-                    nulls.push(true);
-                }
-                other => {
-                    values.extend_from_slice(other.as_int_array()?);
-                    offsets.push(values.len());
-                    nulls.push(false);
-                }
-            },
-            ColumnChunk::TextArray {
-                values,
-                offsets,
-                nulls,
-            } => match value {
-                Value::Null => {
-                    offsets.push(values.len());
-                    nulls.push(true);
-                }
-                other => {
-                    values.extend_from_slice(other.as_text_array()?);
-                    offsets.push(values.len());
-                    nulls.push(false);
-                }
-            },
+    /// Appends one value, **moved** in — the one place a [`Value`] becomes a
+    /// stored value: a `String` is never cloned, an array's `Vec` is freed as
+    /// soon as it has been copied, and a `bigint` is coerced to `f64` once,
+    /// here, by a `double precision` column.  What the column's type does not
+    /// accept ([`ColumnType::accepts`]) comes back, the column unchanged.
+    pub(crate) fn push(&mut self, value: Value) -> std::result::Result<(), Value> {
+        fn scalar<T: Default>(values: &mut Vec<T>, nulls: &mut NullBitmap, value: Option<T>) {
+            nulls.push(value.is_none());
+            values.push(value.unwrap_or_default());
         }
-        Ok(())
-    }
-
-    /// Removes the most recently pushed value (used to roll back a partially
-    /// appended row when a later column of the same row fails to push).
-    fn pop(&mut self) {
-        /// Drops the last row's span; `offsets` keeps its leading 0, so the
-        /// previous row's end is still there to truncate to.
-        fn pop_array<T>(values: &mut Vec<T>, offsets: &mut Vec<usize>) {
-            offsets.pop();
-            if let Some(&end) = offsets.last() {
-                values.truncate(end);
-            }
+        fn array<T>(
+            values: &mut Vec<T>,
+            offsets: &mut Vec<usize>,
+            nulls: &mut NullBitmap,
+            value: Option<Vec<T>>,
+        ) {
+            nulls.push(value.is_none());
+            values.extend(value.unwrap_or_default());
+            offsets.push(values.len());
         }
-
+        /// What `value` stores as: nothing for NULL, the payload of a variant
+        /// the column accepts — anything else goes back to the caller.
+        macro_rules! stored {
+            ($($variant:pat => $payload:expr),+) => {
+                match value {
+                    Value::Null => None,
+                    $($variant => Some($payload),)+
+                    other => return Err(other),
+                }
+            };
+        }
         match self {
-            ColumnChunk::Double { values, nulls } => {
-                values.pop();
-                nulls.pop();
-            }
+            ColumnChunk::Double { values, nulls } => scalar(
+                values,
+                nulls,
+                stored!(Value::Double(v) => v, Value::Int(v) => v as f64),
+            ),
             ColumnChunk::Int { values, nulls } => {
-                values.pop();
-                nulls.pop();
+                scalar(values, nulls, stored!(Value::Int(v) => v))
             }
             ColumnChunk::Bool { values, nulls } => {
-                values.pop();
-                nulls.pop();
+                scalar(values, nulls, stored!(Value::Bool(v) => v))
             }
             ColumnChunk::Text { values, nulls } => {
-                values.pop();
-                nulls.pop();
+                scalar(values, nulls, stored!(Value::Text(v) => v))
             }
             ColumnChunk::DoubleArray {
                 values,
                 offsets,
                 nulls,
-            } => {
-                pop_array(values, offsets);
-                nulls.pop();
-            }
+            } => array(values, offsets, nulls, stored!(Value::DoubleArray(v) => v)),
             ColumnChunk::IntArray {
                 values,
                 offsets,
                 nulls,
-            } => {
-                pop_array(values, offsets);
-                nulls.pop();
-            }
+            } => array(values, offsets, nulls, stored!(Value::IntArray(v) => v)),
             ColumnChunk::TextArray {
                 values,
                 offsets,
                 nulls,
-            } => {
-                pop_array(values, offsets);
-                nulls.pop();
-            }
+            } => array(values, offsets, nulls, stored!(Value::TextArray(v) => v)),
         }
+        Ok(())
     }
 
     /// Validity bitmap of this column.
@@ -540,46 +522,53 @@ impl ColumnChunk {
         self.column_type().sql_name()
     }
 
-    /// Materializes row `i` of this column as a [`Value`].
-    pub fn value(&self, i: usize) -> Value {
+    /// Row `i` of this column, borrowed from its buffer.
+    pub(crate) fn value_ref(&self, i: usize) -> ValueRef<'_> {
         if self.nulls().is_null(i) {
-            return Value::Null;
+            return ValueRef::Null;
         }
         match self {
-            ColumnChunk::Double { values, .. } => Value::Double(values[i]),
-            ColumnChunk::Int { values, .. } => Value::Int(values[i]),
-            ColumnChunk::Bool { values, .. } => Value::Bool(values[i]),
-            ColumnChunk::Text { values, .. } => Value::Text(values[i].clone()),
+            ColumnChunk::Double { values, .. } => ValueRef::Double(values[i]),
+            ColumnChunk::Int { values, .. } => ValueRef::Int(values[i]),
+            ColumnChunk::Bool { values, .. } => ValueRef::Bool(values[i]),
+            ColumnChunk::Text { values, .. } => ValueRef::Text(&values[i]),
             ColumnChunk::DoubleArray {
                 values, offsets, ..
-            } => Value::DoubleArray(values[offsets[i]..offsets[i + 1]].to_vec()),
+            } => ValueRef::DoubleArray(&values[offsets[i]..offsets[i + 1]]),
             ColumnChunk::IntArray {
                 values, offsets, ..
-            } => Value::IntArray(values[offsets[i]..offsets[i + 1]].to_vec()),
+            } => ValueRef::IntArray(&values[offsets[i]..offsets[i + 1]]),
             ColumnChunk::TextArray {
                 values, offsets, ..
-            } => Value::TextArray(values[offsets[i]..offsets[i + 1]].to_vec()),
+            } => ValueRef::TextArray(&values[offsets[i]..offsets[i + 1]]),
         }
     }
 
-    /// Appends the rows of `src` at `indices` (ascending) to this column —
-    /// the one body that copies rows between columns; gathers, filter
-    /// compaction and radix staging all arrive here through
-    /// [`RowChunk::append_rows`] / [`RowChunk::gather_rows`].  Both columns
-    /// must store the same [`ColumnType`], which those two callers establish
-    /// before the first copy.
-    fn append_rows(&mut self, src: &ColumnChunk, indices: &[u32]) {
+    /// Materializes row `i` of this column as a [`Value`].
+    pub fn value(&self, i: usize) -> Value {
+        self.value_ref(i).to_value()
+    }
+
+    /// Appends `rows` of `src` to this column — the one body that copies rows
+    /// between columns; gathers, filter compaction, radix staging and every
+    /// table append arrive here through [`RowChunk::append_rows`] /
+    /// [`RowChunk::gather_rows`] / [`RowChunk::slice`].  Both columns must
+    /// store the same [`ColumnType`], which those callers establish before
+    /// the first copy.
+    fn append_rows(&mut self, src: &ColumnChunk, rows: Rows<'_>) {
         fn scalars<T: Clone>(
             out_values: &mut Vec<T>,
             out_nulls: &mut NullBitmap,
             values: &[T],
             nulls: &NullBitmap,
-            indices: &[u32],
+            rows: Rows<'_>,
         ) {
-            out_values.reserve(indices.len());
-            for &i in indices {
-                out_values.push(values[i as usize].clone());
-                out_nulls.push(nulls.is_null(i as usize));
+            out_nulls.extend(nulls, &rows);
+            match rows {
+                Rows::At(indices) => {
+                    out_values.extend(indices.iter().map(|&i| values[i as usize].clone()))
+                }
+                Rows::Run(run) => out_values.extend_from_slice(&values[run]),
             }
         }
 
@@ -590,14 +579,25 @@ impl ColumnChunk {
             values: &[T],
             offsets: &[usize],
             nulls: &NullBitmap,
-            indices: &[u32],
+            rows: Rows<'_>,
         ) {
-            out_offsets.reserve(indices.len());
-            for &i in indices {
-                let i = i as usize;
-                out_values.extend_from_slice(&values[offsets[i]..offsets[i + 1]]);
-                out_offsets.push(out_values.len());
-                out_nulls.push(nulls.is_null(i));
+            out_nulls.extend(nulls, &rows);
+            out_offsets.reserve(rows.len());
+            match rows {
+                Rows::At(indices) => {
+                    let span = |i: u32| offsets[i as usize]..offsets[i as usize + 1];
+                    out_values.reserve(indices.iter().map(|&i| span(i).len()).sum());
+                    for &i in indices {
+                        out_values.extend_from_slice(&values[span(i)]);
+                        out_offsets.push(out_values.len());
+                    }
+                }
+                Rows::Run(run) => {
+                    let (from, base) = (offsets[run.start], out_values.len());
+                    out_values.extend_from_slice(&values[from..offsets[run.end]]);
+                    let ends = &offsets[run.start + 1..=run.end];
+                    out_offsets.extend(ends.iter().map(|end| base + end - from));
+                }
             }
         }
 
@@ -608,28 +608,28 @@ impl ColumnChunk {
                     nulls: on,
                 },
                 ColumnChunk::Double { values, nulls },
-            ) => scalars(ov, on, values, nulls, indices),
+            ) => scalars(ov, on, values, nulls, rows),
             (
                 ColumnChunk::Int {
                     values: ov,
                     nulls: on,
                 },
                 ColumnChunk::Int { values, nulls },
-            ) => scalars(ov, on, values, nulls, indices),
+            ) => scalars(ov, on, values, nulls, rows),
             (
                 ColumnChunk::Bool {
                     values: ov,
                     nulls: on,
                 },
                 ColumnChunk::Bool { values, nulls },
-            ) => scalars(ov, on, values, nulls, indices),
+            ) => scalars(ov, on, values, nulls, rows),
             (
                 ColumnChunk::Text {
                     values: ov,
                     nulls: on,
                 },
                 ColumnChunk::Text { values, nulls },
-            ) => scalars(ov, on, values, nulls, indices),
+            ) => scalars(ov, on, values, nulls, rows),
             (
                 ColumnChunk::DoubleArray {
                     values: ov,
@@ -641,7 +641,7 @@ impl ColumnChunk {
                     offsets,
                     nulls,
                 },
-            ) => arrays(ov, oo, on, values, offsets, nulls, indices),
+            ) => arrays(ov, oo, on, values, offsets, nulls, rows),
             (
                 ColumnChunk::IntArray {
                     values: ov,
@@ -653,7 +653,7 @@ impl ColumnChunk {
                     offsets,
                     nulls,
                 },
-            ) => arrays(ov, oo, on, values, offsets, nulls, indices),
+            ) => arrays(ov, oo, on, values, offsets, nulls, rows),
             (
                 ColumnChunk::TextArray {
                     values: ov,
@@ -665,13 +665,41 @@ impl ColumnChunk {
                     offsets,
                     nulls,
                 },
-            ) => arrays(ov, oo, on, values, offsets, nulls, indices),
+            ) => arrays(ov, oo, on, values, offsets, nulls, rows),
             (target, src) => debug_assert!(
                 false,
                 "append_rows from a {} column into a {} column",
                 src.type_name(),
                 target.type_name()
             ),
+        }
+    }
+
+    /// Gives back the capacity the buffers grew past their contents.
+    fn shrink_to_fit(&mut self) {
+        match self {
+            ColumnChunk::Double { values, .. } => values.shrink_to_fit(),
+            ColumnChunk::Int { values, .. } => values.shrink_to_fit(),
+            ColumnChunk::Bool { values, .. } => values.shrink_to_fit(),
+            ColumnChunk::Text { values, .. } => values.shrink_to_fit(),
+            ColumnChunk::DoubleArray {
+                values, offsets, ..
+            } => {
+                values.shrink_to_fit();
+                offsets.shrink_to_fit();
+            }
+            ColumnChunk::IntArray {
+                values, offsets, ..
+            } => {
+                values.shrink_to_fit();
+                offsets.shrink_to_fit();
+            }
+            ColumnChunk::TextArray {
+                values, offsets, ..
+            } => {
+                values.shrink_to_fit();
+                offsets.shrink_to_fit();
+            }
         }
     }
 
@@ -803,7 +831,7 @@ impl RowChunk {
             columns: schema
                 .columns()
                 .iter()
-                .map(|c| ColumnChunk::new(c.column_type, 0))
+                .map(|c| ColumnChunk::new(c.column_type, 0, 0))
                 .collect(),
         }
     }
@@ -833,30 +861,82 @@ impl RowChunk {
         &self.columns[idx]
     }
 
-    /// Appends one row of values.  On failure the chunk is unchanged: a
-    /// partially appended row is rolled back, so a type error part-way
-    /// through a row cannot leave the columns misaligned.
+    /// Transposes `rows` into chunks of at most `capacity` rows each — **the
+    /// one place rows become columns**, behind [`crate::Table::insert`] and
+    /// [`crate::Database::append_rows`] alike.  Rows are taken a slab at a
+    /// time — `capacity` rows, or fewer once they hold [`SLAB_ELEMENTS`]: each
+    /// column is sized exactly, then every row is taken apart — its `Vec`
+    /// freed, each value checked against its column's type and moved, never
+    /// cloned, into the column's buffer ([`ColumnChunk::push`]) — before the
+    /// next slab is looked at.
     ///
     /// # Errors
-    /// Returns [`EngineError::ArityMismatch`] for a wrong-arity row and a
-    /// type error when a value does not match its column buffer (neither can
-    /// happen for rows validated by the table's schema).
-    pub fn push_values(&mut self, values: &[Value]) -> Result<()> {
-        if values.len() != self.columns.len() {
+    /// Returns [`EngineError::ArityMismatch`] / [`EngineError::TypeMismatch`]
+    /// for the first row or value that does not fit `schema`.
+    pub(crate) fn transpose(
+        schema: &Schema,
+        rows: impl IntoIterator<Item = Row>,
+        capacity: usize,
+    ) -> Result<Vec<RowChunk>> {
+        let mut rows = rows.into_iter();
+        let mut slab: Vec<Row> = Vec::new();
+        let mut chunks = Vec::new();
+        loop {
+            let mut elements = 0;
+            while slab.len() < capacity && elements < SLAB_ELEMENTS {
+                let Some(row) = rows.next() else { break };
+                elements += row.values().iter().map(array_len).sum::<usize>();
+                slab.push(row);
+            }
+            if slab.is_empty() {
+                return Ok(chunks);
+            }
+            chunks.push(RowChunk::from_rows(schema, &mut slab)?);
+        }
+    }
+
+    /// One chunk out of all of `rows`, which are left empty.
+    fn from_rows(schema: &Schema, rows: &mut Vec<Row>) -> Result<RowChunk> {
+        let arity = schema.arity();
+        if let Some(row) = rows.iter().find(|row| row.arity() != arity) {
             return Err(EngineError::ArityMismatch {
-                expected: self.columns.len(),
-                found: values.len(),
+                expected: arity,
+                found: row.arity(),
             });
         }
-        for (idx, (column, value)) in self.columns.iter_mut().zip(values).enumerate() {
-            if let Err(err) = column.push(value) {
-                for column in &mut self.columns[..idx] {
-                    column.pop();
-                }
-                return Err(err);
+        // Sized exactly: a column's buffers are allocated once.
+        let sized = |(c, column): (usize, &Column)| {
+            let elements = rows.iter().map(|row| array_len(row.get(c))).sum();
+            ColumnChunk::new(column.column_type, rows.len(), elements)
+        };
+        let mut chunk = RowChunk {
+            len: rows.len(),
+            columns: schema.columns().iter().enumerate().map(sized).collect(),
+        };
+        for row in rows.drain(..) {
+            let stored = chunk.columns.iter_mut().zip(schema.columns());
+            for ((stored, column), value) in stored.zip(row.into_values()) {
+                let pushed = stored.push(value);
+                pushed.map_err(|value| column.type_mismatch(value.type_name()))?;
             }
         }
-        self.len += 1;
+        Ok(chunk)
+    }
+
+    /// Appends one row of values: the one-row case of the transposition
+    /// behind [`crate::Table::insert_all`], for tests and small hand-built
+    /// chunks.  On failure the chunk is unchanged.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::ArityMismatch`] for a wrong-arity row and
+    /// [`EngineError::TypeMismatch`] for a value its column does not accept.
+    pub fn push_values(&mut self, values: &[Value]) -> Result<()> {
+        let columns = self.columns.iter().enumerate();
+        let columns = columns.map(|(i, c)| Column::new(format!("#{i}"), c.column_type()));
+        let row = Row::new(values.to_vec());
+        for chunk in RowChunk::transpose(&Schema::new(columns.collect()), [row], 1)? {
+            self.copy_rows(&chunk, Rows::Run(0..1));
+        }
         Ok(())
     }
 
@@ -930,6 +1010,18 @@ impl RowChunk {
         self.gather_rows(&indices)
     }
 
+    /// An empty chunk of this chunk's column types, with room for `rows` rows
+    /// (an array column's elements are reserved as they are copied).
+    fn empty_like(&self, rows: usize) -> RowChunk {
+        let columns = self.columns.iter();
+        RowChunk {
+            len: 0,
+            columns: columns
+                .map(|c| ColumnChunk::new(c.column_type(), rows, 0))
+                .collect(),
+        }
+    }
+
     /// Copies the rows at `indices` into a new compacted chunk — an empty
     /// chunk of this chunk's column types, filled by the same copy as
     /// [`RowChunk::append_rows`].  Cost is proportional to `indices.len()`
@@ -938,15 +1030,17 @@ impl RowChunk {
     /// ascending (row order is preserved, as the equivalence contract
     /// requires).
     pub fn gather_rows(&self, indices: &[u32]) -> RowChunk {
-        let mut out = RowChunk {
-            len: 0,
-            columns: self
-                .columns
-                .iter()
-                .map(|c| ColumnChunk::new(c.column_type(), indices.len()))
-                .collect(),
-        };
-        out.copy_rows(self, indices);
+        let mut out = self.empty_like(indices.len());
+        out.copy_rows(self, Rows::of(indices));
+        out
+    }
+
+    /// Copies the contiguous rows `range` (in-bounds) into a new chunk:
+    /// [`RowChunk::gather_rows`] without the index list, every buffer copied
+    /// as the one slice it is.
+    pub fn slice(&self, range: Range<usize>) -> RowChunk {
+        let mut out = self.empty_like(range.len());
+        out.copy_rows(self, Rows::Run(range));
         out
     }
 
@@ -954,7 +1048,8 @@ impl RowChunk {
     /// chunk, preserving row order — the staging primitive of the grouped
     /// scan's radix partition pass, which accumulates one group-hash bucket's
     /// rows across many source chunks before batching them through
-    /// `transition_chunk`.  Cost is proportional to `indices.len()` alone.
+    /// `transition_chunk`, and the copy that fills a table's tail chunks.
+    /// Cost is proportional to `indices.len()` alone.
     /// Shapes are checked before the first copy, so on error this chunk is
     /// unchanged.
     ///
@@ -975,20 +1070,43 @@ impl RowChunk {
                 found: source.type_name().to_owned(),
             });
         }
-        self.copy_rows(src, indices);
+        self.copy_rows(src, Rows::of(indices));
         Ok(())
     }
 
-    /// The copy behind [`RowChunk::gather_rows`] and
-    /// [`RowChunk::append_rows`], which guarantee that the two chunks'
-    /// columns pair up type for type.
-    fn copy_rows(&mut self, src: &RowChunk, indices: &[u32]) {
-        debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(indices.iter().all(|&i| (i as usize) < src.len));
-        for (target, source) in self.columns.iter_mut().zip(&src.columns) {
-            target.append_rows(source, indices);
+    /// Checks that this chunk's columns are `schema`'s, type for type — what
+    /// a table asks of a chunk before it copies a row of it.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::ArityMismatch`] / [`EngineError::TypeMismatch`].
+    pub(crate) fn check_schema(&self, schema: &Schema) -> Result<()> {
+        if self.columns.len() != schema.arity() {
+            return Err(EngineError::ArityMismatch {
+                expected: schema.arity(),
+                found: self.columns.len(),
+            });
         }
-        self.len += indices.len();
+        let mut pairs = schema.columns().iter().zip(&self.columns);
+        match pairs.find(|(column, stored)| column.column_type != stored.column_type()) {
+            None => Ok(()),
+            Some((column, stored)) => Err(column.type_mismatch(stored.type_name())),
+        }
+    }
+
+    /// The copy behind [`RowChunk::gather_rows`], [`RowChunk::slice`],
+    /// [`RowChunk::append_rows`] and [`Segment::append_rows`], which guarantee
+    /// that the two chunks' columns pair up type for type.
+    fn copy_rows(&mut self, src: &RowChunk, rows: Rows<'_>) {
+        debug_assert!(match &rows {
+            Rows::At(indices) =>
+                indices.windows(2).all(|w| w[0] < w[1])
+                    && indices.iter().all(|&i| (i as usize) < src.len),
+            Rows::Run(run) => run.end <= src.len,
+        });
+        for (target, source) in self.columns.iter_mut().zip(&src.columns) {
+            target.append_rows(source, rows.clone());
+        }
+        self.len += rows.len();
     }
 
     /// Reassembles a chunk from persisted column buffers.  Callers (the
@@ -1012,35 +1130,36 @@ impl RowChunk {
 /// One table partition: a sequence of column-major chunks.
 ///
 /// All chunks except possibly the last hold exactly the table's chunk
-/// capacity; inserts append to the last chunk and seal it when full.
+/// capacity; appends fill the last chunk and open the next when it is full.
 ///
-/// Chunks live behind [`Arc`] so that cloning a segment — the heart of a
-/// [`Database::table`](crate::database::Database::table) snapshot read —
-/// shares every chunk's buffers instead of deep-copying them.  Sealed
-/// (full) chunks are immutable by the invariant above, so sharing is
-/// always safe; only the open tail chunk is ever mutated, via
-/// [`Arc::make_mut`], which copies the (at most one chunk's worth of)
-/// tail rows exactly when a snapshot still holds the same allocation.
-#[derive(Debug, Clone, PartialEq)]
+/// Chunks live behind [`Arc`], and so does the list of them, so cloning a
+/// segment — the heart of a
+/// [`Database::table`](crate::database::Database::table) snapshot read — is
+/// **one pointer**, whatever the segment holds: it shares the list and,
+/// through it, every chunk's buffers.  Sealed (full) chunks are immutable by
+/// the invariant above, so sharing is always safe.  An append goes through
+/// [`Arc::make_mut`] twice: on the list, which copies the pointers (not the
+/// chunks) exactly when a snapshot taken since the last append is still
+/// alive, and on the open tail chunk, which copies at most one chunk's worth
+/// of rows exactly when a snapshot still holds the same allocation.  A
+/// snapshot therefore keeps seeing its own list — its rows, its sealed
+/// chunks by pointer — and an append with no snapshot alive copies nothing.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Segment {
-    chunks: Vec<Arc<RowChunk>>,
+    chunks: Arc<Vec<Arc<RowChunk>>>,
     rows: usize,
 }
 
 impl Segment {
-    /// Creates an empty segment.
-    pub(crate) fn new() -> Self {
-        Self {
-            chunks: Vec::new(),
-            rows: 0,
-        }
-    }
-
-    /// Reassembles a segment from recovered chunks (persisted sealed chunks
-    /// followed by the manifest's tail chunk), recomputing the row count.
+    /// Assembles a segment from whole chunks — recovered ones (persisted
+    /// sealed chunks followed by the manifest's tail chunk), or ones built at
+    /// the chunk capacity to begin with — recomputing the row count.
     pub(crate) fn from_chunks(chunks: Vec<Arc<RowChunk>>) -> Self {
         let rows = chunks.iter().map(|c| c.len()).sum();
-        Self { chunks, rows }
+        Self {
+            chunks: Arc::new(chunks),
+            rows,
+        }
     }
 
     /// Number of rows in the segment.
@@ -1063,40 +1182,73 @@ impl Segment {
         self.chunks.iter().flat_map(|c| c.rows())
     }
 
-    /// Appends a schema-validated row.
-    pub(crate) fn push(
+    /// Appends the rows of `src` at `indices` (in-bounds, ascending), in
+    /// order — the one way rows enter a segment: fills the open tail chunk,
+    /// seals it at `chunk_capacity` rows and opens the next, until the run is
+    /// placed.  Chunk boundaries depend on the row count alone, never on how
+    /// the rows were batched.  `src`'s columns must be the segment's, type
+    /// for type ([`RowChunk::check_schema`]).
+    pub(crate) fn append_rows(
         &mut self,
-        schema: &Schema,
-        values: &[Value],
+        src: &RowChunk,
+        mut indices: &[u32],
         chunk_capacity: usize,
-    ) -> Result<()> {
-        let needs_new_chunk = match self.chunks.last() {
-            None => true,
-            Some(last) => last.len() >= chunk_capacity,
-        };
-        if needs_new_chunk {
-            self.chunks.push(Arc::new(RowChunk::new(schema)));
+    ) {
+        assert!(chunk_capacity > 0, "a chunk holds at least one row");
+        self.rows += indices.len();
+        let chunks = Arc::make_mut(&mut self.chunks);
+        while let Some((&first, rest)) = indices.split_first() {
+            match chunks.last_mut() {
+                Some(tail) if tail.len() < chunk_capacity => {
+                    let room = (chunk_capacity - tail.len()).min(indices.len());
+                    let (run, rest) = indices.split_at(room);
+                    // Copy-on-write: clones the open tail chunk only when a
+                    // snapshot still shares it; sealed chunks are never
+                    // reached here.
+                    let tail = Arc::make_mut(tail);
+                    tail.copy_rows(src, Rows::of(run));
+                    if tail.len() == chunk_capacity {
+                        // Sealed: a buffer that doubled past its last row
+                        // would keep up to half its capacity unused for as
+                        // long as the table lives.
+                        tail.columns.iter_mut().for_each(ColumnChunk::shrink_to_fit);
+                    }
+                    indices = rest;
+                }
+                // A new chunk is born as its first row, so its buffers start
+                // at one row's size and double from there, as they did when
+                // rows arrived one at a time.  (An allocator that hands small
+                // requests recently freed blocks then tends to place the
+                // chunk with the rows it is filled from, not in the arena of
+                // whichever thread appends; `madbench`'s in-process
+                // `recover_s` is sensitive to that.)
+                _ => {
+                    let first = first as usize;
+                    chunks.push(Arc::new(src.slice(first..first + 1)));
+                    indices = rest;
+                }
+            }
         }
-        // Copy-on-write: clones the open tail chunk only when a snapshot
-        // still shares it; sealed chunks are never reached here.
-        // Proof: `needs_new_chunk` is true for an empty list, so one was pushed.
-        Arc::make_mut(self.chunks.last_mut().expect("chunk just ensured")).push_values(values)?;
-        self.rows += 1;
-        Ok(())
     }
 
     /// Removes all rows, keeping the segment itself.
     pub(crate) fn clear(&mut self) {
-        // Keep one cleared chunk to reuse its buffers on the next insert —
-        // unless a snapshot still shares it, in which case drop it (the
-        // snapshot keeps the rows; clearing in place would corrupt it).
-        self.chunks.truncate(1);
-        match self.chunks.first_mut().map(Arc::get_mut) {
-            Some(Some(first)) => first.clear(),
-            Some(None) => self.chunks.clear(),
-            None => {}
-        }
         self.rows = 0;
+        // Keep one cleared chunk to reuse its buffers on the next append —
+        // unless a snapshot still shares it or the list, in which case let go
+        // of it (the snapshot keeps the rows; clearing in place would corrupt
+        // it).
+        match Arc::get_mut(&mut self.chunks) {
+            Some(chunks) => {
+                chunks.truncate(1);
+                match chunks.first_mut().map(Arc::get_mut) {
+                    Some(Some(first)) => first.clear(),
+                    Some(None) => chunks.clear(),
+                    None => {}
+                }
+            }
+            None => self.chunks = Arc::default(),
+        }
     }
 }
 
@@ -1389,10 +1541,12 @@ mod tests {
     #[test]
     fn segments_seal_chunks_at_capacity() {
         let s = schema();
-        let mut seg = Segment::new();
-        for i in 0..10 {
-            seg.push(&s, row![i as f64, vec![i as f64], "t"].values(), 4)
-                .unwrap();
+        let mut seg = Segment::default();
+        // Batches of three into chunks of four.
+        let rows = (0..10).map(|i| row![i as f64, vec![i as f64], "t"]);
+        for batch in RowChunk::transpose(&s, rows, 3).unwrap() {
+            let all: Vec<u32> = (0..batch.len() as u32).collect();
+            seg.append_rows(&batch, &all, 4);
         }
         assert_eq!(seg.len(), 10);
         assert_eq!(seg.chunks().len(), 3);

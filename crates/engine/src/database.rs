@@ -22,14 +22,18 @@
 //! # Snapshot isolation
 //!
 //! [`Database::table`] and [`Database::dataset`] return a *snapshot*: a
-//! clone of the table taken under its read lock.  Because a
-//! [`crate::chunk::Segment`]'s chunks sit behind `Arc`, the clone shares
-//! every sealed chunk buffer with the cataloged table (pointer identity, no
-//! copy) and only the open tail chunk is copied lazily when a later append
-//! mutates it (`Arc::make_mut`).  Appends committed *after* the snapshot
-//! was taken are never visible to it, and the snapshot stays valid after
-//! the table is dropped — the read-committed snapshot semantics the paper's
-//! method drivers assume of `source_table`.
+//! clone of the table taken under its read lock.  A
+//! [`crate::chunk::Segment`] keeps its chunks behind `Arc` and the list of
+//! them behind one more, so the clone is **one pointer per segment**
+//! whatever the table holds: it shares the list and, through it, every
+//! chunk buffer with the cataloged table (pointer identity, no copy).  A
+//! later append copies lazily (`Arc::make_mut`) and only while the snapshot
+//! is alive — the list of pointers once, the open tail chunk once — so an
+//! append, the view absorb behind it, a refresh and a checkpoint all cost
+//! what the batch costs, not what the table holds.  Appends committed
+//! *after* the snapshot was taken are never visible to it, and the snapshot
+//! stays valid after the table is dropped — the read-committed snapshot
+//! semantics the paper's method drivers assume of `source_table`.
 //!
 //! # Durability
 //!
@@ -60,7 +64,10 @@
 //! made there as the new table incarnation it is).
 //!
 //! A logged mutation is **data first, applied once**.  Each of the public
-//! mutators above only builds its `WalRecord`; `Database::commit` encodes,
+//! mutators above only builds its `WalRecord` ([`Database::append_rows`]
+//! transposes the caller's rows into column-major chunks to build its own —
+//! the one time they change shape; what is logged, applied and replayed is
+//! those chunks, and no row is built behind the API); `Database::commit` encodes,
 //! frames and checksums it before any lock is taken, and the one function
 //! `Database::apply` carries it out under the one locking discipline that
 //! makes WAL order equal in-memory apply order — commit gate (read), then
@@ -72,7 +79,7 @@
 //! its manifest `(epoch, offset)` and its table snapshot agree exactly.
 
 use crate::catalog::ModelCatalog;
-use crate::chunk::CHUNK_CAPACITY;
+use crate::chunk::{RowChunk, CHUNK_CAPACITY};
 use crate::error::{EngineError, Result};
 use crate::materialize::AnyMaterialized;
 use crate::persist::{
@@ -206,9 +213,10 @@ impl Database {
             .with_chunk_capacity(chunk_capacity as usize)
     }
 
-    /// Commits one logged mutation.  The record is fully known up front, so
-    /// on a durable database it is encoded, framed and checksummed here,
-    /// before any lock is taken; [`Database::apply`] carries it out and
+    /// Commits one logged mutation.  The record is fully known up front —
+    /// an `Append` arrives holding its rows as chunks already — so on a
+    /// durable database it is encoded, framed and checksummed here, before
+    /// any lock is taken; [`Database::apply`] carries it out and
     /// queues the ready frame; the wait for the group-commit fsync — the
     /// commit point — happens after every lock is released, so a committer
     /// waiting on the disk never blocks other traffic.  An in-memory
@@ -233,9 +241,10 @@ impl Database {
     /// in [`Database::open`], which runs before durability is attached and
     /// so re-logs nothing.  The one implementation of the locking
     /// discipline: commit gate (read) → catalog lock → table write lock →
-    /// existence check → validate the whole batch → mutate → stamp the
-    /// generation → push the frame onto the WAL queue *while the ordering
-    /// lock is still held*, so WAL order always equals apply order.
+    /// existence check → check the whole batch (an `Append`'s chunks against
+    /// the table's column types, before its first row is copied) → mutate →
+    /// stamp the generation → push the frame onto the WAL queue *while the
+    /// ordering lock is still held*, so WAL order always equals apply order.
     /// Create, register and drop change the catalog and hold its write lock
     /// throughout; append, truncate and replace hold its read lock only
     /// until they have the table's write lock.  Returns the ticket to wait
@@ -315,15 +324,12 @@ impl Database {
         let mut table = write_lock(&handle);
         drop(catalog);
         match record {
-            WalRecord::Append { rows, .. } => {
-                // A record must describe rows that all applied, so nothing
-                // may fail after the first insert.
-                for values in &rows {
-                    table.schema().validate(values)?;
-                }
-                for values in rows {
-                    table.insert(Row::new(values))?;
-                }
+            WalRecord::Append { chunks, .. } => {
+                // A record must describe rows that all applied: the chunks
+                // were transposed against a schema read before this lock, so
+                // the append re-checks their column types against the table
+                // as it is now, before it copies the first row.
+                table.append_chunks(&chunks)?;
                 return Ok(log(is_temp));
             }
             WalRecord::PutTable { table: new, .. } => *table = new,
@@ -483,10 +489,10 @@ impl Database {
 
     /// Returns a snapshot of the named table.
     ///
-    /// The snapshot is taken under the table's read lock and is **cheap**:
-    /// sealed chunk buffers are shared with the cataloged table by `Arc`
-    /// (pointer identity, no copy); only segment/chunk bookkeeping is
-    /// cloned.  Appends committed after this call are invisible to the
+    /// The snapshot is taken under the table's read lock and costs **one
+    /// pointer per segment**, whatever the table holds: each segment's chunk
+    /// list, and through it every chunk buffer, is shared with the cataloged
+    /// table by `Arc` (pointer identity, no copy).  Appends committed after this call are invisible to the
     /// snapshot, and the snapshot outlives a later `drop_table` — see the
     /// module-level *Snapshot isolation* notes.
     ///
@@ -544,19 +550,35 @@ impl Database {
     /// aggregate registered on it (each absorbs exactly the newly appended
     /// rows via its chunk watermark — history is not rescanned).
     ///
+    /// The rows cross into the engine **once**: they are transposed here,
+    /// before any lock, against the table's schema into column-major chunks
+    /// of at most its chunk capacity (`RowChunk::transpose` — values moved,
+    /// not cloned; arity and types checked); those chunks are what the WAL
+    /// record carries (in the chunk-file encoding), what the table appends
+    /// (per-segment index runs into its tail chunks, the column types checked
+    /// again under the table's lock) and what recovery replays.  The cost is
+    /// the batch's: neither the insert, nor the snapshot the view absorb
+    /// takes, nor the absorb grows with the table.
+    ///
     /// The whole batch is one WAL record: recovery surfaces either all of
     /// these rows or none of them, never a partial batch.
     ///
     /// # Errors
-    /// Returns [`EngineError::TableNotFound`] for an unknown name and
-    /// propagates insert errors (in which case nothing is logged).  When the
+    /// Returns [`EngineError::TableNotFound`] for an unknown name and the
+    /// schema-validation error of the first row or value that does not fit
+    /// (in which case nothing is applied, logged or absorbed).  When the
     /// insert commits but one or more views fail to absorb it, the rows
     /// **stay committed**, every failing view is marked for rebuild, and the
     /// error is [`EngineError::ViewAbsorbFailed`] naming them.
     pub fn append_rows(&self, name: &str, rows: impl IntoIterator<Item = Row>) -> Result<()> {
+        let (schema, chunk_capacity) = {
+            let entry = self.entry(name)?;
+            let table = read_lock(&entry);
+            (table.shared_schema(), table.chunk_capacity())
+        };
         self.commit(WalRecord::Append {
             table: name.to_owned(),
-            rows: rows.into_iter().map(Row::into_values).collect(),
+            chunks: RowChunk::transpose(&schema, rows, chunk_capacity)?,
         })?;
         self.absorb_views_of(name)
     }
@@ -1172,6 +1194,98 @@ mod tests {
         assert_eq!(c[2].len(), 3);
     }
 
+    /// A snapshot is one pointer per segment: two snapshots with no append
+    /// between them share the segment's chunk *list*, not only its chunks;
+    /// and a snapshot held across appends keeps its own list — exactly its
+    /// rows, its sealed chunks by pointer — while later snapshots see the
+    /// table grow.
+    #[test]
+    fn snapshots_share_the_chunk_list_until_an_append_copies_it() {
+        let db = Database::new(2).unwrap();
+        db.create_table_with_chunk_capacity("data", schema(), 2)
+            .unwrap();
+        db.append_rows("data", (0..9).map(|i| row![i as i64, i as f64]))
+            .unwrap();
+        let list = |t: &Table, s: usize| t.segment(s).chunks().as_ptr();
+
+        let held = db.table("data").unwrap();
+        let again = db.table("data").unwrap();
+        for s in 0..2 {
+            assert_eq!(list(&held, s), list(&again, s), "segment {s}");
+        }
+        drop(again);
+        let rows_then = held.collect_rows();
+        let chunks_then: Vec<Vec<Arc<RowChunk>>> =
+            (0..2).map(|s| held.segment(s).chunks().to_vec()).collect();
+
+        // Appends under a live snapshot copy the list once, never the
+        // snapshot's view of it.
+        for batch in 0..3 {
+            db.append_rows("data", (0..5).map(|i| row![100 + batch, i as f64]))
+                .unwrap();
+        }
+        assert_eq!(held.row_count(), 9);
+        assert_eq!(held.collect_rows(), rows_then);
+        let now = db.table("data").unwrap();
+        assert_eq!(now.row_count(), 24);
+        for (s, chunks) in chunks_then.iter().enumerate() {
+            assert_ne!(list(&held, s), list(&now, s));
+            assert_eq!(held.segment(s).chunks().len(), chunks.len());
+            let sealed = chunks.len() - 1;
+            for (k, chunk) in chunks.iter().enumerate() {
+                assert!(Arc::ptr_eq(chunk, &held.segment(s).chunks()[k]));
+                // The table still shares what was sealed; the tail it wrote
+                // to is its own copy.
+                let shared = Arc::ptr_eq(chunk, &now.segment(s).chunks()[k]);
+                assert_eq!(
+                    shared,
+                    k < sealed || chunk.len() == 2,
+                    "segment {s} chunk {k}"
+                );
+            }
+        }
+    }
+
+    /// The cost of an append — its insert, its absorb into a registered
+    /// view, the snapshots both take — is a function of the batch, not of
+    /// the table: at chunk capacity 1 (every row a chunk) an append into
+    /// 16 384 chunks costs what one into 64 does.  A snapshot used to copy
+    /// one pointer per chunk, twice per append, which made the large table's
+    /// append tens of times the small one's.  Timed in release builds only.
+    #[test]
+    fn append_cost_does_not_grow_with_the_table() {
+        let append_min_ns = |chunks: usize| {
+            let db = Database::new(1).unwrap();
+            db.create_table_with_chunk_capacity("t", schema(), 1)
+                .unwrap();
+            db.append_rows("t", (0..chunks).map(|i| row![i as i64, i as f64]))
+                .unwrap();
+            db.register_view("n", "t", Box::new(count_view(&db)))
+                .unwrap();
+            assert_eq!(finalize_count(&db, "n").unwrap(), chunks as u64);
+            let timed = (0..200).map(|i| {
+                let batch = [row![i as i64, 0.5]];
+                let started = std::time::Instant::now();
+                db.append_rows("t", batch).unwrap();
+                started.elapsed().as_nanos()
+            });
+            let best = timed.min().expect("200 appends");
+            assert_eq!(finalize_count(&db, "n").unwrap(), chunks as u64 + 200);
+            assert_eq!(
+                db.table("t").unwrap().segment(0).chunks().len(),
+                chunks + 200
+            );
+            best
+        };
+        let (small, large) = (append_min_ns(64), append_min_ns(16_384));
+        if !cfg!(debug_assertions) {
+            assert!(
+                large <= 8 * small,
+                "an append into 16 384 chunks took {large} ns, into 64 chunks {small} ns"
+            );
+        }
+    }
+
     /// A long-running mutation of table A must not block a snapshot read of
     /// unrelated table B (per-table locks, not a catalog-wide write lock).
     #[test]
@@ -1258,7 +1372,6 @@ mod tests {
     }
 
     use crate::aggregate::{Aggregate, CountAggregate, SumAggregate};
-    use crate::chunk::RowChunk;
     use crate::executor::Executor;
     use crate::materialize::MaterializedAggregate;
 

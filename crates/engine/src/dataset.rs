@@ -56,6 +56,7 @@
 //! vectorized kernels, bit-identical to the row loop.
 
 use crate::aggregate::Aggregate;
+use crate::chunk::Segment;
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::executor::{ExecutionStats, Executor};
@@ -65,9 +66,8 @@ use crate::group::{self, GroupKey, IndexSort, SlotDirectory};
 use crate::row::Row;
 use crate::scan;
 use crate::schema::Schema;
-use crate::table::Table;
+use crate::table::{Distribution, Table};
 use std::borrow::Cow;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A lazy, composable description of a scan: a source table plus an optional
@@ -446,45 +446,48 @@ impl<'a> Dataset<'a> {
         let group_indices = group_indices.as_slice();
         let source = self.table();
         let filter = self.filter.as_ref();
+        let chunk_capacity = source.chunk_capacity();
         // Per segment, in parallel: key each chunk of filter-surviving rows
-        // and materialize every row once, into its group's list — ascending
-        // row order within each (segment, group).
+        // and append every group's rows — one ascending index run per group —
+        // to that group's segment, filling chunks as a table append does.
         let per_segment =
             scan::run_per_segment(source, self.executor.is_parallel(), |_, segment| {
                 let mut directory = SlotDirectory::default();
-                let mut split: Vec<(GroupKey, Vec<Row>)> = Vec::new();
+                let mut split: Vec<(GroupKey, Segment)> = Vec::new();
                 let mut keyed = IndexSort::default();
                 scan::scan_chunks(segment.chunks(), schema, filter, |batch| {
                     let chunk = batch.chunk();
                     directory.key_chunk(chunk, group_indices, &mut keyed, |key| {
-                        split.push((key.clone(), Vec::new()));
+                        split.push((key.clone(), Segment::default()));
                         Ok::<(), EngineError>(())
                     })?;
-                    for (i, &slot) in keyed.keys().iter().enumerate() {
-                        split[slot as usize].1.push(chunk.row(i));
+                    for (slot, indices) in keyed.sorted() {
+                        let group = &mut split[slot as usize].1;
+                        group.append_rows(chunk, indices, chunk_capacity);
                     }
                     Ok(())
                 })?;
                 Ok(split)
             });
-        // Assemble the per-group tables in segment order, so every row keeps
-        // its original segment and per-segment position.
-        let mut groups: BTreeMap<GroupKey, Table> = BTreeMap::new();
+        // Assemble the per-group tables: every group's segment `seg` is the
+        // one built from source segment `seg`, so every row keeps its
+        // original segment and per-segment position.
+        let mut groups: BTreeMap<GroupKey, Vec<Segment>> = BTreeMap::new();
         for (seg, res) in per_segment.into_iter().enumerate() {
-            for (key, rows) in res? {
-                let table = match groups.entry(key) {
-                    Entry::Occupied(entry) => entry.into_mut(),
-                    Entry::Vacant(entry) => entry.insert(
-                        Table::new(schema.clone(), source.num_segments())?
-                            .with_chunk_capacity(source.chunk_capacity())?,
-                    ),
-                };
-                for row in rows {
-                    table.insert_into_segment(seg, row)?;
-                }
+            for (key, segment) in res? {
+                let segments = groups
+                    .entry(key)
+                    .or_insert_with(|| vec![Segment::default(); source.num_segments()]);
+                segments[seg] = segment;
             }
         }
-        Ok(groups.into_iter().collect())
+        let groups = groups.into_iter().map(|(key, segments)| {
+            let schema = source.shared_schema();
+            let placement = Distribution::RoundRobin;
+            let table = Table::from_segments(schema, segments, placement, 0, chunk_capacity);
+            (key, table)
+        });
+        Ok(groups.collect())
     }
 }
 
@@ -769,7 +772,7 @@ mod tests {
 
     #[test]
     fn gather_groups_preserves_segment_placement() {
-        let base = make_table(1, 41);
+        let base = make_table(1, 141);
         let mut t = Table::new(base.schema().clone(), 3)
             .unwrap()
             .with_chunk_capacity(8)
@@ -797,8 +800,43 @@ mod tests {
                 let got: Vec<Row> = group_table.segment(seg).iter().collect();
                 assert_eq!(got, expected);
             }
+            // Chunk for chunk the table a row-at-a-time split builds
+            // (several chunks per segment and group here).
+            let mut by_row = Table::new(t.schema().clone(), 3)
+                .unwrap()
+                .with_chunk_capacity(8)
+                .unwrap();
+            for seg in 0..t.num_segments() {
+                let of_group = |r: &Row| GroupKey::from_value(r.get(0)) == *key;
+                for row in t.segment(seg).iter().filter(of_group) {
+                    by_row.insert_into_segment(seg, row).unwrap();
+                }
+            }
+            assert_eq!(group_table, &by_row);
+            assert!(group_table.segment(0).chunks().len() > 2);
         }
         assert_eq!(total, t.row_count());
+        // A filtered gather compacts first and splits the same way.
+        let filtered = Dataset::from_table(&t)
+            .filter(Predicate::column_gt("y", 60.5))
+            .group_by(["grp"])
+            .gather_groups()
+            .unwrap();
+        for (key, group_table) in &filtered {
+            let mut by_row = Table::new(t.schema().clone(), 3)
+                .unwrap()
+                .with_chunk_capacity(8)
+                .unwrap();
+            for seg in 0..t.num_segments() {
+                let kept = |r: &Row| {
+                    GroupKey::from_value(r.get(0)) == *key && r.get(1).as_double().unwrap() > 60.5
+                };
+                for row in t.segment(seg).iter().filter(kept) {
+                    by_row.insert_into_segment(seg, row).unwrap();
+                }
+            }
+            assert_eq!(group_table, &by_row);
+        }
     }
 
     #[test]

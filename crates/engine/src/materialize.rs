@@ -123,7 +123,7 @@ impl Watermark {
     }
 
     /// Hands every piece of `segment` past the watermark — the unabsorbed
-    /// rows of the open tail chunk (gathered), then whole chunks, one
+    /// rows of the open tail chunk (copied as the one run they are), then whole chunks, one
     /// contiguous run per unit — to `visit`, with the index of the unit
     /// that owns it.  Unit boundaries are aligned from chunk 0 and never
     /// move under append; only the last unit grows.
@@ -138,11 +138,8 @@ impl Watermark {
         if self.tail_rows > 0 {
             let chunk = &chunks[next];
             if chunk.len() > self.tail_rows {
-                let rest: Vec<u32> = (self.tail_rows as u32..chunk.len() as u32).collect();
-                visit(
-                    next / chunks_per_unit,
-                    &[Arc::new(chunk.gather_rows(&rest))],
-                )?;
+                let rest = chunk.slice(self.tail_rows..chunk.len());
+                visit(next / chunks_per_unit, &[Arc::new(rest)])?;
             }
             next += 1;
         }

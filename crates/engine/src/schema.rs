@@ -81,6 +81,26 @@ impl Column {
             column_type,
         }
     }
+
+    /// Checks that `value` is acceptable for this column (NULL always is).
+    ///
+    /// # Errors
+    /// Returns [`EngineError::TypeMismatch`] naming the column.
+    pub(crate) fn check(&self, value: &Value) -> Result<()> {
+        match self.column_type.accepts(value) {
+            true => Ok(()),
+            false => Err(self.type_mismatch(value.type_name())),
+        }
+    }
+
+    /// The error for a value (or stored column) of type `found` offered to
+    /// this column.
+    pub(crate) fn type_mismatch(&self, found: &str) -> EngineError {
+        EngineError::TypeMismatch {
+            expected: self.column_type.sql_name(),
+            found: format!("{found} (column {})", self.name),
+        }
+    }
 }
 
 /// An ordered collection of columns.
@@ -138,15 +158,8 @@ impl Schema {
                 found: values.len(),
             });
         }
-        for (col, value) in self.columns.iter().zip(values) {
-            if !col.column_type.accepts(value) {
-                return Err(EngineError::TypeMismatch {
-                    expected: col.column_type.sql_name(),
-                    found: format!("{} (column {})", value.type_name(), col.name),
-                });
-            }
-        }
-        Ok(())
+        let mut pairs = self.columns.iter().zip(values);
+        pairs.try_for_each(|(column, value)| column.check(value))
     }
 }
 

@@ -27,7 +27,7 @@
 //!   search over a `double precision[]` column on the same batched kernels —
 //!   the first pure *serving* workload with no training step at all.
 
-use crate::chunk::RowChunk;
+use crate::chunk::{ColumnChunk, RowChunk, Segment, CHUNK_CAPACITY};
 use crate::database::Database;
 use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
@@ -36,9 +36,10 @@ use crate::group::{group_key_of_row, GroupKey, IndexSort, SlotDirectory};
 use crate::row::Row;
 use crate::scan;
 use crate::schema::{Column, ColumnType, Schema};
-use crate::table::Table;
+use crate::table::{Distribution, Table};
 use crate::value::Value;
 use madlib_linalg::kernels;
+use std::sync::Arc;
 
 /// A model that can score rows — the serving-side counterpart of
 /// [`crate::aggregate::Aggregate`].
@@ -299,13 +300,31 @@ impl Dataset<'_> {
     ) -> Result<()> {
         self.require_ungrouped_serving("score_into")?;
         let per_segment = self.score_segments(scorer)?;
-        let schema = Schema::new(vec![Column::new("prediction", scorer.output_type())]);
-        let mut table = Table::new(schema, self.table().num_segments())?;
-        for (seg, predictions) in per_segment.into_iter().enumerate() {
-            for prediction in predictions {
-                table.insert_into_segment(seg, Row::new(vec![prediction]))?;
+        let column = Column::new("prediction", scorer.output_type());
+        // Each segment's predictions become that segment's chunks directly:
+        // one typed column, built a chunk's worth at a time.
+        let segment = |predictions: Vec<Value>| -> Result<Segment> {
+            let mut chunks = Vec::with_capacity(predictions.len().div_ceil(CHUNK_CAPACITY));
+            let mut predictions = predictions.into_iter();
+            while predictions.len() > 0 {
+                let rows = predictions.len().min(CHUNK_CAPACITY);
+                let mut stored = ColumnChunk::new(column.column_type, rows, 0);
+                for value in predictions.by_ref().take(rows) {
+                    let pushed = stored.push(value);
+                    pushed.map_err(|value| column.type_mismatch(value.type_name()))?;
+                }
+                chunks.push(Arc::new(RowChunk::from_parts(rows, vec![stored])));
             }
-        }
+            Ok(Segment::from_chunks(chunks))
+        };
+        let segments = per_segment.into_iter().map(segment);
+        let table = Table::from_segments(
+            Arc::new(Schema::new(vec![column.clone()])),
+            segments.collect::<Result<_>>()?,
+            Distribution::RoundRobin,
+            0,
+            CHUNK_CAPACITY,
+        );
         database.register_table(table_name, table)
     }
 

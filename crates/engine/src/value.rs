@@ -131,11 +131,62 @@ impl Value {
         }
     }
 
+    /// The value, borrowed.
+    pub(crate) fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Bool(v) => ValueRef::Bool(*v),
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Double(v) => ValueRef::Double(*v),
+            Value::Text(v) => ValueRef::Text(v),
+            Value::DoubleArray(v) => ValueRef::DoubleArray(v),
+            Value::TextArray(v) => ValueRef::TextArray(v),
+            Value::IntArray(v) => ValueRef::IntArray(v),
+        }
+    }
+
     /// A stable 64-bit hash of the value, used for hash partitioning and
     /// group-by keys.  Floating-point values hash by bit pattern.
     pub fn stable_hash(&self) -> u64 {
-        // FNV-1a over a type tag plus the value bytes; deterministic across
-        // runs (unlike `DefaultHasher`, which is randomly seeded).
+        self.as_ref().stable_hash()
+    }
+}
+
+/// A [`Value`] borrowed from wherever it is stored — a row, or row `i` of a
+/// column buffer ([`crate::chunk::ColumnChunk::value_ref`]) — so that what is
+/// defined on values (the placement hash) is defined once, on the stored
+/// value, without materializing it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ValueRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Double(f64),
+    Text(&'a str),
+    DoubleArray(&'a [f64]),
+    TextArray(&'a [String]),
+    IntArray(&'a [i64]),
+}
+
+impl ValueRef<'_> {
+    /// The value, owned.
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(v) => Value::Bool(v),
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Double(v) => Value::Double(v),
+            ValueRef::Text(v) => Value::Text(v.to_owned()),
+            ValueRef::DoubleArray(v) => Value::DoubleArray(v.to_vec()),
+            ValueRef::TextArray(v) => Value::TextArray(v.to_vec()),
+            ValueRef::IntArray(v) => Value::IntArray(v.to_vec()),
+        }
+    }
+
+    /// [`Value::stable_hash`]: FNV-1a over a type tag plus the value bytes;
+    /// deterministic across runs (unlike `DefaultHasher`, which is randomly
+    /// seeded).
+    pub(crate) fn stable_hash(self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x1000_0000_01b3;
         fn feed(hash: &mut u64, bytes: &[u8]) {
@@ -146,34 +197,34 @@ impl Value {
         }
         let mut h = OFFSET;
         match self {
-            Value::Null => feed(&mut h, &[0]),
-            Value::Bool(b) => feed(&mut h, &[1, *b as u8]),
-            Value::Int(v) => {
+            ValueRef::Null => feed(&mut h, &[0]),
+            ValueRef::Bool(b) => feed(&mut h, &[1, b as u8]),
+            ValueRef::Int(v) => {
                 feed(&mut h, &[2]);
                 feed(&mut h, &v.to_le_bytes());
             }
-            Value::Double(v) => {
+            ValueRef::Double(v) => {
                 feed(&mut h, &[3]);
                 feed(&mut h, &v.to_bits().to_le_bytes());
             }
-            Value::Text(s) => {
+            ValueRef::Text(s) => {
                 feed(&mut h, &[4]);
                 feed(&mut h, s.as_bytes());
             }
-            Value::DoubleArray(a) => {
+            ValueRef::DoubleArray(a) => {
                 feed(&mut h, &[5]);
                 for v in a {
                     feed(&mut h, &v.to_bits().to_le_bytes());
                 }
             }
-            Value::TextArray(a) => {
+            ValueRef::TextArray(a) => {
                 feed(&mut h, &[6]);
                 for s in a {
                     feed(&mut h, s.as_bytes());
                     feed(&mut h, &[0xff]);
                 }
             }
-            Value::IntArray(a) => {
+            ValueRef::IntArray(a) => {
                 feed(&mut h, &[7]);
                 for v in a {
                     feed(&mut h, &v.to_le_bytes());

@@ -644,6 +644,94 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The columnar `Append`: placement of a coerced key, all-or-nothing batches
+// ---------------------------------------------------------------------------
+
+/// Hash placement is defined on the stored value, so the live call (which
+/// sees `3` and `3.0`) and replay (which sees the stored doubles only) put a
+/// coerced key in the same place: on one segment, both spellings side by
+/// side, live and recovered alike — replayed from the log, and loaded from a
+/// checkpoint with a replayed tail behind it.
+#[test]
+fn a_coerced_hash_key_is_placed_alike_live_and_replayed() {
+    let scratch = ScratchDir::new("coerced_key");
+    let dir = scratch.path();
+    let db = Database::open(dir, 4).unwrap();
+    let on_v = Distribution::HashColumn("v".into());
+    db.create_table_distributed("t", schema(), on_v).unwrap();
+    let spellings = |keys: std::ops::Range<i64>| {
+        keys.flat_map(|k| [Value::Int(k), Value::Double(k as f64)])
+            .map(|key| Row::new(vec![Value::Int(0), key]))
+    };
+    db.append_rows("t", spellings(0..30)).unwrap();
+    let table = db.table("t").unwrap();
+    for s in 0..4 {
+        let keys = table.segment(s).iter().map(|r| r.get(1).clone());
+        let keys: Vec<Value> = keys.collect();
+        assert!(keys.chunks(2).all(|pair| pair[0] == pair[1]), "{keys:?}");
+        let placed = |key: &Value| (key.stable_hash() % 4) as usize == s;
+        assert!(keys.iter().all(placed), "segment {s}: {keys:?}");
+    }
+    let expect = fingerprint(&db);
+    drop(db);
+    let db = Database::recover(dir).unwrap();
+    assert_eq!(fingerprint(&db), expect);
+    db.checkpoint().unwrap();
+    db.append_rows("t", spellings(30..40)).unwrap();
+    let expect = fingerprint(&db);
+    drop(db);
+    assert_eq!(fingerprint(&Database::recover(dir).unwrap()), expect);
+}
+
+/// A batch whose *last* row does not fit the schema is refused whole: the
+/// table, the log and the views are what they were, and the rows before the
+/// bad one are not in any of them after a restart either.
+#[test]
+fn a_batch_with_a_bad_last_row_leaves_table_wal_and_views_untouched() {
+    use madlib_engine::aggregate::CountAggregate;
+    use madlib_engine::materialize::MaterializedAggregate;
+    use madlib_engine::Executor;
+
+    let scratch = ScratchDir::new("bad_last_row");
+    let dir = scratch.path();
+    let db = Database::open(dir, 2).unwrap();
+    db.create_table_with_chunk_capacity("t", schema(), 4)
+        .unwrap();
+    let view = MaterializedAggregate::new(CountAggregate, &Executor::new());
+    db.register_view("n", "t", Box::new(view)).unwrap();
+    let count = |db: &Database| {
+        db.refresh_view("n", |state| {
+            let view = state.as_any_mut();
+            let view = view.downcast_mut::<MaterializedAggregate<CountAggregate>>();
+            view.expect("count view").finalize()
+        })
+    };
+    db.append_rows("t", rows(0, 6)).unwrap();
+    let before = (fingerprint(&db), db.wal_durable_len(), snapshot(dir));
+
+    let bad_type = Row::new(vec![Value::Int(99), Value::Text("no".into())]);
+    let bad_arity = Row::new(vec![Value::Int(99)]);
+    for bad in [bad_type, bad_arity] {
+        let batch = rows(6, 9).chain([bad]);
+        let err = db.append_rows("t", batch).unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::TypeMismatch { .. } | EngineError::ArityMismatch { .. }
+        ));
+        assert_eq!(count(&db).unwrap(), 6);
+        let after = (fingerprint(&db), db.wal_durable_len(), snapshot(dir));
+        assert_eq!(after, before);
+    }
+    // An unknown table is reported before the rows are looked at.
+    assert!(matches!(
+        db.append_rows("nope", rows(0, 1)),
+        Err(EngineError::TableNotFound { .. })
+    ));
+    drop(db);
+    assert_eq!(fingerprint(&Database::recover(dir).unwrap()), before.0);
+}
+
+// ---------------------------------------------------------------------------
 // Chunk files after a crashed checkpoint; the retired record tag
 // ---------------------------------------------------------------------------
 
@@ -795,11 +883,12 @@ fn expect_refusal(result: Result<Database, EngineError>, needle: &str) {
     }
 }
 
-/// Record tag 5 (the row-wise `PutTable` of the first format) is retired,
-/// and so is format version 1 (the per-byte frame checksum) of `wal.log` and
-/// `MANIFEST`: a directory holding either is refused with a typed error
-/// naming what was found, and the refusal leaves every file — the chunk
-/// file a crashed checkpoint left frames in included — as it found it.
+/// Record tags 3 and 5 (the row-wise `Append` and `PutTable` of the first
+/// format) are retired, and so is format version 1 (the per-byte frame
+/// checksum) of `wal.log` and `MANIFEST`: a directory holding any of them is
+/// refused with a typed error naming what was found, and the refusal leaves
+/// every file — the chunk file a crashed checkpoint left frames in included
+/// — as it found it.
 #[test]
 fn a_retired_record_tag_is_refused_and_the_directory_left_untouched() {
     let scratch = ScratchDir::new("tag5");
@@ -808,27 +897,29 @@ fn a_retired_record_tag_is_refused_and_the_directory_left_untouched() {
     let pristine = snapshot(dir);
 
     // A well-formed frame — `[u32 len][u64 checksum][payload]` — whose
-    // payload is a tag-5 record naming table "t", in front of the torn tail.
-    let payload = [&[5u8][..], &1u32.to_le_bytes(), b"t"].concat();
-    let checksum = 0xed63_866d_87df_5711u64;
-    let frame = [
-        &(payload.len() as u32).to_le_bytes()[..],
-        &checksum.to_le_bytes(),
-        &payload,
-    ]
-    .concat();
+    // payload is a record of a retired tag naming table "t", spliced in
+    // front of the torn tail.
+    let splice_frame = |tag: u8, checksum: u64| {
+        let payload = [&[tag][..], &1u32.to_le_bytes(), b"t"].concat();
+        let frame = [
+            &(payload.len() as u32).to_le_bytes()[..],
+            &checksum.to_le_bytes(),
+            &payload,
+        ]
+        .concat();
+        let mut bytes = std::fs::read(wal_file(dir)).unwrap();
+        let torn = bytes.len() - 7;
+        bytes.splice(torn..torn, frame);
+        std::fs::write(wal_file(dir), bytes).unwrap();
+    };
     let with_magic_digit = |file: &str, digit: u8| {
         let mut bytes = std::fs::read(dir.join(file)).unwrap();
         bytes[7] = digit;
         std::fs::write(dir.join(file), bytes).unwrap();
     };
-    let refusals: [(&str, &dyn Fn()); 3] = [
-        ("tag 5", &|| {
-            let mut bytes = std::fs::read(wal_file(dir)).unwrap();
-            let torn = bytes.len() - 7;
-            bytes.splice(torn..torn, frame.iter().copied());
-            std::fs::write(wal_file(dir), bytes).unwrap();
-        }),
+    let refusals: [(&str, &dyn Fn()); 4] = [
+        ("tag 3", &|| splice_frame(3, 0x4a2c_c0c2_b4fd_b3fa)),
+        ("tag 5", &|| splice_frame(5, 0xed63_866d_87df_5711)),
         ("wal.log is format version 01", &|| {
             with_magic_digit("wal.log", b'1')
         }),

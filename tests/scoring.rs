@@ -539,7 +539,9 @@ fn catalog_routed_serving_and_errors() {
 #[test]
 fn score_into_materializes_predictions() {
     let database = Database::new(3).unwrap();
-    let points: Vec<(f64, Vec<f64>)> = (0..50).map(|i| (i as f64, vec![1.0, i as f64])).collect();
+    // Enough rows for more than one (1 024-row) chunk of predictions per
+    // segment.
+    let points: Vec<(f64, Vec<f64>)> = (0..4000).map(|i| (i as f64, vec![1.0, i as f64])).collect();
     let table = feature_table(&points, Some(7), 3, 8);
     let model = linregr_model(vec![3.0, -0.5]);
     let scorer = FeatureScorer::new(&model, "x");
@@ -555,14 +557,25 @@ fn score_into_materializes_predictions() {
         .map_rows(|row, _| Ok(row.get(0).clone()))
         .unwrap();
     assert_predictions_eq(&materialized, &scored, "score_into");
-    // Per segment, predictions line up with the source segment's rows.
+    // Per segment, predictions line up with the source segment's rows —
+    // chunk for chunk what inserting them one at a time builds.
+    let mut by_row = Table::new(predictions.schema().clone(), 3).unwrap();
+    let mut scored = scored.into_iter();
     for seg in 0..table.num_segments() {
         assert_eq!(
             predictions.segment(seg).len(),
             table.segment(seg).len(),
             "segment {seg}"
         );
+        for prediction in scored.by_ref().take(table.segment(seg).len()) {
+            by_row
+                .insert_into_segment(seg, Row::new(vec![prediction]))
+                .unwrap();
+        }
+        assert_eq!(predictions.segment(seg), by_row.segment(seg));
+        assert_eq!(predictions.segment(seg).chunks().len(), 2);
     }
+    assert_eq!(predictions.chunk_capacity(), by_row.chunk_capacity());
     // Name collisions surface as the catalog's typed error.
     assert!(matches!(
         dataset.score_into(&scorer, &database, "predictions"),
