@@ -105,6 +105,35 @@ pub fn predict_batch_rows<P: Predictor + ?Sized>(
     Ok(())
 }
 
+/// Rows [`extend_with_dots`] scores per kernel call: a stored chunk is one
+/// call.
+const DOT_BLOCK: usize = madlib_engine::chunk::CHUNK_CAPACITY;
+
+/// The shared batch body of the dot-product family: `⟨weights, x_r⟩` for each
+/// of the `rows` rows of `xs` through `batch_dot` — bit-identical to the
+/// scalar `predict` dot product by the kernel contract — one block of rows at
+/// a time through a stack scratch, appending `prediction(score)` per row.
+fn extend_with_dots(
+    xs: &[f64],
+    weights: &[f64],
+    rows: usize,
+    out: &mut Vec<Value>,
+    prediction: impl Fn(f64) -> Value,
+) {
+    let width = weights.len();
+    let mut scratch = [0.0; DOT_BLOCK];
+    out.reserve(rows);
+    for first in (0..rows).step_by(DOT_BLOCK) {
+        let scores = &mut scratch[..DOT_BLOCK.min(rows - first)];
+        batch_dot(
+            &xs[first * width..][..scores.len() * width],
+            weights,
+            scores,
+        );
+        out.extend(scores.iter().map(|&score| prediction(score)));
+    }
+}
+
 /// Maps a method-library predict error onto the engine error type — used
 /// identically by the row and chunk paths of [`FeatureScorer`], so scoring
 /// errors are the same under every execution mode.
@@ -209,9 +238,7 @@ impl Predictor for LinearRegressionModel {
         if width != self.coef.len() {
             return predict_batch_rows(self, xs, width, rows, out);
         }
-        let mut scores = vec![0.0; rows];
-        batch_dot(xs, &self.coef, &mut scores);
-        out.extend(scores.into_iter().map(Value::Double));
+        extend_with_dots(xs, &self.coef, rows, out, Value::Double);
         Ok(())
     }
 }
@@ -237,9 +264,9 @@ impl Predictor for LogisticRegressionModel {
         if width != self.coef.len() {
             return predict_batch_rows(self, xs, width, rows, out);
         }
-        let mut scores = vec![0.0; rows];
-        batch_dot(xs, &self.coef, &mut scores);
-        out.extend(scores.into_iter().map(|z| Value::Bool(sigmoid(z) >= 0.5)));
+        extend_with_dots(xs, &self.coef, rows, out, |z| {
+            Value::Bool(sigmoid(z) >= 0.5)
+        });
         Ok(())
     }
 }
@@ -265,13 +292,9 @@ impl Predictor for SvmModel {
         if width != self.weights.len() {
             return predict_batch_rows(self, xs, width, rows, out);
         }
-        let mut scores = vec![0.0; rows];
-        batch_dot(xs, &self.weights, &mut scores);
-        out.extend(
-            scores
-                .into_iter()
-                .map(|d| Value::Double(if d >= 0.0 { 1.0 } else { -1.0 })),
-        );
+        extend_with_dots(xs, &self.weights, rows, out, |d| {
+            Value::Double(if d >= 0.0 { 1.0 } else { -1.0 })
+        });
         Ok(())
     }
 }

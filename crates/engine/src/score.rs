@@ -208,22 +208,21 @@ impl Similarity {
     }
 }
 
-/// One k-NN candidate while a segment scan is in flight.
-struct Candidate {
+/// Where a scored row stands among all others: its score, then its scan
+/// position — (segment, surviving-row ordinal within the segment scan), a
+/// pure function of the dataset, never of scheduling.
+#[derive(Clone, Copy)]
+struct Rank {
     score: f64,
-    /// Deterministic tie-break key: (segment, surviving-row ordinal within
-    /// the segment scan) — a pure function of the dataset, never of
-    /// scheduling.
     segment: usize,
     ordinal: usize,
-    row: Row,
 }
 
-impl Candidate {
+impl Rank {
     /// Total order: better score first, then scan position.  Gives every
-    /// candidate a distinct rank, so top-k results are deterministic even
-    /// with tied scores.
-    fn ranks_before(&self, other: &Candidate, metric: Similarity) -> bool {
+    /// row a distinct rank, so top-k results are deterministic even with
+    /// tied scores.
+    fn ranks_before(&self, other: &Rank, metric: Similarity) -> bool {
         if metric.ranks_before(self.score, other.score) {
             return true;
         }
@@ -234,13 +233,29 @@ impl Candidate {
     }
 }
 
-/// Inserts a candidate into a best-first list bounded at `k` entries.
-fn push_candidate(best: &mut Vec<Candidate>, candidate: Candidate, k: usize, metric: Similarity) {
-    let at = best.partition_point(|c| c.ranks_before(&candidate, metric));
-    if at < k {
-        best.insert(at, candidate);
-        best.truncate(k);
+/// One k-NN candidate while a segment scan is in flight.
+struct Candidate {
+    rank: Rank,
+    row: Row,
+}
+
+/// Offers a row to a best-first list bounded at `k` entries; `row`
+/// materializes it, and runs only when the row enters the list.
+fn offer(
+    best: &mut Vec<Candidate>,
+    k: usize,
+    metric: Similarity,
+    rank: Rank,
+    row: impl FnOnce() -> Row,
+) {
+    // A full list turns away whatever does not rank before its last entry:
+    // one comparison, nothing built — where all but a few rows of a scan end.
+    if best.len() == k && !rank.ranks_before(&best[k - 1].rank, metric) {
+        return;
     }
+    let at = best.partition_point(|c| c.rank.ranks_before(&rank, metric));
+    best.insert(at, Candidate { rank, row: row() });
+    best.truncate(k);
 }
 
 impl Dataset<'_> {
@@ -273,9 +288,10 @@ impl Dataset<'_> {
     pub fn score<S: Scorer + ?Sized>(&self, scorer: &S) -> Result<Vec<Value>> {
         self.require_ungrouped_serving("score")?;
         let per_segment = self.score_segments(scorer)?;
-        let mut out = Vec::with_capacity(per_segment.iter().map(Vec::len).sum());
-        for segment in per_segment {
-            out.extend(segment);
+        let rows = per_segment.iter().flatten().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(rows);
+        for mut unit in per_segment.into_iter().flatten() {
+            out.append(&mut unit);
         }
         Ok(out)
     }
@@ -303,17 +319,19 @@ impl Dataset<'_> {
         let column = Column::new("prediction", scorer.output_type());
         // Each segment's predictions become that segment's chunks directly:
         // one typed column, built a chunk's worth at a time.
-        let segment = |predictions: Vec<Value>| -> Result<Segment> {
-            let mut chunks = Vec::with_capacity(predictions.len().div_ceil(CHUNK_CAPACITY));
-            let mut predictions = predictions.into_iter();
-            while predictions.len() > 0 {
-                let rows = predictions.len().min(CHUNK_CAPACITY);
+        let segment = |units: Vec<Vec<Value>>| -> Result<Segment> {
+            let mut left: usize = units.iter().map(Vec::len).sum();
+            let mut chunks = Vec::with_capacity(left.div_ceil(CHUNK_CAPACITY));
+            let mut predictions = units.into_iter().flatten();
+            while left > 0 {
+                let rows = left.min(CHUNK_CAPACITY);
                 let mut stored = ColumnChunk::new(column.column_type, rows, 0);
                 for value in predictions.by_ref().take(rows) {
                     let pushed = stored.push(value);
                     pushed.map_err(|value| column.type_mismatch(value.type_name()))?;
                 }
                 chunks.push(Arc::new(RowChunk::from_parts(rows, vec![stored])));
+                left -= rows;
             }
             Ok(Segment::from_chunks(chunks))
         };
@@ -329,11 +347,13 @@ impl Dataset<'_> {
     }
 
     /// The shared scan pass behind [`Dataset::score`] and
-    /// [`Dataset::score_into`]: one prediction vector per segment, in
-    /// per-segment row order.  Chunk-range stealing spreads hot segments
-    /// across workers; outputs concatenate in range order, which is
-    /// unconditionally identical to the whole-segment scan.
-    fn score_segments<S: Scorer + ?Sized>(&self, scorer: &S) -> Result<Vec<Vec<Value>>> {
+    /// [`Dataset::score_into`]: per segment, the prediction vectors of its
+    /// scan units in range order — concatenated, the segment's predictions
+    /// in row order, unconditionally identical to the whole-segment scan.
+    /// Chunk-range stealing spreads hot segments across workers; a unit's
+    /// vector is sized once for its rows and never copied on the way out (the
+    /// per-segment lists move the vectors, not their predictions).
+    fn score_segments<S: Scorer + ?Sized>(&self, scorer: &S) -> Result<Vec<Vec<Vec<Value>>>> {
         let schema = self.schema();
         let filter = self.filter_predicate();
         let mode = self.executor().mode();
@@ -345,10 +365,11 @@ impl Dataset<'_> {
             self.executor().is_parallel(),
             granularity,
             |range, segment| {
-                let mut out = Vec::new();
+                let chunks = range.chunks(segment);
+                let mut out = Vec::with_capacity(chunks.iter().map(|chunk| chunk.len()).sum());
                 match mode {
                     ExecutionMode::Chunked => {
-                        scan::scan_chunks(range.chunks(segment), schema, filter, |batch| {
+                        scan::scan_chunks(chunks, schema, filter, |batch| {
                             scorer.predict_chunk(batch.chunk(), schema, &mut out)
                         })?;
                     }
@@ -359,9 +380,9 @@ impl Dataset<'_> {
                         })?;
                     }
                 }
-                Ok(out)
+                Ok(vec![out])
             },
-            |mut left, right: Vec<Value>| {
+            |mut left, right| {
                 left.extend(right);
                 left
             },
@@ -492,16 +513,13 @@ impl Dataset<'_> {
                                 scores.resize(chunk.len(), 0.0);
                                 metric.score_batch(arrays.flat_values(), query, &mut scores);
                                 for (i, &score) in scores.iter().enumerate() {
-                                    consider_knn_row(
-                                        &mut best,
-                                        &mut ordinal,
-                                        chunk,
-                                        i,
+                                    let rank = Rank {
                                         score,
-                                        seg,
-                                        k,
-                                        metric,
-                                    );
+                                        segment: seg,
+                                        ordinal,
+                                    };
+                                    ordinal += 1;
+                                    offer(&mut best, k, metric, rank, || chunk.row(i));
                                 }
                             } else {
                                 for i in 0..chunk.len() {
@@ -511,17 +529,13 @@ impl Dataset<'_> {
                                     }
                                     let x = arrays.row(i);
                                     check_query_width(x, query)?;
-                                    let score = metric.score_row(x, query);
-                                    consider_knn_row(
-                                        &mut best,
-                                        &mut ordinal,
-                                        chunk,
-                                        i,
-                                        score,
-                                        seg,
-                                        k,
-                                        metric,
-                                    );
+                                    let rank = Rank {
+                                        score: metric.score_row(x, query),
+                                        segment: seg,
+                                        ordinal,
+                                    };
+                                    ordinal += 1;
+                                    offer(&mut best, k, metric, rank, || chunk.row(i));
                                 }
                             }
                             Ok(())
@@ -536,14 +550,13 @@ impl Dataset<'_> {
                             }
                             let x = value.as_double_array()?;
                             check_query_width(x, query)?;
-                            let candidate = Candidate {
+                            let rank = Rank {
                                 score: metric.score_row(x, query),
                                 segment: seg,
                                 ordinal,
-                                row: row.clone(),
                             };
                             ordinal += 1;
-                            push_candidate(&mut best, candidate, k, metric);
+                            offer(&mut best, k, metric, rank, || row.clone());
                             Ok(())
                         })?;
                     }
@@ -555,11 +568,12 @@ impl Dataset<'_> {
         // the global best-first list and truncate to k.
         let mut merged: Vec<Candidate> = Vec::new();
         for res in per_segment {
-            for candidate in res? {
-                push_candidate(&mut merged, candidate, k, metric);
+            for Candidate { rank, row } in res? {
+                offer(&mut merged, k, metric, rank, || row);
             }
         }
-        Ok(merged.into_iter().map(|c| (c.row, c.score)).collect())
+        let scored = |c: Candidate| (c.row, c.rank.score);
+        Ok(merged.into_iter().map(scored).collect())
     }
 }
 
@@ -573,35 +587,6 @@ fn check_query_width(x: &[f64], query: &[f64]) -> Result<()> {
         )));
     }
     Ok(())
-}
-
-/// Offers one scored chunk row to the k-NN candidate list, materializing the
-/// row only when it actually enters the list.
-#[allow(clippy::too_many_arguments)]
-fn consider_knn_row(
-    best: &mut Vec<Candidate>,
-    ordinal: &mut usize,
-    chunk: &RowChunk,
-    i: usize,
-    score: f64,
-    seg: usize,
-    k: usize,
-    metric: Similarity,
-) {
-    let candidate = Candidate {
-        score,
-        segment: seg,
-        ordinal: *ordinal,
-        row: Row::new(Vec::new()),
-    };
-    *ordinal += 1;
-    let at = best.partition_point(|c| c.ranks_before(&candidate, metric));
-    if at < k {
-        let mut candidate = candidate;
-        candidate.row = chunk.row(i);
-        best.insert(at, candidate);
-        best.truncate(k);
-    }
 }
 
 /// Opens a new scorer slot: looks `key` up in the registry and appends its

@@ -71,6 +71,22 @@
 //!   per pass, sixteen independent chains behind one gather of the rows'
 //!   elements, the four distances meeting the running minimum in column
 //!   order.
+//! * **The association of each row's sum is the contract; which rows share a
+//!   pass is not.**  A row's sum starts at `0.0` and adds its terms left to
+//!   right on every tier, and that is all a caller can observe — so the vector
+//!   body is free to choose the rows it puts side by side in the lanes, and
+//!   chooses them for the memory system.  `batch_dot` and
+//!   `batch_squared_distances` stream whole chunks at 2 flop per 8 B, far
+//!   below what DRAM can feed, so they split a call's `n` rows into eight
+//!   contiguous runs of `n / 8` and give each lane one run: the call reads
+//!   eight sequential streams a run apart (64 KB at 1024 × 64).  The hardware
+//!   stream prefetchers track one forward stream per 4 KiB page; eight
+//!   *adjacent* rows are eight 512–800 B hops that share pages, which they
+//!   follow at about half the bandwidth, while eight streams each in pages of
+//!   its own run at what the host's cores can pull.  The `n mod 8` rows after
+//!   the runs go to [`scalar`].  `gemv_acc` keeps adjacent rows — its matrices
+//!   are cache-resident, where the traversal makes no difference — and
+//!   `batch_closest_column` is compute-bound at the `k` it runs at.
 //! * **`mul` + `add`, never `fmadd`.**  FMA skips the intermediate rounding
 //!   of `a * b`; using it would diverge from the scalar formulation even
 //!   though the hardware supports it (the bench metadata records `fma` as

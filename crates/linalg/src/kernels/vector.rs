@@ -274,23 +274,21 @@ enum Term {
     SquaredDifference,
 }
 
-/// Reduces each of the first `4 · GROUPS` rows of `rows` (row-major,
-/// `other.len()` wide; panics when there are fewer) against `other`, one row
-/// per lane: every lane starts at `0.0` and adds its row's terms left to
-/// right, so each lane holds the reference's sequential sum.  `GROUPS`
-/// independent accumulators advance together to overlap the latency of the
-/// dependent additions.
+/// Reduces each of the `4 · GROUPS` given rows (each at least `other.len()`
+/// long; panics otherwise) against `other`, one row per lane: every lane
+/// starts at `0.0` and adds its row's terms left to right, so each lane holds
+/// the reference's sequential sum.  `GROUPS` independent accumulators advance
+/// together to overlap the latency of the dependent additions.  Which rows
+/// share a pass is the caller's choice and invisible in any row's sum.
 #[inline(always)]
 fn reduce_rows<V: Lanes, const GROUPS: usize>(
     term: Term,
-    rows: &[f64],
+    rows: [[&[f64]; 4]; GROUPS],
     other: &[f64],
 ) -> [V; GROUPS] {
-    // One sub-slice per lane, each exactly as long as `other`: the bounds
-    // check is paid here, once per row, and the element loop needs none.
-    let mut rows = rows.chunks_exact(other.len());
-    let lanes: [[&[f64]; 4]; GROUPS] =
-        from_fn(|_| from_fn(|_| rows.next().expect("4 · GROUPS rows")));
+    // Every row re-sliced to `other`'s length: the bounds check is paid here,
+    // once per row, and the element loop needs none.
+    let lanes: [[&[f64]; 4]; GROUPS] = from_fn(|g| from_fn(|l| &rows[g][l][..other.len()]));
     let mut acc = [V::splat(0.0); GROUPS];
     for (k, &c) in other.iter().enumerate() {
         let cv = V::splat(c);
@@ -318,18 +316,36 @@ fn row_groups(xs: &[f64], width: usize, group: usize) -> (ChunksExact<'_, f64>, 
     (groups, full)
 }
 
-/// `out[r] = Σ_k term(x_r[k], other[k])`, eight rows per pass.
+/// Rows a [`batch_reduce`] pass reduces together — the lanes of its two
+/// accumulators — and so the sequential streams it reads a chunk as.
+const STREAMS: usize = 8;
+
+/// `out[r] = Σ_k term(x_r[k], other[k])`, the rows walked as [`STREAMS`]
+/// far-apart sequential streams: lane `l` owns the contiguous run of rows
+/// `l · run .. (l + 1) · run` (`run = n / STREAMS`) and every pass takes row
+/// `i` of each run, so a chunk streamed from DRAM is eight forward walks,
+/// each in pages of its own, that the hardware prefetchers follow (the
+/// module docs of [`super`] say why adjacent rows are not).  The
+/// `n mod STREAMS` rows after the runs are the reference kernel's.
 #[inline(always)]
 fn batch_reduce<V: Lanes>(term: Term, xs: &[f64], other: &[f64], out: &mut [f64]) {
     let width = other.len();
     assert_eq!(xs.len(), out.len() * width, "one output per row");
-    let (groups, full) = row_groups(xs, width, 8);
-    for (rows, o) in groups.zip(out.chunks_exact_mut(8)) {
-        let [lo, hi] = reduce_rows::<V, 2>(term, rows, other);
-        lo.store(o, 0);
-        hi.store(o, 4);
+    // At width 0 there is nothing to stream: every row is "rest".
+    let run = if width == 0 { 0 } else { out.len() / STREAMS };
+    let (streamed, xs) = xs.split_at(STREAMS * run * width);
+    let (sums, out) = out.split_at_mut(STREAMS * run);
+    let runs: [&[f64]; STREAMS] = from_fn(|s| &streamed[s * run * width..][..run * width]);
+    for i in 0..run {
+        let at = i * width;
+        let pass = from_fn(|g| from_fn(|l| &runs[4 * g + l][at..at + width]));
+        let acc = reduce_rows::<V, 2>(term, pass, other);
+        for (g, acc) in acc.iter().enumerate() {
+            for (l, sum) in acc.to_array().into_iter().enumerate() {
+                sums[(4 * g + l) * run + i] = sum;
+            }
+        }
     }
-    let (xs, out) = (&xs[full * width..], &mut out[full..]);
     match term {
         Term::Product => scalar::batch_dot(xs, other, out),
         Term::SquaredDifference => scalar::batch_squared_distances(xs, other, out),
@@ -441,6 +457,9 @@ pub(super) fn gemv_acc<V: Lanes>(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut
     let av = V::splat(alpha);
     let (groups, full) = row_groups(a.as_slice(), a.cols(), 8);
     for (rows, ys) in groups.zip(y.chunks_exact_mut(8)) {
+        // Adjacent rows: the matrices this runs on are cache-resident.
+        let mut rows = rows.chunks_exact(x.len());
+        let rows = from_fn(|_| from_fn(|_| rows.next().expect("eight rows")));
         let dots = reduce_rows::<V, 2>(Term::Product, rows, x);
         for (g, &dot) in dots.iter().enumerate() {
             V::load(ys, 4 * g).add(av.mul(dot)).store(ys, 4 * g);

@@ -222,6 +222,66 @@ fn batch_squared_distances_tiers_agree() {
     }
 }
 
+/// The row reductions read a call's rows as eight runs of `rows / 8`, one per
+/// lane, and leave the `rows % 8` rows after the runs to the reference: every
+/// row must still land in its own slot with the reference's bits.  Row counts
+/// with no run at all, runs of one to two rows, and a chunk's worth either
+/// side of a multiple of eight; a special value on both sides of every run
+/// boundary and in every remainder row, each at a different element; distinct
+/// rows, and an output pre-filled with a NaN no kernel produces, so a slot
+/// left unwritten or given another row's sum cannot pass.
+#[test]
+fn row_reductions_write_every_row_to_its_slot() {
+    type Reduction = fn(&[f64], &[f64], &mut [f64]);
+    let kernels: [(&str, [Reduction; 3]); 2] = [
+        (
+            "batch_dot",
+            [scalar::batch_dot, unrolled::batch_dot, simd::batch_dot],
+        ),
+        (
+            "batch_squared_distances",
+            [
+                scalar::batch_squared_distances,
+                unrolled::batch_squared_distances,
+                simd::batch_squared_distances,
+            ],
+        ),
+    ];
+    let specials = [generated_nan(), 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+    let unwritten = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+    let row_counts = (0..=17).chain([63, 64, 65, 1023, 1024, 1025]);
+    for rows in row_counts {
+        for width in [0, 1, 3, 8, 64, 100] {
+            let mut xs = finite_data(rows * width, (rows * 131 + width) as u64);
+            let run = rows / 8;
+            let around_boundaries = (1..=8).flat_map(|s| [s * run - run.min(1), s * run]);
+            for row in around_boundaries.chain(8 * run..rows) {
+                if row < rows && width > 0 {
+                    xs[row * width + row % width] = specials[row % specials.len()];
+                }
+            }
+            let other = finite_data(width, 41);
+            for (name, [reference, portable, vectored]) in kernels {
+                let context = format!("{name} rows={rows} width={width}");
+                let mut expected = vec![unwritten; rows];
+                reference(&xs, &other, &mut expected);
+                assert!(
+                    expected.iter().all(|v| v.to_bits() != unwritten.to_bits()),
+                    "{context}: the reference left a slot unwritten"
+                );
+                let mut out = vec![unwritten; rows];
+                portable(&xs, &other, &mut out);
+                assert_bits_eq(&expected, &out, &format!("{context} (unrolled)"));
+                if simd::available() {
+                    let mut out = vec![unwritten; rows];
+                    vectored(&xs, &other, &mut out);
+                    assert_bits_eq(&expected, &out, &format!("{context} (simd)"));
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn batch_closest_column_tiers_agree() {
     // Rows whose nearest column is 3 while column 4 duplicates it: the tie
@@ -491,6 +551,12 @@ fn batch_dot_rejects_a_short_input() {
         1 => unrolled::batch_dot(&[1.0], &[1.0; 4], &mut [0.0; 8]),
         _ => simd::batch_dot(&[1.0], &[1.0; 4], &mut [0.0; 8]),
     });
+    // Seventeen rows, sixteen outputs: the eight runs of two are all there.
+    assert_every_tier_rejects(&[1, 2], |tier| match tier {
+        0 => scalar::batch_dot(&[1.0; 68], &[1.0; 4], &mut [0.0; 16]),
+        1 => unrolled::batch_dot(&[1.0; 68], &[1.0; 4], &mut [0.0; 16]),
+        _ => simd::batch_dot(&[1.0; 68], &[1.0; 4], &mut [0.0; 16]),
+    });
 }
 
 #[test]
@@ -499,6 +565,12 @@ fn batch_squared_distances_rejects_a_short_input() {
         0 => scalar::batch_squared_distances(&[1.0], &[1.0; 4], &mut [0.0; 8]),
         1 => unrolled::batch_squared_distances(&[1.0], &[1.0; 4], &mut [0.0; 8]),
         _ => simd::batch_squared_distances(&[1.0], &[1.0; 4], &mut [0.0; 8]),
+    });
+    // Sixteen rows, seventeen outputs.
+    assert_every_tier_rejects(&[1, 2], |tier| match tier {
+        0 => scalar::batch_squared_distances(&[1.0; 64], &[1.0; 4], &mut [0.0; 17]),
+        1 => unrolled::batch_squared_distances(&[1.0; 64], &[1.0; 4], &mut [0.0; 17]),
+        _ => simd::batch_squared_distances(&[1.0; 64], &[1.0; 4], &mut [0.0; 17]),
     });
 }
 

@@ -23,13 +23,17 @@ use madlib::methods::regress::{LinearRegressionModel, LogisticRegressionModel};
 use madlib::methods::{FeatureScorer, Predictor, Session};
 use proptest::prelude::*;
 
-/// Bit-exact prediction equality: `Double`s compare by bits (so NaN == NaN
-/// and -0.0 != 0.0), everything else by value.
+/// Bit-exact prediction equality: `Double`s, alone or in an array, compare
+/// by bits (so NaN == NaN and -0.0 != 0.0), everything else by value.
 fn assert_predictions_eq(got: &[Value], want: &[Value], context: &str) {
     assert_eq!(got.len(), want.len(), "{context}: length mismatch");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
         let same = match (g, w) {
             (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+            (Value::DoubleArray(a), Value::DoubleArray(b)) => a
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(b.iter().map(|v| v.to_bits())),
             (a, b) => a == b,
         };
         assert!(same, "{context}: row {i}: got {g:?}, want {w:?}");
@@ -128,6 +132,43 @@ fn per_row_reference<P: Predictor>(dataset: &Dataset<'_>, model: &P) -> Vec<Valu
 
 fn both_executors() -> [Executor; 2] {
     [Executor::new(), Executor::row_at_a_time()]
+}
+
+/// The naive plan `top_k_by_score` must reproduce, rows and score bits: score
+/// the surviving non-NULL rows of column 1 in scan order with the per-row
+/// formulation and stable-sort by score, so ties keep scan order.
+fn brute_force_top_k(
+    dataset: &Dataset<'_>,
+    query: &[f64],
+    k: usize,
+    metric: Similarity,
+) -> Vec<(Row, f64)> {
+    let mut reference: Vec<(Row, f64)> = Vec::new();
+    for row in dataset.collect_rows().unwrap() {
+        let value = row.get(1);
+        if value.is_null() {
+            continue;
+        }
+        let x = value.as_double_array().unwrap();
+        let score: f64 = match metric {
+            Similarity::Dot => x.iter().zip(query).map(|(a, b)| a * b).sum(),
+            Similarity::Euclidean => x
+                .iter()
+                .zip(query)
+                .map(|(a, b)| {
+                    let d = a - b;
+                    d * d
+                })
+                .sum(),
+        };
+        reference.push((row, score));
+    }
+    match metric {
+        Similarity::Dot => reference.sort_by(|a, b| b.1.total_cmp(&a.1)),
+        Similarity::Euclidean => reference.sort_by(|a, b| a.1.total_cmp(&b.1)),
+    }
+    reference.truncate(k);
+    reference
 }
 
 proptest! {
@@ -271,37 +312,7 @@ proptest! {
                     dataset = dataset.filter(Predicate::column_gt("y", 0.0));
                 }
                 let top = dataset.top_k_by_score("x", &query, k, metric).unwrap();
-                // Naive reference: score the surviving non-NULL rows in scan
-                // order and stable-sort by score.
-                let mut reference: Vec<(Row, f64)> = Vec::new();
-                for row in dataset.collect_rows().unwrap() {
-                    let value = row.get(1);
-                    if value.is_null() {
-                        continue;
-                    }
-                    let x = value.as_double_array().unwrap();
-                    let score: f64 = match metric {
-                        Similarity::Dot => x.iter().zip(&query).map(|(a, b)| a * b).sum(),
-                        Similarity::Euclidean => x
-                            .iter()
-                            .zip(&query)
-                            .map(|(a, b)| {
-                                let d = a - b;
-                                d * d
-                            })
-                            .sum(),
-                    };
-                    reference.push((row, score));
-                }
-                match metric {
-                    Similarity::Dot => {
-                        reference.sort_by(|a, b| b.1.total_cmp(&a.1));
-                    }
-                    Similarity::Euclidean => {
-                        reference.sort_by(|a, b| a.1.total_cmp(&b.1));
-                    }
-                }
-                reference.truncate(k);
+                let reference = brute_force_top_k(&dataset, &query, k, metric);
                 prop_assert_eq!(top.len(), reference.len());
                 for ((row, score), (want_row, want_score)) in top.iter().zip(&reference) {
                     prop_assert_eq!(score.to_bits(), want_score.to_bits());
@@ -394,6 +405,66 @@ fn all_model_families_score_bit_identically() {
     check(&table, &kmeans, "kmeans");
     check(&table, &tree, "decision tree");
     check(&table, &bayes, "naive bayes");
+}
+
+/// The row reductions under `score` and `top_k_by_score` read a batch as
+/// eight runs of `rows / 8` plus a remainder, and top-k turns a row away on
+/// one comparison once its list is full.  Filters that compact every
+/// 1024-row chunk to 1–17 rows and to 1023 put batches of every small run
+/// length, and one row short of a chunk, through both — over data with tied
+/// scores, NaN and ±∞ scores and `k` beyond the surviving rows — and every
+/// prediction, top-k row and score bit must be the per-row plan's.
+#[test]
+fn compacted_batches_score_and_rank_like_the_row_plan() {
+    let (segments, capacity, width) = (2, 1024, 5);
+    // `y` is the row's position in its chunk (rows go round-robin to the
+    // segments), so `y < m` keeps the first `m` rows of every chunk.  Every
+    // seventh vector repeats the one before it (tied scores); a few carry a
+    // NaN or an infinity.
+    let mut points: Vec<(f64, Vec<f64>)> = Vec::new();
+    for i in 0..segments * (2 * capacity + 300) {
+        let position = (i / segments) % capacity;
+        let mut x: Vec<f64> = (0..width)
+            .map(|j| ((i * 31 + j * 17) % 201) as f64 / 20.0 - 5.0)
+            .collect();
+        match i % 97 {
+            13 => x[i % width] = f64::NAN,
+            29 => x[i % width] = f64::INFINITY,
+            53 => x[i % width] = f64::NEG_INFINITY,
+            _ => {}
+        }
+        if i % 7 == 6 {
+            x = points[i - 1].1.clone();
+        }
+        points.push((position as f64, x));
+    }
+    let table = feature_table(&points, None, segments, capacity);
+    let model = linregr_model(vec![0.5, -1.25, 2.0, 0.125, -0.0]);
+    let scorer = FeatureScorer::new(&model, "x");
+    let query = [1.5, -0.25, 0.0, 3.0, -2.0];
+    for kept in (1..=17).chain([1023]) {
+        for executor in both_executors() {
+            let dataset = Dataset::from_table(&table)
+                .with_executor(executor)
+                .filter(Predicate::column_lt("y", kept as f64));
+            let context = format!("first {kept} rows of every chunk, {executor:?}");
+            let scored = dataset.score(&scorer).unwrap();
+            assert_eq!(scored.len(), segments * (2 * kept + kept.min(300)));
+            assert_predictions_eq(&scored, &per_row_reference(&dataset, &model), &context);
+            for metric in [Similarity::Dot, Similarity::Euclidean] {
+                for k in [1, 5, 64, 10_000] {
+                    let top = dataset.top_k_by_score("x", &query, k, metric).unwrap();
+                    let reference = brute_force_top_k(&dataset, &query, k, metric);
+                    let context = format!("{context} {metric:?} k={k}");
+                    assert_eq!(top.len(), reference.len(), "{context}");
+                    for (got, want) in top.iter().zip(&reference) {
+                        assert_predictions_eq(got.0.values(), want.0.values(), &context);
+                        assert_eq!(got.1.to_bits(), want.1.to_bits(), "{context}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Empty datasets and fully-filtered scans score to empty prediction
