@@ -587,6 +587,25 @@ mod tests {
         assert!(session.database().list_tables().is_empty());
     }
 
+    /// A NaN feature makes every Hessian entry NaN: the first Newton step's
+    /// Cholesky refuses the NaN pivot and the eigen fallback fails to
+    /// converge, so the fit stops there with the step's typed error — it does
+    /// not iterate on NaN coefficients until the final covariance fails.
+    #[test]
+    fn a_nan_feature_is_a_typed_error() {
+        let data = logistic_regression_data(200, 3, 2, 29).unwrap();
+        let mut t = Table::new(labeled_point_schema(), 2).unwrap();
+        t.insert(row![1.0, vec![0.5, f64::NAN, -0.25]]).unwrap();
+        for r in data.table.collect_rows() {
+            t.insert(r).unwrap();
+        }
+        let outcome = fit(&LogisticRegression::new("y", "x"), &t);
+        assert!(
+            matches!(outcome, Err(MethodError::Engine(_))),
+            "{outcome:?}"
+        );
+    }
+
     #[test]
     fn builder_options() {
         let lr = LogisticRegression::new("y", "x")

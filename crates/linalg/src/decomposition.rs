@@ -15,9 +15,39 @@
 //! ([`SymmetricEigen::eigenvalues_with`]) gates a Cholesky fast path for the
 //! full-rank common case, with the eigendecomposition pseudo-inverse kept
 //! for rank-deficient inputs.
+//!
+//! # The per-element-chain contract
+//!
+//! The three O(n³) loops — the Householder reduction under every
+//! eigendecomposition, the Cholesky factor and [`Cholesky::inverse`] — run
+//! on [`kernels`], and every output element keeps the chain the textbook
+//! loop computes for it: the same start value, the same terms in the same
+//! order, `mul` then `add`/`sub`, no fused multiply-add.  What the kernels
+//! choose is which independent chains advance side by side on the lanes:
+//!
+//! * **Householder reduction** — the active block is kept symmetric in full,
+//!   so `p = A·u` is one [`kernels::column_sweep`] whose lanes are the
+//!   entries `p[j]` (each summing `A[j][k]·u[k]` for `k` ascending), and the
+//!   rank-2 update one [`kernels::symmetric_rank2_update`] whose lanes are
+//!   contiguous entries of a row.
+//! * **Cholesky** — column by column: given the columns before `j`, the rows
+//!   `i ≥ j` of column `j` are independent chains seeded with `a(i, j)`, one
+//!   [`kernels::column_sweep`] down the earlier columns.  The pivot is tested
+//!   before the rows below it are divided, so the refused `minor` is the one
+//!   a row-by-row loop meets first.
+//! * **Inverse** — [`kernels::lower_triangular_inverse`] solves four columns
+//!   of `L⁻¹` per pass, each lane's chain starting at its own column, and row
+//!   `i` of `L⁻ᵀL⁻¹` is one [`kernels::column_sweep`] over all its outputs
+//!   `j ≤ i`, which share the terms `k ≥ i`.
+//!
+//! So every kernel tier, and the loops as first written, give the same bits
+//! (`tests/decomposition_bits.rs` keeps those loops as its oracle).  The QL
+//! iterations (`tql1` / `tql2`) and `tred2`'s accumulation are serial chains
+//! and stay plain loops.
 
 use crate::dense::{DenseMatrix, DenseVector};
 use crate::error::{LinalgError, Result};
+use crate::kernels;
 
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite matrix.
 #[derive(Debug, Clone)]
@@ -30,7 +60,9 @@ impl Cholesky {
     ///
     /// # Errors
     /// * [`LinalgError::NotSquare`] if `a` is not square.
-    /// * [`LinalgError::NotPositiveDefinite`] if a non-positive pivot appears.
+    /// * [`LinalgError::NotPositiveDefinite`] if a pivot is not `> 0.0` — a
+    ///   NaN pivot included, which a NaN in the lower triangle of `a` leads
+    ///   to.
     pub fn new(a: &DenseMatrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
@@ -40,20 +72,33 @@ impl Cholesky {
         }
         let n = a.rows();
         let mut l = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a.get(i, j);
-                for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite { minor: i });
-                    }
-                    l.set(i, j, sum.sqrt());
-                } else {
-                    l.set(i, j, sum / l.get(j, j));
-                }
+        let ld = l.as_mut_slice();
+        // Row k's upper triangle holds column k of L below the diagonal
+        // (ld[k*n + i] = L[i][k], i > k) until column i has read it, so the
+        // chains of column j sweep down contiguous rows; the lower triangle
+        // gets each column as it is finished.
+        for j in 0..n {
+            let (done, rest) = ld.split_at_mut(j * n);
+            let (row, below) = rest.split_at_mut(n);
+            let (row, chains) = row.split_at_mut(j);
+            // L[i][j] for i ≥ j: a(i, j) − Σ_{k<j} L[i][k]·L[j][k], k in order.
+            for (c, sum) in chains.iter_mut().enumerate() {
+                *sum = a.get(j + c, j);
+            }
+            kernels::column_sweep(chains, &done[j..], n, row, true);
+            for above in done.chunks_exact_mut(n) {
+                above[j] = 0.0;
+            }
+            // `> 0.0` is false for NaN: a NaN pivot is refused too.
+            let pivot = if chains[0] > 0.0 {
+                chains[0].sqrt()
+            } else {
+                return Err(LinalgError::NotPositiveDefinite { minor: j });
+            };
+            chains[0] = pivot;
+            for (sum, below) in chains[1..].iter_mut().zip(below.chunks_exact_mut(n)) {
+                *sum /= pivot;
+                below[j] = *sum;
             }
         }
         Ok(Self { l })
@@ -102,37 +147,28 @@ impl Cholesky {
 
     /// Inverse of the original matrix, `A⁻¹ = L⁻ᵀ L⁻¹`.
     ///
-    /// `L⁻¹` is built column by column but stored *transposed* (each column
-    /// contiguous), so both the substitution and the final symmetric product
-    /// run over contiguous row slices.
+    /// `L⁻¹` is row-major, so four of its columns are one lane load: the
+    /// substitution ([`kernels::lower_triangular_inverse`]) solves four
+    /// columns per pass, and row `i` of the product is one
+    /// [`kernels::column_sweep`] down rows `k ≥ i` of `L⁻¹`, with column `i`
+    /// of `L⁻¹` read from row `i`'s upper triangle, where it is mirrored.
     pub fn inverse(&self) -> DenseMatrix {
         let n = self.l.rows();
-        // linvt[j*n + k] = (L⁻¹)[k][j]: column j of L⁻¹, contiguous.
-        let mut linvt = vec![0.0; n * n];
-        for j in 0..n {
-            linvt[j * n + j] = 1.0 / self.l.get(j, j);
-            for i in (j + 1)..n {
-                let row_i = self.l.row_slice(i);
-                let col_j = &linvt[j * n..j * n + i];
-                let mut sum = 0.0;
-                for k in j..i {
-                    sum -= row_i[k] * col_j[k];
-                }
-                linvt[j * n + i] = sum / self.l.get(i, i);
+        let mut linv = vec![0.0; n * n];
+        kernels::lower_triangular_inverse(self.l.as_slice(), n, &mut linv);
+        for i in 0..n {
+            for k in i + 1..n {
+                linv[i * n + k] = linv[k * n + i];
             }
         }
-        // (A⁻¹)[i][j] = Σ_k (L⁻¹)[k][i] (L⁻¹)[k][j], k ≥ max(i, j).
+        // (A⁻¹)[i][j] = Σ_{k ≥ i} (L⁻¹)[k][i] (L⁻¹)[k][j] for j ≤ i.
         let mut out = DenseMatrix::zeros(n, n);
+        let od = out.as_mut_slice();
         for i in 0..n {
-            for j in 0..=i {
-                let ci = &linvt[i * n..(i + 1) * n];
-                let cj = &linvt[j * n..(j + 1) * n];
-                let mut sum = 0.0;
-                for k in i..n {
-                    sum += ci[k] * cj[k];
-                }
-                out.set(i, j, sum);
-                out.set(j, i, sum);
+            let column = &linv[i * n + i..(i + 1) * n];
+            kernels::column_sweep(&mut od[i * n..=i * n + i], &linv[i * n..], n, column, false);
+            for j in 0..i {
+                od[j * n + i] = od[i * n + j];
             }
         }
         out
@@ -484,49 +520,56 @@ fn tred2(n: usize, z: &mut [f64], d: &mut [f64], e: &mut [f64]) {
 /// transform accumulation and read the diagonal straight out of `z` — the
 /// resulting `d`/`e` are bit-identical to the full [`tred2`] path because
 /// the accumulation phase never feeds back into them.
+///
+/// The active block `z[0..i][0..i]` is kept symmetric in full (on entry `z`
+/// is the symmetrized input), which the reference form — lower triangle
+/// only — never needed: the rank-2 update gives `(j, k)` and `(k, j)` the
+/// same bits because its two products and their sum commute.  That makes
+/// `p = A·u` a sweep down contiguous rows ([`kernels::column_sweep`], `p[j]`
+/// still summing `A[j][k]·u[k]` for `k = 0 ..= l` in order) and the update a
+/// contiguous row sweep ([`kernels::symmetric_rank2_update`]).  Only the
+/// lower triangle, the diagonal and the reflector columns are ever read
+/// afterwards, and those are the reference's bits.
 fn householder_tridiagonalize(n: usize, z: &mut [f64], d: &mut [f64], e: &mut [f64]) {
     for i in (1..n).rev() {
         let l = i - 1;
         let mut h = 0.0;
         if l > 0 {
+            // Rows 0..=l are the active block; row i holds u.
+            let (block, rest) = z.split_at_mut(i * n);
+            let u = &mut rest[..i];
             let mut scale = 0.0;
-            for k in 0..=l {
-                scale += z[i * n + k].abs();
+            for x in u.iter() {
+                scale += x.abs();
             }
             if scale == 0.0 {
-                e[i] = z[i * n + l];
+                e[i] = u[l];
             } else {
-                for k in 0..=l {
-                    z[i * n + k] /= scale;
-                    h += z[i * n + k] * z[i * n + k];
+                for x in u.iter_mut() {
+                    *x /= scale;
+                    h += *x * *x;
                 }
-                let mut f = z[i * n + l];
+                let f = u[l];
                 let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
                 e[i] = scale * g;
                 h -= f * g;
-                z[i * n + l] = f - g;
-                f = 0.0;
-                for j in 0..=l {
-                    z[j * n + i] = z[i * n + j] / h;
-                    let mut g = 0.0;
-                    for k in 0..=j {
-                        g += z[j * n + k] * z[i * n + k];
-                    }
-                    for k in (j + 1)..=l {
-                        g += z[k * n + j] * z[i * n + k];
-                    }
-                    e[j] = g / h;
-                    f += e[j] * z[i * n + j];
+                u[l] = f - g;
+                let p = &mut e[..i];
+                p.fill(0.0);
+                kernels::column_sweep(p, block, n, u, false);
+                // p /= h, f = p·u, and the reflector column tred2's
+                // accumulation reads.
+                let mut f = 0.0;
+                for (j, (pj, &uj)) in p.iter_mut().zip(u.iter()).enumerate() {
+                    block[j * n + i] = uj / h;
+                    *pj /= h;
+                    f += *pj * uj;
                 }
                 let hh = f / (h + h);
-                for j in 0..=l {
-                    let f = z[i * n + j];
-                    let g = e[j] - hh * f;
-                    e[j] = g;
-                    for k in 0..=j {
-                        z[j * n + k] -= f * e[k] + g * z[i * n + k];
-                    }
+                for (pj, &uj) in p.iter_mut().zip(u.iter()) {
+                    *pj -= hh * uj;
                 }
+                kernels::symmetric_rank2_update(block, n, u, p);
             }
         } else {
             e[i] = z[i * n + l];
@@ -752,7 +795,10 @@ pub fn symmetric_inverse_with(
 ///
 /// # Errors
 /// Propagates dimension mismatches and eigendecomposition errors from the
-/// fallback path.
+/// fallback path.  A NaN pivot is refused like a non-positive one, so a NaN
+/// in `a` is left to the fallback — which, for a NaN off the diagonal,
+/// fails with [`LinalgError::DidNotConverge`] — instead of being substituted
+/// through into `Ok` of NaNs.
 pub fn symmetric_solve(a: &DenseMatrix, b: &DenseVector, tolerance: f64) -> Result<DenseVector> {
     if let Ok(chol) = Cholesky::new(a) {
         let n = chol.l().rows();

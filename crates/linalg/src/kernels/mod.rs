@@ -87,6 +87,18 @@
 //!   the runs go to [`scalar`].  `gemv_acc` keeps adjacent rows — its matrices
 //!   are cache-resident, where the traversal makes no difference — and
 //!   `batch_closest_column` is compute-bound at the `k` it runs at.
+//!
+//!   The same holds for the chains of the decompositions' O(n³) loops
+//!   (`decomposition` states which chains share a pass): [`column_sweep`]
+//!   puts contiguous output columns in the lanes, each summing its terms in
+//!   row order from its own seed (a Householder `A·u`, a Cholesky column,
+//!   a row of `L⁻ᵀL⁻¹`); [`symmetric_rank2_update`] updates contiguous
+//!   entries of a row; [`lower_triangular_inverse`] puts four columns of
+//!   `L⁻¹` in the lanes, each lane's chain starting at its own column, so no
+//!   zero term is ever added.  Where a call's columns do not fill a last
+//!   lane, that lane is the last four columns, computed from the entries as
+//!   found, so the columns it shares with the lane before it get the same
+//!   bits twice.
 //! * **`mul` + `add`, never `fmadd`.**  FMA skips the intermediate rounding
 //!   of `a * b`; using it would diverge from the scalar formulation even
 //!   though the hardware supports it (the bench metadata records `fma` as
@@ -385,6 +397,64 @@ pub fn gemv_acc(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut [f64]) {
         KernelPath::Scalar => scalar::gemv_acc(alpha, a, x, y),
         KernelPath::Unrolled => unrolled::gemv_acc(alpha, a, x, y),
         KernelPath::Simd => simd::gemv_acc(alpha, a, x, y),
+    }
+}
+
+/// `out[c] = out[c] + Σ_k m[k·stride + c] · x[k]` (or `−` with `subtract`)
+/// for every `c < out.len()`, `k < x.len()` — a transposed matrix–vector
+/// product over rows `k` of row-major `m`, each chain seeded from `out[c]` and
+/// taking its terms in `k` order.  For a symmetric `m` it is `m · x` read by
+/// contiguous rows.  Dispatched per [`dispatch::active_path`]; the
+/// Householder reduction's `A·u`, each Cholesky column and the `L⁻ᵀL⁻¹`
+/// product run on it.
+///
+/// # Panics
+/// Panics when `m` is shorter than `x.len()` rows of `out.len()` columns at
+/// `stride` (the reference tier: on the out-of-bounds slice).
+pub fn column_sweep(out: &mut [f64], m: &[f64], stride: usize, x: &[f64], subtract: bool) {
+    // Under one lane of columns every tier runs the reference loop; the
+    // small decompositions make many such calls, so skip the tier's frame.
+    if out.len() < 4 || x.is_empty() {
+        return scalar::column_sweep(out, m, stride, x, subtract);
+    }
+    match active_path() {
+        KernelPath::Scalar => scalar::column_sweep(out, m, stride, x, subtract),
+        KernelPath::Unrolled => unrolled::column_sweep(out, m, stride, x, subtract),
+        KernelPath::Simd => simd::column_sweep(out, m, stride, x, subtract),
+    }
+}
+
+/// `z[j][k] -= u[j]·e[k] + e[j]·u[k]` over the leading `m × m` block of
+/// row-major `z` (row stride `stride`, `m = u.len()`) — the Householder
+/// reduction's rank-2 update, applied to the whole block so a symmetric block
+/// stays symmetric to the bit (the two products and their sum commute).
+/// Dispatched per [`dispatch::active_path`].
+///
+/// # Panics
+/// Panics when `e.len() != u.len()` or `z` does not hold the block (the
+/// reference tier: in debug builds only, or on an out-of-bounds slice).
+pub fn symmetric_rank2_update(z: &mut [f64], stride: usize, u: &[f64], e: &[f64]) {
+    match active_path() {
+        KernelPath::Scalar => scalar::symmetric_rank2_update(z, stride, u, e),
+        KernelPath::Unrolled => unrolled::symmetric_rank2_update(z, stride, u, e),
+        KernelPath::Simd => simd::symmetric_rank2_update(z, stride, u, e),
+    }
+}
+
+/// Writes `L⁻¹` of the lower-triangular `n × n` row-major `l` into the lower
+/// triangle of row-major `out` by forward substitution: each element's sum
+/// starts at `0.0`, subtracts `l[i][k]·L⁻¹[k][j]` for `k = j .. i − 1` in
+/// order and is divided by `l[i][i]`.  Dispatched per
+/// [`dispatch::active_path`]; `Cholesky::inverse` runs on it.
+///
+/// # Panics
+/// Panics when `l` or `out` is not `n × n` (the reference tier: in debug
+/// builds only, or on an out-of-bounds index).
+pub fn lower_triangular_inverse(l: &[f64], n: usize, out: &mut [f64]) {
+    match active_path() {
+        KernelPath::Scalar => scalar::lower_triangular_inverse(l, n, out),
+        KernelPath::Unrolled => unrolled::lower_triangular_inverse(l, n, out),
+        KernelPath::Simd => simd::lower_triangular_inverse(l, n, out),
     }
 }
 

@@ -185,6 +185,71 @@ pub fn gemv_acc(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// Scalar-reference column sweep: `out[c] ± Σ_k m[k·stride + c] · x[k]` for
+/// every `c < out.len()`, each chain seeded from `out[c]` and taking its terms
+/// in `k` order (`mul`, then `add` or — with `subtract` — `sub`).
+pub fn column_sweep(out: &mut [f64], m: &[f64], stride: usize, x: &[f64], subtract: bool) {
+    debug_assert!(x.is_empty() || out.is_empty() || m.len() >= (x.len() - 1) * stride + out.len());
+    for (k, &xk) in x.iter().enumerate() {
+        let row = &m[k * stride..][..out.len()];
+        for (o, &mk) in out.iter_mut().zip(row) {
+            if subtract {
+                *o -= mk * xk;
+            } else {
+                *o += mk * xk;
+            }
+        }
+    }
+}
+
+/// Scalar-reference symmetric rank-2 update of the leading `m × m` block of
+/// row-major `z` (row stride `stride`, `m = u.len()`):
+/// `z[j][k] -= u[j]·e[k] + e[j]·u[k]` for every `j, k < m`.
+pub fn symmetric_rank2_update(z: &mut [f64], stride: usize, u: &[f64], e: &[f64]) {
+    let m = u.len();
+    debug_assert_eq!(e.len(), m);
+    debug_assert!(m == 0 || (stride >= m && z.len() >= (m - 1) * stride + m));
+    for (j, (&uj, &ej)) in u.iter().zip(e).enumerate() {
+        let row = &mut z[j * stride..][..m];
+        for ((zjk, &ek), &uk) in row.iter_mut().zip(e).zip(u) {
+            *zjk -= uj * ek + ej * uk;
+        }
+    }
+}
+
+/// Scalar-reference inverse of the lower-triangular `n × n` row-major `l`
+/// into row-major `out` (whose upper triangle is left as found), by forward
+/// substitution one column at a time: `out[j][j] = 1 / l[j][j]` and, below
+/// it, `out[i][j] = (0 − Σ_{k=j}^{i−1} l[i][k]·out[k][j]) / l[i][i]`, the sum
+/// taken in `k` order.
+pub fn lower_triangular_inverse(l: &[f64], n: usize, out: &mut [f64]) {
+    debug_assert_eq!(l.len(), n * n);
+    debug_assert_eq!(out.len(), n * n);
+    lower_inverse_columns(l, n, out, 0..n, n);
+}
+
+/// [`lower_triangular_inverse`] for the columns in `columns` and the rows
+/// above `rows_end` only (each column is independent of the others, and a
+/// row needs only the rows above it).
+pub(super) fn lower_inverse_columns(
+    l: &[f64],
+    n: usize,
+    out: &mut [f64],
+    columns: std::ops::Range<usize>,
+    rows_end: usize,
+) {
+    for j in columns {
+        out[j * n + j] = 1.0 / l[j * n + j];
+        for i in j + 1..rows_end {
+            let mut sum = 0.0;
+            for k in j..i {
+                sum -= l[i * n + k] * out[k * n + j];
+            }
+            out[i * n + j] = sum / l[i * n + i];
+        }
+    }
+}
+
 /// Scalar-reference GEMM accumulation `out += A * B`.
 ///
 /// The loop order (`i`, then `k` with an `a[i][k] == 0.0` skip, then a

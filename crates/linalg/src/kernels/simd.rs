@@ -36,8 +36,9 @@ pub fn available() -> bool {
 }
 
 pub use avx2::{
-    batch_closest_column, batch_dot, batch_squared_distances, gemm_acc, gemv_acc,
-    rank_k_update_lower, weighted_rank_k_update_lower, xty_update,
+    batch_closest_column, batch_dot, batch_squared_distances, column_sweep, gemm_acc, gemv_acc,
+    lower_triangular_inverse, rank_k_update_lower, symmetric_rank2_update,
+    weighted_rank_k_update_lower, xty_update,
 };
 
 #[allow(unsafe_code)]
@@ -139,5 +140,11 @@ mod avx2 {
         fn gemv_acc(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut [f64]);
         /// AVX2 GEMM accumulation `out += A * B`.
         fn gemm_acc(out: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix);
+        /// AVX2 column sweep `out[c] ± Σ_k m[k·stride + c] · x[k]`.
+        fn column_sweep(out: &mut [f64], m: &[f64], stride: usize, x: &[f64], subtract: bool);
+        /// AVX2 symmetric rank-2 update `z[j][k] -= u[j]·e[k] + e[j]·u[k]`.
+        fn symmetric_rank2_update(z: &mut [f64], stride: usize, u: &[f64], e: &[f64]);
+        /// AVX2 inverse of a lower-triangular matrix.
+        fn lower_triangular_inverse(l: &[f64], n: usize, out: &mut [f64]);
     }
 }

@@ -62,6 +62,21 @@ pub fn gemv_acc(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut [f64]) {
     vector::gemv_acc::<[f64; 4]>(alpha, a, x, y);
 }
 
+/// Portable column sweep `out[c] ± Σ_k m[k·stride + c] · x[k]`.
+pub fn column_sweep(out: &mut [f64], m: &[f64], stride: usize, x: &[f64], subtract: bool) {
+    vector::column_sweep::<[f64; 4]>(out, m, stride, x, subtract);
+}
+
+/// Portable symmetric rank-2 update `z[j][k] -= u[j]·e[k] + e[j]·u[k]`.
+pub fn symmetric_rank2_update(z: &mut [f64], stride: usize, u: &[f64], e: &[f64]) {
+    vector::symmetric_rank2_update::<[f64; 4]>(z, stride, u, e);
+}
+
+/// Portable inverse of a lower-triangular matrix.
+pub fn lower_triangular_inverse(l: &[f64], n: usize, out: &mut [f64]) {
+    vector::lower_triangular_inverse::<[f64; 4]>(l, n, out);
+}
+
 /// Portable GEMM accumulation `out += A * B`.
 pub fn gemm_acc(out: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
     vector::gemm_acc::<[f64; 4]>(out, a, b);

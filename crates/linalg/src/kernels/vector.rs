@@ -19,7 +19,11 @@
 //! * [`Lanes`] offers `mul` and `add` but no fused multiply-add, so the
 //!   intermediate rounding of `a * b` cannot be skipped by accident.
 //! * Rows left over after the last full lane group are handed to the
-//!   reference kernel itself on the tail sub-slices.
+//!   reference kernel itself on the tail sub-slices.  The row-sweep kernels
+//!   (`column_sweep`, `symmetric_rank2_update`) instead cover columns past
+//!   the last whole lane with one more lane over the last four columns,
+//!   computed from the entries as found: a column two lanes share is
+//!   written twice with the same bits.
 //!
 //! Every body is safe Rust: lane loads and stores go through a slice, so a
 //! mis-shaped call panics on a bounds check (or on the shape `assert!` at the
@@ -469,6 +473,187 @@ pub(super) fn gemv_acc<V: Lanes>(alpha: f64, a: &DenseMatrix, x: &[f64], y: &mut
         let mut dot = [0.0];
         scalar::batch_dot(a.row_slice(r), x, &mut dot);
         *yr += alpha * dot[0];
+    }
+}
+
+/// `out[c] ± Σ_k m[k·stride + c] · x[k]`: the columns `c` are independent
+/// chains, so a register tile of 32 (on wide lanes), then 16, then 4
+/// contiguous columns is seeded from `out`, swept down all of `x` and stored
+/// once; the columns after the last whole lane are the last four columns'
+/// lane, swept in one pass with the whole lane before it, and fewer than four
+/// columns are the reference's.
+#[inline(always)]
+pub(super) fn column_sweep<V: Lanes>(
+    out: &mut [f64],
+    m: &[f64],
+    stride: usize,
+    x: &[f64],
+    subtract: bool,
+) {
+    let cols = out.len();
+    if cols < 4 || x.is_empty() {
+        scalar::column_sweep(out, m, stride, x, subtract);
+        return;
+    }
+    assert!(
+        m.len() >= (x.len() - 1) * stride + cols,
+        "m holds x.len() rows of out.len() columns"
+    );
+    // Past the last whole lane, the last four columns: one pass with the
+    // whole lane before them, both seeded from `out` as found, so where they
+    // overlap both store the same bits.
+    let paired = if cols.is_multiple_of(4) {
+        cols
+    } else {
+        cols - cols % 4 - 4
+    };
+    let mut c0 = 0;
+    while V::WIDE_TILES && c0 + 32 <= paired {
+        sweep_tile::<V, 8>(out, m, stride, x, c0, from_fn(|t| 4 * t), subtract);
+        c0 += 32;
+    }
+    while c0 + 16 <= paired {
+        sweep_tile::<V, 4>(out, m, stride, x, c0, from_fn(|t| 4 * t), subtract);
+        c0 += 16;
+    }
+    while c0 + 4 <= paired {
+        sweep_tile::<V, 1>(out, m, stride, x, c0, [0], subtract);
+        c0 += 4;
+    }
+    if c0 < cols {
+        sweep_tile::<V, 2>(out, m, stride, x, c0, [0, cols - 4 - c0], subtract);
+    }
+}
+
+/// The lanes at columns `c0 + at[t]` of [`column_sweep`] (`at` ascending),
+/// seeded from `out` before any is stored, swept down all of `x` together.
+#[inline(always)]
+fn sweep_tile<V: Lanes, const N: usize>(
+    out: &mut [f64],
+    m: &[f64],
+    stride: usize,
+    x: &[f64],
+    c0: usize,
+    at: [usize; N],
+    subtract: bool,
+) {
+    let span = at[N - 1] + 4;
+    let mut acc: [V; N] = from_fn(|t| V::load(out, c0 + at[t]));
+    for (k, &xk) in x.iter().enumerate() {
+        let row = &m[k * stride + c0..][..span];
+        let xv = V::splat(xk);
+        for (a, &at) in acc.iter_mut().zip(&at) {
+            let term = V::load(row, at).mul(xv);
+            *a = if subtract { a.sub(term) } else { a.add(term) };
+        }
+    }
+    for (a, &at) in acc.iter().zip(&at) {
+        a.store(out, c0 + at);
+    }
+}
+
+/// `z[j][k] -= u[j]·e[k] + e[j]·u[k]` over the leading `m × m` block, one
+/// contiguous row sweep per `j`; the columns after the last whole lane are
+/// the last four columns' lane, and a block under four wide is the
+/// reference's.
+#[inline(always)]
+pub(super) fn symmetric_rank2_update<V: Lanes>(z: &mut [f64], stride: usize, u: &[f64], e: &[f64]) {
+    let m = u.len();
+    assert_eq!(e.len(), m, "u and e are one block wide");
+    if m == 0 {
+        return;
+    }
+    assert!(
+        stride >= m && z.len() >= (m - 1) * stride + m,
+        "z holds an m × m block at this stride"
+    );
+    if m < 4 {
+        scalar::symmetric_rank2_update(z, stride, u, e);
+        return;
+    }
+    let full = m & !3;
+    for (j, (&uj, &ej)) in u.iter().zip(e).enumerate() {
+        let row = &mut z[j * stride..][..m];
+        let (uj, ej) = (V::splat(uj), V::splat(ej));
+        // The last four columns, from the entries as found: where they
+        // overlap the whole lanes below, both write the same bits.
+        let last = rank2_lanes(row, u, e, uj, ej, m - 4);
+        for k in (0..full).step_by(4) {
+            rank2_lanes(row, u, e, uj, ej, k).store(row, k);
+        }
+        last.store(row, m - 4);
+    }
+}
+
+/// `row[k..k + 4] − (u_j·e[k..k + 4] + e_j·u[k..k + 4])`.
+#[inline(always)]
+fn rank2_lanes<V: Lanes>(row: &[f64], u: &[f64], e: &[f64], uj: V, ej: V, k: usize) -> V {
+    let t = uj.mul(V::load(e, k)).add(ej.mul(V::load(u, k)));
+    V::load(row, k).sub(t)
+}
+
+/// `L⁻¹` of the lower-triangular row-major `l`, four columns per pass: each
+/// lane is one column's forward substitution.  A panel's 4 × 4 diagonal block
+/// is the reference loop; below it lane `l` of a row starts its chain at
+/// column `j0 + l` — its first `3 − l` terms are added in scalar before the
+/// lanes advance together — and rows go four at a time, sharing each load of
+/// the panel.  The columns after the last whole panel are the reference's.
+#[inline(always)]
+pub(super) fn lower_triangular_inverse<V: Lanes>(l: &[f64], n: usize, out: &mut [f64]) {
+    assert_eq!(l.len(), n * n, "l is n × n");
+    assert_eq!(out.len(), n * n, "out is n × n");
+    let panels = n / 4;
+    for j0 in (0..4 * panels).step_by(4) {
+        scalar::lower_inverse_columns(l, n, out, j0..j0 + 4, j0 + 4);
+        let mut i0 = j0 + 4;
+        while i0 + 4 <= n {
+            inverse_rows::<V, 4>(l, n, out, j0, i0);
+            i0 += 4;
+        }
+        for i in i0..n {
+            inverse_rows::<V, 1>(l, n, out, j0, i);
+        }
+    }
+    scalar::lower_inverse_columns(l, n, out, 4 * panels..n, n);
+}
+
+/// Rows `i0..i0 + R` (all below the panel's diagonal block) of the panel of
+/// columns `j0..j0 + 4`: the rows' chains advance together over `k < i0`,
+/// then each row is divided by its pivot and its `k = i` term joins the rows
+/// after it, in order.
+#[inline(always)]
+fn inverse_rows<V: Lanes, const R: usize>(
+    l: &[f64],
+    n: usize,
+    out: &mut [f64],
+    j0: usize,
+    i0: usize,
+) {
+    let rows: [&[f64]; R] = from_fn(|r| &l[(i0 + r) * n..][..i0 + R]);
+    let mut acc: [V; R] = from_fn(|r| {
+        let mut head = [0.0; 4];
+        for (lane, sum) in head.iter_mut().enumerate() {
+            for k in j0 + lane..j0 + 3 {
+                *sum -= rows[r][k] * out[k * n + j0 + lane];
+            }
+        }
+        V::from_array(head)
+    });
+    for k in j0 + 3..i0 {
+        let panel = V::load(out, k * n + j0);
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a = a.sub(V::splat(row[k]).mul(panel));
+        }
+    }
+    for r in 0..R {
+        let i = i0 + r;
+        let sums = acc[r].to_array();
+        let pivot = rows[r][i];
+        let solved = V::from_array(from_fn(|lane| sums[lane] / pivot));
+        solved.store(out, i * n + j0);
+        for later in r + 1..R {
+            acc[later] = acc[later].sub(V::splat(rows[later][i]).mul(solved));
+        }
     }
 }
 

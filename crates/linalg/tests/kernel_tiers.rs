@@ -617,3 +617,160 @@ fn gemm_acc_rejects_a_short_input() {
         }
     });
 }
+
+/// Column counts on both sides of every tile width the sweep uses (4, 16,
+/// 32) and of the paired last lane; row strides equal to and wider than the
+/// columns; both signs; salted matrix, multipliers and seeds.
+#[test]
+fn column_sweep_tiers_agree() {
+    let col_counts = (0..=21).chain([31, 32, 33, 35, 36, 37, 63, 65]);
+    for cols in col_counts {
+        for rows in [0, 1, 2, 5, 9] {
+            for stride in [cols, cols + 3] {
+                let m = salted_data(rows * stride + 2, (cols * 7 + rows * 3 + stride) as u64);
+                let x = salted_data(rows, (rows + 11) as u64);
+                let seed = salted_data(cols, (cols + 5) as u64);
+                for subtract in [false, true] {
+                    let context = format!(
+                        "column_sweep cols={cols} rows={rows} stride={stride} subtract={subtract}"
+                    );
+                    let mut reference = seed.clone();
+                    scalar::column_sweep(&mut reference, &m, stride, &x, subtract);
+                    let mut portable = seed.clone();
+                    unrolled::column_sweep(&mut portable, &m, stride, &x, subtract);
+                    assert_bits_eq(&reference, &portable, &format!("{context} (unrolled)"));
+                    if simd::available() {
+                        let mut vectored = seed.clone();
+                        simd::column_sweep(&mut vectored, &m, stride, &x, subtract);
+                        assert_bits_eq(&reference, &vectored, &format!("{context} (simd)"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Block widths below, at and past one lane and several lanes, at a tight and
+/// a wide row stride; entries outside the block must come back untouched.
+#[test]
+fn symmetric_rank2_update_tiers_agree() {
+    for m in (0..=17).chain([31, 32, 33]) {
+        for stride in [m, m + 5] {
+            let z = salted_data(m.max(1) * stride + 3, (m * 13 + stride) as u64);
+            let u = salted_data(m, (m + 21) as u64);
+            let e = salted_data(m, (m + 37) as u64);
+            let context = format!("symmetric_rank2_update m={m} stride={stride}");
+            let mut reference = z.clone();
+            scalar::symmetric_rank2_update(&mut reference, stride, &u, &e);
+            let mut portable = z.clone();
+            unrolled::symmetric_rank2_update(&mut portable, stride, &u, &e);
+            assert_bits_eq(&reference, &portable, &format!("{context} (unrolled)"));
+            if simd::available() {
+                let mut vectored = z.clone();
+                simd::symmetric_rank2_update(&mut vectored, stride, &u, &e);
+                assert_bits_eq(&reference, &vectored, &format!("{context} (simd)"));
+            }
+            for (i, (before, after)) in z.iter().zip(&reference).enumerate() {
+                if m == 0 || i / stride >= m || i % stride >= m {
+                    assert_eq!(before.to_bits(), after.to_bits(), "{context}: {i} moved");
+                }
+            }
+        }
+    }
+}
+
+/// Widths below one panel, at and past whole panels, with rows left over
+/// after the four-row tiles; a salted strictly-lower part and diagonal, and
+/// an upper triangle holding a marker that must be left as found.
+#[test]
+fn lower_triangular_inverse_tiers_agree() {
+    let marker = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+    for n in (0..=19).chain([31, 32, 33, 64, 65]) {
+        for salted in [false, true] {
+            let values = if salted {
+                salted_data(n * n, n as u64 + 3)
+            } else {
+                finite_data(n * n, n as u64 + 3)
+            };
+            let mut l = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..i {
+                    l[i * n + j] = values[i * n + j];
+                }
+                l[i * n + i] = if salted {
+                    values[i * n + i]
+                } else {
+                    2.0 + values[i * n + i].abs()
+                };
+            }
+            let context = format!("lower_triangular_inverse n={n} salted={salted}");
+            let mut reference = vec![marker; n * n];
+            scalar::lower_triangular_inverse(&l, n, &mut reference);
+            let mut portable = vec![marker; n * n];
+            unrolled::lower_triangular_inverse(&l, n, &mut portable);
+            assert_bits_eq(&reference, &portable, &format!("{context} (unrolled)"));
+            if simd::available() {
+                let mut vectored = vec![marker; n * n];
+                simd::lower_triangular_inverse(&l, n, &mut vectored);
+                assert_bits_eq(&reference, &vectored, &format!("{context} (simd)"));
+            }
+            for i in 0..n {
+                for j in i + 1..n {
+                    assert_eq!(
+                        reference[i * n + j].to_bits(),
+                        marker.to_bits(),
+                        "{context}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn column_sweep_rejects_a_short_input() {
+    // Three rows of eight columns at stride 8, one element short.
+    assert_every_tier_rejects(&[0, 1, 2], |tier| {
+        let (out, m, x) = (&mut [0.0; 8], &[1.0; 23], &[1.0; 3]);
+        match tier {
+            0 => scalar::column_sweep(out, m, 8, x, false),
+            1 => unrolled::column_sweep(out, m, 8, x, false),
+            _ => simd::column_sweep(out, m, 8, x, false),
+        }
+    });
+}
+
+#[test]
+fn symmetric_rank2_update_rejects_a_short_input() {
+    // A 6 × 6 block at stride 6 in 35 entries.
+    assert_every_tier_rejects(&[0, 1, 2], |tier| {
+        let (z, u, e) = (&mut [0.0; 35], &[1.0; 6], &[1.0; 6]);
+        match tier {
+            0 => scalar::symmetric_rank2_update(z, 6, u, e),
+            1 => unrolled::symmetric_rank2_update(z, 6, u, e),
+            _ => simd::symmetric_rank2_update(z, 6, u, e),
+        }
+    });
+    // Six u against five e.
+    assert_every_tier_rejects(&[1, 2], |tier| {
+        let (z, u, e) = (&mut [0.0; 36], &[1.0; 6], &[1.0; 5]);
+        match tier {
+            0 => scalar::symmetric_rank2_update(z, 6, u, e),
+            1 => unrolled::symmetric_rank2_update(z, 6, u, e),
+            _ => simd::symmetric_rank2_update(z, 6, u, e),
+        }
+    });
+}
+
+#[test]
+fn lower_triangular_inverse_rejects_a_short_input() {
+    // An 8 × 8 factor into 63 entries.
+    assert_every_tier_rejects(&[0, 1, 2], |tier| {
+        let (l, out) = (&[1.0; 64], &mut [0.0; 63]);
+        match tier {
+            0 => scalar::lower_triangular_inverse(l, 8, out),
+            1 => unrolled::lower_triangular_inverse(l, 8, out),
+            _ => simd::lower_triangular_inverse(l, 8, out),
+        }
+    });
+}

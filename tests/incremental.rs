@@ -22,7 +22,9 @@ use madlib::engine::{
     Table, Value,
 };
 use madlib::methods::classify::NaiveBayes;
-use madlib::methods::datasets::labeled_point_schema;
+use madlib::methods::datasets::{
+    labeled_point_schema, linear_regression_data, logistic_regression_data,
+};
 use madlib::methods::regress::{LinearRegression, LogisticRegression};
 use madlib::methods::Session;
 use madlib::sketch::{ProfileAggregate, Profiler};
@@ -579,4 +581,138 @@ fn high_cardinality_grouped_view_absorbs_bit_identically() {
             assert_eq!(view.finalize_grouped().unwrap().len(), KEYS);
         }
     }
+}
+
+/// FNV-1a over the bit patterns of `values`: one number that moves when any
+/// bit of any value does.
+fn digest(values: &[f64]) -> u64 {
+    values.iter().fold(0xCBF2_9CE4_8422_2325, |hash, v| {
+        v.to_bits().to_le_bytes().iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    })
+}
+
+/// Every number a linear-regression model reports, digested field by field:
+/// `coef`, `std_err`, `t_stats`, `p_values`, then `r2` and `condition_no`.
+fn linregr_digests(model: &madlib::methods::regress::LinearRegressionModel) -> [u64; 6] {
+    [
+        digest(&model.coef),
+        digest(&model.std_err),
+        digest(&model.t_stats),
+        digest(&model.p_values),
+        digest(&[model.r2]),
+        digest(&[model.condition_no]),
+    ]
+}
+
+fn seeded_session(table: Table) -> Session {
+    let db = Database::new(4).unwrap();
+    db.register_table("events", table).unwrap();
+    Session::new(db)
+}
+
+/// A width-100 model refreshed after each of three installments is the
+/// retrained model, bit for bit, in every field — the final function runs
+/// the same kernels either way.
+#[test]
+fn wide_refresh_after_three_installments_is_retrain_bits() {
+    let data = linear_regression_data(900, 100, 0.5, 4, 41).unwrap();
+    let mut rows = data.table.collect_rows();
+    let installments: Vec<Vec<Row>> = [150, 50, 100]
+        .iter()
+        .map(|&size| rows.split_off(rows.len() - size))
+        .collect();
+    let mut table = Table::new(labeled_point_schema(), 4).unwrap();
+    table.insert_all(rows).unwrap();
+    let session = seeded_session(table);
+    let estimator = LinearRegression::new("y", "x");
+    session
+        .train_incremental(&estimator, "events", "m")
+        .unwrap();
+    for batch in installments {
+        session.database().append_rows("events", batch).unwrap();
+        let refreshed = session.refresh(&estimator, "events", "m").unwrap();
+        let retrained = session
+            .train(&estimator, &session.dataset("events").unwrap())
+            .unwrap();
+        assert_eq!(linregr_digests(&refreshed), linregr_digests(&retrained));
+        assert_eq!(refreshed.num_rows, retrained.num_rows);
+    }
+}
+
+/// The final function's kernels keep every reference chain, so no model bit
+/// may move: linear-regression fits of seeded data at widths 8, 32 and 100
+/// are pinned to the digests their fields had before the O(k³) algebra ran
+/// on the kernel lanes (and a change to those digests is a change in
+/// results, not a refactor).
+#[test]
+fn linregr_model_bits_are_pinned() {
+    let pinned: [(usize, [u64; 6]); 3] = [
+        (
+            8,
+            [
+                8302445193970852180,
+                2138716709505291902,
+                13013208889672352644,
+                13343092454866122974,
+                14507665965081178688,
+                69534958007863213,
+            ],
+        ),
+        (
+            32,
+            [
+                354319308929261601,
+                2888259722960317607,
+                7167232293129694715,
+                11453250558173551020,
+                17916632779599554745,
+                15438751896633549772,
+            ],
+        ),
+        (
+            100,
+            [
+                16648282652406364675,
+                10907438489183792903,
+                14910706563816561583,
+                10158502203862302838,
+                13832333391585240708,
+                3854666904913471291,
+            ],
+        ),
+    ];
+    for (width, want) in pinned {
+        let data = linear_regression_data(8 * width + 40, width, 0.25, 4, width as u64).unwrap();
+        let session = seeded_session(data.table);
+        let model = session
+            .train(
+                &LinearRegression::new("y", "x"),
+                &session.dataset("events").unwrap(),
+            )
+            .unwrap();
+        assert_eq!(linregr_digests(&model), want, "width {width}");
+    }
+}
+
+/// IRLS's Newton steps (`symmetric_solve`) and its final covariance run on
+/// the same kernels: the width-32 coefficients and standard errors are
+/// pinned the same way.
+#[test]
+fn irls_model_bits_are_pinned() {
+    let data = logistic_regression_data(1500, 32, 4, 32).unwrap();
+    let session = seeded_session(data.table);
+    let model = session
+        .train(
+            &LogisticRegression::new("y", "x"),
+            &session.dataset("events").unwrap(),
+        )
+        .unwrap();
+    assert_eq!(
+        [digest(&model.coef), digest(&model.std_err)],
+        [17529730881968574621, 12055911524339034831],
+        "{} iterations",
+        model.num_iterations
+    );
 }
