@@ -428,7 +428,10 @@ impl Aggregate for CandidateSupportAggregate<'_> {
 mod tests {
     use super::*;
     use crate::datasets::market_basket_data;
-    use madlib_engine::{row, Column, ColumnType, Schema, Table};
+    use crate::test_support::assert_chunk_path_is_row_fallback;
+    use madlib_engine::expr::Predicate;
+    use madlib_engine::{row, Column, ColumnType, Schema, Table, Value};
+    use proptest::prelude::*;
 
     fn fit(estimator: &Apriori, table: &Table) -> Result<AprioriModel> {
         estimator.fit(
@@ -557,5 +560,47 @@ mod tests {
             .with_max_itemset_size(1);
         let model = fit(&apriori, &t).unwrap();
         assert!(model.itemsets.iter().all(|f| f.items.len() == 1));
+    }
+
+    proptest! {
+        /// Both support-counting UDAs' chunk kernels are their per-row
+        /// fallback, state for state and error for error, over 1–8-row
+        /// chunks holding NULL, empty and duplicate-item baskets, filtered
+        /// (compacted) or not.
+        #[test]
+        fn support_counting_chunk_paths_are_their_row_fallback(
+            baskets in prop::collection::vec((0usize..8, prop::collection::vec(0usize..5, 0..5)), 0..50),
+            (segments, chunk_capacity) in (1usize..4, 1usize..9),
+        ) {
+            let schema = Schema::new(vec![
+                Column::new("keep", ColumnType::Double),
+                Column::new("items", ColumnType::TextArray),
+            ]);
+            let mut table = Table::new(schema, segments)
+                .unwrap()
+                .with_chunk_capacity(chunk_capacity)
+                .unwrap();
+            for (i, (kind, basket)) in baskets.iter().enumerate() {
+                let items = match kind {
+                    0 => Value::Null,
+                    _ => Value::TextArray(basket.iter().map(|b| format!("i{b}")).collect()),
+                };
+                let keep = Value::Double(f64::from(i % 3 != 0));
+                table.insert(madlib_engine::Row::new(vec![keep, items])).unwrap();
+            }
+            let candidates: Vec<Vec<String>> = [&["i0", "i1"][..], &["i1", "i2"], &["i0", "i2", "i3"]]
+                .iter()
+                .map(|c| c.iter().map(|s| s.to_string()).collect())
+                .collect();
+            let counts = ItemCountsAggregate { items_column: "items" };
+            let support = CandidateSupportAggregate {
+                items_column: "items",
+                candidates: &candidates,
+            };
+            for filter in [None, Some(Predicate::column_gt("keep", 0.5))] {
+                assert_chunk_path_is_row_fallback(&counts, &table, filter.as_ref(), Clone::clone);
+                assert_chunk_path_is_row_fallback(&support, &table, filter.as_ref(), Clone::clone);
+            }
+        }
     }
 }

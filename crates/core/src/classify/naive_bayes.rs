@@ -313,7 +313,7 @@ impl Aggregate for NaiveBayes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madlib_engine::{row, Column, ColumnType, Executor, Schema, Table};
+    use madlib_engine::{reference, row, Column, ColumnType, Schema, Table};
 
     fn session() -> Session {
         Session::in_memory(1).unwrap()
@@ -387,12 +387,7 @@ mod tests {
         t.insert_all(base.iter()).unwrap();
         let nb = NaiveBayes::new("label", "features");
         let chunked = nb.fit(&Dataset::from_table(&t), &session()).unwrap();
-        let by_rows = nb
-            .fit(
-                &Dataset::from_table(&t).with_executor(Executor::row_at_a_time()),
-                &session(),
-            )
-            .unwrap();
+        let by_rows = reference::aggregate(&Dataset::from_table(&t), &nb).unwrap();
         assert_eq!(chunked.total_rows, by_rows.total_rows);
         for (label, stats) in &chunked.classes {
             let other = &by_rows.classes[label];

@@ -27,7 +27,7 @@
 //! seeding a materialized `Vec` of the points and calling `closest_column`
 //! per row, which `tests/chunk_equivalence.rs` holds it to.
 
-use crate::cluster::seeding::{seed_from, PointSource, SeedingMethod};
+use crate::cluster::seeding::{non_finite_points, seed_from, PointSource, SeedingMethod};
 use crate::error::{MethodError, Result};
 use crate::train::{Estimator, IncrementalEstimator, Session};
 use madlib_engine::aggregate::transition_chunk_by_rows;
@@ -82,6 +82,17 @@ impl KMeansModel {
 }
 
 /// Configuration and driver for Lloyd's algorithm.
+///
+/// # Non-finite input
+/// A point with a NaN or ±∞ coordinate is [`MethodError::InvalidInput`]
+/// however the fit starts: k-means++ refuses it while seeding; `Random`
+/// seeding and a warm start ([`KMeans::with_initial_centroids`], and so
+/// [`IncrementalEstimator::refresh`]) measure no distance before Lloyd, and
+/// the fit refuses their result after its inertia pass when the inertia or a
+/// centroid coordinate is not finite.  Finite coordinates whose squared
+/// distances overflow (say `1e200`) are refused by k-means++; the other
+/// starts fit them when every overflowing point ends up alone in its
+/// cluster, as an isolated outlier does, and refuse them otherwise.
 #[derive(Debug, Clone)]
 pub struct KMeans {
     coords_column: String,
@@ -226,6 +237,11 @@ impl Estimator for KMeans {
         // Final inertia pass: per-point minima from one more chunk scan,
         // summed serially in scan order.
         let inertia: f64 = points.closest_distances(&centroids)?.iter().sum();
+        // k-means++ refuses such points while seeding; `Random` seeding and a
+        // warm start look at no distance before Lloyd, so they stop here.
+        if !inertia.is_finite() || centroids.iter().flatten().any(|c| !c.is_finite()) {
+            return Err(non_finite_points("k-means"));
+        }
 
         Ok(KMeansModel {
             centroids,
@@ -460,8 +476,9 @@ impl Aggregate for KMeansStep<'_> {
     /// `closest_column` UDF runs over dense memory with no per-row `Value`
     /// unpacking.  Assignment comparisons and barycenter accumulation happen
     /// in the same order as the per-row path, so the step result is
-    /// bit-identical.  Chunks with NULLs, a non-array column, or ragged
-    /// widths fall back to per-row transitions (reproducing per-row errors).
+    /// bit-identical.  Chunks with NULLs, a non-array column, ragged widths
+    /// or a width other than the centroids' fall back to per-row transitions
+    /// (reproducing per-row errors).
     fn transition_chunk(
         &self,
         state: &mut KMeansIntraState,
@@ -476,7 +493,8 @@ impl Aggregate for KMeansStep<'_> {
             Ok(p) if !p.nulls().any_null() => p,
             _ => return transition_chunk_by_rows(self, state, chunk, schema),
         };
-        let Some(width) = points.uniform_width() else {
+        let dims = self.centroids.first().map(Vec::len);
+        let Some(width) = points.uniform_width().filter(|&w| Some(w) == dims) else {
             return transition_chunk_by_rows(self, state, chunk, schema);
         };
         let mut assignments = vec![0usize; chunk.len()];
@@ -544,7 +562,10 @@ impl Aggregate for KMeansStep<'_> {
 mod tests {
     use super::*;
     use crate::datasets::gaussian_blobs;
-    use madlib_engine::{EngineError, Table};
+    use crate::test_support::assert_chunk_path_is_row_fallback;
+    use madlib_engine::expr::Predicate;
+    use madlib_engine::{Column, ColumnType, EngineError, Table};
+    use proptest::prelude::*;
 
     fn fit(k: usize, data: &Table, seed: u64) -> KMeansModel {
         let session = Session::in_memory(data.num_segments()).unwrap();
@@ -689,35 +710,105 @@ mod tests {
         table
     }
 
+    /// An `(id, keep, coords)` table whose points are, by `kind`: NULL (0),
+    /// zero-width (1), two wide (2, ragged against the rest) or three wide;
+    /// `keep > 0.5` drops every third row.
+    fn oracle_table(points: &[(usize, [f64; 3])], segments: usize, chunk_capacity: usize) -> Table {
+        let schema = Schema::new(vec![
+            Column::new("id", ColumnType::Int),
+            Column::new("keep", ColumnType::Double),
+            Column::new("coords", ColumnType::DoubleArray),
+        ]);
+        let mut table = Table::new(schema, segments)
+            .unwrap()
+            .with_chunk_capacity(chunk_capacity)
+            .unwrap();
+        for (i, &(kind, x)) in points.iter().enumerate() {
+            let coords = match kind {
+                0 => Value::Null,
+                1 => Value::DoubleArray(Vec::new()),
+                2 => Value::DoubleArray(x[..2].to_vec()),
+                _ => Value::DoubleArray(x.to_vec()),
+            };
+            let keep = Value::Double(f64::from(i % 3 != 0));
+            table
+                .insert(Row::new(vec![Value::Int(i as i64), keep, coords]))
+                .unwrap();
+        }
+        table
+    }
+
     fn train(estimator: &KMeans, table: &Table) -> Result<KMeansModel> {
         Session::in_memory(2)
             .unwrap()
             .train(estimator, &Dataset::from_table(table))
     }
 
-    /// The table-backed point source reports what the slice-backed one does:
-    /// a coordinate k-means++ cannot weigh is `InvalidInput`, where the fit
-    /// used to panic inside `gen_range` (NaN) or seed from an infinite total.
+    /// A NaN or infinite coordinate is `InvalidInput` however the fit
+    /// starts.  k-means++ finds it while seeding (where a NaN used to panic
+    /// inside `gen_range`); `Random` seeding, a warm start and a `refresh`
+    /// (which warm-starts from the cataloged model) find it in the inertia
+    /// pass, where they used to return `Ok` with a NaN or infinite centroid
+    /// and an infinite inertia.
     #[test]
     fn non_finite_points_are_a_typed_error_through_train() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200] {
             let mut points: Vec<Value> = (0..20)
                 .map(|i| Value::DoubleArray(vec![i as f64, (i % 3) as f64]))
                 .collect();
-            points[7] = Value::DoubleArray(vec![7.0, bad]);
-            let table = points_table(&points, 6);
+            let bad_point = Value::DoubleArray(vec![7.0, bad]);
             let estimator = KMeans::new("coords", 3).unwrap();
-            let err = train(&estimator, &table).unwrap_err();
-            assert!(
-                matches!(&err, MethodError::InvalidInput { message } if message.contains("non-finite")),
-                "coordinate {bad}: {err:?}"
-            );
-            // Seeding that measures nothing still fits (as it always did).
-            assert!(train(
-                &estimator.clone().with_seeding(SeedingMethod::Random),
-                &table
-            )
-            .is_ok());
+            let warm = estimator.clone().with_initial_centroids(vec![
+                vec![0.0, 0.0],
+                vec![9.0, 1.0],
+                vec![18.0, 2.0],
+            ]);
+
+            // A refresh after the bad point arrives in an append.
+            let session = Session::in_memory(2).unwrap();
+            let clean = points_table(&points, 6);
+            session.database().register_table("points", clean).unwrap();
+            estimator
+                .train_incremental(&session, "points", "model")
+                .unwrap();
+            let appended = Row::new(vec![Value::Int(20), bad_point.clone()]);
+            session
+                .database()
+                .append_rows("points", vec![appended])
+                .unwrap();
+            let refreshed = estimator.refresh(&session, "points", "model");
+
+            points[7] = bad_point;
+            let table = points_table(&points, 6);
+            let outcomes = [
+                train(&estimator, &table),
+                train(
+                    &estimator.clone().with_seeding(SeedingMethod::Random),
+                    &table,
+                ),
+                train(&warm, &table),
+                refreshed,
+            ];
+            for (start, outcome) in ["k-means++", "random", "warm", "refresh"]
+                .iter()
+                .zip(outcomes)
+            {
+                let refused = matches!(
+                    &outcome,
+                    Err(MethodError::InvalidInput { message }) if message.contains("non-finite")
+                );
+                if bad.is_finite() && *start != "k-means++" {
+                    // 1e200 is finite: only k-means++ squares a distance to
+                    // it before Lloyd.  The other starts isolate the outlier
+                    // in a cluster of its own and every number stays finite.
+                    let model = outcome.unwrap();
+                    assert!(model.centroids.contains(&vec![7.0, 1e200]), "{start}");
+                    assert!(model.centroids.iter().flatten().all(|c| c.is_finite()));
+                    assert!(model.inertia.is_finite(), "{start}");
+                } else {
+                    assert!(refused, "coordinate {bad}, {start}: {outcome:?}");
+                }
+            }
         }
     }
 
@@ -756,5 +847,29 @@ mod tests {
         // Points without coordinates (used to panic in `chunks(0)`).
         let err = train(&estimator(1), &points_table(&[point(&[]), point(&[])], 4)).unwrap_err();
         assert!(matches!(err, MethodError::InvalidInput { .. }), "{err:?}");
+    }
+
+    proptest! {
+        /// The Lloyd step's chunk kernel is its per-row fallback, state bit
+        /// for state bit and error for error, over 1–8-row chunks holding
+        /// NULL, ragged and zero-width points, filtered (compacted) or not.
+        #[test]
+        fn lloyd_step_chunk_path_is_its_row_fallback(
+            points in prop::collection::vec((0usize..12, [-9.0..9.0f64, -9.0..9.0f64, -9.0..9.0f64]), 0..60),
+            k in 1usize..4,
+            (segments, chunk_capacity) in (1usize..4, 1usize..9),
+        ) {
+            let table = oracle_table(&points, segments, chunk_capacity);
+            let centroids: Vec<Vec<f64>> =
+                (0..k).map(|c| vec![3.0 * c as f64 - 3.0, 1.0, -1.0]).collect();
+            let step = KMeansStep { coords_column: "coords", centroids: &centroids };
+            let bits = |s: &KMeansIntraState| {
+                let sums: Vec<u64> = s.sums.iter().flatten().map(|v| v.to_bits()).collect();
+                (sums, s.counts.clone(), s.reassignments)
+            };
+            for filter in [None, Some(Predicate::column_gt("keep", 0.5))] {
+                assert_chunk_path_is_row_fallback(&step, &table, filter.as_ref(), bits);
+            }
+        }
     }
 }

@@ -122,10 +122,7 @@ pub(crate) fn seed_from<P: PointSource + ?Sized>(
                 }
                 let total: f64 = distances.iter().sum();
                 if !total.is_finite() {
-                    return Err(MethodError::invalid_input(
-                        "k-means++ seeding: the points hold a non-finite coordinate \
-                         (or their squared distances overflow)",
-                    ));
+                    return Err(non_finite_points("k-means++ seeding"));
                 }
                 let next_idx = if total <= 0.0 {
                     // All remaining points coincide with a centroid; pick any.
@@ -148,6 +145,15 @@ pub(crate) fn seed_from<P: PointSource + ?Sized>(
             Ok(centroids)
         }
     }
+}
+
+/// The error for points holding a NaN or infinite coordinate, or whose
+/// squared distances overflow — k-means++ seeding and `KMeans::fit` raise the
+/// same one, prefixed by `stage`.
+pub(crate) fn non_finite_points(stage: &str) -> MethodError {
+    MethodError::invalid_input(format!(
+        "{stage}: the points hold a non-finite coordinate (or their squared distances overflow)"
+    ))
 }
 
 #[cfg(test)]

@@ -61,3 +61,45 @@ pub mod validate;
 pub use error::{MethodError, Result};
 pub use score::{FeatureScorer, Predictor};
 pub use train::{Estimator, GroupedModels, IncrementalEstimator, Session};
+
+/// Support for the method modules' tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use madlib_engine::aggregate::{transition_chunk_by_rows, Aggregate};
+    use madlib_engine::expr::Predicate;
+    use madlib_engine::{scan, RowChunk, Table};
+    use std::fmt::Debug;
+
+    /// The aggregate-layer half of the chunk ≡ rows contract, for aggregates
+    /// private to a method (which `madlib_engine::reference` cannot reach):
+    /// folds `table`'s chunks — compacted by `filter` — into one state
+    /// through `transition_chunk` and into another through
+    /// `transition_chunk_by_rows`, each side stopping at its first error, and
+    /// asserts the two outcomes and final states (as `bits` reads them) are
+    /// equal.
+    pub(crate) fn assert_chunk_path_is_row_fallback<A, B>(
+        aggregate: &A,
+        table: &Table,
+        filter: Option<&Predicate>,
+        bits: impl Fn(&A::State) -> B,
+    ) where
+        A: Aggregate,
+        B: PartialEq + Debug,
+    {
+        let schema = table.schema();
+        let fold = |transition: &dyn Fn(&mut A::State, &RowChunk) -> madlib_engine::Result<()>| {
+            let mut state = aggregate.initial_state();
+            let outcome = (0..table.num_segments()).try_for_each(|s| {
+                scan::scan_segment_chunks(table.segment(s), schema, filter, |batch| {
+                    transition(&mut state, batch.chunk())
+                })
+                .map(drop)
+            });
+            (outcome, bits(&state))
+        };
+        let chunked = fold(&|state, chunk| aggregate.transition_chunk(state, chunk, schema));
+        let by_rows =
+            fold(&|state, chunk| transition_chunk_by_rows(aggregate, state, chunk, schema));
+        assert_eq!(chunked, by_rows);
+    }
+}

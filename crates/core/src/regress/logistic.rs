@@ -486,7 +486,10 @@ impl IncrementalEstimator for LogisticRegression {
 mod tests {
     use super::*;
     use crate::datasets::{labeled_point_schema, logistic_regression_data};
-    use madlib_engine::{row, Table};
+    use crate::test_support::assert_chunk_path_is_row_fallback;
+    use madlib_engine::expr::Predicate;
+    use madlib_engine::{row, Column, ColumnType, Table, Value};
+    use proptest::prelude::*;
 
     fn fit(estimator: &LogisticRegression, table: &Table) -> Result<LogisticRegressionModel> {
         estimator.fit(
@@ -615,5 +618,50 @@ mod tests {
         let data = logistic_regression_data(200, 2, 2, 3).unwrap();
         let model = fit(&lr, &data.table).unwrap();
         assert!(model.num_iterations <= 5);
+    }
+
+    proptest! {
+        /// The IRLS step's chunk kernels are its per-row fallback, state bit
+        /// for state bit and error for error, over 1–8-row chunks holding
+        /// NULL labels and features, ragged and zero-width features and
+        /// labels outside {0, 1}, filtered (compacted) or not.
+        #[test]
+        fn irls_step_chunk_path_is_its_row_fallback(
+            rows in prop::collection::vec((0usize..16, -3.0..3.0f64, [-2.0..2.0f64, -2.0..2.0f64]), 0..60),
+            beta in [-1.0..1.0f64, -1.0..1.0f64],
+            (segments, chunk_capacity) in (1usize..4, 1usize..9),
+        ) {
+            let schema = Schema::new(vec![
+                Column::new("keep", ColumnType::Double),
+                Column::new("y", ColumnType::Double),
+                Column::new("x", ColumnType::DoubleArray),
+            ]);
+            let mut table = Table::new(schema, segments)
+                .unwrap()
+                .with_chunk_capacity(chunk_capacity)
+                .unwrap();
+            for (i, &(kind, z, x)) in rows.iter().enumerate() {
+                let label = f64::from(z > 0.0);
+                let (y, x) = match kind {
+                    0 => (Value::Null, Value::DoubleArray(x.to_vec())),
+                    1 => (Value::Double(label), Value::Null),
+                    2 => (Value::Double(label), Value::DoubleArray(x[..1].to_vec())),
+                    3 => (Value::Double(label), Value::DoubleArray(Vec::new())),
+                    4 => (Value::Double(0.5), Value::DoubleArray(x.to_vec())),
+                    _ => (Value::Double(label), Value::DoubleArray(x.to_vec())),
+                };
+                let keep = Value::Double(f64::from(i % 3 != 0));
+                table.insert(Row::new(vec![keep, y, x])).unwrap();
+            }
+            let step = IrlsStep { y_column: "y", x_column: "x", beta: &beta };
+            let bits = |s: &IrlsState| {
+                let words = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                let (hessian, gradient) = (words(s.hessian.as_slice()), words(s.gradient.as_slice()));
+                (s.num_rows, s.width, hessian, gradient, s.log_likelihood.to_bits())
+            };
+            for filter in [None, Some(Predicate::column_gt("keep", 0.5))] {
+                assert_chunk_path_is_row_fallback(&step, &table, filter.as_ref(), bits);
+            }
+        }
     }
 }

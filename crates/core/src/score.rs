@@ -19,8 +19,8 @@
 //!   the per-row loop by the kernel contracts**, on every `MADLIB_SIMD`
 //!   tier.
 //! - NULL feature vectors score to [`Value::Null`] (SQL-strict semantics)
-//!   in both paths, so NULL-bearing chunks never fork chunked and
-//!   row-at-a-time results.
+//!   in `predict_row` and `predict_chunk` alike, so NULL-bearing chunks
+//!   never fork the batched results from the per-row ones.
 //! - [`Session::register_model`] / [`Session::register_grouped_models`]
 //!   deposit fitted models in the [`madlib_engine::Database`] model
 //!   catalog, and
@@ -135,8 +135,8 @@ fn extend_with_dots(
 }
 
 /// Maps a method-library predict error onto the engine error type — used
-/// identically by the row and chunk paths of [`FeatureScorer`], so scoring
-/// errors are the same under every execution mode.
+/// identically by the row and chunk paths of [`FeatureScorer`], so a chunk
+/// fails with the error its first failing row would.
 fn engine_error(err: MethodError) -> EngineError {
     EngineError::invalid(err)
 }
@@ -148,8 +148,8 @@ fn engine_error(err: MethodError) -> EngineError {
 /// (`FeatureScorer::new(&model, "x")`) or a catalog `Arc`
 /// (`FeatureScorer::new(db.models().get::<M>("name")?, "x")`).
 ///
-/// Semantics shared by both scan paths (so chunked and row-at-a-time
-/// results are bit-identical):
+/// Semantics shared by `predict_row` and `predict_chunk` (so the batched
+/// results are the per-row ones, bit for bit):
 /// - a NULL feature vector scores to [`Value::Null`] (SQL-strict);
 /// - uniform-width NULL-free chunks batch through
 ///   [`Predictor::predict_batch`]; ragged or NULL-bearing chunks fall back

@@ -57,8 +57,8 @@ use madlib_engine::{Database, Executor, Value};
 /// [`Executor`] is `Copy`).  [`Session::train`] / [`Session::train_grouped`]
 /// supply the session's executor as the dataset's *default*: a dataset that
 /// never called [`Dataset::with_executor`] runs under the session's
-/// executor, while an explicitly bound one keeps its own (so mode
-/// comparisons can pin either side).
+/// executor, while an explicitly bound one keeps its own (so a comparison
+/// can pin either side).
 #[derive(Debug, Clone)]
 pub struct Session {
     executor: Executor,
@@ -84,8 +84,8 @@ impl Session {
         Ok(Self::new(Database::new(num_segments)?))
     }
 
-    /// Replaces the session's executor (e.g. with
-    /// [`Executor::row_at_a_time`] for mode comparisons).
+    /// Replaces the session's executor (e.g. with [`Executor::serial`] to
+    /// keep every scan on the calling thread).
     #[must_use]
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
@@ -539,39 +539,37 @@ mod tests {
 
     #[test]
     fn explicitly_bound_dataset_executor_wins_over_the_session_default() {
-        use madlib_engine::ExecutionMode;
-
-        /// Reports which execution mode the training actually ran under.
+        /// Reports whether the training actually ran on parallel workers.
         struct Probe;
         impl Estimator for Probe {
-            type Model = ExecutionMode;
-            fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<ExecutionMode> {
-                Ok(dataset.executor().mode())
+            type Model = bool;
+            fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<bool> {
+                Ok(dataset.executor().is_parallel())
             }
         }
 
         let t = grouped_table();
         let session = Session::in_memory(1)
             .unwrap()
-            .with_executor(Executor::row_at_a_time());
+            .with_executor(Executor::serial());
         // Unbound dataset: the session's executor applies.
-        let mode = session.train(&Probe, &Dataset::from_table(&t)).unwrap();
-        assert_eq!(mode, ExecutionMode::RowAtATime);
+        let parallel = session.train(&Probe, &Dataset::from_table(&t)).unwrap();
+        assert!(!parallel);
         // Explicitly bound dataset: its executor sticks.
-        let mode = session
+        let parallel = session
             .train(
                 &Probe,
                 &Dataset::from_table(&t).with_executor(Executor::new()),
             )
             .unwrap();
-        assert_eq!(mode, ExecutionMode::Chunked);
+        assert!(parallel);
     }
 
     #[test]
     fn session_dataset_binds_the_session_executor() {
         let session = Session::in_memory(2)
             .unwrap()
-            .with_executor(Executor::row_at_a_time());
+            .with_executor(Executor::serial());
         session
             .database()
             .create_table(
@@ -580,6 +578,10 @@ mod tests {
             )
             .unwrap();
         let ds = session.dataset("data").unwrap();
-        assert_eq!(ds.executor().mode(), session.executor().mode());
+        assert!(ds.has_bound_executor());
+        assert_eq!(
+            ds.executor().is_parallel(),
+            session.executor().is_parallel()
+        );
     }
 }

@@ -28,13 +28,14 @@ use crate::value::Value;
 ///
 /// # Vectorized execution
 ///
-/// The executor's default path streams column-major [`RowChunk`]s and calls
+/// Every scan streams column-major [`RowChunk`]s and calls
 /// [`Aggregate::transition_chunk`] once per chunk.  The provided
 /// implementation falls back to per-row [`Aggregate::transition`] calls over
 /// materialized rows, so every aggregate works unchanged; hot aggregates
 /// override it to read whole column slices and must then produce **exactly**
 /// the state the per-row path would (same values, same floating-point
-/// accumulation order), keeping results independent of the execution mode.
+/// accumulation order).  [`crate::reference`] runs that per-row definition
+/// over a dataset; check an override against it.
 pub trait Aggregate: Sync {
     /// Per-segment running state.
     type State: Send;

@@ -33,11 +33,11 @@
 //! [`Dataset::map_rows`], [`Dataset::collect_rows`], [`Dataset::nth_row`] or
 //! [`Dataset::gather_groups`].  All of them dispatch onto the shared
 //! [`crate::scan`] pipeline (segment fan-out, chunk-level predicate masks,
-//! compaction), under the [`Executor`] the dataset is bound to — so a
-//! dataset built from a row-at-a-time executor reproduces the legacy scan
-//! exactly.  The aggregate terminals are "fan out every scan unit, fold the
-//! unit states, finalize" over the crate-private `fold` module — the same
-//! unit runners and merge hierarchy a
+//! compaction), under the [`Executor`] the dataset is bound to; each has one
+//! scan body, chunk at a time, and [`crate::reference`] holds the per-row
+//! meaning the aggregate terminals reproduce.  The aggregate terminals are
+//! "fan out every scan unit, fold the unit states, finalize" over the
+//! crate-private `fold` module — the same unit runners and merge hierarchy a
 //! [`crate::materialize::MaterializedAggregate`] keeps its states with.
 //!
 //! The grouped terminal runs the segment-parallel, chunk-at-a-time hash
@@ -142,7 +142,8 @@ impl<'a> Dataset<'a> {
         self
     }
 
-    /// Binds the dataset to a specific executor (mode and parallelism).
+    /// Binds the dataset to a specific executor (parallelism and steal
+    /// granularity).
     /// An executor bound here sticks: a training session will run this
     /// dataset under it instead of the session's own executor.
     #[must_use]
@@ -217,7 +218,7 @@ impl<'a> Dataset<'a> {
         group::group_column_indices(self.schema(), &self.group_columns)
     }
 
-    fn require_ungrouped(&self, operation: &str) -> Result<()> {
+    pub(crate) fn require_ungrouped(&self, operation: &str) -> Result<()> {
         if self.is_grouped() {
             return Err(EngineError::invalid(format!(
                 "{operation} over a grouped dataset; use aggregate_per_group \
@@ -266,14 +267,13 @@ impl<'a> Dataset<'a> {
     /// the per-segment group states merged in segment order, so the
     /// data-parallel structure is identical to the ungrouped path — this is
     /// what lets MADlib train e.g. one regression per group in a single pass
-    /// (Section 4.2's grouping constructs).  Under the chunked executor each
-    /// chunk is partitioned by key and every group's rows are gathered, in
-    /// row order, into a compacted sub-chunk for
-    /// [`Aggregate::transition_chunk`]; when a chunk has too many groups for
-    /// direct gathers to pay off, its rows are instead staged into
-    /// group-slot radix buckets and flushed in batches, so high-cardinality
-    /// scans stay on the vectorized kernels (bit-identical results either
-    /// way).
+    /// (Section 4.2's grouping constructs).  Each chunk is partitioned by
+    /// key and every group's rows are gathered, in row order, into a
+    /// compacted sub-chunk for [`Aggregate::transition_chunk`]; when a chunk
+    /// has too many groups for direct gathers to pay off, its rows are
+    /// instead staged into group-slot radix buckets and flushed in batches,
+    /// so high-cardinality scans stay on the vectorized kernels
+    /// (bit-identical results either way).
     ///
     /// After the merge, the per-group **finalize** stage runs on the same
     /// work-stealing worker pool as the scan (groups are independent):
@@ -506,6 +506,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::aggregate::{CountAggregate, SumAggregate};
+    use crate::reference;
     use crate::row;
     use crate::schema::{Column, ColumnType};
     use crate::value::Value;
@@ -613,23 +614,21 @@ mod tests {
         ]))
         .unwrap();
 
-        for executor in [Executor::new(), Executor::row_at_a_time()] {
-            let groups = Dataset::from_table(&t)
-                .with_executor(executor)
-                .group_by(["a", "b"])
-                .aggregate_per_group(&SumAggregate::new("v"))
+        let grouped = Dataset::from_table(&t).group_by(["a", "b"]);
+        let groups = grouped
+            .aggregate_per_group(&SumAggregate::new("v"))
+            .unwrap();
+        // 2 × 3 live tuples plus the (NULL, 0) group.
+        assert_eq!(groups.len(), 7);
+        let by_rows = reference::aggregate_per_group(&grouped, &SumAggregate::new("v")).unwrap();
+        assert_eq!(groups, by_rows);
+        for (key, sum) in &groups {
+            assert_eq!(key.arity(), 2);
+            let filtered = Dataset::from_table(&t)
+                .filter(Predicate::columns_are_key(["a", "b"], key.clone()))
+                .aggregate(&SumAggregate::new("v"))
                 .unwrap();
-            // 2 × 3 live tuples plus the (NULL, 0) group.
-            assert_eq!(groups.len(), 7);
-            for (key, sum) in &groups {
-                assert_eq!(key.arity(), 2);
-                let filtered = Dataset::from_table(&t)
-                    .with_executor(executor)
-                    .filter(Predicate::columns_are_key(["a", "b"], key.clone()))
-                    .aggregate(&SumAggregate::new("v"))
-                    .unwrap();
-                assert_eq!(sum.to_bits(), filtered.to_bits());
-            }
+            assert_eq!(sum.to_bits(), filtered.to_bits());
         }
     }
 
@@ -642,21 +641,19 @@ mod tests {
             .unwrap();
         t.insert_all(base.iter()).unwrap();
 
-        for executor in [Executor::new(), Executor::row_at_a_time()] {
-            let groups = Dataset::from_table(&t)
-                .with_executor(executor)
-                .group_by(["grp"])
-                .aggregate_per_group(&SumAggregate::new("y"))
+        let grouped = Dataset::from_table(&t).group_by(["grp"]);
+        let groups = grouped
+            .aggregate_per_group(&SumAggregate::new("y"))
+            .unwrap();
+        assert_eq!(groups.len(), 2);
+        let by_rows = reference::aggregate_per_group(&grouped, &SumAggregate::new("y")).unwrap();
+        assert_eq!(groups, by_rows);
+        for (key, sum) in &groups {
+            let filtered = Dataset::from_table(&t)
+                .filter(Predicate::column_is_key("grp", key.clone()))
+                .aggregate(&SumAggregate::new("y"))
                 .unwrap();
-            assert_eq!(groups.len(), 2);
-            for (key, sum) in &groups {
-                let filtered = Dataset::from_table(&t)
-                    .with_executor(executor)
-                    .filter(Predicate::column_is_key("grp", key.clone()))
-                    .aggregate(&SumAggregate::new("y"))
-                    .unwrap();
-                assert_eq!(sum.to_bits(), filtered.to_bits());
-            }
+            assert_eq!(sum.to_bits(), filtered.to_bits());
         }
     }
 
@@ -725,15 +722,12 @@ mod tests {
                 t.insert(row![(i % groups) as i64, (i % 97) as f64 - 48.0])
                     .unwrap();
             }
-            let run = |executor: Executor| {
-                Dataset::from_table(&t)
-                    .with_executor(executor)
-                    .group_by(["grp"])
-                    .aggregate_per_group(&SumAggregate::new("y"))
-                    .unwrap()
-            };
-            let chunked = run(Executor::new());
-            let by_rows = run(Executor::row_at_a_time());
+            let grouped = Dataset::from_table(&t).group_by(["grp"]);
+            let chunked = grouped
+                .aggregate_per_group(&SumAggregate::new("y"))
+                .unwrap();
+            let by_rows =
+                reference::aggregate_per_group(&grouped, &SumAggregate::new("y")).unwrap();
             assert_eq!(chunked.len(), groups);
             assert_eq!(chunked.len(), by_rows.len());
             for ((ka, va), (kb, vb)) in chunked.iter().zip(&by_rows) {
@@ -800,7 +794,7 @@ mod tests {
                 let got: Vec<Row> = group_table.segment(seg).iter().collect();
                 assert_eq!(got, expected);
             }
-            // Chunk for chunk the table a row-at-a-time split builds
+            // Chunk for chunk the table a row-by-row split builds
             // (several chunks per segment and group here).
             let mut by_row = Table::new(t.schema().clone(), 3)
                 .unwrap()

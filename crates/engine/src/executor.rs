@@ -1,4 +1,4 @@
-//! Scan configuration: execution mode, parallelism and steal granularity.
+//! Scan configuration: parallelism and steal granularity.
 //!
 //! The engine runs user-defined aggregates over a partitioned [`Table`] the
 //! way Greenplum runs one query process per segment — the execution model
@@ -11,17 +11,17 @@
 //! An [`Executor`] does not implement any of that itself; it is the
 //! *configuration* every scan terminal reads:
 //!
-//! * [`ExecutionMode`] — chunk-at-a-time (default: chunks stream through
-//!   [`crate::scan::scan_chunks`] with predicates hoisted to one
-//!   [`crate::chunk::SelectionMask`] per chunk) or the legacy per-row scan
-//!   ([`ExecutionMode::RowAtATime`]; identical results by contract, kept as
-//!   the tests' reference implementation and for the paper's Figure 4
-//!   "rewrite the inner loop" comparison);
-//! * parallelism — work-stealing workers ([`crate::scan`], which converts
-//!   worker panics into [`EngineError::WorkerPanicked`]) or the calling
-//!   thread;
+//! * parallelism — work-stealing workers ([`crate::scan`]: at most
+//!   [`scan::worker_count`] of them claim scan units from a shared cursor,
+//!   and worker panics become [`EngineError::WorkerPanicked`]) or the
+//!   calling thread;
 //! * [`scan::StealGranularity`] — whether aggregate scans steal whole
 //!   segments or chunk ranges.
+//!
+//! Every terminal scans chunk at a time (chunks stream through
+//! [`crate::scan::scan_chunks`] with predicates hoisted to one
+//! [`crate::chunk::SelectionMask`] per chunk); the per-row meaning of an
+//! aggregate is kept as [`crate::reference`], which no terminal calls.
 //!
 //! Scans are described with [`crate::dataset::Dataset`]
 //! (`db.dataset("t")?.filter(...).group_by([...])`).  Its aggregate
@@ -53,19 +53,6 @@ pub struct ExecutionStats {
     pub segments: usize,
 }
 
-/// How the executor scans a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// Stream column-major chunks through [`Aggregate::transition_chunk`]
-    /// with chunk-level predicate evaluation (default).
-    #[default]
-    Chunked,
-    /// Materialize each row and call [`Aggregate::transition`], evaluating
-    /// predicates row by row — the engine's original execution model, kept
-    /// for debugging and for measuring the vectorization speedup.
-    RowAtATime,
-}
-
 /// Executes aggregates over partitioned tables.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Executor {
@@ -73,16 +60,14 @@ pub struct Executor {
     /// threads; when false everything runs on the calling thread, which is
     /// occasionally useful for debugging and for measuring parallel speedup.
     parallel: bool,
-    mode: ExecutionMode,
     steal: scan::StealGranularity,
 }
 
 impl Executor {
-    /// Creates a parallel, chunk-at-a-time executor (one worker per segment).
+    /// Creates a parallel executor stealing whole segments.
     pub fn new() -> Self {
         Self {
             parallel: true,
-            mode: ExecutionMode::Chunked,
             steal: scan::StealGranularity::Segment,
         }
     }
@@ -97,12 +82,6 @@ impl Executor {
         }
     }
 
-    /// Selects the scan mode (chunked by default).
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Selects the work-stealing granularity for aggregate scans
     /// ([`scan::StealGranularity::Segment`] by default).
     ///
@@ -114,17 +93,10 @@ impl Executor {
     /// [`Aggregate::merge`], which reassociates additions relative to the
     /// whole-segment sequential fold.  Exact-arithmetic aggregates (counts,
     /// integer-valued sums) are bit-identical either way; inexact ones agree
-    /// to merge-level rounding.  The granularity only affects the chunked
-    /// scan mode — [`ExecutionMode::RowAtATime`] always scans whole
-    /// segments.
+    /// to merge-level rounding.
     pub fn with_steal_granularity(mut self, steal: scan::StealGranularity) -> Self {
         self.steal = steal;
         self
-    }
-
-    /// Shorthand for a parallel executor using the legacy per-row scan.
-    pub fn row_at_a_time() -> Self {
-        Self::new().with_mode(ExecutionMode::RowAtATime)
     }
 
     /// Whether this executor runs segments in parallel.
@@ -132,34 +104,9 @@ impl Executor {
         self.parallel
     }
 
-    /// The scan mode in use.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
     /// The work-stealing granularity for aggregate scans.
     pub fn steal_granularity(&self) -> scan::StealGranularity {
         self.steal
-    }
-
-    /// The granularity a scan that would use `chunked` units on the chunked
-    /// path actually runs at: chunk-range units only exist there, so
-    /// [`ExecutionMode::RowAtATime`] always degrades to whole segments.  The
-    /// one place that rule is written.
-    pub(crate) fn granularity_for(
-        &self,
-        chunked: scan::StealGranularity,
-    ) -> scan::StealGranularity {
-        match self.mode {
-            ExecutionMode::Chunked => chunked,
-            ExecutionMode::RowAtATime => scan::StealGranularity::Segment,
-        }
-    }
-
-    /// The unit decomposition of this executor's aggregate scans — and so of
-    /// the states a materialized view bound to it retains.
-    pub(crate) fn aggregate_granularity(&self) -> scan::StealGranularity {
-        self.granularity_for(self.steal)
     }
 
     /// Runs `aggregate` over every row of `table`, returning the finalized
@@ -250,6 +197,7 @@ mod tests {
     use super::*;
     use crate::aggregate::{ArraySumAggregate, AvgAggregate, CountAggregate, SumAggregate};
     use crate::expr::Predicate;
+    use crate::reference;
     use crate::row;
     use crate::schema::{Column, ColumnType, Schema};
 
@@ -290,30 +238,25 @@ mod tests {
             .with_chunk_capacity(16)
             .unwrap();
         t.insert_all(base.iter()).unwrap();
+        let exec = Executor::new();
+        let dataset = Dataset::from_table(&t);
 
-        let chunked = Executor::new();
-        let row = Executor::row_at_a_time();
-        assert_eq!(chunked.mode(), ExecutionMode::Chunked);
-        assert_eq!(row.mode(), ExecutionMode::RowAtATime);
-
-        let a = chunked.aggregate(&t, &SumAggregate::new("y")).unwrap();
-        let b = row.aggregate(&t, &SumAggregate::new("y")).unwrap();
+        let a = exec.aggregate(&t, &SumAggregate::new("y")).unwrap();
+        let b = reference::aggregate(&dataset, &SumAggregate::new("y")).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
 
-        let a = chunked.aggregate(&t, &ArraySumAggregate::new("x")).unwrap();
-        let b = row.aggregate(&t, &ArraySumAggregate::new("x")).unwrap();
+        let a = exec.aggregate(&t, &ArraySumAggregate::new("x")).unwrap();
+        let b = reference::aggregate(&dataset, &ArraySumAggregate::new("x")).unwrap();
         assert_eq!(a, b);
 
         let pred = Predicate::column_gt("y", 31.5).and(Predicate::column_lt("y", 141.0));
-        let (ca, cs) = chunked
+        let (count, stats) = exec
             .aggregate_with_stats(&t, &CountAggregate, Some(&pred))
             .unwrap();
-        let (ra, rs) = row
-            .aggregate_with_stats(&t, &CountAggregate, Some(&pred))
-            .unwrap();
-        assert_eq!(ca, ra);
-        assert_eq!(cs, rs);
-        assert_eq!(cs.rows_scanned, 157);
+        let by_rows = reference::aggregate(&dataset.filter(pred), &CountAggregate).unwrap();
+        assert_eq!(count, by_rows);
+        assert_eq!(stats.rows_scanned, 157);
+        assert_eq!(stats.rows_aggregated, by_rows);
     }
 
     #[test]
@@ -380,10 +323,9 @@ mod tests {
         }
 
         let t = make_table(4, 32);
-        for exec in [
-            Executor::row_at_a_time(),
-            Executor::serial().with_mode(ExecutionMode::RowAtATime),
-        ] {
+        // The chunked fallback calls `transition` per row, so the panic
+        // fires inside a worker (or the calling thread) either way.
+        for exec in [Executor::new(), Executor::serial()] {
             let err = exec.aggregate(&t, &PanickyAggregate).unwrap_err();
             match err {
                 EngineError::WorkerPanicked { message } => {

@@ -376,6 +376,7 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::schema::{Column, ColumnType};
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -481,5 +482,108 @@ mod tests {
         );
         assert!(empty.evaluate(&chunk.row(0), &s).is_err());
         assert!(empty.evaluate_chunk(&chunk, &s).is_err());
+    }
+
+    /// One column per fast-path type of `ColumnEquals`, plus an array column
+    /// for its per-row arm.
+    const COLUMNS: [&str; 5] = ["b", "i", "d", "t", "a"];
+
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("b", ColumnType::Bool),
+            Column::new("i", ColumnType::Int),
+            Column::new("d", ColumnType::Double),
+            Column::new("t", ColumnType::Text),
+            Column::new("a", ColumnType::DoubleArray),
+        ])
+    }
+
+    /// Value `code` of column `column`: code 0 is NULL, the rest a small
+    /// domain (so equalities hit) that holds NaN, ±0.0 and -∞ for doubles.
+    fn cell(column: usize, code: usize) -> Value {
+        const DOUBLES: [f64; 6] = [0.0, -0.0, 1.5, f64::NAN, f64::NEG_INFINITY, 2.0];
+        match (column, code) {
+            (_, 0) => Value::Null,
+            (0, c) => Value::Bool(c % 2 == 0),
+            (1, c) => Value::Int(c as i64 - 3),
+            (2, c) => Value::Double(DOUBLES[c % DOUBLES.len()]),
+            (3, c) => Value::Text(["x", "y", "z"][c % 3].to_owned()),
+            (_, c) => Value::DoubleArray(vec![DOUBLES[c % DOUBLES.len()]; c % 3]),
+        }
+    }
+
+    /// A predicate tree read off `codes` (operator, column, value code),
+    /// depth-first; its leaves cannot fail over [`wide_schema`].
+    fn tree(codes: &mut std::slice::Iter<'_, (usize, usize, usize)>, depth: usize) -> Predicate {
+        const THRESHOLDS: [f64; 5] = [f64::NAN, 0.0, -0.0, 1.0, -3.0];
+        let Some(&(op, column, code)) = codes.next() else {
+            return Predicate::True;
+        };
+        let name = COLUMNS[column];
+        match op {
+            0 if depth < 4 => tree(codes, depth + 1).and(tree(codes, depth + 1)),
+            1 if depth < 4 => tree(codes, depth + 1).or(tree(codes, depth + 1)),
+            2 if depth < 4 => tree(codes, depth + 1).not(),
+            3 => Predicate::column_eq(name, cell(column, code)),
+            // A value of the next column's type: a cross-type comparison.
+            4 => Predicate::column_eq(name, cell((column + 1) % 5, code.max(1))),
+            5 => Predicate::column_gt(COLUMNS[column % 3], THRESHOLDS[code % 5]),
+            6 => Predicate::column_lt(COLUMNS[column % 3], THRESHOLDS[code % 5]),
+            7 => Predicate::ColumnIsNull {
+                column: name.into(),
+            },
+            8 => Predicate::column_is(name, &cell(column, code)),
+            _ => Predicate::columns_are_key(
+                ["d", "t"],
+                GroupKey::from_values([&cell(2, code), &cell(3, column)]),
+            ),
+        }
+    }
+
+    proptest! {
+        /// `evaluate_chunk` selects exactly the rows `evaluate` accepts, for
+        /// random predicate trees over random NULL-bearing chunks.  Failing
+        /// leaves are checked alone (`And` / `Or` do not short-circuit over a
+        /// chunk): the chunk fails iff a row does, with the first row's error.
+        #[test]
+        fn evaluate_chunk_is_evaluate_row_by_row(
+            rows in prop::collection::vec([0usize..7, 0usize..7, 0usize..7, 0usize..7, 0usize..7], 0..40),
+            codes in prop::collection::vec((0usize..10, 0usize..5, 0usize..7), 1..16),
+        ) {
+            let schema = wide_schema();
+            let mut chunk = RowChunk::new(&schema);
+            for row in &rows {
+                let values: Vec<Value> =
+                    row.iter().enumerate().map(|(c, &code)| cell(c, code)).collect();
+                chunk.push_values(&values).unwrap();
+            }
+            let by_rows = |predicate: &Predicate| -> Result<Vec<bool>> {
+                (0..chunk.len()).map(|i| predicate.evaluate(&chunk.row(i), &schema)).collect()
+            };
+            let selected = |mask: &SelectionMask| {
+                (0..chunk.len()).map(|i| mask.is_selected(i)).collect::<Vec<_>>()
+            };
+
+            let predicate = tree(&mut codes.iter(), 0);
+            let mask = predicate.evaluate_chunk(&chunk, &schema).unwrap();
+            prop_assert_eq!(selected(&mask), by_rows(&predicate).unwrap(), "{:?}", predicate);
+
+            for failing in [
+                Predicate::column_eq("nope", 1.0),
+                Predicate::column_gt("nope", 0.0),
+                Predicate::ColumnIsNull { column: "nope".into() },
+                Predicate::column_is("nope", &Value::Null),
+                Predicate::column_lt("t", 0.0),
+                Predicate::column_gt("a", 0.0),
+            ] {
+                match (failing.evaluate_chunk(&chunk, &schema), by_rows(&failing)) {
+                    (Ok(mask), Ok(rows)) => prop_assert_eq!(selected(&mask), rows),
+                    (Err(chunked), Err(first)) => prop_assert_eq!(chunked, first),
+                    // An unknown column is an error even over no rows.
+                    (Err(_), Ok(rows)) => prop_assert!(rows.is_empty(), "{:?}", failing),
+                    (Ok(_), Err(e)) => prop_assert!(false, "{:?}: rows fail with {:?}", failing, e),
+                }
+            }
+        }
     }
 }

@@ -36,16 +36,16 @@
 //!   [`Aggregate::merge`] in the engine, so batch ≡ refresh holds by
 //!   construction.
 //!
-//! [`ExecutionMode::RowAtATime`] plugs its reference loops
-//! ([`scan::scan_segment_rows`] + [`Aggregate::transition`]) into the same
-//! fan-out and fold at whole-segment granularity.
+//! [`crate::reference`] feeds per-row states (materialised rows +
+//! [`Aggregate::transition`]) through the same two folds at whole-segment
+//! granularity; it is the bit reference, not a scan path.
 
 use crate::aggregate::Aggregate;
 use crate::chunk::{RowChunk, Segment};
 use crate::error::{EngineError, Result};
-use crate::executor::{ExecutionMode, ExecutionStats, Executor};
+use crate::executor::{ExecutionStats, Executor};
 use crate::expr::Predicate;
-use crate::group::{group_key_of_row, GroupKey, IndexSort, SlotDirectory};
+use crate::group::{GroupKey, IndexSort, SlotDirectory};
 use crate::scan::{self, SegmentScanStats};
 use crate::schema::Schema;
 use crate::table::Table;
@@ -105,7 +105,7 @@ fn fan_out<U: Send>(
     let per_segment = scan::run_per_segment_ranged(
         table,
         executor.is_parallel(),
-        executor.aggregate_granularity(),
+        executor.steal_granularity(),
         |range, segment| run_unit(range, segment).map(|unit| vec![unit]),
         |mut units, more| {
             units.extend(more);
@@ -144,16 +144,7 @@ pub(crate) fn scan_units<A: Aggregate>(
     let schema = table.schema();
     fan_out(table, executor, |range, segment| {
         let mut state = aggregate.initial_state();
-        let stats = match executor.mode() {
-            ExecutionMode::Chunked => {
-                advance_state(aggregate, &mut state, range.chunks(segment), schema, filter)?
-            }
-            // Row-at-a-time scans run at Segment granularity only, so the
-            // range always covers the whole segment here.
-            ExecutionMode::RowAtATime => scan::scan_segment_rows(segment, schema, filter, |row| {
-                aggregate.transition(&mut state, row, schema)
-            })?,
-        };
+        let stats = advance_state(aggregate, &mut state, range.chunks(segment), schema, filter)?;
         Ok((state, stats))
     })
 }
@@ -173,19 +164,14 @@ pub(crate) fn scan_grouped_units<A: Aggregate>(
     let schema = table.schema();
     let (segments, _) = fan_out(table, executor, |range, segment| {
         let mut unit = GroupedUnit::default();
-        let stats = match executor.mode() {
-            ExecutionMode::Chunked => unit.advance(
-                aggregate,
-                range.chunks(segment),
-                schema,
-                group_indices,
-                filter,
-                &mut GroupScratch::default(),
-            )?,
-            ExecutionMode::RowAtATime => {
-                unit.advance_by_rows(aggregate, segment, schema, group_indices, filter)?
-            }
-        };
+        let stats = unit.advance(
+            aggregate,
+            range.chunks(segment),
+            schema,
+            group_indices,
+            filter,
+            &mut GroupScratch::default(),
+        )?;
         Ok((unit, stats))
     })?;
     Ok(segments)
@@ -286,27 +272,6 @@ impl<S> GroupedUnit<S> {
         self.directory
             .iter()
             .map(|(key, slot)| (key.clone(), self.states[slot as usize].clone()))
-    }
-
-    /// The row-at-a-time reference runner: keys and transitions every
-    /// filter-surviving row of `segment` individually.
-    fn advance_by_rows<A: Aggregate<State = S>>(
-        &mut self,
-        aggregate: &A,
-        segment: &Segment,
-        schema: &Schema,
-        group_indices: &[usize],
-        filter: Option<&Predicate>,
-    ) -> Result<SegmentScanStats> {
-        let Self { directory, states } = self;
-        scan::scan_segment_rows(segment, schema, filter, |row| {
-            let key = group_key_of_row(row, group_indices);
-            let slot = directory.slot_of(&key, |_| {
-                states.push(aggregate.initial_state());
-                Ok::<(), EngineError>(())
-            })?;
-            aggregate.transition(&mut states[slot as usize], row, schema)
-        })
     }
 
     /// The grouped unit runner: folds the filter-surviving rows of `chunks`

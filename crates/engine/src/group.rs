@@ -38,7 +38,6 @@
 
 use crate::chunk::{ColumnChunk, RowChunk, SelectionMask};
 use crate::error::{EngineError, Result};
-use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -419,14 +418,6 @@ pub fn partition_by_group(chunk: &RowChunk, column_indices: &[usize]) -> Vec<Chu
     groups
 }
 
-/// The (possibly composite) group key of a materialized row.
-pub(crate) fn group_key_of_row(row: &Row, group_indices: &[usize]) -> GroupKey {
-    match group_indices {
-        [idx] => GroupKey::from_value(row.get(*idx)),
-        many => GroupKey::from_values(many.iter().map(|&i| row.get(i))),
-    }
-}
-
 /// `GroupKey → dense u32 slot`, slots numbered in first-appearance order —
 /// the directory behind every grouped consumer.  What a slot *holds* (an
 /// aggregate state, a scorer, a row list) lives with the caller in a vector
@@ -440,7 +431,7 @@ impl SlotDirectory {
     /// The slot of `key`.  A key seen for the first time gets the next slot
     /// after `on_new(key)` succeeds — exactly once per slot; an error leaves
     /// the directory unchanged.
-    pub(crate) fn slot_of<E>(
+    fn slot_of<E>(
         &mut self,
         key: &GroupKey,
         on_new: impl FnOnce(&GroupKey) -> std::result::Result<(), E>,

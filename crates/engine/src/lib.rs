@@ -49,8 +49,8 @@
 //!   [`Aggregate::transition`], so existing aggregates work unchanged; hot
 //!   aggregates override it with kernels over the contiguous buffers.
 //!   Overrides must be bit-for-bit equivalent to the fallback (same values,
-//!   same floating-point accumulation order) so results never depend on the
-//!   execution mode — the cross-crate property tests enforce this.
+//!   same floating-point accumulation order) — the cross-crate property
+//!   tests hold every scan to [`reference`](mod@reference) (below).
 //! * **Filters** — the executor evaluates predicates once per chunk via
 //!   [`expr::Predicate::evaluate_chunk`], producing a
 //!   [`chunk::SelectionMask`]; fully-selected chunks pass through untouched
@@ -76,15 +76,18 @@
 //!   projections ([`dataset::Dataset::map_chunks`] /
 //!   [`Executor::parallel_map_chunks`] with the row-level adapters layered
 //!   on top).
-//! * **Modes** — [`executor::ExecutionMode::RowAtATime`] forces the legacy
-//!   per-row scan, which the integration tests use as the bit-identity
-//!   reference for the chunked path.
+//! * **Reference** — every terminal has one, chunked, scan body.  The
+//!   per-row meaning of an aggregate lives on as
+//!   [`reference`](mod@reference) (materialise each row, filter it,
+//!   `transition` it, merge at whole-segment granularity): no terminal calls
+//!   it, and the tests compare the chunked scans against it.
 //!
 //! New methods opt in by overriding `transition_chunk` (typically via
 //! [`chunk::RowChunk::doubles`] / [`chunk::RowChunk::double_arrays`] and the
-//! batched kernels in `madlib-linalg`); everything else — merge, finalize,
-//! drivers, grouping — is unchanged.  Consumers that are not aggregates
-//! (sketch passes, projections) build on [`scan::scan_segment_chunks`] +
+//! batched kernels in `madlib-linalg`) and checking it against
+//! [`reference`](mod@reference); everything else — merge, finalize, drivers,
+//! grouping — is unchanged.  Consumers that are not aggregates (sketch
+//! passes, projections) build on [`scan::scan_segment_chunks`] +
 //! [`scan::run_per_segment`] directly or use the `parallel_map_chunks`
 //! projection.
 
@@ -104,6 +107,7 @@ pub mod group;
 pub mod iteration;
 pub mod materialize;
 mod persist;
+pub mod reference;
 pub mod row;
 pub mod scan;
 pub mod schema;
@@ -119,7 +123,7 @@ pub use chunk::{RowChunk, SelectionMask};
 pub use database::Database;
 pub use dataset::Dataset;
 pub use error::{EngineError, Result};
-pub use executor::{ExecutionMode, Executor};
+pub use executor::Executor;
 pub use group::{GroupKey, KeyPart};
 pub use materialize::{AnyMaterialized, MaterializedAggregate};
 pub use row::Row;

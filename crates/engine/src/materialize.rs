@@ -170,8 +170,8 @@ enum ViewStates<S> {
 ///
 /// The view is configured like a [`crate::Dataset`] terminal: an optional
 /// filter and optional grouping columns, plus the [`Executor`] whose scan
-/// structure (execution mode, steal granularity, parallelism of rebuilds)
-/// the retained states share.
+/// structure (steal granularity, parallelism of rebuilds) the retained
+/// states share.
 pub struct MaterializedAggregate<A: Aggregate> {
     aggregate: A,
     filter: Option<Predicate>,
@@ -393,7 +393,7 @@ fn catch_up<U>(
     new_unit: impl Fn() -> U,
     mut advance: impl FnMut(&mut U, &[Arc<RowChunk>]) -> Result<SegmentScanStats>,
 ) -> Result<()> {
-    let chunks_per_unit = match executor.aggregate_granularity() {
+    let chunks_per_unit = match executor.steal_granularity() {
         StealGranularity::Segment => usize::MAX,
         StealGranularity::ChunkRange => scan::CHUNKS_PER_UNIT,
     };

@@ -55,7 +55,6 @@
 use crate::chunk::{RowChunk, Segment};
 use crate::error::{EngineError, Result};
 use crate::expr::Predicate;
-use crate::row::Row;
 use crate::schema::Schema;
 use crate::table::Table;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,37 +155,6 @@ where
                 }
             }
         }
-    }
-    Ok(stats)
-}
-
-/// Streams one segment row-at-a-time through `sink` — the legacy scan shape.
-/// Its only callers in the engine are the [`crate::ExecutionMode::RowAtATime`]
-/// arms of the aggregate and scoring terminals, the reference the chunked
-/// path is tested against.  Predicates are evaluated per row; counters match
-/// [`scan_segment_chunks`] exactly.
-///
-/// # Errors
-/// Propagates predicate-evaluation errors and errors returned by `sink`.
-pub fn scan_segment_rows<F>(
-    segment: &Segment,
-    schema: &Schema,
-    filter: Option<&Predicate>,
-    mut sink: F,
-) -> Result<SegmentScanStats>
-where
-    F: FnMut(&Row) -> Result<()>,
-{
-    let mut stats = SegmentScanStats::default();
-    for row in segment.iter() {
-        stats.rows_scanned += 1;
-        if let Some(pred) = filter {
-            if !pred.evaluate(&row, schema)? {
-                continue;
-            }
-        }
-        stats.rows_passed += 1;
-        sink(&row)?;
     }
     Ok(stats)
 }
@@ -631,16 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn row_scan_matches_chunked_counters() {
-        let t = make_table(1, 37);
-        let pred = Predicate::column_lt("y", 10.0);
-        let chunked =
-            scan_segment_chunks(t.segment(0), t.schema(), Some(&pred), |_| Ok(())).unwrap();
-        let by_rows = scan_segment_rows(t.segment(0), t.schema(), Some(&pred), |_| Ok(())).unwrap();
-        assert_eq!(chunked, by_rows);
-    }
-
-    #[test]
     fn per_segment_fanout_preserves_order() {
         let t = make_table(4, 40);
         let results = run_per_segment(&t, true, |seg, segment| Ok((seg, segment.len())));
@@ -707,8 +665,13 @@ mod tests {
             let t = make_skewed_table(shape);
             let work = |seg: usize, segment: &Segment| {
                 let mut sum = 0.0f64;
-                scan_segment_rows(segment, t.schema(), None, |row| {
-                    sum += row.get(0).as_double()?;
+                scan_segment_chunks(segment, t.schema(), None, |batch| {
+                    sum = batch
+                        .chunk()
+                        .doubles(0)?
+                        .values
+                        .iter()
+                        .fold(sum, |s, v| s + v);
                     Ok(())
                 })?;
                 Ok((seg, segment.len(), sum.to_bits()))

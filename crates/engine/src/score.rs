@@ -31,8 +31,7 @@ use crate::chunk::{ColumnChunk, RowChunk, Segment, CHUNK_CAPACITY};
 use crate::database::Database;
 use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
-use crate::executor::ExecutionMode;
-use crate::group::{group_key_of_row, GroupKey, IndexSort, SlotDirectory};
+use crate::group::{GroupKey, IndexSort, SlotDirectory};
 use crate::row::Row;
 use crate::scan;
 use crate::schema::{Column, ColumnType, Schema};
@@ -49,8 +48,9 @@ use std::sync::Arc;
 /// overridden with a vectorized implementation, which **must produce
 /// bit-identical predictions (and identical errors) to the row loop** — the
 /// same contract the aggregate `transition_chunk` overrides obey.  That
-/// bit-identity is what lets [`Dataset::score`] switch between execution
-/// modes, steal granularities and kernel tiers without changing results.
+/// bit-identity is what lets [`Dataset::score`] batch whatever a chunk holds
+/// — a stored chunk, a compacted one, one group's gather — under any steal
+/// granularity and kernel tier without changing results.
 pub trait Scorer: Sync {
     /// Column type of the predictions this scorer emits (the schema of the
     /// materialized predictions column).
@@ -276,12 +276,10 @@ impl Dataset<'_> {
     /// prediction per row in segment-then-row order (the same order
     /// [`Dataset::collect_rows`] yields rows, so predictions zip with rows).
     ///
-    /// Runs as a chunked, work-stealing scan pass: under the chunked
-    /// executor each compacted chunk goes through
-    /// [`Scorer::predict_chunk`] (vectorized overrides ride the kernel
-    /// tiers), under the row-at-a-time executor each row goes through
-    /// [`Scorer::predict_row`] — bit-identical by the scorer contract.
-    /// Terminal operation; requires an ungrouped dataset.
+    /// Runs as a chunked, work-stealing scan pass: each (compacted) chunk
+    /// goes through [`Scorer::predict_chunk`] (vectorized overrides ride the
+    /// kernel tiers), bit-identical to [`Scorer::predict_row`] per row by the
+    /// scorer contract.  Terminal operation; requires an ungrouped dataset.
     ///
     /// # Errors
     /// Propagates predicate and scorer errors; errors on a grouped dataset.
@@ -356,30 +354,16 @@ impl Dataset<'_> {
     fn score_segments<S: Scorer + ?Sized>(&self, scorer: &S) -> Result<Vec<Vec<Vec<Value>>>> {
         let schema = self.schema();
         let filter = self.filter_predicate();
-        let mode = self.executor().mode();
-        let granularity = self
-            .executor()
-            .granularity_for(scan::StealGranularity::ChunkRange);
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor().is_parallel(),
-            granularity,
+            scan::StealGranularity::ChunkRange,
             |range, segment| {
                 let chunks = range.chunks(segment);
                 let mut out = Vec::with_capacity(chunks.iter().map(|chunk| chunk.len()).sum());
-                match mode {
-                    ExecutionMode::Chunked => {
-                        scan::scan_chunks(chunks, schema, filter, |batch| {
-                            scorer.predict_chunk(batch.chunk(), schema, &mut out)
-                        })?;
-                    }
-                    ExecutionMode::RowAtATime => {
-                        scan::scan_segment_rows(segment, schema, filter, |row| {
-                            out.push(scorer.predict_row(row, schema)?);
-                            Ok(())
-                        })?;
-                    }
-                }
+                scan::scan_chunks(chunks, schema, filter, |batch| {
+                    scorer.predict_chunk(batch.chunk(), schema, &mut out)
+                })?;
                 Ok(vec![out])
             },
             |mut left, right| {
@@ -397,11 +381,11 @@ impl Dataset<'_> {
     /// and scoring it with its model separately**, because per-group chunk
     /// gathers preserve row order and the scorer contract is per-row pure.
     ///
-    /// Under the chunked executor, single-group chunks (the common,
-    /// clustered case) batch straight through [`Scorer::predict_chunk`];
-    /// mixed chunks are counting-sorted by group, each group's rows gathered
-    /// into a compacted sub-chunk, batch-scored, and the predictions
-    /// scattered back to their row positions.
+    /// Single-group chunks (the common, clustered case) batch straight
+    /// through [`Scorer::predict_chunk`]; mixed chunks are counting-sorted
+    /// by group, each group's rows gathered into a compacted sub-chunk,
+    /// batch-scored, and the predictions scattered back to their row
+    /// positions.
     ///
     /// # Errors
     /// Propagates predicate, column-lookup and scorer errors; errors when
@@ -413,37 +397,14 @@ impl Dataset<'_> {
         let group_indices = self.group_column_indices()?;
         let group_indices = group_indices.as_slice();
         let filter = self.filter_predicate();
-        let mode = self.executor().mode();
-        let granularity = self
-            .executor()
-            .granularity_for(scan::StealGranularity::ChunkRange);
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor().is_parallel(),
-            granularity,
+            scan::StealGranularity::ChunkRange,
             |range, segment| {
                 let mut out = Vec::new();
-                match mode {
-                    ExecutionMode::Chunked => score_chunks_grouped(
-                        scorers,
-                        range.chunks(segment),
-                        schema,
-                        group_indices,
-                        filter,
-                        &mut out,
-                    )?,
-                    ExecutionMode::RowAtATime => {
-                        let mut directory = SlotDirectory::default();
-                        let mut resolved: Vec<&S> = Vec::new();
-                        scan::scan_segment_rows(segment, schema, filter, |row| {
-                            let key = group_key_of_row(row, group_indices);
-                            let slot = directory
-                                .slot_of(&key, |key| resolve_scorer(scorers, key, &mut resolved))?;
-                            out.push(resolved[slot as usize].predict_row(row, schema)?);
-                            Ok(())
-                        })?;
-                    }
-                }
+                let chunks = range.chunks(segment);
+                score_chunks_grouped(scorers, chunks, schema, group_indices, filter, &mut out)?;
                 Ok(out)
             },
             |mut left, right: Vec<Value>| {
@@ -467,7 +428,7 @@ impl Dataset<'_> {
     /// (per-row fallback for NULL-bearing or ragged chunks, bit-identical by
     /// the kernel contracts).  Rows whose `column` value is NULL are skipped;
     /// ties and NaN scores break deterministically by scan position, so
-    /// results never depend on scheduling or execution mode.  Honors the
+    /// results never depend on scheduling.  Honors the
     /// dataset's filter.  Terminal operation; requires an ungrouped dataset.
     ///
     /// # Errors
@@ -494,61 +455,35 @@ impl Dataset<'_> {
         let schema = self.schema();
         let column_idx = schema.index_of(column)?;
         let filter = self.filter_predicate();
-        let mode = self.executor().mode();
         let per_segment = scan::run_per_segment(
             self.table(),
             self.executor().is_parallel(),
             |seg, segment| {
                 let mut best: Vec<Candidate> = Vec::new();
                 let mut ordinal = 0usize;
-                match mode {
-                    ExecutionMode::Chunked => {
-                        let mut scores: Vec<f64> = Vec::new();
-                        scan::scan_chunks(segment.chunks(), schema, filter, |batch| {
-                            let chunk = batch.chunk();
-                            let arrays = chunk.double_arrays(column_idx)?;
-                            if !arrays.nulls().any_null()
-                                && arrays.uniform_width() == Some(query.len())
-                            {
-                                scores.resize(chunk.len(), 0.0);
-                                metric.score_batch(arrays.flat_values(), query, &mut scores);
-                                for (i, &score) in scores.iter().enumerate() {
-                                    let rank = Rank {
-                                        score,
-                                        segment: seg,
-                                        ordinal,
-                                    };
-                                    ordinal += 1;
-                                    offer(&mut best, k, metric, rank, || chunk.row(i));
-                                }
-                            } else {
-                                for i in 0..chunk.len() {
-                                    if arrays.nulls().is_null(i) {
-                                        ordinal += 1;
-                                        continue;
-                                    }
-                                    let x = arrays.row(i);
-                                    check_query_width(x, query)?;
-                                    let rank = Rank {
-                                        score: metric.score_row(x, query),
-                                        segment: seg,
-                                        ordinal,
-                                    };
-                                    ordinal += 1;
-                                    offer(&mut best, k, metric, rank, || chunk.row(i));
-                                }
-                            }
-                            Ok(())
-                        })?;
-                    }
-                    ExecutionMode::RowAtATime => {
-                        scan::scan_segment_rows(segment, schema, filter, |row| {
-                            let value = row.get(column_idx);
-                            if value.is_null() {
+                let mut scores: Vec<f64> = Vec::new();
+                scan::scan_chunks(segment.chunks(), schema, filter, |batch| {
+                    let chunk = batch.chunk();
+                    let arrays = chunk.double_arrays(column_idx)?;
+                    if !arrays.nulls().any_null() && arrays.uniform_width() == Some(query.len()) {
+                        scores.resize(chunk.len(), 0.0);
+                        metric.score_batch(arrays.flat_values(), query, &mut scores);
+                        for (i, &score) in scores.iter().enumerate() {
+                            let rank = Rank {
+                                score,
+                                segment: seg,
+                                ordinal,
+                            };
+                            ordinal += 1;
+                            offer(&mut best, k, metric, rank, || chunk.row(i));
+                        }
+                    } else {
+                        for i in 0..chunk.len() {
+                            if arrays.nulls().is_null(i) {
                                 ordinal += 1;
-                                return Ok(());
+                                continue;
                             }
-                            let x = value.as_double_array()?;
+                            let x = arrays.row(i);
                             check_query_width(x, query)?;
                             let rank = Rank {
                                 score: metric.score_row(x, query),
@@ -556,11 +491,11 @@ impl Dataset<'_> {
                                 ordinal,
                             };
                             ordinal += 1;
-                            offer(&mut best, k, metric, rank, || row.clone());
-                            Ok(())
-                        })?;
+                            offer(&mut best, k, metric, rank, || chunk.row(i));
+                        }
                     }
-                }
+                    Ok(())
+                })?;
                 Ok(best)
             },
         );

@@ -335,7 +335,7 @@ impl Aggregate for MostFrequentValuesAggregate {
 mod tests {
     use super::*;
     use madlib_engine::expr::Predicate;
-    use madlib_engine::{row, Column, ColumnType, Executor, Table, Value};
+    use madlib_engine::{reference, row, Column, ColumnType, Dataset, Executor, Table, Value};
 
     fn words_table(segments: usize) -> Table {
         let schema = Schema::new(vec![
@@ -368,11 +368,11 @@ mod tests {
     fn sketch_aggregates_agree_across_modes_and_filters() {
         let t = words_table(3);
         let chunked = Executor::new();
-        let by_rows = Executor::row_at_a_time();
+        let dataset = Dataset::from_table(&t);
 
         let fm = FmDistinctAggregate::new("word");
         let a = chunked.aggregate(&t, &fm).unwrap();
-        let b = by_rows.aggregate(&t, &fm).unwrap();
+        let b = reference::aggregate(&dataset, &fm).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
         // PCSA is biased upward well below ~2·bitmaps distinct items; order
         // of magnitude is all the adapters promise at this cardinality.
@@ -380,13 +380,13 @@ mod tests {
 
         let cm = CountMinAggregate::new("word", 5, 256);
         let a = chunked.aggregate(&t, &cm).unwrap();
-        let b = by_rows.aggregate(&t, &cm).unwrap();
+        let b = reference::aggregate(&dataset, &cm).unwrap();
         assert_eq!(a, b);
         assert!(a.estimate("w0") >= 14);
 
         let mfv = MostFrequentValuesAggregate::new("word", 3);
         let a = chunked.aggregate(&t, &mfv).unwrap();
-        let b = by_rows.aggregate(&t, &mfv).unwrap();
+        let b = reference::aggregate(&dataset, &mfv).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         // 300 rows over 23 words: w0 appears 14 times, the rest 13.
@@ -435,9 +435,9 @@ mod tests {
         let err_chunk = Executor::new()
             .aggregate(&t, &FmDistinctAggregate::new("score"))
             .unwrap_err();
-        let err_rows = Executor::row_at_a_time()
-            .aggregate(&t, &FmDistinctAggregate::new("score"))
-            .unwrap_err();
+        let dataset = Dataset::from_table(&t);
+        let err_rows =
+            reference::aggregate(&dataset, &FmDistinctAggregate::new("score")).unwrap_err();
         assert_eq!(err_chunk, err_rows);
     }
 }

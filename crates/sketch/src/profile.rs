@@ -552,7 +552,7 @@ fn refresh_profile_view(session: &Session, name: &str) -> madlib_core::Result<Ta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madlib_engine::{row, Column, ColumnType, Row, Schema};
+    use madlib_engine::{reference, row, Column, ColumnType, Row, Schema};
 
     fn mixed_table() -> Table {
         let schema = Schema::new(vec![
@@ -640,7 +640,9 @@ mod tests {
     fn chunked_and_row_profiles_agree_on_exact_fields() {
         let t = mixed_table();
         let chunked = profile_table(&Executor::new(), &t).unwrap();
-        let by_rows = profile_table(&Executor::row_at_a_time(), &t).unwrap();
+        let by_rows =
+            reference::aggregate(&Dataset::from_table(&t), &ProfileAggregate::new(t.schema()))
+                .unwrap();
         assert_eq!(chunked.row_count, by_rows.row_count);
         for (a, b) in chunked.columns.iter().zip(&by_rows.columns) {
             match (a, b) {

@@ -1,20 +1,26 @@
-//! Row-path / chunk-path equivalence properties.
+//! Chunk-path ≡ row-reference properties.
 //!
-//! The engine's chunk-at-a-time execution path promises to be *bit-identical*
-//! to the original row-at-a-time path: every `transition_chunk` override must
-//! produce exactly the state the per-row `transition` would, including
-//! floating-point accumulation order.  These property tests enforce that for
-//! the ported hot aggregates — linear regression, the k-means Lloyd step, and
-//! the convex IGD epoch — plus the built-in SQL aggregates, over randomized
-//! data with NULL-bearing rows, ragged partitions, empty segments, and chunk
-//! capacities small enough that every scan crosses several chunk boundaries.
+//! Every scan terminal runs chunk at a time, and every `transition_chunk`
+//! override must produce exactly the state the per-row `transition` would,
+//! floating-point accumulation order included.  The per-row meaning is
+//! `madlib::engine::reference` (each row materialised, filtered and folded
+//! with `transition`); these property tests hold the chunked terminals to it
+//! bit for bit — linear regression, the built-in SQL aggregates, grouped
+//! aggregation on both its gather and radix paths, and the sketch adapters —
+//! over randomized data with NULL-bearing rows, ragged partitions, empty
+//! segments, and chunk capacities small enough that every scan crosses
+//! several chunk boundaries.  Aggregates private to a method crate are held
+//! to their per-row fallback where they live (the IRLS and Lloyd steps in
+//! `madlib-core`); here the IGD objectives are held to theirs chunk by chunk,
+//! and whole iterative fits to the same fit over one-row chunks.
 
+use madlib::convex::objective::sgd_epoch_chunk_by_rows;
 use madlib::convex::objectives::{LeastSquaresObjective, LogisticObjective};
-use madlib::convex::{IgdConfig, IgdRunner, StepSchedule};
+use madlib::convex::ConvexObjective;
 use madlib::engine::aggregate::{Aggregate, AvgAggregate, CountAggregate, SumAggregate};
 use madlib::engine::expr::Predicate;
 use madlib::engine::{
-    row, Column, ColumnType, Database, Dataset, Executor, Row, Schema, Table, Value,
+    reference, row, Column, ColumnType, Database, Dataset, Executor, Row, Schema, Table, Value,
 };
 use madlib::linalg::array_ops::closest_column;
 use madlib::methods::cluster::seeding::seed_centroids;
@@ -25,20 +31,31 @@ use madlib::methods::{Estimator, Session};
 use madlib::sketch::{FmDistinctAggregate, MostFrequentValuesAggregate, SummaryAggregate};
 use proptest::prelude::*;
 
-/// The two execution paths under comparison.
-fn executors() -> (Executor, Executor) {
-    (Executor::new(), Executor::row_at_a_time())
-}
-
 /// A throwaway training session (single-pass estimators never touch its
 /// database).
 fn session() -> Session {
     Session::new(Database::new(1).unwrap())
 }
 
-/// Builds the dataset for one execution path.
+/// Builds the dataset for one executor.
 fn dataset<'a>(table: &'a Table, executor: &Executor) -> Dataset<'a> {
     Dataset::from_table(table).with_executor(*executor)
+}
+
+/// `table`'s rows in the same segments and order, one row per chunk: every
+/// kernel of a scan over it sees a single row, so a fit over it is the fit
+/// whose every step runs the per-row shape of its kernels.
+fn one_row_per_chunk(table: &Table) -> Table {
+    let mut out = Table::new(table.schema().clone(), table.num_segments())
+        .unwrap()
+        .with_chunk_capacity(1)
+        .unwrap();
+    for seg in 0..table.num_segments() {
+        for row in table.segment(seg).iter() {
+            out.insert_into_segment(seg, row).unwrap();
+        }
+    }
+    out
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -147,7 +164,8 @@ fn kept_points_table(
 proptest! {
     /// Linear regression: the flagship Figure 4 aggregate.  The chunked
     /// transition (tiled rank-k XᵀX, batched Xᵀy) must reproduce the per-row
-    /// fit bit for bit, across ragged segment sizes and chunk boundaries.
+    /// reference fit bit for bit, across ragged segment sizes and chunk
+    /// boundaries.
     #[test]
     fn linregr_chunk_path_is_bit_identical(
         points in prop::collection::vec((-10.0..10.0f64, [-5.0..5.0f64, -5.0..5.0f64, -5.0..5.0f64]), 1..120),
@@ -155,9 +173,9 @@ proptest! {
         chunk_capacity in 1usize..40,
     ) {
         let table = labeled_table(&points, None, segments, chunk_capacity);
-        let (chunked, row_based) = executors();
-        let a = LinearRegression::new("y", "x").fit(&dataset(&table, &chunked), &session()).unwrap();
-        let b = LinearRegression::new("y", "x").fit(&dataset(&table, &row_based), &session()).unwrap();
+        let ds = Dataset::from_table(&table);
+        let a = LinearRegression::new("y", "x").fit(&ds, &session()).unwrap();
+        let b = reference::aggregate(&ds, &LinearRegression::new("y", "x")).unwrap();
         prop_assert_eq!(bits(&a.coef), bits(&b.coef));
         prop_assert_eq!(a.r2.to_bits(), b.r2.to_bits());
         prop_assert_eq!(bits(&a.std_err), bits(&b.std_err));
@@ -165,8 +183,8 @@ proptest! {
         prop_assert_eq!(a.num_rows, b.num_rows);
     }
 
-    /// NULL-bearing rows: both paths must reject them with an error (the
-    /// per-row path fails on the first NULL; the chunk path falls back and
+    /// NULL-bearing rows: the fit and the reference must both reject them
+    /// (the reference fails on the first NULL; the chunk path falls back and
     /// reproduces it), and the built-in NULL-skipping aggregates must agree
     /// bit for bit.
     #[test]
@@ -177,34 +195,34 @@ proptest! {
         chunk_capacity in 1usize..20,
     ) {
         let table = labeled_table(&points, Some(null_every), segments, chunk_capacity);
-        let (chunked, row_based) = executors();
+        let ds = Dataset::from_table(&table);
 
-        // Regression input with NULLs errors on both paths.
-        prop_assert!(LinearRegression::new("y", "x").fit(&dataset(&table, &chunked), &session()).is_err());
-        prop_assert!(LinearRegression::new("y", "x").fit(&dataset(&table, &row_based), &session()).is_err());
+        // Regression input with NULLs errors on both.
+        prop_assert!(LinearRegression::new("y", "x").fit(&ds, &session()).is_err());
+        prop_assert!(reference::aggregate(&ds, &LinearRegression::new("y", "x")).is_err());
 
         // SQL aggregates skip NULLs identically.
-        let sum_c = chunked.aggregate(&table, &SumAggregate::new("y")).unwrap();
-        let sum_r = row_based.aggregate(&table, &SumAggregate::new("y")).unwrap();
+        let sum_c = ds.aggregate(&SumAggregate::new("y")).unwrap();
+        let sum_r = reference::aggregate(&ds, &SumAggregate::new("y")).unwrap();
         prop_assert_eq!(sum_c.to_bits(), sum_r.to_bits());
-        let avg_c = chunked.aggregate(&table, &AvgAggregate::new("y")).unwrap();
-        let avg_r = row_based.aggregate(&table, &AvgAggregate::new("y")).unwrap();
+        let avg_c = ds.aggregate(&AvgAggregate::new("y")).unwrap();
+        let avg_r = reference::aggregate(&ds, &AvgAggregate::new("y")).unwrap();
         prop_assert_eq!(avg_c.map(f64::to_bits), avg_r.map(f64::to_bits));
 
         // Chunk-level predicate evaluation agrees with per-row evaluation,
         // NULLs never matching.
         let pred = Predicate::column_gt("y", 0.0).or(Predicate::ColumnIsNull { column: "y".into() });
-        let (_, stats_c) = chunked
-            .aggregate_with_stats(&table, &madlib::engine::aggregate::CountAggregate, Some(&pred))
-            .unwrap();
-        let (_, stats_r) = row_based
-            .aggregate_with_stats(&table, &madlib::engine::aggregate::CountAggregate, Some(&pred))
-            .unwrap();
-        prop_assert_eq!(stats_c.rows_aggregated, stats_r.rows_aggregated);
+        let filtered = ds.filter(pred);
+        let (count, stats) = filtered.aggregate_with_stats(&CountAggregate).unwrap();
+        prop_assert_eq!(count, reference::aggregate(&filtered, &CountAggregate).unwrap());
+        prop_assert_eq!(stats.rows_aggregated, count);
     }
 
-    /// k-means: every Lloyd step's assignment and barycenter accumulation
-    /// must match, so the whole fit (same seeding) is bit-identical.
+    /// k-means: the fit over `chunk_capacity`-row chunks is the fit over the
+    /// same rows held one per chunk, where every seeding, Lloyd and inertia
+    /// kernel sees a single row — so no step's result depends on how many
+    /// rows a kernel batches.  (The Lloyd step's chunk kernel is held to its
+    /// per-row `transition` in `madlib-core`'s `cluster::kmeans` tests.)
     #[test]
     fn kmeans_chunk_path_is_bit_identical(
         points in prop::collection::vec([-20.0..20.0f64, -20.0..20.0f64], 8..100),
@@ -222,22 +240,20 @@ proptest! {
         for (i, p) in points.iter().enumerate() {
             table.insert(row![i as i64, p.to_vec()]).unwrap();
         }
-        let (chunked, row_based) = executors();
         let db = Database::new(segments).unwrap();
-        let fit = |exec: &Executor| {
+        let fit = |table: &Table| {
             Session::new(db.clone())
-                .with_executor(*exec)
                 .train(
                     &KMeans::new("coords", k)
                         .unwrap()
                         .with_seed(seed)
                         .with_max_iterations(15),
-                    &Dataset::from_table(&table),
+                    &Dataset::from_table(table),
                 )
                 .unwrap()
         };
-        let a = fit(&chunked);
-        let b = fit(&row_based);
+        let a = fit(&table);
+        let b = fit(&one_row_per_chunk(&table));
         prop_assert_eq!(a.iterations, b.iterations);
         prop_assert_eq!(a.converged, b.converged);
         for (ca, cb) in a.centroids.iter().zip(&b.centroids) {
@@ -247,14 +263,15 @@ proptest! {
     }
 
     /// k-means, the whole fit against a reference kept here: the fit as it was
-    /// before it ran on chunk scans, rebuilt from public pieces with no
-    /// batched kernel in it — materialize the rows, `seed_centroids` over the
-    /// `Vec` of points, Lloyd's passes row at a time from those seeds, a
-    /// per-row `closest_column` inertia summed in scan order.  The chunked
-    /// fit (parallel distance passes, `nth_row` seed fetches, the tiled
-    /// `batch_closest_column`, the kernel's distance output) must reproduce
-    /// it bit for bit under every executor, with and without a filter that
-    /// empties whole chunks and thins others.
+    /// before it ran on chunk scans, rebuilt from public pieces — materialize
+    /// the rows, `seed_centroids` over the `Vec` of points, Lloyd's passes
+    /// from those seeds (a warm-started fit on the calling thread; the Lloyd
+    /// step's kernel is held to its per-row `transition` in `madlib-core`),
+    /// a per-row `closest_column` inertia summed in scan order.  The chunked
+    /// fit (parallel distance passes, `nth_row` seed fetches, the kernel's
+    /// distance output) must reproduce it bit for bit under both thread
+    /// settings, with and without a filter that empties whole chunks and
+    /// thins others.
     #[test]
     fn kmeans_fit_is_the_materialized_reference(
         points in prop::collection::vec([-20.0..20.0f64, -20.0..20.0f64, -20.0..20.0f64], 8..120),
@@ -285,8 +302,8 @@ proptest! {
                 .with_seed(seed)
                 .with_max_iterations(15);
 
-            let by_rows = bind(Executor::row_at_a_time());
-            let materialized: Vec<Vec<f64>> = by_rows
+            let serial = bind(Executor::serial());
+            let materialized: Vec<Vec<f64>> = serial
                 .collect_rows()
                 .unwrap()
                 .iter()
@@ -297,7 +314,7 @@ proptest! {
             let lloyd = estimator
                 .clone()
                 .with_initial_centroids(seeds)
-                .fit(&by_rows, &Session::new(db.clone()))
+                .fit(&serial, &Session::new(db.clone()))
                 .unwrap();
             let inertia: f64 = materialized
                 .iter()
@@ -306,7 +323,7 @@ proptest! {
                 .iter()
                 .sum();
 
-            for exec in [Executor::new(), Executor::serial(), Executor::row_at_a_time()] {
+            for exec in [Executor::new(), Executor::serial()] {
                 let fitted = estimator.fit(&bind(exec), &Session::new(db.clone())).unwrap();
                 prop_assert_eq!(fitted.centroids.len(), k);
                 for (a, b) in fitted.centroids.iter().zip(&lloyd.centroids) {
@@ -349,56 +366,51 @@ proptest! {
         prop_assert_eq!(ds.first_row().unwrap().as_ref(), expected.first());
     }
 
-    /// The IGD epoch: sequential SGD over chunks must replay the exact
-    /// per-row update sequence for both the vectorized least-squares /
-    /// logistic objectives and (via fallback) any other objective.
+    /// The IGD epoch: each objective's `sgd_epoch_chunk` (the vectorized
+    /// least-squares / logistic updates, or the default fallback) must
+    /// replay `sgd_epoch_chunk_by_rows` — the per-row update sequence —
+    /// chunk after chunk, model bits and row counts, NULL rows included.
     #[test]
     fn igd_chunk_path_is_bit_identical(
         points in prop::collection::vec((-5.0..5.0f64, [-2.0..2.0f64, -2.0..2.0f64, -2.0..2.0f64]), 4..80),
         segments in 1usize..5,
         chunk_capacity in 1usize..25,
-        epochs in 1usize..8,
+        null_every_raw in 0usize..12,
+        step in 0.001..0.1f64,
     ) {
-        let table = labeled_table(&points, None, segments, chunk_capacity);
-        let (chunked, row_based) = executors();
-        let db = Database::new(segments).unwrap();
-        let config = IgdConfig {
-            max_epochs: epochs,
-            tolerance: 1e-12,
-            schedule: StepSchedule::Constant(0.01),
-        };
-
-        let objective = LeastSquaresObjective::new("y", "x", 3);
-        let run = |exec: &Executor| {
-            IgdRunner::new(config.clone())
-                .run(exec, &db, &table, &objective, vec![0.0; 3])
-                .unwrap()
-        };
-        let a = run(&chunked);
-        let b = run(&row_based);
-        prop_assert_eq!(bits(&a.model), bits(&b.model));
-        prop_assert_eq!(a.epochs, b.epochs);
-        prop_assert_eq!(a.objective_value.to_bits(), b.objective_value.to_bits());
-
-        // Logistic objective over ±1-ish labels.
+        let null_every = (null_every_raw >= 2).then_some(null_every_raw);
+        let table = labeled_table(&points, null_every, segments, chunk_capacity);
+        let schema = table.schema();
+        let least_squares = LeastSquaresObjective::new("y", "x", 3);
         let logistic = LogisticObjective::new("y", "x", 3);
-        let la = IgdRunner::new(config.clone())
-            .run(&chunked, &db, &table, &logistic, vec![0.0; 3])
-            .unwrap();
-        let lb = IgdRunner::new(config.clone())
-            .run(&row_based, &db, &table, &logistic, vec![0.0; 3])
-            .unwrap();
-        prop_assert_eq!(bits(&la.model), bits(&lb.model));
+        for objective in [&least_squares as &dyn ConvexObjective, &logistic] {
+            let (mut chunked, mut by_rows) = (vec![0.0; 3], vec![0.0; 3]);
+            let (mut scratch_a, mut scratch_b) = (vec![0.0; 3], vec![0.0; 3]);
+            'scan: for seg in 0..table.num_segments() {
+                for chunk in table.segment(seg).chunks() {
+                    let a =
+                        objective.sgd_epoch_chunk(chunk, schema, &mut chunked, &mut scratch_a, step);
+                    let b = sgd_epoch_chunk_by_rows(
+                        objective, chunk, schema, &mut by_rows, &mut scratch_b, step,
+                    );
+                    prop_assert_eq!(bits(&chunked), bits(&by_rows));
+                    prop_assert_eq!(&a, &b);
+                    if a.is_err() {
+                        break 'scan;
+                    }
+                }
+            }
+        }
     }
 
     /// Grouped aggregation: the segment-parallel chunked grouped scan must be
-    /// bit-identical to the grouped row-at-a-time scan — same groups, same
+    /// bit-identical to the grouped per-row reference — same groups, same
     /// key order, same per-group states — across ragged partitions, chunk
     /// boundaries, NULL group keys, tricky float keys (-0.0 / NaN), group
-    /// counts that exercise both the gather path and the per-row fallback,
-    /// and filtered scans.
+    /// counts that exercise both the gather path and the radix pass, and
+    /// filtered scans.
     #[test]
-    fn grouped_chunked_equals_grouped_row_at_a_time(
+    fn grouped_chunked_equals_grouped_reference(
         points in prop::collection::vec((0usize..12, -10.0..10.0f64, [-5.0..5.0f64, -5.0..5.0f64, -5.0..5.0f64]), 1..150),
         distinct_keys in 1usize..12,
         (segments, chunk_capacity) in (1usize..6, 1usize..40),
@@ -443,23 +455,15 @@ proptest! {
                 .unwrap();
         }
         let filter = filtered.then(|| Predicate::column_gt("y", 0.0));
-        let (chunked, row_based) = executors();
-        let grouped_ds = |exec: &Executor| {
-            let mut ds = dataset(&table, exec).group_by(["grp"]);
-            if let Some(pred) = &filter {
-                ds = ds.filter(pred.clone());
-            }
-            ds
-        };
+        let mut grouped = Dataset::from_table(&table).group_by(["grp"]);
+        if let Some(pred) = &filter {
+            grouped = grouped.filter(pred.clone());
+        }
 
         // count(*) and sum(y) per group: counts are exact, sums must match
         // bit for bit.
-        let count_c = grouped_ds(&chunked)
-            .aggregate_per_group(&CountAggregate)
-            .unwrap();
-        let count_r = grouped_ds(&row_based)
-            .aggregate_per_group(&CountAggregate)
-            .unwrap();
+        let count_c = grouped.aggregate_per_group(&CountAggregate).unwrap();
+        let count_r = reference::aggregate_per_group(&grouped, &CountAggregate).unwrap();
         prop_assert_eq!(count_c.len(), count_r.len());
         for ((ka, ca), (kb, cb)) in count_c.iter().zip(&count_r) {
             prop_assert!(ka == kb, "keys diverge: {:?} vs {:?}", ka, kb);
@@ -473,12 +477,8 @@ proptest! {
         };
         prop_assert_eq!(expected_rows, survivors);
 
-        let sum_c = grouped_ds(&chunked)
-            .aggregate_per_group(&SumAggregate::new("y"))
-            .unwrap();
-        let sum_r = grouped_ds(&row_based)
-            .aggregate_per_group(&SumAggregate::new("y"))
-            .unwrap();
+        let sum_c = grouped.aggregate_per_group(&SumAggregate::new("y")).unwrap();
+        let sum_r = reference::aggregate_per_group(&grouped, &SumAggregate::new("y")).unwrap();
         prop_assert_eq!(sum_c.len(), sum_r.len());
         for ((ka, va), (kb, vb)) in sum_c.iter().zip(&sum_r) {
             prop_assert!(ka == kb, "keys diverge: {:?} vs {:?}", ka, kb);
@@ -490,8 +490,8 @@ proptest! {
         // bit-identical.
         if null_every.is_none() {
             let scan = LinregrStateProbe(LinearRegression::new("y", "x"));
-            let lin_c = grouped_ds(&chunked).aggregate_per_group(&scan).unwrap();
-            let lin_r = grouped_ds(&row_based).aggregate_per_group(&scan).unwrap();
+            let lin_c = grouped.aggregate_per_group(&scan).unwrap();
+            let lin_r = reference::aggregate_per_group(&grouped, &scan).unwrap();
             prop_assert_eq!(lin_c.len(), lin_r.len());
             for ((ka, sa), (kb, sb)) in lin_c.iter().zip(&lin_r) {
                 prop_assert!(ka == kb, "keys diverge: {:?} vs {:?}", ka, kb);
@@ -504,7 +504,7 @@ proptest! {
     /// any chunk holds rows, so the chunked path runs its radix partition
     /// pass (bucket staging across chunks + batched per-group flushes)
     /// instead of direct per-chunk gathers.  The partitioned scan must stay
-    /// bit-identical to `ExecutionMode::RowAtATime`: same groups, same key
+    /// bit-identical to the per-row reference: same groups, same key
     /// order, same per-group state bits — across ragged partitions, empty
     /// segments, filtered scans, and strides that scatter a group's rows
     /// over many chunks.
@@ -542,24 +542,16 @@ proptest! {
                 .unwrap();
         }
         let filter = filtered.then(|| Predicate::column_gt("y", 0.0));
-        let (chunked, row_based) = executors();
-        let grouped_ds = |exec: &Executor| {
-            let mut ds = dataset(&table, exec).group_by(["grp"]);
-            if let Some(pred) = &filter {
-                ds = ds.filter(pred.clone());
-            }
-            ds
-        };
+        let mut grouped = Dataset::from_table(&table).group_by(["grp"]);
+        if let Some(pred) = &filter {
+            grouped = grouped.filter(pred.clone());
+        }
 
-        let count_c = grouped_ds(&chunked).aggregate_per_group(&CountAggregate).unwrap();
-        let count_r = grouped_ds(&row_based).aggregate_per_group(&CountAggregate).unwrap();
+        let count_c = grouped.aggregate_per_group(&CountAggregate).unwrap();
+        let count_r = reference::aggregate_per_group(&grouped, &CountAggregate).unwrap();
         prop_assert_eq!(&count_c, &count_r);
-        let sum_c = grouped_ds(&chunked)
-            .aggregate_per_group(&SumAggregate::new("y"))
-            .unwrap();
-        let sum_r = grouped_ds(&row_based)
-            .aggregate_per_group(&SumAggregate::new("y"))
-            .unwrap();
+        let sum_c = grouped.aggregate_per_group(&SumAggregate::new("y")).unwrap();
+        let sum_r = reference::aggregate_per_group(&grouped, &SumAggregate::new("y")).unwrap();
         prop_assert_eq!(sum_c.len(), sum_r.len());
         for ((ka, va), (kb, vb)) in sum_c.iter().zip(&sum_r) {
             prop_assert!(ka == kb, "keys diverge: {:?} vs {:?}", ka, kb);
@@ -569,8 +561,8 @@ proptest! {
         // The linregr transition state — the accumulation the radix pass
         // batches through the tiled kernels — must match bit for bit.
         let scan = LinregrStateProbe(LinearRegression::new("y", "x"));
-        let lin_c = grouped_ds(&chunked).aggregate_per_group(&scan).unwrap();
-        let lin_r = grouped_ds(&row_based).aggregate_per_group(&scan).unwrap();
+        let lin_c = grouped.aggregate_per_group(&scan).unwrap();
+        let lin_r = reference::aggregate_per_group(&grouped, &scan).unwrap();
         prop_assert_eq!(lin_c.len(), lin_r.len());
         for ((ka, sa), (kb, sb)) in lin_c.iter().zip(&lin_r) {
             prop_assert!(ka == kb, "keys diverge: {:?} vs {:?}", ka, kb);
@@ -579,7 +571,7 @@ proptest! {
     }
 
     /// Sketch adapters: the chunked text-column fast paths must produce
-    /// exactly the states the per-row transitions produce, including under
+    /// exactly the states the per-row reference produces, including under
     /// filters and NULLs.
     #[test]
     fn sketch_adapters_chunked_equals_per_row(
@@ -605,30 +597,24 @@ proptest! {
                 table.insert(row![format!("w{w}"), i as f64]).unwrap();
             }
         }
-        let filter = filtered.then(|| Predicate::column_lt("score", words.len() as f64 / 2.0));
-        let (chunked, row_based) = executors();
-
-        let filtered_ds = |exec: &Executor| {
-            let mut ds = dataset(&table, exec);
-            if let Some(pred) = &filter {
-                ds = ds.filter(pred.clone());
-            }
-            ds
-        };
+        let mut ds = Dataset::from_table(&table);
+        if filtered {
+            ds = ds.filter(Predicate::column_lt("score", words.len() as f64 / 2.0));
+        }
 
         let fm = FmDistinctAggregate::new("word");
-        let a = filtered_ds(&chunked).aggregate(&fm).unwrap();
-        let b = filtered_ds(&row_based).aggregate(&fm).unwrap();
+        let a = ds.aggregate(&fm).unwrap();
+        let b = reference::aggregate(&ds, &fm).unwrap();
         prop_assert_eq!(a.to_bits(), b.to_bits());
 
         let mfv = MostFrequentValuesAggregate::new("word", 50);
-        let a = filtered_ds(&chunked).aggregate(&mfv).unwrap();
-        let b = filtered_ds(&row_based).aggregate(&mfv).unwrap();
+        let a = ds.aggregate(&mfv).unwrap();
+        let b = reference::aggregate(&ds, &mfv).unwrap();
         prop_assert_eq!(a, b);
 
         let summary = SummaryAggregate::new("score");
-        let a = filtered_ds(&chunked).aggregate(&summary).unwrap();
-        let b = filtered_ds(&row_based).aggregate(&summary).unwrap();
+        let a = ds.aggregate(&summary).unwrap();
+        let b = reference::aggregate(&ds, &summary).unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -680,30 +666,21 @@ proptest! {
                 row_idx += 1;
             }
         }
-        let filter = filtered.then(|| Predicate::column_gt("y", 0.0));
-        let (chunked, row_based) = executors();
-        let grouped_ds = |exec: &Executor| {
-            let mut ds = dataset(&table, exec).group_by(["grp"]);
-            if let Some(pred) = &filter {
-                ds = ds.filter(pred.clone());
-            }
-            ds
-        };
+        let mut grouped = Dataset::from_table(&table).group_by(["grp"]);
+        if filtered {
+            grouped = grouped.filter(Predicate::column_gt("y", 0.0));
+        }
 
         let scan = LinregrStateProbe(LinearRegression::new("y", "x"));
-        let lin_c = grouped_ds(&chunked).aggregate_per_group(&scan).unwrap();
-        let lin_r = grouped_ds(&row_based).aggregate_per_group(&scan).unwrap();
+        let lin_c = grouped.aggregate_per_group(&scan).unwrap();
+        let lin_r = reference::aggregate_per_group(&grouped, &scan).unwrap();
         prop_assert_eq!(lin_c.len(), lin_r.len());
         for ((ka, sa), (kb, sb)) in lin_c.iter().zip(&lin_r) {
             prop_assert!(ka == kb, "keys diverge: {:?} vs {:?}", ka, kb);
             prop_assert_eq!(sa, sb);
         }
-        let sum_c = grouped_ds(&chunked)
-            .aggregate_per_group(&SumAggregate::new("y"))
-            .unwrap();
-        let sum_r = grouped_ds(&row_based)
-            .aggregate_per_group(&SumAggregate::new("y"))
-            .unwrap();
+        let sum_c = grouped.aggregate_per_group(&SumAggregate::new("y")).unwrap();
+        let sum_r = reference::aggregate_per_group(&grouped, &SumAggregate::new("y")).unwrap();
         prop_assert_eq!(sum_c.len(), sum_r.len());
         for ((ka, va), (kb, vb)) in sum_c.iter().zip(&sum_r) {
             prop_assert!(ka == kb, "keys diverge: {:?} vs {:?}", ka, kb);
@@ -712,7 +689,7 @@ proptest! {
     }
 
     /// Empty segments (more segments than rows, including entirely empty
-    /// tables) must behave identically on both paths.
+    /// tables) must behave identically in the scan and the reference.
     #[test]
     fn empty_segments_behave_identically(
         rows in 0usize..4,
@@ -721,14 +698,14 @@ proptest! {
         let points: Vec<(f64, [f64; 3])> =
             (0..rows).map(|i| (i as f64, [1.0, i as f64, 0.5])).collect();
         let table = labeled_table(&points, None, segments, 8);
-        let (chunked, row_based) = executors();
+        let ds = Dataset::from_table(&table);
 
-        let sum_c = chunked.aggregate(&table, &SumAggregate::new("y")).unwrap();
-        let sum_r = row_based.aggregate(&table, &SumAggregate::new("y")).unwrap();
+        let sum_c = ds.aggregate(&SumAggregate::new("y")).unwrap();
+        let sum_r = reference::aggregate(&ds, &SumAggregate::new("y")).unwrap();
         prop_assert_eq!(sum_c.to_bits(), sum_r.to_bits());
 
-        let lin_c = LinearRegression::new("y", "x").fit(&dataset(&table, &chunked), &session());
-        let lin_r = LinearRegression::new("y", "x").fit(&dataset(&table, &row_based), &session());
+        let lin_c = LinearRegression::new("y", "x").fit(&ds, &session());
+        let lin_r = reference::aggregate(&ds, &LinearRegression::new("y", "x"));
         match (lin_c, lin_r) {
             (Ok(a), Ok(b)) => prop_assert_eq!(bits(&a.coef), bits(&b.coef)),
             (Err(_), Err(_)) => {} // empty input errors on both paths
@@ -739,19 +716,19 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // PR 5 ports: the Apriori support-counting aggregates gained transition_chunk
-// overrides over the flattened text[] buffers, and low-rank factorization /
-// LDA load their inputs through chunk-level column access with a per-row
-// fallback.  Chunked and row-at-a-time execution must stay bit-identical —
-// including on NULL-bearing and empty-segment inputs — and the fallback
-// loading paths must agree with the fast paths.
+// overrides over the flattened text[] buffers (held to their per-row
+// fallback in `madlib-core`'s `assoc::apriori` tests), and low-rank
+// factorization / LDA load their inputs through chunk-level column access
+// with a per-row fallback.  Chunk layout and segment count must not change
+// a mined model — including on NULL-bearing and empty-segment inputs — and
+// the fallback loading paths must agree with the fast paths.
 // ---------------------------------------------------------------------------
 
 proptest! {
     /// Apriori's two UDAs (level-1 item counts and level-k candidate
-    /// supports) run their chunk kernels under the chunked executor and the
-    /// per-row transition under row-at-a-time; the mined models must be
-    /// identical — itemsets, counts, rules — and NULL-bearing item rows must
-    /// error on both paths.
+    /// supports) mine the same model — itemsets, counts, rules — from chunks
+    /// of `chunk_capacity` rows as from one-row chunks, and NULL-bearing item
+    /// rows error on both.
     #[test]
     fn apriori_chunk_path_is_bit_identical(
         baskets in prop::collection::vec(prop::collection::vec(0usize..8, 0..6), 0..50),
@@ -779,20 +756,19 @@ proptest! {
             table.insert(Row::new(vec![Value::Int(i as i64), items])).unwrap();
         }
 
-        let (chunked, row_based) = executors();
         let apriori = Apriori::new("items", 0.25, 0.5).unwrap().with_max_itemset_size(3);
-        let a = apriori.fit(&dataset(&table, &chunked), &session());
-        let b = apriori.fit(&dataset(&table, &row_based), &session());
+        let a = apriori.fit(&Dataset::from_table(&table), &session());
+        let b = apriori.fit(&Dataset::from_table(&one_row_per_chunk(&table)), &session());
         match (a, b) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            // NULL-bearing items and empty inputs error on both paths.
+            // NULL-bearing items and empty inputs error under both layouts.
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "paths disagree: {:?} vs {:?}", a.is_ok(), b.is_ok()),
         }
     }
 
     /// Apriori over mostly-empty tables: more segments than rows (empty
-    /// segments on every scan) must not perturb the counts on either path.
+    /// segments on every scan) mine what the same rows in one segment do.
     #[test]
     fn apriori_empty_segments_behave_identically(
         rows in 0usize..4,
@@ -813,13 +789,12 @@ proptest! {
                 ]))
                 .unwrap();
         }
-        let (chunked, row_based) = executors();
         let apriori = Apriori::new("items", 0.4, 0.5).unwrap();
-        let a = apriori.fit(&dataset(&table, &chunked), &session());
-        let b = apriori.fit(&dataset(&table, &row_based), &session());
+        let a = apriori.fit(&Dataset::from_table(&table), &session());
+        let b = apriori.fit(&Dataset::from_table(&table.repartition(1).unwrap()), &session());
         match (a, b) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            (Err(_), Err(_)) => {} // the zero-row case errors on both paths
+            (Err(_), Err(_)) => {} // the zero-row case errors under both layouts
             (a, b) => prop_assert!(false, "paths disagree: {:?} vs {:?}", a.is_ok(), b.is_ok()),
         }
     }
@@ -828,7 +803,7 @@ proptest! {
 /// The low-rank triple loader's chunk fast path (contiguous bigint/bigint/
 /// double buffers) and its per-row fallback (taken e.g. when the rating
 /// column stores integers) must produce the same triples — and hence, with a
-/// fixed seed, the same model.  NULL-bearing id rows error on both executors.
+/// fixed seed, the same model.  NULL-bearing id rows are a typed error.
 #[test]
 fn lowrank_loading_paths_agree() {
     use madlib::methods::factor::LowRankFactorization;
@@ -869,7 +844,7 @@ fn lowrank_loading_paths_agree() {
         .unwrap();
     assert_eq!(a, b, "fast-path and fallback loading diverged");
 
-    // NULL ids are a typed error on both executors, not a panic.
+    // NULL ids are a typed error, not a panic.
     let mut nulls = Table::new(double_schema, 2).unwrap();
     nulls
         .insert(Row::new(vec![
@@ -878,18 +853,14 @@ fn lowrank_loading_paths_agree() {
             Value::Double(1.0),
         ]))
         .unwrap();
-    let (chunked, row_based) = executors();
     assert!(estimator
-        .fit(&dataset(&nulls, &chunked), &session())
-        .is_err());
-    assert!(estimator
-        .fit(&dataset(&nulls, &row_based), &session())
+        .fit(&Dataset::from_table(&nulls), &session())
         .is_err());
 }
 
-/// LDA's corpus loader: NULL-bearing token rows are a typed error on both
-/// executors, and chunk-boundary layout (tiny chunk capacity) does not change
-/// the fitted model.
+/// LDA's corpus loader: NULL-bearing token rows are a typed error, and
+/// chunk-boundary layout (tiny chunk capacity) does not change the fitted
+/// model.
 #[test]
 fn lda_loading_is_layout_invariant_and_rejects_nulls() {
     use madlib::methods::topic::Lda;
@@ -925,12 +896,8 @@ fn lda_loading_is_layout_invariant_and_rejects_nulls() {
     nulls
         .insert(Row::new(vec![Value::Int(0), Value::Null]))
         .unwrap();
-    let (chunked, row_based) = executors();
     assert!(estimator
-        .fit(&dataset(&nulls, &chunked), &session())
-        .is_err());
-    assert!(estimator
-        .fit(&dataset(&nulls, &row_based), &session())
+        .fit(&Dataset::from_table(&nulls), &session())
         .is_err());
 }
 
@@ -946,8 +913,9 @@ fn lda_loading_is_layout_invariant_and_rejects_nulls() {
 //   on arbitrary floating-point data.
 // * Relative to whole-segment scanning, only the merge step reassociates
 //   additions, so on exact-arithmetic data (integer-valued doubles small
-//   enough to round-trip) chunk-range results equal segment-granular and
-//   row-at-a-time results exactly, with the same group key order.
+//   enough to round-trip) chunk-range results equal segment-granular
+//   results and the per-row reference exactly, with the same group key
+//   order.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -1018,11 +986,9 @@ proptest! {
     }
 
     /// On exact-arithmetic data, chunk-range stealing equals segment-granular
-    /// stealing *and* the row-at-a-time scan exactly — values, group keys and
+    /// stealing *and* the per-row reference exactly — values, group keys and
     /// key order — because only the merge step's reassociation could ever
-    /// differ, and integer-valued doubles make it exact.  Also pins the
-    /// row-at-a-time + chunk-range combination, which must quietly degrade to
-    /// segment granularity rather than split a per-row scan.
+    /// differ, and integer-valued doubles make it exact.
     #[test]
     fn chunk_range_equals_segment_on_exact_data(
         num_rows in 0usize..200,
@@ -1052,12 +1018,7 @@ proptest! {
                 .unwrap();
         }
         let filter = filtered.then(|| Predicate::column_gt("y", 0.0));
-        let executors = [
-            Executor::new().with_steal_granularity(StealGranularity::ChunkRange),
-            Executor::new(), // segment-granular (default)
-            Executor::row_at_a_time(),
-            Executor::row_at_a_time().with_steal_granularity(StealGranularity::ChunkRange),
-        ];
+        let ranged = Executor::new().with_steal_granularity(StealGranularity::ChunkRange);
         let grouped_ds = |exec: &Executor| {
             let mut ds = dataset(&table, exec).group_by(["grp"]);
             if let Some(pred) = &filter {
@@ -1066,19 +1027,23 @@ proptest! {
             ds
         };
         let scan = LinregrStateProbe(LinearRegression::new("y", "x"));
-        let reference_counts = grouped_ds(&executors[0])
-            .aggregate_per_group(&CountAggregate)
-            .unwrap();
-        let reference_states = grouped_ds(&executors[0]).aggregate_per_group(&scan).unwrap();
-        let reference_sum = executors[0].aggregate(&table, &SumAggregate::new("y")).unwrap();
-        for exec in &executors[1..] {
-            let counts = grouped_ds(exec).aggregate_per_group(&CountAggregate).unwrap();
-            prop_assert_eq!(&counts, &reference_counts);
-            let states = grouped_ds(exec).aggregate_per_group(&scan).unwrap();
-            prop_assert_eq!(&states, &reference_states);
-            let sum = exec.aggregate(&table, &SumAggregate::new("y")).unwrap();
-            prop_assert_eq!(sum.to_bits(), reference_sum.to_bits());
-        }
+        let counts = grouped_ds(&ranged).aggregate_per_group(&CountAggregate).unwrap();
+        let states = grouped_ds(&ranged).aggregate_per_group(&scan).unwrap();
+        let sum = ranged.aggregate(&table, &SumAggregate::new("y")).unwrap();
+
+        // Segment-granular stealing (the default), then the per-row reference.
+        let segment = Executor::new();
+        let grouped = grouped_ds(&segment);
+        prop_assert_eq!(&grouped.aggregate_per_group(&CountAggregate).unwrap(), &counts);
+        prop_assert_eq!(&grouped.aggregate_per_group(&scan).unwrap(), &states);
+        let segment_sum = segment.aggregate(&table, &SumAggregate::new("y")).unwrap();
+        prop_assert_eq!(segment_sum.to_bits(), sum.to_bits());
+
+        prop_assert_eq!(&reference::aggregate_per_group(&grouped, &CountAggregate).unwrap(), &counts);
+        prop_assert_eq!(&reference::aggregate_per_group(&grouped, &scan).unwrap(), &states);
+        let ungrouped = Dataset::from_table(&table);
+        let reference_sum = reference::aggregate(&ungrouped, &SumAggregate::new("y")).unwrap();
+        prop_assert_eq!(reference_sum.to_bits(), sum.to_bits());
     }
 
     /// `map_chunks` always runs at chunk-range granularity; its concatenated
@@ -1129,13 +1094,8 @@ fn every_estimator_rejects_empty_datasets() {
         E: Estimator,
     {
         let table = Table::new(Schema::new(columns), 3).unwrap();
-        for executor in [Executor::new(), Executor::row_at_a_time()] {
-            let result = estimator.fit(
-                &Dataset::from_table(&table).with_executor(executor),
-                &session(),
-            );
-            assert!(result.is_err(), "{name} accepted an empty dataset");
-        }
+        let result = estimator.fit(&Dataset::from_table(&table), &session());
+        assert!(result.is_err(), "{name} accepted an empty dataset");
     }
 
     let labeled = || {

@@ -6,7 +6,7 @@
 //! recovered database are bit-for-bit the models trained before the crash,
 //! incremental views re-registered after recovery refresh to the same bits,
 //! and appending *after* recovery continues exactly as if the crash never
-//! happened — under both execution modes.
+//! happened.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,14 +44,6 @@ impl Drop for ScratchDir {
     }
 }
 
-fn executor(row_mode: bool) -> Executor {
-    if row_mode {
-        Executor::row_at_a_time()
-    } else {
-        Executor::new()
-    }
-}
-
 /// Deterministic labeled points: y = 2 + 3·x₁ − x₂ plus a fixed "noise"
 /// term, so the fitted coefficients are nontrivial but reproducible.
 fn labeled_rows(range: std::ops::Range<i64>) -> Vec<Row> {
@@ -70,8 +62,8 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-fn train_coef_bits(db: &Database, exec: Executor) -> Vec<u64> {
-    let session = Session::new(db.clone()).with_executor(exec);
+fn train_coef_bits(db: &Database) -> Vec<u64> {
+    let session = Session::new(db.clone());
     let dataset = session.database().dataset("points").unwrap();
     let model = session
         .train(&LinearRegression::new("y", "x"), &dataset)
@@ -81,56 +73,54 @@ fn train_coef_bits(db: &Database, exec: Executor) -> Vec<u64> {
 
 /// A model trained over the recovered database is bit-for-bit the model
 /// trained before the crash, and appends after recovery continue exactly
-/// as on a database that never crashed — both execution modes, with and
-/// without a checkpoint in the history.
+/// as on a database that never crashed — with and without a checkpoint in
+/// the history.
 #[test]
 fn recovered_tables_train_bit_identically() {
-    for row_mode in [false, true] {
-        for checkpoint in [false, true] {
-            let scratch = ScratchDir::new("train");
-            // A control database that never goes down.
-            let control = Database::new(2).unwrap();
-            control
-                .create_table_with_chunk_capacity("points", labeled_point_schema(), 8)
-                .unwrap();
-            control.append_rows("points", labeled_rows(0..40)).unwrap();
+    for checkpoint in [false, true] {
+        let scratch = ScratchDir::new("train");
+        // A control database that never goes down.
+        let control = Database::new(2).unwrap();
+        control
+            .create_table_with_chunk_capacity("points", labeled_point_schema(), 8)
+            .unwrap();
+        control.append_rows("points", labeled_rows(0..40)).unwrap();
 
-            let before;
-            {
-                let db = Database::open(scratch.path(), 2).unwrap();
-                db.create_table_with_chunk_capacity("points", labeled_point_schema(), 8)
-                    .unwrap();
-                db.append_rows("points", labeled_rows(0..25)).unwrap();
-                if checkpoint {
-                    db.checkpoint().unwrap();
-                }
-                db.append_rows("points", labeled_rows(25..40)).unwrap();
-                before = train_coef_bits(&db, executor(row_mode));
-                assert_eq!(
-                    before,
-                    train_coef_bits(&control, executor(row_mode)),
-                    "durable and in-memory databases must agree pre-crash"
-                );
-                // Crash: the database is dropped with a dirty WAL tail.
+        let before;
+        {
+            let db = Database::open(scratch.path(), 2).unwrap();
+            db.create_table_with_chunk_capacity("points", labeled_point_schema(), 8)
+                .unwrap();
+            db.append_rows("points", labeled_rows(0..25)).unwrap();
+            if checkpoint {
+                db.checkpoint().unwrap();
             }
-            let recovered = Database::recover(scratch.path()).unwrap();
+            db.append_rows("points", labeled_rows(25..40)).unwrap();
+            before = train_coef_bits(&db);
             assert_eq!(
-                train_coef_bits(&recovered, executor(row_mode)),
                 before,
-                "row_mode={row_mode} checkpoint={checkpoint}: retrain after recovery diverged"
+                train_coef_bits(&control),
+                "durable and in-memory databases must agree pre-crash"
             );
-
-            // Life goes on: appends after recovery match the control.
-            recovered
-                .append_rows("points", labeled_rows(40..60))
-                .unwrap();
-            control.append_rows("points", labeled_rows(40..60)).unwrap();
-            assert_eq!(
-                train_coef_bits(&recovered, executor(row_mode)),
-                train_coef_bits(&control, executor(row_mode)),
-                "row_mode={row_mode} checkpoint={checkpoint}: post-recovery appends diverged"
-            );
+            // Crash: the database is dropped with a dirty WAL tail.
         }
+        let recovered = Database::recover(scratch.path()).unwrap();
+        assert_eq!(
+            train_coef_bits(&recovered),
+            before,
+            "checkpoint={checkpoint}: retrain after recovery diverged"
+        );
+
+        // Life goes on: appends after recovery match the control.
+        recovered
+            .append_rows("points", labeled_rows(40..60))
+            .unwrap();
+        control.append_rows("points", labeled_rows(40..60)).unwrap();
+        assert_eq!(
+            train_coef_bits(&recovered),
+            train_coef_bits(&control),
+            "checkpoint={checkpoint}: post-recovery appends diverged"
+        );
     }
 }
 
@@ -140,53 +130,47 @@ fn recovered_tables_train_bit_identically() {
 /// with a never-crashed control.
 #[test]
 fn incremental_models_resume_bit_identically_after_recovery() {
-    for row_mode in [false, true] {
-        let scratch = ScratchDir::new("incr");
-        let refreshed_bits;
-        {
-            let db = Database::open(scratch.path(), 2).unwrap();
-            db.create_table_with_chunk_capacity("points", labeled_point_schema(), 8)
-                .unwrap();
-            db.append_rows("points", labeled_rows(0..20)).unwrap();
-            let session = Session::new(db.clone()).with_executor(executor(row_mode));
-            let est = LinearRegression::new("y", "x");
-            session.train_incremental(&est, "points", "lin").unwrap();
-            db.append_rows("points", labeled_rows(20..32)).unwrap();
-            let refreshed = session.refresh(&est, "points", "lin").unwrap();
-            refreshed_bits = bits(&refreshed.coef);
-        }
-        let recovered = Database::recover(scratch.path()).unwrap();
-        // Views and cataloged models are rebuilt from the recovered tables:
-        // a fresh incremental train must land on the same bits the refresh
-        // reached before the crash (the single-pass bit-identity contract).
-        let session = Session::new(recovered.clone()).with_executor(executor(row_mode));
+    let scratch = ScratchDir::new("incr");
+    let refreshed_bits;
+    {
+        let db = Database::open(scratch.path(), 2).unwrap();
+        db.create_table_with_chunk_capacity("points", labeled_point_schema(), 8)
+            .unwrap();
+        db.append_rows("points", labeled_rows(0..20)).unwrap();
+        let session = Session::new(db.clone());
         let est = LinearRegression::new("y", "x");
-        let retrained = session.train_incremental(&est, "points", "lin").unwrap();
-        assert_eq!(bits(&retrained.coef), refreshed_bits, "row_mode={row_mode}");
-
-        // And refreshes keep working across the recovery boundary.
-        let control = Database::new(2).unwrap();
-        control
-            .create_table_with_chunk_capacity("points", labeled_point_schema(), 8)
-            .unwrap();
-        control.append_rows("points", labeled_rows(0..44)).unwrap();
-        recovered
-            .append_rows("points", labeled_rows(32..44))
-            .unwrap();
+        session.train_incremental(&est, "points", "lin").unwrap();
+        db.append_rows("points", labeled_rows(20..32)).unwrap();
         let refreshed = session.refresh(&est, "points", "lin").unwrap();
-        let control_session = Session::new(control).with_executor(executor(row_mode));
-        let full = control_session
-            .train(
-                &LinearRegression::new("y", "x"),
-                &control_session.database().dataset("points").unwrap(),
-            )
-            .unwrap();
-        assert_eq!(
-            bits(&refreshed.coef),
-            bits(&full.coef),
-            "row_mode={row_mode}"
-        );
+        refreshed_bits = bits(&refreshed.coef);
     }
+    let recovered = Database::recover(scratch.path()).unwrap();
+    // Views and cataloged models are rebuilt from the recovered tables:
+    // a fresh incremental train must land on the same bits the refresh
+    // reached before the crash (the single-pass bit-identity contract).
+    let session = Session::new(recovered.clone());
+    let est = LinearRegression::new("y", "x");
+    let retrained = session.train_incremental(&est, "points", "lin").unwrap();
+    assert_eq!(bits(&retrained.coef), refreshed_bits);
+
+    // And refreshes keep working across the recovery boundary.
+    let control = Database::new(2).unwrap();
+    control
+        .create_table_with_chunk_capacity("points", labeled_point_schema(), 8)
+        .unwrap();
+    control.append_rows("points", labeled_rows(0..44)).unwrap();
+    recovered
+        .append_rows("points", labeled_rows(32..44))
+        .unwrap();
+    let refreshed = session.refresh(&est, "points", "lin").unwrap();
+    let control_session = Session::new(control);
+    let full = control_session
+        .train(
+            &LinearRegression::new("y", "x"),
+            &control_session.database().dataset("points").unwrap(),
+        )
+        .unwrap();
+    assert_eq!(bits(&refreshed.coef), bits(&full.coef));
 }
 
 /// Raw materialized views re-registered over a recovered database refresh

@@ -7,8 +7,8 @@
 //! **bit-identical** to the naive plan: filter the source dataset down to
 //! each group with a group-key predicate and fit that group alone.  These
 //! property tests enforce the promise over randomized data with NULL group
-//! keys, single-row groups, ragged partitions, tiny chunk capacities, extra
-//! row filters, and both execution modes.
+//! keys, single-row groups, ragged partitions, tiny chunk capacities and
+//! extra row filters.
 
 use madlib::engine::expr::Predicate;
 use madlib::engine::{Column, ColumnType, Dataset, Executor, GroupKey, Row, Schema, Table, Value};
@@ -71,15 +71,13 @@ fn grouped_table(
 fn filter_then_fit_columns<E: Estimator>(
     estimator: &E,
     table: &Table,
-    executor: Executor,
     extra_filter: Option<&Predicate>,
     columns: &[&str],
     key: GroupKey,
     session: &Session,
 ) -> madlib::methods::Result<E::Model> {
-    let mut ds = Dataset::from_table(table)
-        .with_executor(executor)
-        .filter(Predicate::columns_are_key(columns.iter().copied(), key));
+    let mut ds =
+        Dataset::from_table(table).filter(Predicate::columns_are_key(columns.iter().copied(), key));
     if let Some(pred) = extra_filter {
         ds = ds.filter(pred.clone());
     }
@@ -91,20 +89,11 @@ fn filter_then_fit_columns<E: Estimator>(
 fn filter_then_fit<E: Estimator>(
     estimator: &E,
     table: &Table,
-    executor: Executor,
     extra_filter: Option<&Predicate>,
     key: GroupKey,
     session: &Session,
 ) -> madlib::methods::Result<E::Model> {
-    filter_then_fit_columns(
-        estimator,
-        table,
-        executor,
-        extra_filter,
-        &["grp"],
-        key,
-        session,
-    )
+    filter_then_fit_columns(estimator, table, extra_filter, &["grp"], key, session)
 }
 
 /// One key-column value for the composite-key property tests: every flavor
@@ -195,13 +184,11 @@ proptest! {
         (segments, chunk_capacity) in (1usize..5, 1usize..30),
         null_every_raw in 0usize..5,
         filtered in any::<bool>(),
-        row_mode in any::<bool>(),
     ) {
         let null_every = (null_every_raw >= 2).then_some(null_every_raw);
         let table = grouped_table(&points, distinct_keys, null_every, segments, chunk_capacity, false);
-        let executor = if row_mode { Executor::row_at_a_time() } else { Executor::new() };
         let extra = filtered.then(|| Predicate::column_gt("y", 0.0));
-        let session = Session::in_memory(segments).unwrap().with_executor(executor);
+        let session = Session::in_memory(segments).unwrap();
 
         let mut grouped_ds = Dataset::from_table(&table).group_by(["grp"]);
         if let Some(pred) = &extra {
@@ -227,7 +214,7 @@ proptest! {
         let mut total_rows = 0;
         for (key, model) in &grouped {
             let alone = filter_then_fit(
-                &estimator, &table, executor, extra.as_ref(), key.clone(), &session,
+                &estimator, &table, extra.as_ref(), key.clone(), &session,
             )
             .unwrap();
             prop_assert_eq!(bits(&model.coef), bits(&alone.coef));
@@ -250,12 +237,10 @@ proptest! {
         distinct_keys in 1usize..4,
         (segments, chunk_capacity) in (1usize..4, 1usize..20),
         null_every_raw in 0usize..4,
-        row_mode in any::<bool>(),
     ) {
         let null_every = (null_every_raw >= 2).then_some(null_every_raw);
         let table = grouped_table(&points, distinct_keys, null_every, segments, chunk_capacity, true);
-        let executor = if row_mode { Executor::row_at_a_time() } else { Executor::new() };
-        let session = Session::in_memory(segments).unwrap().with_executor(executor);
+        let session = Session::in_memory(segments).unwrap();
         let estimator = LogisticRegression::new("y", "x").with_max_iterations(5);
 
         let grouped = session
@@ -265,7 +250,7 @@ proptest! {
 
         for (key, model) in &grouped {
             let alone = filter_then_fit(
-                &estimator, &table, executor, None, key.clone(), &session,
+                &estimator, &table, None, key.clone(), &session,
             )
             .unwrap();
             prop_assert_eq!(bits(&model.coef), bits(&alone.coef));
@@ -281,8 +266,8 @@ proptest! {
     /// `group_by(["g0", "g1"(, "g2")])` trains one linear regression per
     /// distinct key *tuple*, bit-identical to filtering the source down to
     /// each composite key and fitting it alone — across per-position key
-    /// flavors mixing NULL, NaN, `-0.0` and int/double/text types, extra row
-    /// filters, and both execution modes.
+    /// flavors mixing NULL, NaN, `-0.0` and int/double/text types, and extra
+    /// row filters.
     #[test]
     fn grouped_composite_linregr_equals_filter_then_fit(
         points in prop::collection::vec(
@@ -292,15 +277,13 @@ proptest! {
         three_cols in any::<bool>(),
         (segments, chunk_capacity) in (1usize..4, 1usize..24),
         filtered in any::<bool>(),
-        row_mode in any::<bool>(),
     ) {
         let num_cols = if three_cols { 3 } else { 2 };
         let (table, columns) =
             composite_table(&points, &flavors, num_cols, segments, chunk_capacity, false);
         let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let executor = if row_mode { Executor::row_at_a_time() } else { Executor::new() };
         let extra = filtered.then(|| Predicate::column_gt("y", 0.0));
-        let session = Session::in_memory(segments).unwrap().with_executor(executor);
+        let session = Session::in_memory(segments).unwrap();
 
         let mut grouped_ds = Dataset::from_table(&table).group_by(columns.clone());
         if let Some(pred) = &extra {
@@ -331,7 +314,7 @@ proptest! {
         for (key, model) in &grouped {
             prop_assert_eq!(key.arity(), num_cols);
             let alone = filter_then_fit_columns(
-                &estimator, &table, executor, extra.as_ref(), &column_refs, key.clone(), &session,
+                &estimator, &table, extra.as_ref(), &column_refs, key.clone(), &session,
             )
             .unwrap();
             prop_assert_eq!(bits(&model.coef), bits(&alone.coef));
@@ -358,13 +341,11 @@ proptest! {
             2..50),
         flavors in [0usize..3, 0usize..3, 0usize..3],
         (segments, chunk_capacity) in (1usize..4, 1usize..16),
-        row_mode in any::<bool>(),
     ) {
         let (table, columns) =
             composite_table(&points, &flavors, 2, segments, chunk_capacity, true);
         let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let executor = if row_mode { Executor::row_at_a_time() } else { Executor::new() };
-        let session = Session::in_memory(segments).unwrap().with_executor(executor);
+        let session = Session::in_memory(segments).unwrap();
         let estimator = LogisticRegression::new("y", "x").with_max_iterations(4);
 
         let grouped = session
@@ -374,7 +355,7 @@ proptest! {
 
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, executor, None, &column_refs, key.clone(), &session,
+                &estimator, &table, None, &column_refs, key.clone(), &session,
             )
             .unwrap();
             prop_assert_eq!(bits(&model.coef), bits(&alone.coef));
@@ -428,7 +409,6 @@ fn single_row_groups_train_one_model_per_row() {
         let alone = filter_then_fit(
             &LinearRegression::new("y", "x"),
             &table,
-            *session.executor(),
             None,
             key.clone(),
             &session,
@@ -455,15 +435,7 @@ fn single_row_groups_train_one_model_per_row() {
     assert_eq!(grouped.len(), 6);
     for (key, model) in &grouped {
         assert_eq!(model.num_rows, 1);
-        let alone = filter_then_fit(
-            &estimator,
-            &labels,
-            *session.executor(),
-            None,
-            key.clone(),
-            &session,
-        )
-        .unwrap();
+        let alone = filter_then_fit(&estimator, &labels, None, key.clone(), &session).unwrap();
         assert_eq!(bits(&model.coef), bits(&alone.coef));
     }
 }
@@ -509,26 +481,21 @@ fn classification_table(segments: usize, chunk_capacity: usize, per_group: usize
 }
 
 /// Runs `estimator` through `Session::train_grouped` over `group_by(["grp"])`
-/// in both execution modes and asserts every per-group model equals the
-/// filter-then-fit model for that key.
+/// and asserts every per-group model equals the filter-then-fit model for
+/// that key.
 fn assert_grouped_matches_filter_then_fit<E>(estimator: &E, table: &Table, expected_groups: usize)
 where
     E: Estimator + Sync,
     E::Model: PartialEq + std::fmt::Debug + Send,
 {
-    for executor in [Executor::new(), Executor::row_at_a_time()] {
-        let session = Session::in_memory(table.num_segments())
-            .unwrap()
-            .with_executor(executor);
-        let grouped = session
-            .train_grouped(estimator, &Dataset::from_table(table).group_by(["grp"]))
-            .unwrap();
-        assert_eq!(grouped.len(), expected_groups);
-        for (key, model) in &grouped {
-            let alone =
-                filter_then_fit(estimator, table, executor, None, key.clone(), &session).unwrap();
-            assert_eq!(*model, alone, "group {key:?} diverged from filter-then-fit");
-        }
+    let session = Session::in_memory(table.num_segments()).unwrap();
+    let grouped = session
+        .train_grouped(estimator, &Dataset::from_table(table).group_by(["grp"]))
+        .unwrap();
+    assert_eq!(grouped.len(), expected_groups);
+    for (key, model) in &grouped {
+        let alone = filter_then_fit(estimator, table, None, key.clone(), &session).unwrap();
+        assert_eq!(*model, alone, "group {key:?} diverged from filter-then-fit");
     }
 }
 
@@ -550,15 +517,7 @@ fn grouped_kmeans_equals_filter_then_fit() {
         .train_grouped(&estimator, &Dataset::from_table(&table).group_by(["grp"]))
         .unwrap();
     for (key, model) in &grouped {
-        let alone = filter_then_fit(
-            &estimator,
-            &table,
-            *session.executor(),
-            None,
-            key.clone(),
-            &session,
-        )
-        .unwrap();
+        let alone = filter_then_fit(&estimator, &table, None, key.clone(), &session).unwrap();
         for (ca, cb) in model.centroids.iter().zip(&alone.centroids) {
             assert_eq!(bits(ca), bits(cb));
         }
@@ -690,7 +649,6 @@ proptest! {
         flavors in [0usize..3, 0usize..3],
         (segments, chunk_capacity) in (1usize..4, 1usize..16),
         filtered in any::<bool>(),
-        row_mode in any::<bool>(),
     ) {
         let keys: Vec<(usize, usize)> = points.iter().map(|(a, b, ..)| (*a, *b)).collect();
         let payloads: Vec<Vec<Value>> = points
@@ -714,9 +672,8 @@ proptest! {
             chunk_capacity,
         );
         let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let executor = if row_mode { Executor::row_at_a_time() } else { Executor::new() };
         let extra = filtered.then(|| Predicate::column_gt("tid", 3.5));
-        let session = Session::in_memory(segments).unwrap().with_executor(executor);
+        let session = Session::in_memory(segments).unwrap();
         let estimator = Apriori::new("items", 0.3, 0.5).unwrap().with_max_itemset_size(3);
 
         let mut grouped_ds = Dataset::from_table(&table).group_by(columns.clone());
@@ -730,7 +687,7 @@ proptest! {
         let mut total_transactions = 0;
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, executor, extra.as_ref(), &column_refs, key.clone(), &session,
+                &estimator, &table, extra.as_ref(), &column_refs, key.clone(), &session,
             )
             .unwrap();
             prop_assert_eq!(model, &alone, "group {:?} diverged", key);
@@ -754,7 +711,6 @@ proptest! {
             (0usize..6, 0usize..6, 0i64..5, 0i64..5, -2.0..2.0f64), 1..50),
         flavors in [0usize..3, 0usize..3],
         (segments, chunk_capacity) in (1usize..4, 1usize..16),
-        row_mode in any::<bool>(),
     ) {
         let keys: Vec<(usize, usize)> = points.iter().map(|(a, b, ..)| (*a, *b)).collect();
         let payloads: Vec<Vec<Value>> = points
@@ -774,8 +730,7 @@ proptest! {
             chunk_capacity,
         );
         let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let executor = if row_mode { Executor::row_at_a_time() } else { Executor::new() };
-        let session = Session::in_memory(segments).unwrap().with_executor(executor);
+        let session = Session::in_memory(segments).unwrap();
         let estimator = LowRankFactorization::new("user_id", "item_id", "rating", 2)
             .unwrap()
             .with_epochs(3)
@@ -787,7 +742,7 @@ proptest! {
         prop_assert!(!grouped.is_empty());
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, executor, None, &column_refs, key.clone(), &session,
+                &estimator, &table, None, &column_refs, key.clone(), &session,
             )
             .unwrap();
             prop_assert_eq!(model, &alone, "group {:?} diverged", key);
@@ -803,7 +758,6 @@ proptest! {
             (0usize..6, 0usize..6, prop::collection::vec(0usize..5, 1..6)), 1..30),
         flavors in [0usize..3, 0usize..3],
         (segments, chunk_capacity) in (1usize..4, 1usize..12),
-        row_mode in any::<bool>(),
     ) {
         let keys: Vec<(usize, usize)> = points.iter().map(|(a, b, _)| (*a, *b)).collect();
         let payloads: Vec<Vec<Value>> = points
@@ -821,8 +775,7 @@ proptest! {
             chunk_capacity,
         );
         let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let executor = if row_mode { Executor::row_at_a_time() } else { Executor::new() };
-        let session = Session::in_memory(segments).unwrap().with_executor(executor);
+        let session = Session::in_memory(segments).unwrap();
         let estimator = Lda::new("tokens", 2).unwrap().with_iterations(5).with_seed(3);
 
         let grouped = session
@@ -831,7 +784,7 @@ proptest! {
         prop_assert!(!grouped.is_empty());
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, executor, None, &column_refs, key.clone(), &session,
+                &estimator, &table, None, &column_refs, key.clone(), &session,
             )
             .unwrap();
             prop_assert_eq!(model, &alone, "group {:?} diverged", key);
@@ -841,14 +794,13 @@ proptest! {
     /// Chain-CRF training (convex SGD epochs with per-segment model
     /// averaging): the gather preserves each sequence's *segment placement*,
     /// so per-group training reproduces filter-then-fit exactly — weights and
-    /// all — in both execution modes.
+    /// all.
     #[test]
     fn grouped_crf_equals_filter_then_fit(
         points in prop::collection::vec(
             (0usize..5, 0usize..5, prop::collection::vec(0usize..2, 0..6)), 1..30),
         flavors in [0usize..3, 0usize..3],
         (segments, chunk_capacity) in (1usize..4, 1usize..12),
-        row_mode in any::<bool>(),
     ) {
         let keys: Vec<(usize, usize)> = points.iter().map(|(a, b, _)| (*a, *b)).collect();
         let payloads: Vec<Vec<Value>> = points
@@ -877,8 +829,7 @@ proptest! {
             chunk_capacity,
         );
         let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let executor = if row_mode { Executor::row_at_a_time() } else { Executor::new() };
-        let session = Session::in_memory(segments).unwrap().with_executor(executor);
+        let session = Session::in_memory(segments).unwrap();
         let estimator = CrfEstimator::new("observations", "labels", 2, 4).with_epochs(3);
 
         let grouped = session
@@ -887,7 +838,7 @@ proptest! {
         prop_assert!(!grouped.is_empty());
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, executor, None, &column_refs, key.clone(), &session,
+                &estimator, &table, None, &column_refs, key.clone(), &session,
             )
             .unwrap();
             prop_assert_eq!(model, &alone, "group {:?} diverged", key);
@@ -926,15 +877,7 @@ fn single_row_groups_for_newly_ported_methods() {
     assert_eq!(grouped.len(), 5);
     for (key, model) in &grouped {
         assert_eq!(model.num_transactions, 1);
-        let alone = filter_then_fit(
-            &apriori,
-            &baskets,
-            *session.executor(),
-            None,
-            key.clone(),
-            &session,
-        )
-        .unwrap();
+        let alone = filter_then_fit(&apriori, &baskets, None, key.clone(), &session).unwrap();
         assert_eq!(*model, alone);
     }
 
@@ -966,15 +909,7 @@ fn single_row_groups_for_newly_ported_methods() {
     assert_eq!(grouped.len(), 4);
     for (key, model) in &grouped {
         assert_eq!(model.num_ratings, 1);
-        let alone = filter_then_fit(
-            &lowrank,
-            &ratings,
-            *session.executor(),
-            None,
-            key.clone(),
-            &session,
-        )
-        .unwrap();
+        let alone = filter_then_fit(&lowrank, &ratings, None, key.clone(), &session).unwrap();
         assert_eq!(*model, alone);
     }
 
@@ -1002,15 +937,7 @@ fn single_row_groups_for_newly_ported_methods() {
     assert_eq!(grouped.len(), 4);
     for (key, model) in &grouped {
         assert_eq!(model.doc_topic.len(), 1);
-        let alone = filter_then_fit(
-            &lda,
-            &corpus,
-            *session.executor(),
-            None,
-            key.clone(),
-            &session,
-        )
-        .unwrap();
+        let alone = filter_then_fit(&lda, &corpus, None, key.clone(), &session).unwrap();
         assert_eq!(*model, alone);
     }
 
@@ -1036,15 +963,7 @@ fn single_row_groups_for_newly_ported_methods() {
         .unwrap();
     assert_eq!(grouped.len(), 4);
     for (key, model) in &grouped {
-        let alone = filter_then_fit(
-            &crf,
-            &sequences,
-            *session.executor(),
-            None,
-            key.clone(),
-            &session,
-        )
-        .unwrap();
+        let alone = filter_then_fit(&crf, &sequences, None, key.clone(), &session).unwrap();
         assert_eq!(*model, alone);
     }
 }
@@ -1068,11 +987,11 @@ impl Estimator for PanicingEstimator {
 /// A panic inside one group's fit must not unwind through the parallel
 /// per-group scheduler: `train_grouped` catches it on the worker and
 /// surfaces it as the typed `WorkerPanicked` engine error, payload message
-/// included, in both execution modes.
+/// included, with parallel workers and on the calling thread alike.
 #[test]
 fn panicking_group_fit_surfaces_typed_worker_panic() {
     let table = classification_table(2, 8, 6);
-    for executor in [Executor::new(), Executor::row_at_a_time()] {
+    for executor in [Executor::new(), Executor::serial()] {
         let session = Session::in_memory(table.num_segments())
             .unwrap()
             .with_executor(executor);

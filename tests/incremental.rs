@@ -10,8 +10,7 @@
 //! rows in any installment pattern (mid-chunk, across chunk boundaries,
 //! across segments) cannot perturb a single bit.  These properties drive
 //! randomized installment schedules, tiny chunk capacities, NULL-bearing
-//! appends, filters, grouped views and both execution modes through that
-//! contract.  For the iterative IRLS solver the refresh warm-starts from the
+//! appends, filters and grouped views through that contract.  For the iterative IRLS solver the refresh warm-starts from the
 //! previous model instead: same optimum within the solver's convergence
 //! tolerance (documented on `with_initial_coefficients`), not bit-identity.
 
@@ -30,15 +29,6 @@ use madlib::methods::Session;
 use madlib::sketch::{ProfileAggregate, Profiler};
 use proptest::prelude::*;
 
-/// The two execution paths under comparison.
-fn executor(row_mode: bool) -> Executor {
-    if row_mode {
-        Executor::row_at_a_time()
-    } else {
-        Executor::new()
-    }
-}
-
 /// A session over a catalog holding `points` as table `"events"`, split so
 /// that `pending` installments remain to be appended after the initial
 /// training pass.  Tiny chunk capacities force every installment pattern to
@@ -49,7 +39,6 @@ fn ingest_session(
     initial: usize,
     segments: usize,
     chunk_capacity: usize,
-    exec: Executor,
 ) -> (Session, Vec<Row>) {
     let mut table = Table::new(schema, segments)
         .unwrap()
@@ -62,7 +51,7 @@ fn ingest_session(
     }
     let db = Database::new(segments).unwrap();
     db.register_table("events", table).unwrap();
-    (Session::new(db).with_executor(exec), pending)
+    (Session::new(db), pending)
 }
 
 fn labeled_rows(points: &[(f64, f64, f64)]) -> Vec<Row> {
@@ -101,8 +90,8 @@ fn installment_sizes(total: usize, cuts: &[usize]) -> Vec<usize> {
 proptest! {
     /// Linear regression: train, then append in randomized installments,
     /// refreshing after each — every refreshed model must be bit-identical
-    /// to retraining from scratch on the grown table, in both execution
-    /// modes.  This is the paper's algebraic transition/merge/final contract
+    /// to retraining from scratch on the grown table.  This is the paper's
+    /// algebraic transition/merge/final contract
     /// applied to ingest: the materialized `XᵀX`/`Xᵀy` states absorb only
     /// the appended rows.
     #[test]
@@ -112,7 +101,6 @@ proptest! {
         cuts in prop::collection::vec(1usize..40, 0..3),
         segments in 1usize..4,
         chunk_capacity in 2usize..9,
-        row_mode in any::<bool>(),
     ) {
         let initial = (points.len() * initial_fraction / 8).max(4);
         let (session, pending) = ingest_session(
@@ -121,7 +109,6 @@ proptest! {
             initial,
             segments,
             chunk_capacity,
-            executor(row_mode),
         );
         let estimator = LinearRegression::new("y", "x");
         session.train_incremental(&estimator, "events", "m").unwrap();
@@ -152,7 +139,6 @@ proptest! {
         cuts in prop::collection::vec(1usize..40, 0..3),
         segments in 1usize..4,
         chunk_capacity in 2usize..9,
-        row_mode in any::<bool>(),
     ) {
         let schema = Schema::new(vec![
             Column::new("label", ColumnType::Text),
@@ -169,7 +155,6 @@ proptest! {
             initial,
             segments,
             chunk_capacity,
-            executor(row_mode),
         );
         let estimator = NaiveBayes::new("label", "x");
         session.train_incremental(&estimator, "events", "nb").unwrap();
@@ -200,7 +185,6 @@ proptest! {
         cuts in prop::collection::vec(1usize..40, 0..3),
         segments in 1usize..4,
         chunk_capacity in 2usize..9,
-        row_mode in any::<bool>(),
     ) {
         let schema = Schema::new(vec![
             Column::new("amount", ColumnType::Double),
@@ -223,7 +207,6 @@ proptest! {
             initial,
             segments,
             chunk_capacity,
-            executor(row_mode),
         );
         session.train_incremental(&Profiler, "events", "profile").unwrap();
 
@@ -245,7 +228,7 @@ proptest! {
     /// not expose: a filter, a grouped view, and NULL-bearing appends.  The
     /// view's `finalize`/`finalize_grouped` must stay bit-identical to
     /// running the equivalent `Dataset` aggregate from scratch after every
-    /// installment, in both execution modes.  (Its high-cardinality input —
+    /// installment.  (Its high-cardinality input —
     /// thousands of composite keys, the radix-staging path — is the
     /// deterministic `high_cardinality_grouped_view_absorbs_bit_identically`
     /// below, which would be too slow to draw 64 times.)
@@ -256,7 +239,6 @@ proptest! {
         cuts in prop::collection::vec(1usize..40, 0..3),
         segments in 1usize..4,
         chunk_capacity in 2usize..7,
-        row_mode in any::<bool>(),
     ) {
         let schema = Schema::new(vec![
             Column::new("v", ColumnType::Double),
@@ -272,7 +254,7 @@ proptest! {
                 }
             })
             .collect();
-        let exec = executor(row_mode);
+        let exec = Executor::new();
         let initial = (points.len() * initial_fraction / 8).max(1);
         let mut table = Table::new(schema, segments)
             .unwrap()
@@ -302,7 +284,6 @@ proptest! {
             grouped.absorb(&table).unwrap();
 
             let sum_scratch = Dataset::from_table(&table)
-                .with_executor(exec)
                 .filter(filter.clone())
                 .aggregate(&SumAggregate::new("v"))
                 .unwrap();
@@ -312,7 +293,6 @@ proptest! {
             );
 
             let avg_scratch = Dataset::from_table(&table)
-                .with_executor(exec)
                 .group_by(["g"])
                 .aggregate_per_group(&AvgAggregate::new("v"))
                 .unwrap();
@@ -362,7 +342,6 @@ proptest! {
             total - append_count,
             segments,
             64,
-            Executor::new(),
         );
         let estimator = LogisticRegression::new("y", "x");
         session.train_incremental(&estimator, "events", "lr").unwrap();

@@ -3,7 +3,9 @@
 
 use madlib::convex::objectives::LogisticObjective;
 use madlib::convex::{ConvexObjective, IgdConfig, IgdRunner, StepSchedule};
-use madlib::engine::{row, Column, ColumnType, Database, Dataset, Executor, Schema, Table};
+use madlib::engine::{
+    reference, row, Column, ColumnType, Database, Dataset, Executor, Schema, Table,
+};
 use madlib::methods::cluster::KMeans;
 use madlib::methods::datasets;
 use madlib::methods::regress::{LinearRegression, LogisticRegression};
@@ -192,9 +194,9 @@ fn profile_runs_on_the_shared_scan_pipeline() {
         other => panic!("expected numeric profile, got {other:?}"),
     }
 
-    // Chunked and row-at-a-time execution agree on every exact field.
+    // The chunked scan and the per-row reference agree on every exact field.
     let chunked = profile_table(&Executor::new(), &table).unwrap();
-    let by_rows = profile_table(&Executor::row_at_a_time(), &table).unwrap();
+    let by_rows = reference::aggregate(&Dataset::from_table(&table), &aggregate).unwrap();
     assert_eq!(chunked.row_count, by_rows.row_count);
     match (&chunked.columns[1], &by_rows.columns[1]) {
         (
