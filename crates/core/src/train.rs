@@ -292,7 +292,15 @@ where
 ///   absorbs only the rows appended past the view's chunk watermark and
 ///   re-finalizes — bit-identical to a full retrain, at O(appended) cost.
 ///   These implement the trait via [`train_incremental_single_pass`] /
-///   [`refresh_single_pass`].
+///   [`refresh_single_pass`].  On a durable database the view's states
+///   persist with each checkpoint when the aggregate has a state codec
+///   (linear regression and naive Bayes do, the profiler does not), and
+///   `train_incremental` after a restart — or the first `refresh`, which
+///   falls back to it — adopts them: it absorbs only the rows the log
+///   replayed past the persisted watermarks instead of rescanning the table,
+///   with the same bits.  The cost of a restart is then O(rows since the
+///   last checkpoint).  [`Database::recovery_report`] says whether the view
+///   was adopted and, if not, why.
 /// * **Iterative** estimators (logistic regression, k-means) warm-start:
 ///   `refresh` re-fits over the whole table but seeds the solver from the
 ///   previous model in the [`Database::models`] catalog, converging in far
@@ -331,7 +339,9 @@ pub fn incremental_view_name(model_name: &str) -> String {
 /// estimators: registers a [`MaterializedAggregate`] view of the estimator's
 /// transition states over `table`, absorbs the table's current rows, and
 /// finalizes + catalogs the model.  Replaces any previous view/model of the
-/// same `name`.
+/// same `name`.  On a recovered database the registration offers the new
+/// view the states the last checkpoint persisted under its name, and the
+/// absorb then catches up only the rows past them.
 ///
 /// # Errors
 /// Propagates table-lookup, absorb and finalize errors.

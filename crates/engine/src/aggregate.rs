@@ -13,6 +13,7 @@
 
 use crate::chunk::{ColumnChunk, RowChunk};
 use crate::error::Result;
+pub use crate::persist::{StateReader, StateWriter};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -107,6 +108,33 @@ pub trait Aggregate: Sync {
         _scratch: &mut FinalizeScratch,
     ) -> Result<Self::Output> {
         self.finalize(state)
+    }
+
+    /// The configuration this aggregate's states depend on, written through
+    /// a [`StateWriter`] — for linear regression its columns and kernel
+    /// generation — or `None` (the default): the states are not persistable.
+    /// A checkpoint persists a materialized view only when its aggregate
+    /// gives a fingerprint, and recovery hands the states back only to a
+    /// view whose aggregate gives the same one ([`crate::materialize`]);
+    /// every other view rebuilds from the table after a restart.
+    fn state_fingerprint(&self) -> Option<Vec<u8>> {
+        None
+    }
+
+    /// Writes `state` so that [`Aggregate::decode_state`] reads it back bit
+    /// for bit.  Called only when [`Aggregate::state_fingerprint`] is
+    /// `Some`; the default writes nothing.
+    fn encode_state(&self, _state: &Self::State, _out: &mut StateWriter) {}
+
+    /// Reads back a state [`Aggregate::encode_state`] wrote.
+    ///
+    /// # Errors
+    /// A typed error for bytes that do not hold a state of this aggregate —
+    /// always, by default, for an aggregate that is not persistable.
+    fn decode_state(&self, _input: &mut StateReader<'_>) -> Result<Self::State> {
+        Err(crate::error::EngineError::invalid(
+            "the aggregate's states are not persistable",
+        ))
     }
 }
 

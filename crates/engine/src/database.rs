@@ -53,15 +53,24 @@
 //! What is durable: table data, schemas, distribution and chunk layout —
 //! recovery ([`Database::open`] / [`Database::recover`]) reproduces them
 //! **bit-identically** to a committed prefix of the operation history, chunk
-//! boundaries and round-robin cursor included.  Models and materialized
-//! views are *derived caches*: they are not persisted and do not survive the
-//! process, but because training and view absorption are deterministic over
-//! bit-identical tables, re-registering and refreshing them after recovery
-//! reproduces their pre-crash state bit-for-bit.  Temp tables are never
-//! logged or persisted.  [`Database::with_table_mut`] is the unlogged escape
-//! hatch — mutations made through it reach disk only at the next
-//! [`Database::checkpoint`] (which, like the views, sees a truncate-and-refill
-//! made there as the new table incarnation it is).
+//! boundaries and round-robin cursor included.  Views persist with the
+//! checkpoint and are adopted after replay; models do not.  A checkpoint
+//! writes the retained states and watermarks of every persistable view
+//! (ungrouped, unfiltered, over a non-temp table, its aggregate with a
+//! state codec — [`crate::materialize`]) into the manifest; recovery holds
+//! them as *pending* entries, and the first [`Database::register_view`] of a
+//! name — which is what `Session::train_incremental` does — is offered the
+//! entry of that name and, when it matches, absorbs only the rows the log
+//! replayed past its watermarks instead of rescanning the table.  Every
+//! other view, and every cataloged model, is a derived cache rebuilt after
+//! recovery — bit-for-bit what it was, because training and view absorption
+//! are deterministic over bit-identical tables.  [`Database::recovery_report`]
+//! says what recovery loaded and what became of each persisted view.  Temp
+//! tables are never logged or persisted.  [`Database::with_table_mut`] is
+//! the unlogged escape hatch — mutations made through it reach disk only at
+//! the next [`Database::checkpoint`] (which, like the views, sees a
+//! truncate-and-refill made there, or a closure that panicked, as the new
+//! table incarnation it is).
 //!
 //! A logged mutation is **data first, applied once**.  Each of the public
 //! mutators above only builds its `WalRecord` ([`Database::append_rows`]
@@ -81,19 +90,20 @@
 use crate::catalog::ModelCatalog;
 use crate::chunk::{RowChunk, CHUNK_CAPACITY};
 use crate::error::{EngineError, Result};
-use crate::materialize::AnyMaterialized;
+use crate::materialize::{AnyMaterialized, RebuildReason, ViewOutcome};
 use crate::persist::{
-    self, Durability, Manifest, ManifestSegment, ManifestTable, PersistState, TablePersist,
-    WalRecord,
+    self, Durability, Manifest, ManifestSegment, ManifestTable, ManifestView, PersistState,
+    TablePersist, WalRecord,
 };
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::table::{Distribution, Table};
 use crate::wal::{self, Wal, WAL_HEADER_LEN};
 use std::collections::hash_map::{Entry, HashMap};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone)]
 struct CatalogEntry {
@@ -106,6 +116,75 @@ struct CatalogEntry {
 struct ViewEntry {
     source: String,
     state: Arc<Mutex<Box<dyn AnyMaterialized>>>,
+}
+
+/// What [`Database::open`] / [`Database::recover`] did to bring a durable
+/// database back, and what became of each view the manifest persisted
+/// ([`Database::recovery_report`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RecoveryReport {
+    /// Epoch of the manifest recovery started from; `None` for a directory
+    /// that had none (a fresh database).
+    pub manifest_epoch: Option<u64>,
+    /// Tables the manifest held.
+    pub tables_loaded: usize,
+    /// Chunks those tables came back with: chunk-file frames plus the
+    /// manifest's inline tails.
+    pub chunks_loaded: usize,
+    /// Chunk files cut back to their last counted frame (a checkpoint had
+    /// crashed after appending to them), with the length each was cut to.
+    pub chunk_file_cuts: Vec<(PathBuf, u64)>,
+    /// Log records replayed over the snapshot.
+    pub wal_frames_replayed: u64,
+    /// Bytes of the log behind its last valid frame — a torn or corrupt
+    /// tail — that recovery cut off.
+    pub wal_bytes_discarded: u64,
+    /// Wall time of reading the manifest and loading the tables.
+    pub load_time: Duration,
+    /// Wall time of replaying the log.
+    pub replay_time: Duration,
+    /// Every view the manifest persisted, sorted by name, with what became
+    /// of it so far: [`RebuildReason::NeverAskedFor`] until a view of its
+    /// name is registered, [`RebuildReason::DamagedFrame`] for a frame
+    /// recovery had to drop.
+    pub views: Vec<(String, ViewOutcome)>,
+}
+
+/// The durable database's recovery record and the persisted views no view
+/// registration has used up yet.
+#[derive(Default)]
+pub(crate) struct Recovered {
+    report: RecoveryReport,
+    /// Persisted views by name, each stamped with the generation its source
+    /// table had when it was loaded (see [`Database::register_view`]).
+    pending: Vec<ManifestView>,
+}
+
+impl Recovered {
+    fn set_outcome(&mut self, view: &str, outcome: ViewOutcome) {
+        if let Some((_, slot)) = self.report.views.iter_mut().find(|(name, _)| name == view) {
+            *slot = outcome;
+        }
+    }
+
+    /// Offers the pending entry of `view`, if any, to `state` — a view of
+    /// `source`, whose current contents are `table` — and records the
+    /// outcome.  The entry is used up either way.
+    fn offer(&mut self, view: &str, source: &str, state: &mut dyn AnyMaterialized, table: &Table) {
+        let Some(at) = self.pending.iter().position(|p| p.name == view) else {
+            return;
+        };
+        let pending = self.pending.swap_remove(at);
+        let outcome = match pending.source == source {
+            true => state.adopt(pending.image, table),
+            false => Err(RebuildReason::Fingerprint),
+        };
+        let outcome = match outcome {
+            Ok(suffix_rows) => ViewOutcome::Adopted { suffix_rows },
+            Err(reason) => ViewOutcome::Rebuilt { reason },
+        };
+        self.set_outcome(view, outcome);
+    }
 }
 
 /// An in-memory database: named tables partitioned across a configurable
@@ -141,6 +220,38 @@ fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 
 fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Locks a registered view.  A panic inside an earlier absorb may have
+/// folded rows into the states without moving the watermark, so a poisoned
+/// view is marked for rebuild — and neither trusted by its next absorb nor
+/// persisted by a checkpoint — and the poison cleared.
+fn lock_view(view: &Mutex<Box<dyn AnyMaterialized>>) -> MutexGuard<'_, Box<dyn AnyMaterialized>> {
+    view.lock().unwrap_or_else(|poisoned| {
+        view.clear_poison();
+        let mut state = poisoned.into_inner();
+        state.mark_needs_rebuild();
+        state
+    })
+}
+
+/// The table [`Database::with_table_mut`] hands its closure, stamped on the
+/// way out — by the drop, so that an unwinding closure is covered too.
+struct Restamp<'a> {
+    table: RwLockWriteGuard<'a, Table>,
+    database: &'a Database,
+}
+
+impl Drop for Restamp<'_> {
+    fn drop(&mut self) {
+        // A truncate (or a wholesale `*table = ...`) inside the closure left
+        // the table unstamped, and a panic may have left it half mutated:
+        // whatever the closure returned, the table now holds a new
+        // incarnation that views and the next checkpoint must see as one.
+        if self.table.generation() == 0 || std::thread::panicking() {
+            self.table.set_generation(self.database.next_generation());
+        }
+    }
 }
 
 impl Database {
@@ -526,6 +637,12 @@ impl Database {
     /// Only the named table's own write lock is held while `mutate` runs —
     /// reads and writes of *other* tables proceed concurrently.
     ///
+    /// A closure that truncates or replaces the table, and one that panics
+    /// (leaving it possibly half mutated), hands it back as a new
+    /// incarnation: views watching it rebuild, and the next checkpoint
+    /// neither trusts the chunks it persisted of it nor persists a view of
+    /// the old one.
+    ///
     /// # Errors
     /// Returns [`EngineError::TableNotFound`] for an unknown name and
     /// propagates errors from the mutation closure.
@@ -535,15 +652,11 @@ impl Database {
         mutate: impl FnOnce(&mut Table) -> Result<T>,
     ) -> Result<T> {
         let entry = self.entry(name)?;
-        let mut guard = write_lock(&entry);
-        let result = mutate(&mut guard);
-        // A truncate (or a wholesale `*table = ...`) inside the closure left
-        // the table unstamped: whatever the closure returned, it now holds a
-        // new incarnation that views and the next checkpoint must see as one.
-        if guard.generation() == 0 {
-            guard.set_generation(self.next_generation());
-        }
-        result
+        let mut guard = Restamp {
+            table: write_lock(&entry),
+            database: self,
+        };
+        mutate(&mut guard.table)
     }
 
     /// Appends rows to the named table and advances every materialized
@@ -639,18 +752,27 @@ impl Database {
     /// already have absorbed (or be about to absorb) the source's current
     /// contents; [`Database::refresh_view`] catches up either way.
     ///
+    /// On a recovered database the first registration of a name the last
+    /// checkpoint persisted a view under uses up that pending entry: it is
+    /// offered to `state` ([`AnyMaterialized::adopt`]), which takes the
+    /// persisted states when they are its own — same source, aggregate
+    /// fingerprint, steal granularity, and a source table that is still the
+    /// incarnation they describe (no truncate, replace or drop replayed
+    /// since) — so that its first absorb catches up only the replayed rows.
+    /// [`Database::recovery_report`] records what happened.
+    ///
     /// # Errors
     /// Returns [`EngineError::TableNotFound`] when `source` does not exist.
     pub fn register_view(
         &self,
         view: &str,
         source: &str,
-        state: Box<dyn AnyMaterialized>,
+        mut state: Box<dyn AnyMaterialized>,
     ) -> Result<()> {
-        if !self.has_table(source) {
-            return Err(EngineError::TableNotFound {
-                name: source.to_owned(),
-            });
+        let table = self.table(source)?;
+        if let Some(d) = &self.durability {
+            let mut recovered = d.recovered.lock().unwrap_or_else(|e| e.into_inner());
+            recovered.offer(view, source, state.as_mut(), &table);
         }
         write_lock(&self.views).insert(
             view.to_owned(),
@@ -694,7 +816,7 @@ impl Database {
             (entry.source.clone(), Arc::clone(&entry.state))
         };
         let snapshot = self.table(&source)?;
-        let mut guard = state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = lock_view(&state);
         guard.absorb(&snapshot)?;
         with(guard.as_mut())
     }
@@ -728,7 +850,7 @@ impl Database {
         };
         let mut failures = Vec::new();
         for (view, state) in watching {
-            let mut guard = state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut guard = lock_view(&state);
             if let Err(e) = guard.absorb(&snapshot) {
                 guard.mark_needs_rebuild();
                 failures.push((view, e.to_string()));
@@ -767,17 +889,23 @@ impl Database {
     /// a fresh directory.
     pub fn open(dir: impl AsRef<Path>, num_segments: usize) -> Result<Self> {
         let dir = dir.as_ref();
+        let started = Instant::now();
         std::fs::create_dir_all(dir)
             .map_err(|e| EngineError::storage("create database directory", e))?;
-        Self::open_from(dir, persist::read_manifest(dir)?, num_segments)
+        Self::open_from(dir, persist::read_manifest(dir)?, num_segments, started)
     }
 
     /// [`Database::open`] behind the manifest read, which
-    /// [`Database::recover`] has already done to know a database exists.
-    /// No file of an existing database is modified until the snapshot has
-    /// loaded and every log record has decoded and applied: a refused
-    /// directory is left exactly as found.
-    fn open_from(dir: &Path, mut manifest: Option<Manifest>, num_segments: usize) -> Result<Self> {
+    /// [`Database::recover`] has already done to know a database exists
+    /// (`started` is when it began).  No file of an existing database is
+    /// modified until the snapshot has loaded and every log record has
+    /// decoded and applied: a refused directory is left exactly as found.
+    fn open_from(
+        dir: &Path,
+        mut manifest: Option<Manifest>,
+        num_segments: usize,
+        started: Instant,
+    ) -> Result<Self> {
         let wal_file = persist::wal_path(dir);
         let log = wal::read_log(&wal_file)?;
 
@@ -790,10 +918,17 @@ impl Database {
         let mut persist_tables = HashMap::new();
         let mut next_file_id = 1;
         let mut cuts = Vec::new();
+        let mut recovered = Recovered::default();
+        let report = &mut recovered.report;
         if let Some(m) = &mut manifest {
             next_file_id = m.next_file_id;
+            report.manifest_epoch = Some(m.epoch);
+            report.tables_loaded = m.tables.len();
             for t in &mut m.tables {
                 let table = persist::load_table(dir, t, &mut cuts)?;
+                report.chunks_loaded += (0..table.num_segments())
+                    .map(|seg| table.segment(seg).chunks().len())
+                    .sum::<usize>();
                 let generation = db.install(&mut db.write(), t.name.clone(), table, false);
                 persist_tables.insert(
                     t.name.clone(),
@@ -804,7 +939,30 @@ impl Database {
                     },
                 );
             }
+            // A persisted view describes its source as this manifest holds
+            // it, so it is stamped with the generation that table was just
+            // installed under.  A replayed truncate, replace or drop of the
+            // table stamps the table anew, and adoption then refuses it.
+            for mut view in std::mem::take(&mut m.views) {
+                let Some(source) = persist_tables.get(&view.source) else {
+                    m.damaged_views.push(view.name);
+                    continue;
+                };
+                view.image.generation = source.generation;
+                let outcome = ViewOutcome::Rebuilt {
+                    reason: RebuildReason::NeverAskedFor,
+                };
+                report.views.push((view.name.clone(), outcome));
+                recovered.pending.push(view);
+            }
+            let damaged = m.damaged_views.drain(..).map(|name| {
+                let reason = RebuildReason::DamagedFrame;
+                (name, ViewOutcome::Rebuilt { reason })
+            });
+            report.views.extend(damaged);
+            report.views.sort_by(|a, b| a.0.cmp(&b.0));
         }
+        report.load_time = started.elapsed();
 
         // Decide the log's epoch and replay offset from the (manifest,
         // WAL-header) epoch pair — see `crate::persist` for why exactly two
@@ -821,6 +979,8 @@ impl Database {
                         num_segments: db_segments as u64,
                         next_file_id: 1,
                         tables: Vec::new(),
+                        views: Vec::new(),
+                        damaged_views: Vec::new(),
                     },
                 )?;
                 (1, WAL_HEADER_LEN)
@@ -851,17 +1011,26 @@ impl Database {
         // Replay the committed tail, frame by frame as it is read, through
         // the function that applied it the first time; durability is not
         // attached yet, so nothing is re-logged.
+        let replay_started = Instant::now();
+        let mut replayed = 0;
         let valid_len = log
             .map(|log| {
-                log.replay(replay_from, |payload| {
+                let log_len = log.len();
+                let valid_len = log.replay(replay_from, |payload| {
+                    replayed += 1;
                     let record = persist::decode_record(payload)?;
                     db.apply(record, None, true).map(|_| ())
-                })
+                })?;
+                recovered.report.wal_bytes_discarded = log_len.saturating_sub(valid_len);
+                Ok::<_, EngineError>(valid_len)
             })
             .transpose()?;
+        recovered.report.wal_frames_replayed = replayed;
+        recovered.report.replay_time = replay_started.elapsed();
         // Every file has been read and every record applied; only now are
         // the frames of a crashed checkpoint and the log's torn tail cut.
         cuts.iter().try_for_each(persist::cut_chunk_file)?;
+        recovered.report.chunk_file_cuts = cuts;
         let wal = match valid_len {
             Some(valid_len) => Wal::resume(&wal_file, epoch, valid_len)?,
             None => Wal::create(&wal_file, epoch)?,
@@ -875,6 +1044,7 @@ impl Database {
                 next_file_id,
                 tables: persist_tables,
             }),
+            recovered: Mutex::new(recovered),
         }));
         Ok(db)
     }
@@ -888,8 +1058,9 @@ impl Database {
     /// everything [`Database::open`] can return otherwise.
     pub fn recover(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref();
+        let started = Instant::now();
         match persist::read_manifest(dir)? {
-            Some(manifest) => Self::open_from(dir, Some(manifest), 1),
+            Some(manifest) => Self::open_from(dir, Some(manifest), 1, started),
             None => Err(EngineError::Storage {
                 message: format!("no database at {}: missing manifest", dir.display()),
             }),
@@ -907,6 +1078,17 @@ impl Database {
     /// last chunk of each segment — even a full one — stays inline in the
     /// manifest, because only a successor proves it immutable and the
     /// snapshot files are strictly append-only.
+    ///
+    /// The manifest also carries every registered view that is safe to
+    /// persist: its source is a non-temp table of this checkpoint, its
+    /// aggregate has a state codec and the view is neither filtered nor
+    /// grouped ([`AnyMaterialized::image`]), and its states describe a prefix
+    /// of the snapshot — the same table incarnation, no watermark past the
+    /// snapshot's rows.  Other views are skipped and rebuild after a
+    /// restart.  A pending entry recovery loaded that no registration has
+    /// asked for yet is carried forward when its source is still the
+    /// incarnation it describes, and dropped otherwise (its view then
+    /// rebuilds, [`RebuildReason::Generation`]).
     ///
     /// # Errors
     /// Returns [`EngineError::Storage`] on a non-durable database or on I/O
@@ -1021,6 +1203,8 @@ impl Database {
                 num_segments: self.num_segments as u64,
                 next_file_id: *next_file_id,
                 tables: manifest_tables,
+                views: self.persistable_views(d, &snapshots),
+                damaged_views: Vec::new(),
             },
         )?;
         for (file_id, num_segs) in obsolete {
@@ -1028,6 +1212,62 @@ impl Database {
         }
         d.wal.reset(epoch + 1)?;
         Ok(written)
+    }
+
+    /// The views a checkpoint over `snapshots` persists, sorted by name:
+    /// every registered view safe to persist (see [`Database::checkpoint`])
+    /// and every pending entry still valid.  Runs under the commit gate, so
+    /// no logged mutation applies between the snapshots and the views; a
+    /// view's absorb only ever reads snapshots taken before, so its
+    /// watermarks lie inside the snapshot unless an unlogged
+    /// [`Database::with_table_mut`] append raced the checkpoint — which
+    /// [`crate::materialize::ViewImage::fits`] catches.
+    fn persistable_views(
+        &self,
+        d: &Durability,
+        snapshots: &[(String, Table)],
+    ) -> Vec<ManifestView> {
+        let tables: HashMap<&str, &Table> =
+            snapshots.iter().map(|(n, t)| (n.as_str(), t)).collect();
+        let mut views: Vec<ManifestView> = read_lock(&self.views)
+            .iter()
+            .filter_map(|(name, entry)| {
+                let table = tables.get(entry.source.as_str())?;
+                let state = lock_view(&entry.state);
+                let image = state.image().filter(|image| image.fits(table))?;
+                Some(ManifestView {
+                    name: name.clone(),
+                    source: entry.source.clone(),
+                    image,
+                })
+            })
+            .collect();
+        let mut recovered = d.recovered.lock().unwrap_or_else(|e| e.into_inner());
+        let (valid, stale): (Vec<_>, Vec<_>) = std::mem::take(&mut recovered.pending)
+            .into_iter()
+            .partition(|view| {
+                let source = tables.get(view.source.as_str());
+                source.is_some_and(|table| view.image.fits(table))
+            });
+        for view in stale {
+            let reason = RebuildReason::Generation;
+            recovered.set_outcome(&view.name, ViewOutcome::Rebuilt { reason });
+        }
+        views.extend(valid.iter().cloned());
+        recovered.pending = valid;
+        views.sort_by(|a, b| a.name.cmp(&b.name));
+        views
+    }
+
+    /// What recovery did to bring this durable database back — manifest
+    /// epoch, tables and chunks loaded, chunk files cut, log frames replayed
+    /// and bytes discarded, time spent loading and replaying — and what has
+    /// become of each view the manifest persisted.  `None` for an in-memory
+    /// database.
+    pub fn recovery_report(&self) -> Option<RecoveryReport> {
+        let d = self.durability.as_ref()?;
+        let recovered = d.recovered.lock().unwrap_or_else(|e| e.into_inner());
+        Some(recovered.report.clone())
     }
 
     /// Whether this database is backed by a durable directory.
@@ -1623,5 +1863,60 @@ mod tests {
         }
         // Refreshing it restarts from scratch and hits the poison row again.
         db.refresh_view("flaky", |_| Ok(())).unwrap_err();
+    }
+
+    /// Counts rows, and panics once: on the first row whose `v` is 13 — a
+    /// bug that strikes in the middle of an absorb.
+    #[derive(Clone)]
+    struct PanicOnce(Arc<std::sync::atomic::AtomicBool>);
+
+    impl Aggregate for PanicOnce {
+        type State = u64;
+        type Output = u64;
+
+        fn initial_state(&self) -> u64 {
+            0
+        }
+
+        fn transition(&self, state: &mut u64, row: &Row, schema: &Schema) -> Result<()> {
+            let thirteen = row.get(schema.index_of("v")?) == &crate::value::Value::Double(13.0);
+            if thirteen && !self.0.swap(true, Ordering::Relaxed) {
+                panic!("a bug in the middle of an absorb");
+            }
+            *state += 1;
+            Ok(())
+        }
+
+        fn merge(&self, left: u64, right: u64) -> u64 {
+            left + right
+        }
+
+        fn finalize(&self, state: u64) -> Result<u64> {
+            Ok(state)
+        }
+    }
+
+    /// A view whose absorb panicked part way has folded rows in without
+    /// moving its watermark: its next refresh must rebuild instead of
+    /// folding them in a second time (it counted 4 rows of 3).
+    #[test]
+    fn a_view_whose_absorb_panicked_rebuilds() {
+        let db = Database::new(1).unwrap();
+        db.create_table("events", schema()).unwrap();
+        let view = MaterializedAggregate::new(PanicOnce(Arc::default()), &Executor::new());
+        db.register_view("n", "events", Box::new(view)).unwrap();
+        db.append_rows("events", [row![1i64, 1.0]]).unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            db.append_rows("events", [row![2i64, 2.0], row![3i64, 13.0]])
+        }));
+        assert!(unwound.is_err());
+        let count = db.refresh_view("n", |state| {
+            state
+                .as_any_mut()
+                .downcast_mut::<MaterializedAggregate<PanicOnce>>()
+                .expect("count view")
+                .finalize()
+        });
+        assert_eq!(count.unwrap(), 3);
     }
 }

@@ -117,15 +117,17 @@ pub mod template;
 pub mod value;
 mod wal;
 
-pub use aggregate::{Aggregate, FinalizeScratch};
+pub use aggregate::{Aggregate, FinalizeScratch, StateReader, StateWriter};
 pub use catalog::ModelCatalog;
 pub use chunk::{RowChunk, SelectionMask};
-pub use database::Database;
+pub use database::{Database, RecoveryReport};
 pub use dataset::Dataset;
 pub use error::{EngineError, Result};
 pub use executor::Executor;
 pub use group::{GroupKey, KeyPart};
-pub use materialize::{AnyMaterialized, MaterializedAggregate};
+pub use materialize::{
+    AnyMaterialized, MaterializedAggregate, RebuildReason, ViewImage, ViewOutcome,
+};
 pub use row::Row;
 pub use scan::{ScanBatch, StealGranularity};
 pub use schema::{Column, ColumnType, Schema};

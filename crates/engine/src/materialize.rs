@@ -52,6 +52,24 @@
 //! the watermark and triggers a from-scratch rebuild; an in-place rewrite
 //! that keeps row counts identical is *not* detectable — drop and recreate
 //! the view around such mutations.
+//!
+//! # Adoption
+//!
+//! A view's retained states are what a restart would otherwise rescan the
+//! table to rebuild, so a durable database persists them:
+//! [`crate::Database::checkpoint`] writes each view's [`ViewImage`] — per
+//! segment the watermark and the unit states encoded through
+//! [`Aggregate::encode_state`] — and recovery offers it back to the first
+//! view registered under the same name ([`AnyMaterialized::adopt`]).  The
+//! view takes the states, the watermarks and the source generation only
+//! when the source table, [`Aggregate::state_fingerprint`], steal
+//! granularity and table incarnation all match and every state decodes;
+//! its next absorb is then the ordinary catch-up over the rows the log
+//! replayed past the watermark.  Otherwise the view stays empty and that
+//! absorb rebuilds it, as it always has.  Adoption seeds nothing else: the
+//! absorb, the catch-up and the fold are the ones a live append runs.  An
+//! aggregate without a state codec (the default), and every filtered or
+//! grouped view, is not persisted and rebuilds after a restart.
 
 use crate::aggregate::Aggregate;
 use crate::chunk::{RowChunk, Segment};
@@ -60,6 +78,7 @@ use crate::executor::Executor;
 use crate::expr::Predicate;
 use crate::fold::{self, GroupScratch, GroupedUnit};
 use crate::group::{self, GroupKey};
+use crate::persist::{StateReader, StateWriter};
 use crate::scan::{self, SegmentScanStats, StealGranularity};
 use crate::table::Table;
 use std::any::Any;
@@ -82,6 +101,25 @@ pub trait AnyMaterialized: Send {
     /// inconsistent with the watermark.
     fn mark_needs_rebuild(&mut self);
 
+    /// The retained states as bytes, for a checkpoint to persist — `None`
+    /// for a view that is not persistable: its aggregate has no state codec
+    /// ([`Aggregate::state_fingerprint`] is `None`), it is filtered or
+    /// grouped, or it holds no trustworthy states (never absorbed, or a
+    /// failed absorb).
+    fn image(&self) -> Option<ViewImage>;
+
+    /// Seeds the view with a persisted `image` of the view of the same name
+    /// over `table` — states, watermarks and source generation, nothing
+    /// else — and returns how many rows of `table` lie past the adopted
+    /// watermarks, for the next absorb to catch up.  The view is left
+    /// untouched, and rebuilds on its next absorb, when the image is not
+    /// its own: the reason is returned.
+    ///
+    /// # Errors
+    /// The [`RebuildReason`] the image was refused for.
+    fn adopt(&mut self, image: ViewImage, table: &Table)
+        -> std::result::Result<u64, RebuildReason>;
+
     /// The concrete [`MaterializedAggregate`], for downcasting.
     fn as_any(&self) -> &dyn Any;
 
@@ -89,17 +127,87 @@ pub trait AnyMaterialized: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// Why a persisted view was not adopted, and its view was (or will be)
+/// rebuilt from the table instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RebuildReason {
+    /// The view registered under the name is not the one persisted: another
+    /// source table, another aggregate configuration
+    /// ([`Aggregate::state_fingerprint`]), or a filter or grouping.
+    Fingerprint,
+    /// The view's steal granularity differs from the persisted one.
+    Granularity,
+    /// The source table is another incarnation than the one the states
+    /// describe: it was truncated, replaced or dropped after the checkpoint.
+    Generation,
+    /// The view's frame failed its checksum or a state failed to decode.
+    DamagedFrame,
+    /// No view of that name has been registered since recovery.
+    NeverAskedFor,
+}
+
+/// What became of one persisted view after recovery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViewOutcome {
+    /// The view took the persisted states and absorbs only the rows past
+    /// their watermarks: `suffix_rows` of them when it was adopted.
+    Adopted {
+        /// Rows of the source table past the adopted watermarks.
+        suffix_rows: u64,
+    },
+    /// The view rebuilds (or will rebuild) from the table.
+    Rebuilt {
+        /// Why the persisted states were not used.
+        reason: RebuildReason,
+    },
+}
+
+/// A view's retained states as bytes, and what they are valid for: what a
+/// checkpoint persists of a view and what recovery offers the view of the
+/// same name to adopt ([`AnyMaterialized::adopt`]).
+#[derive(Debug, Clone)]
+pub struct ViewImage {
+    /// [`Aggregate::state_fingerprint`] of the aggregate that wrote them.
+    pub(crate) fingerprint: Vec<u8>,
+    /// The steal granularity the unit states were cut at.
+    pub(crate) granularity: StealGranularity,
+    /// The source incarnation ([`Table::generation`]) the watermarks
+    /// describe: the view's own when captured, the recovered table's when
+    /// loaded.
+    pub(crate) generation: u64,
+    /// Per source segment, the watermark and the encoded unit states in
+    /// range order.
+    pub(crate) segments: Vec<(Watermark, Vec<Vec<u8>>)>,
+}
+
+impl ViewImage {
+    /// Whether the image describes a prefix of `table`: the incarnation the
+    /// watermarks were taken of, and no watermark past the rows it holds.
+    pub(crate) fn fits(&self, table: &Table) -> bool {
+        self.generation == table.generation()
+            && self.segments.len() == table.num_segments()
+            && (self.segments.iter().enumerate())
+                .all(|(seg, (watermark, _))| !watermark.outruns(table.segment(seg)))
+    }
+}
+
 /// How much of one segment the retained states have folded in.
 #[derive(Debug, Clone, Copy)]
-struct Watermark {
+pub(crate) struct Watermark {
     /// Chunks `0..absorbed_chunks` are fully absorbed.
-    absorbed_chunks: usize,
+    pub(crate) absorbed_chunks: usize,
     /// Rows of chunk `absorbed_chunks` already absorbed (the open-tail
     /// partial watermark; `0` when that chunk is untouched).
-    tail_rows: usize,
+    pub(crate) tail_rows: usize,
 }
 
 impl Watermark {
+    /// Rows of `segment` behind the watermark, which must not outrun it.
+    fn rows(&self, segment: &Segment) -> usize {
+        let whole = &segment.chunks()[..self.absorbed_chunks];
+        whole.iter().map(|chunk| chunk.len()).sum::<usize>() + self.tail_rows
+    }
+
     /// The watermark of states that cover all of `segment`.  The last chunk
     /// counts as the open tail even at capacity — it is only provably sealed
     /// once a successor chunk exists.
@@ -220,6 +328,8 @@ where
     }
 
     /// Restricts the view to rows matching `filter` (the dataset's `WHERE`).
+    /// A filtered view is not persisted by a checkpoint: after a restart it
+    /// rebuilds from the table.
     #[must_use]
     pub fn with_filter(mut self, filter: Predicate) -> Self {
         self.filter = Some(filter);
@@ -231,7 +341,8 @@ where
     /// `grouping_cols`).  The list is validated on absorb exactly as
     /// [`crate::Dataset::group_by`]'s is by its terminals: unknown names are
     /// [`EngineError::ColumnNotFound`], duplicates
-    /// [`EngineError::InvalidArgument`].
+    /// [`EngineError::InvalidArgument`].  A grouped view is not persisted by
+    /// a checkpoint: after a restart it rebuilds from the table.
     #[must_use]
     pub fn with_group_columns<I, S>(mut self, columns: I) -> Self
     where
@@ -419,6 +530,71 @@ where
 
     fn mark_needs_rebuild(&mut self) {
         self.needs_rebuild = true;
+    }
+
+    fn image(&self) -> Option<ViewImage> {
+        let fingerprint = self.aggregate.state_fingerprint()?;
+        let ViewStates::Ungrouped(segments) = &self.states else {
+            return None;
+        };
+        let generation = self.source_generation?;
+        if self.filter.is_some() || self.needs_rebuild || self.watermarks.len() != segments.len() {
+            return None;
+        }
+        let encode = |state: &A::State| {
+            let mut out = StateWriter::new();
+            self.aggregate.encode_state(state, &mut out);
+            out.into_bytes()
+        };
+        let segments = (self.watermarks.iter().zip(segments))
+            .map(|(watermark, units)| (*watermark, units.iter().map(encode).collect()))
+            .collect();
+        Some(ViewImage {
+            fingerprint,
+            granularity: self.executor.steal_granularity(),
+            generation,
+            segments,
+        })
+    }
+
+    fn adopt(
+        &mut self,
+        image: ViewImage,
+        table: &Table,
+    ) -> std::result::Result<u64, RebuildReason> {
+        let fingerprint = self.aggregate.state_fingerprint();
+        if self.filter.is_some()
+            || self.is_grouped()
+            || fingerprint.as_deref() != Some(&image.fingerprint[..])
+        {
+            return Err(RebuildReason::Fingerprint);
+        }
+        if image.granularity != self.executor.steal_granularity() {
+            return Err(RebuildReason::Granularity);
+        }
+        if !image.fits(table) {
+            return Err(RebuildReason::Generation);
+        }
+        let decode = |bytes: &Vec<u8>| {
+            let mut input = StateReader::new(bytes);
+            let state = self.aggregate.decode_state(&mut input)?;
+            input.finish().map(|()| state)
+        };
+        let states = (image.segments.iter())
+            .map(|(_, units)| units.iter().map(decode).collect::<Result<Vec<_>>>())
+            .collect::<Result<Vec<_>>>()
+            .map_err(|_| RebuildReason::DamagedFrame)?;
+        let suffix_rows = (image.segments.iter().enumerate())
+            .map(|(seg, (watermark, _))| {
+                let segment = table.segment(seg);
+                (segment.len() - watermark.rows(segment)) as u64
+            })
+            .sum();
+        self.states = ViewStates::Ungrouped(states);
+        self.watermarks = image.segments.into_iter().map(|(w, _)| w).collect();
+        self.source_generation = Some(image.generation);
+        self.needs_rebuild = false;
+        Ok(suffix_rows)
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -43,23 +43,37 @@
 //!   construction, so checkpoints *append* each newly sealed chunk exactly
 //!   once and never rewrite a file — unless the table's generation changed
 //!   (truncate/replace), which starts a fresh file id.
-//! * **`MANIFEST`** — the checkpoint root: WAL epoch + replay offset, and
-//!   per table the schema, distribution, chunk capacity, round-robin
-//!   cursor, per-segment persisted-chunk counts and the (possibly open)
-//!   tail chunk inline.  Written to `MANIFEST.tmp`, fsynced, renamed, then
-//!   the directory is fsynced — so the manifest is always either the old or
-//!   the new checkpoint, never torn.
+//! * **`MANIFEST`** — the checkpoint root.  Its first frame is the manifest
+//!   proper: WAL epoch + replay offset, per table the schema, distribution,
+//!   chunk capacity, round-robin cursor, per-segment persisted-chunk counts
+//!   and the (possibly open) tail chunk inline, and last the names of the
+//!   persisted views.  Behind it follows one **view frame** per name, in
+//!   that order: view name, source table, the aggregate's state fingerprint,
+//!   the view's steal granularity, and per source segment the watermark
+//!   (absorbed chunks, absorbed rows of the tail chunk) and the encoded unit
+//!   states ([`crate::Aggregate::encode_state`] through [`StateWriter`]).
+//!   Written to `MANIFEST.tmp`, fsynced, renamed, then the directory is
+//!   fsynced — so the manifest is always either the old or the new
+//!   checkpoint, never torn.
+//!
+//! Tables are data and views are derived from them, and damage is answered
+//! accordingly: a manifest frame that fails its checksum or its decode is a
+//! typed error, a **view frame that does is dropped** — counted in the
+//! [`crate::database::RecoveryReport`], its view rebuilt from the table by
+//! the first absorb, as if it had never been persisted.  Frame boundaries
+//! behind a failed frame cannot be trusted, so the views behind it go too.
 //!
 //! `wal.log` and `MANIFEST` open with a magic naming their format version,
-//! `MADWAL02` / `MADMAN02`: version 2 is the word-wise checksum (version 1
+//! `MADWAL02` / `MADMAN03`.  `MADWAL02` is the word-wise checksum (version 1
 //! summed frames with a per-byte FNV-1a; lengths and payload bytes did not
-//! change).  A file of any other version is **refused with a typed error
-//! naming the version**, and the directory is left as found — a version
-//! mismatch must not end as "no usable log", which recovery answers by
-//! continuing from the snapshot alone and dropping the committed tail.
-//! There is no upgrade path: chunk files are headerless and append-only, so
-//! an upgraded directory would mix frames of both sums in one file, and no
-//! released database exists.
+//! change); `MADMAN03` adds the view names and view frames (version 2 had
+//! the manifest frame alone).  A file of any other version is **refused
+//! with a typed error naming the version**, and the directory is left as
+//! found — a version mismatch must not end as "no usable log", which
+//! recovery answers by continuing from the snapshot alone and dropping the
+//! committed tail.  There is no upgrade path: chunk files are headerless and
+//! append-only, so an upgraded directory would mix frames of both sums in
+//! one file, and no released database exists.
 //!
 //! The checkpoint ordering is what makes WAL truncation crash-safe: the
 //! manifest recording `(epoch N, offset)` becomes durable *before* the WAL
@@ -87,7 +101,10 @@
 //! chunk file holds a byte the manifest does not account for.
 
 use crate::chunk::{ColumnChunk, NullBitmap, RowChunk, Segment};
+use crate::database::Recovered;
 use crate::error::{EngineError, Result};
+use crate::materialize::{ViewImage, Watermark};
+use crate::scan::StealGranularity;
 use crate::schema::{Column, ColumnType, Schema};
 use crate::table::{Distribution, Table};
 use crate::wal::Wal;
@@ -99,7 +116,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// File magic identifying a manifest and its format version.
-const MANIFEST_MAGIC: &[u8; 8] = b"MADMAN02";
+const MANIFEST_MAGIC: &[u8; 8] = b"MADMAN03";
 
 // ---------------------------------------------------------------------------
 // Frame codec
@@ -490,7 +507,7 @@ fixed_width_element!(u64, 8, u64::to_le_bytes, u64::from_le_bytes);
 fixed_width_element!(f64, 8, |v: f64| v.to_bits().to_le_bytes(), |b| {
     f64::from_bits(u64::from_le_bytes(b))
 });
-// Array offsets, `u64` on disk.
+// Array offsets and watermarks, `u64` on disk.
 fixed_width_element!(
     usize,
     8,
@@ -526,6 +543,128 @@ fn put_counted<T: Element>(out: &mut Vec<u8>, items: &[T]) {
 fn read_counted<T: Element>(r: &mut ByteReader<'_>) -> Result<Vec<T>> {
     let n = r.u32()? as usize;
     T::read_vec(r, n)
+}
+
+/// Opaque bytes (an encoded state, a fingerprint) behind their length.
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_count(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
+fn read_bytes(r: &mut ByteReader<'_>) -> Result<Vec<u8>> {
+    let n = r.u32()? as usize;
+    r.take(n).map(<[u8]>::to_vec)
+}
+
+// ---------------------------------------------------------------------------
+// Aggregate state codec
+// ---------------------------------------------------------------------------
+
+/// What an [`crate::Aggregate`] writes a persisted state and its fingerprint
+/// through: the engine's element codec, little-endian, `f64`s as raw bits,
+/// so a decoded state is the encoded one bit for bit.
+#[derive(Debug, Default)]
+pub struct StateWriter {
+    bytes: Vec<u8>,
+}
+
+impl StateWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Writes a `u64`.
+    pub fn put_u64(&mut self, v: u64) {
+        v.put(&mut self.bytes);
+    }
+
+    /// Writes an `f64` as its raw bits (NaN payloads and `-0.0` survive).
+    pub fn put_f64(&mut self, v: f64) {
+        v.put(&mut self.bytes);
+    }
+
+    /// Writes a string behind its byte length.
+    pub fn put_str(&mut self, s: &str) {
+        put_str(&mut self.bytes, s);
+    }
+
+    /// Writes a run of `f64`s behind its count.
+    pub fn put_f64s(&mut self, values: &[f64]) {
+        put_counted(&mut self.bytes, values);
+    }
+
+    /// Writes a collection count, for [`StateReader::count`].
+    pub fn put_count(&mut self, n: usize) {
+        put_count(&mut self.bytes, n);
+    }
+
+    /// The bytes written.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
+    }
+}
+
+/// What a persisted state is read back through.  Every read is checked
+/// against the bytes left and fails with a typed error instead of
+/// panicking, and no count allocates more elements than those bytes hold.
+pub struct StateReader<'a> {
+    r: ByteReader<'a>,
+}
+
+impl<'a> StateReader<'a> {
+    /// A reader over the bytes a [`StateWriter`] produced.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            r: ByteReader::new(bytes),
+        }
+    }
+
+    /// Reads a `u64`.
+    ///
+    /// # Errors
+    /// A storage error when the bytes run out.
+    pub fn u64(&mut self) -> Result<u64> {
+        self.r.u64()
+    }
+
+    /// Reads an `f64` from its raw bits.
+    ///
+    /// # Errors
+    /// A storage error when the bytes run out.
+    pub fn f64(&mut self) -> Result<f64> {
+        f64::read(&mut self.r)
+    }
+
+    /// Reads a string.
+    ///
+    /// # Errors
+    /// A storage error when the bytes run out or are not UTF-8.
+    pub fn str(&mut self) -> Result<String> {
+        self.r.str()
+    }
+
+    /// Reads a run of `f64`s.
+    ///
+    /// # Errors
+    /// A storage error when the bytes left cannot hold the stored count.
+    pub fn f64s(&mut self) -> Result<Vec<f64>> {
+        read_counted(&mut self.r)
+    }
+
+    /// Reads a count written by [`StateWriter::put_count`] of elements that
+    /// each take at least `min_element_bytes` bytes.
+    ///
+    /// # Errors
+    /// A storage error when the bytes left cannot hold that many elements.
+    pub fn count(&mut self, min_element_bytes: usize) -> Result<usize> {
+        self.r.count(min_element_bytes)
+    }
+
+    /// Refuses bytes left over behind a decoded state.
+    pub(crate) fn finish(&self) -> Result<()> {
+        self.r.finish()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -982,6 +1121,18 @@ pub(crate) struct ManifestTable {
     pub segments: Vec<ManifestSegment>,
 }
 
+/// One persisted view: a frame of its own behind the manifest frame.
+#[derive(Debug, Clone)]
+pub(crate) struct ManifestView {
+    /// View name.
+    pub name: String,
+    /// The table the view watches — one of the manifest's tables.
+    pub source: String,
+    /// The retained states.  Its generation is not stored: a loaded view
+    /// describes the incarnation of its source the same manifest holds.
+    pub image: ViewImage,
+}
+
 /// The checkpoint root: everything recovery needs besides the WAL tail.
 pub(crate) struct Manifest {
     /// WAL epoch the `wal_offset` refers to.
@@ -994,6 +1145,72 @@ pub(crate) struct Manifest {
     pub next_file_id: u64,
     /// Every non-temporary table at checkpoint time.
     pub tables: Vec<ManifestTable>,
+    /// The views persisted with the tables, by name.
+    pub views: Vec<ManifestView>,
+    /// Names of the view frames a read dropped as damaged.
+    pub damaged_views: Vec<String>,
+}
+
+fn granularity_tag(granularity: StealGranularity) -> u8 {
+    match granularity {
+        StealGranularity::Segment => 0,
+        StealGranularity::ChunkRange => 1,
+    }
+}
+
+/// A view frame's payload: name, source, fingerprint, granularity, then per
+/// segment the watermark and each unit state behind its length.
+fn put_view(out: &mut Vec<u8>, view: &ManifestView) {
+    put_str(out, &view.name);
+    put_str(out, &view.source);
+    let image = &view.image;
+    put_bytes(out, &image.fingerprint);
+    out.push(granularity_tag(image.granularity));
+    put_count(out, image.segments.len());
+    for (watermark, units) in &image.segments {
+        watermark.absorbed_chunks.put(out);
+        watermark.tail_rows.put(out);
+        put_count(out, units.len());
+        for unit in units {
+            put_bytes(out, unit);
+        }
+    }
+}
+
+/// Decodes a view frame's payload; the image's generation is left 0 for the
+/// loader to stamp.
+fn decode_view(payload: &[u8]) -> Result<ManifestView> {
+    let mut r = ByteReader::new(payload);
+    let name = r.str()?;
+    let source = r.str()?;
+    let fingerprint = read_bytes(&mut r)?;
+    let granularity = match r.u8()? {
+        0 => StealGranularity::Segment,
+        1 => StealGranularity::ChunkRange,
+        t => return Err(corrupt(&format!("unknown steal granularity tag {t}"))),
+    };
+    // A segment is at least its watermark and unit count; a unit its length.
+    let segments = (0..r.count(20)?)
+        .map(|_| {
+            let watermark = Watermark {
+                absorbed_chunks: usize::read(&mut r)?,
+                tail_rows: usize::read(&mut r)?,
+            };
+            let units = (0..r.count(4)?).map(|_| read_bytes(&mut r));
+            Ok((watermark, units.collect::<Result<_>>()?))
+        })
+        .collect::<Result<_>>()?;
+    r.finish()?;
+    Ok(ManifestView {
+        name,
+        source,
+        image: ViewImage {
+            fingerprint,
+            granularity,
+            generation: 0,
+            segments,
+        },
+    })
 }
 
 fn put_manifest(out: &mut Vec<u8>, m: &Manifest) {
@@ -1021,9 +1238,16 @@ fn put_manifest(out: &mut Vec<u8>, m: &Manifest) {
             }
         }
     }
+    // The view frames that follow, in order.
+    put_count(out, m.views.len());
+    for view in &m.views {
+        put_str(out, &view.name);
+    }
 }
 
-fn decode_manifest(payload: &[u8]) -> Result<Manifest> {
+/// Decodes the manifest frame, returning with it the names of the view
+/// frames that follow it.
+fn decode_manifest(payload: &[u8]) -> Result<(Manifest, Vec<String>)> {
     let mut r = ByteReader::new(payload);
     let epoch = r.u64()?;
     let wal_offset = r.u64()?;
@@ -1059,14 +1283,18 @@ fn decode_manifest(payload: &[u8]) -> Result<Manifest> {
             segments,
         });
     }
+    let views = read_counted(&mut r)?;
     r.finish()?;
-    Ok(Manifest {
+    let manifest = Manifest {
         epoch,
         wal_offset,
         num_segments,
         next_file_id,
         tables,
-    })
+        views: Vec::new(),
+        damaged_views: Vec::new(),
+    };
+    Ok((manifest, views))
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,11 +1321,15 @@ fn sync_dir(dir: &Path) -> Result<()> {
         .map_err(|e| EngineError::storage("sync directory", e))
 }
 
-/// Atomically installs a new manifest: write to `MANIFEST.tmp`, fsync,
-/// rename over `MANIFEST`, fsync the directory.
+/// Atomically installs a new manifest — the manifest frame, then one frame
+/// per view: write to `MANIFEST.tmp`, fsync, rename over `MANIFEST`, fsync
+/// the directory.
 pub(crate) fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<()> {
     let mut bytes = MANIFEST_MAGIC.to_vec();
     put_frame(&mut bytes, |out| put_manifest(out, manifest))?;
+    for view in &manifest.views {
+        put_frame(&mut bytes, |out| put_view(out, view))?;
+    }
     let tmp = dir.join("MANIFEST.tmp");
     let mut file = File::create(&tmp).map_err(|e| EngineError::storage("create manifest", e))?;
     file.write_all(&bytes)
@@ -1111,11 +1343,17 @@ pub(crate) fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<()> {
 
 /// Loads the manifest; `None` when the database has never checkpointed.
 ///
+/// A view frame that fails its checksum or its decode is not an error: its
+/// name goes to [`Manifest::damaged_views`], and so do the names of every
+/// view behind a frame whose checksum failed, since frame boundaries behind
+/// it cannot be trusted.
+///
 /// # Errors
-/// A present-but-invalid manifest is a hard [`EngineError::Storage`] error:
-/// manifest installation is atomic, so corruption here means real data loss
-/// that must not be silently ignored.  One of another format version is
-/// refused by name ([`check_magic`]).
+/// A present-but-invalid manifest frame is a hard [`EngineError::Storage`]
+/// error: manifest installation is atomic, so corruption here means real
+/// data loss that must not be silently ignored — and so are bytes behind
+/// the last view frame.  One of another format version is refused by name
+/// ([`check_magic`]).
 pub(crate) fn read_manifest(dir: &Path) -> Result<Option<Manifest>> {
     let Some(mut frames) = FrameReader::open(&manifest_path(dir), "read manifest")? else {
         return Ok(None);
@@ -1124,11 +1362,28 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<Option<Manifest>> {
         Some(magic) if check_magic("MANIFEST", &magic, MANIFEST_MAGIC)? => {}
         _ => return Err(corrupt("manifest magic")),
     }
-    // One frame, and nothing behind it.
-    match frames.next()?.map(decode_manifest).transpose()? {
-        Some(manifest) if frames.pos() == frames.len() => Ok(Some(manifest)),
-        _ => Err(corrupt("manifest frame")),
+    let Some((mut manifest, names)) = frames.next()?.map(decode_manifest).transpose()? else {
+        return Err(corrupt("manifest frame"));
+    };
+    let mut intact = true;
+    for name in names {
+        let view = match intact {
+            true => frames.next()?.map(decode_view),
+            false => None,
+        };
+        match view {
+            Some(Ok(view)) if view.name == name => manifest.views.push(view),
+            Some(_) => manifest.damaged_views.push(name),
+            None => {
+                intact = false;
+                manifest.damaged_views.push(name);
+            }
+        }
     }
+    if intact && frames.pos() != frames.len() {
+        return Err(corrupt("manifest frame"));
+    }
+    Ok(Some(manifest))
 }
 
 /// Removes whatever sits at a chunk-file path no counted chunk lives in yet:
@@ -1279,6 +1534,8 @@ pub(crate) struct Durability {
     pub gate: RwLock<()>,
     /// Chunk-file bookkeeping, touched only by checkpoints.
     pub persist: Mutex<PersistState>,
+    /// What recovery loaded, and the persisted views not yet asked for.
+    pub recovered: Mutex<Recovered>,
 }
 
 /// Deletes a table incarnation's chunk files (best-effort; missing files are
@@ -1311,6 +1568,66 @@ mod tests {
         let mut out = Vec::new();
         put_manifest(&mut out, manifest);
         out
+    }
+
+    fn encode_view(view: &ManifestView) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_view(&mut out, view);
+        out
+    }
+
+    /// A view over table `t` of [`sample_manifest`]: two segments, the
+    /// first with a partly absorbed tail chunk and two units.
+    fn sample_view(name: &str) -> ManifestView {
+        let mut state = StateWriter::new();
+        state.put_f64(-0.0);
+        state.put_f64s(&[1.5, f64::NAN]);
+        let watermark = |absorbed_chunks, tail_rows| Watermark {
+            absorbed_chunks,
+            tail_rows,
+        };
+        ManifestView {
+            name: name.into(),
+            source: "t".into(),
+            image: ViewImage {
+                fingerprint: b"sum(v)".to_vec(),
+                granularity: StealGranularity::ChunkRange,
+                generation: 0,
+                segments: vec![
+                    (watermark(3, 1), vec![state.into_bytes(), Vec::new()]),
+                    (watermark(0, 0), vec![Vec::new()]),
+                ],
+            },
+        }
+    }
+
+    fn sample_manifest(views: Vec<ManifestView>) -> Manifest {
+        Manifest {
+            epoch: 5,
+            wal_offset: 1234,
+            num_segments: 4,
+            next_file_id: 7,
+            tables: vec![ManifestTable {
+                name: "t".into(),
+                file_id: 2,
+                schema: Schema::new(vec![Column::new("v", ColumnType::Double)]),
+                distribution: Distribution::HashColumn("v".into()),
+                chunk_capacity: 8,
+                next_round_robin: 1,
+                segments: vec![
+                    ManifestSegment {
+                        persisted_chunks: 3,
+                        tail: Some(sample_tail()),
+                    },
+                    ManifestSegment {
+                        persisted_chunks: 0,
+                        tail: None,
+                    },
+                ],
+            }],
+            views,
+            damaged_views: Vec::new(),
+        }
     }
 
     fn frame(payload: &[u8]) -> Vec<u8> {
@@ -1608,11 +1925,21 @@ mod tests {
         1d00000032ebace6e527647201000000010000000200000000000004400100000000000000000000\
         00\
     ";
+    // Format version 3 (`MADMAN03`) appended the names of the view frames
+    // that follow the manifest frame — here one, `v` (the last nine bytes);
+    // every byte before them is version 2's.
     const GOLDEN_MANIFEST: &str = "\
         0500000000000000d204000000000000040000000000000007000000000000000100000001000000\
         74020000000000000001000000010000007602010100000076080000000000000001000000000000\
         00020000000300000000000000011d00000001000000010000000200000000000004400100000000\
-        00000000000000000000000000000000\
+        00000000000000000000000000000000010000000100000076\
+    ";
+    // The view frame of version 3: name, source, fingerprint, granularity,
+    // then per segment its watermark and each unit state behind its length.
+    const GOLDEN_VIEW: &str = "\
+        010000007601000000740600000073756d287629010200000003000000000000000100000000000000\
+        020000001c000000000000000000008002000000000000000000f83f000000000000f87f0000000000\
+        0000000000000000000000000000000100000000000000\
     ";
     const GOLDEN_CREATE: &str = "\
         0106000000706f696e74730200000002000000696401010000007804010200000069644000000000\
@@ -1664,34 +1991,15 @@ mod tests {
             unhex(GOLDEN_FRAMED_TAIL)
         );
 
-        // Manifest payload.
-        let manifest = Manifest {
-            epoch: 5,
-            wal_offset: 1234,
-            num_segments: 4,
-            next_file_id: 7,
-            tables: vec![ManifestTable {
-                name: "t".into(),
-                file_id: 2,
-                schema: Schema::new(vec![Column::new("v", ColumnType::Double)]),
-                distribution: Distribution::HashColumn("v".into()),
-                chunk_capacity: 8,
-                next_round_robin: 1,
-                segments: vec![
-                    ManifestSegment {
-                        persisted_chunks: 3,
-                        tail: Some(sample_tail()),
-                    },
-                    ManifestSegment {
-                        persisted_chunks: 0,
-                        tail: None,
-                    },
-                ],
-            }],
-        };
+        // Manifest payload, and the frame of the view it names.
+        let manifest = sample_manifest(vec![sample_view("v")]);
         assert_eq!(encode_manifest(&manifest), unhex(GOLDEN_MANIFEST));
-        let decoded = decode_manifest(&unhex(GOLDEN_MANIFEST)).unwrap();
+        let (mut decoded, names) = decode_manifest(&unhex(GOLDEN_MANIFEST)).unwrap();
+        assert_eq!(names, ["v"]);
+        decoded.views = vec![decode_view(&unhex(GOLDEN_VIEW)).unwrap()];
         assert_eq!(encode_manifest(&decoded), unhex(GOLDEN_MANIFEST));
+        assert_eq!(encode_view(&manifest.views[0]), unhex(GOLDEN_VIEW));
+        assert_eq!(encode_view(&decoded.views[0]), unhex(GOLDEN_VIEW));
 
         // The records: `Append` is tag 7 as of this revision, the other three
         // are byte for byte what they were.
@@ -1774,41 +2082,80 @@ mod tests {
                 table,
             },
         ];
-        let check = |mutated: &[u8]| match decode_record(mutated) {
-            Err(EngineError::Storage { .. }) => {}
-            Ok(record) => assert_eq!(encode_record(&record).len(), mutated.len()),
-            Err(other) => panic!("expected a storage error, got {other:?}"),
-        };
         for record in &records {
-            let bytes = encode_record(record);
-            let mut mutated = bytes.clone();
-            for at in 0..bytes.len() {
-                let byte = bytes[at];
-                for replacement in [0, 0xff, byte ^ 1, byte ^ 0x80, byte.wrapping_add(1)] {
-                    mutated[at] = replacement;
-                    check(&mutated);
-                }
-                mutated[at] = byte;
-            }
-            let mut positions = noise(4 * 4_000, 11).into_iter();
-            let mut values = noise(8 * 4_000, 13).into_iter();
-            for _ in 0..4_000 {
-                let mut mutated = bytes.clone();
-                let at = positions
-                    .by_ref()
-                    .take(3)
-                    .fold(0usize, |a, b| a << 8 | b as usize);
-                let burst = 1 + positions.next().unwrap() as usize % 8;
-                for (slot, value) in mutated
-                    .iter_mut()
-                    .skip(at % bytes.len())
-                    .zip(values.by_ref().take(burst))
-                {
-                    *slot = value;
-                }
+            each_mutation(&encode_record(record), |mutated| {
+                typed_or(
+                    decode_record(mutated),
+                    |record| encode_record(&record),
+                    mutated,
+                )
+            });
+        }
+    }
+
+    /// The answer a decoder must give a mutated payload: a typed storage
+    /// error, or a value whose re-encoding is exactly the payload's length —
+    /// nothing was built that the payload's own bytes do not account for.
+    fn typed_or<T>(decoded: Result<T>, encode: impl Fn(T) -> Vec<u8>, payload: &[u8]) {
+        match decoded {
+            Err(EngineError::Storage { .. }) => {}
+            Ok(value) => assert_eq!(encode(value).len(), payload.len()),
+            Err(other) => panic!("expected a storage error, got {other:?}"),
+        }
+    }
+
+    /// Hands `check` every single-byte mutation of `bytes` (five values per
+    /// position) and 4 000 random bursts of one to eight bytes.
+    fn each_mutation(bytes: &[u8], mut check: impl FnMut(&[u8])) {
+        let mut mutated = bytes.to_vec();
+        for at in 0..bytes.len() {
+            let byte = bytes[at];
+            for replacement in [0, 0xff, byte ^ 1, byte ^ 0x80, byte.wrapping_add(1)] {
+                mutated[at] = replacement;
                 check(&mutated);
             }
+            mutated[at] = byte;
         }
+        let mut positions = noise(4 * 4_000, 11).into_iter();
+        let mut values = noise(8 * 4_000, 13).into_iter();
+        for _ in 0..4_000 {
+            let mut mutated = bytes.to_vec();
+            let at = positions
+                .by_ref()
+                .take(3)
+                .fold(0usize, |a, b| a << 8 | b as usize);
+            let burst = 1 + positions.next().unwrap() as usize % 8;
+            for (slot, value) in mutated
+                .iter_mut()
+                .skip(at % bytes.len())
+                .zip(values.by_ref().take(burst))
+            {
+                *slot = value;
+            }
+            check(&mutated);
+        }
+    }
+
+    /// The same loop over the rest of what recovery decodes: a manifest
+    /// frame that names a view, that view's frame, and a chunk-file chunk —
+    /// the checksum bypassed.  Every count is bounded by the bytes left
+    /// before anything is allocated for it.
+    #[test]
+    fn mutated_manifest_view_and_chunk_payloads_decode_to_typed_errors() {
+        let manifest = sample_manifest(vec![sample_view("v")]);
+        each_mutation(&encode_manifest(&manifest), |mutated| {
+            let encode = |(mut manifest, names): (Manifest, Vec<String>)| {
+                manifest.views = names.iter().map(|name| sample_view(name)).collect();
+                encode_manifest(&manifest)
+            };
+            typed_or(decode_manifest(mutated), encode, mutated);
+        });
+        each_mutation(&encode_view(&manifest.views[0]), |mutated| {
+            typed_or(decode_view(mutated), |view| encode_view(&view), mutated);
+        });
+        each_mutation(&encode_chunk(&sample_chunk()), |mutated| {
+            typed_or(decode_chunk(mutated), |chunk| encode_chunk(&chunk), mutated);
+        });
     }
 
     /// Tag 5, the row-wise `PutTable` of the first format, is retired: its
@@ -1869,30 +2216,7 @@ mod tests {
     fn manifest_round_trips_atomically() {
         let dir = temp_dir("manifest");
         assert!(read_manifest(&dir).unwrap().is_none());
-        let manifest = Manifest {
-            epoch: 5,
-            wal_offset: 1234,
-            num_segments: 4,
-            next_file_id: 7,
-            tables: vec![ManifestTable {
-                name: "t".into(),
-                file_id: 2,
-                schema: Schema::new(vec![Column::new("v", ColumnType::Double)]),
-                distribution: Distribution::RoundRobin,
-                chunk_capacity: 8,
-                next_round_robin: 1,
-                segments: vec![
-                    ManifestSegment {
-                        persisted_chunks: 3,
-                        tail: Some(sample_tail()),
-                    },
-                    ManifestSegment {
-                        persisted_chunks: 0,
-                        tail: None,
-                    },
-                ],
-            }],
-        };
+        let manifest = sample_manifest(Vec::new());
         write_manifest(&dir, &manifest).unwrap();
         let loaded = read_manifest(&dir).unwrap().unwrap();
         assert_eq!(loaded.epoch, 5);
@@ -1900,11 +2224,56 @@ mod tests {
         assert_eq!(loaded.tables.len(), 1);
         assert_eq!(loaded.tables[0].segments[0].persisted_chunks, 3);
         assert_eq!(loaded.tables[0].segments[0].tail.as_ref().unwrap().len(), 1);
+        assert!(loaded.views.is_empty() && loaded.damaged_views.is_empty());
         // A flipped byte inside the manifest is a hard error.
         let path = dir.join("MANIFEST");
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_manifest(&dir).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// View frames are derived data: one that fails its checksum is dropped
+    /// by name with every view behind it, one that fails its decode alone —
+    /// and neither is an error.  Bytes behind the last view frame are.
+    #[test]
+    fn damaged_view_frames_are_dropped_by_name_not_refused() {
+        let dir = temp_dir("viewframes");
+        let path = dir.join("MANIFEST");
+        let names = |views: &[ManifestView]| views.iter().map(|v| v.name.clone()).collect();
+        let read = || {
+            let m = read_manifest(&dir).unwrap().unwrap();
+            (names(&m.views), m.damaged_views)
+        };
+        let manifest = sample_manifest(["a", "b", "c"].map(sample_view).into());
+        write_manifest(&dir, &manifest).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let view_len = frame(&encode_view(&manifest.views[0])).len();
+        let first_view = pristine.len() - 3 * view_len;
+        assert_eq!(read(), (vec!["a".into(), "b".into(), "c".into()], vec![]));
+
+        // A well-formed frame that does not hold the view the manifest names
+        // in its place drops that view only.
+        let renamed = frame(&encode_view(&sample_view("x")));
+        let mut bytes = pristine.clone();
+        bytes.splice(first_view + view_len..first_view + 2 * view_len, renamed);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read(), (vec!["a".into(), "c".into()], vec!["b".into()]));
+
+        // A checksum failure in `a` takes `b` and `c` with it; a cut inside
+        // `c` takes `c`.
+        let mut bytes = pristine.clone();
+        bytes[first_view + 20] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read(), (vec![], vec!["a".into(), "b".into(), "c".into()]));
+        std::fs::write(&path, &pristine[..pristine.len() - 1]).unwrap();
+        assert_eq!(read(), (vec!["a".into(), "b".into()], vec!["c".into()]));
+
+        // A byte behind the last frame is not something a checkpoint wrote.
+        let mut bytes = pristine.clone();
+        bytes.push(0);
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_manifest(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();

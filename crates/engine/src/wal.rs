@@ -99,6 +99,11 @@ pub(crate) fn read_log(path: &Path) -> Result<Option<LogReader>> {
 }
 
 impl LogReader {
+    /// The log file's length when opened.
+    pub(crate) fn len(&self) -> u64 {
+        self.frames.len()
+    }
+
     /// Hands `each` the committed record payloads in log order, starting at
     /// byte offset `from` (callers pass the manifest's replay offset, or
     /// [`WAL_HEADER_LEN`] for the whole log), and returns the offset one

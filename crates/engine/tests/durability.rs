@@ -14,8 +14,13 @@ use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use madlib_engine::aggregate::SumAggregate;
 use madlib_engine::table::Distribution;
-use madlib_engine::{Column, ColumnType, Database, EngineError, Row, Schema, Table, Value};
+use madlib_engine::{
+    Aggregate, AnyMaterialized, Column, ColumnType, Database, EngineError, Executor,
+    MaterializedAggregate, RebuildReason, Row, RowChunk, Schema, StateReader, StateWriter,
+    StealGranularity, Table, Value, ViewOutcome,
+};
 use proptest::prelude::*;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -884,8 +889,9 @@ fn expect_refusal(result: Result<Database, EngineError>, needle: &str) {
 }
 
 /// Record tags 3 and 5 (the row-wise `Append` and `PutTable` of the first
-/// format) are retired, and so is format version 1 (the per-byte frame
-/// checksum) of `wal.log` and `MANIFEST`: a directory holding any of them is
+/// format) are retired, and so are format version 1 (the per-byte frame
+/// checksum) of `wal.log` and `MANIFEST` and version 2 of `MANIFEST` (no
+/// view frames): a directory holding any of them is
 /// refused with a typed error naming what was found, and the refusal leaves
 /// every file — the chunk file a crashed checkpoint left frames in included
 /// — as it found it.
@@ -917,7 +923,7 @@ fn a_retired_record_tag_is_refused_and_the_directory_left_untouched() {
         bytes[7] = digit;
         std::fs::write(dir.join(file), bytes).unwrap();
     };
-    let refusals: [(&str, &dyn Fn()); 4] = [
+    let refusals: [(&str, &dyn Fn()); 5] = [
         ("tag 3", &|| splice_frame(3, 0x4a2c_c0c2_b4fd_b3fa)),
         ("tag 5", &|| splice_frame(5, 0xed63_866d_87df_5711)),
         ("wal.log is format version 01", &|| {
@@ -925,6 +931,10 @@ fn a_retired_record_tag_is_refused_and_the_directory_left_untouched() {
         }),
         ("MANIFEST is format version 01", &|| {
             with_magic_digit("MANIFEST", b'1')
+        }),
+        // Version 2: the manifest frame without view names or view frames.
+        ("MANIFEST is format version 02", &|| {
+            with_magic_digit("MANIFEST", b'2')
         }),
     ];
     for (needle, damage) in refusals {
@@ -1012,4 +1022,279 @@ fn a_failed_read_is_an_io_error_not_corruption() {
         std::fs::create_dir(dir.join(file)).unwrap();
         expect_refusal(Database::recover(dir), context);
     }
+}
+
+/// `sum(column)` with a state codec: the persistable view of the tests
+/// below (the engine's own aggregates have none).
+#[derive(Clone)]
+struct PersistedSum(&'static str);
+
+impl Aggregate for PersistedSum {
+    type State = f64;
+    type Output = f64;
+
+    fn initial_state(&self) -> f64 {
+        0.0
+    }
+
+    fn transition(&self, state: &mut f64, row: &Row, schema: &Schema) -> madlib_engine::Result<()> {
+        SumAggregate::new(self.0).transition(state, row, schema)
+    }
+
+    fn transition_chunk(
+        &self,
+        state: &mut f64,
+        chunk: &RowChunk,
+        schema: &Schema,
+    ) -> madlib_engine::Result<()> {
+        SumAggregate::new(self.0).transition_chunk(state, chunk, schema)
+    }
+
+    fn merge(&self, left: f64, right: f64) -> f64 {
+        left + right
+    }
+
+    fn finalize(&self, state: f64) -> madlib_engine::Result<f64> {
+        Ok(state)
+    }
+
+    fn state_fingerprint(&self) -> Option<Vec<u8>> {
+        let mut out = StateWriter::new();
+        out.put_str("sum");
+        out.put_str(self.0);
+        Some(out.into_bytes())
+    }
+
+    fn encode_state(&self, state: &f64, out: &mut StateWriter) {
+        out.put_f64(*state);
+    }
+
+    fn decode_state(&self, input: &mut StateReader<'_>) -> madlib_engine::Result<f64> {
+        input.f64()
+    }
+}
+
+fn sum_view(column: &'static str, steal: StealGranularity) -> Box<dyn AnyMaterialized> {
+    let executor = Executor::new().with_steal_granularity(steal);
+    Box::new(MaterializedAggregate::new(PersistedSum(column), &executor))
+}
+
+/// Registers `view` as `sum(v)` over `t` and refreshes it.
+fn view_sum(db: &Database, view: &str) -> u64 {
+    db.register_view(view, "t", sum_view("v", StealGranularity::Segment))
+        .unwrap();
+    refreshed_sum(db, view)
+}
+
+fn refreshed_sum(db: &Database, view: &str) -> u64 {
+    db.refresh_view(view, |state| {
+        state
+            .as_any_mut()
+            .downcast_mut::<MaterializedAggregate<PersistedSum>>()
+            .expect("a sum view")
+            .finalize()
+    })
+    .unwrap()
+    .to_bits()
+}
+
+/// `sum(v)` over `t` by a scan: what every view must finalize to.
+fn scanned_sum(db: &Database) -> u64 {
+    let dataset = db.dataset("t").unwrap();
+    dataset.aggregate(&PersistedSum("v")).unwrap().to_bits()
+}
+
+fn outcomes(db: &Database) -> Vec<(String, ViewOutcome)> {
+    db.recovery_report().unwrap().views
+}
+
+fn rebuilt(reason: RebuildReason) -> ViewOutcome {
+    ViewOutcome::Rebuilt { reason }
+}
+
+/// A checkpoint persists each persistable view; after recovery the first
+/// registration of its name adopts it when it is its own — and absorbs only
+/// the replayed rows — and rebuilds otherwise, with the reason on record.
+/// An entry nobody asks for rides the next checkpoint while its table is
+/// the incarnation it describes, and is dropped once it is not.
+#[test]
+fn persisted_views_are_adopted_refused_or_carried_forward_by_name() {
+    let scratch = ScratchDir::new("adopt");
+    let dir = scratch.path();
+    let db = Database::open(dir, 2).unwrap();
+    db.create_table_with_chunk_capacity("t", schema(), 2)
+        .unwrap();
+    db.append_rows("t", rows(0, 9)).unwrap();
+    for (name, column, steal) in [
+        ("adopted", "v", StealGranularity::Segment),
+        ("other_column", "v", StealGranularity::Segment),
+        ("other_steal", "v", StealGranularity::ChunkRange),
+        ("unasked", "v", StealGranularity::Segment),
+        ("ids", "id", StealGranularity::Segment),
+    ] {
+        db.register_view(name, "t", sum_view(column, steal))
+            .unwrap();
+        db.refresh_view(name, |_| Ok(())).unwrap();
+    }
+    // Not persisted: no state codec, and never absorbed.
+    let plain = MaterializedAggregate::new(SumAggregate::new("v"), &Executor::new());
+    db.register_view("plain", "t", Box::new(plain)).unwrap();
+    db.refresh_view("plain", |_| Ok(())).unwrap();
+    db.register_view("idle", "t", sum_view("v", StealGranularity::Segment))
+        .unwrap();
+    assert_eq!(db.recovery_report().unwrap().manifest_epoch, None);
+    db.checkpoint().unwrap();
+    db.append_rows("t", rows(9, 5)).unwrap();
+    db.append_rows("t", rows(14, 3)).unwrap();
+    drop(db);
+
+    let db = Database::recover(dir).unwrap();
+    let report = db.recovery_report().unwrap();
+    assert_eq!((report.manifest_epoch, report.tables_loaded), (Some(1), 1));
+    assert_eq!(
+        (report.wal_frames_replayed, report.wal_bytes_discarded),
+        (2, 0)
+    );
+    let persisted = ["adopted", "ids", "other_column", "other_steal", "unasked"];
+    let never = rebuilt(RebuildReason::NeverAskedFor);
+    assert_eq!(outcomes(&db), persisted.map(|n| (n.to_owned(), never)));
+
+    assert_eq!(view_sum(&db, "adopted"), scanned_sum(&db));
+    db.register_view(
+        "other_column",
+        "t",
+        sum_view("id", StealGranularity::Segment),
+    )
+    .unwrap();
+    db.refresh_view("other_column", |_| Ok(())).unwrap();
+    db.register_view("other_steal", "t", sum_view("v", StealGranularity::Segment))
+        .unwrap();
+    assert_eq!(refreshed_sum(&db, "other_steal"), scanned_sum(&db));
+    let expect = [
+        ("adopted", ViewOutcome::Adopted { suffix_rows: 8 }),
+        ("ids", never),
+        ("other_column", rebuilt(RebuildReason::Fingerprint)),
+        ("other_steal", rebuilt(RebuildReason::Granularity)),
+        ("unasked", never),
+    ];
+    assert_eq!(outcomes(&db), expect.map(|(n, o)| (n.to_owned(), o)));
+    // Used up: a second registration is a plain rebuild and leaves the
+    // record alone.
+    assert_eq!(view_sum(&db, "adopted"), scanned_sum(&db));
+    assert_eq!(outcomes(&db)[0].1, ViewOutcome::Adopted { suffix_rows: 8 });
+
+    // The unasked entries ride the next checkpoint, next to the views
+    // registered since; after a truncate the one after that drops them.
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = Database::recover(dir).unwrap();
+    let carried: Vec<String> = outcomes(&db).into_iter().map(|(n, _)| n).collect();
+    assert_eq!(carried, persisted);
+    // Carried as it was loaded: its watermarks are the first checkpoint's.
+    assert_eq!(view_sum(&db, "unasked"), scanned_sum(&db));
+    assert_eq!(outcomes(&db)[4].1, ViewOutcome::Adopted { suffix_rows: 8 });
+    db.truncate_table("t").unwrap();
+    db.checkpoint().unwrap();
+    assert_eq!(outcomes(&db)[1].1, rebuilt(RebuildReason::Generation));
+    drop(db);
+    let db = Database::recover(dir).unwrap();
+    assert_eq!(outcomes(&db), []);
+}
+
+/// The manifest sweep over a manifest that carries a view frame: damage to
+/// the manifest frame is a typed error, damage behind it drops the view
+/// frame — the tables come back exact and the view rebuilds to the bits it
+/// had — and nothing ends in another sum.
+#[test]
+fn manifest_damage_behind_view_frames_is_an_error_or_a_rebuild() {
+    let scratch = ScratchDir::new("viewsweep");
+    let dir = scratch.path();
+    let db = Database::open(dir, 2).unwrap();
+    db.create_table_with_chunk_capacity("t", schema(), 2)
+        .unwrap();
+    db.append_rows("t", rows(0, 9)).unwrap();
+    view_sum(&db, "s");
+    db.checkpoint().unwrap();
+    db.append_rows("t", rows(9, 5)).unwrap();
+    let (expect, sum) = (fingerprint(&db), refreshed_sum(&db, "s"));
+    drop(db);
+    let pristine = snapshot(dir);
+    let (_, manifest) = pristine
+        .iter()
+        .find(|(name, _)| name == "MANIFEST")
+        .unwrap();
+    // Magic, then the manifest frame's header and payload.
+    let frame_len = u32::from_le_bytes(manifest[8..12].try_into().unwrap()) as usize;
+    let manifest_end = 8 + 12 + frame_len;
+    assert!(manifest_end < manifest.len(), "a view frame follows");
+
+    let outcome = |what: &str, in_manifest_frame: bool| match Database::recover(dir) {
+        Ok(db) => {
+            assert!(
+                !in_manifest_frame,
+                "{what}: recovered from a damaged manifest"
+            );
+            assert_eq!(fingerprint(&db), expect, "{what}");
+            assert_eq!(view_sum(&db, "s"), sum, "{what}");
+            let damaged = rebuilt(RebuildReason::DamagedFrame);
+            assert_eq!(outcomes(&db), [("s".to_owned(), damaged)], "{what}");
+        }
+        Err(EngineError::Storage { .. }) => assert!(in_manifest_frame, "{what}: refused"),
+        Err(other) => panic!("{what}: expected a storage error, got {other:?}"),
+    };
+    for cut in 0..manifest.len() {
+        restore(dir, &pristine);
+        std::fs::write(dir.join("MANIFEST"), &manifest[..cut]).unwrap();
+        outcome(&format!("cut to {cut}"), cut < manifest_end);
+    }
+    for offset in 0..manifest.len() {
+        restore(dir, &pristine);
+        let mut flipped = manifest.clone();
+        flipped[offset] ^= 0xff;
+        std::fs::write(dir.join("MANIFEST"), flipped).unwrap();
+        outcome(&format!("flipped at {offset}"), offset < manifest_end);
+    }
+    restore(dir, &pristine);
+    let db = Database::recover(dir).unwrap();
+    assert_eq!(view_sum(&db, "s"), sum);
+    let adopted = ViewOutcome::Adopted { suffix_rows: 5 };
+    assert_eq!(outcomes(&db), [("s".to_owned(), adopted)]);
+}
+
+/// A panic inside a `with_table_mut` closure hands the table back as a new
+/// incarnation: the unwind used to skip the stamp, so the half-mutated table
+/// kept its generation, and views, the next checkpoint and a persisted view
+/// all trusted it.
+#[test]
+fn a_panic_inside_with_table_mut_restamps_the_table() {
+    let scratch = ScratchDir::new("panic");
+    let dir = scratch.path();
+    let db = open_single_segment(dir);
+    db.append_rows("t", rows(0, 6)).unwrap();
+    view_sum(&db, "s");
+    db.checkpoint().unwrap();
+    assert!(dir.join(CHUNK_FILE).exists());
+    let before = db.table("t").unwrap().generation();
+
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        db.with_table_mut("t", |t| -> madlib_engine::Result<()> {
+            t.insert_all(rows(6, 3))?;
+            panic!("half way through a mutation")
+        })
+    }));
+    assert!(unwound.is_err());
+    assert_ne!(db.table("t").unwrap().generation(), before);
+    // The view of the old incarnation is stale: the checkpoint writes the
+    // table under a fresh chunk-file id and does not persist the view.
+    db.checkpoint().unwrap();
+    assert!(!dir.join(CHUNK_FILE).exists());
+    assert!(dir.join("table_2_seg_0.chunks").exists());
+    // Its next refresh rebuilds.
+    assert_eq!(refreshed_sum(&db, "s"), scanned_sum(&db));
+    drop(db);
+
+    let db = Database::recover(dir).unwrap();
+    assert_eq!(ids(&db, "t"), (0..9).collect::<Vec<_>>());
+    assert_eq!(outcomes(&db), []);
+    assert_eq!(view_sum(&db, "s"), scanned_sum(&db));
 }

@@ -498,6 +498,8 @@ impl IncrementalEstimator for Profiler {
     /// Registers a materialized view of the per-column accumulators
     /// (summaries, quantile sketches, FM/CM sketches, frequency tables);
     /// appends to the source table refresh the profile at O(appended) cost.
+    /// The accumulators have no state codec, so the view is not persisted:
+    /// after a restart it rebuilds from the recovered table.
     fn train_incremental(
         &self,
         session: &Session,

@@ -90,6 +90,25 @@ impl Summary {
         self.max = self.max.max(other.max);
     }
 
+    /// The six accumulators — count, mean, m2, min, max, null count — as
+    /// they are, for persisting a summary bit for bit.
+    pub fn to_parts(&self) -> (u64, [f64; 4], u64) {
+        let values = [self.mean, self.m2, self.min, self.max];
+        (self.count, values, self.null_count)
+    }
+
+    /// The summary [`Summary::to_parts`] took apart.
+    pub fn from_parts((count, [mean, m2, min, max], null_count): (u64, [f64; 4], u64)) -> Self {
+        Self {
+            count,
+            mean,
+            m2,
+            min,
+            max,
+            null_count,
+        }
+    }
+
     /// Number of non-null observations.
     pub fn count(&self) -> u64 {
         self.count

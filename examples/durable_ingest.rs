@@ -9,14 +9,17 @@
 //! the directory that keeps of `wal.log` only the bytes the engine had
 //! fsynced (`wal_durable_len`) plus the half-written frame a torn group
 //! commit leaves behind.  `Database::recover` must hand back exactly the
-//! acknowledged rows, and a model re-registered and refreshed over them
-//! must be the pre-crash model bit for bit; the example exits non-zero
-//! otherwise, so CI running it guards the durable commit path end to end.
+//! acknowledged rows; the model re-registered over them must adopt the view
+//! states the checkpoint persisted, absorbing only the rows appended after
+//! it (the recovery report says so); and, refreshed, it must be the
+//! pre-crash model bit for bit.  The example exits non-zero otherwise, so CI
+//! running it guards the durable commit path end to end.
 
 use madlib::engine::table::Distribution;
-use madlib::engine::{row, Column, ColumnType, Database, Row, Schema, Table};
+use madlib::engine::{row, Column, ColumnType, Database, Row, Schema, Table, ViewOutcome};
 use madlib::methods::datasets::{labeled_point_schema, linear_regression_data};
 use madlib::methods::regress::LinearRegression;
+use madlib::methods::train::incremental_view_name;
 use madlib::methods::Session;
 use std::path::Path;
 
@@ -63,6 +66,7 @@ fn run(live: &Path, crashed: &Path) -> Result<(), String> {
         .expect("initial fit");
     append(&mut batches, 5);
     let written = db.checkpoint().expect("checkpoint succeeds");
+    let checkpointed = db.table("readings").expect("cataloged").row_count();
 
     // A populated table built outside the catalog: 3 segments (the database
     // has 2), hashed on the sensor id.  It is logged as it is stored.
@@ -113,10 +117,30 @@ fn run(live: &Path, crashed: &Path) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .row_count();
     let sites = recovered.table("sensor_sites").map_err(|e| e.to_string())?;
-    let session = Session::new(recovered);
+    let session = Session::new(recovered.clone());
     session
         .train_incremental(&estimator, "readings", "drift_model")
         .map_err(|e| format!("re-register: {e}"))?;
+    // The view the checkpoint persisted is adopted: re-registering the model
+    // absorbed the rows the log replayed, not the table.
+    let report = recovered.recovery_report().expect("durable database");
+    let view = incremental_view_name("drift_model");
+    let outcome = report.views.iter().find(|(name, _)| *name == view);
+    println!(
+        "recovery  : manifest epoch {:?}, {} chunks loaded, {} log frames replayed, \
+         {} torn bytes discarded, view {outcome:?}",
+        report.manifest_epoch,
+        report.chunks_loaded,
+        report.wal_frames_replayed,
+        report.wal_bytes_discarded
+    );
+    let suffix_rows = (rows - checkpointed) as u64;
+    if outcome.map(|(_, outcome)| *outcome) != Some(ViewOutcome::Adopted { suffix_rows }) {
+        return Err(format!(
+            "the drift model's view was not adopted with the {suffix_rows} rows appended \
+             after its checkpoint: {outcome:?}"
+        ));
+    }
     let after = session
         .refresh(&estimator, "readings", "drift_model")
         .map_err(|e| format!("refresh: {e}"))?;

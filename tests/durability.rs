@@ -12,10 +12,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use madlib::engine::aggregate::SumAggregate;
-use madlib::engine::{row, Database, Executor, MaterializedAggregate, Row, Value};
+use madlib::engine::table::Distribution;
+use madlib::engine::{
+    row, Column, ColumnType, Database, Executor, MaterializedAggregate, RebuildReason, Row, Schema,
+    StealGranularity, Table, Value, ViewOutcome,
+};
+use madlib::methods::classify::NaiveBayes;
 use madlib::methods::datasets::labeled_point_schema;
 use madlib::methods::regress::LinearRegression;
+use madlib::methods::train::incremental_view_name;
 use madlib::methods::Session;
+use proptest::prelude::*;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -263,4 +270,164 @@ fn materialized_views_rebuild_identically_after_recovery() {
         )
         .unwrap();
     assert_eq!(refresh(&again).to_bits(), mark.to_bits());
+}
+
+/// One table both single-pass estimators read: linear regression `y ~ x`,
+/// naive Bayes `label ~ x`.
+fn mixed_schema() -> Schema {
+    Schema::new(vec![
+        Column::new("id", ColumnType::Int),
+        Column::new("y", ColumnType::Double),
+        Column::new("label", ColumnType::Text),
+        Column::new("x", ColumnType::DoubleArray),
+    ])
+}
+
+fn mixed_rows(range: std::ops::Range<i64>) -> Vec<Row> {
+    let labels = ["north", "south", "east"];
+    labeled_rows(range.clone())
+        .into_iter()
+        .zip(range)
+        .map(|(row, i)| {
+            let [y, x] = [row.get(0).clone(), row.get(1).clone()];
+            Row::new(vec![
+                Value::Int(i),
+                y,
+                Value::Text(labels[i as usize % 3].into()),
+                x,
+            ])
+        })
+        .collect()
+}
+
+/// The table a schedule registers and replaces: `segments` segments, hashed
+/// on `id` or round-robin, `capacity` rows per chunk.
+fn mixed_table(layout: (usize, bool, usize), range: std::ops::Range<i64>) -> Table {
+    let (segments, hashed, capacity) = layout;
+    let distribution = match hashed {
+        true => Distribution::HashColumn("id".into()),
+        false => Distribution::RoundRobin,
+    };
+    let mut table = Table::with_distribution(mixed_schema(), segments, distribution)
+        .unwrap()
+        .with_chunk_capacity(capacity)
+        .unwrap();
+    table.insert_all(mixed_rows(range)).unwrap();
+    table
+}
+
+/// `Ok` results by their `Debug` rendering (every `f64` in shortest
+/// round-trip form, so equal strings are equal bits); any error as one.
+fn rendered<M: std::fmt::Debug, E>(result: Result<M, E>) -> Option<String> {
+    result.ok().map(|model| format!("{model:?}"))
+}
+
+proptest! {
+    /// Restart without rebuild, held to the rebuild: a random schedule of
+    /// appends (batches that cross chunk boundaries), checkpoints,
+    /// truncates, replaces and refreshes under both incremental estimators,
+    /// then a crash at a random durable WAL offset.  After `recover`,
+    /// `train_incremental` must give exactly the bits `train` gives on the
+    /// recovered table, and the report must say `Adopted` — with the rows
+    /// replayed past the checkpoint as its suffix — exactly when the last
+    /// checkpoint carried the views and no truncate or replace of their
+    /// table was replayed after it.
+    #[test]
+    fn adopted_views_finalize_to_the_retrain_bits(
+        layout in (1usize..5, 0u8..2, 2usize..6),
+        chunk_range in 0u8..2,
+        ops in prop::collection::vec((0u8..10, 0usize..12), 2..12),
+        crash in 250u64..1001,
+    ) {
+        let layout = (layout.0, layout.1 == 1, layout.2);
+        let steal = [StealGranularity::Segment, StealGranularity::ChunkRange][chunk_range as usize];
+        let executor = Executor::new().with_steal_granularity(steal);
+        let (lin, nb) = (LinearRegression::new("y", "x"), NaiveBayes::new("label", "x"));
+        let scratch = ScratchDir::new("adopt");
+        let db = Database::open(scratch.path(), 2).unwrap();
+        db.register_table("events", mixed_table(layout, 0..7)).unwrap();
+        let session = Session::new(db.clone()).with_executor(executor);
+        session.train_incremental(&lin, "events", "lin").unwrap();
+        session.train_incremental(&nb, "events", "nb").unwrap();
+        db.checkpoint().unwrap();
+
+        // The model of what recovery will find: the rows the last checkpoint
+        // carried the views at (none when it did not carry them), and per
+        // logged operation since, its durable end and whether it gave the
+        // table a new incarnation.
+        let (mut rows, mut next, mut current) = (7u64, 7i64, true);
+        let mut carried = Some(rows);
+        let mut floor = db.wal_durable_len().unwrap();
+        let mut logged: Vec<(u64, bool)> = Vec::new();
+        for (kind, n) in ops {
+            let fresh = next..next + n as i64;
+            match kind {
+                0..=4 => {
+                    db.append_rows("events", mixed_rows(fresh)).unwrap();
+                    (rows, current) = (rows + n as u64, true);
+                }
+                5 => {
+                    db.checkpoint().unwrap();
+                    carried = current.then_some(rows);
+                    floor = db.wal_durable_len().unwrap();
+                    logged.clear();
+                    continue;
+                }
+                6 => {
+                    db.truncate_table("events").unwrap();
+                    (rows, current) = (0, false);
+                }
+                7 => {
+                    db.replace_table("events", mixed_table(layout, fresh)).unwrap();
+                    (rows, current) = (n as u64, false);
+                }
+                _ => {
+                    // An empty table refreshes to an error, after the absorb.
+                    let _ = session.refresh(&lin, "events", "lin");
+                    let _ = session.refresh(&nb, "events", "nb");
+                    current = true;
+                    continue;
+                }
+            }
+            next += n as i64;
+            logged.push((db.wal_durable_len().unwrap(), kind >= 6));
+        }
+        let end = db.wal_durable_len().unwrap();
+        drop((session, db));
+        let cut = floor + (end - floor) * crash / 1000;
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(scratch.path().join("wal.log"))
+            .and_then(|f| f.set_len(cut))
+            .unwrap();
+        let replayed: Vec<bool> = logged.iter().filter(|(len, _)| *len <= cut).map(|l| l.1).collect();
+
+        let db = Database::recover(scratch.path()).unwrap();
+        let session = Session::new(db.clone()).with_executor(executor);
+        let recovered_rows = db.table("events").unwrap().row_count() as u64;
+        let dataset = session.dataset("events").unwrap();
+        prop_assert_eq!(
+            rendered(session.train_incremental(&lin, "events", "lin")),
+            rendered(session.train(&lin, &dataset))
+        );
+        prop_assert_eq!(
+            rendered(session.train_incremental(&nb, "events", "nb")),
+            rendered(session.train(&nb, &dataset))
+        );
+
+        let report = db.recovery_report().unwrap();
+        prop_assert_eq!(report.wal_frames_replayed, replayed.len() as u64);
+        let expect = match carried {
+            Some(at) if !replayed.contains(&true) => Some(ViewOutcome::Adopted {
+                suffix_rows: recovered_rows - at,
+            }),
+            Some(_) => Some(ViewOutcome::Rebuilt { reason: RebuildReason::Generation }),
+            None => None,
+        };
+        for model in ["lin", "nb"] {
+            let view = incremental_view_name(model);
+            let outcome = report.views.iter().find(|(name, _)| *name == view).map(|v| v.1);
+            prop_assert_eq!(outcome, expect);
+        }
+    }
 }
