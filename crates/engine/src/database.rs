@@ -756,8 +756,8 @@ impl Database {
     /// checkpoint persisted a view under uses up that pending entry: it is
     /// offered to `state` ([`AnyMaterialized::adopt`]), which takes the
     /// persisted states when they are its own — same source, aggregate
-    /// fingerprint, steal granularity, and a source table that is still the
-    /// incarnation they describe (no truncate, replace or drop replayed
+    /// fingerprint, and a source table that is still the incarnation they
+    /// describe (no truncate, replace or drop replayed
     /// since) — so that its first absorb catches up only the replayed rows.
     /// [`Database::recovery_report`] records what happened.
     ///

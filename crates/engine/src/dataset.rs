@@ -142,8 +142,7 @@ impl<'a> Dataset<'a> {
         self
     }
 
-    /// Binds the dataset to a specific executor (parallelism and steal
-    /// granularity).
+    /// Binds the dataset to a specific executor (parallel or serial).
     /// An executor bound here sticks: a training session will run this
     /// dataset under it instead of the session's own executor.
     #[must_use]
@@ -301,10 +300,7 @@ impl<'a> Dataset<'a> {
             &group_indices,
             self.filter.as_ref(),
         )?;
-        let states = segments
-            .into_iter()
-            .flatten()
-            .flat_map(GroupedUnit::into_states);
+        let states = segments.into_iter().flat_map(GroupedUnit::into_states);
         fold::fold_groups(aggregate, states, self.executor.is_parallel())
     }
 
@@ -330,7 +326,6 @@ impl<'a> Dataset<'a> {
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor.is_parallel(),
-            scan::StealGranularity::ChunkRange,
             |range, segment| {
                 let mut out = Vec::new();
                 scan::scan_chunks(range.chunks(segment), schema, filter, |batch| {

@@ -1,4 +1,4 @@
-//! Scan configuration: parallelism and steal granularity.
+//! Scan configuration: parallelism, the one setting.
 //!
 //! The engine runs user-defined aggregates over a partitioned [`Table`] the
 //! way Greenplum runs one query process per segment — the execution model
@@ -8,26 +8,24 @@
 //! the (small) transition states ever cross segment boundaries — the
 //! property the paper credits for its near-linear parallel speedup.
 //!
-//! An [`Executor`] does not implement any of that itself; it is the
-//! *configuration* every scan terminal reads:
-//!
-//! * parallelism — work-stealing workers ([`crate::scan`]: at most
-//!   [`scan::worker_count`] of them claim scan units from a shared cursor,
-//!   and worker panics become [`EngineError::WorkerPanicked`]) or the
-//!   calling thread;
-//! * [`scan::StealGranularity`] — whether aggregate scans steal whole
-//!   segments or chunk ranges.
+//! An [`Executor`] does not implement any of that itself; it is the one
+//! setting every scan terminal reads: parallelism — work-stealing workers
+//! ([`crate::scan`]: at most [`crate::scan::worker_count`] of them claim scan
+//! units from a shared cursor, and worker panics become
+//! [`EngineError::WorkerPanicked`]) or the calling thread.  How a scan is
+//! cut into units is the terminal's business, not the executor's:
+//! aggregates steal whole segments, order-preserving terminals chunk ranges.
 //!
 //! Every terminal scans chunk at a time (chunks stream through
-//! [`crate::scan::scan_chunks`] with predicates hoisted to one
+//! [`crate::scan::scan_segment_chunks`] with predicates hoisted to one
 //! [`crate::chunk::SelectionMask`] per chunk); the per-row meaning of an
 //! aggregate is kept as [`crate::reference`], which no terminal calls.
 //!
 //! Scans are described with [`crate::dataset::Dataset`]
 //! (`db.dataset("t")?.filter(...).group_by([...])`).  Its aggregate
 //! terminals and [`crate::materialize::MaterializedAggregate`] share one
-//! implementation of the per-unit transition runners and of the merge
-//! hierarchy (the crate-private `fold` module), so a batch aggregate, a
+//! implementation of the per-segment transition runners and of the merge
+//! (the crate-private `fold` module), so a batch aggregate, a
 //! grouped aggregate and a refreshed view cannot disagree.
 //! [`Executor::aggregate`], [`Executor::aggregate_with_stats`],
 //! [`Executor::parallel_map`] and [`Executor::parallel_map_chunks`] are
@@ -38,7 +36,6 @@ use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
 use crate::expr::Predicate;
 use crate::row::Row;
-use crate::scan;
 use crate::schema::Schema;
 use crate::table::Table;
 
@@ -49,7 +46,8 @@ pub struct ExecutionStats {
     pub rows_scanned: u64,
     /// Rows that passed the filter (equals `rows_scanned` when no filter).
     pub rows_aggregated: u64,
-    /// Number of segment workers used.
+    /// Number of segments of the scanned table (each one unit of work and
+    /// one partial state).
     pub segments: usize,
 }
 
@@ -60,53 +58,24 @@ pub struct Executor {
     /// threads; when false everything runs on the calling thread, which is
     /// occasionally useful for debugging and for measuring parallel speedup.
     parallel: bool,
-    steal: scan::StealGranularity,
 }
 
 impl Executor {
-    /// Creates a parallel executor stealing whole segments.
+    /// Creates a parallel executor.
     pub fn new() -> Self {
-        Self {
-            parallel: true,
-            steal: scan::StealGranularity::Segment,
-        }
+        Self { parallel: true }
     }
 
     /// Creates an executor that processes segments serially on the calling
     /// thread.  The per-segment transition/merge structure is identical, so
     /// results match the parallel path exactly.
     pub fn serial() -> Self {
-        Self {
-            parallel: false,
-            ..Self::new()
-        }
-    }
-
-    /// Selects the work-stealing granularity for aggregate scans
-    /// ([`scan::StealGranularity::Segment`] by default).
-    ///
-    /// [`scan::StealGranularity::ChunkRange`] spreads one hot segment's
-    /// chunks across every worker, curing intra-segment skew, at the price
-    /// of a different (but still deterministic, worker-count-independent)
-    /// floating-point merge structure: per segment, the partial transition
-    /// states of each chunk range merge in range order via
-    /// [`Aggregate::merge`], which reassociates additions relative to the
-    /// whole-segment sequential fold.  Exact-arithmetic aggregates (counts,
-    /// integer-valued sums) are bit-identical either way; inexact ones agree
-    /// to merge-level rounding.
-    pub fn with_steal_granularity(mut self, steal: scan::StealGranularity) -> Self {
-        self.steal = steal;
-        self
+        Self { parallel: false }
     }
 
     /// Whether this executor runs segments in parallel.
     pub fn is_parallel(&self) -> bool {
         self.parallel
-    }
-
-    /// The work-stealing granularity for aggregate scans.
-    pub fn steal_granularity(&self) -> scan::StealGranularity {
-        self.steal
     }
 
     /// Runs `aggregate` over every row of `table`, returning the finalized

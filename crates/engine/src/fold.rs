@@ -1,21 +1,19 @@
-//! One fold: the per-unit partial states every aggregation scan produces,
-//! the runners that produce them, and the merge hierarchy that consumes
+//! One fold: the per-segment partial states every aggregation scan
+//! produces, the runners that produce them, and the merge that consumes
 //! them.
 //!
 //! The paper's scale-out contract is `transition` / `merge` / `final`, with
 //! only the small states crossing segments.  This module is the engine's one
 //! implementation of that contract:
 //!
-//! * **Currency** — `Vec<Vec<U>>`: per segment, one partial state per steal
-//!   unit in range order (aligned with [`scan::chunk_range_units`]: one per
-//!   segment at [`scan::StealGranularity::Segment`], one per
-//!   [`scan::CHUNKS_PER_UNIT`]-chunk run at
-//!   [`scan::StealGranularity::ChunkRange`]).  An ungrouped unit is an
-//!   `A::State`; a grouped unit is a [`GroupedUnit`] (a
-//!   [`SlotDirectory`] + one state per slot).
+//! * **Currency** — `Vec<U>`: one partial state per segment, in segment
+//!   order.  The segment is the unit of work: a segment's chunks stream
+//!   through one state on one worker.  An ungrouped state is an `A::State`;
+//!   a grouped one is a [`GroupedUnit`] (a [`SlotDirectory`] + one state per
+//!   slot).
 //! * **Runners** — [`advance_state`] folds a run of chunks into an ungrouped
-//!   unit ([`scan::scan_chunks`] + [`Aggregate::transition_chunk`]);
-//!   [`GroupedUnit::advance`] does the same for a grouped unit.  Routing a
+//!   state ([`scan::scan_chunks`] + [`Aggregate::transition_chunk`]);
+//!   [`GroupedUnit::advance`] does the same for a grouped one.  Routing a
 //!   chunk's rows to groups is [`crate::group`]'s job — the keying pass
 //!   ([`SlotDirectory::key_chunk`]) and the index sort ([`IndexSort`]) that
 //!   grouped scoring, `gather_groups` and `partition_by_group` use too; what
@@ -25,20 +23,20 @@
 //!   scan order across the two.  Both runners are *resumable*: calling them
 //!   again with the chunks appended since continues the same state, which is
 //!   how a materialized view absorbs a suffix.
-//! * **Fan-out** — [`scan_units`] / [`scan_grouped_units`] run every unit of
-//!   a table on the work-stealing pool.  A batch aggregate folds the result
-//!   and throws it away; a materialized view keeps it behind a watermark and
-//!   later advances only the units past it, serially on the calling thread.
-//! * **Fold** — [`fold_units`] (merge in range order within a segment, in
-//!   segment order across) and [`fold_groups`] (flat per key in (segment,
-//!   unit) order, key-sorted, finalized on
-//!   [`scan::run_per_item_with_scratch`]).  These are the only callers of
-//!   [`Aggregate::merge`] in the engine, so batch ≡ refresh holds by
-//!   construction.
+//! * **Fan-out** — [`scan_units`] / [`scan_grouped_units`] run every segment
+//!   of a table on the work-stealing pool ([`scan::run_per_segment`]).  A
+//!   batch aggregate folds the result and throws it away; a materialized
+//!   view keeps it behind a watermark and later advances each state over
+//!   the rows past it, serially on the calling thread.
+//! * **Fold** — [`fold_units`] (one left-to-right merge in segment order)
+//!   and [`fold_groups`] (flat per key in segment order, key-sorted,
+//!   finalized on [`scan::run_per_item_with_scratch`]).  These are the only
+//!   callers of [`Aggregate::merge`] in the engine, so batch ≡ refresh holds
+//!   by construction.
 //!
 //! [`crate::reference`] feeds per-row states (materialised rows +
-//! [`Aggregate::transition`]) through the same two folds at whole-segment
-//! granularity; it is the bit reference, not a scan path.
+//! [`Aggregate::transition`]) through the same two folds; it is the bit
+//! reference, not a scan path.
 
 use crate::aggregate::Aggregate;
 use crate::chunk::{RowChunk, Segment};
@@ -79,7 +77,7 @@ const RADIX_FLUSH_ROWS: usize = 256;
 /// at roughly this many rows' worth of columnar data per worker.
 const RADIX_MAX_STAGED_ROWS: usize = 32 * 1024;
 
-/// The ungrouped unit runner: folds the filter-surviving rows of `chunks`
+/// The ungrouped runner: folds the filter-surviving rows of `chunks`
 /// into `state`, chunk at a time.
 pub(crate) fn advance_state<A: Aggregate>(
     aggregate: &A,
@@ -93,44 +91,32 @@ pub(crate) fn advance_state<A: Aggregate>(
     })
 }
 
-/// Runs `run_unit` once per steal unit of `table` on the work-stealing pool
-/// and collects each segment's unit states in range order.  The unit
-/// decomposition depends only on the table and the executor's granularity,
-/// never on the worker count.
+/// Runs `run_segment` once per segment of `table` on the work-stealing pool
+/// and collects the states in segment order.
 fn fan_out<U: Send>(
     table: &Table,
     executor: &Executor,
-    run_unit: impl Fn(scan::ChunkRange, &Segment) -> Result<(U, SegmentScanStats)> + Sync,
-) -> Result<(Vec<Vec<U>>, ExecutionStats)> {
-    let per_segment = scan::run_per_segment_ranged(
-        table,
-        executor.is_parallel(),
-        executor.steal_granularity(),
-        |range, segment| run_unit(range, segment).map(|unit| vec![unit]),
-        |mut units, more| {
-            units.extend(more);
-            units
-        },
-    );
+    run_segment: impl Fn(&Segment) -> Result<(U, SegmentScanStats)> + Sync,
+) -> Result<(Vec<U>, ExecutionStats)> {
+    let per_segment = scan::run_per_segment(table, executor.is_parallel(), |_, segment| {
+        run_segment(segment)
+    });
     let mut stats = ExecutionStats {
         rows_scanned: 0,
         rows_aggregated: 0,
         segments: table.num_segments(),
     };
-    let mut segments = Vec::with_capacity(table.num_segments());
+    let mut states = Vec::with_capacity(table.num_segments());
     for result in per_segment {
-        let mut units = Vec::new();
-        for (unit, unit_stats) in result? {
-            stats.rows_scanned += unit_stats.rows_scanned;
-            stats.rows_aggregated += unit_stats.rows_passed;
-            units.push(unit);
-        }
-        segments.push(units);
+        let (state, segment_stats) = result?;
+        stats.rows_scanned += segment_stats.rows_scanned;
+        stats.rows_aggregated += segment_stats.rows_passed;
+        states.push(state);
     }
-    Ok((segments, stats))
+    Ok((states, stats))
 }
 
-/// Scans all of `table` into ungrouped unit states.
+/// Scans all of `table` into ungrouped per-segment states.
 ///
 /// # Errors
 /// Propagates transition and predicate errors (the earliest failing
@@ -140,17 +126,17 @@ pub(crate) fn scan_units<A: Aggregate>(
     table: &Table,
     executor: &Executor,
     filter: Option<&Predicate>,
-) -> Result<(Vec<Vec<A::State>>, ExecutionStats)> {
+) -> Result<(Vec<A::State>, ExecutionStats)> {
     let schema = table.schema();
-    fan_out(table, executor, |range, segment| {
+    fan_out(table, executor, |segment| {
         let mut state = aggregate.initial_state();
-        let stats = advance_state(aggregate, &mut state, range.chunks(segment), schema, filter)?;
+        let stats = advance_state(aggregate, &mut state, segment.chunks(), schema, filter)?;
         Ok((state, stats))
     })
 }
 
-/// Scans all of `table` into grouped unit states, keyed by the columns at
-/// `group_indices`.
+/// Scans all of `table` into grouped per-segment states, keyed by the
+/// columns at `group_indices`.
 ///
 /// # Errors
 /// As [`scan_units`].
@@ -160,13 +146,13 @@ pub(crate) fn scan_grouped_units<A: Aggregate>(
     executor: &Executor,
     group_indices: &[usize],
     filter: Option<&Predicate>,
-) -> Result<Vec<Vec<GroupedUnit<A::State>>>> {
+) -> Result<Vec<GroupedUnit<A::State>>> {
     let schema = table.schema();
-    let (segments, _) = fan_out(table, executor, |range, segment| {
+    let (segments, _) = fan_out(table, executor, |segment| {
         let mut unit = GroupedUnit::default();
         let stats = unit.advance(
             aggregate,
-            range.chunks(segment),
+            segment.chunks(),
             schema,
             group_indices,
             filter,
@@ -177,29 +163,20 @@ pub(crate) fn scan_grouped_units<A: Aggregate>(
     Ok(segments)
 }
 
-/// Folds unit states into one: per segment the units merge left-to-right in
-/// range order, then the per-segment states merge left-to-right in segment
-/// order.  An empty level contributes `initial_state()`.
-pub(crate) fn fold_units<A, I>(aggregate: &A, segments: I) -> A::State
-where
-    A: Aggregate,
-    I: IntoIterator,
-    I::Item: IntoIterator<Item = A::State>,
-{
-    let fold = |states: &mut dyn Iterator<Item = A::State>| {
-        states
-            .reduce(|left, right| aggregate.merge(left, right))
-            .unwrap_or_else(|| aggregate.initial_state())
-    };
-    fold(
-        &mut segments
-            .into_iter()
-            .map(|units| fold(&mut units.into_iter())),
-    )
+/// Folds per-segment states into one, merging left-to-right in segment
+/// order; no state at all is `initial_state()`.
+pub(crate) fn fold_units<A: Aggregate>(
+    aggregate: &A,
+    states: impl IntoIterator<Item = A::State>,
+) -> A::State {
+    states
+        .into_iter()
+        .reduce(|left, right| aggregate.merge(left, right))
+        .unwrap_or_else(|| aggregate.initial_state())
 }
 
-/// Folds per-group unit states — arriving in (segment, unit) order — flat
-/// per key, left-to-right, and finalizes every group, returning outputs
+/// Folds per-group states — arriving in segment order — flat per key,
+/// left-to-right, and finalizes every group, returning outputs
 /// sorted by key.  Groups are independent, so finalize fans out over the
 /// work-stealing pool when `parallel`, each worker reusing one
 /// [`crate::FinalizeScratch`]; scheduling never affects the outputs.
@@ -240,8 +217,8 @@ where
     finalized.into_iter().map(|slot| slot?).collect()
 }
 
-/// One grouped unit's partial states: the unit's slot directory and, in a
-/// flat vector indexed by slot, one state per distinct key.
+/// One segment's grouped partial states: its slot directory and, in a flat
+/// vector indexed by slot, one state per distinct key.
 pub(crate) struct GroupedUnit<S> {
     directory: SlotDirectory,
     states: Vec<S>,
@@ -257,14 +234,14 @@ impl<S> Default for GroupedUnit<S> {
 }
 
 impl<S> GroupedUnit<S> {
-    /// The unit's `(key, state)` pairs, by value.
+    /// The `(key, state)` pairs, by value.
     pub(crate) fn into_states(self) -> impl Iterator<Item = (GroupKey, S)> {
         self.directory.into_keys().zip(self.states)
     }
 
-    /// The unit's `(key, state)` pairs, cloned.  (A key appears once per
-    /// unit, so the order within a unit never reaches [`fold_groups`]'
-    /// per-key merge order.)
+    /// The `(key, state)` pairs, cloned.  (A key appears once per segment,
+    /// so the order within a segment never reaches [`fold_groups`]' per-key
+    /// merge order.)
     pub(crate) fn cloned_states(&self) -> impl Iterator<Item = (GroupKey, S)> + '_
     where
         S: Clone,
@@ -274,13 +251,13 @@ impl<S> GroupedUnit<S> {
             .map(|(key, slot)| (key.clone(), self.states[slot as usize].clone()))
     }
 
-    /// The grouped unit runner: folds the filter-surviving rows of `chunks`
+    /// The grouped runner: folds the filter-surviving rows of `chunks`
     /// into their groups' states, chunk at a time.  Each chunk goes through
     /// the keying pass ([`SlotDirectory::key_chunk`]); groups big enough to
     /// batch are gathered, in row order, into compacted sub-chunks for
     /// [`Aggregate::transition_chunk`], and high-cardinality chunks stage
     /// their rows into `scratch`'s radix buckets, which flush in batches and
-    /// are all drained before returning — so the unit's states are complete
+    /// are all drained before returning — so the states are complete
     /// after every call, and a later call (with any drained scratch) resumes
     /// them.  After an error the scratch may still hold staged rows and must
     /// be discarded.
@@ -369,7 +346,7 @@ impl<S> GroupedUnit<S> {
         })?;
 
         // End of call: drain every bucket, so the states are complete and
-        // the scratch is reusable by any unit.  Cross-group order is free
+        // the scratch is reusable by any segment.  Cross-group order is free
         // (each group's state is independent); per-group order was preserved
         // by the staging discipline.
         if staging.staged_total > 0 {
@@ -383,9 +360,9 @@ impl<S> GroupedUnit<S> {
 }
 
 /// Per-call scratch of [`GroupedUnit::advance`], reusable across chunks,
-/// calls and units because every successful call leaves it drained: a batch
-/// scan makes one per unit, a materialized view keeps one for all its
-/// absorbs.
+/// calls and segments because every successful call leaves it drained: a
+/// batch scan makes one per segment, a materialized view keeps one for all
+/// its absorbs.
 #[derive(Default)]
 pub(crate) struct GroupScratch {
     /// The current chunk as the keying pass left it: every row's slot, the

@@ -79,7 +79,7 @@
 //! * **Reference** — every terminal has one, chunked, scan body.  The
 //!   per-row meaning of an aggregate lives on as
 //!   [`reference`](mod@reference) (materialise each row, filter it,
-//!   `transition` it, merge at whole-segment granularity): no terminal calls
+//!   `transition` it, merge the per-segment states): no terminal calls
 //!   it, and the tests compare the chunked scans against it.
 //!
 //! New methods opt in by overriding `transition_chunk` (typically via
@@ -87,9 +87,9 @@
 //! batched kernels in `madlib-linalg`) and checking it against
 //! [`reference`](mod@reference); everything else — merge, finalize, drivers,
 //! grouping — is unchanged.  Consumers that are not aggregates (sketch
-//! passes, projections) build on [`scan::scan_segment_chunks`] +
-//! [`scan::run_per_segment`] directly or use the `parallel_map_chunks`
-//! projection.
+//! passes, projections) use [`dataset::Dataset::map_chunks`] / the
+//! `parallel_map_chunks` projection, or [`scan::scan_segment_chunks`] over
+//! one segment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -129,7 +129,7 @@ pub use materialize::{
     AnyMaterialized, MaterializedAggregate, RebuildReason, ViewImage, ViewOutcome,
 };
 pub use row::Row;
-pub use scan::{ScanBatch, StealGranularity};
+pub use scan::ScanBatch;
 pub use schema::{Column, ColumnType, Schema};
 pub use score::{GroupScorers, Scorer, Similarity};
 pub use table::Table;

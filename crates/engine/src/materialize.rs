@@ -18,7 +18,7 @@
 //!
 //! # Bit-identity with the batch path
 //!
-//! A view *is* a batch scan's per-unit partial states, kept: both are
+//! A view *is* a batch scan's per-segment partial states, kept: both are
 //! produced and consumed by the same code (the crate-private `fold` module),
 //! so a refreshed result equals a from-scratch [`crate::Dataset`] aggregate
 //! under the same [`Executor`] **bit-for-bit** by construction:
@@ -29,21 +29,15 @@
 //!    therefore bit-identical to one whole-chunk call — so absorbing a
 //!    then-open tail chunk in several installments matches the batch scan
 //!    that sees it sealed.  This is the only invariant the view adds.
-//! 2. The view shares the batch scan's unit decomposition
-//!    ([`crate::scan::chunk_range_units`]: one state per segment at
-//!    [`crate::StealGranularity::Segment`], the default; one per
-//!    [`crate::scan::CHUNKS_PER_UNIT`]-chunk run at
-//!    [`crate::StealGranularity::ChunkRange`]) and its unit runners.  A
-//!    rebuild (first absorb, new table incarnation, shrunk segment, failed
-//!    absorb) is the batch scan's fan-out with the states kept; an absorb
-//!    resumes the same runners on the units past the watermark, serially on
-//!    the calling thread.  Unit boundaries are aligned from chunk 0 and
-//!    never move under append — only the last unit grows.
+//! 2. The view keeps what the batch scan keeps — one state per segment —
+//!    and shares its runners.  A rebuild (first absorb, new table
+//!    incarnation, shrunk segment, failed absorb) is the batch scan's
+//!    fan-out with the states kept; an absorb resumes the same runners on
+//!    each segment's rows past the watermark, serially on the calling
+//!    thread.
 //! 3. Finalize shares the batch scan's fold over clones of the retained
-//!    states: per segment, unit states merge left-to-right in range order;
-//!    the per-segment states merge left-to-right in segment order; grouped
-//!    states merge flat per key in (segment, unit) order and finalize in key
-//!    order.
+//!    states: they merge left-to-right in segment order; grouped states
+//!    merge flat per key in segment order and finalize in key order.
 //!
 //! # Mutation model
 //!
@@ -58,12 +52,12 @@
 //! A view's retained states are what a restart would otherwise rescan the
 //! table to rebuild, so a durable database persists them:
 //! [`crate::Database::checkpoint`] writes each view's [`ViewImage`] — per
-//! segment the watermark and the unit states encoded through
+//! segment the watermark and the state encoded through
 //! [`Aggregate::encode_state`] — and recovery offers it back to the first
 //! view registered under the same name ([`AnyMaterialized::adopt`]).  The
 //! view takes the states, the watermarks and the source generation only
-//! when the source table, [`Aggregate::state_fingerprint`], steal
-//! granularity and table incarnation all match and every state decodes;
+//! when the source table, [`Aggregate::state_fingerprint`] and table
+//! incarnation all match and every state decodes;
 //! its next absorb is then the ordinary catch-up over the rows the log
 //! replayed past the watermark.  Otherwise the view stays empty and that
 //! absorb rebuilds it, as it always has.  Adoption seeds nothing else: the
@@ -79,7 +73,7 @@ use crate::expr::Predicate;
 use crate::fold::{self, GroupScratch, GroupedUnit};
 use crate::group::{self, GroupKey};
 use crate::persist::{StateReader, StateWriter};
-use crate::scan::{self, SegmentScanStats, StealGranularity};
+use crate::scan::SegmentScanStats;
 use crate::table::Table;
 use std::any::Any;
 use std::sync::Arc;
@@ -135,8 +129,6 @@ pub enum RebuildReason {
     /// source table, another aggregate configuration
     /// ([`Aggregate::state_fingerprint`]), or a filter or grouping.
     Fingerprint,
-    /// The view's steal granularity differs from the persisted one.
-    Granularity,
     /// The source table is another incarnation than the one the states
     /// describe: it was truncated, replaced or dropped after the checkpoint.
     Generation,
@@ -169,15 +161,12 @@ pub enum ViewOutcome {
 pub struct ViewImage {
     /// [`Aggregate::state_fingerprint`] of the aggregate that wrote them.
     pub(crate) fingerprint: Vec<u8>,
-    /// The steal granularity the unit states were cut at.
-    pub(crate) granularity: StealGranularity,
     /// The source incarnation ([`Table::generation`]) the watermarks
     /// describe: the view's own when captured, the recovered table's when
     /// loaded.
     pub(crate) generation: u64,
-    /// Per source segment, the watermark and the encoded unit states in
-    /// range order.
-    pub(crate) segments: Vec<(Watermark, Vec<Vec<u8>>)>,
+    /// Per source segment, the watermark and the encoded state.
+    pub(crate) segments: Vec<(Watermark, Vec<u8>)>,
 }
 
 impl ViewImage {
@@ -230,45 +219,38 @@ impl Watermark {
                     .is_none_or(|chunk| chunk.len() < self.tail_rows))
     }
 
-    /// Hands every piece of `segment` past the watermark — the unabsorbed
-    /// rows of the open tail chunk (copied as the one run they are), then whole chunks, one
-    /// contiguous run per unit — to `visit`, with the index of the unit
-    /// that owns it.  Unit boundaries are aligned from chunk 0 and never
-    /// move under append; only the last unit grows.
+    /// Hands every piece of `segment` past the watermark to `visit`, in
+    /// order: the unabsorbed rows of the open tail chunk (copied as the one
+    /// run they are), then the whole chunks behind it as one run.
     fn for_each_piece(
         &self,
         segment: &Segment,
-        chunks_per_unit: usize,
-        mut visit: impl FnMut(usize, &[Arc<RowChunk>]) -> Result<()>,
+        mut visit: impl FnMut(&[Arc<RowChunk>]) -> Result<()>,
     ) -> Result<()> {
         let chunks = segment.chunks();
         let mut next = self.absorbed_chunks;
         if self.tail_rows > 0 {
             let chunk = &chunks[next];
             if chunk.len() > self.tail_rows {
-                let rest = chunk.slice(self.tail_rows..chunk.len());
-                visit(next / chunks_per_unit, &[Arc::new(rest)])?;
+                visit(&[Arc::new(chunk.slice(self.tail_rows..chunk.len()))])?;
             }
             next += 1;
         }
-        while next < chunks.len() {
-            let unit = next / chunks_per_unit;
-            let hi = (unit + 1).saturating_mul(chunks_per_unit).min(chunks.len());
-            visit(unit, &chunks[next..hi])?;
-            next = hi;
+        if next < chunks.len() {
+            visit(&chunks[next..])?;
         }
         Ok(())
     }
 }
 
-/// The retained per-segment, per-unit states — the batch scan's currency,
-/// kept: a single state per unit for ungrouped views, a slot directory of
-/// per-key states for grouped views (plus the grouped runner's scratch,
-/// reused across absorbs).
+/// The retained per-segment states — the batch scan's currency, kept: a
+/// single state per segment for ungrouped views, a slot directory of per-key
+/// states for grouped views (plus the grouped runner's scratch, reused
+/// across absorbs).
 enum ViewStates<S> {
-    Ungrouped(Vec<Vec<S>>),
+    Ungrouped(Vec<S>),
     Grouped {
-        segments: Vec<Vec<GroupedUnit<S>>>,
+        segments: Vec<GroupedUnit<S>>,
         scratch: Box<GroupScratch>,
     },
 }
@@ -277,9 +259,8 @@ enum ViewStates<S> {
 /// module docs for the maintenance and bit-identity story.
 ///
 /// The view is configured like a [`crate::Dataset`] terminal: an optional
-/// filter and optional grouping columns, plus the [`Executor`] whose scan
-/// structure (steal granularity, parallelism of rebuilds) the retained
-/// states share.
+/// filter and optional grouping columns, plus the [`Executor`] its rebuilds
+/// run under.
 pub struct MaterializedAggregate<A: Aggregate> {
     aggregate: A,
     filter: Option<Predicate>,
@@ -312,8 +293,8 @@ where
     A: Aggregate,
     A::State: Clone,
 {
-    /// Creates an empty ungrouped, unfiltered view whose retained state
-    /// structure is `executor`'s scan decomposition.
+    /// Creates an empty ungrouped, unfiltered view whose rebuilds run under
+    /// `executor`.
     pub fn new(aggregate: A, executor: &Executor) -> Self {
         Self {
             aggregate,
@@ -412,30 +393,22 @@ where
             ViewStates::Ungrouped(segments) if rescan => {
                 fold::scan_units(aggregate, table, executor, filter).map(|(s, _)| *segments = s)
             }
-            ViewStates::Ungrouped(segments) => catch_up(
-                segments,
-                watermarks,
-                table,
-                executor,
-                || aggregate.initial_state(),
-                |state, chunks| fold::advance_state(aggregate, state, chunks, schema, filter),
-            ),
+            ViewStates::Ungrouped(segments) => {
+                catch_up(segments, watermarks, table, |state, chunks| {
+                    fold::advance_state(aggregate, state, chunks, schema, filter)
+                })
+            }
             ViewStates::Grouped { segments, scratch } if rescan => {
                 // A failed absorb can leave rows staged.
                 **scratch = GroupScratch::default();
                 fold::scan_grouped_units(aggregate, table, executor, &group_indices, filter)
                     .map(|s| *segments = s)
             }
-            ViewStates::Grouped { segments, scratch } => catch_up(
-                segments,
-                watermarks,
-                table,
-                executor,
-                GroupedUnit::default,
-                |unit, chunks| {
+            ViewStates::Grouped { segments, scratch } => {
+                catch_up(segments, watermarks, table, |unit, chunks| {
                     unit.advance(aggregate, chunks, schema, &group_indices, filter, scratch)
-                },
-            ),
+                })
+            }
         };
         // A failed transition may have folded some rows in without advancing
         // the watermark; only a rebuild is safe now.
@@ -455,11 +428,9 @@ where
     /// Propagates merge/finalize errors; errors on a grouped view.
     pub fn finalize(&self) -> Result<A::Output> {
         match &self.states {
-            ViewStates::Ungrouped(segments) => {
-                let units = segments.iter().map(|units| units.iter().cloned());
-                self.aggregate
-                    .finalize(fold::fold_units(&self.aggregate, units))
-            }
+            ViewStates::Ungrouped(segments) => self
+                .aggregate
+                .finalize(fold::fold_units(&self.aggregate, segments.iter().cloned())),
             ViewStates::Grouped { .. } => Err(EngineError::invalid(
                 "finalize on a grouped materialized aggregate; use finalize_grouped",
             )),
@@ -478,10 +449,7 @@ where
     {
         match &self.states {
             ViewStates::Grouped { segments, .. } => {
-                let states = segments
-                    .iter()
-                    .flatten()
-                    .flat_map(GroupedUnit::cloned_states);
+                let states = segments.iter().flat_map(GroupedUnit::cloned_states);
                 fold::fold_groups(&self.aggregate, states, self.executor.is_parallel())
             }
             ViewStates::Ungrouped(_) => Err(EngineError::invalid(
@@ -491,29 +459,19 @@ where
     }
 }
 
-/// Advances retained `segments` over the pieces of `table` past their
-/// `watermarks` with the unit runner `advance`, serially on the calling
-/// thread — O(appended rows).  The units are the executor's aggregate-scan
-/// decomposition ([`scan::chunk_range_units`]), so the states stay the ones
-/// a batch scan of the grown table would produce.
+/// Advances each segment's retained state over the pieces of `table` past
+/// its watermark with the runner `advance`, serially on the calling thread —
+/// O(appended rows) — so the states stay the ones a batch scan of the grown
+/// table would produce.
 fn catch_up<U>(
-    segments: &mut [Vec<U>],
+    segments: &mut [U],
     watermarks: &[Watermark],
     table: &Table,
-    executor: &Executor,
-    new_unit: impl Fn() -> U,
     mut advance: impl FnMut(&mut U, &[Arc<RowChunk>]) -> Result<SegmentScanStats>,
 ) -> Result<()> {
-    let chunks_per_unit = match executor.steal_granularity() {
-        StealGranularity::Segment => usize::MAX,
-        StealGranularity::ChunkRange => scan::CHUNKS_PER_UNIT,
-    };
-    for (seg, (units, watermark)) in segments.iter_mut().zip(watermarks).enumerate() {
-        watermark.for_each_piece(table.segment(seg), chunks_per_unit, |unit, chunks| {
-            while units.len() <= unit {
-                units.push(new_unit());
-            }
-            advance(&mut units[unit], chunks).map(drop)
+    for (seg, (state, watermark)) in segments.iter_mut().zip(watermarks).enumerate() {
+        watermark.for_each_piece(table.segment(seg), |chunks| {
+            advance(state, chunks).map(drop)
         })?;
     }
     Ok(())
@@ -547,11 +505,10 @@ where
             out.into_bytes()
         };
         let segments = (self.watermarks.iter().zip(segments))
-            .map(|(watermark, units)| (*watermark, units.iter().map(encode).collect()))
+            .map(|(watermark, state)| (*watermark, encode(state)))
             .collect();
         Some(ViewImage {
             fingerprint,
-            granularity: self.executor.steal_granularity(),
             generation,
             segments,
         })
@@ -569,19 +526,15 @@ where
         {
             return Err(RebuildReason::Fingerprint);
         }
-        if image.granularity != self.executor.steal_granularity() {
-            return Err(RebuildReason::Granularity);
-        }
         if !image.fits(table) {
             return Err(RebuildReason::Generation);
         }
-        let decode = |bytes: &Vec<u8>| {
+        let decode = |(_, bytes): &(Watermark, Vec<u8>)| {
             let mut input = StateReader::new(bytes);
             let state = self.aggregate.decode_state(&mut input)?;
             input.finish().map(|()| state)
         };
-        let states = (image.segments.iter())
-            .map(|(_, units)| units.iter().map(decode).collect::<Result<Vec<_>>>())
+        let states = (image.segments.iter().map(decode))
             .collect::<Result<Vec<_>>>()
             .map_err(|_| RebuildReason::DamagedFrame)?;
         let suffix_rows = (image.segments.iter().enumerate())
@@ -632,32 +585,30 @@ mod tests {
         t
     }
 
-    /// Incremental absorb across partial tail chunks, chunk seals, filters
-    /// and both steal granularities matches the batch scan exactly.
+    /// Incremental absorb across partial tail chunks, chunk seals and
+    /// filters matches the batch scan exactly.
     #[test]
     fn absorb_matches_batch_aggregate() {
-        for steal in [StealGranularity::Segment, StealGranularity::ChunkRange] {
-            let executor = Executor::new().with_steal_granularity(steal);
-            let filter = Predicate::column_gt("v", 2.5);
-            let mut t = table(0, 2, 4);
-            let mut view = MaterializedAggregate::new(SumAggregate::new("v"), &executor)
-                .with_filter(filter.clone());
-            view.absorb(&t).unwrap();
-            assert_eq!(view.finalize().unwrap(), 0.0);
+        let executor = Executor::new();
+        let filter = Predicate::column_gt("v", 2.5);
+        let mut t = table(0, 2, 4);
+        let mut view = MaterializedAggregate::new(SumAggregate::new("v"), &executor)
+            .with_filter(filter.clone());
+        view.absorb(&t).unwrap();
+        assert_eq!(view.finalize().unwrap(), 0.0);
 
-            // Absorb in uneven installments: 1, 3, 9, 14 rows...
-            for (start, end) in [(0, 1), (1, 4), (4, 13), (13, 27)] {
-                for i in start..end {
-                    t.insert(row![(i % 3) as i64, i as f64]).unwrap();
-                }
-                view.absorb(&t).unwrap();
-                let batch = crate::Dataset::from_table(&t)
-                    .with_executor(executor)
-                    .filter(filter.clone())
-                    .aggregate(&SumAggregate::new("v"))
-                    .unwrap();
-                assert_eq!(view.finalize().unwrap(), batch);
+        // Absorb in uneven installments: 1, 3, 9, 14 rows...
+        for (start, end) in [(0, 1), (1, 4), (4, 13), (13, 27)] {
+            for i in start..end {
+                t.insert(row![(i % 3) as i64, i as f64]).unwrap();
             }
+            view.absorb(&t).unwrap();
+            let batch = crate::Dataset::from_table(&t)
+                .with_executor(executor)
+                .filter(filter.clone())
+                .aggregate(&SumAggregate::new("v"))
+                .unwrap();
+            assert_eq!(view.finalize().unwrap(), batch);
         }
     }
 

@@ -49,9 +49,9 @@
 //!   and the (possibly open) tail chunk inline, and last the names of the
 //!   persisted views.  Behind it follows one **view frame** per name, in
 //!   that order: view name, source table, the aggregate's state fingerprint,
-//!   the view's steal granularity, and per source segment the watermark
-//!   (absorbed chunks, absorbed rows of the tail chunk) and the encoded unit
-//!   states ([`crate::Aggregate::encode_state`] through [`StateWriter`]).
+//!   and per source segment the watermark (absorbed chunks, absorbed rows of
+//!   the tail chunk) and the encoded state
+//!   ([`crate::Aggregate::encode_state`] through [`StateWriter`]).
 //!   Written to `MANIFEST.tmp`, fsynced, renamed, then the directory is
 //!   fsynced — so the manifest is always either the old or the new
 //!   checkpoint, never torn.
@@ -64,10 +64,12 @@
 //! behind a failed frame cannot be trusted, so the views behind it go too.
 //!
 //! `wal.log` and `MANIFEST` open with a magic naming their format version,
-//! `MADWAL02` / `MADMAN03`.  `MADWAL02` is the word-wise checksum (version 1
+//! `MADWAL02` / `MADMAN04`.  `MADWAL02` is the word-wise checksum (version 1
 //! summed frames with a per-byte FNV-1a; lengths and payload bytes did not
-//! change); `MADMAN03` adds the view names and view frames (version 2 had
-//! the manifest frame alone).  A file of any other version is **refused
+//! change); `MADMAN03` added the view names and view frames (version 2 had
+//! the manifest frame alone), and `MADMAN04` keeps one state per segment in
+//! a view frame (version 3 also stored a steal granularity and a list of
+//! unit states per segment).  A file of any other version is **refused
 //! with a typed error naming the version**, and the directory is left as
 //! found — a version mismatch must not end as "no usable log", which
 //! recovery answers by continuing from the snapshot alone and dropping the
@@ -104,7 +106,6 @@ use crate::chunk::{ColumnChunk, NullBitmap, RowChunk, Segment};
 use crate::database::Recovered;
 use crate::error::{EngineError, Result};
 use crate::materialize::{ViewImage, Watermark};
-use crate::scan::StealGranularity;
 use crate::schema::{Column, ColumnType, Schema};
 use crate::table::{Distribution, Table};
 use crate::wal::Wal;
@@ -116,7 +117,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// File magic identifying a manifest and its format version.
-const MANIFEST_MAGIC: &[u8; 8] = b"MADMAN03";
+const MANIFEST_MAGIC: &[u8; 8] = b"MADMAN04";
 
 // ---------------------------------------------------------------------------
 // Frame codec
@@ -350,7 +351,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// counted element occupies at least one byte of the payload (the one
 /// exception, the rows of a zero-column chunk, would take 2³² inserts into
 /// a single chunk), so such a payload is longer than `u32::MAX` bytes and
-/// [`frame`] refuses it before anything is queued.
+/// [`put_frame`] refuses it before anything is queued.
 fn count_u32(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
@@ -1151,29 +1152,18 @@ pub(crate) struct Manifest {
     pub damaged_views: Vec<String>,
 }
 
-fn granularity_tag(granularity: StealGranularity) -> u8 {
-    match granularity {
-        StealGranularity::Segment => 0,
-        StealGranularity::ChunkRange => 1,
-    }
-}
-
-/// A view frame's payload: name, source, fingerprint, granularity, then per
-/// segment the watermark and each unit state behind its length.
+/// A view frame's payload: name, source, fingerprint, then per segment the
+/// watermark and the state behind its length.
 fn put_view(out: &mut Vec<u8>, view: &ManifestView) {
     put_str(out, &view.name);
     put_str(out, &view.source);
     let image = &view.image;
     put_bytes(out, &image.fingerprint);
-    out.push(granularity_tag(image.granularity));
     put_count(out, image.segments.len());
-    for (watermark, units) in &image.segments {
+    for (watermark, state) in &image.segments {
         watermark.absorbed_chunks.put(out);
         watermark.tail_rows.put(out);
-        put_count(out, units.len());
-        for unit in units {
-            put_bytes(out, unit);
-        }
+        put_bytes(out, state);
     }
 }
 
@@ -1184,20 +1174,14 @@ fn decode_view(payload: &[u8]) -> Result<ManifestView> {
     let name = r.str()?;
     let source = r.str()?;
     let fingerprint = read_bytes(&mut r)?;
-    let granularity = match r.u8()? {
-        0 => StealGranularity::Segment,
-        1 => StealGranularity::ChunkRange,
-        t => return Err(corrupt(&format!("unknown steal granularity tag {t}"))),
-    };
-    // A segment is at least its watermark and unit count; a unit its length.
+    // A segment is at least its watermark and its state's length.
     let segments = (0..r.count(20)?)
         .map(|_| {
             let watermark = Watermark {
                 absorbed_chunks: usize::read(&mut r)?,
                 tail_rows: usize::read(&mut r)?,
             };
-            let units = (0..r.count(4)?).map(|_| read_bytes(&mut r));
-            Ok((watermark, units.collect::<Result<_>>()?))
+            Ok((watermark, read_bytes(&mut r)?))
         })
         .collect::<Result<_>>()?;
     r.finish()?;
@@ -1206,7 +1190,6 @@ fn decode_view(payload: &[u8]) -> Result<ManifestView> {
         source,
         image: ViewImage {
             fingerprint,
-            granularity,
             generation: 0,
             segments,
         },
@@ -1577,7 +1560,7 @@ mod tests {
     }
 
     /// A view over table `t` of [`sample_manifest`]: two segments, the
-    /// first with a partly absorbed tail chunk and two units.
+    /// first with a partly absorbed tail chunk.
     fn sample_view(name: &str) -> ManifestView {
         let mut state = StateWriter::new();
         state.put_f64(-0.0);
@@ -1591,11 +1574,10 @@ mod tests {
             source: "t".into(),
             image: ViewImage {
                 fingerprint: b"sum(v)".to_vec(),
-                granularity: StealGranularity::ChunkRange,
                 generation: 0,
                 segments: vec![
-                    (watermark(3, 1), vec![state.into_bytes(), Vec::new()]),
-                    (watermark(0, 0), vec![Vec::new()]),
+                    (watermark(3, 1), state.into_bytes()),
+                    (watermark(0, 0), Vec::new()),
                 ],
             },
         }
@@ -1927,19 +1909,23 @@ mod tests {
     ";
     // Format version 3 (`MADMAN03`) appended the names of the view frames
     // that follow the manifest frame — here one, `v` (the last nine bytes);
-    // every byte before them is version 2's.
+    // every byte before them is version 2's.  Version 4 (`MADMAN04`) changed
+    // the view frame only: this payload is byte for byte version 3's.
     const GOLDEN_MANIFEST: &str = "\
         0500000000000000d204000000000000040000000000000007000000000000000100000001000000\
         74020000000000000001000000010000007602010100000076080000000000000001000000000000\
         00020000000300000000000000011d00000001000000010000000200000000000004400100000000\
         00000000000000000000000000000000010000000100000076\
     ";
-    // The view frame of version 3: name, source, fingerprint, granularity,
-    // then per segment its watermark and each unit state behind its length.
+    // The view frame of version 4: name, source, fingerprint, then per
+    // segment its watermark and its one state behind the state's length.
+    // Version 3 also wrote a steal-granularity byte after the fingerprint and
+    // a unit count before a segment's states: views keep one state per
+    // segment since aggregates always split a table by segment.
     const GOLDEN_VIEW: &str = "\
-        010000007601000000740600000073756d287629010200000003000000000000000100000000000000\
-        020000001c000000000000000000008002000000000000000000f83f000000000000f87f0000000000\
-        0000000000000000000000000000000100000000000000\
+        010000007601000000740600000073756d2876290200000003000000000000000100000000000000\
+        1c000000000000000000008002000000000000000000f83f000000000000f87f0000000000000000\
+        000000000000000000000000\
     ";
     const GOLDEN_CREATE: &str = "\
         0106000000706f696e74730200000002000000696401010000007804010200000069644000000000\

@@ -10,12 +10,11 @@
 //! order, each row materialised ([`crate::chunk::Segment::iter`]), filtered
 //! by [`Predicate::evaluate`](crate::expr::Predicate::evaluate) and folded
 //! with [`Aggregate::transition`]; a grouped row's key comes from its
-//! values.  The per-segment states go through the engine's own merge
-//! hierarchy at whole-segment granularity, so [`aggregate`] and
-//! [`aggregate_per_group`] return the bits [`Dataset::aggregate`] and
-//! [`Dataset::aggregate_per_group`] return under an
-//! [`Executor`](crate::Executor) stealing whole segments — exactly when every
-//! `transition_chunk` override is equal to its per-row fallback.
+//! values.  The per-segment states go through the engine's own merge, so
+//! [`aggregate`] and [`aggregate_per_group`] return the bits
+//! [`Dataset::aggregate`] and [`Dataset::aggregate_per_group`] return —
+//! exactly when every `transition_chunk` override is equal to its per-row
+//! fallback.
 //!
 //! No engine terminal calls this module.  The tests compare the chunked
 //! scans against it, and a method author checks a new override the same way:
@@ -47,7 +46,7 @@ pub fn aggregate<A: Aggregate>(dataset: &Dataset<'_>, aggregate: &A) -> Result<A
         for_each_row(dataset, segment, |row| {
             aggregate.transition(&mut state, row, dataset.schema())
         })?;
-        segments.push([state]);
+        segments.push(state);
     }
     aggregate.finalize(fold::fold_units(aggregate, segments))
 }

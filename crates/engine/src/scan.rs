@@ -10,7 +10,7 @@
 //! projection, a custom driver) opts into vectorized execution by writing a
 //! per-batch sink instead of re-implementing the scan loop.
 //!
-//! The fan-out ([`run_per_segment`]) additionally converts worker panics
+//! The fan-out (`run_per_segment`) additionally converts worker panics
 //! into [`EngineError::WorkerPanicked`] values instead of aborting the
 //! coordinating thread, so a buggy user-defined aggregate surfaces as an
 //! error the driver can handle — the behaviour a DBMS gives a crashing UDF
@@ -18,7 +18,7 @@
 //!
 //! # Scheduling
 //!
-//! Both fan-outs — [`run_per_segment`] / [`run_per_segment_ranged`] over a
+//! Both fan-outs — `run_per_segment` / `run_per_segment_ranged` over a
 //! table's segments and [`run_per_item`] over an owned work list (per-group
 //! finalize states, gathered per-group tables) — use the same
 //! **work-stealing** scheduler: workers claim the next unclaimed unit from a
@@ -32,20 +32,16 @@
 //!
 //! # Stealing granularity
 //!
-//! Segment-granular stealing still serializes a workload whose skew lives
-//! *inside* one segment: one hot segment is one unit, owned end-to-end by
-//! one worker.  [`run_per_segment_ranged`] therefore splits segments into
-//! [`ChunkRange`] units of at most [`CHUNKS_PER_UNIT`] chunks when asked for
-//! [`StealGranularity::ChunkRange`], merging each segment's per-unit results
-//! back together in range order with a caller-supplied `merge`.  The
-//! decomposition is a pure function of the table — never of the worker
-//! count — so a scan's result is independent of scheduling and thread count
-//! at *either* granularity.  The granularities themselves may differ
-//! bitwise for floating-point aggregate states (merging partial states
-//! reassociates additions), which is why chunk-range stealing is opt-in for
-//! aggregations ([`crate::Executor::with_steal_granularity`]) while
-//! order-preserving concatenation consumers (`map_chunks`) use it
-//! unconditionally.
+//! Aggregates steal **whole segments** (`run_per_segment`): a segment's
+//! chunks stream through one transition state, and only the per-segment
+//! states cross to `merge` — the paper's shared-nothing unit of scale-out.
+//! Order-preserving terminals (`map_chunks`, `score`, `score_into`,
+//! `score_per_group`) merge nothing, so they steal **chunk ranges**
+//! (`run_per_segment_ranged`): segments split into [`ChunkRange`] units of
+//! at most `CHUNKS_PER_UNIT` chunks, whose outputs concatenate back in range
+//! order — unconditionally identical to the whole-segment scan, so one hot
+//! segment's chunks spread across every worker for free.  The decomposition
+//! is a pure function of the table, never of the worker count.
 //!
 //! The worker count comes from [`worker_count`]: the `MADLIB_THREADS`
 //! environment variable when set to a positive integer, the machine's
@@ -119,7 +115,7 @@ where
 ///
 /// # Errors
 /// Propagates predicate-evaluation errors and errors returned by `sink`.
-pub fn scan_chunks<F>(
+pub(crate) fn scan_chunks<F>(
     chunks: &[Arc<RowChunk>],
     schema: &Schema,
     filter: Option<&Predicate>,
@@ -163,8 +159,8 @@ where
 /// `MADLIB_THREADS` environment variable when it parses as a positive
 /// integer, the machine's available parallelism otherwise.
 ///
-/// This is the single thread-count policy shared by [`run_per_segment`],
-/// [`run_per_item`] and the benchmark harness — the override exists so a
+/// This is the single thread-count policy shared by every fan-out of this
+/// module ([`run_per_item`] among them) and the benchmark harness — the override exists so a
 /// shared benchmark host (or a test) can pin the pool size without touching
 /// cgroup limits.  An override that does not parse as a positive integer
 /// (empty, `0`, `lots`) logs a warning to stderr — once per process — and
@@ -185,7 +181,7 @@ pub fn worker_count() -> usize {
 /// override wins; anything else (empty, `0`, garbage) falls back to the
 /// machine's available parallelism and returns the warning that should be
 /// logged.  An *unset* variable is not an error and never warns.
-pub fn worker_count_from(env_override: Option<&str>) -> (usize, Option<String>) {
+pub(crate) fn worker_count_from(env_override: Option<&str>) -> (usize, Option<String>) {
     let fallback = || {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -224,7 +220,7 @@ pub fn worker_count_from(env_override: Option<&str>) -> (usize, Option<String>) 
 /// A panicking worker does **not** abort the coordinator: the panic payload
 /// is captured and surfaced as [`EngineError::WorkerPanicked`] in that
 /// segment's slot, while the remaining segments still run to completion.
-pub fn run_per_segment<T, F>(table: &Table, parallel: bool, work: F) -> Vec<Result<T>>
+pub(crate) fn run_per_segment<T, F>(table: &Table, parallel: bool, work: F) -> Vec<Result<T>>
 where
     T: Send,
     F: Fn(usize, &Segment) -> Result<T> + Sync,
@@ -255,32 +251,20 @@ where
     )
 }
 
-/// How the parallel scan fan-out decomposes a table into steal-able units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// How [`chunk_range_units`] decomposes a table into steal-able units.  The
+/// terminal decides, not the caller: aggregates steal whole segments,
+/// order-preserving terminals chunk ranges (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StealGranularity {
-    /// One work unit per segment (the default).  A segment's chunks stream
-    /// through one worker sequentially, so per-segment results are
-    /// bit-identical to the serial scan — but one hot segment serializes on
-    /// the worker that claimed it.
-    #[default]
+    /// One work unit per segment: a segment's chunks stream through one
+    /// worker sequentially, so per-segment results are bit-identical to the
+    /// serial scan.  Every aggregate scan is cut this way.
     Segment,
-    /// Segments split into [`ChunkRange`] units of at most
-    /// [`CHUNKS_PER_UNIT`] chunks, so one hot segment spreads across every
-    /// worker.  Per-unit results are merged back per segment in range order;
-    /// for floating-point aggregate states that merge *reassociates*
-    /// additions, so results can differ bitwise from [`Segment`] granularity
-    /// (while remaining independent of worker count and scheduling).
+    /// Segments split into [`ChunkRange`] units of at most four chunks, so
+    /// one hot segment spreads across every worker.  The order-preserving
+    /// terminals are cut this way; their per-unit outputs concatenate back
+    /// in range order.
     ChunkRange,
-}
-
-impl StealGranularity {
-    /// Stable lowercase label (used in bench metadata and logs).
-    pub fn label(self) -> &'static str {
-        match self {
-            StealGranularity::Segment => "segment",
-            StealGranularity::ChunkRange => "chunk-range",
-        }
-    }
 }
 
 /// One steal-able work unit: the chunks `chunk_lo..chunk_hi` of segment
@@ -300,7 +284,7 @@ pub struct ChunkRange {
 impl ChunkRange {
     /// The range's chunks within `segment` (which must be the segment the
     /// range was decomposed from).
-    pub fn chunks<'a>(&self, segment: &'a Segment) -> &'a [Arc<RowChunk>] {
+    pub(crate) fn chunks<'a>(&self, segment: &'a Segment) -> &'a [Arc<RowChunk>] {
         &segment.chunks()[self.chunk_lo..self.chunk_hi]
     }
 }
@@ -309,18 +293,18 @@ impl ChunkRange {
 ///
 /// At the default chunk capacity (1024 rows) one unit is ≤ 4096 rows — fine
 /// enough that a single hot segment splits across every worker, coarse
-/// enough that the per-unit scheduling cost (one atomic claim, one state
-/// merge) stays negligible against scanning the rows.
-pub const CHUNKS_PER_UNIT: usize = 4;
+/// enough that the per-unit scheduling cost (one atomic claim, one output
+/// concatenation) stays negligible against scanning the rows.
+pub(crate) const CHUNKS_PER_UNIT: usize = 4;
 
-/// Decomposes `table` into the steal-able units [`run_per_segment_ranged`]
-/// schedules — a **pure function of the table and granularity**, never of
-/// the worker count, so results (and the merge structure behind them) do not
+/// Decomposes `table` into steal-able units — a **pure function of the
+/// table and granularity**, never of the worker count, so results do not
 /// depend on scheduling.  Every segment yields at least one unit, in
 /// `(segment, chunk_lo)` order.
 ///
-/// Public so the benchmark can report the production decomposition
-/// (`engine.scan.units`).
+/// Public so the benchmark can report a decomposition (`engine.scan.units`
+/// asks for [`StealGranularity::ChunkRange`], the split of the
+/// order-preserving terminals).
 pub fn chunk_range_units(table: &Table, granularity: StealGranularity) -> Vec<ChunkRange> {
     let mut units = Vec::with_capacity(table.num_segments());
     for segment in 0..table.num_segments() {
@@ -346,17 +330,14 @@ pub fn chunk_range_units(table: &Table, granularity: StealGranularity) -> Vec<Ch
     units
 }
 
-/// Runs `work` once per [`ChunkRange`] unit of `table` — on work-stealing
-/// parallel workers when `parallel` is set — and folds each segment's
-/// per-unit results with `merge` **in range order**, returning one result
-/// per segment in segment order.
+/// Runs `work` once per [`StealGranularity::ChunkRange`] unit of `table` —
+/// on work-stealing parallel workers when `parallel` is set — and folds each
+/// segment's per-unit results with `merge` **in range order**, returning one
+/// result per segment in segment order.
 ///
-/// With [`StealGranularity::Segment`] every segment is a single unit, `merge`
-/// is never called, and this is exactly [`run_per_segment`].  With
-/// [`StealGranularity::ChunkRange`] a hot segment's chunks spread across all
-/// workers; `merge` must combine two adjacent ranges' results into the
-/// earlier range's (e.g. [`crate::aggregate::Aggregate::merge`], or
-/// concatenation for order-preserving collectors).  Because the unit
+/// A hot segment's chunks spread across all workers; `merge` combines two
+/// adjacent ranges' results into the earlier range's — concatenation, for
+/// the order-preserving terminals that call this.  Because the unit
 /// decomposition ([`chunk_range_units`]) and the merge order are functions
 /// of the table alone, the per-segment results are identical no matter how
 /// many workers ran or which worker claimed which unit.
@@ -365,10 +346,9 @@ pub fn chunk_range_units(table: &Table, granularity: StealGranularity) -> Vec<Ch
 /// error (panics included, as [`EngineError::WorkerPanicked`]) is the
 /// segment's result — matching the error the serial whole-segment scan
 /// would have surfaced first.
-pub fn run_per_segment_ranged<T, F, M>(
+pub(crate) fn run_per_segment_ranged<T, F, M>(
     table: &Table,
     parallel: bool,
-    granularity: StealGranularity,
     work: F,
     merge: M,
 ) -> Vec<Result<T>>
@@ -377,7 +357,7 @@ where
     F: Fn(ChunkRange, &Segment) -> Result<T> + Sync,
     M: Fn(T, T) -> T,
 {
-    let units = chunk_range_units(table, granularity);
+    let units = chunk_range_units(table, StealGranularity::ChunkRange);
     let workers = if parallel {
         worker_count().min(units.len())
     } else {
@@ -432,7 +412,7 @@ where
 
 /// Runs `work` once per owned item — on work-stealing parallel workers when
 /// `parallel` is set and there is more than one item — returning the results
-/// in item order.  This is the owned-input sibling of [`run_per_segment`],
+/// in item order.  This is the owned-input sibling of `run_per_segment`,
 /// used to parallelize per-group *compute* (finalizing merged group states,
 /// fitting gathered per-group tables) across the same worker pool as the
 /// scan itself.
@@ -459,7 +439,7 @@ where
 /// Item order, panic capture and the serial (`parallel == false` or one
 /// worker) fallback behave exactly as in [`run_per_item`]; the scratch is an
 /// optimization handle, never observable in the results.
-pub fn run_per_item_with_scratch<I, T, W, M, F>(
+pub(crate) fn run_per_item_with_scratch<I, T, W, M, F>(
     items: Vec<I>,
     parallel: bool,
     make_scratch: M,

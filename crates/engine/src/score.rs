@@ -49,8 +49,8 @@ use std::sync::Arc;
 /// bit-identical predictions (and identical errors) to the row loop** — the
 /// same contract the aggregate `transition_chunk` overrides obey.  That
 /// bit-identity is what lets [`Dataset::score`] batch whatever a chunk holds
-/// — a stored chunk, a compacted one, one group's gather — under any steal
-/// granularity and kernel tier without changing results.
+/// — a stored chunk, a compacted one, one group's gather — under any chunk
+/// split and kernel tier without changing results.
 pub trait Scorer: Sync {
     /// Column type of the predictions this scorer emits (the schema of the
     /// materialized predictions column).
@@ -357,7 +357,6 @@ impl Dataset<'_> {
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor().is_parallel(),
-            scan::StealGranularity::ChunkRange,
             |range, segment| {
                 let chunks = range.chunks(segment);
                 let mut out = Vec::with_capacity(chunks.iter().map(|chunk| chunk.len()).sum());
@@ -400,7 +399,6 @@ impl Dataset<'_> {
         let per_segment = scan::run_per_segment_ranged(
             self.table(),
             self.executor().is_parallel(),
-            scan::StealGranularity::ChunkRange,
             |range, segment| {
                 let mut out = Vec::new();
                 let chunks = range.chunks(segment);

@@ -18,8 +18,8 @@ use madlib_engine::aggregate::SumAggregate;
 use madlib_engine::table::Distribution;
 use madlib_engine::{
     Aggregate, AnyMaterialized, Column, ColumnType, Database, EngineError, Executor,
-    MaterializedAggregate, RebuildReason, Row, RowChunk, Schema, StateReader, StateWriter,
-    StealGranularity, Table, Value, ViewOutcome,
+    MaterializedAggregate, RebuildReason, Row, RowChunk, Schema, StateReader, StateWriter, Table,
+    Value, ViewOutcome,
 };
 use proptest::prelude::*;
 
@@ -890,8 +890,9 @@ fn expect_refusal(result: Result<Database, EngineError>, needle: &str) {
 
 /// Record tags 3 and 5 (the row-wise `Append` and `PutTable` of the first
 /// format) are retired, and so are format version 1 (the per-byte frame
-/// checksum) of `wal.log` and `MANIFEST` and version 2 of `MANIFEST` (no
-/// view frames): a directory holding any of them is
+/// checksum) of `wal.log` and `MANIFEST`, version 2 of `MANIFEST` (no view
+/// frames) and version 3 (view frames with a steal granularity and unit
+/// states per segment): a directory holding any of them is
 /// refused with a typed error naming what was found, and the refusal leaves
 /// every file — the chunk file a crashed checkpoint left frames in included
 /// — as it found it.
@@ -923,7 +924,7 @@ fn a_retired_record_tag_is_refused_and_the_directory_left_untouched() {
         bytes[7] = digit;
         std::fs::write(dir.join(file), bytes).unwrap();
     };
-    let refusals: [(&str, &dyn Fn()); 5] = [
+    let refusals: [(&str, &dyn Fn()); 6] = [
         ("tag 3", &|| splice_frame(3, 0x4a2c_c0c2_b4fd_b3fa)),
         ("tag 5", &|| splice_frame(5, 0xed63_866d_87df_5711)),
         ("wal.log is format version 01", &|| {
@@ -935,6 +936,10 @@ fn a_retired_record_tag_is_refused_and_the_directory_left_untouched() {
         // Version 2: the manifest frame without view names or view frames.
         ("MANIFEST is format version 02", &|| {
             with_magic_digit("MANIFEST", b'2')
+        }),
+        // Version 3: a granularity byte and per-unit states in view frames.
+        ("MANIFEST is format version 03", &|| {
+            with_magic_digit("MANIFEST", b'3')
         }),
     ];
     for (needle, damage) in refusals {
@@ -1074,15 +1079,16 @@ impl Aggregate for PersistedSum {
     }
 }
 
-fn sum_view(column: &'static str, steal: StealGranularity) -> Box<dyn AnyMaterialized> {
-    let executor = Executor::new().with_steal_granularity(steal);
-    Box::new(MaterializedAggregate::new(PersistedSum(column), &executor))
+fn sum_view(column: &'static str) -> Box<dyn AnyMaterialized> {
+    Box::new(MaterializedAggregate::new(
+        PersistedSum(column),
+        &Executor::new(),
+    ))
 }
 
 /// Registers `view` as `sum(v)` over `t` and refreshes it.
 fn view_sum(db: &Database, view: &str) -> u64 {
-    db.register_view(view, "t", sum_view("v", StealGranularity::Segment))
-        .unwrap();
+    db.register_view(view, "t", sum_view("v")).unwrap();
     refreshed_sum(db, view)
 }
 
@@ -1125,23 +1131,20 @@ fn persisted_views_are_adopted_refused_or_carried_forward_by_name() {
     db.create_table_with_chunk_capacity("t", schema(), 2)
         .unwrap();
     db.append_rows("t", rows(0, 9)).unwrap();
-    for (name, column, steal) in [
-        ("adopted", "v", StealGranularity::Segment),
-        ("other_column", "v", StealGranularity::Segment),
-        ("other_steal", "v", StealGranularity::ChunkRange),
-        ("unasked", "v", StealGranularity::Segment),
-        ("ids", "id", StealGranularity::Segment),
+    for (name, column) in [
+        ("adopted", "v"),
+        ("other_column", "v"),
+        ("unasked", "v"),
+        ("ids", "id"),
     ] {
-        db.register_view(name, "t", sum_view(column, steal))
-            .unwrap();
+        db.register_view(name, "t", sum_view(column)).unwrap();
         db.refresh_view(name, |_| Ok(())).unwrap();
     }
     // Not persisted: no state codec, and never absorbed.
     let plain = MaterializedAggregate::new(SumAggregate::new("v"), &Executor::new());
     db.register_view("plain", "t", Box::new(plain)).unwrap();
     db.refresh_view("plain", |_| Ok(())).unwrap();
-    db.register_view("idle", "t", sum_view("v", StealGranularity::Segment))
-        .unwrap();
+    db.register_view("idle", "t", sum_view("v")).unwrap();
     assert_eq!(db.recovery_report().unwrap().manifest_epoch, None);
     db.checkpoint().unwrap();
     db.append_rows("t", rows(9, 5)).unwrap();
@@ -1155,26 +1158,18 @@ fn persisted_views_are_adopted_refused_or_carried_forward_by_name() {
         (report.wal_frames_replayed, report.wal_bytes_discarded),
         (2, 0)
     );
-    let persisted = ["adopted", "ids", "other_column", "other_steal", "unasked"];
+    let persisted = ["adopted", "ids", "other_column", "unasked"];
     let never = rebuilt(RebuildReason::NeverAskedFor);
     assert_eq!(outcomes(&db), persisted.map(|n| (n.to_owned(), never)));
 
     assert_eq!(view_sum(&db, "adopted"), scanned_sum(&db));
-    db.register_view(
-        "other_column",
-        "t",
-        sum_view("id", StealGranularity::Segment),
-    )
-    .unwrap();
-    db.refresh_view("other_column", |_| Ok(())).unwrap();
-    db.register_view("other_steal", "t", sum_view("v", StealGranularity::Segment))
+    db.register_view("other_column", "t", sum_view("id"))
         .unwrap();
-    assert_eq!(refreshed_sum(&db, "other_steal"), scanned_sum(&db));
+    db.refresh_view("other_column", |_| Ok(())).unwrap();
     let expect = [
         ("adopted", ViewOutcome::Adopted { suffix_rows: 8 }),
         ("ids", never),
         ("other_column", rebuilt(RebuildReason::Fingerprint)),
-        ("other_steal", rebuilt(RebuildReason::Granularity)),
         ("unasked", never),
     ];
     assert_eq!(outcomes(&db), expect.map(|(n, o)| (n.to_owned(), o)));
@@ -1192,7 +1187,7 @@ fn persisted_views_are_adopted_refused_or_carried_forward_by_name() {
     assert_eq!(carried, persisted);
     // Carried as it was loaded: its watermarks are the first checkpoint's.
     assert_eq!(view_sum(&db, "unasked"), scanned_sum(&db));
-    assert_eq!(outcomes(&db)[4].1, ViewOutcome::Adopted { suffix_rows: 8 });
+    assert_eq!(outcomes(&db)[3].1, ViewOutcome::Adopted { suffix_rows: 8 });
     db.truncate_table("t").unwrap();
     db.checkpoint().unwrap();
     assert_eq!(outcomes(&db)[1].1, rebuilt(RebuildReason::Generation));

@@ -902,34 +902,25 @@ fn lda_loading_is_layout_invariant_and_rejects_nulls() {
 }
 
 // ---------------------------------------------------------------------------
-// PR 7: chunk-range work stealing.  `Executor::with_steal_granularity(
-// StealGranularity::ChunkRange)` splits each segment into fixed chunk ranges
-// behind a shared stealing cursor, and per-range states are merged back with
-// `Aggregate::merge` in range order.  Two properties make that safe:
-//
-// * The unit decomposition is a pure function of (table, granularity) and
-//   never of the worker count, so parallel and serial execution at the same
-//   granularity fold the *same* states in the *same* order — bit-identical
-//   on arbitrary floating-point data.
-// * Relative to whole-segment scanning, only the merge step reassociates
-//   additions, so on exact-arithmetic data (integer-valued doubles small
-//   enough to round-trip) chunk-range results equal segment-granular
-//   results and the per-row reference exactly, with the same group key
-//   order.
+// Work stealing.  Aggregates steal whole segments: workers claim segments
+// from a shared cursor, each segment's chunks stream through one state, and
+// the per-segment states merge with `Aggregate::merge` in segment order.
+// Order-preserving terminals steal chunk ranges and concatenate.  The units
+// are a pure function of the table and never of the worker count, so
+// parallel and serial execution fold the *same* states in the *same* order —
+// bit-identical on arbitrary floating-point data.
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// Parallel chunk-range stealing ≡ serial chunk-range execution, bit for
-    /// bit, on arbitrary float data — ungrouped aggregates, grouped
-    /// aggregates, and a full linear-regression fit.
+    /// Parallel ≡ serial execution, bit for bit, on arbitrary float data —
+    /// ungrouped aggregates, grouped aggregates, and a full
+    /// linear-regression fit.
     #[test]
-    fn chunk_range_parallel_equals_serial_bitwise(
+    fn parallel_equals_serial_bitwise(
         points in prop::collection::vec((0usize..5, -10.0..10.0f64, [-5.0..5.0f64, -5.0..5.0f64, -5.0..5.0f64]), 1..180),
         segments in 1usize..5,
         chunk_capacity in 1usize..8,
     ) {
-        use madlib::engine::StealGranularity;
-
         let schema = Schema::new(vec![
             Column::new("grp", ColumnType::Int),
             Column::new("y", ColumnType::Double),
@@ -948,8 +939,8 @@ proptest! {
                 ]))
                 .unwrap();
         }
-        let par = Executor::new().with_steal_granularity(StealGranularity::ChunkRange);
-        let ser = Executor::serial().with_steal_granularity(StealGranularity::ChunkRange);
+        let par = Executor::new();
+        let ser = Executor::serial();
 
         let sum_p = par.aggregate(&table, &SumAggregate::new("y")).unwrap();
         let sum_s = ser.aggregate(&table, &SumAggregate::new("y")).unwrap();
@@ -985,20 +976,17 @@ proptest! {
         }
     }
 
-    /// On exact-arithmetic data, chunk-range stealing equals segment-granular
-    /// stealing *and* the per-row reference exactly — values, group keys and
-    /// key order — because only the merge step's reassociation could ever
-    /// differ, and integer-valued doubles make it exact.
+    /// The segment scan equals the per-row reference exactly — values, group
+    /// keys and key order — on integer-valued data, including the empty
+    /// table, ungrouped as well as grouped.
     #[test]
-    fn chunk_range_equals_segment_on_exact_data(
+    fn segment_scan_equals_reference_on_exact_data(
         num_rows in 0usize..200,
         num_groups in 1usize..9,
         segments in 1usize..5,
         chunk_capacity in 1usize..8,
         filtered in any::<bool>(),
     ) {
-        use madlib::engine::StealGranularity;
-
         let schema = Schema::new(vec![
             Column::new("grp", ColumnType::Int),
             Column::new("y", ColumnType::Double),
@@ -1018,26 +1006,15 @@ proptest! {
                 .unwrap();
         }
         let filter = filtered.then(|| Predicate::column_gt("y", 0.0));
-        let ranged = Executor::new().with_steal_granularity(StealGranularity::ChunkRange);
-        let grouped_ds = |exec: &Executor| {
-            let mut ds = dataset(&table, exec).group_by(["grp"]);
-            if let Some(pred) = &filter {
-                ds = ds.filter(pred.clone());
-            }
-            ds
-        };
+        let executor = Executor::new();
+        let mut grouped = dataset(&table, &executor).group_by(["grp"]);
+        if let Some(pred) = &filter {
+            grouped = grouped.filter(pred.clone());
+        }
         let scan = LinregrStateProbe(LinearRegression::new("y", "x"));
-        let counts = grouped_ds(&ranged).aggregate_per_group(&CountAggregate).unwrap();
-        let states = grouped_ds(&ranged).aggregate_per_group(&scan).unwrap();
-        let sum = ranged.aggregate(&table, &SumAggregate::new("y")).unwrap();
-
-        // Segment-granular stealing (the default), then the per-row reference.
-        let segment = Executor::new();
-        let grouped = grouped_ds(&segment);
-        prop_assert_eq!(&grouped.aggregate_per_group(&CountAggregate).unwrap(), &counts);
-        prop_assert_eq!(&grouped.aggregate_per_group(&scan).unwrap(), &states);
-        let segment_sum = segment.aggregate(&table, &SumAggregate::new("y")).unwrap();
-        prop_assert_eq!(segment_sum.to_bits(), sum.to_bits());
+        let counts = grouped.aggregate_per_group(&CountAggregate).unwrap();
+        let states = grouped.aggregate_per_group(&scan).unwrap();
+        let sum = executor.aggregate(&table, &SumAggregate::new("y")).unwrap();
 
         prop_assert_eq!(&reference::aggregate_per_group(&grouped, &CountAggregate).unwrap(), &counts);
         prop_assert_eq!(&reference::aggregate_per_group(&grouped, &scan).unwrap(), &states);
@@ -1046,7 +1023,7 @@ proptest! {
         prop_assert_eq!(reference_sum.to_bits(), sum.to_bits());
     }
 
-    /// `map_chunks` always runs at chunk-range granularity; its concatenated
+    /// `map_chunks` always steals chunk ranges; its concatenated
     /// output must be independent of parallelism and identical to the
     /// table's serial chunk layout.
     #[test]

@@ -15,7 +15,7 @@ use madlib::engine::aggregate::SumAggregate;
 use madlib::engine::table::Distribution;
 use madlib::engine::{
     row, Column, ColumnType, Database, Executor, MaterializedAggregate, RebuildReason, Row, Schema,
-    StealGranularity, Table, Value, ViewOutcome,
+    Table, Value, ViewOutcome,
 };
 use madlib::methods::classify::NaiveBayes;
 use madlib::methods::datasets::labeled_point_schema;
@@ -335,13 +335,11 @@ proptest! {
     #[test]
     fn adopted_views_finalize_to_the_retrain_bits(
         layout in (1usize..5, 0u8..2, 2usize..6),
-        chunk_range in 0u8..2,
         ops in prop::collection::vec((0u8..10, 0usize..12), 2..12),
         crash in 250u64..1001,
     ) {
         let layout = (layout.0, layout.1 == 1, layout.2);
-        let steal = [StealGranularity::Segment, StealGranularity::ChunkRange][chunk_range as usize];
-        let executor = Executor::new().with_steal_granularity(steal);
+        let executor = Executor::new();
         let (lin, nb) = (LinearRegression::new("y", "x"), NaiveBayes::new("label", "x"));
         let scratch = ScratchDir::new("adopt");
         let db = Database::open(scratch.path(), 2).unwrap();

@@ -497,12 +497,10 @@ fn profile_view_absorbs_installments_exactly() {
 /// (the grouped runner's radix-staging path), appended in uneven
 /// installments that straddle chunk seals — so the staging buckets are
 /// drained at every absorb boundary and resumed from the retained slot
-/// directory.  The view must stay `to_bits`-equal to `aggregate_per_group`
-/// at both steal granularities, parallel and serial.
+/// directory.  The view must stay `to_bits`-equal to `aggregate_per_group`,
+/// parallel and serial.
 #[test]
 fn high_cardinality_grouped_view_absorbs_bit_identically() {
-    use madlib::engine::StealGranularity;
-
     const KEYS: usize = 2_250;
     let schema = Schema::new(vec![
         Column::new("v", ColumnType::Double),
@@ -523,42 +521,39 @@ fn high_cardinality_grouped_view_absorbs_bit_identically() {
     let installments = [1usize, 63, 64, 130, 1_000, 17, 2_999];
 
     for exec in [Executor::new(), Executor::serial()] {
-        for steal in [StealGranularity::Segment, StealGranularity::ChunkRange] {
-            let exec = exec.with_steal_granularity(steal);
-            let mut table = Table::new(schema.clone(), 2)
-                .unwrap()
-                .with_chunk_capacity(64)
-                .unwrap();
-            for row in initial {
+        let mut table = Table::new(schema.clone(), 2)
+            .unwrap()
+            .with_chunk_capacity(64)
+            .unwrap();
+        for row in initial {
+            table.insert(row.clone()).unwrap();
+        }
+        let mut view = MaterializedAggregate::new(AvgAggregate::new("v"), &exec)
+            .with_group_columns(["a", "b"]);
+        view.absorb(&table).unwrap();
+
+        let mut offset = 0usize;
+        let rest = pending.len() - installments.iter().sum::<usize>();
+        for size in installments.into_iter().chain([rest]) {
+            for row in &pending[offset..offset + size] {
                 table.insert(row.clone()).unwrap();
             }
-            let mut view = MaterializedAggregate::new(AvgAggregate::new("v"), &exec)
-                .with_group_columns(["a", "b"]);
+            offset += size;
             view.absorb(&table).unwrap();
 
-            let mut offset = 0usize;
-            let rest = pending.len() - installments.iter().sum::<usize>();
-            for size in installments.into_iter().chain([rest]) {
-                for row in &pending[offset..offset + size] {
-                    table.insert(row.clone()).unwrap();
-                }
-                offset += size;
-                view.absorb(&table).unwrap();
-
-                let scratch = Dataset::from_table(&table)
-                    .with_executor(exec)
-                    .group_by(["a", "b"])
-                    .aggregate_per_group(&AvgAggregate::new("v"))
-                    .unwrap();
-                let refreshed = view.finalize_grouped().unwrap();
-                assert_eq!(refreshed.len(), scratch.len());
-                for ((vk, vv), (sk, sv)) in refreshed.iter().zip(&scratch) {
-                    assert_eq!(vk, sk);
-                    assert_eq!(vv.map(f64::to_bits), sv.map(f64::to_bits), "key {vk:?}");
-                }
+            let scratch = Dataset::from_table(&table)
+                .with_executor(exec)
+                .group_by(["a", "b"])
+                .aggregate_per_group(&AvgAggregate::new("v"))
+                .unwrap();
+            let refreshed = view.finalize_grouped().unwrap();
+            assert_eq!(refreshed.len(), scratch.len());
+            for ((vk, vv), (sk, sv)) in refreshed.iter().zip(&scratch) {
+                assert_eq!(vk, sk);
+                assert_eq!(vv.map(f64::to_bits), sv.map(f64::to_bits), "key {vk:?}");
             }
-            assert_eq!(view.finalize_grouped().unwrap().len(), KEYS);
         }
+        assert_eq!(view.finalize_grouped().unwrap().len(), KEYS);
     }
 }
 
