@@ -311,6 +311,10 @@ impl<O: ConvexObjective> Aggregate for IgdEpoch<'_, O> {
         Ok(())
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        self.objective.input_columns()
+    }
+
     fn merge(&self, left: IgdEpochState, right: IgdEpochState) -> IgdEpochState {
         // Model averaging weighted by the number of rows each segment saw.
         if left.rows == 0 {
@@ -362,6 +366,65 @@ mod tests {
             t.insert(row![2.0 * x1 - x2, vec![x1, x2]]).unwrap();
         }
         t
+    }
+
+    /// An IGD epoch hands its objective only the objective's columns, and
+    /// gets the full table's model from a copy that holds nothing else
+    /// (`reference::aggregate_on_input_columns`): with and without a
+    /// filter, ungrouped and grouped, under both executors.  The table puts
+    /// a NULL-bearing text column, a bigint and an array around `y` / `x`.
+    #[test]
+    fn igd_epoch_declares_every_column_it_reads() {
+        use madlib_engine::expr::Predicate;
+        use madlib_engine::{reference, GroupKey, Value};
+        let schema = Schema::new(vec![
+            Column::new("note", ColumnType::Text),
+            Column::new("y", ColumnType::Double),
+            Column::new("n", ColumnType::Int),
+            Column::new("x", ColumnType::DoubleArray),
+            Column::new("tags", ColumnType::IntArray),
+        ]);
+        let mut table = Table::new(schema, 2)
+            .unwrap()
+            .with_chunk_capacity(16)
+            .unwrap();
+        for i in 0..300_i64 {
+            let (x1, x2) = ((i % 17) as f64 / 17.0 - 0.5, (i % 11) as f64 / 11.0 - 0.5);
+            let note = [Value::Null, Value::Text("a".into())][(i % 2) as usize].clone();
+            let row = Row::new(vec![
+                note,
+                Value::Double(2.0 * x1 - x2),
+                Value::Int(i % 7),
+                Value::DoubleArray(vec![x1, x2]),
+                Value::IntArray(vec![i]),
+            ]);
+            table.insert_into_segment((i % 2) as usize, row).unwrap();
+        }
+        let objective = LeastSquaresObjective::new("y", "x", 2);
+        let epoch = IgdEpoch {
+            objective: &objective,
+            start_model: &[0.1, -0.1],
+            step: 0.05,
+        };
+        for executor in [Executor::new(), Executor::serial()] {
+            for filtered in [false, true] {
+                for keys in [&[][..], &["note"], &["n", "note"]] {
+                    let mut dataset = Dataset::from_table(&table).with_executor(executor);
+                    if filtered {
+                        dataset = dataset.filter(Predicate::column_lt("n", 4.0));
+                    }
+                    let full = if keys.is_empty() {
+                        let empty = GroupKey::composite(Vec::new());
+                        dataset.aggregate(&epoch).map(|out| vec![(empty, out)])
+                    } else {
+                        dataset = dataset.group_by(keys.iter().copied());
+                        dataset.aggregate_per_group(&epoch)
+                    };
+                    let narrowed = reference::aggregate_on_input_columns(&dataset, &epoch);
+                    assert_eq!(format!("{narrowed:?}"), format!("{full:?}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,15 @@ pub trait ConvexObjective: Sync {
     /// Number of parameters in the model vector.
     fn dimension(&self) -> usize;
 
+    /// The columns the per-row functions and
+    /// [`ConvexObjective::sgd_epoch_chunk`] read, or `None` (the default):
+    /// any column.  The IGD epoch aggregate declares these as its
+    /// [`madlib_engine::Aggregate::input_columns`], so the contract is that
+    /// method's.
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        None
+    }
+
     /// Loss contribution of one row at the given model.
     ///
     /// # Errors

@@ -51,6 +51,10 @@ impl ConvexObjective for LogisticObjective {
         self.dimension
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.y_column, &self.x_column])
+    }
+
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {
         let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column)?;
         let margin: f64 = x.iter().zip(model).map(|(a, b)| a * b).sum::<f64>() * y;
@@ -153,6 +157,10 @@ impl SvmHingeObjective {
 impl ConvexObjective for SvmHingeObjective {
     fn dimension(&self) -> usize {
         self.dimension
+    }
+
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.y_column, &self.x_column])
     }
 
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {

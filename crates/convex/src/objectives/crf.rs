@@ -156,6 +156,10 @@ impl ConvexObjective for CrfObjective {
         self.num_labels * self.num_observations + self.num_labels * self.num_labels
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.observations_column, &self.labels_column])
+    }
+
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {
         let (observations, labels) = self.sequence(row, schema)?;
         if observations.is_empty() {

@@ -93,6 +93,14 @@ impl ConvexObjective for MatrixFactorizationObjective {
         (self.num_users + self.num_items) * self.rank
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![
+            &self.user_column,
+            &self.item_column,
+            &self.rating_column,
+        ])
+    }
+
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {
         let (user, item, rating) = self.triple(row, schema)?;
         let err = self.predict(model, user, item) - rating;

@@ -39,6 +39,10 @@ impl ConvexObjective for LeastSquaresObjective {
         self.dimension
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.y_column, &self.x_column])
+    }
+
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {
         let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column)?;
         let residual: f64 = x.iter().zip(model).map(|(a, b)| a * b).sum::<f64>() - y;
@@ -133,6 +137,10 @@ impl ConvexObjective for RidgeObjective {
         self.inner.dimension()
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        self.inner.input_columns()
+    }
+
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {
         self.inner.row_loss(row, schema, model)
     }
@@ -192,6 +200,10 @@ impl LassoObjective {
 impl ConvexObjective for LassoObjective {
     fn dimension(&self) -> usize {
         self.inner.dimension()
+    }
+
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        self.inner.input_columns()
     }
 
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {

@@ -333,6 +333,10 @@ impl Aggregate for ItemCountsAggregate<'_> {
         transition_chunk_by_rows(self, state, chunk, schema)
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![self.items_column])
+    }
+
     fn merge(&self, mut left: Self::State, right: Self::State) -> Self::State {
         for (item, count) in right.0 {
             *left.0.entry(item).or_insert(0) += count;
@@ -412,6 +416,10 @@ impl Aggregate for CandidateSupportAggregate<'_> {
         transition_chunk_by_rows(self, state, chunk, schema)
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![self.items_column])
+    }
+
     fn merge(&self, mut left: Vec<u64>, right: Vec<u64>) -> Vec<u64> {
         for (l, r) in left.iter_mut().zip(right) {
             *l += r;
@@ -428,7 +436,7 @@ impl Aggregate for CandidateSupportAggregate<'_> {
 mod tests {
     use super::*;
     use crate::datasets::market_basket_data;
-    use crate::test_support::assert_chunk_path_is_row_fallback;
+    use crate::test_support::{assert_chunk_path_is_row_fallback, assert_input_columns_suffice};
     use madlib_engine::expr::Predicate;
     use madlib_engine::{row, Column, ColumnType, Schema, Table, Value};
     use proptest::prelude::*;
@@ -461,6 +469,18 @@ mod tests {
             .unwrap();
         }
         t
+    }
+
+    #[test]
+    fn support_counters_declare_every_column_they_read() {
+        assert_input_columns_suffice(&ItemCountsAggregate {
+            items_column: "items",
+        });
+        let candidates = [vec!["a".to_owned(), "b".to_owned()], vec!["c".to_owned()]];
+        assert_input_columns_suffice(&CandidateSupportAggregate {
+            items_column: "items",
+            candidates: &candidates,
+        });
     }
 
     #[test]

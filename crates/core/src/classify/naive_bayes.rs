@@ -256,6 +256,10 @@ impl Aggregate for NaiveBayes {
         Ok(())
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.label_column, &self.features_column])
+    }
+
     fn merge(&self, left: NaiveBayesState, right: NaiveBayesState) -> NaiveBayesState {
         if left.classes.is_empty() {
             return right;

@@ -515,6 +515,10 @@ impl Aggregate for KMeansStep<'_> {
         Ok(())
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![self.coords_column])
+    }
+
     fn merge(&self, mut left: KMeansIntraState, right: KMeansIntraState) -> KMeansIntraState {
         for (ls, rs) in left.sums.iter_mut().zip(&right.sums) {
             for (a, b) in ls.iter_mut().zip(rs) {
@@ -562,7 +566,7 @@ impl Aggregate for KMeansStep<'_> {
 mod tests {
     use super::*;
     use crate::datasets::gaussian_blobs;
-    use crate::test_support::assert_chunk_path_is_row_fallback;
+    use crate::test_support::{assert_chunk_path_is_row_fallback, assert_input_columns_suffice};
     use madlib_engine::expr::Predicate;
     use madlib_engine::{Column, ColumnType, EngineError, Table};
     use proptest::prelude::*;
@@ -575,6 +579,15 @@ mod tests {
                 &Dataset::from_table(data),
             )
             .unwrap()
+    }
+
+    #[test]
+    fn lloyd_step_declares_every_column_it_reads() {
+        let centroids = [vec![0.0, 0.0], vec![1.0, -1.0], vec![-0.5, 1.5]];
+        assert_input_columns_suffice(&KMeansStep {
+            coords_column: "x",
+            centroids: &centroids,
+        });
     }
 
     #[test]

@@ -67,7 +67,10 @@ pub use train::{Estimator, GroupedModels, IncrementalEstimator, Session};
 pub(crate) mod test_support {
     use madlib_engine::aggregate::{transition_chunk_by_rows, Aggregate};
     use madlib_engine::expr::Predicate;
-    use madlib_engine::{scan, RowChunk, Table};
+    use madlib_engine::{
+        reference, scan, Column, ColumnType, Dataset, Executor, GroupKey, Row, RowChunk, Schema,
+        Table, Value,
+    };
     use std::fmt::Debug;
 
     /// The aggregate-layer half of the chunk ≡ rows contract, for aggregates
@@ -101,5 +104,75 @@ pub(crate) mod test_support {
         let by_rows =
             fold(&|state, chunk| transition_chunk_by_rows(aggregate, state, chunk, schema));
         assert_eq!(chunked, by_rows);
+    }
+
+    /// 400 rows over two segments in 16-row chunks: `y` (0 / 1), `x` (width
+    /// 2) and `items` (`text[]`) between distractor columns — a text column
+    /// with NULLs (`note`), a bigint (`n`) and an array (`tags`).
+    pub(crate) fn input_columns_table() -> Table {
+        let schema = Schema::new(vec![
+            Column::new("note", ColumnType::Text),
+            Column::new("y", ColumnType::Double),
+            Column::new("n", ColumnType::Int),
+            Column::new("x", ColumnType::DoubleArray),
+            Column::new("items", ColumnType::TextArray),
+            Column::new("tags", ColumnType::IntArray),
+        ]);
+        let mut table = Table::new(schema, 2)
+            .unwrap()
+            .with_chunk_capacity(16)
+            .unwrap();
+        for i in 0..400_i64 {
+            let t = i as f64;
+            let note = [Value::Null, Value::Text("a".into())][(i % 2) as usize].clone();
+            let items = ["a", "b", "c", "d"].iter().take(1 + (i % 4) as usize);
+            let row = Row::new(vec![
+                note,
+                Value::Double(((t * 0.7).sin() > 0.0) as i64 as f64),
+                Value::Int(i % 7),
+                Value::DoubleArray(vec![(t * 0.3).cos(), (t * 0.13).sin() * 2.0]),
+                Value::TextArray(items.map(|item| (*item).to_owned()).collect()),
+                Value::IntArray(vec![i]),
+            ]);
+            table.insert_into_segment((i % 2) as usize, row).unwrap();
+        }
+        table
+    }
+
+    /// The declaration half of the contract for aggregates private to a
+    /// method: over [`input_columns_table`] — with and without a filter,
+    /// ungrouped and grouped by a low- (`note`) and a higher-cardinality
+    /// (`n`, `note`) key, under both executors — the outputs (`Debug`, every
+    /// float's exact value) from a copy holding only the declared columns
+    /// ([`reference::aggregate_on_input_columns`]) are the full table's.
+    pub(crate) fn assert_input_columns_suffice<A>(aggregate: &A)
+    where
+        A: Aggregate,
+        A::Output: Debug + Send,
+    {
+        let table = input_columns_table();
+        for executor in [Executor::new(), Executor::serial()] {
+            for filtered in [false, true] {
+                for keys in [&[][..], &["note"], &["n", "note"]] {
+                    let mut dataset = Dataset::from_table(&table).with_executor(executor);
+                    if filtered {
+                        dataset = dataset.filter(Predicate::column_lt("n", 4.0));
+                    }
+                    let full = if keys.is_empty() {
+                        let empty = GroupKey::composite(Vec::new());
+                        dataset.aggregate(aggregate).map(|out| vec![(empty, out)])
+                    } else {
+                        dataset = dataset.group_by(keys.iter().copied());
+                        dataset.aggregate_per_group(aggregate)
+                    };
+                    let narrowed = reference::aggregate_on_input_columns(&dataset, aggregate);
+                    assert_eq!(
+                        format!("{narrowed:?}"),
+                        format!("{full:?}"),
+                        "filtered {filtered}, grouped by {keys:?}, {executor:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -271,6 +271,10 @@ impl Aggregate for LinearRegression {
         Ok(())
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.y_column, &self.x_column])
+    }
+
     fn merge(&self, left: LinRegrState, right: LinRegrState) -> LinRegrState {
         if left.num_rows == 0 {
             return right;

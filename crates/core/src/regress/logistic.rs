@@ -227,6 +227,10 @@ impl Aggregate for IrlsStep<'_> {
         Ok(())
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![self.y_column, self.x_column])
+    }
+
     fn merge(&self, left: IrlsState, right: IrlsState) -> IrlsState {
         if left.num_rows == 0 {
             return right;
@@ -486,7 +490,7 @@ impl IncrementalEstimator for LogisticRegression {
 mod tests {
     use super::*;
     use crate::datasets::{labeled_point_schema, logistic_regression_data};
-    use crate::test_support::assert_chunk_path_is_row_fallback;
+    use crate::test_support::{assert_chunk_path_is_row_fallback, assert_input_columns_suffice};
     use madlib_engine::expr::Predicate;
     use madlib_engine::{row, Column, ColumnType, Table, Value};
     use proptest::prelude::*;
@@ -500,6 +504,16 @@ mod tests {
 
     fn fit_on(table: &Table) -> LogisticRegressionModel {
         fit(&LogisticRegression::new("y", "x"), table).unwrap()
+    }
+
+    #[test]
+    fn irls_step_declares_every_column_it_reads() {
+        let beta = [0.25, -0.5];
+        assert_input_columns_suffice(&IrlsStep {
+            y_column: "y",
+            x_column: "x",
+            beta: &beta,
+        });
     }
 
     #[test]

@@ -70,6 +70,32 @@ pub trait Aggregate: Sync {
         transition_chunk_by_rows(self, state, chunk, schema)
     }
 
+    /// The columns [`Aggregate::transition`] and
+    /// [`Aggregate::transition_chunk`] read, by name — the argument list of
+    /// the SQL call (`linregr(y, x)`) — or `None` (the default): the
+    /// aggregate may read every column.
+    ///
+    /// `Some(columns)` is a promise the engine acts on: wherever a scan
+    /// copies rows for the aggregate — the compaction of a filtered chunk,
+    /// the per-group gathers and radix staging of a grouped scan — it copies
+    /// only these columns and hands the aggregate a chunk (or row) holding
+    /// just them, in table order, with the matching projected [`Schema`] in
+    /// place of the table's.  Chunks that pass through uncopied (every row
+    /// selected, no grouping to split them) still arrive whole, with the
+    /// table schema, so the aggregate must look its columns up by name in
+    /// the schema it is given.  A name the table lacks leaves the batches
+    /// full width, so the aggregate reports the missing column itself.
+    ///
+    /// A declaration that leaves out a column the aggregate reads shows up
+    /// only on compacted and grouped batches, as a missing-column error or a
+    /// different result; an unfiltered, ungrouped scan never notices.  Hold
+    /// a new declaration to [`crate::reference::aggregate_on_input_columns`],
+    /// which runs the aggregate over a copy of a dataset holding only the
+    /// declared columns.
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        None
+    }
+
     /// Combines two states produced on different segments.
     fn merge(&self, left: Self::State, right: Self::State) -> Self::State;
 
@@ -240,6 +266,11 @@ impl Aggregate for CountAggregate {
         Ok(())
     }
 
+    /// `count(*)` reads no column.
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(Vec::new())
+    }
+
     fn merge(&self, left: u64, right: u64) -> u64 {
         left + right
     }
@@ -341,6 +372,10 @@ impl Aggregate for SumAggregate {
         Ok(())
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.column])
+    }
+
     fn merge(&self, left: f64, right: f64) -> f64 {
         left + right
     }
@@ -391,6 +426,10 @@ impl Aggregate for AvgAggregate {
         let idx = schema.index_of(&self.column)?;
         state.1 += sum_numeric_column(chunk, idx, &mut state.0)?;
         Ok(())
+    }
+
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.column])
     }
 
     fn merge(&self, left: (f64, u64), right: (f64, u64)) -> (f64, u64) {
@@ -493,6 +532,10 @@ impl Aggregate for ArraySumAggregate {
             }
         }
         Ok(())
+    }
+
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.column])
     }
 
     fn merge(&self, left: Option<Vec<f64>>, right: Option<Vec<f64>>) -> Option<Vec<f64>> {

@@ -935,7 +935,7 @@ impl RowChunk {
         let columns = columns.map(|(i, c)| Column::new(format!("#{i}"), c.column_type()));
         let row = Row::new(values.to_vec());
         for chunk in RowChunk::transpose(&Schema::new(columns.collect()), [row], 1)? {
-            self.copy_rows(&chunk, Rows::Run(0..1));
+            self.copy_rows(&chunk, None, Rows::Run(0..1));
         }
         Ok(())
     }
@@ -1004,21 +1004,35 @@ impl RowChunk {
     /// preserving row order: the mask's indices are collected once and
     /// handed to [`RowChunk::gather_rows`].
     pub fn gather(&self, mask: &SelectionMask) -> RowChunk {
+        self.gather_columns(mask, None)
+    }
+
+    /// [`RowChunk::gather`] of the columns at `columns` only (`None`: every
+    /// column) — the compaction of a scan whose consumer reads no more.
+    pub(crate) fn gather_columns(
+        &self,
+        mask: &SelectionMask,
+        columns: Option<&[usize]>,
+    ) -> RowChunk {
         debug_assert_eq!(mask.len(), self.len);
         let mut indices = Vec::with_capacity(mask.count_selected());
         indices.extend(mask.selected_indices().map(|i| i as u32));
-        self.gather_rows(&indices)
+        let mut out = self.empty_like(columns, indices.len());
+        out.copy_rows(self, columns, Rows::of(&indices));
+        out
     }
 
-    /// An empty chunk of this chunk's column types, with room for `rows` rows
-    /// (an array column's elements are reserved as they are copied).
-    fn empty_like(&self, rows: usize) -> RowChunk {
-        let columns = self.columns.iter();
+    /// An empty chunk of the column types at `columns` (`None`: every
+    /// column), with room for `rows` rows (an array column's elements are
+    /// reserved as they are copied).
+    fn empty_like(&self, columns: Option<&[usize]>, rows: usize) -> RowChunk {
+        let new = |c: &ColumnChunk| ColumnChunk::new(c.column_type(), rows, 0);
         RowChunk {
             len: 0,
-            columns: columns
-                .map(|c| ColumnChunk::new(c.column_type(), rows, 0))
-                .collect(),
+            columns: match columns {
+                None => self.columns.iter().map(new).collect(),
+                Some(columns) => columns.iter().map(|&c| new(&self.columns[c])).collect(),
+            },
         }
     }
 
@@ -1030,8 +1044,8 @@ impl RowChunk {
     /// ascending (row order is preserved, as the equivalence contract
     /// requires).
     pub fn gather_rows(&self, indices: &[u32]) -> RowChunk {
-        let mut out = self.empty_like(indices.len());
-        out.copy_rows(self, Rows::of(indices));
+        let mut out = self.empty_like(None, indices.len());
+        out.copy_rows(self, None, Rows::of(indices));
         out
     }
 
@@ -1039,17 +1053,16 @@ impl RowChunk {
     /// [`RowChunk::gather_rows`] without the index list, every buffer copied
     /// as the one slice it is.
     pub fn slice(&self, range: Range<usize>) -> RowChunk {
-        let mut out = self.empty_like(range.len());
-        out.copy_rows(self, Rows::Run(range));
+        let mut out = self.empty_like(None, range.len());
+        out.copy_rows(self, None, Rows::Run(range));
         out
     }
 
     /// Appends the rows of `src` at `indices` (in-bounds, ascending) to this
-    /// chunk, preserving row order — the staging primitive of the grouped
-    /// scan's radix partition pass, which accumulates one group-hash bucket's
-    /// rows across many source chunks before batching them through
-    /// `transition_chunk`, and the copy that fills a table's tail chunks.
-    /// Cost is proportional to `indices.len()` alone.
+    /// chunk, preserving row order — how a caller accumulates rows of many
+    /// source chunks into one batch (the grouped scan's radix staging does
+    /// the same through the crate's column-subset form).  Cost is
+    /// proportional to `indices.len()` alone.
     /// Shapes are checked before the first copy, so on error this chunk is
     /// unchanged.
     ///
@@ -1070,8 +1083,22 @@ impl RowChunk {
                 found: source.type_name().to_owned(),
             });
         }
-        self.copy_rows(src, Rows::of(indices));
+        self.copy_rows(src, None, Rows::of(indices));
         Ok(())
+    }
+
+    /// [`RowChunk::append_rows`] of the columns of `src` at `columns` only
+    /// (`None`: every column): this chunk's column `j` takes `src`'s column
+    /// `columns[j]`.  The grouped scan's radix staging and per-group gathers
+    /// fill chunks built from an aggregate's projected schema this way, so
+    /// the shapes pair up by construction and are not checked again.
+    pub(crate) fn append_columns(
+        &mut self,
+        src: &RowChunk,
+        columns: Option<&[usize]>,
+        indices: &[u32],
+    ) {
+        self.copy_rows(src, columns, Rows::of(indices));
     }
 
     /// Checks that this chunk's columns are `schema`'s, type for type — what
@@ -1094,17 +1121,30 @@ impl RowChunk {
     }
 
     /// The copy behind [`RowChunk::gather_rows`], [`RowChunk::slice`],
-    /// [`RowChunk::append_rows`] and [`Segment::append_rows`], which guarantee
-    /// that the two chunks' columns pair up type for type.
-    fn copy_rows(&mut self, src: &RowChunk, rows: Rows<'_>) {
+    /// [`RowChunk::append_rows`], [`Segment::append_rows`] and their
+    /// column-subset forms: this chunk's column `j` takes `src`'s column
+    /// `columns[j]`, or its column `j` when `columns` is `None`.  The callers
+    /// guarantee that the columns pair up type for type.
+    fn copy_rows(&mut self, src: &RowChunk, columns: Option<&[usize]>, rows: Rows<'_>) {
         debug_assert!(match &rows {
             Rows::At(indices) =>
                 indices.windows(2).all(|w| w[0] < w[1])
                     && indices.iter().all(|&i| (i as usize) < src.len),
             Rows::Run(run) => run.end <= src.len,
         });
-        for (target, source) in self.columns.iter_mut().zip(&src.columns) {
-            target.append_rows(source, rows.clone());
+        match columns {
+            None => {
+                debug_assert_eq!(self.columns.len(), src.columns.len());
+                for (target, source) in self.columns.iter_mut().zip(&src.columns) {
+                    target.append_rows(source, rows.clone());
+                }
+            }
+            Some(columns) => {
+                debug_assert_eq!(self.columns.len(), columns.len());
+                for (target, &c) in self.columns.iter_mut().zip(columns) {
+                    target.append_rows(&src.columns[c], rows.clone());
+                }
+            }
         }
         self.len += rows.len();
     }
@@ -1206,7 +1246,7 @@ impl Segment {
                     // snapshot still shares it; sealed chunks are never
                     // reached here.
                     let tail = Arc::make_mut(tail);
-                    tail.copy_rows(src, Rows::of(run));
+                    tail.copy_rows(src, None, Rows::of(run));
                     if tail.len() == chunk_capacity {
                         // Sealed: a buffer that doubled past its last row
                         // would keep up to half its capacity unused for as

@@ -293,11 +293,12 @@ impl<'a> Dataset<'a> {
         A::Output: Send,
     {
         let group_indices = self.group_column_indices()?;
+        let columns = fold::GroupedInput::new(aggregate, self.schema(), group_indices);
         let segments = fold::scan_grouped_units(
             aggregate,
             self.table(),
             &self.executor,
-            &group_indices,
+            &columns,
             self.filter.as_ref(),
         )?;
         let states = segments.into_iter().flat_map(GroupedUnit::into_states);
@@ -328,7 +329,7 @@ impl<'a> Dataset<'a> {
             self.executor.is_parallel(),
             |range, segment| {
                 let mut out = Vec::new();
-                scan::scan_chunks(range.chunks(segment), schema, filter, |batch| {
+                scan::scan_chunks(range.chunks(segment), schema, filter, None, |batch| {
                     out.extend(map(batch.chunk(), schema)?);
                     Ok(())
                 })?;
@@ -450,7 +451,7 @@ impl<'a> Dataset<'a> {
                 let mut directory = SlotDirectory::default();
                 let mut split: Vec<(GroupKey, Segment)> = Vec::new();
                 let mut keyed = IndexSort::default();
-                scan::scan_chunks(segment.chunks(), schema, filter, |batch| {
+                scan::scan_chunks(segment.chunks(), schema, filter, None, |batch| {
                     let chunk = batch.chunk();
                     directory.key_chunk(chunk, group_indices, &mut keyed, |key| {
                         split.push((key.clone(), Segment::default()));

@@ -23,6 +23,14 @@
 //!   scan order across the two.  Both runners are *resumable*: calling them
 //!   again with the chunks appended since continues the same state, which is
 //!   how a materialized view absorbs a suffix.
+//! * **Projection** — every copy a runner makes for the aggregate holds only
+//!   the columns it declares ([`Aggregate::input_columns`], resolved once per
+//!   scan or absorb by [`input_projection`] / [`GroupedInput`]): a filter's
+//!   compaction, the per-group gathers (into one reused sub-chunk) and the
+//!   radix staging.  A grouped filter's compaction keeps the key columns as
+//!   well, because the keying pass runs on the compacted chunk.  Chunks that
+//!   go to the aggregate uncopied stay whole, with the table schema; an
+//!   unfiltered, ungrouped scan copies nothing and resolves nothing.
 //! * **Fan-out** — [`scan_units`] / [`scan_grouped_units`] run every segment
 //!   of a table on the work-stealing pool ([`scan::run_per_segment`]).  A
 //!   batch aggregate folds the result and throws it away; a materialized
@@ -44,7 +52,7 @@ use crate::error::{EngineError, Result};
 use crate::executor::{ExecutionStats, Executor};
 use crate::expr::Predicate;
 use crate::group::{GroupKey, IndexSort, SlotDirectory};
-use crate::scan::{self, SegmentScanStats};
+use crate::scan::{self, Projection, ScanBatch, SegmentScanStats};
 use crate::schema::Schema;
 use crate::table::Table;
 use std::collections::HashMap;
@@ -77,17 +85,35 @@ const RADIX_FLUSH_ROWS: usize = 256;
 /// at roughly this many rows' worth of columnar data per worker.
 const RADIX_MAX_STAGED_ROWS: usize = 32 * 1024;
 
+/// The columns `aggregate` reads of a table of `schema` — its
+/// [`Aggregate::input_columns`] as table indices in table order — or `None`
+/// when it may read every column, declares them all, or declares a name the
+/// table lacks (so that the aggregate, handed every column, reports the
+/// missing one itself).
+pub(crate) fn input_projection<A: Aggregate>(aggregate: &A, schema: &Schema) -> Option<Projection> {
+    let names = aggregate.input_columns()?;
+    let found = names.iter().map(|name| schema.index_of(name).ok());
+    let mut columns = found.collect::<Option<Vec<usize>>>()?;
+    columns.sort_unstable();
+    columns.dedup();
+    (columns.len() < schema.arity()).then(|| Projection::new(schema, columns))
+}
+
 /// The ungrouped runner: folds the filter-surviving rows of `chunks`
-/// into `state`, chunk at a time.
+/// into `state`, chunk at a time.  `input` is the aggregate's
+/// [`input_projection`]; a filter's compaction copies only its columns.
 pub(crate) fn advance_state<A: Aggregate>(
     aggregate: &A,
     state: &mut A::State,
     chunks: &[Arc<RowChunk>],
     schema: &Schema,
     filter: Option<&Predicate>,
+    input: Option<&Projection>,
 ) -> Result<SegmentScanStats> {
-    scan::scan_chunks(chunks, schema, filter, |batch| {
-        aggregate.transition_chunk(state, batch.chunk(), schema)
+    let compacted = input.map_or(schema, Projection::schema);
+    scan::scan_chunks(chunks, schema, filter, input, |batch| match batch {
+        ScanBatch::Full(chunk) => aggregate.transition_chunk(state, chunk, schema),
+        ScanBatch::Compacted(chunk) => aggregate.transition_chunk(state, &chunk, compacted),
     })
 }
 
@@ -128,9 +154,19 @@ pub(crate) fn scan_units<A: Aggregate>(
     filter: Option<&Predicate>,
 ) -> Result<(Vec<A::State>, ExecutionStats)> {
     let schema = table.schema();
+    // Only a filter copies rows, so only a filtered scan needs the columns.
+    let input = filter.and_then(|_| input_projection(aggregate, schema));
     fan_out(table, executor, |segment| {
         let mut state = aggregate.initial_state();
-        let stats = advance_state(aggregate, &mut state, segment.chunks(), schema, filter)?;
+        let chunks = segment.chunks();
+        let stats = advance_state(
+            aggregate,
+            &mut state,
+            chunks,
+            schema,
+            filter,
+            input.as_ref(),
+        )?;
         Ok((state, stats))
     })
 }
@@ -144,7 +180,7 @@ pub(crate) fn scan_grouped_units<A: Aggregate>(
     aggregate: &A,
     table: &Table,
     executor: &Executor,
-    group_indices: &[usize],
+    columns: &GroupedInput,
     filter: Option<&Predicate>,
 ) -> Result<Vec<GroupedUnit<A::State>>> {
     let schema = table.schema();
@@ -154,13 +190,99 @@ pub(crate) fn scan_grouped_units<A: Aggregate>(
             aggregate,
             segment.chunks(),
             schema,
-            group_indices,
+            columns,
             filter,
             &mut GroupScratch::default(),
         )?;
         Ok((unit, stats))
     })?;
     Ok(segments)
+}
+
+/// What the grouped runner reads of a table for one aggregate, resolved once
+/// per scan (or view absorb): the key columns, the aggregate's
+/// [`input_projection`], and what a filter's compaction keeps — the input
+/// columns plus the key columns, which the keying pass reads after it.
+pub(crate) struct GroupedInput {
+    /// The key columns' table indices.
+    keys: Vec<usize>,
+    /// The aggregate's input columns; `None`: every column.
+    input: Option<Projection>,
+    /// `None` when the aggregate reads every column, and a compaction keeps
+    /// every column too.
+    compaction: Option<Compaction>,
+}
+
+/// A filtered grouped scan's compaction: the aggregate's input columns and
+/// the key columns, and where each of them lands in the compacted chunk.
+struct Compaction {
+    kept: Projection,
+    /// The key columns' positions in a compacted chunk.
+    keys: Vec<usize>,
+    /// The input columns' positions in a compacted chunk; `None` when the
+    /// chunk holds nothing else (every key column is an input column).
+    input: Option<Vec<usize>>,
+}
+
+/// The columns of one batch the grouped runner reads, by position in the
+/// batch.
+struct BatchColumns<'a> {
+    keys: &'a [usize],
+    /// The aggregate's input columns; `None`: all of the batch's columns.
+    input: Option<&'a [usize]>,
+    /// The schema under which the batch may go to the aggregate as it is, or
+    /// `None` when it holds a column the aggregate must not be handed.
+    whole: Option<&'a Schema>,
+}
+
+impl GroupedInput {
+    /// Resolves the key columns at `keys` and `aggregate`'s input columns
+    /// against `schema`.
+    pub(crate) fn new<A: Aggregate>(aggregate: &A, schema: &Schema, keys: Vec<usize>) -> Self {
+        let input = input_projection(aggregate, schema);
+        let compaction = input.as_ref().map(|input| {
+            let mut kept: Vec<usize> = input.columns().iter().chain(&keys).copied().collect();
+            kept.sort_unstable();
+            kept.dedup();
+            let at = |c: &usize| {
+                kept.binary_search(c)
+                    .expect("every key and input column is kept")
+            };
+            Compaction {
+                keys: keys.iter().map(at).collect(),
+                input: (kept.len() > input.columns().len())
+                    .then(|| input.columns().iter().map(at).collect()),
+                kept: Projection::new(schema, kept),
+            }
+        });
+        Self {
+            keys,
+            input,
+            compaction,
+        }
+    }
+
+    /// The schema of the chunks the runner builds for the aggregate.
+    fn schema<'a>(&'a self, table: &'a Schema) -> &'a Schema {
+        self.input.as_ref().map_or(table, Projection::schema)
+    }
+
+    /// Where the runner finds what it reads in `batch`.
+    fn columns<'a>(&'a self, batch: &ScanBatch<'_>, table: &'a Schema) -> BatchColumns<'a> {
+        match (batch, &self.compaction) {
+            (ScanBatch::Compacted(_), Some(compaction)) => BatchColumns {
+                keys: &compaction.keys,
+                input: compaction.input.as_deref(),
+                whole: compaction.input.is_none().then(|| self.schema(table)),
+            },
+            // A whole chunk, or a compaction that kept every column.
+            _ => BatchColumns {
+                keys: &self.keys,
+                input: self.input.as_ref().map(Projection::columns),
+                whole: Some(table),
+            },
+        }
+    }
 }
 
 /// Folds per-segment states into one, merging left-to-right in segment
@@ -246,35 +368,44 @@ impl<S> GroupedUnit<S> {
     where
         S: Clone,
     {
-        self.directory
-            .iter()
-            .map(|(key, slot)| (key.clone(), self.states[slot as usize].clone()))
+        (self.directory.keys().iter().cloned()).zip(self.states.iter().cloned())
     }
 
     /// The grouped runner: folds the filter-surviving rows of `chunks`
     /// into their groups' states, chunk at a time.  Each chunk goes through
     /// the keying pass ([`SlotDirectory::key_chunk`]); groups big enough to
-    /// batch are gathered, in row order, into compacted sub-chunks for
+    /// batch are gathered, in row order, into `scratch`'s sub-chunk for
     /// [`Aggregate::transition_chunk`], and high-cardinality chunks stage
     /// their rows into `scratch`'s radix buckets, which flush in batches and
     /// are all drained before returning — so the states are complete
     /// after every call, and a later call (with any drained scratch) resumes
-    /// them.  After an error the scratch may still hold staged rows and must
-    /// be discarded.
+    /// them.  Gathers and staging copy only the aggregate's input columns
+    /// (`columns`), and so does a filter's compaction, plus the key columns.
+    /// After an error the scratch may still hold staged rows and must be
+    /// discarded.
     pub(crate) fn advance<A: Aggregate<State = S>>(
         &mut self,
         aggregate: &A,
         chunks: &[Arc<RowChunk>],
         schema: &Schema,
-        group_indices: &[usize],
+        columns: &GroupedInput,
         filter: Option<&Predicate>,
         scratch: &mut GroupScratch,
     ) -> Result<SegmentScanStats> {
         let Self { directory, states } = self;
-        let GroupScratch { keyed, staging } = scratch;
-        let stats = scan::scan_chunks(chunks, schema, filter, |batch| {
-            let chunk = batch.chunk();
-            directory.key_chunk(chunk, group_indices, keyed, |_| {
+        let GroupScratch {
+            keyed,
+            staging,
+            batch,
+        } = scratch;
+        // The schema of every chunk the runner builds: the input columns'.
+        let input_schema = columns.schema(schema);
+        let batch = batch.get_or_insert_with(|| RowChunk::new(input_schema));
+        let compaction = columns.compaction.as_ref().map(|c| &c.kept);
+        let stats = scan::scan_chunks(chunks, schema, filter, compaction, |scanned| {
+            let at = columns.columns(&scanned, schema);
+            let chunk = scanned.chunk();
+            directory.key_chunk(chunk, at.keys, keyed, |_| {
                 states.push(aggregate.initial_state());
                 Ok::<(), EngineError>(())
             })?;
@@ -284,32 +415,33 @@ impl<S> GroupedUnit<S> {
             if staging.buckets.len() < wanted {
                 staging
                     .buckets
-                    .resize_with(wanted, || StagedBucket::new(schema));
+                    .resize_with(wanted, || StagedBucket::new(input_schema));
             }
 
-            if let [(slot, _)] = keyed.runs()[..] {
+            if let (&[(slot, _)], Some(whole)) = (keyed.runs(), at.whole) {
                 // Single-key chunk: the whole chunk is one group's batch.  Any
                 // staged rows of this group's bucket must run first to keep the
                 // group's row order.
                 let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
-                staging.flush_bucket(aggregate, schema, states, bucket)?;
-                return aggregate.transition_chunk(&mut states[slot as usize], chunk, schema);
+                staging.flush_bucket(aggregate, input_schema, states, batch, bucket)?;
+                return aggregate.transition_chunk(&mut states[slot as usize], chunk, whole);
             }
 
             if chunk.len() >= keyed.runs().len() * MIN_ROWS_PER_GROUP_FOR_GATHER {
                 // Batches are big enough for the vectorized kernels: gather
-                // each group's rows — in row order — into a compacted
+                // each group's rows — in row order — into the scratch
                 // sub-chunk.  Buckets holding staged rows of this chunk's
                 // groups flush first (order again).
                 if staging.staged_total > 0 {
                     for &(slot, _) in keyed.runs() {
                         let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
-                        staging.flush_bucket(aggregate, schema, states, bucket)?;
+                        staging.flush_bucket(aggregate, input_schema, states, batch, bucket)?;
                     }
                 }
                 for (slot, indices) in keyed.sorted() {
-                    let sub = chunk.gather_rows(indices);
-                    aggregate.transition_chunk(&mut states[slot as usize], &sub, schema)?;
+                    batch.clear();
+                    batch.append_columns(chunk, at.input, indices);
+                    aggregate.transition_chunk(&mut states[slot as usize], batch, input_schema)?;
                 }
             } else {
                 // High-cardinality chunk — the radix partition pass.  Sort the
@@ -319,7 +451,7 @@ impl<S> GroupedUnit<S> {
                 // transition_chunk once their bucket is full.  Per-group row
                 // order is preserved: a group's rows route through exactly one
                 // bucket, in scan order.
-                staging.stage_chunk_rows(chunk, keyed.keys())?;
+                staging.stage_chunk_rows(chunk, at.input, keyed.keys());
                 // Flush buckets that reached a batch worth of rows — only the
                 // buckets staged into by *this* chunk can have newly crossed
                 // the threshold, so the check is O(buckets touched), not
@@ -327,7 +459,7 @@ impl<S> GroupedUnit<S> {
                 for touched in 0..staging.by_bucket.runs().len() {
                     let bucket = staging.by_bucket.runs()[touched].0 as usize;
                     if staging.buckets[bucket].len() >= RADIX_FLUSH_ROWS {
-                        staging.flush_bucket(aggregate, schema, states, bucket)?;
+                        staging.flush_bucket(aggregate, input_schema, states, batch, bucket)?;
                     }
                 }
                 // Bound total staging memory by draining the fullest buckets
@@ -339,7 +471,7 @@ impl<S> GroupedUnit<S> {
                     else {
                         break;
                     };
-                    staging.flush_bucket(aggregate, schema, states, fullest)?;
+                    staging.flush_bucket(aggregate, input_schema, states, batch, fullest)?;
                 }
             }
             Ok(())
@@ -351,7 +483,7 @@ impl<S> GroupedUnit<S> {
         // by the staging discipline.
         if staging.staged_total > 0 {
             for bucket in 0..staging.buckets.len() {
-                staging.flush_bucket(aggregate, schema, states, bucket)?;
+                staging.flush_bucket(aggregate, input_schema, states, batch, bucket)?;
             }
         }
         debug_assert_eq!(staging.staged_total, 0);
@@ -362,7 +494,8 @@ impl<S> GroupedUnit<S> {
 /// Per-call scratch of [`GroupedUnit::advance`], reusable across chunks,
 /// calls and segments because every successful call leaves it drained: a
 /// batch scan makes one per segment, a materialized view keeps one for all
-/// its absorbs.
+/// its absorbs.  Its chunks are shaped by the first call's input columns;
+/// a view starts a fresh scratch whenever it rescans.
 #[derive(Default)]
 pub(crate) struct GroupScratch {
     /// The current chunk as the keying pass left it: every row's slot, the
@@ -370,6 +503,8 @@ pub(crate) struct GroupScratch {
     keyed: IndexSort,
     /// Rows of high-cardinality chunks waiting to be batched.
     staging: RadixStaging,
+    /// The one sub-chunk every per-group gather refills.
+    batch: Option<RowChunk>,
 }
 
 /// Radix staging for high-cardinality chunks: one bucket per contiguous run
@@ -411,7 +546,7 @@ impl StagedBucket {
 impl RadixStaging {
     /// Flushes one radix bucket: sorts the staged row indices by group slot
     /// (stable, so each group's rows keep their scan order), gathers every
-    /// group's batch through [`RowChunk::gather_rows`] and feeds it to
+    /// group's batch into the scratch sub-chunk `batch` and feeds it to
     /// [`Aggregate::transition_chunk`].  Clears the bucket in place
     /// afterwards, keeping its grown buffers for the next staging round.
     fn flush_bucket<A: Aggregate>(
@@ -419,6 +554,7 @@ impl RadixStaging {
         aggregate: &A,
         schema: &Schema,
         states: &mut [A::State],
+        batch: &mut RowChunk,
         bucket_id: usize,
     ) -> Result<()> {
         let bucket = &mut self.buckets[bucket_id];
@@ -432,8 +568,9 @@ impl RadixStaging {
             aggregate.transition_chunk(&mut states[slot as usize], &bucket.rows, schema)?;
         } else {
             for (slot, indices) in self.by_slot.sorted() {
-                let sub = bucket.rows.gather_rows(indices);
-                aggregate.transition_chunk(&mut states[slot as usize], &sub, schema)?;
+                batch.clear();
+                batch.append_columns(&bucket.rows, None, indices);
+                aggregate.transition_chunk(&mut states[slot as usize], batch, schema)?;
             }
         }
         bucket.rows.clear();
@@ -443,19 +580,19 @@ impl RadixStaging {
 
     /// Stages one high-cardinality chunk's rows (keyed by `row_slots`) into
     /// their slot-range buckets: sorts the row indices by bucket (stable,
-    /// preserving row order) and appends each bucket's run to its staging
-    /// chunk in one [`RowChunk::append_rows`] call.
-    fn stage_chunk_rows(&mut self, chunk: &RowChunk, row_slots: &[u32]) -> Result<()> {
+    /// preserving row order) and appends each bucket's run of the input
+    /// `columns` (`None`: every column) to its staging chunk in one
+    /// [`RowChunk::append_columns`] call.
+    fn stage_chunk_rows(&mut self, chunk: &RowChunk, columns: Option<&[usize]>, row_slots: &[u32]) {
         let bucket_of = |&slot: &u32| slot / RADIX_SLOTS_PER_BUCKET as u32;
         self.by_bucket.fill(row_slots.iter().map(bucket_of));
         for (b, indices) in self.by_bucket.sorted() {
             let bucket = &mut self.buckets[b as usize];
-            bucket.rows.append_rows(chunk, indices)?;
+            bucket.rows.append_columns(chunk, columns, indices);
             bucket
                 .slots
                 .extend(indices.iter().map(|&i| row_slots[i as usize]));
             self.staged_total += indices.len();
         }
-        Ok(())
     }
 }

@@ -25,11 +25,13 @@
 //! * `SlotDirectory` maps each distinct key to a dense `u32` slot in
 //!   first-appearance order, and its `key_chunk` is the one **keying pass**:
 //!   it records every row's slot and the chunk's distinct slots with their
-//!   row counts, probing the previous row's key in place before it builds
-//!   and hashes a new one (group values cluster in practice), and tells the
-//!   caller about each new slot exactly once — the callers differ only in
-//!   what they open for a new group (an aggregate state, a scorer, a row
-//!   list, a mask).
+//!   row counts, and tells the caller about each new slot exactly once — the
+//!   callers differ only in what they open for a new group (an aggregate
+//!   state, a scorer, a row list, a mask).  A row is compared in place with
+//!   the previous row's key first (group values cluster in practice), then
+//!   hashed straight from the column buffers and compared in place with the
+//!   keys its hash probes; a [`GroupKey`] is built only when a slot opens,
+//!   so keying allocates per group, not per row.
 //! * `IndexSort` is what the pass records into, and the one **stable
 //!   counting sort of row indices by a dense `u32` key** (distinct keys in
 //!   first-seen order, ascending row indices inside each run, reusable
@@ -41,9 +43,9 @@ use crate::error::{EngineError, Result};
 use crate::schema::Schema;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::convert::Infallible;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// An `f64` with total equality, ordering and hashing: bit-pattern equality
 /// (distinguishing `-0.0` from `0.0`, and treating identical NaNs as equal)
@@ -422,39 +424,54 @@ pub fn partition_by_group(chunk: &RowChunk, column_indices: &[usize]) -> Vec<Chu
 /// the directory behind every grouped consumer.  What a slot *holds* (an
 /// aggregate state, a scorer, a row list) lives with the caller in a vector
 /// indexed by slot, which the `on_new` callback grows by one.
-#[derive(Debug, Default)]
-pub(crate) struct SlotDirectory {
-    slots: HashMap<GroupKey, u32>,
+///
+/// The directory is an open-addressing table of slots probed by a row's
+/// hash: the keying pass hashes a row's key parts straight from the column
+/// buffers with `S` (`RandomState`'s SipHash, as a `HashMap` would), compares
+/// the row with a probed slot's key in place ([`GroupKey::matches_columns`])
+/// and builds a [`GroupKey`] only when a slot opens — never per row.
+#[derive(Debug)]
+pub(crate) struct SlotDirectory<S = RandomState> {
+    /// Every slot's key, in slot order.
+    keys: Vec<GroupKey>,
+    /// Every slot's row hash, in slot order.
+    hashes: Vec<u64>,
+    /// Linear-probing table of slots ([`EMPTY`] when free); its length is
+    /// zero or a power of two at least twice the slot count.
+    table: Vec<u32>,
+    hasher: S,
 }
 
-impl SlotDirectory {
-    /// The slot of `key`.  A key seen for the first time gets the next slot
-    /// after `on_new(key)` succeeds — exactly once per slot; an error leaves
-    /// the directory unchanged.
-    fn slot_of<E>(
-        &mut self,
-        key: &GroupKey,
-        on_new: impl FnOnce(&GroupKey) -> std::result::Result<(), E>,
-    ) -> std::result::Result<u32, E> {
-        if let Some(&slot) = self.slots.get(key) {
-            return Ok(slot);
+/// A free entry of [`SlotDirectory`]'s table.
+const EMPTY: u32 = u32::MAX;
+
+impl Default for SlotDirectory {
+    fn default() -> Self {
+        Self::with_hasher(RandomState::new())
+    }
+}
+
+impl<S: BuildHasher> SlotDirectory<S> {
+    /// An empty directory hashing rows with `hasher`.
+    fn with_hasher(hasher: S) -> Self {
+        Self {
+            keys: Vec::new(),
+            hashes: Vec::new(),
+            table: Vec::new(),
+            hasher,
         }
-        on_new(key)?;
-        let slot = self.slots.len() as u32;
-        self.slots.insert(key.clone(), slot);
-        Ok(slot)
     }
 
     /// The keying pass: resolves every row of `chunk` to its slot over the
     /// key columns at `column_indices`, leaving in `keyed` a fresh round
     /// whose keys are the per-row slots and whose runs are the chunk's
     /// distinct slots (first-seen order, with row counts).  Group values
-    /// cluster in practice, so the previous row's key is probed in place
-    /// first — for text and array keys that skips the per-row key allocation
-    /// and the hash entirely.
+    /// cluster in practice, so the previous row's slot is compared in place
+    /// first, before the row is hashed.  A key seen for the first time gets
+    /// the next slot after `on_new(key)` succeeds — exactly once per slot.
     ///
     /// # Errors
-    /// Stops at the first `on_new` error (see [`SlotDirectory::slot_of`]).
+    /// Stops at the first `on_new` error; the key it refused opens no slot.
     pub(crate) fn key_chunk<E>(
         &mut self,
         chunk: &RowChunk,
@@ -465,14 +482,13 @@ impl SlotDirectory {
         let key_columns: Vec<&ColumnChunk> =
             column_indices.iter().map(|&c| chunk.column(c)).collect();
         keyed.clear();
-        let mut previous: Option<(GroupKey, u32)> = None;
+        let mut previous: Option<u32> = None;
         for i in 0..chunk.len() {
-            let slot = match &previous {
-                Some((key, slot)) if key.matches_columns(&key_columns, i) => *slot,
+            let slot = match previous {
+                Some(slot) if self.keys[slot as usize].matches_columns(&key_columns, i) => slot,
                 _ => {
-                    let key = GroupKey::from_columns(&key_columns, i);
-                    let slot = self.slot_of(&key, &mut on_new)?;
-                    previous = Some((key, slot));
+                    let slot = self.slot_of_row(&key_columns, i, &mut on_new)?;
+                    previous = Some(slot);
                     slot
                 }
             };
@@ -481,16 +497,100 @@ impl SlotDirectory {
         Ok(())
     }
 
-    /// The `(key, slot)` pairs, in no particular order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&GroupKey, u32)> {
-        self.slots.iter().map(|(key, &slot)| (key, slot))
+    /// The slot of row `i` over `columns`, opening one (after `on_new`
+    /// succeeds) when the row's key is new.
+    fn slot_of_row<E>(
+        &mut self,
+        columns: &[&ColumnChunk],
+        i: usize,
+        on_new: impl FnOnce(&GroupKey) -> std::result::Result<(), E>,
+    ) -> std::result::Result<u32, E> {
+        if self.table.is_empty() {
+            self.table = vec![EMPTY; 16];
+        }
+        let mut hasher = self.hasher.build_hasher();
+        for column in columns {
+            hash_cell(column, i, &mut hasher);
+        }
+        let hash = hasher.finish();
+        let mask = self.table.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.table[at] {
+                EMPTY => break,
+                slot if self.hashes[slot as usize] == hash
+                    && self.keys[slot as usize].matches_columns(columns, i) =>
+                {
+                    return Ok(slot)
+                }
+                _ => at = (at + 1) & mask,
+            }
+        }
+        let key = GroupKey::from_columns(columns, i);
+        on_new(&key)?;
+        let slot = self.keys.len() as u32;
+        self.keys.push(key);
+        self.hashes.push(hash);
+        self.table[at] = slot;
+        if 2 * self.keys.len() > self.table.len() {
+            self.grow();
+        }
+        Ok(slot)
+    }
+
+    /// Doubles the table and re-places every slot by its stored hash.
+    fn grow(&mut self) {
+        let mask = 2 * self.table.len() - 1;
+        self.table = vec![EMPTY; mask + 1];
+        for (slot, &hash) in self.hashes.iter().enumerate() {
+            let mut at = hash as usize & mask;
+            while self.table[at] != EMPTY {
+                at = (at + 1) & mask;
+            }
+            self.table[at] = slot as u32;
+        }
+    }
+}
+
+impl<S> SlotDirectory<S> {
+    /// The keys, in slot order.
+    pub(crate) fn keys(&self) -> &[GroupKey] {
+        &self.keys
     }
 
     /// The keys, by value, in slot order.
     pub(crate) fn into_keys(self) -> impl Iterator<Item = GroupKey> {
-        let mut keys: Vec<(GroupKey, u32)> = self.slots.into_iter().collect();
-        keys.sort_unstable_by_key(|(_, slot)| *slot);
-        keys.into_iter().map(|(key, _)| key)
+        self.keys.into_iter()
+    }
+}
+
+/// Feeds row `i` of `column` to `hasher` so that rows whose key parts are
+/// equal ([`KeyPart::matches_column`]) hash equally: NULL as a lone tag,
+/// floats by bit pattern, arrays with their length.
+fn hash_cell(column: &ColumnChunk, i: usize, hasher: &mut impl Hasher) {
+    if column.nulls().is_null(i) {
+        hasher.write_u8(0);
+        return;
+    }
+    hasher.write_u8(1);
+    match column {
+        ColumnChunk::Double { values, .. } => hasher.write_u64(values[i].to_bits()),
+        ColumnChunk::Int { values, .. } => hasher.write_i64(values[i]),
+        ColumnChunk::Bool { values, .. } => hasher.write_u8(u8::from(values[i])),
+        ColumnChunk::Text { values, .. } => values[i].hash(hasher),
+        ColumnChunk::DoubleArray {
+            values, offsets, ..
+        } => {
+            let row = &values[offsets[i]..offsets[i + 1]];
+            hasher.write_usize(row.len());
+            row.iter().for_each(|v| hasher.write_u64(v.to_bits()));
+        }
+        ColumnChunk::IntArray {
+            values, offsets, ..
+        } => values[offsets[i]..offsets[i + 1]].hash(hasher),
+        ColumnChunk::TextArray {
+            values, offsets, ..
+        } => values[offsets[i]..offsets[i + 1]].hash(hasher),
     }
 }
 
@@ -610,6 +710,7 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::schema::{Column, ColumnType, Schema};
+    use std::collections::HashMap;
 
     #[test]
     fn signed_zero_and_nan_form_distinct_stable_groups() {
@@ -804,10 +905,13 @@ mod tests {
         assert_eq!(groups[0].rows, 2);
     }
 
-    /// Keys `chunks` through one directory and checks every output of the
+    /// Keys `chunks` through `directory` and checks every output of the
     /// keying pass and the index sort against a per-row `HashMap` walk.
-    fn check_keying_against_oracle(chunks: &[RowChunk], column_indices: &[usize]) {
-        let mut directory = SlotDirectory::default();
+    fn check_keying_against_oracle<S: BuildHasher>(
+        mut directory: SlotDirectory<S>,
+        chunks: &[RowChunk],
+        column_indices: &[usize],
+    ) {
         let mut keyed = IndexSort::default();
         let mut opened: Vec<GroupKey> = Vec::new();
         // The oracle: key → slot in first-appearance order across all chunks.
@@ -860,8 +964,33 @@ mod tests {
         assert_eq!(in_slot_order, opened);
     }
 
-    #[test]
-    fn keying_pass_matches_a_per_row_hash_walk() {
+    /// Builds hashers that hash every row to one value, so the in-place
+    /// compare alone tells slots apart.
+    struct OneHash;
+
+    impl BuildHasher for OneHash {
+        type Hasher = OneHasher;
+
+        fn build_hasher(&self) -> OneHasher {
+            OneHasher
+        }
+    }
+
+    struct OneHasher;
+
+    impl Hasher for OneHasher {
+        fn finish(&self) -> u64 {
+            7
+        }
+
+        fn write(&mut self, _bytes: &[u8]) {}
+    }
+
+    /// Chunks of 96 rows over twelve distinct keys that cover NULL, NaN, both
+    /// zeros and text parts — clustered, alternating and shuffled, three
+    /// chunks per order so slots carry over between chunks — with the label
+    /// of the order.
+    fn keying_fixture() -> Vec<(&'static str, Vec<RowChunk>)> {
         let schema = Schema::new(vec![
             Column::new("t", ColumnType::Text),
             Column::new("d", ColumnType::Double),
@@ -896,43 +1025,83 @@ mod tests {
                 (0..96).map(|i| (i * 7 % 12) ^ (i / 12 % 3)).collect(),
             ),
         ];
-        for (label, order) in &orders {
-            // Three chunks per order, so slots carry over between chunks.
-            let chunks: Vec<RowChunk> = order
-                .chunks(32)
-                .map(|piece| {
-                    let mut chunk = RowChunk::new(&schema);
-                    for &k in piece {
-                        chunk.push_values(&distinct[k % 12]).unwrap();
-                    }
-                    chunk
-                })
-                .collect();
-            for columns in [&[0usize][..], &[1], &[0, 1], &[1, 2, 0]] {
+        orders
+            .into_iter()
+            .map(|(label, order)| {
+                let chunks = order
+                    .chunks(32)
+                    .map(|piece| {
+                        let mut chunk = RowChunk::new(&schema);
+                        for &k in piece {
+                            chunk.push_values(&distinct[k % 12]).unwrap();
+                        }
+                        chunk
+                    })
+                    .collect();
+                (label, chunks)
+            })
+            .collect()
+    }
+
+    const KEY_COLUMN_SETS: [&[usize]; 4] = [&[0], &[1], &[0, 1], &[1, 2, 0]];
+
+    #[test]
+    fn keying_pass_matches_a_per_row_hash_walk() {
+        for (label, chunks) in keying_fixture() {
+            for columns in KEY_COLUMN_SETS {
                 eprintln!("{label} order, key columns {columns:?}");
-                check_keying_against_oracle(&chunks, columns);
+                check_keying_against_oracle(SlotDirectory::default(), &chunks, columns);
+            }
+        }
+    }
+
+    #[test]
+    fn keying_pass_with_every_hash_colliding_matches_the_walk() {
+        for (label, chunks) in keying_fixture() {
+            for columns in KEY_COLUMN_SETS {
+                eprintln!("{label} order, key columns {columns:?}");
+                check_keying_against_oracle(SlotDirectory::with_hasher(OneHash), &chunks, columns);
             }
         }
     }
 
     #[test]
     fn a_failed_on_new_opens_no_slot() {
+        let schema = Schema::new(vec![Column::new("k", ColumnType::Int)]);
+        let chunk_of = |keys: &[i64]| {
+            let mut chunk = RowChunk::new(&schema);
+            for &k in keys {
+                chunk.push_values(&[Value::Int(k)]).unwrap();
+            }
+            chunk
+        };
         let mut directory = SlotDirectory::default();
-        let (one, two) = (
-            GroupKey::from_value(&Value::Int(1)),
-            GroupKey::from_value(&Value::Int(2)),
-        );
+        let mut keyed = IndexSort::default();
+        let refuse = |_: &GroupKey| Err("no model");
+        let accept = |_: &GroupKey| Ok::<(), &str>(());
         assert_eq!(
-            directory.slot_of(&one, |_| Err("no model")),
+            directory.key_chunk(&chunk_of(&[1]), &[0], &mut keyed, refuse),
             Err("no model")
         );
         // The failed attempt consumed no slot: the next new key gets slot 0.
-        assert_eq!(directory.slot_of(&two, |_| Ok::<(), &str>(())), Ok(0));
-        assert_eq!(directory.slot_of(&one, |_| Ok::<(), &str>(())), Ok(1));
+        directory
+            .key_chunk(&chunk_of(&[2, 1]), &[0], &mut keyed, accept)
+            .unwrap();
+        assert_eq!(keyed.keys(), [0, 1]);
         // Known keys never reach `on_new` again.
+        directory
+            .key_chunk(&chunk_of(&[1, 2, 1]), &[0], &mut keyed, |_| {
+                Err("known key reopened")
+            })
+            .unwrap();
+        assert_eq!(keyed.keys(), [1, 0, 1]);
+        let keys: Vec<GroupKey> = directory.into_keys().collect();
         assert_eq!(
-            directory.slot_of(&two, |_| Err("known key reopened")),
-            Ok(0)
+            keys,
+            [
+                GroupKey::from_value(&Value::Int(2)),
+                GroupKey::from_value(&Value::Int(1))
+            ]
         );
     }
 

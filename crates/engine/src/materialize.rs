@@ -394,19 +394,25 @@ where
                 fold::scan_units(aggregate, table, executor, filter).map(|(s, _)| *segments = s)
             }
             ViewStates::Ungrouped(segments) => {
+                // Only a filter copies rows, so only a filtered view needs the
+                // aggregate's columns.
+                let input = filter.and_then(|_| fold::input_projection(aggregate, schema));
                 catch_up(segments, watermarks, table, |state, chunks| {
-                    fold::advance_state(aggregate, state, chunks, schema, filter)
+                    fold::advance_state(aggregate, state, chunks, schema, filter, input.as_ref())
                 })
             }
             ViewStates::Grouped { segments, scratch } if rescan => {
-                // A failed absorb can leave rows staged.
+                // A failed absorb can leave rows staged, and the scratch's
+                // chunks are shaped for the previous incarnation's columns.
                 **scratch = GroupScratch::default();
-                fold::scan_grouped_units(aggregate, table, executor, &group_indices, filter)
+                let columns = fold::GroupedInput::new(aggregate, schema, group_indices);
+                fold::scan_grouped_units(aggregate, table, executor, &columns, filter)
                     .map(|s| *segments = s)
             }
             ViewStates::Grouped { segments, scratch } => {
+                let columns = fold::GroupedInput::new(aggregate, schema, group_indices);
                 catch_up(segments, watermarks, table, |unit, chunks| {
-                    unit.advance(aggregate, chunks, schema, &group_indices, filter, scratch)
+                    unit.advance(aggregate, chunks, schema, &columns, filter, scratch)
                 })
             }
         };

@@ -31,7 +31,9 @@ use crate::error::Result;
 use crate::fold;
 use crate::group::GroupKey;
 use crate::row::Row;
-use std::collections::HashMap;
+use crate::table::Table;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// The per-row reference of [`Dataset::aggregate`].
 ///
@@ -79,6 +81,71 @@ where
         states.extend(groups);
     }
     fold::fold_groups(aggregate, states, false)
+}
+
+/// Runs `aggregate` over a copy of `dataset` that holds only the columns the
+/// aggregate declares it reads ([`Aggregate::input_columns`]; every column
+/// when it declares none) — the check that a declaration is enough.
+///
+/// The dataset's filter and grouping are applied while copying, to the full
+/// rows: each group (the whole dataset, under the zero-column key, when it
+/// is ungrouped) becomes one table of the projected columns, with the
+/// source's segments, chunk capacity and row order, which the group's rows
+/// are then aggregated from, unfiltered and ungrouped, under the dataset's
+/// executor.  Grouped aggregation is per-group filter-then-aggregate bit for
+/// bit, so with a sufficient declaration the outputs equal
+/// [`Dataset::aggregate_per_group`]'s — or, for an ungrouped dataset,
+/// [`Dataset::aggregate`]'s — in key order; a column the declaration leaves
+/// out is simply not in the copy.
+///
+/// # Errors
+/// The errors of the copy and of the aggregation (a declared column the
+/// dataset lacks leaves the copy full width, as it leaves the engine's
+/// scans, and the aggregate reports it).
+pub fn aggregate_on_input_columns<A: Aggregate>(
+    dataset: &Dataset<'_>,
+    aggregate: &A,
+) -> Result<Vec<(GroupKey, A::Output)>> {
+    let schema = dataset.schema();
+    // What the engine resolves a declaration to: every column when the
+    // aggregate declares none, all of them, or one the table lacks.
+    let projection = fold::input_projection(aggregate, schema);
+    let every: Vec<usize> = (0..schema.arity()).collect();
+    let (columns, projected) = match &projection {
+        Some(projection) => (projection.columns(), projection.schema()),
+        None => (&every[..], schema),
+    };
+    let source = dataset.table();
+    let new_copy = || {
+        Table::new(projected.clone(), source.num_segments())?
+            .with_chunk_capacity(source.chunk_capacity())
+    };
+    // Outputs in key order; an ungrouped dataset is one (maybe empty) copy.
+    let mut copies: BTreeMap<GroupKey, Table> = BTreeMap::new();
+    let group_indices = if dataset.is_grouped() {
+        dataset.group_column_indices()?
+    } else {
+        copies.insert(GroupKey::composite(Vec::new()), new_copy()?);
+        Vec::new()
+    };
+    for (s, segment) in segments_of(dataset).enumerate() {
+        for_each_row(dataset, segment, |row| {
+            let key = GroupKey::from_values(group_indices.iter().map(|&i| row.get(i)));
+            let copy = match copies.entry(key) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(entry) => entry.insert(new_copy()?),
+            };
+            let values = columns.iter().map(|&c| row.get(c).clone()).collect();
+            copy.insert_into_segment(s, Row::new(values))
+        })?;
+    }
+    copies
+        .into_iter()
+        .map(|(key, copy)| {
+            let copy = Dataset::from_owned_table(copy).with_executor(*dataset.executor());
+            Ok((key, copy.aggregate(aggregate)?))
+        })
+        .collect()
 }
 
 fn segments_of<'a>(dataset: &'a Dataset<'_>) -> impl Iterator<Item = &'a Segment> {

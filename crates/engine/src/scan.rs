@@ -10,6 +10,13 @@
 //! projection, a custom driver) opts into vectorized execution by writing a
 //! per-batch sink instead of re-implementing the scan loop.
 //!
+//! Compaction has one site, `scan_chunks`: a partially selected chunk is
+//! gathered into a new chunk of the selected rows — of every column for the
+//! public [`scan_segment_chunks`] and `map_chunks`, whose sinks may read
+//! anything, and of a `Projection`'s columns only for an aggregation scan
+//! whose aggregate declares what it reads
+//! ([`crate::Aggregate::input_columns`]).
+//!
 //! The fan-out (`run_per_segment`) additionally converts worker panics
 //! into [`EngineError::WorkerPanicked`] values instead of aborting the
 //! coordinating thread, so a buggy user-defined aggregate surfaces as an
@@ -105,13 +112,47 @@ pub fn scan_segment_chunks<F>(
 where
     F: FnMut(ScanBatch<'_>) -> Result<()>,
 {
-    scan_chunks(segment.chunks(), schema, filter, sink)
+    scan_chunks(segment.chunks(), schema, filter, None, sink)
+}
+
+/// The columns a compaction copies — table indices in table order — and
+/// the schema of the chunks it produces.
+#[derive(Debug)]
+pub(crate) struct Projection {
+    columns: Vec<usize>,
+    schema: Schema,
+}
+
+impl Projection {
+    /// The projection of `schema` onto the columns at `columns` (ascending,
+    /// distinct, in bounds).
+    pub(crate) fn new(schema: &Schema, columns: Vec<usize>) -> Self {
+        debug_assert!(columns.windows(2).all(|w| w[0] < w[1]));
+        let kept = columns.iter().map(|&c| schema.columns()[c].clone());
+        Self {
+            schema: Schema::new(kept.collect()),
+            columns,
+        }
+    }
+
+    /// The kept columns' table indices, in table order.
+    pub(crate) fn columns(&self) -> &[usize] {
+        &self.columns
+    }
+
+    /// The schema of a chunk holding just the kept columns.
+    pub(crate) fn schema(&self) -> &Schema {
+        &self.schema
+    }
 }
 
 /// Streams a slice of chunks through `sink` — the ranged core of
 /// [`scan_segment_chunks`], also usable on a [`ChunkRange`]'s sub-slice of a
 /// segment's chunks.  Filtering and compaction behave exactly as in
-/// [`scan_segment_chunks`].
+/// [`scan_segment_chunks`], except that a compaction copies only the
+/// columns of `projection` when one is given (`None`: every column); fully
+/// selected chunks pass through whole either way.  This is the engine's one
+/// compaction site.
 ///
 /// # Errors
 /// Propagates predicate-evaluation errors and errors returned by `sink`.
@@ -119,11 +160,13 @@ pub(crate) fn scan_chunks<F>(
     chunks: &[Arc<RowChunk>],
     schema: &Schema,
     filter: Option<&Predicate>,
+    projection: Option<&Projection>,
     mut sink: F,
 ) -> Result<SegmentScanStats>
 where
     F: FnMut(ScanBatch<'_>) -> Result<()>,
 {
+    let kept = projection.map(Projection::columns);
     let mut stats = SegmentScanStats::default();
     for chunk in chunks {
         let chunk: &RowChunk = chunk;
@@ -147,7 +190,7 @@ where
                 if selected == chunk.len() {
                     sink(ScanBatch::Full(chunk))?;
                 } else {
-                    sink(ScanBatch::Compacted(chunk.gather(&mask)))?;
+                    sink(ScanBatch::Compacted(chunk.gather_columns(&mask, kept)))?;
                 }
             }
         }
@@ -835,7 +878,7 @@ mod tests {
             let work = |range: ChunkRange, segment: &Segment| {
                 let mut rows = 0u64;
                 let mut sum = 0.0f64;
-                scan_chunks(range.chunks(segment), t.schema(), None, |batch| {
+                scan_chunks(range.chunks(segment), t.schema(), None, None, |batch| {
                     rows += batch.chunk().len() as u64;
                     for v in batch.chunk().doubles(0)?.values {
                         sum += v;

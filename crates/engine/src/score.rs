@@ -360,7 +360,7 @@ impl Dataset<'_> {
             |range, segment| {
                 let chunks = range.chunks(segment);
                 let mut out = Vec::with_capacity(chunks.iter().map(|chunk| chunk.len()).sum());
-                scan::scan_chunks(chunks, schema, filter, |batch| {
+                scan::scan_chunks(chunks, schema, filter, None, |batch| {
                     scorer.predict_chunk(batch.chunk(), schema, &mut out)
                 })?;
                 Ok(vec![out])
@@ -460,7 +460,7 @@ impl Dataset<'_> {
                 let mut best: Vec<Candidate> = Vec::new();
                 let mut ordinal = 0usize;
                 let mut scores: Vec<f64> = Vec::new();
-                scan::scan_chunks(segment.chunks(), schema, filter, |batch| {
+                scan::scan_chunks(segment.chunks(), schema, filter, None, |batch| {
                     let chunk = batch.chunk();
                     let arrays = chunk.double_arrays(column_idx)?;
                     if !arrays.nulls().any_null() && arrays.uniform_width() == Some(query.len()) {
@@ -557,7 +557,7 @@ fn score_chunks_grouped<S: Scorer>(
     let mut keyed = IndexSort::default();
     let mut group_predictions: Vec<Value> = Vec::new();
 
-    scan::scan_chunks(chunks, schema, filter, |batch| {
+    scan::scan_chunks(chunks, schema, filter, None, |batch| {
         let chunk = batch.chunk();
         directory.key_chunk(chunk, group_indices, &mut keyed, |key| {
             resolve_scorer(scorers, key, &mut resolved)

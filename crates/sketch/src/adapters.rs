@@ -137,6 +137,10 @@ impl Aggregate for SummaryAggregate {
         }
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.column])
+    }
+
     fn merge(&self, mut left: Summary, right: Summary) -> Summary {
         left.merge(&right);
         left
@@ -202,6 +206,10 @@ impl Aggregate for FmDistinctAggregate {
         })
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.column])
+    }
+
     fn merge(&self, mut left: FlajoletMartin, right: FlajoletMartin) -> FlajoletMartin {
         left.merge(&right);
         left
@@ -265,6 +273,10 @@ impl Aggregate for CountMinAggregate {
         })
     }
 
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.column])
+    }
+
     fn merge(&self, mut left: CountMinSketch, right: CountMinSketch) -> CountMinSketch {
         left.merge(&right);
         left
@@ -319,6 +331,10 @@ impl Aggregate for MostFrequentValuesAggregate {
         for_each_text_value(self, state, chunk, schema, &self.column, |freq, text| {
             freq.update(text);
         })
+    }
+
+    fn input_columns(&self) -> Option<Vec<&str>> {
+        Some(vec![&self.column])
     }
 
     fn merge(&self, mut left: FrequencyTable, right: FrequencyTable) -> FrequencyTable {

@@ -273,7 +273,9 @@ pub struct ProfileState {
 /// Build one with [`ProfileAggregate::new`] from the table's schema (the
 /// templated step: the aggregate's state shape is a function of the input
 /// schema) and run it through any [`Executor`] — it behaves like every other
-/// aggregate, including under filters and grouping.
+/// aggregate, including under filters and grouping.  A profile reads every
+/// column, so it keeps the default [`Aggregate::input_columns`] of `None`:
+/// the filtered and grouped scans copy whole rows for it.
 #[derive(Debug, Clone)]
 pub struct ProfileAggregate {
     infos: Vec<ColumnInfo>,
