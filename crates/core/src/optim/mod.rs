@@ -1,8 +1,6 @@
 //! Optimization support modules (paper Table 1: "Conjugate Gradient
-//! Optimization") plus a generic batch gradient-descent driver.
+//! Optimization").
 
 pub mod conjugate_gradient;
-pub mod gradient_descent;
 
 pub use conjugate_gradient::conjugate_gradient_solve;
-pub use gradient_descent::{GradientDescent, GradientDescentResult};

@@ -27,20 +27,20 @@
 //! implementation of the per-segment transition runners and of the merge
 //! (the crate-private `fold` module), so a batch aggregate, a
 //! grouped aggregate and a refreshed view cannot disagree.
-//! [`Executor::aggregate`], [`Executor::aggregate_with_stats`],
-//! [`Executor::parallel_map`] and [`Executor::parallel_map_chunks`] are
-//! shorthands for the corresponding `Dataset` terminals over a whole table.
+//! [`Executor::aggregate`], [`Executor::aggregate_with_stats`] and
+//! [`Executor::parallel_map_chunks`] are shorthands for the corresponding
+//! `Dataset` terminals over a whole table.
 
 use crate::aggregate::Aggregate;
 use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
 use crate::expr::Predicate;
-use crate::row::Row;
 use crate::schema::Schema;
 use crate::table::Table;
+use madlib_linalg::kernels::KernelPath;
 
 /// Statistics describing one aggregate execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionStats {
     /// Rows scanned across all segments.
     pub rows_scanned: u64,
@@ -49,6 +49,13 @@ pub struct ExecutionStats {
     /// Number of segments of the scanned table (each one unit of work and
     /// one partial state).
     pub segments: usize,
+    /// The tier the scan's batched kernels dispatched to
+    /// ([`madlib_linalg::kernels::active_path`], pinned by `MADLIB_SIMD`).
+    pub kernel_path: KernelPath,
+    /// Worker time inside the segments' folds, summed over segments, in
+    /// nanoseconds: compaction, grouping and transitions, not the merge or
+    /// the final function.
+    pub busy_ns: u64,
 }
 
 /// Executes aggregates over partitioned tables.
@@ -108,31 +115,13 @@ impl Executor {
         .aggregate_with_stats(aggregate)
     }
 
-    /// Applies `map` to every row in parallel per segment and collects the
-    /// outputs (segment order preserved).  This is the engine's equivalent of
-    /// a parallel projection / per-row UDF scan — the unfiltered shorthand
-    /// for [`Dataset::map_rows`], which supplies the shared fan-out, panic
-    /// handling and row-materialization adapter.
-    ///
-    /// # Errors
-    /// Propagates errors returned by `map`.
-    pub fn parallel_map<T, F>(&self, table: &Table, map: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(&Row, &Schema) -> Result<T> + Sync,
-    {
-        Dataset::from_table(table)
-            .with_executor(*self)
-            .map_rows(map)
-    }
-
     /// Chunk-level parallel projection: applies `map` once per column-major
     /// chunk (per segment, in parallel) and concatenates the outputs in
     /// segment-then-row order.  Chunk-aware consumers use this to read whole
     /// column slices (via [`crate::chunk::RowChunk::doubles`] /
     /// [`crate::chunk::RowChunk::double_arrays`]) instead of materialized
     /// rows.  The unfiltered shorthand for [`Dataset::map_chunks`];
-    /// [`Executor::parallel_map`] is the row-level adapter on top.
+    /// [`Dataset::map_rows`] is the row-level adapter on top.
     ///
     /// # Errors
     /// Propagates errors returned by `map`.
@@ -168,7 +157,9 @@ mod tests {
     use crate::expr::Predicate;
     use crate::reference;
     use crate::row;
+    use crate::row::Row;
     use crate::schema::{Column, ColumnType, Schema};
+    use madlib_linalg::kernels::dispatch;
 
     fn make_table(segments: usize, rows: usize) -> Table {
         let schema = Schema::new(vec![
@@ -304,9 +295,9 @@ mod tests {
             }
         }
 
-        // parallel_map workers propagate panics the same way.
-        let err = Executor::new()
-            .parallel_map(&t, |row, _| -> Result<f64> {
+        // Row-map workers propagate panics the same way.
+        let err = Dataset::from_table(&t)
+            .map_rows(|row, _| -> Result<f64> {
                 if row.get(1).as_double()? >= 8.0 {
                     panic!("map exploded");
                 }
@@ -317,21 +308,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_all_rows() {
+    fn map_rows_preserves_all_rows() {
         let t = make_table(4, 20);
-        let exec = Executor::new();
-        let doubled: Vec<f64> = exec
-            .parallel_map(&t, |row, schema| {
-                Ok(row.get_named(schema, "y")?.as_double()? * 2.0)
-            })
+        let dataset = Dataset::from_table(&t);
+        let doubled: Vec<f64> = dataset
+            .map_rows(|row, schema| Ok(row.get_named(schema, "y")?.as_double()? * 2.0))
             .unwrap();
         assert_eq!(doubled.len(), 20);
         let sum: f64 = doubled.iter().sum();
         assert_eq!(sum, 2.0 * (0..20).map(|i| i as f64).sum::<f64>());
         // Errors propagate.
-        let err = exec.parallel_map(&t, |row, schema| {
-            row.get_named(schema, "grp")?.as_double().map(|_| ())
-        });
+        let err =
+            dataset.map_rows(|row, schema| row.get_named(schema, "grp")?.as_double().map(|_| ()));
         assert!(err.is_err());
     }
 
@@ -344,10 +332,8 @@ mod tests {
             .unwrap();
         t.insert_all(base.iter()).unwrap();
         let exec = Executor::new();
-        let by_rows: Vec<f64> = exec
-            .parallel_map(&t, |row, schema| {
-                Ok(row.get_named(schema, "y")?.as_double()? + 1.0)
-            })
+        let by_rows: Vec<f64> = Dataset::from_table(&t)
+            .map_rows(|row, schema| Ok(row.get_named(schema, "y")?.as_double()? + 1.0))
             .unwrap();
         let by_chunks: Vec<f64> = exec
             .parallel_map_chunks(&t, |chunk, schema| {
@@ -357,5 +343,20 @@ mod tests {
             })
             .unwrap();
         assert_eq!(by_rows, by_chunks);
+    }
+
+    #[test]
+    fn stats_report_worker_time_and_the_kernel_tier() {
+        let t = make_table(4, 100);
+        for exec in [Executor::new(), Executor::serial()] {
+            let (_, stats) = exec
+                .aggregate_with_stats(&t, &ArraySumAggregate::new("x"), None)
+                .unwrap();
+            assert!(stats.busy_ns > 0, "{stats:?}");
+            // The tier `MADLIB_SIMD` pins, or runtime detection when unset.
+            let pin = std::env::var("MADLIB_SIMD").ok();
+            let pinned = dispatch::resolve(dispatch::simd_policy_from(pin.as_deref()).0);
+            assert_eq!(stats.kernel_path, pinned, "MADLIB_SIMD={pin:?}");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! evaluation hoisted to one [`crate::chunk::SelectionMask`] per chunk, compaction of
 //! partially selected chunks, and the thread-per-segment fan-out — into
 //! free functions every scan consumer shares.  The executor's ungrouped
-//! aggregation, grouped aggregation, and `parallel_map` are all thin
+//! aggregation, grouped aggregation, and `map_chunks` are all thin
 //! compositions of these primitives, so a new consumer (a sketch pass, a
 //! projection, a custom driver) opts into vectorized execution by writing a
 //! per-batch sink instead of re-implementing the scan loop.

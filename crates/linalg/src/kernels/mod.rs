@@ -35,9 +35,10 @@
 //!   thin templated abstraction of the paper's §3.3, costing nothing at run
 //!   time.  Its two lane types are the two fast tiers: [`unrolled`] is the
 //!   body at `[f64; 4]` (plain Rust, every platform) and [`simd`] the body at
-//!   `__m256d` (AVX2 intrinsics, x86-64, runtime-detected).  Where the
-//!   reference loop already is the best portable form (`xty_update`, whose
-//!   outputs are contiguous) the portable tier re-exports it.
+//!   `__m256d` (AVX2 intrinsics, x86-64, runtime-detected).
+//!
+//! [`xty_update`] has no body of its own: it is the [`column_sweep`] of the
+//! chunk's rows against `y`, and dispatches as that kernel does.
 //!
 //! The public functions dispatch through [`dispatch::active_path`], which
 //! resolves once per process from runtime CPU detection and the
@@ -61,16 +62,27 @@
 //!   reduction.**  A dot product's additions form one rounding chain whose
 //!   order is observable; splitting it across SIMD lanes would reassociate
 //!   it.  So the rank-k update vectorizes across contiguous `j` elements of
-//!   `m[i][j]` (each element keeps its own in-order chain), and `batch_dot`
-//!   / `batch_squared_distances` / `gemv_acc` / `batch_closest_column` put
-//!   one *row* in each lane, stepping through elements sequentially —
-//!   this also sidesteps the serial chain's latency bound, which is why the
-//!   reduction kernels gain the most: the autovectorizer was never allowed
-//!   to touch them in the first place.  `batch_closest_column` is further
-//!   register-tiled as the rank-k update is: four rows against four columns
-//!   per pass, sixteen independent chains behind one gather of the rows'
-//!   elements, the four distances meeting the running minimum in column
-//!   order.
+//!   `m[i][j]` (each element keeps its own in-order chain) — each strip's
+//!   4×4 diagonal block included, as one register tile whose lanes above
+//!   the diagonal are computed and then dropped by a masked store, leaving
+//!   the upper triangle as found.  The weighted update forms `w_r·x_r[i]`
+//!   once per element into a per-block scratch (the reference's rounding of
+//!   `(w·x_i)·x_j`) and runs the unweighted tiles with it, no branch in the
+//!   hot loop.  `batch_dot` / `batch_squared_distances` / `gemv_acc` put one
+//!   *row* in each lane, stepping through elements sequentially — this also
+//!   sidesteps the serial chain's latency bound, which is why the reduction
+//!   kernels gain the most: the autovectorizer was never allowed to touch
+//!   them in the first place.  `batch_closest_column` puts *columns* in the
+//!   lanes instead: the centroids are transposed once per call into a
+//!   `k`-major scratch in which lane `l` holds the `l`-th quarter of them,
+//!   and two rows' elements are broadcast against 16 lane-held columns at a
+//!   time (4 on the portable tier), so every load of centroid values feeds
+//!   two distances and each (row, column) sum is its own left-to-right
+//!   chain.  Each lane's minimum runs over its quarter in column order, and
+//!   the quarters meet in lane order, both under the reference's strict `<`
+//!   — its fold, cut into four consecutive runs: NaN never wins, ties keep
+//!   the earliest column.  The quarters of four rows meet in one transposed
+//!   pass, so the rows after the last four are the reference's.
 //! * **The association of each row's sum is the contract; which rows share a
 //!   pass is not.**  A row's sum starts at `0.0` and adds its terms left to
 //!   right on every tier, and that is all a caller can observe — so the vector
@@ -89,10 +101,11 @@
 //!   `batch_closest_column` is compute-bound at the `k` it runs at.
 //!
 //!   The same holds for the chains of the decompositions' O(n³) loops
-//!   (`decomposition` states which chains share a pass): [`column_sweep`]
-//!   puts contiguous output columns in the lanes, each summing its terms in
-//!   row order from its own seed (a Householder `A·u`, a Cholesky column,
-//!   a row of `L⁻ᵀL⁻¹`); [`symmetric_rank2_update`] updates contiguous
+//!   (`decomposition` states which chains share a pass) and for `Xᵀy`:
+//!   [`column_sweep`] puts contiguous output columns in the lanes, each
+//!   summing its terms in row order from its own seed (a Householder `A·u`,
+//!   a Cholesky column, a row of `L⁻ᵀL⁻¹`, an `Xᵀy` element — `x·y` and
+//!   `y·x` round the same); [`symmetric_rank2_update`] updates contiguous
 //!   entries of a row; [`lower_triangular_inverse`] puts four columns of
 //!   `L⁻¹` in the lanes, each lane's chain starting at its own column, so no
 //!   zero term is ever added.  Where a call's columns do not fill a last
@@ -272,18 +285,17 @@ pub fn weighted_rank_k_update_lower(
 }
 
 /// Accumulates `acc += Σ_r y_r · x_r` over a chunk: the `Xᵀy` update of the
-/// regression transition state at chunk granularity, dispatched per
-/// [`dispatch::active_path`].
+/// regression transition state at chunk granularity.  It is the
+/// [`column_sweep`] of the chunk's rows against `ys` — each `acc` element a
+/// chain seeded from itself taking its terms in row order — so it dispatches
+/// as that kernel does.
 ///
 /// # Panics
-/// Panics on shape mismatch (the reference loop, which the portable tier
-/// shares: in debug builds only).
+/// Panics when `xs.len() != ys.len() * width` or `acc.len() != width`.
 pub fn xty_update(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize) {
-    match active_path() {
-        KernelPath::Scalar => scalar::xty_update(acc, xs, ys, width),
-        KernelPath::Unrolled => unrolled::xty_update(acc, xs, ys, width),
-        KernelPath::Simd => simd::xty_update(acc, xs, ys, width),
-    }
+    assert_eq!(xs.len(), ys.len() * width, "one y per row");
+    assert_eq!(acc.len(), width, "acc is one row wide");
+    column_sweep(acc, xs, width, ys, false);
 }
 
 /// Computes `out[r] = x_r · w` for every row of a contiguous row-major chunk

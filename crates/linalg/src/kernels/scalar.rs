@@ -85,7 +85,8 @@ pub fn weighted_rank_k_update_lower(
     }
 }
 
-/// Scalar-reference `acc += Σ_r y_r · x_r`.
+/// Scalar-reference `acc += Σ_r y_r · x_r`: the row loop the dispatched
+/// [`super::xty_update`] — a [`column_sweep`] on every tier — is held to.
 pub fn xty_update(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize) {
     debug_assert_eq!(xs.len(), ys.len() * width);
     if width == 0 {

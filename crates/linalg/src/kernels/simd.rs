@@ -38,7 +38,7 @@ pub fn available() -> bool {
 pub use avx2::{
     batch_closest_column, batch_dot, batch_squared_distances, column_sweep, gemm_acc, gemv_acc,
     lower_triangular_inverse, rank_k_update_lower, symmetric_rank2_update,
-    weighted_rank_k_update_lower, xty_update,
+    weighted_rank_k_update_lower,
 };
 
 #[allow(unsafe_code)]
@@ -127,8 +127,6 @@ mod avx2 {
         fn rank_k_update_lower(m: &mut DenseMatrix, xs: &[f64], width: usize);
         /// AVX2 weighted rank-k update (lower triangle).
         fn weighted_rank_k_update_lower(m: &mut DenseMatrix, xs: &[f64], weights: &[f64], width: usize);
-        /// AVX2 `acc += Σ_r y_r · x_r`.
-        fn xty_update(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize);
         /// AVX2 batched dot product `out[r] = x_r · w`.
         fn batch_dot(xs: &[f64], w: &[f64], out: &mut [f64]);
         /// AVX2 batched squared Euclidean distances to `center`.

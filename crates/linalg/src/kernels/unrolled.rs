@@ -8,17 +8,11 @@
 //! tier's single serial reduction chain denies it.  This is the tier
 //! `MADLIB_SIMD=off` pins and the default on hosts without AVX2.
 //!
-//! Every entry point but the re-exported `xty_update` panics on a mis-shaped
-//! call, in release builds too.
+//! Every entry point panics on a mis-shaped call, in release builds too.
 
 use crate::dense::DenseMatrix;
 
 use super::vector;
-
-/// `xty_update`'s outputs are already contiguous, so the reference loop is
-/// the form the autovectorizer handles best: the shared body at `[f64; 4]`
-/// reads 0.83–1.07× of it (widths 8–100, in cache and streamed).
-pub use super::scalar::xty_update;
 
 /// Portable `m += Σ_r x_r x_rᵀ` (lower triangle).
 pub fn rank_k_update_lower(m: &mut DenseMatrix, xs: &[f64], width: usize) {

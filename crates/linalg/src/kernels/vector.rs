@@ -12,14 +12,28 @@
 //! * Rank-k/GEMM accumulator tiles are **seeded from the output matrix** and
 //!   stored back when the tile retires.  A store/load round-trip of an `f64`
 //!   is exact, so each element's addition chain is the chain the reference
-//!   produces, merely re-batched.
-//! * Reduction kernels put one *row* in each lane ([`Lanes::from_array`]);
+//!   produces, merely re-batched.  A rank-k strip's 4×4 diagonal block is
+//!   such a tile too: its lanes above the diagonal are computed and dropped
+//!   by a masked store, so the upper triangle is left exactly as found.  The
+//!   weighted update prescales each block's rows into `w·x_i` once — the
+//!   reference's first rounding of `(w·x_i)·x_j` — and runs the unweighted
+//!   tiles on them.
+//! * Row reductions put one *row* in each lane ([`Lanes::from_array`]);
 //!   within a lane the elements accumulate left-to-right exactly as the
-//!   reference loop does.
+//!   reference loop does.  Closest-column turns that around: the columns sit
+//!   in the lanes (a `k`-major copy made once per call, lane `l` holding the
+//!   `l`-th quarter of the columns) and two rows' elements are broadcast
+//!   against them, every (row, column) sum still its own left-to-right
+//!   chain; each lane's minimum runs over its quarter in column order and
+//!   the quarters meet in lane order, both under the reference's strict `<`,
+//!   which is the reference's fold.
+//! * `Xᵀy` has no body of its own: it is [`column_sweep`] over the rows, the
+//!   `y`s as multipliers.
 //! * [`Lanes`] offers `mul` and `add` but no fused multiply-add, so the
 //!   intermediate rounding of `a * b` cannot be skipped by accident.
-//! * Rows left over after the last full lane group are handed to the
-//!   reference kernel itself on the tail sub-slices.  The row-sweep kernels
+//! * Rows left over after the last full lane group (or, for closest-column,
+//!   the last four rows) are handed to the reference kernel itself on the
+//!   tail sub-slices.  The row-sweep kernels
 //!   (`column_sweep`, `symmetric_rank2_update`) instead cover columns past
 //!   the last whole lane with one more lane over the last four columns,
 //!   computed from the entries as found: a column two lanes share is
@@ -123,10 +137,19 @@ impl Lanes for [f64; 4] {
 #[inline(always)]
 pub(super) fn rank_k_update_lower<V: Lanes>(m: &mut DenseMatrix, xs: &[f64], width: usize) {
     assert_eq!(xs.len() % width.max(1), 0, "xs is not whole rows");
-    rank_k::<V>(m, xs, None, width);
+    assert_eq!((m.rows(), m.cols()), (width, width), "m is width × width");
+    if width == 0 {
+        return;
+    }
+    let md = m.as_mut_slice();
+    for block in xs.chunks(ROW_BLOCK * width) {
+        rank_k_block::<V>(md, block, block, width);
+    }
 }
 
-/// `m += Σ_r w_r · x_r x_rᵀ` (lower triangle).
+/// `m += Σ_r w_r · x_r x_rᵀ` (lower triangle): the unweighted tiles, their
+/// `i` operand prescaled once per block into `w_r · x_r[i]`, the reference's
+/// first rounding of `(w · x_i) · x_j`.
 #[inline(always)]
 pub(super) fn weighted_rank_k_update_lower<V: Lanes>(
     m: &mut DenseMatrix,
@@ -135,52 +158,55 @@ pub(super) fn weighted_rank_k_update_lower<V: Lanes>(
     width: usize,
 ) {
     assert_eq!(xs.len(), weights.len() * width, "one weight per row");
-    rank_k::<V>(m, xs, Some(weights), width);
-}
-
-/// The (optionally weighted) rank-k update, one `ROW_BLOCK` of rows at a time
-/// so a block stays cache-resident while every tile of the triangle sweeps it.
-#[inline(always)]
-fn rank_k<V: Lanes>(m: &mut DenseMatrix, xs: &[f64], weights: Option<&[f64]>, width: usize) {
     assert_eq!((m.rows(), m.cols()), (width, width), "m is width × width");
     if width == 0 {
         return;
     }
     let md = m.as_mut_slice();
-    for (block_idx, block) in xs.chunks(ROW_BLOCK * width).enumerate() {
-        let block_weights = weights.map(|w| &w[block_idx * ROW_BLOCK..]);
-        let mut i0 = 0;
-        while i0 + 4 <= width {
-            // Largest multiple of 4 that is ≤ i0 + 1: every row of the strip
-            // covers columns [0, j_full), so full register tiles apply there.
-            let j_full = (i0 + 1) & !3;
-            let mut j0 = 0;
-            while V::WIDE_TILES && j0 + 8 <= j_full {
-                rank_k_tile::<V, 2>(md, block, width, i0, j0, block_weights);
-                j0 += 8;
+    let mut scaled = vec![0.0; weights.len().min(ROW_BLOCK) * width];
+    for (block, block_weights) in xs.chunks(ROW_BLOCK * width).zip(weights.chunks(ROW_BLOCK)) {
+        for (r, &w) in block_weights.iter().enumerate() {
+            let row = r * width..(r + 1) * width;
+            for (s, &x) in scaled[row.clone()].iter_mut().zip(&block[row]) {
+                *s = w * x;
             }
-            while j0 + 4 <= j_full {
-                rank_k_tile::<V, 1>(md, block, width, i0, j0, block_weights);
-                j0 += 4;
-            }
-            rank_k_edge(md, block, width, i0..i0 + 4, j_full, block_weights);
-            i0 += 4;
         }
-        rank_k_edge(md, block, width, i0..width, 0, block_weights);
+        rank_k_block::<V>(md, &scaled[..block.len()], block, width);
     }
 }
 
+/// `m[i][j] += Σ_r left_r[i] · right_r[j]` (`j ≤ i`) over one cache-resident
+/// `ROW_BLOCK`: register tiles up to and including each 4-row strip's
+/// diagonal block; a last strip of fewer than four rows is [`rank_k_edge`]'s.
+#[inline(always)]
+fn rank_k_block<V: Lanes>(md: &mut [f64], left: &[f64], right: &[f64], width: usize) {
+    let mut i0 = 0;
+    while i0 + 4 <= width {
+        let mut j0 = 0;
+        while V::WIDE_TILES && j0 + 8 <= i0 + 4 {
+            rank_k_tile::<V, 2>(md, left, right, width, i0, j0);
+            j0 += 8;
+        }
+        while j0 <= i0 {
+            rank_k_tile::<V, 1>(md, left, right, width, i0, j0);
+            j0 += 4;
+        }
+        i0 += 4;
+    }
+    rank_k_edge(md, left, right, width, i0..width);
+}
+
 /// A 4×(4·NJ) accumulator tile at (`i0`, `j0`): seeded from `md`, updated
-/// across every row of `block`, stored back once.  `weights[r]` scales row
-/// `r`'s contribution as `(w · x_r[i]) · x_r[j]`, the reference's rounding.
+/// across every row of the block, stored back once — a lane group reaching
+/// past the diagonal only up to it, so the upper triangle is left as found.
 #[inline(always)]
 fn rank_k_tile<V: Lanes, const NJ: usize>(
     md: &mut [f64],
-    block: &[f64],
+    left: &[f64],
+    right: &[f64],
     width: usize,
     i0: usize,
     j0: usize,
-    weights: Option<&[f64]>,
 ) {
     let mut acc = [[V::splat(0.0); NJ]; 4];
     for (ii, row_acc) in acc.iter_mut().enumerate() {
@@ -188,83 +214,51 @@ fn rank_k_tile<V: Lanes, const NJ: usize>(
             *a = V::load(md, (i0 + ii) * width + j0 + 4 * jj);
         }
     }
-    for (r, x) in block.chunks_exact(width).enumerate() {
+    for (l, r) in left.chunks_exact(width).zip(right.chunks_exact(width)) {
         // One bounds check per operand per row; the loads below index
         // sub-slices of known length.
-        let (xi, xj) = (&x[i0..i0 + 4], &x[j0..j0 + 4 * NJ]);
+        let (xi, xj) = (&l[i0..i0 + 4], &r[j0..j0 + 4 * NJ]);
         let mut xjv = [V::splat(0.0); NJ];
         for (jj, v) in xjv.iter_mut().enumerate() {
             *v = V::load(xj, 4 * jj);
         }
-        let w = weights.map(|w| w[r]);
         for (row_acc, &xi) in acc.iter_mut().zip(xi) {
-            let xiv = V::splat(match w {
-                Some(w) => w * xi,
-                None => xi,
-            });
+            let xiv = V::splat(xi);
             for (a, &v) in row_acc.iter_mut().zip(&xjv) {
                 *a = a.add(xiv.mul(v));
             }
         }
     }
     for (ii, row_acc) in acc.iter().enumerate() {
+        let i = i0 + ii;
         for (jj, a) in row_acc.iter().enumerate() {
-            a.store(md, (i0 + ii) * width + j0 + 4 * jj);
+            let j = j0 + 4 * jj;
+            if j + 3 <= i {
+                a.store(md, i * width + j);
+            } else {
+                md[i * width + j..=i * width + i].copy_from_slice(&a.to_array()[..=i - j]);
+            }
         }
     }
 }
 
-/// What the register tiles cannot cover: rows `rows`, columns `j_lo..=i` (the
-/// diagonal end of a strip, or a last strip of fewer than four rows).
-/// Element-major with the row loop innermost — each element's additions still
-/// happen in row order.
+/// A last strip of fewer than four rows, `rows`, columns `0..=i`:
+/// element-major with the row loop innermost, so each element's additions
+/// still happen in row order.
 fn rank_k_edge(
     md: &mut [f64],
-    block: &[f64],
+    left: &[f64],
+    right: &[f64],
     width: usize,
     rows: std::ops::Range<usize>,
-    j_lo: usize,
-    weights: Option<&[f64]>,
 ) {
     for i in rows {
-        for j in j_lo..=i {
+        for j in 0..=i {
             let mut acc = md[i * width + j];
-            match weights {
-                None => {
-                    for x in block.chunks_exact(width) {
-                        acc += x[i] * x[j];
-                    }
-                }
-                Some(w) => {
-                    for (x, wr) in block.chunks_exact(width).zip(w) {
-                        acc += (wr * x[i]) * x[j];
-                    }
-                }
+            for (l, r) in left.chunks_exact(width).zip(right.chunks_exact(width)) {
+                acc += l[i] * r[j];
             }
             md[i * width + j] = acc;
-        }
-    }
-}
-
-/// `acc += Σ_r y_r · x_r`: per row a 4-wide sweep over the independent
-/// accumulator elements.  Only the `__m256d` tier instantiates it — the
-/// portable tier's `xty_update` is the reference loop.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-pub(super) fn xty_update<V: Lanes>(acc: &mut [f64], xs: &[f64], ys: &[f64], width: usize) {
-    assert_eq!(xs.len(), ys.len() * width, "one y per row");
-    assert_eq!(acc.len(), width, "acc is one row wide");
-    if width == 0 {
-        return;
-    }
-    let full = width & !3;
-    for (x, &y) in xs.chunks_exact(width).zip(ys) {
-        let yv = V::splat(y);
-        for j in (0..full).step_by(4) {
-            V::load(acc, j).add(V::load(x, j).mul(yv)).store(acc, j);
-        }
-        for (a, xi) in acc[full..].iter_mut().zip(&x[full..]) {
-            *a += xi * y;
         }
     }
 }
@@ -368,16 +362,16 @@ pub(super) fn batch_squared_distances<V: Lanes>(xs: &[f64], center: &[f64], out:
     batch_reduce::<V>(Term::SquaredDifference, xs, center, out);
 }
 
-/// Batched closest column, register-tiled like [`rank_k`]: four rows (one per
-/// lane) against four columns per pass, so one gather of the rows' `k`-th
-/// elements feeds four distances and four independent addition chains
-/// overlap.  Each (row, column) sum still runs left to right and the
-/// distances meet the running minimum in column order under the strict `<`
-/// (NaN distances never win, ties keep the earliest column — the
-/// `closest_column` contract), so the tiling is invisible in the result.  The
-/// winning index rides in an `f64` lane, exact for any index below 2⁵³; the
-/// winning distance (`+∞` for a row no column can win) goes to `distances`
-/// when the caller wants it.
+/// Batched closest column with the columns in the lanes: copied once per call
+/// into a `k`-major scratch, lane `l` holding the `l`-th quarter of them
+/// (padded with NaN, which never wins), they meet two rows' broadcast `k`-th
+/// elements 16 at a time (4 without [`Lanes::WIDE_TILES`]), every (row,
+/// column) sum its own chain, left to right.  Each lane's (distance, index)
+/// minimum runs over its quarter in column order and [`quarters_meet`] meets
+/// the quarters in lane order, both under the reference's strict `<` — its
+/// fold, so NaN never wins and ties keep the earliest column.  The winning
+/// distance (`+∞` for a row nothing can win) goes to `distances` if asked
+/// for; the rows after the last four are the reference's.
 #[inline(always)]
 pub(super) fn batch_closest_column<V: Lanes>(
     columns: &[Vec<f64>],
@@ -395,61 +389,107 @@ pub(super) fn batch_closest_column<V: Lanes>(
         distances.as_ref().is_none_or(|d| d.len() == out.len()),
         "one distance per row"
     );
-    let tiled = columns.len() & !3;
-    let (groups, full) = row_groups(xs, width, 4);
-    for (g, (group, slots)) in groups.zip(out.chunks_exact_mut(4)).enumerate() {
-        let mut rows = group.chunks_exact(width);
-        let rows: [&[f64]; 4] = from_fn(|_| rows.next().expect("four rows"));
-        let mut best = (V::splat(f64::INFINITY), V::splat(0.0));
-        for first in (0..tiled).step_by(4) {
-            best = closer_of::<V, 4>(best, rows, columns, first);
+    // Without columns or coordinates every row is the reference's (index 0,
+    // distance `+∞` or `0.0`): there is nothing to put in the lanes.
+    let quads = if columns.is_empty() || width == 0 {
+        0
+    } else {
+        out.len() / 4
+    };
+    if quads > 0 {
+        // Lane `l` of the `j`-th lane group holds column `l · quarter + j`.
+        let quarter = columns.len().div_ceil(4);
+        let mut lanes = vec![f64::NAN; width * 4 * quarter];
+        for (c, column) in columns.iter().enumerate() {
+            let at = 4 * (c % quarter) + c / quarter;
+            for (k, &v) in column.iter().enumerate() {
+                lanes[4 * k * quarter + at] = v;
+            }
         }
-        for first in tiled..columns.len() {
-            best = closer_of::<V, 1>(best, rows, columns, first);
-        }
-        for (slot, idx) in slots.iter_mut().zip(best.1.to_array()) {
-            *slot = idx as usize;
-        }
-        if let Some(distances) = distances.as_deref_mut() {
-            best.0.store(distances, 4 * g);
+        let q = quarter as f64;
+        let lane_index = V::from_array([0.0, q, 2.0 * q, 3.0 * q]);
+        for (g, slots) in out[..4 * quads].chunks_exact_mut(4).enumerate() {
+            let mut best = [[(V::splat(f64::INFINITY), V::splat(0.0)); 2]; 2];
+            for (pair, best) in best.iter_mut().enumerate() {
+                let first = 4 * g + 2 * pair;
+                let rows: [&[f64]; 2] = from_fn(|r| &xs[(first + r) * width..][..width]);
+                let mut j0 = 0;
+                while V::WIDE_TILES && j0 + 4 <= quarter {
+                    closest_in_tile::<V, 4>(best, rows, &lanes, quarter, j0, lane_index);
+                    j0 += 4;
+                }
+                while j0 < quarter {
+                    closest_in_tile::<V, 1>(best, rows, &lanes, quarter, j0, lane_index);
+                    j0 += 1;
+                }
+            }
+            let (d, i) = quarters_meet(best.as_flattened());
+            // Indices ride in `f64` lanes, exact below 2⁵³.
+            for (slot, i) in slots.iter_mut().zip(i.to_array()) {
+                *slot = i as usize;
+            }
+            if let Some(distances) = distances.as_deref_mut() {
+                d.store(distances, 4 * g);
+            }
         }
     }
+    let done = 4 * quads;
     scalar::batch_closest_column(
         columns,
-        &xs[full * width..],
+        &xs[done * width..],
         width,
-        &mut out[full..],
-        distances.map(|d| &mut d[full..]),
+        &mut out[done..],
+        distances.map(|d| &mut d[done..]),
     );
 }
 
-/// One tile of [`batch_closest_column`]: the squared distances from each of
-/// four rows to the `N` columns from `first` on, folded in column order into
-/// `best`, the per-lane (distance, index) minimum so far.
+/// One tile of [`batch_closest_column`]: two rows' squared distances to the
+/// columns of lane groups `j0 .. j0 + T`, folded lane by lane in column order
+/// into `best`, each row's per-lane (distance, index) minimum so far.
 #[inline(always)]
-fn closer_of<V: Lanes, const N: usize>(
-    best: (V, V),
-    rows: [&[f64]; 4],
-    columns: &[Vec<f64>],
-    first: usize,
-) -> (V, V) {
-    // Every operand re-sliced to one common length: the element loop below
-    // indexes without a bounds check.
-    let width = rows[0].len();
-    let rows: [&[f64]; 4] = from_fn(|l| &rows[l][..width]);
-    let columns: [&[f64]; N] = from_fn(|j| &columns[first + j][..width]);
-    let mut acc = [V::splat(0.0); N];
-    for k in 0..width {
-        let x = V::from_array([rows[0][k], rows[1][k], rows[2][k], rows[3][k]]);
-        for (a, c) in acc.iter_mut().zip(&columns) {
-            let d = x.sub(V::splat(c[k]));
-            *a = a.add(d.mul(d));
+fn closest_in_tile<V: Lanes, const T: usize>(
+    best: &mut [(V, V); 2],
+    rows: [&[f64]; 2],
+    lanes: &[f64],
+    quarter: usize,
+    j0: usize,
+    lane_index: V,
+) {
+    let mut acc = [[V::splat(0.0); T]; 2];
+    for (k, (&x0, &x1)) in rows[0].iter().zip(rows[1]).enumerate() {
+        let at = &lanes[4 * (k * quarter + j0)..][..4 * T];
+        let xv = [V::splat(x0), V::splat(x1)];
+        for t in 0..T {
+            let c = V::load(at, 4 * t);
+            for (row_acc, x) in acc.iter_mut().zip(xv) {
+                let d = x.sub(c);
+                row_acc[t] = row_acc[t].add(d.mul(d));
+            }
         }
     }
-    let (mut best_d, mut best_i) = best;
-    for (j, &d) in acc.iter().enumerate() {
-        best_i = d.select_lt(best_d, V::splat((first + j) as f64), best_i);
-        best_d = d.select_lt(best_d, d, best_d);
+    for t in 0..T {
+        let index = lane_index.add(V::splat((j0 + t) as f64));
+        for ((best_d, best_i), row_acc) in best.iter_mut().zip(&acc) {
+            let d = row_acc[t];
+            *best_i = d.select_lt(*best_d, index, *best_i);
+            *best_d = d.select_lt(*best_d, d, *best_d);
+        }
+    }
+}
+
+/// Four rows' per-lane minima, transposed so that each lane holds one row,
+/// met in lane order — quarter order — under the strict `<`: each row's
+/// winner as the reference's fold finds it.
+#[inline(always)]
+fn quarters_meet<V: Lanes>(best: &[(V, V)]) -> (V, V) {
+    let d: [[f64; 4]; 4] = from_fn(|r| best[r].0.to_array());
+    let i: [[f64; 4]; 4] = from_fn(|r| best[r].1.to_array());
+    let (mut best_d, mut best_i) = (V::splat(f64::INFINITY), V::splat(0.0));
+    for l in 0..4 {
+        let lane_d = V::from_array(from_fn(|r| d[r][l]));
+        let lane_i = V::from_array(from_fn(|r| i[r][l]));
+        best_i = lane_d.select_lt(best_d, lane_i, best_i);
+        best_d = lane_d.select_lt(best_d, lane_d, best_d);
     }
     (best_d, best_i)
 }

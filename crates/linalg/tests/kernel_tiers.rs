@@ -28,7 +28,7 @@
 //! assertions can stay exact — including *where* NaNs appear.
 
 use madlib_linalg::array_ops::array_squared_distance;
-use madlib_linalg::kernels::{scalar, simd, unrolled};
+use madlib_linalg::kernels::{self, scalar, simd, unrolled};
 use madlib_linalg::DenseMatrix;
 use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -141,23 +141,83 @@ fn rank_k_update_lower_tiers_agree() {
 
 #[test]
 fn weighted_rank_k_update_lower_tiers_agree() {
+    // Finite weights of both signs, then — one per call, at the middle row —
+    // a special weight the prescaled `w · x_i` must carry: the generated NaN,
+    // ±∞ and `-0.0`.  The accumulator starts at `-0.0`, so the sign of a
+    // zero sum shows.
+    let specials = [
+        None,
+        Some(generated_nan()),
+        Some(f64::INFINITY),
+        Some(f64::NEG_INFINITY),
+        Some(-0.0),
+    ];
     for width in WIDTHS {
         for rows in ROWS {
             let xs = salted_data(rows * width, (rows * 7 + width) as u64);
-            // Weights include negatives and zeros but stay finite so the
-            // salted specials in `xs` do the NaN/∞ probing.
-            let weights = finite_data(rows, 99);
-            let seed = DenseMatrix::zeros(width, width);
-            let context = format!("weighted_rank_k rows={rows} width={width}");
-            check_matrix_kernel(&context, &seed, |m, tier| match tier {
-                0 => scalar::weighted_rank_k_update_lower(m, &xs, &weights, width),
-                1 => unrolled::weighted_rank_k_update_lower(m, &xs, &weights, width),
-                _ => simd::weighted_rank_k_update_lower(m, &xs, &weights, width),
-            });
+            let mut seed = DenseMatrix::zeros(width, width);
+            seed.as_mut_slice().fill(-0.0);
+            for special in specials {
+                let mut weights = finite_data(rows, 99);
+                if let (Some(w), true) = (special, rows > 0) {
+                    weights[rows / 2] = w;
+                }
+                let context =
+                    format!("weighted_rank_k weight={special:?} rows={rows} width={width}");
+                check_matrix_kernel(&context, &seed, |m, tier| match tier {
+                    0 => scalar::weighted_rank_k_update_lower(m, &xs, &weights, width),
+                    1 => unrolled::weighted_rank_k_update_lower(m, &xs, &weights, width),
+                    _ => simd::weighted_rank_k_update_lower(m, &xs, &weights, width),
+                });
+            }
         }
     }
 }
 
+/// The diagonal blocks are computed whole and stored only up to the
+/// diagonal: an upper triangle of NaN markers (a payload no kernel produces)
+/// comes back bit for bit as found from the reference, and so — being equal
+/// to it bit for bit — from both lane types, at every width whose strips end
+/// on a diagonal block or a short last strip.
+#[test]
+fn rank_k_updates_leave_the_upper_triangle_as_found() {
+    let marker = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+    for width in 1..=13 {
+        for rows in [1, 2, 5, 64, 130] {
+            let xs = salted_data(rows * width, (rows * 17 + width) as u64);
+            let weights = salted_data(rows, (rows + 3) as u64);
+            let mut seed = DenseMatrix::zeros(width, width);
+            for (at, v) in finite_data(width * width, 9).into_iter().enumerate() {
+                seed.as_mut_slice()[at] = if at % width > at / width { marker } else { v };
+            }
+            for weighted in [false, true] {
+                let context =
+                    format!("upper triangle rows={rows} width={width} weighted={weighted}");
+                let run = |m: &mut DenseMatrix, tier: u8| match (weighted, tier) {
+                    (false, 0) => scalar::rank_k_update_lower(m, &xs, width),
+                    (false, 1) => unrolled::rank_k_update_lower(m, &xs, width),
+                    (false, _) => simd::rank_k_update_lower(m, &xs, width),
+                    (true, 0) => scalar::weighted_rank_k_update_lower(m, &xs, &weights, width),
+                    (true, 1) => unrolled::weighted_rank_k_update_lower(m, &xs, &weights, width),
+                    (true, _) => simd::weighted_rank_k_update_lower(m, &xs, &weights, width),
+                };
+                let mut reference = seed.clone();
+                run(&mut reference, 0);
+                for i in 0..width {
+                    for j in i + 1..width {
+                        let found = reference.get(i, j).to_bits();
+                        assert_eq!(found, marker.to_bits(), "{context}: ({i}, {j}) was written");
+                    }
+                }
+                check_matrix_kernel(&context, &seed, run);
+            }
+        }
+    }
+}
+
+/// `Xᵀy` has one body: the dispatcher is a shape-checked [`column_sweep`]
+/// of the rows against `ys`, held here — and that sweep on both lane types —
+/// to the reference row loop.
 #[test]
 fn xty_update_tiers_agree() {
     for width in WIDTHS {
@@ -167,13 +227,16 @@ fn xty_update_tiers_agree() {
             let seed = finite_data(width, 17);
             let mut reference = seed.clone();
             scalar::xty_update(&mut reference, &xs, &ys, width);
-            let mut portable = seed.clone();
-            unrolled::xty_update(&mut portable, &xs, &ys, width);
             let context = format!("xty rows={rows} width={width}");
+            let mut dispatched = seed.clone();
+            kernels::xty_update(&mut dispatched, &xs, &ys, width);
+            assert_bits_eq(&reference, &dispatched, &format!("{context} (dispatch)"));
+            let mut portable = seed.clone();
+            unrolled::column_sweep(&mut portable, &xs, width, &ys, false);
             assert_bits_eq(&reference, &portable, &format!("{context} (unrolled)"));
             if simd::available() {
                 let mut vectored = seed.clone();
-                simd::xty_update(&mut vectored, &xs, &ys, width);
+                simd::column_sweep(&mut vectored, &xs, width, &ys, false);
                 assert_bits_eq(&reference, &vectored, &format!("{context} (simd)"));
             }
         }
@@ -282,38 +345,51 @@ fn row_reductions_write_every_row_to_its_slot() {
     }
 }
 
+/// The vector body holds the columns in the lanes — a quarter of them per
+/// lane, 16 per tile on `simd`, 4 on `unrolled`, the last quarter padded —
+/// and takes rows two per pass and four per reduction, the one to three
+/// rows after the last four (1–3, 5–7, 9 and 33 rows) going to the
+/// reference.  Column
+/// counts 0–40 give quarters of 1–10 columns, so every lane and tile
+/// boundary moves across the NaN-salted and duplicated columns.  Row blocks
+/// play no part here, so the row counts and widths stop short of the larger
+/// ones the other kernels need.
 #[test]
 fn batch_closest_column_tiers_agree() {
-    // Rows whose nearest column is 3 while column 4 duplicates it: the tie
-    // the first tile must win against the second.
-    let mut ties_across_tiles = 0;
-    for width in WIDTHS {
-        for rows in ROWS {
-            // The vector body takes four columns per tile: 4 / 8 / 16 are
-            // whole tiles, 5 / 17 a tile or several plus a tail column, 7 a
-            // tile plus three.
-            for num_columns in [0, 1, 2, 3, 4, 5, 7, 8, 16, 17] {
+    // Rows won by a column that a later column duplicates, where the two sit
+    // in different lanes (quarters), or in one lane on both sides of the
+    // `simd` tile boundary (four lane groups): the ties the earlier column
+    // must win.
+    let (mut ties_across_lanes, mut ties_across_tiles) = (0, 0);
+    for width in [0, 1, 2, 3, 4, 5, 7, 8, 17, 40] {
+        for rows in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33] {
+            for num_columns in 0..=40 {
                 for salt_points in [false, true] {
                     // Finite points and centers, then salt one center on each
-                    // side of the first tile boundary with a NaN so the
+                    // side of the lane and tile boundaries with a NaN so the
                     // NaN-never-wins tie-break is exercised without every
                     // distance collapsing to NaN.
                     let mut xs = finite_data(rows * width, (rows + width + num_columns) as u64);
                     let mut columns: Vec<Vec<f64>> = (0..num_columns)
                         .map(|c| finite_data(width, 1000 + c as u64))
                         .collect();
-                    for salted in [1, 5] {
+                    for salted in [1, 5, 14, 17] {
                         if width > 0 && num_columns > salted {
                             columns[salted][width / 2] = f64::NAN;
                         }
                     }
                     // Duplicate columns to exercise first-minimum
-                    // tie-breaking, inside a tile (2 = 0) and across the
-                    // boundary (4 = 3).
-                    for (copy, original) in [(2, 0), (4, 3)] {
-                        if num_columns > copy {
-                            columns[copy] = columns[original].clone();
-                        }
+                    // tie-breaking: 2 = 0, 4 = 3, and the first column of the
+                    // second quarter = the last of the first (from quarters of
+                    // six columns on, where it collides with no other pair).
+                    let quarter = num_columns.div_ceil(4);
+                    let mut duplicates = vec![(2, 0), (4, 3)];
+                    if quarter >= 6 {
+                        duplicates.push((quarter, quarter - 1));
+                    }
+                    duplicates.retain(|&(copy, _)| copy < num_columns);
+                    for &(copy, original) in &duplicates {
+                        columns[copy] = columns[original].clone();
                     }
                     // Points no column can win: a NaN coordinate makes every
                     // distance NaN, an infinite one makes every distance ∞
@@ -378,9 +454,17 @@ fn batch_closest_column_tiers_agree() {
                             assert_eq!(*d, f64::INFINITY, "{context}: row {row}");
                         }
                     }
-                    if num_columns > 4 {
-                        assert!(reference.iter().all(|&i| i != 4), "{context}: 4 beat 3");
-                        ties_across_tiles += reference.iter().filter(|&&i| i == 3).count();
+                    for &(copy, original) in &duplicates {
+                        assert!(
+                            reference.iter().all(|&i| i != copy),
+                            "{context}: {copy} beat {original}"
+                        );
+                        let won = reference.iter().filter(|&&i| i == original).count();
+                        if copy / quarter != original / quarter {
+                            ties_across_lanes += won;
+                        } else if (copy % quarter) / 4 != (original % quarter) / 4 {
+                            ties_across_tiles += won;
+                        }
                     }
                     // Both lane types, with and without the distance output.
                     for tier in [1, 2] {
@@ -418,10 +502,8 @@ fn batch_closest_column_tiers_agree() {
             }
         }
     }
-    assert!(
-        ties_across_tiles > 0,
-        "no row tied across the tile boundary"
-    );
+    assert!(ties_across_lanes > 0, "no row tied across a lane boundary");
+    assert!(ties_across_tiles > 0, "no row tied across a tile boundary");
 }
 
 #[test]
@@ -533,15 +615,21 @@ fn weighted_rank_k_update_lower_rejects_a_short_input() {
 
 #[test]
 fn xty_update_rejects_a_short_input() {
-    // The portable tier's `xty_update` is the reference loop.
-    assert_every_tier_rejects(&[2], |tier| {
-        let acc = &mut [0.0; 4];
-        match tier {
-            0 => scalar::xty_update(acc, &[1.0], &[1.0; 8], 4),
-            1 => unrolled::xty_update(acc, &[1.0], &[1.0; 8], 4),
-            _ => simd::xty_update(acc, &[1.0], &[1.0; 8], 4),
-        }
-    });
+    // The dispatcher checks both shapes before any tier runs, in every build
+    // profile: one row of width 4 against eight `y`s, and an `acc` a column
+    // short.  The reference loop checks with `debug_assert!`.
+    for (xs, acc_len) in [(&[1.0][..], 4), (&[1.0; 32][..], 3)] {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            kernels::xty_update(&mut vec![0.0; acc_len], xs, &[1.0; 8], 4)
+        }));
+        assert!(outcome.is_err(), "accepted xs={} acc={acc_len}", xs.len());
+    }
+    if cfg!(debug_assertions) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            scalar::xty_update(&mut [0.0; 4], &[1.0], &[1.0; 8], 4)
+        }));
+        assert!(outcome.is_err(), "the reference accepted a short input");
+    }
 }
 
 #[test]

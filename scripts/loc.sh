@@ -5,13 +5,22 @@
 #
 # Usage: scripts/loc.sh <files...>   one line per file, then the total
 #        scripts/loc.sh              the three totals ROADMAP quotes: engine
-#                                    src, linalg/src/kernels, every crate's src
+#                                    src, linalg/src/kernels, every crate's src;
+#                                    then each crate's `pub` items (fn, struct,
+#                                    enum, trait, type, const, static, mod, use
+#                                    declared plain `pub`, counted the same way)
 set -euo pipefail
 
 count() {
     awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
          /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
          { n++ } END { print n + 0 }' "$1"
+}
+
+pub_items() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+         /^[[:space:]]*pub[[:space:]]+((unsafe|async|const|extern "C")[[:space:]]+)*(fn|struct|enum|trait|type|const|static|mod|use|union)[[:space:]]/ { n++ }
+         END { print n + 0 }' "$1"
 }
 
 total() {
@@ -28,6 +37,14 @@ if [ "$#" -eq 0 ]; then
     printf '%6d  %s\n' "$(total crates/linalg/src/kernels/*.rs)" "crates/linalg/src/kernels/*.rs"
     mapfile -t every < <(find crates -path '*/src/*.rs' | sort)
     printf '%6d  %s\n' "$(total "${every[@]}")" "crates/*/src/**/*.rs"
+    echo "   pub  items per crate"
+    for crate in crates/*/; do
+        sum=0
+        while IFS= read -r file; do
+            sum=$((sum + $(pub_items "$file")))
+        done < <(find "${crate}src" -name '*.rs' | sort)
+        printf '%6d  %s\n' "$sum" "${crate}src"
+    done
     exit 0
 fi
 
