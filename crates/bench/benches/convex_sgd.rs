@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use madlib_convex::objectives::{LeastSquaresObjective, LogisticObjective, SvmHingeObjective};
 use madlib_convex::{ConvexObjective, IgdConfig, IgdRunner, StepSchedule};
 use madlib_core::datasets::{linear_regression_data, logistic_regression_data};
-use madlib_engine::{Database, Executor, Table};
+use madlib_engine::{Executor, Table};
 
 fn train<O: ConvexObjective>(objective: &O, table: &Table, epochs: usize) {
     let runner = IgdRunner::new(IgdConfig {
@@ -13,11 +13,9 @@ fn train<O: ConvexObjective>(objective: &O, table: &Table, epochs: usize) {
         tolerance: 1e-9,
         schedule: StepSchedule::Constant(0.05),
     });
-    let db = Database::new(table.num_segments()).unwrap();
     runner
         .run(
             &Executor::new(),
-            &db,
             table,
             objective,
             vec![0.0; objective.dimension()],

@@ -370,8 +370,7 @@ fn table2() {
             tolerance: 1e-8,
             schedule: StepSchedule::Constant(0.05),
         });
-        let db = Database::new(table.num_segments()).unwrap();
-        let summary = objective.run(&runner, &executor, &db, table, initial);
+        let summary = objective.run(&runner, &executor, table, initial);
         let reduction = 100.0 * (1.0 - summary.1 / summary.0.max(1e-12));
         println!(
             "  {:<22} initial objective {:>12.4}  final {:>12.4}  reduction {:>5.1}%  epochs {}",
@@ -415,7 +414,6 @@ trait DynObjective {
         &self,
         runner: &IgdRunner,
         executor: &Executor,
-        db: &Database,
         table: &Table,
         initial: Vec<f64>,
     ) -> (f64, f64, usize);
@@ -426,12 +424,11 @@ impl<O: ConvexObjective> DynObjective for O {
         &self,
         runner: &IgdRunner,
         executor: &Executor,
-        db: &Database,
         table: &Table,
         initial: Vec<f64>,
     ) -> (f64, f64, usize) {
         let summary = runner
-            .run(executor, db, table, self, initial)
+            .run(executor, table, self, initial)
             .expect("IGD training failed");
         (
             summary.initial_objective_value,

@@ -14,8 +14,8 @@ use crate::objective::ConvexObjective;
 use crate::schedule::StepSchedule;
 use madlib_core::train::{Estimator, Session};
 use madlib_engine::dataset::Dataset;
-use madlib_engine::iteration::{l2_relative_convergence, IterationConfig, IterationController};
-use madlib_engine::{Aggregate, Database, EngineError, Executor, Row, RowChunk, Schema, Table};
+use madlib_engine::iteration::{iterate, l2_relative_convergence};
+use madlib_engine::{Aggregate, EngineError, Executor, Row, RowChunk, Schema, Table};
 
 /// Configuration for an IGD run.
 #[derive(Debug, Clone)]
@@ -85,21 +85,21 @@ impl IgdRunner {
     pub fn run<O: ConvexObjective>(
         &self,
         executor: &Executor,
-        database: &Database,
         table: &Table,
         objective: &O,
         initial_model: Vec<f64>,
     ) -> madlib_engine::Result<IgdSummary> {
         self.run_dataset(
             &Dataset::from_table(table).with_executor(*executor),
-            database,
             objective,
             initial_model,
         )
     }
 
-    /// Trains `objective` over a dataset's (filtered) rows, staging the
-    /// inter-epoch model state in `database`.
+    /// Trains `objective` over a dataset's (filtered) rows: one [`iterate`]
+    /// loop whose state is the model vector, each epoch one aggregate pass
+    /// started from the previous epoch's model, stopped when the model's
+    /// relative L2 movement is within the configured tolerance.
     ///
     /// # Errors
     /// Propagates engine errors from the per-epoch aggregate passes; the
@@ -107,7 +107,6 @@ impl IgdRunner {
     pub fn run_dataset<O: ConvexObjective>(
         &self,
         dataset: &Dataset<'_>,
-        database: &Database,
         objective: &O,
         initial_model: Vec<f64>,
     ) -> madlib_engine::Result<IgdSummary> {
@@ -121,33 +120,24 @@ impl IgdRunner {
         dataset.executor().validate_input(dataset.table(), true)?;
         let initial_objective_value = objective_value_dataset(dataset, objective, &initial_model)?;
 
-        let controller = IterationController::new(
-            database.clone(),
-            IterationConfig {
-                max_iterations: self.config.max_epochs,
-                tolerance: self.config.tolerance,
-                fail_on_max_iterations: false,
-                state_table_name: "igd_state".to_owned(),
-            },
-        );
         let schedule = self.config.schedule;
-        let outcome = controller.run(
+        let outcome = iterate(
+            self.config.max_epochs,
             initial_model,
-            |model, epoch| {
-                let step = schedule.step(epoch);
+            |model: &Vec<f64>, epoch| {
                 let pass = IgdEpoch {
                     objective,
                     start_model: model,
-                    step,
+                    step: schedule.step(epoch),
                 };
                 dataset.aggregate(&pass)
             },
-            l2_relative_convergence,
+            |previous, next| l2_relative_convergence(previous, next, self.config.tolerance),
         )?;
 
-        let objective_value = objective_value_dataset(dataset, objective, &outcome.final_state)?;
+        let objective_value = objective_value_dataset(dataset, objective, &outcome.state)?;
         Ok(IgdSummary {
-            model: outcome.final_state,
+            model: outcome.state,
             epochs: outcome.iterations,
             converged: outcome.converged,
             objective_value,
@@ -232,13 +222,13 @@ impl<O: ConvexObjective> IgdEstimator<O> {
 impl<O: ConvexObjective> Estimator for IgdEstimator<O> {
     type Model = IgdSummary;
 
-    fn fit(&self, dataset: &Dataset<'_>, session: &Session) -> madlib_core::Result<IgdSummary> {
+    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> madlib_core::Result<IgdSummary> {
         let initial = self
             .initial_model
             .clone()
             .unwrap_or_else(|| vec![0.0; self.objective.dimension()]);
         IgdRunner::new(self.config.clone())
-            .run_dataset(dataset, session.database(), &self.objective, initial)
+            .run_dataset(dataset, &self.objective, initial)
             .map_err(madlib_core::MethodError::from)
     }
 }
@@ -430,7 +420,6 @@ mod tests {
     #[test]
     fn igd_fits_least_squares() {
         let table = regression_table(4);
-        let db = Database::new(4).unwrap();
         let objective = LeastSquaresObjective::new("y", "x", 2);
         let runner = IgdRunner::new(IgdConfig {
             max_epochs: 200,
@@ -438,13 +427,12 @@ mod tests {
             schedule: StepSchedule::Constant(0.05),
         });
         let summary = runner
-            .run(&Executor::new(), &db, &table, &objective, vec![0.0, 0.0])
+            .run(&Executor::new(), &table, &objective, vec![0.0, 0.0])
             .unwrap();
         assert!(summary.objective_value < summary.initial_objective_value);
         assert!((summary.model[0] - 2.0).abs() < 0.05, "{:?}", summary.model);
         assert!((summary.model[1] + 1.0).abs() < 0.05, "{:?}", summary.model);
         assert!(summary.epochs <= 200);
-        assert!(db.list_tables().is_empty());
     }
 
     #[test]
@@ -455,7 +443,6 @@ mod tests {
         // warm start both begins closer (lower initial objective) and
         // converges in no more epochs than a cold start.
         let mut table = regression_table(4);
-        let db = Database::new(4).unwrap();
         let objective = LeastSquaresObjective::new("y", "x", 2);
         let runner = IgdRunner::new(IgdConfig {
             max_epochs: 400,
@@ -464,7 +451,7 @@ mod tests {
         });
         let executor = Executor::new();
         let cold = runner
-            .run(&executor, &db, &table, &objective, vec![0.0, 0.0])
+            .run(&executor, &table, &objective, vec![0.0, 0.0])
             .unwrap();
 
         // Append 1% new rows from the same generator.
@@ -475,10 +462,10 @@ mod tests {
         }
 
         let warm = runner
-            .run(&executor, &db, &table, &objective, cold.model.clone())
+            .run(&executor, &table, &objective, cold.model.clone())
             .unwrap();
         let cold_again = runner
-            .run(&executor, &db, &table, &objective, vec![0.0, 0.0])
+            .run(&executor, &table, &objective, vec![0.0, 0.0])
             .unwrap();
 
         assert!(warm.initial_objective_value < cold_again.initial_objective_value);
@@ -497,11 +484,10 @@ mod tests {
     #[test]
     fn dimension_mismatch_and_empty_table_are_errors() {
         let table = regression_table(2);
-        let db = Database::new(2).unwrap();
         let objective = LeastSquaresObjective::new("y", "x", 2);
         let runner = IgdRunner::with_defaults();
         assert!(runner
-            .run(&Executor::new(), &db, &table, &objective, vec![0.0])
+            .run(&Executor::new(), &table, &objective, vec![0.0])
             .is_err());
 
         let empty = Table::new(
@@ -513,7 +499,7 @@ mod tests {
         )
         .unwrap();
         assert!(runner
-            .run(&Executor::new(), &db, &empty, &objective, vec![0.0, 0.0])
+            .run(&Executor::new(), &empty, &objective, vec![0.0, 0.0])
             .is_err());
         assert_eq!(runner.config().max_epochs, 50);
     }
@@ -530,18 +516,11 @@ mod tests {
             schedule: StepSchedule::Constant(0.05),
         };
         let one = IgdRunner::new(config.clone())
-            .run(
-                &Executor::new(),
-                &Database::new(1).unwrap(),
-                &table,
-                &objective,
-                vec![0.0, 0.0],
-            )
+            .run(&Executor::new(), &table, &objective, vec![0.0, 0.0])
             .unwrap();
         let six = IgdRunner::new(config)
             .run(
                 &Executor::new(),
-                &Database::new(6).unwrap(),
                 &table.repartition(6).unwrap(),
                 &objective,
                 vec![0.0, 0.0],

@@ -205,7 +205,7 @@ mod tests {
     use super::*;
     use crate::igd::{IgdConfig, IgdRunner};
     use crate::schedule::StepSchedule;
-    use madlib_engine::{row, Column, ColumnType, Database, Executor, Schema, Table};
+    use madlib_engine::{row, Column, ColumnType, Executor, Schema, Table};
 
     fn separable_table(segments: usize) -> Table {
         let schema = Schema::new(vec![
@@ -245,13 +245,7 @@ mod tests {
             tolerance: 1e-9,
             schedule: StepSchedule::Constant(0.1),
         })
-        .run(
-            &Executor::new(),
-            &Database::new(3).unwrap(),
-            &table,
-            &objective,
-            vec![0.0, 0.0],
-        )
+        .run(&Executor::new(), &table, &objective, vec![0.0, 0.0])
         .unwrap();
         assert!(summary.objective_value < summary.initial_objective_value);
         assert!(accuracy(&summary.model, &table) > 0.99);
@@ -266,13 +260,7 @@ mod tests {
             tolerance: 1e-9,
             schedule: StepSchedule::InverseSqrt(0.5),
         })
-        .run(
-            &Executor::new(),
-            &Database::new(3).unwrap(),
-            &table,
-            &objective,
-            vec![0.0, 0.0],
-        )
+        .run(&Executor::new(), &table, &objective, vec![0.0, 0.0])
         .unwrap();
         assert!(accuracy(&summary.model, &table) > 0.99);
         assert!(objective.regularization(&summary.model) >= 0.0);

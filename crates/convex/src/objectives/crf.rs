@@ -222,7 +222,7 @@ mod tests {
     use super::*;
     use crate::igd::{IgdConfig, IgdRunner};
     use crate::schedule::StepSchedule;
-    use madlib_engine::{Column, ColumnType, Database, Executor, Row, Table, Value};
+    use madlib_engine::{Column, ColumnType, Executor, Row, Table, Value};
 
     fn sequence_schema() -> madlib_engine::Schema {
         madlib_engine::Schema::new(vec![
@@ -325,7 +325,6 @@ mod tests {
         let summary = runner
             .run(
                 &Executor::new(),
-                &Database::new(2).unwrap(),
                 &table,
                 &objective,
                 vec![0.0; objective.dimension()],

@@ -135,7 +135,7 @@ mod tests {
     use super::*;
     use crate::igd::{IgdConfig, IgdRunner};
     use crate::schedule::StepSchedule;
-    use madlib_engine::{row, Column, ColumnType, Database, Executor, Table};
+    use madlib_engine::{row, Column, ColumnType, Executor, Table};
 
     fn ratings_table(users: usize, items: usize, segments: usize) -> Table {
         let schema = madlib_engine::Schema::new(vec![
@@ -167,7 +167,6 @@ mod tests {
         let summary = runner
             .run(
                 &Executor::new(),
-                &Database::new(3).unwrap(),
                 &table,
                 &objective,
                 objective.initial_model(),

@@ -237,7 +237,7 @@ mod tests {
     use super::*;
     use crate::igd::{IgdConfig, IgdRunner};
     use crate::schedule::StepSchedule;
-    use madlib_engine::{row, Column, ColumnType, Database, Executor, Schema, Table};
+    use madlib_engine::{row, Column, ColumnType, Executor, Schema, Table};
 
     fn table_with_sparse_truth(segments: usize) -> Table {
         let schema = Schema::new(vec![
@@ -265,7 +265,6 @@ mod tests {
         runner
             .run(
                 &Executor::new(),
-                &Database::new(table.num_segments()).unwrap(),
                 table,
                 objective,
                 vec![0.0; objective.dimension()],

@@ -9,8 +9,8 @@
 //! * the per-iteration pass is `KMeansStep`, a UDA whose transition function
 //!   assigns each point to its closest centroid (the `closest_column` UDF of
 //!   the paper) and accumulates per-centroid sums and counts;
-//! * the outer loop is an [`IterationController`] run, staging the flattened
-//!   centroid matrix as the inter-iteration state;
+//! * the outer loop is an [`iterate`] run whose state is the centroids and
+//!   the reassignment count of the pass that produced them;
 //! * convergence is declared when no (or few) points change assignment, which
 //!   the step tracks by also counting reassignments against the previous
 //!   centroids.
@@ -33,7 +33,7 @@ use crate::train::{Estimator, IncrementalEstimator, Session};
 use madlib_engine::aggregate::transition_chunk_by_rows;
 use madlib_engine::chunk::DoubleArrayColumn;
 use madlib_engine::dataset::Dataset;
-use madlib_engine::iteration::{IterationConfig, IterationController};
+use madlib_engine::iteration::iterate;
 use madlib_engine::{Aggregate, Row, RowChunk, Schema, Value};
 use madlib_linalg::array_ops::{batch_closest_column, closest_column};
 use madlib_linalg::kernels::{batch_closest_column_distances, batch_squared_distances};
@@ -164,9 +164,10 @@ impl KMeans {
 impl Estimator for KMeans {
     type Model = KMeansModel;
 
-    /// Runs Lloyd's algorithm over the dataset's (filtered) points; the
-    /// session's database stages the centroid state between iterations.
-    fn fit(&self, dataset: &Dataset<'_>, session: &Session) -> Result<KMeansModel> {
+    /// Runs Lloyd's algorithm over the dataset's (filtered) points, one
+    /// `KMeansStep` pass per iteration, each handed the centroids the
+    /// previous one produced.
+    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<KMeansModel> {
         dataset
             .executor()
             .validate_input(dataset.table(), true)
@@ -186,53 +187,23 @@ impl Estimator for KMeans {
             }
         };
 
-        let config = IterationConfig {
-            max_iterations: self.max_iterations,
-            tolerance: self.reassignment_fraction,
-            fail_on_max_iterations: false,
-            state_table_name: "kmeans_state".to_owned(),
-        };
-        let controller = IterationController::new(session.database().clone(), config);
-
-        let k = self.k;
+        // The state: the centroids, and how many points the pass that
+        // produced them reassigned (no pass produced the initial ones).
         let reassignment_threshold = (self.reassignment_fraction * num_points as f64).ceil();
-        let coords_column = self.coords_column.clone();
-        let outcome = controller
-            .run(
-                flatten_centroids(&initial),
-                |state, _iteration| {
-                    // The state is the flattened centroid matrix, optionally
-                    // followed by one bookkeeping slot (reassignment count)
-                    // appended by the previous step.
-                    let centroids = unflatten_centroids(&state[..k * dims], dims);
-                    let step = KMeansStep {
-                        coords_column: &coords_column,
-                        centroids: &centroids,
-                    };
-                    let result = dataset.aggregate(&step)?;
-                    let new_centroids = result.new_centroids(&centroids);
-                    // Flatten and append the bookkeeping slot carrying the
-                    // reassignment count so the convergence test can see it.
-                    let mut flat = flatten_centroids(&new_centroids);
-                    flat.push(result.reassignments as f64);
-                    Ok(flat)
-                },
-                |_prev, next, _tol| {
-                    // The last slot of the state is the reassignment count of
-                    // the pass that produced it.
-                    next.last()
-                        .map(|&r| r <= reassignment_threshold)
-                        .unwrap_or(false)
-                },
-            )
-            .map_err(MethodError::from)?;
-
-        // Strip the bookkeeping slot (absent when zero iterations ran).
-        let mut final_flat = outcome.final_state.clone();
-        if final_flat.len() == k * dims + 1 {
-            final_flat.pop();
-        }
-        let centroids = unflatten_centroids(&final_flat, dims);
+        let outcome = iterate(
+            self.max_iterations,
+            (initial, 0),
+            |(centroids, _): &(Vec<Vec<f64>>, u64), _iteration| -> Result<_> {
+                let step = KMeansStep {
+                    coords_column: &self.coords_column,
+                    centroids,
+                };
+                let result = dataset.aggregate(&step)?;
+                Ok((result.new_centroids(centroids), result.reassignments))
+            },
+            |_, &(_, reassignments)| reassignments as f64 <= reassignment_threshold,
+        )?;
+        let (centroids, _) = outcome.state;
 
         // Final inertia pass: per-point minima from one more chunk scan,
         // summed serially in scan order.
@@ -385,14 +356,6 @@ fn chunk_points<'c>(
         Value::Null.as_double_array()?;
     }
     Ok(points)
-}
-
-fn flatten_centroids(centroids: &[Vec<f64>]) -> Vec<f64> {
-    centroids.iter().flatten().copied().collect()
-}
-
-fn unflatten_centroids(flat: &[f64], dims: usize) -> Vec<Vec<f64>> {
-    flat.chunks(dims).map(|c| c.to_vec()).collect()
 }
 
 /// Result of one Lloyd pass.
@@ -686,7 +649,7 @@ mod tests {
             .unwrap();
         assert_eq!(model.centroids.len(), 3);
         assert!(model.iterations >= 1);
-        // Driver temp tables cleaned up.
+        // The fit leaves the catalog as it found it.
         assert!(session.database().list_tables().is_empty());
     }
 

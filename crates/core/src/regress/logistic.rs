@@ -2,10 +2,10 @@
 //!
 //! Fitted by iteratively reweighted least squares (IRLS, i.e. Newton's method
 //! on the log-likelihood), following the paper's Figure 3 control flow: a
-//! driver loop (the [`madlib_engine::iteration::IterationController`])
-//! repeatedly invokes a user-defined aggregate (`logregr_irls_step`) that
-//! computes one Newton update in a single parallel pass over the data, staging
-//! only the (small) coefficient state between iterations.
+//! driver loop ([`madlib_engine::iteration::iterate`]) repeatedly invokes a
+//! user-defined aggregate (`logregr_irls_step`) that computes one Newton
+//! update in a single parallel pass over the data, handing only the (small)
+//! coefficient state from one iteration to the next.
 //!
 //! An SGD-based solver for the same model lives in the `madlib-convex` crate
 //! (the paper's Section 5.1 framework); the two are cross-checked in the
@@ -15,7 +15,7 @@ use crate::error::{MethodError, Result};
 use crate::train::{Estimator, IncrementalEstimator, Session};
 use madlib_engine::aggregate::{extract_labeled_point, transition_chunk_by_rows};
 use madlib_engine::dataset::Dataset;
-use madlib_engine::iteration::{IterationConfig, IterationController};
+use madlib_engine::iteration::{iterate, l2_relative_convergence};
 use madlib_engine::{Aggregate, Row, RowChunk, Schema};
 use madlib_linalg::decomposition::{symmetric_inverse_with, symmetric_solve, EigenWorkspace};
 use madlib_linalg::kernels::{batch_dot, weighted_rank_k_update_lower, xty_update};
@@ -335,11 +335,11 @@ impl LogisticRegression {
 impl Estimator for LogisticRegression {
     type Model = LogisticRegressionModel;
 
-    /// Fits the model.  The session's database is used only to stage the
-    /// (small) inter-iteration coefficient state, exactly as in the paper's
-    /// Figure 3; the heavy per-iteration scan runs through the dataset's
-    /// terminals (honouring its filter and executor).
-    fn fit(&self, dataset: &Dataset<'_>, session: &Session) -> Result<LogisticRegressionModel> {
+    /// Fits the model with the paper's Figure 3 loop: one IRLS pass per
+    /// iteration through the dataset's terminals (honouring its filter and
+    /// executor), the (small) coefficient vector handed from each pass to
+    /// the next and tested for convergence.
+    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<LogisticRegressionModel> {
         dataset
             .executor()
             .validate_input(dataset.table(), true)
@@ -367,45 +367,37 @@ impl Estimator for LogisticRegression {
             }
         };
 
-        let config = IterationConfig {
-            max_iterations: self.max_iterations,
-            tolerance: self.tolerance,
-            fail_on_max_iterations: false,
-            state_table_name: "logregr_irls_state".to_owned(),
-        };
-        let controller = IterationController::new(session.database().clone(), config);
-
-        let outcome = controller
-            .run(
-                initial,
-                |beta, _iteration| {
-                    let step = IrlsStep {
-                        y_column: &self.y_column,
-                        x_column: &self.x_column,
-                        beta,
-                    };
-                    let (mut hessian, gradient, _ll, _n) = dataset.aggregate(&step)?;
-                    for i in 0..width {
-                        hessian.add_to(i, i, self.ridge);
-                    }
-                    let delta = symmetric_solve(&hessian, &gradient, 1e-12)
-                        .map_err(madlib_engine::EngineError::aggregate)?;
-                    Ok(beta
-                        .iter()
-                        .zip(delta.as_slice())
-                        .map(|(b, d)| b + d)
-                        .collect())
-                },
-                madlib_engine::iteration::l2_relative_convergence,
-            )
-            .map_err(MethodError::from)?;
+        let outcome = iterate(
+            self.max_iterations,
+            initial,
+            |beta: &Vec<f64>, _iteration| -> madlib_engine::Result<Vec<f64>> {
+                let step = IrlsStep {
+                    y_column: &self.y_column,
+                    x_column: &self.x_column,
+                    beta,
+                };
+                let (mut hessian, gradient, _ll, _n) = dataset.aggregate(&step)?;
+                for i in 0..width {
+                    hessian.add_to(i, i, self.ridge);
+                }
+                let delta = symmetric_solve(&hessian, &gradient, 1e-12)
+                    .map_err(madlib_engine::EngineError::aggregate)?;
+                Ok(beta
+                    .iter()
+                    .zip(delta.as_slice())
+                    .map(|(b, d)| b + d)
+                    .collect())
+            },
+            |previous, next| l2_relative_convergence(previous, next, self.tolerance),
+        )
+        .map_err(MethodError::from)?;
 
         // One more pass at the optimum for the Fisher information (standard
         // errors) and the final log-likelihood.
         let step = IrlsStep {
             y_column: &self.y_column,
             x_column: &self.x_column,
-            beta: &outcome.final_state,
+            beta: &outcome.state,
         };
         let (mut hessian, _gradient, log_likelihood, num_rows) =
             dataset.aggregate(&step).map_err(MethodError::from)?;
@@ -416,7 +408,7 @@ impl Estimator for LogisticRegression {
             symmetric_inverse_with(&hessian, 1e-12, &mut EigenWorkspace::new())?;
 
         let normal = Normal::standard();
-        let coef = outcome.final_state.clone();
+        let coef = outcome.state;
         let mut std_err = Vec::with_capacity(width);
         let mut z_stats = Vec::with_capacity(width);
         let mut p_values = Vec::with_capacity(width);
@@ -600,7 +592,7 @@ mod tests {
             .unwrap();
         assert!(model.coef[1] > 0.0);
         assert!(model.coef.iter().all(|c| c.is_finite()));
-        // Temp state tables are cleaned up.
+        // The fit leaves the catalog as it found it.
         assert!(session.database().list_tables().is_empty());
     }
 

@@ -10,8 +10,8 @@
 //!   `fit(&self, dataset, session)`.  The dataset carries the rows
 //!   (source table + `WHERE` + `grouping_cols`, see
 //!   [`madlib_engine::dataset::Dataset`]); the session carries the execution
-//!   context (an [`Executor`] plus the [`Database`] iterative drivers stage
-//!   their temp tables in).  This replaces the old per-method signature zoo
+//!   context (an [`Executor`] plus the [`Database`] whose tables and model
+//!   catalog incremental training reads and writes).  This replaces the old per-method signature zoo
 //!   (`LinearRegression::fit(&executor, &table)` vs
 //!   `LogisticRegression::fit(&executor, &db, &table)`).
 //! * [`Session::train`] — fits one model over an ungrouped dataset.
@@ -51,7 +51,8 @@ use madlib_engine::materialize::MaterializedAggregate;
 use madlib_engine::{Database, Executor, Value};
 
 /// Execution context for training: the executor that runs scans and the
-/// database iterative drivers stage their (small) inter-iteration state in.
+/// database holding the tables [`Session::dataset`] opens and the models
+/// incremental training catalogs.
 ///
 /// A session is cheap to clone ([`Database`] is a shared handle and
 /// [`Executor`] is `Copy`).  [`Session::train`] / [`Session::train_grouped`]
@@ -97,7 +98,10 @@ impl Session {
         &self.executor
     }
 
-    /// The database iterative drivers stage temp state in.
+    /// The database: the tables [`Session::dataset`] opens and the model
+    /// catalog [`Session::train_incremental`] / [`Session::refresh`] use.
+    /// Iterative drivers keep their state to themselves
+    /// ([`madlib_engine::iteration`]).
     pub fn database(&self) -> &Database {
         &self.database
     }
@@ -211,8 +215,8 @@ pub trait Estimator {
     /// Fits one model over the dataset's (filtered) rows.
     ///
     /// Implementations read rows through the dataset's terminals (which
-    /// honour its filter and executor) and stage any iteration state through
-    /// `session.database()`.
+    /// honour its filter and executor); an iterative one hands its state
+    /// from pass to pass itself ([`madlib_engine::iteration::iterate`]).
     ///
     /// # Errors
     /// Surfaces malformed input and numerical failures as [`MethodError`].

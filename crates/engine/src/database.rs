@@ -1,12 +1,11 @@
-//! The database: a catalog of named tables plus temp-table support.
+//! The database: a catalog of named tables.
 //!
-//! The driver-function pattern from the paper (Section 3.1.2, Figure 3)
-//! stages inter-iteration state in temporary tables created with
-//! `CREATE TEMP TABLE ... AS SELECT ...` so that "all large-data movement is
-//! done within the database engine".  [`Database`] provides that catalog:
-//! regular tables, temp tables (dropped on [`Database::drop_temp_tables`]),
-//! and a default segment count that new tables inherit (the analogue of the
-//! cluster's segment configuration).
+//! [`Database`] holds the tables methods read as their `source_table` and a
+//! default segment count that new tables inherit (the analogue of the
+//! cluster's segment configuration).  It holds no iteration state: the
+//! paper's driver functions (Section 3.1.2, Figure 3) stage theirs in temp
+//! tables, but a driver here hands the state to its next pass as an argument
+//! ([`crate::iteration`]).
 //!
 //! # Locking
 //!
@@ -56,8 +55,8 @@
 //! boundaries and round-robin cursor included.  Views persist with the
 //! checkpoint and are adopted after replay; models do not.  A checkpoint
 //! writes the retained states and watermarks of every persistable view
-//! (ungrouped, unfiltered, over a non-temp table, its aggregate with a
-//! state codec — [`crate::materialize`]) into the manifest; recovery holds
+//! (ungrouped, unfiltered, its aggregate with a state codec —
+//! [`crate::materialize`]) into the manifest; recovery holds
 //! them as *pending* entries, and the first [`Database::register_view`] of a
 //! name — which is what `Session::train_incremental` does — is offered the
 //! entry of that name and, when it matches, absorbs only the rows the log
@@ -65,12 +64,11 @@
 //! other view, and every cataloged model, is a derived cache rebuilt after
 //! recovery — bit-for-bit what it was, because training and view absorption
 //! are deterministic over bit-identical tables.  [`Database::recovery_report`]
-//! says what recovery loaded and what became of each persisted view.  Temp
-//! tables are never logged or persisted.  [`Database::with_table_mut`] is
-//! the unlogged escape hatch — mutations made through it reach disk only at
-//! the next [`Database::checkpoint`] (which, like the views, sees a
-//! truncate-and-refill made there, or a closure that panicked, as the new
-//! table incarnation it is).
+//! says what recovery loaded and what became of each persisted view.
+//! [`Database::with_table_mut`] is the unlogged escape hatch — mutations
+//! made through it reach disk only at the next [`Database::checkpoint`]
+//! (which, like the views, sees a truncate-and-refill made there, or a
+//! closure that panicked, as the new table incarnation it is).
 //!
 //! A logged mutation is **data first, applied once**.  Each of the public
 //! mutators above only builds its `WalRecord` ([`Database::append_rows`]
@@ -105,11 +103,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-#[derive(Debug, Clone)]
-struct CatalogEntry {
-    table: Arc<RwLock<Table>>,
-    is_temp: bool,
-}
+/// The table catalog: each table behind its own lock (see *Locking*).
+type Catalog = HashMap<String, Arc<RwLock<Table>>>;
 
 /// A registered materialized aggregate: the type-erased incremental state
 /// plus the source table it watches.
@@ -191,10 +186,9 @@ impl Recovered {
 /// number of segments.
 #[derive(Clone)]
 pub struct Database {
-    inner: Arc<RwLock<HashMap<String, CatalogEntry>>>,
+    inner: Arc<RwLock<Catalog>>,
     views: Arc<RwLock<HashMap<String, ViewEntry>>>,
     models: ModelCatalog,
-    temp_counter: Arc<AtomicU64>,
     /// Source of per-table lifecycle generations (see [`Table::generation`]);
     /// starts at 1 so generation 0 marks standalone, never-cataloged tables.
     generations: Arc<AtomicU64>,
@@ -255,11 +249,11 @@ impl Drop for Restamp<'_> {
 }
 
 impl Database {
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, CatalogEntry>> {
+    fn read(&self) -> RwLockReadGuard<'_, Catalog> {
         read_lock(&self.inner)
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, CatalogEntry>> {
+    fn write(&self) -> RwLockWriteGuard<'_, Catalog> {
         write_lock(&self.inner)
     }
 
@@ -268,7 +262,7 @@ impl Database {
     fn entry(&self, name: &str) -> Result<Arc<RwLock<Table>>> {
         self.read()
             .get(name)
-            .map(|e| Arc::clone(&e.table))
+            .map(Arc::clone)
             .ok_or_else(|| EngineError::TableNotFound {
                 name: name.to_owned(),
             })
@@ -286,7 +280,6 @@ impl Database {
             inner: Arc::new(RwLock::new(HashMap::new())),
             views: Arc::new(RwLock::new(HashMap::new())),
             models: ModelCatalog::new(),
-            temp_counter: Arc::new(AtomicU64::new(1)),
             generations: Arc::new(AtomicU64::new(1)),
             durability: None,
             num_segments,
@@ -299,17 +292,10 @@ impl Database {
 
     /// Catalogs `table` under `name`, stamped with a fresh lifecycle
     /// generation (returned), replacing any entry of that name.
-    fn install(
-        &self,
-        catalog: &mut HashMap<String, CatalogEntry>,
-        name: String,
-        mut table: Table,
-        is_temp: bool,
-    ) -> u64 {
+    fn install(&self, catalog: &mut Catalog, name: String, mut table: Table) -> u64 {
         let generation = self.next_generation();
         table.set_generation(generation);
-        let table = Arc::new(RwLock::new(table));
-        catalog.insert(name, CatalogEntry { table, is_temp });
+        catalog.insert(name, Arc::new(RwLock::new(table)));
         generation
     }
 
@@ -331,10 +317,7 @@ impl Database {
     /// queues the ready frame; the wait for the group-commit fsync — the
     /// commit point — happens after every lock is released, so a committer
     /// waiting on the disk never blocks other traffic.  An in-memory
-    /// database encodes nothing.  (Whether the target is a temp table is
-    /// only known under the catalog lock, so an `append_rows` to a temp
-    /// table of a *durable* database encodes a frame that is then dropped;
-    /// no library, example or benchmark caller does that.)
+    /// database encodes nothing.
     fn commit(&self, record: WalRecord) -> Result<()> {
         let Some(d) = &self.durability else {
             return self.apply(record, None, false).map(|_| ());
@@ -359,7 +342,7 @@ impl Database {
     /// Create, register and drop change the catalog and hold its write lock
     /// throughout; append, truncate and replace hold its read lock only
     /// until they have the table's write lock.  Returns the ticket to wait
-    /// on, if a frame was queued (never for a temp table).
+    /// on, if a frame was queued.
     fn apply(
         &self,
         record: WalRecord,
@@ -389,8 +372,8 @@ impl Database {
                 Err(EngineError::TableNotFound { name: name.clone() })
             }
         };
-        let log = |is_temp: bool| match (&self.durability, frame) {
-            (Some(d), Some(frame)) if !is_temp => Some(d.wal.append(frame)),
+        let log = || match (&self.durability, frame) {
+            (Some(d), Some(frame)) => Some(d.wal.append(frame)),
             _ => None,
         };
         if !wants_present || matches!(record, WalRecord::DropTable { .. }) {
@@ -398,7 +381,7 @@ impl Database {
             if !admit(catalog.contains_key(&name))? {
                 return Ok(None);
             }
-            let is_temp = match record {
+            match record {
                 WalRecord::CreateTable {
                     schema,
                     distribution,
@@ -406,30 +389,27 @@ impl Database {
                     ..
                 } => {
                     let table = self.empty_table(schema, distribution, chunk_capacity)?;
-                    self.install(&mut catalog, name, table, false);
-                    false
+                    self.install(&mut catalog, name, table);
                 }
                 WalRecord::PutTable { table, .. } => {
-                    self.install(&mut catalog, name, table, false);
-                    false
+                    self.install(&mut catalog, name, table);
                 }
                 // The drop.  Taking the removed table's write lock under the
                 // catalog write lock waits out any in-flight append, which
                 // queues its frame before it releases the table — so the
                 // drop's frame always follows it in the log.
-                _ => catalog.remove(&name).is_some_and(|entry| {
-                    let _table = write_lock(&entry.table);
-                    entry.is_temp
-                }),
-            };
-            return Ok(log(is_temp));
+                _ => {
+                    if let Some(table) = catalog.remove(&name) {
+                        let _table = write_lock(&table);
+                    }
+                }
+            }
+            return Ok(log());
         }
         let catalog = self.read();
-        let Some(entry) = catalog.get(&name) else {
+        let Some(handle) = catalog.get(&name).map(Arc::clone) else {
             return admit(false).map(|_| None);
         };
-        let is_temp = entry.is_temp;
-        let handle = Arc::clone(&entry.table);
         // Taken under the catalog read lock, so no drop of this table can be
         // logged between this mutation and its log push.
         let mut table = write_lock(&handle);
@@ -441,7 +421,7 @@ impl Database {
                 // the append re-checks their column types against the table
                 // as it is now, before it copies the first row.
                 table.append_chunks(&chunks)?;
-                return Ok(log(is_temp));
+                return Ok(log());
             }
             WalRecord::PutTable { table: new, .. } => *table = new,
             // The truncate.
@@ -450,7 +430,7 @@ impl Database {
         // New contents under an old name: views and the next checkpoint must
         // not trust what they remember of the table.
         table.set_generation(self.next_generation());
-        Ok(log(is_temp))
+        Ok(log())
     }
 
     /// Default segment count for new tables.
@@ -470,7 +450,7 @@ impl Database {
     /// # Errors
     /// Returns [`EngineError::TableAlreadyExists`] on a name collision.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<()> {
-        self.create_internal(name, schema, Distribution::RoundRobin, false, None)
+        self.create_internal(name, schema, Distribution::RoundRobin, CHUNK_CAPACITY)
     }
 
     /// Creates an empty table with an explicit distribution policy.
@@ -484,7 +464,7 @@ impl Database {
         schema: Schema,
         distribution: Distribution,
     ) -> Result<()> {
-        self.create_internal(name, schema, distribution, false, None)
+        self.create_internal(name, schema, distribution, CHUNK_CAPACITY)
     }
 
     /// Creates an empty table with an explicit rows-per-chunk capacity
@@ -503,86 +483,23 @@ impl Database {
         schema: Schema,
         chunk_capacity: usize,
     ) -> Result<()> {
-        self.create_internal(
-            name,
-            schema,
-            Distribution::RoundRobin,
-            false,
-            Some(chunk_capacity),
-        )
+        self.create_internal(name, schema, Distribution::RoundRobin, chunk_capacity)
     }
 
-    /// Creates an empty temp table (`CREATE TEMP TABLE`).  Temp tables behave
-    /// exactly like regular tables but are dropped by
-    /// [`Database::drop_temp_tables`], which method drivers call when an
-    /// iteration completes.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::TableAlreadyExists`] on a name collision.
-    pub fn create_temp_table(&self, name: &str, schema: Schema) -> Result<()> {
-        self.create_internal(name, schema, Distribution::RoundRobin, true, None)
-    }
-
-    /// Creates an empty temp table under `base` or, when that name is taken,
-    /// `base_<n>` for a database-wide monotonic counter `n` — returning the
-    /// name actually used.  Probe and create happen under one catalog write
-    /// lock, so concurrent callers (e.g. parallel per-group iterative fits
-    /// sharing an iteration-state base name) always receive distinct tables.
-    ///
-    /// The counter advances monotonically and is never reused, so a burst of
-    /// k concurrent fits costs O(k) probes total — the earlier
-    /// `base_1, base_2, ...` linear re-probe was O(k²) across many live
-    /// per-group iteration tables and could collide semantically with a
-    /// same-named regular table that happened to end in `_<i>`.
-    ///
-    /// # Errors
-    /// Propagates table-construction errors.
-    pub fn create_unique_temp_table(&self, base: &str, schema: Schema) -> Result<String> {
-        let mut catalog = self.write();
-        let name = if catalog.contains_key(base) {
-            loop {
-                let n = self.temp_counter.fetch_add(1, Ordering::Relaxed);
-                let candidate = format!("{base}_{n}");
-                if !catalog.contains_key(&candidate) {
-                    break candidate;
-                }
-            }
-        } else {
-            base.to_owned()
-        };
-        let table = self.empty_table(schema, Distribution::RoundRobin, CHUNK_CAPACITY as u64)?;
-        self.install(&mut catalog, name.clone(), table, true);
-        Ok(name)
-    }
-
-    /// A temp table is never logged, so it is installed directly; anything
-    /// else is a `CreateTable` record.
+    /// The `CreateTable` record behind the three `create_table*` calls.
     fn create_internal(
         &self,
         name: &str,
         schema: Schema,
         distribution: Distribution,
-        is_temp: bool,
-        chunk_capacity: Option<usize>,
+        chunk_capacity: usize,
     ) -> Result<()> {
-        let chunk_capacity = chunk_capacity.unwrap_or(CHUNK_CAPACITY) as u64;
-        if !is_temp {
-            return self.commit(WalRecord::CreateTable {
-                name: name.to_owned(),
-                schema,
-                distribution,
-                chunk_capacity,
-            });
-        }
-        let mut catalog = self.write();
-        if catalog.contains_key(name) {
-            return Err(EngineError::TableAlreadyExists {
-                name: name.to_owned(),
-            });
-        }
-        let table = self.empty_table(schema, distribution, chunk_capacity)?;
-        self.install(&mut catalog, name.to_owned(), table, true);
-        Ok(())
+        self.commit(WalRecord::CreateTable {
+            name: name.to_owned(),
+            schema,
+            distribution,
+            chunk_capacity: chunk_capacity as u64,
+        })
     }
 
     /// Registers an already-populated table under `name` (the programmatic
@@ -620,13 +537,9 @@ impl Database {
         self.read().contains_key(name)
     }
 
-    /// Lists table names (sorted) together with their temp status.
-    pub fn list_tables(&self) -> Vec<(String, bool)> {
-        let mut names: Vec<(String, bool)> = self
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.is_temp))
-            .collect();
+    /// Lists table names, sorted.
+    pub fn list_tables(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.read().keys().cloned().collect();
         names.sort();
         names
     }
@@ -736,14 +649,6 @@ impl Database {
         self.commit(WalRecord::DropTable {
             name: name.to_owned(),
         })
-    }
-
-    /// Drops all temp tables, returning how many were removed.
-    pub fn drop_temp_tables(&self) -> usize {
-        let mut catalog = self.write();
-        let before = catalog.len();
-        catalog.retain(|_, e| !e.is_temp);
-        before - catalog.len()
     }
 
     /// Registers a materialized aggregate under `view`, watching `source`,
@@ -929,7 +834,7 @@ impl Database {
                 report.chunks_loaded += (0..table.num_segments())
                     .map(|seg| table.segment(seg).chunks().len())
                     .sum::<usize>();
-                let generation = db.install(&mut db.write(), t.name.clone(), table, false);
+                let generation = db.install(&mut db.write(), t.name.clone(), table);
                 persist_tables.insert(
                     t.name.clone(),
                     TablePersist {
@@ -1080,10 +985,10 @@ impl Database {
     /// snapshot files are strictly append-only.
     ///
     /// The manifest also carries every registered view that is safe to
-    /// persist: its source is a non-temp table of this checkpoint, its
-    /// aggregate has a state codec and the view is neither filtered nor
-    /// grouped ([`AnyMaterialized::image`]), and its states describe a prefix
-    /// of the snapshot — the same table incarnation, no watermark past the
+    /// persist: its source is a table of this checkpoint, its aggregate has
+    /// a state codec and the view is neither filtered nor grouped
+    /// ([`AnyMaterialized::image`]), and its states describe a prefix of the
+    /// snapshot — the same table incarnation, no watermark past the
     /// snapshot's rows.  Other views are skipped and rebuild after a
     /// restart.  A pending entry recovery loaded that no registration has
     /// asked for yet is carried forward when its source is still the
@@ -1105,15 +1010,14 @@ impl Database {
         let epoch = d.wal.epoch();
         let wal_offset = d.wal.durable_len();
 
-        // Snapshot every non-temp table under its read lock, sorted for a
+        // Snapshot every table under its read lock, sorted for a
         // deterministic manifest.  Snapshots are cheap: sealed chunks are
         // shared by `Arc`.
         let snapshots: Vec<(String, Table)> = {
             let catalog = self.read();
             let mut v: Vec<(String, Table)> = catalog
                 .iter()
-                .filter(|(_, e)| !e.is_temp)
-                .map(|(name, e)| (name.clone(), read_lock(&e.table).clone()))
+                .map(|(name, table)| (name.clone(), read_lock(table).clone()))
                 .collect();
             v.sort_by(|a, b| a.0.cmp(&b.0));
             v
@@ -1347,18 +1251,6 @@ mod tests {
     }
 
     #[test]
-    fn temp_tables_are_dropped_together() {
-        let db = Database::new(2).unwrap();
-        db.create_table("keep", schema()).unwrap();
-        db.create_temp_table("iter_state_1", schema()).unwrap();
-        db.create_temp_table("iter_state_2", schema()).unwrap();
-        assert_eq!(db.list_tables().len(), 3);
-        assert_eq!(db.drop_temp_tables(), 2);
-        assert!(db.has_table("keep"));
-        assert!(!db.has_table("iter_state_1"));
-    }
-
-    #[test]
     fn register_and_replace() {
         let db = Database::new(3).unwrap();
         let mut t = Table::new(schema(), 3).unwrap();
@@ -1373,13 +1265,11 @@ mod tests {
     }
 
     #[test]
-    fn list_tables_sorted_with_temp_flag() {
+    fn list_tables_sorted() {
         let db = Database::new(1).unwrap();
         db.create_table("zeta", schema()).unwrap();
-        db.create_temp_table("alpha", schema()).unwrap();
-        let listing = db.list_tables();
-        assert_eq!(listing[0], ("alpha".to_owned(), true));
-        assert_eq!(listing[1], ("zeta".to_owned(), false));
+        db.create_table("alpha", schema()).unwrap();
+        assert_eq!(db.list_tables(), ["alpha", "zeta"]);
     }
 
     #[test]
@@ -1574,41 +1464,6 @@ mod tests {
         release_tx.send(()).unwrap();
         writer.join().unwrap();
         assert_eq!(db.table("a").unwrap().row_count(), 1);
-    }
-
-    /// The unique-temp-table counter is monotonic: names never repeat, a
-    /// same-named regular table is never shadowed, and concurrent callers
-    /// (the shape of parallel per-group IRLS fits sharing a state base name)
-    /// all receive distinct tables.
-    #[test]
-    fn unique_temp_tables_under_concurrency() {
-        let db = Database::new(1).unwrap();
-        db.create_table("iter_state", schema()).unwrap();
-
-        let names: Vec<String> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let db = db.clone();
-                    scope.spawn(move || {
-                        (0..16)
-                            .map(|_| db.create_unique_temp_table("iter_state", schema()).unwrap())
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        let mut unique: std::collections::HashSet<&str> =
-            names.iter().map(String::as_str).collect();
-        assert_eq!(unique.len(), names.len(), "temp names must be distinct");
-        unique.insert("iter_state");
-        assert_eq!(unique.len(), names.len() + 1, "base name never reused");
-        // Dropping the temps leaves the regular table untouched.
-        assert_eq!(db.drop_temp_tables(), names.len());
-        assert!(db.has_table("iter_state"));
     }
 
     use crate::aggregate::{Aggregate, CountAggregate, SumAggregate};

@@ -47,11 +47,6 @@ pub enum EngineError {
         /// Description of the failure.
         message: String,
     },
-    /// An iterative driver did not converge within its iteration budget.
-    DidNotConverge {
-        /// Iterations performed before giving up.
-        iterations: usize,
-    },
     /// Invalid argument supplied to an engine API.
     InvalidArgument {
         /// Description of the problem.
@@ -140,9 +135,6 @@ impl fmt::Display for EngineError {
                 write!(f, "invalid segment count: {requested}")
             }
             EngineError::AggregateError { message } => write!(f, "aggregate error: {message}"),
-            EngineError::DidNotConverge { iterations } => {
-                write!(f, "driver did not converge after {iterations} iterations")
-            }
             EngineError::InvalidArgument { message } => write!(f, "invalid argument: {message}"),
             EngineError::WorkerPanicked { message } => {
                 write!(f, "segment worker panicked: {message}")

@@ -1,10 +1,11 @@
 //! Simple row predicates.
 //!
 //! The engine does not ship a SQL parser — MADlib's macro-programming layer
-//! only needs scans, filters, aggregates and temp tables, all of which have
-//! programmatic equivalents here.  [`Predicate`] covers the `WHERE` clauses
-//! the method drivers actually issue (equality / comparison on a column,
-//! conjunction, negation).
+//! only needs scans, filters, aggregates and temp tables; the first three
+//! have programmatic equivalents here, and the last is not needed (a
+//! driver's state is its next pass's argument, [`crate::iteration`]).
+//! [`Predicate`] covers the `WHERE` clauses the method drivers actually
+//! issue (equality / comparison on a column, conjunction, negation).
 
 use crate::chunk::{ColumnChunk, RowChunk, SelectionMask};
 use crate::error::{EngineError, Result};

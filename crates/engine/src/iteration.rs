@@ -1,189 +1,62 @@
-//! Driver-function iteration harness.
+//! The driver-function iteration loop.
 //!
 //! Many MADlib methods are iterative (Section 3.1.2): logistic regression
 //! via iteratively reweighted least squares, k-means, gradient descent, and
 //! the MCMC methods of Section 5.2.  The paper's solution is a *driver UDF*
 //! that controls the iteration from a scripting language while all heavy
-//! lifting stays inside the database engine; inter-iteration state is staged
-//! in a temporary table keyed by iteration number (Figure 3).
+//! lifting stays inside the database engine: each iteration is one
+//! data-parallel pass (a UDA over the source table, parameterized by the
+//! previous state), and convergence is tested on the (small) states only.
 //!
-//! [`IterationController`] reproduces that control flow:
-//!
-//! 1. create a temp state table (`iteration`, `state`);
-//! 2. repeatedly run one data-parallel step (a UDA over the source table,
-//!    parameterized by the previous state), appending the new state;
-//! 3. test convergence on the (small) states only;
-//! 4. return the last state and drop the temp table.
+//! The paper's driver stages its state in a temp table keyed by iteration
+//! number (Figure 3) because the state has to survive between a Python
+//! driver's SQL statements.  Here the driver is the Rust caller of the pass,
+//! so [`iterate`] hands the state to the next pass as its argument and keeps
+//! only the last one: the same loop, with no table in between.
 
-use crate::database::Database;
-use crate::error::{EngineError, Result};
-use crate::row::Row;
-use crate::schema::{Column, ColumnType, Schema};
-use crate::value::Value;
-
-/// Outcome of a completed iterative driver run.
+/// Where an [`iterate`] loop stopped.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IterationOutcome {
-    /// Number of iterations executed (at least 1 unless `max_iterations` is 0).
+pub struct Iterated<S> {
+    /// The last state: the initial one when no step ran.
+    pub state: S,
+    /// Steps run (at most `max_iterations`).
     pub iterations: usize,
-    /// Whether the convergence test was satisfied (as opposed to stopping at
-    /// the iteration cap).
+    /// Whether the convergence test stopped the loop, as opposed to the
+    /// iteration cap.
     pub converged: bool,
-    /// The final inter-iteration state.
-    pub final_state: Vec<f64>,
-    /// The full state history, one entry per completed iteration.
-    pub history: Vec<Vec<f64>>,
 }
 
-/// Configuration for an iterative driver.
-#[derive(Debug, Clone)]
-pub struct IterationConfig {
-    /// Maximum number of iterations before giving up.
-    pub max_iterations: usize,
-    /// Convergence tolerance, interpreted by the convergence test.
-    pub tolerance: f64,
-    /// When true, reaching `max_iterations` without converging is an error
-    /// ([`EngineError::DidNotConverge`]); when false the last state is
-    /// returned with `converged == false`.
-    pub fail_on_max_iterations: bool,
-    /// Name of the temp table used to stage inter-iteration state.
-    pub state_table_name: String,
-}
-
-impl Default for IterationConfig {
-    fn default() -> Self {
-        Self {
-            max_iterations: 100,
-            tolerance: 1e-6,
-            fail_on_max_iterations: false,
-            state_table_name: "iterative_algorithm".to_owned(),
-        }
-    }
-}
-
-/// Drives a multi-pass algorithm in the paper's driver-UDF style.
-#[derive(Debug)]
-pub struct IterationController {
-    db: Database,
-    config: IterationConfig,
-}
-
-impl IterationController {
-    /// Creates a controller that stages state in `db`.
-    pub fn new(db: Database, config: IterationConfig) -> Self {
-        Self { db, config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &IterationConfig {
-        &self.config
-    }
-
-    /// Runs the iteration.
-    ///
-    /// * `initial_state` — the iteration-0 inter-iteration state (e.g. the
-    ///   zero coefficient vector for logistic regression, or the seeded
-    ///   centroids for k-means, flattened to `Vec<f64>`).
-    /// * `step` — executes one data-parallel pass given the previous state
-    ///   and returns the next state.  This is where the UDA over the source
-    ///   table runs; the controller itself never touches the large data.
-    /// * `converged` — given (previous, next, tolerance), decides whether to
-    ///   stop.  Typical implementations compare coefficient movement or the
-    ///   number of reassigned points.
-    ///
-    /// # Errors
-    /// Propagates step errors; returns [`EngineError::DidNotConverge`] when
-    /// configured to fail at the iteration cap.
-    pub fn run<S, C>(
-        &self,
-        initial_state: Vec<f64>,
-        step: S,
-        converged: C,
-    ) -> Result<IterationOutcome>
-    where
-        S: FnMut(&[f64], usize) -> Result<Vec<f64>>,
-        C: FnMut(&[f64], &[f64], f64) -> bool,
-    {
-        // CREATE TEMP TABLE iterative_algorithm AS SELECT 0 AS iteration, ...
-        // The probe-for-a-free-name and the create happen atomically so
-        // concurrent drivers sharing a base name (nested cross-validation,
-        // parallel per-group fits) always get distinct state tables.
-        let state_schema = Schema::new(vec![
-            Column::new("iteration", ColumnType::Int),
-            Column::new("state", ColumnType::DoubleArray),
-        ]);
-        let table_name = self
-            .db
-            .create_unique_temp_table(&self.config.state_table_name, state_schema)?;
-
-        // Run the loop in a helper so the temp state table is dropped on
-        // *every* exit path — a step that fails mid-iteration must not leak
-        // its table into the catalog (it would otherwise survive until some
-        // unrelated `drop_temp_tables` call).
-        let outcome = self.run_loop(&table_name, initial_state, step, converged);
-        let dropped = self.db.drop_table(&table_name);
-        let outcome = outcome?;
-        dropped?;
-
-        if !outcome.converged && self.config.fail_on_max_iterations {
-            return Err(EngineError::DidNotConverge {
-                iterations: outcome.iterations,
+/// Runs a driver loop from `initial`: `step(previous, iteration)` runs one
+/// pass (iterations count from 1), and `converged(previous, next)` decides
+/// after each step whether to stop.  At `max_iterations` steps the loop
+/// stops unconverged; `max_iterations == 0` returns `initial` untouched.
+///
+/// # Errors
+/// The first error a step returns, which ends the loop.
+pub fn iterate<S, E>(
+    max_iterations: usize,
+    initial: S,
+    mut step: impl FnMut(&S, usize) -> Result<S, E>,
+    mut converged: impl FnMut(&S, &S) -> bool,
+) -> Result<Iterated<S>, E> {
+    let mut state = initial;
+    for iteration in 1..=max_iterations {
+        let next = step(&state, iteration)?;
+        let done = converged(&state, &next);
+        state = next;
+        if done {
+            return Ok(Iterated {
+                state,
+                iterations: iteration,
+                converged: true,
             });
         }
-        Ok(outcome)
     }
-
-    /// The iteration body of [`IterationController::run`]: stage the initial
-    /// state, run steps, test convergence.
-    fn run_loop<S, C>(
-        &self,
-        table_name: &str,
-        initial_state: Vec<f64>,
-        mut step: S,
-        mut converged: C,
-    ) -> Result<IterationOutcome>
-    where
-        S: FnMut(&[f64], usize) -> Result<Vec<f64>>,
-        C: FnMut(&[f64], &[f64], f64) -> bool,
-    {
-        self.db.with_table_mut(table_name, |t| {
-            t.insert(Row::new(vec![
-                Value::Int(0),
-                Value::DoubleArray(initial_state.clone()),
-            ]))
-        })?;
-
-        let mut previous = initial_state;
-        let mut history = Vec::new();
-        let mut iterations = 0;
-        let mut did_converge = false;
-
-        while iterations < self.config.max_iterations {
-            let current_iteration = iterations + 1;
-            let next = step(&previous, current_iteration)?;
-            // INSERT INTO iterative_algorithm SELECT iteration + 1, <UDA>.
-            self.db.with_table_mut(table_name, |t| {
-                t.insert(Row::new(vec![
-                    Value::Int(current_iteration as i64),
-                    Value::DoubleArray(next.clone()),
-                ]))
-            })?;
-            history.push(next.clone());
-            iterations = current_iteration;
-            if converged(&previous, &next, self.config.tolerance) {
-                previous = next;
-                did_converge = true;
-                break;
-            }
-            previous = next;
-        }
-        Ok(IterationOutcome {
-            iterations,
-            converged: did_converge,
-            final_state: previous,
-            history,
-        })
-    }
+    Ok(Iterated {
+        state,
+        iterations: max_iterations,
+        converged: false,
+    })
 }
 
 /// Standard convergence test: relative L2 movement of the state vector.
@@ -205,133 +78,62 @@ pub fn l2_relative_convergence(previous: &[f64], next: &[f64], tolerance: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn database() -> Database {
-        Database::new(2).unwrap()
-    }
+    use crate::error::EngineError;
 
     #[test]
     fn converges_on_fixed_point() {
-        let db = database();
-        let controller = IterationController::new(db.clone(), IterationConfig::default());
         // x_{k+1} = (x_k + 2/x_k)/2 converges to sqrt(2).
-        let outcome = controller
-            .run(
-                vec![1.0],
-                |state, _| Ok(vec![(state[0] + 2.0 / state[0]) / 2.0]),
-                l2_relative_convergence,
-            )
-            .unwrap();
+        let outcome = iterate(
+            100,
+            vec![1.0],
+            |state: &Vec<f64>, _| Ok::<_, EngineError>(vec![(state[0] + 2.0 / state[0]) / 2.0]),
+            |previous, next| l2_relative_convergence(previous, next, 1e-6),
+        )
+        .unwrap();
         assert!(outcome.converged);
-        assert!((outcome.final_state[0] - 2.0_f64.sqrt()).abs() < 1e-6);
+        assert!((outcome.state[0] - 2.0_f64.sqrt()).abs() < 1e-6);
         assert!(outcome.iterations < 20);
-        assert_eq!(outcome.history.len(), outcome.iterations);
-        // Temp table is cleaned up.
-        assert!(db.list_tables().is_empty());
     }
 
     #[test]
     fn stops_at_iteration_cap_without_error_by_default() {
-        let db = database();
-        let config = IterationConfig {
-            max_iterations: 5,
-            ..IterationConfig::default()
-        };
-        let controller = IterationController::new(db, config);
-        let outcome = controller
-            .run(
-                vec![0.0],
-                |state, _| Ok(vec![state[0] + 1.0]), // never converges
-                |_, _, _| false,
-            )
-            .unwrap();
+        let (mut steps, mut tests) = (Vec::new(), Vec::new());
+        let outcome = iterate(
+            5,
+            0.0,
+            |state: &f64, iteration| {
+                steps.push(iteration);
+                Ok::<_, EngineError>(state + 1.0)
+            },
+            |previous, next| {
+                tests.push((*previous, *next));
+                false // never converges
+            },
+        )
+        .unwrap();
         assert!(!outcome.converged);
         assert_eq!(outcome.iterations, 5);
-        assert_eq!(outcome.final_state, vec![5.0]);
-    }
-
-    #[test]
-    fn fails_at_cap_when_configured() {
-        let db = database();
-        let config = IterationConfig {
-            max_iterations: 3,
-            fail_on_max_iterations: true,
-            ..IterationConfig::default()
-        };
-        let controller = IterationController::new(db, config);
-        let result = controller.run(vec![0.0], |s, _| Ok(vec![s[0] + 1.0]), |_, _, _| false);
-        assert!(matches!(result, Err(EngineError::DidNotConverge { .. })));
+        assert_eq!(outcome.state, 5.0);
+        assert_eq!(steps, [1, 2, 3, 4, 5], "steps are numbered from 1");
+        let pairs = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0), (4.0, 5.0)];
+        assert_eq!(tests, pairs, "the test sees (previous, next)");
     }
 
     #[test]
     fn step_errors_propagate() {
-        let db = database();
-        let controller = IterationController::new(db, IterationConfig::default());
-        let result = controller.run(
-            vec![0.0],
-            |_, iteration| {
+        let result = iterate(
+            100,
+            0.0,
+            |_: &f64, iteration| {
                 if iteration >= 2 {
                     Err(EngineError::aggregate("numerical failure"))
                 } else {
-                    Ok(vec![1.0])
+                    Ok(1.0)
                 }
             },
-            |_, _, _| false,
+            |_, _| false,
         );
         assert!(result.is_err());
-    }
-
-    /// Regression: a step failing mid-iteration must not leak the temp state
-    /// table — the controller drops it on the error path, so a later
-    /// `drop_temp_tables` has nothing left to clean up.
-    #[test]
-    fn failed_iteration_leaves_no_temp_tables() {
-        let db = database();
-        let controller = IterationController::new(db.clone(), IterationConfig::default());
-        let result = controller.run(
-            vec![0.0],
-            |_, iteration| {
-                if iteration >= 3 {
-                    Err(EngineError::aggregate("step exploded"))
-                } else {
-                    Ok(vec![iteration as f64])
-                }
-            },
-            |_, _, _| false,
-        );
-        assert!(result.is_err());
-        assert!(
-            db.list_tables().is_empty(),
-            "failed iteration leaked tables: {:?}",
-            db.list_tables()
-        );
-        assert_eq!(db.drop_temp_tables(), 0);
-    }
-
-    #[test]
-    fn nested_drivers_get_distinct_state_tables() {
-        let db = database();
-        let outer = IterationController::new(db.clone(), IterationConfig::default());
-        let outcome = outer
-            .run(
-                vec![0.0],
-                |state, _| {
-                    // Run a nested driver inside the outer step.
-                    let inner = IterationController::new(db.clone(), IterationConfig::default());
-                    let inner_outcome = inner
-                        .run(
-                            vec![1.0],
-                            |s, _| Ok(vec![s[0] * 0.5]),
-                            |p, n, _| (p[0] - n[0]).abs() < 1e-3,
-                        )
-                        .unwrap();
-                    Ok(vec![state[0] + inner_outcome.final_state[0]])
-                },
-                |_, _, _| true, // one outer iteration
-            )
-            .unwrap();
-        assert_eq!(outcome.iterations, 1);
-        assert!(db.list_tables().is_empty());
     }
 
     #[test]
@@ -345,21 +147,15 @@ mod tests {
 
     #[test]
     fn zero_max_iterations_returns_initial_state() {
-        let db = database();
-        let config = IterationConfig {
-            max_iterations: 0,
-            ..IterationConfig::default()
-        };
-        let controller = IterationController::new(db, config);
-        let outcome = controller
-            .run(
-                vec![7.0],
-                |_, _| unreachable!("no iterations expected"),
-                |_, _, _| true,
-            )
-            .unwrap();
+        let outcome = iterate(
+            0,
+            7.0,
+            |_: &f64, _| -> Result<f64, EngineError> { unreachable!("no iterations expected") },
+            |_, _| true,
+        )
+        .unwrap();
         assert_eq!(outcome.iterations, 0);
-        assert_eq!(outcome.final_state, vec![7.0]);
+        assert_eq!(outcome.state, 7.0);
         assert!(!outcome.converged);
     }
 }

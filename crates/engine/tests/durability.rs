@@ -63,14 +63,11 @@ fn row(id: i64, v: f64) -> Row {
     Row::new(vec![Value::Int(id), Value::Double(v)])
 }
 
-/// Bit-exact fingerprint of every non-temp table: name, schema, chunk
-/// layout per segment, and each value (doubles rendered as raw bits).
+/// Bit-exact fingerprint of every table: name, schema, chunk layout per
+/// segment, and each value (doubles rendered as raw bits).
 fn fingerprint(db: &Database) -> String {
     let mut out = String::new();
-    for (name, is_temp) in db.list_tables() {
-        if is_temp {
-            continue;
-        }
+    for name in db.list_tables() {
         let table = db.table(&name).unwrap();
         writeln!(
             out,

@@ -180,7 +180,7 @@ impl CrfEstimator {
 impl Estimator for CrfEstimator {
     type Model = ChainCrf;
 
-    fn fit(&self, dataset: &Dataset<'_>, session: &Session) -> madlib_core::Result<ChainCrf> {
+    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> madlib_core::Result<ChainCrf> {
         let objective = CrfObjective::new(
             &self.observations_column,
             &self.labels_column,
@@ -188,12 +188,7 @@ impl Estimator for CrfEstimator {
             self.num_observations,
         );
         let summary = IgdRunner::new(self.config.clone())
-            .run_dataset(
-                dataset,
-                session.database(),
-                &objective,
-                vec![0.0; objective.dimension()],
-            )
+            .run_dataset(dataset, &objective, vec![0.0; objective.dimension()])
             .map_err(MethodError::from)?;
         ChainCrf::from_weights(self.num_labels, self.num_observations, summary.model)
             .map_err(MethodError::from)

@@ -1053,8 +1053,11 @@ proptest! {
 
 /// Every `Estimator` impl in the workspace rejects an empty dataset with a
 /// typed `MethodError` instead of panicking — the uniform calling convention
-/// must fail uniformly too.  (`Profiler` is the deliberate exception: a
-/// profile of zero rows is well-defined and reports zero counts.)
+/// must fail uniformly too.  Empty means an empty table, and also a
+/// non-empty table under a filter that selects no row (the table-level input
+/// check passes there, so the estimator's own check further in refuses it).
+/// (`Profiler` is the deliberate exception: a profile of zero rows is
+/// well-defined and reports zero counts, the same either way.)
 #[test]
 fn every_estimator_rejects_empty_datasets() {
     use madlib::convex::objectives::LeastSquaresObjective as LsObjective;
@@ -1066,13 +1069,33 @@ fn every_estimator_rejects_empty_datasets() {
     use madlib::sketch::Profiler;
     use madlib::text::CrfEstimator;
 
-    fn assert_rejects_empty<E>(name: &str, estimator: &E, columns: Vec<Column>)
+    /// Two tables over `columns` plus a `keep` bigint column: an empty one,
+    /// and one holding `row` with `keep = 0`, which `none_kept` filters out.
+    fn empty_inputs(mut columns: Vec<Column>, mut row: Vec<Value>) -> (Table, Table) {
+        columns.push(Column::new("keep", ColumnType::Int));
+        row.push(Value::Int(0));
+        let empty = Table::new(Schema::new(columns), 3).unwrap();
+        let mut filtered = empty.clone();
+        filtered.insert(Row::new(row)).unwrap();
+        (empty, filtered)
+    }
+    fn none_kept() -> Predicate {
+        Predicate::column_eq("keep", 1_i64)
+    }
+
+    fn assert_rejects_empty<E>(name: &str, estimator: &E, columns: Vec<Column>, row: Vec<Value>)
     where
         E: Estimator,
     {
-        let table = Table::new(Schema::new(columns), 3).unwrap();
-        let result = estimator.fit(&Dataset::from_table(&table), &session());
-        assert!(result.is_err(), "{name} accepted an empty dataset");
+        let (empty, filtered) = empty_inputs(columns, row);
+        let result = estimator.fit(&Dataset::from_table(&empty), &session());
+        assert!(result.is_err(), "{name} accepted an empty table");
+        let dataset = Dataset::from_table(&filtered).filter(none_kept());
+        let result = estimator.fit(&dataset, &session());
+        assert!(
+            result.is_err(),
+            "{name} accepted a filter that selects no row"
+        );
     }
 
     let labeled = || {
@@ -1081,27 +1104,53 @@ fn every_estimator_rejects_empty_datasets() {
             Column::new("x", ColumnType::DoubleArray),
         ]
     };
+    let labeled_row = || vec![Value::Double(1.0), Value::DoubleArray(vec![1.0, 2.0])];
     let classed = || {
         vec![
             Column::new("label", ColumnType::Text),
             Column::new("x", ColumnType::DoubleArray),
         ]
     };
+    let classed_row = || vec![Value::Text("a".into()), Value::DoubleArray(vec![1.0, 2.0])];
+    let items = |name: &str| vec![Column::new(name, ColumnType::TextArray)];
+    let items_row = || vec![Value::TextArray(vec!["a".into(), "b".into()])];
 
-    assert_rejects_empty("linregr", &LinearRegression::new("y", "x"), labeled());
+    assert_rejects_empty(
+        "linregr",
+        &LinearRegression::new("y", "x"),
+        labeled(),
+        labeled_row(),
+    );
     assert_rejects_empty(
         "logregr",
         &madlib::methods::regress::LogisticRegression::new("y", "x"),
         labeled(),
+        labeled_row(),
     );
-    assert_rejects_empty("kmeans", &KMeans::new("x", 2).unwrap(), labeled());
-    assert_rejects_empty("naive_bayes", &NaiveBayes::new("label", "x"), classed());
-    assert_rejects_empty("decision_tree", &DecisionTree::new("label", "x"), classed());
-    assert_rejects_empty("svm", &LinearSvm::new("y", "x"), labeled());
+    assert_rejects_empty(
+        "kmeans",
+        &KMeans::new("x", 2).unwrap(),
+        labeled(),
+        labeled_row(),
+    );
+    assert_rejects_empty(
+        "naive_bayes",
+        &NaiveBayes::new("label", "x"),
+        classed(),
+        classed_row(),
+    );
+    assert_rejects_empty(
+        "decision_tree",
+        &DecisionTree::new("label", "x"),
+        classed(),
+        classed_row(),
+    );
+    assert_rejects_empty("svm", &LinearSvm::new("y", "x"), labeled(), labeled_row());
     assert_rejects_empty(
         "igd",
         &IgdEstimator::new(LsObjective::new("y", "x", 2)),
         labeled(),
+        labeled_row(),
     );
     assert_rejects_empty(
         "lowrank",
@@ -1111,16 +1160,19 @@ fn every_estimator_rejects_empty_datasets() {
             Column::new("item_id", ColumnType::Int),
             Column::new("rating", ColumnType::Double),
         ],
+        vec![Value::Int(0), Value::Int(0), Value::Double(1.0)],
     );
     assert_rejects_empty(
         "lda",
         &Lda::new("tokens", 2).unwrap(),
-        vec![Column::new("tokens", ColumnType::TextArray)],
+        items("tokens"),
+        items_row(),
     );
     assert_rejects_empty(
         "apriori",
         &Apriori::new("items", 0.5, 0.5).unwrap(),
-        vec![Column::new("items", ColumnType::TextArray)],
+        items("items"),
+        items_row(),
     );
     assert_rejects_empty(
         "crf",
@@ -1129,13 +1181,18 @@ fn every_estimator_rejects_empty_datasets() {
             Column::new("observations", ColumnType::IntArray),
             Column::new("labels", ColumnType::IntArray),
         ],
+        vec![Value::IntArray(vec![0, 1]), Value::IntArray(vec![0, 1])],
     );
 
     // The documented exception: profiling an empty dataset succeeds with
-    // zero counts (a profile is a description, not a fitted model).
-    let empty = Table::new(Schema::new(labeled()), 3).unwrap();
+    // zero counts (a profile is a description, not a fitted model), and a
+    // filter that selects no row profiles exactly as an empty table does.
+    let (empty, filtered) = empty_inputs(labeled(), labeled_row());
     let profile = Profiler
         .fit(&Dataset::from_table(&empty), &session())
         .unwrap();
     assert_eq!(profile.row_count, 0);
+    let dataset = Dataset::from_table(&filtered).filter(none_kept());
+    let filtered_profile = Profiler.fit(&dataset, &session()).unwrap();
+    assert_eq!(format!("{filtered_profile:?}"), format!("{profile:?}"));
 }

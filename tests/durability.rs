@@ -272,6 +272,90 @@ fn materialized_views_rebuild_identically_after_recovery() {
     assert_eq!(refresh(&again).to_bits(), mark.to_bits());
 }
 
+/// An iterative fit reads the catalog and writes nothing, to it or to the
+/// log: logregr, k-means and IGD fits on a durable database — one of them
+/// failing inside its first iteration, one fitting several groups on the
+/// per-group gather path — leave `list_tables()` and `wal_durable_len()` as
+/// they found them, and every fit that returns ran and converged.
+#[test]
+fn iterative_fits_leave_the_catalog_and_the_log_as_found() {
+    use madlib::convex::objectives::LeastSquaresObjective;
+    use madlib::convex::{IgdConfig, IgdEstimator, StepSchedule};
+    use madlib::methods::cluster::KMeans;
+    use madlib::methods::datasets::{
+        gaussian_blobs, linear_regression_data, logistic_regression_data,
+    };
+    use madlib::methods::regress::LogisticRegression;
+
+    let scratch = ScratchDir::new("fits");
+    let db = Database::open(scratch.path(), 2).unwrap();
+    let logistic = logistic_regression_data(300, 3, 2, 3).unwrap().table;
+    let blobs = gaussian_blobs(300, 3, 2, 1.0, 2, 4).unwrap().table;
+    let linear = linear_regression_data(300, 3, 0.1, 2, 5).unwrap().table;
+    let mut nan = logistic.clone();
+    nan.insert(row![1.0, vec![0.5, f64::NAN, -0.25]]).unwrap();
+    let grouped = Schema::new(vec![
+        Column::new("g", ColumnType::Int),
+        Column::new("y", ColumnType::Double),
+        Column::new("x", ColumnType::DoubleArray),
+    ]);
+    db.create_table("grouped", grouped).unwrap();
+    let keyed = logistic.collect_rows().into_iter().enumerate();
+    let keyed =
+        keyed.map(|(i, r)| Row::new([vec![Value::Int(i as i64 % 3)], r.into_values()].concat()));
+    db.append_rows("grouped", keyed).unwrap();
+    for (name, table) in [
+        ("logistic", logistic),
+        ("blobs", blobs),
+        ("linear", linear),
+        ("nan", nan),
+    ] {
+        db.register_table(name, table).unwrap();
+    }
+
+    let session = Session::new(db.clone());
+    let (tables, log) = (db.list_tables(), db.wal_durable_len());
+    assert!(log.is_some());
+    let unchanged = |fit: &str| {
+        assert_eq!(db.list_tables(), tables, "{fit} changed the catalog");
+        assert_eq!(db.wal_durable_len(), log, "{fit} wrote to the log");
+    };
+    let dataset = |name: &str| session.dataset(name).unwrap();
+
+    let irls = LogisticRegression::new("y", "x");
+    let model = session.train(&irls, &dataset("logistic")).unwrap();
+    unchanged("logregr");
+    assert!(model.converged && model.num_iterations >= 1);
+
+    let failed = session.train(&irls, &dataset("nan"));
+    unchanged("a failing logregr");
+    assert!(failed.is_err(), "{failed:?}");
+
+    let models = session
+        .train_grouped(&irls, &dataset("grouped").group_by(["g"]))
+        .unwrap();
+    unchanged("grouped logregr");
+    assert_eq!(models.len(), 3);
+    for (key, model) in models.iter() {
+        assert!(model.converged && model.num_iterations >= 1, "{key:?}");
+    }
+
+    let model = session
+        .train(&KMeans::new("coords", 3).unwrap(), &dataset("blobs"))
+        .unwrap();
+    unchanged("k-means");
+    assert!(model.converged && model.iterations >= 1);
+
+    let igd = IgdEstimator::new(LeastSquaresObjective::new("y", "x", 3)).with_config(IgdConfig {
+        max_epochs: 200,
+        tolerance: 1e-6,
+        schedule: StepSchedule::Constant(0.05),
+    });
+    let summary = session.train(&igd, &dataset("linear")).unwrap();
+    unchanged("IGD");
+    assert!(summary.converged && summary.epochs >= 1);
+}
+
 /// One table both single-pass estimators read: linear regression `y ~ x`,
 /// naive Bayes `label ~ x`.
 fn mixed_schema() -> Schema {

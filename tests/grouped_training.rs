@@ -1013,11 +1013,11 @@ fn panicking_group_fit_surfaces_typed_worker_panic() {
     }
 }
 
-/// Concurrent iterative trainings on one shared session must not collide on
-/// iteration state tables: every driver claims its temp table name under a
-/// single catalog lock, so parallel `train_grouped` calls (as the per-group
-/// fit stage issues on a multi-core host) each see a private state table.
-/// Regression test for the probe-then-create race this used to have.
+/// Concurrent iterative trainings on one shared session must not share
+/// iteration state: each driver holds its own between passes (nothing is
+/// staged in the session's catalog), so parallel `train_grouped` calls (as
+/// the per-group fit stage issues on a multi-core host) agree bit for bit
+/// with a serial one.
 #[test]
 fn concurrent_iterative_trainings_get_distinct_state_tables() {
     let points: Vec<(usize, f64, [f64; 2])> = (0..48)

@@ -690,3 +690,209 @@ fn irls_model_bits_are_pinned() {
         model.num_iterations
     );
 }
+
+/// What one iterative fit reports: a digest per reported number (field by
+/// field), then its iteration count and whether it converged.
+type FitBits = (Vec<u64>, usize, bool);
+
+/// The iterative fits the driver loop carries — IRLS, Lloyd, IGD epochs and
+/// CRF training — under `executor`: logregr cold, warm-started and stopped
+/// by its cap; k-means under k-means++ and `Random` seeding, warm-started
+/// and capped at one iteration; least-squares IGD converging and capped; one
+/// CRF fit (which reports only its weights).
+fn iterative_fit_bits(executor: Executor) -> Vec<FitBits> {
+    use madlib::convex::objectives::LeastSquaresObjective;
+    use madlib::convex::{IgdConfig, IgdEstimator, StepSchedule};
+    use madlib::methods::cluster::{KMeans, SeedingMethod};
+    use madlib::methods::datasets::gaussian_blobs;
+    use madlib::text::CrfEstimator;
+
+    let mut fits = Vec::new();
+    let logistic = logistic_regression_data(600, 6, 4, 7).unwrap().table;
+    let session = Session::new(Database::new(4).unwrap()).with_executor(executor);
+    let fit = |estimator: &LogisticRegression| {
+        let model = session
+            .train(estimator, &Dataset::from_table(&logistic))
+            .unwrap();
+        let digests = vec![
+            digest(&model.coef),
+            digest(&model.std_err),
+            digest(&model.z_stats),
+            digest(&model.p_values),
+            digest(&[model.log_likelihood]),
+            model.num_rows,
+        ];
+        ((digests, model.num_iterations, model.converged), model.coef)
+    };
+    let (cold, coef) = fit(&LogisticRegression::new("y", "x"));
+    let warm_start = coef.iter().map(|c| 0.5 * c).collect();
+    fits.push(cold);
+    fits.push(fit(&LogisticRegression::new("y", "x").with_initial_coefficients(warm_start)).0);
+    fits.push(fit(&LogisticRegression::new("y", "x").with_max_iterations(2)).0);
+
+    let blobs = gaussian_blobs(800, 4, 3, 12.0, 4, 11).unwrap().table;
+    let fit = |estimator: KMeans| {
+        let model = session
+            .train(&estimator, &Dataset::from_table(&blobs))
+            .unwrap();
+        let digests = vec![
+            digest(&model.centroids.concat()),
+            digest(&[model.inertia]),
+            model.num_points as u64,
+        ];
+        (
+            (digests, model.iterations, model.converged),
+            model.centroids,
+        )
+    };
+    let kmeans = || KMeans::new("coords", 4).unwrap().with_seed(3);
+    let (plus_plus, centroids) = fit(kmeans().with_seeding(SeedingMethod::KMeansPlusPlus));
+    let warm_start = centroids
+        .iter()
+        .map(|c| c.iter().map(|x| x + 0.25).collect())
+        .collect();
+    fits.push(plus_plus);
+    fits.push(fit(kmeans().with_seeding(SeedingMethod::Random)).0);
+    fits.push(fit(kmeans().with_initial_centroids(warm_start)).0);
+    fits.push(fit(kmeans().with_max_iterations(1)).0);
+
+    let linear = linear_regression_data(500, 3, 0.1, 4, 5).unwrap().table;
+    for max_epochs in [200, 3] {
+        let estimator =
+            IgdEstimator::new(LeastSquaresObjective::new("y", "x", 3)).with_config(IgdConfig {
+                max_epochs,
+                tolerance: 1e-6,
+                schedule: StepSchedule::Constant(0.05),
+            });
+        let summary = session
+            .train(&estimator, &Dataset::from_table(&linear))
+            .unwrap();
+        let digests = vec![
+            digest(&summary.model),
+            digest(&[summary.objective_value]),
+            digest(&[summary.initial_objective_value]),
+        ];
+        fits.push((digests, summary.epochs, summary.converged));
+    }
+
+    let mut corpus = Table::new(
+        Schema::new(vec![
+            Column::new("observations", ColumnType::IntArray),
+            Column::new("labels", ColumnType::IntArray),
+        ]),
+        2,
+    )
+    .unwrap();
+    for s in 0..40_usize {
+        let labels: Vec<i64> = (0..5 + s % 4).map(|t| ((t + s) % 2) as i64).collect();
+        let observations = labels.iter().map(|&l| l * 2 + (s % 2) as i64).collect();
+        corpus
+            .insert(Row::new(vec![
+                Value::IntArray(observations),
+                Value::IntArray(labels),
+            ]))
+            .unwrap();
+    }
+    let crf = session
+        .train(
+            &CrfEstimator::new("observations", "labels", 2, 4).with_epochs(10),
+            &Dataset::from_table(&corpus),
+        )
+        .unwrap();
+    fits.push((vec![digest(crf.weights())], 0, false));
+    fits
+}
+
+/// How a driver holds the state between its passes must not move a bit:
+/// every number each iterative fit reports, its iteration count and whether
+/// it converged are pinned to what they were while the drivers staged their
+/// state in a catalog table, under both executors.
+#[test]
+fn iterative_fit_bits_are_pinned() {
+    let logregr = [
+        17152753459313107334,
+        14258086830526722960,
+        5521077674256451010,
+    ];
+    let logregr_warm = [
+        1994849017861721208,
+        15363486217605586095,
+        2070976253640313440,
+    ];
+    let logregr_capped = [
+        2489724210555599932,
+        11698614399426213952,
+        13059288605347115408,
+    ];
+    let pinned: Vec<FitBits> = vec![
+        (
+            [
+                &logregr[..],
+                &[8011160679779466385, 760731101590869350, 600],
+            ]
+            .concat(),
+            7,
+            true,
+        ),
+        (
+            [
+                &logregr_warm[..],
+                &[8011160679779466385, 760731101590869350, 600],
+            ]
+            .concat(),
+            6,
+            true,
+        ),
+        (
+            [
+                &logregr_capped[..],
+                &[17081303764280668773, 5948722377632978875, 600],
+            ]
+            .concat(),
+            2,
+            false,
+        ),
+        (
+            vec![4095654637290687349, 13515110480387902489, 800],
+            4,
+            true,
+        ),
+        (
+            vec![5084243930201216892, 17145922708540920193, 800],
+            11,
+            true,
+        ),
+        (
+            vec![4095654637290687349, 13515110480387902489, 800],
+            2,
+            true,
+        ),
+        (
+            vec![8698902507095743261, 10930315899678503811, 800],
+            1,
+            false,
+        ),
+        (
+            vec![
+                2520848773536430947,
+                13705904285059026245,
+                17224528864126347438,
+            ],
+            5,
+            true,
+        ),
+        (
+            vec![
+                1274374336063669580,
+                10267208076641729632,
+                17224528864126347438,
+            ],
+            3,
+            false,
+        ),
+        (vec![399471804546107422], 0, false),
+    ];
+    for executor in [Executor::new(), Executor::serial()] {
+        assert_eq!(iterative_fit_bits(executor), pinned, "{executor:?}");
+    }
+}
