@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use madlib_bench::{figure4_table, measure_linregr};
 use madlib_engine::aggregate::CountAggregate;
-use madlib_engine::Executor;
+use madlib_engine::Dataset;
 use madlib_linalg::kernels::KernelGeneration;
 
 fn bench_overhead(c: &mut Criterion) {
@@ -15,8 +15,8 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| measure_linregr(&tiny, KernelGeneration::V03))
     });
     group.bench_function("count_star_10_rows", |b| {
-        let executor = Executor::new();
-        b.iter(|| executor.aggregate(&tiny, &CountAggregate).unwrap())
+        let dataset = Dataset::from_table(&tiny);
+        b.iter(|| dataset.aggregate(&CountAggregate).unwrap())
     });
     group.finish();
 }

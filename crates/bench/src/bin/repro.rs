@@ -26,7 +26,7 @@ use madlib_convex::objectives::{
     CrfObjective, LassoObjective, LeastSquaresObjective, LogisticObjective,
     MatrixFactorizationObjective, SvmHingeObjective,
 };
-use madlib_convex::{ConvexObjective, IgdConfig, IgdRunner, StepSchedule};
+use madlib_convex::{ConvexObjective, IgdConfig, IgdEstimator, StepSchedule};
 use madlib_core::assoc::Apriori;
 use madlib_core::classify::{DecisionTree, LinearSvm, NaiveBayes};
 use madlib_core::cluster::KMeans;
@@ -35,13 +35,11 @@ use madlib_core::factor::LowRankFactorization;
 use madlib_core::optim::conjugate_gradient_solve;
 use madlib_core::regress::{LinearRegression, LogisticRegression};
 use madlib_core::topic::Lda;
-use madlib_core::train::Session;
-use madlib_engine::{
-    row, Column, ColumnType, Database, Dataset, Executor, Row, Schema, Table, Value,
-};
+use madlib_core::train::{Estimator, Session};
+use madlib_engine::{row, Column, ColumnType, Database, Dataset, Row, Schema, Table, Value};
 use madlib_linalg::kernels::KernelGeneration;
 use madlib_linalg::{DenseMatrix, DenseVector, SparseVector};
-use madlib_sketch::{profile_table, CountMinSketch, FlajoletMartin, QuantileSummary};
+use madlib_sketch::{CountMinSketch, DatasetProfileExt, FlajoletMartin, QuantileSummary};
 use madlib_text::mcmc::{gibbs_sample, metropolis_hastings_sample, McmcConfig};
 use madlib_text::viterbi::viterbi_decode;
 use madlib_text::{CrfEstimator, FeatureExtractor, TrigramIndex};
@@ -150,7 +148,6 @@ impl Checks {
 #[allow(clippy::too_many_lines)]
 fn table1(checks: &mut Checks) {
     println!("== Table 1: methods provided in MADlib v0.3 (reproduction status) ==");
-    let executor = Executor::new();
     let session = Session::new(Database::new(4).unwrap());
 
     // Supervised learning.
@@ -317,7 +314,7 @@ fn table1(checks: &mut Checks) {
         format!("estimate = {:.0} (true 5000)", fm.estimate()),
     );
 
-    let profile = profile_table(&executor, &lin.table).unwrap();
+    let profile = Dataset::from_table(&lin.table).profile().unwrap();
     checks.check(
         "Data Profiling",
         profile.columns.len() == 2,
@@ -359,83 +356,58 @@ fn table1(checks: &mut Checks) {
 
 fn table2() {
     println!("== Table 2: models implemented via the convex (SGD) framework ==");
-    let executor = Executor::new();
-    let run = |name: &str,
-               objective: &dyn DynObjective,
-               table: &Table,
-               initial: Vec<f64>,
-               epochs: usize| {
-        let runner = IgdRunner::new(IgdConfig {
-            max_epochs: epochs,
-            tolerance: 1e-8,
-            schedule: StepSchedule::Constant(0.05),
-        });
-        let summary = objective.run(&runner, &executor, table, initial);
-        let reduction = 100.0 * (1.0 - summary.1 / summary.0.max(1e-12));
+    fn run<O: ConvexObjective>(
+        name: &str,
+        objective: O,
+        table: &Table,
+        initial: Vec<f64>,
+        epochs: usize,
+    ) {
+        let summary = IgdEstimator::new(objective)
+            .with_config(IgdConfig {
+                max_epochs: epochs,
+                tolerance: 1e-8,
+                schedule: StepSchedule::Constant(0.05),
+            })
+            .with_initial_model(initial)
+            .fit(&Dataset::from_table(table))
+            .expect("IGD training failed");
+        let (initial, fitted) = (summary.initial_objective_value, summary.objective_value);
+        let reduction = 100.0 * (1.0 - fitted / initial.max(1e-12));
         println!(
             "  {:<22} initial objective {:>12.4}  final {:>12.4}  reduction {:>5.1}%  epochs {}",
-            name, summary.0, summary.1, reduction, summary.2
+            name, initial, fitted, reduction, summary.epochs
         );
-    };
+    }
 
     let reg = datasets::linear_regression_data(3_000, 6, 0.1, 4, 21).unwrap();
     let cls = datasets::logistic_regression_data(3_000, 6, 4, 22).unwrap();
 
     let ls = LeastSquaresObjective::new("y", "x", 6);
-    run("Least Squares", &ls, &reg.table, vec![0.0; 6], 40);
+    run("Least Squares", ls, &reg.table, vec![0.0; 6], 40);
     let lasso = LassoObjective::new("y", "x", 6, 0.01);
-    run("Lasso", &lasso, &reg.table, vec![0.0; 6], 40);
+    run("Lasso", lasso, &reg.table, vec![0.0; 6], 40);
     let logistic = LogisticObjective::new("y", "x", 6);
     run(
         "Logistic Regression",
-        &logistic,
+        logistic,
         &cls.table,
         vec![0.0; 6],
         40,
     );
     let svm = SvmHingeObjective::new("y", "x", 6, 1e-3);
-    run("Classification (SVM)", &svm, &cls.table, vec![0.0; 6], 40);
+    run("Classification (SVM)", svm, &cls.table, vec![0.0; 6], 40);
 
     let ratings = datasets::ratings_data(40, 30, 2, 0.4, 4, 23).unwrap();
     let mf = MatrixFactorizationObjective::new("user_id", "item_id", "rating", 40, 30, 4, 1e-4);
     let initial = mf.initial_model();
-    run("Recommendation", &mf, &ratings, initial, 80);
+    run("Recommendation", mf, &ratings, initial, 80);
 
     let crf_table = crf_corpus(60, 4);
     let crf = CrfObjective::new("observations", "labels", 2, 4);
     let crf_dim = crf.dimension();
-    run("Labeling (CRF)", &crf, &crf_table, vec![0.0; crf_dim], 40);
+    run("Labeling (CRF)", crf, &crf_table, vec![0.0; crf_dim], 40);
     println!();
-}
-
-/// Object-safe adapter so `table2` can iterate heterogeneous objectives.
-trait DynObjective {
-    fn run(
-        &self,
-        runner: &IgdRunner,
-        executor: &Executor,
-        table: &Table,
-        initial: Vec<f64>,
-    ) -> (f64, f64, usize);
-}
-
-impl<O: ConvexObjective> DynObjective for O {
-    fn run(
-        &self,
-        runner: &IgdRunner,
-        executor: &Executor,
-        table: &Table,
-        initial: Vec<f64>,
-    ) -> (f64, f64, usize) {
-        let summary = runner
-            .run(executor, table, self, initial)
-            .expect("IGD training failed");
-        (
-            summary.initial_objective_value,
-            summary.objective_value,
-            summary.epochs,
-        )
-    }
 }
 
 /// Small synthetic CRF training corpus shared by table2/table3.

@@ -29,7 +29,7 @@
 
 use madlib_core::datasets::linear_regression_data;
 use madlib_core::regress::LinearRegression;
-use madlib_core::train::{Estimator, Session};
+use madlib_core::train::Estimator;
 use madlib_engine::{Dataset, Table};
 use madlib_linalg::kernels::KernelGeneration;
 use std::time::{Duration, Instant};
@@ -65,11 +65,10 @@ pub fn figure4_table(rows: usize, variables: usize, segments: usize, seed: u64) 
 /// # Panics
 /// Panics if the fit fails, which cannot happen for the generated workloads.
 pub fn measure_linregr(table: &Table, generation: KernelGeneration) -> Duration {
-    let session = Session::in_memory(1).expect("positive segment count");
     let regression = LinearRegression::new("y", "x").with_kernel(generation);
     let start = Instant::now();
     let model = regression
-        .fit(&Dataset::from_table(table), &session)
+        .fit(&Dataset::from_table(table))
         .expect("linear regression over generated data cannot fail");
     let elapsed = start.elapsed();
     // Keep the optimizer honest.

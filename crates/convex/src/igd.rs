@@ -8,14 +8,15 @@
 //! function), and the averaged model becomes the next epoch's starting point
 //! (the final function + driver loop).  Only the model vector ever crosses
 //! segment boundaries, so the structure is identical to the paper's Figure 3
-//! driver for logistic regression.
+//! driver for logistic regression.  [`IgdEstimator`] is the one way in.
 
 use crate::objective::ConvexObjective;
 use crate::schedule::StepSchedule;
-use madlib_core::train::{Estimator, Session};
+use madlib_core::train::Estimator;
+use madlib_core::{MethodError, Result};
 use madlib_engine::dataset::Dataset;
 use madlib_engine::iteration::{iterate, l2_relative_convergence};
-use madlib_engine::{Aggregate, EngineError, Executor, Row, RowChunk, Schema, Table};
+use madlib_engine::{Aggregate, EngineError, Row, RowChunk, Schema};
 
 /// Configuration for an IGD run.
 #[derive(Debug, Clone)]
@@ -53,134 +54,30 @@ pub struct IgdSummary {
     pub initial_objective_value: f64,
 }
 
-/// Runs IGD for any [`ConvexObjective`] over an engine table.
-#[derive(Debug, Clone)]
-pub struct IgdRunner {
-    config: IgdConfig,
-}
-
-impl IgdRunner {
-    /// Creates a runner with the given configuration.
-    pub fn new(config: IgdConfig) -> Self {
-        Self { config }
-    }
-
-    /// Creates a runner with default configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(IgdConfig::default())
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &IgdConfig {
-        &self.config
-    }
-
-    /// Trains `objective` over `table`, starting from `initial_model`
-    /// (typically all zeros).  Convenience wrapper over
-    /// [`IgdRunner::run_dataset`] for callers without a dataset in hand.
-    ///
-    /// # Errors
-    /// Propagates engine errors from the per-epoch aggregate passes; the
-    /// initial model length must match the objective dimension.
-    pub fn run<O: ConvexObjective>(
-        &self,
-        executor: &Executor,
-        table: &Table,
-        objective: &O,
-        initial_model: Vec<f64>,
-    ) -> madlib_engine::Result<IgdSummary> {
-        self.run_dataset(
-            &Dataset::from_table(table).with_executor(*executor),
-            objective,
-            initial_model,
-        )
-    }
-
-    /// Trains `objective` over a dataset's (filtered) rows: one [`iterate`]
-    /// loop whose state is the model vector, each epoch one aggregate pass
-    /// started from the previous epoch's model, stopped when the model's
-    /// relative L2 movement is within the configured tolerance.
-    ///
-    /// # Errors
-    /// Propagates engine errors from the per-epoch aggregate passes; the
-    /// initial model length must match the objective dimension.
-    pub fn run_dataset<O: ConvexObjective>(
-        &self,
-        dataset: &Dataset<'_>,
-        objective: &O,
-        initial_model: Vec<f64>,
-    ) -> madlib_engine::Result<IgdSummary> {
-        if initial_model.len() != objective.dimension() {
-            return Err(EngineError::invalid(format!(
-                "initial model has length {}, objective expects {}",
-                initial_model.len(),
-                objective.dimension()
-            )));
-        }
-        dataset.executor().validate_input(dataset.table(), true)?;
-        let initial_objective_value = objective_value_dataset(dataset, objective, &initial_model)?;
-
-        let schedule = self.config.schedule;
-        let outcome = iterate(
-            self.config.max_epochs,
-            initial_model,
-            |model: &Vec<f64>, epoch| {
-                let pass = IgdEpoch {
-                    objective,
-                    start_model: model,
-                    step: schedule.step(epoch),
-                };
-                dataset.aggregate(&pass)
-            },
-            |previous, next| l2_relative_convergence(previous, next, self.config.tolerance),
-        )?;
-
-        let objective_value = objective_value_dataset(dataset, objective, &outcome.state)?;
-        Ok(IgdSummary {
-            model: outcome.state,
-            epochs: outcome.iterations,
-            converged: outcome.converged,
-            objective_value,
-            initial_objective_value,
-        })
-    }
-
-    /// Evaluates the full objective (data loss + regularization) at `model`
-    /// with one parallel pass.
-    ///
-    /// # Errors
-    /// Propagates row-loss evaluation errors.
-    pub fn objective_value<O: ConvexObjective>(
-        &self,
-        executor: &Executor,
-        table: &Table,
-        objective: &O,
-        model: &[f64],
-    ) -> madlib_engine::Result<f64> {
-        objective_value_dataset(
-            &Dataset::from_table(table).with_executor(*executor),
-            objective,
-            model,
-        )
-    }
-}
-
 /// Full-objective evaluation (data loss + regularization) over a dataset's
 /// (filtered) rows.
-fn objective_value_dataset<O: ConvexObjective>(
+///
+/// # Errors
+/// Propagates row-loss evaluation errors; a dataset that selects no row is
+/// [`MethodError::InvalidInput`].
+fn objective_value<O: ConvexObjective>(
     dataset: &Dataset<'_>,
     objective: &O,
     model: &[f64],
-) -> madlib_engine::Result<f64> {
+) -> Result<f64> {
     let losses = dataset.map_rows(|row, schema| objective.row_loss(row, schema, model))?;
+    if losses.is_empty() {
+        return Err(MethodError::invalid_input("IGD over an empty input"));
+    }
     Ok(losses.iter().sum::<f64>() + objective.regularization(model))
 }
 
-/// An IGD training run packaged as an [`Estimator`], so convex-framework
-/// objectives train through the same uniform
-/// `Session::train(&estimator, &dataset)` convention as the core methods —
-/// including per-group training via `Session::train_grouped` (the default
-/// per-group gather re-runs the full IGD driver per group).
+/// IGD for any [`ConvexObjective`], packaged as an [`Estimator`]: the one
+/// way to train a convex-framework objective, through
+/// `IgdEstimator::new(objective).fit(&dataset)` or the uniform
+/// `Session::train(&estimator, &dataset)` convention — including per-group
+/// training via `Session::train_grouped` (the default per-group gather
+/// re-runs the full IGD driver per group).
 #[derive(Debug, Clone)]
 pub struct IgdEstimator<O: ConvexObjective> {
     objective: O,
@@ -206,7 +103,8 @@ impl<O: ConvexObjective> IgdEstimator<O> {
         self
     }
 
-    /// Starts from an explicit initial model instead of zeros.
+    /// Starts from an explicit initial model instead of zeros (a warm
+    /// start from a previous fit).
     #[must_use]
     pub fn with_initial_model(mut self, initial_model: Vec<f64>) -> Self {
         self.initial_model = Some(initial_model);
@@ -222,14 +120,53 @@ impl<O: ConvexObjective> IgdEstimator<O> {
 impl<O: ConvexObjective> Estimator for IgdEstimator<O> {
     type Model = IgdSummary;
 
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> madlib_core::Result<IgdSummary> {
-        let initial = self
+    /// Trains the objective over the dataset's (filtered) rows: one
+    /// [`iterate`] loop whose state is the model vector, each epoch one
+    /// aggregate pass started from the previous epoch's model, stopped when
+    /// the model's relative L2 movement is within the configured tolerance.
+    ///
+    /// # Errors
+    /// [`MethodError::InvalidInput`] when the initial model's length is not
+    /// the objective's dimension or the dataset selects no row; engine
+    /// errors from the per-epoch aggregate passes.
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<IgdSummary> {
+        let objective = &self.objective;
+        let initial_model = self
             .initial_model
             .clone()
-            .unwrap_or_else(|| vec![0.0; self.objective.dimension()]);
-        IgdRunner::new(self.config.clone())
-            .run_dataset(dataset, &self.objective, initial)
-            .map_err(madlib_core::MethodError::from)
+            .unwrap_or_else(|| vec![0.0; objective.dimension()]);
+        if initial_model.len() != objective.dimension() {
+            return Err(MethodError::invalid_input(format!(
+                "initial model has length {}, objective expects {}",
+                initial_model.len(),
+                objective.dimension()
+            )));
+        }
+        let initial_objective_value = objective_value(dataset, objective, &initial_model)?;
+
+        let schedule = self.config.schedule;
+        let outcome = iterate(
+            self.config.max_epochs,
+            initial_model,
+            |model: &Vec<f64>, epoch| {
+                let pass = IgdEpoch {
+                    objective,
+                    start_model: model,
+                    step: schedule.step(epoch),
+                };
+                dataset.aggregate(&pass)
+            },
+            |previous, next| l2_relative_convergence(previous, next, self.config.tolerance),
+        )?;
+
+        let objective_value = objective_value(dataset, objective, &outcome.state)?;
+        Ok(IgdSummary {
+            model: outcome.state,
+            epochs: outcome.iterations,
+            converged: outcome.converged,
+            objective_value,
+            initial_objective_value,
+        })
     }
 }
 
@@ -341,7 +278,15 @@ impl<O: ConvexObjective> Aggregate for IgdEpoch<'_, O> {
 mod tests {
     use super::*;
     use crate::objectives::LeastSquaresObjective;
-    use madlib_engine::{row, Column, ColumnType, Schema};
+    use madlib_engine::{row, Column, ColumnType, Executor, Schema, Table};
+
+    /// Least squares over `y` / `x` (two features) under `config`, started
+    /// from `initial`.
+    fn least_squares(config: IgdConfig, initial: Vec<f64>) -> IgdEstimator<LeastSquaresObjective> {
+        IgdEstimator::new(LeastSquaresObjective::new("y", "x", 2))
+            .with_config(config)
+            .with_initial_model(initial)
+    }
 
     fn regression_table(segments: usize) -> Table {
         let schema = Schema::new(vec![
@@ -420,14 +365,13 @@ mod tests {
     #[test]
     fn igd_fits_least_squares() {
         let table = regression_table(4);
-        let objective = LeastSquaresObjective::new("y", "x", 2);
-        let runner = IgdRunner::new(IgdConfig {
+        let config = IgdConfig {
             max_epochs: 200,
             tolerance: 1e-9,
             schedule: StepSchedule::Constant(0.05),
-        });
-        let summary = runner
-            .run(&Executor::new(), &table, &objective, vec![0.0, 0.0])
+        };
+        let summary = least_squares(config, vec![0.0, 0.0])
+            .fit(&Dataset::from_table(&table))
             .unwrap();
         assert!(summary.objective_value < summary.initial_objective_value);
         assert!((summary.model[0] - 2.0).abs() < 0.05, "{:?}", summary.model);
@@ -443,16 +387,17 @@ mod tests {
         // warm start both begins closer (lower initial objective) and
         // converges in no more epochs than a cold start.
         let mut table = regression_table(4);
-        let objective = LeastSquaresObjective::new("y", "x", 2);
-        let runner = IgdRunner::new(IgdConfig {
+        let config = IgdConfig {
             max_epochs: 400,
             tolerance: 1e-10,
             schedule: StepSchedule::Constant(0.05),
-        });
-        let executor = Executor::new();
-        let cold = runner
-            .run(&executor, &table, &objective, vec![0.0, 0.0])
-            .unwrap();
+        };
+        let fit = |table: &Table, initial: Vec<f64>| {
+            least_squares(config.clone(), initial)
+                .fit(&Dataset::from_table(table))
+                .unwrap()
+        };
+        let cold = fit(&table, vec![0.0, 0.0]);
 
         // Append 1% new rows from the same generator.
         for i in 300..303 {
@@ -461,12 +406,8 @@ mod tests {
             table.insert(row![2.0 * x1 - x2, vec![x1, x2]]).unwrap();
         }
 
-        let warm = runner
-            .run(&executor, &table, &objective, cold.model.clone())
-            .unwrap();
-        let cold_again = runner
-            .run(&executor, &table, &objective, vec![0.0, 0.0])
-            .unwrap();
+        let warm = fit(&table, cold.model.clone());
+        let cold_again = fit(&table, vec![0.0, 0.0]);
 
         assert!(warm.initial_objective_value < cold_again.initial_objective_value);
         assert!(warm.epochs <= cold_again.epochs);
@@ -484,11 +425,12 @@ mod tests {
     #[test]
     fn dimension_mismatch_and_empty_table_are_errors() {
         let table = regression_table(2);
-        let objective = LeastSquaresObjective::new("y", "x", 2);
-        let runner = IgdRunner::with_defaults();
-        assert!(runner
-            .run(&Executor::new(), &table, &objective, vec![0.0])
-            .is_err());
+        let config = IgdConfig::default();
+        assert_eq!(config.max_epochs, 50);
+        assert!(matches!(
+            least_squares(config.clone(), vec![0.0]).fit(&Dataset::from_table(&table)),
+            Err(MethodError::InvalidInput { .. })
+        ));
 
         let empty = Table::new(
             Schema::new(vec![
@@ -498,10 +440,17 @@ mod tests {
             2,
         )
         .unwrap();
-        assert!(runner
-            .run(&Executor::new(), &empty, &objective, vec![0.0, 0.0])
-            .is_err());
-        assert_eq!(runner.config().max_epochs, 50);
+        // Even a run capped at zero epochs refuses a dataset with no row.
+        for max_epochs in [50, 0] {
+            let config = IgdConfig {
+                max_epochs,
+                ..config.clone()
+            };
+            assert!(matches!(
+                least_squares(config, vec![0.0, 0.0]).fit(&Dataset::from_table(&empty)),
+                Err(MethodError::InvalidInput { .. })
+            ));
+        }
     }
 
     #[test]
@@ -509,22 +458,16 @@ mod tests {
         // Model averaging is not bitwise partition-invariant, but the fitted
         // quality must be: both runs reach a near-zero objective.
         let table = regression_table(1);
-        let objective = LeastSquaresObjective::new("y", "x", 2);
         let config = IgdConfig {
             max_epochs: 150,
             tolerance: 1e-10,
             schedule: StepSchedule::Constant(0.05),
         };
-        let one = IgdRunner::new(config.clone())
-            .run(&Executor::new(), &table, &objective, vec![0.0, 0.0])
+        let one = least_squares(config.clone(), vec![0.0, 0.0])
+            .fit(&Dataset::from_table(&table))
             .unwrap();
-        let six = IgdRunner::new(config)
-            .run(
-                &Executor::new(),
-                &table.repartition(6).unwrap(),
-                &objective,
-                vec![0.0, 0.0],
-            )
+        let six = least_squares(config, vec![0.0, 0.0])
+            .fit(&Dataset::from_table(&table.repartition(6).unwrap()))
             .unwrap();
         assert!(one.objective_value < 0.2);
         assert!(six.objective_value < 0.2);

@@ -30,6 +30,6 @@ pub mod objective;
 pub mod objectives;
 pub mod schedule;
 
-pub use igd::{IgdConfig, IgdEstimator, IgdRunner, IgdSummary};
+pub use igd::{IgdConfig, IgdEstimator, IgdSummary};
 pub use objective::ConvexObjective;
 pub use schedule::StepSchedule;

@@ -5,7 +5,7 @@ use madlib_engine::{Result, Row, RowChunk, Schema};
 /// A decomposable convex objective `f(w) = Σ_rows f_row(w)`.
 ///
 /// Implementations describe a single training tuple's contribution to the
-/// loss and its (sub)gradient; the [`crate::IgdRunner`] supplies the data
+/// loss and its (sub)gradient; [`crate::IgdEstimator`] supplies the data
 /// access, parallelism, iteration and convergence machinery.  This mirrors
 /// the paper's observation that "each tuple in the input table encodes a
 /// single fᵢ" and that adding a new model then takes "a matter of days" —

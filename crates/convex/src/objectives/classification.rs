@@ -203,9 +203,10 @@ impl ConvexObjective for SvmHingeObjective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::igd::{IgdConfig, IgdRunner};
+    use crate::igd::{IgdConfig, IgdEstimator};
     use crate::schedule::StepSchedule;
-    use madlib_engine::{row, Column, ColumnType, Executor, Schema, Table};
+    use madlib_core::Estimator;
+    use madlib_engine::{row, Column, ColumnType, Dataset, Schema, Table};
 
     fn separable_table(segments: usize) -> Table {
         let schema = Schema::new(vec![
@@ -240,13 +241,14 @@ mod tests {
     fn logistic_objective_learns_separator() {
         let table = separable_table(3);
         let objective = LogisticObjective::new("y", "x", 2);
-        let summary = IgdRunner::new(IgdConfig {
-            max_epochs: 100,
-            tolerance: 1e-9,
-            schedule: StepSchedule::Constant(0.1),
-        })
-        .run(&Executor::new(), &table, &objective, vec![0.0, 0.0])
-        .unwrap();
+        let summary = IgdEstimator::new(objective)
+            .with_config(IgdConfig {
+                max_epochs: 100,
+                tolerance: 1e-9,
+                schedule: StepSchedule::Constant(0.1),
+            })
+            .fit(&Dataset::from_table(&table))
+            .unwrap();
         assert!(summary.objective_value < summary.initial_objective_value);
         assert!(accuracy(&summary.model, &table) > 0.99);
     }
@@ -255,13 +257,14 @@ mod tests {
     fn hinge_objective_learns_separator() {
         let table = separable_table(3);
         let objective = SvmHingeObjective::new("y", "x", 2, 1e-3);
-        let summary = IgdRunner::new(IgdConfig {
-            max_epochs: 60,
-            tolerance: 1e-9,
-            schedule: StepSchedule::InverseSqrt(0.5),
-        })
-        .run(&Executor::new(), &table, &objective, vec![0.0, 0.0])
-        .unwrap();
+        let summary = IgdEstimator::new(objective.clone())
+            .with_config(IgdConfig {
+                max_epochs: 60,
+                tolerance: 1e-9,
+                schedule: StepSchedule::InverseSqrt(0.5),
+            })
+            .fit(&Dataset::from_table(&table))
+            .unwrap();
         assert!(accuracy(&summary.model, &table) > 0.99);
         assert!(objective.regularization(&summary.model) >= 0.0);
     }

@@ -220,9 +220,10 @@ impl ConvexObjective for CrfObjective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::igd::{IgdConfig, IgdRunner};
+    use crate::igd::{IgdConfig, IgdEstimator};
     use crate::schedule::StepSchedule;
-    use madlib_engine::{Column, ColumnType, Executor, Row, Table, Value};
+    use madlib_core::Estimator;
+    use madlib_engine::{Column, ColumnType, Dataset, Row, Table, Value};
 
     fn sequence_schema() -> madlib_engine::Schema {
         madlib_engine::Schema::new(vec![
@@ -317,18 +318,13 @@ mod tests {
     fn training_reduces_negative_log_likelihood_and_learns_emissions() {
         let table = corpus(2, 40);
         let objective = CrfObjective::new("observations", "labels", 2, 4);
-        let runner = IgdRunner::new(IgdConfig {
-            max_epochs: 60,
-            tolerance: 1e-9,
-            schedule: StepSchedule::Constant(0.05),
-        });
-        let summary = runner
-            .run(
-                &Executor::new(),
-                &table,
-                &objective,
-                vec![0.0; objective.dimension()],
-            )
+        let summary = IgdEstimator::new(objective.clone())
+            .with_config(IgdConfig {
+                max_epochs: 60,
+                tolerance: 1e-9,
+                schedule: StepSchedule::Constant(0.05),
+            })
+            .fit(&Dataset::from_table(&table))
             .unwrap();
         assert!(summary.objective_value < 0.5 * summary.initial_objective_value);
         // Emission weights: observation 0 and 1 should favor label 0; 2 and 3

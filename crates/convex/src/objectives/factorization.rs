@@ -133,9 +133,10 @@ impl ConvexObjective for MatrixFactorizationObjective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::igd::{IgdConfig, IgdRunner};
+    use crate::igd::{IgdConfig, IgdEstimator};
     use crate::schedule::StepSchedule;
-    use madlib_engine::{row, Column, ColumnType, Executor, Table};
+    use madlib_core::Estimator;
+    use madlib_engine::{row, Column, ColumnType, Dataset, Table};
 
     fn ratings_table(users: usize, items: usize, segments: usize) -> Table {
         let schema = madlib_engine::Schema::new(vec![
@@ -159,18 +160,14 @@ mod tests {
         let table = ratings_table(8, 10, 3);
         let objective =
             MatrixFactorizationObjective::new("user_id", "item_id", "rating", 8, 10, 2, 1e-4);
-        let runner = IgdRunner::new(IgdConfig {
-            max_epochs: 300,
-            tolerance: 1e-10,
-            schedule: StepSchedule::Constant(0.03),
-        });
-        let summary = runner
-            .run(
-                &Executor::new(),
-                &table,
-                &objective,
-                objective.initial_model(),
-            )
+        let summary = IgdEstimator::new(objective.clone())
+            .with_config(IgdConfig {
+                max_epochs: 300,
+                tolerance: 1e-10,
+                schedule: StepSchedule::Constant(0.03),
+            })
+            .with_initial_model(objective.initial_model())
+            .fit(&Dataset::from_table(&table))
             .unwrap();
         assert!(summary.objective_value < 0.05 * summary.initial_objective_value);
         // Spot-check one reconstruction.

@@ -235,9 +235,10 @@ impl ConvexObjective for LassoObjective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::igd::{IgdConfig, IgdRunner};
+    use crate::igd::{IgdConfig, IgdEstimator};
     use crate::schedule::StepSchedule;
-    use madlib_engine::{row, Column, ColumnType, Executor, Schema, Table};
+    use madlib_core::Estimator;
+    use madlib_engine::{row, Column, ColumnType, Dataset, Schema, Table};
 
     fn table_with_sparse_truth(segments: usize) -> Table {
         let schema = Schema::new(vec![
@@ -256,19 +257,14 @@ mod tests {
         t
     }
 
-    fn run<O: ConvexObjective>(objective: &O, table: &Table, epochs: usize) -> Vec<f64> {
-        let runner = IgdRunner::new(IgdConfig {
-            max_epochs: epochs,
-            tolerance: 1e-10,
-            schedule: StepSchedule::Constant(0.05),
-        });
-        runner
-            .run(
-                &Executor::new(),
-                table,
-                objective,
-                vec![0.0; objective.dimension()],
-            )
+    fn run<O: ConvexObjective + Clone>(objective: &O, table: &Table, epochs: usize) -> Vec<f64> {
+        IgdEstimator::new(objective.clone())
+            .with_config(IgdConfig {
+                max_epochs: epochs,
+                tolerance: 1e-10,
+                schedule: StepSchedule::Constant(0.05),
+            })
+            .fit(&Dataset::from_table(table))
             .unwrap()
             .model
     }

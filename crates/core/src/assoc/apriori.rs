@@ -15,7 +15,7 @@
 //! set per `grouping_cols` key (per-region market baskets).
 
 use crate::error::{MethodError, Result};
-use crate::train::{Estimator, Session};
+use crate::train::Estimator;
 use madlib_engine::aggregate::transition_chunk_by_rows;
 use madlib_engine::chunk::ColumnChunk;
 use madlib_engine::dataset::Dataset;
@@ -199,11 +199,7 @@ impl Estimator for Apriori {
     /// transaction total), each further level counts the support of the
     /// generated candidates.  Every pass honours the dataset's filter and
     /// executor.
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<AprioriModel> {
-        dataset
-            .executor()
-            .validate_input(dataset.table(), true)
-            .map_err(MethodError::from)?;
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<AprioriModel> {
         let (item_counts, n) = dataset
             .aggregate(&ItemCountsAggregate {
                 items_column: &self.items_column,
@@ -442,10 +438,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn fit(estimator: &Apriori, table: &Table) -> Result<AprioriModel> {
-        estimator.fit(
-            &Dataset::from_table(table),
-            &Session::in_memory(table.num_segments()).unwrap(),
-        )
+        estimator.fit(&Dataset::from_table(table))
     }
 
     fn tiny_table() -> Table {
@@ -560,12 +553,8 @@ mod tests {
         // transactions 1..=4 are mined, so n = 4 and bread appears 3 times.
         let t = tiny_table();
         let apriori = Apriori::new("items", 0.5, 0.5).unwrap();
-        let session = Session::in_memory(2).unwrap();
         let model = apriori
-            .fit(
-                &Dataset::from_table(&t).filter(Predicate::column_gt("transaction_id", 0.5)),
-                &session,
-            )
+            .fit(&Dataset::from_table(&t).filter(Predicate::column_gt("transaction_id", 0.5)))
             .unwrap();
         assert_eq!(model.num_transactions, 4);
         assert_eq!(model.itemset(&["bread"]).unwrap().count, 3);

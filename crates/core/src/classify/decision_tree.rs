@@ -14,7 +14,7 @@
 //! per-node row sets in temp tables.
 
 use crate::error::{MethodError, Result};
-use crate::train::{Estimator, Session};
+use crate::train::Estimator;
 use madlib_engine::chunk::ColumnChunk;
 use madlib_engine::dataset::Dataset;
 use madlib_stats::ChiSquare;
@@ -166,11 +166,7 @@ impl Estimator for DecisionTree {
     type Model = DecisionTreeModel;
 
     /// Fits the tree over the dataset's (filtered) rows.
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<DecisionTreeModel> {
-        dataset
-            .executor()
-            .validate_input(dataset.table(), true)
-            .map_err(MethodError::from)?;
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<DecisionTreeModel> {
         // Materialize (label, features) pairs via the chunk-level projection:
         // whole-column reads per chunk instead of one row materialization per
         // training point (partially selected chunks arrive compacted).
@@ -385,10 +381,6 @@ mod tests {
     use super::*;
     use madlib_engine::{row, Column, ColumnType, Schema, Table};
 
-    fn session() -> Session {
-        Session::in_memory(1).unwrap()
-    }
-
     fn labeled_schema() -> Schema {
         Schema::new(vec![
             Column::new("label", ColumnType::Text),
@@ -417,7 +409,7 @@ mod tests {
         let t = quadrant_table(4);
         let model = DecisionTree::new("label", "features")
             .with_max_depth(4)
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert_eq!(model.num_rows, 100);
         assert_eq!(model.predict(&[3.0, 3.0]).unwrap(), "in");
@@ -435,7 +427,7 @@ mod tests {
             t.insert(row!["only", vec![i as f64]]).unwrap();
         }
         let model = DecisionTree::new("label", "features")
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert_eq!(model.leaf_count(), 1);
         assert_eq!(model.depth(), 0);
@@ -456,7 +448,7 @@ mod tests {
         let t = quadrant_table(2);
         let model = DecisionTree::new("label", "features")
             .with_max_depth(1)
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert!(model.depth() <= 1);
     }
@@ -474,7 +466,7 @@ mod tests {
         }
         let model = DecisionTree::new("label", "features")
             .with_significance_level(0.05)
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert_eq!(model.leaf_count(), 1, "noise split should be pruned");
     }
@@ -483,19 +475,19 @@ mod tests {
     fn error_handling() {
         let empty = Table::new(labeled_schema(), 2).unwrap();
         assert!(DecisionTree::new("label", "features")
-            .fit(&Dataset::from_table(&empty), &session())
+            .fit(&Dataset::from_table(&empty))
             .is_err());
 
         let mut ragged = Table::new(labeled_schema(), 1).unwrap();
         ragged.insert(row!["a", vec![1.0, 2.0]]).unwrap();
         ragged.insert(row!["b", vec![1.0]]).unwrap();
         assert!(DecisionTree::new("label", "features")
-            .fit(&Dataset::from_table(&ragged), &session())
+            .fit(&Dataset::from_table(&ragged))
             .is_err());
 
         let t = quadrant_table(1);
         let model = DecisionTree::new("label", "features")
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert!(model.predict(&[1.0]).is_err());
     }
@@ -505,7 +497,7 @@ mod tests {
         let t = quadrant_table(1);
         let model = DecisionTree::new("label", "features")
             .with_min_samples_split(1_000)
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         // Cannot split anywhere: single leaf with the majority label.
         assert_eq!(model.leaf_count(), 1);

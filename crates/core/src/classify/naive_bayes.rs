@@ -115,21 +115,13 @@ impl Estimator for NaiveBayes {
     type Model = NaiveBayesModel;
 
     /// Fits the model in one pass over the dataset's (filtered) rows.
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<NaiveBayesModel> {
-        dataset
-            .executor()
-            .validate_input(dataset.table(), true)
-            .map_err(MethodError::from)?;
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<NaiveBayesModel> {
         dataset.aggregate(self).map_err(MethodError::from)
     }
 
     /// Single-pass grouped training: one grouped scan trains every group's
     /// per-class summaries at once.
-    fn fit_grouped(
-        &self,
-        dataset: &Dataset<'_>,
-        _session: &Session,
-    ) -> Result<GroupedModels<NaiveBayesModel>> {
+    fn fit_grouped(&self, dataset: &Dataset<'_>) -> Result<GroupedModels<NaiveBayesModel>> {
         fit_grouped_single_pass(self, dataset)
     }
 }
@@ -369,10 +361,6 @@ mod tests {
     use super::*;
     use madlib_engine::{reference, row, Column, ColumnType, Schema, Table};
 
-    fn session() -> Session {
-        Session::in_memory(1).unwrap()
-    }
-
     fn labeled_schema() -> Schema {
         Schema::new(vec![
             Column::new("label", ColumnType::Text),
@@ -397,7 +385,7 @@ mod tests {
     fn separates_well_separated_classes() {
         let t = two_blob_table(4);
         let model = NaiveBayes::new("label", "features")
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert_eq!(model.classes.len(), 2);
         assert_eq!(model.total_rows, 100);
@@ -414,10 +402,10 @@ mod tests {
         let t1 = two_blob_table(1);
         let t8 = t1.repartition(8).unwrap();
         let m1 = NaiveBayes::new("label", "features")
-            .fit(&Dataset::from_table(&t1), &session())
+            .fit(&Dataset::from_table(&t1))
             .unwrap();
         let m8 = NaiveBayes::new("label", "features")
-            .fit(&Dataset::from_table(&t8), &session())
+            .fit(&Dataset::from_table(&t8))
             .unwrap();
         for (label, stats) in &m1.classes {
             let other = &m8.classes[label];
@@ -440,7 +428,7 @@ mod tests {
             .unwrap();
         t.insert_all(base.iter()).unwrap();
         let nb = NaiveBayes::new("label", "features");
-        let chunked = nb.fit(&Dataset::from_table(&t), &session()).unwrap();
+        let chunked = nb.fit(&Dataset::from_table(&t)).unwrap();
         let by_rows = reference::aggregate(&Dataset::from_table(&t), &nb).unwrap();
         assert_eq!(chunked.total_rows, by_rows.total_rows);
         for (label, stats) in &chunked.classes {
@@ -466,7 +454,7 @@ mod tests {
             t.insert(row!["rare", vec![0.0]]).unwrap();
         }
         let model = NaiveBayes::new("label", "features")
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert_eq!(model.predict(&[0.0]).unwrap(), "common");
     }
@@ -475,19 +463,19 @@ mod tests {
     fn error_handling() {
         let empty = Table::new(labeled_schema(), 2).unwrap();
         assert!(NaiveBayes::new("label", "features")
-            .fit(&Dataset::from_table(&empty), &session())
+            .fit(&Dataset::from_table(&empty))
             .is_err());
 
         let mut ragged = Table::new(labeled_schema(), 1).unwrap();
         ragged.insert(row!["A", vec![1.0, 2.0]]).unwrap();
         ragged.insert(row!["A", vec![1.0]]).unwrap();
         assert!(NaiveBayes::new("label", "features")
-            .fit(&Dataset::from_table(&ragged), &session())
+            .fit(&Dataset::from_table(&ragged))
             .is_err());
 
         let t = two_blob_table(1);
         let model = NaiveBayes::new("label", "features")
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert!(model.predict(&[1.0]).is_err());
         assert!(model.log_scores(&[1.0, 2.0, 3.0]).is_err());

@@ -7,7 +7,7 @@
 //! `sign(⟨w, x⟩)` (add a constant 1 feature for a bias term).
 
 use crate::error::{MethodError, Result};
-use crate::train::{Estimator, Session};
+use crate::train::Estimator;
 use madlib_engine::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -110,11 +110,12 @@ impl Estimator for LinearSvm {
 
     /// Fits the model over the dataset's (filtered) rows.  Labels must be
     /// −1 or +1 (0/1 labels are remapped).
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<SvmModel> {
-        dataset
-            .executor()
-            .validate_input(dataset.table(), true)
-            .map_err(MethodError::from)?;
+    ///
+    /// # Errors
+    /// [`MethodError::InvalidInput`] for a dataset that selects no row,
+    /// ragged feature vectors, or a label other than −1, 0 or 1 (NaN
+    /// included); engine errors from the scan.
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<SvmModel> {
         let label_col = self.label_column.clone();
         let feat_col = self.features_column.clone();
         let rows: Vec<(f64, Vec<f64>)> = dataset
@@ -138,7 +139,15 @@ impl Estimator for LinearSvm {
                     "inconsistent feature widths across rows",
                 ));
             }
-            let label = if y == 0.0 { -1.0 } else { y.signum() };
+            let label = match y {
+                -1.0 | 0.0 => -1.0,
+                1.0 => 1.0,
+                _ => {
+                    return Err(MethodError::invalid_input(format!(
+                        "SVM labels must be -1, 0 or 1, found {y}"
+                    )))
+                }
+            };
             data.push((label, x));
         }
 
@@ -191,10 +200,6 @@ mod tests {
     use super::*;
     use madlib_engine::{row, Column, ColumnType, Schema, Table};
 
-    fn session() -> Session {
-        Session::in_memory(1).unwrap()
-    }
-
     fn schema() -> Schema {
         Schema::new(vec![
             Column::new("y", ColumnType::Double),
@@ -229,7 +234,7 @@ mod tests {
         let t = separable_table(4);
         let model = LinearSvm::new("y", "x")
             .with_epochs(30)
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert_eq!(model.num_rows, 200);
         let mut correct = 0;
@@ -257,7 +262,7 @@ mod tests {
         }
         let model = LinearSvm::new("y", "x")
             .with_epochs(40)
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert_eq!(model.predict(&[1.0, 2.0]).unwrap(), 1.0);
         assert_eq!(model.predict(&[1.0, -2.0]).unwrap(), -1.0);
@@ -268,11 +273,11 @@ mod tests {
         let t = separable_table(2);
         let a = LinearSvm::new("y", "x")
             .with_seed(7)
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         let b = LinearSvm::new("y", "x")
             .with_seed(7)
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert_eq!(a.weights, b.weights);
     }
@@ -283,20 +288,42 @@ mod tests {
         assert!(LinearSvm::new("y", "x").with_lambda(0.1).is_ok());
         let empty = Table::new(schema(), 2).unwrap();
         assert!(LinearSvm::new("y", "x")
-            .fit(&Dataset::from_table(&empty), &session())
+            .fit(&Dataset::from_table(&empty))
             .is_err());
 
         let mut ragged = Table::new(schema(), 1).unwrap();
         ragged.insert(row![1.0, vec![1.0, 2.0]]).unwrap();
         ragged.insert(row![-1.0, vec![1.0]]).unwrap();
         assert!(LinearSvm::new("y", "x")
-            .fit(&Dataset::from_table(&ragged), &session())
+            .fit(&Dataset::from_table(&ragged))
             .is_err());
 
         let t = separable_table(1);
         let model = LinearSvm::new("y", "x")
-            .fit(&Dataset::from_table(&t), &session())
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert!(model.decision_value(&[1.0]).is_err());
+    }
+
+    #[test]
+    fn labels_outside_minus_one_zero_one_are_refused() {
+        let fit = |labels: &[f64]| {
+            let mut t = Table::new(schema(), 2).unwrap();
+            for (i, &y) in labels.iter().enumerate() {
+                t.insert(row![y, vec![1.0, i as f64]]).unwrap();
+            }
+            LinearSvm::new("y", "x").fit(&Dataset::from_table(&t))
+        };
+        let model = fit(&[-1.0, 0.0, 1.0]).unwrap();
+        assert_eq!(model.num_rows, 3);
+        for bad in [f64::NAN, 2.0, 0.3] {
+            assert!(
+                matches!(
+                    fit(&[-1.0, bad, 1.0]),
+                    Err(MethodError::InvalidInput { .. })
+                ),
+                "label {bad} was accepted"
+            );
+        }
     }
 }

@@ -167,11 +167,7 @@ impl Estimator for KMeans {
     /// Runs Lloyd's algorithm over the dataset's (filtered) points, one
     /// `KMeansStep` pass per iteration, each handed the centroids the
     /// previous one produced.
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<KMeansModel> {
-        dataset
-            .executor()
-            .validate_input(dataset.table(), true)
-            .map_err(MethodError::from)?;
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<KMeansModel> {
         let points = TablePoints::open(dataset, &self.coords_column, self.k)?;
         let (num_points, dims) = (points.len, points.dims);
         let initial = match &self.initial_centroids {
@@ -535,12 +531,10 @@ mod tests {
     use proptest::prelude::*;
 
     fn fit(k: usize, data: &Table, seed: u64) -> KMeansModel {
-        let session = Session::in_memory(data.num_segments()).unwrap();
-        session
-            .train(
-                &KMeans::new("coords", k).unwrap().with_seed(seed),
-                &Dataset::from_table(data),
-            )
+        KMeans::new("coords", k)
+            .unwrap()
+            .with_seed(seed)
+            .fit(&Dataset::from_table(data))
             .unwrap()
     }
 
@@ -622,35 +616,31 @@ mod tests {
     fn parameter_and_input_validation() {
         assert!(KMeans::new("coords", 0).is_err());
         let data = gaussian_blobs(5, 2, 2, 0.1, 1, 2).unwrap();
-        let session = Session::in_memory(1).unwrap();
         // k larger than the number of points.
         assert!(KMeans::new("coords", 10)
             .unwrap()
-            .fit(&Dataset::from_table(&data.table), &session)
+            .fit(&Dataset::from_table(&data.table))
             .is_err());
         // Empty table.
         let empty = Table::new(crate::datasets::points_schema(), 2).unwrap();
         assert!(KMeans::new("coords", 2)
             .unwrap()
-            .fit(&Dataset::from_table(&empty), &session)
+            .fit(&Dataset::from_table(&empty))
             .is_err());
     }
 
     #[test]
     fn random_seeding_also_converges() {
         let data = gaussian_blobs(150, 3, 2, 0.4, 3, 17).unwrap();
-        let session = Session::in_memory(3).unwrap();
         let model = KMeans::new("coords", 3)
             .unwrap()
             .with_seeding(SeedingMethod::Random)
             .with_max_iterations(100)
             .with_seed(23)
-            .fit(&Dataset::from_table(&data.table), &session)
+            .fit(&Dataset::from_table(&data.table))
             .unwrap();
         assert_eq!(model.centroids.len(), 3);
         assert!(model.iterations >= 1);
-        // The fit leaves the catalog as it found it.
-        assert!(session.database().list_tables().is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! approaches large sparse inputs.
 
 use crate::error::{MethodError, Result};
-use crate::train::{Estimator, Session};
+use crate::train::Estimator;
 use madlib_engine::chunk::ColumnChunk;
 use madlib_engine::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -184,11 +184,7 @@ impl Estimator for LowRankFactorization {
     /// Fits the factorization over the dataset's (filtered) ratings rows.
     /// The triple-loading pass rides the chunked scan pipeline; the SGD
     /// epochs run in-core, seeded, over the collected triples in scan order.
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<LowRankModel> {
-        dataset
-            .executor()
-            .validate_input(dataset.table(), true)
-            .map_err(MethodError::from)?;
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<LowRankModel> {
         let triples: Vec<(usize, usize, f64)> = dataset
             .map_chunks(|chunk, schema| self.chunk_triples(chunk, schema))
             .map_err(MethodError::from)?;
@@ -268,10 +264,7 @@ mod tests {
     use madlib_engine::Table;
 
     fn fit(estimator: &LowRankFactorization, table: &Table) -> Result<LowRankModel> {
-        estimator.fit(
-            &Dataset::from_table(table),
-            &Session::in_memory(table.num_segments()).unwrap(),
-        )
+        estimator.fit(&Dataset::from_table(table))
     }
 
     #[test]

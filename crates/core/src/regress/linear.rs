@@ -139,21 +139,13 @@ impl Estimator for LinearRegression {
 
     /// Fits the model in one pass over the dataset's (filtered) rows — the
     /// paper's canonical single-pass aggregation.
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<LinearRegressionModel> {
-        dataset
-            .executor()
-            .validate_input(dataset.table(), true)
-            .map_err(MethodError::from)?;
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<LinearRegressionModel> {
         dataset.aggregate(self).map_err(MethodError::from)
     }
 
     /// Single-pass grouped training: one segment-parallel grouped scan fits
     /// every group's regression at once (Section 4.2's `grouping_cols`).
-    fn fit_grouped(
-        &self,
-        dataset: &Dataset<'_>,
-        _session: &Session,
-    ) -> Result<GroupedModels<LinearRegressionModel>> {
+    fn fit_grouped(&self, dataset: &Dataset<'_>) -> Result<GroupedModels<LinearRegressionModel>> {
         fit_grouped_single_pass(self, dataset)
     }
 }
@@ -437,10 +429,7 @@ mod tests {
     /// default executor; the session's database is unused by single-pass
     /// aggregates).
     fn fit(estimator: &LinearRegression, table: &Table) -> Result<LinearRegressionModel> {
-        estimator.fit(
-            &Dataset::from_table(table),
-            &Session::in_memory(table.num_segments()).unwrap(),
-        )
+        estimator.fit(&Dataset::from_table(table))
     }
 
     /// Builds the tiny dataset whose fit is shown in the paper's psql

@@ -339,11 +339,7 @@ impl Estimator for LogisticRegression {
     /// iteration through the dataset's terminals (honouring its filter and
     /// executor), the (small) coefficient vector handed from each pass to
     /// the next and tested for convergence.
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<LogisticRegressionModel> {
-        dataset
-            .executor()
-            .validate_input(dataset.table(), true)
-            .map_err(MethodError::from)?;
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<LogisticRegressionModel> {
         // Determine the feature width from the first (filter-surviving) row.
         let first = dataset
             .first_row()
@@ -488,10 +484,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn fit(estimator: &LogisticRegression, table: &Table) -> Result<LogisticRegressionModel> {
-        estimator.fit(
-            &Dataset::from_table(table),
-            &Session::in_memory(table.num_segments()).unwrap(),
-        )
+        estimator.fit(&Dataset::from_table(table))
     }
 
     fn fit_on(table: &Table) -> LogisticRegressionModel {
@@ -584,16 +577,13 @@ mod tests {
             let y = if x > 0.0 { 1.0 } else { 0.0 };
             t.insert(row![y, vec![1.0, x]]).unwrap();
         }
-        let session = Session::in_memory(2).unwrap();
         let model = LogisticRegression::new("y", "x")
             .with_ridge(1e-3)
             .with_max_iterations(30)
-            .fit(&Dataset::from_table(&t), &session)
+            .fit(&Dataset::from_table(&t))
             .unwrap();
         assert!(model.coef[1] > 0.0);
         assert!(model.coef.iter().all(|c| c.is_finite()));
-        // The fit leaves the catalog as it found it.
-        assert!(session.database().list_tables().is_empty());
     }
 
     /// A NaN feature makes every Hessian entry NaN: the first Newton step's

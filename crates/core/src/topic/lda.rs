@@ -8,7 +8,7 @@
 //! over the corpus plays the role of the data-parallel pass.
 
 use crate::error::{MethodError, Result};
-use crate::train::{Estimator, Session};
+use crate::train::Estimator;
 use madlib_engine::chunk::ColumnChunk;
 use madlib_engine::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -167,11 +167,7 @@ impl Estimator for Lda {
     /// `text[]` token sequences.  The corpus-loading pass rides the chunked
     /// scan pipeline; the seeded Gibbs sweeps run in-core over the collected
     /// documents in scan order.
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<LdaModel> {
-        dataset
-            .executor()
-            .validate_input(dataset.table(), true)
-            .map_err(MethodError::from)?;
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<LdaModel> {
         let documents: Vec<Vec<String>> = dataset
             .map_chunks(|chunk, schema| self.chunk_documents(chunk, schema))
             .map_err(MethodError::from)?;
@@ -271,10 +267,7 @@ mod tests {
     use madlib_engine::Table;
 
     fn fit(estimator: &Lda, table: &Table) -> Result<LdaModel> {
-        estimator.fit(
-            &Dataset::from_table(table),
-            &Session::in_memory(table.num_segments()).unwrap(),
-        )
+        estimator.fit(&Dataset::from_table(table))
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //! that contract:
 //!
 //! * [`Estimator`] — one trait, one signature, for every trainable method:
-//!   `fit(&self, dataset, session)`.  The dataset carries the rows
-//!   (source table + `WHERE` + `grouping_cols`, see
-//!   [`madlib_engine::dataset::Dataset`]); the session carries the execution
-//!   context (an [`Executor`] plus the [`Database`] whose tables and model
-//!   catalog incremental training reads and writes).  This replaces the old per-method signature zoo
-//!   (`LinearRegression::fit(&executor, &table)` vs
-//!   `LogisticRegression::fit(&executor, &db, &table)`).
+//!   `fit(&self, dataset)`.  The dataset carries the rows (source table +
+//!   `WHERE` + `grouping_cols`, see [`madlib_engine::dataset::Dataset`]) and
+//!   the [`Executor`] its scans run under; a method gets its rows and its
+//!   arguments and nothing else, as in the paper's
+//!   `method_train(source_table, …)`.
+//! * [`Session`] — the execution context around a fit: the default
+//!   [`Executor`] and the [`Database`] whose tables and model catalog
+//!   incremental training ([`IncrementalEstimator`]) reads and writes.  It
+//!   never reaches [`Estimator::fit`]; [`Session::train`] only binds its
+//!   executor as the dataset's default.
 //! * [`Session::train`] — fits one model over an ungrouped dataset.
 //! * [`Session::train_grouped`] — the paper's `grouping_cols` scenario: one
 //!   model per distinct group key, returned as [`GroupedModels`] keyed by
@@ -126,10 +129,7 @@ impl Session {
                 "dataset has grouping columns; use Session::train_grouped",
             ));
         }
-        estimator.fit(
-            &dataset.reborrow().with_default_executor(self.executor),
-            self,
-        )
+        estimator.fit(&dataset.reborrow().with_default_executor(self.executor))
     }
 
     /// Trains one model per distinct group key of a `group_by` dataset —
@@ -158,10 +158,7 @@ impl Session {
                 "dataset has no grouping columns; call group_by([...]) or use Session::train",
             ));
         }
-        estimator.fit_grouped(
-            &dataset.reborrow().with_default_executor(self.executor),
-            self,
-        )
+        estimator.fit_grouped(&dataset.reborrow().with_default_executor(self.executor))
     }
 
     /// Trains a model over the whole catalog table `table`, registers it in
@@ -207,7 +204,10 @@ impl Session {
     }
 }
 
-/// A trainable method with the uniform `fit(dataset, session)` signature.
+/// A trainable method with the uniform `fit(dataset)` signature.  A fit
+/// sees its rows (the dataset's filter, grouping and executor) and its own
+/// arguments only; reading or writing the database is
+/// [`IncrementalEstimator`]'s business, which takes the [`Session`].
 pub trait Estimator {
     /// The fitted model type.
     type Model;
@@ -220,7 +220,7 @@ pub trait Estimator {
     ///
     /// # Errors
     /// Surfaces malformed input and numerical failures as [`MethodError`].
-    fn fit(&self, dataset: &Dataset<'_>, session: &Session) -> Result<Self::Model>;
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<Self::Model>;
 
     /// Fits one model per distinct group key of a grouped dataset.
     ///
@@ -236,14 +236,10 @@ pub trait Estimator {
     /// in one segment-parallel pass (see [`fit_grouped_single_pass`]).
     ///
     /// # Errors
-    /// Propagates per-group fit errors and grouping errors (no grouping
-    /// column, unsupported multi-column grouping); a panicking per-group fit
+    /// Propagates per-group fit errors and grouping errors (an empty,
+    /// unknown or duplicated grouping column); a panicking per-group fit
     /// surfaces as [`madlib_engine::EngineError::WorkerPanicked`].
-    fn fit_grouped(
-        &self,
-        dataset: &Dataset<'_>,
-        session: &Session,
-    ) -> Result<GroupedModels<Self::Model>>
+    fn fit_grouped(&self, dataset: &Dataset<'_>) -> Result<GroupedModels<Self::Model>>
     where
         Self: Sized + Sync,
         Self::Model: Send,
@@ -253,7 +249,7 @@ pub trait Estimator {
         let fitted =
             madlib_engine::scan::run_per_item(groups, executor.is_parallel(), |_, (key, table)| {
                 let group_dataset = Dataset::from_table(&table).with_executor(executor);
-                self.fit(&group_dataset, session).map(|model| (key, model))
+                self.fit(&group_dataset).map(|model| (key, model))
             });
         let mut models = Vec::with_capacity(fitted.len());
         for slot in fitted {
@@ -551,17 +547,17 @@ mod tests {
             .is_err());
     }
 
+    /// Reports whether the training actually ran on parallel workers.
+    struct Probe;
+    impl Estimator for Probe {
+        type Model = bool;
+        fn fit(&self, dataset: &Dataset<'_>) -> Result<bool> {
+            Ok(dataset.executor().is_parallel())
+        }
+    }
+
     #[test]
     fn explicitly_bound_dataset_executor_wins_over_the_session_default() {
-        /// Reports whether the training actually ran on parallel workers.
-        struct Probe;
-        impl Estimator for Probe {
-            type Model = bool;
-            fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> Result<bool> {
-                Ok(dataset.executor().is_parallel())
-            }
-        }
-
         let t = grouped_table();
         let session = Session::in_memory(1)
             .unwrap()
@@ -581,21 +577,20 @@ mod tests {
 
     #[test]
     fn session_dataset_binds_the_session_executor() {
-        let session = Session::in_memory(2)
+        let serial = Session::in_memory(2)
             .unwrap()
             .with_executor(Executor::serial());
-        session
+        serial
             .database()
             .create_table(
                 "data",
                 Schema::new(vec![Column::new("v", ColumnType::Double)]),
             )
             .unwrap();
-        let ds = session.dataset("data").unwrap();
-        assert!(ds.has_bound_executor());
-        assert_eq!(
-            ds.executor().is_parallel(),
-            session.executor().is_parallel()
-        );
+        let ds = serial.dataset("data").unwrap();
+        assert!(!ds.executor().is_parallel());
+        // Bound, not defaulted: a parallel session trains it serially.
+        let parallel = Session::new(serial.database().clone());
+        assert!(!parallel.train(&Probe, &ds).unwrap());
     }
 }

@@ -2,14 +2,10 @@
 
 use madlib_core::datasets::labeled_point_schema;
 use madlib_core::regress::LinearRegression;
-use madlib_core::train::{Estimator, Session};
+use madlib_core::train::Estimator;
 use madlib_core::validate::{accuracy, kfold_indices, mean_squared_error, r_squared};
 use madlib_engine::{row, Dataset, Table};
 use proptest::prelude::*;
-
-fn session() -> Session {
-    Session::in_memory(1).unwrap()
-}
 
 fn build_table(points: &[(f64, f64)], segments: usize) -> Table {
     let mut t = Table::new(labeled_point_schema(), segments).unwrap();
@@ -29,13 +25,10 @@ proptest! {
         segments in 2usize..8,
     ) {
         let reference = LinearRegression::new("y", "x")
-            .fit(&Dataset::from_table(&build_table(&points, 1)), &session())
+            .fit(&Dataset::from_table(&build_table(&points, 1)))
             .unwrap();
         let partitioned = LinearRegression::new("y", "x")
-            .fit(
-                &Dataset::from_table(&build_table(&points, segments)),
-                &session(),
-            )
+            .fit(&Dataset::from_table(&build_table(&points, segments)))
             .unwrap();
         for (a, b) in reference.coef.iter().zip(&partitioned.coef) {
             prop_assert!((a - b).abs() < 1e-7);
@@ -54,7 +47,7 @@ proptest! {
             - xs.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assume!(spread > 1.0);
         let model = LinearRegression::new("y", "x")
-            .fit(&Dataset::from_table(&build_table(&points, 3)), &session())
+            .fit(&Dataset::from_table(&build_table(&points, 3)))
             .unwrap();
         prop_assert!((model.coef[0] - 1.0).abs() < 0.3, "intercept {}", model.coef[0]);
         prop_assert!((model.coef[1] - 2.0).abs() < 0.3, "slope {}", model.coef[1]);

@@ -16,7 +16,6 @@ use crate::error::Result;
 pub use crate::persist::{StateReader, StateWriter};
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::value::Value;
 
 /// A user-defined aggregate in the MADlib transition/merge/final style.
 ///
@@ -284,7 +283,7 @@ impl Aggregate for CountAggregate {
 /// adds every non-NULL value of a numeric column into `sum`, in row order
 /// (identical floating-point accumulation order to the per-row path), and
 /// returns how many values were added.
-fn sum_numeric_column(chunk: &RowChunk, idx: usize, sum: &mut f64) -> Result<u64> {
+fn sum_numeric_values(chunk: &RowChunk, idx: usize, sum: &mut f64) -> Result<u64> {
     match chunk.column(idx) {
         ColumnChunk::Double { values, nulls } => {
             if nulls.any_null() {
@@ -368,7 +367,7 @@ impl Aggregate for SumAggregate {
 
     fn transition_chunk(&self, state: &mut f64, chunk: &RowChunk, schema: &Schema) -> Result<()> {
         let idx = schema.index_of(&self.column)?;
-        sum_numeric_column(chunk, idx, state)?;
+        sum_numeric_values(chunk, idx, state)?;
         Ok(())
     }
 
@@ -424,7 +423,7 @@ impl Aggregate for AvgAggregate {
         schema: &Schema,
     ) -> Result<()> {
         let idx = schema.index_of(&self.column)?;
-        state.1 += sum_numeric_column(chunk, idx, &mut state.0)?;
+        state.1 += sum_numeric_values(chunk, idx, &mut state.0)?;
         Ok(())
     }
 
@@ -573,57 +572,12 @@ pub fn extract_labeled_point<'a>(
     Ok((y, x))
 }
 
-/// Convenience wrapper that converts a column's values to `f64`, skipping
-/// NULLs — shared by several method implementations.
-pub fn numeric_column(rows: &[Row], schema: &Schema, column: &str) -> Result<Vec<f64>> {
-    let idx = schema.index_of(column)?;
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let v = row.get(idx);
-        if !v.is_null() {
-            out.push(v.as_double()?);
-        }
-    }
-    Ok(out)
-}
-
-/// Placeholder output type for aggregates that produce a composite record:
-/// named fields with [`Value`] payloads, like the `linregr` record output in
-/// the paper's Section 4.1 example.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CompositeRecord {
-    fields: Vec<(String, Value)>,
-}
-
-impl CompositeRecord {
-    /// Creates an empty record.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a field.
-    pub fn push(&mut self, name: impl Into<String>, value: Value) {
-        self.fields.push((name.into(), value));
-    }
-
-    /// Looks up a field by name.
-    pub fn get(&self, name: &str) -> Option<&Value> {
-        self.fields
-            .iter()
-            .find_map(|(n, v)| (n == name).then_some(v))
-    }
-
-    /// All fields in insertion order.
-    pub fn fields(&self) -> &[(String, Value)] {
-        &self.fields
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::row;
     use crate::schema::{Column, ColumnType, Schema};
+    use crate::value::Value;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -735,25 +689,5 @@ mod tests {
         assert_eq!(y, 5.0);
         assert_eq!(x, &[1.0, 2.0]);
         assert!(extract_labeled_point(&r, &s, "missing", "x").is_err());
-    }
-
-    #[test]
-    fn numeric_column_skips_nulls() {
-        let s = schema();
-        let rs = vec![
-            row![1.0, vec![0.0]],
-            Row::new(vec![Value::Null, Value::Null]),
-        ];
-        assert_eq!(numeric_column(&rs, &s, "y").unwrap(), vec![1.0]);
-    }
-
-    #[test]
-    fn composite_record_lookup() {
-        let mut rec = CompositeRecord::new();
-        rec.push("coef", Value::DoubleArray(vec![1.0, 2.0]));
-        rec.push("r2", Value::Double(0.9));
-        assert_eq!(rec.get("r2"), Some(&Value::Double(0.9)));
-        assert_eq!(rec.get("missing"), None);
-        assert_eq!(rec.fields().len(), 2);
     }
 }

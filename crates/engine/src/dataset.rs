@@ -163,11 +163,6 @@ impl<'a> Dataset<'a> {
         self
     }
 
-    /// Whether [`Dataset::with_executor`] explicitly bound an executor.
-    pub fn has_bound_executor(&self) -> bool {
-        self.executor_bound
-    }
-
     /// A cheap re-borrowing copy: the same filter/grouping over the same
     /// table, but borrowing instead of owning — so callers (e.g. a training
     /// session) can re-bind the executor without cloning table storage.

@@ -1,6 +1,6 @@
 //! Scan configuration: parallelism, the one setting.
 //!
-//! The engine runs user-defined aggregates over a partitioned [`Table`] the
+//! The engine runs user-defined aggregates over a partitioned [`crate::table::Table`] the
 //! way Greenplum runs one query process per segment — the execution model
 //! the paper's Figure 4/5 evaluation sweeps over.  The transition function
 //! streams over each segment locally, the per-segment states are merged on
@@ -12,7 +12,7 @@
 //! setting every scan terminal reads: parallelism — work-stealing workers
 //! ([`crate::scan`]: at most [`crate::scan::worker_count`] of them claim scan
 //! units from a shared cursor, and worker panics become
-//! [`EngineError::WorkerPanicked`]) or the calling thread.  How a scan is
+//! [`crate::error::EngineError::WorkerPanicked`]) or the calling thread.  How a scan is
 //! cut into units is the terminal's business, not the executor's:
 //! aggregates steal whole segments, order-preserving terminals chunk ranges.
 //!
@@ -22,21 +22,13 @@
 //! aggregate is kept as [`crate::reference`], which no terminal calls.
 //!
 //! Scans are described with [`crate::dataset::Dataset`]
-//! (`db.dataset("t")?.filter(...).group_by([...])`).  Its aggregate
+//! (`db.dataset("t")?.filter(...).group_by([...])`), bound to an executor
+//! with [`crate::dataset::Dataset::with_executor`].  Its aggregate
 //! terminals and [`crate::materialize::MaterializedAggregate`] share one
 //! implementation of the per-segment transition runners and of the merge
 //! (the crate-private `fold` module), so a batch aggregate, a
 //! grouped aggregate and a refreshed view cannot disagree.
-//! [`Executor::aggregate`], [`Executor::aggregate_with_stats`] and
-//! [`Executor::parallel_map_chunks`] are shorthands for the corresponding
-//! `Dataset` terminals over a whole table.
 
-use crate::aggregate::Aggregate;
-use crate::dataset::Dataset;
-use crate::error::{EngineError, Result};
-use crate::expr::Predicate;
-use crate::schema::Schema;
-use crate::table::Table;
 use madlib_linalg::kernels::KernelPath;
 
 /// Statistics describing one aggregate execution.
@@ -58,15 +50,18 @@ pub struct ExecutionStats {
     pub busy_ns: u64,
 }
 
-/// Executes aggregates over partitioned tables.
-#[derive(Debug, Clone, Copy, Default)]
+/// Executes aggregates over partitioned tables: [`Executor::new`] (parallel)
+/// or [`Executor::serial`], the only two ways to make one.
+#[derive(Debug, Clone, Copy)]
 pub struct Executor {
-    /// When true (default), segments are processed by parallel worker
-    /// threads; when false everything runs on the calling thread, which is
+    /// When true ([`Executor::new`]), segments are processed by parallel
+    /// worker threads; when false everything runs on the calling thread, which is
     /// occasionally useful for debugging and for measuring parallel speedup.
     parallel: bool,
 }
 
+// No `Default`: a derived one would be serial while `new` is parallel.
+#[allow(clippy::new_without_default)]
 impl Executor {
     /// Creates a parallel executor.
     pub fn new() -> Self {
@@ -84,81 +79,22 @@ impl Executor {
     pub fn is_parallel(&self) -> bool {
         self.parallel
     }
-
-    /// Runs `aggregate` over every row of `table`, returning the finalized
-    /// output.  Shorthand for [`Dataset::aggregate`].
-    ///
-    /// # Errors
-    /// Propagates transition/final errors from the aggregate.
-    pub fn aggregate<A: Aggregate>(&self, table: &Table, aggregate: &A) -> Result<A::Output> {
-        Ok(self.aggregate_with_stats(table, aggregate, None)?.0)
-    }
-
-    /// Runs `aggregate` over the rows of `table` accepted by `filter`,
-    /// returning the finalized output together with execution statistics.
-    /// Shorthand for [`Dataset::aggregate_with_stats`].
-    ///
-    /// # Errors
-    /// Propagates transition/final errors from the aggregate and predicate
-    /// evaluation errors from the filter.
-    pub fn aggregate_with_stats<A: Aggregate>(
-        &self,
-        table: &Table,
-        aggregate: &A,
-        filter: Option<&Predicate>,
-    ) -> Result<(A::Output, ExecutionStats)> {
-        let dataset = Dataset::from_table(table).with_executor(*self);
-        match filter {
-            Some(predicate) => dataset.filter(predicate.clone()),
-            None => dataset,
-        }
-        .aggregate_with_stats(aggregate)
-    }
-
-    /// Chunk-level parallel projection: applies `map` once per column-major
-    /// chunk (per segment, in parallel) and concatenates the outputs in
-    /// segment-then-row order.  Chunk-aware consumers use this to read whole
-    /// column slices (via [`crate::chunk::RowChunk::doubles`] /
-    /// [`crate::chunk::RowChunk::double_arrays`]) instead of materialized
-    /// rows.  The unfiltered shorthand for [`Dataset::map_chunks`];
-    /// [`Dataset::map_rows`] is the row-level adapter on top.
-    ///
-    /// # Errors
-    /// Propagates errors returned by `map`.
-    pub fn parallel_map_chunks<T, F>(&self, table: &Table, map: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(&crate::chunk::RowChunk, &Schema) -> Result<Vec<T>> + Sync,
-    {
-        Dataset::from_table(table)
-            .with_executor(*self)
-            .map_chunks(map)
-    }
-
-    /// Validates that the executor can run against the table (non-empty when
-    /// `require_rows` is set).  Utility used by method drivers to produce a
-    /// friendlier error than an empty-aggregate failure.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::InvalidArgument`] for an empty table when rows
-    /// are required.
-    pub fn validate_input(&self, table: &Table, require_rows: bool) -> Result<()> {
-        if require_rows && table.is_empty() {
-            return Err(EngineError::invalid("input table has no rows"));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{ArraySumAggregate, AvgAggregate, CountAggregate, SumAggregate};
+    use crate::aggregate::{
+        Aggregate, ArraySumAggregate, AvgAggregate, CountAggregate, SumAggregate,
+    };
+    use crate::dataset::Dataset;
+    use crate::error::{EngineError, Result};
     use crate::expr::Predicate;
     use crate::reference;
     use crate::row;
     use crate::row::Row;
     use crate::schema::{Column, ColumnType, Schema};
+    use crate::table::Table;
     use madlib_linalg::kernels::dispatch;
 
     fn make_table(segments: usize, rows: usize) -> Table {
@@ -175,15 +111,22 @@ mod tests {
         t
     }
 
+    /// `table`'s rows, bound to `executor`.
+    fn over(executor: Executor, table: &Table) -> Dataset<'_> {
+        Dataset::from_table(table).with_executor(executor)
+    }
+
     #[test]
     fn parallel_and_serial_agree() {
         let t = make_table(4, 100);
-        let parallel = Executor::new();
-        let serial = Executor::serial();
-        assert!(parallel.is_parallel());
-        assert!(!serial.is_parallel());
-        let sum_par = parallel.aggregate(&t, &SumAggregate::new("y")).unwrap();
-        let sum_ser = serial.aggregate(&t, &SumAggregate::new("y")).unwrap();
+        assert!(Executor::new().is_parallel());
+        assert!(!Executor::serial().is_parallel());
+        let sum_par = over(Executor::new(), &t)
+            .aggregate(&SumAggregate::new("y"))
+            .unwrap();
+        let sum_ser = over(Executor::serial(), &t)
+            .aggregate(&SumAggregate::new("y"))
+            .unwrap();
         assert_eq!(sum_par, sum_ser);
         assert_eq!(sum_par, (0..100).map(|i| i as f64).sum::<f64>());
     }
@@ -198,22 +141,20 @@ mod tests {
             .with_chunk_capacity(16)
             .unwrap();
         t.insert_all(base.iter()).unwrap();
-        let exec = Executor::new();
         let dataset = Dataset::from_table(&t);
 
-        let a = exec.aggregate(&t, &SumAggregate::new("y")).unwrap();
+        let a = dataset.aggregate(&SumAggregate::new("y")).unwrap();
         let b = reference::aggregate(&dataset, &SumAggregate::new("y")).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
 
-        let a = exec.aggregate(&t, &ArraySumAggregate::new("x")).unwrap();
+        let a = dataset.aggregate(&ArraySumAggregate::new("x")).unwrap();
         let b = reference::aggregate(&dataset, &ArraySumAggregate::new("x")).unwrap();
         assert_eq!(a, b);
 
         let pred = Predicate::column_gt("y", 31.5).and(Predicate::column_lt("y", 141.0));
-        let (count, stats) = exec
-            .aggregate_with_stats(&t, &CountAggregate, Some(&pred))
-            .unwrap();
-        let by_rows = reference::aggregate(&dataset.filter(pred), &CountAggregate).unwrap();
+        let filtered = dataset.filter(pred);
+        let (count, stats) = filtered.aggregate_with_stats(&CountAggregate).unwrap();
+        let by_rows = reference::aggregate(&filtered, &CountAggregate).unwrap();
         assert_eq!(count, by_rows);
         assert_eq!(stats.rows_scanned, 157);
         assert_eq!(stats.rows_aggregated, by_rows);
@@ -222,13 +163,13 @@ mod tests {
     #[test]
     fn results_invariant_to_partitioning() {
         let base = make_table(1, 60);
-        let expected = Executor::new()
-            .aggregate(&base, &ArraySumAggregate::new("x"))
+        let expected = Dataset::from_table(&base)
+            .aggregate(&ArraySumAggregate::new("x"))
             .unwrap();
         for segs in [2, 3, 5, 8] {
             let t = base.repartition(segs).unwrap();
-            let got = Executor::new()
-                .aggregate(&t, &ArraySumAggregate::new("x"))
+            let got = Dataset::from_table(&t)
+                .aggregate(&ArraySumAggregate::new("x"))
                 .unwrap();
             assert_eq!(got, expected, "mismatch at {segs} segments");
         }
@@ -237,10 +178,9 @@ mod tests {
     #[test]
     fn filtered_aggregation_and_stats() {
         let t = make_table(3, 10);
-        let exec = Executor::new();
-        let pred = Predicate::column_gt("y", 4.5);
-        let (count, stats) = exec
-            .aggregate_with_stats(&t, &CountAggregate, Some(&pred))
+        let (count, stats) = Dataset::from_table(&t)
+            .filter(Predicate::column_gt("y", 4.5))
+            .aggregate_with_stats(&CountAggregate)
             .unwrap();
         assert_eq!(count, 5); // y in {5..9}
         assert_eq!(stats.rows_scanned, 10);
@@ -251,12 +191,10 @@ mod tests {
     #[test]
     fn empty_table_aggregates() {
         let t = make_table(2, 0);
-        let exec = Executor::new();
-        assert_eq!(exec.aggregate(&t, &CountAggregate).unwrap(), 0);
-        assert_eq!(exec.aggregate(&t, &AvgAggregate::new("y")).unwrap(), None);
-        assert!(exec.aggregate(&t, &ArraySumAggregate::new("x")).is_err());
-        assert!(exec.validate_input(&t, true).is_err());
-        assert!(exec.validate_input(&t, false).is_ok());
+        let dataset = Dataset::from_table(&t);
+        assert_eq!(dataset.aggregate(&CountAggregate).unwrap(), 0);
+        assert_eq!(dataset.aggregate(&AvgAggregate::new("y")).unwrap(), None);
+        assert!(dataset.aggregate(&ArraySumAggregate::new("x")).is_err());
     }
 
     #[test]
@@ -286,7 +224,7 @@ mod tests {
         // The chunked fallback calls `transition` per row, so the panic
         // fires inside a worker (or the calling thread) either way.
         for exec in [Executor::new(), Executor::serial()] {
-            let err = exec.aggregate(&t, &PanickyAggregate).unwrap_err();
+            let err = over(exec, &t).aggregate(&PanickyAggregate).unwrap_err();
             match err {
                 EngineError::WorkerPanicked { message } => {
                     assert!(message.contains("transition exploded"), "got: {message}");
@@ -324,19 +262,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_chunks_matches_row_level_map() {
+    fn map_chunks_matches_row_level_map() {
         let base = make_table(1, 53);
         let mut t = Table::new(base.schema().clone(), 3)
             .unwrap()
             .with_chunk_capacity(8)
             .unwrap();
         t.insert_all(base.iter()).unwrap();
-        let exec = Executor::new();
-        let by_rows: Vec<f64> = Dataset::from_table(&t)
+        let dataset = over(Executor::new(), &t);
+        let by_rows: Vec<f64> = dataset
             .map_rows(|row, schema| Ok(row.get_named(schema, "y")?.as_double()? + 1.0))
             .unwrap();
-        let by_chunks: Vec<f64> = exec
-            .parallel_map_chunks(&t, |chunk, schema| {
+        let by_chunks: Vec<f64> = dataset
+            .map_chunks(|chunk, schema| {
                 let idx = schema.index_of("y")?;
                 let column = chunk.doubles(idx)?;
                 Ok(column.values.iter().map(|v| v + 1.0).collect())
@@ -349,8 +287,8 @@ mod tests {
     fn stats_report_worker_time_and_the_kernel_tier() {
         let t = make_table(4, 100);
         for exec in [Executor::new(), Executor::serial()] {
-            let (_, stats) = exec
-                .aggregate_with_stats(&t, &ArraySumAggregate::new("x"), None)
+            let (_, stats) = over(exec, &t)
+                .aggregate_with_stats(&ArraySumAggregate::new("x"))
                 .unwrap();
             assert!(stats.busy_ns > 0, "{stats:?}");
             // The tier `MADLIB_SIMD` pins, or runtime detection when unset.

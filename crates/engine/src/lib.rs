@@ -19,10 +19,8 @@
 //! | Streaming ingest + incremental model maintenance (algebraic transition/merge/final under appends) | [`Database::append_rows`] + [`materialize::MaterializedAggregate`] chunk-watermark views (registered via [`Database::register_view`], refreshed via [`Database::refresh_view`]; `madlib_core::train` surfaces them as `Session::train_incremental` / `Session::refresh`) |
 //! | DBMS durability underneath the analytics (the paper assumes PostgreSQL/Greenplum WAL + checkpoints) | [`Database::open`] / [`Database::recover`] / [`Database::checkpoint`]: a group-commit write-ahead log of catalog-level mutations plus chunk-granular snapshots — each sealed immutable chunk is appended to its segment's snapshot file exactly once — with recovery replaying the committed WAL tail over the latest snapshot *through the same function that applied each mutation the first time* (a logged mutation is a record; one `apply` runs it for the live call and for replay), so recovered ≡ committed bit for bit by construction (commit point = the fsync of the group-commit batch carrying the record) |
 //!
-//! The old `Executor::aggregate_filtered` / `aggregate_grouped` /
-//! `aggregate_grouped_filtered` method matrix has been **removed**:
-//! filtered and grouped scans are expressed exclusively through
-//! [`dataset::Dataset`].
+//! Every scan — whole-table, filtered or grouped — is expressed through
+//! [`dataset::Dataset`]; an [`Executor`] only says parallel or serial.
 //!
 //! Data flows exactly as in the paper: large data lives in partitioned
 //! tables, transition functions stream over each partition locally and in
@@ -73,9 +71,8 @@
 //!   and index sort of the [`group`] module, which
 //!   [`group::partition_by_group`] runs too, spelling the slots out as
 //!   per-group [`chunk::SelectionMask`]s for standalone consumers — and
-//!   projections ([`dataset::Dataset::map_chunks`] /
-//!   [`Executor::parallel_map_chunks`] with the row-level adapters layered
-//!   on top).
+//!   projections ([`dataset::Dataset::map_chunks`], with the row-level
+//!   adapters layered on top).
 //! * **Reference** — every terminal has one, chunked, scan body.  The
 //!   per-row meaning of an aggregate lives on as
 //!   [`reference`](mod@reference) (materialise each row, filter it,
@@ -87,9 +84,8 @@
 //! batched kernels in `madlib-linalg`) and checking it against
 //! [`reference`](mod@reference); everything else — merge, finalize, drivers,
 //! grouping — is unchanged.  Consumers that are not aggregates (sketch
-//! passes, projections) use [`dataset::Dataset::map_chunks`] / the
-//! `parallel_map_chunks` projection, or [`scan::scan_segment_chunks`] over
-//! one segment.
+//! passes, projections) use [`dataset::Dataset::map_chunks`], or
+//! [`scan::scan_segment_chunks`] over one segment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

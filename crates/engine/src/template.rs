@@ -5,15 +5,11 @@
 //! produces per-column summary statistics, so its output schema is a function
 //! of its input schema.  MADlib implements this by interrogating the database
 //! catalog from Python and synthesizing SQL.  The equivalent here is a small
-//! introspection API: given a table, enumerate its columns with their types
+//! introspection API: given a schema, enumerate its columns with their types
 //! and classify them, so library code can generate the per-column plan
-//! programmatically, with validation errors raised *before* execution (the
-//! paper calls out that late syntax errors from generated SQL hurt
-//! usability).
+//! programmatically.
 
-use crate::error::{EngineError, Result};
 use crate::schema::{ColumnType, Schema};
-use crate::table::Table;
 
 /// How a templated module should treat a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,13 +45,8 @@ pub fn classify_column(column_type: ColumnType) -> ColumnRole {
     }
 }
 
-/// Introspects a table, returning one [`ColumnInfo`] per column in schema
+/// Introspects a schema, returning one [`ColumnInfo`] per column in schema
 /// order.
-pub fn describe_table(table: &Table) -> Vec<ColumnInfo> {
-    describe_schema(table.schema())
-}
-
-/// Introspects a schema (catalog-only version of [`describe_table`]).
 pub fn describe_schema(schema: &Schema) -> Vec<ColumnInfo> {
     schema
         .columns()
@@ -66,29 +57,6 @@ pub fn describe_schema(schema: &Schema) -> Vec<ColumnInfo> {
             role: classify_column(c.column_type),
         })
         .collect()
-}
-
-/// Validates, up front, that every column named in `required` exists in the
-/// schema and (when a type is given) has that type.  Method drivers call this
-/// before doing any work so that user errors surface immediately with a clear
-/// message, rather than deep inside a generated plan.
-///
-/// # Errors
-/// * [`EngineError::ColumnNotFound`] for a missing column.
-/// * [`EngineError::TypeMismatch`] when an expected type is violated.
-pub fn validate_columns(schema: &Schema, required: &[(&str, Option<ColumnType>)]) -> Result<()> {
-    for (name, expected_type) in required {
-        let column = schema.column(name)?;
-        if let Some(expected) = expected_type {
-            if column.column_type != *expected {
-                return Err(EngineError::TypeMismatch {
-                    expected: expected.sql_name(),
-                    found: format!("{} (column {})", column.column_type.sql_name(), name),
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -135,30 +103,5 @@ mod tests {
         assert_eq!(infos[1].role, ColumnRole::Categorical);
         assert_eq!(infos[2].role, ColumnRole::FeatureVector);
         assert_eq!(infos[3].role, ColumnRole::OtherArray);
-
-        let table = Table::new(schema(), 2).unwrap();
-        assert_eq!(describe_table(&table), infos);
-    }
-
-    #[test]
-    fn validate_columns_reports_problems_up_front() {
-        let s = schema();
-        assert!(validate_columns(
-            &s,
-            &[
-                ("score", Some(ColumnType::Double)),
-                ("features", Some(ColumnType::DoubleArray)),
-                ("name", None),
-            ]
-        )
-        .is_ok());
-        assert!(matches!(
-            validate_columns(&s, &[("missing", None)]),
-            Err(EngineError::ColumnNotFound { .. })
-        ));
-        assert!(matches!(
-            validate_columns(&s, &[("name", Some(ColumnType::Double))]),
-            Err(EngineError::TypeMismatch { .. })
-        ));
     }
 }

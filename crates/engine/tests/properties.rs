@@ -6,8 +6,13 @@
 //! counts and check exactly that.
 
 use madlib_engine::aggregate::{ArraySumAggregate, AvgAggregate, CountAggregate, SumAggregate};
-use madlib_engine::{row, Column, ColumnType, Executor, Schema, Table};
+use madlib_engine::{row, Column, ColumnType, Dataset, Executor, Schema, Table};
 use proptest::prelude::*;
+
+/// `table`'s rows, bound to `executor`.
+fn over(executor: Executor, table: &Table) -> Dataset<'_> {
+    Dataset::from_table(table).with_executor(executor)
+}
 
 fn build_table(values: &[(f64, [f64; 3])], segments: usize) -> Table {
     let schema = Schema::new(vec![
@@ -31,20 +36,20 @@ proptest! {
         let partitioned = build_table(&values, segments);
         let exec = Executor::new();
 
-        let count_ref = exec.aggregate(&reference, &CountAggregate).unwrap();
-        let count_par = exec.aggregate(&partitioned, &CountAggregate).unwrap();
+        let count_ref = over(exec, &reference).aggregate(&CountAggregate).unwrap();
+        let count_par = over(exec, &partitioned).aggregate(&CountAggregate).unwrap();
         prop_assert_eq!(count_ref, count_par);
 
-        let sum_ref = exec.aggregate(&reference, &SumAggregate::new("y")).unwrap();
-        let sum_par = exec.aggregate(&partitioned, &SumAggregate::new("y")).unwrap();
+        let sum_ref = over(exec, &reference).aggregate(&SumAggregate::new("y")).unwrap();
+        let sum_par = over(exec, &partitioned).aggregate(&SumAggregate::new("y")).unwrap();
         prop_assert!((sum_ref - sum_par).abs() < 1e-6);
 
-        let avg_ref = exec.aggregate(&reference, &AvgAggregate::new("y")).unwrap().unwrap();
-        let avg_par = exec.aggregate(&partitioned, &AvgAggregate::new("y")).unwrap().unwrap();
+        let avg_ref = over(exec, &reference).aggregate(&AvgAggregate::new("y")).unwrap().unwrap();
+        let avg_par = over(exec, &partitioned).aggregate(&AvgAggregate::new("y")).unwrap().unwrap();
         prop_assert!((avg_ref - avg_par).abs() < 1e-9);
 
-        let arr_ref = exec.aggregate(&reference, &ArraySumAggregate::new("x")).unwrap();
-        let arr_par = exec.aggregate(&partitioned, &ArraySumAggregate::new("x")).unwrap();
+        let arr_ref = over(exec, &reference).aggregate(&ArraySumAggregate::new("x")).unwrap();
+        let arr_par = over(exec, &partitioned).aggregate(&ArraySumAggregate::new("x")).unwrap();
         for (a, b) in arr_ref.iter().zip(&arr_par) {
             prop_assert!((a - b).abs() < 1e-6);
         }
@@ -58,8 +63,8 @@ proptest! {
         let table = build_table(&values, segments);
         let parallel = Executor::new();
         let serial = Executor::serial();
-        let a = parallel.aggregate(&table, &SumAggregate::new("y")).unwrap();
-        let b = serial.aggregate(&table, &SumAggregate::new("y")).unwrap();
+        let a = over(parallel, &table).aggregate(&SumAggregate::new("y")).unwrap();
+        let b = over(serial, &table).aggregate(&SumAggregate::new("y")).unwrap();
         prop_assert!((a - b).abs() < 1e-9);
     }
 
@@ -75,8 +80,8 @@ proptest! {
         prop_assert_eq!(repartitioned.num_segments(), to);
         let exec = Executor::new();
         if !values.is_empty() {
-            let a = exec.aggregate(&table, &SumAggregate::new("y")).unwrap();
-            let b = exec.aggregate(&repartitioned, &SumAggregate::new("y")).unwrap();
+            let a = over(exec, &table).aggregate(&SumAggregate::new("y")).unwrap();
+            let b = over(exec, &repartitioned).aggregate(&SumAggregate::new("y")).unwrap();
             prop_assert!((a - b).abs() < 1e-9);
         }
     }

@@ -351,7 +351,7 @@ impl Aggregate for MostFrequentValuesAggregate {
 mod tests {
     use super::*;
     use madlib_engine::expr::Predicate;
-    use madlib_engine::{reference, row, Column, ColumnType, Dataset, Executor, Table, Value};
+    use madlib_engine::{reference, row, Column, ColumnType, Dataset, Table, Value};
 
     fn words_table(segments: usize) -> Table {
         let schema = Schema::new(vec![
@@ -370,8 +370,8 @@ mod tests {
     #[test]
     fn summary_aggregate_matches_streaming() {
         let t = words_table(4);
-        let summary = Executor::new()
-            .aggregate(&t, &SummaryAggregate::new("score"))
+        let summary = Dataset::from_table(&t)
+            .aggregate(&SummaryAggregate::new("score"))
             .unwrap();
         assert_eq!(summary.count(), 300);
         assert_eq!(summary.null_count(), 1);
@@ -383,11 +383,10 @@ mod tests {
     #[test]
     fn sketch_aggregates_agree_across_modes_and_filters() {
         let t = words_table(3);
-        let chunked = Executor::new();
         let dataset = Dataset::from_table(&t);
 
         let fm = FmDistinctAggregate::new("word");
-        let a = chunked.aggregate(&t, &fm).unwrap();
+        let a = dataset.aggregate(&fm).unwrap();
         let b = reference::aggregate(&dataset, &fm).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
         // PCSA is biased upward well below ~2·bitmaps distinct items; order
@@ -395,13 +394,13 @@ mod tests {
         assert!(a > 0.0 && a < 300.0, "estimate {a} for 23 distinct");
 
         let cm = CountMinAggregate::new("word", 5, 256);
-        let a = chunked.aggregate(&t, &cm).unwrap();
+        let a = dataset.aggregate(&cm).unwrap();
         let b = reference::aggregate(&dataset, &cm).unwrap();
         assert_eq!(a, b);
         assert!(a.estimate("w0") >= 14);
 
         let mfv = MostFrequentValuesAggregate::new("word", 3);
-        let a = chunked.aggregate(&t, &mfv).unwrap();
+        let a = dataset.aggregate(&mfv).unwrap();
         let b = reference::aggregate(&dataset, &mfv).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
@@ -409,13 +408,9 @@ mod tests {
         assert_eq!(a[0], ("w0".to_owned(), 14));
 
         // Filtered sketch pass via the same pipeline.
-        let pred = Predicate::column_lt("score", 150.0);
-        let (filtered, stats) = chunked
-            .aggregate_with_stats(
-                &t,
-                &MostFrequentValuesAggregate::new("word", 30),
-                Some(&pred),
-            )
+        let (filtered, stats) = dataset
+            .filter(Predicate::column_lt("score", 150.0))
+            .aggregate_with_stats(&MostFrequentValuesAggregate::new("word", 30))
             .unwrap();
         assert_eq!(stats.rows_aggregated, 150);
         let total: u64 = filtered.iter().map(|(_, c)| c).sum();
@@ -448,10 +443,10 @@ mod tests {
     #[test]
     fn non_text_columns_error_like_the_row_path() {
         let t = words_table(2);
-        let err_chunk = Executor::new()
-            .aggregate(&t, &FmDistinctAggregate::new("score"))
-            .unwrap_err();
         let dataset = Dataset::from_table(&t);
+        let err_chunk = dataset
+            .aggregate(&FmDistinctAggregate::new("score"))
+            .unwrap_err();
         let err_rows =
             reference::aggregate(&dataset, &FmDistinctAggregate::new("score")).unwrap_err();
         assert_eq!(err_chunk, err_rows);

@@ -26,7 +26,6 @@ pub use adapters::{
 pub use countmin::CountMinSketch;
 pub use fm::FlajoletMartin;
 pub use profile::{
-    profile_dataset, profile_table, ColumnProfile, DatasetProfileExt, ProfileAggregate, Profiler,
-    TableProfile,
+    profile_dataset, ColumnProfile, DatasetProfileExt, ProfileAggregate, Profiler, TableProfile,
 };
 pub use quantile::QuantileSummary;

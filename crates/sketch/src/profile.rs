@@ -29,8 +29,7 @@ use madlib_engine::chunk::ColumnChunk;
 use madlib_engine::dataset::Dataset;
 use madlib_engine::template::{describe_schema, ColumnInfo, ColumnRole};
 use madlib_engine::{
-    Aggregate, EngineError, Executor, MaterializedAggregate, Result, Row, RowChunk, Schema, Table,
-    Value,
+    Aggregate, EngineError, MaterializedAggregate, Result, Row, RowChunk, Schema, Value,
 };
 use madlib_stats::descriptive::FrequencyTable;
 use madlib_stats::Summary;
@@ -272,7 +271,7 @@ pub struct ProfileState {
 ///
 /// Build one with [`ProfileAggregate::new`] from the table's schema (the
 /// templated step: the aggregate's state shape is a function of the input
-/// schema) and run it through any [`Executor`] — it behaves like every other
+/// schema) and run it through any [`Dataset`] — it behaves like every other
 /// aggregate, including under filters and grouping.  A profile reads every
 /// column, so it keeps the default [`Aggregate::input_columns`] of `None`:
 /// the filtered and grouped scans copy whole rows for it.
@@ -431,18 +430,10 @@ impl Aggregate for ProfileAggregate {
     }
 }
 
-/// Profiles every column of `table` in one pass over the shared scan
-/// pipeline (segment-parallel, chunk-at-a-time under the default executor).
-///
-/// # Errors
-/// Propagates engine access errors (the profile itself accepts any schema).
-pub fn profile_table(executor: &Executor, table: &Table) -> Result<TableProfile> {
-    executor.aggregate(table, &ProfileAggregate::new(table.schema()))
-}
-
-/// Profiles a dataset's (filtered) rows in one pass — the dataset-shaped
-/// variant of [`profile_table`]; also available as the
-/// [`DatasetProfileExt::profile`] terminal.
+/// Profiles every column of a dataset's (filtered) rows in one pass over the
+/// shared scan pipeline (segment-parallel, chunk-at-a-time under the
+/// dataset's executor); also available as the [`DatasetProfileExt::profile`]
+/// terminal.
 ///
 /// # Errors
 /// Propagates engine access and predicate errors; errors on a grouped
@@ -480,7 +471,7 @@ pub struct Profiler;
 impl Estimator for Profiler {
     type Model = TableProfile;
 
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> madlib_core::Result<TableProfile> {
+    fn fit(&self, dataset: &Dataset<'_>) -> madlib_core::Result<TableProfile> {
         profile_dataset(dataset).map_err(madlib_core::MethodError::from)
     }
 
@@ -488,7 +479,6 @@ impl Estimator for Profiler {
     fn fit_grouped(
         &self,
         dataset: &Dataset<'_>,
-        _session: &Session,
     ) -> madlib_core::Result<GroupedModels<TableProfile>> {
         Ok(GroupedModels::new(dataset.aggregate_per_group(
             &ProfileAggregate::new(dataset.schema()),
@@ -556,6 +546,7 @@ fn refresh_profile_view(session: &Session, name: &str) -> madlib_core::Result<Ta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use madlib_engine::Table;
     use madlib_engine::{reference, row, Column, ColumnType, Row, Schema};
 
     fn mixed_table() -> Table {
@@ -583,7 +574,7 @@ mod tests {
     #[test]
     fn profiles_every_column_with_the_right_role() {
         let t = mixed_table();
-        let profile = profile_table(&Executor::new(), &t).unwrap();
+        let profile = Dataset::from_table(&t).profile().unwrap();
         assert_eq!(profile.row_count, 201);
         assert_eq!(profile.columns.len(), 3);
         assert_eq!(profile.columns[0].name(), "amount");
@@ -643,7 +634,7 @@ mod tests {
     #[test]
     fn chunked_and_row_profiles_agree_on_exact_fields() {
         let t = mixed_table();
-        let chunked = profile_table(&Executor::new(), &t).unwrap();
+        let chunked = Dataset::from_table(&t).profile().unwrap();
         let by_rows =
             reference::aggregate(&Dataset::from_table(&t), &ProfileAggregate::new(t.schema()))
                 .unwrap();
@@ -708,7 +699,7 @@ mod tests {
     fn empty_table_profile() {
         let schema = Schema::new(vec![Column::new("x", ColumnType::Double)]);
         let t = Table::new(schema, 2).unwrap();
-        let profile = profile_table(&Executor::new(), &t).unwrap();
+        let profile = Dataset::from_table(&t).profile().unwrap();
         assert_eq!(profile.row_count, 0);
         match &profile.columns[0] {
             ColumnProfile::Numeric {

@@ -13,8 +13,8 @@
 //! (per-document-class sequence models).
 
 use madlib_convex::objectives::CrfObjective;
-use madlib_convex::{ConvexObjective, IgdConfig, IgdRunner, StepSchedule};
-use madlib_core::train::{Estimator, Session};
+use madlib_convex::{IgdConfig, IgdEstimator, StepSchedule};
+use madlib_core::train::Estimator;
 use madlib_core::MethodError;
 use madlib_engine::dataset::Dataset;
 use madlib_engine::{EngineError, Result};
@@ -180,16 +180,16 @@ impl CrfEstimator {
 impl Estimator for CrfEstimator {
     type Model = ChainCrf;
 
-    fn fit(&self, dataset: &Dataset<'_>, _session: &Session) -> madlib_core::Result<ChainCrf> {
+    fn fit(&self, dataset: &Dataset<'_>) -> madlib_core::Result<ChainCrf> {
         let objective = CrfObjective::new(
             &self.observations_column,
             &self.labels_column,
             self.num_labels,
             self.num_observations,
         );
-        let summary = IgdRunner::new(self.config.clone())
-            .run_dataset(dataset, &objective, vec![0.0; objective.dimension()])
-            .map_err(MethodError::from)?;
+        let summary = IgdEstimator::new(objective)
+            .with_config(self.config.clone())
+            .fit(dataset)?;
         ChainCrf::from_weights(self.num_labels, self.num_observations, summary.model)
             .map_err(MethodError::from)
     }
@@ -248,12 +248,9 @@ mod tests {
     #[test]
     fn training_learns_emission_preferences() {
         let table = training_corpus(40, 2);
-        let session = Session::in_memory(2).unwrap();
-        let crf = session
-            .train(
-                &CrfEstimator::new("observations", "labels", 2, 4).with_epochs(50),
-                &Dataset::from_table(&table),
-            )
+        let crf = CrfEstimator::new("observations", "labels", 2, 4)
+            .with_epochs(50)
+            .fit(&Dataset::from_table(&table))
             .unwrap();
         // Observation 0 co-occurs with label 0, observation 2 with label 1.
         assert!(crf.emission(0, 0) > crf.emission(1, 0));

@@ -9,6 +9,13 @@
 #                                    then each crate's `pub` items (fn, struct,
 #                                    enum, trait, type, const, static, mod, use
 #                                    declared plain `pub`, counted the same way)
+#        scripts/loc.sh --against <rev>
+#                                    the parent -> change table, as Markdown:
+#                                    per `crates/*/src` file the diff from
+#                                    <rev> to the working tree touches, its
+#                                    code lines at <rev> and now and the delta;
+#                                    then the three totals and each crate's
+#                                    `pub` items on both sides
 set -euo pipefail
 
 count() {
@@ -31,20 +38,77 @@ total() {
     echo "$sum"
 }
 
-if [ "$#" -eq 0 ]; then
-    cd "$(dirname "$0")/.."
-    printf '%6d  %s\n' "$(total crates/engine/src/*.rs)" "crates/engine/src/*.rs"
-    printf '%6d  %s\n' "$(total crates/linalg/src/kernels/*.rs)" "crates/linalg/src/kernels/*.rs"
+# The three totals, then each crate's `pub` items, one `<number>\t<label>`
+# line each, for the tree rooted at the current directory.
+summary() {
+    local crate file sum every
+    printf '%s\t%s\n' "$(total crates/engine/src/*.rs)" "crates/engine/src/*.rs"
+    printf '%s\t%s\n' "$(total crates/linalg/src/kernels/*.rs)" "crates/linalg/src/kernels/*.rs"
     mapfile -t every < <(find crates -path '*/src/*.rs' | sort)
-    printf '%6d  %s\n' "$(total "${every[@]}")" "crates/*/src/**/*.rs"
-    echo "   pub  items per crate"
+    printf '%s\t%s\n' "$(total "${every[@]}")" "crates/*/src/**/*.rs"
     for crate in crates/*/; do
         sum=0
         while IFS= read -r file; do
             sum=$((sum + $(pub_items "$file")))
         done < <(find "${crate}src" -name '*.rs' | sort)
-        printf '%6d  %s\n' "$sum" "${crate}src"
+        printf '%s\t%s\n' "$sum" "${crate}src"
     done
+}
+
+# One Markdown row: label, parent, change, signed delta (U+2212 for minus).
+row() {
+    local delta=$(($3 - $2))
+    if [ "$delta" -lt 0 ]; then
+        delta="−$((-delta))"
+    elif [ "$delta" -gt 0 ]; then
+        delta="+$delta"
+    fi
+    echo "| $1 | $2 | $3 | $delta |"
+}
+
+if [ "$#" -eq 0 ]; then
+    cd "$(dirname "$0")/.."
+    line=0
+    while IFS=$'\t' read -r n label; do
+        line=$((line + 1))
+        [ "$line" -eq 4 ] && echo "   pub  items per crate"
+        printf '%6d  %s\n' "$n" "$label"
+    done < <(summary)
+    exit 0
+fi
+
+if [ "$1" = "--against" ]; then
+    [ "$#" -eq 2 ] || { echo "usage: $0 --against <rev>" >&2; exit 2; }
+    cd "$(dirname "$0")/.."
+    rev=$2
+    git rev-parse --verify --quiet "$rev^{commit}" > /dev/null \
+        || { echo "$0: unknown revision $rev" >&2; exit 2; }
+    parent=$(mktemp -d)
+    trap 'rm -rf "$parent"' EXIT
+    while IFS= read -r path; do
+        mkdir -p "$parent/$(dirname "$path")"
+        git show "$rev:$path" > "$parent/$path"
+    done < <(git ls-tree -r --name-only "$rev" -- crates | grep '^crates/[^/]*/src/.*\.rs$')
+
+    echo "| file | parent | change | Δ |"
+    echo "|---|---|---|---|"
+    while IFS= read -r path; do
+        before=0
+        after=0
+        [ -f "$parent/$path" ] && before=$(count "$parent/$path")
+        [ -f "$path" ] && after=$(count "$path")
+        row "$path" "$before" "$after"
+    done < <(git diff --name-only "$rev" -- crates | grep '^crates/[^/]*/src/.*\.rs$' || true)
+
+    echo
+    echo "| total | parent | change | Δ |"
+    echo "|---|---|---|---|"
+    line=0
+    while IFS=$'\t' read -r before label after _; do
+        line=$((line + 1))
+        [ "$line" -gt 3 ] && label="\`pub\` items, $label"
+        row "$label" "$before" "$after"
+    done < <(paste <(cd "$parent" && summary) <(summary))
     exit 0
 fi
 

@@ -31,12 +31,6 @@ use madlib::methods::{Estimator, Session};
 use madlib::sketch::{FmDistinctAggregate, MostFrequentValuesAggregate, SummaryAggregate};
 use proptest::prelude::*;
 
-/// A throwaway training session (single-pass estimators never touch its
-/// database).
-fn session() -> Session {
-    Session::new(Database::new(1).unwrap())
-}
-
 /// Builds the dataset for one executor.
 fn dataset<'a>(table: &'a Table, executor: &Executor) -> Dataset<'a> {
     Dataset::from_table(table).with_executor(*executor)
@@ -174,7 +168,7 @@ proptest! {
     ) {
         let table = labeled_table(&points, None, segments, chunk_capacity);
         let ds = Dataset::from_table(&table);
-        let a = LinearRegression::new("y", "x").fit(&ds, &session()).unwrap();
+        let a = LinearRegression::new("y", "x").fit(&ds).unwrap();
         let b = reference::aggregate(&ds, &LinearRegression::new("y", "x")).unwrap();
         prop_assert_eq!(bits(&a.coef), bits(&b.coef));
         prop_assert_eq!(a.r2.to_bits(), b.r2.to_bits());
@@ -198,7 +192,7 @@ proptest! {
         let ds = Dataset::from_table(&table);
 
         // Regression input with NULLs errors on both.
-        prop_assert!(LinearRegression::new("y", "x").fit(&ds, &session()).is_err());
+        prop_assert!(LinearRegression::new("y", "x").fit(&ds).is_err());
         prop_assert!(reference::aggregate(&ds, &LinearRegression::new("y", "x")).is_err());
 
         // SQL aggregates skip NULLs identically.
@@ -287,7 +281,6 @@ proptest! {
             segments,
             chunk_capacity,
         );
-        let db = Database::new(segments).unwrap();
         for filter in [None, Some(Predicate::column_gt("keep", 0.5))] {
             let bind = |exec: Executor| {
                 let ds = Dataset::from_table(&table).with_executor(exec);
@@ -314,7 +307,7 @@ proptest! {
             let lloyd = estimator
                 .clone()
                 .with_initial_centroids(seeds)
-                .fit(&serial, &Session::new(db.clone()))
+                .fit(&serial)
                 .unwrap();
             let inertia: f64 = materialized
                 .iter()
@@ -324,7 +317,7 @@ proptest! {
                 .sum();
 
             for exec in [Executor::new(), Executor::serial()] {
-                let fitted = estimator.fit(&bind(exec), &Session::new(db.clone())).unwrap();
+                let fitted = estimator.fit(&bind(exec)).unwrap();
                 prop_assert_eq!(fitted.centroids.len(), k);
                 for (a, b) in fitted.centroids.iter().zip(&lloyd.centroids) {
                     prop_assert_eq!(bits(a), bits(b));
@@ -704,7 +697,7 @@ proptest! {
         let sum_r = reference::aggregate(&ds, &SumAggregate::new("y")).unwrap();
         prop_assert_eq!(sum_c.to_bits(), sum_r.to_bits());
 
-        let lin_c = LinearRegression::new("y", "x").fit(&ds, &session());
+        let lin_c = LinearRegression::new("y", "x").fit(&ds);
         let lin_r = reference::aggregate(&ds, &LinearRegression::new("y", "x"));
         match (lin_c, lin_r) {
             (Ok(a), Ok(b)) => prop_assert_eq!(bits(&a.coef), bits(&b.coef)),
@@ -757,8 +750,8 @@ proptest! {
         }
 
         let apriori = Apriori::new("items", 0.25, 0.5).unwrap().with_max_itemset_size(3);
-        let a = apriori.fit(&Dataset::from_table(&table), &session());
-        let b = apriori.fit(&Dataset::from_table(&one_row_per_chunk(&table)), &session());
+        let a = apriori.fit(&Dataset::from_table(&table));
+        let b = apriori.fit(&Dataset::from_table(&one_row_per_chunk(&table)));
         match (a, b) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             // NULL-bearing items and empty inputs error under both layouts.
@@ -790,8 +783,8 @@ proptest! {
                 .unwrap();
         }
         let apriori = Apriori::new("items", 0.4, 0.5).unwrap();
-        let a = apriori.fit(&Dataset::from_table(&table), &session());
-        let b = apriori.fit(&Dataset::from_table(&table.repartition(1).unwrap()), &session());
+        let a = apriori.fit(&Dataset::from_table(&table));
+        let b = apriori.fit(&Dataset::from_table(&table.repartition(1).unwrap()));
         match (a, b) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(_), Err(_)) => {} // the zero-row case errors under both layouts
@@ -836,12 +829,8 @@ fn lowrank_loading_paths_agree() {
         .unwrap()
         .with_epochs(4)
         .with_seed(11);
-    let a = estimator
-        .fit(&Dataset::from_table(&fast), &session())
-        .unwrap();
-    let b = estimator
-        .fit(&Dataset::from_table(&fallback), &session())
-        .unwrap();
+    let a = estimator.fit(&Dataset::from_table(&fast)).unwrap();
+    let b = estimator.fit(&Dataset::from_table(&fallback)).unwrap();
     assert_eq!(a, b, "fast-path and fallback loading diverged");
 
     // NULL ids are a typed error, not a panic.
@@ -853,9 +842,7 @@ fn lowrank_loading_paths_agree() {
             Value::Double(1.0),
         ]))
         .unwrap();
-    assert!(estimator
-        .fit(&Dataset::from_table(&nulls), &session())
-        .is_err());
+    assert!(estimator.fit(&Dataset::from_table(&nulls)).is_err());
 }
 
 /// LDA's corpus loader: NULL-bearing token rows are a typed error, and
@@ -884,21 +871,15 @@ fn lda_loading_is_layout_invariant_and_rejects_nulls() {
         .unwrap()
         .with_iterations(5)
         .with_seed(2);
-    let a = estimator
-        .fit(&Dataset::from_table(&wide), &session())
-        .unwrap();
-    let b = estimator
-        .fit(&Dataset::from_table(&narrow), &session())
-        .unwrap();
+    let a = estimator.fit(&Dataset::from_table(&wide)).unwrap();
+    let b = estimator.fit(&Dataset::from_table(&narrow)).unwrap();
     assert_eq!(a, b, "chunk layout changed the fitted LDA model");
 
     let mut nulls = Table::new(schema, 2).unwrap();
     nulls
         .insert(Row::new(vec![Value::Int(0), Value::Null]))
         .unwrap();
-    assert!(estimator
-        .fit(&Dataset::from_table(&nulls), &session())
-        .is_err());
+    assert!(estimator.fit(&Dataset::from_table(&nulls)).is_err());
 }
 
 // ---------------------------------------------------------------------------
@@ -942,11 +923,11 @@ proptest! {
         let par = Executor::new();
         let ser = Executor::serial();
 
-        let sum_p = par.aggregate(&table, &SumAggregate::new("y")).unwrap();
-        let sum_s = ser.aggregate(&table, &SumAggregate::new("y")).unwrap();
+        let sum_p = dataset(&table, &par).aggregate(&SumAggregate::new("y")).unwrap();
+        let sum_s = dataset(&table, &ser).aggregate(&SumAggregate::new("y")).unwrap();
         prop_assert_eq!(sum_p.to_bits(), sum_s.to_bits());
-        let avg_p = par.aggregate(&table, &AvgAggregate::new("y")).unwrap();
-        let avg_s = ser.aggregate(&table, &AvgAggregate::new("y")).unwrap();
+        let avg_p = dataset(&table, &par).aggregate(&AvgAggregate::new("y")).unwrap();
+        let avg_s = dataset(&table, &ser).aggregate(&AvgAggregate::new("y")).unwrap();
         prop_assert_eq!(avg_p.map(f64::to_bits), avg_s.map(f64::to_bits));
 
         let grouped_sum = |exec: &Executor| {
@@ -964,7 +945,7 @@ proptest! {
         }
 
         let fit = |exec: &Executor| {
-            LinearRegression::new("y", "x").fit(&dataset(&table, exec), &session())
+            LinearRegression::new("y", "x").fit(&dataset(&table, exec))
         };
         match (fit(&par), fit(&ser)) {
             (Ok(a), Ok(b)) => {
@@ -1014,7 +995,7 @@ proptest! {
         let scan = LinregrStateProbe(LinearRegression::new("y", "x"));
         let counts = grouped.aggregate_per_group(&CountAggregate).unwrap();
         let states = grouped.aggregate_per_group(&scan).unwrap();
-        let sum = executor.aggregate(&table, &SumAggregate::new("y")).unwrap();
+        let sum = dataset(&table, &executor).aggregate(&SumAggregate::new("y")).unwrap();
 
         prop_assert_eq!(&reference::aggregate_per_group(&grouped, &CountAggregate).unwrap(), &counts);
         prop_assert_eq!(&reference::aggregate_per_group(&grouped, &scan).unwrap(), &states);
@@ -1088,10 +1069,10 @@ fn every_estimator_rejects_empty_datasets() {
         E: Estimator,
     {
         let (empty, filtered) = empty_inputs(columns, row);
-        let result = estimator.fit(&Dataset::from_table(&empty), &session());
+        let result = estimator.fit(&Dataset::from_table(&empty));
         assert!(result.is_err(), "{name} accepted an empty table");
         let dataset = Dataset::from_table(&filtered).filter(none_kept());
-        let result = estimator.fit(&dataset, &session());
+        let result = estimator.fit(&dataset);
         assert!(
             result.is_err(),
             "{name} accepted a filter that selects no row"
@@ -1188,11 +1169,9 @@ fn every_estimator_rejects_empty_datasets() {
     // zero counts (a profile is a description, not a fitted model), and a
     // filter that selects no row profiles exactly as an empty table does.
     let (empty, filtered) = empty_inputs(labeled(), labeled_row());
-    let profile = Profiler
-        .fit(&Dataset::from_table(&empty), &session())
-        .unwrap();
+    let profile = Profiler.fit(&Dataset::from_table(&empty)).unwrap();
     assert_eq!(profile.row_count, 0);
     let dataset = Dataset::from_table(&filtered).filter(none_kept());
-    let filtered_profile = Profiler.fit(&dataset, &session()).unwrap();
+    let filtered_profile = Profiler.fit(&dataset).unwrap();
     assert_eq!(format!("{filtered_profile:?}"), format!("{profile:?}"));
 }

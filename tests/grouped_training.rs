@@ -74,14 +74,13 @@ fn filter_then_fit_columns<E: Estimator>(
     extra_filter: Option<&Predicate>,
     columns: &[&str],
     key: GroupKey,
-    session: &Session,
 ) -> madlib::methods::Result<E::Model> {
     let mut ds =
         Dataset::from_table(table).filter(Predicate::columns_are_key(columns.iter().copied(), key));
     if let Some(pred) = extra_filter {
         ds = ds.filter(pred.clone());
     }
-    estimator.fit(&ds, session)
+    estimator.fit(&ds)
 }
 
 /// Single-column shorthand over [`filter_then_fit_columns`] for the `grp`
@@ -91,9 +90,8 @@ fn filter_then_fit<E: Estimator>(
     table: &Table,
     extra_filter: Option<&Predicate>,
     key: GroupKey,
-    session: &Session,
 ) -> madlib::methods::Result<E::Model> {
-    filter_then_fit_columns(estimator, table, extra_filter, &["grp"], key, session)
+    filter_then_fit_columns(estimator, table, extra_filter, &["grp"], key)
 }
 
 /// One key-column value for the composite-key property tests: every flavor
@@ -214,8 +212,7 @@ proptest! {
         let mut total_rows = 0;
         for (key, model) in &grouped {
             let alone = filter_then_fit(
-                &estimator, &table, extra.as_ref(), key.clone(), &session,
-            )
+                &estimator, &table, extra.as_ref(), key.clone(),)
             .unwrap();
             prop_assert_eq!(bits(&model.coef), bits(&alone.coef));
             prop_assert_eq!(model.r2.to_bits(), alone.r2.to_bits());
@@ -250,8 +247,7 @@ proptest! {
 
         for (key, model) in &grouped {
             let alone = filter_then_fit(
-                &estimator, &table, None, key.clone(), &session,
-            )
+                &estimator, &table, None, key.clone(),)
             .unwrap();
             prop_assert_eq!(bits(&model.coef), bits(&alone.coef));
             prop_assert_eq!(bits(&model.std_err), bits(&alone.std_err));
@@ -314,8 +310,7 @@ proptest! {
         for (key, model) in &grouped {
             prop_assert_eq!(key.arity(), num_cols);
             let alone = filter_then_fit_columns(
-                &estimator, &table, extra.as_ref(), &column_refs, key.clone(), &session,
-            )
+                &estimator, &table, extra.as_ref(), &column_refs, key.clone(),)
             .unwrap();
             prop_assert_eq!(bits(&model.coef), bits(&alone.coef));
             prop_assert_eq!(model.r2.to_bits(), alone.r2.to_bits());
@@ -355,8 +350,7 @@ proptest! {
 
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, None, &column_refs, key.clone(), &session,
-            )
+                &estimator, &table, None, &column_refs, key.clone(),)
             .unwrap();
             prop_assert_eq!(bits(&model.coef), bits(&alone.coef));
             prop_assert_eq!(bits(&model.std_err), bits(&alone.std_err));
@@ -406,14 +400,8 @@ fn single_row_groups_train_one_model_per_row() {
     assert_eq!(linregr.len(), 10);
     for (key, model) in &linregr {
         assert_eq!(model.num_rows, 1);
-        let alone = filter_then_fit(
-            &LinearRegression::new("y", "x"),
-            &table,
-            None,
-            key.clone(),
-            &session,
-        )
-        .unwrap();
+        let alone =
+            filter_then_fit(&LinearRegression::new("y", "x"), &table, None, key.clone()).unwrap();
         assert_eq!(bits(&model.coef), bits(&alone.coef));
     }
 
@@ -435,7 +423,7 @@ fn single_row_groups_train_one_model_per_row() {
     assert_eq!(grouped.len(), 6);
     for (key, model) in &grouped {
         assert_eq!(model.num_rows, 1);
-        let alone = filter_then_fit(&estimator, &labels, None, key.clone(), &session).unwrap();
+        let alone = filter_then_fit(&estimator, &labels, None, key.clone()).unwrap();
         assert_eq!(bits(&model.coef), bits(&alone.coef));
     }
 }
@@ -494,7 +482,7 @@ where
         .unwrap();
     assert_eq!(grouped.len(), expected_groups);
     for (key, model) in &grouped {
-        let alone = filter_then_fit(estimator, table, None, key.clone(), &session).unwrap();
+        let alone = filter_then_fit(estimator, table, None, key.clone()).unwrap();
         assert_eq!(*model, alone, "group {key:?} diverged from filter-then-fit");
     }
 }
@@ -517,7 +505,7 @@ fn grouped_kmeans_equals_filter_then_fit() {
         .train_grouped(&estimator, &Dataset::from_table(&table).group_by(["grp"]))
         .unwrap();
     for (key, model) in &grouped {
-        let alone = filter_then_fit(&estimator, &table, None, key.clone(), &session).unwrap();
+        let alone = filter_then_fit(&estimator, &table, None, key.clone()).unwrap();
         for (ca, cb) in model.centroids.iter().zip(&alone.centroids) {
             assert_eq!(bits(ca), bits(cb));
         }
@@ -687,8 +675,7 @@ proptest! {
         let mut total_transactions = 0;
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, extra.as_ref(), &column_refs, key.clone(), &session,
-            )
+                &estimator, &table, extra.as_ref(), &column_refs, key.clone(),)
             .unwrap();
             prop_assert_eq!(model, &alone, "group {:?} diverged", key);
             total_transactions += model.num_transactions;
@@ -742,8 +729,7 @@ proptest! {
         prop_assert!(!grouped.is_empty());
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, None, &column_refs, key.clone(), &session,
-            )
+                &estimator, &table, None, &column_refs, key.clone(),)
             .unwrap();
             prop_assert_eq!(model, &alone, "group {:?} diverged", key);
         }
@@ -784,8 +770,7 @@ proptest! {
         prop_assert!(!grouped.is_empty());
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, None, &column_refs, key.clone(), &session,
-            )
+                &estimator, &table, None, &column_refs, key.clone(),)
             .unwrap();
             prop_assert_eq!(model, &alone, "group {:?} diverged", key);
         }
@@ -838,8 +823,7 @@ proptest! {
         prop_assert!(!grouped.is_empty());
         for (key, model) in &grouped {
             let alone = filter_then_fit_columns(
-                &estimator, &table, None, &column_refs, key.clone(), &session,
-            )
+                &estimator, &table, None, &column_refs, key.clone(),)
             .unwrap();
             prop_assert_eq!(model, &alone, "group {:?} diverged", key);
         }
@@ -877,7 +861,7 @@ fn single_row_groups_for_newly_ported_methods() {
     assert_eq!(grouped.len(), 5);
     for (key, model) in &grouped {
         assert_eq!(model.num_transactions, 1);
-        let alone = filter_then_fit(&apriori, &baskets, None, key.clone(), &session).unwrap();
+        let alone = filter_then_fit(&apriori, &baskets, None, key.clone()).unwrap();
         assert_eq!(*model, alone);
     }
 
@@ -909,7 +893,7 @@ fn single_row_groups_for_newly_ported_methods() {
     assert_eq!(grouped.len(), 4);
     for (key, model) in &grouped {
         assert_eq!(model.num_ratings, 1);
-        let alone = filter_then_fit(&lowrank, &ratings, None, key.clone(), &session).unwrap();
+        let alone = filter_then_fit(&lowrank, &ratings, None, key.clone()).unwrap();
         assert_eq!(*model, alone);
     }
 
@@ -937,7 +921,7 @@ fn single_row_groups_for_newly_ported_methods() {
     assert_eq!(grouped.len(), 4);
     for (key, model) in &grouped {
         assert_eq!(model.doc_topic.len(), 1);
-        let alone = filter_then_fit(&lda, &corpus, None, key.clone(), &session).unwrap();
+        let alone = filter_then_fit(&lda, &corpus, None, key.clone()).unwrap();
         assert_eq!(*model, alone);
     }
 
@@ -963,7 +947,7 @@ fn single_row_groups_for_newly_ported_methods() {
         .unwrap();
     assert_eq!(grouped.len(), 4);
     for (key, model) in &grouped {
-        let alone = filter_then_fit(&crf, &sequences, None, key.clone(), &session).unwrap();
+        let alone = filter_then_fit(&crf, &sequences, None, key.clone()).unwrap();
         assert_eq!(*model, alone);
     }
 }
@@ -975,11 +959,7 @@ struct PanicingEstimator;
 impl Estimator for PanicingEstimator {
     type Model = ();
 
-    fn fit(
-        &self,
-        _dataset: &Dataset<'_>,
-        _session: &Session,
-    ) -> madlib::methods::Result<Self::Model> {
+    fn fit(&self, _dataset: &Dataset<'_>) -> madlib::methods::Result<Self::Model> {
         panic!("deliberate per-group fit explosion");
     }
 }

@@ -896,3 +896,361 @@ fn iterative_fit_bits_are_pinned() {
         assert_eq!(iterative_fit_bits(executor), pinned, "{executor:?}");
     }
 }
+
+/// `digest`'s FNV-1a step over the bytes of `labels`, each followed by a
+/// `0xFF` separator byte, started from 0.
+fn digest_labels<'a>(labels: impl IntoIterator<Item = &'a str>) -> u64 {
+    labels.into_iter().fold(0, |hash, label| {
+        label.bytes().chain([0xFF]).fold(hash, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    })
+}
+
+/// One digest of a list of digests.
+fn fold(digests: &[u64]) -> u64 {
+    digest(
+        &digests
+            .iter()
+            .map(|&d| f64::from_bits(d))
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// Every number and label of a decision tree, node by node in pre-order.
+fn tree_digest(node: &madlib::methods::classify::decision_tree::TreeNode, out: &mut Vec<u64>) {
+    use madlib::methods::classify::decision_tree::TreeNode;
+    match node {
+        TreeNode::Leaf {
+            label,
+            samples,
+            purity,
+        } => out.extend([
+            digest_labels([label.as_str()]),
+            *samples as u64,
+            digest(&[*purity]),
+        ]),
+        TreeNode::Split {
+            feature,
+            threshold,
+            gain_ratio,
+            left,
+            right,
+        } => {
+            out.extend([*feature as u64, digest(&[*threshold, *gain_ratio])]);
+            tree_digest(left, out);
+            tree_digest(right, out);
+        }
+    }
+}
+
+/// Every number and label a column profile reports.
+fn column_profile_digest(profile: &madlib::sketch::ColumnProfile) -> Vec<u64> {
+    use madlib::sketch::ColumnProfile;
+    let summary = |s: &madlib::stats::Summary| {
+        let (count, moments, nulls) = s.to_parts();
+        [count, digest(&moments), nulls]
+    };
+    let option = |v: Option<f64>| v.map_or(u64::MAX, |v| v.to_bits());
+    match profile {
+        ColumnProfile::Numeric {
+            name,
+            summary: s,
+            median,
+            percentile_05_95: (p05, p95),
+        } => [
+            &[digest_labels([name.as_str()])][..],
+            &summary(s),
+            &[option(*median), option(*p05), option(*p95)],
+        ]
+        .concat(),
+        ColumnProfile::Categorical {
+            name,
+            non_null,
+            nulls,
+            distinct_exact,
+            distinct_estimate,
+            most_common,
+            most_common_cm_estimate,
+        } => vec![
+            digest_labels([name.as_str()]),
+            *non_null,
+            *nulls,
+            *distinct_exact as u64,
+            digest(&[*distinct_estimate]),
+            digest_labels(most_common.iter().map(|(v, _)| v.as_str())),
+            digest(
+                &most_common
+                    .iter()
+                    .map(|&(_, c)| c as f64)
+                    .collect::<Vec<_>>(),
+            ),
+            *most_common_cm_estimate,
+        ],
+        ColumnProfile::Array {
+            name,
+            length_summary,
+        } => [
+            &[digest_labels([name.as_str()])][..],
+            &summary(length_summary),
+        ]
+        .concat(),
+    }
+}
+
+/// The remaining estimators' fits under `executor`, one digest list per
+/// model covering every number and label it reports: naive Bayes, the
+/// decision tree, the linear SVM, low-rank factorization, LDA, Apriori and
+/// the profiler.
+fn method_fit_bits(executor: Executor) -> Vec<Vec<u64>> {
+    use madlib::methods::assoc::Apriori;
+    use madlib::methods::classify::DecisionTree;
+    use madlib::methods::classify::LinearSvm;
+    use madlib::methods::datasets::{
+        document_corpus, gaussian_blobs, market_basket_data, ratings_data,
+    };
+    use madlib::methods::factor::LowRankFactorization;
+    use madlib::methods::topic::Lda;
+    use madlib::sketch::Profiler;
+
+    let session = Session::new(Database::new(4).unwrap()).with_executor(executor);
+    let mut fits = Vec::new();
+
+    // A labeled table: each blob point carries the name of its nearest
+    // generating center.
+    let blobs = gaussian_blobs(400, 3, 2, 3.0, 4, 13).unwrap();
+    let mut labeled = Table::new(
+        Schema::new(vec![
+            Column::new("label", ColumnType::Text),
+            Column::new("x", ColumnType::DoubleArray),
+        ]),
+        4,
+    )
+    .unwrap();
+    for row in blobs.table.collect_rows() {
+        let x = row.get(1).as_double_array().unwrap().to_vec();
+        let nearest = (0..blobs.true_centers.len())
+            .min_by(|&a, &b| {
+                let d = |c: &[f64]| c.iter().zip(&x).map(|(c, v)| (c - v).powi(2)).sum::<f64>();
+                d(&blobs.true_centers[a]).total_cmp(&d(&blobs.true_centers[b]))
+            })
+            .unwrap();
+        labeled.insert(row![format!("c{nearest}"), x]).unwrap();
+    }
+    let labeled = Dataset::from_table(&labeled);
+
+    let nb = session
+        .train(&NaiveBayes::new("label", "x"), &labeled)
+        .unwrap();
+    let mut bits = vec![nb.total_rows, nb.num_features as u64];
+    bits.push(digest_labels(nb.classes.keys().map(String::as_str)));
+    for stats in nb.classes.values() {
+        bits.extend([stats.count, digest(&stats.means), digest(&stats.variances)]);
+    }
+    fits.push(bits);
+
+    let tree = session
+        .train(&DecisionTree::new("label", "x").with_max_depth(4), &labeled)
+        .unwrap();
+    let mut bits = vec![tree.num_features as u64, tree.num_rows as u64];
+    tree_digest(&tree.root, &mut bits);
+    fits.push(bits);
+
+    let logistic = logistic_regression_data(300, 4, 4, 17).unwrap().table;
+    let svm = session
+        .train(
+            &LinearSvm::new("y", "x").with_epochs(5).with_seed(3),
+            &Dataset::from_table(&logistic),
+        )
+        .unwrap();
+    fits.push(vec![
+        digest(&svm.weights),
+        digest(&[svm.lambda, svm.final_objective]),
+        svm.epochs as u64,
+        svm.num_rows as u64,
+    ]);
+
+    let ratings = ratings_data(20, 15, 2, 0.5, 4, 19).unwrap();
+    let lowrank = session
+        .train(
+            &LowRankFactorization::new("user_id", "item_id", "rating", 2)
+                .unwrap()
+                .with_epochs(5)
+                .with_seed(5),
+            &Dataset::from_table(&ratings),
+        )
+        .unwrap();
+    fits.push(vec![
+        digest(&lowrank.user_factors.concat()),
+        digest(&lowrank.item_factors.concat()),
+        lowrank.rank as u64,
+        digest(&[lowrank.train_rmse]),
+        lowrank.num_ratings as u64,
+        lowrank.epochs as u64,
+    ]);
+
+    let corpus = document_corpus(30, 3, 5, 12, 4, 23).unwrap();
+    let lda = session
+        .train(
+            &Lda::new("tokens", 3)
+                .unwrap()
+                .with_iterations(5)
+                .with_seed(7),
+            &Dataset::from_table(&corpus),
+        )
+        .unwrap();
+    let counts = |rows: &[Vec<u32>]| {
+        digest(
+            &rows
+                .concat()
+                .iter()
+                .map(|&c| f64::from(c))
+                .collect::<Vec<_>>(),
+        )
+    };
+    fits.push(vec![
+        lda.num_topics as u64,
+        digest_labels(lda.vocabulary.iter().map(String::as_str)),
+        counts(&lda.topic_word),
+        counts(&lda.doc_topic),
+        digest(&[lda.alpha, lda.beta]),
+        lda.iterations as u64,
+    ]);
+
+    let baskets = market_basket_data(200, 8, 4, 29).unwrap();
+    let apriori = session
+        .train(
+            &Apriori::new("items", 0.1, 0.4).unwrap(),
+            &Dataset::from_table(&baskets),
+        )
+        .unwrap();
+    let itemsets: Vec<u64> = apriori
+        .itemsets
+        .iter()
+        .flat_map(|itemset| {
+            [
+                digest_labels(itemset.items.iter().map(String::as_str)),
+                digest(&[itemset.support]),
+                itemset.count,
+            ]
+        })
+        .collect();
+    let rules: Vec<u64> = apriori
+        .rules
+        .iter()
+        .flat_map(|rule| {
+            [
+                digest_labels(rule.antecedent.iter().map(String::as_str)),
+                digest_labels(rule.consequent.iter().map(String::as_str)),
+                digest(&[rule.support, rule.confidence, rule.lift]),
+            ]
+        })
+        .collect();
+    fits.push(vec![
+        apriori.num_transactions,
+        apriori.itemsets.len() as u64,
+        fold(&itemsets),
+        apriori.rules.len() as u64,
+        fold(&rules),
+    ]);
+
+    let profile = session
+        .train(&Profiler, &Dataset::from_table(&baskets))
+        .unwrap();
+    let mut bits = vec![profile.row_count as u64];
+    for column in &profile.columns {
+        bits.extend(column_profile_digest(column));
+    }
+    fits.push(bits);
+    fits
+}
+
+/// Dropping the session from `Estimator::fit` and moving IGD behind one
+/// estimator must not move a bit: every number and label the remaining
+/// estimators report is pinned, under both executors.
+#[test]
+fn method_fit_bits_are_pinned() {
+    let pinned: Vec<Vec<u64>> = vec![
+        // naive Bayes
+        vec![
+            400,
+            2,
+            17766070520165733193,
+            128,
+            6151958784373897663,
+            11836643798545951644,
+            124,
+            15567081084964816480,
+            7543814697974225348,
+            148,
+            18197712814636330727,
+            14585994654827028845,
+        ],
+        // decision tree
+        vec![
+            2,
+            400,
+            0,
+            12899083350193501166,
+            6406328696632612572,
+            128,
+            12299727721494879672,
+            0,
+            1933521545528030261,
+            6405202796725513733,
+            124,
+            12299727721494879672,
+            6408017546493166218,
+            148,
+            12299727721494879672,
+        ],
+        // linear SVM
+        vec![16469378937794412634, 15934431600786207355, 5, 300],
+        // low-rank factorization
+        vec![
+            11651114815139983093,
+            12206581307687905046,
+            2,
+            9505825438251595347,
+            157,
+            5,
+        ],
+        // LDA
+        vec![
+            3,
+            6695746628430533438,
+            9547729151799167559,
+            17274333556364126361,
+            8296012028959854394,
+            5,
+        ],
+        // Apriori
+        vec![200, 30, 8591946255362302479, 31, 13244370357070607689],
+        // profiler
+        vec![
+            200,
+            6505985641176602797,
+            200,
+            14934795562552348202,
+            0,
+            4636526185122103296,
+            4621256167635550208,
+            4640853862889029632,
+            4189665139550064378,
+            200,
+            0,
+            2,
+            16788780921475677720,
+            7069904074851312702,
+            11477621443286395161,
+            108,
+            7456554874281755377,
+            200,
+            7815959135499232262,
+            0,
+        ],
+    ];
+    for executor in [Executor::new(), Executor::serial()] {
+        assert_eq!(method_fit_bits(executor), pinned, "{executor:?}");
+    }
+}

@@ -2,15 +2,13 @@
 //! end-to-end through the facade crate.
 
 use madlib::convex::objectives::LogisticObjective;
-use madlib::convex::{ConvexObjective, IgdConfig, IgdRunner, StepSchedule};
-use madlib::engine::{
-    reference, row, Column, ColumnType, Database, Dataset, Executor, Schema, Table,
-};
+use madlib::convex::{IgdConfig, IgdEstimator, StepSchedule};
+use madlib::engine::{reference, row, Column, ColumnType, Database, Dataset, Schema, Table};
 use madlib::methods::cluster::KMeans;
 use madlib::methods::datasets;
 use madlib::methods::regress::{LinearRegression, LogisticRegression};
 use madlib::methods::{Estimator, Session};
-use madlib::sketch::profile_table;
+use madlib::sketch::DatasetProfileExt;
 use madlib::text::viterbi::viterbi_decode;
 use madlib::text::CrfEstimator;
 
@@ -31,9 +29,8 @@ fn paper_section_4_1_linear_regression_record() {
             .insert(row![1.7307 + 2.2428 * x + 0.1 * noise, vec![1.0, x]])
             .unwrap();
     }
-    let session = Session::in_memory(1).unwrap();
     let single = LinearRegression::new("y", "x")
-        .fit(&Dataset::from_table(&table), &session)
+        .fit(&Dataset::from_table(&table))
         .unwrap();
     assert!((single.coef[0] - 1.7307).abs() < 0.05);
     assert!((single.coef[1] - 2.2428).abs() < 0.01);
@@ -43,7 +40,7 @@ fn paper_section_4_1_linear_regression_record() {
 
     let repartitioned = table.repartition(8).unwrap();
     let parallel = LinearRegression::new("y", "x")
-        .fit(&Dataset::from_table(&repartitioned), &session)
+        .fit(&Dataset::from_table(&repartitioned))
         .unwrap();
     for (a, b) in single.coef.iter().zip(&parallel.coef) {
         assert!((a - b).abs() < 1e-9, "partitioning changed the result");
@@ -55,7 +52,6 @@ fn paper_section_4_1_linear_regression_record() {
 #[test]
 fn irls_and_sgd_agree_on_logistic_regression() {
     let data = datasets::logistic_regression_data(3_000, 3, 4, 77).unwrap();
-    let executor = Executor::new();
     let db = Database::new(4).unwrap();
 
     let irls = Session::new(db.clone())
@@ -65,19 +61,14 @@ fn irls_and_sgd_agree_on_logistic_regression() {
         )
         .unwrap();
 
-    let objective = LogisticObjective::new("y", "x", 3);
-    let sgd = IgdRunner::new(IgdConfig {
-        max_epochs: 150,
-        tolerance: 1e-9,
-        schedule: StepSchedule::InverseSqrt(0.5),
-    })
-    .run(
-        &executor,
-        &data.table,
-        &objective,
-        vec![0.0; objective.dimension()],
-    )
-    .unwrap();
+    let sgd = IgdEstimator::new(LogisticObjective::new("y", "x", 3))
+        .with_config(IgdConfig {
+            max_epochs: 150,
+            tolerance: 1e-9,
+            schedule: StepSchedule::InverseSqrt(0.5),
+        })
+        .fit(&Dataset::from_table(&data.table))
+        .unwrap();
 
     // Same sign and similar magnitude per coefficient; identical predictions
     // on a probe grid.
@@ -141,7 +132,7 @@ fn kmeans_pipeline_end_to_end() {
 #[test]
 fn profile_module_over_generated_tables() {
     let data = datasets::linear_regression_data(800, 4, 0.2, 4, 3).unwrap();
-    let profile = profile_table(&Executor::new(), &data.table).unwrap();
+    let profile = Dataset::from_table(&data.table).profile().unwrap();
     assert_eq!(profile.row_count, 800);
     assert_eq!(profile.columns.len(), 2);
     assert_eq!(profile.columns[0].name(), "y");
@@ -171,11 +162,10 @@ fn profile_runs_on_the_shared_scan_pipeline() {
 
     // The profile is an ordinary aggregate on the pipeline: it composes with
     // filters and reports the executor's scan statistics.
-    let executor = Executor::new();
     let aggregate = ProfileAggregate::new(table.schema());
-    let filter = Predicate::column_lt("amount", 100.0);
-    let (profile, stats) = executor
-        .aggregate_with_stats(&table, &aggregate, Some(&filter))
+    let (profile, stats) = Dataset::from_table(&table)
+        .filter(Predicate::column_lt("amount", 100.0))
+        .aggregate_with_stats(&aggregate)
         .unwrap();
     assert_eq!(stats.rows_scanned, 400);
     assert_eq!(stats.rows_aggregated, 100);
@@ -190,7 +180,7 @@ fn profile_runs_on_the_shared_scan_pipeline() {
     }
 
     // The chunked scan and the per-row reference agree on every exact field.
-    let chunked = profile_table(&Executor::new(), &table).unwrap();
+    let chunked = Dataset::from_table(&table).profile().unwrap();
     let by_rows = reference::aggregate(&Dataset::from_table(&table), &aggregate).unwrap();
     assert_eq!(chunked.row_count, by_rows.row_count);
     match (&chunked.columns[1], &by_rows.columns[1]) {
