@@ -137,13 +137,13 @@ impl IncrementalEstimator for NaiveBayes {
         table: &str,
         name: &str,
     ) -> Result<NaiveBayesModel> {
-        train_incremental_single_pass(self, session, table, name)
+        train_incremental_single_pass(self.clone(), session, table, name)
     }
 
     /// Absorbs only appended rows and re-finalizes — bit-identical to a full
     /// retrain (the aggregate is algebraic).
     fn refresh(&self, session: &Session, table: &str, name: &str) -> Result<NaiveBayesModel> {
-        refresh_single_pass(self, session, table, name)
+        refresh_single_pass(self.clone(), session, table, name)
     }
 }
 

@@ -51,7 +51,7 @@ use crate::error::{MethodError, Result};
 use madlib_engine::dataset::Dataset;
 use madlib_engine::group::GroupKey;
 use madlib_engine::materialize::MaterializedAggregate;
-use madlib_engine::{Database, Executor, Value};
+use madlib_engine::{Aggregate, Database, Executor, Value};
 
 /// Execution context for training: the executor that runs scans and the
 /// database holding the tables [`Session::dataset`] opens and the models
@@ -261,22 +261,22 @@ pub trait Estimator {
 }
 
 /// Grouped training for single-pass aggregating estimators: one
-/// segment-parallel [`Dataset::aggregate_per_group`] pass trains every
-/// group's model at once (the paper's "one regression per group in a single
-/// scan").  Estimators whose [`madlib_engine::Aggregate::Output`] *is* their
-/// model call this from their [`Estimator::fit_grouped`] override.
+/// segment-parallel [`Dataset::aggregate_per_group`] pass of `aggregate`
+/// trains every group's model at once (the paper's "one regression per group
+/// in a single scan").  Estimators whose model is an aggregate's output call
+/// this from their [`Estimator::fit_grouped`] override.
 ///
 /// # Errors
 /// Propagates aggregate and grouping errors.
-pub fn fit_grouped_single_pass<E>(
-    estimator: &E,
+pub fn fit_grouped_single_pass<A>(
+    aggregate: &A,
     dataset: &Dataset<'_>,
-) -> Result<GroupedModels<E::Model>>
+) -> Result<GroupedModels<A::Output>>
 where
-    E: Estimator + madlib_engine::Aggregate<Output = <E as Estimator>::Model>,
-    <E as Estimator>::Model: Send,
+    A: Aggregate,
+    A::Output: Send,
 {
-    Ok(GroupedModels::new(dataset.aggregate_per_group(estimator)?))
+    Ok(GroupedModels::new(dataset.aggregate_per_group(aggregate)?))
 }
 
 /// An estimator whose model can be maintained under table appends without a
@@ -336,7 +336,7 @@ pub fn incremental_view_name(model_name: &str) -> String {
 }
 
 /// [`IncrementalEstimator::train_incremental`] for single-pass aggregating
-/// estimators: registers a [`MaterializedAggregate`] view of the estimator's
+/// estimators: registers a [`MaterializedAggregate`] view of `aggregate`'s
 /// transition states over `table`, absorbs the table's current rows, and
 /// finalizes + catalogs the model.  Replaces any previous view/model of the
 /// same `name`.  On a recovered database the registration offers the new
@@ -345,66 +345,65 @@ pub fn incremental_view_name(model_name: &str) -> String {
 ///
 /// # Errors
 /// Propagates table-lookup, absorb and finalize errors.
-pub fn train_incremental_single_pass<E>(
-    estimator: &E,
+pub fn train_incremental_single_pass<A>(
+    aggregate: A,
     session: &Session,
     table: &str,
     name: &str,
-) -> Result<<E as Estimator>::Model>
+) -> Result<A::Output>
 where
-    E: Estimator + madlib_engine::Aggregate<Output = <E as Estimator>::Model>,
-    E: Clone + Send + 'static,
-    <E as madlib_engine::Aggregate>::State: Clone + 'static,
-    <E as Estimator>::Model: Clone + Send + Sync + 'static,
+    A: Aggregate + Send + 'static,
+    A::State: Clone + 'static,
+    A::Output: Clone + Send + Sync + 'static,
 {
-    let view = MaterializedAggregate::new(estimator.clone(), session.executor());
+    let view = MaterializedAggregate::new(aggregate, session.executor());
     session
         .database()
         .register_view(&incremental_view_name(name), table, Box::new(view))?;
-    finalize_single_pass::<E>(session, name)
+    finalize_single_pass::<A>(session, name)
 }
 
 /// [`IncrementalEstimator::refresh`] for single-pass aggregating estimators:
 /// absorbs rows appended past the view's watermark, re-finalizes, and
-/// replaces the cataloged model.  Falls back to
-/// [`train_incremental_single_pass`] when no view exists (e.g. a fresh
-/// session refreshing a name it never trained).
+/// replaces the cataloged model.  `aggregate` is used only when no view
+/// exists (e.g. a fresh session refreshing a name it never trained): the
+/// call falls back to [`train_incremental_single_pass`].  A view of another
+/// aggregate type under `name` is a typed error, and the cataloged model
+/// stays as it was.
 ///
 /// # Errors
 /// Propagates absorb, finalize and catalog errors.
-pub fn refresh_single_pass<E>(
-    estimator: &E,
+pub fn refresh_single_pass<A>(
+    aggregate: A,
     session: &Session,
     table: &str,
     name: &str,
-) -> Result<<E as Estimator>::Model>
+) -> Result<A::Output>
 where
-    E: Estimator + madlib_engine::Aggregate<Output = <E as Estimator>::Model>,
-    E: Clone + Send + 'static,
-    <E as madlib_engine::Aggregate>::State: Clone + 'static,
-    <E as Estimator>::Model: Clone + Send + Sync + 'static,
+    A: Aggregate + Send + 'static,
+    A::State: Clone + 'static,
+    A::Output: Clone + Send + Sync + 'static,
 {
     if !session.database().has_view(&incremental_view_name(name)) {
-        return train_incremental_single_pass(estimator, session, table, name);
+        return train_incremental_single_pass(aggregate, session, table, name);
     }
-    finalize_single_pass::<E>(session, name)
+    finalize_single_pass::<A>(session, name)
 }
 
 /// Catches the view backing `name` up to its source table and re-finalizes,
 /// registering the resulting model under `name`.
-fn finalize_single_pass<E>(session: &Session, name: &str) -> Result<<E as Estimator>::Model>
+fn finalize_single_pass<A>(session: &Session, name: &str) -> Result<A::Output>
 where
-    E: Estimator + madlib_engine::Aggregate<Output = <E as Estimator>::Model>,
-    E: Clone + Send + 'static,
-    <E as madlib_engine::Aggregate>::State: Clone + 'static,
-    <E as Estimator>::Model: Clone + Send + Sync + 'static,
+    A: Aggregate + Send + 'static,
+    A::State: Clone + 'static,
+    A::Output: Clone + Send + Sync + 'static,
 {
     let model = session
         .database()
         .refresh_view(&incremental_view_name(name), |state| {
             state
                 .as_any_mut()
-                .downcast_mut::<MaterializedAggregate<E>>()
+                .downcast_mut::<MaterializedAggregate<A>>()
                 .ok_or_else(|| {
                     madlib_engine::EngineError::invalid(format!(
                         "materialized view backing model {name:?} holds a different aggregate type"

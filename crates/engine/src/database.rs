@@ -694,11 +694,6 @@ impl Database {
         read_lock(&self.views).contains_key(view)
     }
 
-    /// Drops the named materialized view, returning whether it existed.
-    pub fn drop_view(&self, view: &str) -> bool {
-        write_lock(&self.views).remove(view).is_some()
-    }
-
     /// Catches the named view up to its source table's current contents
     /// (absorbing only rows past its watermark) and hands the up-to-date
     /// state to `with`.
@@ -1174,11 +1169,6 @@ impl Database {
         Some(recovered.report.clone())
     }
 
-    /// Whether this database is backed by a durable directory.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// The backing directory of a durable database.
     pub fn storage_dir(&self) -> Option<&Path> {
         self.durability.as_ref().map(|d| d.dir.as_path())
@@ -1468,7 +1458,7 @@ mod tests {
 
     use crate::aggregate::{Aggregate, CountAggregate, SumAggregate};
     use crate::executor::Executor;
-    use crate::materialize::MaterializedAggregate;
+    use crate::materialize::{Absorbed, MaterializedAggregate};
 
     fn count_view(db: &Database) -> MaterializedAggregate<CountAggregate> {
         let _ = db;
@@ -1706,7 +1696,7 @@ mod tests {
         assert_eq!(db.table("events").unwrap().row_count(), 3);
         // ...the healthy view absorbed the rows...
         assert_eq!(finalize_count(&db, "solid").unwrap(), 3);
-        // ...and the failing view is flagged for rebuild.
+        // ...and the failing view reports no completed absorb.
         {
             let views = read_lock(&db.views);
             let guard = views["flaky"].state.lock().unwrap();
@@ -1714,7 +1704,7 @@ mod tests {
                 .as_any()
                 .downcast_ref::<MaterializedAggregate<PoisonAggregate>>()
                 .expect("poison view");
-            assert!(view.needs_rebuild());
+            assert_eq!(view.last_absorb(), None);
         }
         // Refreshing it restarts from scratch and hits the poison row again.
         db.refresh_view("flaky", |_| Ok(())).unwrap_err();
@@ -1766,11 +1756,11 @@ mod tests {
         }));
         assert!(unwound.is_err());
         let count = db.refresh_view("n", |state| {
-            state
-                .as_any_mut()
+            let view = (state.as_any_mut())
                 .downcast_mut::<MaterializedAggregate<PanicOnce>>()
-                .expect("count view")
-                .finalize()
+                .expect("count view");
+            assert_eq!(view.last_absorb(), Some(Absorbed::Rebuilt { rows: 3 }));
+            view.finalize()
         });
         assert_eq!(count.unwrap(), 3);
     }

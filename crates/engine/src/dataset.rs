@@ -287,13 +287,11 @@ impl<'a> Dataset<'a> {
     where
         A::Output: Send,
     {
-        let group_indices = self.group_column_indices()?;
-        let columns = fold::GroupedInput::new(aggregate, self.schema(), group_indices);
         let segments = fold::scan_grouped_units(
             aggregate,
             self.table(),
             &self.executor,
-            &columns,
+            self.group_column_indices()?,
             self.filter.as_ref(),
         )?;
         let states = segments.into_iter().flat_map(GroupedUnit::into_states);

@@ -13,19 +13,19 @@
 //!   slot).
 //! * **Runners** — [`advance_state`] folds a run of chunks into an ungrouped
 //!   state ([`scan::scan_chunks`] + [`Aggregate::transition_chunk`]);
-//!   [`GroupedUnit::advance`] does the same for a grouped one.  Routing a
-//!   chunk's rows to groups is [`crate::group`]'s job — the keying pass
-//!   ([`SlotDirectory::key_chunk`]) and the index sort ([`IndexSort`]) that
-//!   grouped scoring, `gather_groups` and `partition_by_group` use too; what
-//!   is the fold's own is the choice per chunk between gathering each group
-//!   directly and staging rows in radix buckets until a batch is worth a
-//!   `transition_chunk`, and the discipline that keeps every group's rows in
-//!   scan order across the two.  Both runners are *resumable*: calling them
-//!   again with the chunks appended since continues the same state, which is
-//!   how a materialized view absorbs a suffix.
+//!   [`GroupedUnit::scan`] does the same for a segment's grouped states.
+//!   Routing a chunk's rows to groups is [`crate::group`]'s job — the keying
+//!   pass ([`SlotDirectory::key_chunk`]) and the index sort ([`IndexSort`])
+//!   that grouped scoring, `gather_groups` and `partition_by_group` use too;
+//!   what is the fold's own is the choice per chunk between gathering each
+//!   group directly and staging rows in radix buckets until a batch is worth
+//!   a `transition_chunk`, and the discipline that keeps every group's rows
+//!   in scan order across the two.  Only the ungrouped runner is resumed:
+//!   calling it again with the chunks appended since continues the same
+//!   state, which is how a materialized view's catch-up absorbs a suffix.
 //! * **Projection** — every copy a runner makes for the aggregate holds only
 //!   the columns it declares ([`Aggregate::input_columns`], resolved once per
-//!   scan or absorb by [`input_projection`] / [`GroupedInput`]): a filter's
+//!   scan by [`input_projection`] / [`GroupedInput`]): a filter's
 //!   compaction, the per-group gathers (into one reused sub-chunk) and the
 //!   radix staging.  A grouped filter's compaction keeps the key columns as
 //!   well, because the keying pass runs on the compacted chunk.  Chunks that
@@ -34,8 +34,8 @@
 //! * **Fan-out** — [`scan_units`] / [`scan_grouped_units`] run every segment
 //!   of a table on the work-stealing pool ([`scan::run_per_segment`]).  A
 //!   batch aggregate folds the result and throws it away; a materialized
-//!   view keeps it behind a watermark and later advances each state over
-//!   the rows past it, serially on the calling thread.
+//!   view keeps the ungrouped states behind a watermark and later advances
+//!   each over the rows past it, serially on the calling thread.
 //! * **Fold** — [`fold_units`] (one left-to-right merge in segment order)
 //!   and [`fold_groups`] (flat per key in segment order, key-sorted,
 //!   finalized on [`scan::run_per_item_with_scratch`]).  These are the only
@@ -187,30 +187,22 @@ pub(crate) fn scan_grouped_units<A: Aggregate>(
     aggregate: &A,
     table: &Table,
     executor: &Executor,
-    columns: &GroupedInput,
+    group_indices: Vec<usize>,
     filter: Option<&Predicate>,
 ) -> Result<Vec<GroupedUnit<A::State>>> {
     let schema = table.schema();
+    let columns = GroupedInput::new(aggregate, schema, group_indices);
     let (segments, _) = fan_out(table, executor, |segment| {
-        let mut unit = GroupedUnit::default();
-        let stats = unit.advance(
-            aggregate,
-            segment.chunks(),
-            schema,
-            columns,
-            filter,
-            &mut GroupScratch::default(),
-        )?;
-        Ok((unit, stats))
+        GroupedUnit::scan(aggregate, segment.chunks(), schema, &columns, filter)
     })?;
     Ok(segments)
 }
 
 /// What the grouped runner reads of a table for one aggregate, resolved once
-/// per scan (or view absorb): the key columns, the aggregate's
-/// [`input_projection`], and what a filter's compaction keeps — the input
-/// columns plus the key columns, which the keying pass reads after it.
-pub(crate) struct GroupedInput {
+/// per scan: the key columns, the aggregate's [`input_projection`], and what
+/// a filter's compaction keeps — the input columns plus the key columns,
+/// which the keying pass reads after it.
+struct GroupedInput {
     /// The key columns' table indices.
     keys: Vec<usize>,
     /// The aggregate's input columns; `None`: every column.
@@ -245,7 +237,7 @@ struct BatchColumns<'a> {
 impl GroupedInput {
     /// Resolves the key columns at `keys` and `aggregate`'s input columns
     /// against `schema`.
-    pub(crate) fn new<A: Aggregate>(aggregate: &A, schema: &Schema, keys: Vec<usize>) -> Self {
+    fn new<A: Aggregate>(aggregate: &A, schema: &Schema, keys: Vec<usize>) -> Self {
         let input = input_projection(aggregate, schema);
         let compaction = input.as_ref().map(|input| {
             let mut kept: Vec<usize> = input.columns().iter().chain(&keys).copied().collect();
@@ -353,66 +345,44 @@ pub(crate) struct GroupedUnit<S> {
     states: Vec<S>,
 }
 
-impl<S> Default for GroupedUnit<S> {
-    fn default() -> Self {
-        Self {
-            directory: SlotDirectory::default(),
-            states: Vec::new(),
-        }
-    }
-}
-
 impl<S> GroupedUnit<S> {
     /// The `(key, state)` pairs, by value.
     pub(crate) fn into_states(self) -> impl Iterator<Item = (GroupKey, S)> {
         self.directory.into_keys().zip(self.states)
     }
 
-    /// The `(key, state)` pairs, cloned.  (A key appears once per segment,
-    /// so the order within a segment never reaches [`fold_groups`]' per-key
-    /// merge order.)
-    pub(crate) fn cloned_states(&self) -> impl Iterator<Item = (GroupKey, S)> + '_
-    where
-        S: Clone,
-    {
-        (self.directory.keys().iter().cloned()).zip(self.states.iter().cloned())
-    }
-
-    /// The grouped runner: folds the filter-surviving rows of `chunks`
-    /// into their groups' states, chunk at a time.  Each chunk goes through
-    /// the keying pass ([`SlotDirectory::key_chunk`]); groups big enough to
-    /// batch are gathered, in row order, into `scratch`'s sub-chunk for
-    /// [`Aggregate::transition_chunk`], and high-cardinality chunks stage
-    /// their rows into `scratch`'s radix buckets, which flush in batches and
-    /// are all drained before returning — so the states are complete
-    /// after every call, and a later call (with any drained scratch) resumes
-    /// them.  Gathers and staging copy only the aggregate's input columns
-    /// (`columns`), and so does a filter's compaction, plus the key columns.
-    /// After an error the scratch may still hold staged rows and must be
-    /// discarded.
-    pub(crate) fn advance<A: Aggregate<State = S>>(
-        &mut self,
+    /// The grouped runner: folds the filter-surviving rows of one segment's
+    /// `chunks` into their groups' states, chunk at a time.  Each chunk goes
+    /// through the keying pass ([`SlotDirectory::key_chunk`]); groups big
+    /// enough to batch are gathered, in row order, into one reused sub-chunk
+    /// for [`Aggregate::transition_chunk`], and high-cardinality chunks stage
+    /// their rows into radix buckets, which flush in batches and are all
+    /// drained before returning, so the states are complete.  Gathers and
+    /// staging copy only the aggregate's input columns (`columns`), and so
+    /// does a filter's compaction, plus the key columns.
+    fn scan<A: Aggregate<State = S>>(
         aggregate: &A,
         chunks: &[Arc<RowChunk>],
         schema: &Schema,
         columns: &GroupedInput,
         filter: Option<&Predicate>,
-        scratch: &mut GroupScratch,
-    ) -> Result<SegmentScanStats> {
-        let Self { directory, states } = self;
-        let GroupScratch {
-            keyed,
-            staging,
-            batch,
-        } = scratch;
+    ) -> Result<(Self, SegmentScanStats)> {
+        let mut directory = SlotDirectory::default();
+        let mut states = Vec::new();
+        // The current chunk as the keying pass left it: every row's slot, the
+        // chunk's distinct slots, and the sort that gathers by them.
+        let mut keyed = IndexSort::default();
+        // Rows of high-cardinality chunks waiting to be batched.
+        let mut staging = RadixStaging::default();
         // The schema of every chunk the runner builds: the input columns'.
         let input_schema = columns.schema(schema);
-        let batch = batch.get_or_insert_with(|| RowChunk::new(input_schema));
+        // The one sub-chunk every per-group gather refills.
+        let batch = &mut RowChunk::new(input_schema);
         let compaction = columns.compaction.as_ref().map(|c| &c.kept);
         let stats = scan::scan_chunks(chunks, schema, filter, compaction, |scanned| {
             let at = columns.columns(&scanned, schema);
             let chunk = scanned.chunk();
-            directory.key_chunk(chunk, at.keys, keyed, |_| {
+            directory.key_chunk(chunk, at.keys, &mut keyed, |_| {
                 states.push(aggregate.initial_state());
                 Ok::<(), EngineError>(())
             })?;
@@ -430,7 +400,7 @@ impl<S> GroupedUnit<S> {
                 // staged rows of this group's bucket must run first to keep the
                 // group's row order.
                 let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
-                staging.flush_bucket(aggregate, input_schema, states, batch, bucket)?;
+                staging.flush_bucket(aggregate, input_schema, &mut states, batch, bucket)?;
                 return aggregate.transition_chunk(&mut states[slot as usize], chunk, whole);
             }
 
@@ -442,7 +412,13 @@ impl<S> GroupedUnit<S> {
                 if staging.staged_total > 0 {
                     for &(slot, _) in keyed.runs() {
                         let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
-                        staging.flush_bucket(aggregate, input_schema, states, batch, bucket)?;
+                        staging.flush_bucket(
+                            aggregate,
+                            input_schema,
+                            &mut states,
+                            batch,
+                            bucket,
+                        )?;
                     }
                 }
                 for (slot, indices) in keyed.sorted() {
@@ -466,7 +442,13 @@ impl<S> GroupedUnit<S> {
                 for touched in 0..staging.by_bucket.runs().len() {
                     let bucket = staging.by_bucket.runs()[touched].0 as usize;
                     if staging.buckets[bucket].len() >= RADIX_FLUSH_ROWS {
-                        staging.flush_bucket(aggregate, input_schema, states, batch, bucket)?;
+                        staging.flush_bucket(
+                            aggregate,
+                            input_schema,
+                            &mut states,
+                            batch,
+                            bucket,
+                        )?;
                     }
                 }
                 // Bound total staging memory by draining the fullest buckets
@@ -478,40 +460,24 @@ impl<S> GroupedUnit<S> {
                     else {
                         break;
                     };
-                    staging.flush_bucket(aggregate, input_schema, states, batch, fullest)?;
+                    staging.flush_bucket(aggregate, input_schema, &mut states, batch, fullest)?;
                 }
             }
             Ok(())
         })?;
 
-        // End of call: drain every bucket, so the states are complete and
-        // the scratch is reusable by any segment.  Cross-group order is free
-        // (each group's state is independent); per-group order was preserved
-        // by the staging discipline.
+        // End of the segment: drain every bucket, so the states are
+        // complete.  Cross-group order is free (each group's state is
+        // independent); per-group order was preserved by the staging
+        // discipline.
         if staging.staged_total > 0 {
             for bucket in 0..staging.buckets.len() {
-                staging.flush_bucket(aggregate, input_schema, states, batch, bucket)?;
+                staging.flush_bucket(aggregate, input_schema, &mut states, batch, bucket)?;
             }
         }
         debug_assert_eq!(staging.staged_total, 0);
-        Ok(stats)
+        Ok((Self { directory, states }, stats))
     }
-}
-
-/// Per-call scratch of [`GroupedUnit::advance`], reusable across chunks,
-/// calls and segments because every successful call leaves it drained: a
-/// batch scan makes one per segment, a materialized view keeps one for all
-/// its absorbs.  Its chunks are shaped by the first call's input columns;
-/// a view starts a fresh scratch whenever it rescans.
-#[derive(Default)]
-pub(crate) struct GroupScratch {
-    /// The current chunk as the keying pass left it: every row's slot, the
-    /// chunk's distinct slots, and the sort that gathers by them.
-    keyed: IndexSort,
-    /// Rows of high-cardinality chunks waiting to be batched.
-    staging: RadixStaging,
-    /// The one sub-chunk every per-group gather refills.
-    batch: Option<RowChunk>,
 }
 
 /// Radix staging for high-cardinality chunks: one bucket per contiguous run

@@ -16,8 +16,8 @@
 //! exactly SQL's multi-column `GROUP BY` ordering) and the single-column case
 //! stays allocation-free: a one-part key stores its part inline.
 //!
-//! Every grouped consumer — grouped aggregation and materialized views
-//! (the crate-private `fold` module), [`crate::Dataset::score_per_group`],
+//! Every grouped consumer — grouped aggregation (the crate-private `fold`
+//! module), [`crate::Dataset::score_per_group`],
 //! [`crate::Dataset::gather_groups`] and [`partition_by_group`] — routes rows
 //! through the same two crate-private pieces, so the engine has one GROUP BY
 //! operator the way a DBMS does:
@@ -553,11 +553,6 @@ impl<S: BuildHasher> SlotDirectory<S> {
 }
 
 impl<S> SlotDirectory<S> {
-    /// The keys, in slot order.
-    pub(crate) fn keys(&self) -> &[GroupKey] {
-        &self.keys
-    }
-
     /// The keys, by value, in slot order.
     pub(crate) fn into_keys(self) -> impl Iterator<Item = GroupKey> {
         self.keys.into_iter()
@@ -685,7 +680,7 @@ impl IndexSort {
 /// twice — grouping by a repeated column would silently produce the same
 /// groups under a wider-looking key, so duplicates are rejected as
 /// [`EngineError::InvalidArgument`] instead.  The one validator behind every
-/// grouped scan terminal and grouped materialized view.
+/// grouped scan terminal.
 pub(crate) fn group_column_indices(schema: &Schema, columns: &[String]) -> Result<Vec<usize>> {
     if columns.is_empty() {
         return Err(EngineError::invalid(

@@ -122,7 +122,7 @@ pub use error::{EngineError, Result};
 pub use executor::Executor;
 pub use group::{GroupKey, KeyPart};
 pub use materialize::{
-    AnyMaterialized, MaterializedAggregate, RebuildReason, ViewImage, ViewOutcome,
+    Absorbed, AnyMaterialized, MaterializedAggregate, RebuildReason, ViewImage, ViewOutcome,
 };
 pub use row::Row;
 pub use scan::ScanBatch;

@@ -8,13 +8,19 @@
 //! partial transition states around, fold only the **new** rows in, and
 //! re-run the (cheap) merge + finalize.  This module is that machinery.
 //!
-//! A [`MaterializedAggregate`] holds, per table segment, the partial states
-//! of an aggregate together with a **chunk watermark**: how many chunks (and
-//! how many rows of the open tail chunk) have already been absorbed.
-//! [`MaterializedAggregate::absorb`] advances the watermark by running
-//! [`Aggregate::transition_chunk`] on the rows past it — O(appended rows),
-//! not O(table) — and [`MaterializedAggregate::finalize`] re-runs merge +
-//! finalize over the retained states.
+//! A [`MaterializedAggregate`] holds, per table segment, the partial state
+//! of an aggregate over every row of one table, together with a **chunk
+//! watermark**: how many chunks (and how many rows of the open tail chunk)
+//! have already been absorbed.  [`MaterializedAggregate::absorb`] advances
+//! the watermark by running [`Aggregate::transition_chunk`] on the rows past
+//! it — O(appended rows), not O(table) — and
+//! [`MaterializedAggregate::finalize`] re-runs merge + finalize over the
+//! retained states.  [`MaterializedAggregate::last_absorb`] reports what the
+//! latest absorb did: rebuilt or caught up, and over how many rows.
+//!
+//! That is the one shape incremental training registers (`Session::
+//! train_incremental` in `madlib_core::train`): no filter, no grouping.  A
+//! filtered or grouped model is a batch [`crate::Dataset`] terminal.
 //!
 //! # Bit-identity with the batch path
 //!
@@ -36,16 +42,16 @@
 //!    each segment's rows past the watermark, serially on the calling
 //!    thread.
 //! 3. Finalize shares the batch scan's fold over clones of the retained
-//!    states: they merge left-to-right in segment order; grouped states
-//!    merge flat per key in segment order and finalize in key order.
+//!    states: they merge left-to-right in segment order.
 //!
 //! # Mutation model
 //!
 //! Views track **appends**.  A shrinking source segment (truncate,
 //! [`crate::Database::replace_table`] with fewer rows) is detected through
 //! the watermark and triggers a from-scratch rebuild; an in-place rewrite
-//! that keeps row counts identical is *not* detectable — drop and recreate
-//! the view around such mutations.
+//! that keeps row counts identical is *not* detectable — register a fresh
+//! view after such mutations ([`crate::Database::register_view`] replaces
+//! the view of the same name).
 //!
 //! # Adoption
 //!
@@ -61,19 +67,16 @@
 //! its next absorb is then the ordinary catch-up over the rows the log
 //! replayed past the watermark.  Otherwise the view stays empty and that
 //! absorb rebuilds it, as it always has.  Adoption seeds nothing else: the
-//! absorb, the catch-up and the fold are the ones a live append runs.  An
-//! aggregate without a state codec (the default), and every filtered or
-//! grouped view, is not persisted and rebuilds after a restart.
+//! absorb, the catch-up and the fold are the ones a live append runs.  A view
+//! whose aggregate has no state codec (the default) is not persisted and
+//! rebuilds after a restart.
 
 use crate::aggregate::Aggregate;
 use crate::chunk::{RowChunk, Segment};
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::executor::Executor;
-use crate::expr::Predicate;
-use crate::fold::{self, GroupScratch, GroupedUnit};
-use crate::group::{self, GroupKey};
+use crate::fold;
 use crate::persist::{StateReader, StateWriter};
-use crate::scan::SegmentScanStats;
 use crate::table::Table;
 use std::any::Any;
 use std::sync::Arc;
@@ -86,7 +89,7 @@ pub trait AnyMaterialized: Send {
     /// Absorbs all rows of `table` past the watermark.
     ///
     /// # Errors
-    /// Propagates transition and predicate errors.
+    /// Propagates transition errors.
     fn absorb(&mut self, table: &Table) -> Result<()>;
 
     /// Flags the view so its next absorb rebuilds from scratch instead of
@@ -97,9 +100,8 @@ pub trait AnyMaterialized: Send {
 
     /// The retained states as bytes, for a checkpoint to persist — `None`
     /// for a view that is not persistable: its aggregate has no state codec
-    /// ([`Aggregate::state_fingerprint`] is `None`), it is filtered or
-    /// grouped, or it holds no trustworthy states (never absorbed, or a
-    /// failed absorb).
+    /// ([`Aggregate::state_fingerprint`] is `None`), or it holds no
+    /// trustworthy states (never absorbed, or a failed absorb).
     fn image(&self) -> Option<ViewImage>;
 
     /// Seeds the view with a persisted `image` of the view of the same name
@@ -126,8 +128,8 @@ pub trait AnyMaterialized: Send {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildReason {
     /// The view registered under the name is not the one persisted: another
-    /// source table, another aggregate configuration
-    /// ([`Aggregate::state_fingerprint`]), or a filter or grouping.
+    /// source table, or another aggregate configuration
+    /// ([`Aggregate::state_fingerprint`]).
     Fingerprint,
     /// The source table is another incarnation than the one the states
     /// describe: it was truncated, replaced or dropped after the checkpoint.
@@ -243,30 +245,33 @@ impl Watermark {
     }
 }
 
-/// The retained per-segment states — the batch scan's currency, kept: a
-/// single state per segment for ungrouped views, a slot directory of per-key
-/// states for grouped views (plus the grouped runner's scratch, reused
-/// across absorbs).
-enum ViewStates<S> {
-    Ungrouped(Vec<S>),
-    Grouped {
-        segments: Vec<GroupedUnit<S>>,
-        scratch: Box<GroupScratch>,
+/// What a view's last absorb did: how it brought the retained states up to
+/// the table, and how many rows it folded in to do so — the counts the scan
+/// runners return, no clock read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Absorbed {
+    /// The states were rebuilt from the whole table (first absorb, new table
+    /// incarnation, repartitioned or shrunk source, failed previous absorb):
+    /// `rows` is every row of the table.
+    Rebuilt {
+        /// Rows scanned by the rebuild.
+        rows: u64,
+    },
+    /// The states were advanced over the rows past their watermarks.
+    CaughtUp {
+        /// Rows past the watermarks, folded in.
+        rows: u64,
     },
 }
 
-/// Incrementally maintained partial aggregate state over one table — see the
-/// module docs for the maintenance and bit-identity story.
-///
-/// The view is configured like a [`crate::Dataset`] terminal: an optional
-/// filter and optional grouping columns, plus the [`Executor`] its rebuilds
-/// run under.
+/// Incrementally maintained partial aggregate state over every row of one
+/// table — see the module docs for the maintenance and bit-identity story.
 pub struct MaterializedAggregate<A: Aggregate> {
     aggregate: A,
-    filter: Option<Predicate>,
-    group_columns: Vec<String>,
+    /// The executor the rebuilds run under.
     executor: Executor,
-    states: ViewStates<A::State>,
+    /// One state per source segment — the batch scan's currency, kept.
+    states: Vec<A::State>,
     /// One per source segment; empty until the first absorb.
     watermarks: Vec<Watermark>,
     /// Lifecycle generation of the table incarnation the watermarks
@@ -277,13 +282,16 @@ pub struct MaterializedAggregate<A: Aggregate> {
     /// Set when a failed absorb may have left states inconsistent with the
     /// watermark; the next absorb rebuilds from scratch.
     needs_rebuild: bool,
+    /// What the last absorb did; `None` before the first and after a failed
+    /// one.
+    last_absorb: Option<Absorbed>,
 }
 
 impl<A: Aggregate> std::fmt::Debug for MaterializedAggregate<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaterializedAggregate")
-            .field("group_columns", &self.group_columns)
             .field("executor", &self.executor)
+            .field("last_absorb", &self.last_absorb)
             .finish_non_exhaustive()
     }
 }
@@ -293,70 +301,24 @@ where
     A: Aggregate,
     A::State: Clone,
 {
-    /// Creates an empty ungrouped, unfiltered view whose rebuilds run under
-    /// `executor`.
+    /// Creates an empty view whose rebuilds run under `executor`.
     pub fn new(aggregate: A, executor: &Executor) -> Self {
         Self {
             aggregate,
-            filter: None,
-            group_columns: Vec::new(),
             executor: *executor,
-            states: ViewStates::Ungrouped(Vec::new()),
+            states: Vec::new(),
             watermarks: Vec::new(),
             source_generation: None,
             needs_rebuild: false,
+            last_absorb: None,
         }
     }
 
-    /// Restricts the view to rows matching `filter` (the dataset's `WHERE`).
-    /// A filtered view is not persisted by a checkpoint: after a restart it
-    /// rebuilds from the table.
-    #[must_use]
-    pub fn with_filter(mut self, filter: Predicate) -> Self {
-        self.filter = Some(filter);
-        self.watermarks.clear();
-        self
-    }
-
-    /// Maintains one state per distinct key of `columns` (the dataset's
-    /// `grouping_cols`).  The list is validated on absorb exactly as
-    /// [`crate::Dataset::group_by`]'s is by its terminals: unknown names are
-    /// [`EngineError::ColumnNotFound`], duplicates
-    /// [`EngineError::InvalidArgument`].  A grouped view is not persisted by
-    /// a checkpoint: after a restart it rebuilds from the table.
-    #[must_use]
-    pub fn with_group_columns<I, S>(mut self, columns: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.group_columns = columns.into_iter().map(Into::into).collect();
-        self.states = if self.group_columns.is_empty() {
-            ViewStates::Ungrouped(Vec::new())
-        } else {
-            ViewStates::Grouped {
-                segments: Vec::new(),
-                scratch: Box::default(),
-            }
-        };
-        self.watermarks.clear();
-        self
-    }
-
-    /// The aggregate the view maintains.
-    pub fn aggregate(&self) -> &A {
-        &self.aggregate
-    }
-
-    /// Whether the view maintains per-group states.
-    pub fn is_grouped(&self) -> bool {
-        !self.group_columns.is_empty()
-    }
-
-    /// Whether the next absorb will rebuild from scratch (a failed absorb
-    /// marked the retained states untrustworthy).
-    pub fn needs_rebuild(&self) -> bool {
-        self.needs_rebuild
+    /// What the last absorb did — rebuilt or caught up, and over how many
+    /// rows.  `None` before the first absorb and after a failed one (whose
+    /// successor rebuilds).
+    pub fn last_absorb(&self) -> Option<Absorbed> {
+        self.last_absorb
     }
 
     /// Absorbs every row of `table` past the per-segment watermarks —
@@ -364,17 +326,12 @@ where
     /// after arbitrary appends.  The first absorb, a new table incarnation,
     /// a repartitioned or shrunk source and a previously failed absorb
     /// rebuild instead: the batch scan's fan-out under the view's executor,
-    /// with the states kept.
+    /// with the states kept.  [`MaterializedAggregate::last_absorb`] reports
+    /// which it was.
     ///
     /// # Errors
-    /// Propagates transition, predicate and column-lookup errors.
+    /// Propagates transition errors.
     pub fn absorb(&mut self, table: &Table) -> Result<()> {
-        let schema = table.schema();
-        let group_indices = if self.is_grouped() {
-            group::group_column_indices(schema, &self.group_columns)?
-        } else {
-            Vec::new()
-        };
         let generation = table.generation();
         // The retained states are unusable after a previously failed absorb,
         // for a different table incarnation (drop/recreate, replace, truncate
@@ -387,100 +344,61 @@ where
             || (self.watermarks.iter().enumerate())
                 .any(|(seg, watermark)| watermark.outruns(table.segment(seg)));
         self.source_generation = Some(generation);
-        let (aggregate, executor, filter) = (&self.aggregate, &self.executor, self.filter.as_ref());
-        let watermarks = &self.watermarks;
-        let result = match &mut self.states {
-            ViewStates::Ungrouped(segments) if rescan => {
-                fold::scan_units(aggregate, table, executor, filter).map(|(s, _)| *segments = s)
-            }
-            ViewStates::Ungrouped(segments) => {
-                // Only a filter copies rows, so only a filtered view needs the
-                // aggregate's columns.
-                let input = filter.and_then(|_| fold::input_projection(aggregate, schema));
-                catch_up(segments, watermarks, table, |state, chunks| {
-                    fold::advance_state(aggregate, state, chunks, schema, filter, input.as_ref())
-                })
-            }
-            ViewStates::Grouped { segments, scratch } if rescan => {
-                // A failed absorb can leave rows staged, and the scratch's
-                // chunks are shaped for the previous incarnation's columns.
-                **scratch = GroupScratch::default();
-                let columns = fold::GroupedInput::new(aggregate, schema, group_indices);
-                fold::scan_grouped_units(aggregate, table, executor, &columns, filter)
-                    .map(|s| *segments = s)
-            }
-            ViewStates::Grouped { segments, scratch } => {
-                let columns = fold::GroupedInput::new(aggregate, schema, group_indices);
-                catch_up(segments, watermarks, table, |unit, chunks| {
-                    unit.advance(aggregate, chunks, schema, &columns, filter, scratch)
-                })
-            }
+        let result = if rescan {
+            fold::scan_units(&self.aggregate, table, &self.executor, None).map(|(states, stats)| {
+                self.states = states;
+                Absorbed::Rebuilt {
+                    rows: stats.rows_scanned,
+                }
+            })
+        } else {
+            catch_up(&self.aggregate, &mut self.states, &self.watermarks, table)
+                .map(|rows| Absorbed::CaughtUp { rows })
         };
         // A failed transition may have folded some rows in without advancing
         // the watermark; only a rebuild is safe now.
         self.needs_rebuild = result.is_err();
+        self.last_absorb = result.as_ref().ok().copied();
         self.watermarks.clear();
         if result.is_ok() {
             let segments = (0..table.num_segments()).map(|seg| table.segment(seg));
             self.watermarks.extend(segments.map(Watermark::end_of));
         }
-        result
+        result.map(drop)
     }
 
     /// Merges the retained states and finalizes — the cheap, O(states)
-    /// refresh step.  Requires an ungrouped view.
+    /// refresh step.
     ///
     /// # Errors
-    /// Propagates merge/finalize errors; errors on a grouped view.
+    /// Propagates finalize errors.
     pub fn finalize(&self) -> Result<A::Output> {
-        match &self.states {
-            ViewStates::Ungrouped(segments) => self
-                .aggregate
-                .finalize(fold::fold_units(&self.aggregate, segments.iter().cloned())),
-            ViewStates::Grouped { .. } => Err(EngineError::invalid(
-                "finalize on a grouped materialized aggregate; use finalize_grouped",
-            )),
-        }
-    }
-
-    /// Merges the retained per-group states and finalizes each group,
-    /// returning outputs sorted by key (matching
-    /// [`crate::Dataset::aggregate_per_group`]).  Requires a grouped view.
-    ///
-    /// # Errors
-    /// Propagates merge/finalize errors; errors on an ungrouped view.
-    pub fn finalize_grouped(&self) -> Result<Vec<(GroupKey, A::Output)>>
-    where
-        A::Output: Send,
-    {
-        match &self.states {
-            ViewStates::Grouped { segments, .. } => {
-                let states = segments.iter().flat_map(GroupedUnit::cloned_states);
-                fold::fold_groups(&self.aggregate, states, self.executor.is_parallel())
-            }
-            ViewStates::Ungrouped(_) => Err(EngineError::invalid(
-                "finalize_grouped on an ungrouped materialized aggregate; use finalize",
-            )),
-        }
+        let states = self.states.iter().cloned();
+        self.aggregate
+            .finalize(fold::fold_units(&self.aggregate, states))
     }
 }
 
 /// Advances each segment's retained state over the pieces of `table` past
-/// its watermark with the runner `advance`, serially on the calling thread —
+/// its watermark with the ungrouped runner, serially on the calling thread —
 /// O(appended rows) — so the states stay the ones a batch scan of the grown
-/// table would produce.
-fn catch_up<U>(
-    segments: &mut [U],
+/// table would produce.  Returns the rows folded in.
+fn catch_up<A: Aggregate>(
+    aggregate: &A,
+    states: &mut [A::State],
     watermarks: &[Watermark],
     table: &Table,
-    mut advance: impl FnMut(&mut U, &[Arc<RowChunk>]) -> Result<SegmentScanStats>,
-) -> Result<()> {
-    for (seg, (state, watermark)) in segments.iter_mut().zip(watermarks).enumerate() {
+) -> Result<u64> {
+    let schema = table.schema();
+    let mut rows = 0;
+    for (seg, (state, watermark)) in states.iter_mut().zip(watermarks).enumerate() {
         watermark.for_each_piece(table.segment(seg), |chunks| {
-            advance(state, chunks).map(drop)
+            let stats = fold::advance_state(aggregate, state, chunks, schema, None, None)?;
+            rows += stats.rows_scanned;
+            Ok(())
         })?;
     }
-    Ok(())
+    Ok(rows)
 }
 
 impl<A> AnyMaterialized for MaterializedAggregate<A>
@@ -498,11 +416,8 @@ where
 
     fn image(&self) -> Option<ViewImage> {
         let fingerprint = self.aggregate.state_fingerprint()?;
-        let ViewStates::Ungrouped(segments) = &self.states else {
-            return None;
-        };
         let generation = self.source_generation?;
-        if self.filter.is_some() || self.needs_rebuild || self.watermarks.len() != segments.len() {
+        if self.needs_rebuild || self.watermarks.len() != self.states.len() {
             return None;
         }
         let encode = |state: &A::State| {
@@ -510,7 +425,7 @@ where
             self.aggregate.encode_state(state, &mut out);
             out.into_bytes()
         };
-        let segments = (self.watermarks.iter().zip(segments))
+        let segments = (self.watermarks.iter().zip(&self.states))
             .map(|(watermark, state)| (*watermark, encode(state)))
             .collect();
         Some(ViewImage {
@@ -526,10 +441,7 @@ where
         table: &Table,
     ) -> std::result::Result<u64, RebuildReason> {
         let fingerprint = self.aggregate.state_fingerprint();
-        if self.filter.is_some()
-            || self.is_grouped()
-            || fingerprint.as_deref() != Some(&image.fingerprint[..])
-        {
+        if fingerprint.as_deref() != Some(&image.fingerprint[..]) {
             return Err(RebuildReason::Fingerprint);
         }
         if !image.fits(table) {
@@ -549,7 +461,7 @@ where
                 (segment.len() - watermark.rows(segment)) as u64
             })
             .sum();
-        self.states = ViewStates::Ungrouped(states);
+        self.states = states;
         self.watermarks = image.segments.into_iter().map(|(w, _)| w).collect();
         self.source_generation = Some(image.generation);
         self.needs_rebuild = false;
@@ -568,8 +480,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{AvgAggregate, CountAggregate, SumAggregate};
-    use crate::expr::Predicate;
+    use crate::aggregate::{CountAggregate, SumAggregate};
     use crate::row;
     use crate::schema::{Column, ColumnType, Schema};
 
@@ -591,16 +502,16 @@ mod tests {
         t
     }
 
-    /// Incremental absorb across partial tail chunks, chunk seals and
-    /// filters matches the batch scan exactly.
+    /// Incremental absorb across partial tail chunks and chunk seals matches
+    /// the batch scan exactly, and each absorb reports the rows it caught up.
     #[test]
     fn absorb_matches_batch_aggregate() {
         let executor = Executor::new();
-        let filter = Predicate::column_gt("v", 2.5);
         let mut t = table(0, 2, 4);
-        let mut view = MaterializedAggregate::new(SumAggregate::new("v"), &executor)
-            .with_filter(filter.clone());
+        let mut view = MaterializedAggregate::new(SumAggregate::new("v"), &executor);
+        assert_eq!(view.last_absorb(), None);
         view.absorb(&t).unwrap();
+        assert_eq!(view.last_absorb(), Some(Absorbed::Rebuilt { rows: 0 }));
         assert_eq!(view.finalize().unwrap(), 0.0);
 
         // Absorb in uneven installments: 1, 3, 9, 14 rows...
@@ -609,57 +520,17 @@ mod tests {
                 t.insert(row![(i % 3) as i64, i as f64]).unwrap();
             }
             view.absorb(&t).unwrap();
+            let rows = (end - start) as u64;
+            assert_eq!(view.last_absorb(), Some(Absorbed::CaughtUp { rows }));
             let batch = crate::Dataset::from_table(&t)
                 .with_executor(executor)
-                .filter(filter.clone())
                 .aggregate(&SumAggregate::new("v"))
                 .unwrap();
             assert_eq!(view.finalize().unwrap(), batch);
         }
-    }
-
-    /// Grouped views match `aggregate_per_group` (keys sorted, per-key merge
-    /// order preserved).
-    #[test]
-    fn grouped_absorb_matches_batch() {
-        let executor = Executor::new();
-        let mut t = table(10, 2, 4);
-        let mut view =
-            MaterializedAggregate::new(AvgAggregate::new("v"), &executor).with_group_columns(["g"]);
+        // Nothing appended: nothing caught up.
         view.absorb(&t).unwrap();
-        for i in 10..23 {
-            t.insert(row![(i % 3) as i64, i as f64]).unwrap();
-        }
-        view.absorb(&t).unwrap();
-        let batch = crate::Dataset::from_table(&t)
-            .with_executor(executor)
-            .group_by(["g"])
-            .aggregate_per_group(&AvgAggregate::new("v"))
-            .unwrap();
-        assert_eq!(view.finalize_grouped().unwrap(), batch);
-    }
-
-    /// A grouped view validates its column list exactly like
-    /// `Dataset::group_by`'s terminals: `(g, g)` used to be accepted and
-    /// silently maintained under a wider-looking key.
-    #[test]
-    fn grouped_views_validate_the_column_list() {
-        let t = table(10, 2, 4);
-        let view = |columns: &[&str]| {
-            MaterializedAggregate::new(CountAggregate, &Executor::new())
-                .with_group_columns(columns.iter().copied())
-        };
-        assert!(matches!(
-            view(&["g", "g"]).absorb(&t),
-            Err(EngineError::InvalidArgument { message }) if message.contains("duplicate")
-        ));
-        assert!(matches!(
-            view(&["g", "nope"]).absorb(&t),
-            Err(EngineError::ColumnNotFound { name }) if name == "nope"
-        ));
-        let mut valid = view(&["g", "v"]);
-        valid.absorb(&t).unwrap();
-        assert_eq!(valid.finalize_grouped().unwrap().len(), 10);
+        assert_eq!(view.last_absorb(), Some(Absorbed::CaughtUp { rows: 0 }));
     }
 
     /// A shrinking segment (truncate) rebuilds instead of double-counting.
@@ -675,6 +546,7 @@ mod tests {
             t.insert(row![0i64, i as f64]).unwrap();
         }
         view.absorb(&t).unwrap();
+        assert_eq!(view.last_absorb(), Some(Absorbed::Rebuilt { rows: 7 }));
         assert_eq!(view.finalize().unwrap(), 7);
     }
 }

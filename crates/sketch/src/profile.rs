@@ -23,14 +23,13 @@ use crate::countmin::CountMinSketch;
 use crate::fm::FlajoletMartin;
 use crate::quantile::QuantileSummary;
 use madlib_core::train::{
-    incremental_view_name, Estimator, GroupedModels, IncrementalEstimator, Session,
+    fit_grouped_single_pass, refresh_single_pass, train_incremental_single_pass, Estimator,
+    GroupedModels, IncrementalEstimator, Session,
 };
 use madlib_engine::chunk::ColumnChunk;
 use madlib_engine::dataset::Dataset;
 use madlib_engine::template::{describe_schema, ColumnInfo, ColumnRole};
-use madlib_engine::{
-    Aggregate, EngineError, MaterializedAggregate, Result, Row, RowChunk, Schema, Value,
-};
+use madlib_engine::{Aggregate, EngineError, Result, Row, RowChunk, Schema, Value};
 use madlib_stats::descriptive::FrequencyTable;
 use madlib_stats::Summary;
 
@@ -480,9 +479,7 @@ impl Estimator for Profiler {
         &self,
         dataset: &Dataset<'_>,
     ) -> madlib_core::Result<GroupedModels<TableProfile>> {
-        Ok(GroupedModels::new(dataset.aggregate_per_group(
-            &ProfileAggregate::new(dataset.schema()),
-        )?))
+        fit_grouped_single_pass(&ProfileAggregate::new(dataset.schema()), dataset)
     }
 }
 
@@ -498,14 +495,7 @@ impl IncrementalEstimator for Profiler {
         table: &str,
         name: &str,
     ) -> madlib_core::Result<TableProfile> {
-        // The templated step: the aggregate's state shape is a function of
-        // the source table's schema at registration time.
-        let schema = session.database().table(table)?.schema().clone();
-        let view = MaterializedAggregate::new(ProfileAggregate::new(&schema), session.executor());
-        session
-            .database()
-            .register_view(&incremental_view_name(name), table, Box::new(view))?;
-        refresh_profile_view(session, name)
+        train_incremental_single_pass(profile_of(session, table)?, session, table, name)
     }
 
     /// Absorbs only appended rows and re-finalizes — bit-identical to a full
@@ -516,31 +506,16 @@ impl IncrementalEstimator for Profiler {
         table: &str,
         name: &str,
     ) -> madlib_core::Result<TableProfile> {
-        if !session.database().has_view(&incremental_view_name(name)) {
-            return self.train_incremental(session, table, name);
-        }
-        refresh_profile_view(session, name)
+        refresh_single_pass(profile_of(session, table)?, session, table, name)
     }
 }
 
-/// Catches the profile view backing `name` up to its source table,
-/// re-finalizes, and registers the profile in the model catalog.
-fn refresh_profile_view(session: &Session, name: &str) -> madlib_core::Result<TableProfile> {
-    let profile = session
-        .database()
-        .refresh_view(&incremental_view_name(name), |state| {
-            state
-                .as_any_mut()
-                .downcast_mut::<MaterializedAggregate<ProfileAggregate>>()
-                .ok_or_else(|| {
-                    EngineError::invalid(format!(
-                        "materialized view backing profile {name:?} holds a different aggregate type"
-                    ))
-                })?
-                .finalize()
-        })?;
-    session.database().models().register(name, profile.clone());
-    Ok(profile)
+/// The profile pass over the catalog table `table` — the templated step:
+/// the aggregate's state shape is a function of the table's schema.
+fn profile_of(session: &Session, table: &str) -> Result<ProfileAggregate> {
+    Ok(ProfileAggregate::new(
+        session.database().table(table)?.schema(),
+    ))
 }
 
 #[cfg(test)]

@@ -16,6 +16,12 @@
 #                                    code lines at <rev> and now and the delta;
 #                                    then the three totals and each crate's
 #                                    `pub` items on both sides
+#        scripts/loc.sh --unused     every `pub fn` under crates/*/src whose
+#                                    name appears in no other code line of
+#                                    crates/*/src, src, examples,
+#                                    benchmark/src or crates/bench/benches
+#                                    (each file cut at `#[cfg(test)]`, `//`
+#                                    lines dropped), as `<file>:<line>  <name>`
 set -euo pipefail
 
 count() {
@@ -55,6 +61,44 @@ summary() {
     done
 }
 
+# The code lines of the given files, as `count` counts them.
+code_lines() {
+    awk 'FNR == 1 { done = 0 }
+         done { next }
+         /^[[:space:]]*#\[cfg\(test\)\]/ { done = 1; next }
+         /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+         { print }' "$@"
+}
+
+# Every `pub fn` of crates/*/src whose name no other code line uses: one
+# `<file>:<line>  <name>` line each, in file order.
+unused() {
+    local every corpus
+    mapfile -t every < <(find crates -path '*/src/*.rs' | sort)
+    mapfile -t corpus < <(find crates/*/src src examples benchmark/src crates/bench/benches \
+        -name '*.rs' | sort)
+    # Per pub fn: where, its name, and how often the name is a word of its
+    # own declaration line; then how often each word occurs in the corpus.
+    awk 'FNR == 1 { done = 0 }
+         done { next }
+         /^[[:space:]]*#\[cfg\(test\)\]/ { done = 1; next }
+         match($0, /^[[:space:]]*pub[[:space:]]+((unsafe|async|const|extern "C")[[:space:]]+)*fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/) {
+             name = substr($0, RSTART, RLENGTH)
+             sub(/.*fn[[:space:]]+/, "", name)
+             own = 0
+             line = $0
+             while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                 own += substr(line, RSTART, RLENGTH) == name
+                 line = substr(line, RSTART + RLENGTH)
+             }
+             print "fn", FILENAME ":" FNR, name, own
+         }' "${every[@]}" |
+        cat - <(code_lines "${corpus[@]}" | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c) |
+        awk '$1 == "fn" { at[++n] = $2; name[n] = $3; own[n] = $4; next }
+             { seen[$2] = $1 }
+             END { for (i = 1; i <= n; i++) if (seen[name[i]] == own[i]) printf "%s  %s\n", at[i], name[i] }'
+}
+
 # One Markdown row: label, parent, change, signed delta (U+2212 for minus).
 row() {
     local delta=$(($3 - $2))
@@ -74,6 +118,13 @@ if [ "$#" -eq 0 ]; then
         [ "$line" -eq 4 ] && echo "   pub  items per crate"
         printf '%6d  %s\n' "$n" "$label"
     done < <(summary)
+    exit 0
+fi
+
+if [ "$1" = "--unused" ]; then
+    [ "$#" -eq 1 ] || { echo "usage: $0 --unused" >&2; exit 2; }
+    cd "$(dirname "$0")/.."
+    unused
     exit 0
 fi
 

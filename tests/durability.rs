@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use madlib::engine::aggregate::SumAggregate;
 use madlib::engine::table::Distribution;
 use madlib::engine::{
-    row, Column, ColumnType, Database, Executor, MaterializedAggregate, RebuildReason, Row, Schema,
-    Table, Value, ViewOutcome,
+    row, Absorbed, Column, ColumnType, Database, Executor, MaterializedAggregate, RebuildReason,
+    Row, Schema, Table, Value, ViewOutcome,
 };
 use madlib::methods::classify::NaiveBayes;
 use madlib::methods::datasets::labeled_point_schema;
@@ -178,6 +178,43 @@ fn incremental_models_resume_bit_identically_after_recovery() {
         )
         .unwrap();
     assert_eq!(bits(&refreshed.coef), bits(&full.coef));
+}
+
+/// An adopted view's first absorb folds in exactly the rows the recovery
+/// report names as its suffix: it catches up, it does not rebuild.
+#[test]
+fn an_adopted_view_catches_up_exactly_its_suffix() {
+    let scratch = ScratchDir::new("suffix");
+    let est = LinearRegression::new("y", "x");
+    {
+        let db = Database::open(scratch.path(), 2).unwrap();
+        db.create_table_with_chunk_capacity("points", labeled_point_schema(), 8)
+            .unwrap();
+        db.append_rows("points", labeled_rows(0..20)).unwrap();
+        let session = Session::new(db.clone());
+        session.train_incremental(&est, "points", "lin").unwrap();
+        db.checkpoint().unwrap();
+        db.append_rows("points", labeled_rows(20..33)).unwrap();
+    }
+    let db = Database::recover(scratch.path()).unwrap();
+    let view = incremental_view_name("lin");
+    let state = MaterializedAggregate::new(est, &Executor::new());
+    db.register_view(&view, "points", Box::new(state)).unwrap();
+    let absorbed = db
+        .refresh_view(&view, |state| {
+            let state = state
+                .as_any()
+                .downcast_ref::<MaterializedAggregate<LinearRegression>>();
+            Ok(state.expect("linregr view").last_absorb())
+        })
+        .unwrap();
+    let report = db.recovery_report().unwrap();
+    let outcome = report.views.iter().find(|(name, _)| *name == view);
+    assert_eq!(
+        outcome.map(|v| v.1),
+        Some(ViewOutcome::Adopted { suffix_rows: 13 })
+    );
+    assert_eq!(absorbed, Some(Absorbed::CaughtUp { rows: 13 }));
 }
 
 /// Raw materialized views re-registered over a recovered database refresh

@@ -9,23 +9,22 @@
 //! transitions, so absorbing
 //! rows in any installment pattern (mid-chunk, across chunk boundaries,
 //! across segments) cannot perturb a single bit.  These properties drive
-//! randomized installment schedules, tiny chunk capacities, NULL-bearing
-//! appends, filters and grouped views through that contract.  For the iterative IRLS solver the refresh warm-starts from the
+//! randomized installment schedules, tiny chunk capacities and NULL-bearing
+//! appends through that contract.  For the iterative IRLS solver the refresh warm-starts from the
 //! previous model instead: same optimum within the solver's convergence
 //! tolerance (documented on `with_initial_coefficients`), not bit-identity.
 
 use madlib::engine::aggregate::{AvgAggregate, SumAggregate};
-use madlib::engine::expr::Predicate;
 use madlib::engine::{
-    row, Column, ColumnType, Database, Dataset, Executor, MaterializedAggregate, Row, Schema,
-    Table, Value,
+    row, Absorbed, Column, ColumnType, Database, Dataset, EngineError, Executor,
+    MaterializedAggregate, Row, Schema, Table, Value,
 };
 use madlib::methods::classify::NaiveBayes;
 use madlib::methods::datasets::{
     labeled_point_schema, linear_regression_data, logistic_regression_data,
 };
-use madlib::methods::regress::{LinearRegression, LogisticRegression};
-use madlib::methods::Session;
+use madlib::methods::regress::{LinearRegression, LinearRegressionModel, LogisticRegression};
+use madlib::methods::{MethodError, Session};
 use madlib::sketch::{ProfileAggregate, Profiler};
 use proptest::prelude::*;
 
@@ -224,16 +223,12 @@ proptest! {
         }
     }
 
-    /// Raw materialized aggregates with the dimensions the Session API does
-    /// not expose: a filter, a grouped view, and NULL-bearing appends.  The
-    /// view's `finalize`/`finalize_grouped` must stay bit-identical to
-    /// running the equivalent `Dataset` aggregate from scratch after every
-    /// installment.  (Its high-cardinality input —
-    /// thousands of composite keys, the radix-staging path — is the
-    /// deterministic `high_cardinality_grouped_view_absorbs_bit_identically`
-    /// below, which would be too slow to draw 64 times.)
+    /// Raw materialized aggregates over NULL-bearing appends: the views'
+    /// `finalize` must stay bit-identical to running the same `Dataset`
+    /// aggregate from scratch after every installment, and each absorb must
+    /// report exactly the installment's rows as caught up.
     #[test]
-    fn filtered_and_grouped_views_absorb_bit_identically(
+    fn views_absorb_bit_identically(
         points in prop::collection::vec((-10.0..10.0f64, 0u8..3, any::<bool>()), 6..60),
         initial_fraction in 1usize..8,
         cuts in prop::collection::vec(1usize..40, 0..3),
@@ -266,13 +261,10 @@ proptest! {
             table.insert(row).unwrap();
         }
 
-        let filter = Predicate::column_gt("v", 0.0);
-        let mut filtered = MaterializedAggregate::new(SumAggregate::new("v"), &exec)
-            .with_filter(filter.clone());
-        let mut grouped = MaterializedAggregate::new(AvgAggregate::new("v"), &exec)
-            .with_group_columns(["g"]);
-        filtered.absorb(&table).unwrap();
-        grouped.absorb(&table).unwrap();
+        let mut sum = MaterializedAggregate::new(SumAggregate::new("v"), &exec);
+        let mut avg = MaterializedAggregate::new(AvgAggregate::new("v"), &exec);
+        sum.absorb(&table).unwrap();
+        avg.absorb(&table).unwrap();
 
         let mut offset = 0usize;
         for size in installment_sizes(pending.len(), &cuts) {
@@ -280,28 +272,24 @@ proptest! {
                 table.insert(row.clone()).unwrap();
             }
             offset += size;
-            filtered.absorb(&table).unwrap();
-            grouped.absorb(&table).unwrap();
+            sum.absorb(&table).unwrap();
+            avg.absorb(&table).unwrap();
+            let caught_up = Some(Absorbed::CaughtUp { rows: size as u64 });
+            prop_assert_eq!(sum.last_absorb(), caught_up);
+            prop_assert_eq!(avg.last_absorb(), caught_up);
 
             let sum_scratch = Dataset::from_table(&table)
-                .filter(filter.clone())
                 .aggregate(&SumAggregate::new("v"))
                 .unwrap();
-            prop_assert_eq!(
-                filtered.finalize().unwrap().to_bits(),
-                sum_scratch.to_bits()
-            );
+            prop_assert_eq!(sum.finalize().unwrap().to_bits(), sum_scratch.to_bits());
 
             let avg_scratch = Dataset::from_table(&table)
-                .group_by(["g"])
-                .aggregate_per_group(&AvgAggregate::new("v"))
+                .aggregate(&AvgAggregate::new("v"))
                 .unwrap();
-            let avg_view = grouped.finalize_grouped().unwrap();
-            prop_assert_eq!(avg_view.len(), avg_scratch.len());
-            for ((vk, vv), (sk, sv)) in avg_view.iter().zip(&avg_scratch) {
-                prop_assert_eq!(vk, sk);
-                prop_assert_eq!(vv.map(f64::to_bits), sv.map(f64::to_bits));
-            }
+            prop_assert_eq!(
+                avg.finalize().unwrap().map(f64::to_bits),
+                avg_scratch.map(f64::to_bits)
+            );
         }
     }
 
@@ -410,6 +398,39 @@ fn append_rows_auto_absorbs_registered_views() {
     assert_eq!(bits(&cataloged.coef), bits(&refreshed.coef));
 }
 
+/// Refreshing a model with an estimator of another aggregate type than the
+/// one it was trained with is a typed error naming the model — the view
+/// holds linregr states, which a profile cannot finalize — and the
+/// cataloged model is left as it was.
+#[test]
+fn refreshing_with_another_estimator_is_a_typed_error() {
+    let db = Database::new(2).unwrap();
+    db.create_table("t", labeled_point_schema()).unwrap();
+    let rows = (0..12).map(|i| {
+        let x = f64::from(i) * 0.5;
+        row![3.0 * x - 2.0, vec![1.0, x]]
+    });
+    db.append_rows("t", rows.collect::<Vec<_>>()).unwrap();
+    let session = Session::new(db);
+    let trained = session
+        .train_incremental(&LinearRegression::new("y", "x"), "t", "m")
+        .unwrap();
+
+    match session.refresh(&Profiler, "t", "m") {
+        Err(MethodError::Engine(EngineError::InvalidArgument { message })) => {
+            assert!(message.contains("\"m\""), "{message}");
+            assert!(message.contains("different aggregate type"), "{message}");
+        }
+        other => panic!("expected a typed aggregate-type error, got {other:?}"),
+    }
+    let served = session
+        .database()
+        .models()
+        .get::<LinearRegressionModel>("m")
+        .unwrap();
+    assert_eq!(bits(&served.coef), bits(&trained.coef));
+}
+
 /// A shrunk (truncated) source table is detected and the view rebuilds from
 /// scratch instead of serving stale states.
 #[test]
@@ -488,72 +509,6 @@ fn profile_view_absorbs_installments_exactly() {
             format!("{:?}", view.finalize().unwrap()),
             format!("{scratch:?}")
         );
-    }
-}
-
-/// The high-cardinality input of
-/// `filtered_and_grouped_views_absorb_bit_identically`: 2 250 distinct
-/// composite keys, permuted so every 64-row chunk holds 64 different groups
-/// (the grouped runner's radix-staging path), appended in uneven
-/// installments that straddle chunk seals — so the staging buckets are
-/// drained at every absorb boundary and resumed from the retained slot
-/// directory.  The view must stay `to_bits`-equal to `aggregate_per_group`,
-/// parallel and serial.
-#[test]
-fn high_cardinality_grouped_view_absorbs_bit_identically() {
-    const KEYS: usize = 2_250;
-    let schema = Schema::new(vec![
-        Column::new("v", ColumnType::Double),
-        Column::new("a", ColumnType::Text),
-        Column::new("b", ColumnType::Int),
-    ]);
-    let rows: Vec<Row> = (0..3 * KEYS)
-        .map(|i| {
-            let key = (i * 7_919) % KEYS;
-            row![
-                i as f64 * 0.1 - 300.0,
-                format!("t{}", key % 50),
-                (key / 50) as i64
-            ]
-        })
-        .collect();
-    let (initial, pending) = rows.split_at(500);
-    let installments = [1usize, 63, 64, 130, 1_000, 17, 2_999];
-
-    for exec in [Executor::new(), Executor::serial()] {
-        let mut table = Table::new(schema.clone(), 2)
-            .unwrap()
-            .with_chunk_capacity(64)
-            .unwrap();
-        for row in initial {
-            table.insert(row.clone()).unwrap();
-        }
-        let mut view = MaterializedAggregate::new(AvgAggregate::new("v"), &exec)
-            .with_group_columns(["a", "b"]);
-        view.absorb(&table).unwrap();
-
-        let mut offset = 0usize;
-        let rest = pending.len() - installments.iter().sum::<usize>();
-        for size in installments.into_iter().chain([rest]) {
-            for row in &pending[offset..offset + size] {
-                table.insert(row.clone()).unwrap();
-            }
-            offset += size;
-            view.absorb(&table).unwrap();
-
-            let scratch = Dataset::from_table(&table)
-                .with_executor(exec)
-                .group_by(["a", "b"])
-                .aggregate_per_group(&AvgAggregate::new("v"))
-                .unwrap();
-            let refreshed = view.finalize_grouped().unwrap();
-            assert_eq!(refreshed.len(), scratch.len());
-            for ((vk, vv), (sk, sv)) in refreshed.iter().zip(&scratch) {
-                assert_eq!(vk, sk);
-                assert_eq!(vv.map(f64::to_bits), sv.map(f64::to_bits), "key {vk:?}");
-            }
-        }
-        assert_eq!(view.finalize_grouped().unwrap().len(), KEYS);
     }
 }
 
