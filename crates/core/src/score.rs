@@ -1,32 +1,31 @@
 //! The typed prediction surface: every fitted model scores through one
 //! uniform contract, served in-engine.
 //!
-//! Before this module, each model had its own ad-hoc predict signature
-//! (`DecisionTreeModel::predict -> Result<&str>`,
-//! `NaiveBayesModel::predict -> Result<String>`,
-//! `LogisticRegressionModel::predict -> Result<bool>`, …) and scoring meant a
-//! hand-written per-row loop outside the scan pipeline.  [`Predictor`]
-//! unifies them behind one typed prediction [`Value`], and
-//! [`FeatureScorer`] adapts any `Predictor` to the engine's
-//! [`Scorer`] contract so [`Dataset::score`] can run prediction as a
-//! chunked, work-stealing, filter- and group-aware scan pass:
+//! [`Predictor`] unifies every model's inherent `predict` behind one typed
+//! prediction [`Value`], and [`FeatureScorer`] adapts any `Predictor` to the
+//! engine's one-method [`Scorer`] contract, so [`Dataset::score`] runs
+//! prediction as a chunked, work-stealing, filter- and group-aware scan
+//! pass:
 //!
-//! - [`Predictor::predict_value`] is the per-row reference semantics — a
-//!   thin typed wrapper over each model's inherent `predict`.
+//! - [`Predictor::predict_value`] is the per-row meaning of a prediction —
+//!   a thin typed wrapper over each model's inherent `predict`, and the one
+//!   per-row scoring path.
 //! - [`Predictor::predict_batch`] scores a flattened uniform-width batch;
 //!   the dot-product family (linregr, logregr, SVM) overrides it with
 //!   `batch_dot`, k-means with `batch_closest_column` — **bit-identical to
 //!   the per-row loop by the kernel contracts**, on every `MADLIB_SIMD`
 //!   tier.
-//! - NULL feature vectors score to [`Value::Null`] (SQL-strict semantics)
-//!   in `predict_row` and `predict_chunk` alike, so NULL-bearing chunks
-//!   never fork the batched results from the per-row ones.
+//! - [`FeatureScorer::predict_chunk`](Scorer::predict_chunk) batches
+//!   uniform-width NULL-free chunks; a NULL-bearing or ragged chunk walks
+//!   its feature column row by row, a NULL vector scoring to [`Value::Null`]
+//!   (SQL-strict) and any other through `predict_value`, so the batched and
+//!   per-row results never fork.
 //! - [`Session::register_model`] / [`Session::register_grouped_models`]
 //!   deposit fitted models in the [`madlib_engine::Database`] model
-//!   catalog, and
-//!   [`Session::score`] looks them up by name (routing grouped datasets
-//!   through the per-group registry) — train once, serve by name, all
-//!   inside the engine.
+//!   catalog, and [`Session::score`] looks them up by name (routing grouped
+//!   datasets through the [`GroupedModels`] registry `train_grouped`
+//!   returned, as stored) — train once, serve by name, all inside the
+//!   engine.
 
 use crate::classify::{DecisionTreeModel, NaiveBayesModel, SvmModel};
 use crate::cluster::KMeansModel;
@@ -34,13 +33,12 @@ use crate::error::{MethodError, Result};
 use crate::regress::logistic::sigmoid;
 use crate::regress::{LinearRegressionModel, LogisticRegressionModel};
 use crate::train::{GroupedModels, Session};
-use madlib_engine::score::{predict_chunk_rows, GroupScorers, Scorer};
-use madlib_engine::{ColumnType, Dataset, EngineError, GroupKey, Row, RowChunk, Schema, Value};
+use madlib_engine::score::Scorer;
+use madlib_engine::{ColumnType, Dataset, EngineError, RowChunk, Schema, Value};
 use madlib_linalg::array_ops;
 use madlib_linalg::kernels::batch_dot;
 use std::any::Any;
 use std::ops::Deref;
-use std::sync::Arc;
 
 /// A fitted model that scores feature vectors to typed prediction
 /// [`Value`]s — the uniform serving contract over every model's inherent
@@ -135,8 +133,9 @@ fn extend_with_dots(
 }
 
 /// Maps a method-library predict error onto the engine error type — used
-/// identically by the row and chunk paths of [`FeatureScorer`], so a chunk
-/// fails with the error its first failing row would.
+/// identically by the batched and the row-by-row paths of
+/// [`FeatureScorer`], so a chunk fails with the error its first failing row
+/// would.
 fn engine_error(err: MethodError) -> EngineError {
     EngineError::invalid(err)
 }
@@ -148,12 +147,12 @@ fn engine_error(err: MethodError) -> EngineError {
 /// (`FeatureScorer::new(&model, "x")`) or a catalog `Arc`
 /// (`FeatureScorer::new(db.models().get::<M>("name")?, "x")`).
 ///
-/// Semantics shared by `predict_row` and `predict_chunk` (so the batched
-/// results are the per-row ones, bit for bit):
+/// Its predictions are the per-row ones, bit for bit:
 /// - a NULL feature vector scores to [`Value::Null`] (SQL-strict);
 /// - uniform-width NULL-free chunks batch through
-///   [`Predictor::predict_batch`]; ragged or NULL-bearing chunks fall back
-///   to the shared per-row loop.
+///   [`Predictor::predict_batch`]; ragged or NULL-bearing chunks walk the
+///   feature column row by row through [`Predictor::predict_value`],
+///   reading each vector in place.
 #[derive(Debug, Clone)]
 pub struct FeatureScorer<D> {
     model: D,
@@ -189,16 +188,6 @@ where
         self.model.output_type()
     }
 
-    fn predict_row(&self, row: &Row, schema: &Schema) -> madlib_engine::Result<Value> {
-        let idx = schema.index_of(&self.column)?;
-        let value = row.get(idx);
-        if value.is_null() {
-            return Ok(Value::Null);
-        }
-        let x = value.as_double_array()?;
-        self.model.predict_value(x).map_err(engine_error)
-    }
-
     fn predict_chunk(
         &self,
         chunk: &RowChunk,
@@ -212,7 +201,19 @@ where
                 .model
                 .predict_batch(arrays.flat_values(), width, chunk.len(), out)
                 .map_err(engine_error),
-            _ => predict_chunk_rows(self, chunk, schema, out),
+            _ => {
+                out.reserve(chunk.len());
+                for i in 0..chunk.len() {
+                    let prediction = if arrays.nulls().is_null(i) {
+                        Value::Null
+                    } else {
+                        let x = arrays.row(i);
+                        self.model.predict_value(x).map_err(engine_error)?
+                    };
+                    out.push(prediction);
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -366,19 +367,14 @@ impl Session {
 
     /// Deposits a [`Session::train_grouped`] output in the model catalog as
     /// a servable per-group registry under `name`, replacing any existing
-    /// entry.
-    ///
-    /// # Errors
-    /// Propagates catalog registration errors.
+    /// entry.  The registry is stored as it is: its keys were sorted and
+    /// checked when it was built.
     pub fn register_grouped_models<M: Any + Send + Sync>(
         &self,
         name: &str,
         models: GroupedModels<M>,
-    ) -> Result<()> {
-        self.database()
-            .models()
-            .register_grouped(name, models.into_vec())
-            .map_err(MethodError::from)
+    ) {
+        self.database().models().register_grouped(name, models);
     }
 
     /// Scores `dataset` with the catalog model registered under
@@ -409,13 +405,10 @@ impl Session {
         let models = self.database().models();
         let bound = dataset.reborrow().with_default_executor(*self.executor());
         if dataset.is_grouped() {
-            let grouped = models.get_grouped::<M>(model_name)?;
-            let scorers: Vec<(GroupKey, FeatureScorer<Arc<M>>)> = grouped
-                .into_iter()
-                .map(|(key, model)| (key, FeatureScorer::new(model, features_column)))
-                .collect();
-            let registry = GroupScorers::new(model_name, scorers)?;
-            Ok(bound.score_per_group(&registry)?)
+            let scorers = models
+                .get_grouped::<M>(model_name)?
+                .map(|model| FeatureScorer::new(model, features_column));
+            Ok(bound.score_per_group(model_name, &scorers)?)
         } else {
             let model = models.get::<M>(model_name)?;
             let scorer = FeatureScorer::new(model, features_column);

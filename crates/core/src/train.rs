@@ -19,10 +19,12 @@
 //!   executor as the dataset's default.
 //! * [`Session::train`] — fits one model over an ungrouped dataset.
 //! * [`Session::train_grouped`] — the paper's `grouping_cols` scenario: one
-//!   model per distinct group key, returned as [`GroupedModels`] keyed by
-//!   the typed [`GroupKey`]s of the grouped scan.  `grouping_cols` is an
-//!   arbitrary column list, so `group_by(["a", "b"])` trains one model per
-//!   composite `(a, b)` tuple.  Single-pass aggregating
+//!   model per distinct group key, returned as [`GroupedModels`] — the
+//!   engine's one grouped registry, which the model catalog stores and
+//!   grouped scoring serves as it is — keyed by the typed
+//!   [`GroupKey`](madlib_engine::GroupKey)s of the grouped scan.
+//!   `grouping_cols` is an arbitrary column list, so `group_by(["a", "b"])`
+//!   trains one model per composite `(a, b)` tuple.  Single-pass aggregating
 //!   estimators (linear regression, naive Bayes, the profiler) override
 //!   [`Estimator::fit_grouped`] to train *all* groups in one
 //!   segment-parallel [`Dataset::aggregate_per_group`] pass; iterative
@@ -49,9 +51,13 @@
 
 use crate::error::{MethodError, Result};
 use madlib_engine::dataset::Dataset;
-use madlib_engine::group::GroupKey;
 use madlib_engine::materialize::MaterializedAggregate;
-use madlib_engine::{Aggregate, Database, Executor, Value};
+use madlib_engine::{Aggregate, Database, Executor};
+
+/// One model per group, sorted by the typed `GroupKey`s of the grouped scan
+/// (NULL group first): the engine's one grouped registry, which the model
+/// catalog stores and `Dataset::score_per_group` serves as it is.
+pub use madlib_engine::group::GroupedModels;
 
 /// Execution context for training: the executor that runs scans and the
 /// database holding the tables [`Session::dataset`] opens and the models
@@ -134,8 +140,9 @@ impl Session {
 
     /// Trains one model per distinct group key of a `group_by` dataset —
     /// MADlib's `grouping_cols` — returning the models keyed by the typed
-    /// (possibly composite, for multi-column `group_by`) [`GroupKey`]s of
-    /// the grouped scan, sorted by key (NULL group first).
+    /// (possibly composite, for multi-column `group_by`)
+    /// [`GroupKey`](madlib_engine::GroupKey)s of the grouped scan, sorted by
+    /// key (NULL group first).
     ///
     /// Per-group fits run concurrently on the engine's work-stealing worker
     /// pool (see the module docs for the determinism contract: results are
@@ -256,7 +263,7 @@ pub trait Estimator {
             // Outer Err = worker panic; inner Err = the fit's own failure.
             models.push(slot.map_err(MethodError::from)??);
         }
-        Ok(GroupedModels::new(models))
+        Ok(GroupedModels::new(models)?)
     }
 }
 
@@ -276,7 +283,7 @@ where
     A: Aggregate,
     A::Output: Send,
 {
-    Ok(GroupedModels::new(dataset.aggregate_per_group(aggregate)?))
+    Ok(GroupedModels::new(dataset.aggregate_per_group(aggregate)?)?)
 }
 
 /// An estimator whose model can be maintained under table appends without a
@@ -415,93 +422,11 @@ where
     Ok(model)
 }
 
-/// One model per group, keyed by the typed [`GroupKey`]s of the grouped
-/// scan, sorted by key (NULL group first).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupedModels<M> {
-    models: Vec<(GroupKey, M)>,
-}
-
-impl<M> GroupedModels<M> {
-    /// Wraps already-keyed models (assumed sorted by key).
-    pub fn new(models: Vec<(GroupKey, M)>) -> Self {
-        Self { models }
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Whether no group produced a model.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-
-    /// Iterates over `(key, model)` pairs in key order.
-    pub fn iter(&self) -> std::slice::Iter<'_, (GroupKey, M)> {
-        self.models.iter()
-    }
-
-    /// The group keys in order.
-    pub fn keys(&self) -> impl Iterator<Item = &GroupKey> {
-        self.models.iter().map(|(key, _)| key)
-    }
-
-    /// Looks up the model of the group containing `value` (NULL, NaN and
-    /// signed zeros resolve by group-key semantics, not `Value` equality).
-    /// For models trained with multiple grouping columns use
-    /// [`GroupedModels::get_values`].
-    pub fn get(&self, value: &Value) -> Option<&M> {
-        self.get_key(&GroupKey::from_value(value))
-    }
-
-    /// Looks up the model of the group whose composite key matches `values`
-    /// — one value per grouping column, in `group_by` order, with group-key
-    /// semantics per part (NULL matches NULL, NaN matches NaN, `-0.0` ≠
-    /// `0.0`).
-    pub fn get_values(&self, values: &[Value]) -> Option<&M> {
-        self.get_key(&GroupKey::from_values(values))
-    }
-
-    /// Looks up a model by its typed group key (binary search over the
-    /// key-sorted entries).
-    pub fn get_key(&self, key: &GroupKey) -> Option<&M> {
-        self.models
-            .binary_search_by(|(k, _)| k.cmp(key))
-            .ok()
-            .map(|idx| &self.models[idx].1)
-    }
-
-    /// Unwraps into the underlying `(key, model)` vector.
-    pub fn into_vec(self) -> Vec<(GroupKey, M)> {
-        self.models
-    }
-}
-
-impl<M> IntoIterator for GroupedModels<M> {
-    type Item = (GroupKey, M);
-    type IntoIter = std::vec::IntoIter<(GroupKey, M)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.models.into_iter()
-    }
-}
-
-impl<'a, M> IntoIterator for &'a GroupedModels<M> {
-    type Item = &'a (GroupKey, M);
-    type IntoIter = std::slice::Iter<'a, (GroupKey, M)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.models.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::regress::LinearRegression;
-    use madlib_engine::{row, Column, ColumnType, Schema, Table};
+    use madlib_engine::{row, Column, ColumnType, Schema, Table, Value};
 
     fn grouped_table() -> Table {
         let schema = Schema::new(vec![

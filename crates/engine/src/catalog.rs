@@ -9,8 +9,10 @@
 //!
 //! - [`ModelCatalog::register`] stores one model under a name (re-registering
 //!   replaces it — the model-refresh idiom, mirroring `CREATE OR REPLACE`).
-//! - [`ModelCatalog::register_grouped`] stores a `train_grouped` output: one
-//!   model per composite [`GroupKey`], servable as a per-group registry.
+//! - [`ModelCatalog::register_grouped`] stores a `train_grouped` output, a
+//!   [`GroupedModels`] registry, as it is: its keys were sorted and checked
+//!   once, when it was built, and [`ModelCatalog::get_grouped`] hands the
+//!   same registry back for [`crate::Dataset::score_per_group`].
 //! - Lookups are typed: [`ModelCatalog::get`] downcasts to the requested
 //!   model type and reports a wrong-type lookup as a
 //!   [`EngineError::TypeMismatch`] naming both types, a missing name or
@@ -21,27 +23,23 @@
 //! library; the typed surface lives entirely in the lookup functions.
 
 use crate::error::{EngineError, Result};
-use crate::group::GroupKey;
+use crate::group::{GroupKey, GroupedModels};
 use std::any::{type_name, Any};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A type-erased stored model.
+/// A type-erased stored model: an `M`, or a grouped registry's
+/// `GroupedModels<Arc<M>>`.
 type StoredModel = Arc<dyn Any + Send + Sync>;
 
-/// One catalog entry: either a single model or a per-group registry.
-enum ModelKind {
-    Single(StoredModel),
-    /// Sorted by key (the [`GroupKey`] total order); lookups binary-search.
-    Grouped(Vec<(GroupKey, StoredModel)>),
-}
-
 struct ModelEntry {
-    /// The concrete Rust type stored, captured at registration time for
-    /// typed-mismatch error messages.
+    /// The model type `M`, captured at registration time for typed-mismatch
+    /// error messages.
     type_name: &'static str,
-    kind: ModelKind,
+    /// Whether `model` is a grouped registry.
+    grouped: bool,
+    model: StoredModel,
 }
 
 /// A named, typed model store shared by all clones of a [`crate::Database`]
@@ -87,42 +85,23 @@ impl ModelCatalog {
             name.to_owned(),
             ModelEntry {
                 type_name: type_name::<M>(),
-                kind: ModelKind::Single(Arc::new(model)),
+                grouped: false,
+                model: Arc::new(model),
             },
         );
     }
 
     /// Registers a per-group model registry (a `train_grouped` output) under
-    /// `name`, replacing any existing entry.  Models are stored sorted by
-    /// composite key.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::InvalidArgument`] when two pairs share a key —
-    /// group routing would be ambiguous.
-    pub fn register_grouped<M: Any + Send + Sync>(
-        &self,
-        name: &str,
-        models: Vec<(GroupKey, M)>,
-    ) -> Result<()> {
-        let mut stored: Vec<(GroupKey, StoredModel)> = models
-            .into_iter()
-            .map(|(key, model)| (key, Arc::new(model) as StoredModel))
-            .collect();
-        stored.sort_by(|a, b| a.0.cmp(&b.0));
-        if let Some(pair) = stored.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-            return Err(EngineError::invalid(format!(
-                "duplicate group key {:?} in grouped model registration {name:?}",
-                pair[0].0
-            )));
-        }
+    /// `name`, replacing any existing entry.
+    pub fn register_grouped<M: Any + Send + Sync>(&self, name: &str, models: GroupedModels<M>) {
         self.write().insert(
             name.to_owned(),
             ModelEntry {
                 type_name: type_name::<M>(),
-                kind: ModelKind::Grouped(stored),
+                grouped: true,
+                model: Arc::new(models.map(Arc::new)),
             },
         );
-        Ok(())
     }
 
     /// Looks up the single model registered under `name` as type `M`.
@@ -135,10 +114,12 @@ impl ModelCatalog {
     pub fn get<M: Any + Send + Sync>(&self, name: &str) -> Result<Arc<M>> {
         let catalog = self.read();
         let entry = lookup(&catalog, name)?;
-        match &entry.kind {
-            ModelKind::Single(model) => downcast(model, entry.type_name),
-            ModelKind::Grouped(_) => Err(grouped_entry_error(name)),
+        if entry.grouped {
+            return Err(EngineError::invalid(format!(
+                "model {name:?} is a grouped registry; use get_group or get_grouped"
+            )));
         }
+        downcast::<M, M>(entry)
     }
 
     /// Looks up the model for group `key` in the grouped registry under
@@ -150,39 +131,27 @@ impl ModelCatalog {
     /// key); [`EngineError::TypeMismatch`] on a type mismatch;
     /// [`EngineError::InvalidArgument`] when the entry is a single model.
     pub fn get_group<M: Any + Send + Sync>(&self, name: &str, key: &GroupKey) -> Result<Arc<M>> {
-        let catalog = self.read();
-        let entry = lookup(&catalog, name)?;
-        match &entry.kind {
-            ModelKind::Single(_) => Err(single_entry_error(name)),
-            ModelKind::Grouped(models) => {
-                let idx = models.binary_search_by(|(k, _)| k.cmp(key)).map_err(|_| {
-                    EngineError::ModelNotFound {
-                        name: name.to_owned(),
-                        group: Some(format!("{key:?}")),
-                    }
-                })?;
-                downcast(&models[idx].1, entry.type_name)
-            }
-        }
+        Ok(Arc::clone(self.get_grouped::<M>(name)?.require(name, key)?))
     }
 
-    /// Looks up the entire grouped registry under `name` as type `M`,
-    /// returning `(key, model)` pairs sorted by key.
+    /// The grouped registry under `name`, its models as type `M`: the
+    /// registered keys in their order, each model behind an [`Arc`] shared
+    /// with the catalog.
     ///
     /// # Errors
     /// [`EngineError::ModelNotFound`] for an unknown name,
     /// [`EngineError::TypeMismatch`] on a type mismatch,
     /// [`EngineError::InvalidArgument`] when the entry is a single model.
-    pub fn get_grouped<M: Any + Send + Sync>(&self, name: &str) -> Result<Vec<(GroupKey, Arc<M>)>> {
+    pub fn get_grouped<M: Any + Send + Sync>(&self, name: &str) -> Result<GroupedModels<Arc<M>>> {
         let catalog = self.read();
         let entry = lookup(&catalog, name)?;
-        match &entry.kind {
-            ModelKind::Single(_) => Err(single_entry_error(name)),
-            ModelKind::Grouped(models) => models
-                .iter()
-                .map(|(key, model)| Ok((key.clone(), downcast(model, entry.type_name)?)))
-                .collect(),
+        if !entry.grouped {
+            return Err(EngineError::invalid(format!(
+                "model {name:?} is a single model, not a grouped registry; use get"
+            )));
         }
+        let models = downcast::<GroupedModels<Arc<M>>, M>(entry)?;
+        Ok(GroupedModels::clone(&models))
     }
 
     /// Whether a model (single or grouped) is registered under `name`.
@@ -195,7 +164,7 @@ impl ModelCatalog {
         let mut names: Vec<(String, bool)> = self
             .read()
             .iter()
-            .map(|(name, entry)| (name.clone(), matches!(entry.kind, ModelKind::Grouped(_))))
+            .map(|(name, entry)| (name.clone(), entry.grouped))
             .collect();
         names.sort();
         names
@@ -223,23 +192,13 @@ fn lookup<'a>(catalog: &'a HashMap<String, ModelEntry>, name: &str) -> Result<&'
     })
 }
 
-fn downcast<M: Any + Send + Sync>(model: &StoredModel, stored: &'static str) -> Result<Arc<M>> {
-    Arc::downcast::<M>(Arc::clone(model)).map_err(|_| EngineError::TypeMismatch {
+/// The entry's model as a `T`; a mismatch names the model types, `M` and the
+/// one registered.
+fn downcast<T: Any + Send + Sync, M>(entry: &ModelEntry) -> Result<Arc<T>> {
+    Arc::downcast::<T>(Arc::clone(&entry.model)).map_err(|_| EngineError::TypeMismatch {
         expected: type_name::<M>(),
-        found: stored.to_owned(),
+        found: entry.type_name.to_owned(),
     })
-}
-
-fn grouped_entry_error(name: &str) -> EngineError {
-    EngineError::invalid(format!(
-        "model {name:?} is a grouped registry; use get_group or get_grouped"
-    ))
-}
-
-fn single_entry_error(name: &str) -> EngineError {
-    EngineError::invalid(format!(
-        "model {name:?} is a single model, not a grouped registry; use get"
-    ))
 }
 
 #[cfg(test)]
@@ -297,9 +256,8 @@ mod tests {
     fn grouped_registry_routes_by_key() {
         let catalog = ModelCatalog::new();
         let key = |v: i64| GroupKey::from_value(&Value::Int(v));
-        catalog
-            .register_grouped("per_region", vec![(key(2), Stub(20)), (key(1), Stub(10))])
-            .unwrap();
+        let models = GroupedModels::new(vec![(key(2), Stub(20)), (key(1), Stub(10))]).unwrap();
+        catalog.register_grouped("per_region", models);
         assert_eq!(
             *catalog.get_group::<Stub>("per_region", &key(1)).unwrap(),
             Stub(10)
@@ -307,8 +265,9 @@ mod tests {
         let all = catalog.get_grouped::<Stub>("per_region").unwrap();
         assert_eq!(all.len(), 2);
         // Sorted by key regardless of registration order.
-        assert_eq!(all[0].0, key(1));
-        assert_eq!(*all[0].1, Stub(10));
+        let (first_key, first) = all.iter().next().unwrap();
+        assert_eq!(*first_key, key(1));
+        assert_eq!(**first, Stub(10));
         // Missing group carries the rendered key.
         let err = catalog
             .get_group::<Stub>("per_region", &key(9))
@@ -320,9 +279,7 @@ mod tests {
         // Grouped entries reject the single-model lookup.
         assert!(catalog.get::<Stub>("per_region").is_err());
         // Duplicate keys are rejected.
-        assert!(catalog
-            .register_grouped("dup", vec![(key(1), Stub(1)), (key(1), Stub(2))])
-            .is_err());
+        assert!(GroupedModels::new(vec![(key(1), Stub(1)), (key(1), Stub(2))]).is_err());
         // The listing marks grouped entries.
         catalog.register("single", Stub(0));
         assert_eq!(

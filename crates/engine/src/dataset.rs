@@ -56,7 +56,7 @@
 //! vectorized kernels, bit-identical to the row loop.
 
 use crate::aggregate::Aggregate;
-use crate::chunk::Segment;
+use crate::chunk::{RowChunk, Segment};
 use crate::database::Database;
 use crate::error::{EngineError, Result};
 use crate::executor::{ExecutionStats, Executor};
@@ -67,8 +67,10 @@ use crate::row::Row;
 use crate::scan;
 use crate::schema::Schema;
 use crate::table::{Distribution, Table};
+use madlib_linalg::kernels;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// A lazy, composable description of a scan: a source table plus an optional
 /// row predicate and optional grouping columns, bound to the [`Executor`]
@@ -309,35 +311,80 @@ impl<'a> Dataset<'a> {
     pub fn map_chunks<T, F>(&self, map: F) -> Result<Vec<T>>
     where
         T: Send,
-        F: Fn(&crate::chunk::RowChunk, &Schema) -> Result<Vec<T>> + Sync,
+        F: Fn(&RowChunk, &Schema) -> Result<Vec<T>> + Sync,
     {
         self.require_ungrouped("chunk projection")?;
-        let schema = self.schema();
-        let filter = self.filter.as_ref();
-        // Always chunk-range stealing: outputs concatenate in range order,
-        // which is unconditionally identical to the whole-segment scan, so
-        // a hot segment's chunks can spread across workers for free.
-        let per_segment = scan::run_per_segment_ranged(
-            self.table(),
-            self.executor.is_parallel(),
-            |range, segment| {
-                let mut out = Vec::new();
-                scan::scan_chunks(range.chunks(segment), schema, filter, None, |batch| {
-                    out.extend(map(batch.chunk(), schema)?);
-                    Ok(())
-                })?;
-                Ok(out)
-            },
-            |mut left, right: Vec<T>| {
-                left.extend(right);
-                left
-            },
-        );
-        let mut out = Vec::with_capacity(self.table().row_count());
-        for res in per_segment {
-            out.extend(res?);
+        let sink = || {
+            |chunk: &RowChunk, schema: &Schema, out: &mut Vec<T>| {
+                out.append(&mut map(chunk, schema)?);
+                Ok(())
+            }
+        };
+        Ok(self.ranged(false, sink)?.0)
+    }
+
+    /// The one order-preserving pass behind [`Dataset::map_chunks`] and the
+    /// scoring terminals: every filter-surviving chunk, in chunk-range units
+    /// on the work-stealing pool ([`scan::run_per_segment_ranged`]), goes
+    /// through a sink that `open_unit` makes once per unit and that appends
+    /// the chunk's outputs to its unit's vector.  Returns the outputs in
+    /// segment-then-row order — each unit's vector copied once, into that
+    /// result — with the number each segment produced and the pass's
+    /// [`ExecutionStats`] (each unit timed with two clock reads).
+    /// `one_per_row` says the sink appends one output per row, so a unit's
+    /// vector is allocated once for its rows.
+    ///
+    /// # Errors
+    /// The earliest failing unit's error in segment-then-range order:
+    /// predicate and sink errors, and worker panics as
+    /// [`EngineError::WorkerPanicked`].
+    pub(crate) fn ranged<T, F>(
+        &self,
+        one_per_row: bool,
+        open_unit: impl Fn() -> F + Sync,
+    ) -> Result<(Vec<T>, Vec<usize>, ExecutionStats)>
+    where
+        T: Send,
+        F: FnMut(&RowChunk, &Schema, &mut Vec<T>) -> Result<()>,
+    {
+        let (schema, filter) = (self.schema(), self.filter.as_ref());
+        let parallel = self.executor.is_parallel();
+        let per_segment = scan::run_per_segment_ranged(self.table(), parallel, |range, segment| {
+            let start = Instant::now();
+            let chunks = range.chunks(segment);
+            let rows = chunks.iter().map(|chunk| chunk.len());
+            let mut out = Vec::with_capacity(if one_per_row { rows.sum() } else { 0 });
+            let mut sink = open_unit();
+            let stats = scan::scan_chunks(chunks, schema, filter, None, |batch| {
+                sink(batch.chunk(), schema, &mut out)
+            })?;
+            Ok((out, stats, start.elapsed()))
+        });
+        let mut stats = ExecutionStats {
+            rows_scanned: 0,
+            rows_aggregated: 0,
+            segments: self.table().num_segments(),
+            kernel_path: kernels::active_path(),
+            busy_ns: 0,
+        };
+        let mut units = Vec::new();
+        let mut per_segment_outputs = Vec::with_capacity(stats.segments);
+        for segment in per_segment {
+            let mut outputs = 0;
+            for (out, unit_stats, busy) in segment? {
+                stats.rows_scanned += unit_stats.rows_scanned;
+                stats.rows_aggregated += unit_stats.rows_passed;
+                stats.busy_ns += busy.as_nanos() as u64;
+                outputs += out.len();
+                units.push(out);
+            }
+            per_segment_outputs.push(outputs);
         }
-        Ok(out)
+        let mut outputs = Vec::with_capacity(per_segment_outputs.iter().sum());
+        for mut unit in units {
+            outputs.append(&mut unit);
+        }
+        Ok((outputs, per_segment_outputs, stats))
     }
 
     /// Applies `map` to every filter-surviving row (per segment, in

@@ -68,6 +68,15 @@ pub enum EngineError {
         /// when the name itself was missing.
         group: Option<String>,
     },
+    /// A [`crate::Scorer`] appended a number of predictions other than the
+    /// rows of the chunk it was given, which would misalign every
+    /// prediction after it.
+    PredictionCount {
+        /// Rows in the chunk.
+        rows: usize,
+        /// Predictions the scorer appended for it.
+        predictions: usize,
+    },
     /// A durable-storage operation failed: an I/O error on the WAL, snapshot
     /// or manifest files, or on-disk corruption detected during recovery.
     Storage {
@@ -143,6 +152,10 @@ impl fmt::Display for EngineError {
                 Some(group) => write!(f, "model not found: {name} has no model for group {group}"),
                 None => write!(f, "model not found: {name}"),
             },
+            EngineError::PredictionCount { rows, predictions } => write!(
+                f,
+                "scorer appended {predictions} predictions for a chunk of {rows} rows"
+            ),
             EngineError::Storage { message } => write!(f, "storage error: {message}"),
             EngineError::ViewAbsorbFailed { table, failures } => {
                 write!(

@@ -31,22 +31,26 @@
 
 use madlib_linalg::kernels::KernelPath;
 
-/// Statistics describing one aggregate execution.
+/// Statistics describing one scan terminal's execution
+/// ([`crate::Dataset::aggregate_with_stats`],
+/// [`crate::Dataset::score_with_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionStats {
     /// Rows scanned across all segments.
     pub rows_scanned: u64,
-    /// Rows that passed the filter (equals `rows_scanned` when no filter).
+    /// Rows that passed the filter and were aggregated or scored (equals
+    /// `rows_scanned` when no filter).
     pub rows_aggregated: u64,
-    /// Number of segments of the scanned table (each one unit of work and
-    /// one partial state).
+    /// Number of segments of the scanned table (for an aggregate, each one
+    /// unit of work and one partial state).
     pub segments: usize,
     /// The tier the scan's batched kernels dispatched to
     /// ([`madlib_linalg::kernels::active_path`], pinned by `MADLIB_SIMD`).
     pub kernel_path: KernelPath,
-    /// Worker time inside the segments' folds, summed over segments, in
-    /// nanoseconds: compaction, grouping and transitions, not the merge or
-    /// the final function.
+    /// Worker time inside the scan's units (an aggregate's segment folds,
+    /// a scoring pass's chunk ranges), summed, in nanoseconds: compaction,
+    /// grouping and transitions or predictions, not the merge, the final
+    /// function or the output's concatenation.
     pub busy_ns: u64,
 }
 

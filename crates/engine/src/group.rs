@@ -37,6 +37,10 @@
 //!   first-seen order, ascending row indices inside each run, reusable
 //!   buffers): by slot for per-group gathers and scatter-back, by slot-range
 //!   bucket for radix staging.
+//!
+//! What a grouped pass produces per key, and what grouped serving looks a
+//! key up in, is one registry type, [`GroupedModels`]: a key-sorted list
+//! that sorts and rejects duplicate keys once, in its constructor.
 
 use crate::chunk::{ColumnChunk, RowChunk, SelectionMask};
 use crate::error::{EngineError, Result};
@@ -377,6 +381,114 @@ impl Ord for GroupKey {
 impl From<KeyPart> for GroupKey {
     fn from(part: KeyPart) -> Self {
         GroupKey::single(part)
+    }
+}
+
+/// One value per composite [`GroupKey`], sorted by key (NULL group first):
+/// the one grouped registry.  `Session::train_grouped` returns the models in
+/// it, the model catalog stores it, and [`crate::Dataset::score_per_group`]
+/// routes rows through it.  [`GroupedModels::new`] is the only place keys
+/// are sorted and checked for duplicates; [`GroupedModels::map`] keeps the
+/// order, so a registry handed along is never re-sorted or re-checked.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupedModels<M> {
+    models: Vec<(GroupKey, M)>,
+}
+
+impl<M> GroupedModels<M> {
+    /// Builds a registry from `(key, model)` pairs in any order.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::InvalidArgument`] when two pairs share a key:
+    /// routing would be ambiguous.
+    pub fn new(mut models: Vec<(GroupKey, M)>) -> Result<Self> {
+        models.sort_by(|a, b| a.0.cmp(&b.0));
+        if let Some(pair) = models.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(EngineError::invalid(format!(
+                "duplicate group key {:?} in a grouped registry",
+                pair[0].0
+            )));
+        }
+        Ok(Self { models })
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.models.len()
+    }
+
+    /// Whether the registry has no group.
+    pub fn is_empty(&self) -> bool {
+        self.models.is_empty()
+    }
+
+    /// Iterates over `(key, model)` pairs in key order.
+    pub fn iter(&self) -> std::slice::Iter<'_, (GroupKey, M)> {
+        self.models.iter()
+    }
+
+    /// The group keys in order.
+    pub fn keys(&self) -> impl Iterator<Item = &GroupKey> {
+        self.models.iter().map(|(key, _)| key)
+    }
+
+    /// The model of the group containing `value` (NULL, NaN and signed
+    /// zeros resolve by group-key semantics, not `Value` equality).  For
+    /// models keyed by several grouping columns use
+    /// [`GroupedModels::get_values`].
+    pub fn get(&self, value: &Value) -> Option<&M> {
+        self.get_key(&GroupKey::from_value(value))
+    }
+
+    /// The model of the group whose composite key matches `values` — one
+    /// value per grouping column, in `group_by` order, with group-key
+    /// semantics per part (NULL matches NULL, NaN matches NaN, `-0.0` ≠
+    /// `0.0`).
+    pub fn get_values(&self, values: &[Value]) -> Option<&M> {
+        self.get_key(&GroupKey::from_values(values))
+    }
+
+    /// The model of group `key` (binary search over the sorted keys).
+    pub fn get_key(&self, key: &GroupKey) -> Option<&M> {
+        self.models
+            .binary_search_by(|(k, _)| k.cmp(key))
+            .ok()
+            .map(|idx| &self.models[idx].1)
+    }
+
+    /// [`GroupedModels::get_key`] for a registry named `name`, reporting a
+    /// missing group as [`EngineError::ModelNotFound`] with the key rendered.
+    pub(crate) fn require(&self, name: &str, key: &GroupKey) -> Result<&M> {
+        self.get_key(key).ok_or_else(|| EngineError::ModelNotFound {
+            name: name.to_owned(),
+            group: Some(format!("{key:?}")),
+        })
+    }
+
+    /// Applies `f` to every model, keeping the keys and their order.
+    pub fn map<N>(self, mut f: impl FnMut(M) -> N) -> GroupedModels<N> {
+        let models = self.models.into_iter().map(|(key, model)| (key, f(model)));
+        GroupedModels {
+            models: models.collect(),
+        }
+    }
+}
+
+impl<M> IntoIterator for GroupedModels<M> {
+    type Item = (GroupKey, M);
+    type IntoIter = std::vec::IntoIter<(GroupKey, M)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.models.into_iter()
+    }
+}
+
+impl<'a, M> IntoIterator for &'a GroupedModels<M> {
+    type Item = &'a (GroupKey, M);
+    type IntoIter = std::slice::Iter<'a, (GroupKey, M)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.models.iter()
     }
 }
 

@@ -43,12 +43,15 @@
 //! chunks stream through one transition state, and only the per-segment
 //! states cross to `merge` — the paper's shared-nothing unit of scale-out.
 //! Order-preserving terminals (`map_chunks`, `score`, `score_into`,
-//! `score_per_group`) merge nothing, so they steal **chunk ranges**
-//! (`run_per_segment_ranged`): segments split into [`ChunkRange`] units of
-//! at most `CHUNKS_PER_UNIT` chunks, whose outputs concatenate back in range
-//! order — unconditionally identical to the whole-segment scan, so one hot
-//! segment's chunks spread across every worker for free.  The decomposition
-//! is a pure function of the table, never of the worker count.
+//! `score_per_group`) merge nothing, so they steal **chunk ranges**: their
+//! one ranged pass (a private `Dataset` body, the only caller of
+//! `run_per_segment_ranged`) splits segments into [`ChunkRange`] units of at
+//! most `CHUNKS_PER_UNIT` chunks and gets each segment's unit outputs back in
+//! range order, which concatenated are unconditionally what the
+//! whole-segment scan produces — so one hot segment's chunks spread across
+//! every worker for free.  The decomposition is a pure function of the
+//! table, never of the worker count.  `top_k_by_score` keeps whole-segment
+//! units: its ranks carry each segment's row ordinals.
 //!
 //! The worker count comes from [`worker_count`]: the `MADLIB_THREADS`
 //! environment variable when set to a positive integer, the machine's
@@ -283,15 +286,15 @@ where
     T: Send,
     F: Fn(usize, &Segment) -> Result<T> + Sync,
 {
-    // At Segment granularity every segment is exactly one unit, so the merge
-    // closure is never invoked.
-    run_units_with_workers(
+    // At Segment granularity every segment is exactly one unit.
+    let per_segment = run_units_with_workers(
         table,
         chunk_range_units(table, StealGranularity::Segment),
         workers,
         |range, segment| work(range.segment, segment),
-        |left, _right| left,
-    )
+    );
+    let one = |outputs: Vec<T>| outputs.into_iter().next().expect("one unit per segment");
+    per_segment.into_iter().map(|r| r.map(one)).collect()
 }
 
 /// How [`chunk_range_units`] decomposes a table into steal-able units.  The
@@ -374,31 +377,27 @@ pub fn chunk_range_units(table: &Table, granularity: StealGranularity) -> Vec<Ch
 }
 
 /// Runs `work` once per [`StealGranularity::ChunkRange`] unit of `table` —
-/// on work-stealing parallel workers when `parallel` is set — and folds each
-/// segment's per-unit results with `merge` **in range order**, returning one
-/// result per segment in segment order.
+/// on work-stealing parallel workers when `parallel` is set — and returns,
+/// per segment in segment order, its units' results in range order.
 ///
-/// A hot segment's chunks spread across all workers; `merge` combines two
-/// adjacent ranges' results into the earlier range's — concatenation, for
-/// the order-preserving terminals that call this.  Because the unit
-/// decomposition ([`chunk_range_units`]) and the merge order are functions
-/// of the table alone, the per-segment results are identical no matter how
-/// many workers ran or which worker claimed which unit.
+/// A hot segment's chunks spread across all workers.  Because the unit
+/// decomposition ([`chunk_range_units`]) is a function of the table alone,
+/// the per-segment lists are identical no matter how many workers ran or
+/// which worker claimed which unit; concatenated, a segment's unit outputs
+/// are what the whole-segment scan would produce.
 ///
 /// When several units of one segment fail, the earliest failing range's
 /// error (panics included, as [`EngineError::WorkerPanicked`]) is the
 /// segment's result — matching the error the serial whole-segment scan
 /// would have surfaced first.
-pub(crate) fn run_per_segment_ranged<T, F, M>(
+pub(crate) fn run_per_segment_ranged<T, F>(
     table: &Table,
     parallel: bool,
     work: F,
-    merge: M,
-) -> Vec<Result<T>>
+) -> Vec<Result<Vec<T>>>
 where
     T: Send,
     F: Fn(ChunkRange, &Segment) -> Result<T> + Sync,
-    M: Fn(T, T) -> T,
 {
     let units = chunk_range_units(table, StealGranularity::ChunkRange);
     let workers = if parallel {
@@ -406,23 +405,21 @@ where
     } else {
         1
     };
-    run_units_with_workers(table, units, workers, work, merge)
+    run_units_with_workers(table, units, workers, work)
 }
 
 /// The shared core of [`run_per_segment`] and [`run_per_segment_ranged`]:
 /// schedules `units` over `workers` stealing workers (or the calling thread)
-/// and folds per-unit results into per-segment results in range order.
-fn run_units_with_workers<T, F, M>(
+/// and gathers per-unit results into per-segment lists in range order.
+fn run_units_with_workers<T, F>(
     table: &Table,
     units: Vec<ChunkRange>,
     workers: usize,
     work: F,
-    merge: M,
-) -> Vec<Result<T>>
+) -> Vec<Result<Vec<T>>>
 where
     T: Send,
     F: Fn(ChunkRange, &Segment) -> Result<T> + Sync,
-    M: Fn(T, T) -> T,
 {
     // A unit is an owned item of the one stealing pool; the outer `Result`
     // it adds carries a unit's panic as `WorkerPanicked`.
@@ -432,25 +429,21 @@ where
         || (),
         |_, unit, ()| work(unit, table.segment(unit.segment)),
     );
-    // Fold per-unit results into per-segment results.  Units are in
-    // (segment, chunk_lo) order, so iterating unit slots in order merges
-    // each segment's ranges left-to-right — the deterministic range-order
-    // merge the bit-identity guarantees rest on.
-    let mut results: Vec<Option<Result<T>>> = (0..table.num_segments()).map(|_| None).collect();
+    // Units are in (segment, chunk_lo) order, so iterating unit slots in
+    // order lists each segment's ranges left to right.
+    let mut results: Vec<Result<Vec<T>>> =
+        (0..table.num_segments()).map(|_| Ok(Vec::new())).collect();
     for (&unit, result) in units.iter().zip(unit_results) {
         let result = result.and_then(|unit_result| unit_result);
-        let slot = &mut results[unit.segment];
-        *slot = Some(match slot.take() {
-            None => result,
-            Some(Ok(prev)) => result.map(|next| merge(prev, next)),
-            // Keep the earliest range's error for the segment.
-            Some(err @ Err(_)) => err,
-        });
+        // Keep the earliest range's error for the segment.
+        if let Ok(outputs) = &mut results[unit.segment] {
+            match result {
+                Ok(output) => outputs.push(output),
+                Err(err) => results[unit.segment] = Err(err),
+            }
+        }
     }
     results
-        .into_iter()
-        .map(|slot| slot.expect("every segment decomposes into at least one unit"))
-        .collect()
 }
 
 /// Runs `work` once per owned item — on work-stealing parallel workers when
@@ -887,6 +880,7 @@ mod tests {
                 })?;
                 Ok((rows, sum.to_bits(), 1))
             };
+            // Each segment's units, folded in range order.
             let merge = |a: (u64, u64, u64), b: (u64, u64, u64)| {
                 let merged = f64::from_bits(a.1) + f64::from_bits(b.1);
                 (a.0 + b.0, merged.to_bits(), a.2 + b.2)
@@ -894,9 +888,9 @@ mod tests {
             let units = chunk_range_units(&t, StealGranularity::ChunkRange);
             for workers in 1..=units.len() + 2 {
                 let ranged: Vec<(u64, u64, u64)> =
-                    run_units_with_workers(&t, units.clone(), workers, work, merge)
+                    run_units_with_workers(&t, units.clone(), workers, work)
                         .into_iter()
-                        .map(|r| r.unwrap())
+                        .map(|r| r.unwrap().into_iter().reduce(merge).unwrap())
                         .collect();
                 assert_eq!(ranged.len(), whole.len(), "shape={shape:?}");
                 for (seg, (r, w)) in ranged.iter().zip(&whole).enumerate() {
@@ -920,18 +914,13 @@ mod tests {
         let t = make_skewed_table(&[60, 5, 40]);
         let units = chunk_range_units(&t, StealGranularity::ChunkRange);
         for workers in [1, 2, 4] {
-            let results: Vec<Result<usize>> = run_units_with_workers(
-                &t,
-                units.clone(),
-                workers,
-                |range, _| {
+            let results: Vec<Result<Vec<usize>>> =
+                run_units_with_workers(&t, units.clone(), workers, |range, _| {
                     if range.segment == 2 && range.chunk_lo > 0 {
                         panic!("range boom at chunk {}", range.chunk_lo);
                     }
                     Ok(1)
-                },
-                |a, b| a + b,
-            );
+                });
             assert!(results[0].is_ok());
             assert!(results[1].is_ok());
             match &results[2] {

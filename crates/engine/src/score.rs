@@ -1,37 +1,46 @@
 //! In-engine model serving: the scoring half of the MADlib calling
 //! convention.
 //!
-//! Training (PRs 3–7) runs inside the engine — one `Session::train` call per
-//! model, executed as chunked, work-stealing scans.  This module gives
-//! *prediction* the same treatment, instead of leaving it as ad-hoc per-row
-//! `predict` loops outside the scan pipeline:
+//! Training runs inside the engine — one `Session::train` call per model,
+//! executed as chunked, work-stealing scans.  This module gives
+//! *prediction* the same treatment, with one copy of each idea:
 //!
-//! - [`Scorer`] is the serving analogue of [`crate::aggregate::Aggregate`]: a
-//!   per-row [`Scorer::predict_row`] contract plus an optional vectorized
-//!   [`Scorer::predict_chunk`] override that must be **bit-identical** to the
-//!   row loop (the method library rides the `batch_dot` /
-//!   `batch_closest_column` kernel tiers for its overrides).
-//! - [`Dataset::score`] runs a scorer over the dataset's filter-surviving
-//!   rows as a chunked, work-stealing scan pass, returning one prediction
-//!   [`Value`] per row in segment-then-row order;
-//!   [`Dataset::score_into`] materializes the predictions as a one-column
-//!   table registered in the catalog (segment placement preserved).
-//! - [`Dataset::score_per_group`] serves a *grouped* registry
-//!   ([`GroupScorers`], e.g. a `train_grouped` output from the model
-//!   catalog): each row routes to its composite-[`GroupKey`] group's model,
-//!   bit-identical to filtering each group out and scoring it separately.
-//!   Routing is [`crate::group`]'s keying pass and index sort — the same
-//!   code grouped aggregation runs — with "open a slot" meaning "resolve the
-//!   group's scorer, or fail with [`EngineError::ModelNotFound`]".
+//! - **One scorer method.**  [`Scorer`] is the serving analogue of
+//!   [`crate::aggregate::Aggregate`]: [`Scorer::output_type`] and
+//!   [`Scorer::predict_chunk`], which appends exactly one prediction per row
+//!   of a column-major chunk.  The per-row meaning of a prediction is the
+//!   method library's (`madlib_core::Predictor::predict_value`); a chunk
+//!   method that batches through the kernel tiers must equal it bit for
+//!   bit, and the tests hold it there.
+//! - **One registry.**  [`Dataset::score_per_group`] serves a
+//!   [`GroupedModels`] registry — the `train_grouped` output, as stored in
+//!   the model catalog — routing each row to its composite
+//!   [`GroupKey`](crate::GroupKey)'s scorer, bit-identical to filtering
+//!   each group out and scoring it separately.  Routing is [`crate::group`]'s keying pass and index
+//!   sort, the code grouped aggregation runs, with "open a slot" meaning
+//!   "look the group up, or fail with [`EngineError::ModelNotFound`]".
+//! - **One ranged pass.**  [`Dataset::score`], [`Dataset::score_with_stats`],
+//!   [`Dataset::score_into`] (a one-column predictions table, segment
+//!   placement preserved) and [`Dataset::score_per_group`] are thin calls of
+//!   the dataset's one order-preserving pass, the body
+//!   [`Dataset::map_chunks`] runs on too: chunk-range units on the
+//!   work-stealing pool, predictions in segment-then-row order.
+//! - **One count check.**  Every `predict_chunk` call the engine makes is
+//!   held to its count; a scorer that appends any other number of
+//!   predictions fails the call with [`EngineError::PredictionCount`]
+//!   instead of misaligning the output.
 //! - [`Dataset::top_k_by_score`] is k-nearest-neighbour / vector-similarity
 //!   search over a `double precision[]` column on the same batched kernels —
-//!   the first pure *serving* workload with no training step at all.
+//!   a serving workload with no training step at all.  It keeps
+//!   whole-segment units, because its ranks carry each segment's row
+//!   ordinals.
 
 use crate::chunk::{ColumnChunk, RowChunk, Segment, CHUNK_CAPACITY};
 use crate::database::Database;
 use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
-use crate::group::{GroupKey, IndexSort, SlotDirectory};
+use crate::executor::ExecutionStats;
+use crate::group::{GroupedModels, IndexSort, SlotDirectory};
 use crate::row::Row;
 use crate::scan;
 use crate::schema::{Column, ColumnType, Schema};
@@ -40,123 +49,47 @@ use crate::value::Value;
 use madlib_linalg::kernels;
 use std::sync::Arc;
 
-/// A model that can score rows — the serving-side counterpart of
+/// A model that scores chunks of rows — the serving-side counterpart of
 /// [`crate::aggregate::Aggregate`].
 ///
-/// Implementations define the per-row contract ([`Scorer::predict_row`]);
-/// [`Scorer::predict_chunk`] has a default per-row fallback and may be
-/// overridden with a vectorized implementation, which **must produce
-/// bit-identical predictions (and identical errors) to the row loop** — the
-/// same contract the aggregate `transition_chunk` overrides obey.  That
-/// bit-identity is what lets [`Dataset::score`] batch whatever a chunk holds
-/// — a stored chunk, a compacted one, one group's gather — under any chunk
-/// split and kernel tier without changing results.
+/// [`Scorer::predict_chunk`] sees whatever a scan hands it — a stored
+/// chunk, a filter's compaction, one group's gather — so its predictions
+/// must be a per-row function of each row: the same bits under any chunk
+/// split and kernel tier.
 pub trait Scorer: Sync {
     /// Column type of the predictions this scorer emits (the schema of the
     /// materialized predictions column).
     fn output_type(&self) -> ColumnType;
 
-    /// Scores one materialized row.
-    ///
-    /// # Errors
-    /// Implementation-defined (e.g. a feature-width mismatch).
-    fn predict_row(&self, row: &Row, schema: &Schema) -> Result<Value>;
-
     /// Scores every row of a column-major chunk, appending exactly
-    /// `chunk.len()` predictions to `out` in row order.
-    ///
-    /// The default delegates to [`Scorer::predict_row`] row by row; override
-    /// it to batch through vectorized kernels (bit-identically).
+    /// `chunk.len()` predictions to `out` in row order.  The serving
+    /// terminals check the count and fail with
+    /// [`EngineError::PredictionCount`] otherwise.
     ///
     /// # Errors
-    /// Must fail exactly when (and how) the per-row loop would fail first.
-    fn predict_chunk(&self, chunk: &RowChunk, schema: &Schema, out: &mut Vec<Value>) -> Result<()> {
-        predict_chunk_rows(self, chunk, schema, out)
-    }
+    /// Implementation-defined (e.g. a feature-width mismatch); a batched
+    /// implementation fails exactly when, and how, its first failing row
+    /// would.
+    fn predict_chunk(&self, chunk: &RowChunk, schema: &Schema, out: &mut Vec<Value>) -> Result<()>;
 }
 
-/// The default per-row scoring loop over a chunk — public so vectorized
-/// [`Scorer::predict_chunk`] overrides can fall back to it verbatim for the
-/// shapes their kernels cannot batch (NULL-bearing or ragged feature
-/// columns), keeping the fallback path shared instead of re-implemented.
-///
-/// # Errors
-/// Propagates the first [`Scorer::predict_row`] error in row order.
-pub fn predict_chunk_rows<S: Scorer + ?Sized>(
+/// Scores `chunk` with `scorer`, holding it to [`Scorer::predict_chunk`]'s
+/// count: the one call site of that method in the engine.
+fn predict<S: Scorer + ?Sized>(
     scorer: &S,
     chunk: &RowChunk,
     schema: &Schema,
     out: &mut Vec<Value>,
 ) -> Result<()> {
-    let mut values = Vec::with_capacity(chunk.arity());
-    out.reserve(chunk.len());
-    for i in 0..chunk.len() {
-        chunk.read_row_into(i, &mut values);
-        let row = Row::new(std::mem::take(&mut values));
-        out.push(scorer.predict_row(&row, schema)?);
-        values = row.into_values();
+    let before = out.len();
+    scorer.predict_chunk(chunk, schema, out)?;
+    if out.len() != before + chunk.len() {
+        return Err(EngineError::PredictionCount {
+            rows: chunk.len(),
+            predictions: out.len().saturating_sub(before),
+        });
     }
     Ok(())
-}
-
-/// A named per-group scorer registry: one scorer per composite [`GroupKey`],
-/// sorted by key — the servable shape of a `train_grouped` output.
-/// [`Dataset::score_per_group`] routes each row to its group's scorer and
-/// reports a missing group as a typed [`EngineError::ModelNotFound`] carrying
-/// the registry's name.
-#[derive(Debug, Clone)]
-pub struct GroupScorers<S> {
-    name: String,
-    scorers: Vec<(GroupKey, S)>,
-}
-
-impl<S> GroupScorers<S> {
-    /// Builds a registry from `(key, scorer)` pairs, sorting by key.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::InvalidArgument`] when two pairs share a key —
-    /// routing would be ambiguous.
-    pub fn new(name: impl Into<String>, mut scorers: Vec<(GroupKey, S)>) -> Result<Self> {
-        scorers.sort_by(|a, b| a.0.cmp(&b.0));
-        if let Some(pair) = scorers.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-            return Err(EngineError::invalid(format!(
-                "duplicate group key {:?} in grouped scorer registry",
-                pair[0].0
-            )));
-        }
-        Ok(Self {
-            name: name.into(),
-            scorers,
-        })
-    }
-
-    /// The registry's name (used in [`EngineError::ModelNotFound`] errors).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.scorers.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.scorers.is_empty()
-    }
-
-    /// The scorer for `key`, if present (binary search over the sorted keys).
-    pub fn get(&self, key: &GroupKey) -> Option<&S> {
-        self.scorers
-            .binary_search_by(|(k, _)| k.cmp(key))
-            .ok()
-            .map(|idx| &self.scorers[idx].1)
-    }
-
-    /// Iterates `(key, scorer)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = &(GroupKey, S)> {
-        self.scorers.iter()
-    }
 }
 
 /// Similarity metric for [`Dataset::top_k_by_score`].
@@ -260,16 +193,30 @@ fn offer(
 
 impl Dataset<'_> {
     /// Rejects grouped datasets from the ungrouped serving terminals with
-    /// guidance pointing at the grouped entry point.
+    /// guidance pointing at the grouped entry points.
     fn require_ungrouped_serving(&self, operation: &str) -> Result<()> {
         if self.is_grouped() {
             return Err(EngineError::invalid(format!(
-                "{operation} over a grouped dataset; use score_per_group with a \
-                 GroupScorers registry (e.g. Database::models().grouped_scorers) \
-                 for grouped scoring"
+                "{operation} over a grouped dataset; score it with Session::score \
+                 (a catalog registry by name) or Dataset::score_per_group"
             )));
         }
         Ok(())
+    }
+
+    /// The ranged pass of the ungrouped scoring terminals: `scorer` over
+    /// every filter-surviving chunk.
+    fn score_ranged<S: Scorer + ?Sized>(
+        &self,
+        operation: &str,
+        scorer: &S,
+    ) -> Result<(Vec<Value>, Vec<usize>, ExecutionStats)> {
+        self.require_ungrouped_serving(operation)?;
+        self.ranged(true, || {
+            |chunk: &RowChunk, schema: &Schema, out: &mut Vec<Value>| {
+                predict(scorer, chunk, schema, out)
+            }
+        })
     }
 
     /// Scores every filter-surviving row with `scorer`, returning one
@@ -277,21 +224,30 @@ impl Dataset<'_> {
     /// [`Dataset::collect_rows`] yields rows, so predictions zip with rows).
     ///
     /// Runs as a chunked, work-stealing scan pass: each (compacted) chunk
-    /// goes through [`Scorer::predict_chunk`] (vectorized overrides ride the
-    /// kernel tiers), bit-identical to [`Scorer::predict_row`] per row by the
-    /// scorer contract.  Terminal operation; requires an ungrouped dataset.
+    /// goes through [`Scorer::predict_chunk`].  Terminal operation; requires
+    /// an ungrouped dataset.
     ///
     /// # Errors
-    /// Propagates predicate and scorer errors; errors on a grouped dataset.
+    /// Propagates predicate and scorer errors; fails with
+    /// [`EngineError::PredictionCount`] when the scorer appends the wrong
+    /// number of predictions for a chunk; errors on a grouped dataset.
     pub fn score<S: Scorer + ?Sized>(&self, scorer: &S) -> Result<Vec<Value>> {
-        self.require_ungrouped_serving("score")?;
-        let per_segment = self.score_segments(scorer)?;
-        let rows = per_segment.iter().flatten().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(rows);
-        for mut unit in per_segment.into_iter().flatten() {
-            out.append(&mut unit);
-        }
-        Ok(out)
+        Ok(self.score_with_stats(scorer)?.0)
+    }
+
+    /// Like [`Dataset::score`], additionally returning the pass's
+    /// [`ExecutionStats`]: rows scanned and rows that passed the filter
+    /// (`rows_aggregated`), the table's segment count, the kernel tier, and
+    /// the worker time inside the chunk-range units (`busy_ns`).
+    ///
+    /// # Errors
+    /// As [`Dataset::score`].
+    pub fn score_with_stats<S: Scorer + ?Sized>(
+        &self,
+        scorer: &S,
+    ) -> Result<(Vec<Value>, ExecutionStats)> {
+        let (predictions, _, stats) = self.score_ranged("score", scorer)?;
+        Ok((predictions, stats))
     }
 
     /// Scores every filter-surviving row and materializes the predictions as
@@ -303,24 +259,21 @@ impl Dataset<'_> {
     /// source.  Terminal operation; requires an ungrouped dataset.
     ///
     /// # Errors
-    /// Propagates predicate and scorer errors; errors on a grouped dataset
-    /// and on a `table_name` collision
-    /// ([`EngineError::TableAlreadyExists`]).
+    /// As [`Dataset::score`], and [`EngineError::TableAlreadyExists`] on a
+    /// `table_name` collision.
     pub fn score_into<S: Scorer + ?Sized>(
         &self,
         scorer: &S,
         database: &Database,
         table_name: &str,
     ) -> Result<()> {
-        self.require_ungrouped_serving("score_into")?;
-        let per_segment = self.score_segments(scorer)?;
+        let (predictions, per_segment, _) = self.score_ranged("score_into", scorer)?;
         let column = Column::new("prediction", scorer.output_type());
+        let mut predictions = predictions.into_iter();
         // Each segment's predictions become that segment's chunks directly:
         // one typed column, built a chunk's worth at a time.
-        let segment = |units: Vec<Vec<Value>>| -> Result<Segment> {
-            let mut left: usize = units.iter().map(Vec::len).sum();
+        let segment = |mut left: usize| -> Result<Segment> {
             let mut chunks = Vec::with_capacity(left.div_ceil(CHUNK_CAPACITY));
-            let mut predictions = units.into_iter().flatten();
             while left > 0 {
                 let rows = left.min(CHUNK_CAPACITY);
                 let mut stored = ColumnChunk::new(column.column_type, rows, 0);
@@ -344,77 +297,65 @@ impl Dataset<'_> {
         database.register_table(table_name, table)
     }
 
-    /// The shared scan pass behind [`Dataset::score`] and
-    /// [`Dataset::score_into`]: per segment, the prediction vectors of its
-    /// scan units in range order — concatenated, the segment's predictions
-    /// in row order, unconditionally identical to the whole-segment scan.
-    /// Chunk-range stealing spreads hot segments across workers; a unit's
-    /// vector is sized once for its rows and never copied on the way out (the
-    /// per-segment lists move the vectors, not their predictions).
-    fn score_segments<S: Scorer + ?Sized>(&self, scorer: &S) -> Result<Vec<Vec<Vec<Value>>>> {
-        let schema = self.schema();
-        let filter = self.filter_predicate();
-        let per_segment = scan::run_per_segment_ranged(
-            self.table(),
-            self.executor().is_parallel(),
-            |range, segment| {
-                let chunks = range.chunks(segment);
-                let mut out = Vec::with_capacity(chunks.iter().map(|chunk| chunk.len()).sum());
-                scan::scan_chunks(chunks, schema, filter, None, |batch| {
-                    scorer.predict_chunk(batch.chunk(), schema, &mut out)
-                })?;
-                Ok(vec![out])
-            },
-            |mut left, right| {
-                left.extend(right);
-                left
-            },
-        );
-        per_segment.into_iter().collect()
-    }
-
     /// Scores every filter-surviving row through its *group's* scorer: the
-    /// row's composite [`GroupKey`] (over the dataset's `group_by` columns)
-    /// selects the model in `scorers`, and predictions return in
-    /// segment-then-row order — **bit-identical to filtering each group out
-    /// and scoring it with its model separately**, because per-group chunk
-    /// gathers preserve row order and the scorer contract is per-row pure.
+    /// row's composite [`GroupKey`](crate::GroupKey) (over the dataset's
+    /// `group_by` columns) selects the scorer in `scorers`, the registry
+    /// named `name`, and predictions return in segment-then-row order —
+    /// **bit-identical to filtering each group out and scoring it with its
+    /// scorer separately**, because per-group chunk gathers preserve row
+    /// order and a scorer's predictions are per-row.
     ///
-    /// Single-group chunks (the common, clustered case) batch straight
-    /// through [`Scorer::predict_chunk`]; mixed chunks are counting-sorted
-    /// by group, each group's rows gathered into a compacted sub-chunk,
-    /// batch-scored, and the predictions scattered back to their row
-    /// positions.
+    /// Single-group chunks (the common, clustered case) go straight through
+    /// [`Scorer::predict_chunk`]; mixed chunks are counting-sorted by group,
+    /// each group's rows gathered into a compacted sub-chunk and scored, and
+    /// the predictions scattered back to their row positions.
     ///
     /// # Errors
-    /// Propagates predicate, column-lookup and scorer errors; errors when
-    /// the dataset has no grouping columns or lists one twice, and with
-    /// [`EngineError::ModelNotFound`] when a surviving row's group has no
-    /// scorer in the registry.
-    pub fn score_per_group<S: Scorer>(&self, scorers: &GroupScorers<S>) -> Result<Vec<Value>> {
-        let schema = self.schema();
+    /// Propagates predicate, column-lookup and scorer errors and the count
+    /// check's [`EngineError::PredictionCount`]; errors when the dataset has
+    /// no grouping columns or lists one twice, and with
+    /// [`EngineError::ModelNotFound`] (carrying `name`) when a surviving
+    /// row's group has no scorer in the registry.
+    pub fn score_per_group<S: Scorer>(
+        &self,
+        name: &str,
+        scorers: &GroupedModels<S>,
+    ) -> Result<Vec<Value>> {
         let group_indices = self.group_column_indices()?;
         let group_indices = group_indices.as_slice();
-        let filter = self.filter_predicate();
-        let per_segment = scan::run_per_segment_ranged(
-            self.table(),
-            self.executor().is_parallel(),
-            |range, segment| {
-                let mut out = Vec::new();
-                let chunks = range.chunks(segment);
-                score_chunks_grouped(scorers, chunks, schema, group_indices, filter, &mut out)?;
-                Ok(out)
-            },
-            |mut left, right: Vec<Value>| {
-                left.extend(right);
-                left
-            },
-        );
-        let mut out = Vec::with_capacity(self.table().row_count());
-        for res in per_segment {
-            out.extend(res?);
-        }
-        Ok(out)
+        let open_unit = || {
+            // The unit's directory: key → dense slot into `resolved`.
+            let mut directory = SlotDirectory::default();
+            let mut resolved: Vec<&S> = Vec::new();
+            let mut keyed = IndexSort::default();
+            let mut group_predictions: Vec<Value> = Vec::new();
+            move |chunk: &RowChunk, schema: &Schema, out: &mut Vec<Value>| {
+                directory.key_chunk(chunk, group_indices, &mut keyed, |key| {
+                    resolved.push(scorers.require(name, key)?);
+                    Ok(())
+                })?;
+                if let [(slot, _)] = keyed.runs()[..] {
+                    return predict(resolved[slot as usize], chunk, schema, out);
+                }
+                let base = out.len();
+                out.resize(base + chunk.len(), Value::Null);
+                for (slot, indices) in keyed.sorted() {
+                    let sub = chunk.gather_rows(indices);
+                    group_predictions.clear();
+                    predict(
+                        resolved[slot as usize],
+                        &sub,
+                        schema,
+                        &mut group_predictions,
+                    )?;
+                    for (&row, prediction) in indices.iter().zip(group_predictions.drain(..)) {
+                        out[base + row as usize] = prediction;
+                    }
+                }
+                Ok(())
+            }
+        };
+        Ok(self.ranged(true, open_unit)?.0)
     }
 
     /// The `k` best-scoring rows of the `column` feature vectors against
@@ -519,70 +460,5 @@ fn check_query_width(x: &[f64], query: &[f64]) -> Result<()> {
             query.len()
         )));
     }
-    Ok(())
-}
-
-/// Opens a new scorer slot: looks `key` up in the registry and appends its
-/// scorer to `resolved`, or reports the group as a typed
-/// [`EngineError::ModelNotFound`].
-fn resolve_scorer<'a, S>(
-    scorers: &'a GroupScorers<S>,
-    key: &GroupKey,
-    resolved: &mut Vec<&'a S>,
-) -> Result<()> {
-    let scorer = scorers.get(key).ok_or_else(|| EngineError::ModelNotFound {
-        name: scorers.name().to_owned(),
-        group: Some(format!("{key:?}")),
-    })?;
-    resolved.push(scorer);
-    Ok(())
-}
-
-/// The chunked grouped scoring pass over one range of chunks: the keying
-/// pass ([`SlotDirectory::key_chunk`]) routes every row to its scorer slot,
-/// then single-scorer chunks batch straight through `predict_chunk` while
-/// mixed chunks are sorted by slot, gathered per group (row order preserved)
-/// and their predictions scattered back to row positions.
-fn score_chunks_grouped<S: Scorer>(
-    scorers: &GroupScorers<S>,
-    chunks: &[std::sync::Arc<RowChunk>],
-    schema: &Schema,
-    group_indices: &[usize],
-    filter: Option<&crate::expr::Predicate>,
-    out: &mut Vec<Value>,
-) -> Result<()> {
-    // Range-level directory: key → dense slot into `resolved` scorers.
-    let mut directory = SlotDirectory::default();
-    let mut resolved: Vec<&S> = Vec::new();
-    let mut keyed = IndexSort::default();
-    let mut group_predictions: Vec<Value> = Vec::new();
-
-    scan::scan_chunks(chunks, schema, filter, None, |batch| {
-        let chunk = batch.chunk();
-        directory.key_chunk(chunk, group_indices, &mut keyed, |key| {
-            resolve_scorer(scorers, key, &mut resolved)
-        })?;
-
-        if let [(slot, _)] = keyed.runs()[..] {
-            // Single-group chunk: the whole chunk is one batch.
-            return resolved[slot as usize].predict_chunk(chunk, schema, out);
-        }
-
-        // Mixed chunk: gather each group's rows (in row order) into a
-        // compacted sub-chunk, batch-score it, and scatter the predictions
-        // back to row positions.
-        let base = out.len();
-        out.resize(base + chunk.len(), Value::Null);
-        for (slot, indices) in keyed.sorted() {
-            let sub = chunk.gather_rows(indices);
-            group_predictions.clear();
-            resolved[slot as usize].predict_chunk(&sub, schema, &mut group_predictions)?;
-            debug_assert_eq!(group_predictions.len(), indices.len());
-            for (&row_idx, prediction) in indices.iter().zip(group_predictions.drain(..)) {
-                out[base + row_idx as usize] = prediction;
-            }
-        }
-        Ok(())
-    })?;
     Ok(())
 }

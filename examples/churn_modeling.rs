@@ -127,9 +127,7 @@ fn main() {
     // scoring the grouped dataset looks each row's region up in the
     // registry — bit-identical to filtering per region and predicting with
     // that region's model.
-    session
-        .register_grouped_models("churn_by_region", per_region)
-        .expect("registry has no duplicate groups");
+    session.register_grouped_models("churn_by_region", per_region);
     let grouped_ds = Dataset::from_table(&customers).group_by(["region"]);
     let routed = session
         .score::<LogisticRegressionModel>(&grouped_ds, "churn_by_region", "x")

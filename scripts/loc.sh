@@ -16,12 +16,15 @@
 #                                    code lines at <rev> and now and the delta;
 #                                    then the three totals and each crate's
 #                                    `pub` items on both sides
-#        scripts/loc.sh --unused     every `pub fn` under crates/*/src whose
-#                                    name appears in no other code line of
-#                                    crates/*/src, src, examples,
-#                                    benchmark/src or crates/bench/benches
-#                                    (each file cut at `#[cfg(test)]`, `//`
-#                                    lines dropped), as `<file>:<line>  <name>`
+#        scripts/loc.sh --unused     every `pub fn`, `pub struct`, `pub enum`,
+#                                    `pub trait` and `pub type` under
+#                                    crates/*/src whose name appears in no
+#                                    other code line of crates/*/src, src,
+#                                    examples, benchmark/src or
+#                                    crates/bench/benches (each file cut at
+#                                    `#[cfg(test)]`, `//` lines dropped), as
+#                                    `<file>:<line>  <name>` for a function and
+#                                    `<file>:<line>  <kind> <name>` for a type
 set -euo pipefail
 
 count() {
@@ -70,33 +73,44 @@ code_lines() {
          { print }' "$@"
 }
 
-# Every `pub fn` of crates/*/src whose name no other code line uses: one
-# `<file>:<line>  <name>` line each, in file order.
+# Every `pub fn` / `struct` / `enum` / `trait` / `type` of crates/*/src
+# whose name no other code line uses: one line each, in file order.
 unused() {
     local every corpus
     mapfile -t every < <(find crates -path '*/src/*.rs' | sort)
     mapfile -t corpus < <(find crates/*/src src examples benchmark/src crates/bench/benches \
         -name '*.rs' | sort)
-    # Per pub fn: where, its name, and how often the name is a word of its
-    # own declaration line; then how often each word occurs in the corpus.
+    # Per pub item: where, its kind and name, and how often the name is a
+    # word of its own declaration line; then how often each word occurs in
+    # the corpus.
     awk 'FNR == 1 { done = 0 }
          done { next }
          /^[[:space:]]*#\[cfg\(test\)\]/ { done = 1; next }
-         match($0, /^[[:space:]]*pub[[:space:]]+((unsafe|async|const|extern "C")[[:space:]]+)*fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/) {
-             name = substr($0, RSTART, RLENGTH)
-             sub(/.*fn[[:space:]]+/, "", name)
+         match($0, /^[[:space:]]*pub[[:space:]]+((unsafe|async|const|extern "C")[[:space:]]+)*(fn|struct|enum|trait|type)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/) {
+             decl = substr($0, RSTART, RLENGTH)
+             name = decl
+             sub(/.*[[:space:]]/, "", name)
+             kind = decl
+             sub(/[[:space:]]+[A-Za-z_][A-Za-z0-9_]*$/, "", kind)
+             sub(/.*[[:space:]]/, "", kind)
              own = 0
              line = $0
              while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
                  own += substr(line, RSTART, RLENGTH) == name
                  line = substr(line, RSTART + RLENGTH)
              }
-             print "fn", FILENAME ":" FNR, name, own
+             print "decl", FILENAME ":" FNR, kind, name, own
          }' "${every[@]}" |
         cat - <(code_lines "${corpus[@]}" | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c) |
-        awk '$1 == "fn" { at[++n] = $2; name[n] = $3; own[n] = $4; next }
+        awk '$1 == "decl" { at[++n] = $2; kind[n] = $3; name[n] = $4; own[n] = $5; next }
              { seen[$2] = $1 }
-             END { for (i = 1; i <= n; i++) if (seen[name[i]] == own[i]) printf "%s  %s\n", at[i], name[i] }'
+             END {
+                 for (i = 1; i <= n; i++) {
+                     if (seen[name[i]] != own[i]) continue
+                     if (kind[i] == "fn") printf "%s  %s\n", at[i], name[i]
+                     else printf "%s  %s %s\n", at[i], kind[i], name[i]
+                 }
+             }'
 }
 
 # One Markdown row: label, parent, change, signed delta (U+2212 for minus).

@@ -16,7 +16,7 @@ use madlib::engine::aggregate::CountAggregate;
 use madlib::engine::expr::Predicate;
 use madlib::engine::{
     reference, Column, ColumnType, Database, Dataset, EngineError, Executor, GroupKey,
-    GroupScorers, Row, Schema, Scorer, Similarity, Table, Value,
+    GroupedModels, Row, RowChunk, Schema, Scorer, Similarity, Table, Value,
 };
 use madlib::methods::classify::{DecisionTree, NaiveBayes, SvmModel};
 use madlib::methods::cluster::KMeansModel;
@@ -249,8 +249,7 @@ proptest! {
                 (GroupKey::from_value(key), linregr_model(coef))
             })
             .collect();
-        let scorers = GroupScorers::new(
-            "per_key",
+        let scorers = GroupedModels::new(
             registry
                 .iter()
                 .map(|(key, model)| (key.clone(), FeatureScorer::new(model, "x")))
@@ -261,7 +260,7 @@ proptest! {
             let grouped = Dataset::from_table(&table)
                 .with_executor(executor)
                 .group_by(["k"]);
-            let scored = grouped.score_per_group(&scorers).unwrap();
+            let scored = grouped.score_per_group("per_key", &scorers).unwrap();
             prop_assert_eq!(scored.len(), points.len());
             // The naive plan: per group, filter the rows down and score them
             // with that group's model alone; predictions must land at the
@@ -543,22 +542,20 @@ fn catalog_routed_serving_and_errors() {
     // Grouped registry: one model per region, routed by the dataset's keys.
     let north = linregr_model(vec![1.0, 1.0]);
     let south = linregr_model(vec![-1.0, 0.25]);
-    database
-        .models()
-        .register_grouped(
-            "churn_by_region",
-            vec![
-                (
-                    GroupKey::from_value(&Value::Text("north".into())),
-                    north.clone(),
-                ),
-                (
-                    GroupKey::from_value(&Value::Text("south".into())),
-                    south.clone(),
-                ),
-            ],
-        )
-        .unwrap();
+    database.models().register_grouped(
+        "churn_by_region",
+        GroupedModels::new(vec![
+            (
+                GroupKey::from_value(&Value::Text("north".into())),
+                north.clone(),
+            ),
+            (
+                GroupKey::from_value(&Value::Text("south".into())),
+                south.clone(),
+            ),
+        ])
+        .unwrap(),
+    );
     let grouped = dataset.reborrow().group_by(["region"]);
     let routed = session
         .score::<LinearRegressionModel>(&grouped, "churn_by_region", "x")
@@ -584,19 +581,16 @@ fn catalog_routed_serving_and_errors() {
         database.models().get::<KMeansModel>("churn").unwrap_err(),
         EngineError::TypeMismatch { .. }
     ));
-    let west_only = GroupScorers::new(
-        "churn_by_region",
-        vec![(
-            GroupKey::from_value(&Value::Text("north".into())),
-            FeatureScorer::new(&north, "x"),
-        )],
-    )
+    let west_only = GroupedModels::new(vec![(
+        GroupKey::from_value(&Value::Text("north".into())),
+        FeatureScorer::new(&north, "x"),
+    )])
     .unwrap();
     for executor in both_executors() {
         let err = grouped
             .reborrow()
             .with_executor(executor)
-            .score_per_group(&west_only)
+            .score_per_group("churn_by_region", &west_only)
             .unwrap_err();
         match err {
             EngineError::ModelNotFound { name, group } => {
@@ -665,8 +659,14 @@ impl Scorer for GroupId {
         ColumnType::Int
     }
 
-    fn predict_row(&self, _row: &Row, _schema: &Schema) -> madlib::engine::Result<Value> {
-        Ok(Value::Int(self.0))
+    fn predict_chunk(
+        &self,
+        chunk: &RowChunk,
+        _schema: &Schema,
+        out: &mut Vec<Value>,
+    ) -> madlib::engine::Result<()> {
+        out.extend((0..chunk.len()).map(|_| Value::Int(self.0)));
+        Ok(())
     }
 }
 
@@ -731,8 +731,7 @@ fn grouped_terminals_agree_on_keys_and_row_counts() {
             assert_eq!(gathered, counted, "gather_groups vs aggregate_per_group");
 
             // One scorer per key, named by the key's rank.
-            let scorers = GroupScorers::new(
-                "rank",
+            let scorers = GroupedModels::new(
                 counted
                     .iter()
                     .enumerate()
@@ -741,7 +740,7 @@ fn grouped_terminals_agree_on_keys_and_row_counts() {
             )
             .unwrap();
             let mut scored = vec![0u64; counted.len()];
-            for prediction in dataset.score_per_group(&scorers).unwrap() {
+            for prediction in dataset.score_per_group("rank", &scorers).unwrap() {
                 scored[prediction.as_int().unwrap() as usize] += 1;
             }
             let counts: Vec<u64> = counted.iter().map(|(_, count)| *count).collect();
@@ -752,4 +751,240 @@ fn grouped_terminals_agree_on_keys_and_row_counts() {
     // And the executors agree with each other.
     assert_eq!(reports[0], reports[2]);
     assert_eq!(reports[1], reports[3]);
+}
+
+/// A predictor that takes a vector of any width and scores it to the sum of
+/// its features, so ragged chunks have values to compare, not just errors.
+struct FeatureSum;
+
+impl Predictor for FeatureSum {
+    fn output_type(&self) -> ColumnType {
+        ColumnType::Double
+    }
+
+    fn predict_value(&self, x: &[f64]) -> madlib::methods::Result<Value> {
+        Ok(Value::Double(x.iter().sum()))
+    }
+}
+
+/// The per-row plan with its first error kept: walk the filter-surviving
+/// rows in scan order, NULL features scoring to NULL, anything else through
+/// the model's typed per-row predict.
+fn row_plan<P: Predictor>(
+    dataset: &Dataset<'_>,
+    model: &P,
+    column: &str,
+) -> madlib::engine::Result<Vec<Value>> {
+    dataset.map_rows(|row, schema| {
+        let value = row.get_named(schema, column)?;
+        if value.is_null() {
+            return Ok(Value::Null);
+        }
+        model
+            .predict_value(value.as_double_array()?)
+            .map_err(EngineError::invalid)
+    })
+}
+
+/// Builds `g (bigint) | y (double) | note (text) | x (double[]) | d (double)`
+/// in 8-row chunks over three segments, with `x` from `features(i)`: `g`
+/// changes every other row, so every chunk mixes groups; `y` is
+/// `7 i mod 10`, so `y < 6` compacts every chunk; `note` is text the scorers
+/// never read.
+fn fallback_table(rows: usize, features: impl Fn(usize) -> Value) -> Table {
+    let schema = Schema::new(vec![
+        Column::new("g", ColumnType::Int),
+        Column::new("y", ColumnType::Double),
+        Column::new("note", ColumnType::Text),
+        Column::new("x", ColumnType::DoubleArray),
+        Column::new("d", ColumnType::Double),
+    ]);
+    let mut table = Table::new(schema, 3)
+        .unwrap()
+        .with_chunk_capacity(8)
+        .unwrap();
+    for i in 0..rows {
+        table
+            .insert(Row::new(vec![
+                Value::Int((i / 2 % 3) as i64),
+                Value::Double((i * 7 % 10) as f64),
+                Value::Text(format!("row {i}")),
+                features(i),
+                Value::Double(i as f64 * 0.5),
+            ]))
+            .unwrap();
+    }
+    table
+}
+
+/// `FeatureScorer`'s fallback (NULL-bearing or ragged chunks) against the
+/// per-row plan: values bit for bit, or the plan's first error, through
+/// `score` and `score_per_group` (every group served by the same model),
+/// under both executors, filtered and not.  The shapes: ragged widths
+/// within one chunk; one wrong-width row after good ones; a feature column
+/// that is not `double precision[]`; and a text column beside the features
+/// of NULL-bearing chunks.
+#[test]
+fn feature_scorer_fallback_matches_the_row_plan() {
+    fn check<P: Predictor>(table: &Table, model: &P, column: &str, context: &str) {
+        let scorers = GroupedModels::new(
+            (0..3)
+                .map(|g| {
+                    let key = GroupKey::from_value(&Value::Int(g));
+                    (key, FeatureScorer::new(model, column))
+                })
+                .collect(),
+        )
+        .unwrap();
+        for executor in both_executors() {
+            for filtered in [false, true] {
+                let mut dataset = Dataset::from_table(table).with_executor(executor);
+                if filtered {
+                    dataset = dataset.filter(Predicate::column_lt("y", 6.0));
+                }
+                let context = format!("{context}, {executor:?}, filtered: {filtered}");
+                let plan = row_plan(&dataset, model, column);
+                let scored = dataset.score(&FeatureScorer::new(model, column));
+                let grouped = dataset.reborrow().group_by(["g"]);
+                let routed = grouped.score_per_group("same", &scorers);
+                for (terminal, got) in [("score", scored), ("score_per_group", routed)] {
+                    let context = format!("{context}, {terminal}");
+                    match (&got, &plan) {
+                        (Ok(got), Ok(want)) => assert_predictions_eq(got, want, &context),
+                        (Err(got), Err(want)) => {
+                            assert_eq!(got.to_string(), want.to_string(), "{context}")
+                        }
+                        _ => panic!("{context}: got {got:?}, the row plan {plan:?}"),
+                    }
+                }
+            }
+        }
+    }
+    let rows = 200;
+    let ragged = fallback_table(rows, |i| match i % 5 {
+        4 => Value::Null,
+        _ => Value::DoubleArray((0..1 + i % 4).map(|j| (i * 3 + j) as f64 * 0.25).collect()),
+    });
+    check(&ragged, &FeatureSum, "x", "ragged widths");
+    let linregr = linregr_model(vec![0.5, -1.25, 2.0]);
+    // Row 150 survives the filter (7 * 150 mod 10 = 0).
+    let late_wrong_width = fallback_table(rows, |i| match i {
+        150 => Value::DoubleArray(vec![1.0, 2.0]),
+        _ if i % 9 == 0 => Value::Null,
+        _ => Value::DoubleArray(vec![1.0, i as f64, -(i as f64) * 0.5]),
+    });
+    assert!(row_plan(&Dataset::from_table(&late_wrong_width), &linregr, "x").is_err());
+    check(
+        &late_wrong_width,
+        &linregr,
+        "x",
+        "a wrong width after good rows",
+    );
+    check(&late_wrong_width, &linregr, "d", "a double feature column");
+    let nulls_beside_text = fallback_table(rows, |i| match i % 7 {
+        3 => Value::Null,
+        _ => Value::DoubleArray(vec![i as f64, 1.0, -0.5]),
+    });
+    assert!(row_plan(&Dataset::from_table(&nulls_beside_text), &linregr, "x").is_ok());
+    check(
+        &nulls_beside_text,
+        &linregr,
+        "x",
+        "NULL-bearing chunks beside text",
+    );
+}
+
+/// A scorer that breaks `predict_chunk`'s count rule: it scores every row of
+/// a chunk but the last.
+struct DropsLastRow;
+
+impl Scorer for DropsLastRow {
+    fn output_type(&self) -> ColumnType {
+        ColumnType::Int
+    }
+
+    fn predict_chunk(
+        &self,
+        chunk: &RowChunk,
+        _schema: &Schema,
+        out: &mut Vec<Value>,
+    ) -> madlib::engine::Result<()> {
+        out.extend((1..chunk.len()).map(|i| Value::Int(i as i64)));
+        Ok(())
+    }
+}
+
+/// A scorer that appends the wrong number of predictions fails `score`,
+/// `score_into` (which then registers no table) and `score_per_group` (on
+/// mixed chunks and on single-group ones) with a typed error naming both
+/// counts, under both executors — instead of a misaligned or
+/// NULL-padded result.
+#[test]
+fn a_scorer_that_drops_rows_fails_every_terminal() {
+    let table = fallback_table(200, |i| Value::DoubleArray(vec![i as f64]));
+    let key = |g: i64| GroupKey::from_value(&Value::Int(g));
+    let registry = GroupedModels::new((0..3).map(|g| (key(g), DropsLastRow)).collect()).unwrap();
+    let database = Database::new(3).unwrap();
+    for executor in both_executors() {
+        let dataset = Dataset::from_table(&table).with_executor(executor);
+        let mixed = dataset.reborrow().group_by(["g"]);
+        let single = mixed
+            .reborrow()
+            .filter(Predicate::column_is_key("g", key(1)));
+        let outcomes = [
+            ("score", dataset.score(&DropsLastRow).map(drop)),
+            (
+                "score_into",
+                dataset.score_into(&DropsLastRow, &database, "predictions"),
+            ),
+            (
+                "score_per_group, mixed chunks",
+                mixed.score_per_group("drops", &registry).map(drop),
+            ),
+            (
+                "score_per_group, one group",
+                single.score_per_group("drops", &registry).map(drop),
+            ),
+        ];
+        for (terminal, outcome) in outcomes {
+            let context = format!("{terminal}, {executor:?}");
+            match outcome {
+                Err(err @ EngineError::PredictionCount { rows, predictions }) => {
+                    assert_eq!(predictions + 1, rows, "{context}");
+                    let message = err.to_string();
+                    assert!(message.contains(&format!("{predictions} predictions")));
+                    assert!(message.contains(&format!("{rows} rows")), "{context}");
+                }
+                other => panic!("{context}: expected PredictionCount, got {other:?}"),
+            }
+        }
+        assert!(database.table("predictions").is_err());
+    }
+}
+
+/// `score_with_stats` reports its pass on a filtered three-segment table:
+/// every stored row scanned, the filter's survivors passed (one prediction
+/// each, the bits `score` returns), the table's segments, the kernel tier
+/// the scan dispatched to, and worker time.
+#[test]
+fn score_with_stats_counts_the_filtered_pass() {
+    let rows = 200;
+    let table = fallback_table(rows, |i| Value::DoubleArray(vec![1.0, i as f64, 0.5]));
+    let survivors = (0..rows).filter(|i| i * 7 % 10 < 6).count();
+    let model = linregr_model(vec![0.25, -1.5, 2.0]);
+    let scorer = FeatureScorer::new(&model, "x");
+    for executor in both_executors() {
+        let dataset = Dataset::from_table(&table)
+            .with_executor(executor)
+            .filter(Predicate::column_lt("y", 6.0));
+        let (predictions, stats) = dataset.score_with_stats(&scorer).unwrap();
+        assert_eq!(stats.rows_scanned, rows as u64, "{executor:?}");
+        assert_eq!(stats.rows_aggregated, survivors as u64, "{executor:?}");
+        assert_eq!(stats.segments, 3);
+        assert_eq!(stats.kernel_path, madlib::linalg::kernels::active_path());
+        assert!(stats.busy_ns > 0, "{stats:?}");
+        let scored = dataset.score(&scorer).unwrap();
+        assert_predictions_eq(&predictions, &scored, "score_with_stats");
+        assert_eq!(predictions.len(), survivors);
+    }
 }
