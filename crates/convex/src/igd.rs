@@ -12,10 +12,9 @@
 
 use crate::objective::ConvexObjective;
 use crate::schedule::StepSchedule;
-use madlib_core::train::Estimator;
+use madlib_core::train::{l2_relative_convergence, Iterated, Iterative};
 use madlib_core::{MethodError, Result};
 use madlib_engine::dataset::Dataset;
-use madlib_engine::iteration::{iterate, l2_relative_convergence};
 use madlib_engine::{Aggregate, EngineError, Row, RowChunk, Schema};
 
 /// Configuration for an IGD run.
@@ -72,12 +71,13 @@ fn objective_value<O: ConvexObjective>(
     Ok(losses.iter().sum::<f64>() + objective.regularization(model))
 }
 
-/// IGD for any [`ConvexObjective`], packaged as an [`Estimator`]: the one
-/// way to train a convex-framework objective, through
+/// IGD for any [`ConvexObjective`], packaged as an [`Iterative`] estimator:
+/// the one way to train a convex-framework objective, through
 /// `IgdEstimator::new(objective).fit(&dataset)` or the uniform
 /// `Session::train(&estimator, &dataset)` convention — including per-group
 /// training via `Session::train_grouped` (the default per-group gather
-/// re-runs the full IGD driver per group).
+/// re-runs the full IGD driver per group) and warm-started refreshes via
+/// `Session::train_incremental` / `Session::refresh`.
 #[derive(Debug, Clone)]
 pub struct IgdEstimator<O: ConvexObjective> {
     objective: O,
@@ -117,49 +117,72 @@ impl<O: ConvexObjective> IgdEstimator<O> {
     }
 }
 
-impl<O: ConvexObjective> Estimator for IgdEstimator<O> {
+/// Trains the objective over the dataset's (filtered) rows: the model
+/// vector is the state, each epoch one aggregate pass started from the
+/// previous epoch's model, stopped when the model's relative L2 movement is
+/// within the configured tolerance; the objective is evaluated before the
+/// first epoch and after the last.
+impl<O: ConvexObjective> Iterative for IgdEstimator<O> {
     type Model = IgdSummary;
+    type State = Vec<f64>;
+    /// The objective at the initial model.
+    type Context = f64;
+    type StepOutput = Vec<f64>;
 
-    /// Trains the objective over the dataset's (filtered) rows: one
-    /// [`iterate`] loop whose state is the model vector, each epoch one
-    /// aggregate pass started from the previous epoch's model, stopped when
-    /// the model's relative L2 movement is within the configured tolerance.
+    fn max_iterations(&self) -> usize {
+        self.config.max_epochs
+    }
+
+    /// The initial model is `warm`'s when it has the objective's dimension,
+    /// else the estimator's initial model, else zeros.
     ///
     /// # Errors
-    /// [`MethodError::InvalidInput`] when the initial model's length is not
-    /// the objective's dimension or the dataset selects no row; engine
-    /// errors from the per-epoch aggregate passes.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<IgdSummary> {
-        let objective = &self.objective;
-        let initial_model = self
-            .initial_model
-            .clone()
-            .unwrap_or_else(|| vec![0.0; objective.dimension()]);
-        if initial_model.len() != objective.dimension() {
+    /// [`MethodError::InvalidInput`] when the estimator's initial model's
+    /// length is not the objective's dimension or the dataset selects no
+    /// row.
+    fn initial(&self, dataset: &Dataset<'_>, warm: Option<&IgdSummary>) -> Result<(f64, Vec<f64>)> {
+        let dimension = self.objective.dimension();
+        let model = warm
+            .map(|warm| &warm.model)
+            .filter(|model| model.len() == dimension)
+            .or(self.initial_model.as_ref())
+            .map_or_else(|| vec![0.0; dimension], Vec::clone);
+        if model.len() != dimension {
             return Err(MethodError::invalid_input(format!(
-                "initial model has length {}, objective expects {}",
-                initial_model.len(),
-                objective.dimension()
+                "initial model has length {}, objective expects {dimension}",
+                model.len()
             )));
         }
-        let initial_objective_value = objective_value(dataset, objective, &initial_model)?;
+        Ok((objective_value(dataset, &self.objective, &model)?, model))
+    }
 
-        let schedule = self.config.schedule;
-        let outcome = iterate(
-            self.config.max_epochs,
-            initial_model,
-            |model: &Vec<f64>, epoch| {
-                let pass = IgdEpoch {
-                    objective,
-                    start_model: model,
-                    step: schedule.step(epoch),
-                };
-                dataset.aggregate(&pass)
-            },
-            |previous, next| l2_relative_convergence(previous, next, self.config.tolerance),
-        )?;
+    fn step<'s>(
+        &'s self,
+        model: &'s Vec<f64>,
+        epoch: usize,
+    ) -> impl Aggregate<Output = Vec<f64>> + 's {
+        IgdEpoch {
+            objective: &self.objective,
+            start_model: model,
+            step: self.config.schedule.step(epoch),
+        }
+    }
 
-        let objective_value = objective_value(dataset, objective, &outcome.state)?;
+    fn next(&self, _: &Vec<f64>, model: Vec<f64>) -> Result<Vec<f64>> {
+        Ok(model)
+    }
+
+    fn converged(&self, _: &f64, previous: &Vec<f64>, next: &Vec<f64>) -> bool {
+        l2_relative_convergence(previous, next, self.config.tolerance)
+    }
+
+    fn model(
+        &self,
+        dataset: &Dataset<'_>,
+        initial_objective_value: f64,
+        outcome: Iterated<Vec<f64>>,
+    ) -> Result<IgdSummary> {
+        let objective_value = objective_value(dataset, &self.objective, &outcome.state)?;
         Ok(IgdSummary {
             model: outcome.state,
             epochs: outcome.iterations,
@@ -169,6 +192,8 @@ impl<O: ConvexObjective> Estimator for IgdEstimator<O> {
         })
     }
 }
+
+madlib_core::iterative_estimator!([O: ConvexObjective] IgdEstimator<O>);
 
 /// One epoch of per-segment sequential SGD with model averaging.
 struct IgdEpoch<'a, O: ConvexObjective> {
@@ -278,6 +303,7 @@ impl<O: ConvexObjective> Aggregate for IgdEpoch<'_, O> {
 mod tests {
     use super::*;
     use crate::objectives::LeastSquaresObjective;
+    use madlib_core::Estimator;
     use madlib_engine::{row, Column, ColumnType, Executor, Schema, Table};
 
     /// Least squares over `y` / `x` (two features) under `config`, started

@@ -8,13 +8,9 @@
 //! Chan/Welford update the `madlib-stats` summary uses.
 
 use crate::error::{MethodError, Result};
-use crate::train::{
-    fit_grouped_single_pass, refresh_single_pass, train_incremental_single_pass, Estimator,
-    GroupedModels, IncrementalEstimator, Session,
-};
+use crate::train::SinglePass;
 use madlib_engine::aggregate::transition_chunk_by_rows;
 use madlib_engine::chunk::ColumnChunk;
-use madlib_engine::dataset::Dataset;
 use madlib_engine::{Aggregate, Row, RowChunk, Schema, StateReader, StateWriter};
 use madlib_stats::Summary;
 use serde::{Deserialize, Serialize};
@@ -111,39 +107,14 @@ impl NaiveBayes {
     }
 }
 
-impl Estimator for NaiveBayes {
-    type Model = NaiveBayesModel;
+/// One pass of per-class count/sum/sum-of-squares states: grouped training
+/// is one grouped scan, and the incremental view's states persist with a
+/// checkpoint.
+impl SinglePass for NaiveBayes {
+    type Aggregate = Self;
 
-    /// Fits the model in one pass over the dataset's (filtered) rows.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<NaiveBayesModel> {
-        dataset.aggregate(self).map_err(MethodError::from)
-    }
-
-    /// Single-pass grouped training: one grouped scan trains every group's
-    /// per-class summaries at once.
-    fn fit_grouped(&self, dataset: &Dataset<'_>) -> Result<GroupedModels<NaiveBayesModel>> {
-        fit_grouped_single_pass(self, dataset)
-    }
-}
-
-impl IncrementalEstimator for NaiveBayes {
-    /// Registers a materialized view of the per-class count/sum/sum-of-squares
-    /// states; appends refresh the model at O(appended) cost.  The states
-    /// persist with a checkpoint, so on a recovered database the view adopts
-    /// them and absorbs only the rows replayed since.
-    fn train_incremental(
-        &self,
-        session: &Session,
-        table: &str,
-        name: &str,
-    ) -> Result<NaiveBayesModel> {
-        train_incremental_single_pass(self.clone(), session, table, name)
-    }
-
-    /// Absorbs only appended rows and re-finalizes — bit-identical to a full
-    /// retrain (the aggregate is algebraic).
-    fn refresh(&self, session: &Session, table: &str, name: &str) -> Result<NaiveBayesModel> {
-        refresh_single_pass(self.clone(), session, table, name)
+    fn aggregate(&self, _: &Schema) -> Self {
+        self.clone()
     }
 }
 
@@ -359,7 +330,8 @@ impl Aggregate for NaiveBayes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madlib_engine::{reference, row, Column, ColumnType, Schema, Table};
+    use crate::train::Estimator;
+    use madlib_engine::{reference, row, Column, ColumnType, Dataset, Schema, Table};
 
     fn labeled_schema() -> Schema {
         Schema::new(vec![

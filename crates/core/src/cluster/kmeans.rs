@@ -9,8 +9,8 @@
 //! * the per-iteration pass is `KMeansStep`, a UDA whose transition function
 //!   assigns each point to its closest centroid (the `closest_column` UDF of
 //!   the paper) and accumulates per-centroid sums and counts;
-//! * the outer loop is an [`iterate`] run whose state is the centroids and
-//!   the reassignment count of the pass that produced them;
+//! * the outer loop is the [`Iterative`] driver, whose state is the
+//!   centroids and the reassignment count of the pass that produced them;
 //! * convergence is declared when no (or few) points change assignment, which
 //!   the step tracks by also counting reassignments against the previous
 //!   centroids.
@@ -29,11 +29,10 @@
 
 use crate::cluster::seeding::{non_finite_points, seed_from, PointSource, SeedingMethod};
 use crate::error::{MethodError, Result};
-use crate::train::{Estimator, IncrementalEstimator, Session};
+use crate::train::{Iterated, Iterative};
 use madlib_engine::aggregate::transition_chunk_by_rows;
 use madlib_engine::chunk::DoubleArrayColumn;
 use madlib_engine::dataset::Dataset;
-use madlib_engine::iteration::iterate;
 use madlib_engine::{Aggregate, Row, RowChunk, Schema, Value};
 use madlib_linalg::array_ops::{batch_closest_column, closest_column};
 use madlib_linalg::kernels::{batch_closest_column_distances, batch_squared_distances};
@@ -87,7 +86,7 @@ impl KMeansModel {
 /// A point with a NaN or ±∞ coordinate is [`MethodError::InvalidInput`]
 /// however the fit starts: k-means++ refuses it while seeding; `Random`
 /// seeding and a warm start ([`KMeans::with_initial_centroids`], and so
-/// [`IncrementalEstimator::refresh`]) measure no distance before Lloyd, and
+/// [`crate::IncrementalEstimator::refresh`]) measure no distance before Lloyd, and
 /// the fit refuses their result after its inertia pass when the inertia or a
 /// centroid coordinate is not finite.  Finite coordinates whose squared
 /// distances overflow (say `1e200`) are refused by k-means++; the other
@@ -150,10 +149,10 @@ impl KMeans {
     }
 
     /// Warm-starts Lloyd's algorithm from `centroids` instead of running the
-    /// seeding phase — the incremental-refresh path seeds this with the
-    /// previous model's centroids so a refresh after a small append settles
-    /// in a few iterations.  There must be exactly `k` centroids, all of the
-    /// data's dimension (checked at fit time).
+    /// seeding phase.  A refresh ([`crate::IncrementalEstimator::refresh`]) is the
+    /// fit started this way from the cataloged model's centroids, so after a
+    /// small append it settles in a few iterations.  There must be exactly
+    /// `k` centroids, all of the data's dimension (checked at fit time).
     #[must_use]
     pub fn with_initial_centroids(mut self, centroids: Vec<Vec<f64>>) -> Self {
         self.initial_centroids = Some(centroids);
@@ -161,92 +160,104 @@ impl KMeans {
     }
 }
 
-impl Estimator for KMeans {
+/// Lloyd's algorithm over the dataset's (filtered) points: the validation
+/// pass and the seeding passes open the fit, then one `KMeansStep` pass per
+/// iteration, each handed the centroids the previous one produced, then the
+/// inertia pass.
+impl Iterative for KMeans {
     type Model = KMeansModel;
+    /// The centroids, and how many points the pass that produced them
+    /// reassigned (no pass produced the initial ones).
+    type State = (Vec<Vec<f64>>, u64);
+    /// The number of points and their dimension.
+    type Context = (usize, usize);
+    type StepOutput = Self::State;
 
-    /// Runs Lloyd's algorithm over the dataset's (filtered) points, one
-    /// `KMeansStep` pass per iteration, each handed the centroids the
-    /// previous one produced.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<KMeansModel> {
+    fn max_iterations(&self) -> usize {
+        self.max_iterations
+    }
+
+    /// Validates the points; the first centroids are `warm`'s when they are
+    /// `k` of the points' dimension, else the estimator's initial centroids
+    /// (an error when they are not), else the seeding's.
+    fn initial(
+        &self,
+        dataset: &Dataset<'_>,
+        warm: Option<&KMeansModel>,
+    ) -> Result<((usize, usize), Self::State)> {
         let points = TablePoints::open(dataset, &self.coords_column, self.k)?;
-        let (num_points, dims) = (points.len, points.dims);
-        let initial = match &self.initial_centroids {
+        let dims = points.dims;
+        let fits = |centroids: &&Vec<Vec<f64>>| {
+            centroids.len() == self.k && centroids.iter().all(|c| c.len() == dims)
+        };
+        let centroids = match warm
+            .map(|warm| &warm.centroids)
+            .filter(fits)
+            .or(self.initial_centroids.as_ref())
+        {
             None => seed_from(&points, self.k, self.seeding, self.seed)?,
-            Some(centroids) => {
-                if centroids.len() != self.k || centroids.iter().any(|c| c.len() != dims) {
-                    return Err(MethodError::invalid_input(format!(
-                        "initial centroids must be k={} vectors of dimension {dims}",
-                        self.k
-                    )));
-                }
-                centroids.clone()
+            Some(centroids) if fits(&centroids) => centroids.clone(),
+            Some(_) => {
+                return Err(MethodError::invalid_input(format!(
+                    "initial centroids must be k={} vectors of dimension {dims}",
+                    self.k
+                )))
             }
         };
+        Ok(((points.len, dims), (centroids, 0)))
+    }
 
-        // The state: the centroids, and how many points the pass that
-        // produced them reassigned (no pass produced the initial ones).
-        let reassignment_threshold = (self.reassignment_fraction * num_points as f64).ceil();
-        let outcome = iterate(
-            self.max_iterations,
-            (initial, 0),
-            |(centroids, _): &(Vec<Vec<f64>>, u64), _iteration| -> Result<_> {
-                let step = KMeansStep {
-                    coords_column: &self.coords_column,
-                    centroids,
-                };
-                let result = dataset.aggregate(&step)?;
-                Ok((result.new_centroids(centroids), result.reassignments))
-            },
-            |_, &(_, reassignments)| reassignments as f64 <= reassignment_threshold,
-        )?;
+    fn step<'s>(
+        &'s self,
+        (centroids, _): &'s Self::State,
+        _iteration: usize,
+    ) -> impl Aggregate<Output = Self::State> + 's {
+        KMeansStep {
+            coords_column: &self.coords_column,
+            centroids,
+        }
+    }
+
+    fn next(&self, _: &Self::State, next: Self::State) -> Result<Self::State> {
+        Ok(next)
+    }
+
+    fn converged(&self, &(len, _): &(usize, usize), _: &Self::State, next: &Self::State) -> bool {
+        next.1 as f64 <= (self.reassignment_fraction * len as f64).ceil()
+    }
+
+    /// The inertia pass: per-point minima from one more chunk scan, summed
+    /// serially in scan order.
+    fn model(
+        &self,
+        dataset: &Dataset<'_>,
+        (len, dims): (usize, usize),
+        outcome: Iterated<Self::State>,
+    ) -> Result<KMeansModel> {
+        let points = TablePoints {
+            dataset,
+            column: &self.coords_column,
+            len,
+            dims,
+        };
         let (centroids, _) = outcome.state;
-
-        // Final inertia pass: per-point minima from one more chunk scan,
-        // summed serially in scan order.
         let inertia: f64 = points.closest_distances(&centroids)?.iter().sum();
         // k-means++ refuses such points while seeding; `Random` seeding and a
         // warm start look at no distance before Lloyd, so they stop here.
         if !inertia.is_finite() || centroids.iter().flatten().any(|c| !c.is_finite()) {
             return Err(non_finite_points("k-means"));
         }
-
         Ok(KMeansModel {
             centroids,
             inertia,
             iterations: outcome.iterations,
             converged: outcome.converged,
-            num_points,
+            num_points: len,
         })
     }
 }
 
-impl IncrementalEstimator for KMeans {
-    /// Fits over the whole table and catalogs the model under `name` so
-    /// later refreshes can warm-start from it.
-    fn train_incremental(&self, session: &Session, table: &str, name: &str) -> Result<KMeansModel> {
-        let model = session.train(self, &session.dataset(table)?)?;
-        session.database().models().register(name, model.clone());
-        Ok(model)
-    }
-
-    /// Re-runs Lloyd's algorithm over the table's current contents, starting
-    /// from the previous model's centroids in the catalog instead of
-    /// re-seeding (cold start when `name` is unknown).  After a small append
-    /// the centroids barely move, so the refresh settles in a few cheap
-    /// iterations; like any k-means restart it converges to a local optimum,
-    /// which warm-starting keeps stable across refreshes.
-    fn refresh(&self, session: &Session, table: &str, name: &str) -> Result<KMeansModel> {
-        let warm = match session.database().models().get::<KMeansModel>(name) {
-            Ok(previous) if previous.centroids.len() == self.k => self
-                .clone()
-                .with_initial_centroids(previous.centroids.clone()),
-            _ => self.clone(),
-        };
-        let model = session.train(&warm, &session.dataset(table)?)?;
-        session.database().models().register(name, model.clone());
-        Ok(model)
-    }
-}
+crate::iterative_estimator!(KMeans);
 
 /// The dataset's (filtered) points as the fit reads them: in place, a chunk at
 /// a time, through the batched kernels.
@@ -354,36 +365,9 @@ fn chunk_points<'c>(
     Ok(points)
 }
 
-/// Result of one Lloyd pass.
-#[derive(Debug, Clone)]
-struct StepResult {
-    sums: Vec<Vec<f64>>,
-    counts: Vec<u64>,
-    reassignments: u64,
-}
-
-impl StepResult {
-    /// New centroid positions: barycenters of the assigned points; empty
-    /// clusters keep their previous centroid (the standard Lloyd fix-up).
-    fn new_centroids(&self, previous: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.sums
-            .iter()
-            .zip(&self.counts)
-            .zip(previous)
-            .map(|((sum, &count), prev)| {
-                if count == 0 {
-                    prev.clone()
-                } else {
-                    sum.iter().map(|s| s / count as f64).collect()
-                }
-            })
-            .collect()
-    }
-}
-
 /// One Lloyd iteration as a UDA.  The *inter*-iteration state (previous
 /// centroids) is carried in the aggregate definition itself; the *intra*-
-/// iteration state (sums/counts/reassignments) is the transition state —
+/// iteration state (sums/counts) is the transition state —
 /// matching the paper's description of which state the transition function
 /// may modify.
 #[derive(Debug, Clone)]
@@ -396,19 +380,18 @@ struct KMeansStep<'a> {
 struct KMeansIntraState {
     sums: Vec<Vec<f64>>,
     counts: Vec<u64>,
-    reassignments: u64,
 }
 
 impl Aggregate for KMeansStep<'_> {
     type State = KMeansIntraState;
-    type Output = StepResult;
+    /// The new centroids and the pass's reassignment count.
+    type Output = (Vec<Vec<f64>>, u64);
 
     fn initial_state(&self) -> KMeansIntraState {
         let dims = self.centroids.first().map(Vec::len).unwrap_or(0);
         KMeansIntraState {
             sums: vec![vec![0.0; dims]; self.centroids.len()],
             counts: vec![0; self.centroids.len()],
-            reassignments: 0,
         }
     }
 
@@ -487,37 +470,33 @@ impl Aggregate for KMeansStep<'_> {
         for (lc, rc) in left.counts.iter_mut().zip(&right.counts) {
             *lc += rc;
         }
-        left.reassignments += right.reassignments;
         left
     }
 
-    fn finalize(&self, state: KMeansIntraState) -> madlib_engine::Result<StepResult> {
-        // Reassignment count: how many points are assigned to a centroid that
-        // will move by more than a tiny amount this iteration.  Computed from
-        // the difference between the old centroid and the new barycenter,
-        // weighted by the cluster size.
+    /// New centroid positions are the barycenters of the assigned points;
+    /// empty clusters keep their previous centroid (the standard Lloyd
+    /// fix-up).  The reassignment count is how many points are assigned to a
+    /// centroid that moves by more than a tiny amount this iteration.
+    fn finalize(&self, state: KMeansIntraState) -> madlib_engine::Result<(Vec<Vec<f64>>, u64)> {
         let mut reassignments = 0u64;
-        for ((sum, &count), prev) in state.sums.iter().zip(&state.counts).zip(self.centroids) {
-            if count == 0 {
-                continue;
-            }
-            let movement: f64 = sum
-                .iter()
-                .zip(prev)
-                .map(|(s, p)| {
-                    let new = s / count as f64;
-                    (new - p) * (new - p)
-                })
-                .sum();
-            if movement.sqrt() > 1e-9 {
-                reassignments += count;
-            }
-        }
-        Ok(StepResult {
-            sums: state.sums,
-            counts: state.counts,
-            reassignments,
-        })
+        let centroids = state
+            .sums
+            .iter()
+            .zip(&state.counts)
+            .zip(self.centroids)
+            .map(|((sum, &count), prev)| {
+                if count == 0 {
+                    return prev.clone();
+                }
+                let new: Vec<f64> = sum.iter().map(|s| s / count as f64).collect();
+                let movement: f64 = new.iter().zip(prev).map(|(n, p)| (n - p) * (n - p)).sum();
+                if movement.sqrt() > 1e-9 {
+                    reassignments += count;
+                }
+                new
+            })
+            .collect();
+        Ok((centroids, reassignments))
     }
 }
 
@@ -526,6 +505,7 @@ mod tests {
     use super::*;
     use crate::datasets::gaussian_blobs;
     use crate::test_support::{assert_chunk_path_is_row_fallback, assert_input_columns_suffice};
+    use crate::train::{Estimator, IncrementalEstimator, Session};
     use madlib_engine::expr::Predicate;
     use madlib_engine::{Column, ColumnType, EngineError, Table};
     use proptest::prelude::*;
@@ -831,7 +811,7 @@ mod tests {
             let step = KMeansStep { coords_column: "coords", centroids: &centroids };
             let bits = |s: &KMeansIntraState| {
                 let sums: Vec<u64> = s.sums.iter().flatten().map(|v| v.to_bits()).collect();
-                (sums, s.counts.clone(), s.reassignments)
+                (sums, s.counts.clone())
             };
             for filter in [None, Some(Predicate::column_gt("keep", 0.5))] {
                 assert_chunk_path_is_row_fallback(&step, &table, filter.as_ref(), bits);

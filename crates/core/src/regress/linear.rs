@@ -12,12 +12,8 @@
 //! Figure 4 version comparison.
 
 use crate::error::{MethodError, Result};
-use crate::train::{
-    fit_grouped_single_pass, refresh_single_pass, train_incremental_single_pass, Estimator,
-    GroupedModels, IncrementalEstimator, Session,
-};
+use crate::train::SinglePass;
 use madlib_engine::aggregate::{extract_labeled_point, transition_chunk_by_rows};
-use madlib_engine::dataset::Dataset;
 use madlib_engine::{Aggregate, FinalizeScratch, Row, RowChunk, Schema, StateReader, StateWriter};
 use madlib_linalg::decomposition::{symmetric_inverse_with, EigenWorkspace};
 use madlib_linalg::kernels::{
@@ -134,40 +130,15 @@ impl LinearRegression {
     }
 }
 
-impl Estimator for LinearRegression {
-    type Model = LinearRegressionModel;
+/// The paper's canonical single-pass aggregation: the estimator is its own
+/// aggregate.  Grouped training is one segment-parallel grouped scan
+/// (Section 4.2's `grouping_cols`); the incremental view keeps the
+/// `XᵀX`/`Xᵀy` states, which persist with a checkpoint.
+impl SinglePass for LinearRegression {
+    type Aggregate = Self;
 
-    /// Fits the model in one pass over the dataset's (filtered) rows — the
-    /// paper's canonical single-pass aggregation.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<LinearRegressionModel> {
-        dataset.aggregate(self).map_err(MethodError::from)
-    }
-
-    /// Single-pass grouped training: one segment-parallel grouped scan fits
-    /// every group's regression at once (Section 4.2's `grouping_cols`).
-    fn fit_grouped(&self, dataset: &Dataset<'_>) -> Result<GroupedModels<LinearRegressionModel>> {
-        fit_grouped_single_pass(self, dataset)
-    }
-}
-
-impl IncrementalEstimator for LinearRegression {
-    /// Registers a materialized view of the `XᵀX`/`Xᵀy` transition states;
-    /// appends to the source table refresh the model at O(appended) cost.
-    /// The states persist with a checkpoint, so on a recovered database the
-    /// view adopts them and absorbs only the rows replayed since.
-    fn train_incremental(
-        &self,
-        session: &Session,
-        table: &str,
-        name: &str,
-    ) -> Result<LinearRegressionModel> {
-        train_incremental_single_pass(self.clone(), session, table, name)
-    }
-
-    /// Absorbs only appended rows and re-finalizes — bit-identical to a full
-    /// retrain (the aggregate is algebraic).
-    fn refresh(&self, session: &Session, table: &str, name: &str) -> Result<LinearRegressionModel> {
-        refresh_single_pass(self.clone(), session, table, name)
+    fn aggregate(&self, _: &Schema) -> Self {
+        self.clone()
     }
 }
 
@@ -423,7 +394,8 @@ fn finalize_state_with(
 mod tests {
     use super::*;
     use crate::datasets::{labeled_point_schema, linear_regression_data};
-    use madlib_engine::{row, Table, Value};
+    use crate::train::Estimator;
+    use madlib_engine::{row, Dataset, Table, Value};
 
     /// Uniform-signature fit over a borrowed table (tests only need the
     /// default executor; the session's database is unused by single-pass

@@ -2,7 +2,7 @@
 //!
 //! Fitted by iteratively reweighted least squares (IRLS, i.e. Newton's method
 //! on the log-likelihood), following the paper's Figure 3 control flow: a
-//! driver loop ([`madlib_engine::iteration::iterate`]) repeatedly invokes a
+//! driver loop (the [`Iterative`] driver) repeatedly invokes a
 //! user-defined aggregate (`logregr_irls_step`) that computes one Newton
 //! update in a single parallel pass over the data, handing only the (small)
 //! coefficient state from one iteration to the next.
@@ -12,10 +12,9 @@
 //! integration tests.
 
 use crate::error::{MethodError, Result};
-use crate::train::{Estimator, IncrementalEstimator, Session};
+use crate::train::{l2_relative_convergence, Iterated, Iterative};
 use madlib_engine::aggregate::{extract_labeled_point, transition_chunk_by_rows};
 use madlib_engine::dataset::Dataset;
-use madlib_engine::iteration::{iterate, l2_relative_convergence};
 use madlib_engine::{Aggregate, Row, RowChunk, Schema};
 use madlib_linalg::decomposition::{symmetric_inverse_with, symmetric_solve, EigenWorkspace};
 use madlib_linalg::kernels::{batch_dot, weighted_rank_k_update_lower, xty_update};
@@ -298,12 +297,12 @@ impl LogisticRegression {
     }
 
     /// Warm-starts the IRLS iteration from `coefficients` instead of the
-    /// zero vector — the incremental-refresh path seeds this with the
-    /// previous model's coefficients from the [`madlib_engine::ModelCatalog`]
-    /// so a refresh after a small append converges in a few cheap Newton
-    /// steps.  Newton's method on the (strictly convex, ridge-stabilized)
-    /// IRLS objective converges to the same optimum from any starting point,
-    /// so the warm-started fit agrees with a cold start to within the
+    /// zero vector.  A refresh ([`crate::IncrementalEstimator::refresh`]) is
+    /// the fit started this way from the cataloged model's coefficients, so
+    /// after a small append it converges in a few cheap Newton steps.
+    /// Newton's method on the (strictly convex, ridge-stabilized) IRLS
+    /// objective converges to the same optimum from any starting point, so
+    /// the warm-started fit agrees with a cold start to within the
     /// convergence tolerance.  The length must match the feature width at
     /// fit time.
     #[must_use]
@@ -330,81 +329,106 @@ impl LogisticRegression {
         self.ridge = ridge;
         self
     }
-}
 
-impl Estimator for LogisticRegression {
-    type Model = LogisticRegressionModel;
-
-    /// Fits the model with the paper's Figure 3 loop: one IRLS pass per
-    /// iteration through the dataset's terminals (honouring its filter and
-    /// executor), the (small) coefficient vector handed from each pass to
-    /// the next and tested for convergence.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<LogisticRegressionModel> {
-        // Determine the feature width from the first (filter-surviving) row.
-        let first = dataset
-            .first_row()
-            .map_err(MethodError::from)?
-            .ok_or_else(|| MethodError::invalid_input("empty input table"))?;
-        let width = first
-            .get_named(dataset.schema(), &self.x_column)
-            .map_err(MethodError::from)?
-            .as_double_array()
-            .map_err(MethodError::from)?
-            .len();
-
-        let initial = match &self.initial_coefficients {
-            None => vec![0.0; width],
-            Some(coefficients) if coefficients.len() == width => coefficients.clone(),
-            Some(coefficients) => {
-                return Err(MethodError::invalid_input(format!(
-                    "initial coefficient length {} does not match feature width {width}",
-                    coefficients.len()
-                )))
-            }
-        };
-
-        let outcome = iterate(
-            self.max_iterations,
-            initial,
-            |beta: &Vec<f64>, _iteration| -> madlib_engine::Result<Vec<f64>> {
-                let step = IrlsStep {
-                    y_column: &self.y_column,
-                    x_column: &self.x_column,
-                    beta,
-                };
-                let (mut hessian, gradient, _ll, _n) = dataset.aggregate(&step)?;
-                for i in 0..width {
-                    hessian.add_to(i, i, self.ridge);
-                }
-                let delta = symmetric_solve(&hessian, &gradient, 1e-12)
-                    .map_err(madlib_engine::EngineError::aggregate)?;
-                Ok(beta
-                    .iter()
-                    .zip(delta.as_slice())
-                    .map(|(b, d)| b + d)
-                    .collect())
-            },
-            |previous, next| l2_relative_convergence(previous, next, self.tolerance),
-        )
-        .map_err(MethodError::from)?;
-
-        // One more pass at the optimum for the Fisher information (standard
-        // errors) and the final log-likelihood.
-        let step = IrlsStep {
-            y_column: &self.y_column,
-            x_column: &self.x_column,
-            beta: &outcome.state,
-        };
-        let (mut hessian, _gradient, log_likelihood, num_rows) =
-            dataset.aggregate(&step).map_err(MethodError::from)?;
-        for i in 0..width {
+    /// `hessian` with the ridge term added to its diagonal.
+    fn ridged(&self, mut hessian: DenseMatrix) -> DenseMatrix {
+        for i in 0..hessian.rows() {
             hessian.add_to(i, i, self.ridge);
         }
+        hessian
+    }
+}
+
+/// The paper's Figure 3 loop: one IRLS pass per iteration through the
+/// dataset's terminals (honouring its filter and executor), the (small)
+/// coefficient vector handed from each pass to the next and tested for
+/// convergence, then one more pass at the optimum for the Fisher information
+/// (standard errors) and the final log-likelihood.
+impl Iterative for LogisticRegression {
+    type Model = LogisticRegressionModel;
+    type State = Vec<f64>;
+    type Context = ();
+    type StepOutput = (DenseMatrix, DenseVector, f64, u64);
+
+    fn max_iterations(&self) -> usize {
+        self.max_iterations
+    }
+
+    /// Reads the feature width from the first (filter-surviving) row; the
+    /// first coefficients are `warm`'s when they have that width, else the
+    /// estimator's initial coefficients (an error when they do not have
+    /// it), else zeros.
+    fn initial(
+        &self,
+        dataset: &Dataset<'_>,
+        warm: Option<&LogisticRegressionModel>,
+    ) -> Result<((), Vec<f64>)> {
+        let first = dataset
+            .first_row()?
+            .ok_or_else(|| MethodError::invalid_input("empty input table"))?;
+        let width = first
+            .get_named(dataset.schema(), &self.x_column)?
+            .as_double_array()?
+            .len();
+        match warm
+            .map(|warm| &warm.coef)
+            .filter(|coef| coef.len() == width)
+            .or(self.initial_coefficients.as_ref())
+        {
+            None => Ok(((), vec![0.0; width])),
+            Some(coefficients) if coefficients.len() == width => Ok(((), coefficients.clone())),
+            Some(coefficients) => Err(MethodError::invalid_input(format!(
+                "initial coefficient length {} does not match feature width {width}",
+                coefficients.len()
+            ))),
+        }
+    }
+
+    fn step<'s>(
+        &'s self,
+        beta: &'s Vec<f64>,
+        _iteration: usize,
+    ) -> impl Aggregate<Output = Self::StepOutput> + 's {
+        IrlsStep {
+            y_column: &self.y_column,
+            x_column: &self.x_column,
+            beta,
+        }
+    }
+
+    /// One Newton step: `β + (XᵀDX + ridge·I)⁻¹ Xᵀ(y − p)`.
+    fn next(
+        &self,
+        beta: &Vec<f64>,
+        (hessian, gradient, _, _): Self::StepOutput,
+    ) -> Result<Vec<f64>> {
+        let delta = symmetric_solve(&self.ridged(hessian), &gradient, 1e-12)
+            .map_err(madlib_engine::EngineError::aggregate)?;
+        Ok(beta
+            .iter()
+            .zip(delta.as_slice())
+            .map(|(b, d)| b + d)
+            .collect())
+    }
+
+    fn converged(&self, _: &(), previous: &Vec<f64>, next: &Vec<f64>) -> bool {
+        l2_relative_convergence(previous, next, self.tolerance)
+    }
+
+    fn model(
+        &self,
+        dataset: &Dataset<'_>,
+        _: (),
+        outcome: Iterated<Vec<f64>>,
+    ) -> Result<LogisticRegressionModel> {
+        let (hessian, _gradient, log_likelihood, num_rows) =
+            dataset.aggregate(&self.step(&outcome.state, 0))?;
         let (covariance, _condition) =
-            symmetric_inverse_with(&hessian, 1e-12, &mut EigenWorkspace::new())?;
+            symmetric_inverse_with(&self.ridged(hessian), 1e-12, &mut EigenWorkspace::new())?;
 
         let normal = Normal::standard();
         let coef = outcome.state;
+        let width = coef.len();
         let mut std_err = Vec::with_capacity(width);
         let mut z_stats = Vec::with_capacity(width);
         let mut p_values = Vec::with_capacity(width);
@@ -433,52 +457,14 @@ impl Estimator for LogisticRegression {
     }
 }
 
-impl IncrementalEstimator for LogisticRegression {
-    /// Fits over the whole table and catalogs the model under `name` so
-    /// later refreshes can warm-start from it.
-    fn train_incremental(
-        &self,
-        session: &Session,
-        table: &str,
-        name: &str,
-    ) -> Result<LogisticRegressionModel> {
-        let model = session.train(self, &session.dataset(table)?)?;
-        session.database().models().register(name, model.clone());
-        Ok(model)
-    }
-
-    /// Re-fits over the table's current contents, seeding IRLS from the
-    /// previous model's coefficients in the catalog (cold start when `name`
-    /// is unknown).  Converges to the same optimum as a cold fit within the
-    /// solver's tolerance — not bit-identical — in far fewer Newton steps
-    /// after a small append.
-    fn refresh(
-        &self,
-        session: &Session,
-        table: &str,
-        name: &str,
-    ) -> Result<LogisticRegressionModel> {
-        let warm = match session
-            .database()
-            .models()
-            .get::<LogisticRegressionModel>(name)
-        {
-            Ok(previous) => self
-                .clone()
-                .with_initial_coefficients(previous.coef.clone()),
-            Err(_) => self.clone(),
-        };
-        let model = session.train(&warm, &session.dataset(table)?)?;
-        session.database().models().register(name, model.clone());
-        Ok(model)
-    }
-}
+crate::iterative_estimator!(LogisticRegression);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datasets::{labeled_point_schema, logistic_regression_data};
     use crate::test_support::{assert_chunk_path_is_row_fallback, assert_input_columns_suffice};
+    use crate::train::Estimator;
     use madlib_engine::expr::Predicate;
     use madlib_engine::{row, Column, ColumnType, Table, Value};
     use proptest::prelude::*;

@@ -24,15 +24,34 @@
 //!   grouped scoring serves as it is — keyed by the typed
 //!   [`GroupKey`](madlib_engine::GroupKey)s of the grouped scan.
 //!   `grouping_cols` is an arbitrary column list, so `group_by(["a", "b"])`
-//!   trains one model per composite `(a, b)` tuple.  Single-pass aggregating
-//!   estimators (linear regression, naive Bayes, the profiler) override
-//!   [`Estimator::fit_grouped`] to train *all* groups in one
-//!   segment-parallel [`Dataset::aggregate_per_group`] pass; iterative
-//!   estimators use the default per-group gather, which splits the input
-//!   into per-group tables **preserving each row's segment** so every
-//!   per-group fit is bitwise identical to filtering the source down to
-//!   that group and fitting it alone (property-tested in
-//!   `tests/grouped_training.rs`).
+//!   trains one model per composite `(a, b)` tuple.
+//!
+//! # Two shapes, one driver each
+//!
+//! The paper builds every method one of two ways, and each way is written
+//! once here:
+//!
+//! * [`SinglePass`] — one aggregate (transition / merge / final, §4.1:
+//!   linear regression, naive Bayes, the profile).  The blanket impls give
+//!   it [`Estimator`] (`fit` is one [`Dataset::aggregate`], `fit_grouped`
+//!   one segment-parallel [`Dataset::aggregate_per_group`] pass for every
+//!   group) and the view-backed [`IncrementalEstimator`] (refresh absorbs
+//!   the appended rows, bit-identical to a retrain).
+//! * [`Iterative`] — a driver loop around an aggregate parameterised by
+//!   the previous state (§3.1.2's driver functions: §4.2 IRLS, §4.3
+//!   k-means, §5.1 IGD).  [`fit_iterative`] is its one driver and
+//!   [`fit_into_catalog`] its one warm-start `train_incremental` /
+//!   `refresh` (the rule is stated on [`IncrementalEstimator`]); each
+//!   estimator gets the impls that forward to them from one
+//!   [`iterative_estimator!`](crate::iterative_estimator) line, because
+//!   Rust admits one blanket impl of a trait.  Grouped fits use the default per-group
+//!   gather, which splits the input into per-group tables **preserving
+//!   each row's segment** so every per-group fit is bitwise identical to
+//!   filtering the source down to that group and fitting it alone
+//!   (property-tested in `tests/grouped_training.rs`).
+//!
+//! Methods of neither shape (SVM, decision tree, low-rank factorization,
+//! LDA, Apriori, the CRF) implement [`Estimator`] directly.
 //!
 //! # Parallel grouped fitting and determinism
 //!
@@ -52,7 +71,7 @@
 use crate::error::{MethodError, Result};
 use madlib_engine::dataset::Dataset;
 use madlib_engine::materialize::MaterializedAggregate;
-use madlib_engine::{Aggregate, Database, Executor};
+use madlib_engine::{Aggregate, Database, EngineError, Executor, Schema};
 
 /// One model per group, sorted by the typed `GroupKey`s of the grouped scan
 /// (NULL group first): the engine's one grouped registry, which the model
@@ -109,8 +128,7 @@ impl Session {
 
     /// The database: the tables [`Session::dataset`] opens and the model
     /// catalog [`Session::train_incremental`] / [`Session::refresh`] use.
-    /// Iterative drivers keep their state to themselves
-    /// ([`madlib_engine::iteration`]).
+    /// Iterative drivers keep their state to themselves ([`Iterative`]).
     pub fn database(&self) -> &Database {
         &self.database
     }
@@ -215,6 +233,9 @@ impl Session {
 /// sees its rows (the dataset's filter, grouping and executor) and its own
 /// arguments only; reading or writing the database is
 /// [`IncrementalEstimator`]'s business, which takes the [`Session`].
+///
+/// A [`SinglePass`] estimator gets this trait from the blanket impl; an
+/// [`Iterative`] one from [`iterative_estimator!`](crate::iterative_estimator).
 pub trait Estimator {
     /// The fitted model type.
     type Model;
@@ -222,8 +243,7 @@ pub trait Estimator {
     /// Fits one model over the dataset's (filtered) rows.
     ///
     /// Implementations read rows through the dataset's terminals (which
-    /// honour its filter and executor); an iterative one hands its state
-    /// from pass to pass itself ([`madlib_engine::iteration::iterate`]).
+    /// honour its filter and executor).
     ///
     /// # Errors
     /// Surfaces malformed input and numerical failures as [`MethodError`].
@@ -239,8 +259,8 @@ pub trait Estimator {
     /// per-group fit sees exactly the table a serial loop would; models are
     /// reassembled in key order, so the result is bitwise identical to
     /// filtering the source down to each group and fitting it alone.
-    /// Single-pass aggregating estimators override this to train all groups
-    /// in one segment-parallel pass (see [`fit_grouped_single_pass`]).
+    /// [`SinglePass`] estimators override it to train all groups in one
+    /// segment-parallel pass.
     ///
     /// # Errors
     /// Propagates per-group fit errors and grouping errors (an empty,
@@ -267,54 +287,79 @@ pub trait Estimator {
     }
 }
 
-/// Grouped training for single-pass aggregating estimators: one
-/// segment-parallel [`Dataset::aggregate_per_group`] pass of `aggregate`
-/// trains every group's model at once (the paper's "one regression per group
-/// in a single scan").  Estimators whose model is an aggregate's output call
-/// this from their [`Estimator::fit_grouped`] override.
-///
-/// # Errors
-/// Propagates aggregate and grouping errors.
-pub fn fit_grouped_single_pass<A>(
-    aggregate: &A,
-    dataset: &Dataset<'_>,
-) -> Result<GroupedModels<A::Output>>
-where
-    A: Aggregate,
-    A::Output: Send,
-{
-    Ok(GroupedModels::new(dataset.aggregate_per_group(aggregate)?)?)
+/// The first shape (paper §4.1): the model is one aggregate's output —
+/// transition, merge and final, in one pass over the rows.  Linear
+/// regression, naive Bayes and the profiler are this shape, and implement
+/// only this trait: [`Estimator`] and the view-backed
+/// [`IncrementalEstimator`] come from the blanket impls.
+pub trait SinglePass {
+    /// The aggregate; its output is the model.
+    type Aggregate: Aggregate<State: Clone + 'static, Output: Clone + Send + Sync + 'static>
+        + Send
+        + 'static;
+
+    /// The aggregate over rows of `schema` (the profile's state is a
+    /// function of the schema; the others ignore it).
+    fn aggregate(&self, schema: &Schema) -> Self::Aggregate;
+}
+
+impl<T: SinglePass> Estimator for T {
+    type Model = <T::Aggregate as Aggregate>::Output;
+
+    /// One aggregate pass over the dataset's (filtered) rows.
+    fn fit(&self, dataset: &Dataset<'_>) -> Result<Self::Model> {
+        Ok(dataset.aggregate(&self.aggregate(dataset.schema()))?)
+    }
+
+    /// One segment-parallel [`Dataset::aggregate_per_group`] pass trains
+    /// every group's model at once (the paper's "one regression per group in
+    /// a single scan").
+    fn fit_grouped(&self, dataset: &Dataset<'_>) -> Result<GroupedModels<Self::Model>> {
+        let models = dataset.aggregate_per_group(&self.aggregate(dataset.schema()))?;
+        Ok(GroupedModels::new(models)?)
+    }
 }
 
 /// An estimator whose model can be maintained under table appends without a
 /// full retrain — the paper's algebraic transition/merge/final contract
 /// applied to *streaming ingest*.
 ///
-/// Two maintenance strategies, chosen per estimator:
+/// One maintenance strategy per shape:
 ///
-/// * **Single-pass** estimators (linear regression, naive Bayes, the
-///   profiler) keep a [`MaterializedAggregate`] view of their partial
-///   transition states registered on the database
-///   ([`Database::register_view`]).  [`IncrementalEstimator::refresh`]
-///   absorbs only the rows appended past the view's chunk watermark and
-///   re-finalizes — bit-identical to a full retrain, at O(appended) cost.
-///   These implement the trait via [`train_incremental_single_pass`] /
-///   [`refresh_single_pass`].  On a durable database the view's states
-///   persist with each checkpoint when the aggregate has a state codec
-///   (linear regression and naive Bayes do, the profiler does not), and
-///   `train_incremental` after a restart — or the first `refresh`, which
-///   falls back to it — adopts them: it absorbs only the rows the log
-///   replayed past the persisted watermarks instead of rescanning the table,
-///   with the same bits.  The cost of a restart is then O(rows since the
-///   last checkpoint).  [`Database::recovery_report`] says whether the view
-///   was adopted and, if not, why.
-/// * **Iterative** estimators (logistic regression, k-means) warm-start:
-///   `refresh` re-fits over the whole table but seeds the solver from the
-///   previous model in the [`Database::models`] catalog, converging in far
-///   fewer iterations after a small append (same optimum within the
-///   solver's convergence tolerance, *not* bit-identical).
+/// * **[`SinglePass`]** (linear regression, naive Bayes, the profiler;
+///   the blanket impl): the estimator keeps a [`MaterializedAggregate`]
+///   view of its partial transition states registered on the database
+///   ([`Database::register_view`]).  `refresh` absorbs only the rows
+///   appended past the view's chunk watermark and re-finalizes —
+///   bit-identical to a full retrain, at O(appended) cost; without a view
+///   under `name` it is `train_incremental`, and a view of another
+///   aggregate type under `name` is a typed error that leaves the catalog
+///   as it was.  On a durable database the view's states persist with each
+///   checkpoint when the aggregate has a state codec (linear regression and
+///   naive Bayes do, the profiler does not), and `train_incremental` after
+///   a restart — or the first `refresh`, which falls back to it — adopts
+///   them: it absorbs only the rows the log replayed past the persisted
+///   watermarks instead of rescanning the table, with the same bits.  The
+///   cost of a restart is then O(rows since the last checkpoint).
+///   [`Database::recovery_report`] says whether the view was adopted and,
+///   if not, why.
+/// * **[`Iterative`]** (logistic regression, k-means, IGD; through
+///   [`fit_into_catalog`]): `train_incremental` is a cold fit over the
+///   whole table, and `refresh` re-fits over the whole table warm-started
+///   from the model cataloged under `name`, converging in far fewer
+///   iterations after a small append (same optimum within the solver's
+///   convergence tolerance, *not* bit-identical to a cold fit).  The
+///   **warm-start rule**: a refresh is exactly the fit seeded with the
+///   cataloged model's state ([`Iterative::initial`]) when that model is
+///   of the estimator's type and its shape fits the estimator and the data
+///   (coefficient width, `k` and point dimension, model length); a model
+///   of the right type whose shape does not fit, and a name with no model
+///   ([`madlib_engine::EngineError::ModelNotFound`]), cold-start — the
+///   refresh is then [`Estimator::fit`], still a correct fit.  Any other
+///   lookup error (a model of another type, a grouped registry) is
+///   returned, and the catalog stays as it was.
 ///
-/// Both paths register the model under `name` with `CREATE OR REPLACE`
+/// Both register the model under `name` with `CREATE OR REPLACE`
 /// semantics, so [`Database::models`]`().get::<M>(name)` always serves the
 /// latest refresh.
 pub trait IncrementalEstimator: Estimator {
@@ -326,10 +371,8 @@ pub trait IncrementalEstimator: Estimator {
     fn train_incremental(&self, session: &Session, table: &str, name: &str) -> Result<Self::Model>;
 
     /// Brings the model registered under `name` up to date with `table`'s
-    /// current contents (see the trait docs for the per-strategy cost and
-    /// equivalence guarantees).  Falls back to
-    /// [`IncrementalEstimator::train_incremental`] when `name` was never
-    /// trained in this session.
+    /// current contents (see the trait docs for each shape's cost,
+    /// equivalence guarantee and warm-start rule).
     ///
     /// # Errors
     /// Propagates fit, view and catalog errors.
@@ -342,77 +385,46 @@ pub fn incremental_view_name(model_name: &str) -> String {
     format!("__incremental::{model_name}")
 }
 
-/// [`IncrementalEstimator::train_incremental`] for single-pass aggregating
-/// estimators: registers a [`MaterializedAggregate`] view of `aggregate`'s
-/// transition states over `table`, absorbs the table's current rows, and
-/// finalizes + catalogs the model.  Replaces any previous view/model of the
-/// same `name`.  On a recovered database the registration offers the new
-/// view the states the last checkpoint persisted under its name, and the
-/// absorb then catches up only the rows past them.
-///
-/// # Errors
-/// Propagates table-lookup, absorb and finalize errors.
-pub fn train_incremental_single_pass<A>(
-    aggregate: A,
-    session: &Session,
-    table: &str,
-    name: &str,
-) -> Result<A::Output>
-where
-    A: Aggregate + Send + 'static,
-    A::State: Clone + 'static,
-    A::Output: Clone + Send + Sync + 'static,
-{
-    let view = MaterializedAggregate::new(aggregate, session.executor());
-    session
-        .database()
-        .register_view(&incremental_view_name(name), table, Box::new(view))?;
-    finalize_single_pass::<A>(session, name)
-}
-
-/// [`IncrementalEstimator::refresh`] for single-pass aggregating estimators:
-/// absorbs rows appended past the view's watermark, re-finalizes, and
-/// replaces the cataloged model.  `aggregate` is used only when no view
-/// exists (e.g. a fresh session refreshing a name it never trained): the
-/// call falls back to [`train_incremental_single_pass`].  A view of another
-/// aggregate type under `name` is a typed error, and the cataloged model
-/// stays as it was.
-///
-/// # Errors
-/// Propagates absorb, finalize and catalog errors.
-pub fn refresh_single_pass<A>(
-    aggregate: A,
-    session: &Session,
-    table: &str,
-    name: &str,
-) -> Result<A::Output>
-where
-    A: Aggregate + Send + 'static,
-    A::State: Clone + 'static,
-    A::Output: Clone + Send + Sync + 'static,
-{
-    if !session.database().has_view(&incremental_view_name(name)) {
-        return train_incremental_single_pass(aggregate, session, table, name);
+impl<T: SinglePass> IncrementalEstimator for T {
+    /// Registers a [`MaterializedAggregate`] view of the aggregate's
+    /// transition states over `table` (replacing any view of the same
+    /// `name`), absorbs the table's rows, and finalizes and catalogs the
+    /// model.  On a recovered database the registration offers the new view
+    /// the states the last checkpoint persisted under its name, and the
+    /// absorb then catches up only the rows past them.
+    fn train_incremental(&self, session: &Session, table: &str, name: &str) -> Result<Self::Model> {
+        let aggregate = self.aggregate(session.database().table(table)?.schema());
+        let view = MaterializedAggregate::new(aggregate, session.executor());
+        session
+            .database()
+            .register_view(&incremental_view_name(name), table, Box::new(view))?;
+        finalize_view::<T>(session, name)
     }
-    finalize_single_pass::<A>(session, name)
+
+    /// Absorbs the rows appended past the view's watermark, re-finalizes and
+    /// replaces the cataloged model.
+    fn refresh(&self, session: &Session, table: &str, name: &str) -> Result<Self::Model> {
+        if !session.database().has_view(&incremental_view_name(name)) {
+            return self.train_incremental(session, table, name);
+        }
+        finalize_view::<T>(session, name)
+    }
 }
 
 /// Catches the view backing `name` up to its source table and re-finalizes,
 /// registering the resulting model under `name`.
-fn finalize_single_pass<A>(session: &Session, name: &str) -> Result<A::Output>
-where
-    A: Aggregate + Send + 'static,
-    A::State: Clone + 'static,
-    A::Output: Clone + Send + Sync + 'static,
-{
+fn finalize_view<T: SinglePass>(
+    session: &Session,
+    name: &str,
+) -> Result<<T::Aggregate as Aggregate>::Output> {
     let model = session
         .database()
         .refresh_view(&incremental_view_name(name), |state| {
             state
                 .as_any_mut()
-                .downcast_mut::<MaterializedAggregate<A>>()
+                .downcast_mut::<MaterializedAggregate<T::Aggregate>>()
                 .ok_or_else(|| {
-                    madlib_engine::EngineError::invalid(format!(
+                    EngineError::invalid(format!(
                         "materialized view backing model {name:?} holds a different aggregate type"
                     ))
                 })?
@@ -420,6 +432,237 @@ where
         })?;
     session.database().models().register(name, model.clone());
     Ok(model)
+}
+
+/// The second shape (paper §3.1.2's driver functions): a driver loop around
+/// an aggregate parameterised by the previous state — §4.2's IRLS, §4.3's
+/// k-means, §5.1's IGD.  The one driver ([`fit_iterative`], which
+/// [`fit_into_catalog`] runs for [`IncrementalEstimator`]) runs the opening
+/// passes ([`Iterative::initial`]), then one [`Iterative::step`] pass per
+/// iteration, each handed the state the previous one produced, until
+/// [`Iterative::converged`] or [`Iterative::max_iterations`], then the final
+/// model pass ([`Iterative::model`]).  The state lives in the driver: the
+/// paper stages it in a temp table (Figure 3) because it must survive
+/// between a Python driver's SQL statements, and here it is the pass's
+/// argument.
+pub trait Iterative {
+    /// The fitted model.
+    type Model;
+    /// The state one iteration hands the next.
+    type State;
+    /// What the opening passes learned that later calls reuse (the point
+    /// count and dimension, the objective at the initial model).
+    type Context;
+    /// What one step pass returns, which [`Iterative::next`] turns into the
+    /// next state.
+    type StepOutput;
+
+    /// The iteration cap.
+    fn max_iterations(&self) -> usize;
+
+    /// The opening passes and the first state, which may scan (k-means++
+    /// seeding, IGD's initial objective).  `warm` is the previous model of a
+    /// refresh: the fit starts from its state (coefficients, centroids, model
+    /// vector) when that fits the estimator and the data, and otherwise as
+    /// it would without it.
+    ///
+    /// # Errors
+    /// Malformed or empty input; an initial state set on the estimator
+    /// whose shape does not fit the data.
+    fn initial(
+        &self,
+        dataset: &Dataset<'_>,
+        warm: Option<&Self::Model>,
+    ) -> Result<(Self::Context, Self::State)>;
+
+    /// The aggregate of iteration `iteration` (counted from 1) from `state`.
+    fn step<'s>(
+        &'s self,
+        state: &'s Self::State,
+        iteration: usize,
+    ) -> impl Aggregate<Output = Self::StepOutput> + 's;
+
+    /// The state after `state`, from its step pass's output.
+    ///
+    /// # Errors
+    /// Numerical failures (a singular system).
+    fn next(&self, state: &Self::State, output: Self::StepOutput) -> Result<Self::State>;
+
+    /// Whether the loop stops at `next`, the state after `previous`.
+    fn converged(
+        &self,
+        context: &Self::Context,
+        previous: &Self::State,
+        next: &Self::State,
+    ) -> bool;
+
+    /// The model from where the loop stopped (which may make a final pass).
+    ///
+    /// # Errors
+    /// Numerical failures and non-finite results.
+    fn model(
+        &self,
+        dataset: &Dataset<'_>,
+        context: Self::Context,
+        outcome: Iterated<Self::State>,
+    ) -> Result<Self::Model>;
+}
+
+/// [`Estimator::fit`] for an [`Iterative`] estimator, warm-started from
+/// `warm` when it fits ([`Iterative::initial`]): the one driver loop —
+/// opening passes, one step pass per iteration, the model.
+///
+/// # Errors
+/// The first error of an opening, step or final pass.
+pub fn fit_iterative<I: Iterative>(
+    estimator: &I,
+    dataset: &Dataset<'_>,
+    warm: Option<&I::Model>,
+) -> Result<I::Model> {
+    let (context, initial) = estimator.initial(dataset, warm)?;
+    let outcome = iterate(
+        estimator.max_iterations(),
+        initial,
+        |state, iteration| {
+            let output = dataset.aggregate(&estimator.step(state, iteration))?;
+            estimator.next(state, output)
+        },
+        |previous, next| estimator.converged(&context, previous, next),
+    )?;
+    estimator.model(dataset, context, outcome)
+}
+
+/// Implements [`Estimator`] and [`IncrementalEstimator`] for an
+/// [`Iterative`] estimator by forwarding to the one driver: `fit` is
+/// [`fit_iterative`], `train_incremental` and `refresh` are
+/// [`fit_into_catalog`] cold and warm.  (A macro, because Rust admits one
+/// blanket impl of a trait and [`SinglePass`] has it.)  A generic
+/// estimator lists its parameters in brackets first:
+/// `iterative_estimator!([O: ConvexObjective] IgdEstimator<O>)`.
+#[macro_export]
+macro_rules! iterative_estimator {
+    ([$($generics:tt)*] $estimator:ty) => {
+        impl<$($generics)*> $crate::train::Estimator for $estimator {
+            type Model = <Self as $crate::train::Iterative>::Model;
+
+            fn fit(&self, dataset: &::madlib_engine::Dataset<'_>) -> $crate::Result<Self::Model> {
+                $crate::train::fit_iterative(self, dataset, None)
+            }
+        }
+
+        impl<$($generics)*> $crate::train::IncrementalEstimator for $estimator {
+            fn train_incremental(
+                &self,
+                session: &$crate::Session,
+                table: &str,
+                name: &str,
+            ) -> $crate::Result<Self::Model> {
+                $crate::train::fit_into_catalog(self, session, table, name, false)
+            }
+
+            fn refresh(
+                &self,
+                session: &$crate::Session,
+                table: &str,
+                name: &str,
+            ) -> $crate::Result<Self::Model> {
+                $crate::train::fit_into_catalog(self, session, table, name, true)
+            }
+        }
+    };
+    ($estimator:ty) => {
+        $crate::iterative_estimator!([] $estimator);
+    };
+}
+
+/// [`IncrementalEstimator`] for an [`Iterative`] estimator: fits over the
+/// whole catalog table `table` — warm-started from the model cataloged
+/// under `name` when `warm_start` is set, under the rule the
+/// [`IncrementalEstimator`] docs state — and registers the fit under `name`.
+///
+/// # Errors
+/// Any lookup error but [`EngineError::ModelNotFound`] (the catalog is then
+/// left as it was), table-lookup and fit errors.
+pub fn fit_into_catalog<I>(
+    estimator: &I,
+    session: &Session,
+    table: &str,
+    name: &str,
+    warm_start: bool,
+) -> Result<I::Model>
+where
+    I: Iterative<Model: Clone + Send + Sync + 'static>,
+{
+    let models = session.database().models();
+    let previous = match warm_start.then(|| models.get::<I::Model>(name)) {
+        Some(Ok(previous)) => Some(previous),
+        None | Some(Err(EngineError::ModelNotFound { .. })) => None,
+        Some(Err(error)) => return Err(error.into()),
+    };
+    let model = fit_iterative(estimator, &session.dataset(table)?, previous.as_deref())?;
+    models.register(name, model.clone());
+    Ok(model)
+}
+
+/// Where the driver loop of [`fit_iterative`] stopped.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Iterated<S> {
+    /// The last state: the initial one when no step ran.
+    pub state: S,
+    /// Steps run (at most `max_iterations`).
+    pub iterations: usize,
+    /// Whether the convergence test stopped the loop, as opposed to the
+    /// iteration cap.
+    pub converged: bool,
+}
+
+/// Runs a driver loop from `initial`: `step(previous, iteration)` runs one
+/// pass (iterations count from 1), and `converged(previous, next)` decides
+/// after each step whether to stop.  At `max_iterations` steps the loop
+/// stops unconverged; `max_iterations == 0` returns `initial` untouched.
+///
+/// # Errors
+/// The first error a step returns, which ends the loop.
+fn iterate<S, E>(
+    max_iterations: usize,
+    initial: S,
+    mut step: impl FnMut(&S, usize) -> std::result::Result<S, E>,
+    mut converged: impl FnMut(&S, &S) -> bool,
+) -> std::result::Result<Iterated<S>, E> {
+    let mut state = initial;
+    for iteration in 1..=max_iterations {
+        let next = step(&state, iteration)?;
+        let done = converged(&state, &next);
+        state = next;
+        if done {
+            return Ok(Iterated {
+                state,
+                iterations: iteration,
+                converged: true,
+            });
+        }
+    }
+    Ok(Iterated {
+        state,
+        iterations: max_iterations,
+        converged: false,
+    })
+}
+
+/// Standard convergence test: relative L2 movement of the state vector.
+///
+/// Returns true when `‖next − previous‖ ≤ tolerance · (1 + ‖previous‖)`.
+pub fn l2_relative_convergence(previous: &[f64], next: &[f64], tolerance: f64) -> bool {
+    if previous.len() != next.len() {
+        return false;
+    }
+    let mut diff = 0.0;
+    let mut base = 0.0;
+    for (p, n) in previous.iter().zip(next) {
+        diff += (p - n) * (p - n);
+        base += p * p;
+    }
+    diff.sqrt() <= tolerance * (1.0 + base.sqrt())
 }
 
 #[cfg(test)]
@@ -516,5 +759,86 @@ mod tests {
         // Bound, not defaulted: a parallel session trains it serially.
         let parallel = Session::new(serial.database().clone());
         assert!(!parallel.train(&Probe, &ds).unwrap());
+    }
+
+    #[test]
+    fn converges_on_fixed_point() {
+        // x_{k+1} = (x_k + 2/x_k)/2 converges to sqrt(2).
+        let outcome = iterate(
+            100,
+            vec![1.0],
+            |state: &Vec<f64>, _| Ok::<_, EngineError>(vec![(state[0] + 2.0 / state[0]) / 2.0]),
+            |previous, next| l2_relative_convergence(previous, next, 1e-6),
+        )
+        .unwrap();
+        assert!(outcome.converged);
+        assert!((outcome.state[0] - 2.0_f64.sqrt()).abs() < 1e-6);
+        assert!(outcome.iterations < 20);
+    }
+
+    #[test]
+    fn stops_at_iteration_cap_without_error_by_default() {
+        let (mut steps, mut tests) = (Vec::new(), Vec::new());
+        let outcome = iterate(
+            5,
+            0.0,
+            |state: &f64, iteration| {
+                steps.push(iteration);
+                Ok::<_, EngineError>(state + 1.0)
+            },
+            |previous, next| {
+                tests.push((*previous, *next));
+                false // never converges
+            },
+        )
+        .unwrap();
+        assert!(!outcome.converged);
+        assert_eq!(outcome.iterations, 5);
+        assert_eq!(outcome.state, 5.0);
+        assert_eq!(steps, [1, 2, 3, 4, 5], "steps are numbered from 1");
+        let pairs = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0), (4.0, 5.0)];
+        assert_eq!(tests, pairs, "the test sees (previous, next)");
+    }
+
+    #[test]
+    fn step_errors_propagate() {
+        let result = iterate(
+            100,
+            0.0,
+            |_: &f64, iteration| {
+                if iteration >= 2 {
+                    Err(EngineError::aggregate("numerical failure"))
+                } else {
+                    Ok(1.0)
+                }
+            },
+            |_, _| false,
+        );
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn l2_relative_convergence_behaviour() {
+        assert!(l2_relative_convergence(&[1.0, 1.0], &[1.0, 1.0], 1e-9));
+        assert!(!l2_relative_convergence(&[1.0, 1.0], &[2.0, 1.0], 1e-3));
+        assert!(!l2_relative_convergence(&[1.0], &[1.0, 2.0], 1.0));
+        // Scale invariance: large states tolerate proportionally large moves.
+        assert!(l2_relative_convergence(&[1e9], &[1e9 + 1.0], 1e-6));
+    }
+
+    #[test]
+    fn zero_max_iterations_returns_initial_state() {
+        let outcome = iterate(
+            0,
+            7.0,
+            |_: &f64, _| -> std::result::Result<f64, EngineError> {
+                unreachable!("no iterations expected")
+            },
+            |_, _| true,
+        )
+        .unwrap();
+        assert_eq!(outcome.iterations, 0);
+        assert_eq!(outcome.state, 7.0);
+        assert!(!outcome.converged);
     }
 }

@@ -5,7 +5,7 @@
 //! cluster's segment configuration).  It holds no iteration state: the
 //! paper's driver functions (Section 3.1.2, Figure 3) stage theirs in temp
 //! tables, but a driver here hands the state to its next pass as an argument
-//! ([`crate::iteration`]).
+//! (`madlib_core::train::Iterative`).
 //!
 //! # Locking
 //!

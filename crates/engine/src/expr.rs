@@ -3,7 +3,7 @@
 //! The engine does not ship a SQL parser — MADlib's macro-programming layer
 //! only needs scans, filters, aggregates and temp tables; the first three
 //! have programmatic equivalents here, and the last is not needed (a
-//! driver's state is its next pass's argument, [`crate::iteration`]).
+//! driver's state is its next pass's argument, `madlib_core::train::Iterative`).
 //! [`Predicate`] covers the `WHERE` clauses the method drivers actually
 //! issue (equality / comparison on a column, conjunction, negation).
 

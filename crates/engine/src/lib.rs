@@ -13,7 +13,7 @@
 //! | User-defined aggregate (transition / merge / final) | the [`aggregate::Aggregate`] trait |
 //! | `source_table` + `WHERE` + `grouping_cols` (Sections 3–4) | [`dataset::Dataset`]: `db.dataset("t")?.filter(...).group_by([...])` — `grouping_cols` is an arbitrary column list |
 //! | `GROUP BY` over an aggregate (Section 4.2) | `Session::train` / [`dataset::Dataset::aggregate_per_group`] with typed [`group::GroupKey`]s — composite for multi-column `group_by`, one [`group::KeyPart`] per column (`madlib_core::train` hosts the `Session`/`Estimator` half; *every* trainable method implements `Estimator`, from linregr through `LowRankFactorization`, `Lda`, `Apriori` and the text crate's `CrfEstimator`) |
-//! | Driver UDF + temp tables for iteration  | [`iteration::iterate`]: one UDA pass per iteration, convergence tested on the small state only; no staging table, because the paper's table carries the state between a Python driver's SQL statements and here the state is the pass's argument |
+//! | Driver UDF + temp tables for iteration  | the caller's loop around [`Dataset::aggregate`], one UDA pass per iteration with the previous state as the aggregate's parameter, convergence tested on the small state only (`madlib_core::train::Iterative` is the one driver); no staging table, because the paper's table carries the state between a Python driver's SQL statements and here the state is the pass's argument |
 //! | Templated queries over arbitrary schemas| [`template`] schema introspection |
 //! | In-database scoring, `method_predict` (the macro-thesis applied to serving) | one [`score::Scorer`] method (`predict_chunk`, its count checked), one ranged pass behind [`dataset::Dataset::score`] / [`dataset::Dataset::score_into`] / [`dataset::Dataset::score_per_group`], and [`dataset::Dataset::top_k_by_score`]; models resolved from the [`catalog::ModelCatalog`] in [`Database::models`], a grouped one as the same [`group::GroupedModels`] registry `train_grouped` returns |
 //! | Streaming ingest + incremental model maintenance (algebraic transition/merge/final under appends) | [`Database::append_rows`] + [`materialize::MaterializedAggregate`] chunk-watermark views (registered via [`Database::register_view`], refreshed via [`Database::refresh_view`]; `madlib_core::train` surfaces them as `Session::train_incremental` / `Session::refresh`) |
@@ -100,7 +100,6 @@ pub mod executor;
 pub mod expr;
 mod fold;
 pub mod group;
-pub mod iteration;
 pub mod materialize;
 mod persist;
 pub mod reference;

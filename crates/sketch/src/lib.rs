@@ -25,7 +25,5 @@ pub use adapters::{
 };
 pub use countmin::CountMinSketch;
 pub use fm::FlajoletMartin;
-pub use profile::{
-    profile_dataset, ColumnProfile, DatasetProfileExt, ProfileAggregate, Profiler, TableProfile,
-};
+pub use profile::{ColumnProfile, DatasetProfileExt, ProfileAggregate, Profiler, TableProfile};
 pub use quantile::QuantileSummary;

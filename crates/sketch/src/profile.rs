@@ -22,10 +22,7 @@
 use crate::countmin::CountMinSketch;
 use crate::fm::FlajoletMartin;
 use crate::quantile::QuantileSummary;
-use madlib_core::train::{
-    fit_grouped_single_pass, refresh_single_pass, train_incremental_single_pass, Estimator,
-    GroupedModels, IncrementalEstimator, Session,
-};
+use madlib_core::train::SinglePass;
 use madlib_engine::chunk::ColumnChunk;
 use madlib_engine::dataset::Dataset;
 use madlib_engine::template::{describe_schema, ColumnInfo, ColumnRole};
@@ -429,37 +426,27 @@ impl Aggregate for ProfileAggregate {
     }
 }
 
-/// Profiles every column of a dataset's (filtered) rows in one pass over the
-/// shared scan pipeline (segment-parallel, chunk-at-a-time under the
-/// dataset's executor); also available as the [`DatasetProfileExt::profile`]
-/// terminal.
-///
-/// # Errors
-/// Propagates engine access and predicate errors; errors on a grouped
-/// dataset (run [`Profiler`] through `Session::train_grouped` for per-group
-/// profiles).
-pub fn profile_dataset(dataset: &Dataset<'_>) -> Result<TableProfile> {
-    dataset.aggregate(&ProfileAggregate::new(dataset.schema()))
-}
-
 /// Adds the `profile()` terminal operation to [`Dataset`].
 pub trait DatasetProfileExt {
-    /// Profiles the dataset's (filtered) rows in one pass.
+    /// Profiles every column of the dataset's (filtered) rows in one pass
+    /// over the shared scan pipeline (segment-parallel, chunk-at-a-time under
+    /// the dataset's executor).
     ///
     /// # Errors
     /// Propagates engine access and predicate errors; errors on a grouped
-    /// dataset.
+    /// dataset (run [`Profiler`] through `Session::train_grouped` for
+    /// per-group profiles).
     fn profile(&self) -> Result<TableProfile>;
 }
 
 impl DatasetProfileExt for Dataset<'_> {
     fn profile(&self) -> Result<TableProfile> {
-        profile_dataset(self)
+        self.aggregate(&ProfileAggregate::new(self.schema()))
     }
 }
 
-/// The profile pass packaged as an [`Estimator`], so profiling composes with
-/// the uniform training convention — in particular
+/// The profile pass packaged as a [`SinglePass`] estimator, so profiling
+/// composes with the uniform training convention — in particular
 /// `Session::train_grouped(&Profiler, &ds.group_by([...]))` produces one
 /// [`TableProfile`] per group in a single grouped scan (the paper's
 /// templated `profile` module meeting its `grouping_cols`), including one
@@ -467,55 +454,15 @@ impl DatasetProfileExt for Dataset<'_> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Profiler;
 
-impl Estimator for Profiler {
-    type Model = TableProfile;
+/// The templated step: the aggregate's state shape is a function of the
+/// schema.  The accumulators have no state codec, so the incremental view is
+/// not persisted: after a restart it rebuilds from the recovered table.
+impl SinglePass for Profiler {
+    type Aggregate = ProfileAggregate;
 
-    fn fit(&self, dataset: &Dataset<'_>) -> madlib_core::Result<TableProfile> {
-        profile_dataset(dataset).map_err(madlib_core::MethodError::from)
+    fn aggregate(&self, schema: &Schema) -> ProfileAggregate {
+        ProfileAggregate::new(schema)
     }
-
-    /// Single-pass grouped profiling: one grouped scan profiles every group.
-    fn fit_grouped(
-        &self,
-        dataset: &Dataset<'_>,
-    ) -> madlib_core::Result<GroupedModels<TableProfile>> {
-        fit_grouped_single_pass(&ProfileAggregate::new(dataset.schema()), dataset)
-    }
-}
-
-impl IncrementalEstimator for Profiler {
-    /// Registers a materialized view of the per-column accumulators
-    /// (summaries, quantile sketches, FM/CM sketches, frequency tables);
-    /// appends to the source table refresh the profile at O(appended) cost.
-    /// The accumulators have no state codec, so the view is not persisted:
-    /// after a restart it rebuilds from the recovered table.
-    fn train_incremental(
-        &self,
-        session: &Session,
-        table: &str,
-        name: &str,
-    ) -> madlib_core::Result<TableProfile> {
-        train_incremental_single_pass(profile_of(session, table)?, session, table, name)
-    }
-
-    /// Absorbs only appended rows and re-finalizes — bit-identical to a full
-    /// re-profile (every accumulator is mergeable).
-    fn refresh(
-        &self,
-        session: &Session,
-        table: &str,
-        name: &str,
-    ) -> madlib_core::Result<TableProfile> {
-        refresh_single_pass(profile_of(session, table)?, session, table, name)
-    }
-}
-
-/// The profile pass over the catalog table `table` — the templated step:
-/// the aggregate's state shape is a function of the table's schema.
-fn profile_of(session: &Session, table: &str) -> Result<ProfileAggregate> {
-    Ok(ProfileAggregate::new(
-        session.database().table(table)?.schema(),
-    ))
 }
 
 #[cfg(test)]

@@ -25,6 +25,12 @@
 #                                    `#[cfg(test)]`, `//` lines dropped), as
 #                                    `<file>:<line>  <name>` for a function and
 #                                    `<file>:<line>  <kind> <name>` for a type
+#        scripts/loc.sh --ratchet    the --unused list as `<file>  <name>` pairs
+#                                    (line numbers and kinds dropped) against
+#                                    scripts/unused-baseline.txt: prints the
+#                                    pairs that left the list (delete them from
+#                                    the baseline), then the pairs the baseline
+#                                    lacks, and exits 1 if there is one of those
 set -euo pipefail
 
 count() {
@@ -139,6 +145,25 @@ if [ "$1" = "--unused" ]; then
     [ "$#" -eq 1 ] || { echo "usage: $0 --unused" >&2; exit 2; }
     cd "$(dirname "$0")/.."
     unused
+    exit 0
+fi
+
+if [ "$1" = "--ratchet" ]; then
+    [ "$#" -eq 1 ] || { echo "usage: $0 --ratchet" >&2; exit 2; }
+    cd "$(dirname "$0")/.."
+    baseline=scripts/unused-baseline.txt
+    current=$(unused | awk '{ sub(/:[0-9]+$/, "", $1); print $1 "  " $NF }' | LC_ALL=C sort -u)
+    gone=$(LC_ALL=C comm -23 "$baseline" <(printf '%s\n' "$current" | sed '/^$/d'))
+    new=$(LC_ALL=C comm -13 "$baseline" <(printf '%s\n' "$current" | sed '/^$/d'))
+    if [ -n "$gone" ]; then
+        echo "no longer unused; delete from $baseline:"
+        printf '%s\n' "$gone"
+    fi
+    if [ -n "$new" ]; then
+        echo "unused pub items missing from $baseline (give each a caller, make it private or delete it):"
+        printf '%s\n' "$new"
+        exit 1
+    fi
     exit 0
 fi
 

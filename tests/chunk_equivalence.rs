@@ -26,7 +26,7 @@ use madlib::linalg::array_ops::closest_column;
 use madlib::methods::cluster::seeding::seed_centroids;
 use madlib::methods::cluster::{KMeans, SeedingMethod};
 use madlib::methods::datasets::labeled_point_schema;
-use madlib::methods::regress::LinearRegression;
+use madlib::methods::regress::{LinearRegression, LogisticRegression};
 use madlib::methods::{Estimator, Session};
 use madlib::sketch::{FmDistinctAggregate, MostFrequentValuesAggregate, SummaryAggregate};
 use proptest::prelude::*;
@@ -894,8 +894,9 @@ fn lda_loading_is_layout_invariant_and_rejects_nulls() {
 
 proptest! {
     /// Parallel ≡ serial execution, bit for bit, on arbitrary float data —
-    /// ungrouped aggregates, grouped aggregates, and a full
-    /// linear-regression fit.
+    /// ungrouped aggregates, grouped aggregates, a full linear-regression
+    /// fit, and both iterative shapes: a capped logistic-regression fit on
+    /// labels from `grp % 2` and a `Random`-seeded k-means fit with `k ≤ 2`.
     #[test]
     fn parallel_equals_serial_bitwise(
         points in prop::collection::vec((0usize..5, -10.0..10.0f64, [-5.0..5.0f64, -5.0..5.0f64, -5.0..5.0f64]), 1..180),
@@ -906,6 +907,7 @@ proptest! {
             Column::new("grp", ColumnType::Int),
             Column::new("y", ColumnType::Double),
             Column::new("x", ColumnType::DoubleArray),
+            Column::new("label", ColumnType::Double),
         ]);
         let mut table = Table::new(schema, segments)
             .unwrap()
@@ -917,6 +919,7 @@ proptest! {
                     Value::Int(*key as i64),
                     Value::Double(*y),
                     Value::DoubleArray(x.to_vec()),
+                    Value::Double((key % 2) as f64),
                 ]))
                 .unwrap();
         }
@@ -954,6 +957,28 @@ proptest! {
             }
             (Err(_), Err(_)) => {} // singular tiny inputs fail on both
             (a, b) => prop_assert!(false, "paths disagree: {:?} vs {:?}", a.is_ok(), b.is_ok()),
+        }
+
+        // Every number either iterative fit reports, as its `Debug` text.
+        let logregr = LogisticRegression::new("label", "x")
+            .with_tolerance(0.0)
+            .with_max_iterations(3);
+        let kmeans = KMeans::new("x", 1 + points.len() % 2)
+            .unwrap()
+            .with_seeding(SeedingMethod::Random)
+            .with_seed(points.len() as u64);
+        let fits = |exec: &Executor| {
+            [
+                logregr.fit(&dataset(&table, exec)).map(|m| format!("{m:?}")),
+                kmeans.fit(&dataset(&table, exec)).map(|m| format!("{m:?}")),
+            ]
+        };
+        for (a, b) in fits(&par).into_iter().zip(fits(&ser)) {
+            match (a, b) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (Err(_), Err(_)) => {} // e.g. a singular Hessian fails on both
+                (a, b) => prop_assert!(false, "paths disagree: {:?} vs {:?}", a, b),
+            }
         }
     }
 

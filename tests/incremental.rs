@@ -1209,3 +1209,155 @@ fn method_fit_bits_are_pinned() {
         assert_eq!(method_fit_bits(executor), pinned, "{executor:?}");
     }
 }
+
+/// Seeded logistic-regression rows of `width` features, in four segments.
+fn logistic_table(rows: usize, width: usize, seed: u64) -> Table {
+    logistic_regression_data(rows, width, 4, seed)
+        .unwrap()
+        .table
+}
+
+/// Seeded four-blob points of `dims` coordinates, in four segments.
+fn blob_table(rows: usize, dims: usize, seed: u64) -> Table {
+    madlib::methods::datasets::gaussian_blobs(rows, 4, dims, 12.0, 4, seed)
+        .unwrap()
+        .table
+}
+
+/// An iterative refresh is the fit warm-started explicitly from the
+/// cataloged model, bit for bit in every field: logregr seeded with
+/// `with_initial_coefficients(previous.coef)`, k-means with
+/// `with_initial_centroids(previous.centroids)`, least-squares IGD with
+/// `with_initial_model(previous.model)`.
+#[test]
+fn iterative_refresh_is_the_explicitly_warm_started_fit() {
+    use madlib::convex::objectives::LeastSquaresObjective;
+    use madlib::convex::{IgdConfig, IgdEstimator, IgdSummary, StepSchedule};
+    use madlib::methods::cluster::{KMeans, KMeansModel};
+    use madlib::methods::regress::LogisticRegressionModel;
+
+    let session = seeded_session(logistic_table(600, 4, 7));
+    let db = session.database();
+    db.register_table("points", blob_table(800, 3, 11)).unwrap();
+    let logregr = LogisticRegression::new("y", "x");
+    let kmeans = KMeans::new("coords", 4).unwrap().with_seed(3);
+    session.train_incremental(&logregr, "events", "lr").unwrap();
+    session.train_incremental(&kmeans, "points", "km").unwrap();
+    db.append_rows("events", logistic_table(60, 4, 8).collect_rows())
+        .unwrap();
+    db.append_rows("points", blob_table(80, 3, 12).collect_rows())
+        .unwrap();
+
+    let previous = db.models().get::<LogisticRegressionModel>("lr").unwrap();
+    let warm = logregr
+        .clone()
+        .with_initial_coefficients(previous.coef.clone());
+    let explicit = session
+        .train(&warm, &session.dataset("events").unwrap())
+        .unwrap();
+    let refreshed = session.refresh(&logregr, "events", "lr").unwrap();
+    assert_eq!(format!("{refreshed:?}"), format!("{explicit:?}"));
+
+    let previous = db.models().get::<KMeansModel>("km").unwrap();
+    let warm = kmeans
+        .clone()
+        .with_initial_centroids(previous.centroids.clone());
+    let explicit = session
+        .train(&warm, &session.dataset("points").unwrap())
+        .unwrap();
+    let refreshed = session.refresh(&kmeans, "points", "km").unwrap();
+    assert_eq!(format!("{refreshed:?}"), format!("{explicit:?}"));
+
+    let igd = IgdEstimator::new(LeastSquaresObjective::new("y", "x", 4)).with_config(IgdConfig {
+        max_epochs: 20,
+        tolerance: 1e-6,
+        schedule: StepSchedule::Constant(0.05),
+    });
+    session.train_incremental(&igd, "events", "igd").unwrap();
+    db.append_rows("events", logistic_table(60, 4, 9).collect_rows())
+        .unwrap();
+    let previous = db.models().get::<IgdSummary>("igd").unwrap();
+    let warm = igd.clone().with_initial_model(previous.model.clone());
+    let explicit = session
+        .train(&warm, &session.dataset("events").unwrap())
+        .unwrap();
+    let refreshed = session.refresh(&igd, "events", "igd").unwrap();
+    assert_eq!(format!("{refreshed:?}"), format!("{explicit:?}"));
+}
+
+/// A previous model of the right type whose shape does not fit the
+/// estimator and data is no warm start: the refresh is the cold fit, bit for
+/// bit, and the catalog serves it.  Logregr after its table was replaced by
+/// a wider one; k-means with another `k`, and after its points changed
+/// dimension.
+#[test]
+fn a_misfitting_previous_model_cold_starts_the_refresh() {
+    use madlib::methods::cluster::{KMeans, KMeansModel};
+    use madlib::methods::regress::LogisticRegressionModel;
+
+    let session = seeded_session(logistic_table(300, 3, 5));
+    let db = session.database();
+    db.register_table("points", blob_table(400, 3, 6)).unwrap();
+    let logregr = LogisticRegression::new("y", "x");
+    session.train_incremental(&logregr, "events", "lr").unwrap();
+    db.replace_table("events", logistic_table(300, 5, 9))
+        .unwrap();
+    let refreshed = session.refresh(&logregr, "events", "lr").unwrap();
+    let cold = session
+        .train(&logregr, &session.dataset("events").unwrap())
+        .unwrap();
+    assert_eq!(format!("{refreshed:?}"), format!("{cold:?}"));
+    let served = db.models().get::<LogisticRegressionModel>("lr").unwrap();
+    assert_eq!(format!("{served:?}"), format!("{cold:?}"));
+
+    let kmeans = |k| KMeans::new("coords", k).unwrap().with_seed(2);
+    session
+        .train_incremental(&kmeans(3), "points", "km")
+        .unwrap();
+    let refreshed = session.refresh(&kmeans(4), "points", "km").unwrap();
+    let cold = session
+        .train(&kmeans(4), &session.dataset("points").unwrap())
+        .unwrap();
+    assert_eq!(format!("{refreshed:?}"), format!("{cold:?}"));
+
+    db.replace_table("points", blob_table(400, 5, 7)).unwrap();
+    let refreshed = session.refresh(&kmeans(4), "points", "km").unwrap();
+    let cold = session
+        .train(&kmeans(4), &session.dataset("points").unwrap())
+        .unwrap();
+    assert_eq!(format!("{refreshed:?}"), format!("{cold:?}"));
+    let served = db.models().get::<KMeansModel>("km").unwrap();
+    assert_eq!(format!("{served:?}"), format!("{cold:?}"));
+}
+
+/// An iterative refresh over a cataloged entry it cannot warm-start from —
+/// a model of another type, or a grouped registry — is that lookup's typed
+/// error, and the entry stays as it was: only a missing name cold-starts.
+#[test]
+fn iterative_refresh_over_another_entry_is_an_error() {
+    use madlib::methods::cluster::{KMeans, KMeansModel};
+
+    let session = seeded_session(logistic_table(200, 3, 5));
+    let db = session.database();
+    let kmeans = KMeans::new("x", 2).unwrap();
+    session.train_incremental(&kmeans, "events", "m").unwrap();
+    let before = db.models().get::<KMeansModel>("m").unwrap();
+    match session.refresh(&LogisticRegression::new("y", "x"), "events", "m") {
+        Err(MethodError::Engine(EngineError::TypeMismatch { .. })) => {}
+        other => panic!("expected a type mismatch, got {other:?}"),
+    }
+    let after = db.models().get::<KMeansModel>("m").unwrap();
+    assert_eq!(format!("{after:?}"), format!("{before:?}"));
+
+    let grouped = session
+        .train_grouped(&kmeans, &session.dataset("events").unwrap().group_by(["y"]))
+        .unwrap();
+    db.models().register_grouped("g", grouped);
+    let before = db.models().get_grouped::<KMeansModel>("g").unwrap();
+    match session.refresh(&kmeans, "events", "g") {
+        Err(MethodError::Engine(EngineError::InvalidArgument { .. })) => {}
+        other => panic!("expected the grouped-entry error, got {other:?}"),
+    }
+    let after = db.models().get_grouped::<KMeansModel>("g").unwrap();
+    assert_eq!(format!("{after:?}"), format!("{before:?}"));
+}
