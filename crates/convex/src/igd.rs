@@ -110,11 +110,6 @@ impl<O: ConvexObjective> IgdEstimator<O> {
         self.initial_model = Some(initial_model);
         self
     }
-
-    /// The wrapped objective.
-    pub fn objective(&self) -> &O {
-        &self.objective
-    }
 }
 
 /// Trains the objective over the dataset's (filtered) rows: the model

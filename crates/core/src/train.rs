@@ -332,15 +332,17 @@ impl<T: SinglePass> Estimator for T {
 ///   ([`Database::register_view`]).  `refresh` absorbs only the rows
 ///   appended past the view's chunk watermark and re-finalizes —
 ///   bit-identical to a full retrain, at O(appended) cost; without a view
-///   under `name` it is `train_incremental`, and a view of another
-///   aggregate type under `name` is a typed error that leaves the catalog
-///   as it was.  On a durable database the view's states persist with each
-///   checkpoint when the aggregate has a state codec (linear regression and
-///   naive Bayes do, the profiler does not), and `train_incremental` after
-///   a restart — or the first `refresh`, which falls back to it — adopts
-///   them: it absorbs only the rows the log replayed past the persisted
-///   watermarks instead of rescanning the table, with the same bits.  The
-///   cost of a restart is then O(rows since the last checkpoint).
+///   under `name` it is `train_incremental` when the name holds no model or
+///   one of the estimator's type, and a view of another aggregate type or a
+///   catalog entry of another kind under `name` is a typed error that
+///   leaves the catalog as it was.  On a durable database the view's states
+///   persist with each checkpoint when the aggregate has a state codec
+///   (linear regression and naive Bayes do, the profiler does not), and
+///   `train_incremental` after a restart — or the first `refresh`, which
+///   falls back to it — adopts them: it absorbs only the rows the log
+///   replayed past the persisted watermarks instead of rescanning the
+///   table, with the same bits.  The cost of a restart is then O(rows
+///   since the last checkpoint).
 ///   [`Database::recovery_report`] says whether the view was adopted and,
 ///   if not, why.
 /// * **[`Iterative`]** (logistic regression, k-means, IGD; through
@@ -402,12 +404,21 @@ impl<T: SinglePass> IncrementalEstimator for T {
     }
 
     /// Absorbs the rows appended past the view's watermark, re-finalizes and
-    /// replaces the cataloged model.
+    /// replaces the cataloged model.  Without a view under `name` it trains
+    /// from scratch when the name holds no model or one of this type, and
+    /// otherwise returns the catalog's lookup error with the catalog as it
+    /// was — the rule of the iterative warm start.
     fn refresh(&self, session: &Session, table: &str, name: &str) -> Result<Self::Model> {
-        if !session.database().has_view(&incremental_view_name(name)) {
-            return self.train_incremental(session, table, name);
+        let database = session.database();
+        if database.has_view(&incremental_view_name(name)) {
+            return finalize_view::<T>(session, name);
         }
-        finalize_view::<T>(session, name)
+        match database.models().get::<Self::Model>(name) {
+            Ok(_) | Err(EngineError::ModelNotFound { .. }) => {
+                self.train_incremental(session, table, name)
+            }
+            Err(error) => Err(error.into()),
+        }
     }
 }
 

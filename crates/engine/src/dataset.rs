@@ -70,6 +70,7 @@ use crate::table::{Distribution, Table};
 use madlib_linalg::kernels;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A lazy, composable description of a scan: a source table plus an optional
@@ -314,7 +315,7 @@ impl<'a> Dataset<'a> {
         F: Fn(&RowChunk, &Schema) -> Result<Vec<T>> + Sync,
     {
         self.require_ungrouped("chunk projection")?;
-        let sink = || {
+        let sink = |_| {
             |chunk: &RowChunk, schema: &Schema, out: &mut Vec<T>| {
                 out.append(&mut map(chunk, schema)?);
                 Ok(())
@@ -324,13 +325,14 @@ impl<'a> Dataset<'a> {
     }
 
     /// The one order-preserving pass behind [`Dataset::map_chunks`] and the
-    /// scoring terminals: every filter-surviving chunk, in chunk-range units
-    /// on the work-stealing pool ([`scan::run_per_segment_ranged`]), goes
-    /// through a sink that `open_unit` makes once per unit and that appends
-    /// the chunk's outputs to its unit's vector.  Returns the outputs in
-    /// segment-then-row order — each unit's vector copied once, into that
-    /// result — with the number each segment produced and the pass's
-    /// [`ExecutionStats`] (each unit timed with two clock reads).
+    /// scoring terminals (top-k included): every filter-surviving chunk, in
+    /// chunk-range units on the work-stealing pool
+    /// ([`scan::run_per_segment_ranged`]), goes through a sink that
+    /// `open_unit` makes once per unit from the unit's range and that
+    /// appends the chunk's outputs to its unit's vector.  Returns the
+    /// outputs in segment-then-row order — each unit's vector copied once,
+    /// into that result — with the number each segment produced and the
+    /// pass's [`ExecutionStats`] (each unit timed with two clock reads).
     /// `one_per_row` says the sink appends one output per row, so a unit's
     /// vector is allocated once for its rows.
     ///
@@ -341,7 +343,7 @@ impl<'a> Dataset<'a> {
     pub(crate) fn ranged<T, F>(
         &self,
         one_per_row: bool,
-        open_unit: impl Fn() -> F + Sync,
+        open_unit: impl Fn(scan::ChunkRange) -> F + Sync,
     ) -> Result<(Vec<T>, Vec<usize>, ExecutionStats)>
     where
         T: Send,
@@ -349,17 +351,19 @@ impl<'a> Dataset<'a> {
     {
         let (schema, filter) = (self.schema(), self.filter.as_ref());
         let parallel = self.executor.is_parallel();
-        let per_segment = scan::run_per_segment_ranged(self.table(), parallel, |range, segment| {
+        let run_unit = |range: scan::ChunkRange, segment: &Segment| {
             let start = Instant::now();
             let chunks = range.chunks(segment);
             let rows = chunks.iter().map(|chunk| chunk.len());
             let mut out = Vec::with_capacity(if one_per_row { rows.sum() } else { 0 });
-            let mut sink = open_unit();
+            let mut sink = open_unit(range);
             let stats = scan::scan_chunks(chunks, schema, filter, None, |batch| {
                 sink(batch.chunk(), schema, &mut out)
             })?;
             Ok((out, stats, start.elapsed()))
-        });
+        };
+        let filtered = filter.is_some();
+        let per_segment = scan::run_per_segment_ranged(self.table(), parallel, filtered, run_unit);
         let mut stats = ExecutionStats {
             rows_scanned: 0,
             rows_aggregated: 0,
@@ -442,23 +446,41 @@ impl<'a> Dataset<'a> {
     /// # Errors
     /// Propagates predicate errors.
     pub fn nth_row(&self, position: usize) -> Result<Option<Row>> {
-        let (table, schema) = (self.table(), self.schema());
+        let table = self.table();
         let mut remaining = position;
         for segment in (0..table.num_segments()).map(|s| table.segment(s)) {
-            for chunk in segment.chunks() {
-                let (index, selected) = match &self.filter {
-                    None => ((remaining < chunk.len()).then_some(remaining), chunk.len()),
-                    Some(predicate) => {
-                        let mask = predicate.evaluate_chunk(chunk, schema)?;
-                        let index = mask.selected_indices().nth(remaining);
-                        (index, mask.count_selected())
-                    }
-                };
-                if let Some(index) = index {
-                    return Ok(Some(chunk.row(index)));
-                }
-                remaining -= selected;
+            if let Some(row) = self.nth_row_in(segment.chunks(), &mut remaining)? {
+                return Ok(Some(row));
             }
+        }
+        Ok(None)
+    }
+
+    /// The filter-surviving row `*position` rows into `chunks`, if they hold
+    /// that many; otherwise `None`, with `*position` lowered by the rows they
+    /// do hold.  The filter runs once per chunk and chunks before the row
+    /// are skipped by their selected-row count.
+    ///
+    /// # Errors
+    /// Propagates predicate errors.
+    pub(crate) fn nth_row_in(
+        &self,
+        chunks: &[Arc<RowChunk>],
+        position: &mut usize,
+    ) -> Result<Option<Row>> {
+        for chunk in chunks {
+            let (index, selected) = match &self.filter {
+                None => ((*position < chunk.len()).then_some(*position), chunk.len()),
+                Some(predicate) => {
+                    let mask = predicate.evaluate_chunk(chunk, self.schema())?;
+                    let index = mask.selected_indices().nth(*position);
+                    (index, mask.count_selected())
+                }
+            };
+            if let Some(index) = index {
+                return Ok(Some(chunk.row(index)));
+            }
+            *position -= selected;
         }
         Ok(None)
     }
@@ -483,11 +505,12 @@ impl<'a> Dataset<'a> {
         let source = self.table();
         let filter = self.filter.as_ref();
         let chunk_capacity = source.chunk_capacity();
+        let parallel = self.executor.is_parallel();
         // Per segment, in parallel: key each chunk of filter-surviving rows
         // and append every group's rows — one ascending index run per group —
         // to that group's segment, filling chunks as a table append does.
         let per_segment =
-            scan::run_per_segment(source, self.executor.is_parallel(), |_, segment| {
+            scan::run_per_segment(source, parallel, filter.is_some(), |_, segment| {
                 let mut directory = SlotDirectory::default();
                 let mut split: Vec<(GroupKey, Segment)> = Vec::new();
                 let mut keyed = IndexSort::default();

@@ -33,7 +33,8 @@ use madlib_linalg::kernels::KernelPath;
 
 /// Statistics describing one scan terminal's execution
 /// ([`crate::Dataset::aggregate_with_stats`],
-/// [`crate::Dataset::score_with_stats`]).
+/// [`crate::Dataset::score_with_stats`], and the pass inside
+/// [`crate::Dataset::top_k_by_score_with_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionStats {
     /// Rows scanned across all segments.

@@ -125,9 +125,11 @@ pub(crate) fn advance_state<A: Aggregate>(
 fn fan_out<U: Send>(
     table: &Table,
     executor: &Executor,
+    filter: Option<&Predicate>,
     run_segment: impl Fn(&Segment) -> Result<(U, SegmentScanStats)> + Sync,
 ) -> Result<(Vec<U>, ExecutionStats)> {
-    let per_segment = scan::run_per_segment(table, executor.is_parallel(), |_, segment| {
+    let parallel = executor.is_parallel();
+    let per_segment = scan::run_per_segment(table, parallel, filter.is_some(), |_, segment| {
         let start = Instant::now();
         run_segment(segment).map(|(state, stats)| (state, stats, start.elapsed()))
     });
@@ -163,7 +165,7 @@ pub(crate) fn scan_units<A: Aggregate>(
     let schema = table.schema();
     // Only a filter copies rows, so only a filtered scan needs the columns.
     let input = filter.and_then(|_| input_projection(aggregate, schema));
-    fan_out(table, executor, |segment| {
+    fan_out(table, executor, filter, |segment| {
         let mut state = aggregate.initial_state();
         let chunks = segment.chunks();
         let stats = advance_state(
@@ -192,7 +194,7 @@ pub(crate) fn scan_grouped_units<A: Aggregate>(
 ) -> Result<Vec<GroupedUnit<A::State>>> {
     let schema = table.schema();
     let columns = GroupedInput::new(aggregate, schema, group_indices);
-    let (segments, _) = fan_out(table, executor, |segment| {
+    let (segments, _) = fan_out(table, executor, filter, |segment| {
         GroupedUnit::scan(aggregate, segment.chunks(), schema, &columns, filter)
     })?;
     Ok(segments)

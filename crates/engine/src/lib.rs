@@ -15,7 +15,7 @@
 //! | `GROUP BY` over an aggregate (Section 4.2) | `Session::train` / [`dataset::Dataset::aggregate_per_group`] with typed [`group::GroupKey`]s — composite for multi-column `group_by`, one [`group::KeyPart`] per column (`madlib_core::train` hosts the `Session`/`Estimator` half; *every* trainable method implements `Estimator`, from linregr through `LowRankFactorization`, `Lda`, `Apriori` and the text crate's `CrfEstimator`) |
 //! | Driver UDF + temp tables for iteration  | the caller's loop around [`Dataset::aggregate`], one UDA pass per iteration with the previous state as the aggregate's parameter, convergence tested on the small state only (`madlib_core::train::Iterative` is the one driver); no staging table, because the paper's table carries the state between a Python driver's SQL statements and here the state is the pass's argument |
 //! | Templated queries over arbitrary schemas| [`template`] schema introspection |
-//! | In-database scoring, `method_predict` (the macro-thesis applied to serving) | one [`score::Scorer`] method (`predict_chunk`, its count checked), one ranged pass behind [`dataset::Dataset::score`] / [`dataset::Dataset::score_into`] / [`dataset::Dataset::score_per_group`], and [`dataset::Dataset::top_k_by_score`]; models resolved from the [`catalog::ModelCatalog`] in [`Database::models`], a grouped one as the same [`group::GroupedModels`] registry `train_grouped` returns |
+//! | In-database scoring, `method_predict` (the macro-thesis applied to serving) | one [`score::Scorer`] method (`predict_chunk`, its count checked), one ranged pass behind [`dataset::Dataset::score`] / [`dataset::Dataset::score_into`] / [`dataset::Dataset::score_per_group`] / [`dataset::Dataset::top_k_by_score`]; models resolved from the [`catalog::ModelCatalog`] in [`Database::models`], a grouped one as the same [`group::GroupedModels`] registry `train_grouped` returns |
 //! | Streaming ingest + incremental model maintenance (algebraic transition/merge/final under appends) | [`Database::append_rows`] + [`materialize::MaterializedAggregate`] chunk-watermark views (registered via [`Database::register_view`], refreshed via [`Database::refresh_view`]; `madlib_core::train` surfaces them as `Session::train_incremental` / `Session::refresh`) |
 //! | DBMS durability underneath the analytics (the paper assumes PostgreSQL/Greenplum WAL + checkpoints) | [`Database::open`] / [`Database::recover`] / [`Database::checkpoint`]: a group-commit write-ahead log of catalog-level mutations plus chunk-granular snapshots — each sealed immutable chunk is appended to its segment's snapshot file exactly once — with recovery replaying the committed WAL tail over the latest snapshot *through the same function that applied each mutation the first time* (a logged mutation is a record; one `apply` runs it for the live call and for replay), so recovered ≡ committed bit for bit by construction (commit point = the fsync of the group-commit batch carrying the record) |
 //!
@@ -126,6 +126,6 @@ pub use materialize::{
 pub use row::Row;
 pub use scan::ScanBatch;
 pub use schema::{Column, ColumnType, Schema};
-pub use score::{Scorer, Similarity};
+pub use score::{Scorer, Similarity, TopKStats};
 pub use table::Table;
 pub use value::Value;

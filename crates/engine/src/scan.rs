@@ -43,15 +43,25 @@
 //! chunks stream through one transition state, and only the per-segment
 //! states cross to `merge` — the paper's shared-nothing unit of scale-out.
 //! Order-preserving terminals (`map_chunks`, `score`, `score_into`,
-//! `score_per_group`) merge nothing, so they steal **chunk ranges**: their
-//! one ranged pass (a private `Dataset` body, the only caller of
-//! `run_per_segment_ranged`) splits segments into [`ChunkRange`] units of at
-//! most `CHUNKS_PER_UNIT` chunks and gets each segment's unit outputs back in
-//! range order, which concatenated are unconditionally what the
-//! whole-segment scan produces — so one hot segment's chunks spread across
-//! every worker for free.  The decomposition is a pure function of the
-//! table, never of the worker count.  `top_k_by_score` keeps whole-segment
-//! units: its ranks carry each segment's row ordinals.
+//! `score_per_group`, `top_k_by_score`) merge nothing a chunk split could
+//! change, so they steal **chunk ranges**: their one ranged pass (a private
+//! `Dataset` body, the only caller of `run_per_segment_ranged`) splits
+//! segments into [`ChunkRange`] units of at most `CHUNKS_PER_UNIT` chunks
+//! and gets each segment's unit outputs back in range order, which
+//! concatenated are unconditionally what the whole-segment scan produces —
+//! so one hot segment's chunks spread across every worker for free.  The
+//! decomposition is a pure function of the table, never of the worker
+//! count.
+//!
+//! # Claim order
+//!
+//! Under more than one worker, an unfiltered scan's units are claimed
+//! **longest first** by row count (ties in unit order), so the unit that
+//! bounds the makespan — a hot segment under whole-segment stealing —
+//! starts first instead of whenever its index comes up.  A filtered scan
+//! claims in unit order: its units' work follows their surviving rows,
+//! which the row count does not tell.  Results land in unit-index slots
+//! either way, so the claim order never shows in an output or an error.
 //!
 //! The worker count comes from [`worker_count`]: the `MADLIB_THREADS`
 //! environment variable when set to a positive integer, the machine's
@@ -250,13 +260,15 @@ pub(crate) fn worker_count_from(env_override: Option<&str>) -> (usize, Option<St
 
 /// Runs `work` once per segment of `table` — on parallel worker threads when
 /// `parallel` is set and the table has more than one segment — and returns
-/// the per-segment results in segment order.
+/// the per-segment results in segment order.  `filtered` says a filter
+/// drops rows before `work` sees them (see [`claim_order`]).
 ///
 /// The fan-out spawns at most `min(segments, `[`worker_count`]`)` workers
-/// which **steal work**: each worker claims the next unclaimed segment from
-/// a shared atomic cursor, so a skewed table (one giant segment next to
-/// near-empty ones) keeps every worker busy instead of serializing the
-/// worker that statically owned the hot segment.  Oversubscribing the
+/// which **steal work**: each worker claims the next unclaimed segment —
+/// longest first unless `filtered` — from a shared atomic cursor, so a
+/// skewed table (one giant segment next to near-empty ones) keeps every
+/// worker busy instead of serializing the worker that statically owned the
+/// hot segment.  Oversubscribing the
 /// machine (e.g. 4 workers with 80 MB of grouped state each on a single
 /// core) only adds context-switch and cache-thrash cost, so a 1-core host
 /// degenerates to the serial loop.  Results land in per-segment slots and
@@ -266,7 +278,12 @@ pub(crate) fn worker_count_from(env_override: Option<&str>) -> (usize, Option<St
 /// A panicking worker does **not** abort the coordinator: the panic payload
 /// is captured and surfaced as [`EngineError::WorkerPanicked`] in that
 /// segment's slot, while the remaining segments still run to completion.
-pub(crate) fn run_per_segment<T, F>(table: &Table, parallel: bool, work: F) -> Vec<Result<T>>
+pub(crate) fn run_per_segment<T, F>(
+    table: &Table,
+    parallel: bool,
+    filtered: bool,
+    work: F,
+) -> Vec<Result<T>>
 where
     T: Send,
     F: Fn(usize, &Segment) -> Result<T> + Sync,
@@ -276,12 +293,17 @@ where
     } else {
         1
     };
-    run_per_segment_with_workers(table, workers, work)
+    run_per_segment_with_workers(table, workers, filtered, work)
 }
 
 /// [`run_per_segment`] with an explicit worker count, so tests can force the
 /// multi-worker stealing path regardless of how many cores the host exposes.
-fn run_per_segment_with_workers<T, F>(table: &Table, workers: usize, work: F) -> Vec<Result<T>>
+fn run_per_segment_with_workers<T, F>(
+    table: &Table,
+    workers: usize,
+    filtered: bool,
+    work: F,
+) -> Vec<Result<T>>
 where
     T: Send,
     F: Fn(usize, &Segment) -> Result<T> + Sync,
@@ -291,6 +313,7 @@ where
         table,
         chunk_range_units(table, StealGranularity::Segment),
         workers,
+        filtered,
         |range, segment| work(range.segment, segment),
     );
     let one = |outputs: Vec<T>| outputs.into_iter().next().expect("one unit per segment");
@@ -393,6 +416,7 @@ pub fn chunk_range_units(table: &Table, granularity: StealGranularity) -> Vec<Ch
 pub(crate) fn run_per_segment_ranged<T, F>(
     table: &Table,
     parallel: bool,
+    filtered: bool,
     work: F,
 ) -> Vec<Result<Vec<T>>>
 where
@@ -405,35 +429,61 @@ where
     } else {
         1
     };
-    run_units_with_workers(table, units, workers, work)
+    run_units_with_workers(table, units, workers, filtered, work)
+}
+
+/// The order workers claim `units` in: longest first by row count, ties in
+/// unit order (a stable sort), so the unit that bounds the makespan starts
+/// before the short ones instead of after them.  A unit's rows measure its
+/// work only when every row reaches the sink: under a filter the work
+/// follows the surviving rows, which no one knows before the scan, so a
+/// filtered scan claims in unit order.
+fn claim_order(table: &Table, units: &[ChunkRange]) -> Vec<usize> {
+    let rows = |unit: &ChunkRange| -> usize {
+        let chunks = unit.chunks(table.segment(unit.segment));
+        chunks.iter().map(|chunk| chunk.len()).sum()
+    };
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by_key(|&unit| std::cmp::Reverse(rows(&units[unit])));
+    order
 }
 
 /// The shared core of [`run_per_segment`] and [`run_per_segment_ranged`]:
-/// schedules `units` over `workers` stealing workers (or the calling thread)
-/// and gathers per-unit results into per-segment lists in range order.
+/// schedules `units` over `workers` stealing workers, claimed longest first
+/// unless `filtered` ([`claim_order`]), or runs them in order on the calling
+/// thread, and gathers per-unit results into per-segment lists in range
+/// order.
 fn run_units_with_workers<T, F>(
     table: &Table,
     units: Vec<ChunkRange>,
     workers: usize,
+    filtered: bool,
     work: F,
 ) -> Vec<Result<Vec<T>>>
 where
     T: Send,
     F: Fn(ChunkRange, &Segment) -> Result<T> + Sync,
 {
+    let order = if workers > 1 && !filtered {
+        claim_order(table, &units)
+    } else {
+        (0..units.len()).collect()
+    };
     // A unit is an owned item of the one stealing pool; the outer `Result`
     // it adds carries a unit's panic as `WorkerPanicked`.
-    let unit_results = run_per_item_with_workers(
-        units.clone(),
+    let claimed = run_per_item_with_workers(
+        order.iter().map(|&unit| units[unit]).collect(),
         workers,
         || (),
         |_, unit, ()| work(unit, table.segment(unit.segment)),
     );
-    // Units are in (segment, chunk_lo) order, so iterating unit slots in
-    // order lists each segment's ranges left to right.
+    // Back to unit order, which is (segment, chunk_lo) order, so iterating
+    // the units lists each segment's ranges left to right.
+    let mut unit_results: Vec<_> = order.into_iter().zip(claimed).collect();
+    unit_results.sort_unstable_by_key(|&(unit, _)| unit);
     let mut results: Vec<Result<Vec<T>>> =
         (0..table.num_segments()).map(|_| Ok(Vec::new())).collect();
-    for (&unit, result) in units.iter().zip(unit_results) {
+    for (&unit, (_, result)) in units.iter().zip(unit_results) {
         let result = result.and_then(|unit_result| unit_result);
         // Keep the earliest range's error for the segment.
         if let Ok(outputs) = &mut results[unit.segment] {
@@ -617,7 +667,7 @@ mod tests {
     #[test]
     fn per_segment_fanout_preserves_order() {
         let t = make_table(4, 40);
-        let results = run_per_segment(&t, true, |seg, segment| Ok((seg, segment.len())));
+        let results = run_per_segment(&t, true, false, |seg, segment| Ok((seg, segment.len())));
         let collected: Vec<(usize, usize)> = results.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(collected.len(), 4);
         for (i, (seg, len)) in collected.iter().enumerate() {
@@ -630,7 +680,7 @@ mod tests {
     fn worker_panics_become_errors() {
         let t = make_table(3, 9);
         for parallel in [true, false] {
-            let results: Vec<Result<()>> = run_per_segment(&t, parallel, |seg, _| {
+            let results: Vec<Result<()>> = run_per_segment(&t, parallel, false, |seg, _| {
                 if seg == 1 {
                     panic!("boom in segment {seg}");
                 }
@@ -692,18 +742,100 @@ mod tests {
                 })?;
                 Ok((seg, segment.len(), sum.to_bits()))
             };
-            let serial: Vec<_> = run_per_segment_with_workers(&t, 1, work)
+            let serial: Vec<_> = run_per_segment_with_workers(&t, 1, false, work)
                 .into_iter()
                 .map(|r| r.unwrap())
                 .collect();
             for workers in 2..=shape.len() + 2 {
-                let stolen: Vec<_> = run_per_segment_with_workers(&t, workers, work)
+                let stolen: Vec<_> = run_per_segment_with_workers(&t, workers, false, work)
                     .into_iter()
                     .map(|r| r.unwrap())
                     .collect();
                 assert_eq!(stolen, serial, "workers={workers} shape={shape:?}");
             }
         }
+    }
+
+    /// Runs the segments of `t` under `workers` stealing workers.  Each unit
+    /// marks its segment started, then waits (at most 5 s) until the
+    /// segments `waits_for` names for it have started, and returns whether
+    /// they did: every wait ends only when the claim order lets it, since a
+    /// waiting unit holds its worker.
+    fn waits_end(
+        t: &Table,
+        workers: usize,
+        filtered: bool,
+        waits_for: impl Fn(usize) -> Vec<usize> + Sync,
+    ) -> Vec<bool> {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+
+        let started: Vec<AtomicBool> = (0..t.num_segments()).map(|_| false.into()).collect();
+        let results = run_per_segment_with_workers(t, workers, filtered, |seg, _| {
+            started[seg].store(true, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let all_started = || {
+                waits_for(seg)
+                    .iter()
+                    .all(|&s| started[s].load(Ordering::SeqCst))
+            };
+            while !all_started() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            Ok(all_started())
+        });
+        results.into_iter().map(|r| r.unwrap()).collect()
+    }
+
+    /// Under the forced multi-worker path an unfiltered scan claims the
+    /// longest unit first, while a filtered one claims in unit order;
+    /// outputs still come back in segment order, and a panicking unit is
+    /// still the earliest failing segment's `WorkerPanicked`, though a later
+    /// segment's unit ran first.
+    #[test]
+    fn longest_unit_is_claimed_first() {
+        // 1 / 1 / 1 / 40 chunks of 8 rows.
+        let t = make_skewed_table(&[8, 8, 8, 320]);
+        let units = chunk_range_units(&t, StealGranularity::Segment);
+        assert_eq!(claim_order(&t, &units), [3, 0, 1, 2]);
+        for workers in [2, 3] {
+            // The short units wait for the long one: only a claim of it
+            // among the first `workers` ends their waits.
+            let waits = |seg| if seg == 3 { vec![] } else { vec![3] };
+            assert_eq!(waits_end(&t, workers, false, waits), [true; 4]);
+
+            let results = run_per_segment_with_workers(&t, workers, false, |seg, segment| {
+                Ok((seg, segment.len()))
+            });
+            let outputs: Vec<_> = results.into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(outputs, [(0, 8), (1, 8), (2, 8), (3, 320)]);
+
+            let results: Vec<Result<usize>> =
+                run_per_segment_with_workers(&t, workers, false, |seg, segment| {
+                    if seg == 1 || seg == 3 {
+                        panic!("boom in segment {seg}");
+                    }
+                    Ok(segment.len())
+                });
+            match results.into_iter().collect::<Result<Vec<_>>>() {
+                Err(EngineError::WorkerPanicked { message }) => {
+                    assert!(
+                        message.contains("segment 1"),
+                        "unexpected message: {message}"
+                    );
+                }
+                other => panic!("expected WorkerPanicked, got {other:?}"),
+            }
+        }
+        // Filtered, segments 0 and 1 wait for each other and the long unit
+        // for both: two workers end those waits only in unit order.
+        let waits = |seg| match seg {
+            0 => vec![1],
+            1 => vec![0],
+            3 => vec![0, 1],
+            _ => vec![],
+        };
+        assert_eq!(waits_end(&t, 2, true, waits), [true; 4]);
     }
 
     /// Regression: a panicking worker under multi-worker stealing surfaces as
@@ -714,7 +846,7 @@ mod tests {
         let t = make_skewed_table(&[5, 0, 40, 2, 0, 9]);
         for workers in [2, 3, 6] {
             let results: Vec<Result<usize>> =
-                run_per_segment_with_workers(&t, workers, |seg, s| {
+                run_per_segment_with_workers(&t, workers, false, |seg, s| {
                     if seg == 2 {
                         panic!("stolen boom");
                     }
@@ -853,7 +985,7 @@ mod tests {
         ];
         for shape in shapes {
             let t = make_skewed_table(shape);
-            let whole: Vec<(u64, u64, u64)> = run_per_segment(&t, false, |_, segment| {
+            let whole: Vec<(u64, u64, u64)> = run_per_segment(&t, false, false, |_, segment| {
                 let mut rows = 0u64;
                 let mut sum = 0.0f64;
                 scan_segment_chunks(segment, t.schema(), None, |batch| {
@@ -888,7 +1020,7 @@ mod tests {
             let units = chunk_range_units(&t, StealGranularity::ChunkRange);
             for workers in 1..=units.len() + 2 {
                 let ranged: Vec<(u64, u64, u64)> =
-                    run_units_with_workers(&t, units.clone(), workers, work)
+                    run_units_with_workers(&t, units.clone(), workers, false, work)
                         .into_iter()
                         .map(|r| r.unwrap().into_iter().reduce(merge).unwrap())
                         .collect();
@@ -915,7 +1047,7 @@ mod tests {
         let units = chunk_range_units(&t, StealGranularity::ChunkRange);
         for workers in [1, 2, 4] {
             let results: Vec<Result<Vec<usize>>> =
-                run_units_with_workers(&t, units.clone(), workers, |range, _| {
+                run_units_with_workers(&t, units.clone(), workers, false, |range, _| {
                     if range.segment == 2 && range.chunk_lo > 0 {
                         panic!("range boom at chunk {}", range.chunk_lo);
                     }

@@ -21,19 +21,21 @@
 //!   "look the group up, or fail with [`EngineError::ModelNotFound`]".
 //! - **One ranged pass.**  [`Dataset::score`], [`Dataset::score_with_stats`],
 //!   [`Dataset::score_into`] (a one-column predictions table, segment
-//!   placement preserved) and [`Dataset::score_per_group`] are thin calls of
-//!   the dataset's one order-preserving pass, the body
-//!   [`Dataset::map_chunks`] runs on too: chunk-range units on the
-//!   work-stealing pool, predictions in segment-then-row order.
+//!   placement preserved), [`Dataset::score_per_group`] and
+//!   [`Dataset::top_k_by_score`] are thin calls of the dataset's one
+//!   order-preserving pass, the body [`Dataset::map_chunks`] runs on too:
+//!   chunk-range units on the work-stealing pool, outputs in
+//!   segment-then-row order.
 //! - **One count check.**  Every `predict_chunk` call the engine makes is
 //!   held to its count; a scorer that appends any other number of
 //!   predictions fails the call with [`EngineError::PredictionCount`]
 //!   instead of misaligning the output.
 //! - [`Dataset::top_k_by_score`] is k-nearest-neighbour / vector-similarity
 //!   search over a `double precision[]` column on the same batched kernels —
-//!   a serving workload with no training step at all.  It keeps
-//!   whole-segment units, because its ranks carry each segment's row
-//!   ordinals.
+//!   a serving workload with no training step at all.  Each unit keeps its
+//!   best `k` as scores and scan positions, turning a row away on its score
+//!   alone once full; rows are built for the global `k` only
+//!   ([`Dataset::top_k_by_score_with_stats`] counts both).
 
 use crate::chunk::{ColumnChunk, RowChunk, Segment, CHUNK_CAPACITY};
 use crate::database::Database;
@@ -42,11 +44,13 @@ use crate::error::{EngineError, Result};
 use crate::executor::ExecutionStats;
 use crate::group::{GroupedModels, IndexSort, SlotDirectory};
 use crate::row::Row;
-use crate::scan;
+use crate::scan::ChunkRange;
 use crate::schema::{Column, ColumnType, Schema};
 use crate::table::{Distribution, Table};
 use crate::value::Value;
 use madlib_linalg::kernels;
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// A model that scores chunks of rows — the serving-side counterpart of
@@ -105,14 +109,19 @@ pub enum Similarity {
 }
 
 impl Similarity {
-    /// Whether `a` ranks strictly better than `b` under this metric.
-    /// Uses `f64::total_cmp`, so NaN scores order deterministically (they
-    /// rank worst under [`Similarity::Dot`] and best-after-nothing under
-    /// [`Similarity::Euclidean`]'s ascending order — but never flap).
-    fn ranks_before(self, a: f64, b: f64) -> bool {
+    /// A score as an integer whose order is the metric's ranking order —
+    /// a larger key ranks strictly before a smaller one.  It is
+    /// [`f64::total_cmp`]'s key (flipped for [`Similarity::Euclidean`]'s
+    /// ascending order), so NaN scores order deterministically: a NaN of
+    /// the sign x86 arithmetic produces ranks worst under
+    /// [`Similarity::Dot`] and first under [`Similarity::Euclidean`] — but
+    /// never flaps.
+    fn key(self, score: f64) -> i64 {
+        let bits = score.to_bits() as i64;
+        let total = bits ^ (((bits >> 63) as u64) >> 1) as i64;
         match self {
-            Similarity::Dot => a.total_cmp(&b).is_gt(),
-            Similarity::Euclidean => a.total_cmp(&b).is_lt(),
+            Similarity::Dot => total,
+            Similarity::Euclidean => !total,
         }
     }
 
@@ -141,54 +150,42 @@ impl Similarity {
     }
 }
 
-/// Where a scored row stands among all others: its score, then its scan
-/// position — (segment, surviving-row ordinal within the segment scan), a
-/// pure function of the dataset, never of scheduling.
+/// Where a scored row stands among all others, and where it is: its score,
+/// then its scan position — (segment, first chunk of its chunk-range unit,
+/// surviving-row ordinal within the unit), the same order as (segment,
+/// ordinal within the segment) and a pure function of the dataset, never of
+/// scheduling.  The position is also the row's location: the ordinal-th
+/// filter-surviving row from the unit's first chunk on.
 #[derive(Clone, Copy)]
 struct Rank {
     score: f64,
     segment: usize,
+    chunk_lo: usize,
     ordinal: usize,
 }
 
 impl Rank {
-    /// Total order: better score first, then scan position.  Gives every
-    /// row a distinct rank, so top-k results are deterministic even with
-    /// tied scores.
-    fn ranks_before(&self, other: &Rank, metric: Similarity) -> bool {
-        if metric.ranks_before(self.score, other.score) {
-            return true;
-        }
-        if metric.ranks_before(other.score, self.score) {
-            return false;
-        }
-        (self.segment, self.ordinal) < (other.segment, other.ordinal)
+    /// The key of the total order: better score first, then scan position.
+    /// Gives every row a distinct rank, so top-k results are deterministic
+    /// even with tied scores.
+    fn order(&self, metric: Similarity) -> (Reverse<i64>, usize, usize, usize) {
+        let score = Reverse(metric.key(self.score));
+        (score, self.segment, self.chunk_lo, self.ordinal)
     }
 }
 
-/// One k-NN candidate while a segment scan is in flight.
-struct Candidate {
-    rank: Rank,
-    row: Row,
-}
-
-/// Offers a row to a best-first list bounded at `k` entries; `row`
-/// materializes it, and runs only when the row enters the list.
-fn offer(
-    best: &mut Vec<Candidate>,
-    k: usize,
-    metric: Similarity,
-    rank: Rank,
-    row: impl FnOnce() -> Row,
-) {
-    // A full list turns away whatever does not rank before its last entry:
-    // one comparison, nothing built — where all but a few rows of a scan end.
-    if best.len() == k && !rank.ranks_before(&best[k - 1].rank, metric) {
-        return;
-    }
-    let at = best.partition_point(|c| c.rank.ranks_before(&rank, metric));
-    best.insert(at, Candidate { rank, row: row() });
-    best.truncate(k);
+/// What [`Dataset::top_k_by_score_with_stats`] did: its ranged pass, and how
+/// many rows got past the score check and were built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TopKStats {
+    /// The ranged pass: rows scanned and passed by the filter, segments,
+    /// kernel tier, worker time.
+    pub scan: ExecutionStats,
+    /// Rows that passed a unit's score check into the unit's best-first
+    /// list: at least `min(k, scored rows)` per unit.
+    pub rows_offered: u64,
+    /// [`Row`]s built: the returned rows, `min(k, scored rows)`.
+    pub rows_materialized: u64,
 }
 
 impl Dataset<'_> {
@@ -212,7 +209,7 @@ impl Dataset<'_> {
         scorer: &S,
     ) -> Result<(Vec<Value>, Vec<usize>, ExecutionStats)> {
         self.require_ungrouped_serving(operation)?;
-        self.ranged(true, || {
+        self.ranged(true, |_| {
             |chunk: &RowChunk, schema: &Schema, out: &mut Vec<Value>| {
                 predict(scorer, chunk, schema, out)
             }
@@ -323,7 +320,7 @@ impl Dataset<'_> {
     ) -> Result<Vec<Value>> {
         let group_indices = self.group_column_indices()?;
         let group_indices = group_indices.as_slice();
-        let open_unit = || {
+        let open_unit = |_| {
             // The unit's directory: key → dense slot into `resolved`.
             let mut directory = SlotDirectory::default();
             let mut resolved: Vec<&S> = Vec::new();
@@ -363,12 +360,12 @@ impl Dataset<'_> {
     /// maximum-inner-product ([`Similarity::Dot`]) search, returned
     /// best-first as `(row, score)` pairs.
     ///
-    /// Runs as a segment-parallel scan on the batched distance/dot kernels
-    /// (per-row fallback for NULL-bearing or ragged chunks, bit-identical by
-    /// the kernel contracts).  Rows whose `column` value is NULL are skipped;
+    /// Runs as the ranged pass on the batched distance/dot kernels (per-row
+    /// fallback for NULL-bearing or ragged chunks, bit-identical by the
+    /// kernel contracts).  Rows whose `column` value is NULL are skipped;
     /// ties and NaN scores break deterministically by scan position, so
-    /// results never depend on scheduling.  Honors the
-    /// dataset's filter.  Terminal operation; requires an ungrouped dataset.
+    /// results never depend on scheduling.  Honors the dataset's filter.
+    /// Terminal operation; requires an ungrouped dataset.
     ///
     /// # Errors
     /// Returns [`EngineError::InvalidArgument`] for `k == 0`, an empty
@@ -382,6 +379,31 @@ impl Dataset<'_> {
         k: usize,
         metric: Similarity,
     ) -> Result<Vec<(Row, f64)>> {
+        Ok(self.top_k_by_score_with_stats(column, query, k, metric)?.0)
+    }
+
+    /// Like [`Dataset::top_k_by_score`], additionally returning what the
+    /// pass did ([`TopKStats`]).
+    ///
+    /// Each chunk-range unit keeps a best-first list of at most `k` ranks —
+    /// scores and locations, no rows.  Rows reach a unit in scan order, so
+    /// once its list is full a row that does not score strictly better than
+    /// the list's last entry ranks after it and is turned away on that one
+    /// comparison.  The unit lists merge into the global `k`, and only then
+    /// are those `k` rows built, each by walking from its unit's first chunk
+    /// to its ordinal — through the filter's selection masks when the scan
+    /// is filtered, so a row of a compacted batch is found again the same
+    /// way as any other.
+    ///
+    /// # Errors
+    /// As [`Dataset::top_k_by_score`].
+    pub fn top_k_by_score_with_stats(
+        &self,
+        column: &str,
+        query: &[f64],
+        k: usize,
+        metric: Similarity,
+    ) -> Result<(Vec<(Row, f64)>, TopKStats)> {
         self.require_ungrouped_serving("top_k_by_score")?;
         if k == 0 {
             return Err(EngineError::invalid("top_k_by_score: k must be positive"));
@@ -391,63 +413,77 @@ impl Dataset<'_> {
                 "top_k_by_score: query vector must be non-empty",
             ));
         }
-        let schema = self.schema();
-        let column_idx = schema.index_of(column)?;
-        let filter = self.filter_predicate();
-        let per_segment = scan::run_per_segment(
-            self.table(),
-            self.executor().is_parallel(),
-            |seg, segment| {
-                let mut best: Vec<Candidate> = Vec::new();
-                let mut ordinal = 0usize;
-                let mut scores: Vec<f64> = Vec::new();
-                scan::scan_chunks(segment.chunks(), schema, filter, None, |batch| {
-                    let chunk = batch.chunk();
-                    let arrays = chunk.double_arrays(column_idx)?;
-                    if !arrays.nulls().any_null() && arrays.uniform_width() == Some(query.len()) {
-                        scores.resize(chunk.len(), 0.0);
-                        metric.score_batch(arrays.flat_values(), query, &mut scores);
-                        for (i, &score) in scores.iter().enumerate() {
-                            let rank = Rank {
-                                score,
-                                segment: seg,
-                                ordinal,
-                            };
-                            ordinal += 1;
-                            offer(&mut best, k, metric, rank, || chunk.row(i));
-                        }
-                    } else {
-                        for i in 0..chunk.len() {
-                            if arrays.nulls().is_null(i) {
-                                ordinal += 1;
-                                continue;
-                            }
-                            let x = arrays.row(i);
-                            check_query_width(x, query)?;
-                            let rank = Rank {
-                                score: metric.score_row(x, query),
-                                segment: seg,
-                                ordinal,
-                            };
-                            ordinal += 1;
-                            offer(&mut best, k, metric, rank, || chunk.row(i));
+        let column_idx = self.schema().index_of(column)?;
+        let offered = AtomicU64::new(0);
+        let open_unit = |range: ChunkRange| {
+            let offered = &offered;
+            let mut ordinal = 0;
+            let mut scores: Vec<f64> = Vec::new();
+            // The unit's output vector is its best-first list.  `offer`
+            // takes a row that ranks before the list's last entry, or any
+            // row while the list is short, and returns the key a later row
+            // must beat once the list is full.
+            let offer = move |best: &mut Vec<Rank>, ordinal: usize, score: f64| {
+                if best.len() == k {
+                    best.pop();
+                }
+                // Every kept rank came earlier in the unit: a tie goes after it.
+                let key = metric.key(score);
+                let at = best.partition_point(|kept| metric.key(kept.score) >= key);
+                let rank = Rank {
+                    score,
+                    segment: range.segment,
+                    chunk_lo: range.chunk_lo,
+                    ordinal,
+                };
+                best.insert(at, rank);
+                offered.fetch_add(1, AtomicOrdering::Relaxed);
+                (best.len() == k).then(|| metric.key(best[k - 1].score))
+            };
+            move |chunk: &RowChunk, _: &Schema, best: &mut Vec<Rank>| {
+                let arrays = chunk.double_arrays(column_idx)?;
+                let mut kth = (best.len() == k).then(|| metric.key(best[k - 1].score));
+                if !arrays.nulls().any_null() && arrays.uniform_width() == Some(query.len()) {
+                    scores.resize(chunk.len(), 0.0);
+                    metric.score_batch(arrays.flat_values(), query, &mut scores);
+                    for (i, &score) in scores.iter().enumerate() {
+                        if kth.is_none_or(|kth| metric.key(score) > kth) {
+                            kth = offer(best, ordinal + i, score);
                         }
                     }
-                    Ok(())
-                })?;
-                Ok(best)
-            },
-        );
-        // Merge the per-segment top-k lists (each sorted best-first) into
-        // the global best-first list and truncate to k.
-        let mut merged: Vec<Candidate> = Vec::new();
-        for res in per_segment {
-            for Candidate { rank, row } in res? {
-                offer(&mut merged, k, metric, rank, || row);
+                } else {
+                    for i in 0..chunk.len() {
+                        if arrays.nulls().is_null(i) {
+                            continue;
+                        }
+                        let x = arrays.row(i);
+                        check_query_width(x, query)?;
+                        let score = metric.score_row(x, query);
+                        if kth.is_none_or(|kth| metric.key(score) > kth) {
+                            kth = offer(best, ordinal + i, score);
+                        }
+                    }
+                }
+                ordinal += chunk.len();
+                Ok(())
             }
+        };
+        let (mut ranks, _, scan) = self.ranged(false, open_unit)?;
+        ranks.sort_unstable_by_key(|rank| rank.order(metric));
+        ranks.truncate(k);
+        let table = self.table();
+        let mut best = Vec::with_capacity(ranks.len());
+        for rank in ranks {
+            let chunks = &table.segment(rank.segment).chunks()[rank.chunk_lo..];
+            let row = self.nth_row_in(chunks, &mut { rank.ordinal })?;
+            best.push((row.expect("a ranked row is in its unit"), rank.score));
         }
-        let scored = |c: Candidate| (c.row, c.rank.score);
-        Ok(merged.into_iter().map(scored).collect())
+        let stats = TopKStats {
+            scan,
+            rows_offered: offered.into_inner(),
+            rows_materialized: best.len() as u64,
+        };
+        Ok((best, stats))
     }
 }
 

@@ -24,7 +24,12 @@
 #                                    crates/bench/benches (each file cut at
 #                                    `#[cfg(test)]`, `//` lines dropped), as
 #                                    `<file>:<line>  <name>` for a function and
-#                                    `<file>:<line>  <kind> <name>` for a type
+#                                    `<file>:<line>  <kind> <name>` for a type.
+#                                    Names match as bare words, so an unused
+#                                    item whose name is a common word on other
+#                                    lines (a method `objective` beside a field
+#                                    `objective`) never shows: grep such names
+#                                    as `.name(` by hand
 #        scripts/loc.sh --ratchet    the --unused list as `<file>  <name>` pairs
 #                                    (line numbers and kinds dropped) against
 #                                    scripts/unused-baseline.txt: prints the

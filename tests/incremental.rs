@@ -1330,6 +1330,38 @@ fn a_misfitting_previous_model_cold_starts_the_refresh() {
     assert_eq!(format!("{served:?}"), format!("{cold:?}"));
 }
 
+/// A single-pass refresh under a name with no view follows the iterative
+/// warm start's rule: a model of another type there is the catalog's typed
+/// error and stays as it was, bit for bit; only a missing name (or a model
+/// of the estimator's own type) trains from scratch.
+#[test]
+fn single_pass_refresh_over_another_model_is_an_error() {
+    use madlib::methods::cluster::{KMeans, KMeansModel};
+
+    let session = seeded_session(logistic_table(200, 3, 5));
+    let db = session.database();
+    let kmeans = KMeans::new("x", 2).unwrap();
+    session.train_incremental(&kmeans, "events", "m").unwrap();
+    let before = db.models().get::<KMeansModel>("m").unwrap();
+    let linregr = LinearRegression::new("y", "x");
+    match session.refresh(&linregr, "events", "m") {
+        Err(MethodError::Engine(EngineError::TypeMismatch { .. })) => {}
+        other => panic!("expected a type mismatch, got {other:?}"),
+    }
+    let after = db.models().get::<KMeansModel>("m").unwrap();
+    let centroid_bits = |model: &KMeansModel| -> Vec<Vec<u64>> {
+        model.centroids.iter().map(|c| bits(c)).collect()
+    };
+    assert_eq!(centroid_bits(&after), centroid_bits(&before));
+    assert_eq!(format!("{after:?}"), format!("{before:?}"));
+
+    let refreshed = session.refresh(&linregr, "events", "fresh").unwrap();
+    let trained = session
+        .train(&linregr, &session.dataset("events").unwrap())
+        .unwrap();
+    assert_eq!(bits(&refreshed.coef), bits(&trained.coef));
+}
+
 /// An iterative refresh over a cataloged entry it cannot warm-start from —
 /// a model of another type, or a grouped registry — is that lookup's typed
 /// error, and the entry stays as it was: only a missing name cold-starts.

@@ -292,6 +292,10 @@ proptest! {
     /// `top_k_by_score` is deterministic and thread-independent: both
     /// executors return the same rows and bit-identical scores, matching a
     /// naive sort of the per-row reference scores under both metrics.
+    /// Chunks of one and two rows cut every segment into many chunk-range
+    /// units, and `tied` rounds features and query to integers in -3..=3,
+    /// so equal scores fall in different units and the scan position alone
+    /// decides between them.
     #[test]
     fn top_k_matches_naive_sort(
         points in prop::collection::vec(
@@ -299,11 +303,16 @@ proptest! {
             1..80,
         ),
         query in prop::collection::vec(-10.0f64..10.0, 4),
-        (k, with_filter) in (1usize..12, any::<bool>()),
+        (k, with_filter, tied) in (1usize..12, any::<bool>(), any::<bool>()),
         segments in 1usize..4,
-        chunk_capacity in prop_oneof![Just(4usize), Just(1024usize)],
+        chunk_capacity in prop_oneof![Just(1usize), Just(2usize), Just(4usize), Just(1024usize)],
         null_every_raw in 0usize..6,
     ) {
+        let narrow = |xs: &[f64]| -> Vec<f64> {
+            xs.iter().map(|x| if tied { (x / 3.5).round() } else { *x }).collect()
+        };
+        let points: Vec<(f64, Vec<f64>)> = points.iter().map(|(y, x)| (*y, narrow(x))).collect();
+        let query = narrow(&query);
         let null_every = (null_every_raw > 1).then_some(null_every_raw);
         let table = feature_table(&points, null_every, segments, chunk_capacity);
         for metric in [Similarity::Dot, Similarity::Euclidean] {
@@ -465,6 +474,72 @@ fn compacted_batches_score_and_rank_like_the_row_plan() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// `top_k_by_score_with_stats` counts what the pass did.  With scores
+/// falling along every segment's scan order each chunk-range unit takes its
+/// first `min(k, unit rows)` rows and turns every later one away; with
+/// scores rising every row gets in; either way exactly `min(k, rows)` rows
+/// are built, filtered or not.
+#[test]
+fn top_k_stats_count_offered_and_built_rows() {
+    use madlib::engine::scan::{chunk_range_units, StealGranularity};
+
+    let rows = 300;
+    // Rows go round-robin to three segments of 100 rows: seven 16-row
+    // chunks, two units (64 and 36 rows) each.
+    let table_of = |sign: f64| {
+        let points: Vec<(f64, Vec<f64>)> = (0..rows)
+            .map(|i| (i as f64, vec![sign * i as f64, 1.0]))
+            .collect();
+        feature_table(&points, None, 3, 16)
+    };
+    let (falling, rising) = (table_of(-1.0), table_of(1.0));
+    let unit_rows: Vec<usize> = chunk_range_units(&falling, StealGranularity::ChunkRange)
+        .iter()
+        .map(|unit| {
+            let chunks = &falling.segment(unit.segment).chunks()[unit.chunk_lo..unit.chunk_hi];
+            chunks.iter().map(|chunk| chunk.len()).sum()
+        })
+        .collect();
+    assert_eq!(unit_rows, [64, 36, 64, 36, 64, 36]);
+    let query = [1.0, 0.0];
+    for executor in both_executors() {
+        for k in [1, 5, 40, 500] {
+            let context = format!("k={k} {executor:?}");
+            let dataset = Dataset::from_table(&falling).with_executor(executor);
+            let (top, stats) = dataset
+                .top_k_by_score_with_stats("x", &query, k, Similarity::Dot)
+                .unwrap();
+            let offered: usize = unit_rows.iter().map(|&n| n.min(k)).sum();
+            assert_eq!(stats.rows_offered, offered as u64, "{context}");
+            assert_eq!(stats.rows_materialized, k.min(rows) as u64, "{context}");
+            assert_eq!(top.len(), k.min(rows), "{context}");
+            assert_eq!(stats.scan.rows_scanned, rows as u64, "{context}");
+            assert_eq!(stats.scan.rows_aggregated, rows as u64, "{context}");
+            assert_eq!(stats.scan.segments, 3, "{context}");
+            assert!(stats.scan.busy_ns > 0, "{context}");
+            let reference = brute_force_top_k(&dataset, &query, k, Similarity::Dot);
+            assert_eq!(top, reference, "{context}");
+
+            let dataset = Dataset::from_table(&rising).with_executor(executor);
+            let (_, stats) = dataset
+                .top_k_by_score_with_stats("x", &query, k, Similarity::Dot)
+                .unwrap();
+            assert_eq!(stats.rows_offered, rows as u64, "{context}");
+            assert_eq!(stats.rows_materialized, k.min(rows) as u64, "{context}");
+
+            // A filter compacts every chunk; the rows are found again
+            // through its masks, and still only the returned ones are built.
+            let filtered = dataset.filter(Predicate::column_lt("y", 100.0));
+            let (top, stats) = filtered
+                .top_k_by_score_with_stats("x", &query, k, Similarity::Dot)
+                .unwrap();
+            assert_eq!(stats.rows_materialized, k.min(100) as u64, "{context}");
+            let reference = brute_force_top_k(&filtered, &query, k, Similarity::Dot);
+            assert_eq!(top, reference, "{context}");
         }
     }
 }
