@@ -6,6 +6,7 @@
 //! and `Σ (1 − y xᵀw)₊` forms printed in the paper's Table 2.
 
 use crate::objective::{sgd_epoch_chunk_by_rows, ConvexObjective};
+use crate::objectives::regression;
 use madlib_engine::{Result, Row, RowChunk, Schema};
 
 fn signed_label(raw: f64) -> f64 {
@@ -21,9 +22,9 @@ fn labeled_point<'a>(
     schema: &Schema,
     y_column: &str,
     x_column: &str,
+    model: &[f64],
 ) -> Result<(f64, &'a [f64])> {
-    let y = row.get_named(schema, y_column)?.as_double()?;
-    let x = row.get_named(schema, x_column)?.as_double_array()?;
+    let (y, x) = regression::labeled_point(row, schema, y_column, x_column, model)?;
     Ok((signed_label(y), x))
 }
 
@@ -56,7 +57,7 @@ impl ConvexObjective for LogisticObjective {
     }
 
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {
-        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column)?;
+        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column, model)?;
         let margin: f64 = x.iter().zip(model).map(|(a, b)| a * b).sum::<f64>() * y;
         // log(1 + exp(-margin)) computed stably.
         Ok(if margin > 0.0 {
@@ -73,7 +74,7 @@ impl ConvexObjective for LogisticObjective {
         model: &[f64],
         gradient: &mut [f64],
     ) -> Result<()> {
-        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column)?;
+        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column, model)?;
         let margin: f64 = x.iter().zip(model).map(|(a, b)| a * b).sum::<f64>() * y;
         let sigma = 1.0 / (1.0 + margin.exp()); // σ(−margin)
         for (g, xi) in gradient.iter_mut().zip(x) {
@@ -164,7 +165,7 @@ impl ConvexObjective for SvmHingeObjective {
     }
 
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {
-        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column)?;
+        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column, model)?;
         let margin: f64 = x.iter().zip(model).map(|(a, b)| a * b).sum::<f64>() * y;
         Ok((1.0 - margin).max(0.0))
     }
@@ -176,7 +177,7 @@ impl ConvexObjective for SvmHingeObjective {
         model: &[f64],
         gradient: &mut [f64],
     ) -> Result<()> {
-        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column)?;
+        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column, model)?;
         let margin: f64 = x.iter().zip(model).map(|(a, b)| a * b).sum::<f64>() * y;
         if margin < 1.0 {
             for (g, xi) in gradient.iter_mut().zip(x) {

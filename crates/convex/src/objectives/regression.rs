@@ -2,16 +2,24 @@
 //! "Least Squares" and "Lasso").
 
 use crate::objective::{sgd_epoch_chunk_by_rows, ConvexObjective};
-use madlib_engine::{Result, Row, RowChunk, Schema};
+use madlib_engine::{EngineError, Result, Row, RowChunk, Schema};
 
-fn labeled_point<'a>(
+/// The row's label and feature vector; a vector whose width is not the
+/// model's is an error (a `zip` would silently drop coordinates).
+pub(crate) fn labeled_point<'a>(
     row: &'a Row,
     schema: &Schema,
     y_column: &str,
     x_column: &str,
+    model: &[f64],
 ) -> Result<(f64, &'a [f64])> {
     let y = row.get_named(schema, y_column)?.as_double()?;
     let x = row.get_named(schema, x_column)?.as_double_array()?;
+    let (got, want) = (x.len(), model.len());
+    if got != want {
+        let message = format!("{got} features for a model of width {want}");
+        return Err(EngineError::invalid(message));
+    }
     Ok((y, x))
 }
 
@@ -44,7 +52,7 @@ impl ConvexObjective for LeastSquaresObjective {
     }
 
     fn row_loss(&self, row: &Row, schema: &Schema, model: &[f64]) -> Result<f64> {
-        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column)?;
+        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column, model)?;
         let residual: f64 = x.iter().zip(model).map(|(a, b)| a * b).sum::<f64>() - y;
         Ok(residual * residual)
     }
@@ -56,7 +64,7 @@ impl ConvexObjective for LeastSquaresObjective {
         model: &[f64],
         gradient: &mut [f64],
     ) -> Result<()> {
-        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column)?;
+        let (y, x) = labeled_point(row, schema, &self.y_column, &self.x_column, model)?;
         let residual: f64 = x.iter().zip(model).map(|(a, b)| a * b).sum::<f64>() - y;
         for (g, xi) in gradient.iter_mut().zip(x) {
             *g += 2.0 * residual * xi;
@@ -255,6 +263,34 @@ mod tests {
             t.insert(row![3.0 * x1, vec![x1, x2, x3, x4]]).unwrap();
         }
         t
+    }
+
+    /// A feature vector of another width than the model is an error in every
+    /// labeled-point objective, not a sum over the shorter of the two.
+    #[test]
+    fn a_feature_vector_of_another_width_is_an_error() {
+        use crate::objectives::classification::{LogisticObjective, SvmHingeObjective};
+        let schema = table_with_sparse_truth(1).schema().clone();
+        let objectives: [&dyn ConvexObjective; 4] = [
+            &LeastSquaresObjective::new("y", "x", 4),
+            &LassoObjective::new("y", "x", 4, 0.1),
+            &LogisticObjective::new("y", "x", 4),
+            &SvmHingeObjective::new("y", "x", 4, 1e-3),
+        ];
+        for objective in objectives {
+            for x in [vec![1.0, 2.0, 3.0], vec![1.0; 5]] {
+                let row = row![1.0, x];
+                let mut gradient = [0.0; 4];
+                assert!(objective.row_loss(&row, &schema, &[0.5; 4]).is_err());
+                let accumulated =
+                    objective.accumulate_gradient(&row, &schema, &[0.5; 4], &mut gradient);
+                assert!(accumulated.is_err());
+                assert_eq!(gradient, [0.0; 4]);
+            }
+            assert!(objective
+                .row_loss(&row![1.0, vec![1.0; 4]], &schema, &[0.5; 4])
+                .is_ok());
+        }
     }
 
     fn run<O: ConvexObjective + Clone>(objective: &O, table: &Table, epochs: usize) -> Vec<f64> {

@@ -267,11 +267,6 @@ impl SelectionMask {
         })
     }
 
-    /// Whether every row is selected.
-    pub fn is_all_selected(&self) -> bool {
-        self.count_selected() == self.len
-    }
-
     /// In-place conjunction with another mask of the same length.
     pub fn and_with(&mut self, other: &SelectionMask) {
         debug_assert_eq!(self.len, other.len);
@@ -1389,7 +1384,6 @@ mod tests {
         assert!(!even.is_selected(1));
 
         let all = SelectionMask::all(100);
-        assert!(all.is_all_selected());
         assert_eq!(all.count_selected(), 100);
 
         let mut both = even.clone();
@@ -1403,7 +1397,7 @@ mod tests {
 
         let mut either = even.clone();
         either.or_with(&odd);
-        assert!(either.is_all_selected());
+        assert_eq!(either.count_selected(), 100);
 
         // Tail bits beyond len stay cleared after negate.
         let mut tiny = SelectionMask::none(3);

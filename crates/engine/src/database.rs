@@ -589,13 +589,18 @@ impl Database {
     /// The whole batch is one WAL record: recovery surfaces either all of
     /// these rows or none of them, never a partial batch.
     ///
+    /// Once the batch commits the call returns `Ok`, whatever the views do,
+    /// so a caller that retries on `Err` never writes a batch twice because
+    /// a view failed.  A view that fails to absorb the batch is marked for
+    /// rebuild, and its next [`Database::refresh_view`] (or
+    /// `Session::refresh`) rebuilds it from scratch or returns the
+    /// aggregate's error there.
+    ///
     /// # Errors
     /// Returns [`EngineError::TableNotFound`] for an unknown name and the
     /// schema-validation error of the first row or value that does not fit
-    /// (in which case nothing is applied, logged or absorbed).  When the
-    /// insert commits but one or more views fail to absorb it, the rows
-    /// **stay committed**, every failing view is marked for rebuild, and the
-    /// error is [`EngineError::ViewAbsorbFailed`] naming them.
+    /// (in which case nothing is applied, logged or absorbed), and the log's
+    /// error when the commit fails.
     pub fn append_rows(&self, name: &str, rows: impl IntoIterator<Item = Row>) -> Result<()> {
         let (schema, chunk_capacity) = {
             let entry = self.entry(name)?;
@@ -606,7 +611,8 @@ impl Database {
             table: name.to_owned(),
             chunks: RowChunk::transpose(&schema, rows, chunk_capacity)?,
         })?;
-        self.absorb_views_of(name)
+        self.absorb_views_of(name);
+        Ok(())
     }
 
     /// Replaces the contents of the named table with `table` (the
@@ -724,12 +730,12 @@ impl Database {
     /// Absorbs the current contents of `table` into every view registered on
     /// it (called by [`Database::append_rows`] after the insert commits).
     ///
-    /// The insert is already committed when this runs, so one view's failure
-    /// must not abort the others: every view gets its absorb attempt, each
-    /// failing view is marked needing rebuild (its next absorb starts from
-    /// scratch), and the collected failures come back as a single
-    /// [`EngineError::ViewAbsorbFailed`].
-    fn absorb_views_of(&self, table: &str) -> Result<()> {
+    /// The insert is already committed when this runs, so nothing here is
+    /// the append's error: every view gets its absorb attempt, and a failing
+    /// view is marked needing rebuild, so that its next absorb — the next
+    /// [`Database::refresh_view`] — starts from scratch and reports the
+    /// failure if it recurs.
+    fn absorb_views_of(&self, table: &str) {
         type SharedView = Arc<Mutex<Box<dyn AnyMaterialized>>>;
         let mut watching: Vec<(String, SharedView)> = read_lock(&self.views)
             .iter()
@@ -737,32 +743,20 @@ impl Database {
             .map(|(name, e)| (name.clone(), Arc::clone(&e.state)))
             .collect();
         if watching.is_empty() {
-            return Ok(());
+            return;
         }
         watching.sort_by(|a, b| a.0.cmp(&b.0));
-        let snapshot = match self.table(table) {
-            Ok(s) => s,
-            // The table vanished between the append and this absorb
-            // (concurrent drop): views catch up — or rebuild — on their next
-            // refresh against whatever table then exists.
-            Err(EngineError::TableNotFound { .. }) => return Ok(()),
-            Err(e) => return Err(e),
+        // The table vanished between the append and this absorb (concurrent
+        // drop): views catch up — or rebuild — on their next refresh against
+        // whatever table then exists.
+        let Ok(snapshot) = self.table(table) else {
+            return;
         };
-        let mut failures = Vec::new();
-        for (view, state) in watching {
+        for (_, state) in watching {
             let mut guard = lock_view(&state);
-            if let Err(e) = guard.absorb(&snapshot) {
+            if guard.absorb(&snapshot).is_err() {
                 guard.mark_needs_rebuild();
-                failures.push((view, e.to_string()));
             }
-        }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(EngineError::ViewAbsorbFailed {
-                table: table.to_owned(),
-                failures,
-            })
         }
     }
 
@@ -1661,11 +1655,11 @@ mod tests {
         }
     }
 
-    /// When a view fails to absorb an append, the insert must stay
-    /// committed, the *other* views must still absorb, the failing view must
-    /// be marked for rebuild, and the typed error must name it.
+    /// When a view fails to absorb an append, the append still returns `Ok`
+    /// (the insert committed), the *other* views still absorb, and the
+    /// failing view is marked for rebuild: its refresh reports the error.
     #[test]
-    fn append_commits_despite_failing_view_and_names_it() {
+    fn append_commits_despite_failing_view() {
         let db = Database::new(1).unwrap();
         db.create_table("events", schema()).unwrap();
         db.register_view(
@@ -1681,17 +1675,8 @@ mod tests {
             .unwrap();
 
         db.append_rows("events", [row![1i64, 1.0]]).unwrap();
-        let err = db
-            .append_rows("events", [row![2i64, 13.0], row![3i64, 3.0]])
-            .unwrap_err();
-        match &err {
-            EngineError::ViewAbsorbFailed { table, failures } => {
-                assert_eq!(table, "events");
-                assert_eq!(failures.len(), 1);
-                assert_eq!(failures[0].0, "flaky");
-            }
-            other => panic!("expected ViewAbsorbFailed, got {other:?}"),
-        }
+        db.append_rows("events", [row![2i64, 13.0], row![3i64, 3.0]])
+            .unwrap();
         // The insert committed despite the view failure...
         assert_eq!(db.table("events").unwrap().row_count(), 3);
         // ...the healthy view absorbed the rows...
@@ -1707,7 +1692,49 @@ mod tests {
             assert_eq!(view.last_absorb(), None);
         }
         // Refreshing it restarts from scratch and hits the poison row again.
-        db.refresh_view("flaky", |_| Ok(())).unwrap_err();
+        let err = db.refresh_view("flaky", |_| Ok(())).unwrap_err();
+        assert!(err.to_string().contains("poison row"), "{err}");
+    }
+
+    /// A caller that retries an append on `Err` writes each batch once, even
+    /// when a view fails on one of its rows; the failure surfaces at the
+    /// view's refresh, and once the poison row is gone the refresh rebuilds.
+    #[test]
+    fn retrying_an_append_on_err_writes_the_batch_once() {
+        let db = Database::new(2).unwrap();
+        db.create_table("events", schema()).unwrap();
+        let flaky = MaterializedAggregate::new(PoisonAggregate, &Executor::new());
+        db.register_view("flaky", "events", Box::new(flaky))
+            .unwrap();
+        let batches = [
+            vec![row![1i64, 1.0], row![2i64, 2.0]],
+            vec![row![3i64, 13.0], row![4i64, 4.0]],
+            vec![row![5i64, 5.0]],
+        ];
+        for batch in batches {
+            for _attempt in 0..3 {
+                if db.append_rows("events", batch.clone()).is_ok() {
+                    break;
+                }
+            }
+        }
+        assert_eq!(db.table("events").unwrap().row_count(), 5);
+        let err = db.refresh_view("flaky", |_| Ok(())).unwrap_err();
+        assert!(err.to_string().contains("poison row"), "{err}");
+
+        db.with_table_mut("events", |t| {
+            t.truncate();
+            t.insert(row![6i64, 6.0])
+        })
+        .unwrap();
+        let rows = db.refresh_view("flaky", |state| {
+            let view = (state.as_any_mut())
+                .downcast_mut::<MaterializedAggregate<PoisonAggregate>>()
+                .expect("poison view");
+            assert_eq!(view.last_absorb(), Some(Absorbed::Rebuilt { rows: 1 }));
+            view.finalize()
+        });
+        assert_eq!(rows.unwrap(), 1);
     }
 
     /// Counts rows, and panics once: on the first row whose `v` is 13 — a

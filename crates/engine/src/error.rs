@@ -84,18 +84,6 @@ pub enum EngineError {
         /// I/O or corruption detail).
         message: String,
     },
-    /// Rows were appended and **committed**, but one or more materialized
-    /// views registered on the table failed to absorb them.  The insert is
-    /// durable and must not be retried (a retry would double-append); the
-    /// failed views have been marked for rebuild and will re-absorb from
-    /// scratch on their next refresh.
-    ViewAbsorbFailed {
-        /// The table the rows were appended to.
-        table: String,
-        /// `(view name, error message)` for every view whose absorb failed,
-        /// sorted by view name.
-        failures: Vec<(String, String)>,
-    },
 }
 
 impl EngineError {
@@ -157,17 +145,6 @@ impl fmt::Display for EngineError {
                 "scorer appended {predictions} predictions for a chunk of {rows} rows"
             ),
             EngineError::Storage { message } => write!(f, "storage error: {message}"),
-            EngineError::ViewAbsorbFailed { table, failures } => {
-                write!(
-                    f,
-                    "rows appended to {table} committed, but {} view(s) failed to absorb them:",
-                    failures.len()
-                )?;
-                for (view, err) in failures {
-                    write!(f, " {view}: {err};")?;
-                }
-                Ok(())
-            }
         }
     }
 }

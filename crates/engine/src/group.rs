@@ -284,11 +284,6 @@ impl GroupKey {
         self.parts().len()
     }
 
-    /// Whether the key spans more than one grouping column.
-    pub fn is_composite(&self) -> bool {
-        self.arity() > 1
-    }
-
     /// Reconstructs the representative [`Value`] of a *single-column* key's
     /// group.  The round trip through [`GroupKey::from_value`] is exact,
     /// including NaN payloads and signed zeros.
@@ -872,7 +867,6 @@ mod tests {
         assert!(ab < ac, "second part breaks the tie");
         assert!(ac < bb, "first part dominates");
         assert_eq!(ab.arity(), 2);
-        assert!(ab.is_composite());
         assert_eq!(
             ab.clone().into_values(),
             vec![Value::Text("a".into()), Value::Int(1)]

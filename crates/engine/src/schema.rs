@@ -53,15 +53,6 @@ impl ColumnType {
             ColumnType::IntArray => "bigint[]",
         }
     }
-
-    /// Whether the type is numeric (usable by the profile module's numeric
-    /// summary path).
-    pub fn is_numeric(&self) -> bool {
-        matches!(
-            self,
-            ColumnType::Int | ColumnType::Double | ColumnType::Bool
-        )
-    }
 }
 
 /// A named, typed column.
@@ -228,9 +219,6 @@ mod tests {
 
     #[test]
     fn column_type_helpers() {
-        assert!(ColumnType::Double.is_numeric());
-        assert!(ColumnType::Int.is_numeric());
-        assert!(!ColumnType::Text.is_numeric());
         assert_eq!(ColumnType::DoubleArray.sql_name(), "double precision[]");
         assert!(ColumnType::TextArray.accepts(&Value::TextArray(vec![])));
         assert!(!ColumnType::Int.accepts(&Value::Double(1.0)));

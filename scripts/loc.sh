@@ -4,17 +4,21 @@
 # the first `#[cfg(test)]`.
 #
 # Usage: scripts/loc.sh <files...>   one line per file, then the total
-#        scripts/loc.sh              the three totals ROADMAP quotes: engine
-#                                    src, linalg/src/kernels, every crate's src;
+#        scripts/loc.sh              the four totals ROADMAP quotes: engine
+#                                    src, linalg/src/kernels, every crate's src,
+#                                    the root tests (tests/**/*.rs, shared
+#                                    modules included, each file counted whole
+#                                    unless it holds a `#[cfg(test)]`);
 #                                    then each crate's `pub` items (fn, struct,
 #                                    enum, trait, type, const, static, mod, use
 #                                    declared plain `pub`, counted the same way)
 #        scripts/loc.sh --against <rev>
 #                                    the parent -> change table, as Markdown:
-#                                    per `crates/*/src` file the diff from
-#                                    <rev> to the working tree touches, its
+#                                    per `crates/*/src` or `tests` file the
+#                                    diff from <rev> to the working tree
+#                                    touches (or adds, untracked), its
 #                                    code lines at <rev> and now and the delta;
-#                                    then the three totals and each crate's
+#                                    then the four totals and each crate's
 #                                    `pub` items on both sides
 #        scripts/loc.sh --unused     every `pub fn`, `pub struct`, `pub enum`,
 #                                    `pub trait` and `pub type` under
@@ -58,7 +62,7 @@ total() {
     echo "$sum"
 }
 
-# The three totals, then each crate's `pub` items, one `<number>\t<label>`
+# The four totals, then each crate's `pub` items, one `<number>\t<label>`
 # line each, for the tree rooted at the current directory.
 summary() {
     local crate file sum every
@@ -66,6 +70,8 @@ summary() {
     printf '%s\t%s\n' "$(total crates/linalg/src/kernels/*.rs)" "crates/linalg/src/kernels/*.rs"
     mapfile -t every < <(find crates -path '*/src/*.rs' | sort)
     printf '%s\t%s\n' "$(total "${every[@]}")" "crates/*/src/**/*.rs"
+    mapfile -t every < <(find tests -name '*.rs' | sort)
+    printf '%s\t%s\n' "$(total "${every[@]}")" "tests/**/*.rs"
     for crate in crates/*/; do
         sum=0
         while IFS= read -r file; do
@@ -140,7 +146,7 @@ if [ "$#" -eq 0 ]; then
     line=0
     while IFS=$'\t' read -r n label; do
         line=$((line + 1))
-        [ "$line" -eq 4 ] && echo "   pub  items per crate"
+        [ "$line" -eq 5 ] && echo "   pub  items per crate"
         printf '%6d  %s\n' "$n" "$label"
     done < <(summary)
     exit 0
@@ -183,7 +189,9 @@ if [ "$1" = "--against" ]; then
     while IFS= read -r path; do
         mkdir -p "$parent/$(dirname "$path")"
         git show "$rev:$path" > "$parent/$path"
-    done < <(git ls-tree -r --name-only "$rev" -- crates | grep '^crates/[^/]*/src/.*\.rs$')
+    done < <(git ls-tree -r --name-only "$rev" -- crates tests \
+        | grep -E '^(crates/[^/]*/src|tests)/.*\.rs$')
+    mkdir -p "$parent/tests"
 
     echo "| file | parent | change | Δ |"
     echo "|---|---|---|---|"
@@ -193,7 +201,9 @@ if [ "$1" = "--against" ]; then
         [ -f "$parent/$path" ] && before=$(count "$parent/$path")
         [ -f "$path" ] && after=$(count "$path")
         row "$path" "$before" "$after"
-    done < <(git diff --name-only "$rev" -- crates | grep '^crates/[^/]*/src/.*\.rs$' || true)
+    done < <( (git diff --name-only "$rev" -- crates tests
+               git ls-files --others --exclude-standard -- tests) \
+        | grep -E '^(crates/[^/]*/src|tests)/.*\.rs$' | sort -u || true)
 
     echo
     echo "| total | parent | change | Δ |"
@@ -201,7 +211,7 @@ if [ "$1" = "--against" ]; then
     line=0
     while IFS=$'\t' read -r before label after _; do
         line=$((line + 1))
-        [ "$line" -gt 3 ] && label="\`pub\` items, $label"
+        [ "$line" -gt 4 ] && label="\`pub\` items, $label"
         row "$label" "$before" "$after"
     done < <(paste <(cd "$parent" && summary) <(summary))
     exit 0

@@ -5,14 +5,16 @@
 //! floating-point accumulation order included.  The per-row meaning is
 //! `madlib::engine::reference` (each row materialised, filtered and folded
 //! with `transition`); these property tests hold the chunked terminals to it
-//! bit for bit — linear regression, the built-in SQL aggregates, grouped
-//! aggregation on both its gather and radix paths, and the sketch adapters —
-//! over randomized data with NULL-bearing rows, ragged partitions, empty
-//! segments, and chunk capacities small enough that every scan crosses
-//! several chunk boundaries.  Aggregates private to a method crate are held
-//! to their per-row fallback where they live (the IRLS and Lloyd steps in
-//! `madlib-core`); here the IGD objectives are held to theirs chunk by chunk,
-//! and whole iterative fits to the same fit over one-row chunks.
+//! bit for bit — the linear-regression state, the built-in SQL aggregates,
+//! grouped aggregation on both its gather and radix paths, and the sketch
+//! adapters — over randomized data with NULL-bearing rows, ragged
+//! partitions, empty segments, and chunk capacities small enough that every
+//! scan crosses several chunk boundaries.  Aggregates private to a method
+//! crate are held to their per-row fallback where they live (the IRLS and
+//! Lloyd steps in `madlib-core`); here the IGD objectives are held to theirs
+//! chunk by chunk, and the k-means fit to a materializing reference.  Every
+//! estimator's whole fit against the same rows one per chunk is the
+//! conformance kit's (`tests/conformance.rs`).
 
 use madlib::convex::objective::sgd_epoch_chunk_by_rows;
 use madlib::convex::objectives::{LeastSquaresObjective, LogisticObjective};
@@ -20,40 +22,24 @@ use madlib::convex::ConvexObjective;
 use madlib::engine::aggregate::{Aggregate, AvgAggregate, CountAggregate, SumAggregate};
 use madlib::engine::expr::Predicate;
 use madlib::engine::{
-    reference, row, Column, ColumnType, Database, Dataset, Executor, Row, Schema, Table, Value,
+    reference, row, Column, ColumnType, Dataset, Executor, Row, Schema, Table, Value,
 };
 use madlib::linalg::array_ops::closest_column;
 use madlib::methods::cluster::seeding::seed_centroids;
 use madlib::methods::cluster::{KMeans, SeedingMethod};
 use madlib::methods::datasets::labeled_point_schema;
-use madlib::methods::regress::{LinearRegression, LogisticRegression};
-use madlib::methods::{Estimator, Session};
+use madlib::methods::regress::LinearRegression;
+use madlib::methods::Estimator;
 use madlib::sketch::{FmDistinctAggregate, MostFrequentValuesAggregate, SummaryAggregate};
 use proptest::prelude::*;
+
+mod common;
+
+use common::bits;
 
 /// Builds the dataset for one executor.
 fn dataset<'a>(table: &'a Table, executor: &Executor) -> Dataset<'a> {
     Dataset::from_table(table).with_executor(*executor)
-}
-
-/// `table`'s rows in the same segments and order, one row per chunk: every
-/// kernel of a scan over it sees a single row, so a fit over it is the fit
-/// whose every step runs the per-row shape of its kernels.
-fn one_row_per_chunk(table: &Table) -> Table {
-    let mut out = Table::new(table.schema().clone(), table.num_segments())
-        .unwrap()
-        .with_chunk_capacity(1)
-        .unwrap();
-    for seg in 0..table.num_segments() {
-        for row in table.segment(seg).iter() {
-            out.insert_into_segment(seg, row).unwrap();
-        }
-    }
-    out
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Exposes the raw linear-regression transition state (row count + `XᵀX`
@@ -156,31 +142,10 @@ fn kept_points_table(
 }
 
 proptest! {
-    /// Linear regression: the flagship Figure 4 aggregate.  The chunked
-    /// transition (tiled rank-k XᵀX, batched Xᵀy) must reproduce the per-row
-    /// reference fit bit for bit, across ragged segment sizes and chunk
-    /// boundaries.
-    #[test]
-    fn linregr_chunk_path_is_bit_identical(
-        points in prop::collection::vec((-10.0..10.0f64, [-5.0..5.0f64, -5.0..5.0f64, -5.0..5.0f64]), 1..120),
-        segments in 1usize..7,
-        chunk_capacity in 1usize..40,
-    ) {
-        let table = labeled_table(&points, None, segments, chunk_capacity);
-        let ds = Dataset::from_table(&table);
-        let a = LinearRegression::new("y", "x").fit(&ds).unwrap();
-        let b = reference::aggregate(&ds, &LinearRegression::new("y", "x")).unwrap();
-        prop_assert_eq!(bits(&a.coef), bits(&b.coef));
-        prop_assert_eq!(a.r2.to_bits(), b.r2.to_bits());
-        prop_assert_eq!(bits(&a.std_err), bits(&b.std_err));
-        prop_assert_eq!(bits(&a.t_stats), bits(&b.t_stats));
-        prop_assert_eq!(a.num_rows, b.num_rows);
-    }
-
-    /// NULL-bearing rows: the fit and the reference must both reject them
-    /// (the reference fails on the first NULL; the chunk path falls back and
-    /// reproduces it), and the built-in NULL-skipping aggregates must agree
-    /// bit for bit.
+    /// NULL-bearing rows: the built-in NULL-skipping aggregates agree with
+    /// the per-row reference bit for bit, and so does chunk-level predicate
+    /// evaluation.  (Estimators refusing NULL inputs is the conformance
+    /// kit's `rejects_empty_and_degenerate_input`.)
     #[test]
     fn null_rows_behave_identically(
         points in prop::collection::vec((-10.0..10.0f64, [-5.0..5.0f64, -5.0..5.0f64, -5.0..5.0f64]), 2..60),
@@ -190,10 +155,6 @@ proptest! {
     ) {
         let table = labeled_table(&points, Some(null_every), segments, chunk_capacity);
         let ds = Dataset::from_table(&table);
-
-        // Regression input with NULLs errors on both.
-        prop_assert!(LinearRegression::new("y", "x").fit(&ds).is_err());
-        prop_assert!(reference::aggregate(&ds, &LinearRegression::new("y", "x")).is_err());
 
         // SQL aggregates skip NULLs identically.
         let sum_c = ds.aggregate(&SumAggregate::new("y")).unwrap();
@@ -210,50 +171,6 @@ proptest! {
         let (count, stats) = filtered.aggregate_with_stats(&CountAggregate).unwrap();
         prop_assert_eq!(count, reference::aggregate(&filtered, &CountAggregate).unwrap());
         prop_assert_eq!(stats.rows_aggregated, count);
-    }
-
-    /// k-means: the fit over `chunk_capacity`-row chunks is the fit over the
-    /// same rows held one per chunk, where every seeding, Lloyd and inertia
-    /// kernel sees a single row — so no step's result depends on how many
-    /// rows a kernel batches.  (The Lloyd step's chunk kernel is held to its
-    /// per-row `transition` in `madlib-core`'s `cluster::kmeans` tests.)
-    #[test]
-    fn kmeans_chunk_path_is_bit_identical(
-        points in prop::collection::vec([-20.0..20.0f64, -20.0..20.0f64], 8..100),
-        k in 1usize..5,
-        segments in 1usize..5,
-        chunk_capacity in 1usize..30,
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(points.len() >= k);
-        let schema = madlib::methods::datasets::points_schema();
-        let mut table = Table::new(schema, segments)
-            .unwrap()
-            .with_chunk_capacity(chunk_capacity)
-            .unwrap();
-        for (i, p) in points.iter().enumerate() {
-            table.insert(row![i as i64, p.to_vec()]).unwrap();
-        }
-        let db = Database::new(segments).unwrap();
-        let fit = |table: &Table| {
-            Session::new(db.clone())
-                .train(
-                    &KMeans::new("coords", k)
-                        .unwrap()
-                        .with_seed(seed)
-                        .with_max_iterations(15),
-                    &Dataset::from_table(table),
-                )
-                .unwrap()
-        };
-        let a = fit(&table);
-        let b = fit(&one_row_per_chunk(&table));
-        prop_assert_eq!(a.iterations, b.iterations);
-        prop_assert_eq!(a.converged, b.converged);
-        for (ca, cb) in a.centroids.iter().zip(&b.centroids) {
-            prop_assert_eq!(bits(ca), bits(cb));
-        }
-        prop_assert_eq!(a.inertia.to_bits(), b.inertia.to_bits());
     }
 
     /// k-means, the whole fit against a reference kept here: the fit as it was
@@ -683,6 +600,7 @@ proptest! {
 
     /// Empty segments (more segments than rows, including entirely empty
     /// tables) must behave identically in the scan and the reference.
+    /// (Estimator fits over such tables are the conformance kit's.)
     #[test]
     fn empty_segments_behave_identically(
         rows in 0usize..4,
@@ -696,68 +614,6 @@ proptest! {
         let sum_c = ds.aggregate(&SumAggregate::new("y")).unwrap();
         let sum_r = reference::aggregate(&ds, &SumAggregate::new("y")).unwrap();
         prop_assert_eq!(sum_c.to_bits(), sum_r.to_bits());
-
-        let lin_c = LinearRegression::new("y", "x").fit(&ds);
-        let lin_r = reference::aggregate(&ds, &LinearRegression::new("y", "x"));
-        match (lin_c, lin_r) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(bits(&a.coef), bits(&b.coef)),
-            (Err(_), Err(_)) => {} // empty input errors on both paths
-            (a, b) => prop_assert!(false, "paths disagree: {:?} vs {:?}", a.is_ok(), b.is_ok()),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PR 5 ports: the Apriori support-counting aggregates gained transition_chunk
-// overrides over the flattened text[] buffers (held to their per-row
-// fallback in `madlib-core`'s `assoc::apriori` tests), and low-rank
-// factorization / LDA load their inputs through chunk-level column access
-// with a per-row fallback.  Chunk layout and segment count must not change
-// a mined model — including on NULL-bearing and empty-segment inputs — and
-// the fallback loading paths must agree with the fast paths.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    /// Apriori's two UDAs (level-1 item counts and level-k candidate
-    /// supports) mine the same model — itemsets, counts, rules — from chunks
-    /// of `chunk_capacity` rows as from one-row chunks, and NULL-bearing item
-    /// rows error on both.
-    #[test]
-    fn apriori_chunk_path_is_bit_identical(
-        baskets in prop::collection::vec(prop::collection::vec(0usize..8, 0..6), 0..50),
-        null_every_raw in 0usize..5,
-        segments in 1usize..6,
-        chunk_capacity in 1usize..16,
-    ) {
-        use madlib::methods::assoc::Apriori;
-
-        let null_every = (null_every_raw >= 2).then_some(null_every_raw);
-        let schema = Schema::new(vec![
-            Column::new("tid", ColumnType::Int),
-            Column::new("items", ColumnType::TextArray),
-        ]);
-        let mut table = Table::new(schema, segments)
-            .unwrap()
-            .with_chunk_capacity(chunk_capacity)
-            .unwrap();
-        for (i, basket) in baskets.iter().enumerate() {
-            let items = if null_every.is_some_and(|n| i % n == 0) {
-                Value::Null
-            } else {
-                Value::TextArray(basket.iter().map(|b| format!("item_{b}")).collect())
-            };
-            table.insert(Row::new(vec![Value::Int(i as i64), items])).unwrap();
-        }
-
-        let apriori = Apriori::new("items", 0.25, 0.5).unwrap().with_max_itemset_size(3);
-        let a = apriori.fit(&Dataset::from_table(&table));
-        let b = apriori.fit(&Dataset::from_table(&one_row_per_chunk(&table)));
-        match (a, b) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            // NULL-bearing items and empty inputs error under both layouts.
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "paths disagree: {:?} vs {:?}", a.is_ok(), b.is_ok()),
-        }
     }
 
     /// Apriori over mostly-empty tables: more segments than rows (empty
@@ -845,43 +701,6 @@ fn lowrank_loading_paths_agree() {
     assert!(estimator.fit(&Dataset::from_table(&nulls)).is_err());
 }
 
-/// LDA's corpus loader: NULL-bearing token rows are a typed error, and
-/// chunk-boundary layout (tiny chunk capacity) does not change the fitted
-/// model.
-#[test]
-fn lda_loading_is_layout_invariant_and_rejects_nulls() {
-    use madlib::methods::topic::Lda;
-
-    let schema = Schema::new(vec![
-        Column::new("doc", ColumnType::Int),
-        Column::new("tokens", ColumnType::TextArray),
-    ]);
-    let mut wide = Table::new(schema.clone(), 2).unwrap();
-    let mut narrow = Table::new(schema.clone(), 2)
-        .unwrap()
-        .with_chunk_capacity(1)
-        .unwrap();
-    for i in 0..20i64 {
-        let tokens: Vec<String> = (0..4).map(|t| format!("w{}", (i + t) % 6)).collect();
-        let row = Row::new(vec![Value::Int(i), Value::TextArray(tokens)]);
-        wide.insert(row.clone()).unwrap();
-        narrow.insert(row).unwrap();
-    }
-    let estimator = Lda::new("tokens", 2)
-        .unwrap()
-        .with_iterations(5)
-        .with_seed(2);
-    let a = estimator.fit(&Dataset::from_table(&wide)).unwrap();
-    let b = estimator.fit(&Dataset::from_table(&narrow)).unwrap();
-    assert_eq!(a, b, "chunk layout changed the fitted LDA model");
-
-    let mut nulls = Table::new(schema, 2).unwrap();
-    nulls
-        .insert(Row::new(vec![Value::Int(0), Value::Null]))
-        .unwrap();
-    assert!(estimator.fit(&Dataset::from_table(&nulls)).is_err());
-}
-
 // ---------------------------------------------------------------------------
 // Work stealing.  Aggregates steal whole segments: workers claim segments
 // from a shared cursor, each segment's chunks stream through one state, and
@@ -894,9 +713,8 @@ fn lda_loading_is_layout_invariant_and_rejects_nulls() {
 
 proptest! {
     /// Parallel ≡ serial execution, bit for bit, on arbitrary float data —
-    /// ungrouped aggregates, grouped aggregates, a full linear-regression
-    /// fit, and both iterative shapes: a capped logistic-regression fit on
-    /// labels from `grp % 2` and a `Random`-seeded k-means fit with `k ≤ 2`.
+    /// ungrouped and grouped aggregates.  (Every estimator's fits under the
+    /// two executors are the conformance kit's `parallel_equals_serial`.)
     #[test]
     fn parallel_equals_serial_bitwise(
         points in prop::collection::vec((0usize..5, -10.0..10.0f64, [-5.0..5.0f64, -5.0..5.0f64, -5.0..5.0f64]), 1..180),
@@ -907,7 +725,6 @@ proptest! {
             Column::new("grp", ColumnType::Int),
             Column::new("y", ColumnType::Double),
             Column::new("x", ColumnType::DoubleArray),
-            Column::new("label", ColumnType::Double),
         ]);
         let mut table = Table::new(schema, segments)
             .unwrap()
@@ -919,7 +736,6 @@ proptest! {
                     Value::Int(*key as i64),
                     Value::Double(*y),
                     Value::DoubleArray(x.to_vec()),
-                    Value::Double((key % 2) as f64),
                 ]))
                 .unwrap();
         }
@@ -947,39 +763,9 @@ proptest! {
             prop_assert_eq!(va.to_bits(), vb.to_bits());
         }
 
-        let fit = |exec: &Executor| {
-            LinearRegression::new("y", "x").fit(&dataset(&table, exec))
-        };
-        match (fit(&par), fit(&ser)) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(bits(&a.coef), bits(&b.coef));
-                prop_assert_eq!(a.r2.to_bits(), b.r2.to_bits());
-            }
-            (Err(_), Err(_)) => {} // singular tiny inputs fail on both
-            (a, b) => prop_assert!(false, "paths disagree: {:?} vs {:?}", a.is_ok(), b.is_ok()),
-        }
-
-        // Every number either iterative fit reports, as its `Debug` text.
-        let logregr = LogisticRegression::new("label", "x")
-            .with_tolerance(0.0)
-            .with_max_iterations(3);
-        let kmeans = KMeans::new("x", 1 + points.len() % 2)
-            .unwrap()
-            .with_seeding(SeedingMethod::Random)
-            .with_seed(points.len() as u64);
-        let fits = |exec: &Executor| {
-            [
-                logregr.fit(&dataset(&table, exec)).map(|m| format!("{m:?}")),
-                kmeans.fit(&dataset(&table, exec)).map(|m| format!("{m:?}")),
-            ]
-        };
-        for (a, b) in fits(&par).into_iter().zip(fits(&ser)) {
-            match (a, b) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                (Err(_), Err(_)) => {} // e.g. a singular Hessian fails on both
-                (a, b) => prop_assert!(false, "paths disagree: {:?} vs {:?}", a, b),
-            }
-        }
+        let scan = LinregrStateProbe(LinearRegression::new("y", "x"));
+        let states = |exec: &Executor| dataset(&table, exec).aggregate(&scan).unwrap();
+        prop_assert_eq!(states(&par), states(&ser));
     }
 
     /// The segment scan equals the per-row reference exactly — values, group
@@ -1055,148 +841,4 @@ proptest! {
         // except possibly the last chunk of each segment.
         prop_assert!(par.iter().all(|&len| len <= chunk_capacity));
     }
-}
-
-/// Every `Estimator` impl in the workspace rejects an empty dataset with a
-/// typed `MethodError` instead of panicking — the uniform calling convention
-/// must fail uniformly too.  Empty means an empty table, and also a
-/// non-empty table under a filter that selects no row (the table-level input
-/// check passes there, so the estimator's own check further in refuses it).
-/// (`Profiler` is the deliberate exception: a profile of zero rows is
-/// well-defined and reports zero counts, the same either way.)
-#[test]
-fn every_estimator_rejects_empty_datasets() {
-    use madlib::convex::objectives::LeastSquaresObjective as LsObjective;
-    use madlib::convex::IgdEstimator;
-    use madlib::methods::assoc::Apriori;
-    use madlib::methods::classify::{DecisionTree, LinearSvm, NaiveBayes};
-    use madlib::methods::factor::LowRankFactorization;
-    use madlib::methods::topic::Lda;
-    use madlib::sketch::Profiler;
-    use madlib::text::CrfEstimator;
-
-    /// Two tables over `columns` plus a `keep` bigint column: an empty one,
-    /// and one holding `row` with `keep = 0`, which `none_kept` filters out.
-    fn empty_inputs(mut columns: Vec<Column>, mut row: Vec<Value>) -> (Table, Table) {
-        columns.push(Column::new("keep", ColumnType::Int));
-        row.push(Value::Int(0));
-        let empty = Table::new(Schema::new(columns), 3).unwrap();
-        let mut filtered = empty.clone();
-        filtered.insert(Row::new(row)).unwrap();
-        (empty, filtered)
-    }
-    fn none_kept() -> Predicate {
-        Predicate::column_eq("keep", 1_i64)
-    }
-
-    fn assert_rejects_empty<E>(name: &str, estimator: &E, columns: Vec<Column>, row: Vec<Value>)
-    where
-        E: Estimator,
-    {
-        let (empty, filtered) = empty_inputs(columns, row);
-        let result = estimator.fit(&Dataset::from_table(&empty));
-        assert!(result.is_err(), "{name} accepted an empty table");
-        let dataset = Dataset::from_table(&filtered).filter(none_kept());
-        let result = estimator.fit(&dataset);
-        assert!(
-            result.is_err(),
-            "{name} accepted a filter that selects no row"
-        );
-    }
-
-    let labeled = || {
-        vec![
-            Column::new("y", ColumnType::Double),
-            Column::new("x", ColumnType::DoubleArray),
-        ]
-    };
-    let labeled_row = || vec![Value::Double(1.0), Value::DoubleArray(vec![1.0, 2.0])];
-    let classed = || {
-        vec![
-            Column::new("label", ColumnType::Text),
-            Column::new("x", ColumnType::DoubleArray),
-        ]
-    };
-    let classed_row = || vec![Value::Text("a".into()), Value::DoubleArray(vec![1.0, 2.0])];
-    let items = |name: &str| vec![Column::new(name, ColumnType::TextArray)];
-    let items_row = || vec![Value::TextArray(vec!["a".into(), "b".into()])];
-
-    assert_rejects_empty(
-        "linregr",
-        &LinearRegression::new("y", "x"),
-        labeled(),
-        labeled_row(),
-    );
-    assert_rejects_empty(
-        "logregr",
-        &madlib::methods::regress::LogisticRegression::new("y", "x"),
-        labeled(),
-        labeled_row(),
-    );
-    assert_rejects_empty(
-        "kmeans",
-        &KMeans::new("x", 2).unwrap(),
-        labeled(),
-        labeled_row(),
-    );
-    assert_rejects_empty(
-        "naive_bayes",
-        &NaiveBayes::new("label", "x"),
-        classed(),
-        classed_row(),
-    );
-    assert_rejects_empty(
-        "decision_tree",
-        &DecisionTree::new("label", "x"),
-        classed(),
-        classed_row(),
-    );
-    assert_rejects_empty("svm", &LinearSvm::new("y", "x"), labeled(), labeled_row());
-    assert_rejects_empty(
-        "igd",
-        &IgdEstimator::new(LsObjective::new("y", "x", 2)),
-        labeled(),
-        labeled_row(),
-    );
-    assert_rejects_empty(
-        "lowrank",
-        &LowRankFactorization::new("user_id", "item_id", "rating", 2).unwrap(),
-        vec![
-            Column::new("user_id", ColumnType::Int),
-            Column::new("item_id", ColumnType::Int),
-            Column::new("rating", ColumnType::Double),
-        ],
-        vec![Value::Int(0), Value::Int(0), Value::Double(1.0)],
-    );
-    assert_rejects_empty(
-        "lda",
-        &Lda::new("tokens", 2).unwrap(),
-        items("tokens"),
-        items_row(),
-    );
-    assert_rejects_empty(
-        "apriori",
-        &Apriori::new("items", 0.5, 0.5).unwrap(),
-        items("items"),
-        items_row(),
-    );
-    assert_rejects_empty(
-        "crf",
-        &CrfEstimator::new("observations", "labels", 2, 4),
-        vec![
-            Column::new("observations", ColumnType::IntArray),
-            Column::new("labels", ColumnType::IntArray),
-        ],
-        vec![Value::IntArray(vec![0, 1]), Value::IntArray(vec![0, 1])],
-    );
-
-    // The documented exception: profiling an empty dataset succeeds with
-    // zero counts (a profile is a description, not a fitted model), and a
-    // filter that selects no row profiles exactly as an empty table does.
-    let (empty, filtered) = empty_inputs(labeled(), labeled_row());
-    let profile = Profiler.fit(&Dataset::from_table(&empty)).unwrap();
-    assert_eq!(profile.row_count, 0);
-    let dataset = Dataset::from_table(&filtered).filter(none_kept());
-    let filtered_profile = Profiler.fit(&dataset).unwrap();
-    assert_eq!(format!("{filtered_profile:?}"), format!("{profile:?}"));
 }

@@ -24,6 +24,10 @@ use madlib::methods::train::incremental_view_name;
 use madlib::methods::Session;
 use proptest::prelude::*;
 
+mod common;
+
+use common::bits;
+
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 struct ScratchDir(PathBuf);
@@ -63,10 +67,6 @@ fn labeled_rows(range: std::ops::Range<i64>) -> Vec<Row> {
             row![y, vec![1.0, x1, x2]]
         })
         .collect()
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
 }
 
 fn train_coef_bits(db: &Database) -> Vec<u64> {

@@ -6,11 +6,13 @@
 //! `predict` loop, with parallel workers and on the calling thread, on every
 //! `MADLIB_SIMD` tier (CI re-runs this suite with `MADLIB_SIMD=off
 //! MADLIB_THREADS=1`), over NULL-bearing and empty chunks, and filtered
-//! scans.  Grouped (catalog-routed) scoring promises bit-identity to
-//! filtering each group out and scoring it with its own model, including
-//! composite NULL/NaN/`-0.0` keys.  These tests enforce both promises over
-//! randomized data, plus the catalog's typed error surface and the k-NN
-//! terminal's tie determinism.
+//! scans.  Every trained predictor against its per-row plan, ungrouped and
+//! routed per group, is the conformance kit's `score_equals_per_row_predict`
+//! (`tests/conformance.rs`); these tests hold the serving terminals
+//! themselves to it — any coefficients, routing against filter-then-score,
+//! compacted batches, the `FeatureScorer` fallback shapes, the
+//! prediction-count check, `score_into` — plus the catalog's typed error
+//! surface and the k-NN terminal's tie determinism.
 
 use madlib::engine::aggregate::CountAggregate;
 use madlib::engine::expr::Predicate;
@@ -18,9 +20,8 @@ use madlib::engine::{
     reference, Column, ColumnType, Database, Dataset, EngineError, Executor, GroupKey,
     GroupedModels, Row, RowChunk, Schema, Scorer, Similarity, Table, Value,
 };
-use madlib::methods::classify::{DecisionTree, NaiveBayes, SvmModel};
 use madlib::methods::cluster::KMeansModel;
-use madlib::methods::regress::{LinearRegressionModel, LogisticRegressionModel};
+use madlib::methods::regress::LinearRegressionModel;
 use madlib::methods::{FeatureScorer, Predictor, Session};
 use proptest::prelude::*;
 
@@ -50,39 +51,6 @@ fn linregr_model(coef: Vec<f64>) -> LinearRegressionModel {
         p_values: Vec::new(),
         condition_no: 0.0,
         num_rows: 0,
-    }
-}
-
-fn logregr_model(coef: Vec<f64>) -> LogisticRegressionModel {
-    LogisticRegressionModel {
-        coef,
-        std_err: Vec::new(),
-        z_stats: Vec::new(),
-        p_values: Vec::new(),
-        log_likelihood: 0.0,
-        num_iterations: 0,
-        converged: true,
-        num_rows: 0,
-    }
-}
-
-fn svm_model(weights: Vec<f64>) -> SvmModel {
-    SvmModel {
-        weights,
-        lambda: 1e-3,
-        epochs: 0,
-        final_objective: 0.0,
-        num_rows: 0,
-    }
-}
-
-fn kmeans_model(centroids: Vec<Vec<f64>>) -> KMeansModel {
-    KMeansModel {
-        centroids,
-        inertia: 0.0,
-        iterations: 0,
-        converged: true,
-        num_points: 0,
     }
 }
 
@@ -175,9 +143,10 @@ fn brute_force_top_k(
 }
 
 proptest! {
-    /// `Dataset::score` ≡ per-row predict, bit for bit: linear regression's
-    /// `batch_dot` override, under both executors, ragged segment
-    /// layouts, tiny chunks, NULL-bearing rows and filters.
+    /// `Dataset::score` ≡ per-row predict, bit for bit, for any coefficients
+    /// (not only fitted ones): linear regression's `batch_dot` override,
+    /// under both executors, ragged segment layouts, tiny chunks,
+    /// NULL-bearing rows and filters.
     #[test]
     fn score_matches_per_row_predict(
         points in prop::collection::vec(
@@ -193,20 +162,20 @@ proptest! {
         let null_every = (null_every_raw > 0).then_some(null_every_raw);
         let table = feature_table(&points, null_every, segments, chunk_capacity);
         let model = linregr_model(coef);
-        let scorer = FeatureScorer::new(&model, "x");
         for executor in both_executors() {
             let mut dataset = Dataset::from_table(&table).with_executor(executor);
             if with_filter {
                 dataset = dataset.filter(Predicate::column_gt("y", 0.0));
             }
-            let scored = dataset.score(&scorer).unwrap();
-            let reference = per_row_reference(&dataset, &model);
-            assert_predictions_eq(&scored, &reference, "linregr");
+            let scored = dataset.score(&FeatureScorer::new(&model, "x")).unwrap();
+            assert_predictions_eq(&scored, &per_row_reference(&dataset, &model), "linregr");
         }
     }
 
-    /// Grouped catalog-routed scoring ≡ filter-then-predict per group, with
-    /// double group keys exercising the NULL/NaN/`-0.0` corners.
+    /// Catalog-routed scoring ≡ filtering each group out with
+    /// `Predicate::column_is_key` and scoring it with its own model: the
+    /// predictions land at the group's rows with the same bits, over a
+    /// double key whose NULL, NaN, `-0.0` and `0.0` are each their own group.
     #[test]
     fn grouped_scoring_matches_filtered_runs(
         points in prop::collection::vec(
@@ -216,75 +185,46 @@ proptest! {
         segments in 1usize..4,
         chunk_capacity in prop_oneof![Just(4usize), Just(16usize), Just(1024usize)],
     ) {
-        // Key space includes NULL, NaN, -0.0 and 0.0 — all distinct groups.
-        let keys = [
-            Value::Null,
-            Value::Double(f64::NAN),
-            Value::Double(-0.0),
-            Value::Double(0.0),
-            Value::Double(1.5),
-        ];
+        let keys = [f64::NAN, -0.0, 0.0, 1.5].map(Value::Double);
+        let keys: Vec<Value> = std::iter::once(Value::Null).chain(keys).collect();
         let schema = Schema::new(vec![
             Column::new("k", ColumnType::Double),
             Column::new("x", ColumnType::DoubleArray),
         ]);
+        let rows = points.iter().map(|(key, x)| {
+            Row::new(vec![keys[*key].clone(), Value::DoubleArray(x.clone())])
+        });
         let mut table = Table::new(schema, segments)
             .unwrap()
             .with_chunk_capacity(chunk_capacity)
             .unwrap();
-        for (key_idx, x) in &points {
-            table
-                .insert(Row::new(vec![
-                    keys[*key_idx].clone(),
-                    Value::DoubleArray(x.clone()),
-                ]))
-                .unwrap();
-        }
+        table.insert_all(rows).unwrap();
         // One distinct linregr model per possible key.
-        let registry: Vec<(GroupKey, LinearRegressionModel)> = keys
-            .iter()
-            .enumerate()
+        let registry: Vec<(GroupKey, LinearRegressionModel)> = (keys.iter().enumerate())
             .map(|(i, key)| {
                 let coef = vec![1.0 + i as f64, -0.5 * i as f64];
                 (GroupKey::from_value(key), linregr_model(coef))
             })
             .collect();
-        let scorers = GroupedModels::new(
-            registry
-                .iter()
-                .map(|(key, model)| (key.clone(), FeatureScorer::new(model, "x")))
-                .collect(),
-        )
-        .unwrap();
+        let scorers = registry
+            .iter()
+            .map(|(key, model)| (key.clone(), FeatureScorer::new(model, "x")));
+        let scorers = GroupedModels::new(scorers.collect()).unwrap();
         for executor in both_executors() {
-            let grouped = Dataset::from_table(&table)
-                .with_executor(executor)
-                .group_by(["k"]);
-            let scored = grouped.score_per_group("per_key", &scorers).unwrap();
+            let dataset = Dataset::from_table(&table).with_executor(executor);
+            let routed = dataset.reborrow().group_by(["k"]);
+            let scored = routed.score_per_group("per_key", &scorers).unwrap();
             prop_assert_eq!(scored.len(), points.len());
-            // The naive plan: per group, filter the rows down and score them
-            // with that group's model alone; predictions must land at the
-            // same positions with the same bits.
-            let row_keys: Vec<GroupKey> = Dataset::from_table(&table)
-                .with_executor(executor)
-                .map_rows(|row, _| Ok(GroupKey::from_value(row.get(0))))
-                .unwrap();
+            let row_keys = dataset.map_rows(|row, _| Ok(GroupKey::from_value(row.get(0))));
+            let row_keys = row_keys.unwrap();
             for (key, model) in &registry {
-                let filtered = Dataset::from_table(&table)
-                    .with_executor(executor)
-                    .filter(Predicate::column_is_key("k", key.clone()))
-                    .score(&FeatureScorer::new(model, "x"))
-                    .unwrap();
-                let positions: Vec<usize> = row_keys
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, k)| *k == key)
-                    .map(|(i, _)| i)
+                let alone = dataset.reborrow().filter(Predicate::column_is_key("k", key.clone()));
+                let alone = alone.score(&FeatureScorer::new(model, "x")).unwrap();
+                let routed: Vec<Value> = (row_keys.iter().zip(&scored))
+                    .filter(|(k, _)| *k == key)
+                    .map(|(_, value)| value.clone())
                     .collect();
-                prop_assert_eq!(filtered.len(), positions.len());
-                let routed: Vec<Value> =
-                    positions.iter().map(|&i| scored[i].clone()).collect();
-                assert_predictions_eq(&routed, &filtered, "grouped routing");
+                assert_predictions_eq(&routed, &alone, "grouped routing");
             }
         }
     }
@@ -340,82 +280,6 @@ proptest! {
             }
         }
     }
-}
-
-/// Every model family's vectorized path agrees with its per-row predict —
-/// the dot-product family on `batch_dot`, k-means on `batch_closest_column`,
-/// tree and Bayes through the per-row default — on a NULL-bearing, filtered,
-/// multi-segment table under both executors.
-#[test]
-fn all_model_families_score_bit_identically() {
-    let points: Vec<(f64, Vec<f64>)> = (0..257)
-        .map(|i| {
-            let t = i as f64;
-            (
-                t - 128.0,
-                vec![1.0, (t * 0.37) % 5.0 - 2.5, (t * 0.11) % 3.0, t % 7.0 - 3.0],
-            )
-        })
-        .collect();
-    let table = feature_table(&points, Some(9), 3, 16);
-
-    let linregr = linregr_model(vec![0.5, -1.25, 2.0, 0.125]);
-    let logregr = logregr_model(vec![-0.25, 1.0, -0.75, 0.5]);
-    let svm = svm_model(vec![0.0625, -0.5, 1.5, -1.0]);
-    let kmeans = kmeans_model(vec![
-        vec![1.0, 0.0, 0.0, 0.0],
-        vec![1.0, -2.0, 1.0, 2.0],
-        vec![1.0, 2.0, 2.0, -2.0],
-    ]);
-
-    // Trained models for the per-row-only families.
-    let labeled_schema = Schema::new(vec![
-        Column::new("label", ColumnType::Text),
-        Column::new("x", ColumnType::DoubleArray),
-    ]);
-    let mut labeled = Table::new(labeled_schema, 2).unwrap();
-    for (y, x) in &points {
-        let label = if *y > 0.0 { "pos" } else { "neg" };
-        labeled
-            .insert(Row::new(vec![
-                Value::Text(label.to_owned()),
-                Value::DoubleArray(x.clone()),
-            ]))
-            .unwrap();
-    }
-    let session = Session::new(Database::new(2).unwrap());
-    let labeled_ds = Dataset::from_table(&labeled);
-    let tree = session
-        .train(
-            &DecisionTree::new("label", "x").with_max_depth(4),
-            &labeled_ds,
-        )
-        .unwrap();
-    let bayes = session
-        .train(&NaiveBayes::new("label", "x"), &labeled_ds)
-        .unwrap();
-
-    fn check<P: Predictor>(table: &Table, model: &P, context: &str) {
-        let scorer = FeatureScorer::new(model, "x");
-        for executor in both_executors() {
-            for filtered in [false, true] {
-                let mut dataset = Dataset::from_table(table).with_executor(executor);
-                if filtered {
-                    dataset = dataset.filter(Predicate::column_gt("y", -30.0));
-                }
-                let scored = dataset.score(&scorer).unwrap();
-                let reference = per_row_reference(&dataset, model);
-                assert_predictions_eq(&scored, &reference, context);
-            }
-        }
-    }
-
-    check(&table, &linregr, "linregr");
-    check(&table, &logregr, "logregr");
-    check(&table, &svm, "svm");
-    check(&table, &kmeans, "kmeans");
-    check(&table, &tree, "decision tree");
-    check(&table, &bayes, "naive bayes");
 }
 
 /// The row reductions under `score` and `top_k_by_score` read a batch as
