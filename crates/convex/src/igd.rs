@@ -60,7 +60,7 @@ pub struct IgdSummary {
 /// Propagates row-loss evaluation errors; a dataset that selects no row is
 /// [`MethodError::InvalidInput`].
 fn objective_value<O: ConvexObjective>(
-    dataset: &Dataset<'_>,
+    dataset: &Dataset,
     objective: &O,
     model: &[f64],
 ) -> Result<f64> {
@@ -135,7 +135,7 @@ impl<O: ConvexObjective> Iterative for IgdEstimator<O> {
     /// [`MethodError::InvalidInput`] when the estimator's initial model's
     /// length is not the objective's dimension or the dataset selects no
     /// row.
-    fn initial(&self, dataset: &Dataset<'_>, warm: Option<&IgdSummary>) -> Result<(f64, Vec<f64>)> {
+    fn initial(&self, dataset: &Dataset, warm: Option<&IgdSummary>) -> Result<(f64, Vec<f64>)> {
         let dimension = self.objective.dimension();
         let model = warm
             .map(|warm| &warm.model)
@@ -173,7 +173,7 @@ impl<O: ConvexObjective> Iterative for IgdEstimator<O> {
 
     fn model(
         &self,
-        dataset: &Dataset<'_>,
+        dataset: &Dataset,
         initial_objective_value: f64,
         outcome: Iterated<Vec<f64>>,
     ) -> Result<IgdSummary> {

@@ -3,17 +3,25 @@
 //!
 //! Both objectives expect labels encoded as ±1 in the label column (0/1
 //! labels are remapped on the fly), matching the `Σ log(1 + exp(−y xᵀw))`
-//! and `Σ (1 − y xᵀw)₊` forms printed in the paper's Table 2.
+//! and `Σ (1 − y xᵀw)₊` forms printed in the paper's Table 2.  Any other
+//! label, NaN included, is refused with
+//! [`EngineError::InvalidArgument`](madlib_engine::EngineError), as
+//! `LinearSvm` refuses it.
 
 use crate::objective::{sgd_epoch_chunk_by_rows, ConvexObjective};
 use crate::objectives::regression;
-use madlib_engine::{Result, Row, RowChunk, Schema};
+use madlib_engine::{EngineError, Result, Row, RowChunk, Schema};
 
-fn signed_label(raw: f64) -> f64 {
-    if raw == 0.0 {
-        -1.0
+/// The ±1 form of a label: 1 and −1 as they are, 0 as −1; anything else is
+/// an error.
+fn signed_label(raw: f64) -> Result<f64> {
+    if raw == 1.0 {
+        Ok(1.0)
+    } else if raw == 0.0 || raw == -1.0 {
+        Ok(-1.0)
     } else {
-        raw.signum()
+        let message = format!("classification labels must be -1, 0 or 1, found {raw}");
+        Err(EngineError::invalid(message))
     }
 }
 
@@ -25,7 +33,7 @@ fn labeled_point<'a>(
     model: &[f64],
 ) -> Result<(f64, &'a [f64])> {
     let (y, x) = regression::labeled_point(row, schema, y_column, x_column, model)?;
-    Ok((signed_label(y), x))
+    Ok((signed_label(y)?, x))
 }
 
 /// Logistic-loss objective `Σ log(1 + exp(−y ⟨w, x⟩))`.
@@ -109,7 +117,7 @@ impl ConvexObjective for LogisticObjective {
         }
         let width = model.len();
         for (point, &raw) in x.flat_values().chunks_exact(width).zip(y.values) {
-            let yv = signed_label(raw);
+            let yv = signed_label(raw)?;
             let mut dot = 0.0;
             for (xi, wi) in point.iter().zip(model.iter()) {
                 dot += xi * wi;
@@ -227,7 +235,7 @@ mod tests {
         let mut correct = 0usize;
         let mut total = 0usize;
         for r in table.iter() {
-            let y = signed_label(r.get(0).as_double().unwrap());
+            let y = signed_label(r.get(0).as_double().unwrap()).unwrap();
             let x = r.get(1).as_double_array().unwrap();
             let score: f64 = x.iter().zip(model).map(|(a, b)| a * b).sum();
             if score.signum() == y {
@@ -302,9 +310,36 @@ mod tests {
 
     #[test]
     fn label_remapping() {
-        assert_eq!(signed_label(0.0), -1.0);
-        assert_eq!(signed_label(1.0), 1.0);
-        assert_eq!(signed_label(-1.0), -1.0);
-        assert_eq!(signed_label(5.0), 1.0);
+        assert_eq!(signed_label(0.0).unwrap(), -1.0);
+        assert_eq!(signed_label(1.0).unwrap(), 1.0);
+        assert_eq!(signed_label(-1.0).unwrap(), -1.0);
+        assert!(matches!(
+            signed_label(5.0),
+            Err(EngineError::InvalidArgument { .. })
+        ));
+    }
+
+    /// A label other than −1, 0 or 1 fails the fit under either executor,
+    /// instead of being read as its sign (or, NaN, poisoning the model).
+    /// `tests/chunk_equivalence.rs` holds the chunk path to the row path's
+    /// refusal.
+    #[test]
+    fn labels_outside_minus_one_zero_one_are_refused() {
+        use madlib_engine::Executor;
+        for bad in [0.3, 2.0, -7.0, f64::NAN] {
+            let mut t = Table::new(separable_table(1).schema().clone(), 2).unwrap();
+            for i in 0..40 {
+                let y = (i % 2) as f64;
+                t.insert(row![y, vec![1.0, y - 0.5]]).unwrap();
+            }
+            t.insert(row![bad, vec![1.0, 0.5]]).unwrap();
+            for executor in [Executor::new(), Executor::serial()] {
+                let dataset = Dataset::from_table(&t).with_executor(executor);
+                let logistic = IgdEstimator::new(LogisticObjective::new("y", "x", 2));
+                let hinge = IgdEstimator::new(SvmHingeObjective::new("y", "x", 2, 1e-3));
+                assert!(logistic.fit(&dataset).is_err(), "label {bad}");
+                assert!(hinge.fit(&dataset).is_err(), "label {bad}");
+            }
+        }
     }
 }

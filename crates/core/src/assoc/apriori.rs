@@ -199,7 +199,7 @@ impl Estimator for Apriori {
     /// transaction total), each further level counts the support of the
     /// generated candidates.  Every pass honours the dataset's filter and
     /// executor.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<AprioriModel> {
+    fn fit(&self, dataset: &Dataset) -> Result<AprioriModel> {
         let (item_counts, n) = dataset
             .aggregate(&ItemCountsAggregate {
                 items_column: &self.items_column,

@@ -166,7 +166,7 @@ impl Estimator for DecisionTree {
     type Model = DecisionTreeModel;
 
     /// Fits the tree over the dataset's (filtered) rows.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<DecisionTreeModel> {
+    fn fit(&self, dataset: &Dataset) -> Result<DecisionTreeModel> {
         // Materialize (label, features) pairs via the chunk-level projection:
         // whole-column reads per chunk instead of one row materialization per
         // training point (partially selected chunks arrive compacted).

@@ -115,7 +115,7 @@ impl Estimator for LinearSvm {
     /// [`MethodError::InvalidInput`] for a dataset that selects no row,
     /// ragged feature vectors, or a label other than −1, 0 or 1 (NaN
     /// included); engine errors from the scan.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<SvmModel> {
+    fn fit(&self, dataset: &Dataset) -> Result<SvmModel> {
         let label_col = self.label_column.clone();
         let feat_col = self.features_column.clone();
         let rows: Vec<(f64, Vec<f64>)> = dataset

@@ -182,7 +182,7 @@ impl Iterative for KMeans {
     /// (an error when they are not), else the seeding's.
     fn initial(
         &self,
-        dataset: &Dataset<'_>,
+        dataset: &Dataset,
         warm: Option<&KMeansModel>,
     ) -> Result<((usize, usize), Self::State)> {
         let points = TablePoints::open(dataset, &self.coords_column, self.k)?;
@@ -230,7 +230,7 @@ impl Iterative for KMeans {
     /// serially in scan order.
     fn model(
         &self,
-        dataset: &Dataset<'_>,
+        dataset: &Dataset,
         (len, dims): (usize, usize),
         outcome: Iterated<Self::State>,
     ) -> Result<KMeansModel> {
@@ -262,7 +262,7 @@ crate::iterative_estimator!(KMeans);
 /// The dataset's (filtered) points as the fit reads them: in place, a chunk at
 /// a time, through the batched kernels.
 struct TablePoints<'a> {
-    dataset: &'a Dataset<'a>,
+    dataset: &'a Dataset,
     column: &'a str,
     len: usize,
     dims: usize,
@@ -278,7 +278,7 @@ impl<'a> TablePoints<'a> {
     /// fewer than `k` points [`MethodError::InvalidParameter`], points of
     /// differing widths or of no width [`MethodError::InvalidInput`] —
     /// checked in that order.
-    fn open(dataset: &'a Dataset<'a>, column: &'a str, k: usize) -> Result<Self> {
+    fn open(dataset: &'a Dataset, column: &'a str, k: usize) -> Result<Self> {
         let shapes: Vec<(usize, Option<usize>)> = dataset.map_chunks(|chunk, schema| {
             let points = chunk_points(chunk, schema, column)?;
             Ok(vec![(chunk.len(), points.uniform_width())])

@@ -184,7 +184,7 @@ impl Estimator for LowRankFactorization {
     /// Fits the factorization over the dataset's (filtered) ratings rows.
     /// The triple-loading pass rides the chunked scan pipeline; the SGD
     /// epochs run in-core, seeded, over the collected triples in scan order.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<LowRankModel> {
+    fn fit(&self, dataset: &Dataset) -> Result<LowRankModel> {
         let triples: Vec<(usize, usize, f64)> = dataset
             .map_chunks(|chunk, schema| self.chunk_triples(chunk, schema))
             .map_err(MethodError::from)?;

@@ -397,7 +397,7 @@ mod tests {
     use crate::train::Estimator;
     use madlib_engine::{row, Dataset, Table, Value};
 
-    /// Uniform-signature fit over a borrowed table (tests only need the
+    /// Uniform-signature fit over a table snapshot (tests only need the
     /// default executor; the session's database is unused by single-pass
     /// aggregates).
     fn fit(estimator: &LinearRegression, table: &Table) -> Result<LinearRegressionModel> {

@@ -360,7 +360,7 @@ impl Iterative for LogisticRegression {
     /// it), else zeros.
     fn initial(
         &self,
-        dataset: &Dataset<'_>,
+        dataset: &Dataset,
         warm: Option<&LogisticRegressionModel>,
     ) -> Result<((), Vec<f64>)> {
         let first = dataset
@@ -417,7 +417,7 @@ impl Iterative for LogisticRegression {
 
     fn model(
         &self,
-        dataset: &Dataset<'_>,
+        dataset: &Dataset,
         _: (),
         outcome: Iterated<Vec<f64>>,
     ) -> Result<LogisticRegressionModel> {

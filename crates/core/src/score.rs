@@ -395,7 +395,7 @@ impl Session {
     /// mismatches) and propagates scan/predict errors.
     pub fn score<M>(
         &self,
-        dataset: &Dataset<'_>,
+        dataset: &Dataset,
         model_name: &str,
         features_column: &str,
     ) -> Result<Vec<Value>>
@@ -403,7 +403,7 @@ impl Session {
         M: Predictor + Any + Send + Sync,
     {
         let models = self.database().models();
-        let bound = dataset.reborrow().with_default_executor(*self.executor());
+        let bound = dataset.clone().with_default_executor(*self.executor());
         if dataset.is_grouped() {
             let scorers = models
                 .get_grouped::<M>(model_name)?

@@ -167,7 +167,7 @@ impl Estimator for Lda {
     /// `text[]` token sequences.  The corpus-loading pass rides the chunked
     /// scan pipeline; the seeded Gibbs sweeps run in-core over the collected
     /// documents in scan order.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<LdaModel> {
+    fn fit(&self, dataset: &Dataset) -> Result<LdaModel> {
         let documents: Vec<Vec<String>> = dataset
             .map_chunks(|chunk, schema| self.chunk_documents(chunk, schema))
             .map_err(MethodError::from)?;

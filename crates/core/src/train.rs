@@ -83,11 +83,13 @@ pub use madlib_engine::group::GroupedModels;
 /// incremental training catalogs.
 ///
 /// A session is cheap to clone ([`Database`] is a shared handle and
-/// [`Executor`] is `Copy`).  [`Session::train`] / [`Session::train_grouped`]
-/// supply the session's executor as the dataset's *default*: a dataset that
-/// never called [`Dataset::with_executor`] runs under the session's
-/// executor, while an explicitly bound one keeps its own (so a comparison
-/// can pin either side).
+/// [`Executor`] is `Copy`).
+///
+/// Executor precedence: an executor bound with [`Dataset::with_executor`]
+/// wins over the session's, which wins over the parallel default
+/// ([`Executor::new`]).  [`Session::train`], [`Session::train_grouped`] and
+/// [`Session::score`] apply the session's executor with
+/// [`Dataset::with_default_executor`], so a comparison can pin either side.
 #[derive(Debug, Clone)]
 pub struct Session {
     executor: Executor,
@@ -138,7 +140,7 @@ impl Session {
     ///
     /// # Errors
     /// Returns an error for an unknown table name.
-    pub fn dataset(&self, name: &str) -> Result<Dataset<'static>> {
+    pub fn dataset(&self, name: &str) -> Result<Dataset> {
         Ok(self.database.dataset(name)?.with_executor(self.executor))
     }
 
@@ -147,13 +149,13 @@ impl Session {
     /// # Errors
     /// Propagates estimator errors; errors when the dataset has grouping
     /// columns (use [`Session::train_grouped`]).
-    pub fn train<E: Estimator>(&self, estimator: &E, dataset: &Dataset<'_>) -> Result<E::Model> {
+    pub fn train<E: Estimator>(&self, estimator: &E, dataset: &Dataset) -> Result<E::Model> {
         if dataset.is_grouped() {
             return Err(MethodError::invalid_input(
                 "dataset has grouping columns; use Session::train_grouped",
             ));
         }
-        estimator.fit(&dataset.reborrow().with_default_executor(self.executor))
+        estimator.fit(&dataset.clone().with_default_executor(self.executor))
     }
 
     /// Trains one model per distinct group key of a `group_by` dataset —
@@ -172,7 +174,7 @@ impl Session {
     pub fn train_grouped<E>(
         &self,
         estimator: &E,
-        dataset: &Dataset<'_>,
+        dataset: &Dataset,
     ) -> Result<GroupedModels<E::Model>>
     where
         E: Estimator + Sync,
@@ -183,7 +185,7 @@ impl Session {
                 "dataset has no grouping columns; call group_by([...]) or use Session::train",
             ));
         }
-        estimator.fit_grouped(&dataset.reborrow().with_default_executor(self.executor))
+        estimator.fit_grouped(&dataset.clone().with_default_executor(self.executor))
     }
 
     /// Trains a model over the whole catalog table `table`, registers it in
@@ -247,7 +249,7 @@ pub trait Estimator {
     ///
     /// # Errors
     /// Surfaces malformed input and numerical failures as [`MethodError`].
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<Self::Model>;
+    fn fit(&self, dataset: &Dataset) -> Result<Self::Model>;
 
     /// Fits one model per distinct group key of a grouped dataset.
     ///
@@ -266,13 +268,13 @@ pub trait Estimator {
     /// Propagates per-group fit errors and grouping errors (an empty,
     /// unknown or duplicated grouping column); a panicking per-group fit
     /// surfaces as [`madlib_engine::EngineError::WorkerPanicked`].
-    fn fit_grouped(&self, dataset: &Dataset<'_>) -> Result<GroupedModels<Self::Model>>
+    fn fit_grouped(&self, dataset: &Dataset) -> Result<GroupedModels<Self::Model>>
     where
         Self: Sized + Sync,
         Self::Model: Send,
     {
         let groups = dataset.gather_groups()?;
-        let executor = *dataset.executor();
+        let executor = dataset.executor();
         let fitted =
             madlib_engine::scan::run_per_item(groups, executor.is_parallel(), |_, (key, table)| {
                 let group_dataset = Dataset::from_table(&table).with_executor(executor);
@@ -307,14 +309,14 @@ impl<T: SinglePass> Estimator for T {
     type Model = <T::Aggregate as Aggregate>::Output;
 
     /// One aggregate pass over the dataset's (filtered) rows.
-    fn fit(&self, dataset: &Dataset<'_>) -> Result<Self::Model> {
+    fn fit(&self, dataset: &Dataset) -> Result<Self::Model> {
         Ok(dataset.aggregate(&self.aggregate(dataset.schema()))?)
     }
 
     /// One segment-parallel [`Dataset::aggregate_per_group`] pass trains
     /// every group's model at once (the paper's "one regression per group in
     /// a single scan").
-    fn fit_grouped(&self, dataset: &Dataset<'_>) -> Result<GroupedModels<Self::Model>> {
+    fn fit_grouped(&self, dataset: &Dataset) -> Result<GroupedModels<Self::Model>> {
         let models = dataset.aggregate_per_group(&self.aggregate(dataset.schema()))?;
         Ok(GroupedModels::new(models)?)
     }
@@ -482,7 +484,7 @@ pub trait Iterative {
     /// whose shape does not fit the data.
     fn initial(
         &self,
-        dataset: &Dataset<'_>,
+        dataset: &Dataset,
         warm: Option<&Self::Model>,
     ) -> Result<(Self::Context, Self::State)>;
 
@@ -513,7 +515,7 @@ pub trait Iterative {
     /// Numerical failures and non-finite results.
     fn model(
         &self,
-        dataset: &Dataset<'_>,
+        dataset: &Dataset,
         context: Self::Context,
         outcome: Iterated<Self::State>,
     ) -> Result<Self::Model>;
@@ -527,7 +529,7 @@ pub trait Iterative {
 /// The first error of an opening, step or final pass.
 pub fn fit_iterative<I: Iterative>(
     estimator: &I,
-    dataset: &Dataset<'_>,
+    dataset: &Dataset,
     warm: Option<&I::Model>,
 ) -> Result<I::Model> {
     let (context, initial) = estimator.initial(dataset, warm)?;
@@ -556,7 +558,7 @@ macro_rules! iterative_estimator {
         impl<$($generics)*> $crate::train::Estimator for $estimator {
             type Model = <Self as $crate::train::Iterative>::Model;
 
-            fn fit(&self, dataset: &::madlib_engine::Dataset<'_>) -> $crate::Result<Self::Model> {
+            fn fit(&self, dataset: &::madlib_engine::Dataset) -> $crate::Result<Self::Model> {
                 $crate::train::fit_iterative(self, dataset, None)
             }
         }
@@ -729,7 +731,7 @@ mod tests {
     struct Probe;
     impl Estimator for Probe {
         type Model = bool;
-        fn fit(&self, dataset: &Dataset<'_>) -> Result<bool> {
+        fn fit(&self, dataset: &Dataset) -> Result<bool> {
             Ok(dataset.executor().is_parallel())
         }
     }

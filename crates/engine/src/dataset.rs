@@ -7,7 +7,9 @@
 //! *per group*.  [`Dataset`] is the Rust shape of the first half of that
 //! convention: a description of *which rows* a computation runs over —
 //! a source table, an optional predicate (the `WHERE` clause) and optional
-//! grouping columns (`grouping_cols`) — built lazily:
+//! grouping columns (`grouping_cols`) — built lazily.  A dataset owns a
+//! snapshot of its table (a clone that shares every chunk buffer), so rows
+//! appended to the source after it was opened never reach its scans:
 //!
 //! ```
 //! # use madlib_engine::{Database, Column, ColumnType, Schema, Value, row};
@@ -68,7 +70,6 @@ use crate::scan;
 use crate::schema::Schema;
 use crate::table::{Distribution, Table};
 use madlib_linalg::kernels;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,42 +78,31 @@ use std::time::Instant;
 /// row predicate and optional grouping columns, bound to the [`Executor`]
 /// that will run it.
 ///
-/// The table is held as a [`Cow`], so a dataset either borrows an existing
-/// [`Table`] ([`Dataset::from_table`] — zero-copy) or owns a catalog
-/// snapshot ([`Database::dataset`]).
+/// A dataset owns a snapshot of its table: [`Dataset::from_table`] clones
+/// the table, which shares every chunk buffer and costs one pointer per
+/// segment, so appends to (or a truncation or drop of) the source after
+/// that never change what the dataset scans.
 #[derive(Debug, Clone)]
-pub struct Dataset<'a> {
-    table: Cow<'a, Table>,
+pub struct Dataset {
+    table: Table,
     filter: Option<Predicate>,
     group_columns: Vec<String>,
-    executor: Executor,
-    /// Whether [`Dataset::with_executor`] was called: an explicitly bound
-    /// executor wins over a training session's default (see
-    /// `Session::train`), while the implicit default is freely replaceable.
-    executor_bound: bool,
+    /// The executor bound with [`Dataset::with_executor`] or
+    /// [`Dataset::with_default_executor`]; `None` runs under
+    /// [`Executor::new`].
+    executor: Option<Executor>,
 }
 
-impl<'a> Dataset<'a> {
-    /// Creates a dataset borrowing `table`, with no filter or grouping,
-    /// bound to the default parallel chunk-at-a-time executor.
-    pub fn from_table(table: &'a Table) -> Dataset<'a> {
+impl Dataset {
+    /// Creates a dataset over a snapshot of `table`, with no filter or
+    /// grouping and no executor bound (so it runs under the default
+    /// parallel chunk-at-a-time executor).
+    pub fn from_table(table: &Table) -> Dataset {
         Dataset {
-            table: Cow::Borrowed(table),
+            table: table.clone(),
             filter: None,
             group_columns: Vec::new(),
-            executor: Executor::new(),
-            executor_bound: false,
-        }
-    }
-
-    /// Creates a dataset that owns its table.
-    pub fn from_owned_table(table: Table) -> Dataset<'static> {
-        Dataset {
-            table: Cow::Owned(table),
-            filter: None,
-            group_columns: Vec::new(),
-            executor: Executor::new(),
-            executor_bound: false,
+            executor: None,
         }
     }
 
@@ -145,43 +135,34 @@ impl<'a> Dataset<'a> {
         self
     }
 
-    /// Binds the dataset to a specific executor (parallel or serial).
-    /// An executor bound here sticks: a training session will run this
-    /// dataset under it instead of the session's own executor.
+    /// Binds the dataset to a specific executor (parallel or serial),
+    /// replacing any bound before.  An executor bound here sticks: a
+    /// training session runs this dataset under it instead of its own.
     #[must_use]
     pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
-        self.executor_bound = true;
+        self.executor = Some(executor);
         self
     }
 
-    /// Binds `executor` only if none was explicitly bound yet — how a
-    /// training session applies its default without overriding an explicit
-    /// [`Dataset::with_executor`] choice.
+    /// Binds `executor` only if none is bound yet: how a training session
+    /// applies its own, so that one bound with [`Dataset::with_executor`]
+    /// wins over the session's, which wins over [`Executor::new`].
     #[must_use]
     pub fn with_default_executor(mut self, executor: Executor) -> Self {
-        if !self.executor_bound {
-            self.executor = executor;
-        }
+        self.executor.get_or_insert(executor);
         self
     }
 
-    /// A cheap re-borrowing copy: the same filter/grouping over the same
-    /// table, but borrowing instead of owning — so callers (e.g. a training
-    /// session) can re-bind the executor without cloning table storage.
-    pub fn reborrow(&self) -> Dataset<'_> {
-        Dataset {
-            table: Cow::Borrowed(self.table.as_ref()),
-            filter: self.filter.clone(),
-            group_columns: self.group_columns.clone(),
-            executor: self.executor,
-            executor_bound: self.executor_bound,
-        }
+    /// The same dataset: a clone, which shares the table's chunk buffers.
+    // Only `benchmark/src` calls this (7 calls); ROADMAP item 7 deletes it.
+    #[doc(hidden)]
+    pub fn reborrow(&self) -> Dataset {
+        self.clone()
     }
 
     /// The source table.
     pub fn table(&self) -> &Table {
-        self.table.as_ref()
+        &self.table
     }
 
     /// The source table's schema.
@@ -204,9 +185,10 @@ impl<'a> Dataset<'a> {
         !self.group_columns.is_empty()
     }
 
-    /// The executor this dataset is bound to.
-    pub fn executor(&self) -> &Executor {
-        &self.executor
+    /// The executor this dataset runs under: the one bound, else
+    /// [`Executor::new`].
+    pub fn executor(&self) -> Executor {
+        self.executor.unwrap_or_else(Executor::new)
     }
 
     /// Resolves the grouping columns to schema indices, validating the list
@@ -248,7 +230,7 @@ impl<'a> Dataset<'a> {
         let (segments, stats) = fold::scan_units(
             aggregate,
             self.table(),
-            &self.executor,
+            &self.executor(),
             self.filter.as_ref(),
         )?;
         let state = fold::fold_units(aggregate, segments);
@@ -293,12 +275,12 @@ impl<'a> Dataset<'a> {
         let segments = fold::scan_grouped_units(
             aggregate,
             self.table(),
-            &self.executor,
+            &self.executor(),
             self.group_column_indices()?,
             self.filter.as_ref(),
         )?;
         let states = segments.into_iter().flat_map(GroupedUnit::into_states);
-        fold::fold_groups(aggregate, states, self.executor.is_parallel())
+        fold::fold_groups(aggregate, states, self.executor().is_parallel())
     }
 
     /// Applies `map` once per column-major chunk of filter-surviving rows
@@ -350,7 +332,7 @@ impl<'a> Dataset<'a> {
         F: FnMut(&RowChunk, &Schema, &mut Vec<T>) -> Result<()>,
     {
         let (schema, filter) = (self.schema(), self.filter.as_ref());
-        let parallel = self.executor.is_parallel();
+        let parallel = self.executor().is_parallel();
         let run_unit = |range: scan::ChunkRange, segment: &Segment| {
             let start = Instant::now();
             let chunks = range.chunks(segment);
@@ -505,7 +487,7 @@ impl<'a> Dataset<'a> {
         let source = self.table();
         let filter = self.filter.as_ref();
         let chunk_capacity = source.chunk_capacity();
-        let parallel = self.executor.is_parallel();
+        let parallel = self.executor().is_parallel();
         // Per segment, in parallel: key each chunk of filter-surviving rows
         // and append every group's rows — one ascending index run per group —
         // to that group's segment, filling chunks as a table append does.
@@ -556,8 +538,8 @@ impl Database {
     ///
     /// # Errors
     /// Returns [`EngineError::TableNotFound`] for an unknown name.
-    pub fn dataset(&self, name: &str) -> Result<Dataset<'static>> {
-        Ok(Dataset::from_owned_table(self.table(name)?))
+    pub fn dataset(&self, name: &str) -> Result<Dataset> {
+        Ok(Dataset::from_table(&self.table(name)?))
     }
 }
 
@@ -890,6 +872,41 @@ mod tests {
             }
             assert_eq!(group_table, &by_row);
         }
+    }
+
+    #[test]
+    fn a_dataset_owns_its_snapshot_of_any_table() {
+        // Built outside the catalog: 2 segments of 5 rows at capacity 2 →
+        // chunks of 2, 2 and a 1-row tail in each.
+        let mut t = make_table(2, 0).with_chunk_capacity(2).unwrap();
+        for i in 0..10 {
+            t.insert(row!["even", i as f64, vec![i as f64, 1.0]])
+                .unwrap();
+        }
+        let ds = Dataset::from_table(&t);
+        for s in 0..t.num_segments() {
+            let (ours, theirs) = (ds.table().segment(s).chunks(), t.segment(s).chunks());
+            assert_eq!(ours.len(), 3);
+            assert_eq!(ours.last().unwrap().len(), 1);
+            for (a, b) in ours.iter().zip(theirs) {
+                assert!(Arc::ptr_eq(a, b), "the snapshot must copy no buffer");
+            }
+        }
+        let rows = ds.collect_rows().unwrap();
+        let first_chunk = RowChunk::clone(&ds.table().segment(0).chunks()[0]);
+        let unchanged = |ds: &Dataset| {
+            assert_eq!(ds.aggregate(&CountAggregate).unwrap(), 10);
+            assert_eq!(ds.collect_rows().unwrap(), rows);
+            assert_eq!(*ds.table().segment(0).chunks()[0], first_chunk);
+        };
+        t.insert(row!["odd", 99.0, vec![99.0, 1.0]]).unwrap();
+        assert_eq!(t.row_count(), 11);
+        unchanged(&ds);
+        t.truncate();
+        assert_eq!(t.row_count(), 0);
+        unchanged(&ds);
+        drop(t);
+        unchanged(&ds);
     }
 
     #[test]

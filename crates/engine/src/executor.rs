@@ -117,7 +117,7 @@ mod tests {
     }
 
     /// `table`'s rows, bound to `executor`.
-    fn over(executor: Executor, table: &Table) -> Dataset<'_> {
+    fn over(executor: Executor, table: &Table) -> Dataset {
         Dataset::from_table(table).with_executor(executor)
     }
 

@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, HashMap};
 /// # Errors
 /// The first transition or predicate error in (segment, row) order, a
 /// finalize error, or an error on a grouped dataset.
-pub fn aggregate<A: Aggregate>(dataset: &Dataset<'_>, aggregate: &A) -> Result<A::Output> {
+pub fn aggregate<A: Aggregate>(dataset: &Dataset, aggregate: &A) -> Result<A::Output> {
     dataset.require_ungrouped("ungrouped aggregation")?;
     let mut segments = Vec::new();
     for segment in segments_of(dataset) {
@@ -59,7 +59,7 @@ pub fn aggregate<A: Aggregate>(dataset: &Dataset<'_>, aggregate: &A) -> Result<A
 /// # Errors
 /// As [`aggregate`], and the grouping-column errors of the terminal.
 pub fn aggregate_per_group<A: Aggregate>(
-    dataset: &Dataset<'_>,
+    dataset: &Dataset,
     aggregate: &A,
 ) -> Result<Vec<(GroupKey, A::Output)>>
 where
@@ -103,7 +103,7 @@ where
 /// dataset lacks leaves the copy full width, as it leaves the engine's
 /// scans, and the aggregate reports it).
 pub fn aggregate_on_input_columns<A: Aggregate>(
-    dataset: &Dataset<'_>,
+    dataset: &Dataset,
     aggregate: &A,
 ) -> Result<Vec<(GroupKey, A::Output)>> {
     let schema = dataset.schema();
@@ -142,13 +142,13 @@ pub fn aggregate_on_input_columns<A: Aggregate>(
     copies
         .into_iter()
         .map(|(key, copy)| {
-            let copy = Dataset::from_owned_table(copy).with_executor(*dataset.executor());
+            let copy = Dataset::from_table(&copy).with_executor(dataset.executor());
             Ok((key, copy.aggregate(aggregate)?))
         })
         .collect()
 }
 
-fn segments_of<'a>(dataset: &'a Dataset<'_>) -> impl Iterator<Item = &'a Segment> {
+fn segments_of(dataset: &Dataset) -> impl Iterator<Item = &Segment> {
     let table = dataset.table();
     (0..table.num_segments()).map(move |s| table.segment(s))
 }
@@ -156,7 +156,7 @@ fn segments_of<'a>(dataset: &'a Dataset<'_>) -> impl Iterator<Item = &'a Segment
 /// Calls `visit` on each of `segment`'s rows that the dataset's filter
 /// accepts, in order.
 fn for_each_row(
-    dataset: &Dataset<'_>,
+    dataset: &Dataset,
     segment: &Segment,
     mut visit: impl FnMut(&Row) -> Result<()>,
 ) -> Result<()> {

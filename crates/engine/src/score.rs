@@ -188,7 +188,7 @@ pub struct TopKStats {
     pub rows_materialized: u64,
 }
 
-impl Dataset<'_> {
+impl Dataset {
     /// Rejects grouped datasets from the ungrouped serving terminals with
     /// guidance pointing at the grouped entry points.
     fn require_ungrouped_serving(&self, operation: &str) -> Result<()> {

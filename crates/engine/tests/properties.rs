@@ -10,7 +10,7 @@ use madlib_engine::{row, Column, ColumnType, Dataset, Executor, Schema, Table};
 use proptest::prelude::*;
 
 /// `table`'s rows, bound to `executor`.
-fn over(executor: Executor, table: &Table) -> Dataset<'_> {
+fn over(executor: Executor, table: &Table) -> Dataset {
     Dataset::from_table(table).with_executor(executor)
 }
 

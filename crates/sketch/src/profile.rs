@@ -439,7 +439,7 @@ pub trait DatasetProfileExt {
     fn profile(&self) -> Result<TableProfile>;
 }
 
-impl DatasetProfileExt for Dataset<'_> {
+impl DatasetProfileExt for Dataset {
     fn profile(&self) -> Result<TableProfile> {
         self.aggregate(&ProfileAggregate::new(self.schema()))
     }

@@ -180,7 +180,7 @@ impl CrfEstimator {
 impl Estimator for CrfEstimator {
     type Model = ChainCrf;
 
-    fn fit(&self, dataset: &Dataset<'_>) -> madlib_core::Result<ChainCrf> {
+    fn fit(&self, dataset: &Dataset) -> madlib_core::Result<ChainCrf> {
         let objective = CrfObjective::new(
             &self.observations_column,
             &self.labels_column,

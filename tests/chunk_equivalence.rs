@@ -38,7 +38,7 @@ mod common;
 use common::bits;
 
 /// Builds the dataset for one executor.
-fn dataset<'a>(table: &'a Table, executor: &Executor) -> Dataset<'a> {
+fn dataset(table: &Table, executor: &Executor) -> Dataset {
     Dataset::from_table(table).with_executor(*executor)
 }
 
@@ -280,6 +280,8 @@ proptest! {
     /// least-squares / logistic updates, or the default fallback) must
     /// replay `sgd_epoch_chunk_by_rows` — the per-row update sequence —
     /// chunk after chunk, model bits and row counts, NULL rows included.
+    /// Logistic runs twice: on the raw labels, which it refuses at the same
+    /// row either way, and on the labels rounded into {−1, 0, 1}.
     #[test]
     fn igd_chunk_path_is_bit_identical(
         points in prop::collection::vec((-5.0..5.0f64, [-2.0..2.0f64, -2.0..2.0f64, -2.0..2.0f64]), 4..80),
@@ -290,10 +292,17 @@ proptest! {
     ) {
         let null_every = (null_every_raw >= 2).then_some(null_every_raw);
         let table = labeled_table(&points, null_every, segments, chunk_capacity);
-        let schema = table.schema();
+        let classes: Vec<_> = points.iter().map(|&(y, x)| (y.round().clamp(-1.0, 1.0), x)).collect();
+        let classes = labeled_table(&classes, null_every, segments, chunk_capacity);
         let least_squares = LeastSquaresObjective::new("y", "x", 3);
         let logistic = LogisticObjective::new("y", "x", 3);
-        for objective in [&least_squares as &dyn ConvexObjective, &logistic] {
+        let runs = [
+            (&least_squares as &dyn ConvexObjective, &table),
+            (&logistic, &table),
+            (&logistic, &classes),
+        ];
+        for (objective, table) in runs {
+            let schema = table.schema();
             let (mut chunked, mut by_rows) = (vec![0.0; 3], vec![0.0; 3]);
             let (mut scratch_a, mut scratch_b) = (vec![0.0; 3], vec![0.0; 3]);
             'scan: for seg in 0..table.num_segments() {

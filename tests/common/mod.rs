@@ -258,7 +258,7 @@ impl Shape {
 pub enum Grouped<M> {
     /// One segment-parallel aggregate pass; carries the per-row reference
     /// fold of the estimator's aggregate (`reference::aggregate`).
-    SinglePass(fn(&Dataset<'_>) -> EngineResult<M>),
+    SinglePass(fn(&Dataset) -> EngineResult<M>),
     /// The per-group gather, then one fit per group.
     Gather,
 }
@@ -333,7 +333,7 @@ pub fn cases<E: Entry>(contract: &str, mut case: impl FnMut(Shape) -> bool) {
 }
 
 /// The shape's dataset over `table`, filtered when the shape is.
-pub fn dataset<'a>(table: &'a Table, shape: &Shape, executor: Executor) -> Dataset<'a> {
+pub fn dataset(table: &Table, shape: &Shape, executor: Executor) -> Dataset {
     let dataset = Dataset::from_table(table).with_executor(executor);
     match shape.filtered {
         true => dataset.filter(keep_filter()),
@@ -348,7 +348,7 @@ pub fn dataset<'a>(table: &'a Table, shape: &Shape, executor: Executor) -> Datas
 pub fn assert_grouped_is_each_group_alone<E: Entry>(
     estimator: &E::Est,
     grouped: madlib::methods::Result<GroupedModels<E::Model>>,
-    dataset: &Dataset<'_>,
+    dataset: &Dataset,
     columns: &[&str],
     context: &dyn std::fmt::Debug,
 ) -> bool {
@@ -359,7 +359,7 @@ pub fn assert_grouped_is_each_group_alone<E: Entry>(
     keys.dedup();
     let alone = |key: &GroupKey| {
         let predicate = Predicate::columns_are_key(columns.iter().copied(), key.clone());
-        estimator.fit(&dataset.reborrow().filter(predicate))
+        estimator.fit(&dataset.clone().filter(predicate))
     };
     match grouped {
         Ok(models) => {
@@ -403,7 +403,7 @@ pub fn grouped_cases<E: Entry>(contract: &str, shape_of: fn(Shape) -> Shape) {
         let estimator = E::estimator(shape.seed);
         let dataset = dataset(&table, &shape, Executor::serial());
         let session = Session::in_memory(shape.segments).unwrap();
-        let grouped_dataset = dataset.reborrow().with_executor(shape.executor());
+        let grouped_dataset = dataset.clone().with_executor(shape.executor());
         let grouped_dataset = grouped_dataset.group_by(shape.key_columns());
         let grouped = session.train_grouped(&estimator, &grouped_dataset);
         let columns = shape.key_columns();

@@ -92,7 +92,7 @@ fn rejects_empty_and_degenerate_input<E: Entry>() {
         let nothing = Dataset::from_table(&table).filter(Predicate::column_gt("keep", 2.0));
         for executor in both() {
             let empty = estimator.fit(&Dataset::from_table(&empty).with_executor(executor));
-            let nothing = estimator.fit(&nothing.reborrow().with_executor(executor));
+            let nothing = estimator.fit(&nothing.clone().with_executor(executor));
             match E::REJECTS_EMPTY {
                 Ok(()) => assert!(empty.is_err() && nothing.is_err(), "{shape:?}"),
                 Err(_) => {
@@ -149,7 +149,7 @@ fn single_row_groups<E: Entry>() {
         let dataset = Dataset::from_table(&table);
         let grouped = Session::in_memory(shape.segments)
             .unwrap()
-            .train_grouped(&estimator, &dataset.reborrow().group_by(["g0"]));
+            .train_grouped(&estimator, &dataset.clone().group_by(["g0"]));
         let groups = grouped.as_ref().map_or(6, GroupedModels::len);
         assert_eq!(groups, 6, "{shape:?}");
         if assert_grouped_is_each_group_alone::<E>(&estimator, grouped, &dataset, &["g0"], &shape) {
@@ -347,7 +347,7 @@ where
                 .iter()
                 .map(|(k, m)| (k.clone(), FeatureScorer::new(m, "x")));
             let scorers = GroupedModels::new(scorers.collect()).unwrap();
-            let routed = dataset.reborrow().group_by(columns.clone());
+            let routed = dataset.clone().group_by(columns.clone());
             let routed = routed.score_per_group("m", &scorers);
             assert_eq!(&predictions(routed), routed_plan, "{shape:?}, {executor:?}");
         }

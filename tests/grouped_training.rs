@@ -87,7 +87,7 @@ struct PanicingEstimator;
 impl Estimator for PanicingEstimator {
     type Model = ();
 
-    fn fit(&self, _dataset: &Dataset<'_>) -> madlib::methods::Result<Self::Model> {
+    fn fit(&self, _dataset: &Dataset) -> madlib::methods::Result<Self::Model> {
         panic!("deliberate per-group fit explosion");
     }
 }

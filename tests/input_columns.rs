@@ -66,7 +66,7 @@ fn table() -> Table {
 /// filter, grouping on a low-cardinality key (the scan's direct gathers)
 /// and on a higher-cardinality one (its radix staging), and filter plus
 /// grouping on each.
-fn shapes<'a>(table: &'a Table, executor: Executor) -> Vec<Dataset<'a>> {
+fn shapes(table: &Table, executor: Executor) -> Vec<Dataset> {
     let base = || Dataset::from_table(table).with_executor(executor);
     let filter = || Predicate::column_lt("n", 4.0);
     vec![

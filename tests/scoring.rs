@@ -85,7 +85,7 @@ fn feature_table(
 /// The naive serving plan `Dataset::score` must reproduce bit-for-bit: walk
 /// the filter-surviving rows in segment order and call the model's typed
 /// per-row predict, NULL features scoring to NULL.
-fn per_row_reference<P: Predictor>(dataset: &Dataset<'_>, model: &P) -> Vec<Value> {
+fn per_row_reference<P: Predictor>(dataset: &Dataset, model: &P) -> Vec<Value> {
     dataset
         .map_rows(|row, schema| {
             let value = row.get_named(schema, "x")?;
@@ -109,7 +109,7 @@ fn both_executors() -> [Executor; 2] {
 /// the surviving non-NULL rows of column 1 in scan order with the per-row
 /// formulation and stable-sort by score, so ties keep scan order.
 fn brute_force_top_k(
-    dataset: &Dataset<'_>,
+    dataset: &Dataset,
     query: &[f64],
     k: usize,
     metric: Similarity,
@@ -212,13 +212,13 @@ proptest! {
         let scorers = GroupedModels::new(scorers.collect()).unwrap();
         for executor in both_executors() {
             let dataset = Dataset::from_table(&table).with_executor(executor);
-            let routed = dataset.reborrow().group_by(["k"]);
+            let routed = dataset.clone().group_by(["k"]);
             let scored = routed.score_per_group("per_key", &scorers).unwrap();
             prop_assert_eq!(scored.len(), points.len());
             let row_keys = dataset.map_rows(|row, _| Ok(GroupKey::from_value(row.get(0))));
             let row_keys = row_keys.unwrap();
             for (key, model) in &registry {
-                let alone = dataset.reborrow().filter(Predicate::column_is_key("k", key.clone()));
+                let alone = dataset.clone().filter(Predicate::column_is_key("k", key.clone()));
                 let alone = alone.score(&FeatureScorer::new(model, "x")).unwrap();
                 let routed: Vec<Value> = (row_keys.iter().zip(&scored))
                     .filter(|(k, _)| *k == key)
@@ -495,7 +495,7 @@ fn catalog_routed_serving_and_errors() {
         ])
         .unwrap(),
     );
-    let grouped = dataset.reborrow().group_by(["region"]);
+    let grouped = dataset.clone().group_by(["region"]);
     let routed = session
         .score::<LinearRegressionModel>(&grouped, "churn_by_region", "x")
         .unwrap();
@@ -527,7 +527,7 @@ fn catalog_routed_serving_and_errors() {
     .unwrap();
     for executor in both_executors() {
         let err = grouped
-            .reborrow()
+            .clone()
             .with_executor(executor)
             .score_per_group("churn_by_region", &west_only)
             .unwrap_err();
@@ -710,7 +710,7 @@ impl Predictor for FeatureSum {
 /// rows in scan order, NULL features scoring to NULL, anything else through
 /// the model's typed per-row predict.
 fn row_plan<P: Predictor>(
-    dataset: &Dataset<'_>,
+    dataset: &Dataset,
     model: &P,
     column: &str,
 ) -> madlib::engine::Result<Vec<Value>> {
@@ -784,7 +784,7 @@ fn feature_scorer_fallback_matches_the_row_plan() {
                 let context = format!("{context}, {executor:?}, filtered: {filtered}");
                 let plan = row_plan(&dataset, model, column);
                 let scored = dataset.score(&FeatureScorer::new(model, column));
-                let grouped = dataset.reborrow().group_by(["g"]);
+                let grouped = dataset.clone().group_by(["g"]);
                 let routed = grouped.score_per_group("same", &scorers);
                 for (terminal, got) in [("score", scored), ("score_per_group", routed)] {
                     let context = format!("{context}, {terminal}");
@@ -866,10 +866,8 @@ fn a_scorer_that_drops_rows_fails_every_terminal() {
     let database = Database::new(3).unwrap();
     for executor in both_executors() {
         let dataset = Dataset::from_table(&table).with_executor(executor);
-        let mixed = dataset.reborrow().group_by(["g"]);
-        let single = mixed
-            .reborrow()
-            .filter(Predicate::column_is_key("g", key(1)));
+        let mixed = dataset.clone().group_by(["g"]);
+        let single = mixed.clone().filter(Predicate::column_is_key("g", key(1)));
         let outcomes = [
             ("score", dataset.score(&DropsLastRow).map(drop)),
             (
