@@ -16,10 +16,10 @@
 //! (10…320) and a larger row count; the default is a laptop-sized scaledown
 //! that preserves the shape of the results.
 //!
-//! `table1` and `table3` print `[ok]`/`[FAIL]` per method and the process
-//! exits 1 if any check of the invoked command(s) failed, so they can gate a
-//! script or a CI step.  Performance questions are not answered here: the
-//! repository's benchmark is `madbench` (`benchmark/`, `BENCHMARK.json`).
+//! `table1`, `table2` and `table3` print `[ok]`/`[FAIL]` per method and the
+//! process exits 1 if any check of the invoked command(s) failed, so they can
+//! gate a script or a CI step.  Performance questions are not answered here:
+//! the repository's benchmark is `madbench` (`benchmark/`, `BENCHMARK.json`).
 
 use madlib_bench::{figure4_sweep, render_figure4, render_figure5};
 use madlib_convex::objectives::{
@@ -53,7 +53,7 @@ const EXPERIMENTS: [(&str, Experiment); 8] = [
     ("figure4", |full, _| figure4(full)),
     ("figure5", |full, _| figure5(full)),
     ("table1", |_, checks| table1(checks)),
-    ("table2", |_, _| table2()),
+    ("table2", |_, checks| table2(checks)),
     ("table3", |_, checks| table3(checks)),
     ("logistic", |_, _| logistic()),
     ("kmeans", |_, _| kmeans()),
@@ -354,9 +354,12 @@ fn table1(checks: &mut Checks) {
     println!();
 }
 
-fn table2() {
+/// One check per model: the initial and final IGD objectives are finite and
+/// the final one is lower.
+fn table2(checks: &mut Checks) {
     println!("== Table 2: models implemented via the convex (SGD) framework ==");
     fn run<O: ConvexObjective>(
+        checks: &mut Checks,
         name: &str,
         objective: O,
         table: &Table,
@@ -374,9 +377,13 @@ fn table2() {
             .expect("IGD training failed");
         let (initial, fitted) = (summary.initial_objective_value, summary.objective_value);
         let reduction = 100.0 * (1.0 - fitted / initial.max(1e-12));
-        println!(
-            "  {:<22} initial objective {:>12.4}  final {:>12.4}  reduction {:>5.1}%  epochs {}",
-            name, initial, fitted, reduction, summary.epochs
+        checks.check(
+            name,
+            initial.is_finite() && fitted.is_finite() && fitted < initial,
+            format!(
+                "objective {initial:.4} -> {fitted:.4} ({reduction:.1}% lower), {} epochs",
+                summary.epochs
+            ),
         );
     }
 
@@ -384,11 +391,12 @@ fn table2() {
     let cls = datasets::logistic_regression_data(3_000, 6, 4, 22).unwrap();
 
     let ls = LeastSquaresObjective::new("y", "x", 6);
-    run("Least Squares", ls, &reg.table, vec![0.0; 6], 40);
+    run(checks, "Least Squares", ls, &reg.table, vec![0.0; 6], 40);
     let lasso = LassoObjective::new("y", "x", 6, 0.01);
-    run("Lasso", lasso, &reg.table, vec![0.0; 6], 40);
+    run(checks, "Lasso", lasso, &reg.table, vec![0.0; 6], 40);
     let logistic = LogisticObjective::new("y", "x", 6);
     run(
+        checks,
         "Logistic Regression",
         logistic,
         &cls.table,
@@ -396,17 +404,31 @@ fn table2() {
         40,
     );
     let svm = SvmHingeObjective::new("y", "x", 6, 1e-3);
-    run("Classification (SVM)", svm, &cls.table, vec![0.0; 6], 40);
+    run(
+        checks,
+        "Classification (SVM)",
+        svm,
+        &cls.table,
+        vec![0.0; 6],
+        40,
+    );
 
     let ratings = datasets::ratings_data(40, 30, 2, 0.4, 4, 23).unwrap();
     let mf = MatrixFactorizationObjective::new("user_id", "item_id", "rating", 40, 30, 4, 1e-4);
     let initial = mf.initial_model();
-    run("Recommendation", mf, &ratings, initial, 80);
+    run(checks, "Recommendation", mf, &ratings, initial, 80);
 
     let crf_table = crf_corpus(60, 4);
     let crf = CrfObjective::new("observations", "labels", 2, 4);
     let crf_dim = crf.dimension();
-    run("Labeling (CRF)", crf, &crf_table, vec![0.0; crf_dim], 40);
+    run(
+        checks,
+        "Labeling (CRF)",
+        crf,
+        &crf_table,
+        vec![0.0; crf_dim],
+        40,
+    );
     println!();
 }
 

@@ -1,6 +1,7 @@
 //! Drives the built `repro` binary: the method-inventory commands must be
-//! usable as a gate (exit 0, no `[FAIL]`), and an unknown command must exit 2
-//! with a usage line that names exactly the paper-reproduction commands.
+//! usable as a gate (exit 0, one `[ok]` per method, no `[FAIL]`), and an
+//! unknown command must exit 2 with a usage line that names exactly the
+//! paper-reproduction commands.
 
 use std::process::{Command, Output};
 
@@ -13,11 +14,16 @@ fn repro(command: &str) -> Output {
 
 #[test]
 fn method_inventory_tables_pass_and_exit_zero() {
-    for command in ["table1", "table2"] {
+    for (command, methods) in [("table1", 16), ("table2", 6), ("table3", 4)] {
         let output = repro(command);
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert_eq!(output.status.code(), Some(0), "{command}: {stdout}");
         assert!(!stdout.contains("[FAIL]"), "{command}: {stdout}");
+        assert_eq!(
+            stdout.matches("[ok]").count(),
+            methods,
+            "{command}: {stdout}"
+        );
     }
 }
 

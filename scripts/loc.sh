@@ -24,9 +24,8 @@
 #                                    `pub trait` and `pub type` under
 #                                    crates/*/src whose name appears in no
 #                                    other code line of crates/*/src, src,
-#                                    examples, benchmark/src or
-#                                    crates/bench/benches (each file cut at
-#                                    `#[cfg(test)]`, `//` lines dropped), as
+#                                    examples or benchmark/src (each file cut
+#                                    at `#[cfg(test)]`, `//` lines dropped), as
 #                                    `<file>:<line>  <name>` for a function and
 #                                    `<file>:<line>  <kind> <name>` for a type.
 #                                    Names match as bare words, so an unused
@@ -95,8 +94,7 @@ code_lines() {
 unused() {
     local every corpus
     mapfile -t every < <(find crates -path '*/src/*.rs' | sort)
-    mapfile -t corpus < <(find crates/*/src src examples benchmark/src crates/bench/benches \
-        -name '*.rs' | sort)
+    mapfile -t corpus < <(find crates/*/src src examples benchmark/src -name '*.rs' | sort)
     # Per pub item: where, its kind and name, and how often the name is a
     # word of its own declaration line; then how often each word occurs in
     # the corpus.
