@@ -1,8 +1,7 @@
 //! # madlib-bench
 //!
-//! Workload generators and measurement helpers shared by the Criterion
-//! benches and the `repro` binary, which together regenerate the tables and
-//! figures of the MADlib paper's evaluation:
+//! Workload generators and measurement helpers for the `repro` binary, which
+//! regenerates the tables and figures of the MADlib paper's evaluation:
 //!
 //! * **Figure 4 / Figure 5** — linear-regression execution times swept over
 //!   the number of segments, the number of independent variables, and the

@@ -798,17 +798,21 @@ impl<'a> DoubleArrayColumn<'a> {
     /// batched kernel as a dense row-major matrix.  A chunk of zero rows has
     /// no width; NULL or ragged rows return `None`.
     pub fn uniform_width(&self) -> Option<usize> {
-        if self.is_empty() || self.nulls.any_null() {
-            return None;
-        }
-        let width = self.offsets[1] - self.offsets[0];
-        for w in self.offsets.windows(2).skip(1) {
-            if w[1] - w[0] != width {
-                return None;
-            }
-        }
-        Some(width)
+        uniform_width(self.offsets, self.nulls)
     }
+}
+
+/// The width every row of an array column spans — `offsets` its monotone
+/// `rows + 1` offset table — when it has rows, none NULL, all of one width.
+pub(crate) fn uniform_width(offsets: &[usize], nulls: &NullBitmap) -> Option<usize> {
+    if offsets.len() < 2 || nulls.any_null() {
+        return None;
+    }
+    let width = offsets[1] - offsets[0];
+    offsets
+        .windows(2)
+        .all(|w| w[1] - w[0] == width)
+        .then_some(width)
 }
 
 /// A fixed-capacity batch of rows stored column-major.

@@ -126,6 +126,10 @@ pub struct RecoveryReport {
     /// Chunks those tables came back with: chunk-file frames plus the
     /// manifest's inline tails.
     pub chunks_loaded: usize,
+    /// Bytes recovery verified and decoded to load them: the manifest's
+    /// frames and the counted frames of every chunk file (frame headers
+    /// included, file magic not).  What the chunk encoding costs at load.
+    pub bytes_loaded: u64,
     /// Chunk files cut back to their last counted frame (a checkpoint had
     /// crashed after appending to them), with the length each was cut to.
     pub chunk_file_cuts: Vec<(PathBuf, u64)>,
@@ -818,8 +822,10 @@ impl Database {
             next_file_id = m.next_file_id;
             report.manifest_epoch = Some(m.epoch);
             report.tables_loaded = m.tables.len();
+            report.bytes_loaded = m.frame_bytes;
             for t in &mut m.tables {
-                let table = persist::load_table(dir, t, &mut cuts)?;
+                let (table, bytes) = persist::load_table(dir, t, &mut cuts)?;
+                report.bytes_loaded += bytes;
                 report.chunks_loaded += (0..table.num_segments())
                     .map(|seg| table.segment(seg).chunks().len())
                     .sum::<usize>();
@@ -875,6 +881,7 @@ impl Database {
                         tables: Vec::new(),
                         views: Vec::new(),
                         damaged_views: Vec::new(),
+                        frame_bytes: 0,
                     },
                 )?;
                 (1, WAL_HEADER_LEN)
@@ -1098,6 +1105,7 @@ impl Database {
                 tables: manifest_tables,
                 views: self.persistable_views(d, &snapshots),
                 damaged_views: Vec::new(),
+                frame_bytes: 0,
             },
         )?;
         for (file_id, num_segs) in obsolete {

@@ -1,7 +1,7 @@
 //! Write-ahead log with group commit.
 //!
 //! The log is a single append-only file: a fixed 24-byte header (the magic
-//! `MADWAL02`, epoch, header checksum) followed by *records*, each framed as
+//! `MADWAL03`, epoch, header checksum) followed by *records*, each framed as
 //! `[u32 payload length][u64 checksum][payload]` (see [`crate::persist`] for
 //! the frame codec — one writer, `put_frame`, and one streaming reader,
 //! `FrameReader`, shared with the chunk files and the manifest — and for the
@@ -12,9 +12,10 @@
 //! *suffix* of records — never corrupt or reorder the prefix.  A header that
 //! is short, of a foreign magic or failing its sum is "no usable log"; one
 //! that is a WAL of **another format version** (`MADWAL01`, the per-byte
-//! frame checksum) is refused with a typed error naming the version, because
-//! "no usable log" would let recovery continue from the snapshot alone and
-//! silently drop that log's committed tail.
+//! frame checksum; `MADWAL02`, the chunk encoding before version 3) is
+//! refused with a typed error naming the version, because "no usable log"
+//! would let recovery continue from the snapshot alone and silently drop
+//! that log's committed tail.
 //!
 //! ## Group commit
 //!
@@ -46,7 +47,7 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// File magic identifying a WAL and its format version.
-const WAL_MAGIC: &[u8; 8] = b"MADWAL02";
+const WAL_MAGIC: &[u8; 8] = b"MADWAL03";
 
 /// Bytes of the WAL header: magic (8) + epoch (8) + checksum (8).
 pub(crate) const WAL_HEADER_LEN: u64 = 24;
@@ -464,28 +465,28 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The header is `MADWAL02`, the epoch, and the checksum of those 16
-    /// bytes.  Another version of the same file is not "no usable log" — it
+    /// The header is `MADWAL03`, the epoch, and the checksum of those 16
+    /// bytes: version 3 moved the magic, and so its sum, alone.  Another version of the same file is not "no usable log" — it
     /// may hold a committed tail — but a refusal naming the version.
     #[test]
     fn header_bytes_are_pinned_and_another_version_is_refused_by_name() {
         let header = header_bytes(5);
-        let golden = *b"MADWAL02\x05\0\0\0\0\0\0\0\xbd\x9c\x2b\xaa\x7a\x33\x93\xaf";
+        let golden = *b"MADWAL03\x05\0\0\0\0\0\0\0\xd2\x30\x38\x44\xa7\x65\xc7\x11";
         assert_eq!(header, golden);
         assert_eq!(parse_header(&header).unwrap(), Some(5));
 
         let path = temp_wal("version");
-        let mut v1 = header;
-        v1[7] = b'1';
-        std::fs::write(&path, v1).unwrap();
-        match read_log(&path) {
-            Err(EngineError::Storage { message }) => {
-                assert!(
-                    message.contains("wal.log is format version 01"),
-                    "{message}"
-                )
+        for version in [b'1', b'2'] {
+            let mut older = header;
+            older[7] = version;
+            std::fs::write(&path, older).unwrap();
+            match read_log(&path) {
+                Err(EngineError::Storage { message }) => {
+                    let needle = format!("wal.log is format version 0{}", version as char);
+                    assert!(message.contains(&needle), "{message}")
+                }
+                _ => panic!("a log of another version must be refused"),
             }
-            _ => panic!("a version-1 log must be refused"),
         }
         // A foreign magic, a failing header sum and a short header are all
         // still no usable log.

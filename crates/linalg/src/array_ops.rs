@@ -58,16 +58,6 @@ pub fn array_div(a: &[f64], b: &[f64]) -> Result<Vec<f64>> {
     Ok(a.iter().zip(b).map(|(x, y)| x / y).collect())
 }
 
-/// Multiplies every element by a scalar.
-pub fn array_scalar_mult(a: &[f64], scalar: f64) -> Vec<f64> {
-    a.iter().map(|x| x * scalar).collect()
-}
-
-/// Adds a scalar to every element.
-pub fn array_scalar_add(a: &[f64], scalar: f64) -> Vec<f64> {
-    a.iter().map(|x| x + scalar).collect()
-}
-
 /// Inner product of two arrays.
 ///
 /// # Errors
@@ -77,30 +67,6 @@ pub fn array_dot(a: &[f64], b: &[f64]) -> Result<f64> {
     Ok(a.iter().zip(b).map(|(x, y)| x * y).sum())
 }
 
-/// Sum of all elements.
-pub fn array_sum(a: &[f64]) -> f64 {
-    a.iter().sum()
-}
-
-/// Arithmetic mean; `None` for an empty array.
-pub fn array_mean(a: &[f64]) -> Option<f64> {
-    if a.is_empty() {
-        None
-    } else {
-        Some(array_sum(a) / a.len() as f64)
-    }
-}
-
-/// Minimum element; `None` for an empty array.
-pub fn array_min(a: &[f64]) -> Option<f64> {
-    a.iter().copied().reduce(f64::min)
-}
-
-/// Maximum element; `None` for an empty array.
-pub fn array_max(a: &[f64]) -> Option<f64> {
-    a.iter().copied().reduce(f64::max)
-}
-
 /// Squared Euclidean distance between two arrays.
 ///
 /// # Errors
@@ -108,11 +74,6 @@ pub fn array_max(a: &[f64]) -> Option<f64> {
 pub fn array_squared_distance(a: &[f64], b: &[f64]) -> Result<f64> {
     check_same_len("array_squared_distance", a, b)?;
     Ok(a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum())
-}
-
-/// Euclidean norm of an array.
-pub fn array_norm(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
 /// Returns the index of the column of `matrix_rows` (interpreted as a matrix
@@ -204,24 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn scalar_ops_and_reductions() {
-        let a = [1.0, 2.0, 3.0];
-        assert_eq!(array_scalar_mult(&a, 2.0), vec![2.0, 4.0, 6.0]);
-        assert_eq!(array_scalar_add(&a, 1.0), vec![2.0, 3.0, 4.0]);
-        assert_eq!(array_sum(&a), 6.0);
-        assert_eq!(array_mean(&a), Some(2.0));
-        assert_eq!(array_min(&a), Some(1.0));
-        assert_eq!(array_max(&a), Some(3.0));
-        assert_eq!(array_mean(&[]), None);
-        assert_eq!(array_min(&[]), None);
-    }
-
-    #[test]
     fn distances() {
         let a = [0.0, 0.0];
         let b = [3.0, 4.0];
         assert_eq!(array_squared_distance(&a, &b).unwrap(), 25.0);
-        assert_eq!(array_norm(&b), 5.0);
     }
 
     #[test]

@@ -173,12 +173,6 @@ impl Cholesky {
         }
         out
     }
-
-    /// Reconstructs `A = L Lᵀ` (mainly for testing).
-    pub fn reconstruct(&self) -> DenseMatrix {
-        let lt = self.l.transpose();
-        self.l.matmul(&lt).expect("shapes agree by construction")
-    }
 }
 
 /// LU factorization with partial pivoting, `P A = L U`.
@@ -186,7 +180,6 @@ impl Cholesky {
 pub struct Lu {
     lu: DenseMatrix,
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl Lu {
@@ -205,7 +198,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for col in 0..n {
             // Find pivot.
@@ -229,7 +221,6 @@ impl Lu {
                     lu.set(pivot_row, c, a);
                 }
                 perm.swap(col, pivot_row);
-                sign = -sign;
             }
             let pivot = lu.get(col, col);
             for r in (col + 1)..n {
@@ -241,7 +232,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Self { lu, perm, sign })
+        Ok(Self { lu, perm })
     }
 
     /// Solves `A x = b`.
@@ -276,15 +267,6 @@ impl Lu {
             y[i] /= self.lu.get(i, i);
         }
         Ok(DenseVector::from_vec(y))
-    }
-
-    /// Determinant of the original matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.sign;
-        for i in 0..self.lu.rows() {
-            det *= self.lu.get(i, i);
-        }
-        det
     }
 
     /// Inverse of the original matrix.
@@ -731,19 +713,6 @@ fn condition_number_of(values: &[f64]) -> f64 {
     }
 }
 
-/// Convenience: pseudo-inverse of a symmetric matrix with the default
-/// tolerance of `1e-10`, plus its condition number.
-///
-/// This is the exact operation the MADlib linear-regression final function
-/// performs on `XᵀX`.
-///
-/// # Errors
-/// Propagates eigendecomposition errors.
-pub fn symmetric_pseudo_inverse(a: &DenseMatrix) -> Result<(DenseMatrix, f64)> {
-    let eig = SymmetricEigen::new(a)?;
-    Ok((eig.pseudo_inverse(1e-10), eig.condition_number()))
-}
-
 /// Pseudo-inverse of a symmetric positive semi-definite matrix plus its
 /// condition number, with a **Cholesky fast path** for the full-rank case.
 ///
@@ -834,7 +803,8 @@ mod tests {
     fn cholesky_reconstructs() {
         let a = spd_matrix();
         let chol = Cholesky::new(&a).unwrap();
-        assert!(chol.reconstruct().max_abs_diff(&a).unwrap() < 1e-10);
+        let reconstructed = chol.l.matmul(&chol.l.transpose()).unwrap();
+        assert!(reconstructed.max_abs_diff(&a).unwrap() < 1e-10);
     }
 
     #[test]
@@ -868,7 +838,9 @@ mod tests {
         ])
         .unwrap();
         let lu = Lu::new(&a).unwrap();
-        assert!((lu.determinant() - (-16.0)).abs() < 1e-9);
+        // |det A| = 16 is the product of U's pivots.
+        let pivots: f64 = (0..3).map(|i| lu.lu.get(i, i)).product();
+        assert!((pivots.abs() - 16.0).abs() < 1e-9);
 
         let b = DenseVector::from_vec(vec![5.0, -2.0, 9.0]);
         let x = lu.solve(&b).unwrap();
@@ -932,7 +904,8 @@ mod tests {
     #[test]
     fn pseudo_inverse_inverts_full_rank() {
         let a = spd_matrix();
-        let (pinv, cond) = symmetric_pseudo_inverse(&a).unwrap();
+        let eig = SymmetricEigen::new(&a).unwrap();
+        let (pinv, cond) = (eig.pseudo_inverse(1e-10), eig.condition_number());
         let prod = a.matmul(&pinv).unwrap();
         assert!(prod.max_abs_diff(&DenseMatrix::identity(3)).unwrap() < 1e-8);
         assert!(cond.is_finite());

@@ -86,11 +86,6 @@ impl DenseVector {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// L1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// Squared Euclidean distance to another vector of the same length.
     ///
     /// # Errors
@@ -452,11 +447,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Whether the matrix is square.
     pub fn is_square(&self) -> bool {
         self.rows == self.cols
@@ -531,7 +521,6 @@ mod tests {
         let b = DenseVector::from_vec(vec![4.0, 5.0, 6.0]);
         assert_eq!(a.dot(&b).unwrap(), 32.0);
         assert!((a.norm() - 14.0_f64.sqrt()).abs() < 1e-12);
-        assert_eq!(a.norm_l1(), 6.0);
         assert_eq!(a.squared_distance(&b).unwrap(), 27.0);
         assert_eq!(a.mean(), Some(2.0));
     }
@@ -643,7 +632,6 @@ mod tests {
     #[test]
     fn frobenius_and_scale() {
         let mut m = DenseMatrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         m.scale(2.0);
         assert_eq!(m.get(1, 1), 8.0);
     }

@@ -61,30 +61,6 @@ impl SparseVector {
         }
     }
 
-    /// Builds a sparse vector from (index, value) pairs over a vector of
-    /// `len` zeros.  Indices must be strictly increasing.
-    ///
-    /// # Errors
-    /// * [`LinalgError::IndexOutOfBounds`] for an index ≥ `len` or a
-    ///   non-increasing index sequence.
-    pub fn from_indices(len: usize, entries: &[(usize, f64)]) -> Result<Self> {
-        let mut dense = vec![0.0; len];
-        let mut prev: Option<usize> = None;
-        for &(i, v) in entries {
-            if i >= len {
-                return Err(LinalgError::IndexOutOfBounds { index: i, len });
-            }
-            if let Some(p) = prev {
-                if i <= p {
-                    return Err(LinalgError::IndexOutOfBounds { index: i, len: p });
-                }
-            }
-            dense[i] = v;
-            prev = Some(i);
-        }
-        Ok(Self::from_dense(&dense))
-    }
-
     /// Logical length of the vector.
     pub fn len(&self) -> usize {
         self.len
@@ -98,15 +74,6 @@ impl SparseVector {
     /// Number of stored runs (the compressed size).
     pub fn run_count(&self) -> usize {
         self.runs.len()
-    }
-
-    /// Number of logically non-zero elements.
-    pub fn nnz(&self) -> usize {
-        self.runs
-            .iter()
-            .filter(|(v, _)| *v != 0.0)
-            .map(|(_, c)| c)
-            .sum()
     }
 
     /// Element access by logical index.
@@ -265,15 +232,6 @@ impl SparseVector {
     pub fn sum(&self) -> f64 {
         self.runs.iter().map(|(v, c)| v * *c as f64).sum()
     }
-
-    /// Compression ratio: logical length divided by stored runs (≥ 1).
-    pub fn compression_ratio(&self) -> f64 {
-        if self.runs.is_empty() {
-            1.0
-        } else {
-            self.len as f64 / self.runs.len() as f64
-        }
-    }
 }
 
 impl Default for SparseVector {
@@ -299,7 +257,6 @@ mod tests {
         assert_eq!(sv.len(), dense.len());
         assert_eq!(sv.to_dense(), dense);
         assert_eq!(sv.run_count(), 5);
-        assert_eq!(sv.nnz(), 4);
     }
 
     #[test]
@@ -309,14 +266,6 @@ mod tests {
         assert_eq!(sv.get(2).unwrap(), 0.0);
         assert_eq!(sv.get(3).unwrap(), 3.0);
         assert!(sv.get(4).is_err());
-    }
-
-    #[test]
-    fn from_indices_builds_expected_vector() {
-        let sv = SparseVector::from_indices(6, &[(1, 2.0), (4, -1.0)]).unwrap();
-        assert_eq!(sv.to_dense(), vec![0.0, 2.0, 0.0, 0.0, -1.0, 0.0]);
-        assert!(SparseVector::from_indices(3, &[(5, 1.0)]).is_err());
-        assert!(SparseVector::from_indices(5, &[(2, 1.0), (1, 1.0)]).is_err());
     }
 
     #[test]
@@ -366,15 +315,12 @@ mod tests {
         let sv = SparseVector::from_dense(&[3.0, 0.0, 4.0]);
         assert!((sv.norm() - 5.0).abs() < 1e-12);
         assert_eq!(sv.sum(), 7.0);
-        assert!(sv.compression_ratio() >= 1.0);
-        assert_eq!(SparseVector::new().compression_ratio(), 1.0);
     }
 
     #[test]
     fn zeros_is_one_run() {
         let sv = SparseVector::zeros(1000);
         assert_eq!(sv.run_count(), 1);
-        assert_eq!(sv.nnz(), 0);
         assert_eq!(sv.len(), 1000);
         assert_eq!(SparseVector::zeros(0).len(), 0);
     }

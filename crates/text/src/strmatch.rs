@@ -114,11 +114,6 @@ impl TrigramIndex {
         results.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         results
     }
-
-    /// Convenience: the single best match above the threshold, if any.
-    pub fn best_match(&self, query: &str, threshold: f64) -> Option<(usize, f64)> {
-        self.search(query, threshold).into_iter().next()
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +174,7 @@ mod tests {
         for pair in results.windows(2) {
             assert!(pair[0].1 >= pair[1].1);
         }
-        let (best, score) = index.best_match("Tim Tebow", 0.5).unwrap();
+        let (best, score) = results[0];
         assert_eq!(best, 0);
         assert!(score > 0.9);
         assert_eq!(index.document(best).unwrap(), docs[0]);
@@ -190,7 +185,6 @@ mod tests {
         let mut index = TrigramIndex::new();
         index.insert("completely different content");
         assert!(index.search("zzzyyyxxx", 0.1).is_empty());
-        assert_eq!(index.best_match("zzzyyyxxx", 0.1), None);
         assert_eq!(index.document(99), None);
     }
 }

@@ -127,10 +127,11 @@ fn run(live: &Path, crashed: &Path) -> Result<(), String> {
     let view = incremental_view_name("drift_model");
     let outcome = report.views.iter().find(|(name, _)| *name == view);
     println!(
-        "recovery  : manifest epoch {:?}, {} chunks loaded, {} log frames replayed, \
-         {} torn bytes discarded, view {outcome:?}",
+        "recovery  : manifest epoch {:?}, {} chunks loaded from {} frame bytes, \
+         {} log frames replayed, {} torn bytes discarded, view {outcome:?}",
         report.manifest_epoch,
         report.chunks_loaded,
+        report.bytes_loaded,
         report.wal_frames_replayed,
         report.wal_bytes_discarded
     );
