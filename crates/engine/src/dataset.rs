@@ -61,7 +61,7 @@ use crate::aggregate::Aggregate;
 use crate::chunk::{RowChunk, Segment};
 use crate::database::Database;
 use crate::error::{EngineError, Result};
-use crate::executor::{ExecutionStats, Executor};
+use crate::executor::{ExecutionStats, Executor, GroupingStats};
 use crate::expr::Predicate;
 use crate::fold::{self, GroupedUnit};
 use crate::group::{self, GroupKey, IndexSort, SlotDirectory};
@@ -73,6 +73,9 @@ use madlib_linalg::kernels;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A grouped terminal's outputs: one per group key, in key order.
+type PerGroup<O> = Vec<(GroupKey, O)>;
 
 /// A lazy, composable description of a scan: a source table plus an optional
 /// row predicate and optional grouping columns, bound to the [`Executor`]
@@ -247,12 +250,12 @@ impl Dataset {
     /// data-parallel structure is identical to the ungrouped path — this is
     /// what lets MADlib train e.g. one regression per group in a single pass
     /// (Section 4.2's grouping constructs).  Each chunk is partitioned by
-    /// key and every group's rows are gathered, in row order, into a
-    /// compacted sub-chunk for [`Aggregate::transition_chunk`]; when a chunk
-    /// has too many groups for direct gathers to pay off, its rows are
-    /// instead staged into group-slot radix buckets and flushed in batches,
-    /// so high-cardinality scans stay on the vectorized kernels
-    /// (bit-identical results either way).
+    /// key; a chunk of one key goes to [`Aggregate::transition_chunk`]
+    /// whole, and a chunk whose groups average at least 16 rows has every
+    /// group's rows gathered, in row order, into a compacted sub-chunk;
+    /// any other chunk's rows are staged into group-slot radix buckets and
+    /// flushed in batches, so high-cardinality scans stay on the vectorized
+    /// kernels (bit-identical results either way).
     ///
     /// After the merge, the per-group **finalize** stage runs on the same
     /// work-stealing worker pool as the scan (groups are independent):
@@ -272,7 +275,24 @@ impl Dataset {
     where
         A::Output: Send,
     {
-        let segments = fold::scan_grouped_units(
+        Ok(self.aggregate_per_group_with_stats(aggregate)?.0)
+    }
+
+    /// Like [`Dataset::aggregate_per_group`], additionally returning scan
+    /// statistics, whose [`ExecutionStats::grouping`] counts what the scan
+    /// did with its chunks: single-key, gathered and staged chunks,
+    /// `transition_chunk` batches and groups opened.
+    ///
+    /// # Errors
+    /// As [`Dataset::aggregate_per_group`].
+    pub fn aggregate_per_group_with_stats<A: Aggregate>(
+        &self,
+        aggregate: &A,
+    ) -> Result<(PerGroup<A::Output>, ExecutionStats)>
+    where
+        A::Output: Send,
+    {
+        let (segments, stats) = fold::scan_grouped_units(
             aggregate,
             self.table(),
             &self.executor(),
@@ -280,7 +300,8 @@ impl Dataset {
             self.filter.as_ref(),
         )?;
         let states = segments.into_iter().flat_map(GroupedUnit::into_states);
-        fold::fold_groups(aggregate, states, self.executor().is_parallel())
+        let outputs = fold::fold_groups(aggregate, states, self.executor().is_parallel())?;
+        Ok((outputs, stats))
     }
 
     /// Applies `map` once per column-major chunk of filter-surviving rows
@@ -352,6 +373,7 @@ impl Dataset {
             segments: self.table().num_segments(),
             kernel_path: kernels::active_path(),
             busy_ns: 0,
+            grouping: GroupingStats::default(),
         };
         let mut units = Vec::new();
         let mut per_segment_outputs = Vec::with_capacity(stats.segments);
@@ -776,6 +798,85 @@ mod tests {
                 assert_eq!(va.to_bits(), vb.to_bits(), "key {ka:?}");
             }
         }
+    }
+
+    #[test]
+    fn grouping_stats_count_each_chunk_path_and_batch() {
+        // Two segments of two 64-row chunks each, keyed by `key_of(i)` for
+        // the i-th row of a chunk.
+        let table_of = |key_of: fn(usize) -> i64| {
+            let schema = Schema::new(vec![Column::new("grp", ColumnType::Int)]);
+            let mut t = Table::new(schema, 2)
+                .unwrap()
+                .with_chunk_capacity(64)
+                .unwrap();
+            for segment in 0..2 {
+                for i in 0..128 {
+                    t.insert_into_segment(segment, row![key_of(i % 64)])
+                        .unwrap();
+                }
+            }
+            t
+        };
+        let one_key: fn(usize) -> i64 = |_| 7;
+        let four_keys: fn(usize) -> i64 = |i| (i / 16) as i64;
+        let distinct: fn(usize) -> i64 = |i| i as i64;
+        let cases = [
+            // Every chunk is one batch.
+            (
+                one_key,
+                GroupingStats {
+                    single_key_chunks: 4,
+                    gathered_chunks: 0,
+                    staged_chunks: 0,
+                    batches: 4,
+                    groups_opened: 2,
+                },
+            ),
+            // 16 rows a group: gathered, one batch per group and chunk.
+            (
+                four_keys,
+                GroupingStats {
+                    single_key_chunks: 0,
+                    gathered_chunks: 4,
+                    staged_chunks: 0,
+                    batches: 16,
+                    groups_opened: 8,
+                },
+            ),
+            // One row a group: staged; no bucket reaches a flush's rows, so
+            // each segment's end drains 64 groups of two rows.
+            (
+                distinct,
+                GroupingStats {
+                    single_key_chunks: 0,
+                    gathered_chunks: 0,
+                    staged_chunks: 4,
+                    batches: 128,
+                    groups_opened: 128,
+                },
+            ),
+        ];
+        for (key_of, expected) in cases {
+            let t = table_of(key_of);
+            for executor in [Executor::new(), Executor::serial()] {
+                let grouped = Dataset::from_table(&t)
+                    .with_executor(executor)
+                    .group_by(["grp"]);
+                let (counts, stats) = grouped
+                    .aggregate_per_group_with_stats(&CountAggregate)
+                    .unwrap();
+                assert_eq!(stats.grouping, expected, "{executor:?}");
+                let rows: u64 = counts.iter().map(|(_, count)| count).sum();
+                assert_eq!(rows, 256);
+                assert_eq!(stats.rows_aggregated, 256);
+            }
+        }
+        // Ungrouped scans leave the counts at zero.
+        let (_, stats) = Dataset::from_table(&table_of(one_key))
+            .aggregate_with_stats(&CountAggregate)
+            .unwrap();
+        assert_eq!(stats.grouping, GroupingStats::default());
     }
 
     #[test]

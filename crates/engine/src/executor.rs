@@ -33,6 +33,7 @@ use madlib_linalg::kernels::KernelPath;
 
 /// Statistics describing one scan terminal's execution
 /// ([`crate::Dataset::aggregate_with_stats`],
+/// [`crate::Dataset::aggregate_per_group_with_stats`],
 /// [`crate::Dataset::score_with_stats`], and the pass inside
 /// [`crate::Dataset::top_k_by_score_with_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +54,31 @@ pub struct ExecutionStats {
     /// grouping and transitions or predictions, not the merge, the final
     /// function or the output's concatenation.
     pub busy_ns: u64,
+    /// What a grouped aggregation did with its chunks; all zero for every
+    /// other scan.
+    pub grouping: GroupingStats,
+}
+
+/// How a grouped aggregation routed its chunks to groups
+/// ([`crate::Dataset::aggregate_per_group_with_stats`]), summed over
+/// segments.  Every count is an integer bumped once per chunk or batch.
+/// Each chunk that reaches the runner (a filter's empty chunks do not) is
+/// counted once, under the one path it took.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupingStats {
+    /// Chunks whose rows all had one key: handed to the aggregate whole.
+    pub single_key_chunks: u64,
+    /// Chunks whose groups were each gathered into a batch of their own.
+    pub gathered_chunks: u64,
+    /// Chunks whose rows were staged in radix buckets, to be batched with
+    /// their groups' rows from later chunks.
+    pub staged_chunks: u64,
+    /// `transition_chunk` calls: one per single-key chunk, one per group
+    /// of a gathered chunk, one per group of a flushed bucket.
+    pub batches: u64,
+    /// Groups opened, per segment: a key found in `k` segments counts `k`
+    /// times.
+    pub groups_opened: u64,
 }
 
 /// Executes aggregates over partitioned tables: [`Executor::new`] (parallel)

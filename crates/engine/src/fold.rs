@@ -49,7 +49,7 @@
 use crate::aggregate::Aggregate;
 use crate::chunk::{RowChunk, Segment};
 use crate::error::{EngineError, Result};
-use crate::executor::{ExecutionStats, Executor};
+use crate::executor::{ExecutionStats, Executor, GroupingStats};
 use crate::expr::Predicate;
 use crate::group::{GroupKey, IndexSort, SlotDirectory};
 use crate::scan::{self, Projection, ScanBatch, SegmentScanStats};
@@ -60,17 +60,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Once the mean rows-per-group within a chunk drops below this, the grouped
-/// scan stops gathering per-group sub-chunks directly and switches to the
-/// radix partition pass: a gather that yields only a couple of rows costs
-/// more than the vectorized kernel saves, so high-cardinality chunks stage
-/// their rows by group-slot bucket instead and batch each group across many
-/// chunks.  (Equality of results does not depend on the threshold —
-/// `transition_chunk` overrides are bit-identical to per-row transitions by
-/// contract, and staging preserves each group's row order — so this is
-/// purely a performance knob.)
-const MIN_ROWS_PER_GROUP_FOR_GATHER: usize = 4;
-
 /// How many consecutive group slots share one radix bucket.  Rows are
 /// bucketed by `slot / RADIX_SLOTS_PER_BUCKET`, so a flushed bucket touches a
 /// contiguous run of aggregate states (cache-friendly) and each group's
@@ -80,6 +69,12 @@ const RADIX_SLOTS_PER_BUCKET: usize = 16;
 /// A bucket is flushed through `transition_chunk` once it has staged this
 /// many rows — at that point each of its (up to
 /// [`RADIX_SLOTS_PER_BUCKET`]) groups averages a batch worth gathering.
+/// The same average decides between a chunk's two paths: its groups are
+/// gathered directly only when they average at least as many rows as a
+/// flush hands a group (`RADIX_FLUSH_ROWS / RADIX_SLOTS_PER_BUCKET`);
+/// otherwise its rows are staged.  (Results do not depend on either
+/// choice — `transition_chunk` overrides are bit-identical to per-row
+/// transitions by contract, and staging keeps each group's row order.)
 const RADIX_FLUSH_ROWS: usize = 256;
 
 /// Upper bound on rows staged across all buckets of one runner call; when
@@ -139,6 +134,7 @@ fn fan_out<U: Send>(
         segments: table.num_segments(),
         kernel_path: kernels::active_path(),
         busy_ns: 0,
+        grouping: GroupingStats::default(),
     };
     let mut states = Vec::with_capacity(table.num_segments());
     for result in per_segment {
@@ -181,7 +177,8 @@ pub(crate) fn scan_units<A: Aggregate>(
 }
 
 /// Scans all of `table` into grouped per-segment states, keyed by the
-/// columns at `group_indices`.
+/// columns at `group_indices`, with the scan's statistics and what each
+/// segment's runner did with its chunks ([`GroupingStats`]).
 ///
 /// # Errors
 /// As [`scan_units`].
@@ -191,13 +188,21 @@ pub(crate) fn scan_grouped_units<A: Aggregate>(
     executor: &Executor,
     group_indices: Vec<usize>,
     filter: Option<&Predicate>,
-) -> Result<Vec<GroupedUnit<A::State>>> {
+) -> Result<(Vec<GroupedUnit<A::State>>, ExecutionStats)> {
     let schema = table.schema();
     let columns = GroupedInput::new(aggregate, schema, group_indices);
-    let (segments, _) = fan_out(table, executor, filter, |segment| {
+    let (segments, mut stats) = fan_out(table, executor, filter, |segment| {
         GroupedUnit::scan(aggregate, segment.chunks(), schema, &columns, filter)
     })?;
-    Ok(segments)
+    for unit in &segments {
+        let (sum, one) = (&mut stats.grouping, unit.stats);
+        sum.single_key_chunks += one.single_key_chunks;
+        sum.gathered_chunks += one.gathered_chunks;
+        sum.staged_chunks += one.staged_chunks;
+        sum.batches += one.batches;
+        sum.groups_opened += one.groups_opened;
+    }
+    Ok((segments, stats))
 }
 
 /// What the grouped runner reads of a table for one aggregate, resolved once
@@ -341,10 +346,12 @@ where
 }
 
 /// One segment's grouped partial states: its slot directory and, in a flat
-/// vector indexed by slot, one state per distinct key.
+/// vector indexed by slot, one state per distinct key — plus what the
+/// runner did with the segment's chunks.
 pub(crate) struct GroupedUnit<S> {
     directory: SlotDirectory,
     states: Vec<S>,
+    stats: GroupingStats,
 }
 
 impl<S> GroupedUnit<S> {
@@ -355,13 +362,14 @@ impl<S> GroupedUnit<S> {
 
     /// The grouped runner: folds the filter-surviving rows of one segment's
     /// `chunks` into their groups' states, chunk at a time.  Each chunk goes
-    /// through the keying pass ([`SlotDirectory::key_chunk`]); groups big
-    /// enough to batch are gathered, in row order, into one reused sub-chunk
-    /// for [`Aggregate::transition_chunk`], and high-cardinality chunks stage
-    /// their rows into radix buckets, which flush in batches and are all
-    /// drained before returning, so the states are complete.  Gathers and
-    /// staging copy only the aggregate's input columns (`columns`), and so
-    /// does a filter's compaction, plus the key columns.
+    /// through the keying pass ([`SlotDirectory::key_chunk`]); a single-key
+    /// chunk is one batch, a chunk whose groups average a flush's rows per
+    /// group ([`RADIX_FLUSH_ROWS`]) is gathered group by group, in row order,
+    /// into one reused sub-chunk for [`Aggregate::transition_chunk`], and any
+    /// other chunk stages its rows into radix buckets, which flush in batches
+    /// and are all drained before returning, so the states are complete.
+    /// Gathers and staging copy only the aggregate's input columns
+    /// (`columns`), and so does a filter's compaction, plus the key columns.
     fn scan<A: Aggregate<State = S>>(
         aggregate: &A,
         chunks: &[Arc<RowChunk>],
@@ -371,6 +379,7 @@ impl<S> GroupedUnit<S> {
     ) -> Result<(Self, SegmentScanStats)> {
         let mut directory = SlotDirectory::default();
         let mut states = Vec::new();
+        let mut stats = GroupingStats::default();
         // The current chunk as the keying pass left it: every row's slot, the
         // chunk's distinct slots, and the sort that gathers by them.
         let mut keyed = IndexSort::default();
@@ -381,7 +390,7 @@ impl<S> GroupedUnit<S> {
         // The one sub-chunk every per-group gather refills.
         let batch = &mut RowChunk::new(input_schema);
         let compaction = columns.compaction.as_ref().map(|c| &c.kept);
-        let stats = scan::scan_chunks(chunks, schema, filter, compaction, |scanned| {
+        let scanned = scan::scan_chunks(chunks, schema, filter, compaction, |scanned| {
             let at = columns.columns(&scanned, schema);
             let chunk = scanned.chunk();
             directory.key_chunk(chunk, at.keys, &mut keyed, |_| {
@@ -401,16 +410,20 @@ impl<S> GroupedUnit<S> {
                 // Single-key chunk: the whole chunk is one group's batch.  Any
                 // staged rows of this group's bucket must run first to keep the
                 // group's row order.
+                stats.single_key_chunks += 1;
+                stats.batches += 1;
                 let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
                 staging.flush_bucket(aggregate, input_schema, &mut states, batch, bucket)?;
                 return aggregate.transition_chunk(&mut states[slot as usize], chunk, whole);
             }
 
-            if chunk.len() >= keyed.runs().len() * MIN_ROWS_PER_GROUP_FOR_GATHER {
-                // Batches are big enough for the vectorized kernels: gather
-                // each group's rows — in row order — into the scratch
-                // sub-chunk.  Buckets holding staged rows of this chunk's
-                // groups flush first (order again).
+            if chunk.len() * RADIX_SLOTS_PER_BUCKET >= keyed.runs().len() * RADIX_FLUSH_ROWS {
+                // The groups average a flush's batch: gather each group's
+                // rows — in row order — into the scratch sub-chunk.  Buckets
+                // holding staged rows of this chunk's groups flush first
+                // (order again).
+                stats.gathered_chunks += 1;
+                stats.batches += keyed.runs().len() as u64;
                 if staging.staged_total > 0 {
                     for &(slot, _) in keyed.runs() {
                         let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
@@ -429,13 +442,14 @@ impl<S> GroupedUnit<S> {
                     aggregate.transition_chunk(&mut states[slot as usize], batch, input_schema)?;
                 }
             } else {
-                // High-cardinality chunk — the radix partition pass.  Sort the
-                // row indices into slot-range buckets and append each
-                // bucket's rows (columnar copies, no Row materialization) to its
-                // staging chunk; groups batch up across chunks and flush through
-                // transition_chunk once their bucket is full.  Per-group row
-                // order is preserved: a group's rows route through exactly one
-                // bucket, in scan order.
+                // The radix partition pass.  Sort the row indices into
+                // slot-range buckets and append each bucket's rows (columnar
+                // copies, no Row materialization) to its staging chunk; groups
+                // batch up across chunks and flush through transition_chunk
+                // once their bucket is full.  Per-group row order is
+                // preserved: a group's rows route through exactly one bucket,
+                // in scan order.
+                stats.staged_chunks += 1;
                 staging.stage_chunk_rows(chunk, at.input, keyed.keys());
                 // Flush buckets that reached a batch worth of rows — only the
                 // buckets staged into by *this* chunk can have newly crossed
@@ -478,7 +492,14 @@ impl<S> GroupedUnit<S> {
             }
         }
         debug_assert_eq!(staging.staged_total, 0);
-        Ok((Self { directory, states }, stats))
+        stats.batches += staging.batches;
+        stats.groups_opened = states.len() as u64;
+        let unit = Self {
+            directory,
+            states,
+            stats,
+        };
+        Ok((unit, scanned))
     }
 }
 
@@ -489,6 +510,8 @@ impl<S> GroupedUnit<S> {
 struct RadixStaging {
     buckets: Vec<StagedBucket>,
     staged_total: usize,
+    /// `transition_chunk` calls its flushes made.
+    batches: u64,
     /// Sorts a staged chunk's rows by bucket; its runs are the buckets the
     /// latest staged chunk touched.
     by_bucket: IndexSort,
@@ -538,6 +561,7 @@ impl RadixStaging {
         }
         self.staged_total -= bucket.len();
         self.by_slot.fill(bucket.slots.iter().copied());
+        self.batches += self.by_slot.runs().len() as u64;
         if let [(slot, _)] = self.by_slot.runs()[..] {
             // Single-group bucket: the whole staged chunk is one batch.
             aggregate.transition_chunk(&mut states[slot as usize], &bucket.rows, schema)?;

@@ -27,11 +27,12 @@
 //!   it records every row's slot and the chunk's distinct slots with their
 //!   row counts, and tells the caller about each new slot exactly once — the
 //!   callers differ only in what they open for a new group (an aggregate
-//!   state, a scorer, a row list, a mask).  A row is compared in place with
-//!   the previous row's key first (group values cluster in practice), then
-//!   hashed straight from the column buffers and compared in place with the
-//!   keys its hash probes; a [`GroupKey`] is built only when a slot opens,
-//!   so keying allocates per group, not per row.
+//!   state, a scorer, a row list, a mask).  It hashes the chunk a key
+//!   column at a time — one typed loop per column over the column buffer —
+//!   then probes row by row: the previous row's hash and key first (group
+//!   values cluster in practice), then the slots the row's hash probes, each
+//!   by hash before key, the key compared in place; a [`GroupKey`] is built
+//!   only when a slot opens, so keying allocates per group, not per row.
 //! * `IndexSort` is what the pass records into, and the one **stable
 //!   counting sort of row indices by a dense `u32` key** (distinct keys in
 //!   first-seen order, ascending row indices inside each run, reusable
@@ -42,10 +43,10 @@
 //! key up in, is one registry type, [`GroupedModels`]: a key-sorted list
 //! that sorts and rejects duplicate keys once, in its constructor.
 
-use crate::chunk::{ColumnChunk, RowChunk, SelectionMask};
+use crate::chunk::{ColumnChunk, NullBitmap, RowChunk, SelectionMask};
 use crate::error::{EngineError, Result};
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::convert::Infallible;
@@ -141,75 +142,33 @@ impl KeyPart {
 
     /// Whether this part equals the key part of row `i` of a column chunk,
     /// checked in place — no allocation, unlike building the row's part with
-    /// [`KeyPart::from_column`] first.  The grouped scan uses this to probe
-    /// the previous row's key, since group values cluster in practice (and
-    /// always do under hash distribution on the group column).
+    /// [`KeyPart::from_column`] first: the keying pass compares each row
+    /// with the key of every slot its hash probes this way.  Forced inline:
+    /// it is the probe's per-row compare.
+    #[inline(always)]
     pub fn matches_column(&self, column: &ColumnChunk, i: usize) -> bool {
-        if column.nulls().is_null(i) {
-            return matches!(self, KeyPart::Null);
-        }
-        match (self, column) {
-            (KeyPart::Double(key), ColumnChunk::Double { values, .. }) => {
-                key.0.to_bits() == values[i].to_bits()
-            }
-            (KeyPart::Int(key), ColumnChunk::Int { values, .. }) => *key == values[i],
-            (KeyPart::Bool(key), ColumnChunk::Bool { values, .. }) => *key == values[i],
-            (KeyPart::Text(key), ColumnChunk::Text { values, .. }) => *key == values[i],
-            (
-                KeyPart::DoubleArray(key),
-                ColumnChunk::DoubleArray {
-                    values, offsets, ..
-                },
-            ) => {
-                let row = &values[offsets[i]..offsets[i + 1]];
+        match (self, column.value_ref(i)) {
+            (KeyPart::Null, ValueRef::Null) => true,
+            (KeyPart::Bool(key), ValueRef::Bool(v)) => *key == v,
+            (KeyPart::Int(key), ValueRef::Int(v)) => *key == v,
+            (KeyPart::Double(key), ValueRef::Double(v)) => key.0.to_bits() == v.to_bits(),
+            (KeyPart::Text(key), ValueRef::Text(v)) => key == v,
+            (KeyPart::DoubleArray(key), ValueRef::DoubleArray(row)) => {
                 key.len() == row.len()
                     && key
                         .iter()
                         .zip(row)
                         .all(|(a, b)| a.0.to_bits() == b.to_bits())
             }
-            (
-                KeyPart::IntArray(key),
-                ColumnChunk::IntArray {
-                    values, offsets, ..
-                },
-            ) => key.as_slice() == &values[offsets[i]..offsets[i + 1]],
-            (
-                KeyPart::TextArray(key),
-                ColumnChunk::TextArray {
-                    values, offsets, ..
-                },
-            ) => key.as_slice() == &values[offsets[i]..offsets[i + 1]],
+            (KeyPart::IntArray(key), ValueRef::IntArray(row)) => key.as_slice() == row,
+            (KeyPart::TextArray(key), ValueRef::TextArray(row)) => key.as_slice() == row,
             _ => false,
         }
     }
 
-    /// The key part of row `i` of a column chunk, read straight from the
-    /// column buffer (no [`Value`] materialization for scalar columns).
+    /// The key part of row `i` of a column chunk.
     pub fn from_column(column: &ColumnChunk, i: usize) -> Self {
-        if column.nulls().is_null(i) {
-            return KeyPart::Null;
-        }
-        match column {
-            ColumnChunk::Double { values, .. } => KeyPart::Double(TotalF64(values[i])),
-            ColumnChunk::Int { values, .. } => KeyPart::Int(values[i]),
-            ColumnChunk::Bool { values, .. } => KeyPart::Bool(values[i]),
-            ColumnChunk::Text { values, .. } => KeyPart::Text(values[i].clone()),
-            ColumnChunk::DoubleArray {
-                values, offsets, ..
-            } => KeyPart::DoubleArray(
-                values[offsets[i]..offsets[i + 1]]
-                    .iter()
-                    .map(|&v| TotalF64(v))
-                    .collect(),
-            ),
-            ColumnChunk::IntArray {
-                values, offsets, ..
-            } => KeyPart::IntArray(values[offsets[i]..offsets[i + 1]].to_vec()),
-            ColumnChunk::TextArray {
-                values, offsets, ..
-            } => KeyPart::TextArray(values[offsets[i]..offsets[i + 1]].to_vec()),
-        }
+        KeyPart::from_value(&column.value(i))
     }
 }
 
@@ -330,9 +289,6 @@ impl GroupKey {
     /// The key of row `i` over the given key columns, read straight from the
     /// column buffers.
     pub fn from_columns(columns: &[&ColumnChunk], i: usize) -> Self {
-        if let [column] = columns {
-            return GroupKey::single(KeyPart::from_column(column, i));
-        }
         GroupKey::composite(
             columns
                 .iter()
@@ -533,12 +489,17 @@ pub fn partition_by_group(chunk: &RowChunk, column_indices: &[usize]) -> Vec<Chu
 /// indexed by slot, which the `on_new` callback grows by one.
 ///
 /// The directory is an open-addressing table of slots probed by a row's
-/// hash: the keying pass hashes a row's key parts straight from the column
-/// buffers with `S` (`RandomState`'s SipHash, as a `HashMap` would), compares
-/// the row with a probed slot's key in place ([`GroupKey::matches_columns`])
-/// and builds a [`GroupKey`] only when a slot opens — never per row.
+/// hash.  The keying pass hashes a chunk a key column at a time: one typed
+/// loop per column folds every row's cell into that row's running hash
+/// ([`hash_column`]), starting from a seed drawn per directory from
+/// [`RandomState`] — so keys crafted to collide cannot be computed ahead of
+/// a scan — and an avalanche ([`avalanche`]) runs before the table masks a
+/// hash.  Rows are then probed one by one: a probed slot's stored hash is
+/// compared before its key is compared with the row in place
+/// ([`GroupKey::matches_columns`]), and a [`GroupKey`] is built only when a
+/// slot opens — never per row.
 #[derive(Debug)]
-pub(crate) struct SlotDirectory<S = RandomState> {
+pub(crate) struct SlotDirectory {
     /// Every slot's key, in slot order.
     keys: Vec<GroupKey>,
     /// Every slot's row hash, in slot order.
@@ -546,36 +507,42 @@ pub(crate) struct SlotDirectory<S = RandomState> {
     /// Linear-probing table of slots ([`EMPTY`] when free); its length is
     /// zero or a power of two at least twice the slot count.
     table: Vec<u32>,
-    hasher: S,
+    /// Where every row's hash starts.
+    seed: u64,
+    /// The hash of every row of the chunk being keyed; reused.
+    row_hashes: Vec<u64>,
 }
 
 /// A free entry of [`SlotDirectory`]'s table.
 const EMPTY: u32 = u32::MAX;
 
+/// What a NULL cell folds into its row's hash, whatever the column's type.
+const NULL_TAG: u64 = 0x6A09_E667_F3BC_C908;
+
+/// The odd multiplier of [`fold`] (the golden ratio's 64-bit fraction).
+const FOLD_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl Default for SlotDirectory {
     fn default() -> Self {
-        Self::with_hasher(RandomState::new())
-    }
-}
-
-impl<S: BuildHasher> SlotDirectory<S> {
-    /// An empty directory hashing rows with `hasher`.
-    fn with_hasher(hasher: S) -> Self {
         Self {
             keys: Vec::new(),
             hashes: Vec::new(),
             table: Vec::new(),
-            hasher,
+            seed: RandomState::new().build_hasher().finish(),
+            row_hashes: Vec::new(),
         }
     }
+}
 
+impl SlotDirectory {
     /// The keying pass: resolves every row of `chunk` to its slot over the
     /// key columns at `column_indices`, leaving in `keyed` a fresh round
     /// whose keys are the per-row slots and whose runs are the chunk's
-    /// distinct slots (first-seen order, with row counts).  Group values
-    /// cluster in practice, so the previous row's slot is compared in place
-    /// first, before the row is hashed.  A key seen for the first time gets
-    /// the next slot after `on_new(key)` succeeds — exactly once per slot.
+    /// distinct slots (first-seen order, with row counts).  Every row is
+    /// hashed first, a column at a time; then each row is probed.  Group
+    /// values cluster in practice, so the previous row's hash and then key
+    /// are compared first.  A key seen for the first time gets the next slot
+    /// after `on_new(key)` succeeds — exactly once per slot.
     ///
     /// # Errors
     /// Stops at the first `on_new` error; the key it refused opens no slot.
@@ -584,18 +551,47 @@ impl<S: BuildHasher> SlotDirectory<S> {
         chunk: &RowChunk,
         column_indices: &[usize],
         keyed: &mut IndexSort,
-        mut on_new: impl FnMut(&GroupKey) -> std::result::Result<(), E>,
+        on_new: impl FnMut(&GroupKey) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
         let key_columns: Vec<&ColumnChunk> =
             column_indices.iter().map(|&c| chunk.column(c)).collect();
+        self.hash_rows(&key_columns, chunk.len());
+        self.probe_rows(&key_columns, keyed, on_new)
+    }
+
+    /// Hashes each of `rows` rows over `columns` into `row_hashes`: every
+    /// column folded in by its typed loop, then the avalanche.
+    fn hash_rows(&mut self, columns: &[&ColumnChunk], rows: usize) {
+        let hashes = &mut self.row_hashes;
+        hashes.clear();
+        hashes.resize(rows, self.seed);
+        for column in columns {
+            hash_column(column, hashes);
+        }
+        hashes.iter_mut().for_each(|hash| *hash = avalanche(*hash));
+    }
+
+    /// Resolves every row hashed into `row_hashes` to its slot, recording
+    /// the round in `keyed`.
+    fn probe_rows<E>(
+        &mut self,
+        columns: &[&ColumnChunk],
+        keyed: &mut IndexSort,
+        mut on_new: impl FnMut(&GroupKey) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         keyed.clear();
-        let mut previous: Option<u32> = None;
-        for i in 0..chunk.len() {
+        let mut previous: Option<(u64, u32)> = None;
+        for i in 0..self.row_hashes.len() {
+            let hash = self.row_hashes[i];
             let slot = match previous {
-                Some(slot) if self.keys[slot as usize].matches_columns(&key_columns, i) => slot,
+                Some((seen, slot))
+                    if seen == hash && self.keys[slot as usize].matches_columns(columns, i) =>
+                {
+                    slot
+                }
                 _ => {
-                    let slot = self.slot_of_row(&key_columns, i, &mut on_new)?;
-                    previous = Some(slot);
+                    let slot = self.slot_of_row(columns, i, hash, &mut on_new)?;
+                    previous = Some((hash, slot));
                     slot
                 }
             };
@@ -604,22 +600,18 @@ impl<S: BuildHasher> SlotDirectory<S> {
         Ok(())
     }
 
-    /// The slot of row `i` over `columns`, opening one (after `on_new`
-    /// succeeds) when the row's key is new.
+    /// The slot of row `i` over `columns`, whose hash is `hash`, opening one
+    /// (after `on_new` succeeds) when the row's key is new.
     fn slot_of_row<E>(
         &mut self,
         columns: &[&ColumnChunk],
         i: usize,
+        hash: u64,
         on_new: impl FnOnce(&GroupKey) -> std::result::Result<(), E>,
     ) -> std::result::Result<u32, E> {
         if self.table.is_empty() {
             self.table = vec![EMPTY; 16];
         }
-        let mut hasher = self.hasher.build_hasher();
-        for column in columns {
-            hash_cell(column, i, &mut hasher);
-        }
-        let hash = hasher.finish();
         let mask = self.table.len() - 1;
         let mut at = hash as usize & mask;
         loop {
@@ -657,43 +649,108 @@ impl<S: BuildHasher> SlotDirectory<S> {
             self.table[at] = slot as u32;
         }
     }
-}
 
-impl<S> SlotDirectory<S> {
     /// The keys, by value, in slot order.
     pub(crate) fn into_keys(self) -> impl Iterator<Item = GroupKey> {
         self.keys.into_iter()
     }
 }
 
-/// Feeds row `i` of `column` to `hasher` so that rows whose key parts are
-/// equal ([`KeyPart::matches_column`]) hash equally: NULL as a lone tag,
-/// floats by bit pattern, arrays with their length.
-fn hash_cell(column: &ColumnChunk, i: usize, hasher: &mut impl Hasher) {
-    if column.nulls().is_null(i) {
-        hasher.write_u8(0);
-        return;
-    }
-    hasher.write_u8(1);
+/// Folds row `i`'s cell of `column` into `hashes[i]` for every row, one
+/// typed loop per column type, so that rows whose key parts are equal
+/// ([`KeyPart::matches_column`]) fold equally: NULL as [`NULL_TAG`], floats
+/// by bit pattern, text a word at a time after its length ([`fold_text`]),
+/// arrays element by element after their length.
+fn hash_column(column: &ColumnChunk, hashes: &mut [u64]) {
+    let nulls = column.nulls();
     match column {
-        ColumnChunk::Double { values, .. } => hasher.write_u64(values[i].to_bits()),
-        ColumnChunk::Int { values, .. } => hasher.write_i64(values[i]),
-        ColumnChunk::Bool { values, .. } => hasher.write_u8(u8::from(values[i])),
-        ColumnChunk::Text { values, .. } => values[i].hash(hasher),
+        ColumnChunk::Double { values, .. } => {
+            fold_rows(hashes, nulls, |hash, i| fold(hash, values[i].to_bits()))
+        }
+        ColumnChunk::Int { values, .. } => {
+            fold_rows(hashes, nulls, |hash, i| fold(hash, values[i] as u64))
+        }
+        ColumnChunk::Bool { values, .. } => {
+            fold_rows(hashes, nulls, |hash, i| fold(hash, u64::from(values[i])))
+        }
+        ColumnChunk::Text { values, .. } => {
+            fold_rows(hashes, nulls, |hash, i| fold_text(hash, &values[i]))
+        }
         ColumnChunk::DoubleArray {
             values, offsets, ..
-        } => {
-            let row = &values[offsets[i]..offsets[i + 1]];
-            hasher.write_usize(row.len());
-            row.iter().for_each(|v| hasher.write_u64(v.to_bits()));
-        }
+        } => fold_rows(hashes, nulls, |hash, i| {
+            let span = &values[offsets[i]..offsets[i + 1]];
+            let hash = fold(hash, span.len() as u64);
+            span.iter().fold(hash, |hash, v| fold(hash, v.to_bits()))
+        }),
         ColumnChunk::IntArray {
             values, offsets, ..
-        } => values[offsets[i]..offsets[i + 1]].hash(hasher),
+        } => fold_rows(hashes, nulls, |hash, i| {
+            let span = &values[offsets[i]..offsets[i + 1]];
+            let hash = fold(hash, span.len() as u64);
+            span.iter().fold(hash, |hash, &v| fold(hash, v as u64))
+        }),
         ColumnChunk::TextArray {
             values, offsets, ..
-        } => values[offsets[i]..offsets[i + 1]].hash(hasher),
+        } => fold_rows(hashes, nulls, |hash, i| {
+            let span = &values[offsets[i]..offsets[i + 1]];
+            let hash = fold(hash, span.len() as u64);
+            span.iter().fold(hash, |hash, v| fold_text(hash, v))
+        }),
     }
+}
+
+/// The loop of one column: `fold_row(hash, i)` folds row `i`'s non-NULL
+/// cell into its hash; a column without NULLs tests no row.
+#[inline(always)]
+fn fold_rows(hashes: &mut [u64], nulls: &NullBitmap, fold_row: impl Fn(u64, usize) -> u64) {
+    let rows = hashes.iter_mut().enumerate();
+    if nulls.any_null() {
+        for (i, hash) in rows {
+            *hash = if nulls.is_null(i) {
+                fold(*hash, NULL_TAG)
+            } else {
+                fold_row(*hash, i)
+            };
+        }
+    } else {
+        rows.for_each(|(i, hash)| *hash = fold_row(*hash, i));
+    }
+}
+
+/// Folds a string into a running hash: its byte length, then its bytes
+/// eight at a time as little-endian words, the last word zero-padded (the
+/// length keeps `"a"` and `"a\0"` apart).
+#[inline(always)]
+fn fold_text(hash: u64, text: &str) -> u64 {
+    let (words, tail) = text.as_bytes().as_chunks::<8>();
+    let hash = fold(hash, text.len() as u64);
+    let hash = words
+        .iter()
+        .fold(hash, |hash, word| fold(hash, u64::from_le_bytes(*word)));
+    let last = tail
+        .iter()
+        .rev()
+        .fold(0, |word, &byte| word << 8 | u64::from(byte));
+    fold(hash, last)
+}
+
+/// Folds one word into a running hash: the 128-bit product of the two
+/// XORed with [`FOLD_MULTIPLIER`], its halves XORed back to 64 bits.
+#[inline(always)]
+fn fold(hash: u64, word: u64) -> u64 {
+    let product = u128::from(hash ^ word) * u128::from(FOLD_MULTIPLIER);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// The final mix of a row's hash, so that its low bits — the ones the
+/// table masks — depend on every bit folded in (MurmurHash3's `fmix64`).
+fn avalanche(mut hash: u64) -> u64 {
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    hash ^ (hash >> 33)
 }
 
 /// A stable counting sort of row indices by a dense `u32` key.  A round is
@@ -1006,13 +1063,13 @@ mod tests {
         assert_eq!(groups[0].rows, 2);
     }
 
-    /// Keys `chunks` through `directory` and checks every output of the
-    /// keying pass and the index sort against a per-row `HashMap` walk.
-    fn check_keying_against_oracle<S: BuildHasher>(
-        mut directory: SlotDirectory<S>,
-        chunks: &[RowChunk],
-        column_indices: &[usize],
-    ) {
+    /// Keys `chunks` through a fresh directory and checks every output of
+    /// the keying pass and the index sort against a per-row `HashMap` walk.
+    /// `colliding`: every row's hash is overwritten with one value between
+    /// the pass's two halves, so the in-place compare alone tells slots
+    /// apart.
+    fn check_keying_against_oracle(colliding: bool, chunks: &[RowChunk], column_indices: &[usize]) {
+        let mut directory = SlotDirectory::default();
         let mut keyed = IndexSort::default();
         let mut opened: Vec<GroupKey> = Vec::new();
         // The oracle: key → slot in first-appearance order across all chunks.
@@ -1034,12 +1091,18 @@ mod tests {
                 }
             }
 
-            directory
-                .key_chunk(chunk, column_indices, &mut keyed, |key| {
-                    opened.push(key.clone());
-                    Ok::<(), Infallible>(())
-                })
-                .unwrap();
+            let on_new = |key: &GroupKey| {
+                opened.push(key.clone());
+                Ok::<(), Infallible>(())
+            };
+            if colliding {
+                directory.hash_rows(&columns, chunk.len());
+                directory.row_hashes.fill(7);
+                directory.probe_rows(&columns, &mut keyed, on_new)
+            } else {
+                directory.key_chunk(chunk, column_indices, &mut keyed, on_new)
+            }
+            .unwrap();
             assert_eq!(keyed.keys(), expected_slots);
             assert_eq!(keyed.runs(), expected_groups);
             let sorted: Vec<(u32, Vec<u32>)> = keyed
@@ -1065,76 +1128,68 @@ mod tests {
         assert_eq!(in_slot_order, opened);
     }
 
-    /// Builds hashers that hash every row to one value, so the in-place
-    /// compare alone tells slots apart.
-    struct OneHash;
-
-    impl BuildHasher for OneHash {
-        type Hasher = OneHasher;
-
-        fn build_hasher(&self) -> OneHasher {
-            OneHasher
-        }
-    }
-
-    struct OneHasher;
-
-    impl Hasher for OneHasher {
-        fn finish(&self) -> u64 {
-            7
-        }
-
-        fn write(&mut self, _bytes: &[u8]) {}
-    }
-
-    /// Chunks of 96 rows over twelve distinct keys that cover NULL, NaN, both
-    /// zeros and text parts — clustered, alternating and shuffled, three
-    /// chunks per order so slots carry over between chunks — with the label
-    /// of the order.
+    /// Chunks of 216 rows over 54 distinct keys — every pair of nine text
+    /// parts (NULL; `""`, `"a"` and `"a\0"`, which differ only in length
+    /// or padding; strings of 7, 8, 9 and 16 bytes, which end inside, at and
+    /// past an 8-byte word, two of the 9-byte ones an 8-byte string plus a
+    /// NUL or a letter) and six double parts (both zeros, three NaN bit
+    /// patterns, NULL), with a bigint part — clustered, alternating and
+    /// shuffled, three chunks per order so slots carry over between chunks,
+    /// with the label of the order.
     fn keying_fixture() -> Vec<(&'static str, Vec<RowChunk>)> {
         let schema = Schema::new(vec![
             Column::new("t", ColumnType::Text),
             Column::new("d", ColumnType::Double),
             Column::new("n", ColumnType::Int),
         ]);
-        // Twelve distinct rows covering NULL, NaN, both zeros and text parts.
         let texts = [
-            Value::Text("a".into()),
-            Value::Text("b".into()),
             Value::Null,
+            Value::Text(String::new()),
+            Value::Text("a".into()),
+            Value::Text("a\0".into()),
+            Value::Text("abcdefg".into()),
+            Value::Text("abcdefgh".into()),
+            Value::Text("abcdefgh\0".into()),
+            Value::Text("abcdefghi".into()),
+            Value::Text("abcdefghijklmnop".into()),
         ];
         let doubles = [
             Value::Double(0.0),
             Value::Double(-0.0),
             Value::Double(f64::NAN),
+            Value::Double(f64::from_bits(f64::NAN.to_bits() | 1)),
+            Value::Double(-f64::NAN),
             Value::Null,
         ];
-        let distinct: Vec<Vec<Value>> = (0..12)
+        let distinct: Vec<Vec<Value>> = (0..54)
             .map(|k| {
                 vec![
-                    texts[k % 3].clone(),
-                    doubles[k % 4].clone(),
+                    texts[k % 9].clone(),
+                    doubles[k / 9].clone(),
                     Value::Int((k % 2) as i64),
                 ]
             })
             .collect();
         let orders: [(&str, Vec<usize>); 3] = [
-            ("clustered", (0..96).map(|i| i / 8).collect()),
-            ("alternating", (0..96).map(|i| i % 2 * 5 + i / 48).collect()),
+            ("clustered", (0..216).map(|i| i / 4).collect()),
+            (
+                "alternating",
+                (0..216).map(|i| i % 2 * 27 + i / 108).collect(),
+            ),
             (
                 "shuffled",
-                (0..96).map(|i| (i * 7 % 12) ^ (i / 12 % 3)).collect(),
+                (0..216).map(|i| (i * 29 + i / 54) % 54).collect(),
             ),
         ];
         orders
             .into_iter()
             .map(|(label, order)| {
                 let chunks = order
-                    .chunks(32)
+                    .chunks(72)
                     .map(|piece| {
                         let mut chunk = RowChunk::new(&schema);
                         for &k in piece {
-                            chunk.push_values(&distinct[k % 12]).unwrap();
+                            chunk.push_values(&distinct[k]).unwrap();
                         }
                         chunk
                     })
@@ -1151,7 +1206,7 @@ mod tests {
         for (label, chunks) in keying_fixture() {
             for columns in KEY_COLUMN_SETS {
                 eprintln!("{label} order, key columns {columns:?}");
-                check_keying_against_oracle(SlotDirectory::default(), &chunks, columns);
+                check_keying_against_oracle(false, &chunks, columns);
             }
         }
     }
@@ -1161,7 +1216,7 @@ mod tests {
         for (label, chunks) in keying_fixture() {
             for columns in KEY_COLUMN_SETS {
                 eprintln!("{label} order, key columns {columns:?}");
-                check_keying_against_oracle(SlotDirectory::with_hasher(OneHash), &chunks, columns);
+                check_keying_against_oracle(true, &chunks, columns);
             }
         }
     }

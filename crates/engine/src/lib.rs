@@ -62,10 +62,10 @@
 //!   on typed — possibly composite — [`group::GroupKey`]s: each chunk is
 //!   partitioned by key and every group's rows are gathered, in row order,
 //!   into a compacted sub-chunk for [`Aggregate::transition_chunk`]; chunks
-//!   with more groups than direct gathers pay for run a radix partition
-//!   pass instead, staging rows into group-slot buckets across chunks via
-//!   [`chunk::RowChunk::append_rows`] and flushing each group as one batch
-//!   — bit-identical either way), grouped scoring and per-group gathers
+//!   whose groups average fewer than 16 rows run a radix partition pass
+//!   instead, staging rows into group-slot buckets across chunks and
+//!   flushing each group as one batch — bit-identical either way), grouped
+//!   scoring and per-group gathers
 //!   ([`dataset::Dataset::score_per_group`], [`dataset::Dataset::gather_groups`])
 //!   — all three route a chunk's rows to groups through the one keying pass
 //!   and index sort of the [`group`] module, which

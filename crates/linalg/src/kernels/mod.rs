@@ -375,13 +375,6 @@ fn closest_column_tier(
     }
 }
 
-/// General matrix–matrix multiply `C = A * B` as a free function (wrapper
-/// around [`DenseMatrix::matmul`], which itself runs [`gemm_acc`]) kept here
-/// so benchmarks can address "the gemm kernel" uniformly.
-pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> crate::Result<DenseMatrix> {
-    a.matmul(b)
-}
-
 /// Accumulates `out += A * B` (dense GEMM) without allocating, dispatched per
 /// [`dispatch::active_path`].  Every tier preserves the historical
 /// `DenseMatrix::matmul` semantics: per output element the `k` contributions
@@ -662,6 +655,7 @@ mod tests {
 
     #[test]
     fn gemm_delegates_to_matmul() {
+        // `DenseMatrix::matmul` is the gemm entry point: it runs `gemm_acc`.
         let a = DenseMatrix::identity(3);
         let b = DenseMatrix::from_rows(&[
             vec![1.0, 2.0, 3.0],
@@ -669,6 +663,6 @@ mod tests {
             vec![7.0, 8.0, 9.0],
         ])
         .unwrap();
-        assert_eq!(gemm(&a, &b).unwrap(), b);
+        assert_eq!(a.matmul(&b).unwrap(), b);
     }
 }

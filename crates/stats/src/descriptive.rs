@@ -135,11 +135,6 @@ impl Summary {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev_sample(&self) -> Option<f64> {
-        self.variance_sample().map(f64::sqrt)
-    }
-
     /// Minimum; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

@@ -81,34 +81,34 @@ pub fn viterbi_top_k(
     Ok(finals)
 }
 
-/// Exhaustive maximum-likelihood decode, used by the tests to certify Viterbi
-/// optimality on small chains (exponential cost — keep sequences short).
-///
-/// # Errors
-/// Propagates scoring errors.
-pub fn brute_force_decode(crf: &ChainCrf, observations: &[usize]) -> Result<(Vec<usize>, f64)> {
-    let num_labels = crf.num_labels();
-    let n = observations.len();
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    let total = (num_labels as u64).pow(n as u32);
-    for code in 0..total {
-        let mut labels = Vec::with_capacity(n);
-        let mut c = code;
-        for _ in 0..n {
-            labels.push((c % num_labels as u64) as usize);
-            c /= num_labels as u64;
-        }
-        let score = crf.sequence_log_score(observations, &labels)?;
-        if best.as_ref().map(|(_, s)| score > *s).unwrap_or(true) {
-            best = Some((labels, score));
-        }
-    }
-    best.ok_or_else(|| EngineError::invalid("empty search space"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exhaustive maximum-likelihood decode, the oracle that certifies Viterbi
+    /// optimality on small chains (exponential cost — keep sequences short).
+    ///
+    /// # Errors
+    /// Propagates scoring errors.
+    fn brute_force_decode(crf: &ChainCrf, observations: &[usize]) -> Result<(Vec<usize>, f64)> {
+        let num_labels = crf.num_labels();
+        let n = observations.len();
+        let mut best: Option<(Vec<usize>, f64)> = None;
+        let total = (num_labels as u64).pow(n as u32);
+        for code in 0..total {
+            let mut labels = Vec::with_capacity(n);
+            let mut c = code;
+            for _ in 0..n {
+                labels.push((c % num_labels as u64) as usize);
+                c /= num_labels as u64;
+            }
+            let score = crf.sequence_log_score(observations, &labels)?;
+            if best.as_ref().map(|(_, s)| score > *s).unwrap_or(true) {
+                best = Some((labels, score));
+            }
+        }
+        best.ok_or_else(|| EngineError::invalid("empty search space"))
+    }
 
     /// A CRF with hand-set weights: observation i strongly prefers label
     /// i % 2, and transitions prefer staying in the same label.

@@ -542,8 +542,11 @@ proptest! {
     /// before any later direct transition of the same groups, or a group
     /// would see its rows out of order.  This pins the exact interleavings:
     /// single-key chunks, radix chunks sharing keys with earlier direct
-    /// chunks, direct chunks over keys with staged rows, and a trailing
-    /// partial chunk of brand-new keys.
+    /// chunks, a direct chunk over keys with staged rows (four keys of
+    /// sixteen rows, a direct gather's minimum average, whose rows all pass
+    /// the filter), and a trailing partial chunk of brand-new keys.  The
+    /// values are not small integers, so a group's sums change bits when
+    /// its rows arrive out of order.
     #[test]
     fn radix_staging_interleaves_with_direct_chunks_bit_identically(
         filtered in any::<bool>(),
@@ -561,20 +564,24 @@ proptest! {
             .unwrap();
         let key_of = |block: usize, i: usize| -> i64 {
             match block {
-                0 => 0,                  // single-key chunk (direct)
-                1 => i as i64,           // 64 distinct keys incl. 0 (radix)
-                2 => 1,                  // single-key chunk over a staged key
-                3 => 32 + i as i64,      // radix again, half old half new keys
-                4 => 32 + (i % 16) as i64, // 16 staged keys × 4 rows (direct)
-                _ => 100 + i as i64,     // trailing partial chunk, new keys
+                0 => 0,                 // single-key chunk (direct)
+                1 => i as i64,          // 64 distinct keys incl. 0 (radix)
+                2 => 1,                 // single-key chunk over a staged key
+                3 => 32 + i as i64,     // radix again, half old half new keys
+                4 => 32 + (i % 4) as i64, // 4 staged keys × 16 rows (direct)
+                _ => 100 + i as i64,    // trailing partial chunk, new keys
             }
         };
         let mut row_idx = 0usize;
         for block in 0..6 {
             let rows = if block == 5 { 10 } else { 64 };
             for i in 0..rows {
-                let y = ((row_idx * 29) % 13) as f64 - 6.0;
-                let x = vec![1.0, (row_idx % 5) as f64 - 2.0, ((row_idx * 7) % 9) as f64];
+                let t = row_idx as f64;
+                let y = match block {
+                    4 => 1.0 + (t * 1.3).sin().abs(),
+                    _ => (t * 1.3).sin(),
+                };
+                let x = vec![1.0, (t * 0.37).sin(), (t * 0.11).cos() * 2.0];
                 table
                     .insert(Row::new(vec![
                         Value::Int(key_of(block, i)),
@@ -591,7 +598,11 @@ proptest! {
         }
 
         let scan = LinregrStateProbe(LinearRegression::new("y", "x"));
-        let lin_c = grouped.aggregate_per_group(&scan).unwrap();
+        let (lin_c, stats) = grouped.aggregate_per_group_with_stats(&scan).unwrap();
+        // Blocks 0 and 2 went whole, block 4 was gathered, the rest staged.
+        prop_assert_eq!(stats.grouping.single_key_chunks, 2);
+        prop_assert_eq!(stats.grouping.gathered_chunks, 1);
+        prop_assert!(stats.grouping.staged_chunks >= 2, "{:?}", stats.grouping);
         let lin_r = reference::aggregate_per_group(&grouped, &scan).unwrap();
         prop_assert_eq!(lin_c.len(), lin_r.len());
         for ((ka, sa), (kb, sb)) in lin_c.iter().zip(&lin_r) {

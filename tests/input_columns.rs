@@ -238,14 +238,17 @@ fn copies_for_a_declaring_aggregate_hold_only_their_columns() {
             .aggregate(&ArityProbe)
             .unwrap();
         assert_copies_narrowed(&table, &filtered);
-        // `high` splinters every chunk (radix staging), `low` does not
-        // (direct gathers).
-        for keys in [["high"], ["low"]] {
+        // `high` splinters every chunk into one-row groups (radix staging);
+        // `low` keeps two groups of about 32 rows in each (direct gathers).
+        for (keys, staged) in [(["high"], true), (["low"], false)] {
             for dataset in [
                 base().group_by(keys),
                 base().filter(probe_filter()).group_by(keys),
             ] {
-                let groups = dataset.aggregate_per_group(&ArityProbe).unwrap();
+                let (groups, stats) = dataset.aggregate_per_group_with_stats(&ArityProbe).unwrap();
+                let paths = stats.grouping;
+                assert_eq!(paths.staged_chunks > 0, staged, "{keys:?}: {paths:?}");
+                assert_eq!(paths.gathered_chunks > 0, !staged, "{keys:?}: {paths:?}");
                 let seen: Seen = groups.into_iter().flat_map(|(_, seen)| seen).collect();
                 assert_copies_narrowed(&table, &seen);
             }

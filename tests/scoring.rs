@@ -612,10 +612,11 @@ impl Scorer for GroupId {
 /// The three grouped terminals share one keying pass, so on one table they
 /// must report the same key set and the same per-key row counts as the
 /// per-row reference — under the parallel and serial executors, filtered and
-/// not.  The table
-/// alternates phases of three fat groups (≥ 4 rows per group and chunk: the
-/// direct-gather path) with phases of hundreds of thin composite groups (< 4: the
-/// radix staging path), with NULL, NaN and `-0.0` key parts in both.
+/// not.  The table alternates phases of three fat groups (about 21 rows per
+/// group and chunk, past a direct gather's minimum average of 16) with
+/// phases of hundreds of thin composite groups (radix staging), with NULL,
+/// NaN and `-0.0` key parts in both; the grouped aggregation's counts show
+/// both paths ran.
 #[test]
 fn grouped_terminals_agree_on_keys_and_row_counts() {
     let schema = Schema::new(vec![
@@ -656,8 +657,15 @@ fn grouped_terminals_agree_on_keys_and_row_counts() {
             if let Some(predicate) = filter {
                 dataset = dataset.filter(predicate);
             }
-            let counted = dataset.aggregate_per_group(&CountAggregate).unwrap();
+            let (counted, stats) = dataset
+                .aggregate_per_group_with_stats(&CountAggregate)
+                .unwrap();
             assert!(counted.len() > 150, "both phases contribute groups");
+            let paths = stats.grouping;
+            assert!(
+                paths.gathered_chunks > 0 && paths.staged_chunks > 0,
+                "{paths:?}"
+            );
             let by_rows = reference::aggregate_per_group(&dataset, &CountAggregate).unwrap();
             assert_eq!(by_rows, counted, "per-row reference vs aggregate_per_group");
 
