@@ -922,23 +922,6 @@ impl RowChunk {
         Ok(chunk)
     }
 
-    /// Appends one row of values: the one-row case of the transposition
-    /// behind [`crate::Table::insert_all`], for tests and small hand-built
-    /// chunks.  On failure the chunk is unchanged.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::ArityMismatch`] for a wrong-arity row and
-    /// [`EngineError::TypeMismatch`] for a value its column does not accept.
-    pub fn push_values(&mut self, values: &[Value]) -> Result<()> {
-        let columns = self.columns.iter().enumerate();
-        let columns = columns.map(|(i, c)| Column::new(format!("#{i}"), c.column_type()));
-        let row = Row::new(values.to_vec());
-        for chunk in RowChunk::transpose(&Schema::new(columns.collect()), [row], 1)? {
-            self.copy_rows(&chunk, None, Rows::Run(0..1));
-        }
-        Ok(())
-    }
-
     /// Materializes row `i`.
     pub fn row(&self, i: usize) -> Row {
         Row::new(self.columns.iter().map(|c| c.value(i)).collect())
@@ -1296,6 +1279,25 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::schema::Column;
+
+    impl RowChunk {
+        /// Appends one row of values — how the tests hand-build a chunk: the
+        /// one-row case of the transposition behind
+        /// [`crate::Table::insert_all`].  On failure the chunk is unchanged.
+        ///
+        /// # Errors
+        /// Returns [`EngineError::ArityMismatch`] for a wrong-arity row and
+        /// [`EngineError::TypeMismatch`] for a value its column does not accept.
+        pub(crate) fn push_values(&mut self, values: &[Value]) -> Result<()> {
+            let columns = self.columns.iter().enumerate();
+            let columns = columns.map(|(i, c)| Column::new(format!("#{i}"), c.column_type()));
+            let row = Row::new(values.to_vec());
+            for chunk in RowChunk::transpose(&Schema::new(columns.collect()), [row], 1)? {
+                self.copy_rows(&chunk, None, Rows::Run(0..1));
+            }
+            Ok(())
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![

@@ -383,12 +383,10 @@ impl<S> GroupedUnit<S> {
         // The current chunk as the keying pass left it: every row's slot, the
         // chunk's distinct slots, and the sort that gathers by them.
         let mut keyed = IndexSort::default();
-        // Rows of high-cardinality chunks waiting to be batched.
-        let mut staging = RadixStaging::default();
         // The schema of every chunk the runner builds: the input columns'.
         let input_schema = columns.schema(schema);
-        // The one sub-chunk every per-group gather refills.
-        let batch = &mut RowChunk::new(input_schema);
+        // Rows of high-cardinality chunks waiting to be batched.
+        let mut staging = RadixStaging::new(input_schema);
         let compaction = columns.compaction.as_ref().map(|c| &c.kept);
         let scanned = scan::scan_chunks(chunks, schema, filter, compaction, |scanned| {
             let at = columns.columns(&scanned, schema);
@@ -397,87 +395,39 @@ impl<S> GroupedUnit<S> {
                 states.push(aggregate.initial_state());
                 Ok::<(), EngineError>(())
             })?;
-            // Keep one (possibly empty) bucket per run of slots, so every slot
-            // has a bucket to stage into or flush from.
-            let wanted = states.len().div_ceil(RADIX_SLOTS_PER_BUCKET);
-            if staging.buckets.len() < wanted {
-                staging
-                    .buckets
-                    .resize_with(wanted, || StagedBucket::new(input_schema));
-            }
-
-            if let (&[(slot, _)], Some(whole)) = (keyed.runs(), at.whole) {
-                // Single-key chunk: the whole chunk is one group's batch.  Any
-                // staged rows of this group's bucket must run first to keep the
-                // group's row order.
-                stats.single_key_chunks += 1;
-                stats.batches += 1;
-                let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
-                staging.flush_bucket(aggregate, input_schema, &mut states, batch, bucket)?;
-                return aggregate.transition_chunk(&mut states[slot as usize], chunk, whole);
-            }
-
-            if chunk.len() * RADIX_SLOTS_PER_BUCKET >= keyed.runs().len() * RADIX_FLUSH_ROWS {
-                // The groups average a flush's batch: gather each group's
-                // rows — in row order — into the scratch sub-chunk.  Buckets
-                // holding staged rows of this chunk's groups flush first
-                // (order again).
-                stats.gathered_chunks += 1;
-                stats.batches += keyed.runs().len() as u64;
-                if staging.staged_total > 0 {
-                    for &(slot, _) in keyed.runs() {
-                        let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
-                        staging.flush_bucket(
-                            aggregate,
-                            input_schema,
-                            &mut states,
-                            batch,
-                            bucket,
-                        )?;
-                    }
-                }
-                for (slot, indices) in keyed.sorted() {
-                    batch.clear();
-                    batch.append_columns(chunk, at.input, indices);
-                    aggregate.transition_chunk(&mut states[slot as usize], batch, input_schema)?;
-                }
-            } else {
-                // The radix partition pass.  Sort the row indices into
-                // slot-range buckets and append each bucket's rows (columnar
-                // copies, no Row materialization) to its staging chunk; groups
-                // batch up across chunks and flush through transition_chunk
-                // once their bucket is full.  Per-group row order is
-                // preserved: a group's rows route through exactly one bucket,
-                // in scan order.
+            let runs = keyed.runs();
+            let whole = at.whole.filter(|_| runs.len() == 1);
+            if whole.is_none()
+                && chunk.len() * RADIX_SLOTS_PER_BUCKET < runs.len() * RADIX_FLUSH_ROWS
+            {
+                // The radix partition pass: the groups average less than a
+                // flush's batch, so their rows wait in slot-range buckets
+                // for rows of the same groups from later chunks.
                 stats.staged_chunks += 1;
-                staging.stage_chunk_rows(chunk, at.input, keyed.keys());
-                // Flush buckets that reached a batch worth of rows — only the
-                // buckets staged into by *this* chunk can have newly crossed
-                // the threshold, so the check is O(buckets touched), not
-                // O(all buckets).
-                for touched in 0..staging.by_bucket.runs().len() {
-                    let bucket = staging.by_bucket.runs()[touched].0 as usize;
-                    if staging.buckets[bucket].len() >= RADIX_FLUSH_ROWS {
-                        staging.flush_bucket(
-                            aggregate,
-                            input_schema,
-                            &mut states,
-                            batch,
-                            bucket,
-                        )?;
-                    }
+                return staging.stage(aggregate, &mut states, chunk, at.input, keyed.keys());
+            }
+            // A direct chunk.  Buckets holding staged rows of its groups
+            // flush first, to keep each group's rows in scan order.
+            if staging.staged_total > 0 {
+                for &(slot, _) in runs {
+                    let bucket = slot as usize / RADIX_SLOTS_PER_BUCKET;
+                    staging.flush_bucket(aggregate, &mut states, bucket)?;
                 }
-                // Bound total staging memory by draining the fullest buckets
-                // (global scan, but only reached when the cap is exceeded).
-                while staging.staged_total > RADIX_MAX_STAGED_ROWS {
-                    // Staged rows live in buckets, so a fullest one exists.
-                    let Some(fullest) =
-                        (0..staging.buckets.len()).max_by_key(|&b| staging.buckets[b].len())
-                    else {
-                        break;
-                    };
-                    staging.flush_bucket(aggregate, input_schema, &mut states, batch, fullest)?;
-                }
+            }
+            stats.batches += runs.len() as u64;
+            if let Some(whole) = whole {
+                // Single-key chunk: the whole chunk is one group's batch.
+                stats.single_key_chunks += 1;
+                return aggregate.transition_chunk(&mut states[runs[0].0 as usize], chunk, whole);
+            }
+            // The groups average a flush's batch: gather each group's rows —
+            // in row order — into the scratch sub-chunk.
+            stats.gathered_chunks += 1;
+            for (slot, indices) in keyed.sorted() {
+                staging.batch.clear();
+                staging.batch.append_columns(chunk, at.input, indices);
+                let state = &mut states[slot as usize];
+                aggregate.transition_chunk(state, &staging.batch, input_schema)?;
             }
             Ok(())
         })?;
@@ -486,10 +436,8 @@ impl<S> GroupedUnit<S> {
         // complete.  Cross-group order is free (each group's state is
         // independent); per-group order was preserved by the staging
         // discipline.
-        if staging.staged_total > 0 {
-            for bucket in 0..staging.buckets.len() {
-                staging.flush_bucket(aggregate, input_schema, &mut states, batch, bucket)?;
-            }
+        for bucket in 0..staging.buckets.len() {
+            staging.flush_bucket(aggregate, &mut states, bucket)?;
         }
         debug_assert_eq!(staging.staged_total, 0);
         stats.batches += staging.batches;
@@ -506,8 +454,9 @@ impl<S> GroupedUnit<S> {
 /// Radix staging for high-cardinality chunks: one bucket per contiguous run
 /// of [`RADIX_SLOTS_PER_BUCKET`] slots, holding rows copied out of their
 /// source chunks until the bucket is worth batching.
-#[derive(Default)]
-struct RadixStaging {
+struct RadixStaging<'a> {
+    /// The schema of the staged rows: the aggregate's input columns'.
+    schema: &'a Schema,
     buckets: Vec<StagedBucket>,
     staged_total: usize,
     /// `transition_chunk` calls its flushes made.
@@ -517,6 +466,9 @@ struct RadixStaging {
     by_bucket: IndexSort,
     /// Sorts a flushing bucket's staged rows by slot.
     by_slot: IndexSort,
+    /// The one sub-chunk every per-group gather refills — the runner's
+    /// direct gathers and the flushes alike.
+    batch: RowChunk,
 }
 
 /// One radix bucket of the high-cardinality grouped scan: the staged rows of
@@ -528,48 +480,50 @@ struct StagedBucket {
     slots: Vec<u32>,
 }
 
-impl StagedBucket {
-    fn new(schema: &Schema) -> Self {
+impl<'a> RadixStaging<'a> {
+    /// Empty staging for rows of `schema`.
+    fn new(schema: &'a Schema) -> Self {
         Self {
-            rows: RowChunk::new(schema),
-            slots: Vec::new(),
+            schema,
+            buckets: Vec::new(),
+            staged_total: 0,
+            batches: 0,
+            by_bucket: IndexSort::default(),
+            by_slot: IndexSort::default(),
+            batch: RowChunk::new(schema),
         }
     }
 
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-impl RadixStaging {
-    /// Flushes one radix bucket: sorts the staged row indices by group slot
-    /// (stable, so each group's rows keep their scan order), gathers every
-    /// group's batch into the scratch sub-chunk `batch` and feeds it to
-    /// [`Aggregate::transition_chunk`].  Clears the bucket in place
-    /// afterwards, keeping its grown buffers for the next staging round.
+    /// Flushes one radix bucket (if it exists and holds rows): sorts the
+    /// staged row indices by group slot (stable, so each group's rows keep
+    /// their scan order), gathers every group's batch into the scratch
+    /// sub-chunk and feeds it to [`Aggregate::transition_chunk`].  Clears the
+    /// bucket in place afterwards, keeping its grown buffers for the next
+    /// staging round.
     fn flush_bucket<A: Aggregate>(
         &mut self,
         aggregate: &A,
-        schema: &Schema,
         states: &mut [A::State],
-        batch: &mut RowChunk,
         bucket_id: usize,
     ) -> Result<()> {
-        let bucket = &mut self.buckets[bucket_id];
-        if bucket.len() == 0 {
+        let Some(bucket) = self
+            .buckets
+            .get_mut(bucket_id)
+            .filter(|b| !b.slots.is_empty())
+        else {
             return Ok(());
-        }
-        self.staged_total -= bucket.len();
+        };
+        self.staged_total -= bucket.slots.len();
         self.by_slot.fill(bucket.slots.iter().copied());
         self.batches += self.by_slot.runs().len() as u64;
         if let [(slot, _)] = self.by_slot.runs()[..] {
             // Single-group bucket: the whole staged chunk is one batch.
-            aggregate.transition_chunk(&mut states[slot as usize], &bucket.rows, schema)?;
+            aggregate.transition_chunk(&mut states[slot as usize], &bucket.rows, self.schema)?;
         } else {
             for (slot, indices) in self.by_slot.sorted() {
-                batch.clear();
-                batch.append_columns(&bucket.rows, None, indices);
-                aggregate.transition_chunk(&mut states[slot as usize], batch, schema)?;
+                self.batch.clear();
+                self.batch.append_columns(&bucket.rows, None, indices);
+                aggregate.transition_chunk(&mut states[slot as usize], &self.batch, self.schema)?;
             }
         }
         bucket.rows.clear();
@@ -581,8 +535,28 @@ impl RadixStaging {
     /// their slot-range buckets: sorts the row indices by bucket (stable,
     /// preserving row order) and appends each bucket's run of the input
     /// `columns` (`None`: every column) to its staging chunk in one
-    /// [`RowChunk::append_columns`] call.
-    fn stage_chunk_rows(&mut self, chunk: &RowChunk, columns: Option<&[usize]>, row_slots: &[u32]) {
+    /// [`RowChunk::append_columns`] call.  Then flushes the buckets that
+    /// reached [`RADIX_FLUSH_ROWS`] — only buckets this chunk staged into can
+    /// have newly crossed it — and, past [`RADIX_MAX_STAGED_ROWS`], the
+    /// fullest ones.
+    fn stage<A: Aggregate>(
+        &mut self,
+        aggregate: &A,
+        states: &mut [A::State],
+        chunk: &RowChunk,
+        columns: Option<&[usize]>,
+        row_slots: &[u32],
+    ) -> Result<()> {
+        // One (possibly empty) bucket per run of slots, so every slot has a
+        // bucket to stage into.
+        let wanted = states.len().div_ceil(RADIX_SLOTS_PER_BUCKET);
+        if self.buckets.len() < wanted {
+            let schema = self.schema;
+            self.buckets.resize_with(wanted, || StagedBucket {
+                rows: RowChunk::new(schema),
+                slots: Vec::new(),
+            });
+        }
         let bucket_of = |&slot: &u32| slot / RADIX_SLOTS_PER_BUCKET as u32;
         self.by_bucket.fill(row_slots.iter().map(bucket_of));
         for (b, indices) in self.by_bucket.sorted() {
@@ -593,5 +567,22 @@ impl RadixStaging {
                 .extend(indices.iter().map(|&i| row_slots[i as usize]));
             self.staged_total += indices.len();
         }
+        for touched in 0..self.by_bucket.runs().len() {
+            let bucket = self.by_bucket.runs()[touched].0 as usize;
+            if self.buckets[bucket].slots.len() >= RADIX_FLUSH_ROWS {
+                self.flush_bucket(aggregate, states, bucket)?;
+            }
+        }
+        // Bound staging memory by draining the fullest buckets (a scan of
+        // every bucket, but only reached when the cap is exceeded; staged
+        // rows live in buckets, so a fullest one exists).
+        while self.staged_total > RADIX_MAX_STAGED_ROWS {
+            let buckets = 0..self.buckets.len();
+            let Some(fullest) = buckets.max_by_key(|&b| self.buckets[b].slots.len()) else {
+                break;
+            };
+            self.flush_bucket(aggregate, states, fullest)?;
+        }
+        Ok(())
     }
 }

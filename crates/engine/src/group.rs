@@ -112,15 +112,23 @@ pub enum KeyPart {
 impl KeyPart {
     /// Derives the key part for a value.
     pub fn from_value(value: &Value) -> Self {
+        KeyPart::from_ref(value.as_ref())
+    }
+
+    /// The key part of a borrowed value — of a [`Value`], or of a cell read
+    /// in place from a column chunk — copying what the part owns once.
+    fn from_ref(value: ValueRef<'_>) -> Self {
         match value {
-            Value::Null => KeyPart::Null,
-            Value::Bool(b) => KeyPart::Bool(*b),
-            Value::Int(v) => KeyPart::Int(*v),
-            Value::Double(v) => KeyPart::Double(TotalF64(*v)),
-            Value::Text(s) => KeyPart::Text(s.clone()),
-            Value::DoubleArray(a) => KeyPart::DoubleArray(a.iter().map(|&v| TotalF64(v)).collect()),
-            Value::IntArray(a) => KeyPart::IntArray(a.clone()),
-            Value::TextArray(a) => KeyPart::TextArray(a.clone()),
+            ValueRef::Null => KeyPart::Null,
+            ValueRef::Bool(b) => KeyPart::Bool(b),
+            ValueRef::Int(v) => KeyPart::Int(v),
+            ValueRef::Double(v) => KeyPart::Double(TotalF64(v)),
+            ValueRef::Text(s) => KeyPart::Text(s.to_owned()),
+            ValueRef::DoubleArray(a) => {
+                KeyPart::DoubleArray(a.iter().map(|&v| TotalF64(v)).collect())
+            }
+            ValueRef::IntArray(a) => KeyPart::IntArray(a.to_vec()),
+            ValueRef::TextArray(a) => KeyPart::TextArray(a.to_vec()),
         }
     }
 
@@ -141,10 +149,10 @@ impl KeyPart {
     }
 
     /// Whether this part equals the key part of row `i` of a column chunk,
-    /// checked in place — no allocation, unlike building the row's part with
-    /// [`KeyPart::from_column`] first: the keying pass compares each row
-    /// with the key of every slot its hash probes this way.  Forced inline:
-    /// it is the probe's per-row compare.
+    /// checked in place — no allocation, unlike building the row's part
+    /// first: the keying pass compares each row with the key of every slot
+    /// its hash probes this way.  Forced inline: it is the probe's per-row
+    /// compare.
     #[inline(always)]
     pub fn matches_column(&self, column: &ColumnChunk, i: usize) -> bool {
         match (self, column.value_ref(i)) {
@@ -164,11 +172,6 @@ impl KeyPart {
             (KeyPart::TextArray(key), ValueRef::TextArray(row)) => key.as_slice() == row,
             _ => false,
         }
-    }
-
-    /// The key part of row `i` of a column chunk.
-    pub fn from_column(column: &ColumnChunk, i: usize) -> Self {
-        KeyPart::from_value(&column.value(i))
     }
 }
 
@@ -212,22 +215,10 @@ impl GroupKey {
         GroupKey::single(KeyPart::from_value(value))
     }
 
-    /// Derives a composite key from one value per grouping column.  A
-    /// single-value iterator produces an inline one-part key without heap
-    /// allocation, matching [`GroupKey::from_value`].
-    pub fn from_values<'a, I>(values: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Value>,
-    {
-        let mut iter = values.into_iter().map(KeyPart::from_value);
-        match (iter.next(), iter.next()) {
-            (Some(only), None) => GroupKey::single(only),
-            (first, second) => {
-                let mut parts: Vec<KeyPart> = first.into_iter().chain(second).collect();
-                parts.extend(iter);
-                GroupKey::composite(parts)
-            }
-        }
+    /// Derives a composite key from one value per grouping column; one value
+    /// gives the inline one-part key [`GroupKey::from_value`] gives.
+    pub fn from_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> Self {
+        GroupKey::composite(values.into_iter().map(KeyPart::from_value).collect())
     }
 
     /// The key's parts, one per grouping column.
@@ -292,7 +283,7 @@ impl GroupKey {
         GroupKey::composite(
             columns
                 .iter()
-                .map(|column| KeyPart::from_column(column, i))
+                .map(|column| KeyPart::from_ref(column.value_ref(i)))
                 .collect(),
         )
     }
@@ -326,12 +317,6 @@ impl PartialOrd for GroupKey {
 impl Ord for GroupKey {
     fn cmp(&self, other: &Self) -> Ordering {
         self.parts().cmp(other.parts())
-    }
-}
-
-impl From<KeyPart> for GroupKey {
-    fn from(part: KeyPart) -> Self {
-        GroupKey::single(part)
     }
 }
 
@@ -660,7 +645,7 @@ impl SlotDirectory {
 /// typed loop per column type, so that rows whose key parts are equal
 /// ([`KeyPart::matches_column`]) fold equally: NULL as [`NULL_TAG`], floats
 /// by bit pattern, text a word at a time after its length ([`fold_text`]),
-/// arrays element by element after their length.
+/// arrays element by element after their length ([`fold_spans`]).
 fn hash_column(column: &ColumnChunk, hashes: &mut [u64]) {
     let nulls = column.nulls();
     match column {
@@ -678,26 +663,30 @@ fn hash_column(column: &ColumnChunk, hashes: &mut [u64]) {
         }
         ColumnChunk::DoubleArray {
             values, offsets, ..
-        } => fold_rows(hashes, nulls, |hash, i| {
-            let span = &values[offsets[i]..offsets[i + 1]];
-            let hash = fold(hash, span.len() as u64);
-            span.iter().fold(hash, |hash, v| fold(hash, v.to_bits()))
-        }),
+        } => fold_spans(hashes, nulls, offsets, |h, i| fold(h, values[i].to_bits())),
         ColumnChunk::IntArray {
             values, offsets, ..
-        } => fold_rows(hashes, nulls, |hash, i| {
-            let span = &values[offsets[i]..offsets[i + 1]];
-            let hash = fold(hash, span.len() as u64);
-            span.iter().fold(hash, |hash, &v| fold(hash, v as u64))
-        }),
+        } => fold_spans(hashes, nulls, offsets, |h, i| fold(h, values[i] as u64)),
         ColumnChunk::TextArray {
             values, offsets, ..
-        } => fold_rows(hashes, nulls, |hash, i| {
-            let span = &values[offsets[i]..offsets[i + 1]];
-            let hash = fold(hash, span.len() as u64);
-            span.iter().fold(hash, |hash, v| fold_text(hash, v))
-        }),
+        } => fold_spans(hashes, nulls, offsets, |h, i| fold_text(h, &values[i])),
     }
+}
+
+/// The loop of one array column whose row `i` spans
+/// `offsets[i]..offsets[i + 1]` of its buffer: each row folds its length,
+/// then every element of its span through `element(hash, index)`.
+#[inline(always)]
+fn fold_spans(
+    hashes: &mut [u64],
+    nulls: &NullBitmap,
+    offsets: &[usize],
+    element: impl Fn(u64, usize) -> u64,
+) {
+    fold_rows(hashes, nulls, |hash, row| {
+        let span = offsets[row]..offsets[row + 1];
+        span.clone().fold(fold(hash, span.len() as u64), &element)
+    })
 }
 
 /// The loop of one column: `fold_row(hash, i)` folds row `i`'s non-NULL

@@ -129,12 +129,6 @@ impl Summary {
         (self.count > 0).then(|| self.m2 / self.count as f64)
     }
 
-    /// Sample variance (n − 1 denominator); `None` with fewer than two
-    /// observations.
-    pub fn variance_sample(&self) -> Option<f64> {
-        (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
-    }
-
     /// Minimum; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -233,6 +227,14 @@ pub fn pearson_correlation(x: &[f64], y: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Summary {
+        /// Sample variance (n − 1 denominator); `None` with fewer than two
+        /// observations.
+        fn variance_sample(&self) -> Option<f64> {
+            (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
+        }
+    }
 
     #[test]
     fn summary_basic_statistics() {

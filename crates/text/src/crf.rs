@@ -93,29 +93,6 @@ impl ChainCrf {
     pub fn transition(&self, previous: usize, label: usize) -> f64 {
         self.weights[self.num_labels * self.num_observations + previous * self.num_labels + label]
     }
-
-    /// Unnormalized log-score of a labeling for an observation sequence.
-    ///
-    /// # Errors
-    /// Returns an engine error on length mismatch or out-of-range symbols.
-    pub fn sequence_log_score(&self, observations: &[usize], labels: &[usize]) -> Result<f64> {
-        if observations.len() != labels.len() {
-            return Err(EngineError::invalid(
-                "observations and labels must have equal length",
-            ));
-        }
-        let mut score = 0.0;
-        for (t, (&obs, &label)) in observations.iter().zip(labels).enumerate() {
-            if obs >= self.num_observations || label >= self.num_labels {
-                return Err(EngineError::invalid("symbol out of range"));
-            }
-            score += self.emission(label, obs);
-            if t > 0 {
-                score += self.transition(labels[t - 1], label);
-            }
-        }
-        Ok(score)
-    }
 }
 
 /// CRF training packaged as an [`Estimator`] — the uniform
@@ -199,6 +176,36 @@ impl Estimator for CrfEstimator {
 mod tests {
     use super::*;
     use madlib_engine::{Column, ColumnType, Row, Schema, Table, Value};
+
+    impl ChainCrf {
+        /// Unnormalized log-score of a labeling for an observation sequence:
+        /// the oracle the CRF and Viterbi tests rank labelings by.
+        ///
+        /// # Errors
+        /// Returns an engine error on length mismatch or out-of-range symbols.
+        pub(crate) fn sequence_log_score(
+            &self,
+            observations: &[usize],
+            labels: &[usize],
+        ) -> Result<f64> {
+            if observations.len() != labels.len() {
+                return Err(EngineError::invalid(
+                    "observations and labels must have equal length",
+                ));
+            }
+            let mut score = 0.0;
+            for (t, (&obs, &label)) in observations.iter().zip(labels).enumerate() {
+                if obs >= self.num_observations || label >= self.num_labels {
+                    return Err(EngineError::invalid("symbol out of range"));
+                }
+                score += self.emission(label, obs);
+                if t > 0 {
+                    score += self.transition(labels[t - 1], label);
+                }
+            }
+            Ok(score)
+        }
+    }
 
     pub(crate) fn training_corpus(sequences: usize, segments: usize) -> Table {
         let schema = Schema::new(vec![
